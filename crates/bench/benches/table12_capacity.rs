@@ -1,9 +1,9 @@
 //! Table 12 (new in this reproduction, no paper counterpart) — stream
 //! capacity of a fixed worker set: a ladder of concurrent open-loop
 //! streams driven against the pool twice per rung, once partitioned
-//! (thread-per-shard, `shards == threads`, static pinning) and once
-//! pooled (reactor, `shards == streams`, `reactor_threads == threads`),
-//! with the OS thread count identical in both modes. The table reports
+//! (`shards == threads`, static pinning) and once pooled
+//! (`shards == streams`), both reactor-hosted with
+//! `reactor_threads == threads`. The table reports
 //! p99 queue waits per rung and the measured capacity — the largest rung
 //! whose p99 wait stays under the target — beside the analytic
 //! partitioned/pooled predictions.
@@ -79,15 +79,15 @@ fn capacity_benchmark(c: &mut Criterion) {
     if smoke {
         if reactor < per_shard {
             eprintln!(
-                "reactor capacity regressed below thread-per-shard on the smoke ladder: \
+                "pooled capacity regressed below partitioned on the smoke ladder: \
                  {reactor} < {per_shard} streams at p99 wait <= {target_ms} ms"
             );
             std::process::exit(1);
         }
     } else if reactor < 4 * per_shard.max(1) {
         eprintln!(
-            "reactor capacity fell below the 4x headline: {reactor} streams vs \
-             thread-per-shard {per_shard} at p99 wait <= {target_ms} ms"
+            "pooled capacity fell below the 4x headline: {reactor} streams vs \
+             partitioned {per_shard} at p99 wait <= {target_ms} ms"
         );
         std::process::exit(1);
     }

@@ -1,8 +1,8 @@
 //! Minimal JSON export of the reproduced tables.
 //!
-//! The build environment has no registry access, so the vendored `serde` is
-//! marker-only and cannot serialize; this module hand-rolls the tiny subset
-//! of JSON the `reproduce` harness needs so CI can upload the run's numbers
+//! The workspace has no serializer dependency (the build environment has no
+//! registry access); this module hand-rolls the tiny subset of JSON the
+//! `reproduce` harness needs so CI can upload the run's numbers
 //! as a machine-readable artifact. The format is one object per table:
 //! `{"id": ..., "rows": [...], "columns": {"name": [numbers...]}}`.
 

@@ -479,7 +479,6 @@ pub fn table9_skewed(
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             student.clone(),
@@ -628,7 +627,6 @@ pub fn table11_steal(
                     // still has a shard-mate to keep (donations stop once
                     // the colds retire and the hot session is alone).
                     steal_patience: Duration::from_millis(3),
-                    recv_timeout: Duration::from_millis(200),
                     // One forward per batch: co-scheduling would amortize
                     // the hot stream's excess away and hide the very
                     // imbalance this table measures.
@@ -723,17 +721,17 @@ pub fn table11_steal(
 /// capacity of a fixed worker set: how many concurrent open-loop streams
 /// the pool sustains while the p99 *queue wait* (client round trip minus
 /// mean service time) stays under `target_wait_ms`, with the OS thread
-/// count pinned at `threads` in both topologies.
+/// count pinned at `threads` in both topologies. Both are reactor-hosted
+/// (`reactor_threads == threads`); what differs is the shard count.
 ///
-/// Thread-per-shard partitions the workers: `shards == threads`, each
-/// stream statically pinned (`StaticModulo`), so a burst on one shard
-/// queues behind that shard's other streams even while neighbour threads
-/// sit idle. The reactor pools them: `shards == streams` (one mostly-idle
-/// shard per stream) hosted by `reactor_threads == threads` event-driven
-/// workers, so any free thread takes any ready job. Work stealing stays
-/// off and batching is pinned to one frame per forward in BOTH modes —
-/// this table isolates partitioned-vs-pooled dispatch, not migration or
-/// amortization.
+/// `shards == threads` (the "per-shard" columns) partitions the workers:
+/// each stream statically pinned (`StaticModulo`) to one of `threads`
+/// shards, so a burst on one shard queues behind that shard's other
+/// streams even while neighbour workers sit idle. `shards == streams`
+/// (the "reactor" columns) pools them: one mostly-idle shard per stream,
+/// so any free worker takes any ready job. Work stealing stays off and
+/// batching is pinned to one frame per forward in BOTH modes — this table
+/// isolates partitioned-vs-pooled dispatch, not migration or amortization.
 ///
 /// Each ladder rung runs both topologies under the same jittered arrival
 /// schedule and reports p99 queue waits plus throttle/drop counts; the
@@ -771,12 +769,12 @@ pub fn table12_capacity(
     let mut service_sum = 0.0;
     let mut service_runs = 0usize;
     for &streams in stream_ladder {
-        let run = |reactor: bool| {
+        let run = |pooled: bool| {
             run_capacity_load(
                 config,
                 PoolConfig {
-                    shards: if reactor { streams } else { threads },
-                    reactor_threads: if reactor { Some(threads) } else { None },
+                    shards: if pooled { streams } else { threads },
+                    reactor_threads: Some(threads),
                     // Static pinning in both modes: stealing would
                     // partially pool the partitioned baseline and blur
                     // the comparison this table exists to make.
@@ -786,7 +784,6 @@ pub fn table12_capacity(
                     max_in_flight: 64,
                     max_batch: 1,
                     adaptive_batch: false,
-                    recv_timeout: Duration::from_millis(100),
                     ..PoolConfig::default_pool()
                 },
                 student.clone(),
@@ -846,7 +843,7 @@ pub fn table12_capacity(
     ];
     out.render(&format!(
         "Table 12 — stream capacity at p99 queue wait <= {target_wait_ms:.1} ms, {threads} threads \
-         (measured: thread-per-shard {cap_shard} vs reactor {cap_reactor}; \
+         (measured: partitioned {cap_shard} vs pooled {cap_reactor}; \
          model: {model_shard} vs {model_reactor})"
     ));
     out

@@ -13,7 +13,7 @@
 //! - [`lint`] — the token-level scanner behind the `st-lint` binary
 //!   (`cargo run -p st-check --bin st-lint -- --deny`), enforcing repo
 //!   invariants: `// SAFETY:` before `unsafe`, `// ORDER:` justification on
-//!   `Ordering::Relaxed`, no `unwrap`/`expect` in `serve.rs`/`shm.rs`
+//!   `Ordering::Relaxed`, no `unwrap`/`expect` in `serve/`/`shm.rs`
 //!   non-test code, no native-endian byte conversions in `st-net`, and no
 //!   `thread::sleep` in reactor code.
 //!

@@ -66,44 +66,54 @@ fn unwrap_and_expect_banned_in_serve_and_shm_only() {
     let src =
         "fn f() {\n    let g = m.lock().unwrap();\n    let h = n.lock().expect(\"lock\");\n}\n";
     assert_eq!(
-        rules("crates/core/src/serve.rs", src),
+        rules("crates/core/src/serve/reactor.rs", src),
         vec!["no-unwrap", "no-unwrap"]
     );
     assert_eq!(
         rules("crates/net/src/shm.rs", src),
         vec!["no-unwrap", "no-unwrap"]
     );
-    // Other files are out of scope for this rule.
+    // Other files are out of scope for this rule — the serve rules key on
+    // the `serve/` directory, and a sibling of it is not in it.
     assert!(rules("crates/core/src/runtime.rs", src).is_empty());
+    assert!(rules("crates/core/src/server.rs", src).is_empty());
 
-    // Test modules inside serve.rs are exempt.
+    // Test modules inside the serve tree are exempt, in line or as the
+    // tree's out-of-line `tests.rs`.
     let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { m.lock().unwrap(); }\n}\n";
-    assert!(rules("crates/core/src/serve.rs", test_src).is_empty());
+    assert!(rules("crates/core/src/serve/reactor.rs", test_src).is_empty());
+    assert!(rules("crates/core/src/serve/tests.rs", src).is_empty());
 }
 
 #[test]
 fn native_endian_conversions_banned_in_net() {
     let src = "fn f(x: u32) -> [u8; 4] { x.to_ne_bytes() }\n";
     assert_eq!(rules("crates/net/src/wire.rs", src), vec!["ne-bytes"]);
-    assert!(rules("crates/core/src/serve.rs", src).is_empty());
+    assert!(rules("crates/core/src/serve/state.rs", src).is_empty());
 }
 
 #[test]
 fn thread_sleep_banned_in_reactor_files() {
     let src = "fn f() { std::thread::sleep(Duration::from_millis(1)); }\n";
-    assert_eq!(rules("crates/core/src/serve.rs", src), vec!["no-sleep"]);
+    assert_eq!(
+        rules("crates/core/src/serve/reactor.rs", src),
+        vec!["no-sleep"]
+    );
     assert_eq!(rules("crates/net/src/poll.rs", src), vec!["no-sleep"]);
     assert!(rules("crates/net/src/shm.rs", src).is_empty());
 
     let test_src =
         "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::sleep(D); }\n}\n";
-    assert!(rules("crates/core/src/serve.rs", test_src).is_empty());
+    assert!(rules("crates/core/src/serve/reactor.rs", test_src).is_empty());
 }
 
 #[test]
 fn ignored_send_banned_on_failover_and_mailbox_paths() {
     let bad = "fn f() {\n    let _ = downlink.send(bytes, msg);\n}\n";
-    assert_eq!(rules("crates/core/src/serve.rs", bad), vec!["ignored-send"]);
+    assert_eq!(
+        rules("crates/core/src/serve/reactor.rs", bad),
+        vec!["ignored-send"]
+    );
     assert_eq!(rules("crates/core/src/steal.rs", bad), vec!["ignored-send"]);
     assert_eq!(
         rules("crates/core/src/runtime/live.rs", bad),
@@ -112,16 +122,16 @@ fn ignored_send_banned_on_failover_and_mailbox_paths() {
     // Out-of-scope files and handled results stay clean.
     assert!(rules("crates/core/src/loadgen.rs", bad).is_empty());
     let handled = "fn f() {\n    deliver(&downlink, bytes, msg, &mut lost_acks);\n    if tx.send(e).is_err() { count += 1; }\n}\n";
-    assert!(rules("crates/core/src/serve.rs", handled).is_empty());
+    assert!(rules("crates/core/src/serve/reactor.rs", handled).is_empty());
     // `let _ =` without a send on the same statement is some other rule's
     // business.
     let other = "fn f() {\n    let _ = guard;\n}\n";
-    assert!(rules("crates/core/src/serve.rs", other).is_empty());
+    assert!(rules("crates/core/src/serve/reactor.rs", other).is_empty());
 
     // Test modules are exempt — scripted endpoints drop sends on purpose.
     let test_src =
         "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = tx.send(1); }\n}\n";
-    assert!(rules("crates/core/src/serve.rs", test_src).is_empty());
+    assert!(rules("crates/core/src/serve/reactor.rs", test_src).is_empty());
 }
 
 #[test]
@@ -179,7 +189,7 @@ fn chunk_hashing_is_confined_to_store_and_delta() {
     let src = "fn f(chunk: &[u8]) -> u64 {\n    chunk_hash(chunk)\n}\n";
     // A hot serving loop re-deriving checkpoint identity is exactly the bug.
     assert_eq!(
-        rules("crates/core/src/serve.rs", src),
+        rules("crates/core/src/serve/state.rs", src),
         vec!["chunk-hash-confined"]
     );
     let combine = "fn f(hs: &[u64]) -> u64 {\n    combine_hashes(hs)\n}\n";
@@ -193,10 +203,10 @@ fn chunk_hashing_is_confined_to_store_and_delta() {
     // Tests (modules and integration files) may hash to state expectations.
     let test_src =
         "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { chunk_hash(&[1u8]); }\n}\n";
-    assert!(rules("crates/core/src/serve.rs", test_src).is_empty());
+    assert!(rules("crates/core/src/serve/state.rs", test_src).is_empty());
     assert!(rules("crates/nn/tests/a.rs", src).is_empty());
     // Mentions in comments and strings are not calls.
     let prose =
         "fn f() {\n    // chunk_hash( is discussed here only\n    let s = \"chunk_hash(x)\";\n}\n";
-    assert!(rules("crates/core/src/serve.rs", prose).is_empty());
+    assert!(rules("crates/core/src/serve/state.rs", prose).is_empty());
 }

@@ -10,11 +10,10 @@
 //! parameter-selection procedure.
 
 use crate::config::ShadowTutorConfig;
-use serde::{Deserialize, Serialize};
 use st_sim::LatencyProfile;
 
 /// Inputs to the §4.4 bound formulae.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundInputs {
     /// Student inference latency `t_si` (s).
     pub t_si: f64,
@@ -55,7 +54,7 @@ impl BoundInputs {
 }
 
 /// Network-traffic bounds in bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficBounds {
     /// Equation 8: the lower bound (key frames as sparse as possible, no
     /// client concurrency, maximum distillation).
@@ -83,7 +82,7 @@ impl TrafficBounds {
 }
 
 /// Throughput bounds in frames per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputBounds {
     /// Equation 14: the lower bound.
     pub lower_fps: f64,

@@ -15,10 +15,9 @@
 
 use crate::config::ShadowTutorConfig;
 use crate::stride::StridePolicy;
-use serde::{Deserialize, Serialize};
 
 /// What the client should do with the current frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameDecision {
     /// Whether this frame must be sent to the server as a key frame.
     pub is_key_frame: bool,
@@ -29,7 +28,7 @@ pub struct FrameDecision {
 }
 
 /// Client-side scheduling state (stride, step counter, in-flight update).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientState {
     /// Algorithm parameters.
     pub config: ShadowTutorConfig,
@@ -393,13 +392,5 @@ mod tests {
         assert_eq!(s.updates_throttled(), 2);
         assert_eq!(s.updates_applied(), 3);
         assert_eq!(s.updates_abandoned(), 0);
-    }
-
-    #[test]
-    fn state_is_serializable() {
-        // serde_json is not a dependency; a trait-bound check is enough to
-        // guarantee the derive stays in place for downstream consumers.
-        fn assert_serialize<T: serde::Serialize>(_: &T) {}
-        assert_serialize(&state());
     }
 }

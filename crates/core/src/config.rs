@@ -1,10 +1,9 @@
 //! Algorithm parameters and the paper's constants.
 
-use serde::{Deserialize, Serialize};
 use st_nn::student::FreezePoint;
 
 /// Whether distillation trains the whole student or only its back-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistillationMode {
     /// Partial distillation (§4.2): the front of the student is frozen; only
     /// the decoder/head is trained, and only those weights cross the network.
@@ -45,7 +44,7 @@ impl DistillationMode {
 /// finished, and rebalancing additionally depends on wall-clock load — which
 /// is exactly why stealing is opt-in, so `StaticModulo` reproductions stay
 /// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
     /// Route to the shard with the fewest currently registered sessions,
     /// breaking ties toward the lowest shard index. This is the production
@@ -119,7 +118,7 @@ impl st_net::Wire for ShadowTutorConfig {
 }
 
 /// The ShadowTutor algorithm parameters (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowTutorConfig {
     /// Acceptable student metric (mean IoU); training stops early once the
     /// key-frame metric exceeds it and striding lengthens beyond it.
@@ -193,7 +192,7 @@ impl Default for ShadowTutorConfig {
 
 /// Constants the paper measured on its testbed, collected in one place so
 /// benches and analytic checks can reference them explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperConstants {
     /// Uplink payload per key frame: one 720p frame (MB).
     pub frame_mb: f64,

@@ -741,7 +741,6 @@ mod tests {
                 shards: 12,
                 reactor_threads: Some(2),
                 max_in_flight: 64,
-                recv_timeout: Duration::from_millis(100),
                 ..PoolConfig::default_pool()
             },
             student,
@@ -818,7 +817,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 // Room for two frames per stream; each stream pre-shares
                 // six, so most key frames hit an evicted slot and must be
                 // recovered through NeedFrame → ReShare. Parked jobs hold
@@ -860,7 +858,6 @@ mod tests {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),

@@ -1,0 +1,118 @@
+//! The multi-stream server runtime: a sharded pool of distillation workers.
+//!
+//! The paper evaluates one client per server, but the server is the shared,
+//! expensive side of the system. This module turns the single-stream
+//! [`crate::server::ServerState`] into a multi-tenant service:
+//!
+//! * [`ServeShard`] owns one teacher and one [`DistillSession`] per client
+//!   stream assigned to it. Key frames from different streams that arrive
+//!   close together are *co-scheduled*: the teacher labels them in one
+//!   batched forward pass ([`st_teacher::Teacher::pseudo_label_batch`]) whose
+//!   virtual cost is amortized across the batch, and then each stream's
+//!   session distills its own student on its own pseudo-label. Streams never
+//!   share weights — isolation is structural.
+//! * [`ServerPool`] hosts every shard's state machine on a fixed set of
+//!   reactor workers ([`PoolConfig::reactor_threads`]; one per shard by
+//!   default) woken by send-side readiness tokens and a timer wheel, places
+//!   streams on shards per [`PlacementPolicy`] (least-loaded by default,
+//!   static `id % shards` for reproducibility), and funnels each client's
+//!   uplink into the owning shard's queue as [`st_net::StreamTagged`] traffic.
+//!   Clients talk to the pool through [`StreamClient`], which implements the
+//!   same [`st_net::ClientEndpoint`] surface as the single-stream transport,
+//!   so the client-side state machine is byte-for-byte the one Algorithm 4
+//!   uses.
+//!
+//! The pool does **not** trust clients to be well behaved. Three mechanisms
+//! keep a hot stream from starving its shard-mates:
+//!
+//! * **Fair batching** — arriving key frames land in per-stream FIFO queues
+//!   and are drained by deficit round-robin ([`FairScheduler`]): every
+//!   co-scheduled teacher batch takes at most `quantum` jobs per stream per
+//!   round, so batch slots are shared even when one stream has a deep
+//!   backlog.
+//! * **Admission control** — each stream may have at most `max_in_flight`
+//!   key frames queued; excess arrivals are rejected immediately with
+//!   [`st_net::ServerToClient::Throttle`], which the client answers by
+//!   serving the frame with its local (slightly stale) student — the
+//!   fallback the paper's partial/full modes make natural.
+//! * **Adaptive co-scheduling** — the batching window grows and shrinks with
+//!   the observed backlog ([`AdaptiveBatch`]) instead of sitting at the
+//!   static `max_batch`, bounded above by it, and growth stops when the
+//!   teacher's marginal batched-inference cost no longer amortizes. Every
+//!   batched teacher forward is wall-clock timed ([`TeacherCostProfile`]),
+//!   so once real data exists the growth decision runs on *measured*
+//!   marginal cost and only falls back to the virtual latency model before
+//!   that (or when forwards are too fast to time).
+//!
+//! Since PR 5 the pool is also **elastic**: placement is no longer final.
+//!
+//! * **Work stealing** — under [`PlacementPolicy::Rebalance`] an idle shard
+//!   steals whole streams (session, frame cache, queued DRR turns and all)
+//!   from the most-loaded shard through a shared `StealRegistry`. The victim
+//!   hands the stream off between batches, so a migrating
+//!   [`DistillSession`] is always quiescent; queued jobs keep their original
+//!   arrival timestamps (wait accounting survives the move) and admission
+//!   control keeps counting the stream's in-flight jobs at its new home.
+//!   `StaticModulo` and `LeastLoaded` pools never migrate, so existing
+//!   reproductions stay bit-deterministic.
+//! * **Bounded frame memory** — each stream's pre-shared frames live in a
+//!   [`FrameStore`], an LRU cache with a configurable per-stream byte budget
+//!   ([`PoolConfig::frame_budget_bytes`]). When a key-frame job needs an
+//!   evicted frame the job is parked (not dropped) and the client is asked
+//!   to re-upload it ([`st_net::ServerToClient::NeedFrame`] →
+//!   [`st_net::ClientToServer::ReShare`], answered through
+//!   [`StreamClient::reshare`]), trading memory for uplink bandwidth.
+//!
+//! The pool reports [`PoolStats`]: per-shard queueing/batching/latency
+//! counters plus per-stream key-frame totals, waits, throttles, drops,
+//! steals, evictions, measured teacher wall time and final server-side
+//! checkpoints, which the contention experiments compare against the
+//! analytic [`st_sim::ContentionModel`]. [`PoolStats::snapshot`] condenses
+//! all of it into the serializable [`crate::report::PoolReport`] operators
+//! can export.
+//!
+//! The module tree follows the seams of one key frame's trip through the
+//! server: `config` and `stats` are the pool's inputs and outputs; `frames`,
+//! `replica`, `sched` and `shard` are the synchronous per-shard machinery;
+//! `state` is the shard state machine (with its `migrate` and `takeover`
+//! halves) over the `failover` blackboard; `pool` is the handle and client
+//! endpoint; `reactor` is the one driver, and reaches a shard state only
+//! through its methods.
+//!
+//! [`PlacementPolicy`]: crate::config::PlacementPolicy
+//! [`PlacementPolicy::Rebalance`]: crate::config::PlacementPolicy::Rebalance
+//! [`DistillSession`]: crate::server::DistillSession
+
+mod config;
+mod failover;
+mod frames;
+mod pool;
+mod reactor;
+mod replica;
+mod sched;
+mod shard;
+mod state;
+mod stats;
+#[cfg(test)]
+mod tests;
+
+pub use crate::server::StreamServerStats;
+pub use config::{FaultPlan, PoolConfig, PoolError, SessionWeights};
+pub use frames::FrameStore;
+pub use pool::{ServerPool, StreamClient};
+pub use replica::ReplicaStore;
+pub use sched::{AdaptiveBatch, FairScheduler, ScheduledJob, ShardJob, TeacherCostProfile};
+pub use shard::{BatchOutcome, ServeShard};
+pub use stats::{PoolStats, ShardStats};
+
+use std::sync::Mutex;
+
+/// Lock a shared map, recovering the data if a worker panicked while
+/// holding the lock: the pool's shared state must stay usable for the
+/// surviving workers and the final join-side accounting, and every guard
+/// in this module tree restores its invariants before dropping.
+fn locked<T: ?Sized>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}

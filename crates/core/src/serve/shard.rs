@@ -1,0 +1,485 @@
+//! One shard: a shared teacher plus one distillation session per stream.
+
+#[cfg(doc)]
+use super::ServerPool;
+use super::{FrameStore, SessionWeights, ShardJob, ShardStats, TeacherCostProfile};
+use crate::config::ShadowTutorConfig;
+use crate::server::{DistillSession, KeyFrameResponse, StreamServerStats};
+use crate::Result;
+#[cfg(doc)]
+use st_net::ServerToClient;
+use st_net::{DropReason, StreamId};
+use st_nn::delta::{CheckpointDigest, WeightDelta};
+use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
+use st_nn::store::SessionMemory;
+use st_nn::student::StudentNet;
+use st_teacher::Teacher;
+use st_video::Frame;
+use std::collections::HashMap;
+use std::time::Instant;
+
+/// Server-side delta-negotiation state of one stream: the digest of the
+/// client's last-acked checkpoint (patched with every update actually
+/// sent) and whether the stream is known to be in sync. An unsynced stream
+/// — fresh registration pending its first update, or a failover-restored
+/// session whose adopter cannot prove what the client last applied — gets
+/// a full-snapshot envelope, which re-synchronizes it.
+pub(super) struct DeltaTrack {
+    pub(super) digest: CheckpointDigest,
+    pub(super) synced: bool,
+}
+
+/// One stream's registration state inside a shard.
+pub(super) struct StreamEntry {
+    session: DistillSession,
+    /// The stream's pre-shared frame content, LRU-bounded.
+    frames: FrameStore,
+    /// Delta-update negotiation state; `None` on legacy bare-snapshot
+    /// streams. Travels with the stream through migration and is rebuilt
+    /// (unsynced) after a failover restore.
+    delta: Option<DeltaTrack>,
+}
+
+/// Outcome of one co-scheduled batch: per-stream responses plus the jobs
+/// that could not be served (each with its reason) and the jobs whose frame
+/// content must be re-requested from the client first.
+#[derive(Debug)]
+pub struct BatchOutcome {
+    /// `(stream, frame index, response)` per serviced key frame, in
+    /// scheduling order.
+    pub responses: Vec<(StreamId, usize, KeyFrameResponse)>,
+    /// Jobs whose stream or frame was unknown. Counted in
+    /// [`ShardStats::dropped_jobs`].
+    pub dropped: Vec<(ShardJob, DropReason)>,
+    /// Jobs whose frame was shared but has been evicted from the stream's
+    /// [`FrameStore`]. Not a failure: the caller parks the job, asks the
+    /// client to re-upload the content ([`ServerToClient::NeedFrame`]) and
+    /// resumes it on the [`st_net::ClientToServer::ReShare`]. Counted in
+    /// [`ShardStats::need_frame_requests`].
+    pub needs_frame: Vec<ShardJob>,
+}
+
+/// One shard: a shared teacher plus one distillation session per stream.
+///
+/// The shard is a synchronous state machine — the [`ServerPool`]'s reactor
+/// drives it from a queue, and tests can drive it directly.
+pub struct ServeShard<T: Teacher> {
+    config: ShadowTutorConfig,
+    distill_step_latency: f64,
+    template: StudentNet,
+    /// Full-scope digest of the pristine template — the sparse-restore
+    /// baseline: failover applies only the replica entries that differ from
+    /// it, so frozen stages come back sharing the template's storage.
+    template_digest: CheckpointDigest,
+    session_weights: SessionWeights,
+    teacher: T,
+    sessions: HashMap<StreamId, StreamEntry>,
+    pub(super) stats: ShardStats,
+    costs: TeacherCostProfile,
+}
+
+impl<T: Teacher> ServeShard<T> {
+    /// Create a shard serving sessions cloned from `template`.
+    pub fn new(
+        config: ShadowTutorConfig,
+        mut template: StudentNet,
+        teacher: T,
+        distill_step_latency: f64,
+    ) -> Self {
+        let template_digest =
+            CheckpointDigest::of(&WeightSnapshot::capture(&mut template, SnapshotScope::Full));
+        ServeShard {
+            config,
+            distill_step_latency,
+            template,
+            template_digest,
+            session_weights: SessionWeights::CopyOnWrite,
+            teacher,
+            sessions: HashMap::new(),
+            stats: ShardStats::default(),
+            costs: TeacherCostProfile::new(),
+        }
+    }
+
+    /// Set how sessions materialize their weights from the template.
+    pub fn with_session_weights(mut self, session_weights: SessionWeights) -> Self {
+        self.session_weights = session_weights;
+        self
+    }
+
+    /// Materialize a session's starting weights from the template per the
+    /// shard's [`SessionWeights`] mode.
+    fn template_instance(&mut self) -> StudentNet {
+        match self.session_weights {
+            SessionWeights::CopyOnWrite => self.template.clone(),
+            SessionWeights::DeepClone => self.template.deep_clone(),
+        }
+    }
+
+    /// Register a stream: create its session and return the initial full
+    /// checkpoint (Algorithm 3, line 1, per stream).
+    ///
+    /// A duplicate register does **not** clobber the live session or its
+    /// pre-shared frames (the pool rejects duplicate connects before they
+    /// reach the shard); it returns the session's current checkpoint. Either
+    /// way the stream's delta track resets to synced-at-this-checkpoint:
+    /// the caller is about to ship exactly this snapshot as
+    /// [`ServerToClient::InitialStudent`].
+    pub fn register(
+        &mut self,
+        stream_id: StreamId,
+        frames: FrameStore,
+        supports_delta: bool,
+    ) -> WeightSnapshot {
+        if !self.sessions.contains_key(&stream_id) {
+            let session = DistillSession::new(
+                self.config,
+                self.template_instance(),
+                self.distill_step_latency,
+            );
+            self.sessions.insert(
+                stream_id,
+                StreamEntry {
+                    session,
+                    frames,
+                    delta: None,
+                },
+            );
+        }
+        let Some(entry) = self.sessions.get_mut(&stream_id) else {
+            unreachable!("session inserted above when absent")
+        };
+        let initial = entry.session.initial_checkpoint();
+        entry.delta = supports_delta.then(|| DeltaTrack {
+            digest: CheckpointDigest::of(&initial),
+            synced: true,
+        });
+        initial
+    }
+
+    /// Restore an evicted frame's content from a client re-share. Returns
+    /// `false` when the stream has no session, the index was never shared
+    /// in the first place (a re-share is recovery, not a side door for
+    /// injecting new frames), or the frame is bigger than the stream's
+    /// whole budget and so can never be made resident. In every `false`
+    /// case the caller acks a drop — a definitive answer, never a retry
+    /// loop.
+    pub fn reshare(&mut self, stream_id: StreamId, frame: Frame) -> bool {
+        let Some(entry) = self.sessions.get_mut(&stream_id) else {
+            return false;
+        };
+        if !entry.frames.knows(frame.index) {
+            return false;
+        }
+        let index = frame.index;
+        entry.frames.insert(frame);
+        if !entry.frames.resident(index) {
+            // The frame alone exceeds the budget: admission is impossible,
+            // so recovery must fail definitively instead of ping-ponging
+            // NeedFrame ↔ ReShare forever.
+            return false;
+        }
+        self.stats.reshared_frames += 1;
+        true
+    }
+
+    /// Pull a whole stream out of the shard for migration: its live session
+    /// and its frame cache, counters intact (they travel with the stream and
+    /// are folded into whichever shard finally retires it).
+    pub(super) fn evict_stream(&mut self, stream_id: StreamId) -> Option<StreamEntry> {
+        let entry = self.sessions.remove(&stream_id);
+        if entry.is_some() {
+            self.stats.streams_donated += 1;
+        }
+        entry
+    }
+
+    /// Install a stream migrated from another shard.
+    pub(super) fn adopt_stream(&mut self, stream_id: StreamId, entry: StreamEntry) {
+        debug_assert!(
+            !self.sessions.contains_key(&stream_id),
+            "a stream lives on exactly one shard"
+        );
+        self.stats.streams_stolen_in += 1;
+        self.sessions.insert(stream_id, entry);
+    }
+
+    /// Capture what checkpoint replication publishes for one stream: the
+    /// full session checkpoint, the distillation counters, the set of
+    /// shared frame indices, and the stream's delta negotiation.
+    pub(super) fn session_replica(
+        &mut self,
+        stream_id: StreamId,
+    ) -> Option<(WeightSnapshot, usize, usize, Vec<usize>, bool)> {
+        let entry = self.sessions.get_mut(&stream_id)?;
+        Some((
+            entry.session.replica_checkpoint(),
+            entry.session.key_frames_processed(),
+            entry.session.distill_steps_taken(),
+            entry.frames.known_indices(),
+            entry.delta.is_some(),
+        ))
+    }
+
+    /// The stream's delta track, if the client negotiated delta updates.
+    pub(super) fn delta_track_mut(&mut self, stream_id: StreamId) -> Option<&mut DeltaTrack> {
+        self.sessions.get_mut(&stream_id)?.delta.as_mut()
+    }
+
+    /// Sum every live session's storage split against the shard template.
+    /// Cheap (pointer compares per tensor), but still sampled per batch,
+    /// never per frame.
+    pub(super) fn memory_profile(&mut self) -> SessionMemory {
+        let mut total = SessionMemory::default();
+        for entry in self.sessions.values_mut() {
+            let m = SessionMemory::measure(entry.session.student_mut(), &mut self.template);
+            total.shared_bytes += m.shared_bytes;
+            total.private_bytes += m.private_bytes;
+        }
+        total
+    }
+
+    /// Rebuild a stream from its replicated checkpoint (warm-standby
+    /// takeover): a fresh session resumed from the replica weights and
+    /// counters, plus a known-but-evicted frame cache.
+    ///
+    /// The restore is *sparse*: only the replica entries whose content hash
+    /// differs from the pristine template are applied onto a copy-on-write
+    /// template instance, so frozen stages come back sharing the template's
+    /// storage — bit-identical to applying the full replica, because a
+    /// skipped entry equals the template by content hash. A delta-negotiated
+    /// stream restores with `synced: false`: the adopter cannot prove what
+    /// the client last applied, so the next update ships as a full-snapshot
+    /// envelope (the delta re-sync).
+    pub(super) fn restore_stream(
+        &mut self,
+        stream_id: StreamId,
+        snapshot: &WeightSnapshot,
+        key_frames: usize,
+        distill_steps: usize,
+        frames: FrameStore,
+        supports_delta: bool,
+    ) -> Result<()> {
+        debug_assert!(
+            !self.sessions.contains_key(&stream_id),
+            "a stream lives on exactly one shard"
+        );
+        let sparse = WeightDelta::compute(snapshot, &self.template_digest);
+        let (changed, _) = sparse.into_parts()?;
+        let base = self.template_instance();
+        let session = DistillSession::resume(
+            self.config,
+            base,
+            &changed,
+            self.distill_step_latency,
+            key_frames,
+            distill_steps,
+        )?;
+        let delta = supports_delta.then(|| DeltaTrack {
+            digest: CheckpointDigest::of(snapshot),
+            synced: false,
+        });
+        self.sessions.insert(
+            stream_id,
+            StreamEntry {
+                session,
+                frames,
+                delta,
+            },
+        );
+        Ok(())
+    }
+
+    /// Drop every session, folding only the frame-cache counters into the
+    /// shard's stats. This is carcass accounting: a dead shard's live
+    /// sessions are *replaced* by replica-restored ones at its adopter (the
+    /// replicas, not the carcass, are the recovery source of truth), so the
+    /// carcass keeps the counters and loses the state.
+    pub(super) fn discard_sessions(&mut self) {
+        for (_stream_id, entry) in self.sessions.drain() {
+            self.stats.frame_evictions += entry.frames.evictions();
+            self.stats.frame_bytes_peak =
+                self.stats.frame_bytes_peak.max(entry.frames.peak_bytes());
+        }
+    }
+
+    /// Number of streams currently registered.
+    pub fn stream_count(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Whether a stream has a registered session.
+    pub fn has_stream(&self, stream_id: StreamId) -> bool {
+        self.sessions.contains_key(&stream_id)
+    }
+
+    /// Whether a stream has a registered session *and* the frame was shared
+    /// at some point (it may currently be evicted; see
+    /// [`ServeShard::frame_resident`]).
+    pub fn has_frame(&self, stream_id: StreamId, frame_index: usize) -> bool {
+        self.sessions
+            .get(&stream_id)
+            .is_some_and(|e| e.frames.knows(frame_index))
+    }
+
+    /// Whether the frame's content is currently resident in the stream's
+    /// cache (a known-but-evicted frame triggers the
+    /// [`ServerToClient::NeedFrame`] recovery path instead of service).
+    pub fn frame_resident(&self, stream_id: StreamId, frame_index: usize) -> bool {
+        self.sessions
+            .get(&stream_id)
+            .is_some_and(|e| e.frames.resident(frame_index))
+    }
+
+    /// Ids of all currently registered streams.
+    pub fn session_ids(&self) -> Vec<StreamId> {
+        self.sessions.keys().copied().collect()
+    }
+
+    /// Virtual cost of adding one more slot to a co-scheduled batch of
+    /// `batch` frames.
+    pub fn marginal_batch_cost(&self, batch: usize) -> f64 {
+        self.teacher.batched_inference_latency(batch + 1)
+            - self.teacher.batched_inference_latency(batch)
+    }
+
+    /// Whether growing the co-scheduling window beyond `batch` still
+    /// amortizes teacher time.
+    ///
+    /// Judged on the *measured* marginal batched-forward cost when the shard
+    /// has timed enough batched forwards ([`TeacherCostProfile`]); until
+    /// then — or when forwards are too fast to time — on the teacher's
+    /// virtual latency model (marginal virtual cost below a solo forward).
+    pub fn batch_growth_pays(&self, batch: usize) -> bool {
+        match self.costs.growth_pays(batch) {
+            Some(pays) => pays,
+            None => self.marginal_batch_cost(batch) < self.teacher.inference_latency(),
+        }
+    }
+
+    /// The measured batched-forward cost profile collected so far.
+    pub fn measured_costs(&self) -> &TeacherCostProfile {
+        &self.costs
+    }
+
+    /// Process a co-scheduled batch of key frames: one batched teacher
+    /// forward across the batch, then per-stream distillation in scheduling
+    /// order. Jobs whose stream or frame is unknown are returned in
+    /// [`BatchOutcome::dropped`] and counted in
+    /// [`ShardStats::dropped_jobs`] — never silently discarded.
+    pub fn process_batch(&mut self, jobs: &[ShardJob]) -> Result<BatchOutcome> {
+        // Resolve which jobs are servable. Frames stay where they are — they
+        // are borrowed for labelling and distillation, never copied (a frame
+        // is the whole RGB tensor plus its ground truth). A known frame that
+        // was evicted from the stream's cache is reported in `needs_frame`
+        // rather than dropped: the content is recoverable from the client.
+        let mut dropped: Vec<(ShardJob, DropReason)> = Vec::new();
+        let mut needs_frame: Vec<ShardJob> = Vec::new();
+        let mut resolved: Vec<ShardJob> = Vec::new();
+        for job in jobs {
+            match self.sessions.get_mut(&job.stream_id) {
+                None => dropped.push((*job, DropReason::UnknownStream)),
+                Some(entry) => {
+                    if !entry.frames.knows(job.frame_index) {
+                        dropped.push((*job, DropReason::UnknownFrame));
+                    } else if !entry.frames.touch(job.frame_index) {
+                        // `touch` marks the frame most-recently-used (and
+                        // tells us whether it is resident), so the frames a
+                        // batch is about to read are the last the budget
+                        // would evict.
+                        needs_frame.push(*job);
+                    } else {
+                        resolved.push(*job);
+                    }
+                }
+            }
+        }
+        self.stats.dropped_jobs += dropped.len();
+        self.stats.need_frame_requests += needs_frame.len();
+        if resolved.is_empty() {
+            return Ok(BatchOutcome {
+                responses: Vec::new(),
+                dropped,
+                needs_frame,
+            });
+        }
+
+        // One teacher forward pass amortized over the co-scheduled frames,
+        // timed so the adaptive batcher grows on measured marginal cost.
+        let batch = resolved.len();
+        let teacher_started = Instant::now();
+        let labels = {
+            let frame_refs: Vec<&Frame> = resolved
+                .iter()
+                .map(|job| {
+                    let Some(frame) = self.sessions[&job.stream_id].frames.peek(job.frame_index)
+                    else {
+                        unreachable!("frame resident: touched above")
+                    };
+                    frame
+                })
+                .collect();
+            self.teacher.pseudo_label_batch(&frame_refs)?
+        };
+        let teacher_elapsed = teacher_started.elapsed();
+        self.stats.teacher_wall_time += teacher_elapsed;
+        self.costs.record(batch, teacher_elapsed.as_secs_f64());
+        let solo_cost = batch as f64 * self.teacher.inference_latency();
+        let batched_cost = self.teacher.batched_inference_latency(batch);
+        let teacher_share = batched_cost / batch as f64;
+        self.stats.teacher_batches += 1;
+        self.stats.max_batch_observed = self.stats.max_batch_observed.max(batch);
+        self.stats.teacher_time_saved += solo_cost - batched_cost;
+
+        let mut out = Vec::with_capacity(batch);
+        for (job, label) in resolved.into_iter().zip(labels) {
+            let Some(entry) = self.sessions.get_mut(&job.stream_id) else {
+                unreachable!("session present: resolved above")
+            };
+            // Split the entry so the frame borrow and the mutable session
+            // borrow coexist.
+            let StreamEntry {
+                session, frames, ..
+            } = entry;
+            let Some(frame) = frames.peek(job.frame_index) else {
+                unreachable!("frame resident: touched above")
+            };
+            let response = session.distill(frame, &label, teacher_share)?;
+            self.stats.key_frames += 1;
+            self.stats.distill_steps += response.outcome.steps;
+            self.stats.virtual_server_time += response.server_time;
+            out.push((job.stream_id, job.frame_index, response));
+        }
+        Ok(BatchOutcome {
+            responses: out,
+            dropped,
+            needs_frame,
+        })
+    }
+
+    /// Finish a stream: remove its session, returning the final full
+    /// checkpoint and the stream's counters (distillation half only — the
+    /// pool worker merges in waits/throttles/drops). The stream's
+    /// frame-cache counters are folded into this shard's [`ShardStats`]
+    /// here, so a migrated stream's evictions land where it finished.
+    pub fn finish(&mut self, stream_id: StreamId) -> Option<(WeightSnapshot, StreamServerStats)> {
+        self.sessions.remove(&stream_id).map(|mut entry| {
+            let checkpoint = entry.session.initial_checkpoint();
+            let stats = entry.session.stats();
+            self.stats.frame_evictions += entry.frames.evictions();
+            self.stats.frame_bytes_peak =
+                self.stats.frame_bytes_peak.max(entry.frames.peak_bytes());
+            (checkpoint, stats)
+        })
+    }
+
+    /// The shard's counters so far.
+    pub fn stats(&self) -> ShardStats {
+        self.stats
+    }
+
+    /// The teacher shared by this shard's streams.
+    pub fn teacher_mut(&mut self) -> &mut T {
+        &mut self.teacher
+    }
+}

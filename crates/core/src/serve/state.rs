@@ -1,0 +1,1147 @@
+//! The shard state machine: all of one shard's serving state, its event
+//! handlers, and the channel plumbing that connects it to clients. The
+//! reactor drives it exclusively through [`ShardState::run_pass`],
+//! [`ShardState::on_need_frame_retry`] and [`ShardState::finish`]; its
+//! fields are private to this module and its two halves — `migrate` (work
+//! stealing) and `takeover` (warm-standby adoption).
+
+mod migrate;
+mod takeover;
+
+pub(super) use migrate::StealRegistry;
+
+use super::failover::{FailoverBoard, FailoverShared};
+use super::locked;
+use super::replica::ReplicaStore;
+use super::shard::ServeShard;
+use super::{
+    AdaptiveBatch, FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats,
+};
+#[cfg(doc)]
+use super::{FaultPlan, ServerPool, StreamClient};
+use crate::server::StreamServerStats;
+use crate::Result;
+use bytes::Bytes;
+use st_net::message::MESSAGE_OVERHEAD_BYTES;
+use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, StreamTagged, Wire};
+use st_nn::delta::{WeightDelta, WeightPayload};
+use st_nn::snapshot::WeightSnapshot;
+use st_nn::store::SessionMemory;
+use st_teacher::Teacher;
+use st_video::Frame;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// A stream-tagged uplink message queued at a shard.
+#[derive(Clone)]
+pub(super) struct Envelope {
+    pub(super) tagged: StreamTagged<ClientToServer>,
+    pub(super) bytes: usize,
+    pub(super) enqueued_at: Instant,
+    /// Out-of-band frame content for [`ClientToServer::ReShare`]: the wire
+    /// message carries encoded pixels for realistic sizes, and the
+    /// in-process transport ships the actual `Frame` beside it, exactly as
+    /// connect-time pre-sharing does.
+    pub(super) frame: Option<Frame>,
+}
+
+/// Pool-wide measured wire traffic: the framed byte size
+/// ([`st_net::wire::frame_len`]) of every uplink envelope the clients sent
+/// and every downlink message the shards delivered. Unlike the modelled
+/// `bytes` ridealong, these are the sizes the versioned binary codec would
+/// actually put on a wire, so `PoolReport::wire_bytes_up/down` stay honest
+/// regardless of which transport backend carried the messages.
+#[derive(Debug, Default)]
+pub(super) struct WireMeter {
+    pub(super) up: AtomicUsize,
+    pub(super) down: AtomicUsize,
+}
+
+/// The sending half of one stream's downlink (wire size + message), with an
+/// optional readiness waker: a client connected through
+/// [`ServerPool::connect_with_waker`] is woken after every downlink send, so
+/// a single driver loop can multiplex many clients through one
+/// [`st_net::Poller`] instead of blocking per stream.
+#[derive(Clone)]
+pub(super) struct Downlink {
+    pub(super) tx: crossbeam::channel::Sender<(usize, ServerToClient)>,
+    pub(super) waker: Option<st_net::Waker>,
+    pub(super) wire: Arc<WireMeter>,
+}
+
+impl Downlink {
+    fn send(&self, bytes: usize, message: ServerToClient) -> bool {
+        let wire_len = st_net::wire::frame_len(&message);
+        let delivered = self.tx.send((bytes, message)).is_ok();
+        if delivered {
+            // ORDER: Relaxed — a monotonic traffic counter; readers only see
+            // it after join() synchronizes with every worker's exit.
+            self.wire.down.fetch_add(wire_len, Ordering::Relaxed);
+            if let Some(waker) = &self.waker {
+                waker.wake();
+            }
+        }
+        delivered
+    }
+}
+
+/// Per-stream connection state the worker looks up when a `Register`
+/// message arrives: the downlink back to the client and the pre-shared
+/// frame content.
+pub(super) struct StreamLink {
+    pub(super) downlink: Downlink,
+    pub(super) frames: FrameStore,
+}
+
+pub(super) type Registry = Arc<Mutex<HashMap<StreamId, StreamLink>>>;
+
+/// One stream's live shard assignment. Clients hold their own `Arc` and
+/// read it with a single atomic load per send — the pool-wide map is only
+/// locked on connect, migration, and worker-side forwarding lookups, so
+/// uplink traffic never serializes on a global mutex.
+pub(super) type Route = Arc<AtomicUsize>;
+
+/// The live stream → shard routing table, shared by the pool (placement +
+/// duplicate detection) and every worker (to forward traffic that raced a
+/// migration); each [`StreamClient`] holds its own entry's [`Route`]
+/// directly, so a migrated stream's traffic follows it. An entry is never
+/// removed — a stream id stays reserved for the pool's lifetime.
+pub(super) type Placements = Arc<Mutex<HashMap<StreamId, Route>>>;
+
+/// What one shard state machine hands back when it finishes. Tagged with
+/// the shard index because a reactor worker finalizes whichever shards it
+/// happens to dispatch last — collection order is not shard order.
+pub(super) struct ShardOutput {
+    pub(super) shard: usize,
+    pub(super) stats: ShardStats,
+    pub(super) streams: HashMap<StreamId, StreamServerStats>,
+    pub(super) final_checkpoints: HashMap<StreamId, WeightSnapshot>,
+    pub(super) wait_samples: Vec<f64>,
+    /// One death-to-adoption latency sample (seconds) per takeover this
+    /// shard performed as a standby.
+    pub(super) takeover_samples: Vec<f64>,
+}
+
+/// Send one downlink message, counting the loss when the client already
+/// hung up. A vanished client only loses its own acks, but the loss is
+/// *counted* (`ShardStats::lost_acks`), never silently discarded — the
+/// failover paths depend on every drop being observable.
+fn deliver(downlink: &Downlink, bytes: usize, msg: ServerToClient, lost_acks: &mut usize) {
+    if !downlink.send(bytes, msg) {
+        *lost_acks += 1;
+    }
+}
+
+/// Per-stream wall-clock accounting the worker keeps alongside the shard
+/// (waits and admission decisions are only visible at the worker).
+#[derive(Debug, Default, Clone, Copy)]
+struct StreamMeter {
+    wait_total: Duration,
+    wait_max: Duration,
+    throttled: usize,
+    dropped: usize,
+}
+
+/// Wall-clock accumulators merged into [`ShardStats`] when the worker exits.
+#[derive(Debug, Default)]
+struct WorkerClock {
+    queue_wait_total: Duration,
+    queue_wait_max: Duration,
+    busy_time: Duration,
+    /// One wait sample (seconds) per key frame a batch attempted, in
+    /// service order — the raw material of the operator report's p50/p99.
+    wait_samples: Vec<f64>,
+}
+
+/// Jobs parked per stream while the client re-uploads an evicted frame,
+/// keyed by frame index. They keep their original arrival timestamps so the
+/// eventual wait accounting covers the whole recovery round trip. A frame
+/// index maps to *every* job waiting on it (a client may legally re-send a
+/// key frame), so one re-share resumes — and one answer reaches — each of
+/// them.
+type AwaitingFrames = HashMap<StreamId, HashMap<usize, Vec<ScheduledJob>>>;
+
+/// Run one fair co-scheduled batch through the shard and route every
+/// response (update, drop ack, or `NeedFrame` recovery request) to its
+/// stream's downlink. Jobs whose frame content was evicted are parked in
+/// `awaiting` rather than counted — their wait keeps running until they are
+/// actually served after the re-share. Every *newly sent* `NeedFrame`
+/// request is appended to `need_frames_sent` so the reactor can arm a retry
+/// timer for it.
+///
+/// Returns the streams whose session state advanced (an update was
+/// computed), i.e. exactly the set whose checkpoint replicas are now stale
+/// and must be re-published.
+#[allow(clippy::too_many_arguments)]
+fn process_scheduled<T: Teacher>(
+    shard: &mut ServeShard<T>,
+    batch: &[ScheduledJob],
+    downlinks: &HashMap<StreamId, Downlink>,
+    meters: &mut HashMap<StreamId, StreamMeter>,
+    clock: &mut WorkerClock,
+    awaiting: &mut AwaitingFrames,
+    need_frames_sent: &mut Vec<(StreamId, usize)>,
+    lost_acks: &mut usize,
+) -> Result<Vec<StreamId>> {
+    if batch.is_empty() {
+        return Ok(Vec::new());
+    }
+    let started = Instant::now();
+    let jobs: Vec<ShardJob> = batch.iter().map(|s| s.job).collect();
+    let outcome = shard.process_batch(&jobs)?;
+    let parked: std::collections::HashSet<(StreamId, usize)> = outcome
+        .needs_frame
+        .iter()
+        .map(|j| (j.stream_id, j.frame_index))
+        .collect();
+    for scheduled in batch {
+        let key = (scheduled.job.stream_id, scheduled.job.frame_index);
+        if parked.contains(&key) {
+            let jobs = awaiting.entry(key.0).or_default().entry(key.1).or_default();
+            // One NeedFrame per missing frame, not per waiting job: the
+            // first park requests the content, later jobs for the same
+            // index just join the queue behind that outstanding request
+            // (a duplicate request would only buy a duplicate full-frame
+            // upload).
+            let request_content = jobs.is_empty();
+            jobs.push(*scheduled);
+            if request_content {
+                if let Some(downlink) = downlinks.get(&key.0) {
+                    deliver(
+                        downlink,
+                        MESSAGE_OVERHEAD_BYTES,
+                        ServerToClient::NeedFrame { frame_index: key.1 },
+                        lost_acks,
+                    );
+                }
+                need_frames_sent.push(key);
+            }
+            continue;
+        }
+        let wait = started.saturating_duration_since(scheduled.enqueued_at);
+        clock.queue_wait_total += wait;
+        clock.queue_wait_max = clock.queue_wait_max.max(wait);
+        clock.wait_samples.push(wait.as_secs_f64());
+        let meter = meters.entry(scheduled.job.stream_id).or_default();
+        meter.wait_total += wait;
+        meter.wait_max = meter.wait_max.max(wait);
+    }
+    let mut updated: Vec<StreamId> = Vec::new();
+    for (stream_id, frame_index, response) in outcome.responses {
+        // The session advanced whether or not the client is still there —
+        // the replica must follow the weights, not the downlink.
+        if !updated.contains(&stream_id) {
+            updated.push(stream_id);
+        }
+        let Some(downlink) = downlinks.get(&stream_id) else {
+            continue;
+        };
+        // Delta-negotiated streams receive a [`WeightPayload`] envelope:
+        // the changed chunks against the client's last-acked checkpoint
+        // when the stream is known synced, a full snapshot otherwise (a
+        // fresh or failover-restored stream re-syncs on its next update).
+        // The digest is patched only here — for an update actually put on
+        // the downlink — so a stream whose client vanished never advances
+        // the base the client is assumed to hold.
+        let (encoded, delta_meter) = match shard.delta_track_mut(stream_id) {
+            Some(track) => {
+                let full_equiv = 1 + response.update.encoded_len();
+                if track.synced {
+                    let delta = WeightDelta::compute(&response.update, &track.digest);
+                    track.digest.patch(&response.update);
+                    (
+                        Bytes::from(Wire::encode(&WeightPayload::Delta(delta))),
+                        Some((true, full_equiv)),
+                    )
+                } else {
+                    track.digest.patch(&response.update);
+                    track.synced = true;
+                    (
+                        Bytes::from(WeightPayload::encode_full(&response.update)),
+                        Some((false, full_equiv)),
+                    )
+                }
+            }
+            None => (response.update.encode(), None),
+        };
+        if let Some((is_delta, full_equiv)) = delta_meter {
+            if is_delta {
+                shard.stats.delta_updates_sent += 1;
+            } else {
+                shard.stats.full_updates_sent += 1;
+            }
+            shard.stats.update_bytes_sent += encoded.len();
+            shard.stats.update_bytes_full_equiv += full_equiv;
+        }
+        let payload = Payload::with_data(encoded);
+        let bytes = payload.bytes;
+        let msg = ServerToClient::StudentUpdate {
+            frame_index,
+            metric: response.metric,
+            distill_steps: response.outcome.steps,
+            payload,
+        };
+        // A client that hung up mid-stream only loses its own updates.
+        deliver(downlink, bytes, msg, lost_acks);
+    }
+    for (job, reason) in outcome.dropped {
+        meters.entry(job.stream_id).or_default().dropped += 1;
+        if let Some(downlink) = downlinks.get(&job.stream_id) {
+            deliver(
+                downlink,
+                MESSAGE_OVERHEAD_BYTES,
+                ServerToClient::Dropped {
+                    frame_index: job.frame_index,
+                    reason,
+                },
+                lost_acks,
+            );
+        }
+    }
+    clock.busy_time += started.elapsed();
+    Ok(updated)
+}
+
+/// Credit a door-rejected key frame to the stream's live meter — or, when
+/// the stream has already been retired (the post-`Shutdown` race), directly
+/// to its final [`StreamServerStats`], so the per-stream drop count cannot
+/// silently stay at zero for exactly the frames the accounting exists for.
+fn note_drop(
+    streams: &mut HashMap<StreamId, StreamServerStats>,
+    meters: &mut HashMap<StreamId, StreamMeter>,
+    stream_id: StreamId,
+) {
+    if let Some(stats) = streams.get_mut(&stream_id) {
+        stats.dropped += 1;
+    } else {
+        meters.entry(stream_id).or_default().dropped += 1;
+    }
+}
+
+/// As [`note_drop`], for admission-control throttles.
+fn note_throttle(
+    streams: &mut HashMap<StreamId, StreamServerStats>,
+    meters: &mut HashMap<StreamId, StreamMeter>,
+    stream_id: StreamId,
+) {
+    if let Some(stats) = streams.get_mut(&stream_id) {
+        stats.throttled += 1;
+    } else {
+        meters.entry(stream_id).or_default().throttled += 1;
+    }
+}
+
+/// Retire one stream: pull its session out of the shard, merge the worker's
+/// wait/throttle/drop meter into the stream stats, and release its load slot.
+fn retire<T: Teacher>(
+    shard: &mut ServeShard<T>,
+    stream_id: StreamId,
+    meters: &mut HashMap<StreamId, StreamMeter>,
+    steal: &StealRegistry,
+    shard_index: usize,
+) -> Option<(WeightSnapshot, StreamServerStats)> {
+    shard.finish(stream_id).map(|(checkpoint, mut stats)| {
+        if let Some(meter) = meters.remove(&stream_id) {
+            stats.queue_wait_total = meter.wait_total;
+            stats.queue_wait_max = meter.wait_max;
+            stats.throttled = meter.throttled;
+            stats.dropped = meter.dropped;
+        }
+        steal.load_dec(shard_index);
+        (checkpoint, stats)
+    })
+}
+
+/// All of one shard's serving state and its event handlers: uplink receiver,
+/// fair scheduler, adaptive batcher, per-stream downlinks and meters, parked
+/// re-share jobs, steal-protocol bookkeeping, and the exit protocol. The
+/// reactor hosts every shard's `ShardState` behind a mutex on a fixed worker
+/// set, running [`run_pass`](Self::run_pass) whenever the shard's readiness
+/// token wakes or one of its timers fires.
+///
+/// The handlers mirror the event sources: [`on_frame`](Self::on_frame) for
+/// an uplink envelope, [`on_migration`](Self::on_migration) for a mailbox
+/// handoff, [`on_need_frame_retry`](Self::on_need_frame_retry) for a retry
+/// timer, and disconnect detection inside [`drain_uplink`](Self::drain_uplink).
+pub(super) struct ShardState<T: Teacher> {
+    shard_index: usize,
+    pool_config: PoolConfig,
+    stealing: bool,
+    shard: ServeShard<T>,
+    rx: crossbeam::channel::Receiver<Envelope>,
+    registry: Registry,
+    steal: Arc<StealRegistry>,
+    placements: Placements,
+    /// One waker per shard, used to nudge the owner of forwarded traffic
+    /// and the thief of a donated stream.
+    shard_wakers: Arc<Vec<st_net::Waker>>,
+    scheduler: FairScheduler,
+    batcher: AdaptiveBatch,
+    downlinks: HashMap<StreamId, Downlink>,
+    meters: HashMap<StreamId, StreamMeter>,
+    streams: HashMap<StreamId, StreamServerStats>,
+    final_checkpoints: HashMap<StreamId, WeightSnapshot>,
+    awaiting: AwaitingFrames,
+    deferred: Vec<Envelope>,
+    requested: Option<(usize, Instant)>,
+    adopted_at: HashMap<StreamId, Instant>,
+    idle_since: Option<Instant>,
+    clock: WorkerClock,
+    uplink_bytes: usize,
+    throttled: usize,
+    enqueue_drops: usize,
+    unknown_registers: usize,
+    forwarded: usize,
+    batch_limit_peak: usize,
+    disconnected: bool,
+    /// `NeedFrame` requests sent during the current pass; the reactor arms
+    /// a retry timer for each.
+    need_frames_sent: Vec<(StreamId, usize)>,
+    /// True while a steal-poll `Tick` timer is armed for this shard, so idle
+    /// passes do not stack duplicate ticks.
+    tick_pending: bool,
+    events_dispatched: usize,
+    timer_fires: usize,
+    poll_wakeups: usize,
+    idle_streams_peak: usize,
+    /// Failover blackboard (liveness, deaths, adoption claims).
+    board: Arc<FailoverBoard>,
+    /// Checkpoint-replica store; `Some` iff [`PoolConfig::replication`].
+    replicas: Option<Arc<ReplicaStore>>,
+    /// Co-scheduled batches completed — the fault plan's kill clock.
+    batches_processed: usize,
+    /// Remaining mailbox drains to skip ([`FaultPlan::defer_mailbox`]).
+    defer_mailbox_left: u32,
+    /// A torn kill parks the batch it tore out of the scheduler here on the
+    /// way down, so the adopting standby can drop-ack exactly those jobs
+    /// with [`DropReason::ShardFailed`].
+    torn_jobs: Vec<ScheduledJob>,
+    /// Uplink receivers of shards this one adopted: their clients may have
+    /// enqueued traffic before the routing flip, so the standby drains them
+    /// alongside its own for the rest of the pool's life.
+    adopted_rx: Vec<crossbeam::channel::Receiver<Envelope>>,
+    /// Connect-time registries of adopted shards, consulted when a
+    /// `Register` raced the death.
+    adopted_registries: Vec<Registry>,
+    /// Which shard each `adopted_registries`/`adopted_rx` entry came from.
+    adopted_shards: Vec<usize>,
+    failovers: usize,
+    streams_adopted: usize,
+    frames_lost: usize,
+    lost_acks: usize,
+    replica_published: usize,
+    replica_shared: usize,
+    takeover_samples: Vec<f64>,
+    /// Last sampled copy-on-write session memory split (shared vs private
+    /// against the template), refreshed once per processed batch.
+    session_memory: SessionMemory,
+    /// Peak private session bytes observed across samples.
+    session_private_peak: usize,
+}
+
+/// What one [`ShardState::run_pass`] left behind, telling the reactor which
+/// follow-up events to arm.
+pub(super) struct PassOutcome {
+    /// The shard ran its exit protocol to completion; the state can be
+    /// finalized with [`ShardState::finish`].
+    pub(super) done: bool,
+    /// Every uplink handle is gone (shutdown drain in progress).
+    pub(super) disconnected: bool,
+    /// The scheduler still holds queued jobs — re-wake immediately so the
+    /// next batch runs without waiting for new traffic.
+    pub(super) backlog: bool,
+    /// The shard is an idle participant in the steal protocol with no
+    /// `steal_poll` tick outstanding: arm one so it keeps offering and
+    /// requesting work. The pass has already recorded the tick as pending.
+    pub(super) arm_tick: bool,
+    /// `NeedFrame` requests sent this pass, each wanting a retry timer.
+    pub(super) need_frames: Vec<(StreamId, usize)>,
+}
+
+impl<T: Teacher> ShardState<T> {
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn new(
+        shard: ServeShard<T>,
+        rx: crossbeam::channel::Receiver<Envelope>,
+        registry: Registry,
+        pool_config: PoolConfig,
+        shard_index: usize,
+        steal: Arc<StealRegistry>,
+        placements: Placements,
+        shard_wakers: Arc<Vec<st_net::Waker>>,
+        board: Arc<FailoverBoard>,
+        replicas: Option<Arc<ReplicaStore>>,
+    ) -> Self {
+        let batcher = AdaptiveBatch::new(pool_config.max_batch, pool_config.adaptive_batch);
+        let batch_limit_peak = batcher.limit();
+        let defer_mailbox_left = if pool_config.fault_plan.target == Some(shard_index) {
+            pool_config.fault_plan.defer_mailbox
+        } else {
+            0
+        };
+        ShardState {
+            shard_index,
+            pool_config,
+            stealing: pool_config.stealing(),
+            shard,
+            rx,
+            registry,
+            steal,
+            placements,
+            shard_wakers,
+            scheduler: FairScheduler::new(pool_config.quantum),
+            batcher,
+            downlinks: HashMap::new(),
+            meters: HashMap::new(),
+            streams: HashMap::new(),
+            final_checkpoints: HashMap::new(),
+            awaiting: HashMap::new(),
+            deferred: Vec::new(),
+            requested: None,
+            adopted_at: HashMap::new(),
+            idle_since: None,
+            clock: WorkerClock::default(),
+            uplink_bytes: 0,
+            throttled: 0,
+            enqueue_drops: 0,
+            unknown_registers: 0,
+            forwarded: 0,
+            batch_limit_peak,
+            disconnected: false,
+            need_frames_sent: Vec::new(),
+            tick_pending: false,
+            events_dispatched: 0,
+            timer_fires: 0,
+            poll_wakeups: 0,
+            idle_streams_peak: 0,
+            board,
+            replicas,
+            batches_processed: 0,
+            defer_mailbox_left,
+            torn_jobs: Vec::new(),
+            adopted_rx: Vec::new(),
+            adopted_registries: Vec::new(),
+            adopted_shards: Vec::new(),
+            failovers: 0,
+            streams_adopted: 0,
+            frames_lost: 0,
+            lost_acks: 0,
+            replica_published: 0,
+            replica_shared: 0,
+            takeover_samples: Vec::new(),
+            session_memory: SessionMemory::default(),
+            session_private_peak: 0,
+        }
+    }
+
+    /// Drain every envelope currently sitting in the uplink without
+    /// blocking. `Empty` only means "no more traffic right now";
+    /// `Disconnected` means every uplink handle is gone and the shard should
+    /// flush its backlog and exit.
+    fn drain_uplink(&mut self, incoming: &mut Vec<Envelope>) {
+        loop {
+            match self.rx.try_recv() {
+                Ok(envelope) => incoming.push(envelope),
+                Err(crossbeam::channel::TryRecvError::Empty) => break,
+                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                    self.disconnected = true;
+                    break;
+                }
+            }
+        }
+        // Dead shards' uplinks keep receiving from clients that loaded the
+        // route before the takeover flipped it; as their adopter we drain
+        // those queues for the rest of the pool's life. (Only *our* uplink
+        // decides `disconnected` — an adopted channel closing just means
+        // its last client left.)
+        for rx in &self.adopted_rx {
+            while let Ok(envelope) = rx.try_recv() {
+                incoming.push(envelope);
+            }
+        }
+    }
+
+    /// Handle one uplink envelope: control messages in arrival order; key
+    /// frames into the fair per-stream queues, gated by admission control.
+    fn on_frame(&mut self, envelope: Envelope) -> Result<()> {
+        self.events_dispatched += 1;
+        let stream_id = envelope.tagged.stream_id;
+        // Elastic pools: traffic for a stream that lives elsewhere follows
+        // it. A stream placed here that is neither live, nor retired, nor
+        // awaiting its connect-time Register is mid-migration toward us —
+        // defer its traffic until the mailbox delivers the stream itself.
+        if self.stealing
+            && !self.shard.has_stream(stream_id)
+            && !matches!(
+                envelope.tagged.message,
+                ClientToServer::Register | ClientToServer::RegisterCaps { .. }
+            )
+        {
+            let owner = locked(&self.placements)
+                .get(&stream_id)
+                .map(|route| route.load(Ordering::SeqCst));
+            match owner {
+                Some(other)
+                    if other != self.shard_index && self.adopted_shards.contains(&other) =>
+                {
+                    // The route still names a shard whose streams we
+                    // adopted; its mailbox is closed, so forwarding would
+                    // strand the envelope. Re-point the route here and
+                    // serve the envelope locally.
+                    if let Some(route) = locked(&self.placements).get(&stream_id) {
+                        route.store(self.shard_index, Ordering::SeqCst);
+                    }
+                }
+                Some(other) if other != self.shard_index => {
+                    match self.steal.forward_envelope(other, envelope) {
+                        Ok(()) => {
+                            self.forwarded += 1;
+                            // The owner may be parked; hand-delivered mail
+                            // still needs a doorbell.
+                            self.shard_wakers[other].wake();
+                        }
+                        Err(undelivered) if self.board.is_dead(other) => {
+                            // The owner died and its standby is mid-takeover
+                            // (the mailbox closes before the routing flip).
+                            // Defer: the retry after the next mailbox drain
+                            // will see the flipped route.
+                            self.deferred.push(undelivered);
+                        }
+                        Err(_undelivered) => {
+                            // The owning worker already exited (so its
+                            // clients are long gone and no ack could be
+                            // delivered); count the loss in this shard's
+                            // dropped_jobs instead of posting into a dead
+                            // letter box. The stream's own per-stream stats
+                            // were frozen when it retired over there, so the
+                            // pool-level counter is the only honest place
+                            // left to record it.
+                            self.enqueue_drops += 1;
+                        }
+                    }
+                    return Ok(());
+                }
+                Some(_)
+                    if !self.streams.contains_key(&stream_id)
+                        && !locked(&self.registry).contains_key(&stream_id) =>
+                {
+                    self.deferred.push(envelope);
+                    return Ok(());
+                }
+                _ => {}
+            }
+        }
+        self.uplink_bytes += envelope.bytes;
+        match envelope.tagged.message {
+            ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {
+                let supports_delta = matches!(
+                    envelope.tagged.message,
+                    ClientToServer::RegisterCaps {
+                        supports_delta: true
+                    }
+                );
+                let mut link = locked(&self.registry).remove(&stream_id);
+                if link.is_none() {
+                    // A Register that raced its shard's death lands here
+                    // via the adopted uplink; the connect-time entry still
+                    // sits in the dead shard's registry. Serve it — and
+                    // re-home the connect-time load credit.
+                    for (slot, registry) in self.adopted_registries.iter().enumerate() {
+                        if let Some(found) = locked(registry).remove(&stream_id) {
+                            self.steal.load_dec(self.adopted_shards[slot]);
+                            self.steal.load_inc(self.shard_index);
+                            link = Some(found);
+                            break;
+                        }
+                    }
+                }
+                let Some(link) = link else {
+                    // Register without a connect-time registry entry —
+                    // counted instead of silently ignored.
+                    self.unknown_registers += 1;
+                    return Ok(());
+                };
+                let initial = self.shard.register(stream_id, link.frames, supports_delta);
+                // Delta-negotiated streams get the initial checkpoint inside
+                // a `WeightPayload::Full` envelope — always applicable, and
+                // it seeds the client's digest for later deltas.
+                let encoded = if supports_delta {
+                    Bytes::from(WeightPayload::encode_full(&initial))
+                } else {
+                    initial.encode()
+                };
+                let payload = Payload::with_data(encoded);
+                let bytes = payload.bytes;
+                deliver(
+                    &link.downlink,
+                    bytes,
+                    ServerToClient::InitialStudent { payload },
+                    &mut self.lost_acks,
+                );
+                self.downlinks.insert(stream_id, link.downlink);
+                // The registration-time checkpoint is the replica's
+                // baseline: from here on the stream is recoverable.
+                self.publish_replicas(&[stream_id]);
+            }
+            ClientToServer::KeyFrame {
+                frame_index,
+                payload: _,
+            } => {
+                // Unservable jobs are refused at the door with an explicit
+                // ack instead of being silently filtered later. (An
+                // *evicted* frame is not unservable — its index is still
+                // known and its content recoverable.)
+                let reject = if !self.shard.has_stream(stream_id) {
+                    Some(DropReason::UnknownStream)
+                } else if !self.shard.has_frame(stream_id, frame_index) {
+                    Some(DropReason::UnknownFrame)
+                } else {
+                    None
+                };
+                if let Some(reason) = reject {
+                    self.enqueue_drops += 1;
+                    note_drop(&mut self.streams, &mut self.meters, stream_id);
+                    if let Some(downlink) = self.downlinks.get(&stream_id) {
+                        deliver(
+                            downlink,
+                            MESSAGE_OVERHEAD_BYTES,
+                            ServerToClient::Dropped {
+                                frame_index,
+                                reason,
+                            },
+                            &mut self.lost_acks,
+                        );
+                    }
+                    return Ok(());
+                }
+                // Admission control: per-stream in-flight cap. Jobs parked
+                // for a frame re-share still hold their slots.
+                let parked = self
+                    .awaiting
+                    .get(&stream_id)
+                    .map_or(0, |m| m.values().map(Vec::len).sum());
+                if self.scheduler.queued_for(stream_id) + parked >= self.pool_config.max_in_flight {
+                    self.throttled += 1;
+                    note_throttle(&mut self.streams, &mut self.meters, stream_id);
+                    if let Some(downlink) = self.downlinks.get(&stream_id) {
+                        deliver(
+                            downlink,
+                            MESSAGE_OVERHEAD_BYTES,
+                            ServerToClient::Throttle { frame_index },
+                            &mut self.lost_acks,
+                        );
+                    }
+                    return Ok(());
+                }
+                self.scheduler
+                    .push(stream_id, frame_index, envelope.enqueued_at);
+            }
+            ClientToServer::ReShare {
+                frame_index,
+                payload: _,
+            } => {
+                // Restore evicted content and resume the parked job with its
+                // original arrival time, so its reported wait covers the
+                // whole recovery round trip.
+                let restored = match envelope.frame {
+                    Some(frame) if frame.index == frame_index => {
+                        self.shard.reshare(stream_id, frame)
+                    }
+                    _ => false,
+                };
+                if restored {
+                    if let Some(jobs) = self
+                        .awaiting
+                        .get_mut(&stream_id)
+                        .and_then(|m| m.remove(&frame_index))
+                    {
+                        for job in jobs {
+                            self.scheduler.push(stream_id, frame_index, job.enqueued_at);
+                        }
+                    }
+                    // An unsolicited re-share just refreshed the cache.
+                    return Ok(());
+                }
+                // No session, an index that was never shared, or a
+                // content-less re-share: the parked jobs (if any) can never
+                // be served — ack each explicitly, never silently.
+                let reason = if self.shard.has_stream(stream_id) {
+                    DropReason::UnknownFrame
+                } else {
+                    DropReason::UnknownStream
+                };
+                let stranded = self
+                    .awaiting
+                    .get_mut(&stream_id)
+                    .and_then(|m| m.remove(&frame_index))
+                    .map_or(1, |jobs| jobs.len());
+                for _ in 0..stranded {
+                    self.enqueue_drops += 1;
+                    note_drop(&mut self.streams, &mut self.meters, stream_id);
+                    if let Some(downlink) = self.downlinks.get(&stream_id) {
+                        deliver(
+                            downlink,
+                            MESSAGE_OVERHEAD_BYTES,
+                            ServerToClient::Dropped {
+                                frame_index,
+                                reason,
+                            },
+                            &mut self.lost_acks,
+                        );
+                    }
+                }
+            }
+            ClientToServer::Shutdown => {
+                // Flush the stream's still-queued key frames so its last
+                // updates are not lost, then retire the session.
+                let remaining = self.scheduler.remove_stream(stream_id);
+                for chunk in remaining.chunks(self.batcher.limit().max(1)) {
+                    // The flush's updates need no replica refresh: the
+                    // session retires (and its replica is dropped) below.
+                    process_scheduled(
+                        &mut self.shard,
+                        chunk,
+                        &self.downlinks,
+                        &mut self.meters,
+                        &mut self.clock,
+                        &mut self.awaiting,
+                        &mut self.need_frames_sent,
+                        &mut self.lost_acks,
+                    )?;
+                }
+                // Jobs still parked for a re-share can never be served now —
+                // ack them before the session's stats freeze.
+                if let Some(parked) = self.awaiting.remove(&stream_id) {
+                    for (frame_index, jobs) in parked {
+                        for _job in jobs {
+                            self.enqueue_drops += 1;
+                            note_drop(&mut self.streams, &mut self.meters, stream_id);
+                            if let Some(downlink) = self.downlinks.get(&stream_id) {
+                                deliver(
+                                    downlink,
+                                    MESSAGE_OVERHEAD_BYTES,
+                                    ServerToClient::Dropped {
+                                        frame_index,
+                                        reason: DropReason::UnknownFrame,
+                                    },
+                                    &mut self.lost_acks,
+                                );
+                            }
+                        }
+                    }
+                }
+                if let Some((checkpoint, stream_stats)) = retire(
+                    &mut self.shard,
+                    stream_id,
+                    &mut self.meters,
+                    &self.steal,
+                    self.shard_index,
+                ) {
+                    self.streams.insert(stream_id, stream_stats);
+                    self.final_checkpoints.insert(stream_id, checkpoint);
+                }
+                // A retired stream has nothing left to fail over.
+                if let Some(store) = &self.replicas {
+                    store.remove(self.shard_index, stream_id);
+                }
+                // The downlink stays open so late key frames of this stream
+                // still receive an explicit Dropped ack.
+            }
+        }
+        Ok(())
+    }
+
+    /// One fair co-scheduled batch per pass; the reactor re-dispatches the
+    /// shard between batches so new arrivals join the next scheduling round.
+    fn process_one_batch(&mut self) -> Result<()> {
+        // Injected kill: fires only while work is pending, so the crash
+        // always has observable consequences. A clean kill panics *before*
+        // the scheduler drain (every queued job survives in the carcass); a
+        // torn kill drains the batch first and parks it in `torn_jobs`, so
+        // exactly one in-flight batch is genuinely lost and the standby
+        // must drop-ack it with `DropReason::ShardFailed`.
+        let plan = self.pool_config.fault_plan;
+        if plan.kill_due(self.shard_index, self.batches_processed) && !self.scheduler.is_empty() {
+            if plan.torn_kill {
+                self.torn_jobs = self.scheduler.next_batch(self.batcher.limit());
+            }
+            panic!(
+                "fault injection (seed {}): shard {} killed at batch {}",
+                plan.seed, self.shard_index, self.batches_processed
+            );
+        }
+        let batch = self.scheduler.next_batch(self.batcher.limit());
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let updated = process_scheduled(
+            &mut self.shard,
+            &batch,
+            &self.downlinks,
+            &mut self.meters,
+            &mut self.clock,
+            &mut self.awaiting,
+            &mut self.need_frames_sent,
+            &mut self.lost_acks,
+        )?;
+        self.publish_replicas(&updated);
+        self.batches_processed += 1;
+        // Sample the copy-on-write memory split once per batch: pointer
+        // compares per tensor, far off the per-frame fast path, and a batch
+        // is exactly when private storage can grow (optimizer writes).
+        self.session_memory = self.shard.memory_profile();
+        self.session_private_peak = self
+            .session_private_peak
+            .max(self.session_memory.private_bytes);
+        self.batcher.observe(
+            self.scheduler.len(),
+            self.shard.batch_growth_pays(self.batcher.limit()),
+        );
+        self.batch_limit_peak = self.batch_limit_peak.max(self.batcher.limit());
+        Ok(())
+    }
+
+    /// Re-publish the checkpoint replicas of every stream whose session
+    /// just advanced. Content-hash chunking means the parts a partial
+    /// distillation never unfreezes are deduplicated, not recopied.
+    fn publish_replicas(&mut self, updated: &[StreamId]) {
+        let Some(store) = self.replicas.clone() else {
+            return;
+        };
+        for &stream_id in updated {
+            let Some((checkpoint, key_frames, distill_steps, known_frames, supports_delta)) =
+                self.shard.session_replica(stream_id)
+            else {
+                continue;
+            };
+            let stats = store.publish(
+                self.shard_index,
+                stream_id,
+                &checkpoint,
+                key_frames,
+                distill_steps,
+                self.scheduler.deficit_of(stream_id),
+                known_frames,
+                supports_delta,
+            );
+            self.replica_published += stats.new_bytes;
+            self.replica_shared += stats.shared_bytes;
+        }
+    }
+
+    /// Record the high-water mark of registered-but-quiet streams — the
+    /// population the reactor hosts without a thread each.
+    fn note_idle_streams(&mut self) {
+        let idle = self
+            .shard
+            .stream_count()
+            .saturating_sub(self.scheduler.active_streams());
+        self.idle_streams_peak = self.idle_streams_peak.max(idle);
+    }
+
+    /// One non-blocking pass of the shard state machine: failover tick,
+    /// mailbox, deferred retries, uplink drain, envelope handlers, steal
+    /// participation, one co-scheduled batch. This is the reactor's
+    /// dispatch unit; `from_timer` says whether a steal-poll tick (rather
+    /// than a readiness wake) dispatched it.
+    pub(super) fn run_pass(
+        &mut self,
+        failover: &FailoverShared<T>,
+        from_timer: bool,
+    ) -> Result<PassOutcome> {
+        if from_timer {
+            self.tick_pending = false;
+            self.timer_fires += 1;
+        } else {
+            self.poll_wakeups += 1;
+        }
+        self.need_frames_sent.clear();
+        // After the clear, never before: a takeover pushes NeedFrame
+        // re-requests that this pass's outcome must carry out.
+        self.failover_tick(failover)?;
+        let mut incoming: Vec<Envelope> = Vec::new();
+        self.ingest_mailbox(&mut incoming);
+        // Envelopes that arrived ahead of their stream's migration retry
+        // after every mailbox drain, ahead of newer traffic.
+        let retry: Vec<Envelope> = std::mem::take(&mut self.deferred);
+        incoming.splice(0..0, retry);
+        self.drain_uplink(&mut incoming);
+        if incoming.is_empty() && self.scheduler.is_empty() && self.disconnected {
+            let done = self.ready_to_exit();
+            return Ok(PassOutcome {
+                done,
+                disconnected: true,
+                backlog: false,
+                arm_tick: false,
+                need_frames: Vec::new(),
+            });
+        }
+        for envelope in incoming {
+            self.on_frame(envelope)?;
+        }
+        self.steal_participation();
+        self.process_one_batch()?;
+        self.note_idle_streams();
+        let idle_stealing = self.stealing && !self.disconnected && self.scheduler.is_empty();
+        let arm_tick = idle_stealing && !self.tick_pending;
+        self.tick_pending |= arm_tick;
+        Ok(PassOutcome {
+            done: false,
+            disconnected: self.disconnected,
+            backlog: !self.scheduler.is_empty(),
+            arm_tick,
+            need_frames: std::mem::take(&mut self.need_frames_sent),
+        })
+    }
+
+    /// A `NeedFrame` retry timer fired: if the job is still parked (the
+    /// re-share never arrived — e.g. the original request was lost), ask the
+    /// client again. Returns whether the shard is still waiting, i.e.
+    /// whether the caller should re-arm the timer.
+    pub(super) fn on_need_frame_retry(&mut self, stream_id: StreamId, frame_index: usize) -> bool {
+        self.timer_fires += 1;
+        self.events_dispatched += 1;
+        let still_waiting = self
+            .awaiting
+            .get(&stream_id)
+            .is_some_and(|m| m.contains_key(&frame_index));
+        if still_waiting {
+            if let Some(downlink) = self.downlinks.get(&stream_id) {
+                deliver(
+                    downlink,
+                    MESSAGE_OVERHEAD_BYTES,
+                    ServerToClient::NeedFrame { frame_index },
+                    &mut self.lost_acks,
+                );
+            }
+        }
+        still_waiting
+    }
+
+    /// The exit protocol: ack whatever can never be served now, retire every
+    /// remaining session, close steal-protocol state, and assemble the
+    /// shard's final output.
+    pub(super) fn finish(mut self) -> ShardOutput {
+        // The clients are gone, so re-shares for parked jobs can never
+        // arrive: ack and count them instead of letting them vanish.
+        let parked: Vec<(StreamId, usize)> = self
+            .awaiting
+            .iter()
+            .flat_map(|(stream, indices)| {
+                indices
+                    .iter()
+                    .flat_map(move |(index, jobs)| jobs.iter().map(move |_| (*stream, *index)))
+            })
+            .collect();
+        for (stream_id, frame_index) in parked {
+            self.enqueue_drops += 1;
+            note_drop(&mut self.streams, &mut self.meters, stream_id);
+            if let Some(downlink) = self.downlinks.get(&stream_id) {
+                deliver(
+                    downlink,
+                    MESSAGE_OVERHEAD_BYTES,
+                    ServerToClient::Dropped {
+                        frame_index,
+                        reason: DropReason::UnknownFrame,
+                    },
+                    &mut self.lost_acks,
+                );
+            }
+        }
+        self.awaiting.clear();
+        // Clients that vanished without Shutdown still get their sessions
+        // retired so their checkpoints and counters are reported. (The
+        // backlog is already drained: the reactor only finishes a shard
+        // once its scheduler is empty.)
+        for stream_id in self.shard.session_ids() {
+            if let Some((checkpoint, stream_stats)) = retire(
+                &mut self.shard,
+                stream_id,
+                &mut self.meters,
+                &self.steal,
+                self.shard_index,
+            ) {
+                self.streams.insert(stream_id, stream_stats);
+                self.final_checkpoints.insert(stream_id, checkpoint);
+            }
+            if let Some(store) = &self.replicas {
+                store.remove(self.shard_index, stream_id);
+            }
+        }
+        if self.stealing {
+            // No posthumous steal traffic: zero the published backlog,
+            // refuse any request a thief may still have parked at us, and
+            // close the mailbox — counting any envelope forwarded here since
+            // the last drain, so a message lost to the shutdown race still
+            // shows up in the drop accounting. (Migrated *streams* cannot be
+            // stranded here: the cancel-under-lock exit protocol guarantees
+            // that.)
+            self.steal.publish_backlog(self.shard_index, 0);
+            self.steal.clear_request(self.shard_index);
+            let (stranded, leftovers) = self.steal.close_mailbox(self.shard_index);
+            debug_assert!(stranded.is_empty(), "stream stranded at exit");
+            for envelope in leftovers {
+                let stream_id = envelope.tagged.stream_id;
+                self.enqueue_drops += 1;
+                note_drop(&mut self.streams, &mut self.meters, stream_id);
+                if let (
+                    Some(downlink),
+                    ClientToServer::KeyFrame { frame_index, .. }
+                    | ClientToServer::ReShare { frame_index, .. },
+                ) = (self.downlinks.get(&stream_id), envelope.tagged.message)
+                {
+                    deliver(
+                        downlink,
+                        MESSAGE_OVERHEAD_BYTES,
+                        ServerToClient::Dropped {
+                            frame_index,
+                            reason: DropReason::UnknownStream,
+                        },
+                        &mut self.lost_acks,
+                    );
+                }
+            }
+        }
+        carcass_output(self)
+    }
+}
+
+/// Assemble a shard's final [`ShardOutput`] from its state machine. This is
+/// both the tail of the clean exit ([`ShardState::finish`]) and the whole
+/// of the post-mortem path — a standby files the dead shard's report from
+/// its carcass, so shard-indexed reports stay complete under failover.
+fn carcass_output<T: Teacher>(state: ShardState<T>) -> ShardOutput {
+    let mut stats = state.shard.stats();
+    stats.queue_wait_total = state.clock.queue_wait_total;
+    stats.queue_wait_max = state.clock.queue_wait_max;
+    stats.busy_time = state.clock.busy_time;
+    stats.uplink_bytes = state.uplink_bytes;
+    stats.throttled = state.throttled;
+    stats.dropped_jobs += state.enqueue_drops;
+    stats.unknown_registers = state.unknown_registers;
+    stats.batch_limit_peak = state.batch_limit_peak;
+    stats.forwarded_messages = state.forwarded;
+    stats.events_dispatched = state.events_dispatched;
+    stats.timer_fires = state.timer_fires;
+    stats.poll_wakeups = state.poll_wakeups;
+    stats.idle_streams = state.idle_streams_peak;
+    stats.failovers = state.failovers;
+    stats.streams_adopted = state.streams_adopted;
+    stats.frames_lost_on_failover = state.frames_lost;
+    stats.lost_acks = state.lost_acks;
+    stats.replica_bytes_published = state.replica_published;
+    stats.replica_bytes_shared = state.replica_shared;
+    stats.session_bytes_shared = state.session_memory.shared_bytes;
+    stats.session_bytes_private = state.session_memory.private_bytes;
+    stats.session_bytes_private_peak = state.session_private_peak;
+    ShardOutput {
+        shard: state.shard_index,
+        stats,
+        streams: state.streams,
+        final_checkpoints: state.final_checkpoints,
+        wait_samples: state.clock.wait_samples,
+        takeover_samples: state.takeover_samples,
+    }
+}

@@ -9,7 +9,6 @@
 
 use crate::config::ShadowTutorConfig;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use st_nn::loss::{weighted_cross_entropy, WeightMap};
 use st_nn::metrics::miou;
 use st_nn::optim::Adam;
@@ -18,7 +17,7 @@ use st_nn::student::StudentNet;
 use st_video::Frame;
 
 /// Outcome of one key-frame training call.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOutcome {
     /// Student metric (mean IoU vs the pseudo-label) before any update.
     pub initial_metric: f64,

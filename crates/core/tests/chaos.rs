@@ -45,7 +45,6 @@ fn chaos_pool_config(fault_plan: FaultPlan) -> PoolConfig {
         fault_plan,
         // High enough that the pipelined hot stream is never throttled.
         max_in_flight: 64,
-        recv_timeout: Duration::from_millis(200),
         steal_poll: Duration::from_millis(1),
         steal_patience: Duration::from_millis(5),
         ..PoolConfig::default_pool()
@@ -354,9 +353,10 @@ fn torn_kill_drop_acks_lost_jobs_with_shard_failed() {
 
 #[test]
 fn reactor_pool_survives_a_shard_kill() {
-    // Same schedule under the event-driven driver: 4 shard machines on 2
-    // reactor threads, where the injected panic unwinds a *pass*, not a
-    // whole worker thread.
+    // Same schedule with fewer workers than shards (the other tests run one
+    // worker per shard): 4 shard machines on 2 reactor threads, so the
+    // worker that catches the dying pass is also the one other shards —
+    // possibly the standby itself — are waiting on.
     let (outcomes, stats) = run_chaos(PoolConfig {
         reactor_threads: Some(2),
         ..chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0))

@@ -19,8 +19,9 @@
 //!   client then blocks for every update on the key frame itself, update
 //!   arrival can never straddle a frame boundary, and the final client
 //!   students of a (CoW + delta) run must equal a (DeepClone + full) run
-//!   bit for bit, under both pool drivers (thread-per-shard and reactor)
-//!   and both client drivers (multiplexed and thread-per-client).
+//!   bit for bit, with one reactor worker per shard and with fewer workers
+//!   than shards, and under both client drivers (multiplexed and
+//!   thread-per-client).
 
 use std::collections::HashMap;
 
@@ -346,23 +347,25 @@ fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
 }
 
 #[test]
-fn live_pool_differential_thread_per_shard_multiplexed() {
+fn live_pool_differential_worker_per_shard_multiplexed() {
     assert_live_differential(PoolConfig::with_shards(2), ClientDriverMode::Multiplexed);
 }
 
 #[test]
-fn live_pool_differential_thread_per_shard_thread_per_client() {
+fn live_pool_differential_worker_per_shard_thread_per_client() {
     assert_live_differential(
         PoolConfig::with_shards(2),
         ClientDriverMode::ThreadPerClient,
     );
 }
 
+/// Both shards on one reactor worker (`with_shards(2)` alone already means
+/// one worker per shard — the cases above).
 #[test]
 fn live_pool_differential_reactor_driver() {
     assert_live_differential(
         PoolConfig {
-            reactor_threads: Some(2),
+            reactor_threads: Some(1),
             ..PoolConfig::with_shards(2)
         },
         ClientDriverMode::Multiplexed,

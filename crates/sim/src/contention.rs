@@ -33,13 +33,16 @@
 //!   the busy one and the pool becomes work-conserving: the whole skewed
 //!   population is effectively served by all W workers
 //!   ([`ContentionModel::stealing_delay`]).
-//! * **Reactor dispatch** — with `reactor_threads` set, shard count is
-//!   decoupled from thread count: a fixed set of W workers drains whichever
-//!   shards are ready. Thread-per-shard is a *partitioned* queueing system
-//!   (each arrival can only be served by its own shard's thread, so a burst
-//!   on one shard queues serially while other threads idle —
-//!   [`ContentionModel::thread_per_shard_delay`]); the reactor is a *pooled*
-//!   one (an arrival waits only while **all** W workers are busy —
+//! * **Reactor dispatch** — the pool's shard count is decoupled from its
+//!   thread count: a fixed set of W reactor workers drains whichever shards
+//!   are ready, and a shard runs on one worker at a time. One shard per
+//!   worker (`shards == threads`, what `reactor_threads: None` gives) is
+//!   therefore a *partitioned* queueing system (each arrival can only be
+//!   served through its own shard, so a burst on one shard queues serially
+//!   while other workers idle —
+//!   [`ContentionModel::thread_per_shard_delay`]); many more shards than
+//!   workers (a shard per stream) is a *pooled* one (an arrival waits only
+//!   while **all** W workers are busy —
 //!   [`ContentionModel::reactor_delay`]), at the price of a per-event
 //!   dispatch overhead. At a fixed wait target the pooled law admits
 //!   utilization much closer to 1, which is the analytic counterpart of the
@@ -48,7 +51,6 @@
 //!   [`ContentionModel::reactor_capacity`]).
 
 use crate::profile::{Concurrency, LatencyProfile};
-use serde::{Deserialize, Serialize};
 
 /// Default marginal cost of each additional co-scheduled frame in a batched
 /// teacher forward, as a fraction of a solo forward. This is the single
@@ -65,7 +67,7 @@ pub const DEFAULT_BATCH_MARGINAL_COST: f64 = 0.2;
 pub const DEFAULT_DISPATCH_OVERHEAD: f64 = 20e-6;
 
 /// Contention model for S streams sharing W distillation workers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     /// Number of worker threads (shards) serving key frames.
     pub workers: usize,
@@ -253,19 +255,19 @@ impl ContentionModel {
     }
 
     /// Predicted queueing delay under the **thread-per-shard** topology:
-    /// `workers` OS threads, one per shard, with the stream population
-    /// spread evenly across them. Each shard is its own single-server queue
-    /// — a momentary burst on one shard queues serially behind that shard's
-    /// thread even while every other thread idles. (This is exactly the
+    /// `workers` reactor threads hosting exactly as many shards, with the
+    /// stream population spread evenly across them. Each shard is its own
+    /// single-server queue — a momentary burst on one shard queues serially
+    /// behind that shard even while every other worker idles. (This is exactly the
     /// partition-equivalent [`ContentionModel::queueing_delay`] law, named
     /// for the comparison.)
     pub fn thread_per_shard_delay(&self, streams: usize, service: f64, inter_arrival: f64) -> f64 {
         self.delay_for(streams as f64, service, inter_arrival)
     }
 
-    /// Predicted queueing delay under the **reactor** topology: the same
-    /// `workers` threads, but hosting arbitrarily many shards and draining
-    /// whichever are ready. The system is pooled — an arriving key frame
+    /// Predicted queueing delay under the pooled **reactor** topology: the
+    /// same `workers` threads, but hosting many more shards than workers
+    /// and draining whichever are ready. The system is pooled — an arriving key frame
     /// waits only while *all* W workers are busy, so below saturation the
     /// queueing term shrinks by the worker count relative to the partitioned
     /// law (M/D/c against c independent M/D/1 queues at equal utilization).

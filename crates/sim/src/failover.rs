@@ -5,11 +5,12 @@
 //! case:
 //!
 //! 1. **Detection** — the warm standby notices its ward's death
-//!    certificate on its next pass. An idle standby re-runs standby duty
-//!    every [`FailoverModel::detect_tick`] seconds (the thread-per-shard
-//!    driver's `FAILOVER_TICK`, the reactor's `REACTOR_IDLE_TICK`); a busy
-//!    one may first have to finish the batch pass it is in, bounded by
-//!    [`FailoverModel::pass_cost`].
+//!    certificate on its next pass. The worker that catches a dying pass
+//!    wakes the standby's readiness token, so an idle standby runs that
+//!    pass within one [`FailoverModel::detect_tick`] (the reactor's
+//!    `REACTOR_IDLE_TICK`, the longest a worker parks in the poller); a
+//!    busy one may first have to finish the batch pass it is in, bounded
+//!    by [`FailoverModel::pass_cost`].
 //! 2. **Adoption** — claiming the carcass, flipping routes, merging
 //!    mailboxes and counters: a fixed amount of pointer work, bounded by
 //!    [`FailoverModel::adopt_cost`].
@@ -24,10 +25,8 @@
 //! or loses the detection tick shows up as a bound violation rather than
 //! an unexplained slowdown.
 
-use serde::{Deserialize, Serialize};
-
 /// Worst-case takeover latency model for warm standby adoption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailoverModel {
     /// Standby duty cadence in seconds: the longest an *idle* standby goes
     /// between checks of its ward's liveness.
@@ -46,9 +45,8 @@ pub struct FailoverModel {
 
 impl FailoverModel {
     /// Defaults matching the live pool's constants: a 50 ms worst-case
-    /// detection tick (the reactor's idle tick; the thread-per-shard
-    /// `FAILOVER_TICK` is tighter), a teacher-forward-sized pass and
-    /// generous fixed costs. `pass_cost` should be raised to the measured
+    /// detection tick (the reactor's idle tick), a teacher-forward-sized
+    /// pass and generous fixed costs. `pass_cost` should be raised to the measured
     /// batch cost when the teacher is not the paper's.
     pub fn paper_default() -> FailoverModel {
         FailoverModel {

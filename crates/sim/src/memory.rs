@@ -22,8 +22,6 @@
 //! orderings and rough magnitudes that the live `table13_weight_dedup`
 //! experiment checks its measurements against.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-message framing overhead of a delta envelope, in bytes: the payload
 /// tag, the `u64` base-checkpoint hash, the scope byte and the `u32` chunk
 /// count. A delta is never free — an all-converged update still costs this.
@@ -34,7 +32,7 @@ pub const DELTA_ENVELOPE_OVERHEAD: usize = 1 + 8 + 1 + 4;
 pub const FULL_ENVELOPE_OVERHEAD: usize = 1;
 
 /// Memory/wire model for S copy-on-write sessions sharing one template.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DedupModel {
     /// Encoded bytes of the full template checkpoint (every stage).
     pub template_bytes: usize,

@@ -12,11 +12,10 @@
 use crate::{Result, Teacher};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use st_video::{Frame, NUM_CLASSES};
 
 /// Configuration of the teacher's error model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionModel {
     /// Probability that a boundary pixel (a pixel with a differently-labelled
     /// 4-neighbour) flips to that neighbour's label.

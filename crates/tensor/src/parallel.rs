@@ -1,18 +1,15 @@
-//! Chunked parallel-for helpers built on crossbeam scoped threads.
+//! A chunked parallel-for built on crossbeam scoped threads.
 //!
 //! The ShadowTutor client device in the paper (Jetson Nano) has a quad-core
-//! CPU; the server has eight cores. These helpers let the compute kernels use
+//! CPU; the server has eight cores. [`par_ranges`] lets the GEMM use
 //! whatever cores the host machine offers without pulling in a full work-
-//! stealing scheduler: work is split into contiguous chunks, one scoped
-//! thread per chunk. When only one core is available (or the work is below
-//! the parallel threshold) everything degrades to a plain serial loop, which
-//! keeps single-core CI deterministic and overhead-free.
+//! stealing scheduler: work is split into contiguous ranges, one scoped
+//! thread per range. When only one core is available (or the work is a
+//! single granule) everything degrades to a plain serial call, which keeps
+//! single-core CI deterministic and overhead-free.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Minimum number of items before a parallel split is worthwhile.
-pub const PARALLEL_THRESHOLD: usize = 4096;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
@@ -56,56 +53,6 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Apply `f` to every element of `data` in place, splitting the slice across
-/// worker threads when it is large enough.
-pub fn par_map_in_place<F>(data: &mut [f32], f: F)
-where
-    F: Fn(f32) -> f32 + Sync,
-{
-    let n_threads = threads();
-    if n_threads <= 1 || data.len() < PARALLEL_THRESHOLD {
-        for x in data.iter_mut() {
-            *x = f(*x);
-        }
-        return;
-    }
-    let chunk = data.len().div_ceil(n_threads);
-    crossbeam::scope(|s| {
-        for piece in data.chunks_mut(chunk) {
-            s.spawn(|_| {
-                for x in piece.iter_mut() {
-                    *x = f(*x);
-                }
-            });
-        }
-    })
-    .expect("scoped worker panicked");
-}
-
-/// Run `f(chunk_index, chunk)` over contiguous chunks of `data`, in parallel
-/// when the slice is large enough. Chunks are the same size except possibly
-/// the last one.
-pub fn par_chunks_mut<F>(data: &mut [f32], chunk_size: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be non-zero");
-    let n_threads = threads();
-    if n_threads <= 1 || data.len() < PARALLEL_THRESHOLD {
-        for (i, piece) in data.chunks_mut(chunk_size).enumerate() {
-            f(i, piece);
-        }
-        return;
-    }
-    crossbeam::scope(|s| {
-        for (i, piece) in data.chunks_mut(chunk_size).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(i, piece));
-        }
-    })
-    .expect("scoped worker panicked");
-}
-
 /// Split `[0, total)` into one contiguous range per worker thread — each
 /// range a multiple of `granularity` except possibly the last — and run
 /// `f(start, end)` on every non-empty range, in parallel when there is more
@@ -142,74 +89,9 @@ where
     .expect("scoped worker panicked");
 }
 
-/// Reduce `data` with `map` and a commutative/associative `combine`, in
-/// parallel when the slice is large enough.
-pub fn par_reduce<F, G>(data: &[f32], identity: f32, map: F, combine: G) -> f32
-where
-    F: Fn(f32) -> f32 + Sync,
-    G: Fn(f32, f32) -> f32 + Sync,
-{
-    let n_threads = threads();
-    if n_threads <= 1 || data.len() < PARALLEL_THRESHOLD {
-        return data.iter().fold(identity, |acc, &x| combine(acc, map(x)));
-    }
-    let chunk = data.len().div_ceil(n_threads);
-    let partials: Vec<f32> = crossbeam::scope(|s| {
-        let handles: Vec<_> = data
-            .chunks(chunk)
-            .map(|piece| {
-                let map = &map;
-                let combine = &combine;
-                s.spawn(move |_| piece.iter().fold(identity, |acc, &x| combine(acc, map(x))))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scoped worker panicked");
-    partials.into_iter().fold(identity, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_in_place_small_and_large() {
-        let mut small = vec![1.0f32; 10];
-        par_map_in_place(&mut small, |x| x * 2.0);
-        assert!(small.iter().all(|&x| x == 2.0));
-
-        let mut large = vec![1.0f32; PARALLEL_THRESHOLD * 2];
-        par_map_in_place(&mut large, |x| x + 1.0);
-        assert!(large.iter().all(|&x| x == 2.0));
-    }
-
-    #[test]
-    fn chunks_mut_covers_everything() {
-        let mut data = vec![0.0f32; 1000];
-        par_chunks_mut(&mut data, 64, |i, chunk| {
-            for x in chunk.iter_mut() {
-                *x = i as f32;
-            }
-        });
-        // Element 0 belongs to chunk 0, element 999 to chunk 15.
-        assert_eq!(data[0], 0.0);
-        assert_eq!(data[999], 15.0);
-        assert_eq!(data[64], 1.0);
-    }
-
-    #[test]
-    fn reduce_matches_serial() {
-        let data: Vec<f32> = (0..10_000).map(|i| i as f32).collect();
-        let sum = par_reduce(&data, 0.0, |x| x, |a, b| a + b);
-        let expected: f32 = data.iter().sum();
-        assert!((sum - expected).abs() / expected < 1e-5);
-        let maxv = par_reduce(&data, f32::NEG_INFINITY, |x| x, f32::max);
-        assert_eq!(maxv, 9999.0);
-    }
 
     #[test]
     fn thread_override_round_trip() {
@@ -219,13 +101,6 @@ mod tests {
         set_threads(0);
         assert!(threads() >= 1);
         let _ = original;
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size")]
-    fn zero_chunk_size_panics() {
-        let mut data = vec![0.0f32; 4];
-        par_chunks_mut(&mut data, 0, |_, _| {});
     }
 
     #[test]

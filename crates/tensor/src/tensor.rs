@@ -1,7 +1,6 @@
 //! Dense, contiguous, row-major `f32` tensor with copy-on-write storage.
 
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A dense, contiguous, row-major `f32` tensor.
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// per *written* tensor, not one per session — frozen weights stay
 /// physically shared. [`Tensor::shares_storage`] / [`Tensor::storage_id`]
 /// expose the sharing structure for memory accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Arc<Vec<f32>>,

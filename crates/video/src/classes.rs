@@ -4,13 +4,11 @@
 //! is background. The class set is reproduced verbatim so the student head
 //! has the same 9-way output as the paper's.
 
-use serde::{Deserialize, Serialize};
-
 /// Total number of classes including background.
 pub const NUM_CLASSES: usize = 9;
 
 /// A segmentation class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegClass {
     /// Anything that is not one of the 8 object classes.
     Background,

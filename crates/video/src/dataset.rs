@@ -13,10 +13,9 @@
 
 use crate::generator::VideoConfig;
 use crate::scene::{CameraMotion, SceneKind, VideoCategory};
-use serde::{Deserialize, Serialize};
 
 /// A named video descriptor: a label plus the generator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoDescriptor {
     /// Human-readable name used in table/figure output.
     pub name: String,
@@ -25,7 +24,7 @@ pub struct VideoDescriptor {
 }
 
 /// Experiment resolution presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
     /// 32×24 — unit tests and smoke runs.
     Tiny,

@@ -3,10 +3,9 @@
 use crate::classes::SegClass;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// Geometric footprint of an object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectShape {
     /// Axis-aligned ellipse.
     Ellipse,
@@ -20,7 +19,7 @@ pub enum ObjectShape {
 /// velocities are pixels per frame. Objects bounce off the frame borders so
 /// they stay (mostly) visible, matching the LVS property that object classes
 /// never leave the scene for long.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingObject {
     /// Segmentation class of the object.
     pub class: SegClass,

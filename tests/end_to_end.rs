@@ -455,7 +455,6 @@ fn hot_stream_cannot_starve_cold_streams() {
             ShadowTutorConfig::paper(),
             PoolConfig {
                 shards: 1,
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             student.clone(),
@@ -569,7 +568,6 @@ fn key_frame_after_shutdown_is_acked_and_counted_not_silently_lost() {
         ShadowTutorConfig::paper(),
         PoolConfig {
             shards: 1,
-            recv_timeout: Duration::from_millis(200),
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -720,7 +718,6 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
             max_in_flight: 2,
             quantum: 2,
             adaptive_batch: false,
-            recv_timeout: Duration::from_millis(200),
             ..PoolConfig::default_pool()
         },
         student,
@@ -916,7 +913,6 @@ fn work_stealing_relieves_a_hot_shard_and_bounds_frame_memory() {
                 frame_budget_bytes: Some(budget),
                 steal_poll: Duration::from_millis(1),
                 steal_patience: Duration::from_millis(100),
-                recv_timeout: Duration::from_millis(200),
                 ..PoolConfig::default_pool()
             },
             student.clone(),
@@ -1078,7 +1074,6 @@ fn stream_finishing_mid_migration_is_never_lost() {
         adaptive_batch: false,
         steal_poll: Duration::from_millis(1),
         steal_patience: Duration::from_millis(3),
-        recv_timeout: Duration::from_millis(200),
         ..PoolConfig::default_pool()
     };
 
@@ -1224,7 +1219,6 @@ fn lru_eviction_needframe_reshare_round_trip() {
         PoolConfig {
             shards: 1,
             frame_budget_bytes: Some(budget),
-            recv_timeout: Duration::from_millis(200),
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
