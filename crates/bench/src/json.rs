@@ -65,6 +65,38 @@ pub fn table_to_json(table: &TableOutput) -> String {
     out
 }
 
+/// Render one table with a `"host"` object beside its rows — what a
+/// committed `BENCH_*.json` needs so two files can be told apart by where
+/// they were measured: core count, CPU model, compiler, kernel thread count.
+pub fn table_to_json_on_host(table: &TableOutput) -> String {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|line| line.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut out = table_to_json(table);
+    out.pop();
+    let _ = write!(
+        out,
+        ",\"host\":{{\"nproc\":{nproc},\"cpu_model\":\"{}\",\"rustc\":\"{}\",\"ST_THREADS\":{}}}}}",
+        escape(&cpu_model),
+        escape(&rustc),
+        st_tensor::parallel::threads()
+    );
+    out
+}
+
 /// Render a full reproduce run (scale label + skew knob + tables + wall
 /// time) as JSON.
 ///
@@ -123,6 +155,16 @@ mod tests {
         // Balanced braces/brackets (a cheap structural check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn host_metadata_rides_inside_the_table_object() {
+        let json = table_to_json_on_host(&table());
+        assert!(json.starts_with("{\"id\":\"Table X\""));
+        assert!(json.contains("]},\"host\":{\"nproc\":"));
+        assert!(json.contains("\"ST_THREADS\":"));
+        assert!(json.ends_with("}}"));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -16,12 +16,16 @@ use shadowtutor::serve::{FrameStore, PoolConfig, SessionWeights};
 use shadowtutor::stride::StridePolicy;
 use shadowtutor::ExperimentRecord;
 use st_net::{KeyFrameTraffic, LinkModel, NaiveTraffic};
+use st_nn::loss::{weighted_cross_entropy, WeightMap};
+use st_nn::metrics::miou;
+use st_nn::optim::Adam;
 use st_nn::snapshot::{PayloadSizes, SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
 use st_sim::{Concurrency, ContentionModel, DedupModel, DEFAULT_DISPATCH_OVERHEAD};
 use st_teacher::{CnnTeacher, OracleTeacher, Teacher};
 use st_video::dataset::tiny_stream;
 use st_video::SceneKind;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// A reproduced table: a human-readable rendering plus machine-readable rows.
@@ -142,6 +146,93 @@ pub fn table2(setup: &SharedSetup) -> TableOutput {
     };
     table.render("Table 2: execution time and mean number of distillation steps");
     table
+}
+
+/// Table 2, decomposed (no paper counterpart: the paper reports one number
+/// per mode): where one Algorithm-1 step goes on this host, for the tiny
+/// student at 32×24 and the small student at 64×48, partial and full.
+///
+/// `prefix once` is the frozen front, paid once per key frame however many
+/// steps follow (under full distillation it is empty); the other columns
+/// are paid per step and sum to `step`: the training forward from the
+/// freeze boundary on, the loss, the backward pass, the optimizer, and the
+/// post-step evaluation (inference from the boundary on + mIoU). Medians of
+/// `reps` steps on one key frame.
+pub fn table2_step_breakdown(reps: usize) -> TableOutput {
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        1e3 * samples[samples.len() / 2]
+    };
+    let lap = |started: &mut Instant| {
+        let elapsed = started.elapsed().as_secs_f64();
+        *started = Instant::now();
+        elapsed
+    };
+    let mut out = TableOutput::new("Table 2 breakdown");
+    let mut columns: Vec<(String, Vec<f64>)> = [
+        "prefix once ms",
+        "suffix forward ms",
+        "loss ms",
+        "backward ms",
+        "optimizer ms",
+        "evaluation ms",
+        "step ms",
+    ]
+    .iter()
+    .map(|name| (name.to_string(), Vec::new()))
+    .collect();
+    for (name, student_config, (width, height)) in [
+        ("tiny 32x24", StudentConfig::tiny(), (32, 24)),
+        ("small 64x48", StudentConfig::small(), (64, 48)),
+    ] {
+        let category = st_video::VideoCategory {
+            camera: st_video::CameraMotion::Fixed,
+            scene: SceneKind::People,
+        };
+        let video = st_video::VideoConfig::for_category(category, width, height, 1);
+        let frame = st_video::VideoGenerator::new(video)
+            .expect("valid video config")
+            .next_frame();
+        let label = OracleTeacher::perfect(1)
+            .pseudo_label(&frame)
+            .expect("oracle label");
+        let weights =
+            WeightMap::from_labels(&label, height, width, 0, 1).expect("label-sized weight map");
+        for mode in [DistillationMode::Partial, DistillationMode::Full] {
+            let mut student = StudentNet::new(student_config).expect("student");
+            student.freeze = mode.freeze_point();
+            let mut optimizer = Adam::new(ShadowTutorConfig::paper().learning_rate);
+            let mut samples: Vec<Vec<f64>> = vec![Vec::new(); 6];
+            for _ in 0..reps.max(1) {
+                let mut t = Instant::now();
+                let prefix = student.frozen_prefix(&frame.image).expect("prefix");
+                samples[0].push(lap(&mut t));
+                let logits = student.forward_train_from(&prefix).expect("forward");
+                samples[1].push(lap(&mut t));
+                let (_, grad) = weighted_cross_entropy(&logits, &label, &weights).expect("loss");
+                samples[2].push(lap(&mut t));
+                student.backward(&grad).expect("backward");
+                samples[3].push(lap(&mut t));
+                optimizer.step(&mut student);
+                samples[4].push(lap(&mut t));
+                let prediction = student.predict_from(&prefix).expect("evaluation");
+                black_box(miou(&prediction, &label, student_config.num_classes).expect("miou"));
+                samples[5].push(lap(&mut t));
+            }
+            out.row_labels.push(format!("{name} {}", mode.label()));
+            let medians: Vec<f64> = samples.iter_mut().map(median).collect();
+            for (column, value) in columns.iter_mut().zip(&medians) {
+                column.1.push(*value);
+            }
+            columns[6].1.push(medians[1..].iter().sum());
+        }
+    }
+    out.columns = columns;
+    out.render(&format!(
+        "Table 2, decomposed — one Algorithm-1 step on this host (median of {reps}; \
+         the prefix is paid once per key frame, the rest once per step)"
+    ));
+    out
 }
 
 /// Tables 3 and 5 share the same runs; this bundle carries them together.

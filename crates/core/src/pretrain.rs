@@ -115,6 +115,10 @@ pub fn pretrain_student(
         }
     }
 
+    // The returned student is a template: every session and client clones
+    // it, and a clone shares — and so keeps alive — whatever buffers the
+    // last step left in its layers.
+    student.clear_training_caches();
     let report = PretrainReport {
         steps: pretrain.steps,
         final_loss: if tail_count > 0 {
@@ -147,6 +151,12 @@ mod tests {
         let mut v = |p: &mut st_nn::Param, _: bool| finite &= p.value.all_finite();
         student.visit_params(&mut v);
         assert!(finite);
+        // The template carries no dead backward caches into its clones.
+        let grad = st_tensor::Tensor::zeros(student.output_shape(24, 32));
+        assert!(matches!(
+            student.backward(&grad),
+            Err(st_tensor::TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]

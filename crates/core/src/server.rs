@@ -385,6 +385,23 @@ mod tests {
     }
 
     #[test]
+    fn a_session_between_key_frames_holds_no_backward_cache() {
+        let config = ShadowTutorConfig::paper();
+        let student = StudentNet::new(StudentConfig::tiny()).unwrap();
+        let mut session = DistillSession::new(config, student, 0.013);
+        let frame = generator().next_frame();
+        let label = OracleTeacher::perfect(7).pseudo_label(&frame).unwrap();
+        let response = session.distill(&frame, &label, 0.044).unwrap();
+        assert!(response.outcome.steps >= 1);
+        let student = session.student_mut();
+        let grad = st_tensor::Tensor::zeros(student.output_shape(frame.height, frame.width));
+        assert!(matches!(
+            student.backward(&grad),
+            Err(st_tensor::TensorError::InvalidArgument(_))
+        ));
+    }
+
+    #[test]
     fn partial_update_payload_is_smaller_than_full() {
         let mut partial = server(DistillationMode::Partial);
         let mut full = server(DistillationMode::Full);

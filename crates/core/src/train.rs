@@ -6,6 +6,16 @@
 //! taken, keeping the best-performing weights seen. If the student already
 //! beats the threshold before any step, training is skipped entirely (the
 //! `d = 0` case that the traffic upper bound of §4.4 relies on).
+//!
+//! One call makes `1 + 2 × steps` passes over the same key frame (an
+//! evaluation, then a training forward and an evaluation per step). Under
+//! partial distillation the frozen front of the student gives the same
+//! activations in every one of them, so [`train_student`] runs it once
+//! ([`StudentNet::frozen_prefix`]) and every pass starts at the freeze
+//! boundary; full distillation is the same code with an empty prefix. The
+//! backward caches the training forwards leave in the trainable layers are
+//! freed before the call returns — a session between key frames holds
+//! weights and optimizer moments, nothing else.
 
 use crate::config::ShadowTutorConfig;
 use crate::Result;
@@ -32,8 +42,21 @@ pub struct TrainOutcome {
 /// Train the student on a key frame against a pseudo-label (Algorithm 1).
 ///
 /// The student is left holding the best weights observed during the loop
-/// (which may be the initial weights if no step improved on them).
+/// (which may be the initial weights if no step improved on them), and no
+/// backward caches: those live for exactly one call.
 pub fn train_student(
+    student: &mut StudentNet,
+    optimizer: &mut Adam,
+    frame: &Frame,
+    pseudo_label: &[usize],
+    config: &ShadowTutorConfig,
+) -> Result<TrainOutcome> {
+    let outcome = distill_key_frame(student, optimizer, frame, pseudo_label, config);
+    student.clear_training_caches();
+    outcome
+}
+
+fn distill_key_frame(
     student: &mut StudentNet,
     optimizer: &mut Adam,
     frame: &Frame,
@@ -50,8 +73,14 @@ pub fn train_student(
         config.loss_weight_radius,
     )?;
 
+    // The frozen front sees the same image with the same weights in every
+    // pass below — `1 + 2 × steps` of them — so it runs once. Nothing in the
+    // loop can invalidate it: backward, the optimizer and the
+    // `TrainableOnly` restore only touch stages after the cut.
+    let prefix = student.frozen_prefix(&frame.image)?;
+
     // Line 1-2: initial prediction and metric.
-    let prediction = student.predict(&frame.image)?;
+    let prediction = student.predict_from(&prefix)?;
     let initial_metric = miou(&prediction, pseudo_label, classes)?.value;
     let mut best_metric = initial_metric;
     let mut steps = 0usize;
@@ -70,7 +99,7 @@ pub fn train_student(
         let mut best_is_current = true;
         for _ in 0..config.max_updates {
             // Lines 6-9: one optimization step on the distillation loss.
-            let logits = student.forward_train(&frame.image)?;
+            let logits = student.forward_train_from(&prefix)?;
             let (loss, grad) = weighted_cross_entropy(&logits, pseudo_label, &weights)?;
             student.backward(&grad)?;
             optimizer.step(student);
@@ -84,7 +113,7 @@ pub fn train_student(
             // plateau snapshot would silently discard that progress on every
             // key frame (the student would never escape the plateau no
             // matter how many key frames it trains on).
-            let prediction = student.predict(&frame.image)?;
+            let prediction = student.predict_from(&prefix)?;
             let metric = miou(&prediction, pseudo_label, classes)?.value;
             if metric >= best_metric {
                 best_metric = metric;
@@ -140,6 +169,118 @@ mod tests {
             label,
             config,
         )
+    }
+
+    /// Algorithm 1 as it ran before the frozen-prefix cache: every pass is a
+    /// full-input `predict` / `forward_train`. The reference `train_student`
+    /// must equal bit for bit.
+    fn train_student_full_input(
+        student: &mut StudentNet,
+        optimizer: &mut Adam,
+        frame: &Frame,
+        pseudo_label: &[usize],
+        config: &ShadowTutorConfig,
+    ) -> Result<TrainOutcome> {
+        let classes = student.config.num_classes;
+        let weights = WeightMap::from_labels(
+            pseudo_label,
+            frame.height,
+            frame.width,
+            0,
+            config.loss_weight_radius,
+        )?;
+        let prediction = student.predict(&frame.image)?;
+        let initial_metric = miou(&prediction, pseudo_label, classes)?.value;
+        let mut best_metric = initial_metric;
+        let mut steps = 0usize;
+        let mut final_loss = 0.0f32;
+        if best_metric < config.threshold {
+            let mut best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
+            let mut best_is_current = true;
+            for _ in 0..config.max_updates {
+                let logits = student.forward_train(&frame.image)?;
+                let (loss, grad) = weighted_cross_entropy(&logits, pseudo_label, &weights)?;
+                student.backward(&grad)?;
+                optimizer.step(student);
+                best_is_current = false;
+                steps += 1;
+                final_loss = loss;
+                let prediction = student.predict(&frame.image)?;
+                let metric = miou(&prediction, pseudo_label, classes)?.value;
+                if metric >= best_metric {
+                    best_metric = metric;
+                    best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
+                    best_is_current = true;
+                }
+                if metric > config.threshold {
+                    break;
+                }
+            }
+            if !best_is_current {
+                best_weights.apply(student)?;
+            }
+        }
+        Ok(TrainOutcome {
+            initial_metric,
+            best_metric,
+            steps,
+            final_loss,
+        })
+    }
+
+    #[test]
+    fn prefix_cached_loop_equals_the_full_input_loop_bit_for_bit() {
+        for mode in [DistillationMode::Partial, DistillationMode::Full] {
+            let (mut student, mut opt, _, _, config) = setup(mode);
+            let mut reference = student.clone();
+            let mut reference_opt = Adam::new(config.learning_rate);
+            let cat = VideoCategory {
+                camera: CameraMotion::Moving,
+                scene: SceneKind::Street,
+            };
+            let mut gen = VideoGenerator::new(VideoConfig::for_category(cat, 32, 24, 9)).unwrap();
+            let mut teacher = OracleTeacher::perfect(1);
+            let mut total_steps = 0;
+            // Consecutive key frames, the same Adam carried across: a
+            // difference in any step's gradients would compound.
+            for key_frame in 0..4 {
+                for _ in 0..3 {
+                    gen.next_frame();
+                }
+                let frame = gen.next_frame();
+                let label = teacher.pseudo_label(&frame).unwrap();
+                let expected = train_student_full_input(
+                    &mut reference,
+                    &mut reference_opt,
+                    &frame,
+                    &label,
+                    &config,
+                )
+                .unwrap();
+                let outcome = train_student(&mut student, &mut opt, &frame, &label, &config);
+                assert_eq!(outcome.unwrap(), expected, "{mode:?} key frame {key_frame}");
+                // Parameters *and* batch-norm running statistics.
+                assert_eq!(
+                    WeightSnapshot::capture(&mut student, SnapshotScope::Full).encode(),
+                    WeightSnapshot::capture(&mut reference, SnapshotScope::Full).encode(),
+                    "{mode:?} key frame {key_frame}"
+                );
+                total_steps += expected.steps;
+            }
+            assert!(total_steps >= 4, "{mode:?}: the loops must actually train");
+        }
+    }
+
+    #[test]
+    fn no_backward_cache_outlives_the_call() {
+        let (mut student, mut opt, frame, label, config) = setup(DistillationMode::Partial);
+        let out = train_student(&mut student, &mut opt, &frame, &label, &config).unwrap();
+        assert!(out.steps >= 1);
+        let grad = st_tensor::Tensor::zeros(student.output_shape(frame.height, frame.width));
+        assert!(matches!(
+            student.backward(&grad),
+            Err(st_tensor::TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]

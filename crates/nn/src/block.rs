@@ -112,19 +112,8 @@ impl StudentBlock {
         x.add(&shortcut)
     }
 
-    /// [`StudentBlock::forward_train`] when `train`, otherwise a cache-free
-    /// [`StudentBlock::forward_inference`] (stale training caches dropped).
-    pub fn forward_mode(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if train {
-            self.forward_train(input)
-        } else {
-            self.clear_caches();
-            self.forward_inference(input)
-        }
-    }
-
-    /// Drop every layer's forward cache (frees im2col and activation buffers
-    /// kept for a backward pass that frozen blocks never run).
+    /// Drop every layer's forward cache (frees the im2col and activation
+    /// buffers kept for a backward pass).
     pub fn clear_caches(&mut self) {
         self.cache_block_input = None;
         self.bn.clear_cache();

@@ -74,17 +74,6 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// [`Conv2d::forward`] when `train`, otherwise a cache-free
-    /// [`Conv2d::forward_inference`] (any stale training cache is dropped).
-    pub fn forward_mode(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if train {
-            self.forward(input)
-        } else {
-            self.cache = None;
-            self.forward_inference(input)
-        }
-    }
-
     /// Backward pass. Accumulates weight/bias gradients and, when
     /// `need_input_grad` is true, returns the gradient w.r.t. the layer
     /// input.
@@ -405,17 +394,6 @@ impl Relu {
     /// Forward pass without caching.
     pub fn forward_inference(&self, input: &Tensor) -> Tensor {
         ops::relu(input)
-    }
-
-    /// [`Relu::forward`] when `train`, otherwise a cache-free
-    /// [`Relu::forward_inference`] (any stale training cache is dropped).
-    pub fn forward_mode(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.forward(input)
-        } else {
-            self.cache = None;
-            self.forward_inference(input)
-        }
     }
 
     /// Backward pass using the cached forward input.

@@ -26,6 +26,23 @@
 //! [`FreezePoint`], expressed in terms of [`Stage`]s; the backward pass stops
 //! descending as soon as every remaining stage is frozen, which is exactly
 //! the latency/memory saving the paper describes.
+//!
+//! The forward pass is split at the same boundary.
+//! [`StudentNet::frozen_prefix`] runs the frozen stages (inference mode) and
+//! returns a [`Prefix`] — the activations live at the cut;
+//! [`StudentNet::forward_train_from`] and [`StudentNet::predict_from`] run
+//! the rest, and the whole-input `forward_train` / `forward_inference` /
+//! `predict` are their composition. A caller that makes several passes over
+//! one input between which only trainable stages change (Algorithm 1 makes
+//! `1 + 2 × steps`) computes the prefix once. The stage wiring exists once
+//! per mode, as a per-stage step function; `FreezePoint::None` is the empty
+//! prefix on the same path.
+//!
+//! A training forward leaves each trainable layer holding what its backward
+//! needs (im2col columns, ReLU inputs, batch-norm x̂).
+//! [`StudentNet::clear_training_caches`] frees all of it; the training
+//! entry points call it before they return, so no network at rest — and no
+//! clone of one — carries those buffers.
 
 use crate::block::StudentBlock;
 use crate::layers::{Conv2d, Relu};
@@ -105,12 +122,19 @@ impl FreezePoint {
         FreezePoint::TrainFrom(Stage::Sb5)
     }
 
+    /// The first stage that trains: every stage before it is frozen.
+    /// `FreezePoint::None` freezes nothing, so its first trainable stage is
+    /// the first stage.
+    pub fn first_trainable(&self) -> Stage {
+        match self {
+            FreezePoint::None => Stage::In1,
+            FreezePoint::TrainFrom(first) => *first,
+        }
+    }
+
     /// Whether a stage is trainable under this freeze point.
     pub fn trainable(&self, stage: Stage) -> bool {
-        match self {
-            FreezePoint::None => true,
-            FreezePoint::TrainFrom(first) => stage.index() >= first.index(),
-        }
+        stage.index() >= self.first_trainable().index()
     }
 }
 
@@ -184,14 +208,53 @@ impl StudentConfig {
     }
 }
 
-/// Cached activations a training-mode forward pass leaves behind for the
-/// backward pass (skip-connection outputs and layer input shapes).
-#[derive(Debug, Clone)]
+/// What a training-mode forward pass leaves behind for the backward pass at
+/// network level: the head's spatial size (the layers keep their own caches).
+#[derive(Debug, Clone, Copy)]
 struct ForwardCache {
-    sb1_out_channels: usize,
-    sb2_out_channels: usize,
     head_h: usize,
     head_w: usize,
+}
+
+/// The activations live at the freeze boundary for one input: everything the
+/// trainable suffix needs from the frozen front, computed once by
+/// [`StudentNet::frozen_prefix`] and reusable for any number of
+/// [`StudentNet::forward_train_from`] / [`StudentNet::predict_from`] passes.
+///
+/// The frozen stages run in inference mode, and nothing that trains the
+/// suffix (backward, the optimizer, a trainable-scope snapshot restore)
+/// writes to them, so a prefix stays valid for as long as the freeze point
+/// and the frozen weights do. It records the stage it was cut at; the suffix
+/// passes refuse a prefix cut anywhere else.
+#[derive(Debug, Clone)]
+pub struct Prefix {
+    /// First stage the suffix still has to run.
+    cut: Stage,
+    /// Input dimensions `(n, h, w)`.
+    input_dims: (usize, usize, usize),
+    /// Main-path activation entering `cut` (the input itself at `In1`).
+    x: Tensor,
+    /// SB1 output (the skip SB6 concatenates), once SB1 has run.
+    sb1_out: Option<Tensor>,
+    /// SB2 output (the skip SB5 concatenates), once SB2 has run.
+    sb2_out: Option<Tensor>,
+}
+
+impl Prefix {
+    /// The first stage a suffix pass over this prefix runs.
+    pub fn cut(&self) -> Stage {
+        self.cut
+    }
+
+    // Stages run in forward order from `In1`, whichever half runs them, so a
+    // skip's producer has always run before its consumer.
+    fn sb1_skip(&self) -> &Tensor {
+        self.sb1_out.as_ref().expect("SB1 runs before SB6")
+    }
+
+    fn sb2_skip(&self) -> &Tensor {
+        self.sb2_out.as_ref().expect("SB2 runs before SB5")
+    }
 }
 
 /// The ShadowTutor student network.
@@ -296,13 +359,11 @@ impl StudentNet {
         })
     }
 
-    /// Validate a forward input. Training is per-frame (`allow_batch` false:
-    /// batch-norm batch statistics are per-image instance statistics here);
-    /// inference accepts any non-empty batch.
-    fn check_input(&self, input: &Tensor, allow_batch: bool) -> Result<(usize, usize)> {
+    /// Validate a forward input (any non-empty batch of frames whose sides
+    /// are divisible by 4) and return its `(n, h, w)`.
+    fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize)> {
         let (n, c, h, w) = input.shape().as_nchw()?;
-        let batch_ok = if allow_batch { n >= 1 } else { n == 1 };
-        if !batch_ok || c != self.config.in_channels {
+        if n == 0 || c != self.config.in_channels {
             return Err(TensorError::ShapeMismatch {
                 op: "student_forward",
                 lhs: input.shape().dims().to_vec(),
@@ -314,48 +375,232 @@ impl StudentNet {
                 "student input must be divisible by 4, got {h}x{w}"
             )));
         }
-        Ok((h, w))
+        Ok((n, h, w))
     }
 
-    /// Training-mode forward pass producing per-pixel class logits of the
-    /// same spatial size as the input.
+    /// One stage of the inference-mode wiring (running batch-norm
+    /// statistics, no caches), advancing the live activations in `a`.
+    fn step_inference(&self, stage: Stage, a: &mut Prefix) -> Result<()> {
+        match stage {
+            Stage::In1 => {
+                let x = self.in1.forward_inference(&a.x)?;
+                a.x = self.relu_in1.forward_inference(&x);
+            }
+            Stage::In2 => {
+                let x = self.in2.forward_inference(&a.x)?;
+                a.x = self.relu_in2.forward_inference(&x);
+            }
+            Stage::Sb1 => {
+                a.x = self.sb1.forward_inference(&a.x)?;
+                a.sb1_out = Some(a.x.clone());
+            }
+            Stage::Sb2 => {
+                a.x = self.sb2.forward_inference(&a.x)?;
+                a.sb2_out = Some(a.x.clone());
+            }
+            Stage::Sb3 => a.x = self.sb3.forward_inference(&a.x)?,
+            Stage::Sb4 => a.x = self.sb4.forward_inference(&a.x)?,
+            Stage::Sb5 => {
+                let cat5 = Tensor::concat_channels(&[&a.x, a.sb2_skip()])?;
+                a.x = self.sb5.forward_inference(&cat5)?;
+            }
+            Stage::Sb6 => {
+                let up = pool::upsample_nearest(&a.x, 2)?;
+                let cat6 = Tensor::concat_channels(&[&up, a.sb1_skip()])?;
+                a.x = self.sb6.forward_inference(&cat6)?;
+            }
+            Stage::Out1 => {
+                let x = self.out1.forward_inference(&a.x)?;
+                a.x = self.relu_out1.forward_inference(&x);
+            }
+            Stage::Out2 => {
+                let x = self.out2.forward_inference(&a.x)?;
+                a.x = self.relu_out2.forward_inference(&x);
+            }
+            Stage::Out3 => a.x = self.out3.forward_inference(&a.x)?,
+        }
+        Ok(())
+    }
+
+    /// One stage of the training-mode wiring (batch statistics, caches for
+    /// [`StudentNet::backward`]), advancing the live activations in `a`.
+    fn step_train(&mut self, stage: Stage, a: &mut Prefix) -> Result<()> {
+        match stage {
+            Stage::In1 => {
+                let x = self.in1.forward(&a.x)?;
+                a.x = self.relu_in1.forward(&x);
+            }
+            Stage::In2 => {
+                let x = self.in2.forward(&a.x)?;
+                a.x = self.relu_in2.forward(&x);
+            }
+            Stage::Sb1 => {
+                a.x = self.sb1.forward_train(&a.x)?;
+                a.sb1_out = Some(a.x.clone());
+            }
+            Stage::Sb2 => {
+                a.x = self.sb2.forward_train(&a.x)?;
+                a.sb2_out = Some(a.x.clone());
+            }
+            Stage::Sb3 => a.x = self.sb3.forward_train(&a.x)?,
+            Stage::Sb4 => a.x = self.sb4.forward_train(&a.x)?,
+            Stage::Sb5 => {
+                let cat5 = Tensor::concat_channels(&[&a.x, a.sb2_skip()])?;
+                a.x = self.sb5.forward_train(&cat5)?;
+            }
+            Stage::Sb6 => {
+                let up = pool::upsample_nearest(&a.x, 2)?;
+                let cat6 = Tensor::concat_channels(&[&up, a.sb1_skip()])?;
+                a.x = self.sb6.forward_train(&cat6)?;
+            }
+            Stage::Out1 => {
+                let x = self.out1.forward(&a.x)?;
+                a.x = self.relu_out1.forward(&x);
+            }
+            Stage::Out2 => {
+                let x = self.out2.forward(&a.x)?;
+                a.x = self.relu_out2.forward(&x);
+            }
+            Stage::Out3 => a.x = self.out3.forward(&a.x)?,
+        }
+        Ok(())
+    }
+
+    /// Drop the backward caches of one stage.
+    fn clear_stage_caches(&mut self, stage: Stage) {
+        match stage {
+            Stage::In1 => {
+                self.in1.clear_cache();
+                self.relu_in1 = Relu::new();
+            }
+            Stage::In2 => {
+                self.in2.clear_cache();
+                self.relu_in2 = Relu::new();
+            }
+            Stage::Sb1 => self.sb1.clear_caches(),
+            Stage::Sb2 => self.sb2.clear_caches(),
+            Stage::Sb3 => self.sb3.clear_caches(),
+            Stage::Sb4 => self.sb4.clear_caches(),
+            Stage::Sb5 => self.sb5.clear_caches(),
+            Stage::Sb6 => self.sb6.clear_caches(),
+            Stage::Out1 => {
+                self.out1.clear_cache();
+                self.relu_out1 = Relu::new();
+            }
+            Stage::Out2 => {
+                self.out2.clear_cache();
+                self.relu_out2 = Relu::new();
+            }
+            Stage::Out3 => self.out3.clear_cache(),
+        }
+    }
+
+    /// Free everything the last training forward kept for its backward pass
+    /// (im2col columns, ReLU and block inputs, batch-norm x̂). The caches
+    /// otherwise live until the next training forward replaces them, which
+    /// for a session between key frames — or a pre-trained template, and
+    /// every clone made from it — is never. A [`StudentNet::backward`]
+    /// after this call is the same typed error as one before any
+    /// [`StudentNet::forward_train`].
+    pub fn clear_training_caches(&mut self) {
+        for stage in Stage::ALL {
+            self.clear_stage_caches(stage);
+        }
+        self.cache = None;
+    }
+
+    /// Reject a prefix that was cut for a different freeze point.
+    fn check_prefix(&self, prefix: &Prefix) -> Result<()> {
+        let cut = self.freeze.first_trainable();
+        if prefix.cut != cut {
+            return Err(TensorError::InvalidArgument(format!(
+                "prefix was cut at {:?} but the student now trains from {cut:?}",
+                prefix.cut
+            )));
+        }
+        Ok(())
+    }
+
+    /// Run the frozen front of the network — every stage before the first
+    /// trainable one — in inference mode and return the activations live at
+    /// the cut.
     ///
-    /// Stages frozen under the current freeze point run in *inference* mode:
-    /// freezing is prefix-contiguous, so no gradient ever reaches them, and
-    /// running their batch-norms with batch statistics would (a) keep
-    /// perturbing the running statistics every training forward and (b) make
-    /// the trained (batch-stat) features diverge from the served (eval-mode)
-    /// features the client actually uses. Frozen means frozen: fixed
-    /// statistics, identical activations in training and inference mode.
-    pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (h, w) = self.check_input(input, false)?;
-        let freeze = self.freeze;
-        let t = |s: Stage| freeze.trainable(s);
-        let x = self.in1.forward_mode(input, t(Stage::In1))?;
-        let x = self.relu_in1.forward_mode(&x, t(Stage::In1));
-        let x = self.in2.forward_mode(&x, t(Stage::In2))?;
-        let x = self.relu_in2.forward_mode(&x, t(Stage::In2));
-        let sb1_out = self.sb1.forward_mode(&x, t(Stage::Sb1))?;
-        let sb2_out = self.sb2.forward_mode(&sb1_out, t(Stage::Sb2))?;
-        let x = self.sb3.forward_mode(&sb2_out, t(Stage::Sb3))?;
-        let x = self.sb4.forward_mode(&x, t(Stage::Sb4))?;
-        let cat5 = Tensor::concat_channels(&[&x, &sb2_out])?;
-        let x = self.sb5.forward_mode(&cat5, t(Stage::Sb5))?;
-        let x = pool::upsample_nearest(&x, 2)?;
-        let cat6 = Tensor::concat_channels(&[&x, &sb1_out])?;
-        let x = self.sb6.forward_mode(&cat6, t(Stage::Sb6))?;
-        let x = self.out1.forward_mode(&x, t(Stage::Out1))?;
-        let x = self.relu_out1.forward_mode(&x, t(Stage::Out1));
-        let x = self.out2.forward_mode(&x, t(Stage::Out2))?;
-        let x = self.relu_out2.forward_mode(&x, t(Stage::Out2));
-        let logits_half = self.out3.forward_mode(&x, t(Stage::Out3))?;
+    /// Frozen means frozen: fixed batch-norm statistics, identical
+    /// activations in training and inference mode. Running the frozen
+    /// batch-norms with batch statistics would keep perturbing the running
+    /// statistics and make the trained features diverge from the served
+    /// ones; freezing is prefix-contiguous, so no gradient ever reaches them
+    /// either. Under `FreezePoint::None` the prefix is empty and holds the
+    /// input. Accepts a batch, like [`StudentNet::forward_inference`].
+    pub fn frozen_prefix(&self, input: &Tensor) -> Result<Prefix> {
+        let input_dims = self.check_input(input)?;
+        let cut = self.freeze.first_trainable();
+        let mut prefix = Prefix {
+            cut,
+            input_dims,
+            x: input.clone(),
+            sb1_out: None,
+            sb2_out: None,
+        };
+        for &stage in &Stage::ALL[..cut.index()] {
+            self.step_inference(stage, &mut prefix)?;
+        }
+        Ok(prefix)
+    }
+
+    /// Training-mode pass over the stages from the cut on, producing
+    /// per-pixel class logits of the same spatial size as the input and
+    /// leaving the caches [`StudentNet::backward`] needs. Training is
+    /// per-frame: a prefix of a batched input is rejected. Caches a frozen
+    /// stage may still hold from an earlier freeze point are dropped.
+    pub fn forward_train_from(&mut self, prefix: &Prefix) -> Result<Tensor> {
+        self.check_prefix(prefix)?;
+        let (n, h, w) = prefix.input_dims;
+        if n != 1 {
+            return Err(TensorError::ShapeMismatch {
+                op: "student_forward_train",
+                lhs: vec![n, self.config.in_channels, h, w],
+                rhs: vec![1, self.config.in_channels, h, w],
+            });
+        }
+        let cut = prefix.cut.index();
+        for &stage in &Stage::ALL[..cut] {
+            self.clear_stage_caches(stage);
+        }
+        let mut a = prefix.clone();
+        for &stage in &Stage::ALL[cut..] {
+            self.step_train(stage, &mut a)?;
+        }
         self.cache = Some(ForwardCache {
-            sb1_out_channels: sb1_out.shape().dim(1),
-            sb2_out_channels: sb2_out.shape().dim(1),
             head_h: h / 2,
             head_w: w / 2,
         });
-        pool::upsample_nearest(&logits_half, 2)
+        pool::upsample_nearest(&a.x, 2)
+    }
+
+    /// Inference-mode pass over the stages from the cut on: full-resolution
+    /// logits.
+    fn forward_inference_from(&self, prefix: &Prefix) -> Result<Tensor> {
+        self.check_prefix(prefix)?;
+        let mut a = prefix.clone();
+        for &stage in &Stage::ALL[prefix.cut.index()..] {
+            self.step_inference(stage, &mut a)?;
+        }
+        pool::upsample_nearest(&a.x, 2)
+    }
+
+    /// Per-pixel predicted class map of the prefix's input (inference mode
+    /// from the cut on).
+    pub fn predict_from(&self, prefix: &Prefix) -> Result<Vec<usize>> {
+        self.forward_inference_from(prefix)?.argmax_channels()
+    }
+
+    /// Training-mode forward pass producing per-pixel class logits of the
+    /// same spatial size as the input: [`StudentNet::forward_train_from`]
+    /// over [`StudentNet::frozen_prefix`].
+    pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let prefix = self.frozen_prefix(input)?;
+        self.forward_train_from(&prefix)
     }
 
     /// Inference-mode forward pass (running batch-norm statistics, no
@@ -367,26 +612,7 @@ impl StudentNet {
     /// is the forward the batched teacher pool amortizes across co-scheduled
     /// key frames.
     pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input, true)?;
-        let x = self.in1.forward_inference(input)?;
-        let x = self.relu_in1.forward_inference(&x);
-        let x = self.in2.forward_inference(&x)?;
-        let x = self.relu_in2.forward_inference(&x);
-        let sb1_out = self.sb1.forward_inference(&x)?;
-        let sb2_out = self.sb2.forward_inference(&sb1_out)?;
-        let x = self.sb3.forward_inference(&sb2_out)?;
-        let x = self.sb4.forward_inference(&x)?;
-        let cat5 = Tensor::concat_channels(&[&x, &sb2_out])?;
-        let x = self.sb5.forward_inference(&cat5)?;
-        let x = pool::upsample_nearest(&x, 2)?;
-        let cat6 = Tensor::concat_channels(&[&x, &sb1_out])?;
-        let x = self.sb6.forward_inference(&cat6)?;
-        let x = self.out1.forward_inference(&x)?;
-        let x = self.relu_out1.forward_inference(&x);
-        let x = self.out2.forward_inference(&x)?;
-        let x = self.relu_out2.forward_inference(&x);
-        let logits_half = self.out3.forward_inference(&x)?;
-        pool::upsample_nearest(&logits_half, 2)
+        self.forward_inference_from(&self.frozen_prefix(input)?)
     }
 
     /// Backward pass from the loss gradient w.r.t. the full-resolution
@@ -394,16 +620,13 @@ impl StudentNet {
     /// gradients; the pass stops descending once every remaining stage is
     /// frozen (this is the paper's *partial backward*).
     pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
-        let cache = self.cache.clone().ok_or_else(|| {
+        let cache = self.cache.ok_or_else(|| {
             TensorError::InvalidArgument("StudentNet::backward called before forward_train".into())
         })?;
         let freeze = self.freeze;
         let trainable = |s: Stage| freeze.trainable(s);
         // Earliest stage we must reach with gradient propagation.
-        let stop_at = match freeze {
-            FreezePoint::None => 0,
-            FreezePoint::TrainFrom(s) => s.index(),
-        };
+        let stop_at = freeze.first_trainable().index();
         // Whether gradient needs to flow below a given stage index.
         let need_below = |idx: usize| idx > stop_at;
 
@@ -446,9 +669,9 @@ impl StudentNet {
             Some(g) => g,
             None => return Ok(()),
         };
-        let c_sb5_up = g.shape().dim(1) - cache.sb1_out_channels;
+        let c_sb5_up = g.shape().dim(1) - self.config.c_enc1;
         let g_sb5_up = g.slice_channels(0, c_sb5_up)?;
-        let g_sb1_skip = g.slice_channels(c_sb5_up, cache.sb1_out_channels)?;
+        let g_sb1_skip = g.slice_channels(c_sb5_up, self.config.c_enc1)?;
         let g_sb5 = pool::upsample_nearest_backward(&g_sb5_up, 2)?;
 
         // SB5: input was concat(SB4 output, SB2 output).
@@ -461,9 +684,9 @@ impl StudentNet {
             Some(g) => g,
             None => return Ok(()),
         };
-        let c_sb4 = g.shape().dim(1) - cache.sb2_out_channels;
+        let c_sb4 = g.shape().dim(1) - self.config.c_enc2;
         let g_sb4 = g.slice_channels(0, c_sb4)?;
-        let g_sb2_skip = g.slice_channels(c_sb4, cache.sb2_out_channels)?;
+        let g_sb2_skip = g.slice_channels(c_sb4, self.config.c_enc2)?;
 
         // SB4, SB3: guarded like every other stage — under e.g.
         // TrainFrom(Sb4) the pass must stop here (sb3 is frozen, ran in
@@ -602,8 +825,7 @@ impl StudentNet {
     /// Per-pixel predicted class map from full-resolution logits for
     /// `input` (frame-major `N*H*W` indices when the input is batched).
     pub fn predict(&self, input: &Tensor) -> Result<Vec<usize>> {
-        let logits = self.forward_inference(input)?;
-        logits.argmax_channels()
+        self.predict_from(&self.frozen_prefix(input)?)
     }
 
     /// Logits shape for an `(h, w)` input.
@@ -714,6 +936,205 @@ mod tests {
             &labels[..16 * 24],
             net.predict(&frames[0]).unwrap().as_slice()
         );
+    }
+
+    /// The one-piece forward pass the prefix/suffix halves replaced, kept as
+    /// the reference they must equal bit for bit: stages from `first_train`
+    /// on run in training mode, the rest in inference mode.
+    fn monolithic_forward(net: &mut StudentNet, input: &Tensor, first_train: usize) -> Tensor {
+        fn conv(layer: &mut Conv2d, relu: Option<&mut Relu>, x: &Tensor, train: bool) -> Tensor {
+            let x = if train {
+                layer.forward(x)
+            } else {
+                layer.forward_inference(x)
+            }
+            .unwrap();
+            match relu {
+                Some(relu) if train => relu.forward(&x),
+                Some(relu) => relu.forward_inference(&x),
+                None => x,
+            }
+        }
+        fn block(block: &mut StudentBlock, x: &Tensor, train: bool) -> Tensor {
+            if train {
+                block.forward_train(x)
+            } else {
+                block.forward_inference(x)
+            }
+            .unwrap()
+        }
+        let t = |s: Stage| s.index() >= first_train;
+        let x = conv(&mut net.in1, Some(&mut net.relu_in1), input, t(Stage::In1));
+        let x = conv(&mut net.in2, Some(&mut net.relu_in2), &x, t(Stage::In2));
+        let sb1_out = block(&mut net.sb1, &x, t(Stage::Sb1));
+        let sb2_out = block(&mut net.sb2, &sb1_out, t(Stage::Sb2));
+        let x = block(&mut net.sb3, &sb2_out, t(Stage::Sb3));
+        let x = block(&mut net.sb4, &x, t(Stage::Sb4));
+        let cat5 = Tensor::concat_channels(&[&x, &sb2_out]).unwrap();
+        let x = block(&mut net.sb5, &cat5, t(Stage::Sb5));
+        let x = pool::upsample_nearest(&x, 2).unwrap();
+        let cat6 = Tensor::concat_channels(&[&x, &sb1_out]).unwrap();
+        let x = block(&mut net.sb6, &cat6, t(Stage::Sb6));
+        let x = conv(&mut net.out1, Some(&mut net.relu_out1), &x, t(Stage::Out1));
+        let x = conv(&mut net.out2, Some(&mut net.relu_out2), &x, t(Stage::Out2));
+        let logits_half = conv(&mut net.out3, None, &x, t(Stage::Out3));
+        pool::upsample_nearest(&logits_half, 2).unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every parameter's gradient and every batch-norm running statistic.
+    fn grads_and_buffers(net: &mut StudentNet) -> Vec<(String, Vec<u32>)> {
+        let mut out = Vec::new();
+        let mut v = |p: &mut Param, _t: bool| out.push((p.name.clone(), bits(&p.grad)));
+        net.visit_params(&mut v);
+        let mut b = |name: &str, t: &mut Tensor, _tr: bool| out.push((name.to_string(), bits(t)));
+        net.visit_buffers(&mut b);
+        out
+    }
+
+    /// A student whose batch-norm running statistics and zero-initialised
+    /// head have moved off their init values, so no comparison is vacuous.
+    fn warmed(config: StudentConfig, freeze: FreezePoint) -> StudentNet {
+        let mut net = StudentNet::new(config).unwrap();
+        net.freeze = FreezePoint::None;
+        net.forward_train(&input(16, 24, 7)).unwrap();
+        net.clear_training_caches();
+        let mut nudge = |p: &mut Param, _t: bool| {
+            if p.name == "out3.weight" {
+                for (i, v) in p.value.data_mut().iter_mut().enumerate() {
+                    *v = 0.01 * (i % 7) as f32 - 0.03;
+                }
+            }
+        };
+        net.visit_params(&mut nudge);
+        net.freeze = freeze;
+        net
+    }
+
+    fn every_freeze_point() -> Vec<FreezePoint> {
+        std::iter::once(FreezePoint::None)
+            .chain(Stage::ALL.into_iter().map(FreezePoint::TrainFrom))
+            .collect()
+    }
+
+    #[test]
+    fn prefix_and_suffix_equal_the_monolithic_forward_at_every_freeze_point() {
+        for config in [StudentConfig::tiny(), StudentConfig::small()] {
+            for freeze in every_freeze_point() {
+                let what = format!("{freeze:?}, c_enc2 {}", config.c_enc2);
+                let x = input(16, 24, 11);
+                let first_train = freeze.first_trainable().index();
+                let mut reference = warmed(config, freeze);
+                let mut whole = reference.clone();
+                let mut halves = reference.clone();
+
+                // Training forward + backward.
+                let expected = monolithic_forward(&mut reference, &x, first_train);
+                reference.cache = Some(ForwardCache {
+                    head_h: 8,
+                    head_w: 12,
+                });
+                let prefix = halves.frozen_prefix(&x).unwrap();
+                assert_eq!(prefix.cut(), freeze.first_trainable());
+                let from_halves = halves.forward_train_from(&prefix).unwrap();
+                let from_whole = whole.forward_train(&x).unwrap();
+                assert_eq!(bits(&from_halves), bits(&expected), "train logits, {what}");
+                assert_eq!(bits(&from_whole), bits(&expected), "train logits, {what}");
+                let grad = random::uniform(expected.shape().clone(), -1.0, 1.0, 12);
+                for net in [&mut reference, &mut whole, &mut halves] {
+                    net.backward(&grad).unwrap();
+                }
+                let expected = grads_and_buffers(&mut reference);
+                assert_eq!(grads_and_buffers(&mut halves), expected, "grads, {what}");
+                assert_eq!(grads_and_buffers(&mut whole), expected, "grads, {what}");
+
+                // The training forward moved the trainable batch-norms'
+                // running statistics; the prefix computed before it is
+                // still the frozen front's output.
+                let expected = monolithic_forward(&mut reference, &x, Stage::ALL.len())
+                    .argmax_channels()
+                    .unwrap();
+                assert_eq!(halves.predict_from(&prefix).unwrap(), expected, "{what}");
+                assert_eq!(whole.predict(&x).unwrap(), expected, "{what}");
+                assert_eq!(
+                    bits(&whole.forward_inference(&x).unwrap()),
+                    bits(&halves.forward_inference_from(&prefix).unwrap()),
+                    "inference logits, {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_is_rejected_once_the_freeze_point_moves() {
+        let mut net = warmed(StudentConfig::tiny(), FreezePoint::paper_partial());
+        let x = input(16, 16, 13);
+        let prefix = net.frozen_prefix(&x).unwrap();
+        assert_eq!(prefix.cut(), Stage::Sb5);
+        net.forward_train_from(&prefix).unwrap();
+        for moved in [FreezePoint::None, FreezePoint::TrainFrom(Stage::Sb6)] {
+            net.freeze = moved;
+            for err in [
+                net.forward_train_from(&prefix).unwrap_err(),
+                net.predict_from(&prefix).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, TensorError::InvalidArgument(m) if m.contains("Sb5")),
+                    "{err:?}"
+                );
+            }
+        }
+        net.freeze = FreezePoint::paper_partial();
+        net.predict_from(&prefix).unwrap();
+        // A prefix of a batch serves inference but not training.
+        let batch = random::uniform(Shape::nchw(2, 3, 16, 16), 0.0, 1.0, 14);
+        let prefix = net.frozen_prefix(&batch).unwrap();
+        assert_eq!(net.predict_from(&prefix).unwrap().len(), 2 * 16 * 16);
+        assert!(matches!(
+            net.forward_train_from(&prefix),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn clear_training_caches_leaves_no_layer_cache() {
+        let mut net = warmed(StudentConfig::tiny(), FreezePoint::None);
+        let x = input(16, 16, 15);
+        let y = net.forward_train(&x).unwrap();
+        let grad = Tensor::ones(y.shape().clone());
+        net.backward(&grad).unwrap();
+        net.clear_training_caches();
+        assert!(matches!(
+            net.backward(&grad),
+            Err(TensorError::InvalidArgument(_))
+        ));
+        // Not just the network-level flag: each layer gave its buffers up.
+        let head = Tensor::ones(Shape::nchw(1, 8, 8, 8));
+        assert!(net.out3.backward(&head, false).is_err());
+        assert!(net.relu_out2.backward(&head).is_err());
+        assert!(net.out1.backward(&head, false).is_err());
+        assert!(net.sb6.backward(&head, false).is_err());
+        assert!(net.sb1.backward(&head, false).is_err());
+        assert!(net.relu_in1.backward(&head).is_err());
+        assert!(net.in1.backward(&head, false).is_err());
+        // And a new training forward brings them back.
+        net.forward_train(&x).unwrap();
+        net.backward(&grad).unwrap();
+    }
+
+    #[test]
+    fn training_forward_drops_caches_of_newly_frozen_stages() {
+        let mut net = warmed(StudentConfig::tiny(), FreezePoint::None);
+        let x = input(16, 16, 16);
+        net.forward_train(&x).unwrap();
+        net.freeze = FreezePoint::paper_partial();
+        net.forward_train(&x).unwrap();
+        let g = Tensor::ones(Shape::nchw(1, 16, 4, 4));
+        assert!(net.sb4.backward(&g, false).is_err());
+        assert!(net.in1.backward(&g, false).is_err());
     }
 
     #[test]

@@ -67,6 +67,8 @@ impl CnnTeacher {
             opt.step(&mut self.net);
             last_loss = loss;
         }
+        // From here on the teacher only runs inference.
+        self.net.clear_training_caches();
         Ok(last_loss)
     }
 
@@ -225,6 +227,13 @@ mod tests {
             later < first * 1.5,
             "pre-training diverged: {first} -> {later}"
         );
+        // A pre-trained teacher holds no dead backward caches.
+        let mut net = t.network().clone();
+        let grad = Tensor::zeros(net.output_shape(24, 32));
+        assert!(matches!(
+            net.backward(&grad),
+            Err(st_tensor::TensorError::InvalidArgument(_))
+        ));
     }
 
     #[test]

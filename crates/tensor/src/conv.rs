@@ -5,9 +5,21 @@
 //! 3×1 / 1×3, and pointwise 1×1 kernels, optionally strided for
 //! down-sampling, so the implementation supports independent kernel sizes,
 //! strides and paddings per axis.
+//!
+//! The lowering ([`im2col_batched`], [`col2im`]) is every convolution of
+//! every model in the repository — client inference, server evaluation,
+//! training forward and backward, the CNN teacher — so it moves row spans,
+//! not pixels: per `(channel, kh, kw)` row the valid output-x range is worked
+//! out once, and each output row is then one slice copy (or slice `+=`) at
+//! stride 1, one strided walk otherwise, in the element order a per-pixel
+//! loop would use. A single-frame 1×1 / stride-1 / pad-0 convolution is not
+//! lowered at all: its column matrix is the input's storage under another
+//! shape. Both are bit-equal to the per-pixel bodies, which the tests keep
+//! as the reference.
 
 use crate::matmul::{matmul_nt, matmul_tn};
 use crate::{Result, Shape, Tensor, TensorError};
+use std::ops::Range;
 
 /// Static configuration of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +124,40 @@ impl Conv2dSpec {
     }
 }
 
+impl Conv2dSpec {
+    /// Whether the column matrix of a single frame *is* the frame: a 1×1
+    /// kernel at stride 1 without padding reads every pixel exactly once, in
+    /// storage order.
+    fn is_pointwise(&self) -> bool {
+        (self.kernel_h, self.kernel_w) == (1, 1)
+            && (self.stride_h, self.stride_w) == (1, 1)
+            && (self.pad_h, self.pad_w) == (0, 0)
+    }
+
+    /// For the tap at kernel column `kw` on a `w`-wide input row: the output
+    /// columns `ox` that land inside the row and the input columns they read
+    /// (`ix = ox * stride_w + kw - pad_w`, every `stride_w`-th of the second
+    /// range). `None` when the tap only ever sees padding, e.g. the far taps
+    /// when `w < kernel_w`.
+    fn tap_span(&self, kw: usize, w: usize, ow: usize) -> Option<(Range<usize>, Range<usize>)> {
+        let lo = self.pad_w.saturating_sub(kw).div_ceil(self.stride_w);
+        let hi = ((w + self.pad_w).checked_sub(kw + 1)? / self.stride_w + 1).min(ow);
+        if lo >= hi {
+            return None;
+        }
+        let ix = |ox: usize| ox * self.stride_w + kw - self.pad_w;
+        Some((lo..hi, ix(lo)..ix(hi - 1) + 1))
+    }
+
+    /// Input row a tap at kernel row `kh` reads for output row `oy`, or
+    /// `None` when it falls into the vertical padding.
+    fn input_row(&self, oy: usize, kh: usize, h: usize) -> Option<usize> {
+        (oy * self.stride_h + kh)
+            .checked_sub(self.pad_h)
+            .filter(|&iy| iy < h)
+    }
+}
+
 /// Lower a batch of input images into one im2col matrix.
 ///
 /// The result has shape `(in_c * kh * kw, n * oh * ow)`: frame `ni` owns the
@@ -120,6 +166,12 @@ impl Conv2dSpec {
 /// becomes a *single* GEMM with the `(out_c, in_c*kh*kw)` weight matrix —
 /// the lowering the multi-stream teacher pool uses to label co-scheduled key
 /// frames in one forward pass.
+///
+/// Each `(ci, kh, kw)` row is moved in spans: the valid output-x range is
+/// computed once per row, then every output row is one `copy_from_slice`
+/// (stride 1) or one strided walk (stride 2) of the matching input row. A
+/// single-frame pointwise convolution is not lowered at all — the returned
+/// matrix shares the input's storage.
 ///
 /// Each frame's column block is computed exactly as the single-frame
 /// lowering would, so batched and per-frame convolutions are bit-for-bit
@@ -139,6 +191,9 @@ pub fn im2col_batched(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
             rhs: vec![n, spec.in_channels, 0, 0],
         });
     }
+    if n == 1 && spec.is_pointwise() {
+        return input.reshape(Shape::matrix(c, h * w));
+    }
     let (oh, ow) = spec.output_size(h, w);
     let rows = c * spec.kernel_h * spec.kernel_w;
     let plane = oh * ow;
@@ -151,21 +206,23 @@ pub fn im2col_batched(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
         for ci in 0..c {
             for kh in 0..spec.kernel_h {
                 for kw in 0..spec.kernel_w {
+                    let Some((ox, ix)) = spec.tap_span(kw, w, ow) else {
+                        continue;
+                    };
                     let row = (ci * spec.kernel_h + kh) * spec.kernel_w + kw;
                     let out_row = &mut out[row * cols + ni * plane..row * cols + (ni + 1) * plane];
                     for oy in 0..oh {
-                        let iy = (oy * spec.stride_h + kh) as isize - spec.pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
+                        let Some(iy) = spec.input_row(oy, kh, h) else {
                             continue;
-                        }
-                        let in_row_base = (ci * h + iy as usize) * w;
-                        let out_base = oy * ow;
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride_w + kw) as isize - spec.pad_w as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        };
+                        let src = &frame[(ci * h + iy) * w..][ix.clone()];
+                        let dst = &mut out_row[oy * ow..][ox.clone()];
+                        if spec.stride_w == 1 {
+                            dst.copy_from_slice(src);
+                        } else {
+                            for (d, &s) in dst.iter_mut().zip(src.iter().step_by(spec.stride_w)) {
+                                *d = s;
                             }
-                            out_row[out_base + ox] = frame[in_row_base + ix as usize];
                         }
                     }
                 }
@@ -185,7 +242,8 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
 }
 
 /// Scatter an im2col-shaped gradient back onto the input image (the adjoint
-/// of [`im2col`]). Overlapping receptive fields accumulate.
+/// of [`im2col`]). Overlapping receptive fields accumulate, span by span in
+/// the order [`im2col_batched`] reads them.
 pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Result<Tensor> {
     spec.validate()?;
     let (rows, ncols) = cols.shape().as_matrix()?;
@@ -203,21 +261,25 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Result<Te
     for ci in 0..spec.in_channels {
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
+                let Some((ox, ix)) = spec.tap_span(kw, w, ow) else {
+                    continue;
+                };
                 let row = (ci * spec.kernel_h + kh) * spec.kernel_w + kw;
                 let col_row = &col_data[row * ncols..(row + 1) * ncols];
                 for oy in 0..oh {
-                    let iy = (oy * spec.stride_h + kh) as isize - spec.pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
+                    let Some(iy) = spec.input_row(oy, kh, h) else {
                         continue;
-                    }
-                    let out_row_base = (ci * h + iy as usize) * w;
-                    let col_base = oy * ow;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride_w + kw) as isize - spec.pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                    };
+                    let src = &col_row[oy * ow..][ox.clone()];
+                    let dst = &mut out_data[(ci * h + iy) * w..][ix.clone()];
+                    if spec.stride_w == 1 {
+                        for (d, &s) in dst.iter_mut().zip(src) {
+                            *d += s;
                         }
-                        out_data[out_row_base + ix as usize] += col_row[col_base + ox];
+                    } else {
+                        for (d, &s) in dst.iter_mut().step_by(spec.stride_w).zip(src) {
+                            *d += s;
+                        }
                     }
                 }
             }
@@ -414,6 +476,200 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The per-pixel lowering the span version replaced, kept as the
+    /// reference it must equal bit for bit.
+    fn im2col_per_pixel(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
+        let (n, c, h, w) = input.shape().as_nchw().unwrap();
+        let (oh, ow) = spec.output_size(h, w);
+        let rows = c * spec.kernel_h * spec.kernel_w;
+        let plane = oh * ow;
+        let cols = n * plane;
+        let mut out = vec![0.0f32; rows * cols];
+        let in_data = input.data();
+        let frame_len = c * h * w;
+        for ni in 0..n {
+            let frame = &in_data[ni * frame_len..(ni + 1) * frame_len];
+            for ci in 0..c {
+                for kh in 0..spec.kernel_h {
+                    for kw in 0..spec.kernel_w {
+                        let row = (ci * spec.kernel_h + kh) * spec.kernel_w + kw;
+                        let out_row =
+                            &mut out[row * cols + ni * plane..row * cols + (ni + 1) * plane];
+                        for oy in 0..oh {
+                            let iy = (oy * spec.stride_h + kh) as isize - spec.pad_h as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            let in_row_base = (ci * h + iy as usize) * w;
+                            let out_base = oy * ow;
+                            for ox in 0..ow {
+                                let ix = (ox * spec.stride_w + kw) as isize - spec.pad_w as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                out_row[out_base + ox] = frame[in_row_base + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(Shape::matrix(rows, cols), out).unwrap()
+    }
+
+    /// Per-pixel reference of [`col2im`].
+    fn col2im_per_pixel(cols: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
+        let (_, ncols) = cols.shape().as_matrix().unwrap();
+        let (oh, ow) = spec.output_size(h, w);
+        let mut out = Tensor::zeros(Shape::nchw(1, spec.in_channels, h, w));
+        let out_data = out.data_mut();
+        let col_data = cols.data();
+        for ci in 0..spec.in_channels {
+            for kh in 0..spec.kernel_h {
+                for kw in 0..spec.kernel_w {
+                    let row = (ci * spec.kernel_h + kh) * spec.kernel_w + kw;
+                    let col_row = &col_data[row * ncols..(row + 1) * ncols];
+                    for oy in 0..oh {
+                        let iy = (oy * spec.stride_h + kh) as isize - spec.pad_h as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let out_row_base = (ci * h + iy as usize) * w;
+                        let col_base = oy * ow;
+                        for ox in 0..ow {
+                            let ix = (ox * spec.stride_w + kw) as isize - spec.pad_w as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            out_data[out_row_base + ix as usize] += col_row[col_base + ox];
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every kernel {1,3}×{1,3}, stride {1,2}, pad {0,1} geometry.
+    fn lowering_specs(in_channels: usize, out_channels: usize) -> Vec<Conv2dSpec> {
+        let mut specs = Vec::new();
+        for (kernel_h, kernel_w) in [(1, 1), (1, 3), (3, 1), (3, 3)] {
+            for stride in [1, 2] {
+                for (pad_h, pad_w) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    specs.push(Conv2dSpec {
+                        in_channels,
+                        out_channels,
+                        kernel_h,
+                        kernel_w,
+                        stride_h: stride,
+                        stride_w: stride,
+                        pad_h,
+                        pad_w,
+                    });
+                }
+            }
+        }
+        specs
+    }
+
+    #[test]
+    fn span_lowering_equals_per_pixel_reference_bit_for_bit() {
+        // Odd and tiny sizes, including w < kernel_w (a tap whose valid span
+        // is empty) and h < kernel_h.
+        let sizes = [(1, 1), (1, 2), (2, 1), (3, 2), (2, 5), (5, 7), (8, 6)];
+        let mut seed = 100;
+        for spec in lowering_specs(2, 3) {
+            for (h, w) in sizes {
+                for n in [1, 3] {
+                    seed += 1;
+                    let input = random::uniform(Shape::nchw(n, 2, h, w), -1.0, 1.0, seed);
+                    let what = format!("{spec:?} on {n}x2x{h}x{w}");
+                    let cols = im2col_batched(&input, &spec).unwrap();
+                    let reference = im2col_per_pixel(&input, &spec);
+                    assert_eq!(cols.shape(), reference.shape(), "{what}");
+                    assert_eq!(bits(&cols), bits(&reference), "im2col {what}");
+                    if n == 1 {
+                        // Include negative zeros: `0.0 + -0.0` must stay what
+                        // the accumulating reference makes of it.
+                        let mut grad = random::uniform(cols.shape().clone(), -1.0, 1.0, seed + 7);
+                        grad.data_mut()[0] = -0.0;
+                        let back = col2im(&grad, &spec, h, w).unwrap();
+                        let reference = col2im_per_pixel(&grad, &spec, h, w);
+                        assert_eq!(bits(&back), bits(&reference), "col2im {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_forward_equals_per_frame_on_every_geometry() {
+        for spec in lowering_specs(2, 3) {
+            let (n, h, w) = (3, 5, 7);
+            let batch = random::uniform(Shape::nchw(n, 2, h, w), -1.0, 1.0, 80);
+            let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, 81);
+            let bias = random::uniform(Shape::vector(3), -0.1, 0.1, 82);
+            let (batched, _) = conv2d_forward(&batch, &weight, Some(&bias), &spec).unwrap();
+            let frame_len = 2 * h * w;
+            let out_len = batched.numel() / n;
+            for ni in 0..n {
+                let frame = Tensor::from_vec(
+                    Shape::nchw(1, 2, h, w),
+                    batch.data()[ni * frame_len..(ni + 1) * frame_len].to_vec(),
+                )
+                .unwrap();
+                let (solo, _) = conv2d_forward(&frame, &weight, Some(&bias), &spec).unwrap();
+                assert_eq!(
+                    bits(&solo),
+                    batched.data()[ni * out_len..(ni + 1) * out_len]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    "{spec:?} frame {ni}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pointwise_convolution_is_not_lowered() {
+        // 1×1 / stride 1 / pad 0 on one frame: the column matrix is the
+        // input's storage, in forward and as the columns backward consumes.
+        let spec = Conv2dSpec::square(4, 3, 1, 1);
+        let input = random::uniform(Shape::nchw(1, 4, 5, 6), -1.0, 1.0, 90);
+        let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, 91);
+        let (out, columns) = conv2d_forward(&input, &weight, None, &spec).unwrap();
+        assert!(columns.shares_storage(&input));
+        assert_eq!(columns.shape().dims(), &[4, 30]);
+        let reference_columns = im2col_per_pixel(&input, &spec);
+        assert!(!reference_columns.shares_storage(&input));
+        assert_eq!(bits(&columns), bits(&reference_columns));
+
+        let grad_out = random::uniform(out.shape().clone(), -1.0, 1.0, 92);
+        let grads = conv2d_backward(&grad_out, &columns, &weight, &spec, 5, 6, true).unwrap();
+        let reference =
+            conv2d_backward(&grad_out, &reference_columns, &weight, &spec, 5, 6, true).unwrap();
+        assert_eq!(bits(&grads.weight), bits(&reference.weight));
+        assert_eq!(bits(&grads.bias), bits(&reference.bias));
+        let w_mat = weight.reshape(Shape::matrix(3, 4)).unwrap();
+        let go_mat = grad_out.reshape(Shape::matrix(3, 30)).unwrap();
+        let dcol = matmul_tn(&w_mat, &go_mat).unwrap();
+        assert_eq!(
+            bits(&grads.input.unwrap()),
+            bits(&col2im_per_pixel(&dcol, &spec, 5, 6))
+        );
+
+        // A batch, a stride or a pad takes the lowering path.
+        let batch = random::uniform(Shape::nchw(2, 4, 5, 6), -1.0, 1.0, 93);
+        assert!(!im2col(&batch, &spec).unwrap().shares_storage(&batch));
+        let strided = Conv2dSpec::square(4, 3, 1, 2);
+        assert!(!im2col(&input, &strided).unwrap().shares_storage(&input));
     }
 
     #[test]
