@@ -60,11 +60,6 @@ impl Figure4 {
         }
         out
     }
-
-    /// The series with the given label, if present.
-    pub fn series_named(&self, label: &str) -> Option<&Figure4Series> {
-        self.series.iter().find(|s| s.label == label)
-    }
 }
 
 /// Reproduce Figure 4: run each named video once (collecting its distillation

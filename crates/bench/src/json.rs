@@ -1,67 +1,29 @@
-//! Minimal JSON export of the reproduced tables.
+//! JSON export of the reproduced tables.
 //!
-//! The workspace has no serializer dependency (the build environment has no
-//! registry access); this module hand-rolls the tiny subset of JSON the
-//! `reproduce` harness needs so CI can upload the run's numbers
-//! as a machine-readable artifact. The format is one object per table:
+//! Built on the workspace's one writer, [`st_check::json`], so CI can upload
+//! the run's numbers as a machine-readable artifact. The format is one
+//! object per table:
 //! `{"id": ..., "rows": [...], "columns": {"name": [numbers...]}}`.
 
 use crate::tables::TableOutput;
-use std::fmt::Write as _;
-
-/// Escape a string for a JSON string literal.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a finite float as JSON (JSON has no NaN/Inf; they become null).
-fn number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
-}
+use st_check::json::{array, field, number, quoted};
 
 /// Render one table as a JSON object.
 pub fn table_to_json(table: &TableOutput) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"id\":\"{}\",\"rows\":[", escape(&table.id));
-    for (i, label) in table.row_labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", escape(label));
+    let mut columns = String::from("{");
+    for (name, values) in &table.columns {
+        field(&mut columns, name, array(values.iter().map(|v| number(*v))));
     }
-    out.push_str("],\"columns\":{");
-    for (i, (name, values)) in table.columns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":[", escape(name));
-        for (j, v) in values.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&number(*v));
-        }
-        out.push(']');
-    }
-    out.push_str("}}");
+    columns.push('}');
+    let mut out = String::from("{");
+    field(&mut out, "id", quoted(&table.id));
+    field(
+        &mut out,
+        "rows",
+        array(table.row_labels.iter().map(|label| quoted(label))),
+    );
+    field(&mut out, "columns", columns);
+    out.push('}');
     out
 }
 
@@ -85,15 +47,16 @@ pub fn table_to_json_on_host(table: &TableOutput) -> String {
         .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut host = String::from("{");
+    field(&mut host, "nproc", nproc);
+    field(&mut host, "cpu_model", quoted(&cpu_model));
+    field(&mut host, "rustc", quoted(&rustc));
+    field(&mut host, "ST_THREADS", st_tensor::parallel::threads());
+    host.push('}');
     let mut out = table_to_json(table);
     out.pop();
-    let _ = write!(
-        out,
-        ",\"host\":{{\"nproc\":{nproc},\"cpu_model\":\"{}\",\"rustc\":\"{}\",\"ST_THREADS\":{}}}}}",
-        escape(&cpu_model),
-        escape(&rustc),
-        st_tensor::parallel::threads()
-    );
+    field(&mut out, "host", host);
+    out.push('}');
     out
 }
 
@@ -109,22 +72,16 @@ pub fn run_to_json(
     tables: &[TableOutput],
     total_seconds: f64,
 ) -> String {
-    let mut out = String::new();
-    let skew_json = skew.map_or("null".to_string(), |s| s.to_string());
-    let _ = write!(
-        out,
-        "{{\"scale\":\"{}\",\"skew\":{},\"total_seconds\":{},\"tables\":[",
-        escape(scale),
-        skew_json,
-        number(total_seconds)
+    let mut out = String::from("{");
+    field(&mut out, "scale", quoted(scale));
+    field(
+        &mut out,
+        "skew",
+        skew.map_or("null".to_string(), |s| s.to_string()),
     );
-    for (i, table) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&table_to_json(table));
-    }
-    out.push_str("]}");
+    field(&mut out, "total_seconds", number(total_seconds));
+    field(&mut out, "tables", array(tables.iter().map(table_to_json)));
+    out.push('}');
     out
 }
 
@@ -183,10 +140,22 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// Byte-for-byte what the hand-rolled writer this module used to carry
+    /// produced for the same inputs (strings taken from that commit).
     #[test]
-    fn control_characters_are_escaped() {
-        assert_eq!(escape("a\nb"), "a\\nb");
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape("back\\slash"), "back\\\\slash");
+    fn tables_and_runs_match_the_golden_strings() {
+        let one = "{\"id\":\"Table X\",\"rows\":[\"fixed/people\",\"say \\\"hi\\\"\"],\
+                   \"columns\":{\"fps\":[6.54,7],\"ratio\":[0.0538,null]}}";
+        assert_eq!(table_to_json(&table()), one);
+        assert_eq!(
+            run_to_json("smoke", Some(8), &[table(), table()], 12.5),
+            format!(
+                "{{\"scale\":\"smoke\",\"skew\":8,\"total_seconds\":12.5,\"tables\":[{one},{one}]}}"
+            )
+        );
+        assert_eq!(
+            run_to_json("sm\"oke", None, &[], f64::INFINITY),
+            "{\"scale\":\"sm\\\"oke\",\"skew\":null,\"total_seconds\":null,\"tables\":[]}"
+        );
     }
 }

@@ -9,15 +9,15 @@
 //! [`shadowtutor::ExperimentRecord`]s into the rows of each table. The
 //! `reproduce` binary (`cargo run -p st-bench --bin reproduce -- <target>`)
 //! prints the tables; the Criterion benches measure the latency quantities
-//! (tensor kernels, distillation steps, student inference) and print the
-//! corresponding table as part of their setup so `cargo bench` regenerates
-//! everything in one pass.
+//! (distillation steps, student inference) and print the corresponding
+//! table as part of their setup so `cargo bench` regenerates everything in
+//! one pass. Kernel, wire and ring micro-numbers are `stbench`'s per-layer
+//! probes.
 
 pub mod figures;
 pub mod json;
 pub mod shm_demo;
 pub mod tables;
-pub mod transport;
 pub mod workloads;
 
 pub use workloads::{ExperimentScale, SharedSetup};

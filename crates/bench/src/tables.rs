@@ -11,7 +11,7 @@ use shadowtutor::config::{DistillationMode, PlacementPolicy, ShadowTutorConfig};
 use shadowtutor::loadgen::{
     percentile, run_capacity_load, run_skewed_load, CapacityLoadSpec, PacedTeacher, SkewedLoadSpec,
 };
-use shadowtutor::runtime::live::{run_live_multi_with, ClientDriverMode, StreamSpec};
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FrameStore, PoolConfig, SessionWeights};
 use shadowtutor::stride::StridePolicy;
 use shadowtutor::ExperimentRecord;
@@ -1047,7 +1047,7 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
                     ),
                 })
                 .collect();
-            run_live_multi_with(
+            run_live_multi(
                 config,
                 specs,
                 student.clone(),
@@ -1057,7 +1057,6 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
                     ..PoolConfig::default_pool()
                 },
                 |shard| OracleTeacher::perfect(1350 + shard as u64),
-                ClientDriverMode::Multiplexed,
             )
             .expect("table13 run")
         };

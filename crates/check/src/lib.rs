@@ -1,6 +1,6 @@
 //! Correctness tooling for the ShadowTutor reproduction.
 //!
-//! Two halves:
+//! Two halves (and [`json`], the workspace's dependency-free JSON writer):
 //!
 //! - [`sync`] — a facade over `std::sync` (`AtomicUsize`, `Mutex`, `Condvar`,
 //!   `thread::spawn`, `fence`, …). Normal builds re-export `std` verbatim;
@@ -20,6 +20,7 @@
 //! Knobs (model checker): `ST_CHECK_SEED` picks the deterministic exploration
 //! seed, `ST_CHECK_BOUND` the schedule budget. Same seed, same trace.
 
+pub mod json;
 pub mod lint;
 #[cfg(feature = "model-check")]
 pub mod model;

@@ -552,31 +552,16 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders findings as a JSON array (for the CI artifact).
 pub fn to_json(violations: &[Violation]) -> String {
     let mut out = String::from("[\n");
     for (i, v) in violations.iter().enumerate() {
         out.push_str(&format!(
             "  {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{}\n",
-            json_escape(&v.file.to_string_lossy().replace('\\', "/")),
+            crate::json::escape(&v.file.to_string_lossy().replace('\\', "/")),
             v.line,
             v.rule,
-            json_escape(&v.message),
+            crate::json::escape(&v.message),
             if i + 1 < violations.len() { "," } else { "" }
         ));
     }

@@ -182,6 +182,25 @@ fn json_report_is_wellformed_enough() {
     assert!(json.contains("\\\"b\\\""));
     assert!(json.contains("\\\\ escaping\\n"));
     assert!(json.trim_end().ends_with(']'));
+    // Byte-for-byte what `to_json` produced before it shared its escaper
+    // with the other exporters (strings taken from that commit).
+    let first = "  {\"file\": \"a \\\"b\\\".rs\", \"line\": 3, \"rule\": \"unsafe-safety\", \
+                 \"message\": \"needs \\\\ escaping\\n\"}";
+    assert_eq!(json, format!("[\n{first}\n]\n"));
+    let second = Violation {
+        file: Path::new("crates/x/src/y.rs").to_path_buf(),
+        line: 41,
+        rule: "relaxed-order",
+        message: "tab\there \u{1}".to_string(),
+    };
+    assert_eq!(
+        to_json(&[v[0].clone(), second]),
+        format!(
+            "[\n{first},\n  {{\"file\": \"crates/x/src/y.rs\", \"line\": 41, \
+             \"rule\": \"relaxed-order\", \"message\": \"tab\\there \\u0001\"}}\n]\n"
+        )
+    );
+    assert_eq!(to_json(&[]), "[\n]\n");
 }
 
 #[test]

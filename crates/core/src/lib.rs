@@ -33,8 +33,8 @@
 //!   handoff-under-lock discipline, generic over its payloads and built on
 //!   the `st_check::sync` facade so the model-check suite explores the
 //!   exact production protocol.
-//! * [`timer`] — the hierarchical timer wheel backing the reactor's
-//!   time-based state (batch windows, steal patience, NeedFrame retries).
+//! * [`timer`] — the deadline heap backing the reactor's time-based state
+//!   (steal ticks, NeedFrame retries).
 //! * [`loadgen`] — an open-loop skewed load generator (one hot stream at a
 //!   multiple of the base key-frame rate) measuring per-stream round trips
 //!   against a live pool; used by the fairness tests and benches.

@@ -1,25 +1,34 @@
-//! Open-loop skewed load generation against a live [`ServerPool`].
+//! Open-loop load generation against a live [`ServerPool`].
 //!
 //! The cooperative client of Algorithm 4 sends at most one key frame per
-//! stride, so it can never expose unfairness in the pool. This module drives
-//! the pool with *raw* [`StreamClient`] endpoints instead: every stream
-//! sends key frames on a fixed open-loop schedule, and one **hot** stream
-//! sends at a multiple of the base rate — the adversarial arrival pattern
-//! the paper's §4.4 concurrency analysis (and our
-//! [`st_sim::ContentionModel`]) assumes away. The generator measures what
-//! each stream actually experienced: client-observed round trips per
-//! serviced key frame, plus throttle/drop counts from the pool's admission
-//! control.
+//! stride, so it can never expose unfairness or saturation in the pool.
+//! This module drives the pool with *raw* [`StreamClient`] endpoints
+//! instead: one thread multiplexes every stream, each sending key frames on
+//! its own absolute open-loop schedule whatever the pool answers. Two entry
+//! points fix the schedules:
 //!
-//! Used by the fairness end-to-end tests and the `table9_skewed_streams`
-//! bench; [`PacedTeacher`] makes the teacher's wall-clock cost real (and
-//! sub-linear in batch size) so queueing is physical rather than simulated.
+//! * [`run_skewed_load`] — fixed intervals, one **hot** stream at a
+//!   multiple of the base rate: the adversarial arrival pattern the paper's
+//!   §4.4 concurrency analysis (and our [`st_sim::ContentionModel`])
+//!   assumes away. Reports per stream.
+//! * [`run_capacity_load`] — a uniform population with randomized phases
+//!   and jittered gaps, the way independent clients arrive. Reports one
+//!   pooled sample.
+//!
+//! Either way the generator measures what each stream actually
+//! experienced: client-observed round trips per serviced key frame, plus
+//! throttle/drop counts from the pool's admission control.
+//!
+//! Used by the fairness end-to-end tests and the `table9_skewed_streams` /
+//! `table11_steal` / `table12_capacity` benches; [`PacedTeacher`] makes the
+//! teacher's wall-clock cost real (and sub-linear in batch size) so
+//! queueing is physical rather than simulated.
 
 use crate::config::ShadowTutorConfig;
 use crate::serve::{PoolConfig, PoolStats, ServerPool, StreamClient};
 use crate::Result;
 use st_net::transport::ClientEndpoint;
-use st_net::{ClientToServer, Payload, ServerToClient, StreamId, TransportError};
+use st_net::{ClientToServer, Payload, ServerToClient, StreamId};
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
 use st_tensor::TensorError;
@@ -189,7 +198,9 @@ const SCENES: [SceneKind; 3] = [SceneKind::People, SceneKind::Animals, SceneKind
 
 /// Drive a pool with `spec.streams` open-loop clients, stream 0 sending
 /// `spec.hot_multiplier`× the base key-frame rate, and collect per-stream
-/// round trips plus pool statistics.
+/// round trips plus pool statistics. Every stream sends on a fixed
+/// schedule from the same origin — no jitter, no phase — so the hot
+/// stream's excess is the only asymmetry.
 pub fn run_skewed_load<T, F>(
     config: ShadowTutorConfig,
     pool_config: PoolConfig,
@@ -203,138 +214,31 @@ where
     F: FnMut(usize) -> T,
 {
     spec.validate()?;
-    config.validate()?;
-    pool_config.validate()?;
-    let started = Instant::now();
-    let pool = ServerPool::spawn(
+    let schedules = (0..spec.streams)
+        .map(|s| {
+            let multiplier = if s == 0 { spec.hot_multiplier } else { 1 };
+            Schedule {
+                sends: spec.key_frames_per_stream * multiplier,
+                interval: spec.send_interval / multiplier as u32,
+                jittered: false,
+            }
+        })
+        .collect();
+    let (mut streams, pool, wall_time) = run_open_loop(
         config,
         pool_config,
         student,
         distill_step_latency,
         teacher_factory,
+        spec.seed,
+        schedules,
     )?;
-
-    // Connect every stream up front so placement is deterministic in id
-    // order, then drive each client on its own thread. Each stream gets one
-    // distinct frame per send so round trips match unambiguously by index.
-    let mut clients: Vec<StreamClient> = Vec::with_capacity(spec.streams);
-    let mut frame_sets: Vec<Vec<Frame>> = Vec::with_capacity(spec.streams);
-    for s in 0..spec.streams {
-        let sends = spec.key_frames_per_stream * if s == 0 { spec.hot_multiplier } else { 1 };
-        let frames = tiny_stream(SCENES[s % SCENES.len()], spec.seed + s as u64, sends);
-        clients.push(pool.connect(s as u64, &frames)?);
-        frame_sets.push(frames);
-    }
-
-    let mut reports: Vec<Result<StreamLoadReport>> = Vec::with_capacity(spec.streams);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(spec.streams);
-        for (s, (client, frames)) in clients.into_iter().zip(frame_sets).enumerate() {
-            let hot = s == 0;
-            let interval = if hot {
-                spec.send_interval / spec.hot_multiplier as u32
-            } else {
-                spec.send_interval
-            };
-            handles.push(
-                scope.spawn(move || drive_open_loop(client, frames, interval, s as u64, hot)),
-            );
-        }
-        for handle in handles {
-            reports.push(handle.join().unwrap_or_else(|_| {
-                Err(TensorError::InvalidArgument(
-                    "load-generator client thread panicked".into(),
-                ))
-            }));
-        }
-    });
-
-    let pool_stats = pool.join()?;
-    let wall_time = started.elapsed().as_secs_f64();
-    let streams = reports.into_iter().collect::<Result<Vec<_>>>()?;
+    streams[0].hot = true;
     Ok(SkewedLoadOutcome {
         streams,
-        pool: pool_stats,
+        pool,
         wall_time,
     })
-}
-
-/// One open-loop client: send every frame on the fixed schedule, absorbing
-/// responses as they arrive (including `NeedFrame` recovery requests, which
-/// are answered by re-uploading the frame), then drain the tail and shut
-/// down.
-fn drive_open_loop(
-    mut client: StreamClient,
-    frames: Vec<Frame>,
-    interval: Duration,
-    stream_id: StreamId,
-    hot: bool,
-) -> Result<StreamLoadReport> {
-    let mut report = StreamLoadReport {
-        stream_id,
-        hot,
-        sent: 0,
-        updates: 0,
-        throttled: 0,
-        dropped: 0,
-        reshared: 0,
-        round_trips: Vec::with_capacity(frames.len()),
-    };
-    // The initial checkpoint arrives first.
-    client
-        .recv_timeout(Duration::from_secs(30))
-        .map_err(|e| TensorError::InvalidArgument(format!("no initial checkpoint: {e:?}")))?;
-
-    let by_index: HashMap<usize, &Frame> = frames.iter().map(|f| (f.index, f)).collect();
-    let mut sent_at: HashMap<usize, Instant> = HashMap::with_capacity(frames.len());
-    let mut outstanding = 0usize;
-    let mut reshare_queue: Vec<usize> = Vec::new();
-    for frame in &frames {
-        let payload = Payload::sized(frame.raw_rgb_bytes());
-        let bytes = payload.bytes;
-        sent_at.insert(frame.index, Instant::now());
-        client
-            .send(
-                ClientToServer::KeyFrame {
-                    frame_index: frame.index,
-                    payload,
-                },
-                bytes,
-            )
-            .map_err(|e| TensorError::InvalidArgument(format!("uplink send failed: {e:?}")))?;
-        report.sent += 1;
-        outstanding += 1;
-        while let Ok(Some(message)) = client.try_recv() {
-            absorb(
-                message,
-                &mut sent_at,
-                &mut report,
-                &mut outstanding,
-                &mut reshare_queue,
-            );
-        }
-        answer_reshares(&mut client, &by_index, &mut reshare_queue, &mut report)?;
-        std::thread::sleep(interval);
-    }
-    // The pool answers every key frame (update, throttle, or drop ack);
-    // wait for the stragglers before shutting the stream down.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while outstanding > 0 && Instant::now() < deadline {
-        match client.recv_timeout(Duration::from_millis(200)) {
-            Ok(message) => absorb(
-                message,
-                &mut sent_at,
-                &mut report,
-                &mut outstanding,
-                &mut reshare_queue,
-            ),
-            Err(TransportError::Timeout) => continue,
-            Err(_) => break,
-        }
-        answer_reshares(&mut client, &by_index, &mut reshare_queue, &mut report)?;
-    }
-    client.send(ClientToServer::Shutdown, 1).ok();
-    Ok(report)
 }
 
 /// Parameters of one uniform open-loop capacity run
@@ -414,11 +318,24 @@ impl CapacityLoadOutcome {
     }
 }
 
-/// One stream's client-side state inside the single-threaded capacity
-/// driver.
+/// One stream's send schedule inside [`run_open_loop`], fixed by the two
+/// public entry points.
+struct Schedule {
+    /// Key frames the stream sends.
+    sends: usize,
+    /// Mean gap between sends.
+    interval: Duration,
+    /// Independent-client arrivals: a random phase in `[0, interval)` and
+    /// gaps uniform in `[0.5, 1.5]` of `interval`. Off: first send at the
+    /// origin, every gap exactly `interval`.
+    jittered: bool,
+}
+
+/// One stream's client-side state inside [`run_open_loop`].
 struct OpenLoopStream {
     client: StreamClient,
     frames: Vec<Frame>,
+    schedule: Schedule,
     cursor: usize,
     next_send: Instant,
     report: StreamLoadReport,
@@ -449,11 +366,9 @@ impl JitterRng {
     }
 }
 
-/// Drive `spec.streams` uniform open-loop clients against the pool from
-/// **one** thread, multiplexing all endpoints — the client-side harness of
-/// the `table12_capacity` experiment, able to host hundreds of mostly-idle
-/// streams without an OS thread each (the thread-per-client
-/// [`run_skewed_load`] harness would hit thread limits first).
+/// Drive `spec.streams` uniform open-loop clients against the pool — the
+/// client-side harness of the `table12_capacity` experiment, able to host
+/// hundreds of mostly-idle streams from one thread.
 ///
 /// Every stream sends `key_frames_per_stream` key frames at jittered
 /// intervals around `send_interval`, with randomized phases. Round trips,
@@ -473,6 +388,56 @@ where
     F: FnMut(usize) -> T,
 {
     spec.validate()?;
+    let schedules = (0..spec.streams)
+        .map(|_| Schedule {
+            sends: spec.key_frames_per_stream,
+            interval: spec.send_interval,
+            jittered: true,
+        })
+        .collect();
+    let (streams, pool, wall_time) = run_open_loop(
+        config,
+        pool_config,
+        student,
+        distill_step_latency,
+        teacher_factory,
+        spec.seed,
+        schedules,
+    )?;
+    Ok(CapacityLoadOutcome {
+        round_trips: streams
+            .iter()
+            .flat_map(|report| report.round_trips.iter().copied())
+            .collect(),
+        updates: streams.iter().map(|report| report.updates).sum(),
+        throttled: streams.iter().map(|report| report.throttled).sum(),
+        dropped: streams.iter().map(|report| report.dropped).sum(),
+        pool,
+        wall_time,
+    })
+}
+
+/// The one open-loop generator: spawn the pool, connect one raw client per
+/// schedule (stream ids in schedule order, so placement is deterministic),
+/// and drive them all from the calling thread. Each stream sends on its own
+/// absolute schedule — a send's cost never delays the next one — while
+/// responses are absorbed as they arrive, `NeedFrame` recovery requests are
+/// answered by re-uploading the frame, and the tail is drained before every
+/// stream shuts down. Returns per-stream reports, the pool's statistics and
+/// the run's wall-clock seconds.
+fn run_open_loop<T, F>(
+    config: ShadowTutorConfig,
+    pool_config: PoolConfig,
+    student: StudentNet,
+    distill_step_latency: f64,
+    teacher_factory: F,
+    seed: u64,
+    schedules: Vec<Schedule>,
+) -> Result<(Vec<StreamLoadReport>, PoolStats, f64)>
+where
+    T: Teacher + Send + 'static,
+    F: FnMut(usize) -> T,
+{
     config.validate()?;
     pool_config.validate()?;
     let started = Instant::now();
@@ -484,25 +449,24 @@ where
         teacher_factory,
     )?;
 
-    let mut rng = JitterRng::new(spec.seed);
-    let interval = spec.send_interval.as_secs_f64();
+    let mut rng = JitterRng::new(seed);
     let origin = Instant::now();
-    let mut streams: Vec<OpenLoopStream> = Vec::with_capacity(spec.streams);
-    for s in 0..spec.streams {
-        let frames = tiny_stream(
-            SCENES[s % SCENES.len()],
-            spec.seed + s as u64,
-            spec.key_frames_per_stream,
-        );
+    let mut streams: Vec<OpenLoopStream> = Vec::with_capacity(schedules.len());
+    for (s, schedule) in schedules.into_iter().enumerate() {
+        // One distinct frame per send, so round trips match unambiguously
+        // by index.
+        let frames = tiny_stream(SCENES[s % SCENES.len()], seed + s as u64, schedule.sends);
         let client = pool.connect(s as u64, &frames)?;
-        // Random phase in [0, interval): without it all streams would fire
-        // in lockstep and the first tick would measure a thundering herd
-        // instead of steady-state queueing.
-        let phase = Duration::from_secs_f64(interval * rng.unit());
+        // Random phase in [0, interval): without it a uniform population
+        // would fire in lockstep and the first tick would measure a
+        // thundering herd instead of steady-state queueing.
+        let phase = if schedule.jittered {
+            schedule.interval.mul_f64(rng.unit())
+        } else {
+            Duration::ZERO
+        };
         streams.push(OpenLoopStream {
             client,
-            frames,
-            cursor: 0,
             next_send: origin + phase,
             report: StreamLoadReport {
                 stream_id: s as u64,
@@ -512,9 +476,12 @@ where
                 throttled: 0,
                 dropped: 0,
                 reshared: 0,
-                round_trips: Vec::with_capacity(spec.key_frames_per_stream),
+                round_trips: Vec::with_capacity(schedule.sends),
             },
-            sent_at: HashMap::with_capacity(spec.key_frames_per_stream),
+            sent_at: HashMap::with_capacity(schedule.sends),
+            frames,
+            schedule,
+            cursor: 0,
             outstanding: 0,
             reshare_queue: Vec::new(),
         });
@@ -546,9 +513,11 @@ where
                 stream.report.sent += 1;
                 stream.outstanding += 1;
                 stream.cursor += 1;
-                // Jittered gap in [0.5, 1.5] of the mean interval.
-                let gap = interval * (0.5 + rng.unit());
-                stream.next_send += Duration::from_secs_f64(gap);
+                stream.next_send += if stream.schedule.jittered {
+                    stream.schedule.interval.mul_f64(0.5 + rng.unit())
+                } else {
+                    stream.schedule.interval
+                };
             }
             while let Ok(Some(message)) = stream.client.try_recv() {
                 absorb(
@@ -559,29 +528,17 @@ where
                     &mut stream.reshare_queue,
                 );
             }
-            if !stream.reshare_queue.is_empty() {
-                let by_index: HashMap<usize, &Frame> =
-                    stream.frames.iter().map(|f| (f.index, f)).collect();
-                answer_reshares(
-                    &mut stream.client,
-                    &by_index,
-                    &mut stream.reshare_queue,
-                    &mut stream.report,
-                )?;
-            }
-            if stream.cursor < stream.frames.len() {
-                all_sent = false;
-            }
-            if stream.outstanding > 0 {
-                any_outstanding = true;
-            }
+            answer_reshares(stream)?;
+            all_sent &= stream.cursor == stream.frames.len();
+            any_outstanding |= stream.outstanding > 0;
         }
         if all_sent {
             if !any_outstanding {
                 break;
             }
-            // The pool answers every key frame; bound the tail drain anyway
-            // so a lost ack cannot hang the bench.
+            // The pool answers every key frame (update, throttle, or drop
+            // ack); bound the tail drain anyway so a lost ack cannot hang
+            // the run.
             let deadline =
                 *drain_deadline.get_or_insert_with(|| Instant::now() + Duration::from_secs(30));
             if Instant::now() >= deadline {
@@ -591,49 +548,29 @@ where
         std::thread::sleep(Duration::from_micros(500));
     }
 
-    let mut outcome_round_trips = Vec::new();
-    let mut updates = 0;
-    let mut throttled = 0;
-    let mut dropped = 0;
+    let mut reports = Vec::with_capacity(streams.len());
     for mut stream in streams {
         stream.client.send(ClientToServer::Shutdown, 1).ok();
-        outcome_round_trips.extend(stream.report.round_trips.iter().copied());
-        updates += stream.report.updates;
-        throttled += stream.report.throttled;
-        dropped += stream.report.dropped;
         // Dropping the client closes the stream's downlink registration.
-        drop(stream.client);
+        reports.push(stream.report);
     }
-
     let pool_stats = pool.join()?;
-    let wall_time = started.elapsed().as_secs_f64();
-    Ok(CapacityLoadOutcome {
-        round_trips: outcome_round_trips,
-        updates,
-        throttled,
-        dropped,
-        pool: pool_stats,
-        wall_time,
-    })
+    Ok((reports, pool_stats, started.elapsed().as_secs_f64()))
 }
 
 /// Re-upload every frame the server asked back for.
-fn answer_reshares(
-    client: &mut StreamClient,
-    by_index: &HashMap<usize, &Frame>,
-    reshare_queue: &mut Vec<usize>,
-    report: &mut StreamLoadReport,
-) -> Result<()> {
-    for frame_index in reshare_queue.drain(..) {
-        let Some(frame) = by_index.get(&frame_index) else {
+fn answer_reshares(stream: &mut OpenLoopStream) -> Result<()> {
+    for frame_index in stream.reshare_queue.drain(..) {
+        let Some(frame) = stream.frames.iter().find(|f| f.index == frame_index) else {
             // The server asked for a frame we never had; the pending job
             // will be drop-acked at stream end. Nothing to upload.
             continue;
         };
-        client
+        stream
+            .client
             .reshare(frame)
             .map_err(|e| TensorError::InvalidArgument(format!("reshare failed: {e:?}")))?;
-        report.reshared += 1;
+        stream.report.reshared += 1;
     }
     Ok(())
 }

@@ -354,7 +354,7 @@ pub struct ShardReport {
     /// Handler events dispatched (uplink envelopes, migrations, timer
     /// fires) — the event loop's measure of work.
     pub events_dispatched: usize,
-    /// Timer-wheel fires dispatched to this shard (reactor driver only).
+    /// Timer fires dispatched to this shard (reactor driver only).
     pub timer_fires: usize,
     /// Readiness wakeups that dispatched a pass on this shard (reactor
     /// driver only).
@@ -375,9 +375,9 @@ pub struct ShardReport {
 /// The serializable operator report condensed from a pool run
 /// (`PoolStats::snapshot()` in `shadowtutor::serve`).
 ///
-/// The workspace has no serializer dependency, so [`PoolReport::to_json`]
-/// hand-rolls the export; the schema is one object with a `shards` array and
-/// a `totals` object.
+/// [`PoolReport::to_json`] exports it through the workspace's one JSON
+/// writer (`st_check::json`); the schema is one object with a `shards` array
+/// and a `totals` object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolReport {
     /// Per-shard rows, indexed by shard.
@@ -404,7 +404,7 @@ pub struct PoolReport {
     pub teacher_wall_secs: f64,
     /// Handler events dispatched across the pool.
     pub events_dispatched: usize,
-    /// Timer-wheel fires across the pool (reactor driver only).
+    /// Timer fires across the pool (reactor driver only).
     pub timer_fires: usize,
     /// Readiness wakeups dispatched across the pool (reactor driver only).
     pub poll_wakeups: usize,
@@ -480,107 +480,91 @@ impl PoolReport {
         }
     }
 
-    /// Render the report as a JSON object (hand-rolled; see the type docs).
+    /// Render the report as a JSON object (see the type docs for the
+    /// schema).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        fn num(value: f64) -> String {
-            if value.is_finite() {
-                format!("{value}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"key_frames\":{},\"teacher_batches\":{},\"mean_batch\":{},\
-                 \"queue_p50_ms\":{},\"queue_p99_ms\":{},\"busy_secs\":{},\
-                 \"teacher_wall_secs\":{},\"throttled\":{},\"dropped\":{},\
-                 \"frame_evictions\":{},\"need_frame_requests\":{},\"reshared_frames\":{},\
-                 \"frame_bytes_peak\":{},\"streams_stolen_in\":{},\"streams_donated\":{},\
-                 \"forwarded_messages\":{},\"events_dispatched\":{},\"timer_fires\":{},\
-                 \"poll_wakeups\":{},\"idle_streams\":{},\"failovers\":{},\
-                 \"streams_adopted\":{},\"frames_lost_on_failover\":{}}}",
-                s.shard,
-                s.key_frames,
-                s.teacher_batches,
-                num(s.mean_batch),
-                num(s.queue_p50_ms),
-                num(s.queue_p99_ms),
-                num(s.busy_secs),
-                num(s.teacher_wall_secs),
-                s.throttled,
-                s.dropped,
-                s.frame_evictions,
-                s.need_frame_requests,
-                s.reshared_frames,
-                s.frame_bytes_peak,
-                s.streams_stolen_in,
-                s.streams_donated,
-                s.forwarded_messages,
-                s.events_dispatched,
-                s.timer_fires,
-                s.poll_wakeups,
-                s.idle_streams,
-                s.failovers,
-                s.streams_adopted,
+        use st_check::json::{array, field, number};
+        let shards = self.shards.iter().map(|s| {
+            let mut out = String::from("{");
+            field(&mut out, "shard", s.shard);
+            field(&mut out, "key_frames", s.key_frames);
+            field(&mut out, "teacher_batches", s.teacher_batches);
+            field(&mut out, "mean_batch", number(s.mean_batch));
+            field(&mut out, "queue_p50_ms", number(s.queue_p50_ms));
+            field(&mut out, "queue_p99_ms", number(s.queue_p99_ms));
+            field(&mut out, "busy_secs", number(s.busy_secs));
+            field(&mut out, "teacher_wall_secs", number(s.teacher_wall_secs));
+            field(&mut out, "throttled", s.throttled);
+            field(&mut out, "dropped", s.dropped);
+            field(&mut out, "frame_evictions", s.frame_evictions);
+            field(&mut out, "need_frame_requests", s.need_frame_requests);
+            field(&mut out, "reshared_frames", s.reshared_frames);
+            field(&mut out, "frame_bytes_peak", s.frame_bytes_peak);
+            field(&mut out, "streams_stolen_in", s.streams_stolen_in);
+            field(&mut out, "streams_donated", s.streams_donated);
+            field(&mut out, "forwarded_messages", s.forwarded_messages);
+            field(&mut out, "events_dispatched", s.events_dispatched);
+            field(&mut out, "timer_fires", s.timer_fires);
+            field(&mut out, "poll_wakeups", s.poll_wakeups);
+            field(&mut out, "idle_streams", s.idle_streams);
+            field(&mut out, "failovers", s.failovers);
+            field(&mut out, "streams_adopted", s.streams_adopted);
+            field(
+                &mut out,
+                "frames_lost_on_failover",
                 s.frames_lost_on_failover,
             );
-        }
-        let _ = write!(
-            out,
-            "],\"totals\":{{\"key_frames\":{},\"streams_stolen\":{},\"frame_evictions\":{},\
-             \"reshared_frames\":{},\"dropped_jobs\":{},\"throttled\":{},\
-             \"frame_bytes_peak\":{},\"queue_p50_ms\":{},\"queue_p99_ms\":{},\
-             \"teacher_wall_secs\":{},\"events_dispatched\":{},\"timer_fires\":{},\
-             \"poll_wakeups\":{},\"idle_streams\":{},\
-             \"wire_bytes_up\":{},\"wire_bytes_down\":{},\
-             \"failovers\":{},\"streams_adopted\":{},\"frames_lost_on_failover\":{},\
-             \"takeover_latency_p99_ms\":{},\"replica_bytes_published\":{},\
-             \"replica_bytes_shared\":{},\"streams\":{},\
-             \"session_bytes_shared\":{},\"session_bytes_private\":{},\
-             \"session_bytes_private_peak\":{},\"store_resident_bytes\":{},\
-             \"store_chunk_count\":{},\"streams_per_gb\":{},\
-             \"delta_updates_sent\":{},\"full_updates_sent\":{},\
-             \"update_bytes_sent\":{},\"update_bytes_full_equiv\":{}}}}}",
-            self.total_key_frames,
-            self.streams_stolen,
-            self.frame_evictions,
-            self.reshared_frames,
-            self.dropped_jobs,
-            self.throttled,
-            self.frame_bytes_peak,
-            num(self.queue_p50_ms),
-            num(self.queue_p99_ms),
-            num(self.teacher_wall_secs),
-            self.events_dispatched,
-            self.timer_fires,
-            self.poll_wakeups,
-            self.idle_streams,
-            self.wire_bytes_up,
-            self.wire_bytes_down,
-            self.failovers,
-            self.streams_adopted,
-            self.frames_lost_on_failover,
-            num(self.takeover_latency_p99_ms),
-            self.replica_bytes_published,
-            self.replica_bytes_shared,
-            self.streams,
-            self.session_bytes_shared,
-            self.session_bytes_private,
-            self.session_bytes_private_peak,
-            self.store_resident_bytes,
-            self.store_chunk_count,
-            num(self.streams_per_gb()),
-            self.delta_updates_sent,
-            self.full_updates_sent,
-            self.update_bytes_sent,
-            self.update_bytes_full_equiv,
+            out.push('}');
+            out
+        });
+        let mut totals = String::from("{");
+        let t = &mut totals;
+        field(t, "key_frames", self.total_key_frames);
+        field(t, "streams_stolen", self.streams_stolen);
+        field(t, "frame_evictions", self.frame_evictions);
+        field(t, "reshared_frames", self.reshared_frames);
+        field(t, "dropped_jobs", self.dropped_jobs);
+        field(t, "throttled", self.throttled);
+        field(t, "frame_bytes_peak", self.frame_bytes_peak);
+        field(t, "queue_p50_ms", number(self.queue_p50_ms));
+        field(t, "queue_p99_ms", number(self.queue_p99_ms));
+        field(t, "teacher_wall_secs", number(self.teacher_wall_secs));
+        field(t, "events_dispatched", self.events_dispatched);
+        field(t, "timer_fires", self.timer_fires);
+        field(t, "poll_wakeups", self.poll_wakeups);
+        field(t, "idle_streams", self.idle_streams);
+        field(t, "wire_bytes_up", self.wire_bytes_up);
+        field(t, "wire_bytes_down", self.wire_bytes_down);
+        field(t, "failovers", self.failovers);
+        field(t, "streams_adopted", self.streams_adopted);
+        field(t, "frames_lost_on_failover", self.frames_lost_on_failover);
+        field(
+            t,
+            "takeover_latency_p99_ms",
+            number(self.takeover_latency_p99_ms),
         );
+        field(t, "replica_bytes_published", self.replica_bytes_published);
+        field(t, "replica_bytes_shared", self.replica_bytes_shared);
+        field(t, "streams", self.streams);
+        field(t, "session_bytes_shared", self.session_bytes_shared);
+        field(t, "session_bytes_private", self.session_bytes_private);
+        field(
+            t,
+            "session_bytes_private_peak",
+            self.session_bytes_private_peak,
+        );
+        field(t, "store_resident_bytes", self.store_resident_bytes);
+        field(t, "store_chunk_count", self.store_chunk_count);
+        field(t, "streams_per_gb", number(self.streams_per_gb()));
+        field(t, "delta_updates_sent", self.delta_updates_sent);
+        field(t, "full_updates_sent", self.full_updates_sent);
+        field(t, "update_bytes_sent", self.update_bytes_sent);
+        field(t, "update_bytes_full_equiv", self.update_bytes_full_equiv);
+        totals.push('}');
+        let mut out = String::from("{");
+        field(&mut out, "shards", array(shards));
+        field(&mut out, "totals", totals);
+        out.push('}');
         out
     }
 }
@@ -800,44 +784,42 @@ mod tests {
             update_bytes_full_equiv: 3000,
         };
         let json = report.to_json();
-        assert!(json.starts_with("{\"shards\":[{\"shard\":0,"));
-        assert!(json.contains("\"streams_stolen_in\":1"));
-        // Reactor loop-health fields are visible to operators.
-        assert!(json.contains("\"events_dispatched\":50"));
-        assert!(json.contains("\"timer_fires\":6"));
-        assert!(json.contains("\"poll_wakeups\":24"));
-        assert!(json.contains("\"idle_streams\":7"));
-        assert!(json.contains("\"wire_bytes_up\":123456"));
-        assert!(json.contains("\"wire_bytes_down\":654321"));
-        // Failover accounting is exported for operators.
-        assert!(json.contains("\"failovers\":1"));
-        assert!(json.contains("\"streams_adopted\":2"));
-        assert!(json.contains("\"frames_lost_on_failover\":1"));
-        assert!(json.contains("\"takeover_latency_p99_ms\":4.75"));
-        assert!(json.contains("\"replica_bytes_published\":2048"));
-        assert!(json.contains("\"replica_bytes_shared\":1024"));
-        // Weight-store residency and delta-wire accounting are exported.
-        assert!(json.contains("\"streams\":8"));
-        assert!(json.contains("\"session_bytes_shared\":4096"));
-        assert!(json.contains("\"session_bytes_private\":512"));
-        assert!(json.contains("\"session_bytes_private_peak\":768"));
-        assert!(json.contains("\"store_resident_bytes\":2048"));
-        assert!(json.contains("\"store_chunk_count\":6"));
-        assert!(json.contains("\"delta_updates_sent\":15"));
-        assert!(json.contains("\"full_updates_sent\":5"));
-        assert!(json.contains("\"update_bytes_sent\":900"));
-        assert!(json.contains("\"update_bytes_full_equiv\":3000"));
+        // Byte-for-byte what the two positional `write!` calls this method
+        // used to be produced for the same report (strings taken from that
+        // commit): every counter exported under its name, the non-finite
+        // p99 as `null`.
+        let shard0 = "{\"shard\":0,\"key_frames\":10,\"teacher_batches\":4,\
+             \"mean_batch\":2.5,\"queue_p50_ms\":1.25,\"queue_p99_ms\":9.5,\
+             \"busy_secs\":0.5,\"teacher_wall_secs\":0.25,\"throttled\":1,\
+             \"dropped\":0,\"frame_evictions\":3,\"need_frame_requests\":2,\
+             \"reshared_frames\":2,\"frame_bytes_peak\":30720,\
+             \"streams_stolen_in\":1,\"streams_donated\":0,\
+             \"forwarded_messages\":2,\"events_dispatched\":25,\"timer_fires\":3,\
+             \"poll_wakeups\":12,\"idle_streams\":7,\"failovers\":1,\
+             \"streams_adopted\":2,\"frames_lost_on_failover\":1}";
+        let totals = "{\"key_frames\":20,\"streams_stolen\":1,\"frame_evictions\":6,\
+             \"reshared_frames\":4,\"dropped_jobs\":0,\"throttled\":2,\
+             \"frame_bytes_peak\":30720,\"queue_p50_ms\":1.25,\
+             \"queue_p99_ms\":null,\"teacher_wall_secs\":0.5,\
+             \"events_dispatched\":50,\"timer_fires\":6,\"poll_wakeups\":24,\
+             \"idle_streams\":7,\"wire_bytes_up\":123456,\
+             \"wire_bytes_down\":654321,\"failovers\":1,\"streams_adopted\":2,\
+             \"frames_lost_on_failover\":1,\"takeover_latency_p99_ms\":4.75,\
+             \"replica_bytes_published\":2048,\"replica_bytes_shared\":1024,\
+             \"streams\":8,\"session_bytes_shared\":4096,\
+             \"session_bytes_private\":512,\"session_bytes_private_peak\":768,\
+             \"store_resident_bytes\":2048,\"store_chunk_count\":6,\
+             \"streams_per_gb\":3355443.2,\"delta_updates_sent\":15,\
+             \"full_updates_sent\":5,\"update_bytes_sent\":900,\
+             \"update_bytes_full_equiv\":3000}";
+        let shard1 = shard0.replacen("\"shard\":0", "\"shard\":1", 1);
+        assert_eq!(
+            json,
+            format!("{{\"shards\":[{shard0},{shard1}],\"totals\":{totals}}}")
+        );
         // streams_per_gb = 8 streams / ((2048 + 512) bytes / 1 GiB).
         assert_eq!(report.weights_resident_bytes(), 2560);
         assert!((report.streams_per_gb() - 8.0 * 1073741824.0 / 2560.0).abs() < 1e-6);
-        assert!(json.contains("\"streams_per_gb\":"));
-        assert!(json.contains("\"totals\":{\"key_frames\":20,"));
-        assert!(json.contains("\"frame_bytes_peak\":30720"));
-        // Non-finite values render as null, not invalid JSON.
-        assert!(json.contains("\"queue_p99_ms\":null"));
-        // Balanced braces/brackets (a cheap structural check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -16,12 +16,10 @@
 //!   [`crate::serve::ServerPool`], each stream multiplexed onto its shard's
 //!   queue with stream-tagged messages. This is the server-contention
 //!   scenario the paper does not evaluate; the pool's queueing statistics
-//!   are compared against the analytic [`st_sim::ContentionModel`]. By
-//!   default all client state machines are driven by **one** thread
-//!   multiplexing their endpoints through a [`st_net::Poller`]
-//!   ([`ClientDriverMode::Multiplexed`]); the historical
-//!   one-OS-thread-per-client topology remains available via
-//!   [`run_live_multi_with`] for A/B comparison.
+//!   are compared against the analytic [`st_sim::ContentionModel`]. All
+//!   client state machines are driven by **one** thread multiplexing their
+//!   endpoints through a [`st_net::Poller`], the way the pool's reactor
+//!   hosts its shards.
 //!
 //! Both topologies drive the *same* client state machine through the
 //! [`st_net::ClientEndpoint`] trait, so protocol behaviour cannot drift
@@ -224,8 +222,8 @@ struct DeltaSync {
 /// reports what it is waiting for. A single-stream caller wraps it in a
 /// trivial block-on-`recv_timeout` loop ([`drive_client`]); the multi-stream
 /// runtime instead multiplexes many drivers through one [`st_net::Poller`]
-/// on one thread ([`ClientDriverMode::Multiplexed`]), mirroring how the
-/// reactor pool hosts many shards on a fixed worker set.
+/// on one thread, mirroring how the reactor pool hosts many shards on a
+/// fixed worker set.
 struct ClientDriver<'a> {
     config: ShadowTutorConfig,
     frames: &'a [Frame],
@@ -588,9 +586,9 @@ impl<'a> ClientDriver<'a> {
 }
 
 /// Algorithm 4 driven to completion over one [`ClientEndpoint`], blocking in
-/// `recv_timeout` whenever the state machine waits. This is the
-/// thread-per-client pump; [`run_live`] and
-/// [`ClientDriverMode::ThreadPerClient`] use it directly.
+/// `recv_timeout` whenever the state machine waits: the one-client form of
+/// the same [`ClientDriver::pump`] the multiplexed driver runs, used by
+/// [`run_live`], the shm client and the scripted-endpoint tests.
 pub(crate) fn drive_client<E: ClientEndpoint>(
     config: ShadowTutorConfig,
     frames: &[Frame],
@@ -776,35 +774,30 @@ where
         student,
         pool_config,
         teacher_factory,
-        ClientDriverMode::default(),
+        ClientDriverMode::Multiplexed,
     )
 }
 
-/// How [`run_live_multi`] hosts its client loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How [`run_live_multi`] hosts its client loops: one driver thread
+/// multiplexes every client endpoint through a single [`st_net::Poller`],
+/// pumping each client when its downlink has traffic or its wait deadline
+/// expires.
+// One variant, and a sixth parameter below, only because `stbench/src/check.rs`
+// names both and cannot change in a library PR (ROADMAP item 7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientDriverMode {
-    /// One driver thread multiplexes every client endpoint through a single
-    /// [`st_net::Poller`]: each client is pumped when its downlink has
-    /// traffic or its wait deadline expires. Client count is decoupled from
-    /// thread count (the client-side mirror of the pool's reactor mode), and
-    /// the first client error aborts the whole run eagerly instead of
-    /// surfacing only after every other stream has finished.
-    #[default]
+    /// The only driver.
     Multiplexed,
-    /// One OS thread per client, each blocking in `recv_timeout` on its own
-    /// endpoint — the pre-reactor behaviour, kept for A/B comparison.
-    ThreadPerClient,
 }
 
-/// [`run_live_multi`] with an explicit [`ClientDriverMode`], for comparing
-/// the multiplexed driver against thread-per-client on the same workload.
+/// [`run_live_multi`] under the name and signature `stbench --check` calls.
 pub fn run_live_multi_with<T, F>(
     config: ShadowTutorConfig,
     streams: Vec<StreamSpec>,
     student: StudentNet,
     pool_config: PoolConfig,
     teacher_factory: F,
-    mode: ClientDriverMode,
+    _mode: ClientDriverMode,
 ) -> Result<MultiLiveOutcome>
 where
     T: Teacher + Send + 'static,
@@ -840,16 +833,9 @@ where
         teacher_factory,
     )?;
 
-    // Both drivers drop every endpoint before returning, so the pool sees
+    // The driver drops every endpoint before returning, so the pool sees
     // all streams disconnect and `join` can complete.
-    let outputs = match mode {
-        ClientDriverMode::Multiplexed => {
-            drive_multiplexed(config, &streams, &student, &pool, delta_updates)
-        }
-        ClientDriverMode::ThreadPerClient => {
-            drive_thread_per_client(config, &streams, &student, &pool, delta_updates)
-        }
-    };
+    let outputs = drive_multiplexed(config, &streams, &student, &pool, delta_updates);
     // Join the pool even when the client side failed (its workers own the
     // teachers, and an abandoned pool would leak threads). A worker error
     // usually *explains* a client-side failure, so it takes precedence.
@@ -890,9 +876,7 @@ where
 /// the others.
 ///
 /// The first client error aborts the run eagerly: every endpoint is dropped
-/// on the way out (satellite of the reactor refactor — the old
-/// thread-per-client scope only surfaced failures after all other client
-/// threads had run to completion).
+/// on the way out.
 fn drive_multiplexed(
     config: ShadowTutorConfig,
     streams: &[StreamSpec],
@@ -984,50 +968,6 @@ fn drive_multiplexed(
         .into_iter()
         .map(|output| output.expect("every client finished"))
         .collect())
-}
-
-/// Drive each client on its own OS thread (the pre-reactor topology). Errors
-/// surface only after every client thread has joined; kept as the A/B
-/// baseline for [`ClientDriverMode::Multiplexed`].
-fn drive_thread_per_client(
-    config: ShadowTutorConfig,
-    streams: &[StreamSpec],
-    student: &StudentNet,
-    pool: &ServerPool,
-    delta_updates: bool,
-) -> Result<Vec<ClientLoopOutput>> {
-    let mut endpoints = Vec::with_capacity(streams.len());
-    for spec in streams {
-        endpoints.push(pool.connect(spec.stream_id, &spec.frames)?);
-    }
-    let mut outputs: Vec<Result<ClientLoopOutput>> = Vec::with_capacity(streams.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(streams.len());
-        for (spec, mut endpoint) in streams.iter().zip(endpoints) {
-            let checkpoint = student.clone();
-            handles.push(scope.spawn(move || {
-                let result = drive_client(
-                    config,
-                    &spec.frames,
-                    checkpoint,
-                    &mut endpoint,
-                    &spec.label,
-                    "live-multi",
-                    delta_updates,
-                );
-                drop(endpoint);
-                result
-            }));
-        }
-        for handle in handles {
-            outputs.push(handle.join().unwrap_or_else(|_| {
-                Err(st_tensor::TensorError::InvalidArgument(
-                    "client thread panicked".into(),
-                ))
-            }));
-        }
-    });
-    outputs.into_iter().collect()
 }
 
 /// Encode a frame's pixels into bytes (8-bit RGB) for transport sizing.
@@ -1507,60 +1447,6 @@ mod tests {
         );
         assert_eq!(outcome.pool.final_checkpoints.len(), 2);
         assert!(outcome.wall_time > 0.0);
-    }
-
-    /// The multiplexed driver and the thread-per-client driver run the same
-    /// protocol: same workload, same per-stream frame counts, same pool
-    /// accounting invariants. (Key-frame schedules may differ between runs —
-    /// update arrival timing feeds the stride — so only timing-independent
-    /// facts are compared.)
-    #[test]
-    fn multiplexed_and_thread_per_client_drivers_agree() {
-        let run = |mode: ClientDriverMode| {
-            let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-            let streams = vec![
-                StreamSpec {
-                    stream_id: 0,
-                    label: "people".into(),
-                    frames: frames_for(SceneKind::People, 3, 16),
-                },
-                StreamSpec {
-                    stream_id: 1,
-                    label: "animals".into(),
-                    frames: frames_for(SceneKind::Animals, 4, 16),
-                },
-            ];
-            run_live_multi_with(
-                ShadowTutorConfig::paper(),
-                streams,
-                student,
-                PoolConfig::with_shards(2),
-                |shard| OracleTeacher::perfect(10 + shard as u64),
-                mode,
-            )
-            .unwrap()
-        };
-        let multiplexed = run(ClientDriverMode::Multiplexed);
-        let threaded = run(ClientDriverMode::ThreadPerClient);
-        for (a, b) in multiplexed.streams.iter().zip(&threaded.streams) {
-            assert_eq!(a.record.frames, b.record.frames);
-            assert_eq!(a.record.label, b.record.label);
-            assert_eq!(a.record.variant, b.record.variant);
-            assert!(a.record.frame_records[0].is_key_frame);
-            assert!(b.record.frame_records[0].is_key_frame);
-            assert!(a.server_key_frames >= 1);
-        }
-        for outcome in [&multiplexed, &threaded] {
-            assert_eq!(
-                outcome.pool.total_key_frames(),
-                outcome
-                    .streams
-                    .iter()
-                    .map(|s| s.server_key_frames)
-                    .sum::<usize>()
-            );
-            assert_eq!(outcome.pool.final_checkpoints.len(), 2);
-        }
     }
 
     /// End-to-end fixed-thread topology: a reactor pool (2 workers hosting

@@ -38,9 +38,6 @@ pub struct FaultPlan {
     /// kill (the default) fires before the drain; every queued job
     /// survives in the carcass and is re-queued by the adopter.
     pub torn_kill: bool,
-    /// Defer the target's first N steal-mailbox drains by one pass each —
-    /// a deterministic delivery-delay fault for migration-race testing.
-    pub defer_mailbox: u32,
 }
 
 impl FaultPlan {
@@ -51,7 +48,6 @@ impl FaultPlan {
             target: None,
             kill_at_batch: None,
             torn_kill: false,
-            defer_mailbox: 0,
         }
     }
 
@@ -63,7 +59,6 @@ impl FaultPlan {
             target: Some(shard),
             kill_at_batch: Some(at_batch),
             torn_kill: false,
-            defer_mailbox: 0,
         }
     }
 
@@ -145,8 +140,8 @@ pub struct PoolConfig {
     pub steal_patience: Duration,
     /// Size of the pool's **reactor** worker set. All `shards` shard state
     /// machines are hosted on a fixed set of worker threads driven by
-    /// readiness wakeups ([`st_net::Poller`]) and a hierarchical timer wheel
-    /// ([`crate::timer::TimerWheel`]): `Some(n)` runs `n` workers, decoupling
+    /// readiness wakeups ([`st_net::Poller`]) and a deadline heap
+    /// ([`crate::timer::DeadlineHeap`]): `Some(n)` runs `n` workers, decoupling
     /// shard count from thread count — `shards: 64` with `reactor_threads:
     /// Some(4)` is a valid configuration; `None` (the default) runs as many
     /// workers as shards. Serving behaviour is identical at every worker

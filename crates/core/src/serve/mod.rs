@@ -13,7 +13,7 @@
 //!   share weights — isolation is structural.
 //! * [`ServerPool`] hosts every shard's state machine on a fixed set of
 //!   reactor workers ([`PoolConfig::reactor_threads`]; one per shard by
-//!   default) woken by send-side readiness tokens and a timer wheel, places
+//!   default) woken by send-side readiness tokens and a deadline heap, places
 //!   streams on shards per [`PlacementPolicy`] (least-loaded by default,
 //!   static `id % shards` for reproducibility), and funnels each client's
 //!   uplink into the owning shard's queue as [`st_net::StreamTagged`] traffic.

@@ -164,7 +164,7 @@ impl ClientEndpoint for StreamClient {
 /// The pool is an event-driven reactor: all shard state machines are
 /// hosted on a fixed set of worker threads
 /// ([`PoolConfig::reactor_threads`]; one per shard by default) woken by
-/// send-side readiness tokens and a hierarchical timer wheel. Every worker
+/// send-side readiness tokens and a shared deadline heap. Every worker
 /// count runs the same `ShardState` machine, so a stream cannot tell how
 /// many threads served it.
 pub struct ServerPool {
@@ -237,7 +237,7 @@ impl ServerPool {
             .then(|| Arc::new(ReplicaStore::new(pool_config.shards, Arc::clone(&store))));
         // Every shard state machine lives behind a mutex, hosted by a fixed
         // reactor worker set woken by readiness tokens (one token per shard)
-        // and a shared timer wheel.
+        // and a shared deadline heap.
         let poller = st_net::Poller::new();
         let shard_wakers: Arc<Vec<st_net::Waker>> =
             Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());

@@ -8,7 +8,7 @@ use super::locked;
 use super::state::ShardOutput;
 #[cfg(doc)]
 use super::state::ShardState;
-use crate::timer::TimerWheel;
+use crate::timer::DeadlineHeap;
 use crate::Result;
 use st_net::StreamId;
 use st_teacher::Teacher;
@@ -26,7 +26,7 @@ const REACTOR_IDLE_TICK: Duration = Duration::from_millis(50);
 /// Without the retry a lost request would park the job until shutdown.
 const NEED_FRAME_RETRY: Duration = Duration::from_millis(100);
 
-/// A deadline owned by the reactor's shared timer wheel.
+/// A deadline owned by the reactor's shared deadline heap.
 enum TimerEvent {
     /// Run a maintenance pass on a shard — its `steal_poll` wakeup, armed
     /// only while the shard is an idle steal participant.
@@ -41,7 +41,7 @@ enum TimerEvent {
 
 /// Everything the reactor's fixed worker set shares: the shard state
 /// machines, the readiness poller whose token *n* means "shard *n* has
-/// traffic", the timer wheel, and completion accounting.
+/// traffic", the deadline heap, and completion accounting.
 pub(super) struct ReactorShared<T: Teacher> {
     /// The hosted shard-state slots (`failover.states[i]` holds shard *i*
     /// until it finishes or dies), the failover board, and the replica
@@ -51,7 +51,7 @@ pub(super) struct ReactorShared<T: Teacher> {
     /// finalized by their standby.
     failover: FailoverShared<T>,
     poller: st_net::Poller,
-    timers: Mutex<TimerWheel<TimerEvent>>,
+    timers: Mutex<DeadlineHeap<TimerEvent>>,
     /// Set when a worker hits a hard error, telling its peers to stop
     /// instead of serving a half-dead pool.
     aborted: AtomicBool,
@@ -80,7 +80,7 @@ impl<T: Teacher> ReactorShared<T> {
                 .collect(),
             failover,
             poller,
-            timers: Mutex::new(TimerWheel::new(Instant::now(), Duration::from_millis(1))),
+            timers: Mutex::new(DeadlineHeap::new(Instant::now())),
             aborted: AtomicBool::new(false),
             shard_wakers,
             steal_poll,
@@ -145,13 +145,10 @@ fn reactor_loop<T: Teacher>(
             shared.poller.close();
             return Ok(());
         }
-        // Fire due timers. The wheel lock is released before dispatching so
+        // Fire due timers. The heap lock is released before dispatching so
         // a handler arming follow-up timers never self-deadlocks.
-        let due = {
-            let mut timers = locked(&shared.timers);
-            timers.advance(Instant::now())
-        };
-        for (_id, event) in due {
+        let due = locked(&shared.timers).advance(Instant::now());
+        for event in due {
             match event {
                 TimerEvent::Tick(shard) => dispatch_pass(shared, shard, true, outputs)?,
                 TimerEvent::NeedFrameRetry {
@@ -163,15 +160,12 @@ fn reactor_loop<T: Teacher>(
         }
         // Park until a shard's token wakes, but never sleep past the next
         // timer deadline (or the idle tick, whichever is sooner).
-        let timeout = {
-            let mut timers = locked(&shared.timers);
-            match timers.next_deadline() {
-                Some(deadline) => deadline
-                    .saturating_duration_since(Instant::now())
-                    .min(REACTOR_IDLE_TICK),
-                None => REACTOR_IDLE_TICK,
-            }
-        };
+        let next_deadline = locked(&shared.timers).next_deadline();
+        let timeout = next_deadline.map_or(REACTOR_IDLE_TICK, |deadline| {
+            deadline
+                .saturating_duration_since(Instant::now())
+                .min(REACTOR_IDLE_TICK)
+        });
         if let Some(token) = shared.poller.poll_one(timeout) {
             dispatch_pass(shared, token, false, outputs)?;
         }
@@ -267,7 +261,7 @@ fn dispatch_pass<T: Teacher>(
         }
         // Arm the steal tick while still holding the state lock, so the
         // shard cannot run (and ask for a second tick) before this one is
-        // on the wheel.
+        // on the heap.
         if outcome.arm_tick {
             locked(&shared.timers).schedule_after(shared.steal_poll, TimerEvent::Tick(shard));
         }

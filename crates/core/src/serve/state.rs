@@ -18,7 +18,7 @@ use super::{
     AdaptiveBatch, FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats,
 };
 #[cfg(doc)]
-use super::{FaultPlan, ServerPool, StreamClient};
+use super::{ServerPool, StreamClient};
 use crate::server::StreamServerStats;
 use crate::Result;
 use bytes::Bytes;
@@ -26,7 +26,6 @@ use st_net::message::MESSAGE_OVERHEAD_BYTES;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, StreamTagged, Wire};
 use st_nn::delta::{WeightDelta, WeightPayload};
 use st_nn::snapshot::WeightSnapshot;
-use st_nn::store::SessionMemory;
 use st_teacher::Teacher;
 use st_video::Frame;
 use std::collections::HashMap;
@@ -128,9 +127,9 @@ pub(super) struct ShardOutput {
 /// hung up. A vanished client only loses its own acks, but the loss is
 /// *counted* (`ShardStats::lost_acks`), never silently discarded — the
 /// failover paths depend on every drop being observable.
-fn deliver(downlink: &Downlink, bytes: usize, msg: ServerToClient, lost_acks: &mut usize) {
+fn deliver(stats: &mut ShardStats, downlink: &Downlink, bytes: usize, msg: ServerToClient) {
     if !downlink.send(bytes, msg) {
-        *lost_acks += 1;
+        stats.lost_acks += 1;
     }
 }
 
@@ -142,17 +141,6 @@ struct StreamMeter {
     wait_max: Duration,
     throttled: usize,
     dropped: usize,
-}
-
-/// Wall-clock accumulators merged into [`ShardStats`] when the worker exits.
-#[derive(Debug, Default)]
-struct WorkerClock {
-    queue_wait_total: Duration,
-    queue_wait_max: Duration,
-    busy_time: Duration,
-    /// One wait sample (seconds) per key frame a batch attempted, in
-    /// service order — the raw material of the operator report's p50/p99.
-    wait_samples: Vec<f64>,
 }
 
 /// Jobs parked per stream while the client re-uploads an evicted frame,
@@ -180,10 +168,9 @@ fn process_scheduled<T: Teacher>(
     batch: &[ScheduledJob],
     downlinks: &HashMap<StreamId, Downlink>,
     meters: &mut HashMap<StreamId, StreamMeter>,
-    clock: &mut WorkerClock,
+    wait_samples: &mut Vec<f64>,
     awaiting: &mut AwaitingFrames,
     need_frames_sent: &mut Vec<(StreamId, usize)>,
-    lost_acks: &mut usize,
 ) -> Result<Vec<StreamId>> {
     if batch.is_empty() {
         return Ok(Vec::new());
@@ -210,10 +197,10 @@ fn process_scheduled<T: Teacher>(
             if request_content {
                 if let Some(downlink) = downlinks.get(&key.0) {
                     deliver(
+                        &mut shard.stats,
                         downlink,
                         MESSAGE_OVERHEAD_BYTES,
                         ServerToClient::NeedFrame { frame_index: key.1 },
-                        lost_acks,
                     );
                 }
                 need_frames_sent.push(key);
@@ -221,9 +208,9 @@ fn process_scheduled<T: Teacher>(
             continue;
         }
         let wait = started.saturating_duration_since(scheduled.enqueued_at);
-        clock.queue_wait_total += wait;
-        clock.queue_wait_max = clock.queue_wait_max.max(wait);
-        clock.wait_samples.push(wait.as_secs_f64());
+        shard.stats.queue_wait_total += wait;
+        shard.stats.queue_wait_max = shard.stats.queue_wait_max.max(wait);
+        wait_samples.push(wait.as_secs_f64());
         let meter = meters.entry(scheduled.job.stream_id).or_default();
         meter.wait_total += wait;
         meter.wait_max = meter.wait_max.max(wait);
@@ -284,23 +271,23 @@ fn process_scheduled<T: Teacher>(
             payload,
         };
         // A client that hung up mid-stream only loses its own updates.
-        deliver(downlink, bytes, msg, lost_acks);
+        deliver(&mut shard.stats, downlink, bytes, msg);
     }
     for (job, reason) in outcome.dropped {
         meters.entry(job.stream_id).or_default().dropped += 1;
         if let Some(downlink) = downlinks.get(&job.stream_id) {
             deliver(
+                &mut shard.stats,
                 downlink,
                 MESSAGE_OVERHEAD_BYTES,
                 ServerToClient::Dropped {
                     frame_index: job.frame_index,
                     reason,
                 },
-                lost_acks,
             );
         }
     }
-    clock.busy_time += started.elapsed();
+    shard.stats.busy_time += started.elapsed();
     Ok(updated)
 }
 
@@ -388,13 +375,9 @@ pub(super) struct ShardState<T: Teacher> {
     requested: Option<(usize, Instant)>,
     adopted_at: HashMap<StreamId, Instant>,
     idle_since: Option<Instant>,
-    clock: WorkerClock,
-    uplink_bytes: usize,
-    throttled: usize,
-    enqueue_drops: usize,
-    unknown_registers: usize,
-    forwarded: usize,
-    batch_limit_peak: usize,
+    /// One wait sample (seconds) per key frame a batch attempted, in
+    /// service order — the raw material of the operator report's p50/p99.
+    wait_samples: Vec<f64>,
     disconnected: bool,
     /// `NeedFrame` requests sent during the current pass; the reactor arms
     /// a retry timer for each.
@@ -402,18 +385,12 @@ pub(super) struct ShardState<T: Teacher> {
     /// True while a steal-poll `Tick` timer is armed for this shard, so idle
     /// passes do not stack duplicate ticks.
     tick_pending: bool,
-    events_dispatched: usize,
-    timer_fires: usize,
-    poll_wakeups: usize,
-    idle_streams_peak: usize,
     /// Failover blackboard (liveness, deaths, adoption claims).
     board: Arc<FailoverBoard>,
     /// Checkpoint-replica store; `Some` iff [`PoolConfig::replication`].
     replicas: Option<Arc<ReplicaStore>>,
     /// Co-scheduled batches completed — the fault plan's kill clock.
     batches_processed: usize,
-    /// Remaining mailbox drains to skip ([`FaultPlan::defer_mailbox`]).
-    defer_mailbox_left: u32,
     /// A torn kill parks the batch it tore out of the scheduler here on the
     /// way down, so the adopting standby can drop-ack exactly those jobs
     /// with [`DropReason::ShardFailed`].
@@ -427,18 +404,7 @@ pub(super) struct ShardState<T: Teacher> {
     adopted_registries: Vec<Registry>,
     /// Which shard each `adopted_registries`/`adopted_rx` entry came from.
     adopted_shards: Vec<usize>,
-    failovers: usize,
-    streams_adopted: usize,
-    frames_lost: usize,
-    lost_acks: usize,
-    replica_published: usize,
-    replica_shared: usize,
     takeover_samples: Vec<f64>,
-    /// Last sampled copy-on-write session memory split (shared vs private
-    /// against the template), refreshed once per processed batch.
-    session_memory: SessionMemory,
-    /// Peak private session bytes observed across samples.
-    session_private_peak: usize,
 }
 
 /// What one [`ShardState::run_pass`] left behind, telling the reactor which
@@ -463,7 +429,7 @@ pub(super) struct PassOutcome {
 impl<T: Teacher> ShardState<T> {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
-        shard: ServeShard<T>,
+        mut shard: ServeShard<T>,
         rx: crossbeam::channel::Receiver<Envelope>,
         registry: Registry,
         pool_config: PoolConfig,
@@ -475,12 +441,7 @@ impl<T: Teacher> ShardState<T> {
         replicas: Option<Arc<ReplicaStore>>,
     ) -> Self {
         let batcher = AdaptiveBatch::new(pool_config.max_batch, pool_config.adaptive_batch);
-        let batch_limit_peak = batcher.limit();
-        let defer_mailbox_left = if pool_config.fault_plan.target == Some(shard_index) {
-            pool_config.fault_plan.defer_mailbox
-        } else {
-            0
-        };
+        shard.stats.batch_limit_peak = batcher.limit();
         ShardState {
             shard_index,
             pool_config,
@@ -502,37 +463,18 @@ impl<T: Teacher> ShardState<T> {
             requested: None,
             adopted_at: HashMap::new(),
             idle_since: None,
-            clock: WorkerClock::default(),
-            uplink_bytes: 0,
-            throttled: 0,
-            enqueue_drops: 0,
-            unknown_registers: 0,
-            forwarded: 0,
-            batch_limit_peak,
+            wait_samples: Vec::new(),
             disconnected: false,
             need_frames_sent: Vec::new(),
             tick_pending: false,
-            events_dispatched: 0,
-            timer_fires: 0,
-            poll_wakeups: 0,
-            idle_streams_peak: 0,
             board,
             replicas,
             batches_processed: 0,
-            defer_mailbox_left,
             torn_jobs: Vec::new(),
             adopted_rx: Vec::new(),
             adopted_registries: Vec::new(),
             adopted_shards: Vec::new(),
-            failovers: 0,
-            streams_adopted: 0,
-            frames_lost: 0,
-            lost_acks: 0,
-            replica_published: 0,
-            replica_shared: 0,
             takeover_samples: Vec::new(),
-            session_memory: SessionMemory::default(),
-            session_private_peak: 0,
         }
     }
 
@@ -566,7 +508,7 @@ impl<T: Teacher> ShardState<T> {
     /// Handle one uplink envelope: control messages in arrival order; key
     /// frames into the fair per-stream queues, gated by admission control.
     fn on_frame(&mut self, envelope: Envelope) -> Result<()> {
-        self.events_dispatched += 1;
+        self.shard.stats.events_dispatched += 1;
         let stream_id = envelope.tagged.stream_id;
         // Elastic pools: traffic for a stream that lives elsewhere follows
         // it. A stream placed here that is neither live, nor retired, nor
@@ -597,7 +539,7 @@ impl<T: Teacher> ShardState<T> {
                 Some(other) if other != self.shard_index => {
                     match self.steal.forward_envelope(other, envelope) {
                         Ok(()) => {
-                            self.forwarded += 1;
+                            self.shard.stats.forwarded_messages += 1;
                             // The owner may be parked; hand-delivered mail
                             // still needs a doorbell.
                             self.shard_wakers[other].wake();
@@ -618,7 +560,7 @@ impl<T: Teacher> ShardState<T> {
                             // were frozen when it retired over there, so the
                             // pool-level counter is the only honest place
                             // left to record it.
-                            self.enqueue_drops += 1;
+                            self.shard.stats.dropped_jobs += 1;
                         }
                     }
                     return Ok(());
@@ -633,7 +575,7 @@ impl<T: Teacher> ShardState<T> {
                 _ => {}
             }
         }
-        self.uplink_bytes += envelope.bytes;
+        self.shard.stats.uplink_bytes += envelope.bytes;
         match envelope.tagged.message {
             ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {
                 let supports_delta = matches!(
@@ -660,7 +602,7 @@ impl<T: Teacher> ShardState<T> {
                 let Some(link) = link else {
                     // Register without a connect-time registry entry —
                     // counted instead of silently ignored.
-                    self.unknown_registers += 1;
+                    self.shard.stats.unknown_registers += 1;
                     return Ok(());
                 };
                 let initial = self.shard.register(stream_id, link.frames, supports_delta);
@@ -675,10 +617,10 @@ impl<T: Teacher> ShardState<T> {
                 let payload = Payload::with_data(encoded);
                 let bytes = payload.bytes;
                 deliver(
+                    &mut self.shard.stats,
                     &link.downlink,
                     bytes,
                     ServerToClient::InitialStudent { payload },
-                    &mut self.lost_acks,
                 );
                 self.downlinks.insert(stream_id, link.downlink);
                 // The registration-time checkpoint is the replica's
@@ -701,17 +643,17 @@ impl<T: Teacher> ShardState<T> {
                     None
                 };
                 if let Some(reason) = reject {
-                    self.enqueue_drops += 1;
+                    self.shard.stats.dropped_jobs += 1;
                     note_drop(&mut self.streams, &mut self.meters, stream_id);
                     if let Some(downlink) = self.downlinks.get(&stream_id) {
                         deliver(
+                            &mut self.shard.stats,
                             downlink,
                             MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::Dropped {
                                 frame_index,
                                 reason,
                             },
-                            &mut self.lost_acks,
                         );
                     }
                     return Ok(());
@@ -723,14 +665,14 @@ impl<T: Teacher> ShardState<T> {
                     .get(&stream_id)
                     .map_or(0, |m| m.values().map(Vec::len).sum());
                 if self.scheduler.queued_for(stream_id) + parked >= self.pool_config.max_in_flight {
-                    self.throttled += 1;
+                    self.shard.stats.throttled += 1;
                     note_throttle(&mut self.streams, &mut self.meters, stream_id);
                     if let Some(downlink) = self.downlinks.get(&stream_id) {
                         deliver(
+                            &mut self.shard.stats,
                             downlink,
                             MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::Throttle { frame_index },
-                            &mut self.lost_acks,
                         );
                     }
                     return Ok(());
@@ -778,17 +720,17 @@ impl<T: Teacher> ShardState<T> {
                     .and_then(|m| m.remove(&frame_index))
                     .map_or(1, |jobs| jobs.len());
                 for _ in 0..stranded {
-                    self.enqueue_drops += 1;
+                    self.shard.stats.dropped_jobs += 1;
                     note_drop(&mut self.streams, &mut self.meters, stream_id);
                     if let Some(downlink) = self.downlinks.get(&stream_id) {
                         deliver(
+                            &mut self.shard.stats,
                             downlink,
                             MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::Dropped {
                                 frame_index,
                                 reason,
                             },
-                            &mut self.lost_acks,
                         );
                     }
                 }
@@ -805,10 +747,9 @@ impl<T: Teacher> ShardState<T> {
                         chunk,
                         &self.downlinks,
                         &mut self.meters,
-                        &mut self.clock,
+                        &mut self.wait_samples,
                         &mut self.awaiting,
                         &mut self.need_frames_sent,
-                        &mut self.lost_acks,
                     )?;
                 }
                 // Jobs still parked for a re-share can never be served now —
@@ -816,17 +757,17 @@ impl<T: Teacher> ShardState<T> {
                 if let Some(parked) = self.awaiting.remove(&stream_id) {
                     for (frame_index, jobs) in parked {
                         for _job in jobs {
-                            self.enqueue_drops += 1;
+                            self.shard.stats.dropped_jobs += 1;
                             note_drop(&mut self.streams, &mut self.meters, stream_id);
                             if let Some(downlink) = self.downlinks.get(&stream_id) {
                                 deliver(
+                                    &mut self.shard.stats,
                                     downlink,
                                     MESSAGE_OVERHEAD_BYTES,
                                     ServerToClient::Dropped {
                                         frame_index,
                                         reason: DropReason::UnknownFrame,
                                     },
-                                    &mut self.lost_acks,
                                 );
                             }
                         }
@@ -881,25 +822,27 @@ impl<T: Teacher> ShardState<T> {
             &batch,
             &self.downlinks,
             &mut self.meters,
-            &mut self.clock,
+            &mut self.wait_samples,
             &mut self.awaiting,
             &mut self.need_frames_sent,
-            &mut self.lost_acks,
         )?;
         self.publish_replicas(&updated);
         self.batches_processed += 1;
         // Sample the copy-on-write memory split once per batch: pointer
         // compares per tensor, far off the per-frame fast path, and a batch
         // is exactly when private storage can grow (optimizer writes).
-        self.session_memory = self.shard.memory_profile();
-        self.session_private_peak = self
-            .session_private_peak
-            .max(self.session_memory.private_bytes);
+        let memory = self.shard.memory_profile();
+        let stats = &mut self.shard.stats;
+        stats.session_bytes_shared = memory.shared_bytes;
+        stats.session_bytes_private = memory.private_bytes;
+        stats.session_bytes_private_peak =
+            stats.session_bytes_private_peak.max(memory.private_bytes);
         self.batcher.observe(
             self.scheduler.len(),
             self.shard.batch_growth_pays(self.batcher.limit()),
         );
-        self.batch_limit_peak = self.batch_limit_peak.max(self.batcher.limit());
+        let stats = &mut self.shard.stats;
+        stats.batch_limit_peak = stats.batch_limit_peak.max(self.batcher.limit());
         Ok(())
     }
 
@@ -926,8 +869,8 @@ impl<T: Teacher> ShardState<T> {
                 known_frames,
                 supports_delta,
             );
-            self.replica_published += stats.new_bytes;
-            self.replica_shared += stats.shared_bytes;
+            self.shard.stats.replica_bytes_published += stats.new_bytes;
+            self.shard.stats.replica_bytes_shared += stats.shared_bytes;
         }
     }
 
@@ -938,7 +881,7 @@ impl<T: Teacher> ShardState<T> {
             .shard
             .stream_count()
             .saturating_sub(self.scheduler.active_streams());
-        self.idle_streams_peak = self.idle_streams_peak.max(idle);
+        self.shard.stats.idle_streams = self.shard.stats.idle_streams.max(idle);
     }
 
     /// One non-blocking pass of the shard state machine: failover tick,
@@ -953,9 +896,9 @@ impl<T: Teacher> ShardState<T> {
     ) -> Result<PassOutcome> {
         if from_timer {
             self.tick_pending = false;
-            self.timer_fires += 1;
+            self.shard.stats.timer_fires += 1;
         } else {
-            self.poll_wakeups += 1;
+            self.shard.stats.poll_wakeups += 1;
         }
         self.need_frames_sent.clear();
         // After the clear, never before: a takeover pushes NeedFrame
@@ -1001,8 +944,8 @@ impl<T: Teacher> ShardState<T> {
     /// client again. Returns whether the shard is still waiting, i.e.
     /// whether the caller should re-arm the timer.
     pub(super) fn on_need_frame_retry(&mut self, stream_id: StreamId, frame_index: usize) -> bool {
-        self.timer_fires += 1;
-        self.events_dispatched += 1;
+        self.shard.stats.timer_fires += 1;
+        self.shard.stats.events_dispatched += 1;
         let still_waiting = self
             .awaiting
             .get(&stream_id)
@@ -1010,10 +953,10 @@ impl<T: Teacher> ShardState<T> {
         if still_waiting {
             if let Some(downlink) = self.downlinks.get(&stream_id) {
                 deliver(
+                    &mut self.shard.stats,
                     downlink,
                     MESSAGE_OVERHEAD_BYTES,
                     ServerToClient::NeedFrame { frame_index },
-                    &mut self.lost_acks,
                 );
             }
         }
@@ -1036,17 +979,17 @@ impl<T: Teacher> ShardState<T> {
             })
             .collect();
         for (stream_id, frame_index) in parked {
-            self.enqueue_drops += 1;
+            self.shard.stats.dropped_jobs += 1;
             note_drop(&mut self.streams, &mut self.meters, stream_id);
             if let Some(downlink) = self.downlinks.get(&stream_id) {
                 deliver(
+                    &mut self.shard.stats,
                     downlink,
                     MESSAGE_OVERHEAD_BYTES,
                     ServerToClient::Dropped {
                         frame_index,
                         reason: DropReason::UnknownFrame,
                     },
-                    &mut self.lost_acks,
                 );
             }
         }
@@ -1084,7 +1027,7 @@ impl<T: Teacher> ShardState<T> {
             debug_assert!(stranded.is_empty(), "stream stranded at exit");
             for envelope in leftovers {
                 let stream_id = envelope.tagged.stream_id;
-                self.enqueue_drops += 1;
+                self.shard.stats.dropped_jobs += 1;
                 note_drop(&mut self.streams, &mut self.meters, stream_id);
                 if let (
                     Some(downlink),
@@ -1093,13 +1036,13 @@ impl<T: Teacher> ShardState<T> {
                 ) = (self.downlinks.get(&stream_id), envelope.tagged.message)
                 {
                     deliver(
+                        &mut self.shard.stats,
                         downlink,
                         MESSAGE_OVERHEAD_BYTES,
                         ServerToClient::Dropped {
                             frame_index,
                             reason: DropReason::UnknownStream,
                         },
-                        &mut self.lost_acks,
                     );
                 }
             }
@@ -1113,35 +1056,12 @@ impl<T: Teacher> ShardState<T> {
 /// of the post-mortem path — a standby files the dead shard's report from
 /// its carcass, so shard-indexed reports stay complete under failover.
 fn carcass_output<T: Teacher>(state: ShardState<T>) -> ShardOutput {
-    let mut stats = state.shard.stats();
-    stats.queue_wait_total = state.clock.queue_wait_total;
-    stats.queue_wait_max = state.clock.queue_wait_max;
-    stats.busy_time = state.clock.busy_time;
-    stats.uplink_bytes = state.uplink_bytes;
-    stats.throttled = state.throttled;
-    stats.dropped_jobs += state.enqueue_drops;
-    stats.unknown_registers = state.unknown_registers;
-    stats.batch_limit_peak = state.batch_limit_peak;
-    stats.forwarded_messages = state.forwarded;
-    stats.events_dispatched = state.events_dispatched;
-    stats.timer_fires = state.timer_fires;
-    stats.poll_wakeups = state.poll_wakeups;
-    stats.idle_streams = state.idle_streams_peak;
-    stats.failovers = state.failovers;
-    stats.streams_adopted = state.streams_adopted;
-    stats.frames_lost_on_failover = state.frames_lost;
-    stats.lost_acks = state.lost_acks;
-    stats.replica_bytes_published = state.replica_published;
-    stats.replica_bytes_shared = state.replica_shared;
-    stats.session_bytes_shared = state.session_memory.shared_bytes;
-    stats.session_bytes_private = state.session_memory.private_bytes;
-    stats.session_bytes_private_peak = state.session_private_peak;
     ShardOutput {
         shard: state.shard_index,
-        stats,
+        stats: state.shard.stats(),
         streams: state.streams,
         final_checkpoints: state.final_checkpoints,
-        wait_samples: state.clock.wait_samples,
+        wait_samples: state.wait_samples,
         takeover_samples: state.takeover_samples,
     }
 }

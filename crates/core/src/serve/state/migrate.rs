@@ -188,13 +188,6 @@ impl<T: Teacher> ShardState<T> {
         if !self.stealing {
             return;
         }
-        // Injected delivery-delay fault: skip the drain entirely, leaving
-        // migrations and forwarded traffic sitting in the mailbox one extra
-        // pass per deferral.
-        if self.defer_mailbox_left > 0 {
-            self.defer_mailbox_left -= 1;
-            return;
-        }
         let (migrated, mut mailbox_envelopes) = self.steal.drain_mailbox(self.shard_index);
         for stream in migrated {
             // Whatever we were waiting for, work has arrived.
@@ -217,7 +210,7 @@ impl<T: Teacher> ShardState<T> {
     /// A whole stream arrived through the steal mailbox: adopt its session,
     /// frame cache, queued jobs and downlink.
     pub(super) fn on_migration(&mut self, migrated: MigratedStream) {
-        self.events_dispatched += 1;
+        self.shard.stats.events_dispatched += 1;
         // The stream's checkpoint replica follows it: the content did not
         // change, only which shard's death would orphan it.
         if let Some(store) = &self.replicas {

@@ -57,7 +57,7 @@ impl<T: Teacher> ShardState<T> {
         // forwarded envelopes are deferred and retried once routes flip.
         let (stranded, leftovers) = self.steal.close_mailbox(dead);
         for migrated in stranded {
-            self.streams_adopted += 1;
+            self.shard.stats.streams_adopted += 1;
             self.on_migration(migrated);
         }
         self.deferred.extend(leftovers);
@@ -99,7 +99,7 @@ impl<T: Teacher> ShardState<T> {
                 self.scheduler.set_deficit(stream_id, replica.deficit);
                 self.steal.load_dec(dead);
                 self.steal.load_inc(self.shard_index);
-                self.streams_adopted += 1;
+                self.shard.stats.streams_adopted += 1;
                 restored.push(stream_id);
             }
         }
@@ -149,10 +149,10 @@ impl<T: Teacher> ShardState<T> {
                 if request_content {
                     if let Some(downlink) = self.downlinks.get(&stream_id) {
                         deliver(
+                            &mut self.shard.stats,
                             downlink,
                             MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::NeedFrame { frame_index },
-                            &mut self.lost_acks,
                         );
                     }
                     self.need_frames_sent.push((stream_id, frame_index));
@@ -179,7 +179,7 @@ impl<T: Teacher> ShardState<T> {
         carcass.shard.discard_sessions();
         let died_at = self.board.death_instant(dead);
         self.board.push_dead_output(carcass_output(carcass));
-        self.failovers += 1;
+        self.shard.stats.failovers += 1;
         if let Some(died_at) = died_at {
             self.takeover_samples.push(died_at.elapsed().as_secs_f64());
         }
@@ -188,18 +188,18 @@ impl<T: Teacher> ShardState<T> {
 
     /// Ack one job lost to a shard failure with [`DropReason::ShardFailed`].
     fn drop_failed_job(&mut self, stream_id: StreamId, frame_index: usize) {
-        self.frames_lost += 1;
-        self.enqueue_drops += 1;
+        self.shard.stats.frames_lost_on_failover += 1;
+        self.shard.stats.dropped_jobs += 1;
         note_drop(&mut self.streams, &mut self.meters, stream_id);
         if let Some(downlink) = self.downlinks.get(&stream_id) {
             deliver(
+                &mut self.shard.stats,
                 downlink,
                 MESSAGE_OVERHEAD_BYTES,
                 ServerToClient::Dropped {
                     frame_index,
                     reason: DropReason::ShardFailed,
                 },
-                &mut self.lost_acks,
             );
         }
     }

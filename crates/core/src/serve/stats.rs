@@ -79,7 +79,7 @@ pub struct ShardStats {
     /// Handler events dispatched on this shard: uplink envelopes, adopted
     /// migrations and timer fires — the reactor's measure of loop work.
     pub events_dispatched: usize,
-    /// Timer-wheel fires dispatched to this shard (steal ticks and
+    /// Timer fires dispatched to this shard (steal ticks and
     /// NeedFrame retries).
     pub timer_fires: usize,
     /// Readiness wakeups that dispatched a pass on this shard.

@@ -20,13 +20,12 @@
 //!   arrival can never straddle a frame boundary, and the final client
 //!   students of a (CoW + delta) run must equal a (DeepClone + full) run
 //!   bit for bit, with one reactor worker per shard and with fewer workers
-//!   than shards, and under both client drivers (multiplexed and
-//!   thread-per-client).
+//!   than shards.
 
 use std::collections::HashMap;
 
 use shadowtutor::config::ShadowTutorConfig;
-use shadowtutor::runtime::live::{run_live_multi_with, ClientDriverMode, StreamSpec};
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FrameStore, PoolConfig, ServeShard, SessionWeights, ShardJob};
 use st_net::{StreamId, Wire};
 use st_nn::delta::{CheckpointDigest, WeightDelta, WeightPayload};
@@ -271,11 +270,11 @@ fn lockstep_specs(frames_per_stream: usize) -> Vec<StreamSpec> {
 /// Run the same lockstep workload under (CoW + delta) and (DeepClone +
 /// full) and assert the outcomes are bit-identical, per stream, on both
 /// the client and the server side.
-fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
+fn assert_live_differential(pool: PoolConfig) {
     let config = lockstep_config();
     let student = template();
     let run = |session_weights: SessionWeights, delta_updates: bool| {
-        run_live_multi_with(
+        run_live_multi(
             config,
             lockstep_specs(20),
             student.clone(),
@@ -285,7 +284,6 @@ fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
                 ..pool
             },
             |shard| OracleTeacher::perfect(TEACHER_SEED + shard as u64),
-            mode,
         )
         .expect("live differential run")
     };
@@ -348,26 +346,15 @@ fn assert_live_differential(pool: PoolConfig, mode: ClientDriverMode) {
 
 #[test]
 fn live_pool_differential_worker_per_shard_multiplexed() {
-    assert_live_differential(PoolConfig::with_shards(2), ClientDriverMode::Multiplexed);
-}
-
-#[test]
-fn live_pool_differential_worker_per_shard_thread_per_client() {
-    assert_live_differential(
-        PoolConfig::with_shards(2),
-        ClientDriverMode::ThreadPerClient,
-    );
+    assert_live_differential(PoolConfig::with_shards(2));
 }
 
 /// Both shards on one reactor worker (`with_shards(2)` alone already means
-/// one worker per shard — the cases above).
+/// one worker per shard — the case above).
 #[test]
 fn live_pool_differential_reactor_driver() {
-    assert_live_differential(
-        PoolConfig {
-            reactor_threads: Some(1),
-            ..PoolConfig::with_shards(2)
-        },
-        ClientDriverMode::Multiplexed,
-    );
+    assert_live_differential(PoolConfig {
+        reactor_threads: Some(1),
+        ..PoolConfig::with_shards(2)
+    });
 }

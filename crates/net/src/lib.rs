@@ -18,13 +18,10 @@
 //!   and typed decode errors ([`wire::WireError`]). This is what actually
 //!   crosses a process boundary, and what the measured traffic numbers
 //!   (Tables 4/5) count.
-//! * [`codec`] — the [`codec::Codec`] seam between messages and framed
-//!   bytes; [`codec::WireCodec`] is the production implementation.
 //! * [`transport`] — the [`transport::Transport`] backend seam and the
 //!   [`transport::Endpoint`] protocol endpoint over it, constructed through
 //!   the [`connect()`] builder. The default backend is the in-process
-//!   channel pair ([`transport::DuplexTransport`]) with an optional delay
-//!   injector so wall-clock runs can emulate a slow link.
+//!   channel pair ([`transport::DuplexTransport`]).
 //! * [`ring`] — the lock-free bounded-ring algorithm itself, generic over
 //!   its storage ([`ring::RingMem`]): the shared-memory backend runs it over
 //!   a mapped segment and the model-check suite runs the same code over
@@ -57,7 +54,6 @@
 // by `st-lint`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod codec;
 pub mod link;
 pub mod message;
 pub mod poll;
@@ -66,7 +62,6 @@ pub mod shm;
 pub mod transport;
 pub mod wire;
 
-pub use codec::{Codec, WireCodec};
 pub use link::{Bandwidth, LinkModel};
 pub use message::{
     ClientToServer, DropReason, KeyFrameTraffic, NaiveTraffic, Payload, ServerToClient, StreamId,

@@ -53,10 +53,9 @@
 //! (x86_64 Linux; the workspace vendors no libc). On other targets the
 //! constructors return [`std::io::ErrorKind::Unsupported`].
 
-use crate::codec::{Codec, WireCodec};
 use crate::ring::{self, RingMem};
 use crate::transport::{Transport, TransportError};
-use crate::wire::Wire;
+use crate::wire::{self, Wire};
 
 pub use crate::ring::PushOutcome;
 use std::fs::{File, OpenOptions};
@@ -666,7 +665,7 @@ pub fn ring_channel(path: &Path, config: ShmConfig) -> io::Result<(RingProducer,
 
 /// A duplex [`Transport`] over a shared-memory segment: the cross-process
 /// backend. `S`/`R` are the sent/received message types; every message
-/// crosses as its framed binary encoding ([`WireCodec`]), fragmented into
+/// crosses as its framed binary encoding ([`crate::wire`]), fragmented into
 /// ring chunks and reassembled on the far side.
 ///
 /// Typical shapes:
@@ -677,7 +676,6 @@ pub struct ShmTransport<S, R> {
     producer: RingProducer,
     consumer: RingConsumer,
     side: ShmSide,
-    codec: WireCodec,
     /// Reassembly state: accumulated bytes of the in-flight inbound frame.
     partial: Vec<u8>,
     /// Total frame length being reassembled (parsed from the stream's
@@ -727,7 +725,6 @@ impl<S: Wire, R: Wire> ShmTransport<S, R> {
                 },
             },
             side,
-            codec: WireCodec,
             partial: Vec::new(),
             expected: None,
             stream: Vec::new(),
@@ -777,9 +774,7 @@ impl<S: Wire, R: Wire> ShmTransport<S, R> {
                     let frame = std::mem::take(&mut self.partial);
                     self.expected = None;
                     self.wire_received_bytes += 4 + frame.len();
-                    let message = self
-                        .codec
-                        .decode::<R>(&frame)
+                    let message = wire::decode_frame::<R>(&frame)
                         .map_err(|_| TransportError::Disconnected)?;
                     return Ok(Some(message));
                 }
@@ -817,7 +812,7 @@ impl<S: Wire, R: Wire> Transport<S, R> for ShmTransport<S, R> {
         if self.peer_closed() {
             return Err(TransportError::Disconnected);
         }
-        let frame = self.codec.encode(&message);
+        let frame = wire::encode_frame(&message);
         // Stream format: 4-byte LE frame length, then the frame, chunked to
         // slot capacity. One producer per ring keeps the chunks in order.
         // Only the first chunk is assembled (prefix + the frame's head); the

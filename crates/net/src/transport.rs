@@ -10,26 +10,19 @@
 //!   bit-identical to the pre-seam behaviour);
 //!   [`ShmTransport`](crate::shm::ShmTransport) moves real encoded frames
 //!   through a lock-free shared-memory ring between processes.
-//! * [`Endpoint`] — a protocol endpoint over any backend, pairing a
-//!   [`Codec`] with a [`Transport`] and keeping byte-honest accounting
-//!   ([`Endpoint::wire_sent_bytes`] / [`Endpoint::wire_received_bytes`]
-//!   measure the *framed binary encoding* of every message that passes,
-//!   whichever backend carries it).
+//! * [`Endpoint`] — a protocol endpoint over any backend, keeping
+//!   byte-honest accounting ([`Endpoint::wire_sent_bytes`] /
+//!   [`Endpoint::wire_received_bytes`] measure the *framed binary encoding*
+//!   ([`crate::wire`]) of every message that passes, whichever backend
+//!   carries it).
 //! * [`ClientEndpoint`] — the trait Algorithm 4's client loop is written
-//!   against. It is now a thin veneer over `Endpoint<C, T>`: the blanket
+//!   against. It is a thin veneer over `Endpoint<T>`: the blanket
 //!   implementation below makes every `Endpoint` a `ClientEndpoint`, and
 //!   [`ChannelClient`] names the default concrete shape. Construct either
 //!   through the [`connect()`] builder.
-//!
-//! An optional [`DelayInjector`] emulates a bandwidth-limited link by
-//! sleeping proportionally to the message size before delivery — which is
-//! how the live examples demonstrate the robustness experiment without real
-//! network hardware.
 
-use crate::codec::{Codec, WireCodec};
-use crate::link::LinkModel;
 use crate::message::{ClientToServer, ServerToClient};
-use crate::wire::Wire;
+use crate::wire::frame_len;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::fmt;
 use std::time::Duration;
@@ -54,31 +47,6 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Optional artificial delay applied before each send, emulating a link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayInjector {
-    /// The link whose transfer time is emulated.
-    pub link: LinkModel,
-    /// Whether this endpoint sends over the uplink (client side) or the
-    /// downlink (server side).
-    pub is_uplink: bool,
-    /// Scale factor on the computed delay (1.0 = real time; smaller values
-    /// speed up demonstrations while preserving relative behaviour).
-    pub time_scale: f64,
-}
-
-impl DelayInjector {
-    /// Delay to apply for a message of `bytes` bytes.
-    pub fn delay_for(&self, bytes: usize) -> Duration {
-        let t = if self.is_uplink {
-            self.link.uplink_time(bytes)
-        } else {
-            self.link.downlink_time(bytes)
-        };
-        Duration::from_secs_f64((t * self.time_scale).max(0.0))
-    }
-}
-
 /// The backend seam: a duplex mover of typed protocol messages.
 ///
 /// `S` is what this side sends, `R` what it receives. Two backends exist:
@@ -86,8 +54,8 @@ impl DelayInjector {
 /// default) and the cross-process [`ShmTransport`](crate::shm::ShmTransport)
 /// (every message crosses as its framed binary encoding through a
 /// lock-free shared-memory ring). Protocol code never talks to a backend
-/// directly — it goes through an [`Endpoint`], which adds the codec and the
-/// byte accounting.
+/// directly — it goes through an [`Endpoint`], which adds the byte
+/// accounting.
 pub trait Transport<S, R> {
     /// Send a message annotated with its *modelled* wire size (the size the
     /// virtual-time link model charges; measured bytes are the
@@ -118,8 +86,8 @@ pub trait Transport<S, R> {
 /// (the single-stream [`DuplexTransport`]) or a stream-multiplexed worker
 /// pool (the `shadowtutor` crate's `StreamClient`).
 ///
-/// Since the codec/transport redesign this trait is a thin veneer over
-/// [`Endpoint`]: every `Endpoint<C, T>` implements it via the blanket impl
+/// The trait is a thin veneer over [`Endpoint`]: every `Endpoint<T>`
+/// implements it via the blanket impl
 /// below, and [`ChannelClient`] is the default concrete shape produced by
 /// [`connect()`]. The trait itself survives for the places that implement
 /// the protocol without a backend at all (the pool's `StreamClient`,
@@ -164,7 +132,6 @@ impl ClientEndpoint for DuplexTransport<crate::ClientToServer, crate::ServerToCl
 pub struct DuplexTransport<TSend, TRecv> {
     tx: Sender<(usize, TSend)>,
     rx: Receiver<(usize, TRecv)>,
-    delay: Option<DelayInjector>,
     /// Readiness hook: woken after every send so the *peer's* poller learns
     /// a message is waiting (see [`DuplexTransport::wake_on_send`]).
     waker: Option<crate::poll::Waker>,
@@ -184,7 +151,6 @@ impl<TSend, TRecv> DuplexTransport<TSend, TRecv> {
             DuplexTransport {
                 tx: tx_ab,
                 rx: rx_ba,
-                delay: None,
                 waker: None,
                 sent_bytes: 0,
                 received_bytes: 0,
@@ -194,7 +160,6 @@ impl<TSend, TRecv> DuplexTransport<TSend, TRecv> {
             DuplexTransport {
                 tx: tx_ba,
                 rx: rx_ab,
-                delay: None,
                 waker: None,
                 sent_bytes: 0,
                 received_bytes: 0,
@@ -202,12 +167,6 @@ impl<TSend, TRecv> DuplexTransport<TSend, TRecv> {
                 received_messages: 0,
             },
         )
-    }
-
-    /// Attach a delay injector to this endpoint's sends.
-    pub fn with_delay(mut self, delay: DelayInjector) -> Self {
-        self.delay = Some(delay);
-        self
     }
 
     /// Attach a readiness waker fired after every send on *this* endpoint,
@@ -221,14 +180,7 @@ impl<TSend, TRecv> DuplexTransport<TSend, TRecv> {
     }
 
     /// Send a message annotated with its wire size in bytes.
-    ///
-    /// When a delay injector is attached the call sleeps for the emulated
-    /// transfer time before the message becomes available to the peer
-    /// (approximating a store-and-forward link).
     pub fn send(&mut self, message: TSend, bytes: usize) -> Result<(), TransportError> {
-        if let Some(delay) = &self.delay {
-            std::thread::sleep(delay.delay_for(bytes));
-        }
         self.tx
             .send((bytes, message))
             .map_err(|_| TransportError::Disconnected)?;
@@ -301,8 +253,8 @@ impl<S, R> Transport<S, R> for DuplexTransport<S, R> {
     }
 }
 
-/// A protocol endpoint: a [`Codec`] over a [`Transport`] backend, with
-/// byte-honest accounting.
+/// A protocol endpoint: a [`Transport`] backend with byte-honest
+/// accounting.
 ///
 /// The endpoint counts the *framed binary encoding* of every message that
 /// passes through it ([`Endpoint::wire_sent_bytes`] /
@@ -314,8 +266,7 @@ impl<S, R> Transport<S, R> for DuplexTransport<S, R> {
 ///
 /// Construct endpoints through the [`connect()`] builder.
 #[derive(Debug)]
-pub struct Endpoint<C: Codec, T> {
-    codec: C,
+pub struct Endpoint<T> {
     transport: T,
     wire_sent_bytes: usize,
     wire_received_bytes: usize,
@@ -327,18 +278,16 @@ pub type ChannelTransport = DuplexTransport<ClientToServer, ServerToClient>;
 /// The server-side counterpart of [`ChannelTransport`].
 pub type ServerChannel = DuplexTransport<ServerToClient, ClientToServer>;
 
-/// The default concrete client endpoint: the versioned binary codec over
-/// the in-process channel backend. This is what "`ClientEndpoint`" means
-/// when nothing else is specified — the thin alias the redesign collapsed
-/// the ad-hoc endpoint shapes into.
-pub type ChannelClient = Endpoint<WireCodec, ChannelTransport>;
+/// The default concrete client endpoint: byte accounting over the
+/// in-process channel backend. This is what "`ClientEndpoint`" means when
+/// nothing else is specified.
+pub type ChannelClient = Endpoint<ChannelTransport>;
 
-impl<C: Codec, T> Endpoint<C, T> {
-    /// Wrap `transport` with `codec`. Prefer [`connect()`] unless you are
-    /// assembling an exotic combination by hand.
-    pub fn new(codec: C, transport: T) -> Self {
+impl<T> Endpoint<T> {
+    /// Wrap `transport`. Prefer [`connect()`] unless you are assembling an
+    /// exotic combination by hand.
+    pub fn new(transport: T) -> Self {
         Endpoint {
-            codec,
             transport,
             wire_sent_bytes: 0,
             wire_received_bytes: 0,
@@ -361,39 +310,28 @@ impl<C: Codec, T> Endpoint<C, T> {
     pub fn transport(&self) -> &T {
         &self.transport
     }
-
-    /// Mutably borrow the backend.
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    /// Unwrap the backend.
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
 }
 
-impl<C, T> ClientEndpoint for Endpoint<C, T>
+impl<T> ClientEndpoint for Endpoint<T>
 where
-    C: Codec,
     T: Transport<ClientToServer, ServerToClient>,
 {
     fn send(&mut self, message: ClientToServer, bytes: usize) -> Result<(), TransportError> {
-        self.wire_sent_bytes += self.codec.frame_len(&message);
+        self.wire_sent_bytes += frame_len(&message);
         self.transport.send(message, bytes)
     }
 
     fn try_recv(&mut self) -> Result<Option<ServerToClient>, TransportError> {
         let received = self.transport.try_recv()?;
         if let Some(message) = &received {
-            self.wire_received_bytes += self.codec.frame_len(message);
+            self.wire_received_bytes += frame_len(message);
         }
         Ok(received)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ServerToClient, TransportError> {
         let message = self.transport.recv_timeout(timeout)?;
-        self.wire_received_bytes += self.codec.frame_len(&message);
+        self.wire_received_bytes += frame_len(&message);
         Ok(message)
     }
 }
@@ -416,19 +354,13 @@ where
 /// For the cross-process backend, hand the builder a transport:
 /// `connect().with_transport(shm_transport)`.
 pub fn connect() -> Connector {
-    Connector {
-        waker: None,
-        uplink_delay: None,
-        downlink_delay: None,
-    }
+    Connector { waker: None }
 }
 
 /// Builder returned by [`connect()`].
 #[derive(Debug, Default)]
 pub struct Connector {
     waker: Option<crate::poll::Waker>,
-    uplink_delay: Option<DelayInjector>,
-    downlink_delay: Option<DelayInjector>,
 }
 
 impl Connector {
@@ -440,60 +372,31 @@ impl Connector {
         self
     }
 
-    /// Emulate a bandwidth-limited link on client → server sends.
-    pub fn with_delay(mut self, delay: DelayInjector) -> Self {
-        self.uplink_delay = Some(delay);
-        self
-    }
-
-    /// Emulate a bandwidth-limited link on server → client sends
-    /// (channel backend only — the server half is created by
-    /// [`Connector::channel`]).
-    pub fn with_downlink_delay(mut self, delay: DelayInjector) -> Self {
-        self.downlink_delay = Some(delay);
-        self
-    }
-
     /// Finish with the default in-process channel backend, returning the
     /// client endpoint and the server-side channel half.
     pub fn channel(self) -> (ChannelClient, ServerChannel) {
-        let (mut client_side, mut server_side) = DuplexTransport::pair();
-        if let Some(delay) = self.uplink_delay {
-            client_side = client_side.with_delay(delay);
-        }
-        if let Some(delay) = self.downlink_delay {
-            server_side = server_side.with_delay(delay);
-        }
+        let (client_side, mut server_side) = DuplexTransport::pair();
         if let Some(waker) = self.waker {
             // Channel readiness is sender-side: the server half wakes the
             // client's poller token on every downlink send.
             server_side = server_side.wake_on_send(waker);
         }
-        (Endpoint::new(WireCodec, client_side), server_side)
+        (Endpoint::new(client_side), server_side)
     }
 
     /// Finish with an explicit backend (e.g.
     /// [`ShmTransport`](crate::shm::ShmTransport) for the cross-process
     /// ring). A waker set with [`Connector::with_waker`] is handed to
-    /// [`Transport::wake_on_message`]; a downlink delay cannot apply here
-    /// (the server half lives elsewhere) and is ignored.
-    pub fn with_transport<T>(self, mut transport: T) -> Endpoint<WireCodec, T>
+    /// [`Transport::wake_on_message`].
+    pub fn with_transport<T>(self, mut transport: T) -> Endpoint<T>
     where
         T: Transport<ClientToServer, ServerToClient>,
     {
         if let Some(waker) = self.waker {
             transport.wake_on_message(waker);
         }
-        Endpoint::new(WireCodec, transport)
+        Endpoint::new(transport)
     }
-}
-
-/// Measured framed size of a message, as the [`Endpoint`] accounting
-/// counts it — a convenience re-export of
-/// [`wire::frame_len`](crate::wire::frame_len) under the name the traffic
-/// tables use.
-pub fn wire_frame_len<M: Wire>(message: &M) -> usize {
-    crate::wire::frame_len(message)
 }
 
 #[cfg(test)]
@@ -528,24 +431,6 @@ mod tests {
         let (mut a, _b) = DuplexTransport::<u8, u8>::pair();
         let err = a.recv_timeout(Duration::from_millis(10)).unwrap_err();
         assert_eq!(err, TransportError::Timeout);
-    }
-
-    #[test]
-    fn delay_injector_scales_with_size_and_direction() {
-        let link = LinkModel::symmetric_mbps(8.0); // 1 MB/s
-        let up = DelayInjector {
-            link,
-            is_uplink: true,
-            time_scale: 1.0,
-        };
-        let d_small = up.delay_for(10_000);
-        let d_big = up.delay_for(100_000);
-        assert!(d_big > d_small);
-        let scaled = DelayInjector {
-            time_scale: 0.1,
-            ..up
-        };
-        assert!(scaled.delay_for(100_000) < d_big);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl Conv2dSpec {
         ])
     }
 
-    /// Number of weight parameters (excluding bias).
-    pub fn weight_count(&self) -> usize {
-        self.out_channels * self.in_channels * self.kernel_h * self.kernel_w
-    }
-
     /// Number of multiply-accumulate operations for an `(h, w)` input.
     pub fn macs(&self, h: usize, w: usize) -> u64 {
         let (oh, ow) = self.output_size(h, w);

@@ -12,16 +12,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Worker count requested via the `ST_THREADS` environment variable
-/// (0 when unset or unparseable). Read once per process.
-fn env_threads() -> usize {
-    *ENV_THREADS.get_or_init(|| {
+/// Worker count when no [`set_threads`] override is in force: the
+/// `ST_THREADS` environment variable if it parses to a positive count,
+/// else the host's core count. Resolved once per process — asking the OS
+/// (`available_parallelism` reads cgroup files) costs ≈ 10 µs, which a
+/// small GEMM would otherwise pay on every call.
+fn default_threads() -> usize {
+    *DEFAULT_THREADS.get_or_init(|| {
         std::env::var("ST_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0)
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
@@ -38,13 +42,7 @@ pub fn threads() -> usize {
     if over > 0 {
         return over;
     }
-    let env = env_threads();
-    if env > 0 {
-        return env;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    default_threads()
 }
 
 /// Pin the number of worker threads (0 restores the automatic default).

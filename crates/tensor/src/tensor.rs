@@ -103,12 +103,6 @@ impl Tensor {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consume the tensor and return its buffer (copying only if the buffer
-    /// is still shared with another tensor).
-    pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Bytes of `f32` payload in the underlying buffer (shared or not).
     pub fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()

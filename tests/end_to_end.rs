@@ -405,14 +405,13 @@ fn live_server_contention_is_sane_against_the_sim_concurrency_model() {
         "model: {predicted_contended} vs {predicted_spread}"
     );
 
-    // ...and the live pool's measured wall-clock waits point the same way
-    // (a small epsilon absorbs scheduler noise when both are ~zero).
-    let measured_contended = contended.mean_queue_wait_secs();
-    let measured_spread = spread.mean_queue_wait_secs();
-    assert!(
-        measured_contended + 1e-4 >= measured_spread,
-        "measured: {measured_contended}s vs {measured_spread}s"
-    );
+    // ...and the live pools had the topologies the model was asked about:
+    // every key frame of the contended run queued at the one shard, while
+    // the spread run gave each stream a shard (and a queue) of its own.
+    // Which way the measured waits point is wall clock; `table8_multistream`
+    // reports it.
+    assert_eq!(contended.pool.shards.len(), 1);
+    assert!(spread.pool.shards.iter().all(|shard| shard.key_frames > 0));
 
     // Plugging the contended round trip into the §4.4 concurrency bounds
     // keeps their ordering: no overlap is never faster than full overlap.
@@ -444,50 +443,119 @@ fn live_server_contention_is_sane_against_the_sim_concurrency_model() {
 
 #[test]
 fn hot_stream_cannot_starve_cold_streams() {
-    // A 4-stream, one-shard pool where stream 0 sends 8x the key-frame rate
-    // of the others. Deficit-round-robin batching plus the per-stream
-    // in-flight cap must keep the well-behaved streams fully serviced and
-    // their waits bounded, pushing the cost of the burstiness onto the hot
-    // stream itself.
+    use shadowtutor::serve::{FairScheduler, ServeShard, ShardJob};
+    use std::collections::HashMap;
+
     let (student, _) = pretrained_student();
-    let run = |streams: usize, hot_multiplier: usize| {
-        run_skewed_load(
-            ShadowTutorConfig::paper(),
-            PoolConfig {
-                shards: 1,
-                ..PoolConfig::default_pool()
-            },
-            student.clone(),
-            0.013,
-            |shard| {
-                // The 16 ms wall-clock pause per teacher forward makes the
-                // throttle assertion machine-independent: even with free
-                // distillation, a full batch (4 jobs) takes at least
-                // 16 * 1.6 = 25.6 ms, so the shard drains at most one hot
-                // job per 6.4 ms while the 8x hot stream sends one every
-                // 5 ms — its in-flight cap must fill within the run.
-                PacedTeacher::new(
-                    OracleTeacher::perfect(500 + shard as u64),
-                    Duration::from_millis(16),
-                )
-            },
-            SkewedLoadSpec {
-                streams,
-                hot_multiplier,
-                key_frames_per_stream: 5,
-                send_interval: Duration::from_millis(40),
-                seed: 7000 + hot_multiplier as u64,
-            },
-        )
-        .unwrap()
-    };
+    let defaults = PoolConfig::default_pool();
 
-    // Solo baseline: one well-behaved stream with the pool to itself. Every
-    // cold stream is statistically identical to it.
-    let solo = run(1, 1);
-    let solo_wait = solo.pool.streams[&0].mean_queue_wait_secs();
+    // --- Deterministic: DRR service positions on the shard layer. ---------
+    // One hot stream with a 40-job backlog and five cold streams — more
+    // streams than one batch holds — scheduled and served exactly as a pool
+    // worker does it. The deficit-round-robin bound: a cold job is in
+    // service within `ceil(streams / max_batch)` batches of arriving,
+    // whatever the hot backlog in front of it. (A FIFO drain would make a
+    // cold arrival wait out the backlog: ten batches here.)
+    let (hot_id, cold_ids) = (0u64, 1u64..=5);
+    let bound = (1 + cold_ids.clone().count()).div_ceil(defaults.max_batch);
+    let mut scheduler = FairScheduler::new(defaults.quantum);
+    let mut shard = ServeShard::new(
+        ShadowTutorConfig::paper(),
+        student.clone(),
+        OracleTeacher::perfect(500),
+        0.013,
+    );
+    let frames: HashMap<u64, Vec<st_video::Frame>> = std::iter::once((hot_id, 40))
+        .chain(cold_ids.clone().map(|id| (id, 4)))
+        .map(|(id, count)| (id, frames_for(SceneKind::Street, 7100 + id, count)))
+        .collect();
+    for (&id, stream_frames) in &frames {
+        shard.register(id, FrameStore::from_frames(stream_frames, None), false);
+    }
+    let now = Instant::now();
+    for frame in &frames[&hot_id] {
+        scheduler.push(hot_id, frame.index, now);
+    }
+    let cold_frame = |id: u64, round: usize| frames[&id][round].index;
+    // `arrived[job]` is how many batches had run when the cold job queued.
+    let mut arrived: HashMap<(u64, usize), usize> = HashMap::new();
+    let mut batches_run = 0usize;
+    for round in 0..4 {
+        for step in 0..bound {
+            for id in cold_ids.clone() {
+                // Even rounds: every cold stream arrives at once (the worst
+                // case for the bound). Odd rounds: arrivals staggered
+                // between the round's batches.
+                let arrives = if round % 2 == 0 {
+                    step == 0
+                } else {
+                    id as usize % bound == step
+                };
+                if arrives {
+                    let frame_index = cold_frame(id, round);
+                    scheduler.push(id, frame_index, now);
+                    arrived.insert((id, frame_index), batches_run);
+                }
+            }
+            let jobs: Vec<ShardJob> = scheduler
+                .next_batch(defaults.max_batch)
+                .iter()
+                .map(|scheduled| scheduled.job)
+                .collect();
+            batches_run += 1;
+            let outcome = shard.process_batch(&jobs).unwrap();
+            assert_eq!(outcome.responses.len(), jobs.len(), "every job served");
+            for job in &jobs {
+                if let Some(at) = arrived.remove(&(job.stream_id, job.frame_index)) {
+                    assert!(
+                        batches_run - at <= bound,
+                        "cold stream {} waited {} batches (bound {bound})",
+                        job.stream_id,
+                        batches_run - at
+                    );
+                }
+            }
+        }
+    }
+    assert!(arrived.is_empty(), "cold jobs left unserved: {arrived:?}");
+    // The hot backlog was there throughout, and the hot stream was served
+    // too — fairness, not starvation in the other direction.
+    assert!(scheduler.queued_for(hot_id) > 0);
+    assert!(scheduler.queued_for(hot_id) < 40);
 
-    let skewed = run(4, 8);
+    // --- Live smoke: a 4-stream, one-shard pool, stream 0 at 8x the rate. -
+    // Counts only. Deficit-round-robin batching plus the per-stream
+    // in-flight cap must keep the well-behaved streams fully serviced,
+    // pushing the cost of the burstiness onto the hot stream itself.
+    let skewed = run_skewed_load(
+        ShadowTutorConfig::paper(),
+        PoolConfig {
+            shards: 1,
+            ..defaults
+        },
+        student,
+        0.013,
+        |shard| {
+            // The 16 ms wall-clock pause per teacher forward makes the
+            // throttle assertion machine-independent: even with free
+            // distillation, a full batch (4 jobs) takes at least
+            // 16 * 1.6 = 25.6 ms, so the shard drains at most one hot
+            // job per 6.4 ms while the 8x hot stream sends one every
+            // 5 ms — its in-flight cap must fill within the run.
+            PacedTeacher::new(
+                OracleTeacher::perfect(500 + shard as u64),
+                Duration::from_millis(16),
+            )
+        },
+        SkewedLoadSpec {
+            streams: 4,
+            hot_multiplier: 8,
+            key_frames_per_stream: 5,
+            send_interval: Duration::from_millis(40),
+            seed: 7008,
+        },
+    )
+    .unwrap();
     // Every cold stream was fully serviced: each of its key frames got a
     // StudentUpdate — none starved, none throttled, none dropped.
     for cold in skewed.cold() {
@@ -505,55 +573,15 @@ fn hot_stream_cannot_starve_cold_streams() {
     }
     // Nothing was silently lost in this non-adversarial scenario.
     assert_eq!(skewed.pool.dropped_jobs(), 0);
-
-    // Bounded waits: no cold stream's mean server-side queue wait exceeds
-    // 3x its solo-run wait, up to the deficit-round-robin service bound as
-    // slack — one DRR cycle is the in-flight batch (`max_batch` jobs) plus
-    // one ring round (one job per stream), each costing the run's measured
-    // mean per-key-frame service time, and an arriving envelope can sit
-    // through a full cycle in the uplink channel before the worker's next
-    // drain pass even sees it, so allow two cycles. (An idle pool's solo
-    // waits are near zero, so a pure ratio would measure OS scheduling
-    // jitter rather than fairness; a FIFO drain without the in-flight cap
-    // would instead let the hot backlog — dozens of jobs — pile up in
-    // front of cold arrivals, blowing far past this bound.)
-    let streams = 4usize;
-    let mean_service = {
-        let busy: f64 = skewed
-            .pool
-            .shards
-            .iter()
-            .map(|s| s.busy_time.as_secs_f64())
-            .sum();
-        busy / skewed.pool.total_key_frames().max(1) as f64
-    };
-    let drr_cycle = (PoolConfig::default_pool().max_batch + streams) as f64 * mean_service;
-    // The extra 100 ms absorbs a preempted-CI-runner stall of the worker
-    // thread; a FIFO drain without the in-flight cap would queue the hot
-    // stream's dozens of jobs ahead of cold arrivals and overshoot this by
-    // hundreds of milliseconds, so the bound still discriminates.
-    let drr_bound = 2.0 * drr_cycle + 0.1;
-    for cold in skewed.cold() {
-        let wait = skewed.pool.streams[&cold.stream_id].mean_queue_wait_secs();
-        assert!(
-            wait <= 3.0 * solo_wait + drr_bound,
-            "cold stream {} mean wait {:.4}s vs solo {:.4}s (DRR bound {:.4}s)",
-            cold.stream_id,
-            wait,
-            solo_wait,
-            drr_bound
-        );
-    }
-
     // The hot stream bore its own excess: at 8x the base rate against a
     // paced teacher its in-flight cap had to engage.
+    let hot = skewed.hot();
     assert!(
-        skewed.hot().throttled > 0,
+        hot.throttled > 0,
         "admission control never engaged on the hot stream ({} sent)",
-        skewed.hot().sent
+        hot.sent
     );
     // And everything the hot stream sent was still answered explicitly.
-    let hot = skewed.hot();
     assert_eq!(hot.updates + hot.throttled + hot.dropped, hot.sent);
 }
 
@@ -628,12 +656,12 @@ fn key_frame_after_shutdown_is_acked_and_counted_not_silently_lost() {
     assert_eq!(stats.streams[&3].throttled, 0);
 }
 
-/// The batched-teacher tentpole, measured end to end on a real CnnTeacher:
-/// a 4-stream pool whose co-scheduled key frames are labelled by one
-/// genuinely batched forward, plus a deterministic batch-8 vs batch-1
-/// comparison on the shard (the exact state machine the pool workers
-/// drive). The assertion is on *measured* wall-clock teacher cost —
-/// `ShardStats::teacher_wall_time` — not the virtual amortization model.
+/// The batched-teacher tentpole on a real CnnTeacher: co-scheduled key
+/// frames are labelled by *one* genuinely batched forward — counted on the
+/// shard (the exact state machine the pool workers drive) and then served
+/// by a live 4-stream pool. What the batching buys in wall-clock terms is
+/// gated where a perf gate belongs: `table10_batched_teacher` in CI's
+/// `bench-smoke` job.
 #[test]
 fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     use shadowtutor::serve::{ServeShard, ShardJob};
@@ -642,7 +670,7 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     let config = ShadowTutorConfig::paper();
     let student = StudentNet::new(StudentConfig::tiny()).unwrap();
 
-    // --- Deterministic shard measurement: batch 8 vs batch 1. -------------
+    // --- Deterministic shard accounting: batch 8 vs batch 1. --------------
     // Four streams, two pre-shared frames each => 8 co-schedulable jobs.
     let mut shard = ServeShard::new(
         config,
@@ -666,40 +694,33 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
         }
     }
     assert_eq!(jobs.len(), 8);
-    // Warm up both code paths (first-call effects: allocator, lazy init).
-    shard.process_batch(&jobs).unwrap();
-    shard.process_batch(&jobs[..1]).unwrap();
 
-    let teacher_wall = |shard: &ServeShard<CnnTeacher>| shard.stats().teacher_wall_time;
-    let mut batched_per_frame = Vec::new();
-    let mut solo_per_frame = Vec::new();
-    for _ in 0..3 {
-        // One co-scheduled batch of 8: a single batched teacher forward.
-        let before = teacher_wall(&shard);
-        shard.process_batch(&jobs).unwrap();
-        batched_per_frame.push((teacher_wall(&shard) - before).as_secs_f64() / jobs.len() as f64);
-        // The same 8 jobs served one at a time: 8 solo forwards.
-        let before = teacher_wall(&shard);
-        for job in &jobs {
-            shard.process_batch(std::slice::from_ref(job)).unwrap();
-        }
-        solo_per_frame.push((teacher_wall(&shard) - before).as_secs_f64() / jobs.len() as f64);
+    // One co-scheduled batch of 8: a single batched teacher forward.
+    let outcome = shard.process_batch(&jobs).unwrap();
+    assert_eq!(outcome.responses.len(), 8);
+    let batched = shard.stats();
+    assert_eq!(batched.teacher_batches, 1);
+    assert_eq!(batched.key_frames, 8);
+    assert_eq!(batched.max_batch_observed, 8);
+    assert_eq!(batched.mean_batch_size(), 8.0);
+    // The same 8 jobs served one at a time: 8 solo forwards.
+    for job in &jobs {
+        shard.process_batch(std::slice::from_ref(job)).unwrap();
     }
-    batched_per_frame.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    solo_per_frame.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let batched_median = batched_per_frame[batched_per_frame.len() / 2];
-    let solo_median = solo_per_frame[solo_per_frame.len() / 2];
-    assert!(
-        batched_median < solo_median,
-        "measured per-frame teacher cost must fall with batching: \
-         batch 8 {batched_median:.6}s/frame vs batch 1 {solo_median:.6}s/frame"
-    );
+    let solo = shard.stats();
+    assert_eq!(solo.teacher_batches - batched.teacher_batches, 8);
+    assert_eq!(solo.key_frames, 16);
+    assert_eq!(solo.mean_batch_size(), 16.0 / 9.0);
+    // Real compute was timed, and the virtual model credits the batch (and
+    // only the batch) with a saving.
+    assert!(batched.teacher_wall_time > Duration::ZERO);
+    assert!(batched.teacher_time_saved > 0.0);
+    assert_eq!(solo.teacher_time_saved, batched.teacher_time_saved);
     // The shard's measured cost profile saw both batch sizes, so the
     // adaptive window's growth gate now runs on measured marginal-cost data
     // (a CnnTeacher forward is far above the measurability floor) instead
-    // of falling back to the virtual model. The verdict's *direction* is
-    // EMA-smoothed wall clock and may wobble with scheduler noise; the
-    // robust median comparison above is the amortization claim.
+    // of falling back to the virtual model. Which way the verdict points is
+    // wall clock, and not this test's business.
     assert!(shard.measured_costs().estimate(1).is_some());
     assert!(shard.measured_costs().estimate(8).is_some());
     assert!(
@@ -759,27 +780,16 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     assert_eq!(stats.total_key_frames(), 8);
     assert_eq!(stats.dropped_jobs(), 0);
     assert_eq!(stats.throttled(), 0);
-    // Real compute was measured, and the live run's measured amortized
-    // per-frame teacher cost beats the deterministic solo baseline whenever
-    // any co-scheduling happened (and can only tie it when every batch
-    // degenerated to size 1, which the timing race makes possible but rare).
+    // Real compute was measured. How deep the live batches got depends on
+    // an arrival race (clients push while the worker drains), so the pool
+    // is only held to the accounting identity between its two counters.
     assert!(stats.teacher_wall_time() > Duration::ZERO);
-    // How deep the live batches actually got depends on an arrival race
-    // (clients push while the worker drains), so the wall-cost comparison
-    // against the deterministic solo baseline only binds when genuine
-    // co-scheduling happened; the margin absorbs scheduler jitter from the
-    // concurrent client threads. The strict batch-8 < batch-1 claim is the
-    // deterministic shard measurement above.
     let shard_stats = &stats.shards[0];
-    if shard_stats.mean_batch_size() >= 2.0 {
-        assert!(
-            stats.mean_teacher_wall_secs() < solo_median * 1.10,
-            "live pool amortized cost {:.6}s/frame vs solo baseline {solo_median:.6}s/frame \
-             (mean batch {:.2})",
-            stats.mean_teacher_wall_secs(),
-            shard_stats.mean_batch_size()
-        );
-    }
+    assert!((1..=8).contains(&shard_stats.teacher_batches));
+    assert_eq!(
+        shard_stats.mean_batch_size(),
+        8.0 / shard_stats.teacher_batches as f64
+    );
 }
 
 /// Open-loop client driver for the elastic-pool tests: waits for the
@@ -1357,22 +1367,20 @@ fn all_seven_categories_run_and_report_valid_metrics() {
 fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
     use shadowtutor::server::ServerState;
     use st_net::transport::{DuplexTransport, Endpoint, ServerChannel};
-    use st_net::{Codec, WireCodec};
     use st_video::Frame;
 
     /// Drive the fixed script over whichever endpoint/server pair we were
     /// handed; return the concatenated downlink payload bytes (initial
     /// checkpoint + every weight update + metrics) and the endpoint's
     /// measured wire counters.
-    fn scripted_run<C, T>(
-        mut endpoint: Endpoint<C, T>,
+    fn scripted_run<T>(
+        mut endpoint: Endpoint<T>,
         mut server_side: ServerChannel,
         frames: &[Frame],
         key_indices: &[usize],
         student: StudentNet,
     ) -> (Vec<u8>, usize, usize)
     where
-        C: Codec,
         T: st_net::Transport<ClientToServer, ServerToClient>,
     {
         let timeout = Duration::from_secs(5);
@@ -1473,7 +1481,7 @@ fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
     // like before the builder existed.
     let (client_side, server_side) = DuplexTransport::pair();
     let raw = scripted_run(
-        Endpoint::new(WireCodec, client_side),
+        Endpoint::new(client_side),
         server_side,
         &frames,
         &key_indices,
