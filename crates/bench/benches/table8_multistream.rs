@@ -4,33 +4,29 @@
 //! The paper evaluates one client per server; this bench drives the sharded
 //! [`shadowtutor::serve::ServerPool`] with 1–8 concurrent client streams and
 //! reports aggregate frames per wall-clock second, the mean server-side
-//! queue wait per key frame, and the mean co-scheduled teacher batch size.
+//! queue wait per key frame, the mean co-scheduled teacher batch size, and
+//! the distill crew's width and share of the work — each stream count once
+//! with the crew the host affords and once without one.
 //! Criterion additionally measures the latency of one batched shard step —
 //! the unit of work a pool worker performs per co-scheduled batch.
+//!
+//! Knobs (for CI's tiny smoke sweep):
+//!
+//! * `TABLE8_SWEEP=smoke` shrinks the ladder and the per-stream frame count.
+//! * `TABLE8_JSON=<path>` additionally writes the table as JSON with host
+//!   metadata (the committed `BENCH_table8.json` is one such file).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use shadowtutor::config::ShadowTutorConfig;
-use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
-use shadowtutor::serve::{FrameStore, PoolConfig, ServeShard, ShardJob};
+use shadowtutor::serve::{FrameStore, ServeShard, ShardJob};
+use st_bench::json::table_to_json_on_host;
+use st_bench::tables::table8_multistream;
 use st_nn::student::{StudentConfig, StudentNet};
 use st_teacher::OracleTeacher;
 use st_video::dataset::tiny_stream as frames_for;
 use st_video::SceneKind;
 
 const SCENES: [SceneKind; 3] = [SceneKind::People, SceneKind::Animals, SceneKind::Street];
-
-fn specs(streams: usize, frames_per_stream: usize) -> Vec<StreamSpec> {
-    (0..streams)
-        .map(|i| {
-            let scene = SCENES[i % SCENES.len()];
-            StreamSpec {
-                stream_id: i as u64,
-                label: format!("stream-{i}"),
-                frames: frames_for(scene, 8_000 + i as u64, frames_per_stream),
-            }
-        })
-        .collect()
-}
 
 /// A shard with `streams` registered sessions and one key-frame job each.
 fn loaded_shard(streams: usize) -> (ServeShard<OracleTeacher>, Vec<ShardJob>) {
@@ -72,31 +68,24 @@ fn multistream_benchmark(c: &mut Criterion) {
     });
     group.finish();
 
-    // Throughput vs stream count, two shards (the default pool) — what a
-    // production deployment would watch while scaling stream admission.
-    let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-    println!("\nTable 8 — multi-stream serving vs stream count (2 shards, wall clock)");
-    println!(
-        "{:>7}  {:>9}  {:>14}  {:>11}  {:>10}",
-        "streams", "agg FPS", "wait/key (ms)", "mean batch", "key frames"
-    );
-    for &streams in &[1usize, 2, 4, 8] {
-        let outcome = run_live_multi(
-            ShadowTutorConfig::paper(),
-            specs(streams, 16),
-            student.clone(),
-            PoolConfig::with_shards(2),
-            |shard| OracleTeacher::perfect(600 + shard as u64),
-        )
-        .unwrap();
-        println!(
-            "{:>7}  {:>9.1}  {:>14.3}  {:>11.2}  {:>10}",
-            streams,
-            outcome.aggregate_fps(),
-            1e3 * outcome.mean_queue_wait_secs(),
-            outcome.pool.mean_batch_size(),
-            outcome.pool.total_key_frames(),
-        );
+    // Throughput vs stream count, two shards — what a production deployment
+    // would watch while scaling stream admission.
+    let smoke = std::env::var("TABLE8_SWEEP").as_deref() == Ok("smoke");
+    let (ladder, frames): (&[usize], usize) = if smoke {
+        (&[1, 8], 8)
+    } else {
+        (&[1, 2, 4, 8], 16)
+    };
+    let table = table8_multistream(ladder, frames);
+    println!("\n{}", table.text);
+    if let Ok(path) = std::env::var("TABLE8_JSON") {
+        match std::fs::write(&path, table_to_json_on_host(&table)) {
+            Ok(()) => println!("wrote JSON artifact: {path}"),
+            Err(e) => {
+                eprintln!("failed to write {path}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 }
 

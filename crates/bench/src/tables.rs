@@ -1002,6 +1002,86 @@ pub fn table10_batched(batch_sizes: &[usize], width_multiple: usize, reps: usize
     out
 }
 
+/// Table 8 (new in this reproduction, no paper counterpart) — multi-stream
+/// serving versus concurrent stream count: aggregate frames per wall-clock
+/// second, mean server-side queue wait per key frame, mean co-scheduled
+/// batch, and how the distill crew took part. The stride is pinned to 1 —
+/// every frame a key frame, the clients in lockstep with the server — so
+/// the server is what the sweep loads. Every rung runs a two-shard
+/// pool twice — on one reactor worker, which leaves the host's other cores
+/// to the crew, and on a worker per core, which leaves it none — so the
+/// `crew width` and `jobs offloaded` columns read against the same streams
+/// served without helpers.
+pub fn table8_multistream(stream_ladder: &[usize], frames_per_stream: usize) -> TableOutput {
+    let mut out = TableOutput::new("Table 8");
+    let student = StudentNet::new(StudentConfig::tiny()).expect("tiny student");
+    let scenes = [SceneKind::People, SceneKind::Animals, SceneKind::Street];
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut columns: Vec<(String, Vec<f64>)> = [
+        "agg FPS",
+        "wait/key ms",
+        "mean batch",
+        "key frames",
+        "crew width",
+        "jobs offloaded",
+    ]
+    .iter()
+    .map(|name| (name.to_string(), Vec::new()))
+    .collect();
+    for &streams in stream_ladder {
+        for workers in [1, cores] {
+            let pool = PoolConfig {
+                reactor_threads: Some(workers),
+                ..PoolConfig::with_shards(2)
+            };
+            let specs: Vec<StreamSpec> = (0..streams)
+                .map(|i| StreamSpec {
+                    stream_id: i as u64,
+                    label: format!("stream-{i}"),
+                    frames: tiny_stream(
+                        scenes[i % scenes.len()],
+                        8_000 + i as u64,
+                        frames_per_stream,
+                    ),
+                })
+                .collect();
+            let outcome = run_live_multi(
+                ShadowTutorConfig {
+                    min_stride: 1,
+                    max_stride: 1,
+                    ..ShadowTutorConfig::paper()
+                },
+                specs,
+                student.clone(),
+                pool,
+                |shard| OracleTeacher::perfect(600 + shard as u64),
+            )
+            .expect("table8 run");
+            let row = [
+                outcome.aggregate_fps(),
+                1e3 * outcome.mean_queue_wait_secs(),
+                outcome.pool.mean_batch_size(),
+                outcome.pool.total_key_frames() as f64,
+                (pool.crew_helpers() + 1) as f64,
+                outcome.pool.jobs_offloaded() as f64,
+            ];
+            for ((_, values), value) in columns.iter_mut().zip(row) {
+                values.push(value);
+            }
+            out.row_labels
+                .push(format!("{streams} streams / {workers} workers"));
+            if cores == 1 {
+                break;
+            }
+        }
+    }
+    out.columns = columns;
+    out.render(&format!(
+        "Table 8 — multi-stream serving vs stream count (2 shards, {frames_per_stream} frames per stream, every frame a key frame, wall clock)"
+    ));
+    out
+}
+
 /// Table 13 (new in this reproduction, no paper counterpart) — resident
 /// weight memory and update wire bytes across a stream-count ladder. Each
 /// rung runs the same workload twice against a live pool: once with the

@@ -370,6 +370,8 @@ pub struct ShardReport {
     /// Frames that could not be recovered from replicas or re-shares during
     /// a takeover; their jobs were drop-acked with `ShardFailed`.
     pub frames_lost_on_failover: usize,
+    /// Key frames a distill-crew helper distilled for this shard.
+    pub jobs_offloaded: usize,
 }
 
 /// The serializable operator report condensed from a pool run
@@ -458,6 +460,8 @@ pub struct PoolReport {
     /// Bytes the same updates would have cost as full-snapshot envelopes —
     /// the A/B denominator for the delta savings.
     pub update_bytes_full_equiv: usize,
+    /// Key frames distilled by crew helpers rather than reactor workers.
+    pub jobs_offloaded: usize,
 }
 
 impl PoolReport {
@@ -514,6 +518,7 @@ impl PoolReport {
                 "frames_lost_on_failover",
                 s.frames_lost_on_failover,
             );
+            field(&mut out, "jobs_offloaded", s.jobs_offloaded);
             out.push('}');
             out
         });
@@ -560,6 +565,7 @@ impl PoolReport {
         field(t, "full_updates_sent", self.full_updates_sent);
         field(t, "update_bytes_sent", self.update_bytes_sent);
         field(t, "update_bytes_full_equiv", self.update_bytes_full_equiv);
+        field(t, "jobs_offloaded", self.jobs_offloaded);
         totals.push('}');
         let mut out = String::from("{");
         field(&mut out, "shards", array(shards));
@@ -747,6 +753,7 @@ mod tests {
             failovers: 1,
             streams_adopted: 2,
             frames_lost_on_failover: 1,
+            jobs_offloaded: 4,
         };
         let report = PoolReport {
             shards: vec![shard.clone(), ShardReport { shard: 1, ..shard }],
@@ -782,12 +789,13 @@ mod tests {
             full_updates_sent: 5,
             update_bytes_sent: 900,
             update_bytes_full_equiv: 3000,
+            jobs_offloaded: 8,
         };
         let json = report.to_json();
         // Byte-for-byte what the two positional `write!` calls this method
         // used to be produced for the same report (strings taken from that
-        // commit): every counter exported under its name, the non-finite
-        // p99 as `null`.
+        // commit, `jobs_offloaded` appended since): every counter exported
+        // under its name, the non-finite p99 as `null`.
         let shard0 = "{\"shard\":0,\"key_frames\":10,\"teacher_batches\":4,\
              \"mean_batch\":2.5,\"queue_p50_ms\":1.25,\"queue_p99_ms\":9.5,\
              \"busy_secs\":0.5,\"teacher_wall_secs\":0.25,\"throttled\":1,\
@@ -796,7 +804,8 @@ mod tests {
              \"streams_stolen_in\":1,\"streams_donated\":0,\
              \"forwarded_messages\":2,\"events_dispatched\":25,\"timer_fires\":3,\
              \"poll_wakeups\":12,\"idle_streams\":7,\"failovers\":1,\
-             \"streams_adopted\":2,\"frames_lost_on_failover\":1}";
+             \"streams_adopted\":2,\"frames_lost_on_failover\":1,\
+             \"jobs_offloaded\":4}";
         let totals = "{\"key_frames\":20,\"streams_stolen\":1,\"frame_evictions\":6,\
              \"reshared_frames\":4,\"dropped_jobs\":0,\"throttled\":2,\
              \"frame_bytes_peak\":30720,\"queue_p50_ms\":1.25,\
@@ -811,7 +820,7 @@ mod tests {
              \"store_resident_bytes\":2048,\"store_chunk_count\":6,\
              \"streams_per_gb\":3355443.2,\"delta_updates_sent\":15,\
              \"full_updates_sent\":5,\"update_bytes_sent\":900,\
-             \"update_bytes_full_equiv\":3000}";
+             \"update_bytes_full_equiv\":3000,\"jobs_offloaded\":8}";
         let shard1 = shard0.replacen("\"shard\":0", "\"shard\":1", 1);
         assert_eq!(
             json,

@@ -33,8 +33,10 @@ pub struct FaultPlan {
     /// the first non-empty batch). `None` never kills.
     pub kill_at_batch: Option<u64>,
     /// Tear the kill: fire *after* the batch's jobs were drained from the
-    /// fair scheduler, so the in-flight batch is genuinely lost and the
-    /// standby must drop-ack it with [`DropReason::ShardFailed`]. A clean
+    /// fair scheduler, so the in-flight batch — none of it answered yet — is
+    /// genuinely lost and the standby must drop-ack it with
+    /// [`DropReason::ShardFailed`]. (The same bookkeeping covers a pass that
+    /// dies *part-way* through a batch: only its unanswered jobs are lost.) A clean
     /// kill (the default) fires before the drain; every queued job
     /// survives in the carcass and is re-queued by the adopter.
     pub torn_kill: bool,
@@ -287,6 +289,20 @@ impl PoolConfig {
     /// The shard a stream id maps to under static-modulo placement.
     pub fn shard_of(&self, stream_id: StreamId) -> usize {
         (stream_id % self.shards as u64) as usize
+    }
+
+    /// Distill-crew helper threads a pool of this shape runs: one per core
+    /// its reactor workers leave idle (none when the workers already cover
+    /// the host), at most `max_batch − 1` — the most one batch could keep
+    /// busy beside the worker that owns it. Derived, deliberately not a
+    /// field: the host's core count and the two fields it follows from are
+    /// all there is to know.
+    pub fn crew_helpers(&self) -> usize {
+        let workers = self.reactor_threads.unwrap_or(self.shards);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        cores
+            .saturating_sub(workers)
+            .min(self.max_batch.saturating_sub(1))
     }
 
     /// Whether this pool migrates streams between shards at runtime.

@@ -10,7 +10,8 @@
 //!   batched forward pass ([`st_teacher::Teacher::pseudo_label_batch`]) whose
 //!   virtual cost is amortized across the batch, and then each stream's
 //!   session distills its own student on its own pseudo-label. Streams never
-//!   share weights — isolation is structural.
+//!   share weights — isolation is structural — which is also what lets one
+//!   batch's sessions distill side by side (the distill crew, below).
 //! * [`ServerPool`] hosts every shard's state machine on a fixed set of
 //!   reactor workers ([`PoolConfig::reactor_threads`]; one per shard by
 //!   default) woken by send-side readiness tokens and a deadline heap, places
@@ -63,6 +64,23 @@
 //!   [`st_net::ClientToServer::ReShare`], answered through
 //!   [`StreamClient::reshare`]), trading memory for uplink bandwidth.
 //!
+//! And since the sessions of one batch share a teacher forward and nothing
+//! else, the pool spends the cores its reactor workers leave idle on them:
+//!
+//! * **The distill crew** ([`crew`]) — [`ServerPool::spawn`] starts
+//!   [`PoolConfig::crew_helpers`] parked helper threads (derived from the
+//!   host and the pool's shape; there is no knob). A labelled batch becomes
+//!   one work item per stream; the shard's reactor worker and the helpers
+//!   claim items one at a time, an item *owning* its stream's session while
+//!   it runs — the same move-out / move-back hand-off migration uses, so no
+//!   session is locked or borrowed across threads. The worker answers every
+//!   key frame the moment it is distilled (delta encode, digest patch,
+//!   downlink, replica publish), so a round trip is `teacher + own distill`,
+//!   not `teacher + the batch's`. With no helpers the worker claims every
+//!   item itself: one code path. Only completion order *across* streams can
+//!   differ from a serial run; every per-stream result is bit-identical at
+//!   every crew width.
+//!
 //! The pool reports [`PoolStats`]: per-shard queueing/batching/latency
 //! counters plus per-stream key-frame totals, waits, throttles, drops,
 //! steals, evictions, measured teacher wall time and final server-side
@@ -73,7 +91,8 @@
 //!
 //! The module tree follows the seams of one key frame's trip through the
 //! server: `config` and `stats` are the pool's inputs and outputs; `frames`,
-//! `replica`, `sched` and `shard` are the synchronous per-shard machinery;
+//! `replica`, `sched` and `shard` are the synchronous per-shard machinery
+//! and `crew` the hand-off a shard fans a batch out through;
 //! `state` is the shard state machine (with its `migrate` and `takeover`
 //! halves) over the `failover` blackboard; `pool` is the handle and client
 //! endpoint; `reactor` is the one driver, and reaches a shard state only
@@ -84,6 +103,7 @@
 //! [`DistillSession`]: crate::server::DistillSession
 
 mod config;
+pub mod crew;
 mod failover;
 mod frames;
 mod pool;

@@ -5,6 +5,7 @@ use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
 use super::replica::ReplicaStore;
+use super::shard::{spawn_helpers, DistillCrew};
 use super::state::{
     Downlink, Envelope, Placements, Registry, Route, ShardOutput, ShardState, StealRegistry,
     StreamLink, WireMeter,
@@ -167,6 +168,14 @@ impl ClientEndpoint for StreamClient {
 /// send-side readiness tokens and a shared deadline heap. Every worker
 /// count runs the same `ShardState` machine, so a stream cannot tell how
 /// many threads served it.
+///
+/// The cores the reactor workers leave idle host the **distill crew**:
+/// `available_parallelism − reactor workers` parked helper threads (none
+/// when the workers already cover the cores; never more than `max_batch −
+/// 1`, the most a batch could keep busy beside its own worker) that claim
+/// per-stream work items out of whichever shard's batch is in flight. The
+/// width is derived, not configured: a stream cannot tell whether a helper
+/// or its shard's worker distilled its key frame either.
 pub struct ServerPool {
     pool_config: PoolConfig,
     uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
@@ -182,6 +191,10 @@ pub struct ServerPool {
     /// One handle per reactor worker, each returning the outputs of
     /// whichever shards it finalized.
     workers: Vec<std::thread::JoinHandle<Result<Vec<ShardOutput>>>>,
+    /// The pool-wide distill crew every shard's batches run through, and
+    /// its parked helper threads; `join` dismisses and joins them.
+    crew: Arc<DistillCrew>,
+    helper_threads: Vec<std::thread::JoinHandle<()>>,
     /// Measured wire traffic for the whole pool, shared with every
     /// [`StreamClient`] (uplink) and [`Downlink`] (downlink).
     wire: Arc<WireMeter>,
@@ -206,16 +219,49 @@ impl ServerPool {
     /// `None`). Each shard gets its own teacher from
     /// `teacher_factory(shard_index)` and serves sessions cloned from
     /// `template`.
+    ///
+    /// The cores the reactor workers do not occupy get one distill-crew
+    /// helper thread each ([`PoolConfig::crew_helpers`]).
     pub fn spawn<T, F>(
         config: ShadowTutorConfig,
         pool_config: PoolConfig,
-        mut template: StudentNet,
+        template: StudentNet,
         distill_step_latency: f64,
         mut teacher_factory: F,
     ) -> Result<ServerPool>
     where
         T: Teacher + Send + 'static,
         F: FnMut(usize) -> T,
+    {
+        Self::spawn_crewed(
+            config,
+            pool_config,
+            template,
+            pool_config.crew_helpers(),
+            |shard, template| {
+                ServeShard::new(
+                    config,
+                    template,
+                    teacher_factory(shard),
+                    distill_step_latency,
+                )
+            },
+        )
+    }
+
+    /// [`ServerPool::spawn`] with the crew's helper count and the shards'
+    /// construction in the caller's hands (tests pin the one and instrument
+    /// the other).
+    pub(super) fn spawn_crewed<T, F>(
+        config: ShadowTutorConfig,
+        pool_config: PoolConfig,
+        mut template: StudentNet,
+        helper_count: usize,
+        mut make_shard: F,
+    ) -> Result<ServerPool>
+    where
+        T: Teacher + Send + 'static,
+        F: FnMut(usize, StudentNet) -> ServeShard<T>,
     {
         config.validate()?;
         pool_config.validate()?;
@@ -241,19 +287,16 @@ impl ServerPool {
         let poller = st_net::Poller::new();
         let shard_wakers: Arc<Vec<st_net::Waker>> =
             Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());
+        let crew = Arc::new(DistillCrew::new(helper_count));
         let mut uplinks = Vec::with_capacity(pool_config.shards);
         let mut registries = Vec::with_capacity(pool_config.shards);
         let mut states = Vec::with_capacity(pool_config.shards);
         for shard_index in 0..pool_config.shards {
             let (tx, rx) = crossbeam::channel::unbounded::<Envelope>();
             let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-            let shard = ServeShard::new(
-                config,
-                template.clone(),
-                teacher_factory(shard_index),
-                distill_step_latency,
-            )
-            .with_session_weights(pool_config.session_weights);
+            let shard = make_shard(shard_index, template.clone())
+                .with_session_weights(pool_config.session_weights)
+                .with_crew(Arc::clone(&crew));
             states.push(Mutex::new(Some(ShardState::new(
                 shard,
                 rx,
@@ -279,6 +322,7 @@ impl ServerPool {
             Arc::clone(&shard_wakers),
             pool_config.steal_poll,
         ));
+        let helper_threads = spawn_helpers(&crew);
         let threads = pool_config.reactor_threads.unwrap_or(pool_config.shards);
         let workers = (0..threads)
             .map(|worker_index| {
@@ -300,6 +344,8 @@ impl ServerPool {
             steal,
             placements,
             workers,
+            crew,
+            helper_threads,
             shard_wakers,
             wire,
             board,
@@ -481,15 +527,32 @@ impl ServerPool {
             waker.wake();
         }
         let shards = self.pool_config.shards;
+        let joined: Vec<_> = self.workers.into_iter().map(|w| w.join()).collect();
+        // Every batch owner is gone; dismiss the crew before looking at how
+        // the workers fared, so no exit path leaves a helper parked.
+        self.crew.close();
+        let helpers_panicked = self
+            .helper_threads
+            .into_iter()
+            .filter_map(|helper| helper.join().err())
+            .count();
         let mut outputs: Vec<ShardOutput> = Vec::with_capacity(shards);
-        for (worker_index, worker) in self.workers.into_iter().enumerate() {
-            match worker.join() {
+        for (worker_index, result) in joined.into_iter().enumerate() {
+            match result {
                 Ok(result) => outputs.extend(result?),
                 // The worker catches its own unwinds, so this is a panic
                 // raised while reporting one — still from no shard pass, so
                 // it must not be pinned on a shard.
                 Err(payload) => return Err(escaped_panic(worker_index, payload.as_ref()).into()),
             }
+        }
+        if helpers_panicked > 0 {
+            // Items catch their own unwinds, so this is the hand-off itself
+            // failing — no shard's doing.
+            return Err(TensorError::InvalidArgument(
+                "a distill crew helper panicked outside any work item".into(),
+            )
+            .into());
         }
         // Dead shards return nothing through their join handles; their
         // standby filed their outputs on the board.

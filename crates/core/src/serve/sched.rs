@@ -1,5 +1,13 @@
 //! Scheduling policy: DRR fair queues, the adaptive batch window, and the
 //! measured teacher-cost profile that gates its growth.
+//!
+//! The window serves two masters. Teacher amortization: a wider batch pays
+//! while one more slot costs less than a solo forward
+//! ([`TeacherCostProfile`]). And the distill crew: a batch's streams distill
+//! side by side on the crew's threads, so up to the crew's width a wider
+//! batch is free capacity even on a teacher that does not amortize at all.
+//! [`AdaptiveBatch::observe`] takes the verdict as one flag; the shard state
+//! machine feeds it `window < crew width || growth pays`.
 
 #[cfg(doc)]
 use super::ServeShard;
@@ -239,8 +247,10 @@ impl AdaptiveBatch {
     }
 
     /// Feed one observation: the backlog remaining after a batch completed,
-    /// and whether growing the window would still amortize teacher time
-    /// (the marginal batched cost of one more slot is below a solo forward).
+    /// and whether growing the window is worth it — it would still amortize
+    /// teacher time (the marginal batched cost of one more slot is below a
+    /// solo forward), or the window is still narrower than the distill crew
+    /// that would run its items side by side.
     pub fn observe(&mut self, backlog: usize, growth_pays: bool) {
         if !self.enabled {
             return;

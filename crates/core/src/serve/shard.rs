@@ -1,5 +1,18 @@
 //! One shard: a shared teacher plus one distillation session per stream.
+//!
+//! A key frame's path through [`ServeShard::process_batch`] is *label once →
+//! claim → distill → emit per job*: the batch's resolvable jobs share one
+//! batched teacher forward, are regrouped into one work item per stream (all
+//! of that stream's jobs, in scheduling order), and the items go through the
+//! shard's distill crew ([`super::crew`]) — claimed one at a time by the
+//! calling thread and by whichever pool-wide helper threads take up the
+//! batch. An item *owns* its stream's session for as long as it runs — moved
+//! out of the shard and moved back with the item, the same hand-off
+//! migration uses — so no session is ever borrowed across threads or
+//! locked. Every finished [`KeyFrameResponse`] goes to the batch's sink the
+//! moment the caller sees it, not when the batch ends.
 
+use super::crew::{Crew, Event, Ran};
 #[cfg(doc)]
 use super::ServerPool;
 use super::{FrameStore, SessionWeights, ShardJob, ShardStats, TeacherCostProfile};
@@ -14,8 +27,11 @@ use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::store::SessionMemory;
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
+use st_tensor::parallel::serial_scope;
 use st_video::Frame;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Server-side delta-negotiation state of one stream: the digest of the
@@ -38,6 +54,189 @@ pub(super) struct StreamEntry {
     /// streams. Travels with the stream through migration and is rebuilt
     /// (unsynced) after a failover restore.
     delta: Option<DeltaTrack>,
+}
+
+impl StreamEntry {
+    /// What checkpoint replication publishes for the stream: the full
+    /// session checkpoint, the distillation counters, the set of shared
+    /// frame indices, and whether the stream negotiated delta updates.
+    pub(super) fn replica(&mut self) -> (WeightSnapshot, usize, usize, Vec<usize>, bool) {
+        (
+            self.session.replica_checkpoint(),
+            self.session.key_frames_processed(),
+            self.session.distill_steps_taken(),
+            self.frames.known_indices(),
+            self.delta.is_some(),
+        )
+    }
+}
+
+/// One job of a [`CrewItem`].
+struct ItemJob {
+    /// The job's position in the batch handed to `process_batch`.
+    index: usize,
+    frame_index: usize,
+    pseudo_label: Vec<usize>,
+}
+
+/// One stream's share of a batch, owning the stream's session while it
+/// runs: the unit the distill crew claims.
+pub(super) struct CrewItem {
+    /// The item's position among the batch's items (scheduling order of
+    /// each stream's first job).
+    position: usize,
+    stream_id: StreamId,
+    entry: StreamEntry,
+    /// The stream's jobs in scheduling order.
+    jobs: Vec<ItemJob>,
+    teacher_share: f64,
+    /// Other items of the batch may be running beside this one, so the
+    /// kernels under it must not split again ([`serial_scope`]).
+    beside_others: bool,
+    #[cfg(test)]
+    hook: Option<ItemHook>,
+}
+
+/// One distilled key frame on its way from whoever ran the item to the
+/// batch's sink.
+pub(super) struct Served {
+    position: usize,
+    index: usize,
+    response: KeyFrameResponse,
+}
+
+/// A [`CrewItem`] coming home: the session with it, and how its run ended —
+/// served every job, failed one with a typed error, or panicked (the payload
+/// is resumed by the batch's owner, inside its shard's pass).
+pub(super) struct Finished {
+    item: CrewItem,
+    outcome: std::thread::Result<Result<()>>,
+}
+
+/// The pool-wide distill crew: reactor workers are its batch owners.
+pub(super) type DistillCrew = Crew<CrewItem, Served, Finished>;
+
+/// What a test sees of an item's run, from inside whoever runs it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum ItemEvent {
+    /// The item is about to distill its first job.
+    Started { stream_id: StreamId, ran: Ran },
+    /// A job's response has just been handed on (to the sink by the owner,
+    /// to the completion queue by a helper).
+    Emitted {
+        stream_id: StreamId,
+        frame_index: usize,
+        ran: Ran,
+    },
+}
+
+/// Observe — or, by panicking, sabotage — items from inside their runner.
+#[cfg(test)]
+pub(super) type ItemHook = Arc<dyn Fn(ItemEvent) + Send + Sync>;
+
+/// Run one item: Algorithm 1 for each of the stream's jobs in order, each
+/// response emitted before the next job starts. Never unwinds — a panic
+/// (in `distill`, or in the owner's sink behind `emit`) comes back in
+/// [`Finished::outcome`] with the item, so the session is not lost with it.
+pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Served)) -> Finished {
+    // Who runs an item changes nothing about the run; only the test hook
+    // is told.
+    let _ = ran;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let _serial = item.beside_others.then(serial_scope);
+        #[cfg(test)]
+        if let Some(hook) = &item.hook {
+            hook(ItemEvent::Started {
+                stream_id: item.stream_id,
+                ran,
+            });
+        }
+        let StreamEntry {
+            session, frames, ..
+        } = &mut item.entry;
+        for job in &item.jobs {
+            let Some(frame) = frames.peek(job.frame_index) else {
+                unreachable!("frame resident: touched when the batch was resolved")
+            };
+            let response = session.distill(frame, &job.pseudo_label, item.teacher_share)?;
+            emit(Served {
+                position: item.position,
+                index: job.index,
+                response,
+            });
+            #[cfg(test)]
+            if let Some(hook) = &item.hook {
+                hook(ItemEvent::Emitted {
+                    stream_id: item.stream_id,
+                    frame_index: job.frame_index,
+                    ran,
+                });
+            }
+        }
+        Ok(())
+    }));
+    Finished { item, outcome }
+}
+
+/// Start the crew's helper threads: each parks on the crew's offer queue
+/// until a batch with more than one item is offered, and exits when the
+/// crew is closed.
+pub(super) fn spawn_helpers(crew: &Arc<DistillCrew>) -> Vec<std::thread::JoinHandle<()>> {
+    (0..crew.helpers())
+        .map(|_| {
+            let crew = Arc::clone(crew);
+            std::thread::spawn(move || crew.help(distill_item))
+        })
+        .collect()
+}
+
+/// Where [`ServeShard`] hands a batch's results as they come to exist.
+pub(super) trait BatchSink {
+    /// One key frame has been distilled. `index` is the job's position in
+    /// the batch; `track` is the stream's delta negotiation, if any (the
+    /// session itself may still be away, serving the stream's next job).
+    fn served(
+        &mut self,
+        stats: &mut ShardStats,
+        index: usize,
+        job: ShardJob,
+        response: KeyFrameResponse,
+        track: Option<&mut DeltaTrack>,
+    );
+
+    /// Every job the batch held for `stream_id` has been served and its
+    /// session is home and quiescent again.
+    fn settled(&mut self, stats: &mut ShardStats, stream_id: StreamId, entry: &mut StreamEntry);
+}
+
+/// The sink behind the public [`ServeShard::process_batch`]: keep every
+/// response for the returned [`BatchOutcome`].
+struct Collect(Vec<(usize, StreamId, usize, KeyFrameResponse)>);
+
+impl BatchSink for Collect {
+    fn served(
+        &mut self,
+        _stats: &mut ShardStats,
+        index: usize,
+        job: ShardJob,
+        response: KeyFrameResponse,
+        _track: Option<&mut DeltaTrack>,
+    ) {
+        self.0
+            .push((index, job.stream_id, job.frame_index, response));
+    }
+
+    fn settled(&mut self, _: &mut ShardStats, _: StreamId, _: &mut StreamEntry) {}
+}
+
+/// The jobs of a batch that were not served, each with what the caller owes
+/// its client.
+pub(super) struct Unserved {
+    /// See [`BatchOutcome::dropped`].
+    pub(super) dropped: Vec<(ShardJob, DropReason)>,
+    /// See [`BatchOutcome::needs_frame`].
+    pub(super) needs_frame: Vec<ShardJob>,
 }
 
 /// Outcome of one co-scheduled batch: per-stream responses plus the jobs
@@ -76,6 +275,11 @@ pub struct ServeShard<T: Teacher> {
     sessions: HashMap<StreamId, StreamEntry>,
     pub(super) stats: ShardStats,
     costs: TeacherCostProfile,
+    /// The crew this shard's batches run through. A shard built on its own
+    /// has a crew of one — the calling thread.
+    crew: Arc<DistillCrew>,
+    #[cfg(test)]
+    item_hook: Option<ItemHook>,
 }
 
 impl<T: Teacher> ServeShard<T> {
@@ -98,7 +302,30 @@ impl<T: Teacher> ServeShard<T> {
             sessions: HashMap::new(),
             stats: ShardStats::default(),
             costs: TeacherCostProfile::new(),
+            crew: Arc::new(Crew::new(0)),
+            #[cfg(test)]
+            item_hook: None,
         }
+    }
+
+    /// Run this shard's batches through `crew` — the pool's, shared by
+    /// every shard — instead of a crew of the calling thread alone.
+    pub(super) fn with_crew(mut self, crew: Arc<DistillCrew>) -> Self {
+        self.crew = crew;
+        self
+    }
+
+    /// Items of one batch that can run at once: the crew's helpers plus the
+    /// thread calling [`ServeShard::process_batch`].
+    pub(super) fn crew_width(&self) -> usize {
+        self.crew.width()
+    }
+
+    /// Install an observer (or saboteur) called from inside every item run.
+    #[cfg(test)]
+    pub(super) fn with_item_hook(mut self, hook: ItemHook) -> Self {
+        self.item_hook = Some(hook);
+        self
     }
 
     /// Set how sessions materialize their weights from the template.
@@ -211,19 +438,7 @@ impl<T: Teacher> ServeShard<T> {
         &mut self,
         stream_id: StreamId,
     ) -> Option<(WeightSnapshot, usize, usize, Vec<usize>, bool)> {
-        let entry = self.sessions.get_mut(&stream_id)?;
-        Some((
-            entry.session.replica_checkpoint(),
-            entry.session.key_frames_processed(),
-            entry.session.distill_steps_taken(),
-            entry.frames.known_indices(),
-            entry.delta.is_some(),
-        ))
-    }
-
-    /// The stream's delta track, if the client negotiated delta updates.
-    pub(super) fn delta_track_mut(&mut self, stream_id: StreamId) -> Option<&mut DeltaTrack> {
-        self.sessions.get_mut(&stream_id)?.delta.as_mut()
+        Some(self.sessions.get_mut(&stream_id)?.replica())
     }
 
     /// Sum every live session's storage split against the shard template.
@@ -363,45 +578,74 @@ impl<T: Teacher> ServeShard<T> {
     }
 
     /// Process a co-scheduled batch of key frames: one batched teacher
-    /// forward across the batch, then per-stream distillation in scheduling
-    /// order. Jobs whose stream or frame is unknown are returned in
+    /// forward across the batch, then per-stream distillation through the
+    /// shard's crew. Jobs whose stream or frame is unknown are returned in
     /// [`BatchOutcome::dropped`] and counted in
     /// [`ShardStats::dropped_jobs`] — never silently discarded.
     pub fn process_batch(&mut self, jobs: &[ShardJob]) -> Result<BatchOutcome> {
+        let mut collected = Collect(Vec::with_capacity(jobs.len()));
+        let Unserved {
+            dropped,
+            needs_frame,
+        } = self.process_batch_into(jobs, &mut collected)?;
+        // Streams finish in whatever order the crew got to them; the
+        // outcome lists them as they were scheduled.
+        collected.0.sort_by_key(|(index, ..)| *index);
+        Ok(BatchOutcome {
+            responses: collected
+                .0
+                .into_iter()
+                .map(|(_, stream_id, frame_index, response)| (stream_id, frame_index, response))
+                .collect(),
+            dropped,
+            needs_frame,
+        })
+    }
+
+    /// [`ServeShard::process_batch`] with the responses going to `sink` as
+    /// they finish instead of into the returned outcome.
+    ///
+    /// A typed error from an item fails the call once every item is home; a
+    /// panic inside an item — on whichever thread ran it — is resumed here,
+    /// on the calling thread, likewise after every session is back in the
+    /// shard (the earliest failing item in scheduling order wins).
+    pub(super) fn process_batch_into(
+        &mut self,
+        jobs: &[ShardJob],
+        sink: &mut dyn BatchSink,
+    ) -> Result<Unserved> {
         // Resolve which jobs are servable. Frames stay where they are — they
         // are borrowed for labelling and distillation, never copied (a frame
         // is the whole RGB tensor plus its ground truth). A known frame that
         // was evicted from the stream's cache is reported in `needs_frame`
         // rather than dropped: the content is recoverable from the client.
-        let mut dropped: Vec<(ShardJob, DropReason)> = Vec::new();
-        let mut needs_frame: Vec<ShardJob> = Vec::new();
-        let mut resolved: Vec<ShardJob> = Vec::new();
-        for job in jobs {
+        let mut unserved = Unserved {
+            dropped: Vec::new(),
+            needs_frame: Vec::new(),
+        };
+        let mut resolved: Vec<(usize, ShardJob)> = Vec::new();
+        for (index, job) in jobs.iter().enumerate() {
             match self.sessions.get_mut(&job.stream_id) {
-                None => dropped.push((*job, DropReason::UnknownStream)),
+                None => unserved.dropped.push((*job, DropReason::UnknownStream)),
                 Some(entry) => {
                     if !entry.frames.knows(job.frame_index) {
-                        dropped.push((*job, DropReason::UnknownFrame));
+                        unserved.dropped.push((*job, DropReason::UnknownFrame));
                     } else if !entry.frames.touch(job.frame_index) {
                         // `touch` marks the frame most-recently-used (and
                         // tells us whether it is resident), so the frames a
                         // batch is about to read are the last the budget
                         // would evict.
-                        needs_frame.push(*job);
+                        unserved.needs_frame.push(*job);
                     } else {
-                        resolved.push(*job);
+                        resolved.push((index, *job));
                     }
                 }
             }
         }
-        self.stats.dropped_jobs += dropped.len();
-        self.stats.need_frame_requests += needs_frame.len();
+        self.stats.dropped_jobs += unserved.dropped.len();
+        self.stats.need_frame_requests += unserved.needs_frame.len();
         if resolved.is_empty() {
-            return Ok(BatchOutcome {
-                responses: Vec::new(),
-                dropped,
-                needs_frame,
-            });
+            return Ok(unserved);
         }
 
         // One teacher forward pass amortized over the co-scheduled frames,
@@ -411,7 +655,7 @@ impl<T: Teacher> ServeShard<T> {
         let labels = {
             let frame_refs: Vec<&Frame> = resolved
                 .iter()
-                .map(|job| {
+                .map(|(_, job)| {
                     let Some(frame) = self.sessions[&job.stream_id].frames.peek(job.frame_index)
                     else {
                         unreachable!("frame resident: touched above")
@@ -431,30 +675,90 @@ impl<T: Teacher> ServeShard<T> {
         self.stats.max_batch_observed = self.stats.max_batch_observed.max(batch);
         self.stats.teacher_time_saved += solo_cost - batched_cost;
 
-        let mut out = Vec::with_capacity(batch);
-        for (job, label) in resolved.into_iter().zip(labels) {
-            let Some(entry) = self.sessions.get_mut(&job.stream_id) else {
+        // One item per stream, in the order the streams first appear; each
+        // takes its session out of the shard. The delta track stays behind:
+        // the sink patches it per response, while the session may still be
+        // away distilling the stream's next job.
+        let mut items: Vec<CrewItem> = Vec::new();
+        let mut tracks: Vec<Option<DeltaTrack>> = Vec::new();
+        for ((index, job), pseudo_label) in resolved.into_iter().zip(labels) {
+            let item_job = ItemJob {
+                index,
+                frame_index: job.frame_index,
+                pseudo_label,
+            };
+            if let Some(item) = items.iter_mut().find(|i| i.stream_id == job.stream_id) {
+                item.jobs.push(item_job);
+                continue;
+            }
+            let Some(mut entry) = self.sessions.remove(&job.stream_id) else {
                 unreachable!("session present: resolved above")
             };
-            // Split the entry so the frame borrow and the mutable session
-            // borrow coexist.
-            let StreamEntry {
-                session, frames, ..
-            } = entry;
-            let Some(frame) = frames.peek(job.frame_index) else {
-                unreachable!("frame resident: touched above")
-            };
-            let response = session.distill(frame, &label, teacher_share)?;
-            self.stats.key_frames += 1;
-            self.stats.distill_steps += response.outcome.steps;
-            self.stats.virtual_server_time += response.server_time;
-            out.push((job.stream_id, job.frame_index, response));
+            tracks.push(entry.delta.take());
+            items.push(CrewItem {
+                position: items.len(),
+                stream_id: job.stream_id,
+                entry,
+                jobs: vec![item_job],
+                teacher_share,
+                beside_others: false,
+                #[cfg(test)]
+                hook: self.item_hook.clone(),
+            });
         }
-        Ok(BatchOutcome {
-            responses: out,
-            dropped,
-            needs_frame,
-        })
+        let beside_others = self.crew.shares(items.len());
+        for item in &mut items {
+            item.beside_others = beside_others;
+        }
+
+        // Per-job virtual time is summed in scheduling order afterwards, so
+        // the f64 total does not depend on which stream finished first.
+        let mut server_time = vec![0.0f64; jobs.len()];
+        let mut failures: Vec<Option<std::thread::Result<Result<()>>>> =
+            items.iter().map(|_| None).collect();
+        let (stats, sessions) = (&mut self.stats, &mut self.sessions);
+        Arc::clone(&self.crew).run_batch(items, distill_item, |event, ran| match event {
+            Event::Progress(Served {
+                position,
+                index,
+                response,
+            }) => {
+                stats.key_frames += 1;
+                stats.distill_steps += response.outcome.steps;
+                stats.jobs_offloaded += usize::from(ran == Ran::Helper);
+                server_time[index] = response.server_time;
+                sink.served(
+                    stats,
+                    index,
+                    jobs[index],
+                    response,
+                    tracks[position].as_mut(),
+                );
+            }
+            Event::Returned(Finished { item, outcome }) => {
+                let CrewItem {
+                    position,
+                    stream_id,
+                    mut entry,
+                    ..
+                } = item;
+                entry.delta = tracks[position].take();
+                if matches!(outcome, Ok(Ok(()))) {
+                    sink.settled(stats, stream_id, &mut entry);
+                } else {
+                    failures[position] = Some(outcome);
+                }
+                sessions.insert(stream_id, entry);
+            }
+        });
+        for time in server_time {
+            self.stats.virtual_server_time += time;
+        }
+        match failures.into_iter().flatten().next() {
+            Some(Err(panic)) => resume_unwind(panic),
+            Some(Ok(result)) => result.map(|()| unserved),
+            None => Ok(unserved),
+        }
     }
 
     /// Finish a stream: remove its session, returning the final full

@@ -13,13 +13,13 @@ pub(super) use migrate::StealRegistry;
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::replica::ReplicaStore;
-use super::shard::ServeShard;
+use super::shard::{BatchSink, DeltaTrack, ServeShard, StreamEntry, Unserved};
 use super::{
     AdaptiveBatch, FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats,
 };
 #[cfg(doc)]
 use super::{ServerPool, StreamClient};
-use crate::server::StreamServerStats;
+use crate::server::{KeyFrameResponse, StreamServerStats};
 use crate::Result;
 use bytes::Bytes;
 use st_net::message::MESSAGE_OVERHEAD_BYTES;
@@ -151,79 +151,51 @@ struct StreamMeter {
 /// them.
 type AwaitingFrames = HashMap<StreamId, HashMap<usize, Vec<ScheduledJob>>>;
 
-/// Run one fair co-scheduled batch through the shard and route every
-/// response (update, drop ack, or `NeedFrame` recovery request) to its
-/// stream's downlink. Jobs whose frame content was evicted are parked in
-/// `awaiting` rather than counted — their wait keeps running until they are
-/// actually served after the re-share. Every *newly sent* `NeedFrame`
-/// request is appended to `need_frames_sent` so the reactor can arm a retry
-/// timer for it.
-///
-/// Returns the streams whose session state advanced (an update was
-/// computed), i.e. exactly the set whose checkpoint replicas are now stale
-/// and must be re-published.
-#[allow(clippy::too_many_arguments)]
-fn process_scheduled<T: Teacher>(
-    shard: &mut ServeShard<T>,
-    batch: &[ScheduledJob],
-    downlinks: &HashMap<StreamId, Downlink>,
-    meters: &mut HashMap<StreamId, StreamMeter>,
-    wait_samples: &mut Vec<f64>,
-    awaiting: &mut AwaitingFrames,
-    need_frames_sent: &mut Vec<(StreamId, usize)>,
-) -> Result<Vec<StreamId>> {
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    let started = Instant::now();
-    let jobs: Vec<ShardJob> = batch.iter().map(|s| s.job).collect();
-    let outcome = shard.process_batch(&jobs)?;
-    let parked: std::collections::HashSet<(StreamId, usize)> = outcome
-        .needs_frame
-        .iter()
-        .map(|j| (j.stream_id, j.frame_index))
-        .collect();
-    for scheduled in batch {
-        let key = (scheduled.job.stream_id, scheduled.job.frame_index);
-        if parked.contains(&key) {
-            let jobs = awaiting.entry(key.0).or_default().entry(key.1).or_default();
-            // One NeedFrame per missing frame, not per waiting job: the
-            // first park requests the content, later jobs for the same
-            // index just join the queue behind that outstanding request
-            // (a duplicate request would only buy a duplicate full-frame
-            // upload).
-            let request_content = jobs.is_empty();
-            jobs.push(*scheduled);
-            if request_content {
-                if let Some(downlink) = downlinks.get(&key.0) {
-                    deliver(
-                        &mut shard.stats,
-                        downlink,
-                        MESSAGE_OVERHEAD_BYTES,
-                        ServerToClient::NeedFrame { frame_index: key.1 },
-                    );
-                }
-                need_frames_sent.push(key);
-            }
-            continue;
+/// The shard state machine's [`BatchSink`]: answer each key frame the
+/// moment the reactor worker learns it has been distilled — queue-wait
+/// sample, delta encode, digest patch, downlink — and re-publish a stream's
+/// checkpoint replica as soon as its session is home.
+struct Emitter<'a> {
+    batch: &'a [ScheduledJob],
+    started: Instant,
+    downlinks: &'a HashMap<StreamId, Downlink>,
+    meters: &'a mut HashMap<StreamId, StreamMeter>,
+    wait_samples: &'a mut Vec<f64>,
+    /// The batch's jobs nobody has answered yet (`ShardState::torn_jobs`).
+    unanswered: &'a mut Vec<ScheduledJob>,
+    /// Where to replicate, and as which shard; `None` when replication is
+    /// off or the stream is about to retire.
+    replicate: Option<(&'a ReplicaStore, usize)>,
+    scheduler: &'a FairScheduler,
+}
+
+impl BatchSink for Emitter<'_> {
+    fn served(
+        &mut self,
+        stats: &mut ShardStats,
+        index: usize,
+        job: ShardJob,
+        response: KeyFrameResponse,
+        track: Option<&mut DeltaTrack>,
+    ) {
+        if let Some(at) = self.unanswered.iter().position(|s| s.job == job) {
+            self.unanswered.swap_remove(at);
         }
-        let wait = started.saturating_duration_since(scheduled.enqueued_at);
-        shard.stats.queue_wait_total += wait;
-        shard.stats.queue_wait_max = shard.stats.queue_wait_max.max(wait);
-        wait_samples.push(wait.as_secs_f64());
-        let meter = meters.entry(scheduled.job.stream_id).or_default();
+        // One wait sample per *serviced* key frame: how long it sat queued
+        // before its batch began.
+        let wait = self
+            .started
+            .saturating_duration_since(self.batch[index].enqueued_at);
+        stats.queue_wait_total += wait;
+        stats.queue_wait_max = stats.queue_wait_max.max(wait);
+        self.wait_samples.push(wait.as_secs_f64());
+        let meter = self.meters.entry(job.stream_id).or_default();
         meter.wait_total += wait;
         meter.wait_max = meter.wait_max.max(wait);
-    }
-    let mut updated: Vec<StreamId> = Vec::new();
-    for (stream_id, frame_index, response) in outcome.responses {
         // The session advanced whether or not the client is still there —
-        // the replica must follow the weights, not the downlink.
-        if !updated.contains(&stream_id) {
-            updated.push(stream_id);
-        }
-        let Some(downlink) = downlinks.get(&stream_id) else {
-            continue;
+        // only the downlink half is skipped for a vanished client.
+        let Some(downlink) = self.downlinks.get(&job.stream_id) else {
+            return;
         };
         // Delta-negotiated streams receive a [`WeightPayload`] envelope:
         // the changed chunks against the client's last-acked checkpoint
@@ -232,63 +204,79 @@ fn process_scheduled<T: Teacher>(
         // The digest is patched only here — for an update actually put on
         // the downlink — so a stream whose client vanished never advances
         // the base the client is assumed to hold.
-        let (encoded, delta_meter) = match shard.delta_track_mut(stream_id) {
+        let encoded = match track {
             Some(track) => {
-                let full_equiv = 1 + response.update.encoded_len();
-                if track.synced {
+                let encoded = if track.synced {
+                    stats.delta_updates_sent += 1;
                     let delta = WeightDelta::compute(&response.update, &track.digest);
-                    track.digest.patch(&response.update);
-                    (
-                        Bytes::from(Wire::encode(&WeightPayload::Delta(delta))),
-                        Some((true, full_equiv)),
-                    )
+                    Bytes::from(Wire::encode(&WeightPayload::Delta(delta)))
                 } else {
-                    track.digest.patch(&response.update);
+                    stats.full_updates_sent += 1;
                     track.synced = true;
-                    (
-                        Bytes::from(WeightPayload::encode_full(&response.update)),
-                        Some((false, full_equiv)),
-                    )
-                }
+                    Bytes::from(WeightPayload::encode_full(&response.update))
+                };
+                track.digest.patch(&response.update);
+                stats.update_bytes_sent += encoded.len();
+                stats.update_bytes_full_equiv += 1 + response.update.encoded_len();
+                encoded
             }
-            None => (response.update.encode(), None),
+            None => response.update.encode(),
         };
-        if let Some((is_delta, full_equiv)) = delta_meter {
-            if is_delta {
-                shard.stats.delta_updates_sent += 1;
-            } else {
-                shard.stats.full_updates_sent += 1;
-            }
-            shard.stats.update_bytes_sent += encoded.len();
-            shard.stats.update_bytes_full_equiv += full_equiv;
-        }
         let payload = Payload::with_data(encoded);
         let bytes = payload.bytes;
         let msg = ServerToClient::StudentUpdate {
-            frame_index,
+            frame_index: job.frame_index,
             metric: response.metric,
             distill_steps: response.outcome.steps,
             payload,
         };
         // A client that hung up mid-stream only loses its own updates.
-        deliver(&mut shard.stats, downlink, bytes, msg);
+        deliver(stats, downlink, bytes, msg);
     }
-    for (job, reason) in outcome.dropped {
-        meters.entry(job.stream_id).or_default().dropped += 1;
-        if let Some(downlink) = downlinks.get(&job.stream_id) {
-            deliver(
-                &mut shard.stats,
-                downlink,
-                MESSAGE_OVERHEAD_BYTES,
-                ServerToClient::Dropped {
-                    frame_index: job.frame_index,
-                    reason,
-                },
+
+    fn settled(&mut self, stats: &mut ShardStats, stream_id: StreamId, entry: &mut StreamEntry) {
+        if let Some((store, shard_index)) = self.replicate {
+            publish_replica(
+                store,
+                shard_index,
+                stream_id,
+                entry.replica(),
+                self.scheduler.deficit_of(stream_id),
+                stats,
             );
         }
     }
-    shard.stats.busy_time += started.elapsed();
-    Ok(updated)
+}
+
+/// Publish one stream's checkpoint replica under `shard_index`'s slot.
+/// Content-hash chunking means the parts a partial distillation never
+/// unfreezes are deduplicated, not recopied.
+fn publish_replica(
+    store: &ReplicaStore,
+    shard_index: usize,
+    stream_id: StreamId,
+    (checkpoint, key_frames, distill_steps, known_frames, supports_delta): (
+        WeightSnapshot,
+        usize,
+        usize,
+        Vec<usize>,
+        bool,
+    ),
+    deficit: usize,
+    stats: &mut ShardStats,
+) {
+    let published = store.publish(
+        shard_index,
+        stream_id,
+        &checkpoint,
+        key_frames,
+        distill_steps,
+        deficit,
+        known_frames,
+        supports_delta,
+    );
+    stats.replica_bytes_published += published.new_bytes;
+    stats.replica_bytes_shared += published.shared_bytes;
 }
 
 /// Credit a door-rejected key frame to the stream's live meter — or, when
@@ -375,8 +363,8 @@ pub(super) struct ShardState<T: Teacher> {
     requested: Option<(usize, Instant)>,
     adopted_at: HashMap<StreamId, Instant>,
     idle_since: Option<Instant>,
-    /// One wait sample (seconds) per key frame a batch attempted, in
-    /// service order — the raw material of the operator report's p50/p99.
+    /// One wait sample (seconds) per key frame served, in emission order —
+    /// the raw material of the operator report's p50/p99.
     wait_samples: Vec<f64>,
     disconnected: bool,
     /// `NeedFrame` requests sent during the current pass; the reactor arms
@@ -391,9 +379,13 @@ pub(super) struct ShardState<T: Teacher> {
     replicas: Option<Arc<ReplicaStore>>,
     /// Co-scheduled batches completed — the fault plan's kill clock.
     batches_processed: usize,
-    /// A torn kill parks the batch it tore out of the scheduler here on the
-    /// way down, so the adopting standby can drop-ack exactly those jobs
-    /// with [`DropReason::ShardFailed`].
+    /// The jobs of the batch in flight that nobody has answered yet: filled
+    /// when a batch leaves the scheduler, struck off job by job as updates
+    /// are emitted (or parks and drop acks handed out), empty between
+    /// batches. A pass that dies mid-batch — an injected torn kill, a panic
+    /// carried back from a crew helper — leaves exactly the unanswered jobs
+    /// here, and the adopting standby drop-acks those, and only those, with
+    /// [`DropReason::ShardFailed`].
     torn_jobs: Vec<ScheduledJob>,
     /// Uplink receivers of shards this one adopted: their clients may have
     /// enqueued traffic before the routing flip, so the standby drains them
@@ -742,15 +734,7 @@ impl<T: Teacher> ShardState<T> {
                 for chunk in remaining.chunks(self.batcher.limit().max(1)) {
                     // The flush's updates need no replica refresh: the
                     // session retires (and its replica is dropped) below.
-                    process_scheduled(
-                        &mut self.shard,
-                        chunk,
-                        &self.downlinks,
-                        &mut self.meters,
-                        &mut self.wait_samples,
-                        &mut self.awaiting,
-                        &mut self.need_frames_sent,
-                    )?;
+                    self.process_scheduled(chunk, false)?;
                 }
                 // Jobs still parked for a re-share can never be served now —
                 // ack them before the session's stats freeze.
@@ -794,15 +778,105 @@ impl<T: Teacher> ShardState<T> {
         Ok(())
     }
 
+    /// Run one fair co-scheduled batch through the shard and route every
+    /// answer to its stream's downlink: each update as soon as its key
+    /// frame is distilled (through the [`Emitter`]), then the drop acks and
+    /// `NeedFrame` recovery requests. Jobs whose frame content was evicted
+    /// are parked in `awaiting` rather than counted — their wait keeps
+    /// running until they are actually served after the re-share. Every
+    /// *newly sent* `NeedFrame` request is appended to `need_frames_sent` so
+    /// the reactor can arm a retry timer for it.
+    ///
+    /// While the batch runs, `torn_jobs` holds the jobs not yet answered: if
+    /// the pass dies mid-batch, the standby drop-acks exactly those.
+    fn process_scheduled(&mut self, batch: &[ScheduledJob], replicate: bool) -> Result<()> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let started = Instant::now();
+        let jobs: Vec<ShardJob> = batch.iter().map(|s| s.job).collect();
+        self.torn_jobs = batch.to_vec();
+        let Unserved {
+            dropped,
+            needs_frame,
+        } = self.shard.process_batch_into(
+            &jobs,
+            &mut Emitter {
+                batch,
+                started,
+                downlinks: &self.downlinks,
+                meters: &mut self.meters,
+                wait_samples: &mut self.wait_samples,
+                unanswered: &mut self.torn_jobs,
+                replicate: self
+                    .replicas
+                    .as_deref()
+                    .filter(|_| replicate)
+                    .map(|store| (store, self.shard_index)),
+                scheduler: &self.scheduler,
+            },
+        )?;
+        for job in needs_frame {
+            let Some(at) = self.torn_jobs.iter().position(|s| s.job == job) else {
+                unreachable!("a parked job was scheduled in this batch")
+            };
+            let scheduled = self.torn_jobs.swap_remove(at);
+            let waiting = self
+                .awaiting
+                .entry(job.stream_id)
+                .or_default()
+                .entry(job.frame_index)
+                .or_default();
+            // One NeedFrame per missing frame, not per waiting job: the
+            // first park requests the content, later jobs for the same
+            // index just join the queue behind that outstanding request
+            // (a duplicate request would only buy a duplicate full-frame
+            // upload).
+            let request_content = waiting.is_empty();
+            waiting.push(scheduled);
+            if request_content {
+                if let Some(downlink) = self.downlinks.get(&job.stream_id) {
+                    deliver(
+                        &mut self.shard.stats,
+                        downlink,
+                        MESSAGE_OVERHEAD_BYTES,
+                        ServerToClient::NeedFrame {
+                            frame_index: job.frame_index,
+                        },
+                    );
+                }
+                self.need_frames_sent.push((job.stream_id, job.frame_index));
+            }
+        }
+        for (job, reason) in dropped {
+            self.meters.entry(job.stream_id).or_default().dropped += 1;
+            if let Some(downlink) = self.downlinks.get(&job.stream_id) {
+                deliver(
+                    &mut self.shard.stats,
+                    downlink,
+                    MESSAGE_OVERHEAD_BYTES,
+                    ServerToClient::Dropped {
+                        frame_index: job.frame_index,
+                        reason,
+                    },
+                );
+            }
+        }
+        self.torn_jobs.clear();
+        self.shard.stats.busy_time += started.elapsed();
+        Ok(())
+    }
+
     /// One fair co-scheduled batch per pass; the reactor re-dispatches the
     /// shard between batches so new arrivals join the next scheduling round.
     fn process_one_batch(&mut self) -> Result<()> {
         // Injected kill: fires only while work is pending, so the crash
         // always has observable consequences. A clean kill panics *before*
         // the scheduler drain (every queued job survives in the carcass); a
-        // torn kill drains the batch first and parks it in `torn_jobs`, so
-        // exactly one in-flight batch is genuinely lost and the standby
-        // must drop-ack it with `DropReason::ShardFailed`.
+        // torn kill drains the batch first and leaves it in `torn_jobs` —
+        // in flight, nothing answered — so exactly those jobs are genuinely
+        // lost and the standby must drop-ack them with
+        // `DropReason::ShardFailed`.
         let plan = self.pool_config.fault_plan;
         if plan.kill_due(self.shard_index, self.batches_processed) && !self.scheduler.is_empty() {
             if plan.torn_kill {
@@ -817,16 +891,7 @@ impl<T: Teacher> ShardState<T> {
         if batch.is_empty() {
             return Ok(());
         }
-        let updated = process_scheduled(
-            &mut self.shard,
-            &batch,
-            &self.downlinks,
-            &mut self.meters,
-            &mut self.wait_samples,
-            &mut self.awaiting,
-            &mut self.need_frames_sent,
-        )?;
-        self.publish_replicas(&updated);
+        self.process_scheduled(&batch, true)?;
         self.batches_processed += 1;
         // Sample the copy-on-write memory split once per batch: pointer
         // compares per tensor, far off the per-frame fast path, and a batch
@@ -837,40 +902,37 @@ impl<T: Teacher> ShardState<T> {
         stats.session_bytes_private = memory.private_bytes;
         stats.session_bytes_private_peak =
             stats.session_bytes_private_peak.max(memory.private_bytes);
+        // Up to the crew's width a wider batch is free capacity — its
+        // items distill side by side — whatever the teacher's marginal cost
+        // says; beyond it, growth has to amortize teacher time as before.
+        let limit = self.batcher.limit();
         self.batcher.observe(
             self.scheduler.len(),
-            self.shard.batch_growth_pays(self.batcher.limit()),
+            limit < self.shard.crew_width() || self.shard.batch_growth_pays(limit),
         );
         let stats = &mut self.shard.stats;
         stats.batch_limit_peak = stats.batch_limit_peak.max(self.batcher.limit());
         Ok(())
     }
 
-    /// Re-publish the checkpoint replicas of every stream whose session
-    /// just advanced. Content-hash chunking means the parts a partial
-    /// distillation never unfreezes are deduplicated, not recopied.
-    fn publish_replicas(&mut self, updated: &[StreamId]) {
+    /// (Re-)publish the checkpoint replicas of streams that just registered
+    /// or were just adopted; a stream a batch advanced is re-published by
+    /// the batch's [`Emitter`].
+    fn publish_replicas(&mut self, streams: &[StreamId]) {
         let Some(store) = self.replicas.clone() else {
             return;
         };
-        for &stream_id in updated {
-            let Some((checkpoint, key_frames, distill_steps, known_frames, supports_delta)) =
-                self.shard.session_replica(stream_id)
-            else {
-                continue;
-            };
-            let stats = store.publish(
-                self.shard_index,
-                stream_id,
-                &checkpoint,
-                key_frames,
-                distill_steps,
-                self.scheduler.deficit_of(stream_id),
-                known_frames,
-                supports_delta,
-            );
-            self.shard.stats.replica_bytes_published += stats.new_bytes;
-            self.shard.stats.replica_bytes_shared += stats.shared_bytes;
+        for &stream_id in streams {
+            if let Some(replica) = self.shard.session_replica(stream_id) {
+                publish_replica(
+                    &store,
+                    self.shard_index,
+                    stream_id,
+                    replica,
+                    self.scheduler.deficit_of(stream_id),
+                    &mut self.shard.stats,
+                );
+            }
         }
     }
 
@@ -1063,5 +1125,85 @@ fn carcass_output<T: Teacher>(state: ShardState<T>) -> ShardOutput {
         final_checkpoints: state.final_checkpoints,
         wait_samples: state.wait_samples,
         takeover_samples: state.takeover_samples,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ShadowTutorConfig;
+    use st_nn::student::{StudentConfig, StudentNet};
+    use st_teacher::OracleTeacher;
+    use st_video::dataset::tiny_stream;
+    use st_video::SceneKind;
+
+    /// A one-shard state machine with nothing connected to it.
+    fn lone_state() -> ShardState<OracleTeacher> {
+        let shard = ServeShard::new(
+            ShadowTutorConfig::paper(),
+            StudentNet::new(StudentConfig::tiny()).unwrap(),
+            OracleTeacher::perfect(5),
+            0.013,
+        );
+        let (_uplink, rx) = crossbeam::channel::unbounded();
+        let poller = st_net::Poller::new();
+        ShardState::new(
+            shard,
+            rx,
+            Arc::new(Mutex::new(HashMap::new())),
+            PoolConfig::with_shards(1),
+            0,
+            Arc::new(StealRegistry::new(1)),
+            Arc::new(Mutex::new(HashMap::new())),
+            Arc::new(vec![poller.waker(0)]),
+            Arc::new(FailoverBoard::new(1, false)),
+            None,
+        )
+    }
+
+    #[test]
+    fn queue_wait_samples_count_serviced_key_frames_only() {
+        let mut state = lone_state();
+        let people = tiny_stream(SceneKind::People, 501, 1);
+        let street = tiny_stream(SceneKind::Street, 502, 1);
+        state
+            .shard
+            .register(1, FrameStore::from_frames(&people, None), false);
+        state
+            .shard
+            .register(2, FrameStore::from_frames(&street, None), false);
+        let enqueued_at = Instant::now();
+        let scheduled = |stream_id, frame_index| ScheduledJob {
+            job: ShardJob {
+                stream_id,
+                frame_index,
+            },
+            enqueued_at,
+        };
+        // Two good jobs around one whose frame the stream never shared.
+        let batch = [
+            scheduled(1, people[0].index),
+            scheduled(1, 999),
+            scheduled(2, street[0].index),
+        ];
+        state.process_scheduled(&batch, true).unwrap();
+        let stats = state.shard.stats();
+        assert_eq!(stats.key_frames, 2);
+        assert_eq!(stats.dropped_jobs, 1);
+        assert_eq!(
+            state.wait_samples.len(),
+            2,
+            "a dropped job left a queue-wait sample"
+        );
+        // The dropped job is charged to its stream as a drop, not a wait.
+        assert_eq!(state.meters[&1].dropped, 1);
+        assert!(stats.queue_wait_total >= state.meters[&1].wait_total);
+        assert_eq!(
+            stats.queue_wait_total,
+            state.meters[&1].wait_total + state.meters[&2].wait_total
+        );
+        // Every job of the batch was answered: nothing is left for a standby
+        // to drop-ack.
+        assert!(state.torn_jobs.is_empty());
     }
 }

@@ -133,7 +133,9 @@ impl<T: Teacher> ShardState<T> {
                 self.drop_failed_job(stream_id, job.job.frame_index);
             }
         }
-        // A torn kill's in-flight batch died with the shard.
+        // What the dying pass had in flight and had not answered — a torn
+        // kill's whole batch, or the rest of a batch a panic cut short —
+        // died with the shard. (Jobs it *had* answered are not here.)
         for job in torn {
             self.drop_failed_job(job.job.stream_id, job.job.frame_index);
         }

@@ -122,6 +122,11 @@ pub struct ShardStats {
     /// Peak of [`ShardStats::session_bytes_private`] over the shard's life —
     /// the high-water marginal memory cost of this shard's streams.
     pub session_bytes_private_peak: usize,
+    /// Key frames a distill-crew helper thread distilled instead of the
+    /// reactor worker hosting the shard — how the fan-out shows up in
+    /// counts. Always 0 for a shard without helpers (a directly driven
+    /// [`super::ServeShard`], or a pool with a reactor worker per core).
+    pub jobs_offloaded: usize,
     /// Weight updates shipped delta-encoded (changed chunks only).
     pub delta_updates_sent: usize,
     /// Weight updates shipped as full snapshots on a delta-negotiated
@@ -178,7 +183,7 @@ pub struct PoolStats {
     /// Final full server-side checkpoint of every finished stream.
     pub final_checkpoints: HashMap<StreamId, WeightSnapshot>,
     /// Per-shard wall-clock queue waits, one sample per serviced key frame
-    /// in seconds, in service order. Feeds the p50/p99 columns of
+    /// in seconds, in emission order (a dropped or parked job leaves none). Feeds the p50/p99 columns of
     /// [`PoolStats::snapshot`]; one f64 per key frame, so the memory cost is
     /// negligible next to the frames themselves.
     pub wait_samples: Vec<Vec<f64>>,
@@ -349,6 +354,11 @@ impl PoolStats {
             .unwrap_or(0)
     }
 
+    /// Key frames distilled by crew helpers across the pool.
+    pub fn jobs_offloaded(&self) -> usize {
+        self.shards.iter().map(|s| s.jobs_offloaded).sum()
+    }
+
     /// Weight updates shipped delta-encoded across the pool.
     pub fn delta_updates_sent(&self) -> usize {
         self.shards.iter().map(|s| s.delta_updates_sent).sum()
@@ -414,6 +424,7 @@ impl PoolStats {
                     failovers: s.failovers,
                     streams_adopted: s.streams_adopted,
                     frames_lost_on_failover: s.frames_lost_on_failover,
+                    jobs_offloaded: s.jobs_offloaded,
                 }
             })
             .collect();
@@ -456,6 +467,7 @@ impl PoolStats {
             full_updates_sent: self.full_updates_sent(),
             update_bytes_sent: self.update_bytes_sent(),
             update_bytes_full_equiv: self.update_bytes_full_equiv(),
+            jobs_offloaded: self.jobs_offloaded(),
         }
     }
 }

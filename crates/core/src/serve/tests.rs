@@ -954,3 +954,769 @@ fn reactor_pool_steals_work_like_the_threaded_pool() {
     // Steal-poll ticks flow through the timer wheel under the reactor.
     assert!(report.timer_fires > 0, "no timer-driven passes recorded");
 }
+
+// ---------------------------------------------------------------------------
+// The distill crew
+// ---------------------------------------------------------------------------
+
+use super::crew::Ran;
+use super::shard::{
+    spawn_helpers, BatchSink, DeltaTrack, DistillCrew, ItemEvent, ItemHook, StreamEntry,
+};
+use crate::server::KeyFrameResponse;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+
+/// A crew of `helpers` threads for directly driven shards, dismissed (and
+/// its threads joined) by [`TestCrew::dismiss`].
+struct TestCrew {
+    crew: Arc<DistillCrew>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl TestCrew {
+    fn new(helper_count: usize) -> Self {
+        let crew = Arc::new(DistillCrew::new(helper_count));
+        let threads = spawn_helpers(&crew);
+        TestCrew { crew, threads }
+    }
+
+    fn dismiss(self) {
+        self.crew.close();
+        for thread in self.threads {
+            thread.join().expect("a crew helper panicked");
+        }
+    }
+}
+
+/// Forces the interleaving the crew tests check instead of hoping for it:
+/// an item the batch's owner starts is held until some helper has started
+/// an item since the last [`Rendezvous::reset`] — so every batch with two
+/// or more items really does run on two threads.
+#[derive(Default)]
+struct Rendezvous {
+    helper_started: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Rendezvous {
+    fn reset(&self) {
+        *self.helper_started.lock().unwrap() = false;
+    }
+
+    fn on(&self, event: ItemEvent) {
+        match event {
+            ItemEvent::Started {
+                ran: Ran::Helper, ..
+            } => {
+                *self.helper_started.lock().unwrap() = true;
+                self.changed.notify_all();
+            }
+            ItemEvent::Started {
+                ran: Ran::Owner, ..
+            } => {
+                let (started, timeout) = self
+                    .changed
+                    .wait_timeout_while(
+                        self.helper_started.lock().unwrap(),
+                        Duration::from_secs(60),
+                        |started| !*started,
+                    )
+                    .unwrap();
+                assert!(
+                    *started && !timeout.timed_out(),
+                    "no helper took up the batch's offer"
+                );
+            }
+            ItemEvent::Emitted { .. } => {}
+        }
+    }
+}
+
+fn crew_streams(streams: usize, key_frames: usize) -> Vec<(StreamId, Vec<Frame>)> {
+    const SCENES: [SceneKind; 3] = [SceneKind::People, SceneKind::Animals, SceneKind::Street];
+    (0..streams)
+        .map(|i| {
+            (
+                i as StreamId,
+                frames_for(SCENES[i % SCENES.len()], 300 + i as u64, key_frames),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn crew_width_never_changes_an_answer() {
+    const STREAMS: usize = 6;
+    const KEY_FRAMES: usize = 12;
+    /// What one response looks like from outside, exactly.
+    type Answer = (usize, bytes::Bytes, u64, usize, u64);
+    struct Run {
+        answers: HashMap<StreamId, Vec<Answer>>,
+        checkpoints: HashMap<StreamId, bytes::Bytes>,
+        stats: ShardStats,
+        private_peak: usize,
+    }
+    let run = |helpers| -> Run {
+        let crew = TestCrew::new(helpers);
+        let rendezvous = Arc::new(Rendezvous::default());
+        let mut shard = shard().with_crew(Arc::clone(&crew.crew));
+        if helpers > 0 {
+            let rendezvous = Arc::clone(&rendezvous);
+            shard = shard.with_item_hook(Arc::new(move |event| rendezvous.on(event)));
+        }
+        let streams = crew_streams(STREAMS, KEY_FRAMES);
+        for (id, frames) in &streams {
+            shard.register(*id, FrameStore::from_frames(frames, None), false);
+        }
+        let mut answers: HashMap<StreamId, Vec<Answer>> = HashMap::new();
+        let mut private_peak = 0;
+        for round in 0..KEY_FRAMES {
+            let jobs: Vec<ShardJob> = streams
+                .iter()
+                .map(|(id, frames)| ShardJob {
+                    stream_id: *id,
+                    frame_index: frames[round].index,
+                })
+                .collect();
+            rendezvous.reset();
+            let outcome = shard.process_batch(&jobs).unwrap();
+            assert!(outcome.dropped.is_empty() && outcome.needs_frame.is_empty());
+            // Whatever order the crew finished in, the outcome lists the
+            // responses as they were scheduled.
+            let order: Vec<(StreamId, usize)> = outcome
+                .responses
+                .iter()
+                .map(|(id, frame, _)| (*id, *frame))
+                .collect();
+            let scheduled: Vec<(StreamId, usize)> =
+                jobs.iter().map(|j| (j.stream_id, j.frame_index)).collect();
+            assert_eq!(order, scheduled);
+            for (id, frame, response) in outcome.responses {
+                answers.entry(id).or_default().push((
+                    frame,
+                    response.update.encode(),
+                    response.metric.to_bits(),
+                    response.outcome.steps,
+                    response.server_time.to_bits(),
+                ));
+            }
+            private_peak = private_peak.max(shard.memory_profile().private_bytes);
+        }
+        let checkpoints = streams
+            .iter()
+            .map(|(id, _)| (*id, shard.finish(*id).unwrap().0.encode()))
+            .collect();
+        let stats = shard.stats();
+        crew.dismiss();
+        Run {
+            answers,
+            checkpoints,
+            stats,
+            private_peak,
+        }
+    };
+    let alone = run(0);
+    assert_eq!(alone.stats.jobs_offloaded, 0);
+    assert_eq!(alone.stats.key_frames, STREAMS * KEY_FRAMES);
+    for helpers in [1, 3] {
+        let crewed = run(helpers);
+        assert_eq!(
+            crewed.answers, alone.answers,
+            "{helpers} helpers changed a response"
+        );
+        assert_eq!(
+            crewed.checkpoints, alone.checkpoints,
+            "{helpers} helpers changed a final checkpoint"
+        );
+        assert_eq!(crewed.private_peak, alone.private_peak);
+        let (a, b) = (&crewed.stats, &alone.stats);
+        assert_eq!(a.key_frames, b.key_frames);
+        assert_eq!(a.distill_steps, b.distill_steps);
+        assert_eq!(a.teacher_batches, b.teacher_batches);
+        assert_eq!(a.max_batch_observed, b.max_batch_observed);
+        assert_eq!(a.dropped_jobs, b.dropped_jobs);
+        assert_eq!(a.need_frame_requests, b.need_frame_requests);
+        assert_eq!(
+            a.virtual_server_time.to_bits(),
+            b.virtual_server_time.to_bits()
+        );
+        assert_eq!(
+            a.teacher_time_saved.to_bits(),
+            b.teacher_time_saved.to_bits()
+        );
+        // The rendezvous put at least one item of every batch on a helper.
+        assert!(
+            a.jobs_offloaded >= KEY_FRAMES && a.jobs_offloaded < a.key_frames,
+            "{helpers} helpers ran {} of {} jobs",
+            a.jobs_offloaded,
+            a.key_frames
+        );
+    }
+}
+
+/// Records what the batch's sink sees, stamped from the same counter the
+/// item hook stamps its events from.
+struct StampedSink {
+    clock: Arc<AtomicUsize>,
+    served: Vec<(usize, StreamId, usize)>,
+    settled: Vec<(usize, StreamId)>,
+}
+
+impl BatchSink for StampedSink {
+    fn served(
+        &mut self,
+        _stats: &mut ShardStats,
+        _index: usize,
+        job: ShardJob,
+        _response: KeyFrameResponse,
+        _track: Option<&mut DeltaTrack>,
+    ) {
+        let at = self.clock.fetch_add(1, Ordering::SeqCst);
+        self.served.push((at, job.stream_id, job.frame_index));
+    }
+
+    fn settled(&mut self, _: &mut ShardStats, stream_id: StreamId, _: &mut StreamEntry) {
+        let at = self.clock.fetch_add(1, Ordering::SeqCst);
+        self.settled.push((at, stream_id));
+    }
+}
+
+#[test]
+fn each_response_is_emitted_before_its_worker_starts_another_item() {
+    const STREAMS: usize = 4;
+    let crew = TestCrew::new(1);
+    let clock = Arc::new(AtomicUsize::new(0));
+    let rendezvous = Arc::new(Rendezvous::default());
+    type Stamped = (usize, std::thread::ThreadId, ItemEvent);
+    let events: Arc<Mutex<Vec<Stamped>>> = Arc::default();
+    let hook: ItemHook = {
+        let (clock, rendezvous, events) = (
+            Arc::clone(&clock),
+            Arc::clone(&rendezvous),
+            Arc::clone(&events),
+        );
+        Arc::new(move |event| {
+            let at = clock.fetch_add(1, Ordering::SeqCst);
+            events
+                .lock()
+                .unwrap()
+                .push((at, std::thread::current().id(), event));
+            rendezvous.on(event);
+        })
+    };
+    let mut shard = shard()
+        .with_crew(Arc::clone(&crew.crew))
+        .with_item_hook(hook);
+    let streams = crew_streams(STREAMS, 2);
+    for (id, frames) in &streams {
+        shard.register(*id, FrameStore::from_frames(frames, None), false);
+    }
+    // Stream 0 has two jobs in the batch, around everyone else's one.
+    let mut jobs: Vec<ShardJob> = streams
+        .iter()
+        .map(|(id, frames)| ShardJob {
+            stream_id: *id,
+            frame_index: frames[0].index,
+        })
+        .collect();
+    jobs.push(ShardJob {
+        stream_id: 0,
+        frame_index: streams[0].1[1].index,
+    });
+    let mut sink = StampedSink {
+        clock: Arc::clone(&clock),
+        served: Vec::new(),
+        settled: Vec::new(),
+    };
+    let unserved = shard.process_batch_into(&jobs, &mut sink).unwrap();
+    assert!(unserved.dropped.is_empty() && unserved.needs_frame.is_empty());
+    let returned_at = clock.load(Ordering::SeqCst);
+    crew.dismiss();
+
+    let events = events.lock().unwrap().clone();
+    let me = std::thread::current().id();
+    let served_at = |stream: StreamId, frame: usize| {
+        let hits: Vec<usize> = sink
+            .served
+            .iter()
+            .filter(|(_, s, f)| (*s, *f) == (stream, frame))
+            .map(|(at, ..)| *at)
+            .collect();
+        assert_eq!(
+            hits.len(),
+            1,
+            "stream {stream} frame {frame} served {hits:?}"
+        );
+        hits[0]
+    };
+    // Both sides of the crew ran items, and every job was served once.
+    assert!(events.iter().any(|(_, thread, _)| *thread != me));
+    assert!(events.iter().any(|(_, thread, _)| *thread == me));
+    assert_eq!(sink.served.len(), jobs.len());
+    assert_eq!(shard.stats().key_frames, jobs.len());
+
+    let mut workers: HashMap<std::thread::ThreadId, Vec<(usize, ItemEvent)>> = HashMap::new();
+    for (at, thread, event) in &events {
+        workers.entry(*thread).or_default().push((*at, *event));
+    }
+    for (thread, timeline) in &workers {
+        // Per worker: Started(s), Emitted(s, ..)+, Started(s'), ... — an item
+        // hands on every response before the worker claims another item.
+        let mut current: Option<StreamId> = None;
+        let mut emitted_since_start = 0;
+        for (i, (at, event)) in timeline.iter().enumerate() {
+            match *event {
+                ItemEvent::Started { stream_id, ran } => {
+                    assert_eq!(ran == Ran::Owner, *thread == me);
+                    assert!(
+                        i == 0 || emitted_since_start > 0,
+                        "an item started before the previous one emitted"
+                    );
+                    current = Some(stream_id);
+                    emitted_since_start = 0;
+                }
+                ItemEvent::Emitted {
+                    stream_id,
+                    frame_index,
+                    ..
+                } => {
+                    assert_eq!(Some(stream_id), current, "a stream's jobs changed thread");
+                    emitted_since_start += 1;
+                    let served = served_at(stream_id, frame_index);
+                    let started = timeline[..i]
+                        .iter()
+                        .rev()
+                        .find(|(_, e)| matches!(e, ItemEvent::Started { .. }))
+                        .unwrap()
+                        .0;
+                    assert!(started < served);
+                    if *thread == me {
+                        // The owner's own responses reach the sink inside the
+                        // item, before `emit` returns.
+                        assert!(served < *at);
+                    } else {
+                        // A helper's wait in the completion queue for the
+                        // owner's next drain — before the batch returns.
+                        assert!(served < returned_at);
+                    }
+                }
+            }
+        }
+    }
+    // Stream 0's two jobs ran on one thread, in scheduling order.
+    let stream0: Vec<(std::thread::ThreadId, usize)> = events
+        .iter()
+        .filter_map(|(_, thread, event)| match event {
+            ItemEvent::Emitted {
+                stream_id: 0,
+                frame_index,
+                ..
+            } => Some((*thread, *frame_index)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stream0.len(), 2);
+    assert_eq!(stream0[0].0, stream0[1].0);
+    assert_eq!(
+        [stream0[0].1, stream0[1].1],
+        [streams[0].1[0].index, streams[0].1[1].index]
+    );
+    assert!(served_at(0, streams[0].1[0].index) < served_at(0, streams[0].1[1].index));
+    // A stream settles once, after its last response.
+    assert_eq!(sink.settled.len(), STREAMS);
+    for (at, stream) in &sink.settled {
+        let last = sink
+            .served
+            .iter()
+            .filter(|(_, s, _)| s == stream)
+            .map(|(at, ..)| *at)
+            .max()
+            .unwrap();
+        assert!(last < *at);
+    }
+}
+
+/// A teacher whose label for one stream's frames is one pixel short, so
+/// that stream's `distill` fails with a typed error.
+struct ShortLabelTeacher {
+    inner: OracleTeacher,
+    /// Frames of this height get the bad label (streams differ in nothing
+    /// else the teacher can see, so the test films one of them smaller).
+    bad_height: usize,
+}
+
+impl Teacher for ShortLabelTeacher {
+    fn pseudo_label(&mut self, frame: &Frame) -> crate::Result<Vec<usize>> {
+        let mut label = self.inner.pseudo_label(frame)?;
+        if frame.height == self.bad_height {
+            label.pop();
+        }
+        Ok(label)
+    }
+
+    fn inference_latency(&self) -> f64 {
+        self.inner.inference_latency()
+    }
+
+    fn param_count(&self) -> usize {
+        self.inner.param_count()
+    }
+}
+
+#[test]
+fn an_item_that_fails_or_panics_on_a_helper_fails_the_batch_on_its_caller() {
+    use st_video::{CameraMotion, VideoCategory, VideoConfig, VideoGenerator};
+    let small_frames = |seed: u64| -> Vec<Frame> {
+        let category = VideoCategory {
+            camera: CameraMotion::Fixed,
+            scene: SceneKind::People,
+        };
+        let mut generator =
+            VideoGenerator::new(VideoConfig::for_category(category, 16, 16, seed)).unwrap();
+        (0..2).map(|_| generator.next_frame()).collect()
+    };
+    let good = frames_for(SceneKind::People, 401, 2);
+    let bad = small_frames(402);
+    assert_ne!(good[0].height, bad[0].height);
+
+    // --- a typed error from `distill`, on a helper -----------------------
+    let crew = TestCrew::new(1);
+    let rendezvous = Arc::new(Rendezvous::default());
+    let ran_bad_on: Arc<Mutex<Vec<Ran>>> = Arc::default();
+    let hook: ItemHook = {
+        let (rendezvous, ran_bad_on) = (Arc::clone(&rendezvous), Arc::clone(&ran_bad_on));
+        Arc::new(move |event| {
+            if let ItemEvent::Started { stream_id: 2, ran } = event {
+                ran_bad_on.lock().unwrap().push(ran);
+            }
+            rendezvous.on(event);
+        })
+    };
+    let mut failing = ServeShard::new(
+        ShadowTutorConfig::paper(),
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        ShortLabelTeacher {
+            inner: OracleTeacher::perfect(5),
+            bad_height: bad[0].height,
+        },
+        0.013,
+    )
+    .with_crew(Arc::clone(&crew.crew))
+    .with_item_hook(hook);
+    failing.register(1, FrameStore::from_frames(&good, None), false);
+    failing.register(2, FrameStore::from_frames(&bad, None), false);
+    // The owner claims stream 1's item and is held until the helper has
+    // started the other one: stream 2's, the one that fails.
+    let jobs = [
+        ShardJob {
+            stream_id: 1,
+            frame_index: good[0].index,
+        },
+        ShardJob {
+            stream_id: 2,
+            frame_index: bad[0].index,
+        },
+    ];
+    let result = failing.process_batch(&jobs);
+    assert!(result.is_err(), "the failed item did not fail the batch");
+    assert_eq!(*ran_bad_on.lock().unwrap(), vec![Ran::Helper]);
+    // Both sessions came home; the good stream's key frame was served.
+    assert_eq!(failing.stream_count(), 2);
+    assert_eq!(failing.stats().key_frames, 1);
+    assert_eq!(failing.finish(1).unwrap().1.key_frames, 1);
+    assert_eq!(failing.finish(2).unwrap().1.key_frames, 0);
+    crew.dismiss();
+
+    // --- a panic inside an item, on a helper -----------------------------
+    let crew = TestCrew::new(1);
+    let rendezvous = Arc::new(Rendezvous::default());
+    let hook: ItemHook = {
+        let rendezvous = Arc::clone(&rendezvous);
+        Arc::new(move |event| {
+            rendezvous.on(event);
+            if let ItemEvent::Started {
+                stream_id,
+                ran: Ran::Helper,
+            } = event
+            {
+                panic!("sabotaged stream {stream_id}");
+            }
+        })
+    };
+    let mut shard = shard()
+        .with_crew(Arc::clone(&crew.crew))
+        .with_item_hook(hook);
+    shard.register(1, FrameStore::from_frames(&good, None), false);
+    let other = frames_for(SceneKind::Animals, 403, 2);
+    shard.register(2, FrameStore::from_frames(&other, None), false);
+    let jobs = [
+        ShardJob {
+            stream_id: 1,
+            frame_index: good[0].index,
+        },
+        ShardJob {
+            stream_id: 2,
+            frame_index: other[0].index,
+        },
+    ];
+    let me = std::thread::current().id();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = shard.process_batch(&jobs);
+    }));
+    // The helper's panic surfaced here, on the thread that called
+    // `process_batch` — where a reactor pass would blame it on the shard.
+    let payload = unwound.expect_err("the helper's panic was swallowed");
+    assert_eq!(std::thread::current().id(), me);
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some("sabotaged stream 2")
+    );
+    // ...after every session was back in the shard and the owner's own
+    // item had been served.
+    assert_eq!(shard.stream_count(), 2);
+    assert_eq!(shard.stats().key_frames, 1);
+    // The helper survived its item's panic and is still on the crew.
+    crew.dismiss();
+}
+
+/// Makes exactly one helper-run item panic, deterministically: the owner's
+/// first item waits for the test to finish queueing work (so the next batch
+/// has two streams in it), every later owner item waits until a helper has
+/// started one — and the first item a helper starts is the one that dies.
+/// After that the hook is inert.
+#[derive(Default)]
+struct Saboteur {
+    owner_items: AtomicUsize,
+    gate_open: Mutex<bool>,
+    gate: Condvar,
+    rendezvous: Rendezvous,
+    done: std::sync::atomic::AtomicBool,
+}
+
+impl Saboteur {
+    fn open_gate(&self) {
+        *self.gate_open.lock().unwrap() = true;
+        self.gate.notify_all();
+    }
+
+    fn on(&self, event: ItemEvent) {
+        if self.done.load(Ordering::SeqCst) {
+            return;
+        }
+        match event {
+            ItemEvent::Started {
+                stream_id,
+                ran: Ran::Helper,
+            } => {
+                self.done.store(true, Ordering::SeqCst);
+                self.rendezvous.on(event);
+                panic!("sabotaged stream {stream_id}");
+            }
+            ItemEvent::Started {
+                ran: Ran::Owner, ..
+            } => {
+                if self.owner_items.fetch_add(1, Ordering::SeqCst) == 0 {
+                    let _open = self
+                        .gate
+                        .wait_while(self.gate_open.lock().unwrap(), |open| !*open)
+                        .unwrap();
+                } else {
+                    self.rendezvous.on(event);
+                }
+            }
+            ItemEvent::Emitted { .. } => {}
+        }
+    }
+
+    fn hook(self: &Arc<Self>) -> ItemHook {
+        let saboteur = Arc::clone(self);
+        Arc::new(move |event| saboteur.on(event))
+    }
+}
+
+fn send_key_frame(client: &mut StreamClient, frame: &Frame) {
+    let payload = Payload::sized(frame.raw_rgb_bytes());
+    let bytes = payload.bytes;
+    client
+        .send(
+            ClientToServer::KeyFrame {
+                frame_index: frame.index,
+                payload,
+            },
+            bytes,
+        )
+        .unwrap();
+}
+
+#[test]
+fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
+    let saboteur = Arc::new(Saboteur::default());
+    let config = ShadowTutorConfig::paper();
+    let pool = ServerPool::spawn_crewed(
+        config,
+        PoolConfig {
+            shards: 2,
+            reactor_threads: Some(1),
+            placement: PlacementPolicy::StaticModulo,
+            adaptive_batch: false,
+            max_batch: 2,
+            max_in_flight: 64,
+            ..PoolConfig::default_pool()
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        1,
+        |shard, template| {
+            ServeShard::new(
+                config,
+                template,
+                OracleTeacher::perfect(700 + shard as u64),
+                0.013,
+            )
+            .with_item_hook(saboteur.hook())
+        },
+    )
+    .unwrap();
+    // Streams 1 and 3 both live on shard 1; shard 0 hosts nothing.
+    let frames_a = frames_for(SceneKind::People, 411, 3);
+    let frames_b = frames_for(SceneKind::Animals, 412, 3);
+    let mut a = pool.connect(1, &frames_a).unwrap();
+    let mut b = pool.connect(3, &frames_b).unwrap();
+    assert_eq!(pool.shard_loads(), vec![0, 2]);
+    a.recv_timeout(Duration::from_secs(10)).unwrap();
+    b.recv_timeout(Duration::from_secs(10)).unwrap();
+    for frame in &frames_a {
+        send_key_frame(&mut a, frame);
+    }
+    for frame in &frames_b {
+        send_key_frame(&mut b, frame);
+    }
+    saboteur.open_gate();
+    drop((a, b));
+    let Err(err) = pool.join() else {
+        panic!("a shard died; join must say so");
+    };
+    match err {
+        PoolError::WorkerFailed { shard, panic_msg } => {
+            assert_eq!(shard, 1, "the death was pinned on the wrong shard");
+            assert!(
+                panic_msg.starts_with("sabotaged stream"),
+                "payload lost: {panic_msg}"
+            );
+        }
+        other => panic!("expected WorkerFailed, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
+    let saboteur = Arc::new(Saboteur::default());
+    let config = ShadowTutorConfig::paper();
+    let pool = ServerPool::spawn_crewed(
+        config,
+        PoolConfig {
+            shards: 2,
+            reactor_threads: Some(1),
+            placement: PlacementPolicy::Rebalance,
+            replication: true,
+            adaptive_batch: false,
+            max_batch: 2,
+            max_in_flight: 64,
+            // Nobody steals: the only migration is the takeover.
+            steal_patience: Duration::from_secs(3600),
+            ..PoolConfig::default_pool()
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        1,
+        // Same teacher everywhere: who serves a stream must not matter.
+        |_shard, template| {
+            ServeShard::new(config, template, OracleTeacher::perfect(9001), 0.013)
+                .with_item_hook(saboteur.hook())
+        },
+    )
+    .unwrap();
+    // Least-loaded placement alternates: the two working streams land on
+    // shard 1, whose standby — shard 0 — hosts two that never send.
+    let idle = frames_for(SceneKind::Street, 420, 1);
+    let frames: HashMap<StreamId, Vec<Frame>> = [
+        (11, frames_for(SceneKind::People, 421, 3)),
+        (13, frames_for(SceneKind::Animals, 423, 3)),
+    ]
+    .into_iter()
+    .collect();
+    let idle_x = pool.connect(10, &idle).unwrap();
+    let mut a = pool.connect(11, &frames[&11]).unwrap();
+    let idle_y = pool.connect(12, &idle).unwrap();
+    let mut b = pool.connect(13, &frames[&13]).unwrap();
+    assert_eq!(pool.shard_loads(), vec![2, 2]);
+    for client in [&mut a, &mut b] {
+        let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    }
+    for frame in &frames[&11] {
+        send_key_frame(&mut a, frame);
+    }
+    for frame in &frames[&13] {
+        send_key_frame(&mut b, frame);
+    }
+    saboteur.open_gate();
+    // Every key frame is answered exactly once: an update, or a drop ack.
+    let mut updates: HashMap<StreamId, Vec<usize>> = HashMap::new();
+    let mut drops: Vec<(StreamId, usize, DropReason)> = Vec::new();
+    for client in [&mut a, &mut b] {
+        let id = client.stream_id();
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut answered = 0;
+        while answered < frames[&id].len() {
+            match client.recv_timeout(Duration::from_millis(250)) {
+                Ok(ServerToClient::StudentUpdate { frame_index, .. }) => {
+                    updates.entry(id).or_default().push(frame_index);
+                    answered += 1;
+                }
+                Ok(ServerToClient::Dropped {
+                    frame_index,
+                    reason,
+                }) => {
+                    drops.push((id, frame_index, reason));
+                    answered += 1;
+                }
+                // The adopter knows the frames but not their pixels.
+                Ok(ServerToClient::NeedFrame { frame_index }) => {
+                    let frame = frames[&id].iter().find(|f| f.index == frame_index);
+                    client.reshare(frame.unwrap()).unwrap();
+                }
+                Ok(other) => panic!("stream {id}: unexpected {other:?}"),
+                Err(_) => {
+                    assert!(Instant::now() < deadline, "stream {id} starved");
+                    let _ = client.reconnect();
+                }
+            }
+        }
+    }
+    for client in [&mut a, &mut b] {
+        client.send(ClientToServer::Shutdown, 1).unwrap();
+    }
+    drop((a, b, idle_x, idle_y));
+    let stats = pool.join().unwrap();
+    // The helper died holding stream 13's first key frame; nothing else was
+    // in flight unanswered, so nothing else is lost — in particular not the
+    // key frame the reactor worker answered in the same batch.
+    assert_eq!(
+        drops,
+        vec![(13, frames[&13][0].index, DropReason::ShardFailed)]
+    );
+    let indices = |id: StreamId| frames[&id].iter().map(|f| f.index).collect::<Vec<_>>();
+    assert_eq!(updates[&11], indices(11));
+    assert_eq!(updates[&13], indices(13)[1..]);
+    let report = stats.snapshot();
+    assert_eq!(report.failovers, 1);
+    assert_eq!(report.frames_lost_on_failover, 1);
+    assert_eq!(stats.dropped_jobs(), 1);
+    assert_eq!(stats.total_key_frames(), 5);
+    // Stream 11's replica was re-published the moment its session came
+    // home, not at a batch end that never came: the counters the standby
+    // restored include the key frame answered in the dying batch.
+    assert_eq!(stats.streams[&11].key_frames, 3);
+    assert_eq!(stats.streams[&13].key_frames, 2);
+    assert_eq!(stats.streams[&13].dropped, 1);
+}

@@ -118,10 +118,12 @@ pub struct StealCore<S, E> {
     mailboxes: Vec<Mutex<Mailbox<S, E>>>,
 }
 
-/// Lock a mutex, recovering the data if another worker panicked while
-/// holding it: the coordination state must outlive any one worker, and
-/// every protocol invariant is re-established before a guard drops.
-fn locked<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a facade mutex, recovering the data if another worker panicked
+/// while holding it: the coordination state must outlive any one worker, and
+/// every protocol invariant is re-established before a guard drops. (Shared
+/// with the distill crew's hand-off, whose critical sections are single
+/// pushes, pops and takes.)
+pub(crate) fn locked<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())

@@ -308,13 +308,45 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
 
 #[test]
 fn torn_kill_drop_acks_lost_jobs_with_shard_failed() {
-    let (outcomes, stats) = run_chaos(chaos_pool_config(
-        FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0).torn(),
-    ));
+    assert_torn_kill_accounts_for_every_job(
+        chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0).torn()),
+        stream_frames(),
+    );
+}
+
+/// Run `streams` against a pool whose fault plan tears a kill out of shard
+/// [`DEAD_SHARD`], and hold the failover to its accounting.
+fn assert_torn_kill_accounts_for_every_job(
+    pool_config: PoolConfig,
+    streams: Vec<(StreamId, Vec<Frame>)>,
+) {
+    let total_sent: usize = streams.iter().map(|(_, frames)| frames.len()).sum();
+    let (outcomes, stats) = run_chaos_with(pool_config, streams.clone());
     let updates: usize = outcomes.values().map(|o| o.updates.len()).sum();
     let drops: usize = outcomes.values().map(|o| o.drops.len()).sum();
-    // Every sent key frame was acked exactly once, one way or the other.
-    assert_eq!(updates + drops, total_sent());
+    // Every sent key frame was acked exactly once, one way or the other:
+    // the counts add up, and no frame shows up on both sides — the standby
+    // drop-acks exactly the jobs the dead shard had not answered.
+    assert_eq!(updates + drops, total_sent);
+    for (id, frames) in streams {
+        let outcome = &outcomes[&id];
+        let mut answered: Vec<usize> = outcome
+            .updates
+            .iter()
+            .map(|update| match update {
+                ServerToClient::StudentUpdate { frame_index, .. } => *frame_index,
+                other => unreachable!("outcome.updates holds only updates: {other:?}"),
+            })
+            .chain(outcome.drops.iter().map(|(frame_index, _)| *frame_index))
+            .collect();
+        answered.sort_unstable();
+        let mut sent: Vec<usize> = frames.iter().map(|f| f.index).collect();
+        sent.sort_unstable();
+        assert_eq!(
+            answered, sent,
+            "stream {id}: a key frame answered twice or never"
+        );
+    }
     assert!(drops >= 1, "a torn kill must lose the in-flight batch");
     // Every drop is the failover's, explicitly reasoned — never a silent
     // vanish or a mislabelled protocol error.
@@ -348,7 +380,72 @@ fn torn_kill_drop_acks_lost_jobs_with_shard_failed() {
         "shard accounting disagrees with client-observed drops"
     );
     assert_eq!(stats.dropped_jobs(), drops);
-    assert_eq!(stats.total_key_frames() + drops, total_sent());
+    assert_eq!(stats.total_key_frames() + drops, total_sent);
+}
+
+/// The chaos pool on one reactor worker: every core but one goes to the
+/// distill crew, so the dying shard's batches — and its standby's — are
+/// distilled by helpers as well as by the worker.
+fn crew_pool_config(fault_plan: FaultPlan) -> PoolConfig {
+    PoolConfig {
+        reactor_threads: Some(1),
+        ..chaos_pool_config(fault_plan)
+    }
+}
+
+/// Four key frames on every stream: with two streams per shard, each shard
+/// has a backlog on both from the second batch on, so batches of two are the
+/// rule — which is what puts items on offer to the crew.
+fn crew_stream_frames() -> Vec<(StreamId, Vec<Frame>)> {
+    (0..STREAMS)
+        .map(|id| {
+            (
+                id as StreamId,
+                tiny_stream(SceneKind::People, 70 + id as u64, 4),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn torn_kill_with_a_crew_drop_acks_exactly_the_unanswered_jobs() {
+    assert_torn_kill_accounts_for_every_job(
+        crew_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0).torn()),
+        crew_stream_frames(),
+    );
+}
+
+#[test]
+fn clean_kill_with_a_crew_matches_the_fault_free_run_bit_for_bit() {
+    let sent = STREAMS * 4;
+    let (faulted, stats) = run_chaos_with(
+        crew_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0)),
+        crew_stream_frames(),
+    );
+    assert_eq!(stats.total_key_frames(), sent);
+    assert_eq!(stats.dropped_jobs(), 0);
+    assert!(stats.snapshot().failovers >= 1);
+    let (clean, clean_stats) =
+        run_chaos_with(crew_pool_config(FaultPlan::none()), crew_stream_frames());
+    assert_eq!(clean_stats.total_key_frames(), sent);
+    assert_eq!(clean_stats.dropped_jobs(), 0);
+    assert_eq!(clean_stats.snapshot().failovers, 0);
+    for (id, clean_outcome) in &clean {
+        assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
+        assert_eq!(
+            faulted[id].updates, clean_outcome.updates,
+            "stream {id} diverged from the fault-free run after adoption"
+        );
+    }
+    // On a host with a core to spare the helpers distilled some of those
+    // batches of two — and that changed no answer above.
+    if crew_pool_config(FaultPlan::none()).crew_helpers() > 0 {
+        assert!(clean_stats.jobs_offloaded() > 0, "the crew never ran");
+        assert!(
+            stats.jobs_offloaded() > 0,
+            "the crew never ran under the kill"
+        );
+    }
 }
 
 #[test]

@@ -20,7 +20,8 @@
 //!   arrival can never straddle a frame boundary, and the final client
 //!   students of a (CoW + delta) run must equal a (DeepClone + full) run
 //!   bit for bit, with one reactor worker per shard and with fewer workers
-//!   than shards.
+//!   than shards — and with the (CoW + delta) side's key frames distilled
+//!   by a crew of helper threads while the reference side has none.
 
 use std::collections::HashMap;
 
@@ -267,28 +268,37 @@ fn lockstep_specs(frames_per_stream: usize) -> Vec<StreamSpec> {
         .collect()
 }
 
-/// Run the same lockstep workload under (CoW + delta) and (DeepClone +
-/// full) and assert the outcomes are bit-identical, per stream, on both
-/// the client and the server side.
-fn assert_live_differential(pool: PoolConfig) {
+/// Run the same lockstep workload under (CoW + delta) on `cow_pool` and
+/// (DeepClone + full) on `clone_pool` and assert the outcomes are
+/// bit-identical, per stream, on both the client and the server side. The
+/// two pools must agree on the shard count (placement, and with it each
+/// stream's teacher seed, follows from it). Returns how many key frames the
+/// (CoW + delta) pool's crew helpers distilled.
+fn assert_live_differential(cow_pool: PoolConfig, clone_pool: PoolConfig) -> usize {
     let config = lockstep_config();
     let student = template();
-    let run = |session_weights: SessionWeights, delta_updates: bool| {
-        run_live_multi(
-            config,
-            lockstep_specs(20),
-            student.clone(),
-            PoolConfig {
-                session_weights,
-                delta_updates,
-                ..pool
-            },
-            |shard| OracleTeacher::perfect(TEACHER_SEED + shard as u64),
-        )
+    let run = |pool: PoolConfig| {
+        run_live_multi(config, lockstep_specs(20), student.clone(), pool, |shard| {
+            OracleTeacher::perfect(TEACHER_SEED + shard as u64)
+        })
         .expect("live differential run")
     };
-    let cow = run(SessionWeights::CopyOnWrite, true);
-    let clone = run(SessionWeights::DeepClone, false);
+    let cow = run(PoolConfig {
+        session_weights: SessionWeights::CopyOnWrite,
+        delta_updates: true,
+        ..cow_pool
+    });
+    let clone = run(PoolConfig {
+        session_weights: SessionWeights::DeepClone,
+        delta_updates: false,
+        ..clone_pool
+    });
+    // A pool without helpers offloads nothing, by construction.
+    for (pool, outcome) in [(cow_pool, &cow), (clone_pool, &clone)] {
+        if pool.crew_helpers() == 0 {
+            assert_eq!(outcome.pool.jobs_offloaded(), 0);
+        }
+    }
 
     for (cow_stream, clone_stream) in cow.streams.iter().zip(&clone.streams) {
         let label = &cow_stream.record.label;
@@ -342,19 +352,46 @@ fn assert_live_differential(pool: PoolConfig) {
     );
     assert!(cow_report.delta_updates_sent >= 1);
     assert_eq!(clone_report.delta_updates_sent, 0);
+    cow_report.jobs_offloaded
 }
 
 #[test]
 fn live_pool_differential_worker_per_shard_multiplexed() {
-    assert_live_differential(PoolConfig::with_shards(2));
+    assert_live_differential(PoolConfig::with_shards(2), PoolConfig::with_shards(2));
 }
 
 /// Both shards on one reactor worker (`with_shards(2)` alone already means
 /// one worker per shard — the case above).
 #[test]
 fn live_pool_differential_reactor_driver() {
-    assert_live_differential(PoolConfig {
+    let pool = PoolConfig {
         reactor_threads: Some(1),
         ..PoolConfig::with_shards(2)
-    });
+    };
+    assert_live_differential(pool, pool);
+}
+
+/// One shard on one reactor worker leaves every other core to the distill
+/// crew; the reference pool runs a reactor worker per core and so has no
+/// crew at all. Which thread distilled a key frame may not show in a single
+/// weight.
+#[test]
+fn live_pool_differential_crew_against_no_crew() {
+    let crewed = PoolConfig::with_shards(1);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let alone = PoolConfig {
+        reactor_threads: Some(cores),
+        ..PoolConfig::with_shards(1)
+    };
+    assert_eq!(alone.crew_helpers(), 0);
+    assert_eq!(crewed.crew_helpers(), (cores - 1).min(crewed.max_batch - 1));
+    let offloaded = assert_live_differential(crewed, alone);
+    // Three lockstep streams on one shard queue behind each other from the
+    // first key frame on, so batches of two or three are the rule and a
+    // parked helper is offered every one of them.
+    assert!(
+        offloaded > 0 || crewed.crew_helpers() == 0,
+        "a crew of {} never distilled a key frame",
+        crewed.crew_helpers()
+    );
 }

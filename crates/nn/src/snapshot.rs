@@ -10,6 +10,10 @@
 //! "To Client" payload of Table 4 (the paper counts parameters only; the
 //! running statistics add `2 * channels` floats per in-scope batch norm).
 //!
+//! Applying a snapshot replaces only what differs: an entry bit-identical
+//! to what the student already holds leaves that tensor — and whatever
+//! copy-on-write storage it shares — alone ([`WeightSnapshot::apply`]).
+//!
 //! The encoding is a simple deterministic framing:
 //! `u32 entry-count`, then per entry `u32 name-length`, name bytes,
 //! `u32 value-count`, and the values as little-endian `f32`s.
@@ -97,6 +101,13 @@ impl WeightSnapshot {
     /// not present in the snapshot is left untouched (this is how the client
     /// applies a partial update). Returns the number of entries applied;
     /// errors if a named entry exists but has a different element count.
+    ///
+    /// An entry whose values already equal the target's *bit for bit*
+    /// (`to_bits`, so NaN payloads and `-0.0` are exact) counts as applied
+    /// but keeps the target's storage: a student cloned copy-on-write from a
+    /// template and handed that template's own checkpoint — every client's
+    /// `InitialStudent` — goes on sharing the template's tensors instead of
+    /// turning each of them private.
     pub fn apply(&self, net: &mut StudentNet) -> Result<usize> {
         let mut applied = 0usize;
         let mut error: Option<TensorError> = None;
@@ -115,6 +126,10 @@ impl WeightSnapshot {
                             lhs: value.shape().dims().to_vec(),
                             rhs: target.shape().dims().to_vec(),
                         });
+                        return;
+                    }
+                    if same_bits(value.data(), target.data()) {
+                        applied += 1;
                         return;
                     }
                     match value.reshape(target.shape().clone()) {
@@ -271,6 +286,23 @@ impl WeightSnapshot {
     }
 }
 
+/// Whether two equally long value runs are the same bit pattern throughout
+/// (`to_bits`: a NaN equals itself, `0.0` differs from `-0.0`). Differences
+/// are folded a block at a time, branch-free within the block, so the equal
+/// case — the one that scans everything — runs at memory speed, and a
+/// differing tensor is still told apart within its first block.
+fn same_bits(new: &[f32], held: &[f32]) -> bool {
+    const BLOCK: usize = 64;
+    new.chunks(BLOCK)
+        .zip(held.chunks(BLOCK))
+        .all(|(new, held)| {
+            new.iter()
+                .zip(held)
+                .fold(0u32, |diff, (a, b)| diff | (a.to_bits() ^ b.to_bits()))
+                == 0
+        })
+}
+
 /// The cross-process wire encoding of a snapshot: a scope byte (0 = full,
 /// 1 = trainable-only) followed by the u32-length-prefixed bytes of
 /// [`WeightSnapshot::encode`] — the exact payload the in-process path
@@ -420,6 +452,65 @@ mod tests {
         // After applying, b's full snapshot equals a's.
         let snap_b = WeightSnapshot::capture(&mut b, SnapshotScope::Full);
         assert!(snap_a.distance(&snap_b).unwrap() < 1e-9);
+    }
+
+    #[test]
+    fn applying_equal_values_keeps_copy_on_write_sharing_per_entry() {
+        fn shared_with(net: &mut StudentNet, template: &mut StudentNet) -> Vec<(String, bool)> {
+            let mut held: Vec<(String, Tensor)> = Vec::new();
+            template
+                .visit_params(&mut |p: &mut Param, _| held.push((p.name.clone(), p.value.clone())));
+            template.visit_buffers(&mut |name: &str, value: &mut Tensor, _| {
+                held.push((name.to_string(), value.clone()))
+            });
+            let mut shared = Vec::new();
+            let mut check = |name: &str, value: &Tensor| {
+                let (_, original) = held.iter().find(|(n, _)| n == name).unwrap();
+                shared.push((name.to_string(), value.shares_storage(original)));
+            };
+            net.visit_params(&mut |p: &mut Param, _| check(&p.name, &p.value));
+            net.visit_buffers(&mut |name: &str, value: &mut Tensor, _| check(name, value));
+            shared
+        }
+
+        let mut template = net();
+        let checkpoint = WeightSnapshot::capture(&mut template, SnapshotScope::Full);
+        // The wire hands the client a decoded copy: equal values, storage of
+        // its own.
+        let decoded = WeightSnapshot::decode(&checkpoint.encode(), SnapshotScope::Full).unwrap();
+        let mut client = template.clone();
+        assert_eq!(decoded.apply(&mut client).unwrap(), decoded.entry_count());
+        let shared = shared_with(&mut client, &mut template);
+        assert_eq!(shared.len(), decoded.entry_count());
+        assert!(
+            shared.iter().all(|(_, is_shared)| *is_shared),
+            "an equal checkpoint made tensors private: {shared:?}"
+        );
+
+        // One differing bit — the sign of a zero, which `==` cannot see —
+        // breaks sharing for that entry and no other.
+        let mut flipped = decoded.clone();
+        let (name, tensor) = flipped
+            .entries
+            .iter_mut()
+            .find(|(_, t)| t.data().contains(&0.0))
+            .expect("the tiny student's biases start at zero");
+        let name = name.clone();
+        let zero = tensor.data().iter().position(|v| *v == 0.0).unwrap();
+        tensor.data_mut()[zero] = -0.0;
+        assert_eq!(flipped.apply(&mut client).unwrap(), flipped.entry_count());
+        for (entry, is_shared) in shared_with(&mut client, &mut template) {
+            assert_eq!(is_shared, entry != name, "entry {entry}");
+        }
+        let mut sign = None;
+        let mut read = |n: &str, value: &Tensor| {
+            if n == name {
+                sign = Some(value.data()[zero].to_bits());
+            }
+        };
+        client.visit_params(&mut |p: &mut Param, _| read(&p.name, &p.value));
+        client.visit_buffers(&mut |n: &str, value: &mut Tensor, _| read(n, value));
+        assert_eq!(sign, Some((-0.0f32).to_bits()), "the -0.0 was not applied");
     }
 
     #[test]

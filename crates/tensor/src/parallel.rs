@@ -7,7 +7,14 @@
 //! thread per range. When only one core is available (or the work is a
 //! single granule) everything degrades to a plain serial call, which keeps
 //! single-core CI deterministic and overhead-free.
+//!
+//! A caller that has already split its work across threads one level up —
+//! the server pool's distill crew runs whole sessions side by side — wraps
+//! each piece in [`serial_scope`]: [`par_ranges`] on that thread then runs
+//! serially, so `outer × inner` threads never pile onto `outer` cores. The
+//! kernels' results do not depend on the split, so this moves time only.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -51,11 +58,39 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
+thread_local! {
+    /// Whether this thread is already one lane of a caller-level split.
+    static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as inside a parallel region until dropped; see
+/// [`serial_scope`].
+#[must_use = "the scope ends when the guard is dropped"]
+pub struct SerialScope {
+    outer: bool,
+}
+
+/// Run [`par_ranges`] serially on this thread until the returned guard is
+/// dropped (scopes nest; the previous state comes back on drop, unwinding
+/// included).
+pub fn serial_scope() -> SerialScope {
+    SerialScope {
+        outer: IN_PARALLEL_REGION.with(|flag| flag.replace(true)),
+    }
+}
+
+impl Drop for SerialScope {
+    fn drop(&mut self) {
+        IN_PARALLEL_REGION.with(|flag| flag.set(self.outer));
+    }
+}
+
 /// Split `[0, total)` into one contiguous range per worker thread — each
 /// range a multiple of `granularity` except possibly the last — and run
 /// `f(start, end)` on every non-empty range, in parallel when there is more
 /// than one range. `f` is called serially as `f(0, total)` when only one
-/// worker is available or `total <= granularity`.
+/// worker is available, `total <= granularity`, or the calling thread is
+/// inside a [`serial_scope`].
 ///
 /// This is the split the packed GEMM uses to hand disjoint column stripes to
 /// workers: the callback owns its index range, not a slice, so kernels whose
@@ -67,7 +102,7 @@ where
 {
     assert!(granularity > 0, "granularity must be non-zero");
     let n_threads = threads();
-    if n_threads <= 1 || total <= granularity {
+    if n_threads <= 1 || total <= granularity || IN_PARALLEL_REGION.with(Cell::get) {
         if total > 0 {
             f(0, total);
         }
@@ -120,6 +155,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn serial_scope_runs_one_range_on_the_caller_and_unwinds_cleanly() {
+        use std::sync::Mutex;
+        let inside = || IN_PARALLEL_REGION.with(Cell::get);
+        // At whatever worker count the process runs with: the override is
+        // process-wide and `thread_override_round_trip` owns it.
+        let calls = Mutex::new(Vec::new());
+        {
+            let _outer = serial_scope();
+            {
+                let _nested = serial_scope();
+            }
+            assert!(inside(), "the nested guard restored the wrong state");
+            par_ranges(4096, 8, |start, end| {
+                calls
+                    .lock()
+                    .unwrap()
+                    .push((start, end, std::thread::current().id()));
+            });
+        }
+        assert_eq!(
+            *calls.lock().unwrap(),
+            vec![(0, 4096, std::thread::current().id())]
+        );
+        assert!(!inside());
+        // A panic inside the scope restores the flag on the way out.
+        let unwound = std::panic::catch_unwind(|| {
+            let _scope = serial_scope();
+            panic!("inside the scope");
+        });
+        assert!(unwound.is_err());
+        assert!(!inside(), "the flag leaked out of an unwound scope");
     }
 
     #[test]
