@@ -17,7 +17,7 @@
 //! * `TABLE12_SWEEP=smoke` shrinks the ladder and the per-stream
 //!   key-frame counts.
 //! * `TABLE12_JSON=<path>` additionally writes the table as JSON
-//!   (uploaded next to the table9/table10/table11 artifacts).
+//!   (uploaded next to the table9/table10 artifacts).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use st_bench::json::table_to_json;

@@ -8,7 +8,7 @@
 //!           [--transport <channel|shm>]
 //!
 //! scale   smoke | default | extended      (default: default)
-//! target  table2 table3 table4 table5 table6 table7 table9 table11 table12 figure4
+//! target  table2 table3 table4 table5 table6 table7 table9 table12 figure4
 //!         bounds ablation shm all         (default: all)
 //! --json  also write every reproduced table as JSON to <path>
 //!         (CI uploads this as the run's machine-readable artifact)
@@ -27,8 +27,8 @@
 use st_bench::figures::figure4;
 use st_bench::json::run_to_json;
 use st_bench::tables::{
-    ablation_stride, bounds_check, table11_steal, table12_capacity, table2, table4, table6, table7,
-    table9_skewed, tables_3_and_5, TableOutput,
+    ablation_stride, bounds_check, table12_capacity, table2, table4, table6, table7, table9_skewed,
+    tables_3_and_5, TableOutput,
 };
 use st_bench::{ExperimentScale, SharedSetup};
 use std::time::Instant;
@@ -169,21 +169,6 @@ fn main() {
             ExperimentScale::Extended => (8, 10),
         };
         emit(table9_skewed(&sweep, streams, key_frames), &mut produced);
-    }
-    if want("table11") {
-        // The elastic-pool sweep: skewed load over a multi-shard pool with
-        // work stealing off vs on, under an LRU frame budget.
-        let top = skew.unwrap_or(8).max(1);
-        let sweep: Vec<usize> = if top == 1 { vec![1] } else { vec![1, top] };
-        let (streams, shards, key_frames) = match scale {
-            ExperimentScale::Smoke => (3, 2, 2),
-            ExperimentScale::Default => (5, 4, 6),
-            ExperimentScale::Extended => (9, 4, 10),
-        };
-        emit(
-            table11_steal(&sweep, streams, shards, key_frames),
-            &mut produced,
-        );
     }
     if want("table12") {
         // The fixed-worker-set capacity ladder: one shard per reactor

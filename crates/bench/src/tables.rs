@@ -12,7 +12,7 @@ use shadowtutor::loadgen::{
     percentile, run_capacity_load, run_skewed_load, CapacityLoadSpec, PacedTeacher, SkewedLoadSpec,
 };
 use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
-use shadowtutor::serve::{FrameStore, PoolConfig, SessionWeights};
+use shadowtutor::serve::{PoolConfig, SessionWeights};
 use shadowtutor::stride::StridePolicy;
 use shadowtutor::ExperimentRecord;
 use st_net::{KeyFrameTraffic, LinkModel, NaiveTraffic};
@@ -644,170 +644,6 @@ pub fn table9_skewed(
     out
 }
 
-/// Table 11 (new in this reproduction, no paper counterpart) — elastic pool
-/// under skewed load: the same hot-stream sweep as Table 9, but across a
-/// multi-shard pool, run twice per multiplier — placement-only
-/// ([`PlacementPolicy::LeastLoaded`], no migration) versus work stealing
-/// ([`PlacementPolicy::Rebalance`]) — with a per-stream frame budget tight
-/// enough that the LRU eviction / re-share path is also exercised.
-///
-/// Columns come from the client-side round trips and from the pool's
-/// operator report (`PoolStats::snapshot()`): cold-stream p99 round trips
-/// with stealing off/on, the measured busy time of the *cold* shards —
-/// every shard except the hot stream's home — off/on (stealing reclaims
-/// their idle time by moving the hot backlog onto them; a stream's own
-/// service stays serialized, so the home shard's loss is their gain),
-/// steal/eviction/re-share counts, and the analytic
-/// [`ContentionModel::static_hot_shard_delay`] vs
-/// [`ContentionModel::stealing_delay`] predictions fed with the measured
-/// service time.
-///
-/// `streams` clients over `shards` shards with `streams > shards` places
-/// one cold stream next to the hot one (connect order is id order), which
-/// is the shard the stealing relieves. The in-flight cap matches the frame
-/// budget, so every parked job's re-shared frame fits resident at once —
-/// a budget far below the in-flight window would thrash (evict re-shared
-/// frames before their jobs run).
-pub fn table11_steal(
-    multipliers: &[usize],
-    streams: usize,
-    shards: usize,
-    key_frames_per_stream: usize,
-) -> TableOutput {
-    let mut out = TableOutput::new("Table 11");
-    let pace = Duration::from_millis(6);
-    let send_interval = Duration::from_millis(40);
-    let max_in_flight = 12;
-    let student = StudentNet::new(StudentConfig::tiny()).expect("tiny student");
-    // Budget for `max_in_flight` frames per stream: the hot stream
-    // pre-shares far more, so recovery traffic (NeedFrame → ReShare) is
-    // part of the measurement, while every in-flight job's re-shared frame
-    // can be resident simultaneously (no thrash).
-    let probe = tiny_stream(SceneKind::People, 1, 1);
-    let budget = max_in_flight * FrameStore::frame_cost(&probe[0]);
-    let mut cold_p99_off = Vec::new();
-    let mut cold_p99_on = Vec::new();
-    let mut cold_busy_off = Vec::new();
-    let mut cold_busy_on = Vec::new();
-    let mut steals = Vec::new();
-    let mut evictions = Vec::new();
-    let mut reshares = Vec::new();
-    let mut dropped = Vec::new();
-    let mut model_static = Vec::new();
-    let mut model_steal = Vec::new();
-    for &multiplier in multipliers {
-        let run = |placement: PlacementPolicy| {
-            run_skewed_load(
-                // Few distillation steps per key frame: service must be
-                // shorter than the cold send interval, or a cold shard is
-                // never idle while its neighbour still has shard-mates —
-                // and donations stop once the colds retire.
-                ShadowTutorConfig {
-                    max_updates: 2,
-                    ..ShadowTutorConfig::paper()
-                },
-                PoolConfig {
-                    shards,
-                    placement,
-                    max_in_flight,
-                    frame_budget_bytes: Some(budget),
-                    steal_poll: Duration::from_millis(1),
-                    // The cold streams' idle gaps between their own
-                    // arrivals are ~10 ms; the thief must get patient
-                    // within a gap or it will never ask while the victim
-                    // still has a shard-mate to keep (donations stop once
-                    // the colds retire and the hot session is alone).
-                    steal_patience: Duration::from_millis(3),
-                    // One forward per batch: co-scheduling would amortize
-                    // the hot stream's excess away and hide the very
-                    // imbalance this table measures.
-                    max_batch: 1,
-                    adaptive_batch: false,
-                    ..PoolConfig::default_pool()
-                },
-                student.clone(),
-                0.013,
-                |shard| PacedTeacher::new(OracleTeacher::perfect(2100 + shard as u64), pace),
-                SkewedLoadSpec {
-                    streams,
-                    hot_multiplier: multiplier,
-                    key_frames_per_stream,
-                    send_interval,
-                    seed: 5500 + multiplier as u64,
-                },
-            )
-            .expect("table11 run")
-        };
-        let off = run(PlacementPolicy::LeastLoaded);
-        let on = run(PlacementPolicy::Rebalance);
-
-        let cold_p99_ms = |outcome: &shadowtutor::loadgen::SkewedLoadOutcome| {
-            let rts: Vec<f64> = outcome
-                .cold()
-                .iter()
-                .flat_map(|r| r.round_trips.iter().copied().map(|s| 1e3 * s))
-                .collect();
-            percentile(&rts, 99.0)
-        };
-        // Busy time summed over the cold shards — everything except the hot
-        // stream's home (connect order is id order, so the hot stream lands
-        // on shard 0). Without stealing this is just their own cold
-        // streams' service; with stealing it also contains adopted hot work.
-        let cold_busy_ms = |outcome: &shadowtutor::loadgen::SkewedLoadOutcome| {
-            outcome
-                .pool
-                .snapshot()
-                .shards
-                .iter()
-                .filter(|s| s.shard != 0)
-                .map(|s| 1e3 * s.busy_secs)
-                .sum::<f64>()
-        };
-        let report_on = on.pool.snapshot();
-
-        // Feed the model the stealing run's measured mean service time so
-        // both predictions are in the run's own wall-clock units.
-        let key_frames = report_on.total_key_frames.max(1);
-        let busy: f64 = report_on.shards.iter().map(|s| s.busy_secs).sum();
-        let service = busy / key_frames as f64;
-        let model = ContentionModel::with_workers(shards);
-        let inter = send_interval.as_secs_f64();
-
-        // Cold streams co-located with the hot one under id-order
-        // least-loaded placement: ids ≡ 0 (mod shards), minus the hot
-        // stream itself.
-        let mates = (streams - 1) / shards;
-        out.row_labels.push(format!("hot x{multiplier}"));
-        cold_p99_off.push(cold_p99_ms(&off));
-        cold_p99_on.push(cold_p99_ms(&on));
-        cold_busy_off.push(cold_busy_ms(&off));
-        cold_busy_on.push(cold_busy_ms(&on));
-        steals.push(report_on.streams_stolen as f64);
-        evictions.push(report_on.frame_evictions as f64);
-        reshares.push(report_on.reshared_frames as f64);
-        dropped.push((off.pool.dropped_jobs() + on.pool.dropped_jobs()) as f64);
-        model_static
-            .push(1e3 * model.static_hot_shard_delay(mates, multiplier as f64, service, inter));
-        model_steal.push(1e3 * model.stealing_delay(streams, multiplier as f64, service, inter));
-    }
-    out.columns = vec![
-        ("cold p99 off ms".to_string(), cold_p99_off),
-        ("cold p99 steal ms".to_string(), cold_p99_on),
-        ("cold busy off ms".to_string(), cold_busy_off),
-        ("cold busy steal ms".to_string(), cold_busy_on),
-        ("steals".to_string(), steals),
-        ("evictions".to_string(), evictions),
-        ("reshares".to_string(), reshares),
-        ("dropped".to_string(), dropped),
-        ("model static ms".to_string(), model_static),
-        ("model steal ms".to_string(), model_steal),
-    ];
-    out.render(&format!(
-        "Table 11 — work stealing under skewed load ({streams} streams, {shards} shards, LRU frame budget)"
-    ));
-    out
-}
-
 /// Table 12 (new in this reproduction, no paper counterpart) — stream
 /// capacity of a fixed worker set: how many concurrent open-loop streams
 /// the pool sustains while the p99 *queue wait* (client round trip minus
@@ -820,9 +656,9 @@ pub fn table11_steal(
 /// shards, so a burst on one shard queues behind that shard's other
 /// streams even while neighbour workers sit idle. `shards == streams`
 /// (the "reactor" columns) pools them: one mostly-idle shard per stream,
-/// so any free worker takes any ready job. Work stealing stays off and
-/// batching is pinned to one frame per forward in BOTH modes — this table
-/// isolates partitioned-vs-pooled dispatch, not migration or amortization.
+/// so any free worker takes any ready job. Batching is pinned to one
+/// frame per forward in BOTH modes — this table isolates
+/// partitioned-vs-pooled dispatch, not amortization.
 ///
 /// Each ladder rung runs both topologies under the same jittered arrival
 /// schedule and reports p99 queue waits plus throttle/drop counts; the
@@ -866,9 +702,8 @@ pub fn table12_capacity(
                 PoolConfig {
                     shards: if pooled { streams } else { threads },
                     reactor_threads: Some(threads),
-                    // Static pinning in both modes: stealing would
-                    // partially pool the partitioned baseline and blur
-                    // the comparison this table exists to make.
+                    // Static pinning in both modes: the layout is a pure
+                    // function of the ids, the same on every run.
                     placement: PlacementPolicy::StaticModulo,
                     // Admission generous enough that queue wait, not
                     // back-pressure, is what fails first as rungs grow.

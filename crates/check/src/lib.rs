@@ -7,8 +7,8 @@
 //!   with the `model-check` feature the same names become instrumented types
 //!   driven by `model`, a deterministic schedule-exploring model checker
 //!   with per-location store buffers for weak memory orderings. The lock-free
-//!   hot paths of `st-net` (shm ring, poller) and `shadowtutor` (steal
-//!   protocol) are written against this facade, so the *production* code is
+//!   hot paths of `st-net` (shm ring, poller) and `shadowtutor` (the distill
+//!   crew's hand-off) are written against this facade, so the *production* code is
 //!   what runs under the checker.
 //! - [`lint`] — the token-level scanner behind the `st-lint` binary
 //!   (`cargo run -p st-check --bin st-lint -- --deny`), enforcing repo

@@ -114,7 +114,6 @@ fn ignored_send_banned_on_failover_and_mailbox_paths() {
         rules("crates/core/src/serve/reactor.rs", bad),
         vec!["ignored-send"]
     );
-    assert_eq!(rules("crates/core/src/steal.rs", bad), vec!["ignored-send"]);
     assert_eq!(
         rules("crates/core/src/runtime/live.rs", bad),
         vec!["ignored-send"]

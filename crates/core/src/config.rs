@@ -32,18 +32,15 @@ impl DistillationMode {
 }
 
 /// How the multi-stream server pool assigns a newly connecting stream to a
-/// shard — and whether that assignment can change afterwards.
+/// shard.
 ///
-/// Under `LeastLoaded` and `StaticModulo`, placement is decided once, at
-/// `ServerPool::connect` time, and a stream never migrates; `Rebalance`
-/// additionally lets an idle shard *steal* streams from the most-loaded one
-/// at runtime. The policy lives here, next to the algorithm parameters,
+/// Placement is decided once, at `ServerPool::connect` time; afterwards a
+/// stream leaves its shard only when that shard dies and its warm standby
+/// adopts it. The policy lives here, next to the algorithm parameters,
 /// because it changes which experiments are reproducible run-to-run:
-/// static-modulo placement is a pure function of the stream id, least-loaded
-/// depends on connect order and on which earlier streams have already
-/// finished, and rebalancing additionally depends on wall-clock load — which
-/// is exactly why stealing is opt-in, so `StaticModulo` reproductions stay
-/// deterministic.
+/// static-modulo placement is a pure function of the stream id, while
+/// least-loaded depends on connect order and on which earlier streams have
+/// already finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
     /// Route to the shard with the fewest currently registered sessions,
@@ -55,12 +52,6 @@ pub enum PlacementPolicy {
     /// The original static assignment `stream_id % shards` — a pure function
     /// of the id, kept for bit-reproducible experiment layouts.
     StaticModulo,
-    /// `LeastLoaded` at connect time, plus cross-shard **work stealing** at
-    /// runtime: a shard whose drain loop goes idle pulls whole streams
-    /// (session, frame cache and queued jobs) from the shard with the
-    /// deepest backlog, so a hot stream cannot pin its shard-mates behind it
-    /// while other workers sit idle.
-    Rebalance,
 }
 
 impl PlacementPolicy {
@@ -69,7 +60,6 @@ impl PlacementPolicy {
         match self {
             PlacementPolicy::LeastLoaded => "least-loaded",
             PlacementPolicy::StaticModulo => "static-modulo",
-            PlacementPolicy::Rebalance => "rebalance",
         }
     }
 }
@@ -272,7 +262,6 @@ mod tests {
         assert_eq!(PlacementPolicy::default(), PlacementPolicy::LeastLoaded);
         assert_eq!(PlacementPolicy::LeastLoaded.label(), "least-loaded");
         assert_eq!(PlacementPolicy::StaticModulo.label(), "static-modulo");
-        assert_eq!(PlacementPolicy::Rebalance.label(), "rebalance");
     }
 
     #[test]

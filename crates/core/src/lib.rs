@@ -24,17 +24,13 @@
 //!   threads, one distillation session per client stream, with teacher
 //!   forward passes batched across co-scheduled key frames, fair
 //!   deficit-round-robin batching, per-stream admission control,
-//!   load-adaptive co-scheduling, cross-shard work stealing
-//!   ([`config::PlacementPolicy::Rebalance`]) and LRU-bounded per-stream
-//!   frame memory ([`serve::FrameStore`]). See `docs/ARCHITECTURE.md` at
-//!   the workspace root for the full lifecycle of a key frame.
-//! * [`steal`] — the cross-shard work-stealing coordination core
-//!   ([`steal::StealCore`]): request slots, migration mailboxes and the
-//!   handoff-under-lock discipline, generic over its payloads and built on
-//!   the `st_check::sync` facade so the model-check suite explores the
-//!   exact production protocol.
+//!   load-adaptive co-scheduling, a distill crew on the cores the reactor
+//!   leaves idle ([`serve::crew`]), warm-standby failover and LRU-bounded
+//!   per-stream frame memory ([`serve::FrameStore`]). See
+//!   `docs/ARCHITECTURE.md` at the workspace root for the full lifecycle of
+//!   a key frame.
 //! * [`timer`] — the deadline heap backing the reactor's time-based state
-//!   (steal ticks, NeedFrame retries).
+//!   (NeedFrame retries).
 //! * [`loadgen`] — an open-loop skewed load generator (one hot stream at a
 //!   multiple of the base key-frame rate) measuring per-stream round trips
 //!   against a live pool; used by the fairness tests and benches.
@@ -59,7 +55,6 @@ pub mod report;
 pub mod runtime;
 pub mod serve;
 pub mod server;
-pub mod steal;
 pub mod stride;
 pub mod timer;
 pub mod train;

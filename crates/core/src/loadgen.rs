@@ -20,7 +20,7 @@
 //! throttle/drop counts from the pool's admission control.
 //!
 //! Used by the fairness end-to-end tests and the `table9_skewed_streams` /
-//! `table11_steal` / `table12_capacity` benches; [`PacedTeacher`] makes the
+//! `table12_capacity` benches; [`PacedTeacher`] makes the
 //! teacher's wall-clock cost real (and sub-linear in batch size) so
 //! queueing is physical rather than simulated.
 

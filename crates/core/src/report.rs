@@ -311,8 +311,7 @@ impl Wire for ExperimentRecord {
 /// One shard's row in the operator report ([`PoolReport`]).
 ///
 /// Everything an operator dashboards per worker: how much it served, how
-/// elastic it was (steals in/out, forwarded traffic), how the frame-memory
-/// bound behaved (evictions, re-shares, peak resident bytes), and what its
+/// the frame-memory bound behaved (evictions, re-shares, peak resident bytes), and what its
 /// clients experienced (p50/p99 queue waits, drops, throttles).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
@@ -345,14 +344,8 @@ pub struct ShardReport {
     pub reshared_frames: usize,
     /// Largest per-stream frame-cache watermark, bytes.
     pub frame_bytes_peak: usize,
-    /// Streams this shard stole from busier shards.
-    pub streams_stolen_in: usize,
-    /// Streams this shard handed off to idle thieves.
-    pub streams_donated: usize,
-    /// Uplink messages forwarded onward after their stream migrated.
-    pub forwarded_messages: usize,
-    /// Handler events dispatched (uplink envelopes, migrations, timer
-    /// fires) — the event loop's measure of work.
+    /// Handler events dispatched (uplink envelopes, timer fires) — the
+    /// event loop's measure of work.
     pub events_dispatched: usize,
     /// Timer fires dispatched to this shard (reactor driver only).
     pub timer_fires: usize,
@@ -386,8 +379,6 @@ pub struct PoolReport {
     pub shards: Vec<ShardReport>,
     /// Key frames served across the pool.
     pub total_key_frames: usize,
-    /// Streams migrated by work stealing.
-    pub streams_stolen: usize,
     /// Frames evicted across every stream.
     pub frame_evictions: usize,
     /// Frames restored by re-shares.
@@ -504,9 +495,6 @@ impl PoolReport {
             field(&mut out, "need_frame_requests", s.need_frame_requests);
             field(&mut out, "reshared_frames", s.reshared_frames);
             field(&mut out, "frame_bytes_peak", s.frame_bytes_peak);
-            field(&mut out, "streams_stolen_in", s.streams_stolen_in);
-            field(&mut out, "streams_donated", s.streams_donated);
-            field(&mut out, "forwarded_messages", s.forwarded_messages);
             field(&mut out, "events_dispatched", s.events_dispatched);
             field(&mut out, "timer_fires", s.timer_fires);
             field(&mut out, "poll_wakeups", s.poll_wakeups);
@@ -525,7 +513,6 @@ impl PoolReport {
         let mut totals = String::from("{");
         let t = &mut totals;
         field(t, "key_frames", self.total_key_frames);
-        field(t, "streams_stolen", self.streams_stolen);
         field(t, "frame_evictions", self.frame_evictions);
         field(t, "reshared_frames", self.reshared_frames);
         field(t, "dropped_jobs", self.dropped_jobs);
@@ -743,9 +730,6 @@ mod tests {
             need_frame_requests: 2,
             reshared_frames: 2,
             frame_bytes_peak: 30720,
-            streams_stolen_in: 1,
-            streams_donated: 0,
-            forwarded_messages: 2,
             events_dispatched: 25,
             timer_fires: 3,
             poll_wakeups: 12,
@@ -758,7 +742,6 @@ mod tests {
         let report = PoolReport {
             shards: vec![shard.clone(), ShardReport { shard: 1, ..shard }],
             total_key_frames: 20,
-            streams_stolen: 1,
             frame_evictions: 6,
             reshared_frames: 4,
             dropped_jobs: 0,
@@ -792,21 +775,18 @@ mod tests {
             jobs_offloaded: 8,
         };
         let json = report.to_json();
-        // Byte-for-byte what the two positional `write!` calls this method
-        // used to be produced for the same report (strings taken from that
-        // commit, `jobs_offloaded` appended since): every counter exported
-        // under its name, the non-finite p99 as `null`.
+        // Golden strings: every counter exported under its name, in
+        // declaration order, the non-finite p99 as `null`.
         let shard0 = "{\"shard\":0,\"key_frames\":10,\"teacher_batches\":4,\
              \"mean_batch\":2.5,\"queue_p50_ms\":1.25,\"queue_p99_ms\":9.5,\
              \"busy_secs\":0.5,\"teacher_wall_secs\":0.25,\"throttled\":1,\
              \"dropped\":0,\"frame_evictions\":3,\"need_frame_requests\":2,\
              \"reshared_frames\":2,\"frame_bytes_peak\":30720,\
-             \"streams_stolen_in\":1,\"streams_donated\":0,\
-             \"forwarded_messages\":2,\"events_dispatched\":25,\"timer_fires\":3,\
+             \"events_dispatched\":25,\"timer_fires\":3,\
              \"poll_wakeups\":12,\"idle_streams\":7,\"failovers\":1,\
              \"streams_adopted\":2,\"frames_lost_on_failover\":1,\
              \"jobs_offloaded\":4}";
-        let totals = "{\"key_frames\":20,\"streams_stolen\":1,\"frame_evictions\":6,\
+        let totals = "{\"key_frames\":20,\"frame_evictions\":6,\
              \"reshared_frames\":4,\"dropped_jobs\":0,\"throttled\":2,\
              \"frame_bytes_peak\":30720,\"queue_p50_ms\":1.25,\
              \"queue_p99_ms\":null,\"teacher_wall_secs\":0.5,\

@@ -783,7 +783,7 @@ where
 /// pumping each client when its downlink has traffic or its wait deadline
 /// expires.
 // One variant, and a sixth parameter below, only because `stbench/src/check.rs`
-// names both and cannot change in a library PR (ROADMAP item 7).
+// names both and cannot change in a library PR (ROADMAP items 1 and 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientDriverMode {
     /// The only driver.

@@ -8,7 +8,6 @@ use st_net::StreamId;
 #[cfg(doc)]
 use st_net::{ClientToServer, DropReason, ServerToClient};
 use st_tensor::TensorError;
-use std::time::Duration;
 
 /// A deterministic fault-injection schedule for chaos testing the pool.
 ///
@@ -129,17 +128,6 @@ pub struct PoolConfig {
     /// every frame resident for the stream's lifetime (the pre-PR-5
     /// behaviour).
     pub frame_budget_bytes: Option<usize>,
-    /// How often an idle shard re-checks the steal registry (and its
-    /// migration mailbox) when work stealing is enabled
-    /// ([`PlacementPolicy::Rebalance`]). Bounds how long an idle shard can
-    /// overlook a drowning one; ignored by non-stealing pools, whose idle
-    /// shards arm no timer at all.
-    pub steal_poll: Duration,
-    /// How long a worker must sit continuously idle (no queued jobs) before
-    /// it posts a steal request. A shard merely between its own streams'
-    /// arrivals should serve them itself; only a genuinely idle shard
-    /// should pull another shard's streams over.
-    pub steal_patience: Duration,
     /// Size of the pool's **reactor** worker set. All `shards` shard state
     /// machines are hosted on a fixed set of worker threads driven by
     /// readiness wakeups ([`st_net::Poller`]) and a deadline heap
@@ -154,10 +142,9 @@ pub struct PoolConfig {
     /// distillation counters + scheduler deficit) to a shared
     /// content-addressed [`ReplicaStore`] after each accepted update, and
     /// arm warm-standby takeover: when a shard dies, its buddy shard
-    /// (`(shard + 1) % shards`) adopts its streams from the replicas
-    /// through the existing migration machinery. Requires
-    /// [`PlacementPolicy::Rebalance`] (adoption *is* a migration) and at
-    /// least two shards. Off by default: a worker panic then fails
+    /// (`(shard + 1) % shards`) restores its streams from the replicas and
+    /// flips their routes to itself. Works under every placement policy;
+    /// needs at least two shards. Off by default: a worker panic then fails
     /// [`ServerPool::join`] with [`PoolError::WorkerFailed`].
     pub replication: bool,
     /// Deterministic fault-injection schedule ([`FaultPlan::none`] by
@@ -191,8 +178,6 @@ impl PoolConfig {
             quantum: 1,
             adaptive_batch: true,
             frame_budget_bytes: None,
-            steal_poll: Duration::from_millis(5),
-            steal_patience: Duration::from_millis(25),
             reactor_threads: None,
             replication: false,
             fault_plan: FaultPlan::none(),
@@ -250,11 +235,6 @@ impl PoolConfig {
                 "frame_budget_bytes must be positive (use None for unbounded)".into(),
             ));
         }
-        if self.steal_poll.is_zero() {
-            return Err(TensorError::InvalidArgument(
-                "steal_poll must be positive".into(),
-            ));
-        }
         if self.reactor_threads == Some(0) {
             return Err(TensorError::InvalidArgument(
                 "reactor_threads must be at least 1 (use None for one worker per shard)".into(),
@@ -268,20 +248,10 @@ impl PoolConfig {
                 )));
             }
         }
-        if self.replication {
-            if self.shards < 2 {
-                return Err(TensorError::InvalidArgument(
-                    "replication needs at least two shards (a shard cannot be its own standby)"
-                        .into(),
-                ));
-            }
-            if !self.stealing() {
-                return Err(TensorError::InvalidArgument(
-                    "replication requires PlacementPolicy::Rebalance (warm-standby adoption \
-                     reuses the stream-migration machinery)"
-                        .into(),
-                ));
-            }
+        if self.replication && self.shards < 2 {
+            return Err(TensorError::InvalidArgument(
+                "replication needs at least two shards (a shard cannot be its own standby)".into(),
+            ));
         }
         Ok(())
     }
@@ -303,11 +273,6 @@ impl PoolConfig {
         cores
             .saturating_sub(workers)
             .min(self.max_batch.saturating_sub(1))
-    }
-
-    /// Whether this pool migrates streams between shards at runtime.
-    pub fn stealing(&self) -> bool {
-        matches!(self.placement, PlacementPolicy::Rebalance)
     }
 }
 

@@ -3,10 +3,10 @@
 //!
 //! The sessions of one co-scheduled batch share a teacher forward and
 //! nothing else, so once the labels exist their distillations are
-//! independent. [`Crew`] is the protocol that runs them side by side, kept —
-//! like [`crate::steal::StealCore`] — small, generic over its payloads and
-//! written against the `st_check::sync` facade, so `tests/model_crew.rs`
-//! drives this exact code under the model checker with integers for items.
+//! independent. [`Crew`] is the protocol that runs them side by side, kept
+//! small, generic over its payloads and written against the `st_check::sync`
+//! facade, so `tests/model_crew.rs` drives this exact code under the model
+//! checker with integers for items.
 //!
 //! # The protocol
 //!
@@ -33,11 +33,19 @@
 //! With no helpers — or a batch of one — nothing is offered and the owner
 //! claims every item itself: the same loop, not a second one.
 
-use crate::steal::locked;
-use st_check::sync::{AtomicUsize, Condvar, Mutex};
+use st_check::sync::{AtomicUsize, Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
+
+/// Lock a facade mutex, recovering the data if a thread panicked while
+/// holding it: the hand-off must outlive any one helper, and its critical
+/// sections are single pushes, pops and takes.
+fn locked<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Which side of the crew ran an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -45,17 +45,12 @@
 //!   marginal cost and only falls back to the virtual latency model before
 //!   that (or when forwards are too fast to time).
 //!
-//! Since PR 5 the pool is also **elastic**: placement is no longer final.
+//! Placement is final — a stream leaves its shard only when the shard dies
+//! and its warm standby adopts it ([`PoolConfig::replication`]) — so a hot
+//! stream's shard-mates are relieved by hosting more shards than reactor
+//! workers, not by moving sessions (`docs/ARCHITECTURE.md` has the
+//! measurements behind that choice). Frame memory is bounded separately:
 //!
-//! * **Work stealing** — under [`PlacementPolicy::Rebalance`] an idle shard
-//!   steals whole streams (session, frame cache, queued DRR turns and all)
-//!   from the most-loaded shard through a shared `StealRegistry`. The victim
-//!   hands the stream off between batches, so a migrating
-//!   [`DistillSession`] is always quiescent; queued jobs keep their original
-//!   arrival timestamps (wait accounting survives the move) and admission
-//!   control keeps counting the stream's in-flight jobs at its new home.
-//!   `StaticModulo` and `LeastLoaded` pools never migrate, so existing
-//!   reproductions stay bit-deterministic.
 //! * **Bounded frame memory** — each stream's pre-shared frames live in a
 //!   [`FrameStore`], an LRU cache with a configurable per-stream byte budget
 //!   ([`PoolConfig::frame_budget_bytes`]). When a key-frame job needs an
@@ -72,8 +67,8 @@
 //!   host and the pool's shape; there is no knob). A labelled batch becomes
 //!   one work item per stream; the shard's reactor worker and the helpers
 //!   claim items one at a time, an item *owning* its stream's session while
-//!   it runs — the same move-out / move-back hand-off migration uses, so no
-//!   session is locked or borrowed across threads. The worker answers every
+//!   it runs — moved out of the shard and back, so no session is locked or
+//!   borrowed across threads. The worker answers every
 //!   key frame the moment it is distilled (delta encode, digest patch,
 //!   downlink, replica publish), so a round trip is `teacher + own distill`,
 //!   not `teacher + the batch's`. With no helpers the worker claims every
@@ -83,7 +78,7 @@
 //!
 //! The pool reports [`PoolStats`]: per-shard queueing/batching/latency
 //! counters plus per-stream key-frame totals, waits, throttles, drops,
-//! steals, evictions, measured teacher wall time and final server-side
+//! evictions, measured teacher wall time and final server-side
 //! checkpoints, which the contention experiments compare against the
 //! analytic [`st_sim::ContentionModel`]. [`PoolStats::snapshot`] condenses
 //! all of it into the serializable [`crate::report::PoolReport`] operators
@@ -93,13 +88,12 @@
 //! server: `config` and `stats` are the pool's inputs and outputs; `frames`,
 //! `replica`, `sched` and `shard` are the synchronous per-shard machinery
 //! and `crew` the hand-off a shard fans a batch out through;
-//! `state` is the shard state machine (with its `migrate` and `takeover`
-//! halves) over the `failover` blackboard; `pool` is the handle and client
+//! `state` is the shard state machine (with its `takeover` child, the
+//! warm-standby adoption) over the `failover` blackboard; `pool` is the handle and client
 //! endpoint; `reactor` is the one driver, and reaches a shard state only
 //! through its methods.
 //!
 //! [`PlacementPolicy`]: crate::config::PlacementPolicy
-//! [`PlacementPolicy::Rebalance`]: crate::config::PlacementPolicy::Rebalance
 //! [`DistillSession`]: crate::server::DistillSession
 
 mod config;

@@ -7,7 +7,7 @@ use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
 use super::replica::ReplicaStore;
 use super::shard::{spawn_helpers, DistillCrew};
 use super::state::{
-    Downlink, Envelope, Placements, Registry, Route, ShardOutput, ShardState, StealRegistry,
+    Downlink, Envelope, Placements, Registry, Route, ShardLoads, ShardOutput, ShardState,
     StreamLink, WireMeter,
 };
 use super::{FrameStore, PoolConfig, PoolError, PoolStats, ServeShard};
@@ -29,15 +29,14 @@ use std::time::{Duration, Instant};
 
 /// The client's endpoint onto the pool: same surface as the single-stream
 /// transport, but every uplink message is stream-tagged and lands in the
-/// owning shard's queue. The owning shard is looked up per send, so when
-/// work stealing migrates the stream its traffic follows it to the new
-/// shard (messages already queued at the old shard are forwarded by that
-/// shard's worker).
+/// owning shard's queue. The owning shard is looked up per send, so when a
+/// standby adopts the stream from a dead shard its traffic follows it
+/// (messages already queued at the dead shard are drained by the adopter).
 pub struct StreamClient {
     stream_id: StreamId,
     uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
-    /// The stream's live shard assignment (shared with the routing table;
-    /// migrations store the new shard here).
+    /// The stream's live shard assignment (shared with the routing table; a
+    /// takeover stores the adopting shard here).
     route: Route,
     downlink: crossbeam::channel::Receiver<(usize, ServerToClient)>,
     /// Per-shard wakers, indexed like `uplinks`. Every uplink send wakes
@@ -180,11 +179,11 @@ pub struct ServerPool {
     pool_config: PoolConfig,
     uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
     registries: Vec<Registry>,
-    /// Steal-coordination state (also carries the per-shard session counts
-    /// that drive least-loaded placement).
-    steal: Arc<StealRegistry>,
+    /// Registered-session count per shard: what least-loaded placement
+    /// reads.
+    loads: ShardLoads,
     /// Stream → shard placements made so far, shared with clients (send
-    /// routing) and workers (migration + forwarding). A stream id stays
+    /// routing) and workers (a takeover's routing flip). A stream id stays
     /// reserved for the pool's lifetime; reconnecting a finished id needs a
     /// new pool.
     placements: Placements,
@@ -265,7 +264,11 @@ impl ServerPool {
     {
         config.validate()?;
         pool_config.validate()?;
-        let steal = Arc::new(StealRegistry::new(pool_config.shards));
+        let loads: ShardLoads = Arc::new(
+            (0..pool_config.shards)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
         let placements: Placements = Arc::new(Mutex::new(HashMap::new()));
         let wire = Arc::new(WireMeter::default());
         let board = Arc::new(FailoverBoard::new(
@@ -303,9 +306,8 @@ impl ServerPool {
                 Arc::clone(&registry),
                 pool_config,
                 shard_index,
-                Arc::clone(&steal),
+                Arc::clone(&loads),
                 Arc::clone(&placements),
-                Arc::clone(&shard_wakers),
                 Arc::clone(&board),
                 replicas.clone(),
             ))));
@@ -320,7 +322,6 @@ impl ServerPool {
             },
             poller,
             Arc::clone(&shard_wakers),
-            pool_config.steal_poll,
         ));
         let helper_threads = spawn_helpers(&crew);
         let threads = pool_config.reactor_threads.unwrap_or(pool_config.shards);
@@ -330,18 +331,11 @@ impl ServerPool {
                 std::thread::spawn(move || run_reactor_worker(&shared, worker_index))
             })
             .collect();
-        // Kick every shard once so each runs an initial pass. Without this,
-        // a shard that never receives traffic would also never join the
-        // steal protocol (the idle tick chain is armed by passes, and
-        // passes are armed by wakes).
-        for waker in shard_wakers.iter() {
-            waker.wake();
-        }
         Ok(ServerPool {
             pool_config,
             uplinks: Arc::new(uplinks),
             registries,
-            steal,
+            loads,
             placements,
             workers,
             crew,
@@ -361,7 +355,10 @@ impl ServerPool {
 
     /// Current registered-session count of each shard.
     pub fn shard_loads(&self) -> Vec<usize> {
-        self.steal.loads_snapshot()
+        self.loads
+            .iter()
+            .map(|load| load.load(Ordering::SeqCst))
+            .collect()
     }
 
     /// Connect a new stream: choose its shard per the placement policy,
@@ -429,18 +426,17 @@ impl ServerPool {
                     "stream {stream_id} is already connected to this pool"
                 )));
             }
+            let loads = self.shard_loads();
             let shard = match self.pool_config.placement {
                 PlacementPolicy::StaticModulo => self.pool_config.shard_of(stream_id),
-                // Rebalance places like least-loaded; the difference is what
-                // happens afterwards (runtime migration).
-                PlacementPolicy::LeastLoaded | PlacementPolicy::Rebalance => {
-                    self.steal.least_loaded()
-                }
+                // Fewest registered sessions, ties toward the lowest index.
+                PlacementPolicy::LeastLoaded => (0..loads.len())
+                    .min_by_key(|&candidate| loads[candidate])
+                    .unwrap_or(0),
             };
             // A dead shard accepts no new streams; place on the
             // least-loaded live shard instead.
             let shard = if self.board.is_dead(shard) {
-                let loads = self.steal.loads_snapshot();
                 let Some(live) = (0..loads.len())
                     .filter(|&candidate| !self.board.is_dead(candidate))
                     .min_by_key(|&candidate| loads[candidate])
@@ -453,7 +449,7 @@ impl ServerPool {
             } else {
                 shard
             };
-            self.steal.load_inc(shard);
+            self.loads[shard].fetch_add(1, Ordering::SeqCst);
             let route: Route = Arc::new(AtomicUsize::new(shard));
             placements.insert(stream_id, Arc::clone(&route));
             (shard, route)
@@ -497,7 +493,7 @@ impl ServerPool {
         };
         if client.send(register, MESSAGE_OVERHEAD_BYTES).is_err() {
             locked(&self.registries[shard]).remove(&stream_id);
-            self.steal.load_dec(shard);
+            self.loads[shard].fetch_sub(1, Ordering::SeqCst);
             locked(&self.placements).remove(&stream_id);
             return Err(TensorError::InvalidArgument(
                 "server pool worker is not accepting connections".into(),

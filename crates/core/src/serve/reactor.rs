@@ -1,6 +1,6 @@
 //! The reactor: the pool's one driver. A fixed worker set hosts every shard
 //! state machine, dispatching a pass when a shard's readiness token wakes
-//! or one of its timers fires. It reaches a [`ShardState`] only through
+//! and a retry when one of its timers fires. It reaches a [`ShardState`] only through
 //! `run_pass`, `on_need_frame_retry` and `finish`.
 
 use super::failover::{panic_message, FailoverShared};
@@ -17,26 +17,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often an otherwise event-less reactor worker re-checks its timers and
-/// shard states — the upper bound on poll blocking, not a service cadence
-/// (sends and timer deadlines wake workers much sooner).
+/// The longest a reactor worker parks in the poller: the bound on how late
+/// it notices a retry another worker armed meanwhile, the abort flag or an
+/// orphaned death — not a service cadence (a send wakes a worker at once,
+/// and a park never outlasts the next deadline already on the heap).
 const REACTOR_IDLE_TICK: Duration = Duration::from_millis(50);
 
 /// How long the reactor waits for a `ReShare` before re-sending `NeedFrame`.
 /// Without the retry a lost request would park the job until shutdown.
 const NEED_FRAME_RETRY: Duration = Duration::from_millis(100);
 
-/// A deadline owned by the reactor's shared deadline heap.
-enum TimerEvent {
-    /// Run a maintenance pass on a shard — its `steal_poll` wakeup, armed
-    /// only while the shard is an idle steal participant.
-    Tick(usize),
-    /// Re-send `NeedFrame` for a job still parked on an evicted frame.
-    NeedFrameRetry {
-        shard: usize,
-        stream_id: StreamId,
-        frame_index: usize,
-    },
+/// The one kind of deadline the reactor's shared heap holds: re-send
+/// `NeedFrame` for a job still parked on an evicted frame.
+struct NeedFrameRetry {
+    shard: usize,
+    stream_id: StreamId,
+    frame_index: usize,
 }
 
 /// Everything the reactor's fixed worker set shares: the shard state
@@ -51,7 +47,7 @@ pub(super) struct ReactorShared<T: Teacher> {
     /// finalized by their standby.
     failover: FailoverShared<T>,
     poller: st_net::Poller,
-    timers: Mutex<DeadlineHeap<TimerEvent>>,
+    timers: Mutex<DeadlineHeap<NeedFrameRetry>>,
     /// Set when a worker hits a hard error, telling its peers to stop
     /// instead of serving a half-dead pool.
     aborted: AtomicBool,
@@ -62,7 +58,6 @@ pub(super) struct ReactorShared<T: Teacher> {
     /// shard's mutex while timers starve.
     rerun: Vec<AtomicBool>,
     shard_wakers: Arc<Vec<st_net::Waker>>,
-    steal_poll: Duration,
 }
 
 impl<T: Teacher> ReactorShared<T> {
@@ -72,7 +67,6 @@ impl<T: Teacher> ReactorShared<T> {
         failover: FailoverShared<T>,
         poller: st_net::Poller,
         shard_wakers: Arc<Vec<st_net::Waker>>,
-        steal_poll: Duration,
     ) -> Self {
         ReactorShared {
             rerun: (0..failover.states.len())
@@ -83,7 +77,6 @@ impl<T: Teacher> ReactorShared<T> {
             timers: Mutex::new(DeadlineHeap::new(Instant::now())),
             aborted: AtomicBool::new(false),
             shard_wakers,
-            steal_poll,
         }
     }
 }
@@ -148,15 +141,8 @@ fn reactor_loop<T: Teacher>(
         // Fire due timers. The heap lock is released before dispatching so
         // a handler arming follow-up timers never self-deadlocks.
         let due = locked(&shared.timers).advance(Instant::now());
-        for event in due {
-            match event {
-                TimerEvent::Tick(shard) => dispatch_pass(shared, shard, true, outputs)?,
-                TimerEvent::NeedFrameRetry {
-                    shard,
-                    stream_id,
-                    frame_index,
-                } => dispatch_need_frame_retry(shared, shard, stream_id, frame_index),
-            }
+        for retry in due {
+            dispatch_need_frame_retry(shared, retry);
         }
         // Park until a shard's token wakes, but never sleep past the next
         // timer deadline (or the idle tick, whichever is sooner).
@@ -167,19 +153,17 @@ fn reactor_loop<T: Teacher>(
                 .min(REACTOR_IDLE_TICK)
         });
         if let Some(token) = shared.poller.poll_one(timeout) {
-            dispatch_pass(shared, token, false, outputs)?;
+            dispatch_pass(shared, token, outputs)?;
         }
     }
 }
 
 /// Run one pass on `shard`, then arm whatever follow-up events the pass
 /// asked for: an immediate self-wake while backlog (or a shutdown drain)
-/// remains, a steal-poll tick while idle-stealing, and a retry timer per
-/// `NeedFrame` sent.
+/// remains, and a retry timer per `NeedFrame` sent.
 fn dispatch_pass<T: Teacher>(
     shared: &ReactorShared<T>,
     shard: usize,
-    from_timer: bool,
     outputs: &mut Vec<ShardOutput>,
 ) -> Result<()> {
     // Set-then-try ordering makes the handoff airtight: if the try_lock
@@ -192,15 +176,7 @@ fn dispatch_pass<T: Teacher>(
     shared.rerun[shard].store(true, Ordering::SeqCst);
     let mut guard = match shared.failover.states[shard].try_lock() {
         Ok(guard) => guard,
-        Err(std::sync::TryLockError::WouldBlock) => {
-            if from_timer {
-                // The shard is mid-pass, hence not idle; try the steal tick
-                // again later (the shard still counts it as pending, by
-                // design).
-                locked(&shared.timers).schedule_after(shared.steal_poll, TimerEvent::Tick(shard));
-            }
-            return Ok(());
-        }
+        Err(std::sync::TryLockError::WouldBlock) => return Ok(()),
         Err(std::sync::TryLockError::Poisoned(_)) => {
             // Reactor passes never unwind through the guard (the pass body
             // is caught below), so poison here is a bug, not a shard death.
@@ -211,13 +187,13 @@ fn dispatch_pass<T: Teacher>(
     };
     shared.rerun[shard].store(false, Ordering::SeqCst);
     if shared.failover.board.is_dead(shard) {
-        // A late wake or tick for a dead shard: the carcass in the slot
-        // belongs to its standby, not to us.
+        // A late wake for a dead shard: the carcass in the slot belongs to
+        // its standby, not to us.
         return Ok(());
     }
     let outcome = {
         let Some(state) = guard.as_mut() else {
-            // The shard already finished; a late wake or tick is harmless.
+            // The shard already finished; a late wake is harmless.
             return Ok(());
         };
         // A shard death must not take the hosting OS thread (and every
@@ -225,7 +201,7 @@ fn dispatch_pass<T: Teacher>(
         // publish the death, and hand the carcass to the standby. The guard
         // is released normally, so no poison.
         let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.run_pass(&shared.failover, from_timer)
+            state.run_pass(&shared.failover)
         }));
         let outcome = match pass {
             Ok(outcome) => outcome?,
@@ -259,12 +235,6 @@ fn dispatch_pass<T: Teacher>(
             }
             return Ok(());
         }
-        // Arm the steal tick while still holding the state lock, so the
-        // shard cannot run (and ask for a second tick) before this one is
-        // on the heap.
-        if outcome.arm_tick {
-            locked(&shared.timers).schedule_after(shared.steal_poll, TimerEvent::Tick(shard));
-        }
         outcome
     };
     drop(guard);
@@ -273,13 +243,13 @@ fn dispatch_pass<T: Teacher>(
         // were mid-pass; re-issue it.
         shared.shard_wakers[shard].wake();
     }
-    for (stream_id, frame_index) in &outcome.need_frames {
+    for &(stream_id, frame_index) in &outcome.need_frames {
         locked(&shared.timers).schedule_after(
             NEED_FRAME_RETRY,
-            TimerEvent::NeedFrameRetry {
+            NeedFrameRetry {
                 shard,
-                stream_id: *stream_id,
-                frame_index: *frame_index,
+                stream_id,
+                frame_index,
             },
         );
     }
@@ -293,15 +263,10 @@ fn dispatch_pass<T: Teacher>(
 
 /// Deliver a `NeedFrameRetry` timer to its shard, re-arming it while the
 /// job stays parked (or while the shard is too busy to answer).
-fn dispatch_need_frame_retry<T: Teacher>(
-    shared: &ReactorShared<T>,
-    shard: usize,
-    stream_id: StreamId,
-    frame_index: usize,
-) {
-    let still_waiting = match shared.failover.states[shard].try_lock() {
+fn dispatch_need_frame_retry<T: Teacher>(shared: &ReactorShared<T>, retry: NeedFrameRetry) {
+    let still_waiting = match shared.failover.states[retry.shard].try_lock() {
         Ok(mut guard) => match guard.as_mut() {
-            Some(state) => state.on_need_frame_retry(stream_id, frame_index),
+            Some(state) => state.on_need_frame_retry(retry.stream_id, retry.frame_index),
             None => false,
         },
         // Mid-pass: the pass may well deliver the re-share; check again
@@ -309,14 +274,7 @@ fn dispatch_need_frame_retry<T: Teacher>(
         Err(_) => true,
     };
     if still_waiting {
-        locked(&shared.timers).schedule_after(
-            NEED_FRAME_RETRY,
-            TimerEvent::NeedFrameRetry {
-                shard,
-                stream_id,
-                frame_index,
-            },
-        );
+        locked(&shared.timers).schedule_after(NEED_FRAME_RETRY, retry);
     }
 }
 
@@ -329,7 +287,7 @@ mod tests {
     #[test]
     fn escaped_panic_aborts_the_pool_and_blames_the_worker_not_a_shard() {
         // One (already vacated) shard slot, and a timer-plumbing bug: a
-        // tick addressed to a shard that does not exist. Dispatching it
+        // retry addressed to a shard that does not exist. Dispatching it
         // panics outside any shard pass.
         let poller = st_net::Poller::new();
         let shard_wakers = Arc::new(vec![poller.waker(0)]);
@@ -341,9 +299,15 @@ mod tests {
             },
             poller,
             shard_wakers,
-            Duration::from_millis(1),
         );
-        locked(&shared.timers).schedule_after(Duration::ZERO, TimerEvent::Tick(7));
+        locked(&shared.timers).schedule_after(
+            Duration::ZERO,
+            NeedFrameRetry {
+                shard: 7,
+                stream_id: 0,
+                frame_index: 0,
+            },
+        );
         let Err(err) = run_reactor_worker(&shared, 3) else {
             panic!("a panicking worker must fail the pool");
         };

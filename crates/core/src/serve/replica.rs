@@ -109,17 +109,6 @@ impl ReplicaStore {
         }
     }
 
-    /// Re-home a replica after a voluntary migration. Store references are
-    /// untouched — the checkpoint content did not change, only its owner.
-    pub(super) fn move_owner(&self, stream_id: StreamId, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        if let Some(replica) = locked(&self.slots[from]).remove(&stream_id) {
-            locked(&self.slots[to]).insert(stream_id, replica);
-        }
-    }
-
     /// Take every replica a dead shard owned, materialized for restore
     /// (references released) and sorted by stream id so adoption order is
     /// deterministic.

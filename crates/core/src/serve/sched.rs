@@ -102,17 +102,6 @@ impl FairScheduler {
         self.queues.len()
     }
 
-    /// The stream with the deepest queue (ties toward the smallest id, so
-    /// the answer is deterministic), with its depth. This is the stream a
-    /// work-stealing victim donates: moving the deepest backlog relieves the
-    /// shard fastest and gives the hot stream a worker of its own.
-    pub fn busiest_stream(&self) -> Option<(StreamId, usize)> {
-        self.queues
-            .iter()
-            .map(|(id, q)| (*id, q.len()))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-    }
-
     /// Pop the next co-scheduled batch: at most `max_batch` jobs, drained
     /// round-robin with per-stream deficits. Returns an empty vector when
     /// nothing is queued or `max_batch == 0`.

@@ -7,10 +7,10 @@
 //! shard's distill crew ([`super::crew`]) — claimed one at a time by the
 //! calling thread and by whichever pool-wide helper threads take up the
 //! batch. An item *owns* its stream's session for as long as it runs — moved
-//! out of the shard and moved back with the item, the same hand-off
-//! migration uses — so no session is ever borrowed across threads or
-//! locked. Every finished [`KeyFrameResponse`] goes to the batch's sink the
-//! moment the caller sees it, not when the batch ends.
+//! out of the shard ([`ServeShard::evict_stream`]) and moved back with the
+//! item ([`ServeShard::adopt_stream`]) — so no session is ever borrowed
+//! across threads or locked. Every finished [`KeyFrameResponse`] goes to
+//! the batch's sink the moment the caller sees it, not when the batch ends.
 
 use super::crew::{Crew, Event, Ran};
 #[cfg(doc)]
@@ -51,8 +51,7 @@ pub(super) struct StreamEntry {
     /// The stream's pre-shared frame content, LRU-bounded.
     frames: FrameStore,
     /// Delta-update negotiation state; `None` on legacy bare-snapshot
-    /// streams. Travels with the stream through migration and is rebuilt
-    /// (unsynced) after a failover restore.
+    /// streams. Rebuilt (unsynced) after a failover restore.
     delta: Option<DeltaTrack>,
 }
 
@@ -410,24 +409,20 @@ impl<T: Teacher> ServeShard<T> {
         true
     }
 
-    /// Pull a whole stream out of the shard for migration: its live session
-    /// and its frame cache, counters intact (they travel with the stream and
-    /// are folded into whichever shard finally retires it).
+    /// Pull a whole stream out of the shard: its live session and its frame
+    /// cache, counters intact. This is how a crew work item comes to own
+    /// its stream for as long as it runs.
     pub(super) fn evict_stream(&mut self, stream_id: StreamId) -> Option<StreamEntry> {
-        let entry = self.sessions.remove(&stream_id);
-        if entry.is_some() {
-            self.stats.streams_donated += 1;
-        }
-        entry
+        self.sessions.remove(&stream_id)
     }
 
-    /// Install a stream migrated from another shard.
+    /// Install a stream pulled out with [`evict_stream`](Self::evict_stream)
+    /// — of this shard or, the session being self-contained, of another.
     pub(super) fn adopt_stream(&mut self, stream_id: StreamId, entry: StreamEntry) {
         debug_assert!(
             !self.sessions.contains_key(&stream_id),
-            "a stream lives on exactly one shard"
+            "a stream lives in exactly one place"
         );
-        self.stats.streams_stolen_in += 1;
         self.sessions.insert(stream_id, entry);
     }
 
@@ -691,7 +686,7 @@ impl<T: Teacher> ServeShard<T> {
                 item.jobs.push(item_job);
                 continue;
             }
-            let Some(mut entry) = self.sessions.remove(&job.stream_id) else {
+            let Some(mut entry) = self.evict_stream(job.stream_id) else {
                 unreachable!("session present: resolved above")
             };
             tracks.push(entry.delta.take());
@@ -716,7 +711,8 @@ impl<T: Teacher> ServeShard<T> {
         let mut server_time = vec![0.0f64; jobs.len()];
         let mut failures: Vec<Option<std::thread::Result<Result<()>>>> =
             items.iter().map(|_| None).collect();
-        let (stats, sessions) = (&mut self.stats, &mut self.sessions);
+        let mut home: Vec<(StreamId, StreamEntry)> = Vec::with_capacity(items.len());
+        let stats = &mut self.stats;
         Arc::clone(&self.crew).run_batch(items, distill_item, |event, ran| match event {
             Event::Progress(Served {
                 position,
@@ -748,9 +744,12 @@ impl<T: Teacher> ServeShard<T> {
                 } else {
                     failures[position] = Some(outcome);
                 }
-                sessions.insert(stream_id, entry);
+                home.push((stream_id, entry));
             }
         });
+        for (stream_id, entry) in home {
+            self.adopt_stream(stream_id, entry);
+        }
         for time in server_time {
             self.stats.virtual_server_time += time;
         }
@@ -765,7 +764,7 @@ impl<T: Teacher> ServeShard<T> {
     /// checkpoint and the stream's counters (distillation half only — the
     /// pool worker merges in waits/throttles/drops). The stream's
     /// frame-cache counters are folded into this shard's [`ShardStats`]
-    /// here, so a migrated stream's evictions land where it finished.
+    /// here.
     pub fn finish(&mut self, stream_id: StreamId) -> Option<(WeightSnapshot, StreamServerStats)> {
         self.sessions.remove(&stream_id).map(|mut entry| {
             let checkpoint = entry.session.initial_checkpoint();

@@ -2,13 +2,10 @@
 //! handlers, and the channel plumbing that connects it to clients. The
 //! reactor drives it exclusively through [`ShardState::run_pass`],
 //! [`ShardState::on_need_frame_retry`] and [`ShardState::finish`]; its
-//! fields are private to this module and its two halves — `migrate` (work
-//! stealing) and `takeover` (warm-standby adoption).
+//! fields are private to this module and its `takeover` child (warm-standby
+//! adoption).
 
-mod migrate;
 mod takeover;
-
-pub(super) use migrate::StealRegistry;
 
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
@@ -98,16 +95,21 @@ pub(super) type Registry = Arc<Mutex<HashMap<StreamId, StreamLink>>>;
 
 /// One stream's live shard assignment. Clients hold their own `Arc` and
 /// read it with a single atomic load per send — the pool-wide map is only
-/// locked on connect, migration, and worker-side forwarding lookups, so
-/// uplink traffic never serializes on a global mutex.
+/// locked on connect and by a takeover's routing flip, so uplink traffic
+/// never serializes on a global mutex.
 pub(super) type Route = Arc<AtomicUsize>;
 
 /// The live stream → shard routing table, shared by the pool (placement +
-/// duplicate detection) and every worker (to forward traffic that raced a
-/// migration); each [`StreamClient`] holds its own entry's [`Route`]
-/// directly, so a migrated stream's traffic follows it. An entry is never
-/// removed — a stream id stays reserved for the pool's lifetime.
+/// duplicate detection) and every worker (a standby flips its dead ward's
+/// entries to itself); each [`StreamClient`] holds its own entry's
+/// [`Route`] directly, so an adopted stream's traffic follows it. An entry
+/// is never removed — a stream id stays reserved for the pool's lifetime.
 pub(super) type Placements = Arc<Mutex<HashMap<StreamId, Route>>>;
+
+/// Registered-session count per shard — the signal least-loaded placement
+/// reads and [`ServerPool::shard_loads`] reports. Credited at connect,
+/// released when the stream retires, re-homed by a takeover.
+pub(super) type ShardLoads = Arc<Vec<AtomicUsize>>;
 
 /// What one shard state machine hands back when it finishes. Tagged with
 /// the shard index because a reactor worker finalizes whichever shards it
@@ -314,7 +316,7 @@ fn retire<T: Teacher>(
     shard: &mut ServeShard<T>,
     stream_id: StreamId,
     meters: &mut HashMap<StreamId, StreamMeter>,
-    steal: &StealRegistry,
+    loads: &ShardLoads,
     shard_index: usize,
 ) -> Option<(WeightSnapshot, StreamServerStats)> {
     shard.finish(stream_id).map(|(checkpoint, mut stats)| {
@@ -324,34 +326,29 @@ fn retire<T: Teacher>(
             stats.throttled = meter.throttled;
             stats.dropped = meter.dropped;
         }
-        steal.load_dec(shard_index);
+        loads[shard_index].fetch_sub(1, Ordering::SeqCst);
         (checkpoint, stats)
     })
 }
 
 /// All of one shard's serving state and its event handlers: uplink receiver,
 /// fair scheduler, adaptive batcher, per-stream downlinks and meters, parked
-/// re-share jobs, steal-protocol bookkeeping, and the exit protocol. The
-/// reactor hosts every shard's `ShardState` behind a mutex on a fixed worker
-/// set, running [`run_pass`](Self::run_pass) whenever the shard's readiness
-/// token wakes or one of its timers fires.
+/// re-share jobs, and the exit protocol. The reactor hosts every shard's
+/// `ShardState` behind a mutex on a fixed worker set, running
+/// [`run_pass`](Self::run_pass) whenever the shard's readiness token wakes.
 ///
 /// The handlers mirror the event sources: [`on_frame`](Self::on_frame) for
-/// an uplink envelope, [`on_migration`](Self::on_migration) for a mailbox
-/// handoff, [`on_need_frame_retry`](Self::on_need_frame_retry) for a retry
-/// timer, and disconnect detection inside [`drain_uplink`](Self::drain_uplink).
+/// an uplink envelope, [`on_need_frame_retry`](Self::on_need_frame_retry)
+/// for a retry timer, and disconnect detection inside
+/// [`drain_uplink`](Self::drain_uplink).
 pub(super) struct ShardState<T: Teacher> {
     shard_index: usize,
     pool_config: PoolConfig,
-    stealing: bool,
     shard: ServeShard<T>,
     rx: crossbeam::channel::Receiver<Envelope>,
     registry: Registry,
-    steal: Arc<StealRegistry>,
+    loads: ShardLoads,
     placements: Placements,
-    /// One waker per shard, used to nudge the owner of forwarded traffic
-    /// and the thief of a donated stream.
-    shard_wakers: Arc<Vec<st_net::Waker>>,
     scheduler: FairScheduler,
     batcher: AdaptiveBatch,
     downlinks: HashMap<StreamId, Downlink>,
@@ -359,10 +356,6 @@ pub(super) struct ShardState<T: Teacher> {
     streams: HashMap<StreamId, StreamServerStats>,
     final_checkpoints: HashMap<StreamId, WeightSnapshot>,
     awaiting: AwaitingFrames,
-    deferred: Vec<Envelope>,
-    requested: Option<(usize, Instant)>,
-    adopted_at: HashMap<StreamId, Instant>,
-    idle_since: Option<Instant>,
     /// One wait sample (seconds) per key frame served, in emission order —
     /// the raw material of the operator report's p50/p99.
     wait_samples: Vec<f64>,
@@ -370,9 +363,6 @@ pub(super) struct ShardState<T: Teacher> {
     /// `NeedFrame` requests sent during the current pass; the reactor arms
     /// a retry timer for each.
     need_frames_sent: Vec<(StreamId, usize)>,
-    /// True while a steal-poll `Tick` timer is armed for this shard, so idle
-    /// passes do not stack duplicate ticks.
-    tick_pending: bool,
     /// Failover blackboard (liveness, deaths, adoption claims).
     board: Arc<FailoverBoard>,
     /// Checkpoint-replica store; `Some` iff [`PoolConfig::replication`].
@@ -402,7 +392,7 @@ pub(super) struct ShardState<T: Teacher> {
 /// What one [`ShardState::run_pass`] left behind, telling the reactor which
 /// follow-up events to arm.
 pub(super) struct PassOutcome {
-    /// The shard ran its exit protocol to completion; the state can be
+    /// Every uplink handle is gone and nothing is queued: the state can be
     /// finalized with [`ShardState::finish`].
     pub(super) done: bool,
     /// Every uplink handle is gone (shutdown drain in progress).
@@ -410,10 +400,6 @@ pub(super) struct PassOutcome {
     /// The scheduler still holds queued jobs — re-wake immediately so the
     /// next batch runs without waiting for new traffic.
     pub(super) backlog: bool,
-    /// The shard is an idle participant in the steal protocol with no
-    /// `steal_poll` tick outstanding: arm one so it keeps offering and
-    /// requesting work. The pass has already recorded the tick as pending.
-    pub(super) arm_tick: bool,
     /// `NeedFrame` requests sent this pass, each wanting a retry timer.
     pub(super) need_frames: Vec<(StreamId, usize)>,
 }
@@ -426,9 +412,8 @@ impl<T: Teacher> ShardState<T> {
         registry: Registry,
         pool_config: PoolConfig,
         shard_index: usize,
-        steal: Arc<StealRegistry>,
+        loads: ShardLoads,
         placements: Placements,
-        shard_wakers: Arc<Vec<st_net::Waker>>,
         board: Arc<FailoverBoard>,
         replicas: Option<Arc<ReplicaStore>>,
     ) -> Self {
@@ -437,13 +422,11 @@ impl<T: Teacher> ShardState<T> {
         ShardState {
             shard_index,
             pool_config,
-            stealing: pool_config.stealing(),
             shard,
             rx,
             registry,
-            steal,
+            loads,
             placements,
-            shard_wakers,
             scheduler: FairScheduler::new(pool_config.quantum),
             batcher,
             downlinks: HashMap::new(),
@@ -451,14 +434,9 @@ impl<T: Teacher> ShardState<T> {
             streams: HashMap::new(),
             final_checkpoints: HashMap::new(),
             awaiting: HashMap::new(),
-            deferred: Vec::new(),
-            requested: None,
-            adopted_at: HashMap::new(),
-            idle_since: None,
             wait_samples: Vec::new(),
             disconnected: false,
             need_frames_sent: Vec::new(),
-            tick_pending: false,
             board,
             replicas,
             batches_processed: 0,
@@ -475,6 +453,23 @@ impl<T: Teacher> ShardState<T> {
     /// `Disconnected` means every uplink handle is gone and the shard should
     /// flush its backlog and exit.
     fn drain_uplink(&mut self, incoming: &mut Vec<Envelope>) {
+        // Dead shards' uplinks keep receiving from clients that loaded the
+        // route before the takeover flipped it; as their adopter we drain
+        // those queues for the rest of the pool's life — and *before* our
+        // own: a client sends to one route at a time, so whatever it left in
+        // an adopted uplink (a `Register` that raced the death, say) is
+        // older than anything it has put in ours since the flip. This is the
+        // only way an envelope reaches a shard other than the one its stream
+        // was placed on, and it lands on the shard that now holds the
+        // session or its connect-time registry entry, so nothing is ever
+        // forwarded or deferred.
+        for rx in &self.adopted_rx {
+            while let Ok(envelope) = rx.try_recv() {
+                incoming.push(envelope);
+            }
+        }
+        // Only *our* uplink decides `disconnected` — an adopted channel
+        // closing just means its last client left.
         loop {
             match self.rx.try_recv() {
                 Ok(envelope) => incoming.push(envelope),
@@ -485,16 +480,6 @@ impl<T: Teacher> ShardState<T> {
                 }
             }
         }
-        // Dead shards' uplinks keep receiving from clients that loaded the
-        // route before the takeover flipped it; as their adopter we drain
-        // those queues for the rest of the pool's life. (Only *our* uplink
-        // decides `disconnected` — an adopted channel closing just means
-        // its last client left.)
-        for rx in &self.adopted_rx {
-            while let Ok(envelope) = rx.try_recv() {
-                incoming.push(envelope);
-            }
-        }
     }
 
     /// Handle one uplink envelope: control messages in arrival order; key
@@ -502,71 +487,6 @@ impl<T: Teacher> ShardState<T> {
     fn on_frame(&mut self, envelope: Envelope) -> Result<()> {
         self.shard.stats.events_dispatched += 1;
         let stream_id = envelope.tagged.stream_id;
-        // Elastic pools: traffic for a stream that lives elsewhere follows
-        // it. A stream placed here that is neither live, nor retired, nor
-        // awaiting its connect-time Register is mid-migration toward us —
-        // defer its traffic until the mailbox delivers the stream itself.
-        if self.stealing
-            && !self.shard.has_stream(stream_id)
-            && !matches!(
-                envelope.tagged.message,
-                ClientToServer::Register | ClientToServer::RegisterCaps { .. }
-            )
-        {
-            let owner = locked(&self.placements)
-                .get(&stream_id)
-                .map(|route| route.load(Ordering::SeqCst));
-            match owner {
-                Some(other)
-                    if other != self.shard_index && self.adopted_shards.contains(&other) =>
-                {
-                    // The route still names a shard whose streams we
-                    // adopted; its mailbox is closed, so forwarding would
-                    // strand the envelope. Re-point the route here and
-                    // serve the envelope locally.
-                    if let Some(route) = locked(&self.placements).get(&stream_id) {
-                        route.store(self.shard_index, Ordering::SeqCst);
-                    }
-                }
-                Some(other) if other != self.shard_index => {
-                    match self.steal.forward_envelope(other, envelope) {
-                        Ok(()) => {
-                            self.shard.stats.forwarded_messages += 1;
-                            // The owner may be parked; hand-delivered mail
-                            // still needs a doorbell.
-                            self.shard_wakers[other].wake();
-                        }
-                        Err(undelivered) if self.board.is_dead(other) => {
-                            // The owner died and its standby is mid-takeover
-                            // (the mailbox closes before the routing flip).
-                            // Defer: the retry after the next mailbox drain
-                            // will see the flipped route.
-                            self.deferred.push(undelivered);
-                        }
-                        Err(_undelivered) => {
-                            // The owning worker already exited (so its
-                            // clients are long gone and no ack could be
-                            // delivered); count the loss in this shard's
-                            // dropped_jobs instead of posting into a dead
-                            // letter box. The stream's own per-stream stats
-                            // were frozen when it retired over there, so the
-                            // pool-level counter is the only honest place
-                            // left to record it.
-                            self.shard.stats.dropped_jobs += 1;
-                        }
-                    }
-                    return Ok(());
-                }
-                Some(_)
-                    if !self.streams.contains_key(&stream_id)
-                        && !locked(&self.registry).contains_key(&stream_id) =>
-                {
-                    self.deferred.push(envelope);
-                    return Ok(());
-                }
-                _ => {}
-            }
-        }
         self.shard.stats.uplink_bytes += envelope.bytes;
         match envelope.tagged.message {
             ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {
@@ -584,8 +504,8 @@ impl<T: Teacher> ShardState<T> {
                     // re-home the connect-time load credit.
                     for (slot, registry) in self.adopted_registries.iter().enumerate() {
                         if let Some(found) = locked(registry).remove(&stream_id) {
-                            self.steal.load_dec(self.adopted_shards[slot]);
-                            self.steal.load_inc(self.shard_index);
+                            self.loads[self.adopted_shards[slot]].fetch_sub(1, Ordering::SeqCst);
+                            self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
                             link = Some(found);
                             break;
                         }
@@ -761,7 +681,7 @@ impl<T: Teacher> ShardState<T> {
                     &mut self.shard,
                     stream_id,
                     &mut self.meters,
-                    &self.steal,
+                    &self.loads,
                     self.shard_index,
                 ) {
                     self.streams.insert(stream_id, stream_stats);
@@ -947,56 +867,33 @@ impl<T: Teacher> ShardState<T> {
     }
 
     /// One non-blocking pass of the shard state machine: failover tick,
-    /// mailbox, deferred retries, uplink drain, envelope handlers, steal
-    /// participation, one co-scheduled batch. This is the reactor's
-    /// dispatch unit; `from_timer` says whether a steal-poll tick (rather
-    /// than a readiness wake) dispatched it.
-    pub(super) fn run_pass(
-        &mut self,
-        failover: &FailoverShared<T>,
-        from_timer: bool,
-    ) -> Result<PassOutcome> {
-        if from_timer {
-            self.tick_pending = false;
-            self.shard.stats.timer_fires += 1;
-        } else {
-            self.shard.stats.poll_wakeups += 1;
-        }
+    /// uplink drain, envelope handlers, one co-scheduled batch. This is the
+    /// reactor's dispatch unit.
+    pub(super) fn run_pass(&mut self, failover: &FailoverShared<T>) -> Result<PassOutcome> {
+        self.shard.stats.poll_wakeups += 1;
         self.need_frames_sent.clear();
         // After the clear, never before: a takeover pushes NeedFrame
         // re-requests that this pass's outcome must carry out.
         self.failover_tick(failover)?;
         let mut incoming: Vec<Envelope> = Vec::new();
-        self.ingest_mailbox(&mut incoming);
-        // Envelopes that arrived ahead of their stream's migration retry
-        // after every mailbox drain, ahead of newer traffic.
-        let retry: Vec<Envelope> = std::mem::take(&mut self.deferred);
-        incoming.splice(0..0, retry);
         self.drain_uplink(&mut incoming);
         if incoming.is_empty() && self.scheduler.is_empty() && self.disconnected {
-            let done = self.ready_to_exit();
             return Ok(PassOutcome {
-                done,
+                done: true,
                 disconnected: true,
                 backlog: false,
-                arm_tick: false,
                 need_frames: Vec::new(),
             });
         }
         for envelope in incoming {
             self.on_frame(envelope)?;
         }
-        self.steal_participation();
         self.process_one_batch()?;
         self.note_idle_streams();
-        let idle_stealing = self.stealing && !self.disconnected && self.scheduler.is_empty();
-        let arm_tick = idle_stealing && !self.tick_pending;
-        self.tick_pending |= arm_tick;
         Ok(PassOutcome {
             done: false,
             disconnected: self.disconnected,
             backlog: !self.scheduler.is_empty(),
-            arm_tick,
             need_frames: std::mem::take(&mut self.need_frames_sent),
         })
     }
@@ -1026,8 +923,7 @@ impl<T: Teacher> ShardState<T> {
     }
 
     /// The exit protocol: ack whatever can never be served now, retire every
-    /// remaining session, close steal-protocol state, and assemble the
-    /// shard's final output.
+    /// remaining session, and assemble the shard's final output.
     pub(super) fn finish(mut self) -> ShardOutput {
         // The clients are gone, so re-shares for parked jobs can never
         // arrive: ack and count them instead of letting them vanish.
@@ -1065,7 +961,7 @@ impl<T: Teacher> ShardState<T> {
                 &mut self.shard,
                 stream_id,
                 &mut self.meters,
-                &self.steal,
+                &self.loads,
                 self.shard_index,
             ) {
                 self.streams.insert(stream_id, stream_stats);
@@ -1073,40 +969,6 @@ impl<T: Teacher> ShardState<T> {
             }
             if let Some(store) = &self.replicas {
                 store.remove(self.shard_index, stream_id);
-            }
-        }
-        if self.stealing {
-            // No posthumous steal traffic: zero the published backlog,
-            // refuse any request a thief may still have parked at us, and
-            // close the mailbox — counting any envelope forwarded here since
-            // the last drain, so a message lost to the shutdown race still
-            // shows up in the drop accounting. (Migrated *streams* cannot be
-            // stranded here: the cancel-under-lock exit protocol guarantees
-            // that.)
-            self.steal.publish_backlog(self.shard_index, 0);
-            self.steal.clear_request(self.shard_index);
-            let (stranded, leftovers) = self.steal.close_mailbox(self.shard_index);
-            debug_assert!(stranded.is_empty(), "stream stranded at exit");
-            for envelope in leftovers {
-                let stream_id = envelope.tagged.stream_id;
-                self.shard.stats.dropped_jobs += 1;
-                note_drop(&mut self.streams, &mut self.meters, stream_id);
-                if let (
-                    Some(downlink),
-                    ClientToServer::KeyFrame { frame_index, .. }
-                    | ClientToServer::ReShare { frame_index, .. },
-                ) = (self.downlinks.get(&stream_id), envelope.tagged.message)
-                {
-                    deliver(
-                        &mut self.shard.stats,
-                        downlink,
-                        MESSAGE_OVERHEAD_BYTES,
-                        ServerToClient::Dropped {
-                            frame_index,
-                            reason: DropReason::UnknownStream,
-                        },
-                    );
-                }
             }
         }
         carcass_output(self)
@@ -1146,16 +1008,14 @@ mod tests {
             0.013,
         );
         let (_uplink, rx) = crossbeam::channel::unbounded();
-        let poller = st_net::Poller::new();
         ShardState::new(
             shard,
             rx,
             Arc::new(Mutex::new(HashMap::new())),
             PoolConfig::with_shards(1),
             0,
-            Arc::new(StealRegistry::new(1)),
+            Arc::new(vec![AtomicUsize::new(0)]),
             Arc::new(Mutex::new(HashMap::new())),
-            Arc::new(vec![poller.waker(0)]),
             Arc::new(FailoverBoard::new(1, false)),
             None,
         )
@@ -1205,5 +1065,78 @@ mod tests {
         // Every job of the batch was answered: nothing is left for a standby
         // to drop-ack.
         assert!(state.torn_jobs.is_empty());
+    }
+
+    #[test]
+    fn an_adopted_uplink_is_drained_ahead_of_the_adopters_own() {
+        // Shard 1 has adopted dead shard 0. Stream 7's `Register` raced the
+        // death and still sits in shard 0's uplink; the key frame its client
+        // sent after the routing flip sits in shard 1's own. One pass must
+        // see them in the order they were sent — the key frame is served,
+        // not refused as an unknown stream.
+        let frames = tiny_stream(SceneKind::People, 503, 1);
+        let envelope = |message| Envelope {
+            tagged: StreamTagged::new(7, message),
+            bytes: 1,
+            enqueued_at: Instant::now(),
+            frame: None,
+        };
+        let (dead_uplink, dead_rx) = crossbeam::channel::unbounded();
+        let (own_uplink, own_rx) = crossbeam::channel::unbounded();
+        let (down_tx, down_rx) = crossbeam::channel::unbounded();
+        let dead_registry: Registry = Arc::new(Mutex::new(HashMap::from([(
+            7,
+            StreamLink {
+                downlink: Downlink {
+                    tx: down_tx,
+                    waker: None,
+                    wire: Arc::new(WireMeter::default()),
+                },
+                frames: FrameStore::from_frames(&frames, None),
+            },
+        )])));
+        assert!(dead_uplink.send(envelope(ClientToServer::Register)).is_ok());
+        assert!(own_uplink
+            .send(envelope(ClientToServer::KeyFrame {
+                frame_index: frames[0].index,
+                payload: Payload::sized(frames[0].raw_rgb_bytes()),
+            }))
+            .is_ok());
+        let mut state = lone_state();
+        state.shard_index = 1;
+        state.board = Arc::new(FailoverBoard::new(2, false));
+        state.rx = own_rx;
+        state.loads = Arc::new(vec![AtomicUsize::new(1), AtomicUsize::new(0)]);
+        state.adopted_rx.push(dead_rx);
+        state.adopted_registries.push(dead_registry);
+        state.adopted_shards.push(0);
+        let failover = FailoverShared {
+            states: Vec::new(),
+            board: Arc::clone(&state.board),
+            replicas: None,
+        };
+        let outcome = state.run_pass(&failover).unwrap();
+        assert!(!outcome.done && !outcome.backlog);
+        let stats = state.shard.stats();
+        assert_eq!((stats.key_frames, stats.dropped_jobs), (1, 0));
+        let answers: Vec<ServerToClient> =
+            std::iter::from_fn(|| down_rx.try_recv().ok().map(|(_, msg)| msg)).collect();
+        assert!(
+            matches!(
+                answers[..],
+                [
+                    ServerToClient::InitialStudent { .. },
+                    ServerToClient::StudentUpdate { .. }
+                ]
+            ),
+            "{answers:?}"
+        );
+        // The connect-time load credit followed the stream to its adopter.
+        let loads: Vec<usize> = state
+            .loads
+            .iter()
+            .map(|l| l.load(Ordering::SeqCst))
+            .collect();
+        assert_eq!(loads, [0, 1]);
     }
 }

@@ -46,25 +46,6 @@ impl<T: Teacher> ShardState<T> {
         let Some(mut carcass) = locked(&failover.states[dead]).take() else {
             return Ok(());
         };
-        // The dead thief can no longer answer a fulfilment. If the
-        // withdrawal loses the race, the stream is already in the dead
-        // shard's mailbox — the close below adopts it.
-        if let Some((victim, _posted_at)) = carcass.requested.take() {
-            let _ = self.steal.withdraw_request(victim, dead);
-        }
-        // Close the dead shard's mailbox: streams donated to it are adopted
-        // here (they exist nowhere else — the donor already released them);
-        // forwarded envelopes are deferred and retried once routes flip.
-        let (stranded, leftovers) = self.steal.close_mailbox(dead);
-        for migrated in stranded {
-            self.shard.stats.streams_adopted += 1;
-            self.on_migration(migrated);
-        }
-        self.deferred.extend(leftovers);
-        // Zero the dead shard's steal surface so no thief keeps waiting on
-        // it and no donor targets it.
-        self.steal.clear_request(dead);
-        self.steal.publish_backlog(dead, 0);
         // Routing flip: every stream the table still points at the dead
         // shard — including connected-but-unregistered ones — now routes
         // here. Clients that loaded the old value already enqueued into the
@@ -97,8 +78,8 @@ impl<T: Teacher> ShardState<T> {
                     replica.supports_delta,
                 )?;
                 self.scheduler.set_deficit(stream_id, replica.deficit);
-                self.steal.load_dec(dead);
-                self.steal.load_inc(self.shard_index);
+                self.loads[dead].fetch_sub(1, Ordering::SeqCst);
+                self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
                 self.shard.stats.streams_adopted += 1;
                 restored.push(stream_id);
             }
@@ -161,8 +142,6 @@ impl<T: Teacher> ShardState<T> {
                 }
             }
         }
-        // Envelopes the dead shard had deferred retry here instead.
-        self.deferred.append(&mut carcass.deferred);
         // Adopt the dead shard's ingress for the rest of the pool's life:
         // its uplink receiver (clients may race the routing flip), its
         // connect-time registry (a Register may race the death), and — if

@@ -56,8 +56,7 @@ pub struct ShardStats {
     pub teacher_wall_time: Duration,
     /// Frames evicted from per-stream [`FrameStore`]s to stay inside the
     /// configured byte budget. Counted at the shard where the stream
-    /// *finished* (a migrated stream carries its cache — and its counters —
-    /// with it).
+    /// *finished*.
     pub frame_evictions: usize,
     /// Largest resident-byte watermark any of this shard's frame caches
     /// reached. Never exceeds [`PoolConfig::frame_budget_bytes`] when a
@@ -68,19 +67,10 @@ pub struct ShardStats {
     pub need_frame_requests: usize,
     /// Frames restored by a client [`st_net::ClientToServer::ReShare`].
     pub reshared_frames: usize,
-    /// Streams this shard stole from a busier shard (work stealing,
-    /// [`crate::config::PlacementPolicy::Rebalance`] only).
-    pub streams_stolen_in: usize,
-    /// Streams this shard handed off to an idle thief.
-    pub streams_donated: usize,
-    /// Uplink messages that arrived here for a stream that had already
-    /// migrated and were forwarded to the stream's current shard.
-    pub forwarded_messages: usize,
-    /// Handler events dispatched on this shard: uplink envelopes, adopted
-    /// migrations and timer fires — the reactor's measure of loop work.
+    /// Handler events dispatched on this shard: uplink envelopes and timer
+    /// fires — the reactor's measure of loop work.
     pub events_dispatched: usize,
-    /// Timer fires dispatched to this shard (steal ticks and
-    /// NeedFrame retries).
+    /// Timer fires dispatched to this shard (`NeedFrame` retries).
     pub timer_fires: usize,
     /// Readiness wakeups that dispatched a pass on this shard.
     pub poll_wakeups: usize,
@@ -92,9 +82,7 @@ pub struct ShardStats {
     /// takeover adopted the dead buddy's streams from their replicated
     /// checkpoints.
     pub failovers: usize,
-    /// Streams this shard adopted from a dead buddy during takeover
-    /// (counted separately from [`ShardStats::streams_stolen_in`], which is
-    /// voluntary migration).
+    /// Streams this shard adopted from a dead buddy during takeover.
     pub streams_adopted: usize,
     /// Key-frame jobs that died with the shard and could not be salvaged
     /// (a torn kill lost the batch in flight). Each was drop-acked with
@@ -274,11 +262,6 @@ impl PoolStats {
         }
     }
 
-    /// Streams migrated between shards by work stealing across the run.
-    pub fn streams_stolen(&self) -> usize {
-        self.shards.iter().map(|s| s.streams_stolen_in).sum()
-    }
-
     /// Frames evicted from per-stream caches across the run.
     pub fn frame_evictions(&self) -> usize {
         self.shards.iter().map(|s| s.frame_evictions).sum()
@@ -386,9 +369,9 @@ impl PoolStats {
     }
 
     /// Condense the run into the serializable operator report
-    /// ([`crate::report::PoolReport`]): per-shard load, steals, evictions,
-    /// teacher wall time and p50/p99 queue waits, plus pool totals. This is
-    /// what `reproduce --json` and the `table11_steal` bench export.
+    /// ([`crate::report::PoolReport`]): per-shard load, evictions, teacher
+    /// wall time and p50/p99 queue waits, plus pool totals. This is what
+    /// `reproduce --json` exports.
     pub fn snapshot(&self) -> crate::report::PoolReport {
         use crate::loadgen::percentile;
         use crate::report::{PoolReport, ShardReport};
@@ -414,9 +397,6 @@ impl PoolStats {
                     need_frame_requests: s.need_frame_requests,
                     reshared_frames: s.reshared_frames,
                     frame_bytes_peak: s.frame_bytes_peak,
-                    streams_stolen_in: s.streams_stolen_in,
-                    streams_donated: s.streams_donated,
-                    forwarded_messages: s.forwarded_messages,
                     events_dispatched: s.events_dispatched,
                     timer_fires: s.timer_fires,
                     poll_wakeups: s.poll_wakeups,
@@ -431,7 +411,6 @@ impl PoolStats {
         PoolReport {
             shards,
             total_key_frames: self.total_key_frames(),
-            streams_stolen: self.streams_stolen(),
             frame_evictions: self.frame_evictions(),
             reshared_frames: self.reshared_frames(),
             dropped_jobs: self.dropped_jobs(),

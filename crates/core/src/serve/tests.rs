@@ -58,22 +58,29 @@ fn pool_config_validates_and_routes() {
     }
     .validate()
     .is_err());
-    assert!(PoolConfig {
-        steal_poll: Duration::ZERO,
-        ..PoolConfig::default_pool()
-    }
-    .validate()
-    .is_err());
     let p = PoolConfig::with_shards(3);
     assert_eq!(p.shard_of(0), 0);
     assert_eq!(p.shard_of(4), 1);
     assert_eq!(p.shard_of(5), 2);
-    assert!(!p.stealing());
-    assert!(PoolConfig {
-        placement: PlacementPolicy::Rebalance,
-        ..PoolConfig::default_pool()
+}
+
+#[test]
+fn replication_validates_under_every_placement_policy() {
+    for placement in [PlacementPolicy::LeastLoaded, PlacementPolicy::StaticModulo] {
+        let replicated = PoolConfig {
+            placement,
+            replication: true,
+            ..PoolConfig::with_shards(2)
+        };
+        assert!(replicated.validate().is_ok(), "{placement:?}");
+        // A shard cannot be its own standby.
+        assert!(PoolConfig {
+            shards: 1,
+            ..replicated
+        }
+        .validate()
+        .is_err());
     }
-    .stealing());
 }
 
 #[test]
@@ -397,7 +404,6 @@ fn pool_serves_two_streams_end_to_end() {
     let report = stats.snapshot();
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.total_key_frames, 2);
-    assert_eq!(report.streams_stolen, 0);
     assert_eq!(report.frame_evictions, 0);
     assert!(report.queue_p50_ms >= 0.0 && report.queue_p99_ms >= report.queue_p50_ms);
     assert!(report.to_json().contains("\"totals\""));
@@ -509,19 +515,6 @@ fn frame_store_evicts_lru_within_budget() {
 }
 
 #[test]
-fn fair_scheduler_reports_the_busiest_stream() {
-    let mut s = FairScheduler::new(1);
-    assert_eq!(s.busiest_stream(), None);
-    s.push(5, 0, at(0));
-    s.push(2, 0, at(1));
-    s.push(2, 1, at(2));
-    assert_eq!(s.busiest_stream(), Some((2, 2)));
-    // Ties break toward the smaller stream id, deterministically.
-    s.push(5, 1, at(3));
-    assert_eq!(s.busiest_stream(), Some((2, 2)));
-}
-
-#[test]
 fn evicted_frame_parks_the_job_instead_of_dropping_it() {
     let mut s = shard();
     let people = frames_for(SceneKind::People, 72, 3);
@@ -563,8 +556,10 @@ fn evicted_frame_parks_the_job_instead_of_dropping_it() {
 
 #[test]
 fn migrated_session_continues_bit_for_bit() {
-    // Distilling on shard A, migrating, then distilling on shard B must
-    // produce exactly the weights (and counters) of never migrating.
+    // A session moved out of its shard and back in — the hand-off every
+    // crew work item performs — is self-contained: distilling on shard A,
+    // moving, then distilling on shard B must produce exactly the weights
+    // (and counters) of never moving.
     let people = frames_for(SceneKind::People, 74, 2);
     let mut control = shard();
     control.register(1, FrameStore::from_frames(&people, None), false);
@@ -580,13 +575,11 @@ fn migrated_session_continues_bit_for_bit() {
     };
     control.process_batch(&[job0]).unwrap();
     a.process_batch(&[job0]).unwrap();
-    // Migrate A → B between batches (the only point migrations happen).
+    // Move A → B between batches.
     let mut b = shard();
     let entry = a.evict_stream(1).expect("stream lives on A");
     assert!(!a.has_stream(1));
     b.adopt_stream(1, entry);
-    assert_eq!(a.stats().streams_donated, 1);
-    assert_eq!(b.stats().streams_stolen_in, 1);
     control.process_batch(&[job1]).unwrap();
     b.process_batch(&[job1]).unwrap();
     let (ckpt_control, stats_control) = control.finish(1).unwrap();
@@ -597,108 +590,6 @@ fn migrated_session_continues_bit_for_bit() {
     // The work is attributed where it ran: one key frame each.
     assert_eq!(a.stats().key_frames, 1);
     assert_eq!(b.stats().key_frames, 1);
-}
-
-#[test]
-fn rebalance_pool_steals_a_backlogged_stream() {
-    // Two shards, three streams. Least-loaded placement puts the hot
-    // stream (id 0) and a cold shard-mate (id 2) on shard 0, and an
-    // inactive stream (id 1) on shard 1. The hot backlog plus the cold
-    // mate's queued jobs make shard 0 donatable, while shard 1 idles and
-    // asks for work: with Rebalance, a steal must happen.
-    let pool = ServerPool::spawn(
-        ShadowTutorConfig::paper(),
-        PoolConfig {
-            shards: 2,
-            max_batch: 1,
-            quantum: 1,
-            adaptive_batch: false,
-            max_in_flight: 64,
-            placement: PlacementPolicy::Rebalance,
-            steal_poll: Duration::from_millis(1),
-            ..PoolConfig::default_pool()
-        },
-        StudentNet::new(StudentConfig::tiny()).unwrap(),
-        0.013,
-        // A real wall-clock pause per forward so a backlog actually
-        // builds at shard 0 while shard 1 goes idle.
-        |shard| {
-            crate::loadgen::PacedTeacher::new(
-                OracleTeacher::perfect(600 + shard as u64),
-                Duration::from_millis(8),
-            )
-        },
-    )
-    .unwrap();
-    let hot_frames = frames_for(SceneKind::People, 75, 12);
-    let idle_frames = frames_for(SceneKind::Street, 77, 1);
-    let mate_frames = frames_for(SceneKind::Animals, 76, 3);
-    let mut hot = pool.connect(0, &hot_frames).unwrap();
-    let mut idle = pool.connect(1, &idle_frames).unwrap();
-    let mut mate = pool.connect(2, &mate_frames).unwrap();
-    assert_eq!(pool.shard_loads(), vec![2, 1]);
-    hot.recv_timeout(Duration::from_secs(10)).unwrap();
-    idle.recv_timeout(Duration::from_secs(10)).unwrap();
-    mate.recv_timeout(Duration::from_secs(10)).unwrap();
-    // Blast the hot stream's whole backlog at shard 0, with the mate's
-    // jobs queued alongside so donation is legal; stream 1 sends
-    // nothing, so shard 1 has only stolen work to do.
-    let send_key = |client: &mut StreamClient, frame: &Frame| {
-        let payload = Payload::sized(frame.raw_rgb_bytes());
-        let bytes = payload.bytes;
-        client
-            .send(
-                ClientToServer::KeyFrame {
-                    frame_index: frame.index,
-                    payload,
-                },
-                bytes,
-            )
-            .unwrap();
-    };
-    for frame in &hot_frames {
-        send_key(&mut hot, frame);
-    }
-    for frame in &mate_frames {
-        send_key(&mut mate, frame);
-    }
-    idle.send(ClientToServer::Shutdown, 1).unwrap();
-    drop(idle);
-    for _ in &hot_frames {
-        let update = hot.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(matches!(update, ServerToClient::StudentUpdate { .. }));
-    }
-    for _ in &mate_frames {
-        let update = mate.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(matches!(update, ServerToClient::StudentUpdate { .. }));
-    }
-    hot.send(ClientToServer::Shutdown, 1).unwrap();
-    mate.send(ClientToServer::Shutdown, 1).unwrap();
-    drop((hot, mate));
-    let stats = pool.join().unwrap();
-    assert_eq!(stats.total_key_frames(), 15);
-    assert_eq!(stats.dropped_jobs(), 0);
-    assert!(
-        stats.streams_stolen() >= 1,
-        "the idle shard never stole the backlog: {:?}",
-        stats
-            .shards
-            .iter()
-            .map(|s| (s.key_frames, s.streams_stolen_in, s.streams_donated))
-            .collect::<Vec<_>>()
-    );
-    // Both shards ended up doing real work.
-    assert!(stats.shards.iter().all(|s| s.key_frames >= 1));
-    // Every steal has a matching donation, and every stream finished
-    // with a checkpoint wherever it ended up.
-    let donated: usize = stats.shards.iter().map(|s| s.streams_donated).sum();
-    assert_eq!(donated, stats.streams_stolen());
-    assert_eq!(stats.final_checkpoints.len(), 3);
-    assert_eq!(stats.streams.len(), 3);
-    assert_eq!(
-        stats.streams[&0].key_frames + stats.streams[&2].key_frames,
-        15
-    );
 }
 
 #[test]
@@ -862,97 +753,6 @@ fn reactor_distillation_is_bit_identical_to_the_shard_layer_at_every_worker_coun
             assert_eq!(live.streams[id].distill_steps, stats.distill_steps);
         }
     }
-}
-
-#[test]
-fn reactor_pool_steals_work_like_the_threaded_pool() {
-    // The same topology as rebalance_pool_steals_a_backlogged_stream —
-    // hot + mate on shard 0, an idle stream on shard 1 — but both
-    // shards hosted by ONE reactor thread: the steal protocol must flow
-    // through timer ticks and mailbox wakes instead of parallel loops.
-    let pool = ServerPool::spawn(
-        ShadowTutorConfig::paper(),
-        PoolConfig {
-            shards: 2,
-            reactor_threads: Some(1),
-            max_batch: 1,
-            quantum: 1,
-            adaptive_batch: false,
-            max_in_flight: 64,
-            placement: PlacementPolicy::Rebalance,
-            steal_poll: Duration::from_millis(1),
-            ..PoolConfig::default_pool()
-        },
-        StudentNet::new(StudentConfig::tiny()).unwrap(),
-        0.013,
-        // A real wall-clock pause per forward so a backlog actually
-        // builds at shard 0 while shard 1 goes idle.
-        |shard| {
-            crate::loadgen::PacedTeacher::new(
-                OracleTeacher::perfect(600 + shard as u64),
-                Duration::from_millis(8),
-            )
-        },
-    )
-    .unwrap();
-    let hot_frames = frames_for(SceneKind::People, 80, 12);
-    let idle_frames = frames_for(SceneKind::Street, 82, 1);
-    let mate_frames = frames_for(SceneKind::Animals, 81, 3);
-    let mut hot = pool.connect(0, &hot_frames).unwrap();
-    let mut idle = pool.connect(1, &idle_frames).unwrap();
-    let mut mate = pool.connect(2, &mate_frames).unwrap();
-    assert_eq!(pool.shard_loads(), vec![2, 1]);
-    hot.recv_timeout(Duration::from_secs(10)).unwrap();
-    idle.recv_timeout(Duration::from_secs(10)).unwrap();
-    mate.recv_timeout(Duration::from_secs(10)).unwrap();
-    let send_key = |client: &mut StreamClient, frame: &Frame| {
-        let payload = Payload::sized(frame.raw_rgb_bytes());
-        let bytes = payload.bytes;
-        client
-            .send(
-                ClientToServer::KeyFrame {
-                    frame_index: frame.index,
-                    payload,
-                },
-                bytes,
-            )
-            .unwrap();
-    };
-    for frame in &hot_frames {
-        send_key(&mut hot, frame);
-    }
-    for frame in &mate_frames {
-        send_key(&mut mate, frame);
-    }
-    idle.send(ClientToServer::Shutdown, 1).unwrap();
-    drop(idle);
-    // Drain updates BEFORE shutdown so the backlog sits in the
-    // scheduler (one batch per pass) long enough to be stolen.
-    for _ in &hot_frames {
-        let update = hot.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(matches!(update, ServerToClient::StudentUpdate { .. }));
-    }
-    for _ in &mate_frames {
-        let update = mate.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(matches!(update, ServerToClient::StudentUpdate { .. }));
-    }
-    hot.send(ClientToServer::Shutdown, 1).unwrap();
-    mate.send(ClientToServer::Shutdown, 1).unwrap();
-    drop((hot, mate));
-    let stats = pool.join().unwrap();
-    assert_eq!(stats.total_key_frames(), 15);
-    assert_eq!(stats.dropped_jobs(), 0);
-    assert_eq!(stats.streams.len(), 3);
-    assert_eq!(stats.final_checkpoints.len(), 3);
-    let report = stats.snapshot();
-    assert!(
-        report.streams_stolen >= 1,
-        "no steal happened under the reactor: {report:?}"
-    );
-    let donated: usize = stats.shards.iter().map(|s| s.streams_donated).sum();
-    assert_eq!(donated, stats.streams_stolen());
-    // Steal-poll ticks flow through the timer wheel under the reactor.
-    assert!(report.timer_fires > 0, "no timer-driven passes recorded");
 }
 
 // ---------------------------------------------------------------------------
@@ -1617,13 +1417,10 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
         PoolConfig {
             shards: 2,
             reactor_threads: Some(1),
-            placement: PlacementPolicy::Rebalance,
             replication: true,
             adaptive_batch: false,
             max_batch: 2,
             max_in_flight: 64,
-            // Nobody steals: the only migration is the takeover.
-            steal_patience: Duration::from_secs(3600),
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),

@@ -1,12 +1,12 @@
 //! The reactor's deadline heap.
 //!
 //! The reactor ([`crate::serve`]) owns *all* time-based serving state —
-//! steal patience, `NeedFrame` re-request retries — in one place instead of
-//! a sleep tick per shard. It never holds more than one steal tick per
-//! shard plus one retry per parked frame (zero of either on every benchmark
-//! workload), so a binary heap keyed by `(deadline, schedule order)` is all
-//! the structure that traffic needs: O(log n) to arm, O(1) to read the next
-//! deadline, and no slots to hash into or cascade between.
+//! `NeedFrame` re-request retries — in one place instead of a sleep tick
+//! per shard. It never holds more than one retry per parked frame (zero on
+//! every benchmark workload), so a binary heap keyed by `(deadline,
+//! schedule order)` is all the structure that traffic needs: O(log n) to
+//! arm, O(1) to read the next deadline, and no slots to hash into or
+//! cascade between.
 //!
 //! Time is passed in explicitly ([`DeadlineHeap::advance`] takes `now`), so
 //! the heap is deterministic under test: no hidden clock reads.
@@ -53,7 +53,7 @@ impl<E> Ord for Entry<E> {
 ///
 /// let start = Instant::now();
 /// let mut timers: DeadlineHeap<&str> = DeadlineHeap::new(start);
-/// timers.schedule_after(Duration::from_millis(500), "steal patience");
+/// timers.schedule_after(Duration::from_millis(500), "need-frame retry");
 /// timers.schedule_after(Duration::from_millis(5), "batch window");
 /// assert_eq!(timers.next_deadline(), Some(start + Duration::from_millis(5)));
 /// let fired = timers.advance(start + Duration::from_millis(10));

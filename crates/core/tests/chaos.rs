@@ -40,13 +40,11 @@ const DEAD_SHARD: usize = 1;
 fn chaos_pool_config(fault_plan: FaultPlan) -> PoolConfig {
     PoolConfig {
         shards: SHARDS,
-        placement: PlacementPolicy::Rebalance,
+        placement: PlacementPolicy::LeastLoaded,
         replication: true,
         fault_plan,
         // High enough that the pipelined hot stream is never throttled.
         max_in_flight: 64,
-        steal_poll: Duration::from_millis(1),
-        steal_patience: Duration::from_millis(5),
         ..PoolConfig::default_pool()
     }
 }
@@ -177,8 +175,9 @@ fn run_chaos_with(
         .map(|(id, frames)| pool.connect(*id, frames).unwrap())
         .collect();
     // Least-loaded placement with equal loads at every connect is
-    // round-robin: streams {1, 5} land on the doomed shard 1, whose buddy
-    // (the adopter) is shard 2.
+    // round-robin — the layout static-modulo placement computes from the
+    // ids: streams {1, 5} land on the doomed shard 1, whose buddy (the
+    // adopter) is shard 2.
     assert_eq!(pool.shard_loads(), vec![2; SHARDS]);
     let mut initials: Vec<Payload> = Vec::new();
     for client in &mut clients {
@@ -244,17 +243,11 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
     let report = stats.snapshot();
     assert_eq!(report.shards.len(), SHARDS);
     assert!(report.failovers >= 1, "no failover recorded: {report:?}");
-    // The buddy adopts every stream the dead shard owned. Stealing is live
-    // while the kill lands, so a migration can race a stream *onto* the
-    // doomed shard first — such a stream is adopted too and shows up in
-    // `streams_stolen`, which bounds the excess.
-    assert!(
-        report.streams_adopted >= doomed_streams().len(),
-        "the buddy must adopt at least the dead shard's streams: {report:?}"
-    );
-    assert!(
-        report.streams_adopted <= doomed_streams().len() + stats.streams_stolen(),
-        "adopted streams exceed the dead shard's own plus raced migrations: {report:?}"
+    // The buddy adopts every stream the dead shard owned, and only those.
+    assert_eq!(
+        report.streams_adopted,
+        doomed_streams().len(),
+        "the buddy must adopt exactly the dead shard's streams: {report:?}"
     );
     assert_eq!(report.frames_lost_on_failover, 0);
     // Replication really ran, and the frozen partial-distillation stages
@@ -371,10 +364,7 @@ fn assert_torn_kill_accounts_for_every_job(
     }
     let report = stats.snapshot();
     assert!(report.failovers >= 1);
-    // See `clean_kill_recovers_every_stream_bit_for_bit`: a steal can race
-    // a stream onto the doomed shard, so adoption is bounded, not exact.
-    assert!(report.streams_adopted >= doomed.len());
-    assert!(report.streams_adopted <= doomed.len() + stats.streams_stolen());
+    assert_eq!(report.streams_adopted, doomed.len());
     assert_eq!(
         report.frames_lost_on_failover, drops,
         "shard accounting disagrees with client-observed drops"
@@ -465,10 +455,35 @@ fn reactor_pool_survives_a_shard_kill() {
     }
     let report = stats.snapshot();
     assert!(report.failovers >= 1);
-    // Bounded, not exact: a steal can race a stream onto the doomed shard
-    // (see `clean_kill_recovers_every_stream_bit_for_bit`).
-    assert!(report.streams_adopted >= doomed_streams().len());
-    assert!(report.streams_adopted <= doomed_streams().len() + stats.streams_stolen());
+    assert_eq!(report.streams_adopted, doomed_streams().len());
+}
+
+#[test]
+fn static_modulo_layout_survives_a_shard_kill_bit_for_bit() {
+    // The bit-reproducible layout (`stream_id % shards`, no connect-order
+    // dependence) under failover: the dead shard's streams are adopted by
+    // its buddy, nothing is dropped, and every stream's updates equal the
+    // fault-free run's under the same placement.
+    let static_modulo = |fault_plan| PoolConfig {
+        placement: PlacementPolicy::StaticModulo,
+        ..chaos_pool_config(fault_plan)
+    };
+    let (faulted, stats) = run_chaos(static_modulo(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0)));
+    assert_eq!(stats.total_key_frames(), total_sent());
+    assert_eq!(stats.dropped_jobs(), 0);
+    let report = stats.snapshot();
+    assert!(report.failovers >= 1, "no failover recorded: {report:?}");
+    assert_eq!(report.streams_adopted, doomed_streams().len());
+    assert_eq!(report.frames_lost_on_failover, 0);
+    let (clean, clean_stats) = run_chaos(static_modulo(FaultPlan::none()));
+    assert_eq!(clean_stats.snapshot().failovers, 0);
+    for (id, clean_outcome) in &clean {
+        assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
+        assert_eq!(
+            faulted[id].updates, clean_outcome.updates,
+            "stream {id} diverged from the fault-free run after adoption"
+        );
+    }
 }
 
 /// Client-side delta state for one stream, mirroring the live runtime's
@@ -603,8 +618,7 @@ fn failover_resyncs_delta_streams_with_a_full_snapshot() {
         "deltas must resume after the re-sync"
     );
     // Client- and server-side envelope accounting agree, and only adopted
-    // streams (the dead shard's own, plus any migration that raced onto it)
-    // ever need a re-sync.
+    // streams ever need a re-sync.
     let fulls: usize = trackers.values().map(|t| t.fulls).sum();
     let deltas: usize = trackers.values().map(|t| t.deltas).sum();
     assert_eq!(fulls, report.full_updates_sent);

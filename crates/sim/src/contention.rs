@@ -26,13 +26,6 @@
 //!   [`ContentionModel::skewed_delay_hot_fair`] pair predicts that split,
 //!   next to the [`ContentionModel::skewed_delay_fifo`] cost a FIFO drain
 //!   would impose on everyone.
-//! * **Work stealing** — placement pins a stream to one shard, so without
-//!   stealing the hot shard serves its skewed load alone while other
-//!   workers idle ([`ContentionModel::static_hot_shard_delay`]). With
-//!   cross-shard stealing (`PlacementPolicy::Rebalance`) idle shards drain
-//!   the busy one and the pool becomes work-conserving: the whole skewed
-//!   population is effectively served by all W workers
-//!   ([`ContentionModel::stealing_delay`]).
 //! * **Reactor dispatch** — the pool's shard count is decoupled from its
 //!   thread count: a fixed set of W reactor workers drains whichever shards
 //!   are ready, and a shard runs on one worker at a time. One shard per
@@ -210,48 +203,6 @@ impl ContentionModel {
     ) -> f64 {
         self.skewed_delay_cold_fair(streams, service, inter_arrival)
             + (hot_multiplier.max(1.0) - 1.0) * service
-    }
-
-    /// Predicted queueing delay at the **hot shard** under *static*
-    /// placement (no stealing): the hot stream and its `mates` co-located
-    /// well-behaved streams compete for that one worker while every other
-    /// shard idles — the whole skewed excess lands on one queue.
-    pub fn static_hot_shard_delay(
-        &self,
-        mates: usize,
-        hot_multiplier: f64,
-        service: f64,
-        inter_arrival: f64,
-    ) -> f64 {
-        let local = ContentionModel {
-            workers: 1,
-            batch_marginal_cost: self.batch_marginal_cost,
-        };
-        local.delay_for(
-            Self::skewed_offered_streams(mates + 1, hot_multiplier),
-            service,
-            inter_arrival,
-        )
-    }
-
-    /// Predicted queueing delay with cross-shard **work stealing**: an idle
-    /// shard pulls whole streams from the busy one, so the pool is
-    /// work-conserving and the skewed population is effectively served by
-    /// all W workers. With W > 1 this is never above
-    /// [`ContentionModel::static_hot_shard_delay`] for the same population —
-    /// the inequality the `table11_steal` experiment measures live.
-    pub fn stealing_delay(
-        &self,
-        streams: usize,
-        hot_multiplier: f64,
-        service: f64,
-        inter_arrival: f64,
-    ) -> f64 {
-        self.delay_for(
-            Self::skewed_offered_streams(streams, hot_multiplier),
-            service,
-            inter_arrival,
-        )
     }
 
     /// Predicted queueing delay under the **thread-per-shard** topology:
@@ -518,36 +469,6 @@ mod tests {
         let u_skewed = m.skewed_utilization(streams, 8.0, service, inter);
         assert!((u_uniform - m.utilization(streams, service, inter)).abs() < 1e-12);
         assert!(u_skewed > u_uniform);
-    }
-
-    #[test]
-    fn stealing_beats_a_static_hot_shard() {
-        let p = LatencyProfile::paper();
-        let service = model(1).service_time(&p, true, 4.0, 1.0);
-        let inter = 8.0 * p.student_inference;
-        let m = model(4);
-        // 8 streams over 4 shards, one at 8x, one shard-mate next to it.
-        let static_hot = m.static_hot_shard_delay(1, 8.0, service, inter);
-        let stolen = m.stealing_delay(8, 8.0, service, inter);
-        assert!(
-            stolen <= static_hot + 1e-12,
-            "stealing {stolen} vs static hot shard {static_hot}"
-        );
-        // Under saturation the gap is real, not a tie.
-        let tight_inter = service; // arrivals as fast as service
-        let static_tight = m.static_hot_shard_delay(1, 8.0, service, tight_inter);
-        let stolen_tight = m.stealing_delay(8, 8.0, service, tight_inter);
-        assert!(stolen_tight < static_tight);
-        // With a single worker there is nothing to steal from: the two
-        // predictions coincide for the same population.
-        let m1 = model(1);
-        let lone_static = m1.static_hot_shard_delay(3, 8.0, service, inter);
-        let lone_stolen = m1.stealing_delay(4, 8.0, service, inter);
-        assert!((lone_static - lone_stolen).abs() < 1e-12);
-        // More stealing workers can only help.
-        let w2 = model(2).stealing_delay(8, 8.0, service, inter);
-        let w8 = model(8).stealing_delay(8, 8.0, service, inter);
-        assert!(w8 <= w2 + 1e-12);
     }
 
     #[test]

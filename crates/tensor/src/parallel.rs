@@ -2,8 +2,8 @@
 //!
 //! The ShadowTutor client device in the paper (Jetson Nano) has a quad-core
 //! CPU; the server has eight cores. [`par_ranges`] lets the GEMM use
-//! whatever cores the host machine offers without pulling in a full work-
-//! stealing scheduler: work is split into contiguous ranges, one scoped
+//! whatever cores the host machine offers without pulling in a full task
+//! scheduler: work is split into contiguous ranges, one scoped
 //! thread per range. When only one core is available (or the work is a
 //! single granule) everything degrades to a plain serial call, which keeps
 //! single-core CI deterministic and overhead-free.

@@ -3,7 +3,7 @@
 //! multi-stream server pool), and the report layer.
 
 use shadowtutor::baseline::{run_naive, run_wild};
-use shadowtutor::config::{DistillationMode, PlacementPolicy, ShadowTutorConfig};
+use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
 use shadowtutor::loadgen::{run_skewed_load, PacedTeacher, SkewedLoadSpec};
 use shadowtutor::runtime::live::{run_live, run_live_multi, StreamSpec};
 use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
@@ -792,22 +792,20 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     );
 }
 
-/// Open-loop client driver for the elastic-pool tests: waits for the
-/// initial checkpoint, sleeps `start_delay`, sends every frame on a fixed
+/// Open-loop client driver for the frame-budget test: waits for the
+/// initial checkpoint, sends every frame on a fixed
 /// schedule, answers `NeedFrame` recovery requests by re-uploading the
 /// frame, drains until every send is answered, and shuts down. Returns
 /// `(updates, throttled, dropped)`.
 fn drive_stream(
     mut client: StreamClient,
     frames: Vec<st_video::Frame>,
-    start_delay: Duration,
     interval: Duration,
 ) -> (usize, usize, usize) {
     use std::collections::HashMap;
     client
         .recv_timeout(Duration::from_secs(30))
         .expect("initial checkpoint");
-    std::thread::sleep(start_delay);
     let by_index: HashMap<usize, &st_video::Frame> = frames.iter().map(|f| (f.index, f)).collect();
     let (mut updates, mut throttled, mut dropped) = (0usize, 0usize, 0usize);
     let mut outstanding = 0usize;
@@ -885,317 +883,59 @@ fn drive_stream(
     (updates, throttled, dropped)
 }
 
-/// The elastic-pool tentpole, measured end to end: an 8×-rate hot stream on
-/// a 4-shard pool, run identically with work stealing off
-/// (`PlacementPolicy::LeastLoaded`) and on (`Rebalance`), under a
-/// per-stream LRU frame budget.
-///
-/// Acceptance (ISSUE 5): with stealing enabled the idle shards take key
-/// frames off the hot shard that the stealing-off baseline, measured in the
-/// same test, serves all by itself; `dropped_jobs == 0`, every update is
-/// delivered; frame-cache bytes never exceed the configured budget.
-///
-/// Topology (connect order is id order, least-loaded ties to the lowest
-/// shard, so placement is identical in both runs): hot stream 0 → shard 0;
-/// three short-lived colds 1–3 → shards 1–3, each sending one frame and
-/// retiring — which leaves their shards *empty* and patient; mate stream
-/// 4 → shard 0, starting only after the steal must have happened. Without
-/// stealing, shard 0 serves the hot stream and its mate alone while three
-/// workers idle; with stealing, the idle shards pull the hot backlog over
-/// (and, once its host has no shard-mates left, the hot stream pins there),
-/// so the mate arrives to a quiet shard.
+/// The frame budget under sustained load: an 8×-rate hot stream pre-shares
+/// 30 frames against a 12-frame LRU budget on a 2-shard pool, next to a
+/// cold stream on the other shard. The cache never exceeds the budget, the
+/// `NeedFrame` → `ReShare` recovery really runs, and every key frame sent is
+/// answered with its update — nothing dropped, nothing throttled.
 ///
 /// The hot backlog is physical and independent of kernel speed: the
-/// teacher pauses at least as long as the hot stream's send interval, so
-/// shard 0 falls behind by a distillation per key frame however cheap a
-/// distillation gets. (The pause used to be 8 ms and the backlog came from
-/// 8 Algorithm-1 steps costing more than the remaining 22 ms — true only
-/// while the distill step was slow.) What the test claims is asserted in
-/// counts — who served how many key frames, steals, drops, cache peak —
-/// not by comparing wall-clock waits of two runs.
+/// teacher pauses as long as the hot stream's send interval, so its shard
+/// falls behind by a distillation per key frame however cheap a
+/// distillation gets, and re-shared frames compete for the budget with
+/// frames still queued.
 #[test]
-fn work_stealing_relieves_a_hot_shard_and_bounds_frame_memory() {
-    let (student, _) = pretrained_student();
+fn a_hot_stream_stays_inside_its_frame_budget() {
     let hot_frames = frames_for(SceneKind::People, 9100, 30);
+    let cold_frames = frames_for(SceneKind::Animals, 9101, 4);
     let hot_interval = Duration::from_millis(30);
     let budget = 12 * FrameStore::frame_cost(&hot_frames[0]);
-    let run = |placement: PlacementPolicy| {
-        let pool = ServerPool::spawn(
-            ShadowTutorConfig::paper(),
-            PoolConfig {
-                shards: 4,
-                placement,
-                max_in_flight: 64,
-                // One forward per batch: co-scheduling would amortize the
-                // hot stream's excess away and hide the imbalance.
-                max_batch: 1,
-                adaptive_batch: false,
-                frame_budget_bytes: Some(budget),
-                steal_poll: Duration::from_millis(1),
-                steal_patience: Duration::from_millis(100),
-                ..PoolConfig::default_pool()
-            },
-            student.clone(),
-            0.013,
-            // A real wall-clock pause per teacher forward, no shorter than
-            // the hot stream's send interval, so the hot backlog is
-            // physical.
-            |shard| PacedTeacher::new(OracleTeacher::perfect(7200 + shard as u64), hot_interval),
-        )
-        .unwrap();
-        // (frames, start delay, send interval) per stream, in id order.
-        let specs: Vec<(Vec<st_video::Frame>, Duration, Duration)> = vec![
-            (hot_frames.clone(), Duration::ZERO, hot_interval),
-            (
-                frames_for(SceneKind::Animals, 9101, 1),
-                Duration::ZERO,
-                Duration::from_millis(1),
-            ),
-            (
-                frames_for(SceneKind::Street, 9102, 1),
-                Duration::ZERO,
-                Duration::from_millis(1),
-            ),
-            (
-                frames_for(SceneKind::Animals, 9103, 1),
-                Duration::ZERO,
-                Duration::from_millis(1),
-            ),
-            (
-                frames_for(SceneKind::People, 9104, 8),
-                // Starts well after the steal must have happened, with
-                // margin for a CI runner serving sibling tests: the idle
-                // shards get patient ~100 ms after the one-frame colds
-                // retire (~100-250 ms even under 3x slowdown), and the
-                // donation follows within a couple of shard-0 passes.
-                Duration::from_millis(800),
-                Duration::from_millis(100),
-            ),
-        ];
-        let clients: Vec<StreamClient> = specs
-            .iter()
-            .enumerate()
-            .map(|(id, (frames, _, _))| pool.connect(id as u64, frames).unwrap())
-            .collect();
-        // Hot + mate share shard 0; one cold per remaining shard.
-        assert_eq!(pool.shard_loads(), vec![2, 1, 1, 1]);
-        let mut results: Vec<(usize, usize, usize)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (client, (frames, start_delay, interval)) in clients.into_iter().zip(&specs) {
-                let frames = frames.clone();
-                let (start_delay, interval) = (*start_delay, *interval);
-                handles
-                    .push(scope.spawn(move || drive_stream(client, frames, start_delay, interval)));
-            }
-            for handle in handles {
-                results.push(handle.join().unwrap());
-            }
-        });
-        let stats = pool.join().unwrap();
-        // Every key frame of every stream was answered and served: no
-        // throttles (cap 64), no drops, updates == sent.
-        for (id, ((updates, throttled, dropped), (frames, _, _))) in
-            results.iter().zip(&specs).enumerate()
-        {
-            assert_eq!(
-                *updates,
-                frames.len(),
-                "stream {id}: {updates} updates, {throttled} throttled, {dropped} dropped"
-            );
-        }
-        stats
-    };
-
-    let off = run(PlacementPolicy::LeastLoaded);
-    let on = run(PlacementPolicy::Rebalance);
-
-    // Nothing lost in either mode.
-    assert_eq!(off.dropped_jobs(), 0);
-    assert_eq!(on.dropped_jobs(), 0);
-    assert_eq!(off.streams_stolen(), 0, "LeastLoaded must never migrate");
-    assert!(
-        on.streams_stolen() >= 1,
-        "stealing never engaged: {:?}",
-        on.snapshot().to_json()
+    let pool = ServerPool::spawn(
+        ShadowTutorConfig::paper(),
+        PoolConfig {
+            shards: 2,
+            max_in_flight: 64,
+            frame_budget_bytes: Some(budget),
+            ..PoolConfig::default_pool()
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0.013,
+        |shard| PacedTeacher::new(OracleTeacher::perfect(7200 + shard as u64), hot_interval),
+    )
+    .unwrap();
+    let hot = pool.connect(0, &hot_frames).unwrap();
+    let cold = pool.connect(1, &cold_frames).unwrap();
+    assert_eq!(pool.shard_loads(), vec![1, 1]);
+    let (hot_result, cold_result) = std::thread::scope(|scope| {
+        let hot = scope.spawn(|| drive_stream(hot, hot_frames.clone(), hot_interval));
+        let cold = scope.spawn(|| drive_stream(cold, cold_frames.clone(), 8 * hot_interval));
+        (hot.join().unwrap(), cold.join().unwrap())
+    });
+    let stats = pool.join().unwrap();
+    // Every sent key frame was acked with an update: (updates, throttled,
+    // dropped).
+    assert_eq!(hot_result, (hot_frames.len(), 0, 0));
+    assert_eq!(cold_result, (cold_frames.len(), 0, 0));
+    assert_eq!(stats.dropped_jobs(), 0);
+    assert_eq!(
+        stats.total_key_frames(),
+        hot_frames.len() + cold_frames.len()
     );
-
-    // Relief, in key frames served: without stealing shard 0 serves the hot
-    // stream and its mate alone (30 + 8) while shards 1-3 serve their one
-    // cold frame each and idle; with stealing the same 41 key frames are
-    // spread — the thieves served hot-shard work, shard 0 served less.
-    let served = |stats: &shadowtutor::serve::PoolStats| -> Vec<usize> {
-        stats.shards.iter().map(|s| s.key_frames).collect()
-    };
-    assert_eq!(served(&off), vec![38, 1, 1, 1]);
-    let on_served = served(&on);
-    assert_eq!(on_served.iter().sum::<usize>(), 41);
-    assert!(
-        on_served[0] < 38 && on_served[1..].iter().sum::<usize>() > 3,
-        "stolen streams were never served off the hot shard: {on_served:?}"
-    );
-    assert!(on.shards[0].streams_donated >= 1);
-
-    // The frame budget held at every point of both runs, and the recovery
-    // path really ran (the hot stream pre-shares 30 frames against a
-    // 12-frame budget).
-    assert!(off.frame_bytes_peak() <= budget);
-    assert!(on.frame_bytes_peak() <= budget);
-    assert!(on.frame_evictions() > 0);
-    assert!(on.reshared_frames() > 0);
-}
-
-/// Steal-vs-shutdown races: streams finish (or abandon) while migrations
-/// are in flight, and nothing may be lost or double-counted — every
-/// connected stream reports a final checkpoint and stats, and every key
-/// frame is either served or explicitly acked.
-#[test]
-fn stream_finishing_mid_migration_is_never_lost() {
-    // Cheap distillation so service is shorter than the cold send interval
-    // (the regime where donation windows exist at all).
-    let config = ShadowTutorConfig {
-        max_updates: 2,
-        ..ShadowTutorConfig::paper()
-    };
-    let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-    let pool_config = PoolConfig {
-        shards: 2,
-        placement: PlacementPolicy::Rebalance,
-        max_in_flight: 12,
-        max_batch: 1,
-        adaptive_batch: false,
-        steal_poll: Duration::from_millis(1),
-        steal_patience: Duration::from_millis(3),
-        ..PoolConfig::default_pool()
-    };
-
-    // Part 1 — cooperative endings: open-loop skewed runs where the cold
-    // streams retire early while the hot backlog keeps migrating. Every
-    // stream's answers must conserve across however many hops its session
-    // took.
-    let mut total_steals = 0usize;
-    for seed in [5508u64, 5509, 5510] {
-        let outcome = run_skewed_load(
-            config,
-            pool_config,
-            student.clone(),
-            0.013,
-            |shard| {
-                PacedTeacher::new(
-                    OracleTeacher::perfect(seed * 10 + shard as u64),
-                    Duration::from_millis(6),
-                )
-            },
-            SkewedLoadSpec {
-                streams: 3,
-                hot_multiplier: 8,
-                key_frames_per_stream: 2,
-                send_interval: Duration::from_millis(40),
-                seed,
-            },
-        )
-        .unwrap();
-        for report in &outcome.streams {
-            assert_eq!(
-                report.updates + report.throttled + report.dropped,
-                report.sent,
-                "seed {seed}: stream {} lost answers",
-                report.stream_id
-            );
-        }
-        assert_eq!(outcome.pool.dropped_jobs(), 0, "seed {seed}");
-        assert_eq!(outcome.pool.streams.len(), 3, "seed {seed}");
-        assert_eq!(outcome.pool.final_checkpoints.len(), 3, "seed {seed}");
-        // Conservation across migration: steals and donations pair up.
-        let donated: usize = outcome.pool.shards.iter().map(|s| s.streams_donated).sum();
-        assert_eq!(donated, outcome.pool.streams_stolen(), "seed {seed}");
-        total_steals += outcome.pool.streams_stolen();
-    }
-
-    // Part 2 — abrupt endings: the hot stream walks away (Shutdown + drop)
-    // with most of its backlog still queued, racing the migration machinery.
-    // The flushed backlog must be processed-or-acked and the session
-    // retired with a checkpoint, wherever it lives by then.
-    for seed in [31u64, 32] {
-        let pool = ServerPool::spawn(config, pool_config, student.clone(), 0.013, |shard| {
-            PacedTeacher::new(
-                OracleTeacher::perfect(seed * 100 + shard as u64),
-                Duration::from_millis(6),
-            )
-        })
-        .unwrap();
-        let hot_frames = frames_for(SceneKind::People, seed, 12);
-        let helper_frames = frames_for(SceneKind::Animals, seed + 40, 2);
-        let mate_frames = frames_for(SceneKind::Street, seed + 80, 2);
-        let mut hot = pool.connect(0, &hot_frames).unwrap();
-        let helper = pool.connect(1, &helper_frames).unwrap();
-        let mate = pool.connect(2, &mate_frames).unwrap();
-        // Helper and mate run cooperatively on their own threads; the hot
-        // client blasts its backlog, takes a few updates, and vanishes.
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                drive_stream(
-                    helper,
-                    helper_frames.clone(),
-                    Duration::ZERO,
-                    Duration::from_millis(20),
-                )
-            });
-            scope.spawn(|| {
-                drive_stream(
-                    mate,
-                    mate_frames.clone(),
-                    Duration::ZERO,
-                    Duration::from_millis(20),
-                )
-            });
-            hot.recv_timeout(Duration::from_secs(10)).unwrap();
-            for frame in &hot_frames {
-                let payload = Payload::sized(frame.raw_rgb_bytes());
-                let bytes = payload.bytes;
-                hot.send(
-                    ClientToServer::KeyFrame {
-                        frame_index: frame.index,
-                        payload,
-                    },
-                    bytes,
-                )
-                .unwrap();
-            }
-            let mut seen = 0;
-            while seen < 4 {
-                if let Ok(ServerToClient::StudentUpdate { .. }) =
-                    hot.recv_timeout(Duration::from_secs(10))
-                {
-                    seen += 1;
-                }
-            }
-            hot.send(ClientToServer::Shutdown, 1).unwrap();
-            drop(hot);
-        });
-        let stats = pool.join().unwrap();
-        // All three sessions retired with checkpoints and stats, wherever
-        // the migrations put them.
-        assert_eq!(stats.streams.len(), 3, "seed {seed}");
-        assert_eq!(stats.final_checkpoints.len(), 3, "seed {seed}");
-        // The hot stream's queued backlog was flushed on Shutdown: every
-        // one of its 12 key frames was served (none were throttled — cap
-        // 12 — and none silently vanished).
-        assert_eq!(stats.streams[&0].key_frames, 12, "seed {seed}");
-        assert_eq!(stats.dropped_jobs(), 0, "seed {seed}");
-        total_steals += stats.streams_stolen();
-    }
-    // Migrations really interleaved with the endings somewhere across the
-    // runs. Part 2's steal is structurally robust even on a loaded CI
-    // runner: the helper retires early, its shard goes patient-idle, and
-    // the victim keeps the mate session, so the relaxed donation rule
-    // fires independently of arrival timing; Part 1's steals additionally
-    // need idle gaps between cold arrivals, which heavy host load can
-    // erase — hence one pooled assertion, not one per part.
-    assert!(
-        total_steals >= 1,
-        "no migration happened across any seed — the race never ran"
-    );
+    // The budget held at every point of the run, and the recovery path
+    // really ran.
+    assert!(stats.frame_bytes_peak() <= budget);
+    assert!(stats.frame_evictions() > 0);
+    assert!(stats.reshared_frames() > 0);
 }
 
 /// The eviction-recovery protocol, deterministically: a key frame whose
