@@ -205,19 +205,20 @@ impl BatchSink for Emitter<'_> {
         // fresh or failover-restored stream re-syncs on its next update).
         // The digest is patched only here — for an update actually put on
         // the downlink — so a stream whose client vanished never advances
-        // the base the client is assumed to hold.
+        // the base the client is assumed to hold. A delta and its patch
+        // come out of one chunk-encode-and-hash pass over the update.
         let encoded = match track {
             Some(track) => {
                 let encoded = if track.synced {
                     stats.delta_updates_sent += 1;
-                    let delta = WeightDelta::compute(&response.update, &track.digest);
+                    let delta = WeightDelta::compute_and_patch(&response.update, &mut track.digest);
                     Bytes::from(Wire::encode(&WeightPayload::Delta(delta)))
                 } else {
                     stats.full_updates_sent += 1;
                     track.synced = true;
+                    track.digest.patch(&response.update);
                     Bytes::from(WeightPayload::encode_full(&response.update))
                 };
-                track.digest.patch(&response.update);
                 stats.update_bytes_sent += encoded.len();
                 stats.update_bytes_full_equiv += 1 + response.update.encoded_len();
                 encoded

@@ -42,12 +42,20 @@
 //! on the ring and fires the waker token whenever a chunk becomes
 //! consumable.
 //!
-//! Memory: `send` encodes a message once and chunks that frame straight into
-//! the ring (only the first chunk, which carries the length prefix, is
-//! assembled); the receiver reassembles one frame and decodes it. A full
-//! student snapshot makes each of those buffers ~2 MB, so the first
-//! transport a process attaches tells the allocator to keep freed heap
-//! instead of faulting it back in for every message (`keep_freed_heap`).
+//! Memory: a message's byte payload crosses in two copies, one per side.
+//! `send` never builds the frame: the length prefix, the frame header and
+//! the message's fields are encoded into a slot-sized head
+//! ([`Wire::encode_gather`]) and the payload's `Bytes` is cut into the ring's
+//! slots from where it lies (only a chunk that straddles head and payload is
+//! staged). The receiver pops the first chunk, reads the prefix, and from then
+//! on pops every chunk straight into the frame under assembly — no
+//! zero-filling, no intermediate buffer — reserving at most one ring's worth
+//! of bytes ahead of what has arrived, whatever the prefix claims; the
+//! finished frame becomes one `Bytes` and the decoded message's payload is
+//! a window of it ([`Wire::decode_within`]). A full student snapshot still
+//! makes that one buffer per side ~2 MB, so the first transport a process
+//! attaches tells the allocator to keep freed heap instead of faulting it
+//! back in for every message (`keep_freed_heap`).
 //!
 //! Platform: the segment is mapped with raw `mmap`/`munmap` syscalls
 //! (x86_64 Linux; the workspace vendors no libc). On other targets the
@@ -56,6 +64,7 @@
 use crate::ring::{self, RingMem};
 use crate::transport::{Transport, TransportError};
 use crate::wire::{self, Wire};
+use bytes::Bytes;
 
 pub use crate::ring::PushOutcome;
 use std::fs::{File, OpenOptions};
@@ -304,21 +313,19 @@ impl Segment {
             .store(chunk.len() as u32, Ordering::Relaxed);
     }
 
-    /// Copy the slot's payload out.
+    /// Append the slot's payload to `out`: one copy, mapping → `out`.
     fn read_slot(&self, ring: usize, index: usize, out: &mut Vec<u8>) {
         // ORDER: payload read under the slot ticket; visibility was
         // established by the acquire load of `seq` that accepted the slot.
         let len = self.slot_len(ring, index).load(Ordering::Relaxed) as usize;
+        // The length word is the peer's: never read past the slot.
         let len = len.min(self.config.slot_bytes);
         let offset = self.slot_offset(ring, index) + SLOT_HEADER_BYTES;
-        let start = out.len();
-        out.resize(start + len, 0);
-        // SAFETY: the consumer holds the slot ticket between the acquire
-        // load of `seq` and the retiring store, so the producer cannot
-        // reuse these bytes concurrently.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.ptr.add(offset), out.as_mut_ptr().add(start), len);
-        }
+        // SAFETY: inside this slot's payload area (`len` is clamped) of the
+        // mapping, which outlives `self`; the consumer's slot ticket keeps
+        // the producer off these bytes until the retiring `seq` store.
+        let chunk = unsafe { std::slice::from_raw_parts(self.ptr.add(offset), len) };
+        out.extend_from_slice(chunk);
     }
 
     fn closed_flag(&self, side: ShmSide) -> &AtomicU32 {
@@ -677,12 +684,14 @@ pub struct ShmTransport<S, R> {
     consumer: RingConsumer,
     side: ShmSide,
     /// Reassembly state: accumulated bytes of the in-flight inbound frame.
+    /// Chunks are popped straight into it once `expected` is known.
     partial: Vec<u8>,
     /// Total frame length being reassembled (parsed from the stream's
     /// 4-byte length prefix), if mid-message.
     expected: Option<usize>,
-    /// Leftover stream bytes not yet assigned to a frame (spans the length
-    /// prefix itself when a chunk boundary splits it).
+    /// Stream bytes not yet assigned to a frame: the chunk that carries a
+    /// length prefix lands here (and whatever follows a frame's last byte
+    /// in its chunk). Empty whenever a frame is mid-assembly.
     stream: Vec<u8>,
     wire_sent_bytes: usize,
     wire_received_bytes: usize,
@@ -764,23 +773,19 @@ impl<S: Wire, R: Wire> ShmTransport<S, R> {
     }
 
     /// Drain ring chunks into the reassembly buffer and, if a whole frame
-    /// has landed, decode it.
+    /// has landed, decode it — from the buffer it was assembled in, which
+    /// the message's payload goes on sharing.
     fn pump_inbound(&mut self) -> Result<Option<R>, TransportError> {
         loop {
-            // Complete frame already assembled?
-            if let Some(expected) = self.expected {
-                if self.partial.len() >= expected {
-                    debug_assert_eq!(self.partial.len(), expected);
-                    let frame = std::mem::take(&mut self.partial);
-                    self.expected = None;
-                    self.wire_received_bytes += 4 + frame.len();
-                    let message = wire::decode_frame::<R>(&frame)
-                        .map_err(|_| TransportError::Disconnected)?;
-                    return Ok(Some(message));
+            let Some(expected) = self.expected else {
+                // Between frames: chunks land in `stream` until the 4-byte
+                // prefix is there, then what follows it starts the frame.
+                if self.stream.len() < 4 {
+                    if !self.consumer.try_pop(&mut self.stream) {
+                        return Ok(None);
+                    }
+                    continue;
                 }
-            }
-            // Move stream bytes into the frame under assembly.
-            if self.expected.is_none() && self.stream.len() >= 4 {
                 let len = u32::from_le_bytes([
                     self.stream[0],
                     self.stream[1],
@@ -788,22 +793,79 @@ impl<S: Wire, R: Wire> ShmTransport<S, R> {
                     self.stream[3],
                 ]) as usize;
                 self.expected = Some(len);
-                self.stream.drain(..4);
-                self.partial.reserve(len);
-            }
-            if let Some(expected) = self.expected {
-                if !self.stream.is_empty() {
-                    let want = expected - self.partial.len();
-                    let take = want.min(self.stream.len());
-                    self.partial.extend(self.stream.drain(..take));
-                    continue;
+                let end = 4 + len.min(self.stream.len() - 4);
+                self.partial.extend_from_slice(&self.stream[4..end]);
+                self.stream.drain(..end);
+                continue;
+            };
+            if self.partial.len() < expected {
+                // The prefix is the peer's word, the ring's size is not:
+                // reserve only as far ahead as chunks can actually arrive.
+                let ahead = (expected - self.partial.len()).min(self.ring_bytes());
+                self.partial.reserve(ahead);
+                if !self.consumer.try_pop(&mut self.partial) {
+                    return Ok(None);
                 }
+                continue;
             }
-            // Need more chunks.
-            if !self.consumer.try_pop(&mut self.stream) {
-                return Ok(None);
+            // Whatever a chunk carried past the frame's end is the next
+            // frame's (`send` never packs two messages into one chunk).
+            self.stream.extend_from_slice(&self.partial[expected..]);
+            self.partial.truncate(expected);
+            let frame = Bytes::from(std::mem::take(&mut self.partial));
+            self.expected = None;
+            self.wire_received_bytes += 4 + frame.len();
+            let message =
+                wire::decode_frame_owned::<R>(&frame).map_err(|_| TransportError::Disconnected)?;
+            return Ok(Some(message));
+        }
+    }
+
+    /// Payload bytes one direction of the segment holds when full — the
+    /// most that can be in flight towards this side at any moment.
+    fn ring_bytes(&self) -> usize {
+        self.consumer.mem.slots() * self.consumer.mem.chunk_capacity()
+    }
+}
+
+/// Cuts a byte stream handed over in pieces into slot-sized chunks and
+/// pushes them: whole slots go to the ring straight from the piece they lie
+/// in, only a chunk that spans two pieces (or the stream's tail) is staged.
+struct Chunker<'a> {
+    producer: &'a RingProducer,
+    staged: Vec<u8>,
+}
+
+impl Chunker<'_> {
+    /// Feed the next piece of the stream; `false` when the ring refused a
+    /// chunk for [`SEND_TIMEOUT`].
+    fn feed(&mut self, mut piece: &[u8]) -> bool {
+        let capacity = self.producer.chunk_capacity();
+        if !self.staged.is_empty() {
+            let (top_up, rest) = piece.split_at(piece.len().min(capacity - self.staged.len()));
+            self.staged.extend_from_slice(top_up);
+            piece = rest;
+            if self.staged.len() < capacity {
+                return true;
+            }
+            if !self.producer.push_timeout(&self.staged, SEND_TIMEOUT) {
+                return false;
+            }
+            self.staged.clear();
+        }
+        let mut slots = piece.chunks_exact(capacity);
+        for slot in slots.by_ref() {
+            if !self.producer.push_timeout(slot, SEND_TIMEOUT) {
+                return false;
             }
         }
+        self.staged.extend_from_slice(slots.remainder());
+        true
+    }
+
+    /// Push the staged tail, if any.
+    fn finish(self) -> bool {
+        self.staged.is_empty() || self.producer.push_timeout(&self.staged, SEND_TIMEOUT)
     }
 }
 
@@ -812,26 +874,38 @@ impl<S: Wire, R: Wire> Transport<S, R> for ShmTransport<S, R> {
         if self.peer_closed() {
             return Err(TransportError::Disconnected);
         }
-        let frame = wire::encode_frame(&message);
         // Stream format: 4-byte LE frame length, then the frame, chunked to
         // slot capacity. One producer per ring keeps the chunks in order.
-        // Only the first chunk is assembled (prefix + the frame's head); the
-        // rest go into the ring straight from the frame.
-        let capacity = self.producer.chunk_capacity();
-        let (first, rest) = frame.split_at(frame.len().min(capacity - 4));
-        let mut head = Vec::with_capacity(4 + first.len());
-        head.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        head.extend_from_slice(first);
-        for chunk in std::iter::once(&head[..]).chain(rest.chunks(capacity)) {
-            if !self.producer.push_timeout(chunk, SEND_TIMEOUT) {
-                return Err(if self.peer_closed() {
-                    TransportError::Disconnected
-                } else {
-                    TransportError::Timeout
-                });
-            }
+        // The frame itself is never built: `head` holds the prefix, the
+        // frame header and the message's fields; each byte payload stays
+        // where it is and goes into the ring's slots from there.
+        let frame_len = wire::frame_len(&message);
+        let mut head = Vec::with_capacity(64);
+        head.extend_from_slice(&(frame_len as u32).to_le_bytes());
+        let mut blobs = Vec::new();
+        wire::encode_frame_gather(&message, &mut head, Some(&mut blobs));
+        debug_assert_eq!(
+            head.len() + blobs.iter().map(|(_, blob)| blob.len()).sum::<usize>(),
+            4 + frame_len
+        );
+        let mut chunker = Chunker {
+            producer: &self.producer,
+            staged: Vec::new(),
+        };
+        let mut pushed = true;
+        let mut sent = 0;
+        for (at, blob) in &blobs {
+            pushed = pushed && chunker.feed(&head[sent..*at]) && chunker.feed(blob);
+            sent = *at;
         }
-        self.wire_sent_bytes += 4 + frame.len();
+        if !(pushed && chunker.feed(&head[sent..]) && chunker.finish()) {
+            return Err(if self.peer_closed() {
+                TransportError::Disconnected
+            } else {
+                TransportError::Timeout
+            });
+        }
+        self.wire_sent_bytes += 4 + frame_len;
         Ok(())
     }
 
@@ -1088,6 +1162,112 @@ mod tests {
         server.send(down.clone(), 8).unwrap();
         assert_eq!(client.recv_timeout(Duration::from_secs(5)).unwrap(), down);
         assert_eq!(client.try_recv().unwrap(), None);
+    }
+
+    type ServerEnd = ShmTransport<ServerToClient, ClientToServer>;
+    type ClientEnd = ShmTransport<ClientToServer, ServerToClient>;
+
+    fn pair(tag: &str, config: ShmConfig) -> (ServerEnd, ClientEnd) {
+        let path = temp_path(tag);
+        let server = ServerEnd::create(&path, ShmSide::Server, config).unwrap();
+        let client = ClientEnd::open(&path, ShmSide::Client, Duration::from_secs(5)).unwrap();
+        (server, client)
+    }
+
+    fn update(frame_index: usize, payload: Vec<u8>) -> ServerToClient {
+        ServerToClient::StudentUpdate {
+            frame_index,
+            metric: 0.25,
+            distill_steps: 1,
+            payload: Payload::with_data(Bytes::from(payload)),
+        }
+    }
+
+    #[test]
+    fn payloads_of_every_size_around_a_slot_boundary_cross_intact() {
+        let config = ShmConfig {
+            slots: 4,
+            slot_bytes: 64,
+        };
+        let (mut server, mut client) = pair("sizes", config);
+        // Head of a `StudentUpdate`: 4 (prefix) + 9 (frame) + 38 (fields).
+        for len in (0..=3 * 64 + 2).chain([1000]) {
+            let message = update(len, (0..len).map(|i| (i * 7 + len) as u8).collect());
+            std::thread::scope(|scope| {
+                // The ring is smaller than the larger frames: send and
+                // receive must overlap.
+                scope.spawn(|| server.send(message.clone(), 0).unwrap());
+                let got = client.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(got, message, "payload of {len} bytes");
+            });
+            assert_eq!(server.wire_sent_bytes(), client.wire_received_bytes());
+            assert!(client.partial.is_empty() && client.stream.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_stream_chunked_by_someone_else_still_reassembles() {
+        // `send` starts every message on a fresh chunk; the receiver does
+        // not rely on it. Three frames laid end to end and cut into 7-byte
+        // chunks: prefixes split across chunks, chunks spanning two frames.
+        let (server, mut client) = pair(
+            "foreign",
+            ShmConfig {
+                slots: 64,
+                slot_bytes: 8,
+            },
+        );
+        let messages = [
+            update(1, vec![9u8; 30]),
+            ServerToClient::Throttle { frame_index: 2 },
+            update(3, Vec::new()),
+        ];
+        let mut stream = Vec::new();
+        for message in &messages {
+            let frame = wire::encode_frame(message);
+            stream.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            stream.extend_from_slice(&frame);
+        }
+        for chunk in stream.chunks(7) {
+            assert_eq!(server.producer.try_push(chunk), PushOutcome::Pushed);
+        }
+        for message in &messages {
+            assert_eq!(client.try_recv().unwrap().as_ref(), Some(message));
+        }
+        assert_eq!(client.try_recv().unwrap(), None);
+        assert_eq!(client.wire_received_bytes(), stream.len());
+    }
+
+    #[test]
+    fn a_lying_length_prefix_reserves_no_more_than_the_ring_can_deliver() {
+        let config = ShmConfig {
+            slots: 4,
+            slot_bytes: 64,
+        };
+        let ring_bytes = config.slots * config.slot_bytes;
+        let (server, mut client) = pair("lying", config);
+        // A peer that claims a 4 GiB frame and then trickles a few laps of
+        // the ring: memory follows what arrived, not what was claimed.
+        let mut first = u32::MAX.to_le_bytes().to_vec();
+        first.extend_from_slice(&[0x5A; 60]);
+        assert_eq!(server.producer.try_push(&first), PushOutcome::Pushed);
+        assert_eq!(client.try_recv(), Ok(None));
+        assert!(client.partial.capacity() <= 2 * ring_bytes);
+        let mut arrived = 60;
+        for _ in 0..3 * config.slots {
+            assert_eq!(server.producer.try_push(&[0x5A; 64]), PushOutcome::Pushed);
+            assert_eq!(client.try_recv(), Ok(None));
+            arrived += 64;
+            assert_eq!(client.partial.len(), arrived);
+            assert!(
+                client.partial.capacity() <= 2 * (arrived + ring_bytes),
+                "{} bytes reserved after {arrived} arrived",
+                client.partial.capacity()
+            );
+        }
+        // The frame never completes; the peer going away is a typed end.
+        drop(server);
+        assert_eq!(client.try_recv(), Err(TransportError::Disconnected));
     }
 
     /// Minor page faults the calling thread has taken so far (field 10 of

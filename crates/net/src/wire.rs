@@ -30,6 +30,15 @@
 //! [`Wire::decode`]) and sized ([`Wire::encoded_len`]) so transports can
 //! preallocate exact buffers and the traffic accounting (Tables 4/5) can
 //! report *measured* wire bytes instead of modelled estimates.
+//!
+//! A message's byte payload (a video frame up, a weight update down) is a
+//! [`Bytes`], and a transport that moves frames itself need not copy it to
+//! frame it or to unframe it: [`Wire::encode_gather`] writes the header and
+//! the fields and hands the payload back by reference, so the sender copies
+//! it once, straight to where it is going; [`Wire::decode_within`] decodes a
+//! frame the receiver already owns and returns the payload as a window of
+//! that buffer. [`encode_frame`] / [`decode_frame`] are the same encoders
+//! over plain byte slices — one copy of the payload each, the same bytes.
 
 use crate::message::{
     ClientToServer, DropReason, KeyFrameTraffic, NaiveTraffic, Payload, ServerToClient,
@@ -169,18 +178,56 @@ pub trait Wire: Sized {
         debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
+
+    /// [`Wire::encode_into`] for a sender that moves byte payloads itself.
+    /// With `blobs`, a [`Bytes`] field is not copied: its length prefix goes
+    /// to `out` and the field (an O(1) clone) is pushed on `blobs` next to
+    /// the length `out` has at that point — `out` with every blob spliced
+    /// in after that many of its bytes is exactly the
+    /// [`Wire::encode_into`] encoding. Without `blobs` it *is*
+    /// `encode_into`, which is also the default: only [`Bytes`] and the
+    /// types that contain one implement this.
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
+        let _ = blobs;
+        self.encode_into(out);
+    }
+
+    /// [`Wire::decode`] for input the caller may own. With `owner` — of
+    /// which `input` must be a window — a [`Bytes`] field is returned as an
+    /// O(1) window of `owner` instead of a copy. Without it this *is*
+    /// `decode`, which is also the default: only [`Bytes`] and the types
+    /// that contain one implement this.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `input` is not borrowed from `owner` (a caller bug;
+    /// nothing a peer sends can cause it).
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
+        let _ = owner;
+        Self::decode(input)
+    }
 }
 
 /// Encode `message` as a complete frame: magic, version, length, body.
 pub fn encode_frame<M: Wire>(message: &M) -> Vec<u8> {
-    let body_len = message.encoded_len();
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body_len);
+    let mut out = Vec::with_capacity(frame_len(message));
+    encode_frame_gather(message, &mut out, None);
+    debug_assert_eq!(out.len(), frame_len(message));
+    out
+}
+
+/// Append `message`'s frame to `out` — all of it, or with `blobs` all but
+/// the byte payloads ([`Wire::encode_gather`]; the offsets pushed count
+/// from the start of `out`, whatever it already held).
+pub(crate) fn encode_frame_gather<M: Wire>(
+    message: &M,
+    out: &mut Vec<u8>,
+    blobs: Option<&mut Vec<(usize, Bytes)>>,
+) {
     out.extend_from_slice(&WIRE_MAGIC);
     out.push(WIRE_VERSION);
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    message.encode_into(&mut out);
-    debug_assert_eq!(out.len(), FRAME_HEADER_BYTES + body_len);
-    out
+    out.extend_from_slice(&(message.encoded_len() as u32).to_le_bytes());
+    message.encode_gather(out, blobs);
 }
 
 /// Total wire size of `message` once framed (header + body).
@@ -191,6 +238,16 @@ pub fn frame_len<M: Wire>(message: &M) -> usize {
 /// Decode a complete frame produced by [`encode_frame`], validating the
 /// magic, version, and body length, and rejecting trailing bytes.
 pub fn decode_frame<M: Wire>(buf: &[u8]) -> Result<M, WireError> {
+    decode_frame_within(buf, None)
+}
+
+/// [`decode_frame`] over a frame the receiver owns: the message's byte
+/// payloads are windows of `frame`, not copies.
+pub(crate) fn decode_frame_owned<M: Wire>(frame: &Bytes) -> Result<M, WireError> {
+    decode_frame_within(frame, Some(frame))
+}
+
+fn decode_frame_within<M: Wire>(buf: &[u8], owner: Option<&Bytes>) -> Result<M, WireError> {
     let mut input = buf;
     let header = take(&mut input, 4)?;
     let found = [header[0], header[1], header[2], header[3]];
@@ -213,7 +270,7 @@ pub fn decode_frame<M: Wire>(buf: &[u8]) -> Result<M, WireError> {
             remaining: input.len() - body_len,
         });
     }
-    let message = M::decode(&mut input)?;
+    let message = M::decode_within(&mut input, owner)?;
     if !input.is_empty() {
         return Err(WireError::TrailingBytes {
             remaining: input.len(),
@@ -343,35 +400,57 @@ impl Wire for Bytes {
         encode_len_bytes(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Bytes::from(decode_len_bytes(input)?.to_vec()))
+        Self::decode_within(input, None)
     }
     fn encoded_len(&self) -> usize {
         4 + self.len()
+    }
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
+        match blobs {
+            None => self.encode_into(out),
+            Some(blobs) => {
+                (self.len() as u32).encode_into(out);
+                blobs.push((out.len(), self.clone()));
+            }
+        }
+    }
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
+        let raw = decode_len_bytes(input)?;
+        Ok(match owner {
+            Some(owner) => owner.slice_ref(raw),
+            None => Bytes::copy_from_slice(raw),
+        })
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
     fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_gather(out, None);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Self::decode_within(input, None)
+    }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
+    }
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
         match self {
             None => out.push(0),
             Some(v) => {
                 out.push(1);
-                v.encode_into(out);
+                v.encode_gather(out, blobs);
             }
         }
     }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
         match u8::decode(input)? {
             0 => Ok(None),
-            1 => Ok(Some(T::decode(input)?)),
+            1 => Ok(Some(T::decode_within(input, owner)?)),
             tag => Err(WireError::UnknownVariant {
                 type_name: "Option",
                 tag,
             }),
         }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
     }
 }
 
@@ -400,22 +479,34 @@ impl<T: Wire> Wire for Vec<T> {
 
 impl Wire for Payload {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.bytes.encode_into(out);
-        self.data.encode_into(out);
+        self.encode_gather(out, None);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Payload {
-            bytes: usize::decode(input)?,
-            data: Option::<Bytes>::decode(input)?,
-        })
+        Self::decode_within(input, None)
     }
     fn encoded_len(&self) -> usize {
         self.bytes.encoded_len() + self.data.encoded_len()
+    }
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
+        self.bytes.encode_into(out);
+        self.data.encode_gather(out, blobs);
+    }
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
+        Ok(Payload {
+            bytes: usize::decode(input)?,
+            data: Option::<Bytes>::decode_within(input, owner)?,
+        })
     }
 }
 
 impl Wire for ClientToServer {
     fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_gather(out, None);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Self::decode_within(input, None)
+    }
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
         match self {
             ClientToServer::Register => out.push(0),
             ClientToServer::KeyFrame {
@@ -424,7 +515,7 @@ impl Wire for ClientToServer {
             } => {
                 out.push(1);
                 frame_index.encode_into(out);
-                payload.encode_into(out);
+                payload.encode_gather(out, blobs);
             }
             ClientToServer::ReShare {
                 frame_index,
@@ -432,7 +523,7 @@ impl Wire for ClientToServer {
             } => {
                 out.push(2);
                 frame_index.encode_into(out);
-                payload.encode_into(out);
+                payload.encode_gather(out, blobs);
             }
             ClientToServer::Shutdown => out.push(3),
             ClientToServer::RegisterCaps { supports_delta } => {
@@ -441,16 +532,16 @@ impl Wire for ClientToServer {
             }
         }
     }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
         match u8::decode(input)? {
             0 => Ok(ClientToServer::Register),
             1 => Ok(ClientToServer::KeyFrame {
                 frame_index: usize::decode(input)?,
-                payload: Payload::decode(input)?,
+                payload: Payload::decode_within(input, owner)?,
             }),
             2 => Ok(ClientToServer::ReShare {
                 frame_index: usize::decode(input)?,
-                payload: Payload::decode(input)?,
+                payload: Payload::decode_within(input, owner)?,
             }),
             3 => Ok(ClientToServer::Shutdown),
             4 => Ok(ClientToServer::RegisterCaps {
@@ -504,10 +595,16 @@ impl Wire for DropReason {
 
 impl Wire for ServerToClient {
     fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_gather(out, None);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Self::decode_within(input, None)
+    }
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
         match self {
             ServerToClient::InitialStudent { payload } => {
                 out.push(0);
-                payload.encode_into(out);
+                payload.encode_gather(out, blobs);
             }
             ServerToClient::StudentUpdate {
                 frame_index,
@@ -519,7 +616,7 @@ impl Wire for ServerToClient {
                 frame_index.encode_into(out);
                 metric.encode_into(out);
                 distill_steps.encode_into(out);
-                payload.encode_into(out);
+                payload.encode_gather(out, blobs);
             }
             ServerToClient::Throttle { frame_index } => {
                 out.push(2);
@@ -539,16 +636,16 @@ impl Wire for ServerToClient {
             }
         }
     }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
         match u8::decode(input)? {
             0 => Ok(ServerToClient::InitialStudent {
-                payload: Payload::decode(input)?,
+                payload: Payload::decode_within(input, owner)?,
             }),
             1 => Ok(ServerToClient::StudentUpdate {
                 frame_index: usize::decode(input)?,
                 metric: f64::decode(input)?,
                 distill_steps: usize::decode(input)?,
-                payload: Payload::decode(input)?,
+                payload: Payload::decode_within(input, owner)?,
             }),
             2 => Ok(ServerToClient::Throttle {
                 frame_index: usize::decode(input)?,
@@ -592,17 +689,23 @@ impl Wire for ServerToClient {
 
 impl<M: Wire> Wire for StreamTagged<M> {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.stream_id.encode_into(out);
-        self.message.encode_into(out);
+        self.encode_gather(out, None);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(StreamTagged {
-            stream_id: u64::decode(input)?,
-            message: M::decode(input)?,
-        })
+        Self::decode_within(input, None)
     }
     fn encoded_len(&self) -> usize {
         self.stream_id.encoded_len() + self.message.encoded_len()
+    }
+    fn encode_gather(&self, out: &mut Vec<u8>, blobs: Option<&mut Vec<(usize, Bytes)>>) {
+        self.stream_id.encode_into(out);
+        self.message.encode_gather(out, blobs);
+    }
+    fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
+        Ok(StreamTagged {
+            stream_id: u64::decode(input)?,
+            message: M::decode_within(input, owner)?,
+        })
     }
 }
 
@@ -754,6 +857,84 @@ mod tests {
         ));
         round_trip(KeyFrameTraffic::new(2_764_800, 160_000));
         round_trip(NaiveTraffic::for_frame(1280, 720));
+    }
+
+    fn payload_messages() -> Vec<StreamTagged<ServerToClient>> {
+        sample_payloads()
+            .into_iter()
+            .map(|payload| {
+                StreamTagged::new(
+                    3,
+                    ServerToClient::StudentUpdate {
+                        frame_index: 7,
+                        metric: 0.5,
+                        distill_steps: 2,
+                        payload,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_gathered_frame_with_its_blobs_spliced_in_is_the_plain_frame() {
+        for message in payload_messages() {
+            // Offsets count from the start of `out`, whatever it held.
+            let mut head = vec![0xAAu8; 4];
+            let mut blobs = Vec::new();
+            encode_frame_gather(&message, &mut head, Some(&mut blobs));
+            let data = message.message_payload();
+            assert_eq!(blobs.len(), usize::from(data.is_some()));
+            let mut spliced = Vec::new();
+            let mut done = 0;
+            for (at, blob) in &blobs {
+                // The payload itself, not a copy of it.
+                assert_eq!(blob.as_ptr(), data.expect("a blob without data").as_ptr());
+                spliced.extend_from_slice(&head[done..*at]);
+                spliced.extend_from_slice(blob);
+                done = *at;
+            }
+            spliced.extend_from_slice(&head[done..]);
+            assert_eq!(&spliced[..4], &[0xAA; 4]);
+            assert_eq!(&spliced[4..], &encode_frame(&message)[..]);
+        }
+    }
+
+    #[test]
+    fn an_owned_frame_decodes_to_windows_of_itself() {
+        type Tagged = StreamTagged<ServerToClient>;
+        for message in payload_messages() {
+            let frame = Bytes::from(encode_frame(&message));
+            let inside = |data: &Bytes| {
+                let (start, at) = (frame.as_ptr() as usize, data.as_ptr() as usize);
+                !data.is_empty() && start <= at && at + data.len() <= start + frame.len()
+            };
+            let owned = decode_frame_owned::<Tagged>(&frame).unwrap();
+            assert_eq!(owned, message);
+            let borrowed = decode_frame::<Tagged>(&frame).unwrap();
+            assert_eq!(borrowed, message);
+            if let Some(data) = owned.message_payload().filter(|data| !data.is_empty()) {
+                assert!(inside(data), "an owned frame's payload was copied");
+                assert!(!inside(borrowed.message_payload().unwrap()));
+            }
+            // Every corruption the borrowed decoder types, the owned one
+            // types the same way.
+            for cut in 0..frame.len() {
+                assert_eq!(
+                    decode_frame_owned::<Tagged>(&frame.slice(0..cut)),
+                    decode_frame::<Tagged>(&frame[..cut])
+                );
+            }
+        }
+    }
+
+    impl StreamTagged<ServerToClient> {
+        fn message_payload(&self) -> Option<&Bytes> {
+            match &self.message {
+                ServerToClient::StudentUpdate { payload, .. } => payload.data.as_ref(),
+                _ => None,
+            }
+        }
     }
 
     #[test]

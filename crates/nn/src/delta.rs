@@ -22,6 +22,13 @@
 //! chunk hashes — so patching with "the delta's entries" (client) and
 //! patching with "the whole update" (server) produce the same digest, and
 //! the two sides stay bit-synchronized without ever exchanging digests.
+//!
+//! Chunk-encoding and hashing an update is the expensive part of both
+//! halves of the server's step (FNV over every byte), so the serving path
+//! does them once: [`WeightDelta::compute_and_patch`] builds the delta
+//! against the digest and advances the digest from the same chunks and the
+//! same hashes. [`WeightDelta::compute`] followed by
+//! [`CheckpointDigest::patch`] is the two-pass form of the same result.
 
 use crate::snapshot::{SnapshotScope, WeightSnapshot};
 use crate::store::{chunk_hash, combine_hashes};
@@ -41,11 +48,7 @@ impl CheckpointDigest {
     /// Digest a snapshot (hash every entry chunk).
     pub fn of(snapshot: &WeightSnapshot) -> Self {
         CheckpointDigest {
-            entries: snapshot
-                .entry_chunks()
-                .into_iter()
-                .map(|(name, bytes)| (name.to_string(), chunk_hash(&bytes)))
-                .collect(),
+            entries: entry_hashes(snapshot),
         }
     }
 
@@ -72,12 +75,7 @@ impl CheckpointDigest {
     /// `update` gets its hash recomputed; entries the update omits keep
     /// theirs. This is the server-side patch after sending an update.
     pub fn patch(&mut self, update: &WeightSnapshot) {
-        let patches: Vec<(String, u64)> = update
-            .entry_chunks()
-            .into_iter()
-            .map(|(name, bytes)| (name.to_string(), chunk_hash(&bytes)))
-            .collect();
-        self.patch_hashes(patches);
+        self.patch_hashes(entry_hashes(update));
     }
 
     /// Advance the digest by already-encoded chunks (the client-side patch
@@ -101,6 +99,15 @@ impl CheckpointDigest {
     }
 }
 
+/// `(entry name, chunk hash)` of every entry of `snapshot`, in entry order.
+fn entry_hashes(snapshot: &WeightSnapshot) -> Vec<(String, u64)> {
+    snapshot
+        .entry_chunks()
+        .into_iter()
+        .map(|(name, bytes)| (name.to_string(), chunk_hash(&bytes)))
+        .collect()
+}
+
 /// A sparse weight update: the entries of an update snapshot whose content
 /// changed relative to a base checkpoint, plus that base's identity hash.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,17 +125,39 @@ impl WeightDelta {
     /// `base`: only entries whose chunk hash differs from the digested one.
     /// An entry the digest has never seen is always included.
     pub fn compute(update: &WeightSnapshot, base: &CheckpointDigest) -> Self {
-        let entries = update
-            .entry_chunks()
-            .into_iter()
-            .filter_map(|(name, bytes)| {
-                if base.entry_hash(name) == Some(chunk_hash(&bytes)) {
-                    None
-                } else {
-                    Some((name.to_string(), bytes))
-                }
-            })
-            .collect();
+        Self::against(update, base, |_, _| {})
+    }
+
+    /// [`WeightDelta::compute`] against `digest`, then
+    /// [`CheckpointDigest::patch`] of `digest` by the same `update` — the
+    /// server's step for one delta update — with every entry chunk-encoded
+    /// and hashed once instead of once for each half. The delta (its base,
+    /// its entries, their bytes) and the advanced digest are exactly the
+    /// two-pass ones.
+    pub fn compute_and_patch(update: &WeightSnapshot, digest: &mut CheckpointDigest) -> Self {
+        let mut hashes = Vec::with_capacity(update.entry_count());
+        let delta = Self::against(update, digest, |name, hash| {
+            hashes.push((name.to_string(), hash));
+        });
+        digest.patch_hashes(hashes);
+        delta
+    }
+
+    /// The delta that carries `update` to a peer at `base`; `hashed` sees
+    /// the chunk hash of every entry of `update`, carried or not.
+    fn against(
+        update: &WeightSnapshot,
+        base: &CheckpointDigest,
+        mut hashed: impl FnMut(&str, u64),
+    ) -> Self {
+        let mut entries = Vec::new();
+        for (name, bytes) in update.entry_chunks() {
+            let hash = chunk_hash(&bytes);
+            hashed(name, hash);
+            if base.entry_hash(name) != Some(hash) {
+                entries.push((name.to_string(), bytes));
+            }
+        }
         WeightDelta {
             base: base.combined(),
             scope: update.scope(),
@@ -279,7 +308,8 @@ impl WeightPayload {
     }
 
     /// Encode a `Full` envelope from a borrowed snapshot, without cloning
-    /// the snapshot into the enum first.
+    /// the snapshot into the enum first: the values are written once,
+    /// straight into the returned buffer.
     pub fn encode_full(snapshot: &WeightSnapshot) -> Vec<u8> {
         let mut out = Vec::with_capacity(1 + snapshot.encoded_len());
         out.push(0);
@@ -396,6 +426,38 @@ mod tests {
         let server_state = WeightSnapshot::capture(&mut server, SnapshotScope::Full);
         let client_state = WeightSnapshot::capture(&mut client, SnapshotScope::Full);
         assert_eq!(server_state.encode(), client_state.encode());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Over the training trajectories of
+        /// `delta_stream_reproduces_the_server_bit_for_bit` (a partial
+        /// student, one optimizer step per round, a final round with no
+        /// training), the fused pass and `compute` followed by `patch`
+        /// produce the same delta bytes and the same digest.
+        #[test]
+        fn compute_and_patch_in_one_pass_equals_compute_then_patch(
+            seed in 0u64..500,
+            rounds in 1usize..4,
+        ) {
+            let mut server = net(seed);
+            let start =
+                CheckpointDigest::of(&WeightSnapshot::capture(&mut server, SnapshotScope::Full));
+            let (mut two_pass, mut one_pass) = (start.clone(), start);
+            for round in 0..=rounds {
+                if round < rounds {
+                    trained_step(&mut server, seed.wrapping_mul(31).wrapping_add(round as u64));
+                }
+                let update = WeightSnapshot::capture(&mut server, SnapshotScope::TrainableOnly);
+                let reference = WeightDelta::compute(&update, &two_pass);
+                two_pass.patch(&update);
+                let fused = WeightDelta::compute_and_patch(&update, &mut one_pass);
+                proptest::prop_assert_eq!(Wire::encode(&fused), Wire::encode(&reference));
+                proptest::prop_assert_eq!(&one_pass, &two_pass);
+                proptest::prop_assert_eq!(fused.entry_count() == 0, round == rounds);
+            }
+        }
     }
 
     #[test]

@@ -17,11 +17,21 @@
 //! The encoding is a simple deterministic framing:
 //! `u32 entry-count`, then per entry `u32 name-length`, name bytes,
 //! `u32 value-count`, and the values as little-endian `f32`s.
+//!
+//! Every encoder and decoder in this module moves a tensor's values through
+//! one bulk pair, `put_f32s_le` / `get_f32s_le` — a block move on a
+//! little-endian host — and each writes its output exactly once:
+//! [`WeightSnapshot::encode`] into the buffer the returned `Bytes` keeps,
+//! [`Wire::encode_into`](st_net::Wire::encode_into) straight into the
+//! caller's frame, the decoders straight from the received bytes into the
+//! tensors' `Vec<f32>`s. Between `capture` and `apply` that is the only time
+//! this module touches the weights; the rest of the update path's budget
+//! (one ring move per side) is `st_net::shm`'s.
 
 use crate::param::Param;
 use crate::student::StudentNet;
 use crate::Result;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use st_tensor::{Shape, Tensor, TensorError};
 
 /// Which parameters a snapshot contains.
@@ -174,17 +184,20 @@ impl WeightSnapshot {
 
     /// Encode to the wire format described in the module docs.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_size());
-        buf.put_u32_le(self.entries.len() as u32);
+        let mut buf = Vec::with_capacity(self.encoded_size());
+        self.encode_body(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Append the [`WeightSnapshot::encode`] bytes to `out`.
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        put_u32_le(out, self.entries.len());
         for (name, tensor) in &self.entries {
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u32_le(tensor.numel() as u32);
-            for &v in tensor.data() {
-                buf.put_f32_le(v);
-            }
+            put_u32_le(out, name.len());
+            out.extend_from_slice(name.as_bytes());
+            put_u32_le(out, tensor.numel());
+            put_f32s_le(out, tensor.data());
         }
-        buf.freeze()
     }
 
     /// Split the snapshot into per-entry encoded chunks: one
@@ -200,12 +213,10 @@ impl WeightSnapshot {
         self.entries
             .iter()
             .map(|(name, tensor)| {
-                let mut buf = BytesMut::with_capacity(4 + 4 * tensor.numel());
-                buf.put_u32_le(tensor.numel() as u32);
-                for &v in tensor.data() {
-                    buf.put_f32_le(v);
-                }
-                (name.as_str(), buf.freeze())
+                let mut buf = Vec::with_capacity(4 + 4 * tensor.numel());
+                put_u32_le(&mut buf, tensor.numel());
+                put_f32s_le(&mut buf, tensor.data());
+                (name.as_str(), Bytes::from(buf))
             })
             .collect()
     }
@@ -215,23 +226,12 @@ impl WeightSnapshot {
     pub fn from_entry_chunks(chunks: Vec<(String, Bytes)>, scope: SnapshotScope) -> Result<Self> {
         let mut entries = Vec::with_capacity(chunks.len());
         for (name, bytes) in chunks {
-            let mut buf = bytes;
-            if buf.remaining() < 4 {
-                return Err(TensorError::InvalidArgument(
-                    "snapshot chunk truncated (value len)".into(),
-                ));
-            }
-            let numel = buf.get_u32_le() as usize;
-            if buf.remaining() < 4 * numel {
-                return Err(TensorError::InvalidArgument(
-                    "snapshot chunk truncated (values)".into(),
-                ));
-            }
-            let mut values = Vec::with_capacity(numel);
-            for _ in 0..numel {
-                values.push(buf.get_f32_le());
-            }
-            entries.push((name, Tensor::from_vec(Shape::vector(numel), values)?));
+            let values = take_values(
+                &mut &bytes[..],
+                "snapshot chunk truncated (value len)",
+                "snapshot chunk truncated (values)",
+            )?;
+            entries.push((name, values));
         }
         Ok(WeightSnapshot { entries, scope })
     }
@@ -242,48 +242,87 @@ impl WeightSnapshot {
     /// them by name and the receiving network re-validates shapes by element
     /// count, so the flat shape is sufficient for transport.
     pub fn decode(bytes: &Bytes, scope: SnapshotScope) -> Result<Self> {
-        let mut buf = bytes.clone();
-        if buf.remaining() < 4 {
-            return Err(TensorError::InvalidArgument(
-                "snapshot truncated (header)".into(),
-            ));
-        }
-        let count = buf.get_u32_le() as usize;
-        let mut entries = Vec::with_capacity(count);
+        Self::decode_body(bytes, scope)
+    }
+
+    fn decode_body(mut buf: &[u8], scope: SnapshotScope) -> Result<Self> {
+        let count = take_u32_le(&mut buf, "snapshot truncated (header)")?;
+        // The count is the peer's word: reserve no more entries than the
+        // bytes that are actually here could hold (two length words each).
+        let mut entries = Vec::with_capacity(count.min(buf.len() / 8));
         for _ in 0..count {
-            if buf.remaining() < 4 {
-                return Err(TensorError::InvalidArgument(
-                    "snapshot truncated (name len)".into(),
-                ));
-            }
-            let name_len = buf.get_u32_le() as usize;
-            if buf.remaining() < name_len {
-                return Err(TensorError::InvalidArgument(
-                    "snapshot truncated (name)".into(),
-                ));
-            }
-            let name_bytes = buf.copy_to_bytes(name_len);
-            let name = String::from_utf8(name_bytes.to_vec())
+            let name_len = take_u32_le(&mut buf, "snapshot truncated (name len)")?;
+            let name = take_bytes(&mut buf, name_len, "snapshot truncated (name)")?;
+            let name = std::str::from_utf8(name)
                 .map_err(|_| TensorError::InvalidArgument("snapshot name not UTF-8".into()))?;
-            if buf.remaining() < 4 {
-                return Err(TensorError::InvalidArgument(
-                    "snapshot truncated (value len)".into(),
-                ));
-            }
-            let numel = buf.get_u32_le() as usize;
-            if buf.remaining() < 4 * numel {
-                return Err(TensorError::InvalidArgument(
-                    "snapshot truncated (values)".into(),
-                ));
-            }
-            let mut values = Vec::with_capacity(numel);
-            for _ in 0..numel {
-                values.push(buf.get_f32_le());
-            }
-            entries.push((name, Tensor::from_vec(Shape::vector(numel), values)?));
+            let values = take_values(
+                &mut buf,
+                "snapshot truncated (value len)",
+                "snapshot truncated (values)",
+            )?;
+            entries.push((name.to_string(), values));
         }
         Ok(WeightSnapshot { entries, scope })
     }
+}
+
+/// Scalars [`put_f32s_le`] converts per block: the block buffer stays in
+/// registers / L1 and each block leaves as one `memcpy`.
+const CODEC_BLOCK: usize = 64;
+
+/// Append `values` to `out` as little-endian `f32`s — the bulk half of every
+/// encoder in this module. Bit-exact (`to_le_bytes` keeps NaN payloads and
+/// the sign of zero); on a little-endian host the per-block conversion is a
+/// plain copy.
+fn put_f32s_le(out: &mut Vec<u8>, values: &[f32]) {
+    out.reserve(4 * values.len());
+    let mut raw = [0u8; 4 * CODEC_BLOCK];
+    for block in values.chunks(CODEC_BLOCK) {
+        for (dst, value) in raw.chunks_exact_mut(4).zip(block) {
+            dst.copy_from_slice(&value.to_le_bytes());
+        }
+        out.extend_from_slice(&raw[..4 * block.len()]);
+    }
+}
+
+/// The little-endian `f32`s in `raw` (whose length is a multiple of four) —
+/// the bulk half of every decoder in this module; an exact-size iterator,
+/// so the `Vec` is allocated once and filled by a vectorised loop.
+fn get_f32s_le(raw: &[u8]) -> Vec<f32> {
+    raw.chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect()
+}
+
+/// Append a length word. Lengths here are entry / name / value counts of a
+/// student network, far below `u32::MAX`.
+fn put_u32_le(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Take `n` bytes off the front of `buf`, or fail with `what`.
+fn take_bytes<'a>(buf: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(TensorError::InvalidArgument(what.into()));
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Take a little-endian `u32` length word off the front of `buf`.
+fn take_u32_le(buf: &mut &[u8], what: &str) -> Result<usize> {
+    let raw = take_bytes(buf, 4, what)?;
+    Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]) as usize)
+}
+
+/// Take one entry's values — `u32 value-count` plus that many little-endian
+/// `f32`s — off the front of `buf` as a flat tensor, failing with `no_len`
+/// / `no_values` when the count or the run is cut short.
+fn take_values(buf: &mut &[u8], no_len: &str, no_values: &str) -> Result<Tensor> {
+    let numel = take_u32_le(buf, no_len)?;
+    let raw = take_bytes(buf, numel.saturating_mul(4), no_values)?;
+    Tensor::from_vec(Shape::vector(numel), get_f32s_le(raw))
 }
 
 /// Whether two equally long value runs are the same bit pattern throughout
@@ -314,9 +353,8 @@ impl st_net::Wire for WeightSnapshot {
             SnapshotScope::Full => 0,
             SnapshotScope::TrainableOnly => 1,
         });
-        let body = self.encode();
-        (body.len() as u32).encode_into(out);
-        out.extend_from_slice(&body);
+        put_u32_le(out, self.encoded_size());
+        self.encode_body(out);
     }
 
     fn decode(input: &mut &[u8]) -> std::result::Result<Self, st_net::WireError> {
@@ -339,10 +377,8 @@ impl st_net::Wire for WeightSnapshot {
         }
         let (body, rest) = input.split_at(len);
         *input = rest;
-        WeightSnapshot::decode(&Bytes::from(body.to_vec()), scope).map_err(|_| {
-            st_net::WireError::InvalidValue {
-                what: "malformed weight-snapshot body",
-            }
+        WeightSnapshot::decode_body(body, scope).map_err(|_| st_net::WireError::InvalidValue {
+            what: "malformed weight-snapshot body",
         })
     }
 
@@ -419,6 +455,236 @@ mod tests {
                 assert!(tensor.data().iter().all(|v| !v.is_nan()));
             }
         }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The three encodings of one fixed student, hashed at the commit
+    /// before the bulk codec replaced the per-scalar loops (PR 22,
+    /// c6762d7): the codec changed, the bytes may not.
+    #[test]
+    fn the_bulk_codec_writes_the_bytes_the_scalar_loops_wrote() {
+        use st_net::Wire;
+        let mut fixed = StudentNet::new(StudentConfig {
+            seed: 0,
+            ..StudentConfig::tiny()
+        })
+        .unwrap();
+        let snap = WeightSnapshot::capture(&mut fixed, SnapshotScope::Full);
+
+        let encoded = snap.encode();
+        assert_eq!(encoded.len(), 88_340);
+        assert_eq!(fnv1a(&encoded), 0xfda6_8627_eef1_508a);
+
+        let mut chunks = Vec::new();
+        for (name, bytes) in snap.entry_chunks() {
+            chunks.extend_from_slice(name.as_bytes());
+            chunks.extend_from_slice(&bytes);
+        }
+        assert_eq!(chunks.len(), 87_984);
+        assert_eq!(fnv1a(&chunks), 0xdb85_856d_45f5_9e2a);
+
+        let envelope = Wire::encode(&crate::delta::WeightPayload::Full(snap.clone()));
+        assert_eq!(envelope.len(), 88_346);
+        assert_eq!(fnv1a(&envelope), 0xe45c_2482_1310_bfd0);
+        assert_eq!(envelope, crate::delta::WeightPayload::encode_full(&snap));
+    }
+
+    /// The per-scalar encoder the bulk pair replaced: one `put_f32_le` per
+    /// value through the `bytes` cursor traits.
+    fn reference_encode(snap: &WeightSnapshot) -> Bytes {
+        use bytes::{BufMut, BytesMut};
+        let mut buf = BytesMut::with_capacity(snap.encoded_size());
+        buf.put_u32_le(snap.entries.len() as u32);
+        for (name, tensor) in &snap.entries {
+            buf.put_u32_le(name.len() as u32);
+            buf.put_slice(name.as_bytes());
+            buf.put_u32_le(tensor.numel() as u32);
+            for &v in tensor.data() {
+                buf.put_f32_le(v);
+            }
+        }
+        buf.freeze()
+    }
+
+    /// The per-scalar decoder the bulk pair replaced, check for check.
+    fn reference_decode(bytes: &Bytes, scope: SnapshotScope) -> Result<WeightSnapshot> {
+        use bytes::Buf;
+        let truncated = |what: &str| Err(TensorError::InvalidArgument(what.into()));
+        let mut buf = bytes.clone();
+        if buf.remaining() < 4 {
+            return truncated("snapshot truncated (header)");
+        }
+        let count = buf.get_u32_le() as usize;
+        let mut entries = Vec::new();
+        for _ in 0..count {
+            if buf.remaining() < 4 {
+                return truncated("snapshot truncated (name len)");
+            }
+            let name_len = buf.get_u32_le() as usize;
+            if buf.remaining() < name_len {
+                return truncated("snapshot truncated (name)");
+            }
+            let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
+                .map_err(|_| TensorError::InvalidArgument("snapshot name not UTF-8".into()))?;
+            if buf.remaining() < 4 {
+                return truncated("snapshot truncated (value len)");
+            }
+            let numel = buf.get_u32_le() as usize;
+            if buf.remaining() < 4 * numel {
+                return truncated("snapshot truncated (values)");
+            }
+            let values = (0..numel).map(|_| buf.get_f32_le()).collect();
+            entries.push((name, Tensor::from_vec(Shape::vector(numel), values)?));
+        }
+        Ok(WeightSnapshot { entries, scope })
+    }
+
+    /// Bit patterns `==` on `f32` cannot tell apart or cannot compare.
+    const AWKWARD_BITS: [u32; 8] = [
+        0x0000_0000, // 0.0
+        0x8000_0000, // -0.0
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // largest negative subnormal
+        0x7fc0_0000, // quiet NaN
+        0x7fa0_1234, // signalling NaN with a payload
+        0xffff_ffff, // negative NaN, full payload
+        0x7f80_0000, // infinity
+    ];
+
+    fn snapshot_of_bits(runs: &[&[u32]]) -> WeightSnapshot {
+        let entries = runs
+            .iter()
+            .enumerate()
+            .map(|(i, bits)| {
+                let values: Vec<f32> = bits.iter().map(|b| f32::from_bits(*b)).collect();
+                let tensor = Tensor::from_vec(Shape::vector(values.len()), values).unwrap();
+                (format!("entry{i}.weight"), tensor)
+            })
+            .collect();
+        WeightSnapshot {
+            entries,
+            scope: SnapshotScope::Full,
+        }
+    }
+
+    fn bits_of(snap: &WeightSnapshot) -> Vec<Vec<u32>> {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        snap.entries.iter().map(|(_, t)| bits(t)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Over arbitrary bit patterns — the awkward ones planted at a
+        /// random offset — and every length 0..=67 (each tail of every
+        /// block and vector width), the bulk pair writes and reads what one
+        /// `put_f32_le` / `get_f32_le` per scalar does.
+        #[test]
+        fn the_bulk_pair_equals_the_per_scalar_reference(
+            random in proptest::collection::vec(proptest::prelude::any::<u32>(), 67..68),
+            plant_at in 0usize..60,
+        ) {
+            let mut bits = random;
+            bits[plant_at..plant_at + AWKWARD_BITS.len()].copy_from_slice(&AWKWARD_BITS);
+            for len in 0..=bits.len() {
+                let snap = snapshot_of_bits(&[&bits[..len], &bits[bits.len() - len..]]);
+                let encoded = snap.encode();
+                proptest::prop_assert_eq!(&encoded, &reference_encode(&snap), "length {}", len);
+                let bulk = WeightSnapshot::decode(&encoded, SnapshotScope::Full).unwrap();
+                let scalar = reference_decode(&encoded, SnapshotScope::Full).unwrap();
+                proptest::prop_assert_eq!(bits_of(&bulk), bits_of(&scalar), "length {}", len);
+                proptest::prop_assert_eq!(bits_of(&bulk), bits_of(&snap), "length {}", len);
+
+                let chunks: Vec<(String, Bytes)> = snap
+                    .entry_chunks()
+                    .into_iter()
+                    .map(|(name, chunk)| (name.to_string(), chunk))
+                    .collect();
+                for ((_, chunk), (_, tensor)) in chunks.iter().zip(&snap.entries) {
+                    let mut scalar_chunk = (tensor.numel() as u32).to_le_bytes().to_vec();
+                    for v in tensor.data() {
+                        scalar_chunk.extend_from_slice(&v.to_bits().to_le_bytes());
+                    }
+                    proptest::prop_assert_eq!(&chunk[..], &scalar_chunk[..]);
+                }
+                let rebuilt = WeightSnapshot::from_entry_chunks(chunks, SnapshotScope::Full).unwrap();
+                proptest::prop_assert_eq!(bits_of(&rebuilt), bits_of(&snap), "length {}", len);
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_fails_with_the_reference_error_at_the_same_byte() {
+        let snap = snapshot_of_bits(&[&AWKWARD_BITS, &[], &AWKWARD_BITS[..3]]);
+        let encoded = snap.encode();
+        for cut in 0..encoded.len() {
+            let prefix = encoded.slice(0..cut);
+            let bulk = WeightSnapshot::decode(&prefix, SnapshotScope::Full).unwrap_err();
+            let scalar = reference_decode(&prefix, SnapshotScope::Full).unwrap_err();
+            assert_eq!(bulk, scalar, "cut at {cut}");
+        }
+
+        // A name that is not UTF-8 (first byte of the first entry's name).
+        let mut bad_name = encoded.to_vec();
+        bad_name[8] = 0xFF;
+        let bad_name = Bytes::from(bad_name);
+        let bulk = WeightSnapshot::decode(&bad_name, SnapshotScope::Full).unwrap_err();
+        assert_eq!(
+            bulk,
+            TensorError::InvalidArgument("snapshot name not UTF-8".into())
+        );
+        assert_eq!(
+            bulk,
+            reference_decode(&bad_name, SnapshotScope::Full).unwrap_err()
+        );
+
+        // Chunks: the count word, then the values.
+        let (name, chunk) = snap.entry_chunks().remove(0);
+        for (cut, what) in [
+            (3, "snapshot chunk truncated (value len)"),
+            (chunk.len() - 1, "snapshot chunk truncated (values)"),
+        ] {
+            let cut_chunk = vec![(name.to_string(), chunk.slice(0..cut))];
+            assert_eq!(
+                WeightSnapshot::from_entry_chunks(cut_chunk, SnapshotScope::Full).unwrap_err(),
+                TensorError::InvalidArgument(what.into())
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_entry_count_cannot_overallocate() {
+        // An entry count of four billion over a 6-byte body must fail as a
+        // truncation, not abort reserving room for the entries.
+        let mut bytes = u32::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1, 2]);
+        assert_eq!(
+            WeightSnapshot::decode(&Bytes::from(bytes.clone()), SnapshotScope::Full).unwrap_err(),
+            TensorError::InvalidArgument("snapshot truncated (name len)".into())
+        );
+        // The same body inside the wire envelope: typed there too.
+        let mut framed = vec![0u8];
+        framed.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&bytes);
+        assert_eq!(
+            <WeightSnapshot as st_net::Wire>::decode(&mut &framed[..]).unwrap_err(),
+            st_net::WireError::InvalidValue {
+                what: "malformed weight-snapshot body"
+            }
+        );
+        // A value count that lies is bounded by the bytes that are there.
+        let mut chunk = u32::MAX.to_le_bytes().to_vec();
+        chunk.extend_from_slice(&[0; 8]);
+        let lying = vec![("w".to_string(), Bytes::from(chunk))];
+        assert_eq!(
+            WeightSnapshot::from_entry_chunks(lying, SnapshotScope::Full).unwrap_err(),
+            TensorError::InvalidArgument("snapshot chunk truncated (values)".into())
+        );
     }
 
     #[test]
