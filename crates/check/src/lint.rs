@@ -11,6 +11,7 @@
 //! | `no-sleep` | `crates/core/src/serve/` (every file), `poll.rs` non-test code | no `std::thread::sleep` in reactor code |
 //! | `ignored-send` | `crates/core/src/serve/` (every file), `live.rs` non-test code | no `let _ = …send(…)` — a failed send on a failover/mailbox path must be counted or handled, never discarded |
 //! | `chunk-hash-confined` | non-test code outside `crates/nn/src/store.rs` / `crates/nn/src/delta.rs` | no `chunk_hash(` / `combine_hashes(` — content hashing stays behind the store's intern/digest APIs, out of serving hot loops |
+//! | `no-set4` | non-test code under `crates/tensor/src/`, `crates/nn/src/`, `crates/teacher/src/` | no `.set4(` — every call re-checks the tensor's copy-on-write handle; a kernel takes `data_mut()` once and indexes the slice |
 //!
 //! The scanner is token-level, not syntactic: a small lexer strips string
 //! literals and separates comment text from code text, then the rules match
@@ -361,6 +362,13 @@ pub fn lint_source(path: &Path, content: &str) -> Vec<Violation> {
     let send_audited_file = serve_file || name == "live.rs";
     let hash_home_file = path_contains(path, "crates/nn/src/store.rs")
         || path_contains(path, "crates/nn/src/delta.rs");
+    let kernel_file = [
+        "crates/tensor/src/",
+        "crates/nn/src/",
+        "crates/teacher/src/",
+    ]
+    .iter()
+    .any(|dir| path_contains(path, dir));
 
     let mut out = Vec::new();
     for (idx, code_line) in lexed.code.iter().enumerate() {
@@ -459,6 +467,21 @@ pub fn lint_source(path: &Path, content: &str) -> Vec<Violation> {
                 rule: "chunk-hash-confined",
                 message:
                     "content-hash primitive outside st_nn store/delta; use the intern/digest APIs"
+                        .to_string(),
+            });
+        }
+
+        // `Tensor::set4` runs `Arc::make_mut` — an atomic check of both
+        // reference counts — on every call. Two up-samples written with it
+        // were a quarter of the client's frame time; in the numeric crates
+        // an element loop takes `data_mut()` once and works on the slice.
+        if kernel_file && !in_test && code_line.contains(".set4(") {
+            out.push(Violation {
+                file: path.to_path_buf(),
+                line: line_no,
+                rule: "no-set4",
+                message:
+                    "`.set4(` in kernel code re-checks the copy-on-write handle per element; index `data_mut()` instead"
                         .to_string(),
             });
         }

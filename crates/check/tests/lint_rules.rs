@@ -228,3 +228,28 @@ fn chunk_hashing_is_confined_to_store_and_delta() {
         "fn f() {\n    // chunk_hash( is discussed here only\n    let s = \"chunk_hash(x)\";\n}\n";
     assert!(rules("crates/core/src/serve/state.rs", prose).is_empty());
 }
+
+#[test]
+fn set4_is_banned_in_kernel_code() {
+    let src =
+        "fn up(out: &mut Tensor, x: &Tensor) {\n    out.set4(0, 0, 0, 0, x.at4(0, 0, 0, 0));\n}\n";
+    for path in [
+        "crates/tensor/src/pool.rs",
+        "crates/nn/src/student.rs",
+        "crates/teacher/src/cnn.rs",
+    ] {
+        assert_eq!(rules(path, src), vec!["no-set4"], "{path}");
+    }
+    // The definition itself, other crates and integration tests are out of
+    // scope ...
+    let definition = "impl Tensor {\n    pub fn set4(&mut self, n: usize, value: f32) {}\n}\n";
+    assert!(rules("crates/tensor/src/tensor.rs", definition).is_empty());
+    assert!(rules("crates/video/src/generator.rs", src).is_empty());
+    assert!(rules("crates/tensor/tests/property_kernels.rs", src).is_empty());
+    // ... and so are a kernel file's own tests, comments and strings.
+    let test_src =
+        "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.set4(0, 0, 0, 0, 1.0); }\n}\n";
+    assert!(rules("crates/tensor/src/pool.rs", test_src).is_empty());
+    let mentioned = "fn f() {\n    // .set4( is discussed here only\n    let s = \".set4(\";\n}\n";
+    assert!(rules("crates/tensor/src/pool.rs", mentioned).is_empty());
+}

@@ -271,6 +271,55 @@ mod tests {
         }
     }
 
+    /// The weights four consecutive key frames leave in a `small()` student
+    /// at 64×48, hashed at the commit before the student's passes stopped
+    /// building column matrices and moving activations element by element
+    /// (PR 23, 0c2db13): the kernels changed, no bit of any weight may.
+    #[test]
+    fn four_key_frames_leave_the_weights_the_parent_commit_left() {
+        fn fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        for (mode, expected_steps, expected_hash) in [
+            (DistillationMode::Partial, 31usize, 0xb1d9_1719_cc91_c90du64),
+            (DistillationMode::Full, 32, 0xbde8_391f_e3a4_11e3),
+        ] {
+            let config = ShadowTutorConfig {
+                mode,
+                ..ShadowTutorConfig::paper()
+            };
+            let mut student = StudentNet::new(StudentConfig::small()).unwrap();
+            student.freeze = mode.freeze_point();
+            let mut opt = Adam::new(config.learning_rate);
+            let cat = VideoCategory {
+                camera: CameraMotion::Moving,
+                scene: SceneKind::Street,
+            };
+            let mut gen = VideoGenerator::new(VideoConfig::for_category(cat, 64, 48, 9)).unwrap();
+            let mut teacher = OracleTeacher::perfect(1);
+            let mut steps = 0;
+            for _ in 0..4 {
+                for _ in 0..3 {
+                    gen.next_frame();
+                }
+                let frame = gen.next_frame();
+                let label = teacher.pseudo_label(&frame).unwrap();
+                steps += train_student(&mut student, &mut opt, &frame, &label, &config)
+                    .unwrap()
+                    .steps;
+            }
+            let weights = WeightSnapshot::capture(&mut student, SnapshotScope::Full).encode();
+            assert_eq!(
+                (steps, fnv1a(&weights)),
+                (expected_steps, expected_hash),
+                "{mode:?}: {steps} steps, hash {:#018x}",
+                fnv1a(&weights)
+            );
+        }
+    }
+
     #[test]
     fn no_backward_cache_outlives_the_call() {
         let (mut student, mut opt, frame, label, config) = setup(DistillationMode::Partial);

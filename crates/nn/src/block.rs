@@ -32,7 +32,6 @@ pub struct StudentBlock {
     relu13: Relu,
     conv11: Conv2d,
     proj: Option<Conv2d>,
-    cache_block_input: Option<Tensor>,
 }
 
 impl StudentBlock {
@@ -89,13 +88,11 @@ impl StudentBlock {
             relu13: Relu::new(),
             conv11,
             proj,
-            cache_block_input: None,
         })
     }
 
     /// Training-mode forward pass (caches everything backward needs).
     pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cache_block_input = Some(input.clone());
         let x = self.bn.forward_train(input)?;
         let x = self.relu_bn.forward(&x);
         let x = self.conv33.forward(&x)?;
@@ -112,10 +109,9 @@ impl StudentBlock {
         x.add(&shortcut)
     }
 
-    /// Drop every layer's forward cache (frees the im2col and activation
-    /// buffers kept for a backward pass).
+    /// Drop every layer's forward cache (lets go of the activations kept for
+    /// a backward pass).
     pub fn clear_caches(&mut self) {
-        self.cache_block_input = None;
         self.bn.clear_cache();
         self.relu_bn = Relu::new();
         self.conv33.clear_cache();
@@ -260,7 +256,7 @@ mod tests {
     #[test]
     fn batched_inference_matches_per_frame() {
         // The block's inference path is built from batched layers (batched
-        // im2col conv, running-stat batch norm, elementwise ReLU and the
+        // conv, running-stat batch norm, elementwise ReLU and the
         // residual add), so a stacked forward must equal per-frame forwards
         // bit-for-bit.
         let mut b = StudentBlock::new("sb", 3, 6, 2, 9).unwrap();

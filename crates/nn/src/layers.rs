@@ -7,7 +7,7 @@
 
 use crate::param::{Param, ParamVisitor};
 use crate::Result;
-use st_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
+use st_tensor::conv::{conv2d, conv2d_grads, Conv2dSpec};
 use st_tensor::{ops, Shape, Tensor, TensorError};
 
 /// A 2-D convolution layer with optional bias and ReLU-friendly Kaiming init.
@@ -22,11 +22,12 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
 }
 
+/// What a training forward leaves for the backward pass: the layer's input,
+/// shared with whoever produced it (a clone of the tensor's handle, not of
+/// its data). The weight gradient reads its columns from it.
 #[derive(Debug, Clone)]
 struct ConvCache {
-    columns: Tensor,
-    input_h: usize,
-    input_w: usize,
+    input: Tensor,
 }
 
 impl Conv2d {
@@ -46,32 +47,23 @@ impl Conv2d {
         })
     }
 
-    /// Forward pass, caching the im2col buffer for the next backward call.
+    /// Forward pass, keeping the input for the next backward call.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (_, _, h, w) = input.shape().as_nchw()?;
-        let (out, columns) = conv2d_forward(
-            input,
-            &self.weight.value,
-            Some(&self.bias.value),
-            &self.spec,
-        )?;
+        let out = self.forward_inference(input)?;
         self.cache = Some(ConvCache {
-            columns,
-            input_h: h,
-            input_w: w,
+            input: input.clone(),
         });
         Ok(out)
     }
 
-    /// Forward pass without caching (inference only, lower memory).
+    /// Forward pass without caching (inference only).
     pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor> {
-        let (out, _) = conv2d_forward(
+        conv2d(
             input,
             &self.weight.value,
             Some(&self.bias.value),
             &self.spec,
-        )?;
-        Ok(out)
+        )
     }
 
     /// Backward pass. Accumulates weight/bias gradients and, when
@@ -81,13 +73,11 @@ impl Conv2d {
         let cache = self.cache.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Conv2d::backward called before forward".into())
         })?;
-        let grads = conv2d_backward(
+        let grads = conv2d_grads(
             grad_out,
-            &cache.columns,
+            &cache.input,
             &self.weight.value,
             &self.spec,
-            cache.input_h,
-            cache.input_w,
             need_input_grad,
         )?;
         self.weight.grad.add_assign(&grads.weight)?;
@@ -106,7 +96,7 @@ impl Conv2d {
         visitor.visit(&mut self.bias, trainable);
     }
 
-    /// Drop the forward cache (frees the im2col buffer).
+    /// Drop the forward cache (lets go of the cached input).
     pub fn clear_cache(&mut self) {
         self.cache = None;
     }
@@ -372,7 +362,10 @@ impl BatchNorm2d {
     }
 }
 
-/// Stateless ReLU that caches its input for the backward pass.
+/// Stateless ReLU that caches its *output* for the backward pass: the
+/// gradient passes where the output is positive, which is exactly where the
+/// input was, and the output is the tensor the next layer keeps as its input
+/// anyway — one buffer serves both.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
     cache: Option<Tensor>,
@@ -384,10 +377,10 @@ impl Relu {
         Relu { cache: None }
     }
 
-    /// Forward pass (caches the input).
+    /// Forward pass (caches the output).
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let out = ops::relu(input);
-        self.cache = Some(input.clone());
+        self.cache = Some(out.clone());
         out
     }
 
@@ -396,12 +389,12 @@ impl Relu {
         ops::relu(input)
     }
 
-    /// Backward pass using the cached forward input.
+    /// Backward pass using the cached forward output.
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self.cache.as_ref().ok_or_else(|| {
+        let output = self.cache.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Relu::backward called before forward".into())
         })?;
-        ops::relu_backward(grad_out, input)
+        ops::relu_backward(grad_out, output)
     }
 }
 
@@ -434,6 +427,57 @@ mod tests {
         let mut layer = Conv2d::new("c", spec, 1).unwrap();
         let g = Tensor::zeros(Shape::nchw(1, 1, 2, 2));
         assert!(layer.backward(&g, false).is_err());
+    }
+
+    #[test]
+    fn conv_backward_keeps_its_typed_errors_with_a_cached_input() {
+        let spec = Conv2dSpec::square(2, 3, 3, 1);
+        let mut layer = Conv2d::new("c", spec, 1).unwrap();
+        let grad = Tensor::ones(Shape::nchw(1, 3, 6, 6));
+        // No cached forward.
+        assert!(matches!(
+            layer.backward(&grad, true),
+            Err(TensorError::InvalidArgument(m)) if m.contains("before forward")
+        ));
+        // A batched gradient (the forward accepts a batch; training does not).
+        let batch = random::uniform(Shape::nchw(2, 2, 6, 6), -1.0, 1.0, 2);
+        let out = layer.forward(&batch).unwrap();
+        assert!(matches!(
+            layer.backward(&out, true),
+            Err(TensorError::InvalidArgument(m)) if m.contains("per-frame")
+        ));
+        // A cache left by a forward over another input size — what a layer
+        // that was trainable under an earlier freeze point still holds.
+        layer
+            .forward(&random::uniform(Shape::nchw(1, 2, 4, 4), -1.0, 1.0, 3))
+            .unwrap();
+        assert!(matches!(
+            layer.backward(&grad, true),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert_eq!(
+            layer.weight.grad.norm(),
+            0.0,
+            "a failed backward accumulates nothing"
+        );
+    }
+
+    #[test]
+    fn a_cleared_conv_holds_no_clone_of_its_input() {
+        let mut layer = Conv2d::new("c", Conv2dSpec::square(2, 3, 3, 1), 1).unwrap();
+        let mut x = random::uniform(Shape::nchw(1, 2, 6, 6), -1.0, 1.0, 2);
+        let storage = x.storage_id();
+        layer.forward(&x).unwrap();
+        // The cache is a handle on the caller's tensor, not a copy of it ...
+        layer.clear_cache();
+        // ... and once cleared the caller owns the buffer alone again: a
+        // write goes through in place instead of copying.
+        x.data_mut()[0] = 1.0;
+        assert_eq!(x.storage_id(), storage);
+        // While cached, the same write must leave the cached input intact.
+        layer.forward(&x).unwrap();
+        x.data_mut()[0] = 2.0;
+        assert_ne!(x.storage_id(), storage);
     }
 
     #[test]

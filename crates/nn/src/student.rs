@@ -39,7 +39,8 @@
 //! prefix on the same path.
 //!
 //! A training forward leaves each trainable layer holding what its backward
-//! needs (im2col columns, ReLU inputs, batch-norm x̂).
+//! needs (convolution inputs, ReLU outputs — one tensor where a ReLU feeds a
+//! convolution — and batch-norm x̂).
 //! [`StudentNet::clear_training_caches`] frees all of it; the training
 //! entry points call it before they return, so no network at rest — and no
 //! clone of one — carries those buffers.
@@ -496,7 +497,7 @@ impl StudentNet {
     }
 
     /// Free everything the last training forward kept for its backward pass
-    /// (im2col columns, ReLU and block inputs, batch-norm x̂). The caches
+    /// (convolution inputs, ReLU outputs, batch-norm x̂). The caches
     /// otherwise live until the next training forward replaces them, which
     /// for a session between key frames — or a pre-trained template, and
     /// every clone made from it — is never. A [`StudentNet::backward`]
@@ -607,7 +608,7 @@ impl StudentNet {
     /// caches).
     ///
     /// Accepts a batch: an `(N, C, H, W)` input runs all `N` frames through
-    /// one batched im2col + GEMM per convolution, producing `(N, classes,
+    /// one GEMM per convolution, producing `(N, classes,
     /// H, W)` logits bit-for-bit identical to `N` single-frame calls — this
     /// is the forward the batched teacher pool amortizes across co-scheduled
     /// key frames.
@@ -1102,11 +1103,16 @@ mod tests {
     #[test]
     fn clear_training_caches_leaves_no_layer_cache() {
         let mut net = warmed(StudentConfig::tiny(), FreezePoint::None);
-        let x = input(16, 16, 15);
+        let mut x = input(16, 16, 15);
+        let storage = x.storage_id();
         let y = net.forward_train(&x).unwrap();
         let grad = Tensor::ones(y.shape().clone());
         net.backward(&grad).unwrap();
         net.clear_training_caches();
+        // `in1` cached the input itself (a handle, not a copy); cleared, it
+        // holds none: the caller's write goes through in place.
+        x.data_mut()[0] = 0.5;
+        assert_eq!(x.storage_id(), storage);
         assert!(matches!(
             net.backward(&grad),
             Err(TensorError::InvalidArgument(_))

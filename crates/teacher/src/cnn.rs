@@ -92,9 +92,9 @@ impl Teacher for CnnTeacher {
 
     /// A genuinely batched forward: co-scheduled frames of equal resolution
     /// are stacked into one `(N, C, H, W)` input and run through a single
-    /// batched im2col + GEMM forward pass, so the network-level fixed costs
-    /// (weight packing, buffer allocation, kernel setup) are paid once per
-    /// batch instead of once per frame — and large enough batches cross the
+    /// batched forward pass (one GEMM per layer), so the network-level fixed
+    /// costs (weight packing, buffer allocation, kernel setup) are paid once
+    /// per batch instead of once per frame — and large enough batches cross the
     /// GEMM's parallel threshold and fan out across cores, which per-frame
     /// forwards of small frames never do.
     ///

@@ -51,7 +51,7 @@ pub trait Teacher {
     /// frame in turn — semantically identical, so implementors only override
     /// this when a genuinely batched forward is cheaper. [`CnnTeacher`]
     /// overrides it with a real batched forward (stacked input, one batched
-    /// im2col + GEMM per layer) whose output is bit-for-bit the per-frame
+    /// GEMM per layer) whose output is bit-for-bit the per-frame
     /// result.
     fn pseudo_label_batch(&mut self, frames: &[&Frame]) -> Result<Vec<Vec<usize>>> {
         frames.iter().map(|f| self.pseudo_label(f)).collect()

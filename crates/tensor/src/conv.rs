@@ -1,23 +1,39 @@
-//! im2col-based 2-D convolution: forward pass and all three backward passes
-//! (input gradient, weight gradient, bias gradient).
+//! 2-D convolution as a GEMM over the input's column matrix: forward pass and
+//! all three backward passes (input gradient, weight gradient, bias
+//! gradient).
 //!
 //! The student blocks of the ShadowTutor paper use square 3×3, asymmetric
 //! 3×1 / 1×3, and pointwise 1×1 kernels, optionally strided for
 //! down-sampling, so the implementation supports independent kernel sizes,
 //! strides and paddings per axis.
 //!
-//! The lowering ([`im2col_batched`], [`col2im`]) is every convolution of
-//! every model in the repository — client inference, server evaluation,
-//! training forward and backward, the CNN teacher — so it moves row spans,
-//! not pixels: per `(channel, kh, kw)` row the valid output-x range is worked
+//! Two pairs of entry points compute the same bits:
+//!
+//! * [`conv2d`] / [`conv2d_grads`] are what every model in the repository
+//!   runs — client inference, server evaluation, training forward and
+//!   backward, the CNN teacher. They never build the column matrix: the
+//!   GEMM's `B`-panel packer reads each stripe of it from the frames
+//!   (`LoweredImage`), row span by row span, for `W · cols` and — through a
+//!   16 KiB block it transposes — for the weight gradient `gO · colsᵀ`. The
+//!   backward takes the layer's *input*; the only column-shaped buffer left
+//!   is the transient `Wᵀ · gO` the input gradient scatters back through
+//!   [`col2im`] (its accumulation order is what that gradient's bits depend
+//!   on).
+//! * [`conv2d_forward`] / [`conv2d_backward`] go through a stored matrix
+//!   ([`im2col_batched`]). They are the reference the first pair is tested
+//!   against bit for bit, and what the repository benchmark's `tensor.*`
+//!   probes time; no model calls them.
+//!
+//! The stored lowering ([`im2col_batched`], [`col2im`]) moves row spans, not
+//! pixels: per `(channel, kh, kw)` row the valid output-x range is worked
 //! out once, and each output row is then one slice copy (or slice `+=`) at
 //! stride 1, one strided walk otherwise, in the element order a per-pixel
 //! loop would use. A single-frame 1×1 / stride-1 / pad-0 convolution is not
-//! lowered at all: its column matrix is the input's storage under another
-//! shape. Both are bit-equal to the per-pixel bodies, which the tests keep
-//! as the reference.
+//! lowered at all, by either pair: its column matrix is the input's storage
+//! under another shape. All of it is bit-equal to the per-pixel bodies, which
+//! the tests keep as the reference.
 
-use crate::matmul::{matmul_nt, matmul_tn};
+use crate::matmul::{matmul, matmul_lowered, matmul_nt, matmul_nt_lowered, matmul_tn, NR};
 use crate::{Result, Shape, Tensor, TensorError};
 use std::ops::Range;
 
@@ -153,6 +169,144 @@ impl Conv2dSpec {
     }
 }
 
+/// Validate a convolution input against `spec`: a non-empty batch of frames
+/// with `spec.in_channels` channels. Returns its `(n, c, h, w)`.
+fn check_frames(input: &Tensor, spec: &Conv2dSpec) -> Result<(usize, usize, usize, usize)> {
+    spec.validate()?;
+    let (n, c, h, w) = input.shape().as_nchw()?;
+    if n == 0 {
+        return Err(TensorError::InvalidArgument(
+            "im2col_batched needs at least one frame".into(),
+        ));
+    }
+    if c != spec.in_channels {
+        return Err(TensorError::ShapeMismatch {
+            op: "im2col",
+            lhs: input.shape().dims().to_vec(),
+            rhs: vec![n, spec.in_channels, 0, 0],
+        });
+    }
+    Ok((n, c, h, w))
+}
+
+/// The column matrix [`im2col_batched`] would build from a batch of frames,
+/// as a view that is read and never stored: the GEMM's `B`-panel packer asks
+/// for one block of it at a time ([`LoweredImage::lower_block`]) and gets
+/// exactly the values the built matrix holds at those positions.
+pub(crate) struct LoweredImage<'a> {
+    frames: &'a [f32],
+    spec: &'a Conv2dSpec,
+    n: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    /// Per kernel column, the output columns whose tap lands inside an input
+    /// row ([`Conv2dSpec::tap_span`]), worked out once per convolution.
+    taps: Vec<Option<Range<usize>>>,
+}
+
+impl<'a> LoweredImage<'a> {
+    fn new(input: &'a Tensor, spec: &'a Conv2dSpec) -> Result<Self> {
+        let (n, _, h, w) = check_frames(input, spec)?;
+        let (oh, ow) = spec.output_size(h, w);
+        let taps = (0..spec.kernel_w)
+            .map(|kw| spec.tap_span(kw, w, ow).map(|(ox, _)| ox))
+            .collect();
+        Ok(LoweredImage {
+            frames: input.data(),
+            spec,
+            n,
+            h,
+            w,
+            oh,
+            ow,
+            taps,
+        })
+    }
+
+    /// Shape of the column matrix: `(in_c * kh * kw, n * oh * ow)`.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        let spec = self.spec;
+        (
+            spec.in_channels * spec.kernel_h * spec.kernel_w,
+            self.n * self.oh * self.ow,
+        )
+    }
+
+    /// Write the block `rows × cols` of the column matrix into `dst`, row `r`
+    /// at `dst[(r - rows.start) * row_step..]`. Only taps that land inside a
+    /// frame are written: `dst` must arrive zeroed, which is what a padding
+    /// tap reads. The block may cross output rows and frames; each output
+    /// row's part of it is one span per matrix row, as in
+    /// [`im2col_batched`].
+    pub(crate) fn lower_block(
+        &self,
+        dst: &mut [f32],
+        rows: Range<usize>,
+        cols: Range<usize>,
+        row_step: usize,
+    ) {
+        let spec = self.spec;
+        let (h, w, ow) = (self.h, self.w, self.ow);
+        let plane = self.oh * ow;
+        let frame_len = spec.in_channels * h * w;
+        let taps_per_channel = spec.kernel_h * spec.kernel_w;
+        let mut col = cols.start;
+        while col < cols.end {
+            // The part of `cols` inside one output row: `len` pixels from
+            // `(oy, ox0)` of frame `ni`.
+            let (ni, pixel) = (col / plane, col % plane);
+            let (oy, ox0) = (pixel / ow, pixel % ow);
+            let len = (ow - ox0).min(cols.end - col);
+            let frame = &self.frames[ni * frame_len..(ni + 1) * frame_len];
+            let dst = &mut dst[col - cols.start..];
+            // Matrix rows come in runs of kernel columns sharing one input
+            // row; the first and last run may be cut by `rows`.
+            let mut ci = rows.start / taps_per_channel;
+            let mut kh = rows.start % taps_per_channel / spec.kernel_w;
+            let mut kw = rows.start % spec.kernel_w;
+            let mut row = rows.start;
+            while row < rows.end {
+                let run = (spec.kernel_w - kw).min(rows.end - row);
+                if let Some(iy) = spec.input_row(oy, kh, h) {
+                    let in_row = &frame[(ci * h + iy) * w..][..w];
+                    for (i, tap) in self.taps[kw..kw + run].iter().enumerate() {
+                        let Some(tap) = tap else { continue };
+                        let lo = tap.start.max(ox0);
+                        let hi = tap.end.min(ox0 + len);
+                        if lo >= hi {
+                            continue;
+                        }
+                        let src = &in_row[lo * spec.stride_w + kw + i - spec.pad_w..];
+                        let dst = &mut dst[(row + i - rows.start) * row_step + lo - ox0..];
+                        if spec.stride_w != 1 {
+                            let src = src.iter().step_by(spec.stride_w);
+                            for (d, &v) in dst[..hi - lo].iter_mut().zip(src) {
+                                *d = v;
+                            }
+                        } else if hi - lo == NR {
+                            // A whole GEMM stripe inside one output row: a
+                            // fixed-size move the compiler keeps in registers.
+                            dst[..NR].copy_from_slice(&src[..NR]);
+                        } else {
+                            dst[..hi - lo].copy_from_slice(&src[..hi - lo]);
+                        }
+                    }
+                }
+                row += run;
+                kw = 0;
+                kh += 1;
+                if kh == spec.kernel_h {
+                    kh = 0;
+                    ci += 1;
+                }
+            }
+            col += len;
+        }
+    }
+}
+
 /// Lower a batch of input images into one im2col matrix.
 ///
 /// The result has shape `(in_c * kh * kw, n * oh * ow)`: frame `ni` owns the
@@ -172,20 +326,7 @@ impl Conv2dSpec {
 /// lowering would, so batched and per-frame convolutions are bit-for-bit
 /// identical.
 pub fn im2col_batched(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
-    spec.validate()?;
-    let (n, c, h, w) = input.shape().as_nchw()?;
-    if n == 0 {
-        return Err(TensorError::InvalidArgument(
-            "im2col_batched needs at least one frame".into(),
-        ));
-    }
-    if c != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col",
-            lhs: input.shape().dims().to_vec(),
-            rhs: vec![n, spec.in_channels, 0, 0],
-        });
-    }
+    let (n, c, h, w) = check_frames(input, spec)?;
     if n == 1 && spec.is_pointwise() {
         return input.reshape(Shape::matrix(c, h * w));
     }
@@ -283,23 +424,8 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Result<Te
     Ok(out)
 }
 
-/// Forward convolution: `output = weight * im2col(input) + bias`, for a
-/// batch of `n` frames in one GEMM.
-///
-/// * `input`  — `(n, in_c, h, w)`
-/// * `weight` — `(out_c, in_c, kh, kw)`
-/// * `bias`   — `(out_c)` or `None`
-///
-/// Returns `(output, columns)` with `output` shaped `(n, out_c, oh, ow)`.
-/// The columns are reused by [`conv2d_backward`] so each key-frame
-/// distillation step lowers the input only once (the backward pass is
-/// per-frame: distillation trains on single key frames).
-pub fn conv2d_forward(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    spec: &Conv2dSpec,
-) -> Result<(Tensor, Tensor)> {
+/// Check a convolution's weight and optional bias against `spec`.
+fn check_params(weight: &Tensor, bias: Option<&Tensor>, spec: &Conv2dSpec) -> Result<()> {
     if !weight.shape().same_as(&spec.weight_shape()) {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d_forward(weight)",
@@ -316,51 +442,104 @@ pub fn conv2d_forward(
             });
         }
     }
-    let (n, _, h, w) = input.shape().as_nchw()?;
-    let (oh, ow) = spec.output_size(h, w);
-    let cols = im2col_batched(input, spec)?;
+    Ok(())
+}
+
+/// The weights as the `(out_c, in_c*kh*kw)` matrix the GEMM multiplies by.
+fn weight_matrix(weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let k = spec.in_channels * spec.kernel_h * spec.kernel_w;
-    let w_mat = weight.reshape(Shape::matrix(spec.out_channels, k))?;
-    // (out_c, k) x (k, n*oh*ow) -> (out_c, n*oh*ow), frame-major columns.
-    let out_mat = crate::matmul::matmul(&w_mat, &cols)?;
+    weight.reshape(Shape::matrix(spec.out_channels, k))
+}
+
+/// Turn the GEMM result `(out_c, n*oh*ow)` — channel-major over frame-major
+/// columns — into the `(n, out_c, oh, ow)` output and add the bias.
+fn finish_output(
+    out_mat: Tensor,
+    bias: Option<&Tensor>,
+    (n, out_channels, oh, ow): (usize, usize, usize, usize),
+) -> Result<Tensor> {
     let plane = oh * ow;
     let mut out = if n == 1 {
         // Single frame (the per-frame training hot path): the GEMM result
         // *is* the output layout — reshape in place, no copy.
-        out_mat.reshape(Shape::nchw(1, spec.out_channels, oh, ow))?
+        out_mat.reshape(Shape::nchw(1, out_channels, oh, ow))?
     } else {
-        // Batched: the GEMM result is channel-major over frame-major
-        // columns; scatter each (frame, channel) plane into NCHW order.
-        let mut out = Tensor::zeros(Shape::nchw(n, spec.out_channels, oh, ow));
+        // Batched: scatter each (frame, channel) plane into NCHW order.
+        let mut out = Tensor::zeros(Shape::nchw(n, out_channels, oh, ow));
         let src = out_mat.data();
         let dst = out.data_mut();
         for ni in 0..n {
-            for oc in 0..spec.out_channels {
+            for oc in 0..out_channels {
                 let row = &src[oc * n * plane + ni * plane..oc * n * plane + (ni + 1) * plane];
-                dst[(ni * spec.out_channels + oc) * plane
-                    ..(ni * spec.out_channels + oc + 1) * plane]
+                dst[(ni * out_channels + oc) * plane..(ni * out_channels + oc + 1) * plane]
                     .copy_from_slice(row);
             }
         }
         out
     };
     if let Some(b) = bias {
-        let data = out.data_mut();
-        for ni in 0..n {
-            for oc in 0..spec.out_channels {
-                let bv = b.data()[oc];
-                for v in &mut data[(ni * spec.out_channels + oc) * plane
-                    ..(ni * spec.out_channels + oc + 1) * plane]
-                {
-                    *v += bv;
-                }
+        // Planes are (frame, channel)-major: the biases repeat per frame.
+        let channels = out.data_mut().chunks_exact_mut(plane);
+        for (channel, &bv) in channels.zip(b.data().iter().cycle()) {
+            for v in channel {
+                *v += bv;
             }
         }
     }
+    Ok(out)
+}
+
+/// Forward convolution through a stored column matrix: `output = weight *
+/// im2col(input) + bias`, for a batch of `n` frames in one GEMM.
+///
+/// * `input`  — `(n, in_c, h, w)`
+/// * `weight` — `(out_c, in_c, kh, kw)`
+/// * `bias`   — `(out_c)` or `None`
+///
+/// Returns `(output, columns)` with `output` shaped `(n, out_c, oh, ow)` and
+/// `columns` the matrix [`conv2d_backward`] consumes. This pair is the
+/// reference [`conv2d`] / [`conv2d_grads`] are held to bit for bit (and what
+/// the repository benchmark's kernel probes time); the models call those.
+pub fn conv2d_forward(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Result<(Tensor, Tensor)> {
+    check_params(weight, bias, spec)?;
+    let (n, _, h, w) = input.shape().as_nchw()?;
+    let (oh, ow) = spec.output_size(h, w);
+    let cols = im2col_batched(input, spec)?;
+    // (out_c, k) x (k, n*oh*ow) -> (out_c, n*oh*ow), frame-major columns.
+    let out_mat = matmul(&weight_matrix(weight, spec)?, &cols)?;
+    let out = finish_output(out_mat, bias, (n, spec.out_channels, oh, ow))?;
     Ok((out, cols))
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Forward convolution, `(n, in_c, h, w)` → `(n, out_c, oh, ow)`: the product
+/// [`conv2d_forward`] computes, with the GEMM reading each stripe of the
+/// column matrix straight from the frames. Nothing column-shaped is
+/// allocated, and the output is bit-identical.
+pub fn conv2d(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    check_params(weight, bias, spec)?;
+    let (n, c, h, w) = check_frames(input, spec)?;
+    let (oh, ow) = spec.output_size(h, w);
+    let w_mat = weight_matrix(weight, spec)?;
+    let out_mat = if n == 1 && spec.is_pointwise() {
+        // The column matrix is the frame under another shape.
+        matmul(&w_mat, &input.reshape(Shape::matrix(c, h * w))?)?
+    } else {
+        matmul_lowered(&w_mat, &LoweredImage::new(input, spec)?)?
+    };
+    finish_output(out_mat, bias, (n, spec.out_channels, oh, ow))
+}
+
+/// Gradients produced by [`conv2d_backward`] and [`conv2d_grads`].
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
     /// Gradient with respect to the input, `(1, in_c, h, w)`.
@@ -373,18 +552,9 @@ pub struct Conv2dGrads {
     pub bias: Tensor,
 }
 
-/// Backward convolution given the upstream gradient `grad_out`
-/// (`(1, out_c, oh, ow)`), the cached im2col `columns` from the forward
-/// pass, and the original input spatial size.
-pub fn conv2d_backward(
-    grad_out: &Tensor,
-    columns: &Tensor,
-    weight: &Tensor,
-    spec: &Conv2dSpec,
-    input_h: usize,
-    input_w: usize,
-    need_input_grad: bool,
-) -> Result<Conv2dGrads> {
+/// Check a single-frame upstream gradient against `spec` and return it as
+/// the `(out_c, oh*ow)` matrix both backward products read.
+fn grad_matrix(grad_out: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let (n, oc, oh, ow) = grad_out.shape().as_nchw()?;
     if n != 1 {
         // Distillation trains on single key frames; only the forward/
@@ -400,28 +570,30 @@ pub fn conv2d_backward(
             rhs: vec![1, spec.out_channels, 0, 0],
         });
     }
-    let k = spec.in_channels * spec.kernel_h * spec.kernel_w;
-    let go_mat = grad_out.reshape(Shape::matrix(oc, oh * ow))?;
+    grad_out.reshape(Shape::matrix(oc, oh * ow))
+}
 
-    // dW = grad_out (oc, P) * columns^T (P, k) -> (oc, k)
-    let dw_mat = matmul_nt(&go_mat, columns)?;
-    let weight_grad = dw_mat.reshape(spec.weight_shape())?;
-
+/// Everything of a backward pass but the weight-gradient product, which the
+/// caller supplies as `dw_mat` (`grad_out (oc, P) · columnsᵀ (P, k)`).
+fn finish_grads(
+    go_mat: &Tensor,
+    dw_mat: Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    (input_h, input_w): (usize, usize),
+    need_input_grad: bool,
+) -> Result<Conv2dGrads> {
     // db_c = sum over pixels of grad_out channel c
-    let mut bias_grad = Tensor::zeros(Shape::vector(oc));
-    {
-        let bg = bias_grad.data_mut();
-        let god = go_mat.data();
-        let plane = oh * ow;
-        for c in 0..oc {
-            bg[c] = god[c * plane..(c + 1) * plane].iter().sum();
-        }
-    }
+    let (oc, plane) = go_mat.shape().as_matrix()?;
+    let bias_grad: Vec<f32> = (0..oc)
+        .map(|c| go_mat.data()[c * plane..(c + 1) * plane].iter().sum())
+        .collect();
 
-    // dInput = col2im( W^T (k, oc) * grad_out (oc, P) ) -> (k, P)
+    // dInput = col2im( W^T (k, oc) * grad_out (oc, P) ) -> (k, P). The
+    // scatter's accumulation order is what the input gradient's bits depend
+    // on, so this stays a stored — transient — matrix.
     let input_grad = if need_input_grad {
-        let w_mat = weight.reshape(Shape::matrix(oc, k))?;
-        let dcol = matmul_tn(&w_mat, &go_mat)?; // (k, P)
+        let dcol = matmul_tn(&weight_matrix(weight, spec)?, go_mat)?;
         Some(col2im(&dcol, spec, input_h, input_w)?)
     } else {
         None
@@ -429,9 +601,63 @@ pub fn conv2d_backward(
 
     Ok(Conv2dGrads {
         input: input_grad,
-        weight: weight_grad,
-        bias: bias_grad,
+        weight: dw_mat.reshape(spec.weight_shape())?,
+        bias: Tensor::from_vec(Shape::vector(oc), bias_grad)?,
     })
+}
+
+/// Backward convolution given the upstream gradient `grad_out`
+/// (`(1, out_c, oh, ow)`), the im2col `columns` [`conv2d_forward`] returned,
+/// and the original input spatial size. The reference for [`conv2d_grads`].
+pub fn conv2d_backward(
+    grad_out: &Tensor,
+    columns: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    input_h: usize,
+    input_w: usize,
+    need_input_grad: bool,
+) -> Result<Conv2dGrads> {
+    let go_mat = grad_matrix(grad_out, spec)?;
+    let dw_mat = matmul_nt(&go_mat, columns)?;
+    finish_grads(
+        &go_mat,
+        dw_mat,
+        weight,
+        spec,
+        (input_h, input_w),
+        need_input_grad,
+    )
+}
+
+/// Backward convolution from the forward pass's *input* (`(1, in_c, h, w)`)
+/// instead of its column matrix: the weight gradient's GEMM reads the
+/// columns from the frame as [`conv2d`] does. Bit-identical to
+/// [`conv2d_backward`] on `im2col(input)`. A `grad_out` whose spatial size is
+/// not the one `input` convolves to is a shape mismatch.
+pub fn conv2d_grads(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    need_input_grad: bool,
+) -> Result<Conv2dGrads> {
+    let go_mat = grad_matrix(grad_out, spec)?;
+    let (n, c, h, w) = check_frames(input, spec)?;
+    let (oh, ow) = spec.output_size(h, w);
+    if (n, oh, ow) != (1, grad_out.shape().dim(2), grad_out.shape().dim(3)) {
+        return Err(TensorError::ShapeMismatch {
+            op: "conv2d_backward",
+            lhs: grad_out.shape().dims().to_vec(),
+            rhs: vec![n, spec.out_channels, oh, ow],
+        });
+    }
+    let dw_mat = if spec.is_pointwise() {
+        matmul_nt(&go_mat, &input.reshape(Shape::matrix(c, h * w))?)?
+    } else {
+        matmul_nt_lowered(&go_mat, &LoweredImage::new(input, spec)?)?
+    };
+    finish_grads(&go_mat, dw_mat, weight, spec, (h, w), need_input_grad)
 }
 
 #[cfg(test)]
@@ -601,6 +827,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Both products of the lowered image against the same products of the
+    /// built column matrix, and the two layer entry points against the
+    /// column-matrix pair.
+    fn assert_lowered_equals_stored(spec: &Conv2dSpec, input: &Tensor, seed: u64) {
+        let (n, _, h, w) = input.shape().as_nchw().unwrap();
+        let what = format!("{spec:?} on {n}x{}x{h}x{w}", spec.in_channels);
+        let cols = im2col_batched(input, spec).unwrap();
+        let (k, pixels) = cols.shape().as_matrix().unwrap();
+        let image = LoweredImage::new(input, spec).unwrap();
+        assert_eq!(image.dims(), (k, pixels), "{what}");
+
+        let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, seed);
+        let w_mat = weight_matrix(&weight, spec).unwrap();
+        assert_eq!(
+            bits(&matmul_lowered(&w_mat, &image).unwrap()),
+            bits(&matmul(&w_mat, &cols).unwrap()),
+            "W · cols, {what}"
+        );
+        // With a -0.0 and a subnormal among the gradients.
+        let mut go_mat = random::uniform(
+            Shape::matrix(spec.out_channels, pixels),
+            -1.0,
+            1.0,
+            seed + 1,
+        );
+        go_mat.data_mut()[0] = -0.0;
+        go_mat.data_mut()[pixels / 2] = f32::from_bits(3);
+        assert_eq!(
+            bits(&matmul_nt_lowered(&go_mat, &image).unwrap()),
+            bits(&matmul_nt(&go_mat, &cols).unwrap()),
+            "gO · colsᵀ, {what}"
+        );
+
+        let bias = random::uniform(Shape::vector(spec.out_channels), -0.1, 0.1, seed + 2);
+        let (reference, _) = conv2d_forward(input, &weight, Some(&bias), spec).unwrap();
+        let out = conv2d(input, &weight, Some(&bias), spec).unwrap();
+        assert_eq!(out.shape(), reference.shape(), "{what}");
+        assert_eq!(bits(&out), bits(&reference), "conv2d {what}");
+        if n == 1 {
+            let grad_out = go_mat.reshape(out.shape().clone()).unwrap();
+            let reference = conv2d_backward(&grad_out, &cols, &weight, spec, h, w, true).unwrap();
+            let grads = conv2d_grads(&grad_out, input, &weight, spec, true).unwrap();
+            assert_eq!(bits(&grads.weight), bits(&reference.weight), "dW {what}");
+            assert_eq!(bits(&grads.bias), bits(&reference.bias), "db {what}");
+            assert_eq!(
+                bits(&grads.input.unwrap()),
+                bits(&reference.input.unwrap()),
+                "dX {what}"
+            );
+            let no_input = conv2d_grads(&grad_out, input, &weight, spec, false).unwrap();
+            assert!(no_input.input.is_none());
+            assert_eq!(bits(&no_input.weight), bits(&reference.weight), "dW {what}");
+        }
+    }
+
+    #[test]
+    fn lowered_image_equals_the_stored_column_matrix_bit_for_bit() {
+        // The sizes of the span-lowering referee: stripes that cross output
+        // rows and frames, a pixel count that is no multiple of `NR` (5×7),
+        // `w < kernel_w`, `h < kernel_h`, both strides.
+        let sizes = [(1, 1), (1, 2), (2, 1), (3, 2), (2, 5), (5, 7), (8, 6)];
+        let mut seed = 300;
+        for spec in lowering_specs(2, 3) {
+            for (h, w) in sizes {
+                for n in [1, 3] {
+                    seed += 3;
+                    let input = random::uniform(Shape::nchw(n, 2, h, w), -1.0, 1.0, seed);
+                    assert_lowered_equals_stored(&spec, &input, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lowered_image_equals_the_stored_column_matrix_across_blocks_and_threads() {
+        // `sb5.conv33` of the `small()` student: K = 576 spans three `KC`
+        // blocks forward; 17×19 = 323 pixels span two of them backward and
+        // are no multiple of `NR`.
+        let deep = Conv2dSpec::square(64, 24, 3, 1);
+        for n in [1, 2] {
+            let input = random::uniform(Shape::nchw(n, 64, 17, 19), -1.0, 1.0, 500 + n as u64);
+            assert_lowered_equals_stored(&deep, &input, 510);
+        }
+        // Both products above `PAR_MIN_MACS` (40·216·2304 and 40·216·768
+        // multiply-adds), stride 1 and 2: each worker gathers its own stripes
+        // from the frames, and the answer does not depend on how many there
+        // are.
+        for stride in [1, 2] {
+            let wide = Conv2dSpec::square(24, 40, 3, stride);
+            let (h, w) = (24 * stride, 32 * stride);
+            for n in [1, 3] {
+                let input = random::uniform(Shape::nchw(n, 24, h, w), -1.0, 1.0, 520 + n as u64);
+                let weight = random::uniform(wide.weight_shape(), -0.5, 0.5, 530);
+                let grad_out = random::uniform(Shape::nchw(1, 40, 24, 32), -1.0, 1.0, 531);
+                let run = |threads: usize| {
+                    crate::parallel::set_threads(threads);
+                    assert_lowered_equals_stored(&wide, &input, 540);
+                    let out = conv2d(&input, &weight, None, &wide).unwrap();
+                    let grads = (n == 1)
+                        .then(|| conv2d_grads(&grad_out, &input, &weight, &wide, false).unwrap());
+                    crate::parallel::set_threads(0);
+                    (bits(&out), grads.map(|g| bits(&g.weight)))
+                };
+                assert_eq!(run(1), run(2), "stride {stride}, {n} frames");
+            }
+        }
+    }
+
+    #[test]
+    fn grads_from_the_input_keep_the_typed_errors() {
+        let spec = Conv2dSpec::square(2, 3, 3, 1);
+        let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, 71);
+        let frame = random::uniform(Shape::nchw(1, 2, 4, 4), -1.0, 1.0, 72);
+        let batch = random::uniform(Shape::nchw(2, 2, 4, 4), -1.0, 1.0, 73);
+        // A batched gradient: training is per-frame.
+        let out = conv2d(&batch, &weight, None, &spec).unwrap();
+        let err = conv2d_grads(&out, &batch, &weight, &spec, true).unwrap_err();
+        assert!(format!("{err:?}").contains("per-frame"));
+        // A single-frame gradient against a cached batch, another spatial
+        // size, or another channel count: a shape mismatch, never a panic.
+        let grad = Tensor::ones(Shape::nchw(1, 3, 4, 4));
+        for (grad, input) in [
+            (&grad, &batch),
+            (&Tensor::ones(Shape::nchw(1, 3, 2, 2)), &frame),
+            (&Tensor::ones(Shape::nchw(1, 4, 4, 4)), &frame),
+            (&grad, &Tensor::ones(Shape::nchw(1, 5, 4, 4))),
+        ] {
+            assert!(matches!(
+                conv2d_grads(grad, input, &weight, &spec, true),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+        }
+        conv2d_grads(&grad, &frame, &weight, &spec, true).unwrap();
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //!
 //! * [`Tensor`] — a dense, contiguous, row-major NCHW `f32` tensor with shape
 //!   bookkeeping and elementwise/reduction operations.
-//! * [`conv`] — im2col-based 2-D convolution forward and backward passes with
-//!   arbitrary stride/padding (including the asymmetric 3×1 / 1×3 kernels the
-//!   student blocks use).
-//! * [`matmul`] — blocked GEMM kernels (plain and transposed variants) used by
-//!   the convolution lowering.
+//! * [`conv`] — 2-D convolution forward and backward passes with arbitrary
+//!   stride/padding (including the asymmetric 3×1 / 1×3 kernels the student
+//!   blocks use), as GEMMs that read the input's column matrix from the
+//!   frames without building it; the stored `im2col` lowering is kept as the
+//!   reference.
+//! * [`matmul`] — blocked GEMM kernels (plain and transposed variants) behind
+//!   the convolutions.
 //! * [`pool`] — average pooling and nearest-neighbour up-sampling with
 //!   backward passes (used by the encoder/decoder halves of the student).
 //! * [`ops`] — activation functions, channel softmax / log-softmax and their
@@ -24,7 +26,8 @@
 //!   Kaiming fan-in scaling) seeded with `u64` seeds.
 //!
 //! Everything is `f32` and row-major: the innermost axis is `W`, then `H`,
-//! then `C`, then `N`, matching the memory layout the im2col kernels assume.
+//! then `C`, then `N`, matching the memory layout the convolution kernels
+//! assume.
 
 // Inside an `unsafe fn`, each unsafe operation still needs its own `unsafe`
 // block (and its own SAFETY argument) — the function-level contract does not

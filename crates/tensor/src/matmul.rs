@@ -1,9 +1,8 @@
-//! Packed, cache-blocked GEMM kernels used by the im2col convolution
-//! lowering.
+//! Packed, cache-blocked GEMM kernels behind every convolution.
 //!
 //! Three variants are provided because the convolution backward passes need
 //! products against transposed operands and materialising the transpose would
-//! double memory traffic on the (already large) im2col buffers:
+//! double memory traffic:
 //!
 //! * [`matmul`]     — `C = A (M×K) · B (K×N)`
 //! * [`matmul_tn`]  — `C = Aᵀ (M×K stored as K×M) · B (K×N)`
@@ -19,6 +18,17 @@
 //!   `(k, m)`; `B` is packed into `NR`-column stripes (`bstripe[kk*NR + j]`)
 //!   the same way. Packing zero-pads ragged edges, so the microkernel has
 //!   no edge branches.
+//! * `B` is read through one *panel source* (`BSource`) with two kinds: a
+//!   matrix stored in memory, in either layout, and the column matrix of a
+//!   convolution input that is **never built** — the packer gathers each
+//!   stripe from the frames themselves
+//!   (`crate::conv::LoweredImage::lower_block`), writing exactly the values
+//!   `im2col_batched` would have stored there. The convolutions the models run
+//!   ([`crate::conv::conv2d`], [`crate::conv::conv2d_grads`]) use the second
+//!   kind, so a forward allocates its output and nothing else, and a backward
+//!   needs the layer's input, not a 9× copy of it. A stripe is all the
+//!   microkernel ever sees, and both kinds fill it identically — every output
+//!   element's multiply-add chain is the same whichever one a product uses.
 //! * The microkernel keeps an `MR×NR` accumulator tile in registers and runs
 //!   a branch-free multiply-add over the packed panels — fixed trip counts
 //!   the auto-vectoriser turns into SIMD. (The seed kernel's data-dependent
@@ -31,10 +41,12 @@
 //!   count.
 //!
 //! Accumulation order over `k` is identical for every output element across
-//! block sizes, thread counts and batch widths, so results are bit-for-bit
-//! reproducible — the batched teacher forward relies on this to match
-//! per-frame forwards exactly.
+//! block sizes, thread counts, batch widths and panel sources, so results are
+//! bit-for-bit reproducible — the batched teacher forward relies on this to
+//! match per-frame forwards exactly, and the column-free convolutions on it
+//! to match the stored-matrix reference.
 
+use crate::conv::LoweredImage;
 use crate::parallel;
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -43,7 +55,7 @@ const KC: usize = 256;
 /// Microkernel tile rows (distinct broadcast registers per iteration).
 const MR: usize = 4;
 /// Microkernel tile columns (one or two SIMD vectors wide on most targets).
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 /// Minimum multiply-accumulate count before spawning worker threads. Scoped
 /// threads cost tens of microseconds to spawn and join, so only GEMMs with
 /// roughly a millisecond of work (e.g. batched teacher forwards) fan out;
@@ -123,35 +135,91 @@ fn pack_a(apack: &mut [f32], a: &[f32], layout: ALayout, m: usize, k: usize, k0:
     }
 }
 
-/// Pack the `B` stripe of columns `[j0, j0+cols)` for `k ∈ [k0, k0+kc)` into
-/// `bstripe[kk*NR + jj]`, zero-padding columns `cols..NR`.
-#[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
-fn pack_b_stripe(
-    bstripe: &mut [f32],
-    b: &[f32],
-    layout: BLayout,
-    n: usize,
-    k: usize,
-    k0: usize,
-    kc: usize,
-    j0: usize,
-    cols: usize,
-) {
-    bstripe[..kc * NR].fill(0.0);
-    match layout {
-        BLayout::RowMajor => {
-            for kk in 0..kc {
-                let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
-                bstripe[kk * NR..kk * NR + cols].copy_from_slice(src);
-            }
-        }
-        BLayout::Transposed => {
-            for jj in 0..cols {
-                let src = &b[(j0 + jj) * k + k0..(j0 + jj) * k + k0 + kc];
-                for (kk, &v) in src.iter().enumerate() {
-                    bstripe[kk * NR + jj] = v;
+/// Where [`gemm`] reads its `B` operand from. Both kinds fill the same
+/// `NR`-column stripes with the same values, so the blocking, the microkernel
+/// and every output element's multiply-add chain do not depend on which one
+/// a product uses.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// A matrix held in memory, in either layout.
+    Stored(&'a [f32], BLayout),
+    /// The column matrix of a convolution input, never built: each stripe is
+    /// gathered from the frames themselves ([`LoweredImage::lower_block`]).
+    /// The layout says how the product uses that matrix — `RowMajor` for
+    /// `A · cols`, `Transposed` for `A · colsᵀ`.
+    Lowered(&'a LoweredImage<'a>, BLayout),
+}
+
+impl BSource<'_> {
+    /// Pack the `B` stripe of columns `[j0, j0+cols)` for `k ∈ [k0, k0+kc)`
+    /// into `bstripe[kk*NR + jj]`, zero-padding columns `cols..NR`. `n` and
+    /// `k` are the logical dimensions of `B` (`k × n`); `block` is scratch
+    /// the worker keeps across stripes.
+    #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
+    fn pack_stripe(
+        &self,
+        bstripe: &mut [f32],
+        block: &mut Vec<f32>,
+        n: usize,
+        k: usize,
+        k0: usize,
+        kc: usize,
+        j0: usize,
+        cols: usize,
+    ) {
+        bstripe[..kc * NR].fill(0.0);
+        match *self {
+            BSource::Stored(b, BLayout::RowMajor) => {
+                for kk in 0..kc {
+                    let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
+                    bstripe[kk * NR..kk * NR + cols].copy_from_slice(src);
                 }
             }
+            BSource::Stored(b, BLayout::Transposed) => {
+                transpose_into_stripe(bstripe, &b[j0 * k + k0..], k, kc, cols)
+            }
+            // Rows `[k0, k0+kc)` of the column matrix over its columns
+            // `[j0, j0+cols)` are the stripe as it stands.
+            BSource::Lowered(image, BLayout::RowMajor) => {
+                image.lower_block(bstripe, k0..k0 + kc, j0..j0 + cols, NR)
+            }
+            // Its rows `[j0, j0+cols)` over columns `[k0, k0+kc)`, lowered
+            // into `block` (16 KiB at most), are the stored case in small.
+            BSource::Lowered(image, BLayout::Transposed) => {
+                block.clear();
+                block.resize(cols * kc, 0.0);
+                image.lower_block(block, j0..j0 + cols, k0..k0 + kc, kc);
+                transpose_into_stripe(bstripe, block, kc, kc, cols)
+            }
+        }
+    }
+}
+
+/// `bstripe[kk*NR + jj] = rows[jj*row_len + kk]` for `kk < kc`, `jj < cols`.
+fn transpose_into_stripe(
+    bstripe: &mut [f32],
+    rows: &[f32],
+    row_len: usize,
+    kc: usize,
+    cols: usize,
+) {
+    let row = |jj: usize| &rows[jj * row_len..jj * row_len + kc];
+    // Four rows at a time: one 16-byte store per `kk` instead of four
+    // scalar ones to four cache lines.
+    let quads = cols / 4 * 4;
+    for jj in (0..quads).step_by(4) {
+        let sources = row(jj)
+            .iter()
+            .zip(row(jj + 1))
+            .zip(row(jj + 2))
+            .zip(row(jj + 3));
+        for (out, (((&a, &b), &c), &d)) in bstripe.chunks_exact_mut(NR).zip(sources) {
+            out[jj..jj + 4].copy_from_slice(&[a, b, c, d]);
+        }
+    }
+    for jj in quads..cols {
+        for (kk, &v) in row(jj).iter().enumerate() {
+            bstripe[kk * NR + jj] = v;
         }
     }
 }
@@ -234,8 +302,7 @@ fn gemm(
     k: usize,
     a: &[f32],
     a_layout: ALayout,
-    b: &[f32],
-    b_layout: BLayout,
+    b: BSource<'_>,
     out: &mut [f32],
 ) {
     if m == 0 || n == 0 || k == 0 {
@@ -252,10 +319,11 @@ fn gemm(
         let worker = move |j_start: usize, j_end: usize| {
             let out_base = out_ptr.get();
             let mut bstripe = vec![0.0f32; kc * NR];
+            let mut block = Vec::new();
             let mut j0 = j_start;
             while j0 < j_end {
                 let cols = NR.min(j_end - j0);
-                pack_b_stripe(&mut bstripe, b, b_layout, n, k, k0, kc, j0, cols);
+                b.pack_stripe(&mut bstripe, &mut block, n, k, k0, kc, j0, cols);
                 for p in 0..panels {
                     let i0 = p * MR;
                     let rows = MR.min(m - i0);
@@ -317,8 +385,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         k,
         a.data(),
         ALayout::RowMajor,
-        b.data(),
-        BLayout::RowMajor,
+        BSource::Stored(b.data(), BLayout::RowMajor),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
@@ -345,8 +412,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         k,
         a.data(),
         ALayout::Transposed,
-        b.data(),
-        BLayout::RowMajor,
+        BSource::Stored(b.data(), BLayout::RowMajor),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
@@ -374,11 +440,57 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         k,
         a.data(),
         ALayout::RowMajor,
-        b.data(),
-        BLayout::Transposed,
+        BSource::Stored(b.data(), BLayout::Transposed),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
+}
+
+/// `A · cols` (`RowMajor`) or `A · colsᵀ` (`Transposed`) for the column
+/// matrix of `image`, read from the frames stripe by stripe.
+fn lowered_product(
+    op: &'static str,
+    a: &Tensor,
+    image: &LoweredImage<'_>,
+    layout: BLayout,
+) -> Result<Tensor> {
+    let (m, k) = check_matrix(a, op)?;
+    let (rows, cols) = image.dims();
+    let (kb, n) = match layout {
+        BLayout::RowMajor => (rows, cols),
+        BLayout::Transposed => (cols, rows),
+    };
+    if k != kb {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: a.shape().dims().to_vec(),
+            rhs: vec![rows, cols],
+        });
+    }
+    let mut out = vec![0.0f32; m * n];
+    gemm(
+        m,
+        n,
+        k,
+        a.data(),
+        ALayout::RowMajor,
+        BSource::Lowered(image, layout),
+        &mut out,
+    );
+    Tensor::from_vec(Shape::matrix(m, n), out)
+}
+
+/// `C = A · cols` where `cols` is the column matrix of `image`
+/// (`im2col_batched` of the same frames), never built. Bit-identical to
+/// [`matmul`] on the built matrix.
+pub(crate) fn matmul_lowered(a: &Tensor, image: &LoweredImage<'_>) -> Result<Tensor> {
+    lowered_product("matmul_lowered", a, image, BLayout::RowMajor)
+}
+
+/// `C = A · colsᵀ` for the column matrix of `image`, likewise never built.
+/// Bit-identical to [`matmul_nt`] on the built matrix.
+pub(crate) fn matmul_nt_lowered(a: &Tensor, image: &LoweredImage<'_>) -> Result<Tensor> {
+    lowered_product("matmul_nt_lowered", a, image, BLayout::Transposed)
 }
 
 #[cfg(test)]

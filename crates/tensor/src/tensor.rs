@@ -146,6 +146,12 @@ impl Tensor {
     }
 
     /// Set an element of a 4-D tensor at `(n, c, h, w)`.
+    ///
+    /// Every call re-checks the copy-on-write handle ([`Arc::make_mut`]: an
+    /// atomic look at both reference counts) before it writes. Fine for
+    /// tests and one-off pokes, never for a loop: a kernel takes
+    /// [`Tensor::data_mut`] once and indexes the slice (`st-lint`'s `no-set4`
+    /// rule holds the numeric crates to that).
     #[inline]
     pub fn set4(&mut self, n: usize, c: usize, h: usize, w: usize, value: f32) {
         let d = self.shape.dims();
