@@ -709,7 +709,6 @@ pub fn table12_capacity(
                     // back-pressure, is what fails first as rungs grow.
                     max_in_flight: 64,
                     max_batch: 1,
-                    adaptive_batch: false,
                     ..PoolConfig::default_pool()
                 },
                 student.clone(),

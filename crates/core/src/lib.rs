@@ -22,9 +22,9 @@
 //!   shared by both runtimes.
 //! * [`serve`] — the multi-stream server runtime: a sharded pool of worker
 //!   threads, one distillation session per client stream, with teacher
-//!   forward passes batched across co-scheduled key frames, fair
+//!   forward passes batched across the key frames queued at a shard, fair
 //!   deficit-round-robin batching, per-stream admission control,
-//!   load-adaptive co-scheduling, a distill crew on the cores the reactor
+//!   a distill crew on the cores the reactor
 //!   leaves idle ([`serve::crew`]), warm-standby failover and LRU-bounded
 //!   per-stream frame memory ([`serve::FrameStore`]). See
 //!   `docs/ARCHITECTURE.md` at the workspace root for the full lifecycle of

@@ -105,9 +105,8 @@ pub enum SessionWeights {
 pub struct PoolConfig {
     /// Number of shards (independent serving state machines).
     pub shards: usize,
-    /// Ceiling on key frames co-scheduled into one batched teacher forward.
-    /// With `adaptive_batch` the live window starts at 1 and moves with the
-    /// backlog, never exceeding this.
+    /// Most key frames co-scheduled into one batched teacher forward. Each
+    /// batch is what is queued when the shard runs, up to this bound.
     pub max_batch: usize,
     /// How new streams are assigned to shards.
     pub placement: PlacementPolicy,
@@ -118,9 +117,6 @@ pub struct PoolConfig {
     /// Deficit-round-robin quantum: key frames one stream may contribute to
     /// a co-scheduled batch per scheduling round.
     pub quantum: usize,
-    /// Adapt the co-scheduling window to the observed backlog instead of
-    /// always draining up to `max_batch`.
-    pub adaptive_batch: bool,
     /// Per-stream frame-cache byte budget. Every stream's pre-shared frames
     /// live in an LRU [`FrameStore`]; once a stream's resident frames exceed
     /// this many bytes the least-recently-used ones are evicted and
@@ -176,7 +172,6 @@ impl PoolConfig {
             placement: PlacementPolicy::default(),
             max_in_flight: 4,
             quantum: 1,
-            adaptive_batch: true,
             frame_budget_bytes: None,
             reactor_threads: None,
             replication: false,

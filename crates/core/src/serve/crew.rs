@@ -174,12 +174,6 @@ impl<I, P, R, K: ClaimCursor> Crew<I, P, R, K> {
         self.helper_count
     }
 
-    /// Items one batch can have running at once: the helpers plus the
-    /// batch's owner.
-    pub fn width(&self) -> usize {
-        self.helper_count + 1
-    }
-
     /// Whether a batch of `items` items will be offered to helpers — i.e.
     /// whether more than one of its items can be in flight at once.
     pub fn shares(&self, items: usize) -> bool {

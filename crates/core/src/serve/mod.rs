@@ -23,7 +23,12 @@
 //!   so the client-side state machine is byte-for-byte the one Algorithm 4
 //!   uses.
 //!
-//! The pool does **not** trust clients to be well behaved. Three mechanisms
+//! A batch is what is queued when the shard runs, up to
+//! [`PoolConfig::max_batch`]. Nothing is learned from earlier batches, so
+//! whether two key frames share a teacher forward depends only on whether
+//! both had arrived.
+//!
+//! The pool does **not** trust clients to be well behaved. Two mechanisms
 //! keep a hot stream from starving its shard-mates:
 //!
 //! * **Fair batching** — arriving key frames land in per-stream FIFO queues
@@ -36,14 +41,6 @@
 //!   [`st_net::ServerToClient::Throttle`], which the client answers by
 //!   serving the frame with its local (slightly stale) student — the
 //!   fallback the paper's partial/full modes make natural.
-//! * **Adaptive co-scheduling** — the batching window grows and shrinks with
-//!   the observed backlog ([`AdaptiveBatch`]) instead of sitting at the
-//!   static `max_batch`, bounded above by it, and growth stops when the
-//!   teacher's marginal batched-inference cost no longer amortizes. Every
-//!   batched teacher forward is wall-clock timed ([`TeacherCostProfile`]),
-//!   so once real data exists the growth decision runs on *measured*
-//!   marginal cost and only falls back to the virtual latency model before
-//!   that (or when forwards are too fast to time).
 //!
 //! Placement is final — a stream leaves its shard only when the shard dies
 //! and its warm standby adopts it ([`PoolConfig::replication`]) — so a hot
@@ -115,7 +112,7 @@ pub use config::{FaultPlan, PoolConfig, PoolError, SessionWeights};
 pub use frames::FrameStore;
 pub use pool::{ServerPool, StreamClient};
 pub use replica::ReplicaStore;
-pub use sched::{AdaptiveBatch, FairScheduler, ScheduledJob, ShardJob, TeacherCostProfile};
+pub use sched::{FairScheduler, ScheduledJob, ShardJob};
 pub use shard::{BatchOutcome, ServeShard};
 pub use stats::{PoolStats, ShardStats};
 

@@ -1,16 +1,13 @@
-//! Scheduling policy: DRR fair queues, the adaptive batch window, and the
-//! measured teacher-cost profile that gates its growth.
+//! Scheduling policy: DRR fair queues.
 //!
-//! The window serves two masters. Teacher amortization: a wider batch pays
-//! while one more slot costs less than a solo forward
-//! ([`TeacherCostProfile`]). And the distill crew: a batch's streams distill
-//! side by side on the crew's threads, so up to the crew's width a wider
-//! batch is free capacity even on a teacher that does not amortize at all.
-//! [`AdaptiveBatch::observe`] takes the verdict as one flag; the shard state
-//! machine feeds it `window < crew width || growth pays`.
+//! A batch is what is queued, up to [`PoolConfig::max_batch`]: the shard
+//! state machine drains [`FairScheduler::next_batch`] at that bound on every
+//! pass, with no state carried over from earlier batches. Whatever has
+//! arrived by the time the shard runs leaves together — one teacher forward,
+//! and as many items as the distill crew can take side by side.
 
 #[cfg(doc)]
-use super::ServeShard;
+use super::PoolConfig;
 use st_net::StreamId;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -195,159 +192,5 @@ impl FairScheduler {
 impl Default for FairScheduler {
     fn default() -> Self {
         Self::new(1)
-    }
-}
-
-/// Load-adaptive co-scheduling window.
-///
-/// Multiplicative increase/decrease between 1 and the configured `max_batch`
-/// ceiling: the window doubles while the observed backlog exceeds it *and*
-/// the teacher's marginal batched-inference cost still amortizes, and halves
-/// when the backlog falls below half the window (deep windows buy teacher
-/// amortization at the price of per-frame latency, so they are only worth
-/// holding under real queue pressure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveBatch {
-    ceiling: usize,
-    current: usize,
-    enabled: bool,
-}
-
-impl AdaptiveBatch {
-    /// A window bounded by `ceiling`; when `enabled` it starts at 1 and
-    /// adapts, otherwise it is pinned to the ceiling (the static behaviour).
-    pub fn new(ceiling: usize, enabled: bool) -> Self {
-        let ceiling = ceiling.max(1);
-        AdaptiveBatch {
-            ceiling,
-            current: if enabled { 1 } else { ceiling },
-            enabled,
-        }
-    }
-
-    /// The current co-scheduling window.
-    pub fn limit(&self) -> usize {
-        self.current
-    }
-
-    /// The configured ceiling.
-    pub fn ceiling(&self) -> usize {
-        self.ceiling
-    }
-
-    /// Feed one observation: the backlog remaining after a batch completed,
-    /// and whether growing the window is worth it — it would still amortize
-    /// teacher time (the marginal batched cost of one more slot is below a
-    /// solo forward), or the window is still narrower than the distill crew
-    /// that would run its items side by side.
-    pub fn observe(&mut self, backlog: usize, growth_pays: bool) {
-        if !self.enabled {
-            return;
-        }
-        if backlog > self.current && growth_pays {
-            self.current = (self.current * 2).min(self.ceiling);
-        } else if backlog < self.current / 2 {
-            self.current = (self.current / 2).max(1);
-        }
-    }
-}
-
-/// Measured wall-clock cost of batched teacher forwards, by batch size.
-///
-/// The shard records the duration of every
-/// [`st_teacher::Teacher::pseudo_label_batch`] call into a per-batch-size
-/// exponential moving average. [`ServeShard::batch_growth_pays`] then judges
-/// window growth on this *measured* marginal-cost data — the slope between
-/// the two largest observed batch sizes — instead of the teacher's virtual
-/// latency model, so the adaptive co-scheduling window tracks what batching
-/// actually buys on the hardware at hand. Until enough sizes have been
-/// observed (or when forwards are too fast to time meaningfully, e.g. the
-/// oracle teacher), the caller falls back to the virtual model.
-#[derive(Debug, Clone)]
-pub struct TeacherCostProfile {
-    /// EMA of batched-forward wall seconds, indexed by batch size.
-    ema: Vec<Option<f64>>,
-}
-
-/// EMA smoothing factor for new batched-forward cost observations.
-const COST_EMA_ALPHA: f64 = 0.3;
-/// Forwards faster than this (seconds) are considered unmeasurable: timer
-/// noise would dominate any marginal-cost estimate.
-const COST_MEASURABLE_FLOOR: f64 = 1e-4;
-
-impl TeacherCostProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        TeacherCostProfile { ema: Vec::new() }
-    }
-
-    /// Record one batched forward of `batch` frames that took `secs`.
-    pub fn record(&mut self, batch: usize, secs: f64) {
-        if batch == 0 || !secs.is_finite() || secs < 0.0 {
-            return;
-        }
-        if self.ema.len() <= batch {
-            self.ema.resize(batch + 1, None);
-        }
-        self.ema[batch] = Some(match self.ema[batch] {
-            Some(prev) => (1.0 - COST_EMA_ALPHA) * prev + COST_EMA_ALPHA * secs,
-            None => secs,
-        });
-    }
-
-    /// Smoothed wall cost of a batched forward of exactly `batch` frames
-    /// (`None` when that size has not been observed).
-    pub fn estimate(&self, batch: usize) -> Option<f64> {
-        self.ema.get(batch).copied().flatten()
-    }
-
-    /// Measured per-frame cost at the largest observed batch size not above
-    /// `batch` (`None` when nothing relevant was observed).
-    pub fn per_frame_at_or_below(&self, batch: usize) -> Option<f64> {
-        self.ema
-            .iter()
-            .enumerate()
-            .take(batch + 1)
-            .rev()
-            .find_map(|(size, ema)| ema.map(|cost| cost / size as f64))
-    }
-
-    /// Whether growing the window beyond `batch` still amortizes, judged on
-    /// measured data: the marginal cost per extra slot — the slope between
-    /// the two largest observed sizes at or below `batch + 1` — must be
-    /// below the measured solo-forward cost. `None` when fewer than two
-    /// sizes have been observed or the forwards are too fast to time
-    /// (`COST_MEASURABLE_FLOOR`), in which case the caller should fall
-    /// back to the teacher's virtual latency model.
-    pub fn growth_pays(&self, batch: usize) -> Option<bool> {
-        let solo = self.estimate(1)?;
-        if solo < COST_MEASURABLE_FLOOR {
-            return None;
-        }
-        let mut observed = self
-            .ema
-            .iter()
-            .enumerate()
-            .take(batch + 2)
-            .filter_map(|(size, ema)| ema.map(|cost| (size, cost)));
-        let (mut lo_size, mut lo_cost) = observed.next()?;
-        let (mut hi_size, mut hi_cost) = (lo_size, lo_cost);
-        for (size, cost) in observed {
-            lo_size = hi_size;
-            lo_cost = hi_cost;
-            hi_size = size;
-            hi_cost = cost;
-        }
-        if hi_size == lo_size {
-            return None;
-        }
-        let marginal = (hi_cost - lo_cost) / (hi_size - lo_size) as f64;
-        Some(marginal < solo)
-    }
-}
-
-impl Default for TeacherCostProfile {
-    fn default() -> Self {
-        Self::new()
     }
 }

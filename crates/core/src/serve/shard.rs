@@ -15,7 +15,7 @@
 use super::crew::{Crew, Event, Ran};
 #[cfg(doc)]
 use super::ServerPool;
-use super::{FrameStore, SessionWeights, ShardJob, ShardStats, TeacherCostProfile};
+use super::{FrameStore, SessionWeights, ShardJob, ShardStats};
 use crate::config::ShadowTutorConfig;
 use crate::server::{DistillSession, KeyFrameResponse, StreamServerStats};
 use crate::Result;
@@ -273,7 +273,6 @@ pub struct ServeShard<T: Teacher> {
     teacher: T,
     sessions: HashMap<StreamId, StreamEntry>,
     pub(super) stats: ShardStats,
-    costs: TeacherCostProfile,
     /// The crew this shard's batches run through. A shard built on its own
     /// has a crew of one — the calling thread.
     crew: Arc<DistillCrew>,
@@ -300,7 +299,6 @@ impl<T: Teacher> ServeShard<T> {
             teacher,
             sessions: HashMap::new(),
             stats: ShardStats::default(),
-            costs: TeacherCostProfile::new(),
             crew: Arc::new(Crew::new(0)),
             #[cfg(test)]
             item_hook: None,
@@ -312,12 +310,6 @@ impl<T: Teacher> ServeShard<T> {
     pub(super) fn with_crew(mut self, crew: Arc<DistillCrew>) -> Self {
         self.crew = crew;
         self
-    }
-
-    /// Items of one batch that can run at once: the crew's helpers plus the
-    /// thread calling [`ServeShard::process_batch`].
-    pub(super) fn crew_width(&self) -> usize {
-        self.crew.width()
     }
 
     /// Install an observer (or saboteur) called from inside every item run.
@@ -546,32 +538,6 @@ impl<T: Teacher> ServeShard<T> {
         self.sessions.keys().copied().collect()
     }
 
-    /// Virtual cost of adding one more slot to a co-scheduled batch of
-    /// `batch` frames.
-    pub fn marginal_batch_cost(&self, batch: usize) -> f64 {
-        self.teacher.batched_inference_latency(batch + 1)
-            - self.teacher.batched_inference_latency(batch)
-    }
-
-    /// Whether growing the co-scheduling window beyond `batch` still
-    /// amortizes teacher time.
-    ///
-    /// Judged on the *measured* marginal batched-forward cost when the shard
-    /// has timed enough batched forwards ([`TeacherCostProfile`]); until
-    /// then — or when forwards are too fast to time — on the teacher's
-    /// virtual latency model (marginal virtual cost below a solo forward).
-    pub fn batch_growth_pays(&self, batch: usize) -> bool {
-        match self.costs.growth_pays(batch) {
-            Some(pays) => pays,
-            None => self.marginal_batch_cost(batch) < self.teacher.inference_latency(),
-        }
-    }
-
-    /// The measured batched-forward cost profile collected so far.
-    pub fn measured_costs(&self) -> &TeacherCostProfile {
-        &self.costs
-    }
-
     /// Process a co-scheduled batch of key frames: one batched teacher
     /// forward across the batch, then per-stream distillation through the
     /// shard's crew. Jobs whose stream or frame is unknown are returned in
@@ -644,7 +610,7 @@ impl<T: Teacher> ServeShard<T> {
         }
 
         // One teacher forward pass amortized over the co-scheduled frames,
-        // timed so the adaptive batcher grows on measured marginal cost.
+        // wall-clock timed into `teacher_wall_time`.
         let batch = resolved.len();
         let teacher_started = Instant::now();
         let labels = {
@@ -660,9 +626,7 @@ impl<T: Teacher> ServeShard<T> {
                 .collect();
             self.teacher.pseudo_label_batch(&frame_refs)?
         };
-        let teacher_elapsed = teacher_started.elapsed();
-        self.stats.teacher_wall_time += teacher_elapsed;
-        self.costs.record(batch, teacher_elapsed.as_secs_f64());
+        self.stats.teacher_wall_time += teacher_started.elapsed();
         let solo_cost = batch as f64 * self.teacher.inference_latency();
         let batched_cost = self.teacher.batched_inference_latency(batch);
         let teacher_share = batched_cost / batch as f64;

@@ -11,9 +11,7 @@ use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::replica::ReplicaStore;
 use super::shard::{BatchSink, DeltaTrack, ServeShard, StreamEntry, Unserved};
-use super::{
-    AdaptiveBatch, FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats,
-};
+use super::{FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats};
 #[cfg(doc)]
 use super::{ServerPool, StreamClient};
 use crate::server::{KeyFrameResponse, StreamServerStats};
@@ -333,7 +331,7 @@ fn retire<T: Teacher>(
 }
 
 /// All of one shard's serving state and its event handlers: uplink receiver,
-/// fair scheduler, adaptive batcher, per-stream downlinks and meters, parked
+/// fair scheduler, per-stream downlinks and meters, parked
 /// re-share jobs, and the exit protocol. The reactor hosts every shard's
 /// `ShardState` behind a mutex on a fixed worker set, running
 /// [`run_pass`](Self::run_pass) whenever the shard's readiness token wakes.
@@ -351,7 +349,6 @@ pub(super) struct ShardState<T: Teacher> {
     loads: ShardLoads,
     placements: Placements,
     scheduler: FairScheduler,
-    batcher: AdaptiveBatch,
     downlinks: HashMap<StreamId, Downlink>,
     meters: HashMap<StreamId, StreamMeter>,
     streams: HashMap<StreamId, StreamServerStats>,
@@ -408,7 +405,7 @@ pub(super) struct PassOutcome {
 impl<T: Teacher> ShardState<T> {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
-        mut shard: ServeShard<T>,
+        shard: ServeShard<T>,
         rx: crossbeam::channel::Receiver<Envelope>,
         registry: Registry,
         pool_config: PoolConfig,
@@ -418,8 +415,6 @@ impl<T: Teacher> ShardState<T> {
         board: Arc<FailoverBoard>,
         replicas: Option<Arc<ReplicaStore>>,
     ) -> Self {
-        let batcher = AdaptiveBatch::new(pool_config.max_batch, pool_config.adaptive_batch);
-        shard.stats.batch_limit_peak = batcher.limit();
         ShardState {
             shard_index,
             pool_config,
@@ -429,7 +424,6 @@ impl<T: Teacher> ShardState<T> {
             loads,
             placements,
             scheduler: FairScheduler::new(pool_config.quantum),
-            batcher,
             downlinks: HashMap::new(),
             meters: HashMap::new(),
             streams: HashMap::new(),
@@ -652,7 +646,7 @@ impl<T: Teacher> ShardState<T> {
                 // Flush the stream's still-queued key frames so its last
                 // updates are not lost, then retire the session.
                 let remaining = self.scheduler.remove_stream(stream_id);
-                for chunk in remaining.chunks(self.batcher.limit().max(1)) {
+                for chunk in remaining.chunks(self.pool_config.max_batch) {
                     // The flush's updates need no replica refresh: the
                     // session retires (and its replica is dropped) below.
                     self.process_scheduled(chunk, false)?;
@@ -801,14 +795,14 @@ impl<T: Teacher> ShardState<T> {
         let plan = self.pool_config.fault_plan;
         if plan.kill_due(self.shard_index, self.batches_processed) && !self.scheduler.is_empty() {
             if plan.torn_kill {
-                self.torn_jobs = self.scheduler.next_batch(self.batcher.limit());
+                self.torn_jobs = self.scheduler.next_batch(self.pool_config.max_batch);
             }
             panic!(
                 "fault injection (seed {}): shard {} killed at batch {}",
                 plan.seed, self.shard_index, self.batches_processed
             );
         }
-        let batch = self.scheduler.next_batch(self.batcher.limit());
+        let batch = self.scheduler.next_batch(self.pool_config.max_batch);
         if batch.is_empty() {
             return Ok(());
         }
@@ -823,16 +817,6 @@ impl<T: Teacher> ShardState<T> {
         stats.session_bytes_private = memory.private_bytes;
         stats.session_bytes_private_peak =
             stats.session_bytes_private_peak.max(memory.private_bytes);
-        // Up to the crew's width a wider batch is free capacity — its
-        // items distill side by side — whatever the teacher's marginal cost
-        // says; beyond it, growth has to amortize teacher time as before.
-        let limit = self.batcher.limit();
-        self.batcher.observe(
-            self.scheduler.len(),
-            limit < self.shard.crew_width() || self.shard.batch_growth_pays(limit),
-        );
-        let stats = &mut self.shard.stats;
-        stats.batch_limit_peak = stats.batch_limit_peak.max(self.batcher.limit());
         Ok(())
     }
 
@@ -1066,6 +1050,52 @@ mod tests {
         // Every job of the batch was answered: nothing is left for a standby
         // to drop-ack.
         assert!(state.torn_jobs.is_empty());
+    }
+
+    #[test]
+    fn queued_key_frames_leave_in_one_batch() {
+        let mut state = lone_state();
+        assert_eq!(state.pool_config.max_batch, 4);
+        let scenes = [SceneKind::People, SceneKind::Street, SceneKind::Animals];
+        let streams: Vec<(StreamId, Vec<Frame>)> = (1..=3)
+            .zip(scenes)
+            .map(|(id, scene)| (id, tiny_stream(scene, 510 + id, 3)))
+            .collect();
+        for (id, frames) in &streams {
+            state
+                .shard
+                .register(*id, FrameStore::from_frames(frames, None), false);
+        }
+        let enqueued_at = Instant::now();
+
+        // One key frame from each of three streams, all queued before the
+        // shard runs: they share one teacher forward.
+        for (id, frames) in &streams {
+            state.scheduler.push(*id, frames[0].index, enqueued_at);
+        }
+        state.process_one_batch().unwrap();
+        let stats = state.shard.stats();
+        assert_eq!((stats.teacher_batches, stats.key_frames), (1, 3));
+        assert_eq!(stats.max_batch_observed, 3);
+        assert!(state.scheduler.is_empty());
+
+        // Seven queued key frames leave as `max_batch` and the rest.
+        for (id, frames) in &streams {
+            let count = if *id == 1 { 3 } else { 2 };
+            for frame in &frames[..count] {
+                state.scheduler.push(*id, frame.index, enqueued_at);
+            }
+        }
+        assert_eq!(state.scheduler.len(), 7);
+        state.process_one_batch().unwrap();
+        let stats = state.shard.stats();
+        assert_eq!((stats.teacher_batches, stats.key_frames), (2, 7));
+        assert_eq!(stats.max_batch_observed, 4);
+        assert_eq!(state.scheduler.len(), 3);
+        state.process_one_batch().unwrap();
+        let stats = state.shard.stats();
+        assert_eq!((stats.teacher_batches, stats.key_frames), (3, 10));
+        assert!(state.scheduler.is_empty());
     }
 
     #[test]

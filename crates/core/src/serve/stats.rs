@@ -46,8 +46,6 @@ pub struct ShardStats {
     /// `Register` messages with no connect-time registry entry (register
     /// without connect, or a duplicate register racing a finished stream).
     pub unknown_registers: usize,
-    /// Largest co-scheduling window the adaptive batcher reached.
-    pub batch_limit_peak: usize,
     /// Measured wall-clock time spent inside batched teacher forwards
     /// ([`st_teacher::Teacher::pseudo_label_batch`]). Unlike
     /// [`ShardStats::virtual_server_time`], this is real compute, so

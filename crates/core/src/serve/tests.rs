@@ -138,70 +138,6 @@ fn fair_scheduler_removal_returns_fifo_backlog() {
 }
 
 #[test]
-fn adaptive_batch_tracks_backlog_within_bounds() {
-    let mut b = AdaptiveBatch::new(8, true);
-    assert_eq!(b.limit(), 1);
-    assert_eq!(b.ceiling(), 8);
-    // Pressure grows the window multiplicatively, up to the ceiling.
-    b.observe(10, true);
-    assert_eq!(b.limit(), 2);
-    b.observe(10, true);
-    b.observe(10, true);
-    assert_eq!(b.limit(), 8);
-    b.observe(100, true);
-    assert_eq!(b.limit(), 8, "never exceeds the ceiling");
-    // An idle queue shrinks it back down.
-    b.observe(0, true);
-    b.observe(0, true);
-    b.observe(0, true);
-    assert_eq!(b.limit(), 1);
-    // Growth is gated on the teacher's marginal cost still amortizing.
-    b.observe(10, false);
-    assert_eq!(b.limit(), 1);
-    // Disabled: pinned to the ceiling regardless of observations.
-    let mut pinned = AdaptiveBatch::new(4, false);
-    assert_eq!(pinned.limit(), 4);
-    pinned.observe(0, true);
-    pinned.observe(0, true);
-    assert_eq!(pinned.limit(), 4);
-}
-
-#[test]
-fn cost_profile_judges_growth_on_measured_slope() {
-    let mut p = TeacherCostProfile::new();
-    // No data: the caller must fall back to the virtual model.
-    assert_eq!(p.growth_pays(1), None);
-    p.record(1, 10e-3);
-    assert_eq!(p.growth_pays(1), None, "one size is not a slope");
-    // Sub-linear batching: going 1 -> 4 costs 2 ms/slot vs 10 ms solo.
-    p.record(4, 16e-3);
-    assert_eq!(p.growth_pays(4), Some(true));
-    assert!(p.estimate(4).unwrap() > p.estimate(1).unwrap());
-    assert!(p.per_frame_at_or_below(4).unwrap() < p.estimate(1).unwrap());
-    // Super-linear batching (thrashing teacher): growth must stop.
-    let mut bad = TeacherCostProfile::new();
-    bad.record(1, 10e-3);
-    bad.record(2, 25e-3);
-    assert_eq!(bad.growth_pays(2), Some(false));
-    // Unmeasurably fast forwards (oracle teacher): no measured verdict.
-    let mut fast = TeacherCostProfile::new();
-    fast.record(1, 1e-6);
-    fast.record(2, 2e-6);
-    assert_eq!(fast.growth_pays(2), None);
-    // EMA smooths rather than replaces.
-    let mut ema = TeacherCostProfile::new();
-    ema.record(1, 10e-3);
-    ema.record(1, 20e-3);
-    let est = ema.estimate(1).unwrap();
-    assert!(est > 10e-3 && est < 20e-3, "EMA {est}");
-    // Degenerate observations are ignored.
-    ema.record(0, 1.0);
-    ema.record(3, f64::NAN);
-    assert_eq!(ema.estimate(0), None);
-    assert_eq!(ema.estimate(3), None);
-}
-
-#[test]
 fn shard_records_measured_teacher_cost() {
     let mut s = shard();
     let people = frames_for(SceneKind::People, 91, 2);
@@ -211,14 +147,9 @@ fn shard_records_measured_teacher_cost() {
         frame_index: people[0].index,
     }])
     .unwrap();
-    // A real forward happened, so wall time was measured and the cost
-    // profile has a batch-1 sample.
+    // A real forward happened, so its wall time was measured.
     assert!(s.stats().teacher_wall_time > Duration::ZERO);
     assert!(s.stats().mean_teacher_wall_secs() > 0.0);
-    assert!(s.measured_costs().estimate(1).is_some());
-    // The oracle teacher is microsecond-fast, so the measured profile
-    // abstains and growth falls back to the virtual model (which pays).
-    assert!(s.batch_growth_pays(1));
 }
 
 #[test]
@@ -302,9 +233,6 @@ fn batched_labels_amortize_teacher_time() {
     for (_, _, r) in &outcome.responses {
         assert!(r.server_time < solo + r.outcome.steps as f64 * 0.013 + 1e-12);
     }
-    // The default teacher's sub-linear batch cost keeps growth paying.
-    assert!(s.batch_growth_pays(2));
-    assert!(s.marginal_batch_cost(2) > 0.0);
 }
 
 #[test]
@@ -1359,7 +1287,6 @@ fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
             shards: 2,
             reactor_threads: Some(1),
             placement: PlacementPolicy::StaticModulo,
-            adaptive_batch: false,
             max_batch: 2,
             max_in_flight: 64,
             ..PoolConfig::default_pool()
@@ -1418,7 +1345,6 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
             shards: 2,
             reactor_threads: Some(1),
             replication: true,
-            adaptive_batch: false,
             max_batch: 2,
             max_in_flight: 64,
             ..PoolConfig::default_pool()
