@@ -5,7 +5,9 @@
 //! Doubles as the CI threshold gate for the kernel-level batching win: the
 //! bench **exits non-zero** when the measured per-frame cost at the largest
 //! batch size is not below the per-frame cost at batch 1 — if batching stops
-//! amortizing, CI fails rather than silently shipping a regression.
+//! amortizing, CI fails rather than silently shipping a regression. (One
+//! batch-4 forward alone is timed by `stbench`'s `teacher.forward_ms_b4`
+//! probe.)
 //!
 //! Knobs (for CI's tiny smoke sweep):
 //!
@@ -13,25 +15,10 @@
 //! * `TABLE10_JSON=<path>` additionally writes the table as JSON (uploaded
 //!   next to the reproduce artifact).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use st_bench::json::table_to_json;
 use st_bench::tables::table10_batched;
-use st_teacher::{CnnTeacher, Teacher};
-use st_video::dataset::tiny_stream;
-use st_video::SceneKind;
 
-fn batched_teacher_benchmark(c: &mut Criterion) {
-    // Criterion micro view of one co-scheduled forward at batch 4.
-    let mut group = c.benchmark_group("table10_batched_teacher");
-    group.sample_size(10);
-    let mut teacher = CnnTeacher::untrained(1, 42).expect("teacher");
-    let frames = tiny_stream(SceneKind::People, 4200, 4);
-    let refs: Vec<&st_video::Frame> = frames.iter().collect();
-    group.bench_function("cnn_forward_batch4", |bench| {
-        bench.iter(|| teacher.pseudo_label_batch(&refs).unwrap())
-    });
-    group.finish();
-
+fn main() {
     // The throughput sweep itself: per-frame cost vs batch size.
     let smoke = std::env::var("TABLE10_SWEEP").as_deref() == Ok("smoke");
     let (width, reps) = if smoke { (1, 5) } else { (2, 9) };
@@ -66,6 +53,3 @@ fn batched_teacher_benchmark(c: &mut Criterion) {
         sweep[sweep.len() - 1]
     );
 }
-
-criterion_group!(benches, batched_teacher_benchmark);
-criterion_main!(benches);

@@ -5,12 +5,9 @@
 //! (`shards == streams`), both reactor-hosted with
 //! `reactor_threads == threads`. The table reports
 //! p99 queue waits per rung and the measured capacity — the largest rung
-//! whose p99 wait stays under the target — beside the analytic
-//! partitioned/pooled predictions.
-//!
-//! Criterion additionally measures the reactor's client-side hot path:
-//! one poller wake-up round trip (wake → poll → drain) at two token
-//! counts, the per-event cost the multiplexed drivers pay.
+//! whose p99 wait stays under the target. (The poller wake-up round trip
+//! every reactor event pays is timed by `stbench`'s `transport.wake_us`
+//! probe.)
 //!
 //! Knobs (for CI's tiny smoke sweep):
 //!
@@ -19,34 +16,10 @@
 //! * `TABLE12_JSON=<path>` additionally writes the table as JSON
 //!   (uploaded next to the table9/table10 artifacts).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use st_bench::json::table_to_json;
 use st_bench::tables::table12_capacity;
-use st_net::Poller;
-use std::time::Duration;
 
-fn capacity_benchmark(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table12_capacity");
-    group.sample_size(10);
-
-    // Poller wake-up round trip: the dispatch overhead every reactor event
-    // pays before any real work happens. Measured at 1 and 256 registered
-    // tokens — the reactor's promise is that mostly-idle registrations are
-    // (near) free.
-    for &tokens in &[1usize, 256] {
-        group.bench_function(format!("poller_wake_roundtrip_{tokens}tokens"), |bench| {
-            let poller = Poller::new();
-            let wakers: Vec<_> = (0..tokens).map(|t| poller.waker(t)).collect();
-            bench.iter(|| {
-                wakers[tokens / 2].wake();
-                let ready = poller.poll(Duration::from_millis(10));
-                assert!(ready.contains(tokens / 2));
-                ready.tokens().len()
-            })
-        });
-    }
-    group.finish();
-
+fn main() {
     // The capacity ladder itself: partitioned vs pooled at a fixed thread
     // count. Thread and target choices match the committed
     // BENCH_table12.json numbers.
@@ -103,6 +76,3 @@ fn capacity_benchmark(c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(benches, capacity_benchmark);
-criterion_main!(benches);

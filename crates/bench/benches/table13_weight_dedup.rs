@@ -3,13 +3,9 @@
 //! rung run twice against a live pool — content-keyed weight store
 //! (copy-on-write sessions + delta-encoded updates) vs the pre-store layout
 //! (deep-cloned sessions + full-snapshot updates). The table reports
-//! measured resident weight bytes and update wire bytes per rung beside the
-//! analytic `DedupModel` laws (`template + S × trainable` vs
-//! `S × template`).
-//!
-//! Criterion additionally measures the store's own hot-path costs: interning
-//! an already-resident checkpoint (the dedup fast path) and computing one
-//! delta against a synced digest (the per-update encode cost).
+//! measured resident weight bytes and update wire bytes per rung. (The
+//! store's interning and the per-update delta computation are timed by
+//! `stbench`'s `store.intern_us` and `delta.compute_us` probes.)
 //!
 //! Knobs (for CI's tiny smoke sweep):
 //!
@@ -17,44 +13,10 @@
 //!   counts.
 //! * `TABLE13_JSON=<path>` additionally writes the table as JSON.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use st_bench::json::table_to_json;
 use st_bench::tables::table13_weight_dedup;
-use st_nn::delta::{CheckpointDigest, WeightDelta};
-use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
-use st_nn::store::WeightStore;
-use st_nn::student::{StudentConfig, StudentNet};
 
-fn weight_dedup_benchmark(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table13_weight_dedup");
-    group.sample_size(10);
-
-    // Store fast paths: re-interning a resident checkpoint must be hash +
-    // refcount work only (no copies), and a no-change delta must reduce to
-    // hashing the update's chunks.
-    let mut student = StudentNet::new(StudentConfig::tiny()).expect("tiny student");
-    let snapshot = WeightSnapshot::capture(&mut student, SnapshotScope::Full);
-    group.bench_function("intern_resident_checkpoint", |bench| {
-        let store = WeightStore::new();
-        let (pinned, _) = store.intern(&snapshot);
-        bench.iter(|| {
-            let (reref, stats) = store.intern(&snapshot);
-            assert_eq!(stats.new_bytes, 0);
-            store.release(reref);
-            stats.shared_bytes
-        });
-        store.release(pinned);
-    });
-    group.bench_function("delta_compute_synced", |bench| {
-        let digest = CheckpointDigest::of(&snapshot);
-        bench.iter(|| {
-            let delta = WeightDelta::compute(&snapshot, &digest);
-            assert_eq!(delta.entry_count(), 0);
-            delta.base()
-        });
-    });
-    group.finish();
-
+fn main() {
     let smoke = std::env::var("TABLE13_SWEEP").as_deref() == Ok("smoke");
     // Streams need enough frames for some key frames to early-stop at an
     // unchanged checkpoint (the converged-update discount): too-short
@@ -140,6 +102,3 @@ fn weight_dedup_benchmark(c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(benches, weight_dedup_benchmark);
-criterion_main!(benches);

@@ -2,11 +2,9 @@
 //! skewed arrivals: one hot stream sending a multiple of the base key-frame
 //! rate against the fair (deficit-round-robin + admission-control) server
 //! pool, sweeping the hot-stream share and reporting per-class p50/p99 round
-//! trips, server-side queue waits, throttle/drop counts, and the analytic
-//! skewed-contention predictions.
-//!
-//! Criterion additionally measures the scheduler hot path: one
-//! deficit-round-robin drain over a deeply skewed backlog.
+//! trips, server-side queue waits and throttle/drop counts. (The scheduler's
+//! deficit-round-robin drain is timed by `stbench`'s `serve.sched_us`
+//! probe.)
 //!
 //! Knobs (for CI's tiny smoke sweep):
 //!
@@ -14,41 +12,10 @@
 //! * `TABLE9_JSON=<path>` additionally writes the table as JSON (uploaded
 //!   next to the reproduce artifact).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use shadowtutor::serve::FairScheduler;
 use st_bench::json::table_to_json;
 use st_bench::tables::table9_skewed;
-use std::time::Instant;
 
-/// A scheduler with one hot stream holding a deep backlog plus cold
-/// single-job streams — the drain pattern the worker runs per batch.
-fn loaded_scheduler() -> FairScheduler {
-    let mut scheduler = FairScheduler::new(1);
-    let now = Instant::now();
-    for i in 0..64 {
-        scheduler.push(0, i, now);
-    }
-    for stream in 1..8u64 {
-        scheduler.push(stream, 0, now);
-    }
-    scheduler
-}
-
-fn skewed_streams_benchmark(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table9_skewed_streams");
-    group.sample_size(10);
-    group.bench_function("drr_drain_batch8", |bench| {
-        bench.iter(|| {
-            let mut scheduler = loaded_scheduler();
-            let mut drained = 0usize;
-            while !scheduler.is_empty() {
-                drained += scheduler.next_batch(8).len();
-            }
-            drained
-        })
-    });
-    group.finish();
-
+fn main() {
     // The fairness sweep itself: hot-stream share vs per-class round trips.
     let smoke = std::env::var("TABLE9_SWEEP").as_deref() == Ok("smoke");
     let (sweep, streams, key_frames): (&[usize], usize, usize) = if smoke {
@@ -70,6 +37,3 @@ fn skewed_streams_benchmark(c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(benches, skewed_streams_benchmark);
-criterion_main!(benches);

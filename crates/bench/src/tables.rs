@@ -21,7 +21,7 @@ use st_nn::metrics::miou;
 use st_nn::optim::Adam;
 use st_nn::snapshot::{PayloadSizes, SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::{Concurrency, ContentionModel, DedupModel, DEFAULT_DISPATCH_OVERHEAD};
+use st_sim::Concurrency;
 use st_teacher::{CnnTeacher, OracleTeacher, Teacher};
 use st_video::dataset::tiny_stream;
 use st_video::SceneKind;
@@ -538,8 +538,7 @@ pub fn ablation_stride(setup: &SharedSetup) -> TableOutput {
 /// Table 9 (new in this reproduction, no paper counterpart) — fairness under
 /// skewed arrivals: per-stream round trips and server-side queue waits when
 /// one hot stream sends a multiple of the base key-frame rate against a
-/// one-shard pool, next to the analytic skewed-contention predictions
-/// (cold-stream fair delay vs what a FIFO drain would have cost everyone).
+/// one-shard pool, with the throttle and drop counts of admission control.
 ///
 /// `multipliers` is the hot-stream sweep (e.g. `[1, 4, 8]`); `streams` and
 /// `key_frames_per_stream` size the run (the `--skew` smoke sweep in CI uses
@@ -557,8 +556,6 @@ pub fn table9_skewed(
     let mut hot_wait = Vec::new();
     let mut throttled = Vec::new();
     let mut dropped = Vec::new();
-    let mut model_cold = Vec::new();
-    let mut model_fifo = Vec::new();
     // Real wall-clock teacher pacing so queueing is physical; the base send
     // interval leaves a one-shard pool comfortably underloaded at 1x and
     // saturated by the hot stream at 8x.
@@ -603,19 +600,6 @@ pub fn table9_skewed(
             }
         };
 
-        // Feed the model the *measured* mean per-key-frame service time so
-        // its predictions are in the same wall-clock units as the run.
-        let key_frames = outcome.pool.total_key_frames().max(1);
-        let busy: f64 = outcome
-            .pool
-            .shards
-            .iter()
-            .map(|s| s.busy_time.as_secs_f64())
-            .sum();
-        let service = busy / key_frames as f64;
-        let model = ContentionModel::with_workers(1);
-        let inter = send_interval.as_secs_f64();
-
         out.row_labels.push(format!("hot x{multiplier}"));
         cold_p50.push(percentile(&cold_rts, 50.0));
         cold_p99.push(percentile(&cold_rts, 99.0));
@@ -624,8 +608,6 @@ pub fn table9_skewed(
         hot_wait.push(mean_wait_ms(&mut std::iter::once(0u64)));
         throttled.push(outcome.pool.throttled() as f64);
         dropped.push(outcome.pool.dropped_jobs() as f64);
-        model_cold.push(1e3 * model.skewed_delay_cold_fair(streams, service, inter));
-        model_fifo.push(1e3 * model.skewed_delay_fifo(streams, multiplier as f64, service, inter));
     }
     out.columns = vec![
         ("cold p50 ms".to_string(), cold_p50),
@@ -635,8 +617,6 @@ pub fn table9_skewed(
         ("hot wait ms".to_string(), hot_wait),
         ("throttled".to_string(), throttled),
         ("dropped".to_string(), dropped),
-        ("model cold ms".to_string(), model_cold),
-        ("model FIFO ms".to_string(), model_fifo),
     ];
     out.render(&format!(
         "Table 9 — fairness under skewed arrivals ({streams} streams, 1 shard, DRR + admission control)"
@@ -665,9 +645,7 @@ pub fn table9_skewed(
 /// title line reports the measured capacities (largest rung still under
 /// target; zero if even the smallest rung misses — the ladder quantizes,
 /// so a mode's true capacity sits between its last passing rung and the
-/// next) beside the analytic [`ContentionModel::thread_per_shard_capacity`]
-/// / [`ContentionModel::reactor_capacity`] predictions fed the measured
-/// mean service time.
+/// next).
 pub fn table12_capacity(
     stream_ladder: &[usize],
     threads: usize,
@@ -679,8 +657,7 @@ pub fn table12_capacity(
     let send_interval = Duration::from_millis(800);
     let student = StudentNet::new(StudentConfig::tiny()).expect("tiny student");
     // One distillation step per update keeps service dominated by the
-    // teacher pace, so the measured capacities answer to the same service
-    // time the model is fed.
+    // teacher pace, so both topologies answer to the same service time.
     let config = ShadowTutorConfig {
         max_updates: 1,
         ..ShadowTutorConfig::paper()
@@ -693,8 +670,6 @@ pub fn table12_capacity(
     let mut reactor_dropped = Vec::new();
     let mut shard_service = Vec::new();
     let mut reactor_service = Vec::new();
-    let mut service_sum = 0.0;
-    let mut service_runs = 0usize;
     for &streams in stream_ladder {
         let run = |pooled: bool| {
             run_capacity_load(
@@ -727,8 +702,6 @@ pub fn table12_capacity(
         };
         let per_shard = run(false);
         let reactor = run(true);
-        service_sum += per_shard.mean_service_secs() + reactor.mean_service_secs();
-        service_runs += 2;
         out.row_labels.push(format!("{streams} streams"));
         shard_wait.push(1e3 * per_shard.percentile_queue_wait(99.0));
         reactor_wait.push(1e3 * reactor.percentile_queue_wait(99.0));
@@ -750,12 +723,6 @@ pub fn table12_capacity(
     };
     let cap_shard = capacity(&shard_wait);
     let cap_reactor = capacity(&reactor_wait);
-    let service = service_sum / service_runs.max(1) as f64;
-    let model = ContentionModel::with_workers(threads);
-    let inter = send_interval.as_secs_f64();
-    let target = target_wait_ms * 1e-3;
-    let model_shard = model.thread_per_shard_capacity(target, service, inter);
-    let model_reactor = model.reactor_capacity(target, service, inter, DEFAULT_DISPATCH_OVERHEAD);
     out.columns = vec![
         ("per-shard p99 wait ms".to_string(), shard_wait),
         ("reactor p99 wait ms".to_string(), reactor_wait),
@@ -768,8 +735,7 @@ pub fn table12_capacity(
     ];
     out.render(&format!(
         "Table 12 — stream capacity at p99 queue wait <= {target_wait_ms:.1} ms, {threads} threads \
-         (measured: partitioned {cap_shard} vs pooled {cap_reactor}; \
-         model: {model_shard} vs {model_reactor})"
+         (measured: partitioned {cap_shard} vs pooled {cap_reactor})"
     ));
     out
 }
@@ -921,9 +887,8 @@ pub fn table8_multistream(stream_ladder: &[usize], frames_per_stream: usize) -> 
 /// rung runs the same workload twice against a live pool: once with the
 /// content-keyed weight store (copy-on-write sessions + delta-encoded
 /// updates) and once with the pre-store layout (deep-cloned sessions +
-/// full-snapshot updates). Measured residency and wire bytes sit beside the
-/// analytic [`DedupModel`] laws: `template + S × trainable` against
-/// `S × template` for memory, and the converged-update discount for wire.
+/// full-snapshot updates). Residency and wire bytes are measured; the
+/// title gives the encoded template and trainable-stage sizes for scale.
 pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -> TableOutput {
     let mut out = TableOutput::new("Table 13");
     let config = ShadowTutorConfig::paper();
@@ -935,14 +900,11 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
     let trainable_bytes = WeightSnapshot::capture(&mut student, SnapshotScope::TrainableOnly)
         .encode()
         .len();
-    let model = DedupModel::new(template_bytes, trainable_bytes);
     let scenes = [SceneKind::People, SceneKind::Animals, SceneKind::Street];
 
     let kib = |bytes: usize| bytes as f64 / 1024.0;
     let mut cow_resident = Vec::new();
     let mut clone_resident = Vec::new();
-    let mut model_cow = Vec::new();
-    let mut model_clone = Vec::new();
     let mut cow_per_gb = Vec::new();
     let mut clone_per_gb = Vec::new();
     let mut delta_wire = Vec::new();
@@ -981,8 +943,6 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
 
         cow_resident.push(kib(cow_report.weights_resident_bytes()));
         clone_resident.push(kib(clone_report.weights_resident_bytes()));
-        model_cow.push(kib(model.cow_resident_bytes(streams)));
-        model_clone.push(kib(model.clone_resident_bytes(streams)));
         cow_per_gb.push(cow_report.streams_per_gb());
         clone_per_gb.push(clone_report.streams_per_gb());
         // Wire comparison within the delta run: bytes actually sent against
@@ -1000,8 +960,6 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
     out.columns = vec![
         ("cow resident KiB".to_string(), cow_resident),
         ("clone resident KiB".to_string(), clone_resident),
-        ("model cow KiB".to_string(), model_cow),
-        ("model clone KiB".to_string(), model_clone),
         ("cow streams/GB".to_string(), cow_per_gb),
         ("clone streams/GB".to_string(), clone_per_gb),
         ("delta wire KiB".to_string(), delta_wire),

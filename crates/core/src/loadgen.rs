@@ -9,8 +9,7 @@
 //!
 //! * [`run_skewed_load`] — fixed intervals, one **hot** stream at a
 //!   multiple of the base rate: the adversarial arrival pattern the paper's
-//!   §4.4 concurrency analysis (and our [`st_sim::ContentionModel`])
-//!   assumes away. Reports per stream.
+//!   §4.4 concurrency analysis assumes away. Reports per stream.
 //! * [`run_capacity_load`] — a uniform population with randomized phases
 //!   and jittered gaps, the way independent clients arrive. Reports one
 //!   pooled sample.
@@ -40,11 +39,10 @@ use std::time::{Duration, Instant};
 /// A teacher whose forward passes cost real wall-clock time.
 ///
 /// Wraps any [`Teacher`] and sleeps `forward_pause` per solo forward; a
-/// batched forward sleeps `forward_pause * (1 + 0.2 (b - 1))` — the same
-/// sub-linear shape as the default virtual
-/// [`Teacher::batched_inference_latency`] — so co-scheduling pays off in
-/// wall-clock terms too. The *virtual* latencies still come from the inner
-/// teacher, keeping the analytic accounting unchanged.
+/// batched forward sleeps `forward_pause * (1 + 0.2 (b - 1))`, the
+/// sub-linear shape of a GPU teacher, so co-scheduling pays off in
+/// wall-clock terms. The *virtual* latency still comes from the inner
+/// teacher.
 pub struct PacedTeacher<T: Teacher> {
     inner: T,
     forward_pause: Duration,
@@ -76,10 +74,6 @@ impl<T: Teacher> Teacher for PacedTeacher<T> {
 
     fn inference_latency(&self) -> f64 {
         self.inner.inference_latency()
-    }
-
-    fn batched_inference_latency(&self, batch: usize) -> f64 {
-        self.inner.batched_inference_latency(batch)
     }
 
     fn param_count(&self) -> usize {
@@ -714,10 +708,6 @@ mod tests {
         let batched = paced.pseudo_label_batch(&[&frames[0]]).unwrap();
         assert_eq!(batched[0], expected);
         assert_eq!(paced.inference_latency(), inner.inference_latency());
-        assert_eq!(
-            paced.batched_inference_latency(3),
-            inner.batched_inference_latency(3)
-        );
         assert_eq!(paced.param_count(), inner.param_count());
     }
 

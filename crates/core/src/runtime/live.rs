@@ -15,11 +15,10 @@
 //! * [`run_live_multi`] — M client streams against one sharded
 //!   [`crate::serve::ServerPool`], each stream multiplexed onto its shard's
 //!   queue with stream-tagged messages. This is the server-contention
-//!   scenario the paper does not evaluate; the pool's queueing statistics
-//!   are compared against the analytic [`st_sim::ContentionModel`]. All
-//!   client state machines are driven by **one** thread multiplexing their
-//!   endpoints through a [`st_net::Poller`], the way the pool's reactor
-//!   hosts its shards.
+//!   scenario the paper does not evaluate; the pool reports its queueing
+//!   as measured ([`PoolStats`]). All client state machines are driven by
+//!   **one** thread multiplexing their endpoints through a
+//!   [`st_net::Poller`], the way the pool's reactor hosts its shards.
 //!
 //! Both topologies drive the *same* client state machine through the
 //! [`st_net::ClientEndpoint`] trait, so protocol behaviour cannot drift

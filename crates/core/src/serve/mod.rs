@@ -8,10 +8,12 @@
 //!   stream assigned to it. Key frames from different streams that arrive
 //!   close together are *co-scheduled*: the teacher labels them in one
 //!   batched forward pass ([`st_teacher::Teacher::pseudo_label_batch`]) whose
-//!   virtual cost is amortized across the batch, and then each stream's
-//!   session distills its own student on its own pseudo-label. Streams never
-//!   share weights — isolation is structural — which is also what lets one
-//!   batch's sessions distill side by side (the distill crew, below).
+//!   wall-clock cost the batch shares (each job is still charged the
+//!   teacher's solo virtual latency, as in `ServerState`), and then each
+//!   stream's session distills its own student on its own pseudo-label.
+//!   Streams never share weights — isolation is structural — which is also
+//!   what lets one batch's sessions distill side by side (the distill crew,
+//!   below).
 //! * [`ServerPool`] hosts every shard's state machine on a fixed set of
 //!   reactor workers ([`PoolConfig::reactor_threads`]; one per shard by
 //!   default) woken by send-side readiness tokens and a deadline heap, places
@@ -76,10 +78,8 @@
 //! The pool reports [`PoolStats`]: per-shard queueing/batching/latency
 //! counters plus per-stream key-frame totals, waits, throttles, drops,
 //! evictions, measured teacher wall time and final server-side
-//! checkpoints, which the contention experiments compare against the
-//! analytic [`st_sim::ContentionModel`]. [`PoolStats::snapshot`] condenses
-//! all of it into the serializable [`crate::report::PoolReport`] operators
-//! can export.
+//! checkpoints. [`PoolStats::snapshot`] condenses all of it into the
+//! serializable [`crate::report::PoolReport`] operators can export.
 //!
 //! The module tree follows the seams of one key frame's trip through the
 //! server: `config` and `stats` are the pool's inputs and outputs; `frames`,

@@ -88,7 +88,8 @@ pub(super) struct CrewItem {
     entry: StreamEntry,
     /// The stream's jobs in scheduling order.
     jobs: Vec<ItemJob>,
-    teacher_share: f64,
+    /// Virtual teacher time charged to each job.
+    teacher_time: f64,
     /// Other items of the batch may be running beside this one, so the
     /// kernels under it must not split again ([`serial_scope`]).
     beside_others: bool,
@@ -158,7 +159,7 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
             let Some(frame) = frames.peek(job.frame_index) else {
                 unreachable!("frame resident: touched when the batch was resolved")
             };
-            let response = session.distill(frame, &job.pseudo_label, item.teacher_share)?;
+            let response = session.distill(frame, &job.pseudo_label, item.teacher_time)?;
             emit(Served {
                 position: item.position,
                 index: job.index,
@@ -627,12 +628,12 @@ impl<T: Teacher> ServeShard<T> {
             self.teacher.pseudo_label_batch(&frame_refs)?
         };
         self.stats.teacher_wall_time += teacher_started.elapsed();
-        let solo_cost = batch as f64 * self.teacher.inference_latency();
-        let batched_cost = self.teacher.batched_inference_latency(batch);
-        let teacher_share = batched_cost / batch as f64;
+        // Every job is charged the teacher's solo latency, exactly as a
+        // single-stream server charges it; what the batch saved is in the
+        // measured `teacher_wall_time`.
+        let teacher_time = self.teacher.inference_latency();
         self.stats.teacher_batches += 1;
         self.stats.max_batch_observed = self.stats.max_batch_observed.max(batch);
-        self.stats.teacher_time_saved += solo_cost - batched_cost;
 
         // One item per stream, in the order the streams first appear; each
         // takes its session out of the shard. The delta track stays behind:
@@ -659,7 +660,7 @@ impl<T: Teacher> ServeShard<T> {
                 stream_id: job.stream_id,
                 entry,
                 jobs: vec![item_job],
-                teacher_share,
+                teacher_time,
                 beside_others: false,
                 #[cfg(test)]
                 hook: self.item_hook.clone(),
@@ -670,9 +671,6 @@ impl<T: Teacher> ServeShard<T> {
             item.beside_others = beside_others;
         }
 
-        // Per-job virtual time is summed in scheduling order afterwards, so
-        // the f64 total does not depend on which stream finished first.
-        let mut server_time = vec![0.0f64; jobs.len()];
         let mut failures: Vec<Option<std::thread::Result<Result<()>>>> =
             items.iter().map(|_| None).collect();
         let mut home: Vec<(StreamId, StreamEntry)> = Vec::with_capacity(items.len());
@@ -686,7 +684,6 @@ impl<T: Teacher> ServeShard<T> {
                 stats.key_frames += 1;
                 stats.distill_steps += response.outcome.steps;
                 stats.jobs_offloaded += usize::from(ran == Ran::Helper);
-                server_time[index] = response.server_time;
                 sink.served(
                     stats,
                     index,
@@ -713,9 +710,6 @@ impl<T: Teacher> ServeShard<T> {
         });
         for (stream_id, entry) in home {
             self.adopt_stream(stream_id, entry);
-        }
-        for time in server_time {
-            self.stats.virtual_server_time += time;
         }
         match failures.into_iter().flatten().next() {
             Some(Err(panic)) => resume_unwind(panic),

@@ -31,12 +31,6 @@ pub struct ShardStats {
     pub busy_time: Duration,
     /// Total stream-tagged uplink bytes this shard received.
     pub uplink_bytes: usize,
-    /// Sum of virtual `server_time` charged to responses (teacher share +
-    /// distillation steps).
-    pub virtual_server_time: f64,
-    /// Virtual teacher time saved by batching, versus labelling every key
-    /// frame with a solo forward pass.
-    pub teacher_time_saved: f64,
     /// Key-frame jobs that could not be served (unknown stream or frame,
     /// e.g. a key frame arriving after its stream's `Shutdown`). Each one
     /// was answered with [`ServerToClient::Dropped`] when a downlink existed.
@@ -47,10 +41,10 @@ pub struct ShardStats {
     /// without connect, or a duplicate register racing a finished stream).
     pub unknown_registers: usize,
     /// Measured wall-clock time spent inside batched teacher forwards
-    /// ([`st_teacher::Teacher::pseudo_label_batch`]). Unlike
-    /// [`ShardStats::virtual_server_time`], this is real compute, so
-    /// `teacher_wall_time / key_frames` is the *measured* amortized
-    /// per-frame teacher cost batching is supposed to drive down.
+    /// ([`st_teacher::Teacher::pseudo_label_batch`]) — the pool's only
+    /// teacher-cost number: `teacher_wall_time / key_frames` is the
+    /// measured amortized per-frame teacher cost batching is supposed to
+    /// drive down.
     pub teacher_wall_time: Duration,
     /// Frames evicted from per-stream [`FrameStore`]s to stay inside the
     /// configured byte budget. Counted at the shard where the stream
@@ -237,11 +231,6 @@ impl PoolStats {
         } else {
             total / k as f64
         }
-    }
-
-    /// Virtual teacher time saved by batching across all shards.
-    pub fn teacher_time_saved(&self) -> f64 {
-        self.shards.iter().map(|s| s.teacher_time_saved).sum()
     }
 
     /// Measured wall-clock teacher time across all shards.

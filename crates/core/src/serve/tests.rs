@@ -202,8 +202,8 @@ fn duplicate_register_does_not_clobber_the_session() {
     assert!(ckpt.distance(&final_ckpt).unwrap() < 1e-9);
 }
 
-#[test]
-fn batched_labels_amortize_teacher_time() {
+/// Two streams' key frames, one job each, in one batch on a fresh shard.
+fn two_stream_batch() -> (ServeShard<OracleTeacher>, BatchOutcome, [Frame; 2]) {
     let mut s = shard();
     let people = frames_for(SceneKind::People, 21, 2);
     let street = frames_for(SceneKind::Street, 22, 2);
@@ -221,17 +221,35 @@ fn batched_labels_amortize_teacher_time() {
             },
         ])
         .unwrap();
+    (s, outcome, [people[0].clone(), street[0].clone()])
+}
+
+#[test]
+fn two_streams_share_one_teacher_forward() {
+    let (s, outcome, _) = two_stream_batch();
     assert_eq!(outcome.responses.len(), 2);
     let stats = s.stats();
     assert_eq!(stats.teacher_batches, 1);
     assert_eq!(stats.key_frames, 2);
     assert_eq!(stats.max_batch_observed, 2);
-    // Batching two frames must be cheaper than two solo forwards.
-    assert!(stats.teacher_time_saved > 0.0);
-    // The amortized teacher share charged per response is below t_ti.
-    let solo = OracleTeacher::perfect(0).inference_latency();
-    for (_, _, r) in &outcome.responses {
-        assert!(r.server_time < solo + r.outcome.steps as f64 * 0.013 + 1e-12);
+}
+
+#[test]
+fn a_batched_job_is_charged_what_a_single_stream_server_charges() {
+    // One accounting rule: a key frame labelled in a batch costs the same
+    // virtual server time as the same frame through `ServerState` from the
+    // same template — no modelled batch discount.
+    let (_, outcome, frames) = two_stream_batch();
+    for ((_, _, batched), frame) in outcome.responses.iter().zip(&frames) {
+        let mut solo = crate::server::ServerState::new(
+            ShadowTutorConfig::paper(),
+            StudentNet::new(StudentConfig::tiny()).unwrap(),
+            OracleTeacher::perfect(5),
+            0.013,
+        );
+        let alone = solo.handle_key_frame(frame).unwrap();
+        assert_eq!(batched.outcome.steps, alone.outcome.steps);
+        assert_eq!(batched.server_time.to_bits(), alone.server_time.to_bits());
     }
 }
 
@@ -865,14 +883,6 @@ fn crew_width_never_changes_an_answer() {
         assert_eq!(a.max_batch_observed, b.max_batch_observed);
         assert_eq!(a.dropped_jobs, b.dropped_jobs);
         assert_eq!(a.need_frame_requests, b.need_frame_requests);
-        assert_eq!(
-            a.virtual_server_time.to_bits(),
-            b.virtual_server_time.to_bits()
-        );
-        assert_eq!(
-            a.teacher_time_saved.to_bits(),
-            b.teacher_time_saved.to_bits()
-        );
         // The rendezvous put at least one item of every batch on a helper.
         assert!(
             a.jobs_offloaded >= KEY_FRAMES && a.jobs_offloaded < a.key_frames,

@@ -177,8 +177,8 @@ impl DistillSession {
     /// already-computed pseudo-label (Algorithm 3, lines 4-6).
     ///
     /// `teacher_time` is the virtual time charged for producing the
-    /// pseudo-label — the full `t_ti` for a solo inference, or the amortized
-    /// share of a batched teacher forward pass under the multi-stream pool.
+    /// pseudo-label: the teacher's `t_ti`, whether the label came from a
+    /// solo forward or from the multi-stream pool's batched one.
     pub fn distill(
         &mut self,
         frame: &Frame,

@@ -28,7 +28,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// An append-only log of events with per-kind totals.
+/// An append-only log of events.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Vec<Event>,
@@ -51,7 +51,8 @@ impl EventLog {
     }
 
     /// Total virtual time attributed to a kind.
-    pub fn total_for(&self, kind: EventKind) -> f64 {
+    #[cfg(test)]
+    fn total_for(&self, kind: EventKind) -> f64 {
         self.events
             .iter()
             .filter(|e| e.kind == kind)
@@ -60,7 +61,8 @@ impl EventLog {
     }
 
     /// Number of events of a kind.
-    pub fn count_for(&self, kind: EventKind) -> usize {
+    #[cfg(test)]
+    fn count_for(&self, kind: EventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
     }
 }

@@ -18,12 +18,11 @@
 //!    re-registering the stream, linear in the number of adopted streams
 //!    ([`FailoverModel::restore_cost_per_stream`]).
 //!
-//! [`FailoverModel::takeover_bound`] adds the three up. Like the
-//! [`crate::ContentionModel`], this is a coarse *bound*, not a forecast:
-//! the chaos tests assert the pool's measured takeover latency stays under
-//! it, so a regression that, say, serializes restores behind an extra lock
-//! or loses the detection tick shows up as a bound violation rather than
-//! an unexplained slowdown.
+//! [`FailoverModel::takeover_bound`] adds the three up. This is a coarse
+//! *bound*, not a forecast: the chaos tests assert the pool's measured
+//! takeover latency stays under it, so a regression that, say, serializes
+//! restores behind an extra lock or loses the detection tick shows up as a
+//! bound violation rather than an unexplained slowdown.
 
 /// Worst-case takeover latency model for warm standby adoption.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,7 +58,7 @@ impl FailoverModel {
 
     /// Worst-case delay between a shard's death and the standby *noticing*
     /// it: one full pass plus one idle tick.
-    pub fn detection_bound(&self) -> f64 {
+    fn detection_bound(&self) -> f64 {
         self.pass_cost + self.detect_tick
     }
 

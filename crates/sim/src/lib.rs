@@ -10,26 +10,21 @@
 //!   explicit event accounting.
 //! * [`LatencyProfile`] — the per-component latency table. The
 //!   paper-calibrated profile reproduces the measurements of §5.3
-//!   (`t_si` = 143 ms, `t_sd` = 13 ms partial / 18 ms full, `t_ti` = 44 ms);
-//!   a "measured" profile can be filled in from Criterion runs on the host.
+//!   (`t_si` = 143 ms, `t_sd` = 13 ms partial / 18 ms full, `t_ti` = 44 ms).
 //! * [`Concurrency`] — whether the modelled client can overlap student
 //!   inference with network transfers, which is exactly the degree of freedom
 //!   that separates the lower and upper bounds of §4.4.
-//! * [`ContentionModel`] — the multi-stream extension of §4.4: queueing and
-//!   teacher-batch amortization when S streams share W distillation workers,
-//!   used to sanity-check the live server pool's measured waits.
 //! * [`FailoverModel`] — worst-case bound on warm-standby takeover latency
 //!   (detection tick + in-flight pass + adoption + per-stream restores),
 //!   which the chaos tests hold the live pool's measured takeovers under.
+//!
+//! Every model here is either the paper's own or a bound a test holds a
+//! measurement to; a law no test checks does not belong in this crate.
 
 pub mod clock;
-pub mod contention;
 pub mod failover;
-pub mod memory;
 pub mod profile;
 
 pub use clock::{EventKind, EventLog, VirtualClock};
-pub use contention::{ContentionModel, DEFAULT_BATCH_MARGINAL_COST, DEFAULT_DISPATCH_OVERHEAD};
 pub use failover::FailoverModel;
-pub use memory::{DedupModel, DELTA_ENVELOPE_OVERHEAD, FULL_ENVELOPE_OVERHEAD};
 pub use profile::{Concurrency, LatencyProfile};

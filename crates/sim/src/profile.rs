@@ -69,17 +69,6 @@ impl LatencyProfile {
         }
     }
 
-    /// A profile scaled uniformly by `factor` (useful for what-if analyses,
-    /// e.g. a quantized student that is 2× faster).
-    pub fn scaled(&self, factor: f64) -> Self {
-        LatencyProfile {
-            student_inference: self.student_inference * factor,
-            distill_step_partial: self.distill_step_partial * factor,
-            distill_step_full: self.distill_step_full * factor,
-            teacher_inference: self.teacher_inference * factor,
-        }
-    }
-
     /// The distillation-step latency for the given mode.
     pub fn distill_step(&self, partial: bool) -> f64 {
         if partial {
@@ -108,13 +97,6 @@ mod tests {
         assert!((p.distill_step(false) - 0.018).abs() < 1e-12);
         assert!((p.teacher_inference - 0.044).abs() < 1e-12);
         assert_eq!(LatencyProfile::default(), p);
-    }
-
-    #[test]
-    fn scaling() {
-        let p = LatencyProfile::paper().scaled(0.5);
-        assert!((p.student_inference - 0.0715).abs() < 1e-9);
-        assert!((p.teacher_inference - 0.022).abs() < 1e-9);
     }
 
     #[test]

@@ -59,27 +59,12 @@ pub trait Teacher {
 
     /// Nominal inference latency of this teacher in seconds (`t_ti`).
     ///
-    /// The virtual-time runtime charges this latency per key frame; it does
-    /// not depend on how long the Rust call actually takes, so experiments
-    /// are reproducible across machines.
+    /// Every key frame is charged this latency as its virtual teacher time,
+    /// whether it was labelled alone or in a batch; it does not depend on
+    /// how long the Rust call actually takes, so experiments are
+    /// reproducible across machines. What batching saves in wall-clock
+    /// terms is measured, not modelled.
     fn inference_latency(&self) -> f64;
-
-    /// Nominal latency of one *batched* forward pass over `batch` frames.
-    ///
-    /// GPU teachers are strongly sub-linear in batch size; the default
-    /// models that as a full-latency first item plus
-    /// [`st_sim::DEFAULT_BATCH_MARGINAL_COST`] per additional item — the
-    /// same constant the analytic contention model assumes — which is the
-    /// amortization the multi-stream pool charges when it co-schedules key
-    /// frames (`batch == 0` costs nothing).
-    fn batched_inference_latency(&self, batch: usize) -> f64 {
-        if batch == 0 {
-            0.0
-        } else {
-            self.inference_latency()
-                * (1.0 + st_sim::DEFAULT_BATCH_MARGINAL_COST * (batch as f64 - 1.0))
-        }
-    }
 
     /// Number of parameters of the teacher (for reporting teacher/student
     /// size ratios as in §5.2 of the paper).

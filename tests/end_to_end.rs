@@ -13,7 +13,7 @@ use st_net::transport::ClientEndpoint;
 use st_net::LinkModel;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::{Concurrency, ContentionModel, LatencyProfile};
+use st_sim::LatencyProfile;
 use st_teacher::OracleTeacher;
 use st_video::dataset::{category_videos, tiny_stream as frames_for, Resolution};
 use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
@@ -356,14 +356,12 @@ fn multi_stream_pool_isolates_streams_and_matches_single_stream_runs() {
         "pooled {miou_pooled:.1}% vs classic {miou_classic:.1}%"
     );
 
-    // Teacher batching across co-scheduled streams actually happened and
-    // saved virtual teacher time.
+    // Teacher batching across co-scheduled streams actually happened.
     assert!(multi.pool.mean_batch_size() >= 1.0);
-    assert!(multi.pool.teacher_time_saved() >= 0.0);
 }
 
 #[test]
-fn live_server_contention_is_sane_against_the_sim_concurrency_model() {
+fn live_pool_serves_every_frame_on_one_shard_and_on_four() {
     let (student, _) = pretrained_student();
     let config = ShadowTutorConfig::paper();
 
@@ -387,58 +385,12 @@ fn live_server_contention_is_sane_against_the_sim_concurrency_model() {
     assert!(contended.aggregate_fps() > 0.0);
     assert!(spread.aggregate_fps() > 0.0);
 
-    // st-sim's contention model, fed with what the live run measured (mean
-    // distillation steps, mean co-scheduled batch), predicts longer queueing
-    // on one worker than on four...
-    let profile = LatencyProfile::paper();
-    let key_frames = contended.pool.total_key_frames().max(1);
-    let mean_steps = contended.pool.total_distill_steps() as f64 / key_frames as f64;
-    let mean_batch = contended.pool.mean_batch_size().max(1.0);
-    let inter_arrival = config.min_stride as f64 * profile.student_inference;
-    let m1 = ContentionModel::with_workers(1);
-    let m4 = ContentionModel::with_workers(4);
-    let service = m1.service_time(&profile, true, mean_steps, mean_batch);
-    let predicted_contended = m1.queueing_delay(4, service, inter_arrival);
-    let predicted_spread = m4.queueing_delay(4, service, inter_arrival);
-    assert!(
-        predicted_contended >= predicted_spread,
-        "model: {predicted_contended} vs {predicted_spread}"
-    );
-
-    // ...and the live pools had the topologies the model was asked about:
-    // every key frame of the contended run queued at the one shard, while
+    // Every key frame of the contended run queued at the one shard, while
     // the spread run gave each stream a shard (and a queue) of its own.
     // Which way the measured waits point is wall clock; `table8_multistream`
     // reports it.
     assert_eq!(contended.pool.shards.len(), 1);
     assert!(spread.pool.shards.iter().all(|shard| shard.key_frames > 0));
-
-    // Plugging the contended round trip into the §4.4 concurrency bounds
-    // keeps their ordering: no overlap is never faster than full overlap.
-    let t_net = 0.05;
-    let t_c_none = m1.t_c(
-        Concurrency::None,
-        &profile,
-        true,
-        config.min_stride,
-        mean_steps,
-        mean_batch,
-        4,
-        inter_arrival,
-        t_net,
-    );
-    let t_c_full = m1.t_c(
-        Concurrency::Full,
-        &profile,
-        true,
-        config.min_stride,
-        mean_steps,
-        mean_batch,
-        4,
-        inter_arrival,
-        t_net,
-    );
-    assert!(t_c_none >= t_c_full);
 }
 
 #[test]
@@ -711,11 +663,8 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     assert_eq!(solo.teacher_batches - batched.teacher_batches, 8);
     assert_eq!(solo.key_frames, 16);
     assert_eq!(solo.mean_batch_size(), 16.0 / 9.0);
-    // Real compute was timed, and the virtual model credits the batch (and
-    // only the batch) with a saving.
+    // Real compute was timed.
     assert!(batched.teacher_wall_time > Duration::ZERO);
-    assert!(batched.teacher_time_saved > 0.0);
-    assert_eq!(solo.teacher_time_saved, batched.teacher_time_saved);
 
     // --- Live 4-stream pool run over the same teacher. --------------------
     // One shard so all four streams co-schedule; quantum 2 and a
