@@ -1,8 +1,10 @@
 //! JSON export of the reproduced tables.
 //!
 //! Built on the workspace's one writer, [`st_check::json`], so CI can upload
-//! the run's numbers as a machine-readable artifact. The format is one
-//! object per table:
+//! the run's numbers as a machine-readable artifact and a committed
+//! `BENCH_*.json` is one `reproduce <target> --json <path>` run. The format
+//! is one object per run — scale, skew knob, wall time, the `"host"` it ran
+//! on — holding one object per table:
 //! `{"id": ..., "rows": [...], "columns": {"name": [numbers...]}}`.
 
 use crate::tables::TableOutput;
@@ -27,10 +29,10 @@ pub fn table_to_json(table: &TableOutput) -> String {
     out
 }
 
-/// Render one table with a `"host"` object beside its rows — what a
-/// committed `BENCH_*.json` needs so two files can be told apart by where
-/// they were measured: core count, CPU model, compiler, kernel thread count.
-pub fn table_to_json_on_host(table: &TableOutput) -> String {
+/// The machine this process runs on as a JSON object — core count, CPU
+/// model, compiler, kernel thread count — so two run files can be told
+/// apart by where they were measured.
+pub fn host_json() -> String {
     let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
@@ -53,22 +55,20 @@ pub fn table_to_json_on_host(table: &TableOutput) -> String {
     field(&mut host, "rustc", quoted(&rustc));
     field(&mut host, "ST_THREADS", st_tensor::parallel::threads());
     host.push('}');
-    let mut out = table_to_json(table);
-    out.pop();
-    field(&mut out, "host", host);
-    out.push('}');
-    out
+    host
 }
 
-/// Render a full reproduce run (scale label + skew knob + tables + wall
-/// time) as JSON.
+/// Render a full reproduce run (scale label + skew knob + wall time + host
+/// + tables) as JSON.
 ///
 /// `skew` is the hot-stream multiplier the run's skewed-arrival sweep
 /// (`reproduce --skew N`, Table 9) was driven with; `None` renders as
 /// `null`, so consumers can tell "no skew sweep ran" from "ran at 1x".
+/// `host` is an already-rendered object, normally [`host_json`].
 pub fn run_to_json(
     scale: &str,
     skew: Option<usize>,
+    host: &str,
     tables: &[TableOutput],
     total_seconds: f64,
 ) -> String {
@@ -80,6 +80,7 @@ pub fn run_to_json(
         skew.map_or("null".to_string(), |s| s.to_string()),
     );
     field(&mut out, "total_seconds", number(total_seconds));
+    field(&mut out, "host", host);
     field(&mut out, "tables", array(tables.iter().map(table_to_json)));
     out.push('}');
     out
@@ -88,6 +89,8 @@ pub fn run_to_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const HOST: &str = "{\"nproc\":2,\"cpu_model\":\"x\",\"rustc\":\"rustc 1\",\"ST_THREADS\":1}";
 
     fn table() -> TableOutput {
         TableOutput {
@@ -115,25 +118,25 @@ mod tests {
     }
 
     #[test]
-    fn host_metadata_rides_inside_the_table_object() {
-        let json = table_to_json_on_host(&table());
-        assert!(json.starts_with("{\"id\":\"Table X\""));
-        assert!(json.contains("]},\"host\":{\"nproc\":"));
-        assert!(json.contains("\"ST_THREADS\":"));
-        assert!(json.ends_with("}}"));
+    fn runs_carry_exactly_one_host_object() {
+        let json = run_to_json("smoke", None, &host_json(), &[table(), table()], 1.0);
+        assert_eq!(json.matches("\"host\":{\"nproc\":").count(), 1);
+        assert_eq!(json.matches("\"ST_THREADS\":").count(), 1);
+        // The host sits on the run, not on any table.
+        assert!(json.contains("},\"tables\":[{\"id\":\"Table X\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn runs_embed_every_table() {
-        let json = run_to_json("smoke", None, &[table(), table()], 12.5);
+        let json = run_to_json("smoke", None, HOST, &[table(), table()], 12.5);
         assert!(json.starts_with("{\"scale\":\"smoke\",\"skew\":null,\"total_seconds\":12.5"));
         assert_eq!(json.matches("\"id\":\"Table X\"").count(), 2);
     }
 
     #[test]
     fn skew_knob_lands_in_the_schema() {
-        let json = run_to_json("smoke", Some(8), &[table()], 1.0);
+        let json = run_to_json("smoke", Some(8), HOST, &[table()], 1.0);
         assert!(json.contains("\"skew\":8,"));
         // Balanced braces/brackets with the new field in place.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -141,21 +144,23 @@ mod tests {
     }
 
     /// Byte-for-byte what the hand-rolled writer this module used to carry
-    /// produced for the same inputs (strings taken from that commit).
+    /// produced for the same inputs (strings taken from that commit), with
+    /// the run's host object after the wall time.
     #[test]
     fn tables_and_runs_match_the_golden_strings() {
         let one = "{\"id\":\"Table X\",\"rows\":[\"fixed/people\",\"say \\\"hi\\\"\"],\
                    \"columns\":{\"fps\":[6.54,7],\"ratio\":[0.0538,null]}}";
         assert_eq!(table_to_json(&table()), one);
         assert_eq!(
-            run_to_json("smoke", Some(8), &[table(), table()], 12.5),
+            run_to_json("smoke", Some(8), HOST, &[table(), table()], 12.5),
             format!(
-                "{{\"scale\":\"smoke\",\"skew\":8,\"total_seconds\":12.5,\"tables\":[{one},{one}]}}"
+                "{{\"scale\":\"smoke\",\"skew\":8,\"total_seconds\":12.5,\"host\":{HOST},\
+                 \"tables\":[{one},{one}]}}"
             )
         );
         assert_eq!(
-            run_to_json("sm\"oke", None, &[], f64::INFINITY),
-            "{\"scale\":\"sm\\\"oke\",\"skew\":null,\"total_seconds\":null,\"tables\":[]}"
+            run_to_json("sm\"oke", None, "{}", &[], f64::INFINITY),
+            "{\"scale\":\"sm\\\"oke\",\"skew\":null,\"total_seconds\":null,\"host\":{},\"tables\":[]}"
         );
     }
 }

@@ -6,13 +6,13 @@
 //! The heavy lifting lives in [`workloads`]: it builds the per-category video
 //! streams, pre-trains a student checkpoint once, runs the virtual-time
 //! runtime for every system variant, and converts the resulting
-//! [`shadowtutor::ExperimentRecord`]s into the rows of each table. The
-//! `reproduce` binary (`cargo run -p st-bench --bin reproduce -- <target>`)
-//! prints the tables; the Criterion benches measure the latency quantities
-//! (distillation steps, student inference) and print the corresponding
-//! table as part of their setup so `cargo bench` regenerates everything in
-//! one pass. Kernel, wire and ring micro-numbers are `stbench`'s per-layer
-//! probes.
+//! [`shadowtutor::ExperimentRecord`]s into the rows of each table;
+//! [`tables`] also drives the live pool for this reproduction's own tables
+//! and holds the gates checked on them. The `reproduce` binary
+//! (`cargo run -p st-bench --bin reproduce -- [scale] <target>`) is the one
+//! way to run any of them: it prints the tables, writes them as JSON on
+//! request ([`json`]) and exits non-zero when a gate fails. Kernel, wire and
+//! ring micro-numbers are `stbench`'s per-layer probes.
 
 pub mod figures;
 pub mod json;

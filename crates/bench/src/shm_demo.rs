@@ -12,9 +12,10 @@
 //! The table it produces is the measured counterpart of Table 4/5's traffic
 //! claim: key-frame wire bytes (what actually crossed the ring) against the
 //! naive baseline's full-frame wire bytes, both counted from encoded frames
-//! rather than modelled payload arithmetic.
+//! rather than modelled payload arithmetic; [`shm_gate`] fails the run when
+//! the first is not below the second.
 
-use crate::tables::TableOutput;
+use crate::tables::{gate_column, TableOutput};
 use crate::ExperimentScale;
 use shadowtutor::config::ShadowTutorConfig;
 use shadowtutor::report::ExperimentRecord;
@@ -186,13 +187,8 @@ pub fn table_shm(scale: ExperimentScale) -> Result<TableOutput, String> {
         "shm: measured ring bytes up {} / down {} ({} / {} messages)",
         host.wire_bytes_up, host.wire_bytes_down, host.messages_up, host.messages_down
     );
-    let verdict = if measured.wire_total_bytes() < naive.wire_total_bytes() {
-        "PASS"
-    } else {
-        "FAIL"
-    };
     println!(
-        "shm: key-frame wire total {} B < naive wire total {} B: {verdict}",
+        "shm: key-frame wire total {} B, naive wire total {} B",
         measured.wire_total_bytes(),
         naive.wire_total_bytes()
     );
@@ -224,4 +220,59 @@ pub fn table_shm(scale: ExperimentScale) -> Result<TableOutput, String> {
         "SHM: two-process traffic, measured from framed binary codec output on the shared-memory ring",
     );
     Ok(out)
+}
+
+/// The shm demo's gate, the paper's traffic claim on measured bytes: the
+/// key frames' wire total must be below what naive offloading of every
+/// frame would have moved.
+pub fn shm_gate(table: &TableOutput) -> Result<(), String> {
+    let wire_total = |name| {
+        gate_column(table, name)?
+            .get(2)
+            .copied()
+            .ok_or_else(|| format!("{} has no wire-total row", table.id))
+    };
+    let measured = wire_total("ShadowTutor/shm (measured)")?;
+    let naive = wire_total("Naive (measured)")?;
+    if measured >= naive {
+        return Err(format!(
+            "key-frame wire total {measured} MB is not below naive wire total {naive} MB"
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shm_gate_fails_when_key_frames_move_as_much_as_naive() {
+        let table = |measured: f64| TableOutput {
+            id: "SHM".to_string(),
+            text: String::new(),
+            row_labels: [
+                "Wire up (MB)",
+                "Wire down (MB)",
+                "Wire total (MB)",
+                "Messages",
+            ]
+            .map(String::from)
+            .to_vec(),
+            columns: vec![
+                (
+                    "ShadowTutor/shm (measured)".to_string(),
+                    vec![0.5, measured - 0.5, measured, 30.0],
+                ),
+                ("Naive (measured)".to_string(), vec![0.9, 0.3, 1.2, 48.0]),
+            ],
+        };
+        assert_eq!(shm_gate(&table(0.8)), Ok(()));
+        let err = shm_gate(&table(1.2)).unwrap_err();
+        assert!(
+            err.contains("1.2 MB is not below naive wire total 1.2 MB"),
+            "{err}"
+        );
+        assert!(shm_gate(&table(2.0)).is_err());
+    }
 }

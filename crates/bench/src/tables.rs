@@ -1,9 +1,12 @@
-//! Table reproductions (Tables 2–7 of the paper).
+//! Table reproductions (Tables 2–7 of the paper, and this reproduction's
+//! own Tables 8–13).
 //!
-//! Each function takes a [`SharedSetup`], runs (or reuses) the relevant
-//! experiments, and returns the table as a formatted string plus the
-//! structured rows, so the `reproduce` binary can print it and the
-//! integration tests can assert on the numbers.
+//! Each function runs (or reuses) the relevant experiments — the paper's
+//! tables from a [`SharedSetup`], the new ones on a live pool — and returns
+//! the table as a formatted string plus the structured rows, so the
+//! `reproduce` binary can print it and the tests can assert on the numbers.
+//! The `*_gate` functions are the checks `reproduce` exits 1 on: each reads
+//! a finished table and says what regressed.
 
 use crate::workloads::{SharedSetup, Variant};
 use shadowtutor::bounds::{throughput_bounds, traffic_bounds, BoundInputs};
@@ -112,9 +115,9 @@ pub fn naive_paper_fps(setup: &SharedSetup, link: &LinkModel) -> f64 {
 
 /// Table 2: distillation-step latency and mean number of distillation steps,
 /// partial vs full. The latency row comes from the latency profile (measured
-/// on the paper's hardware; the Criterion bench `table2_distill_step`
-/// measures the host machine's own value); the mean-steps row comes from the
-/// actual runs.
+/// on the paper's hardware; [`table2_step_breakdown`], which `reproduce
+/// table2` prints beside it, measures this host's own step); the mean-steps
+/// row comes from the actual runs.
 pub fn table2(setup: &SharedSetup) -> TableOutput {
     let mut out = TableOutput::new("Table 2");
     let partial_runs = setup.run_all_categories(Variant::Partial { delay: 1 });
@@ -712,17 +715,8 @@ pub fn table12_capacity(
         shard_service.push(1e3 * per_shard.mean_service_secs());
         reactor_service.push(1e3 * reactor.mean_service_secs());
     }
-    let capacity = |waits: &[f64]| -> usize {
-        waits
-            .iter()
-            .zip(stream_ladder)
-            .filter(|(wait, _)| **wait <= target_wait_ms)
-            .map(|(_, streams)| *streams)
-            .max()
-            .unwrap_or(0)
-    };
-    let cap_shard = capacity(&shard_wait);
-    let cap_reactor = capacity(&reactor_wait);
+    let cap_shard = capacity(&shard_wait, stream_ladder, target_wait_ms);
+    let cap_reactor = capacity(&reactor_wait, stream_ladder, target_wait_ms);
     out.columns = vec![
         ("per-shard p99 wait ms".to_string(), shard_wait),
         ("reactor p99 wait ms".to_string(), reactor_wait),
@@ -740,17 +734,76 @@ pub fn table12_capacity(
     out
 }
 
+/// The largest ladder rung whose p99 wait stays under the target (zero if
+/// even the smallest rung misses).
+fn capacity(waits: &[f64], stream_ladder: &[usize], target_wait_ms: f64) -> usize {
+    waits
+        .iter()
+        .zip(stream_ladder)
+        .filter(|(wait, _)| **wait <= target_wait_ms)
+        .map(|(_, streams)| *streams)
+        .max()
+        .unwrap_or(0)
+}
+
+/// A named column of a table a gate reads, or the error the gate reports.
+pub(crate) fn gate_column<'a>(table: &'a TableOutput, name: &str) -> Result<&'a [f64], String> {
+    table
+        .column(name)
+        .ok_or_else(|| format!("{} has no `{name}` column", table.id))
+}
+
+/// Table 12's gate: at the same thread count and the same wait target, the
+/// pooled topology must carry at least as many streams as the partitioned
+/// one — and on a `headline` ladder (every scale above smoke) at least four
+/// times as many.
+pub fn table12_gate(
+    table: &TableOutput,
+    stream_ladder: &[usize],
+    target_wait_ms: f64,
+    headline: bool,
+) -> Result<(), String> {
+    let capacity_of =
+        |name| gate_column(table, name).map(|waits| capacity(waits, stream_ladder, target_wait_ms));
+    let per_shard = capacity_of("per-shard p99 wait ms")?;
+    let reactor = capacity_of("reactor p99 wait ms")?;
+    if !headline {
+        if reactor < per_shard {
+            return Err(format!(
+                "pooled capacity regressed below partitioned on the smoke ladder: \
+                 {reactor} < {per_shard} streams at p99 wait <= {target_wait_ms} ms"
+            ));
+        }
+    } else if reactor < 4 * per_shard.max(1) {
+        return Err(format!(
+            "pooled capacity fell below the 4x headline: {reactor} streams vs \
+             partitioned {per_shard} at p99 wait <= {target_wait_ms} ms"
+        ));
+    }
+    Ok(())
+}
+
 /// Table 10 (new in this reproduction, no paper counterpart) — batched
 /// teacher throughput: wall-clock cost of one genuinely batched
 /// [`CnnTeacher`] forward (`pseudo_label_batch`) as the co-scheduled batch
 /// size grows. This is the kernel-level amortization the multi-stream pool
 /// buys when it co-schedules key frames: per-frame cost must *fall* with
-/// batch size (the CI bench gates on exactly that).
+/// batch size ([`table10_gate`] checks exactly that).
 ///
 /// `batch_sizes` is the sweep (e.g. `[1, 2, 4, 8]`); `width_multiple` sizes
 /// the teacher network; `reps` timed repetitions per size (the median is
 /// reported; one untimed warm-up precedes each size).
+///
+/// The sweep times the forward, not glibc handing a batch's buffers back to
+/// the kernel after every call: a batch-8 forward's free heap top crosses
+/// glibc's dynamic trim threshold (twice the largest `mmap`ped block freed
+/// so far), so each call faulted its buffers back in — ≈ 10 % of a 2-vCPU
+/// host's batch-8 time, enough to fail the gate on the allocator, not the
+/// kernels. Freeing one 16 MB block first raises that threshold once per
+/// process, as `st_net::shm` does for ring frames; an explicit
+/// `MALLOC_TRIM_THRESHOLD_` stays in force.
 pub fn table10_batched(batch_sizes: &[usize], width_multiple: usize, reps: usize) -> TableOutput {
+    drop(black_box(Vec::<u8>::with_capacity(16 << 20)));
     let mut out = TableOutput::new("Table 10");
     let max_batch = batch_sizes.iter().copied().max().unwrap_or(1);
     let mut teacher = CnnTeacher::untrained(width_multiple, 77).expect("teacher");
@@ -800,6 +853,25 @@ pub fn table10_batched(batch_sizes: &[usize], width_multiple: usize, reps: usize
         "Table 10 — batched CnnTeacher forward throughput (width x{width_multiple}, 32x24 frames, median of {reps})"
     ));
     out
+}
+
+/// Table 10's gate: batching must amortize at the deepest batch — the last
+/// row's per-frame cost below the first row's (batch 1 in every sweep
+/// `reproduce` runs).
+pub fn table10_gate(table: &TableOutput) -> Result<(), String> {
+    let per_frame = gate_column(table, "per-frame ms")?;
+    let (Some(&solo), Some(&deepest), Some(batch)) =
+        (per_frame.first(), per_frame.last(), table.row_labels.last())
+    else {
+        return Err("Table 10 has no rows".to_string());
+    };
+    if deepest >= solo {
+        return Err(format!(
+            "batched per-frame cost did not amortize \
+             ({batch} at {deepest:.3} ms/frame >= batch 1 at {solo:.3} ms/frame)"
+        ));
+    }
+    Ok(())
 }
 
 /// Table 8 (new in this reproduction, no paper counterpart) — multi-stream
@@ -973,6 +1045,70 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
     out
 }
 
+/// Table 13's gate: on every rung copy-on-write holds fewer resident bytes
+/// than deep cloning and no client rejects a delta; across the ladder the
+/// delta stream costs fewer wire bytes than full envelopes and residency
+/// grows sublinearly in the stream count.
+pub fn table13_gate(table: &TableOutput, stream_ladder: &[usize]) -> Result<(), String> {
+    let cow = gate_column(table, "cow resident KiB")?;
+    let clone = gate_column(table, "clone resident KiB")?;
+    let delta_wire = gate_column(table, "delta wire KiB")?;
+    let full_wire = gate_column(table, "full-equiv wire KiB")?;
+    let rejections = gate_column(table, "delta rejections")?;
+
+    for (i, &streams) in stream_ladder.iter().enumerate() {
+        // Residency, per rung: the store must hold fewer resident bytes than
+        // deep cloning (every rung has ≥ 2 streams, so the shared template
+        // amortizes).
+        if cow[i] >= clone[i] {
+            return Err(format!(
+                "weight store residency regressed at {streams} streams: \
+                 cow {} KiB >= clone {} KiB",
+                cow[i], clone[i]
+            ));
+        }
+        // In-spec runs never reject a delta: the server only sends one when
+        // the stream's track is synced.
+        if rejections[i] != 0.0 {
+            return Err(format!(
+                "clients rejected {} deltas at {streams} streams",
+                rejections[i]
+            ));
+        }
+    }
+    // Wire bytes, across the sweep: the delta stream must cost strictly
+    // fewer bytes than the same updates sent as full envelopes. Aggregated
+    // over the ladder rather than per rung — the discount comes from key
+    // frames that early-stop at an unchanged checkpoint, and a single tiny
+    // rung may train on every one of its few key frames, leaving only the
+    // delta's envelope overhead (a fraction of a KiB) on that row.
+    let delta_total: f64 = delta_wire.iter().sum();
+    let full_total: f64 = full_wire.iter().sum();
+    if delta_total >= full_total {
+        return Err(format!(
+            "delta encoding saved nothing across the sweep: \
+             delta {delta_total} KiB >= full {full_total} KiB"
+        ));
+    }
+    // Sublinear residency across the ladder: growing the population from
+    // the first rung to the last must cost less than the proportional
+    // (clone-law) growth, because only trainable stages are added.
+    if let (Some(&first), Some(&last)) = (stream_ladder.first(), stream_ladder.last()) {
+        let (first, last) = (first as f64, last as f64);
+        if last > first {
+            let proportional = cow[0] * last / first;
+            let measured = cow[stream_ladder.len() - 1];
+            if measured >= proportional {
+                return Err(format!(
+                    "cow residency is not sublinear: {measured} KiB at {last} streams vs \
+                     proportional {proportional} KiB from {first} streams"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -999,6 +1135,97 @@ mod tests {
         // Totals are the sums.
         assert!((partial[2] - partial[0] - partial[1]).abs() < 1e-9);
         assert_eq!(t.row_labels.len(), 3);
+    }
+
+    /// A table carrying only what a gate reads.
+    fn synthetic(id: &str, rows: &[&str], columns: &[(&str, &[f64])]) -> TableOutput {
+        TableOutput {
+            id: id.to_string(),
+            text: String::new(),
+            row_labels: rows.iter().map(|row| row.to_string()).collect(),
+            columns: columns
+                .iter()
+                .map(|(name, values)| (name.to_string(), values.to_vec()))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn table10_gate_fails_when_batching_stops_amortizing() {
+        let batches = ["batch 1", "batch 2", "batch 4", "batch 8"];
+        let table =
+            |per_frame: &[f64]| synthetic("Table 10", &batches, &[("per-frame ms", per_frame)]);
+        assert_eq!(table10_gate(&table(&[2.0, 1.4, 1.0, 0.8])), Ok(()));
+        // Batch-8 per-frame cost at or above solo fails, whatever the middle.
+        let err = table10_gate(&table(&[2.0, 1.4, 1.0, 2.0])).unwrap_err();
+        assert!(err.contains("batch 8 at 2.000 ms/frame"), "{err}");
+        assert!(table10_gate(&table(&[2.0, 1.0, 1.0, 2.5])).is_err());
+        assert!(table10_gate(&synthetic("Table 10", &[], &[])).is_err());
+    }
+
+    #[test]
+    fn table12_gate_holds_pooled_to_partitioned_and_the_headline_to_four_times() {
+        let table = |per_shard: &[f64], reactor: &[f64]| {
+            synthetic(
+                "Table 12",
+                &["8 streams", "16 streams", "32 streams", "64 streams"],
+                &[
+                    ("per-shard p99 wait ms", per_shard),
+                    ("reactor p99 wait ms", reactor),
+                ],
+            )
+        };
+        let ladder = [8, 16, 32, 64];
+        // BENCH_table12.json's shape: partitioned 8, pooled 32 streams.
+        let committed = table(&[6.2, 49.3, 67.9, 159.9], &[7.1, 5.4, 8.3, 45.8]);
+        assert_eq!(table12_gate(&committed, &ladder, 25.0, true), Ok(()));
+        assert_eq!(table12_gate(&committed, &ladder, 25.0, false), Ok(()));
+        // Pooled 16 vs partitioned 8: enough for smoke, not for the headline.
+        let twice = table(&[6.2, 49.3, 67.9, 159.9], &[7.1, 5.4, 30.0, 45.8]);
+        assert_eq!(table12_gate(&twice, &ladder, 25.0, false), Ok(()));
+        let err = table12_gate(&twice, &ladder, 25.0, true).unwrap_err();
+        assert!(
+            err.contains("4x headline: 16 streams vs partitioned 8"),
+            "{err}"
+        );
+        // Pooled below partitioned fails even the smoke ladder.
+        let worse = table(&[6.2, 9.3, 67.9, 159.9], &[7.1, 30.0, 30.0, 45.8]);
+        let err = table12_gate(&worse, &ladder, 25.0, false).unwrap_err();
+        assert!(err.contains("8 < 16 streams"), "{err}");
+    }
+
+    #[test]
+    fn table13_gate_fails_each_of_its_four_checks() {
+        let table = |cow: &[f64], delta: &[f64], rejections: &[f64]| {
+            synthetic(
+                "Table 13",
+                &["2 streams", "4 streams"],
+                &[
+                    ("cow resident KiB", cow),
+                    ("clone resident KiB", &[200.0, 400.0]),
+                    ("delta wire KiB", delta),
+                    ("full-equiv wire KiB", &[20.0, 40.0]),
+                    ("delta rejections", rejections),
+                ],
+            )
+        };
+        let ladder = [2, 4];
+        let gate = |cow: &[f64], delta: &[f64], rejections: &[f64]| {
+            table13_gate(&table(cow, delta, rejections), &ladder)
+        };
+        assert_eq!(gate(&[120.0, 150.0], &[15.0, 30.0], &[0.0, 0.0]), Ok(()));
+        // Copy-on-write at or above clone on one rung.
+        let err = gate(&[120.0, 400.0], &[15.0, 30.0], &[0.0, 0.0]).unwrap_err();
+        assert!(err.contains("residency regressed at 4 streams"), "{err}");
+        // A rejected delta.
+        let err = gate(&[120.0, 150.0], &[15.0, 30.0], &[0.0, 1.0]).unwrap_err();
+        assert!(err.contains("rejected 1 deltas at 4 streams"), "{err}");
+        // Deltas costing what full envelopes cost.
+        let err = gate(&[120.0, 150.0], &[20.0, 40.0], &[0.0, 0.0]).unwrap_err();
+        assert!(err.contains("delta encoding saved nothing"), "{err}");
+        // Residency doubling with the stream count.
+        let err = gate(&[120.0, 240.0], &[15.0, 30.0], &[0.0, 0.0]).unwrap_err();
+        assert!(err.contains("not sublinear"), "{err}");
     }
 
     #[test]

@@ -16,9 +16,10 @@ use st_video::VideoGenerator;
 /// How large an experiment to run.
 ///
 /// Every scale runs the *same code paths*; only frame counts, resolution and
-/// student width change. `Smoke` is what the Criterion benches and CI use;
-/// `Default` is the scale EXPERIMENTS.md reports; `Extended` approaches the
-/// paper's 5000-frame streams (slow on a laptop CPU).
+/// student width change, and the live-pool tables' ladders grow with it.
+/// `Smoke` is what CI runs; `Default` is the scale the README and the
+/// committed `BENCH_*.json` files report; `Extended` approaches the paper's
+/// 5000-frame streams (slow on a laptop CPU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// ~100 frames per stream at 32×24 with the tiny student.

@@ -65,14 +65,11 @@ impl StreamClient {
     /// the original key-frame upload; the parked job resumes (and its
     /// `StudentUpdate` arrives) once the content lands.
     pub fn reshare(&mut self, frame: &Frame) -> std::result::Result<(), TransportError> {
-        let payload = Payload::sized(frame.raw_rgb_bytes());
-        let bytes = payload.bytes;
         self.send_envelope(
             ClientToServer::ReShare {
                 frame_index: frame.index,
-                payload,
+                payload: Payload::sized(frame.raw_rgb_bytes()),
             },
-            bytes,
             Some(frame.clone()),
         )
     }
@@ -80,7 +77,6 @@ impl StreamClient {
     fn send_envelope(
         &mut self,
         message: ClientToServer,
-        bytes: usize,
         frame: Option<Frame>,
     ) -> std::result::Result<(), TransportError> {
         let shard = self.route.load(Ordering::SeqCst);
@@ -93,7 +89,6 @@ impl StreamClient {
         self.uplinks[shard]
             .send(Envelope {
                 tagged,
-                bytes: StreamTagged::<ClientToServer>::tagged_bytes(bytes),
                 enqueued_at: Instant::now(),
                 frame,
             })
@@ -110,9 +105,9 @@ impl ClientEndpoint for StreamClient {
     fn send(
         &mut self,
         message: ClientToServer,
-        bytes: usize,
+        _bytes: usize,
     ) -> std::result::Result<(), TransportError> {
-        self.send_envelope(message, bytes, None)
+        self.send_envelope(message, None)
     }
 
     fn try_recv(&mut self) -> std::result::Result<Option<ServerToClient>, TransportError> {

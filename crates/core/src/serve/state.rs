@@ -32,7 +32,6 @@ use std::time::{Duration, Instant};
 #[derive(Clone)]
 pub(super) struct Envelope {
     pub(super) tagged: StreamTagged<ClientToServer>,
-    pub(super) bytes: usize,
     pub(super) enqueued_at: Instant,
     /// Out-of-band frame content for [`ClientToServer::ReShare`]: the wire
     /// message carries encoded pixels for realistic sizes, and the
@@ -482,7 +481,6 @@ impl<T: Teacher> ShardState<T> {
     fn on_frame(&mut self, envelope: Envelope) -> Result<()> {
         self.shard.stats.events_dispatched += 1;
         let stream_id = envelope.tagged.stream_id;
-        self.shard.stats.uplink_bytes += envelope.bytes;
         match envelope.tagged.message {
             ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {
                 let supports_delta = matches!(
@@ -1108,7 +1106,6 @@ mod tests {
         let frames = tiny_stream(SceneKind::People, 503, 1);
         let envelope = |message| Envelope {
             tagged: StreamTagged::new(7, message),
-            bytes: 1,
             enqueued_at: Instant::now(),
             frame: None,
         };

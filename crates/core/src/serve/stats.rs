@@ -29,8 +29,6 @@ pub struct ShardStats {
     pub queue_wait_max: Duration,
     /// Wall-clock time the worker spent actively processing batches.
     pub busy_time: Duration,
-    /// Total stream-tagged uplink bytes this shard received.
-    pub uplink_bytes: usize,
     /// Key-frame jobs that could not be served (unknown stream or frame,
     /// e.g. a key frame arriving after its stream's `Shutdown`). Each one
     /// was answered with [`ServerToClient::Dropped`] when a downlink existed.
