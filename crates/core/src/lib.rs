@@ -25,7 +25,7 @@
 //!   forward passes batched across the key frames queued at a shard, fair
 //!   deficit-round-robin batching, per-stream admission control,
 //!   a distill crew on the cores the reactor
-//!   leaves idle ([`serve::crew`]), warm-standby failover and LRU-bounded
+//!   leaves idle ([`st_tensor::parallel::Crew`]), warm-standby failover and LRU-bounded
 //!   per-stream frame memory ([`serve::FrameStore`]). See
 //!   `docs/ARCHITECTURE.md` at the workspace root for the full lifecycle of
 //!   a key frame.

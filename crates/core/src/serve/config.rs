@@ -256,9 +256,9 @@ impl PoolConfig {
         (stream_id % self.shards as u64) as usize
     }
 
-    /// Distill-crew helper threads a pool of this shape runs: one per core
-    /// its reactor workers leave idle (none when the workers already cover
-    /// the host), at most `max_batch − 1` — the most one batch could keep
+    /// Distill-crew lanes a pool of this shape offers each batch to: one per
+    /// core its reactor workers leave idle (none when the workers already
+    /// cover the host), at most `max_batch − 1` — the most one batch could keep
     /// busy beside the worker that owns it. Derived, deliberately not a
     /// field: the host's core count and the two fields it follows from are
     /// all there is to know.

@@ -61,13 +61,15 @@
 //! And since the sessions of one batch share a teacher forward and nothing
 //! else, the pool spends the cores its reactor workers leave idle on them:
 //!
-//! * **The distill crew** ([`crew`]) — [`ServerPool::spawn`] starts
-//!   [`PoolConfig::crew_helpers`] parked helper threads (derived from the
-//!   host and the pool's shape; there is no knob). A labelled batch becomes
-//!   one work item per stream; the shard's reactor worker and the helpers
-//!   claim items one at a time, an item *owning* its stream's session while
-//!   it runs — moved out of the shard and back, so no session is locked or
-//!   borrowed across threads. The worker answers every
+//! * **The distill crew** ([`st_tensor::parallel::Crew`]) — each batch is
+//!   offered to up to [`PoolConfig::crew_helpers`] of the process's parked
+//!   lanes ([`st_tensor::parallel::Lanes`], the threads the GEMM splits onto
+//!   too; the width is derived from the host and the pool's shape, there is
+//!   no knob). A labelled batch becomes one work item per stream; the shard's
+//!   reactor worker and the lanes claim items one at a time, an item
+//!   *owning* its stream's session while it runs — moved out of the shard
+//!   and back, so no session is locked or borrowed across threads. The
+//!   worker answers every
 //!   key frame the moment it is distilled (delta encode, digest patch,
 //!   downlink, replica publish), so a round trip is `teacher + own distill`,
 //!   not `teacher + the batch's`. With no helpers the worker claims every
@@ -84,8 +86,7 @@
 //! The module tree follows the seams of one key frame's trip through the
 //! server: `config` and `stats` are the pool's inputs and outputs; `frames`,
 //! `replica`, `sched` and `shard` are the synchronous per-shard machinery
-//! and `crew` the hand-off a shard fans a batch out through;
-//! `state` is the shard state machine (with its `takeover` child, the
+//! (a shard fans a batch out through the crew); `state` is the shard state machine (with its `takeover` child, the
 //! warm-standby adoption) over the `failover` blackboard; `pool` is the handle and client
 //! endpoint; `reactor` is the one driver, and reaches a shard state only
 //! through its methods.
@@ -94,7 +95,6 @@
 //! [`DistillSession`]: crate::server::DistillSession
 
 mod config;
-pub mod crew;
 mod failover;
 mod frames;
 mod pool;

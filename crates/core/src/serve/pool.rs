@@ -5,7 +5,6 @@ use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
 use super::replica::ReplicaStore;
-use super::shard::{spawn_helpers, DistillCrew};
 use super::state::{
     Downlink, Envelope, Placements, Registry, Route, ShardLoads, ShardOutput, ShardState,
     StreamLink, WireMeter,
@@ -20,6 +19,7 @@ use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::store::{CheckpointRef, WeightStore};
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
+use st_tensor::parallel::{Crew, Lanes};
 use st_tensor::TensorError;
 use st_video::Frame;
 use std::collections::HashMap;
@@ -164,12 +164,13 @@ impl ClientEndpoint for StreamClient {
 /// many threads served it.
 ///
 /// The cores the reactor workers leave idle host the **distill crew**:
-/// `available_parallelism − reactor workers` parked helper threads (none
-/// when the workers already cover the cores; never more than `max_batch −
-/// 1`, the most a batch could keep busy beside its own worker) that claim
-/// per-stream work items out of whichever shard's batch is in flight. The
-/// width is derived, not configured: a stream cannot tell whether a helper
-/// or its shard's worker distilled its key frame either.
+/// each batch is offered to up to `available_parallelism − reactor
+/// workers` of the process's parked lanes (none when the workers already
+/// cover the cores; never more than `max_batch − 1`, the most a batch could
+/// keep busy beside its own worker), which claim per-stream work items out
+/// of whichever shard's batch is in flight. The width is derived, not
+/// configured: a stream cannot tell whether a lane or its shard's worker
+/// distilled its key frame either.
 pub struct ServerPool {
     pool_config: PoolConfig,
     uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
@@ -185,10 +186,6 @@ pub struct ServerPool {
     /// One handle per reactor worker, each returning the outputs of
     /// whichever shards it finalized.
     workers: Vec<std::thread::JoinHandle<Result<Vec<ShardOutput>>>>,
-    /// The pool-wide distill crew every shard's batches run through, and
-    /// its parked helper threads; `join` dismisses and joins them.
-    crew: Arc<DistillCrew>,
-    helper_threads: Vec<std::thread::JoinHandle<()>>,
     /// Measured wire traffic for the whole pool, shared with every
     /// [`StreamClient`] (uplink) and [`Downlink`] (downlink).
     wire: Arc<WireMeter>,
@@ -214,8 +211,9 @@ impl ServerPool {
     /// `teacher_factory(shard_index)` and serves sessions cloned from
     /// `template`.
     ///
-    /// The cores the reactor workers do not occupy get one distill-crew
-    /// helper thread each ([`PoolConfig::crew_helpers`]).
+    /// Each core the reactor workers do not occupy gets one lane of the
+    /// distill crew ([`PoolConfig::crew_helpers`]); the process-wide lane
+    /// set grows to that width on the first such pool and keeps it.
     pub fn spawn<T, F>(
         config: ShadowTutorConfig,
         pool_config: PoolConfig,
@@ -285,7 +283,7 @@ impl ServerPool {
         let poller = st_net::Poller::new();
         let shard_wakers: Arc<Vec<st_net::Waker>> =
             Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());
-        let crew = Arc::new(DistillCrew::new(helper_count));
+        let crew = Arc::new(Crew::new(Arc::clone(Lanes::global()), helper_count));
         let mut uplinks = Vec::with_capacity(pool_config.shards);
         let mut registries = Vec::with_capacity(pool_config.shards);
         let mut states = Vec::with_capacity(pool_config.shards);
@@ -318,7 +316,6 @@ impl ServerPool {
             poller,
             Arc::clone(&shard_wakers),
         ));
-        let helper_threads = spawn_helpers(&crew);
         let threads = pool_config.reactor_threads.unwrap_or(pool_config.shards);
         let workers = (0..threads)
             .map(|worker_index| {
@@ -333,8 +330,6 @@ impl ServerPool {
             loads,
             placements,
             workers,
-            crew,
-            helper_threads,
             shard_wakers,
             wire,
             board,
@@ -519,14 +514,6 @@ impl ServerPool {
         }
         let shards = self.pool_config.shards;
         let joined: Vec<_> = self.workers.into_iter().map(|w| w.join()).collect();
-        // Every batch owner is gone; dismiss the crew before looking at how
-        // the workers fared, so no exit path leaves a helper parked.
-        self.crew.close();
-        let helpers_panicked = self
-            .helper_threads
-            .into_iter()
-            .filter_map(|helper| helper.join().err())
-            .count();
         let mut outputs: Vec<ShardOutput> = Vec::with_capacity(shards);
         for (worker_index, result) in joined.into_iter().enumerate() {
             match result {
@@ -536,14 +523,6 @@ impl ServerPool {
                 // it must not be pinned on a shard.
                 Err(payload) => return Err(escaped_panic(worker_index, payload.as_ref()).into()),
             }
-        }
-        if helpers_panicked > 0 {
-            // Items catch their own unwinds, so this is the hand-off itself
-            // failing — no shard's doing.
-            return Err(TensorError::InvalidArgument(
-                "a distill crew helper panicked outside any work item".into(),
-            )
-            .into());
         }
         // Dead shards return nothing through their join handles; their
         // standby filed their outputs on the board.

@@ -4,15 +4,14 @@
 //! claim → distill → emit per job*: the batch's resolvable jobs share one
 //! batched teacher forward, are regrouped into one work item per stream (all
 //! of that stream's jobs, in scheduling order), and the items go through the
-//! shard's distill crew ([`super::crew`]) — claimed one at a time by the
-//! calling thread and by whichever pool-wide helper threads take up the
+//! shard's distill crew ([`Crew`]) — claimed one at a time by the
+//! calling thread and by whichever of the process's lanes take up the
 //! batch. An item *owns* its stream's session for as long as it runs — moved
 //! out of the shard ([`ServeShard::evict_stream`]) and moved back with the
 //! item ([`ServeShard::adopt_stream`]) — so no session is ever borrowed
 //! across threads or locked. Every finished [`KeyFrameResponse`] goes to
 //! the batch's sink the moment the caller sees it, not when the batch ends.
 
-use super::crew::{Crew, Event, Ran};
 #[cfg(doc)]
 use super::ServerPool;
 use super::{FrameStore, SessionWeights, ShardJob, ShardStats};
@@ -27,7 +26,7 @@ use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::store::SessionMemory;
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
-use st_tensor::parallel::serial_scope;
+use st_tensor::parallel::{Crew, Event, Lanes, Ran};
 use st_video::Frame;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -90,9 +89,6 @@ pub(super) struct CrewItem {
     jobs: Vec<ItemJob>,
     /// Virtual teacher time charged to each job.
     teacher_time: f64,
-    /// Other items of the batch may be running beside this one, so the
-    /// kernels under it must not split again ([`serial_scope`]).
-    beside_others: bool,
     #[cfg(test)]
     hook: Option<ItemHook>,
 }
@@ -112,9 +108,6 @@ pub(super) struct Finished {
     item: CrewItem,
     outcome: std::thread::Result<Result<()>>,
 }
-
-/// The pool-wide distill crew: reactor workers are its batch owners.
-pub(super) type DistillCrew = Crew<CrewItem, Served, Finished>;
 
 /// What a test sees of an item's run, from inside whoever runs it.
 #[cfg(test)]
@@ -144,7 +137,6 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
     // is told.
     let _ = ran;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let _serial = item.beside_others.then(serial_scope);
         #[cfg(test)]
         if let Some(hook) = &item.hook {
             hook(ItemEvent::Started {
@@ -177,18 +169,6 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
         Ok(())
     }));
     Finished { item, outcome }
-}
-
-/// Start the crew's helper threads: each parks on the crew's offer queue
-/// until a batch with more than one item is offered, and exits when the
-/// crew is closed.
-pub(super) fn spawn_helpers(crew: &Arc<DistillCrew>) -> Vec<std::thread::JoinHandle<()>> {
-    (0..crew.helpers())
-        .map(|_| {
-            let crew = Arc::clone(crew);
-            std::thread::spawn(move || crew.help(distill_item))
-        })
-        .collect()
 }
 
 /// Where [`ServeShard`] hands a batch's results as they come to exist.
@@ -276,7 +256,7 @@ pub struct ServeShard<T: Teacher> {
     pub(super) stats: ShardStats,
     /// The crew this shard's batches run through. A shard built on its own
     /// has a crew of one — the calling thread.
-    crew: Arc<DistillCrew>,
+    crew: Arc<Crew>,
     #[cfg(test)]
     item_hook: Option<ItemHook>,
 }
@@ -300,7 +280,7 @@ impl<T: Teacher> ServeShard<T> {
             teacher,
             sessions: HashMap::new(),
             stats: ShardStats::default(),
-            crew: Arc::new(Crew::new(0)),
+            crew: Arc::new(Crew::new(Arc::clone(Lanes::global()), 0)),
             #[cfg(test)]
             item_hook: None,
         }
@@ -308,7 +288,7 @@ impl<T: Teacher> ServeShard<T> {
 
     /// Run this shard's batches through `crew` — the pool's, shared by
     /// every shard — instead of a crew of the calling thread alone.
-    pub(super) fn with_crew(mut self, crew: Arc<DistillCrew>) -> Self {
+    pub(super) fn with_crew(mut self, crew: Arc<Crew>) -> Self {
         self.crew = crew;
         self
     }
@@ -661,14 +641,9 @@ impl<T: Teacher> ServeShard<T> {
                 entry,
                 jobs: vec![item_job],
                 teacher_time,
-                beside_others: false,
                 #[cfg(test)]
                 hook: self.item_hook.clone(),
             });
-        }
-        let beside_others = self.crew.shares(items.len());
-        for item in &mut items {
-            item.beside_others = beside_others;
         }
 
         let mut failures: Vec<Option<std::thread::Result<Result<()>>>> =

@@ -100,7 +100,7 @@ pub struct ShardStats {
     /// Peak of [`ShardStats::session_bytes_private`] over the shard's life —
     /// the high-water marginal memory cost of this shard's streams.
     pub session_bytes_private_peak: usize,
-    /// Key frames a distill-crew helper thread distilled instead of the
+    /// Key frames a distill-crew lane distilled instead of the
     /// reactor worker hosting the shard — how the fan-out shows up in
     /// counts. Always 0 for a shard without helpers (a directly driven
     /// [`super::ServeShard`], or a pool with a reactor worker per core).

@@ -705,33 +705,28 @@ fn reactor_distillation_is_bit_identical_to_the_shard_layer_at_every_worker_coun
 // The distill crew
 // ---------------------------------------------------------------------------
 
-use super::crew::Ran;
-use super::shard::{
-    spawn_helpers, BatchSink, DeltaTrack, DistillCrew, ItemEvent, ItemHook, StreamEntry,
-};
+use super::shard::{BatchSink, DeltaTrack, ItemEvent, ItemHook, StreamEntry};
 use crate::server::KeyFrameResponse;
+use st_tensor::parallel::{Crew, Lanes, Ran};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A crew of `helpers` threads for directly driven shards, dismissed (and
-/// its threads joined) by [`TestCrew::dismiss`].
+/// A crew of `helpers` lanes of a private lane set for directly driven
+/// shards, closed (and its threads joined) by [`TestCrew::dismiss`].
 struct TestCrew {
-    crew: Arc<DistillCrew>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    crew: Arc<Crew>,
+    lanes: Arc<Lanes>,
 }
 
 impl TestCrew {
     fn new(helper_count: usize) -> Self {
-        let crew = Arc::new(DistillCrew::new(helper_count));
-        let threads = spawn_helpers(&crew);
-        TestCrew { crew, threads }
+        let lanes = Lanes::new();
+        let crew = Arc::new(Crew::new(Arc::clone(&lanes), helper_count));
+        TestCrew { crew, lanes }
     }
 
     fn dismiss(self) {
-        self.crew.close();
-        for thread in self.threads {
-            thread.join().expect("a crew helper panicked");
-        }
+        self.lanes.close();
     }
 }
 

@@ -20,8 +20,9 @@
 //!   backward passes (used by the encoder/decoder halves of the student).
 //! * [`ops`] — activation functions, channel softmax / log-softmax and their
 //!   gradients.
-//! * [`parallel`] — chunked parallel-for helpers built on crossbeam scoped
-//!   threads (they degrade gracefully to serial execution on one core).
+//! * [`parallel`] — a chunked parallel-for over one process-wide set of
+//!   parked lanes, shared with the server pool's distill crew (it degrades
+//!   to serial execution on one core).
 //! * [`random`] — deterministic random tensor constructors (uniform, normal,
 //!   Kaiming fan-in scaling) seeded with `u64` seeds.
 //!

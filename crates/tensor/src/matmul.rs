@@ -56,10 +56,12 @@ const KC: usize = 256;
 const MR: usize = 4;
 /// Microkernel tile columns (one or two SIMD vectors wide on most targets).
 pub(crate) const NR: usize = 16;
-/// Minimum multiply-accumulate count before spawning worker threads. Scoped
-/// threads cost tens of microseconds to spawn and join, so only GEMMs with
-/// roughly a millisecond of work (e.g. batched teacher forwards) fan out;
-/// the per-frame student kernels stay serial and overhead-free.
+/// Minimum multiply-accumulate count before a GEMM splits across the lanes
+/// ([`crate::parallel::par_ranges`]). Waking a parked lane and waiting for
+/// it costs microseconds, so only products with roughly a millisecond of
+/// work split: batched teacher forwards, and the largest convolutions of a
+/// student's forward and training passes (a `small()` 64×48 `predict` has
+/// two). The rest run on the calling thread alone.
 const PAR_MIN_MACS: usize = 1 << 22;
 
 /// How the `A` operand is stored.
@@ -82,13 +84,14 @@ enum BLayout {
     Transposed,
 }
 
-/// `*mut f32` that may cross the scoped-thread boundary. Workers receive
-/// disjoint column ranges of the output, so concurrent writes never alias.
+/// `*mut f32` that may be shared with the lanes a GEMM splits onto.
+/// Workers receive disjoint column ranges of the output, so concurrent
+/// writes never alias.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f32);
 // SAFETY: the pointer targets the caller-owned `out` buffer, which outlives
-// the crossbeam scope the workers run in, and every worker writes only its
-// own disjoint column range — no two threads ever touch the same element.
+// the `par_ranges` call the workers run in (it returns once every range is
+// done), and each worker writes only its own disjoint column range.
 unsafe impl Send for SendPtr {}
 // SAFETY: as above — shared access is read-only on the wrapper itself; all
 // writes through the pointer are range-disjoint by construction.
@@ -606,8 +609,10 @@ mod tests {
     fn result_is_independent_of_thread_count() {
         // Workers split C by column stripes; the k-accumulation order per
         // element is unchanged, so results are bit-for-bit identical.
-        let a = random::uniform(Shape::matrix(64, 300), -1.0, 1.0, 30);
-        let b = random::uniform(Shape::matrix(300, 100), -1.0, 1.0, 31);
+        // 64·576·128 MACs, above `PAR_MIN_MACS`: the four-thread run splits.
+        let a = random::uniform(Shape::matrix(64, 576), -1.0, 1.0, 30);
+        let b = random::uniform(Shape::matrix(576, 128), -1.0, 1.0, 31);
+        const { assert!(64 * 576 * 128 >= PAR_MIN_MACS) };
         crate::parallel::set_threads(1);
         let serial = matmul(&a, &b).unwrap();
         crate::parallel::set_threads(4);
