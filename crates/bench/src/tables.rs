@@ -126,7 +126,10 @@ pub fn table2(setup: &SharedSetup) -> TableOutput {
         let total: f64 = runs.iter().map(|r| r.mean_distill_steps()).sum();
         total / runs.len() as f64
     };
-    out.row_labels = vec!["one step (ms)".to_string(), "mean # of steps".to_string()];
+    out.row_labels = vec![
+        "one step (ms, paper profile)".to_string(),
+        "mean # of steps".to_string(),
+    ];
     out.columns = vec![
         (
             "Partial".to_string(),

@@ -1,10 +1,10 @@
 //! The workspace's one JSON writer.
 //!
-//! No serializer dependency resolves offline, and the three exporters —
-//! `st-lint --json`, `PoolReport::to_json` and `st-bench`'s table export —
+//! No serializer dependency resolves offline, and the two exporters —
+//! `st-lint --report` and `st-bench`'s table export (`reproduce --json`) —
 //! need only strings, numbers and flat nesting. They build their output with
-//! these five functions; `st-check` has no dependencies and sits under all
-//! three, which is the only reason the writer lives here.
+//! these five functions; `st-check` has no dependencies and sits under
+//! both, which is the only reason the writer lives here.
 
 use std::fmt::{Display, Write as _};
 

@@ -6,8 +6,8 @@
 //! These bounds only involve algorithm parameters, latency measurements and
 //! message sizes, so they can be computed before running the system; §5.3
 //! uses them to choose `MAX_UPDATES` and §6.2/§6.4 validate that measured
-//! values stay inside them. This module reproduces the formulae and the
-//! parameter-selection procedure.
+//! values stay inside them. This module reproduces the formulae; its tests
+//! check the §5.3 choice of `MAX_UPDATES` against them.
 
 use crate::config::ShadowTutorConfig;
 use st_sim::LatencyProfile;
@@ -128,23 +128,6 @@ pub fn throughput_bounds(config: &ShadowTutorConfig, inputs: &BoundInputs) -> Th
     }
 }
 
-/// The §5.3 parameter-selection procedure: the largest `MAX_UPDATES` whose
-/// throughput lower bound stays above `min_fps`.
-pub fn choose_max_updates(
-    config: &ShadowTutorConfig,
-    inputs: &BoundInputs,
-    min_fps: f64,
-    search_limit: usize,
-) -> Option<usize> {
-    (1..=search_limit).rev().find(|&max_updates| {
-        let candidate = ShadowTutorConfig {
-            max_updates,
-            ..*config
-        };
-        throughput_bounds(&candidate, inputs).lower_fps > min_fps
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,9 +175,16 @@ mod tests {
     #[test]
     fn max_updates_selection_reproduces_paper_choice() {
         // §5.3: the largest MAX_UPDATES keeping the lower bound above 5 FPS is 8.
-        let config = ShadowTutorConfig::paper();
         let inputs = BoundInputs::paper();
-        assert_eq!(choose_max_updates(&config, &inputs, 5.0, 64), Some(8));
+        let lower = |max_updates| {
+            let config = ShadowTutorConfig {
+                max_updates,
+                ..ShadowTutorConfig::paper()
+            };
+            throughput_bounds(&config, &inputs).lower_fps
+        };
+        assert!(lower(8) > 5.0, "MAX_UPDATES 8: lower {}", lower(8));
+        assert!(lower(9) <= 5.0, "MAX_UPDATES 9: lower {}", lower(9));
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //!   a key frame.
 //! * [`loadgen`] — an open-loop skewed load generator (one hot stream at a
 //!   multiple of the base key-frame rate) measuring per-stream round trips
-//!   against a live pool; used by the fairness tests and benches.
-//! * [`runtime`] — a deterministic **virtual-time runtime** (used by every
-//!   table/figure reproduction) and a **threaded live runtime** built on
-//!   crossbeam channels (client and server as real threads).
+//!   against a live pool; used by the fairness tests and `reproduce`'s
+//!   tables 9 and 12.
+//! * [`runtime`] — a deterministic **virtual-time runtime** (used by the
+//!   paper's tables 2–7 and Figure 4) and a **threaded live runtime** built on
+//!   `std::sync::mpsc` channels (client and server as real threads).
 //! * [`baseline`] — naive offloading and the untrained "wild" student.
 //! * [`bounds`] — the closed-form network-traffic and throughput bounds of
 //!   §4.4 (equations 8, 12, 14, 15).

@@ -18,8 +18,9 @@
 //! experienced: client-observed round trips per serviced key frame, plus
 //! throttle/drop counts from the pool's admission control.
 //!
-//! Used by the fairness end-to-end tests and the `table9_skewed_streams` /
-//! `table12_capacity` benches; [`PacedTeacher`] makes the
+//! Used by the fairness end-to-end tests and `reproduce`'s `table9` /
+//! `table12` targets (`st_bench::tables::{table9_skewed,
+//! table12_capacity}`); [`PacedTeacher`] makes the
 //! teacher's wall-clock cost real (and sub-linear in batch size) so
 //! queueing is physical rather than simulated.
 
@@ -135,15 +136,6 @@ pub struct StreamLoadReport {
 }
 
 impl StreamLoadReport {
-    /// Mean round trip over the serviced key frames (0.0 when none).
-    pub fn mean_round_trip(&self) -> f64 {
-        if self.round_trips.is_empty() {
-            0.0
-        } else {
-            self.round_trips.iter().sum::<f64>() / self.round_trips.len() as f64
-        }
-    }
-
     /// The `p`-th percentile round trip (`p` in `[0, 100]`; 0.0 when no key
     /// frame was serviced).
     pub fn percentile_round_trip(&self, p: f64) -> f64 {
@@ -723,7 +715,6 @@ mod tests {
             reshared: 0,
             round_trips: vec![0.5, 0.1, 0.3, 0.2, 0.4],
         };
-        assert!((report.mean_round_trip() - 0.3).abs() < 1e-12);
         assert!((report.percentile_round_trip(0.0) - 0.1).abs() < 1e-12);
         assert!((report.percentile_round_trip(50.0) - 0.3).abs() < 1e-12);
         assert!((report.percentile_round_trip(100.0) - 0.5).abs() < 1e-12);
@@ -732,7 +723,6 @@ mod tests {
             ..report
         };
         assert_eq!(empty.percentile_round_trip(99.0), 0.0);
-        assert_eq!(empty.mean_round_trip(), 0.0);
     }
 
     #[test]

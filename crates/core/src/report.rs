@@ -135,15 +135,6 @@ impl ExperimentRecord {
         (up, down, up + down)
     }
 
-    /// Network traffic in Mbps: total transferred bits divided by total
-    /// virtual time (Table 5's "Network traffic").
-    pub fn traffic_mbps(&self) -> f64 {
-        if self.total_time <= 0.0 {
-            return 0.0;
-        }
-        (self.uplink_bytes + self.downlink_bytes) as f64 * 8.0 / 1e6 / self.total_time
-    }
-
     /// Average data transferred per frame in MB (used for the "reduction in
     /// network transfer per frame" claim of §6.2).
     pub fn data_per_frame_mb(&self) -> f64 {
@@ -364,12 +355,8 @@ pub struct ShardReport {
     pub jobs_offloaded: usize,
 }
 
-/// The serializable operator report condensed from a pool run
-/// (`PoolStats::snapshot()` in `shadowtutor::serve`).
-///
-/// [`PoolReport::to_json`] exports it through the workspace's one JSON
-/// writer (`st_check::json`); the schema is one object with a `shards` array
-/// and a `totals` object.
+/// The operator report condensed from a pool run (`PoolStats::snapshot()`
+/// in `shadowtutor::serve`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolReport {
     /// Per-shard rows, indexed by shard.
@@ -395,8 +382,7 @@ pub struct PoolReport {
     /// Handler events dispatched across the pool.
     pub events_dispatched: usize,
     /// Always 0: the reactor arms no timers. Kept only because the
-    /// benchmark's `serve.timer_fires_per_s` probe still reads it; not
-    /// exported by [`to_json`](Self::to_json).
+    /// benchmark's `serve.timer_fires_per_s` probe still reads it.
     pub timer_fires: usize,
     /// Readiness wakeups dispatched across the pool (reactor driver only).
     pub poll_wakeups: usize,
@@ -415,7 +401,7 @@ pub struct PoolReport {
     /// Frames lost (drop-acked `ShardFailed`) across every takeover.
     pub frames_lost_on_failover: usize,
     /// 99th-percentile takeover latency — death detection to the standby
-    /// finishing adoption — in milliseconds. `NaN` when no failover ran.
+    /// finishing adoption — in milliseconds. 0 when no failover ran.
     pub takeover_latency_p99_ms: f64,
     /// Bytes of new (previously unseen) checkpoint chunks published to the
     /// replica store over the run.
@@ -472,90 +458,6 @@ impl PoolReport {
         } else {
             self.streams as f64 * (1u64 << 30) as f64 / resident as f64
         }
-    }
-
-    /// Render the report as a JSON object (see the type docs for the
-    /// schema).
-    pub fn to_json(&self) -> String {
-        use st_check::json::{array, field, number};
-        let shards = self.shards.iter().map(|s| {
-            let mut out = String::from("{");
-            field(&mut out, "shard", s.shard);
-            field(&mut out, "key_frames", s.key_frames);
-            field(&mut out, "teacher_batches", s.teacher_batches);
-            field(&mut out, "mean_batch", number(s.mean_batch));
-            field(&mut out, "queue_p50_ms", number(s.queue_p50_ms));
-            field(&mut out, "queue_p99_ms", number(s.queue_p99_ms));
-            field(&mut out, "busy_secs", number(s.busy_secs));
-            field(&mut out, "teacher_wall_secs", number(s.teacher_wall_secs));
-            field(&mut out, "throttled", s.throttled);
-            field(&mut out, "dropped", s.dropped);
-            field(&mut out, "frame_evictions", s.frame_evictions);
-            field(&mut out, "need_frame_requests", s.need_frame_requests);
-            field(&mut out, "reshared_frames", s.reshared_frames);
-            field(&mut out, "frame_bytes_peak", s.frame_bytes_peak);
-            field(&mut out, "events_dispatched", s.events_dispatched);
-            field(&mut out, "poll_wakeups", s.poll_wakeups);
-            field(&mut out, "idle_streams", s.idle_streams);
-            field(&mut out, "failovers", s.failovers);
-            field(&mut out, "streams_adopted", s.streams_adopted);
-            field(
-                &mut out,
-                "frames_lost_on_failover",
-                s.frames_lost_on_failover,
-            );
-            field(&mut out, "jobs_offloaded", s.jobs_offloaded);
-            out.push('}');
-            out
-        });
-        let mut totals = String::from("{");
-        let t = &mut totals;
-        field(t, "key_frames", self.total_key_frames);
-        field(t, "frame_evictions", self.frame_evictions);
-        field(t, "reshared_frames", self.reshared_frames);
-        field(t, "dropped_jobs", self.dropped_jobs);
-        field(t, "throttled", self.throttled);
-        field(t, "frame_bytes_peak", self.frame_bytes_peak);
-        field(t, "queue_p50_ms", number(self.queue_p50_ms));
-        field(t, "queue_p99_ms", number(self.queue_p99_ms));
-        field(t, "teacher_wall_secs", number(self.teacher_wall_secs));
-        field(t, "events_dispatched", self.events_dispatched);
-        field(t, "poll_wakeups", self.poll_wakeups);
-        field(t, "idle_streams", self.idle_streams);
-        field(t, "wire_bytes_up", self.wire_bytes_up);
-        field(t, "wire_bytes_down", self.wire_bytes_down);
-        field(t, "failovers", self.failovers);
-        field(t, "streams_adopted", self.streams_adopted);
-        field(t, "frames_lost_on_failover", self.frames_lost_on_failover);
-        field(
-            t,
-            "takeover_latency_p99_ms",
-            number(self.takeover_latency_p99_ms),
-        );
-        field(t, "replica_bytes_published", self.replica_bytes_published);
-        field(t, "replica_bytes_shared", self.replica_bytes_shared);
-        field(t, "streams", self.streams);
-        field(t, "session_bytes_shared", self.session_bytes_shared);
-        field(t, "session_bytes_private", self.session_bytes_private);
-        field(
-            t,
-            "session_bytes_private_peak",
-            self.session_bytes_private_peak,
-        );
-        field(t, "store_resident_bytes", self.store_resident_bytes);
-        field(t, "store_chunk_count", self.store_chunk_count);
-        field(t, "streams_per_gb", number(self.streams_per_gb()));
-        field(t, "delta_updates_sent", self.delta_updates_sent);
-        field(t, "full_updates_sent", self.full_updates_sent);
-        field(t, "update_bytes_sent", self.update_bytes_sent);
-        field(t, "update_bytes_full_equiv", self.update_bytes_full_equiv);
-        field(t, "jobs_offloaded", self.jobs_offloaded);
-        totals.push('}');
-        let mut out = String::from("{");
-        field(&mut out, "shards", array(shards));
-        field(&mut out, "totals", totals);
-        out.push('}');
-        out
     }
 }
 
@@ -657,7 +559,6 @@ mod tests {
         assert!((up - 2.637).abs() < 1e-9);
         assert!((down - 0.395).abs() < 1e-9);
         assert!((total - 3.032).abs() < 1e-9);
-        assert!(r.traffic_mbps() > 0.0);
         assert!(r.data_per_frame_mb() > 0.0);
     }
 
@@ -708,103 +609,6 @@ mod tests {
         let full = r.replay_fps(&link, Concurrency::Full);
         let none = r.replay_fps(&link, Concurrency::None);
         assert!(full >= none);
-    }
-
-    #[test]
-    fn pool_report_renders_valid_json() {
-        let shard = ShardReport {
-            shard: 0,
-            key_frames: 10,
-            teacher_batches: 4,
-            mean_batch: 2.5,
-            queue_p50_ms: 1.25,
-            queue_p99_ms: 9.5,
-            busy_secs: 0.5,
-            teacher_wall_secs: 0.25,
-            throttled: 1,
-            dropped: 0,
-            frame_evictions: 3,
-            need_frame_requests: 2,
-            reshared_frames: 2,
-            frame_bytes_peak: 30720,
-            events_dispatched: 25,
-            poll_wakeups: 12,
-            idle_streams: 7,
-            failovers: 1,
-            streams_adopted: 2,
-            frames_lost_on_failover: 1,
-            jobs_offloaded: 4,
-        };
-        let report = PoolReport {
-            shards: vec![shard.clone(), ShardReport { shard: 1, ..shard }],
-            total_key_frames: 20,
-            frame_evictions: 6,
-            reshared_frames: 4,
-            dropped_jobs: 0,
-            throttled: 2,
-            frame_bytes_peak: 30720,
-            queue_p50_ms: 1.25,
-            queue_p99_ms: f64::NAN,
-            teacher_wall_secs: 0.5,
-            events_dispatched: 50,
-            timer_fires: 0,
-            poll_wakeups: 24,
-            idle_streams: 7,
-            wire_bytes_up: 123456,
-            wire_bytes_down: 654321,
-            failovers: 1,
-            streams_adopted: 2,
-            frames_lost_on_failover: 1,
-            takeover_latency_p99_ms: 4.75,
-            replica_bytes_published: 2048,
-            replica_bytes_shared: 1024,
-            streams: 8,
-            session_bytes_shared: 4096,
-            session_bytes_private: 512,
-            session_bytes_private_peak: 768,
-            store_resident_bytes: 2048,
-            store_chunk_count: 6,
-            delta_updates_sent: 15,
-            full_updates_sent: 5,
-            update_bytes_sent: 900,
-            update_bytes_full_equiv: 3000,
-            jobs_offloaded: 8,
-        };
-        let json = report.to_json();
-        // Golden strings: every counter exported under its name, in
-        // declaration order, the non-finite p99 as `null`.
-        let shard0 = "{\"shard\":0,\"key_frames\":10,\"teacher_batches\":4,\
-             \"mean_batch\":2.5,\"queue_p50_ms\":1.25,\"queue_p99_ms\":9.5,\
-             \"busy_secs\":0.5,\"teacher_wall_secs\":0.25,\"throttled\":1,\
-             \"dropped\":0,\"frame_evictions\":3,\"need_frame_requests\":2,\
-             \"reshared_frames\":2,\"frame_bytes_peak\":30720,\
-             \"events_dispatched\":25,\"poll_wakeups\":12,\
-             \"idle_streams\":7,\"failovers\":1,\
-             \"streams_adopted\":2,\"frames_lost_on_failover\":1,\
-             \"jobs_offloaded\":4}";
-        let totals = "{\"key_frames\":20,\"frame_evictions\":6,\
-             \"reshared_frames\":4,\"dropped_jobs\":0,\"throttled\":2,\
-             \"frame_bytes_peak\":30720,\"queue_p50_ms\":1.25,\
-             \"queue_p99_ms\":null,\"teacher_wall_secs\":0.5,\
-             \"events_dispatched\":50,\"poll_wakeups\":24,\
-             \"idle_streams\":7,\"wire_bytes_up\":123456,\
-             \"wire_bytes_down\":654321,\"failovers\":1,\"streams_adopted\":2,\
-             \"frames_lost_on_failover\":1,\"takeover_latency_p99_ms\":4.75,\
-             \"replica_bytes_published\":2048,\"replica_bytes_shared\":1024,\
-             \"streams\":8,\"session_bytes_shared\":4096,\
-             \"session_bytes_private\":512,\"session_bytes_private_peak\":768,\
-             \"store_resident_bytes\":2048,\"store_chunk_count\":6,\
-             \"streams_per_gb\":3355443.2,\"delta_updates_sent\":15,\
-             \"full_updates_sent\":5,\"update_bytes_sent\":900,\
-             \"update_bytes_full_equiv\":3000,\"jobs_offloaded\":8}";
-        let shard1 = shard0.replacen("\"shard\":0", "\"shard\":1", 1);
-        assert_eq!(
-            json,
-            format!("{{\"shards\":[{shard0},{shard1}],\"totals\":{totals}}}")
-        );
-        // streams_per_gb = 8 streams / ((2048 + 512) bytes / 1 GiB).
-        assert_eq!(report.weights_resident_bytes(), 2560);
-        assert!((report.streams_per_gb() - 8.0 * 1073741824.0 / 2560.0).abs() < 1e-6);
     }
 
     #[test]

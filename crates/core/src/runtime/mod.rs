@@ -7,9 +7,11 @@
 //!   decisions are genuine), but *time* advances according to a
 //!   [`st_sim::LatencyProfile`] and a [`st_net::LinkModel`], so throughput
 //!   and traffic results are independent of the host machine and reproduce
-//!   the paper's timing model. Every table/figure bench uses this runtime.
+//!   the paper's timing model. `reproduce`'s tables 2–7, Figure 4, the
+//!   bounds check and the stride ablation run on it; tables 8, 9, 12 and
+//!   13 drive the live pool instead.
 //! * [`live`] — a threaded runtime where the client and server are real OS
-//!   threads exchanging messages over crossbeam channels (the paper's
+//!   threads exchanging messages over `std::sync::mpsc` channels (the paper's
 //!   OpenMPI ranks), optionally through a delay injector that emulates a
 //!   bandwidth-limited link in wall-clock time. Used by the live example and
 //!   the cross-crate integration tests that exercise real concurrency.

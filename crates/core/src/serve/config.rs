@@ -96,7 +96,7 @@ pub enum SessionWeights {
     CopyOnWrite,
     /// Eagerly copy every tensor (the pre-PR-10 behaviour): full memory
     /// price per session. Kept as the A/B baseline for the differential
-    /// tests and the `table13_weight_dedup` bench.
+    /// tests and `reproduce table13` (`st_bench::tables::table13_weight_dedup`).
     DeepClone,
 }
 

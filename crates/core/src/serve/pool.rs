@@ -24,7 +24,7 @@ use st_tensor::TensorError;
 use st_video::Frame;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The client's endpoint onto the pool: same surface as the single-stream
@@ -34,11 +34,11 @@ use std::time::{Duration, Instant};
 /// (messages already queued at the dead shard are drained by the adopter).
 pub struct StreamClient {
     stream_id: StreamId,
-    uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
+    uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
     /// The stream's live shard assignment (shared with the routing table; a
     /// takeover stores the adopting shard here).
     route: Route,
-    downlink: crossbeam::channel::Receiver<(usize, ServerToClient)>,
+    downlink: mpsc::Receiver<ServerToClient>,
     /// Per-shard wakers, indexed like `uplinks`. Every uplink send wakes
     /// the owning shard's token so a reactor worker dispatches it.
     shard_wakers: Arc<Vec<st_net::Waker>>,
@@ -112,9 +112,9 @@ impl ClientEndpoint for StreamClient {
 
     fn try_recv(&mut self) -> std::result::Result<Option<ServerToClient>, TransportError> {
         match self.downlink.try_recv() {
-            Ok((_bytes, msg)) => Ok(Some(msg)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
+            Ok(msg) => Ok(Some(msg)),
+            Err(mpsc::TryRecvError::Empty) => Ok(None),
+            Err(mpsc::TryRecvError::Disconnected) => {
                 self.downlink_closed = true;
                 Err(TransportError::Disconnected)
             }
@@ -126,9 +126,9 @@ impl ClientEndpoint for StreamClient {
         timeout: Duration,
     ) -> std::result::Result<ServerToClient, TransportError> {
         match self.downlink.recv_timeout(timeout) {
-            Ok((_bytes, msg)) => Ok(msg),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+            Ok(msg) => Ok(msg),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
                 self.downlink_closed = true;
                 Err(TransportError::Disconnected)
             }
@@ -173,7 +173,7 @@ impl ClientEndpoint for StreamClient {
 /// distilled its key frame either.
 pub struct ServerPool {
     pool_config: PoolConfig,
-    uplinks: Arc<Vec<crossbeam::channel::Sender<Envelope>>>,
+    uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
     registries: Vec<Registry>,
     /// Registered-session count per shard: what least-loaded placement
     /// reads.
@@ -287,7 +287,7 @@ impl ServerPool {
         let mut registries = Vec::with_capacity(pool_config.shards);
         let mut states = Vec::with_capacity(pool_config.shards);
         for shard_index in 0..pool_config.shards {
-            let (tx, rx) = crossbeam::channel::unbounded::<Envelope>();
+            let (tx, rx) = mpsc::channel::<Envelope>();
             let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
             let shard = make_shard(shard_index, template.clone())
                 .with_session_weights(pool_config.session_weights)
@@ -443,7 +443,7 @@ impl ServerPool {
             placements.insert(stream_id, Arc::clone(&route));
             (shard, route)
         };
-        let (down_tx, down_rx) = crossbeam::channel::unbounded();
+        let (down_tx, down_rx) = mpsc::channel();
         let content = FrameStore::from_frames(frames, self.pool_config.frame_budget_bytes);
         locked(&self.registries[shard]).insert(
             stream_id,

@@ -497,21 +497,12 @@ impl<T: Teacher> ServeShard<T> {
     }
 
     /// Whether a stream has a registered session *and* the frame was shared
-    /// at some point (it may currently be evicted; see
-    /// [`ServeShard::frame_resident`]).
+    /// at some point (it may currently be evicted, which triggers the
+    /// [`ServerToClient::NeedFrame`] recovery path instead of service).
     pub fn has_frame(&self, stream_id: StreamId, frame_index: usize) -> bool {
         self.sessions
             .get(&stream_id)
             .is_some_and(|e| e.frames.knows(frame_index))
-    }
-
-    /// Whether the frame's content is currently resident in the stream's
-    /// cache (a known-but-evicted frame triggers the
-    /// [`ServerToClient::NeedFrame`] recovery path instead of service).
-    pub fn frame_resident(&self, stream_id: StreamId, frame_index: usize) -> bool {
-        self.sessions
-            .get(&stream_id)
-            .is_some_and(|e| e.frames.resident(frame_index))
     }
 
     /// Ids of all currently registered streams.

@@ -16,7 +16,6 @@ use super::{ServerPool, StreamClient};
 use crate::server::{KeyFrameResponse, StreamServerStats};
 use crate::Result;
 use bytes::Bytes;
-use st_net::message::MESSAGE_OVERHEAD_BYTES;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, StreamTagged, Wire};
 use st_nn::delta::{WeightDelta, WeightPayload};
 use st_nn::snapshot::WeightSnapshot;
@@ -24,7 +23,7 @@ use st_teacher::Teacher;
 use st_video::Frame;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A stream-tagged uplink message queued at a shard.
@@ -41,32 +40,32 @@ pub(super) struct Envelope {
 
 /// Pool-wide measured wire traffic: the framed byte size
 /// ([`st_net::wire::frame_len`]) of every uplink envelope the clients sent
-/// and every downlink message the shards delivered. Unlike the modelled
-/// `bytes` ridealong, these are the sizes the versioned binary codec would
-/// actually put on a wire, so `PoolReport::wire_bytes_up/down` stay honest
-/// regardless of which transport backend carried the messages.
+/// and every downlink message the shards delivered: the sizes the
+/// versioned binary codec would actually put on a wire, so
+/// `PoolReport::wire_bytes_up/down` stay honest regardless of which
+/// transport backend carried the messages.
 #[derive(Debug, Default)]
 pub(super) struct WireMeter {
     pub(super) up: AtomicUsize,
     pub(super) down: AtomicUsize,
 }
 
-/// The sending half of one stream's downlink (wire size + message), with an
-/// optional readiness waker: a client connected through
-/// [`ServerPool::connect_with_waker`] is woken after every downlink send, so
-/// a single driver loop can multiplex many clients through one
-/// [`st_net::Poller`] instead of blocking per stream.
+/// The sending half of one stream's downlink, with an optional readiness
+/// waker: a client connected through [`ServerPool::connect_with_waker`] is
+/// woken after every downlink send, so a single driver loop can multiplex
+/// many clients through one [`st_net::Poller`] instead of blocking per
+/// stream.
 #[derive(Clone)]
 pub(super) struct Downlink {
-    pub(super) tx: crossbeam::channel::Sender<(usize, ServerToClient)>,
+    pub(super) tx: mpsc::Sender<ServerToClient>,
     pub(super) waker: Option<st_net::Waker>,
     pub(super) wire: Arc<WireMeter>,
 }
 
 impl Downlink {
-    fn send(&self, bytes: usize, message: ServerToClient) -> bool {
+    fn send(&self, message: ServerToClient) -> bool {
         let wire_len = st_net::wire::frame_len(&message);
-        let delivered = self.tx.send((bytes, message)).is_ok();
+        let delivered = self.tx.send(message).is_ok();
         if delivered {
             // ORDER: Relaxed — a monotonic traffic counter; readers only see
             // it after join() synchronizes with every worker's exit.
@@ -125,8 +124,8 @@ pub(super) struct ShardOutput {
 /// hung up. A vanished client only loses its own acks, but the loss is
 /// *counted* (`ShardStats::lost_acks`), never silently discarded — the
 /// failover paths depend on every drop being observable.
-fn deliver(stats: &mut ShardStats, downlink: &Downlink, bytes: usize, msg: ServerToClient) {
-    if !downlink.send(bytes, msg) {
+fn deliver(stats: &mut ShardStats, downlink: &Downlink, msg: ServerToClient) {
+    if !downlink.send(msg) {
         stats.lost_acks += 1;
     }
 }
@@ -222,7 +221,6 @@ impl BatchSink for Emitter<'_> {
             None => response.update.encode(),
         };
         let payload = Payload::with_data(encoded);
-        let bytes = payload.bytes;
         let msg = ServerToClient::StudentUpdate {
             frame_index: job.frame_index,
             metric: response.metric,
@@ -230,7 +228,7 @@ impl BatchSink for Emitter<'_> {
             payload,
         };
         // A client that hung up mid-stream only loses its own updates.
-        deliver(stats, downlink, bytes, msg);
+        deliver(stats, downlink, msg);
     }
 
     fn settled(&mut self, stats: &mut ShardStats, stream_id: StreamId, entry: &mut StreamEntry) {
@@ -344,7 +342,7 @@ pub(super) struct ShardState<T: Teacher> {
     shard_index: usize,
     pool_config: PoolConfig,
     shard: ServeShard<T>,
-    rx: crossbeam::channel::Receiver<Envelope>,
+    rx: mpsc::Receiver<Envelope>,
     registry: Registry,
     loads: ShardLoads,
     placements: Placements,
@@ -375,7 +373,7 @@ pub(super) struct ShardState<T: Teacher> {
     /// Uplink receivers of shards this one adopted: their clients may have
     /// enqueued traffic before the routing flip, so the standby drains them
     /// alongside its own for the rest of the pool's life.
-    adopted_rx: Vec<crossbeam::channel::Receiver<Envelope>>,
+    adopted_rx: Vec<mpsc::Receiver<Envelope>>,
     /// Connect-time registries of adopted shards, consulted when a
     /// `Register` raced the death.
     adopted_registries: Vec<Registry>,
@@ -401,7 +399,7 @@ impl<T: Teacher> ShardState<T> {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         shard: ServeShard<T>,
-        rx: crossbeam::channel::Receiver<Envelope>,
+        rx: mpsc::Receiver<Envelope>,
         registry: Registry,
         pool_config: PoolConfig,
         shard_index: usize,
@@ -462,8 +460,8 @@ impl<T: Teacher> ShardState<T> {
         loop {
             match self.rx.try_recv() {
                 Ok(envelope) => incoming.push(envelope),
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => {
                     self.disconnected = true;
                     break;
                 }
@@ -515,11 +513,9 @@ impl<T: Teacher> ShardState<T> {
                     initial.encode()
                 };
                 let payload = Payload::with_data(encoded);
-                let bytes = payload.bytes;
                 deliver(
                     &mut self.shard.stats,
                     &link.downlink,
-                    bytes,
                     ServerToClient::InitialStudent { payload },
                 );
                 self.downlinks.insert(stream_id, link.downlink);
@@ -549,7 +545,6 @@ impl<T: Teacher> ShardState<T> {
                         deliver(
                             &mut self.shard.stats,
                             downlink,
-                            MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::Dropped {
                                 frame_index,
                                 reason,
@@ -571,7 +566,6 @@ impl<T: Teacher> ShardState<T> {
                         deliver(
                             &mut self.shard.stats,
                             downlink,
-                            MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::Throttle { frame_index },
                         );
                     }
@@ -626,7 +620,6 @@ impl<T: Teacher> ShardState<T> {
                         deliver(
                             &mut self.shard.stats,
                             downlink,
-                            MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::Dropped {
                                 frame_index,
                                 reason,
@@ -655,7 +648,6 @@ impl<T: Teacher> ShardState<T> {
                                 deliver(
                                     &mut self.shard.stats,
                                     downlink,
-                                    MESSAGE_OVERHEAD_BYTES,
                                     ServerToClient::Dropped {
                                         frame_index,
                                         reason: DropReason::UnknownFrame,
@@ -745,7 +737,6 @@ impl<T: Teacher> ShardState<T> {
                     deliver(
                         &mut self.shard.stats,
                         downlink,
-                        MESSAGE_OVERHEAD_BYTES,
                         ServerToClient::NeedFrame {
                             frame_index: job.frame_index,
                         },
@@ -759,7 +750,6 @@ impl<T: Teacher> ShardState<T> {
                 deliver(
                     &mut self.shard.stats,
                     downlink,
-                    MESSAGE_OVERHEAD_BYTES,
                     ServerToClient::Dropped {
                         frame_index: job.frame_index,
                         reason,
@@ -889,7 +879,6 @@ impl<T: Teacher> ShardState<T> {
                 deliver(
                     &mut self.shard.stats,
                     downlink,
-                    MESSAGE_OVERHEAD_BYTES,
                     ServerToClient::Dropped {
                         frame_index,
                         reason: DropReason::UnknownFrame,
@@ -953,7 +942,7 @@ mod tests {
             OracleTeacher::perfect(5),
             0.013,
         );
-        let (_uplink, rx) = crossbeam::channel::unbounded();
+        let (_uplink, rx) = mpsc::channel();
         ShardState::new(
             shard,
             rx,
@@ -1072,9 +1061,9 @@ mod tests {
             enqueued_at: Instant::now(),
             frame: None,
         };
-        let (dead_uplink, dead_rx) = crossbeam::channel::unbounded();
-        let (own_uplink, own_rx) = crossbeam::channel::unbounded();
-        let (down_tx, down_rx) = crossbeam::channel::unbounded();
+        let (dead_uplink, dead_rx) = mpsc::channel();
+        let (own_uplink, own_rx) = mpsc::channel();
+        let (down_tx, down_rx) = mpsc::channel();
         let dead_registry: Registry = Arc::new(Mutex::new(HashMap::from([(
             7,
             StreamLink {
@@ -1110,8 +1099,7 @@ mod tests {
         assert!(!outcome.done && !outcome.backlog);
         let stats = state.shard.stats();
         assert_eq!((stats.key_frames, stats.dropped_jobs), (1, 0));
-        let answers: Vec<ServerToClient> =
-            std::iter::from_fn(|| down_rx.try_recv().ok().map(|(_, msg)| msg)).collect();
+        let answers: Vec<ServerToClient> = std::iter::from_fn(|| down_rx.try_recv().ok()).collect();
         assert!(
             matches!(
                 answers[..],

@@ -5,11 +5,10 @@ use super::{carcass_output, deliver, locked, note_drop, ShardState};
 use crate::serve::failover::FailoverShared;
 use crate::serve::FrameStore;
 use crate::Result;
-use st_net::message::MESSAGE_OVERHEAD_BYTES;
 use st_net::{DropReason, ServerToClient, StreamId};
 use st_teacher::Teacher;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 impl<T: Teacher> ShardState<T> {
     /// The shard whose death this one stands by for: its predecessor in the
@@ -134,7 +133,6 @@ impl<T: Teacher> ShardState<T> {
                         deliver(
                             &mut self.shard.stats,
                             downlink,
-                            MESSAGE_OVERHEAD_BYTES,
                             ServerToClient::NeedFrame { frame_index },
                         );
                     }
@@ -145,7 +143,7 @@ impl<T: Teacher> ShardState<T> {
         // its uplink receiver (clients may race the routing flip), its
         // connect-time registry (a Register may race the death), and — if
         // the dead shard was itself an adopter — everything *it* adopted.
-        let (_closed_tx, closed_rx) = crossbeam::channel::unbounded();
+        let (_closed_tx, closed_rx) = mpsc::channel();
         self.adopted_rx
             .push(std::mem::replace(&mut carcass.rx, closed_rx));
         self.adopted_registries.push(Arc::clone(&carcass.registry));
@@ -175,7 +173,6 @@ impl<T: Teacher> ShardState<T> {
             deliver(
                 &mut self.shard.stats,
                 downlink,
-                MESSAGE_OVERHEAD_BYTES,
                 ServerToClient::Dropped {
                     frame_index,
                     reason: DropReason::ShardFailed,

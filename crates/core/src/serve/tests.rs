@@ -352,7 +352,12 @@ fn pool_serves_two_streams_end_to_end() {
     assert_eq!(report.total_key_frames, 2);
     assert_eq!(report.frame_evictions, 0);
     assert!(report.queue_p50_ms >= 0.0 && report.queue_p99_ms >= report.queue_p50_ms);
-    assert!(report.to_json().contains("\"totals\""));
+    let resident = report.store_resident_bytes + report.session_bytes_private;
+    assert!(resident > 0);
+    assert_eq!(
+        report.streams_per_gb(),
+        2.0 * (1u64 << 30) as f64 / resident as f64
+    );
 }
 
 #[test]

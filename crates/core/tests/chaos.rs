@@ -290,7 +290,10 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
     // encoded weight payload, frame order) must equal a fault-free run's.
     let (clean, clean_stats) = run_chaos(chaos_pool_config(FaultPlan::none()));
     assert_eq!(clean_stats.dropped_jobs(), 0);
-    assert_eq!(clean_stats.snapshot().failovers, 0);
+    let clean_report = clean_stats.snapshot();
+    assert_eq!(clean_report.failovers, 0);
+    // No takeover ran, so the p99 of an empty sample is 0 (not NaN).
+    assert_eq!(clean_report.takeover_latency_p99_ms, 0.0);
     for (id, clean_outcome) in &clean {
         assert_eq!(
             faulted[id].updates, clean_outcome.updates,

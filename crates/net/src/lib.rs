@@ -30,10 +30,11 @@
 //!   over a file-backed shared-memory segment ([`shm::ShmTransport`]), so
 //!   client and pool can run as separate OS processes.
 //! * [`poll`] — a readiness interface ([`poll::Poller`] / [`poll::ReadySet`])
-//!   for reactor-style consumers: wakeup tokens fire on send (see
-//!   [`transport::DuplexTransport::wake_on_send`]) so one thread — or a
-//!   fixed worker set — can multiplex thousands of mostly-idle endpoints
-//!   without spinning `try_recv` or parking a thread per endpoint.
+//!   for reactor-style consumers: the sender wakes the receiver's token
+//!   after every send (the `shadowtutor` crate's server pool wires its
+//!   channels so) and one thread — or a fixed worker set — can multiplex
+//!   thousands of mostly-idle endpoints without spinning `try_recv` or
+//!   parking a thread per endpoint.
 //!
 //! The virtual-time runtime in the `shadowtutor` crate uses only [`link`] and
 //! [`message`]; the threaded runtime uses [`transport`] as well.
@@ -70,8 +71,7 @@ pub use message::{
 pub use poll::{Poller, ReadySet, Waker};
 pub use shm::{ShmConfig, ShmSide, ShmTransport};
 pub use transport::{
-    connect, ChannelClient, ChannelTransport, ClientEndpoint, Connector, DuplexTransport, Endpoint,
-    ServerChannel, Transport, TransportError,
+    connect, ClientEndpoint, Connector, DuplexTransport, Endpoint, Transport, TransportError,
 };
 pub use wire::{Wire, WireError};
 

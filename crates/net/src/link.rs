@@ -17,13 +17,6 @@ impl Bandwidth {
         }
     }
 
-    /// Bandwidth from bits per second.
-    pub fn from_bps(bps: f64) -> Self {
-        Bandwidth {
-            bits_per_second: bps,
-        }
-    }
-
     /// Megabits per second.
     pub fn mbps(&self) -> f64 {
         self.bits_per_second / 1e6
@@ -103,8 +96,6 @@ mod tests {
         let b = Bandwidth::from_mbps(80.0);
         assert!((b.bps() - 80e6).abs() < 1.0);
         assert!((b.mbps() - 80.0).abs() < 1e-9);
-        let b2 = Bandwidth::from_bps(1e6);
-        assert!((b2.mbps() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -112,7 +103,7 @@ mod tests {
         let b = Bandwidth::from_mbps(8.0); // 1 MB/s
         assert!((b.transfer_time(1_000_000) - 1.0).abs() < 1e-9);
         assert!((b.transfer_time(500_000) - 0.5).abs() < 1e-9);
-        assert_eq!(Bandwidth::from_bps(0.0).transfer_time(1), f64::INFINITY);
+        assert_eq!(Bandwidth::from_mbps(0.0).transfer_time(1), f64::INFINITY);
     }
 
     #[test]

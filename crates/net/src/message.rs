@@ -120,11 +120,6 @@ impl<M> StreamTagged<M> {
         StreamTagged { stream_id, message }
     }
 
-    /// Wire size of the tagged message given the inner message's size.
-    pub fn tagged_bytes(inner_bytes: usize) -> usize {
-        inner_bytes + STREAM_TAG_BYTES
-    }
-
     /// Discard the tag, keeping the inner message.
     pub fn into_inner(self) -> M {
         self.message
@@ -328,6 +323,7 @@ impl NaiveTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn sized_payload_includes_overhead() {
@@ -371,10 +367,7 @@ mod tests {
         };
         let tagged = StreamTagged::new(3, inner.clone());
         assert_eq!(tagged.stream_id, 3);
-        assert_eq!(
-            StreamTagged::<ClientToServer>::tagged_bytes(100),
-            100 + STREAM_TAG_BYTES
-        );
+        assert_eq!(tagged.encoded_len(), inner.encoded_len() + STREAM_TAG_BYTES);
         assert_eq!(tagged.into_inner(), inner);
         let reg = StreamTagged::new(7, ClientToServer::Register);
         assert_eq!(reg.message, ClientToServer::Register);

@@ -1,6 +1,6 @@
 //! Readiness interface over in-process transports.
 //!
-//! Crossbeam channels have no OS-pollable file descriptor, so a reactor
+//! In-process channels have no OS-pollable file descriptor, so a reactor
 //! built on them needs its own wakeup plumbing: this module provides it.
 //! A [`Poller`] owns a set of *tokens* (small integers — stream ids, shard
 //! indices, whatever the caller multiplexes). Each token has a cheap,
@@ -13,10 +13,8 @@
 //! `try_recv` across all of them or parking one OS thread per endpoint in
 //! `recv_timeout`.
 //!
-//! [`DuplexTransport::wake_on_send`](crate::transport::DuplexTransport::wake_on_send)
-//! attaches a waker to a transport endpoint so its peer's poller learns
-//! about every message; the `shadowtutor` crate's server pool wires its
-//! stream-tagged uplinks and downlinks the same way by hand.
+//! The `shadowtutor` crate's server pool wires its stream-tagged uplinks
+//! and downlinks this way.
 //!
 //! Readiness is *edge-ish*: a token is queued at most once until it is
 //! returned by a poll, so a burst of sends costs one dispatch. Consumers

@@ -37,7 +37,7 @@ pub enum PushOutcome {
 /// and `tail` cursor and one sequence word per cell.
 ///
 /// Every atomic op takes its [`Ordering`] from the caller so the algorithm
-/// in [`try_push`]/[`try_pop`]/[`ready`] owns the ordering decisions and an
+/// in [`try_push`]/[`try_pop`] owns the ordering decisions and an
 /// implementation cannot accidentally strengthen (or weaken) them. Payload
 /// access is deliberately non-atomic ([`payload_write`]/[`payload_read`]):
 /// its safety is exactly what the sequence protocol has to establish, and
@@ -177,19 +177,4 @@ pub fn try_pop<M: RingMem>(mem: &M, out: &mut Vec<u8>) -> bool {
             pos = mem.head_load(Ordering::Relaxed);
         }
     }
-}
-
-/// Whether a chunk is ready to pop (used by readiness notifiers). A `true`
-/// answer is a snapshot, not a claim: a concurrent consumer may still win
-/// the slot.
-pub fn ready<M: RingMem>(mem: &M) -> bool {
-    let mask = mem.slots() as u64 - 1;
-    // ORDER: snapshot probe; staleness only delays a wakeup by one lap of
-    // the notifier loop.
-    let pos = mem.head_load(Ordering::Relaxed);
-    let index = (pos & mask) as usize;
-    // ORDER (Acquire): matches `try_pop`'s accepting load so a `true` here
-    // implies a subsequent pop would also see the publication.
-    let seq = mem.seq_load(index, Ordering::Acquire);
-    seq.wrapping_sub(pos + 1) as i64 >= 0
 }

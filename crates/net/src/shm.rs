@@ -31,16 +31,14 @@
 //! Messages larger than one slot are fragmented into consecutive chunks and
 //! reassembled on the consumer side; fragmentation assumes one producer per
 //! ring (which is how [`ShmTransport`] uses it — one ring per direction).
-//! The multi-producer path used by the `transport_ops` bench requires
-//! single-chunk messages.
+//! The multi-producer path (cloned [`RingProducer`]s; the
+//! `n_producers_one_consumer_delivers_everything` test and the
+//! `model_ring` suite exercise it) requires single-chunk messages.
 //!
 //! Waiting is spin-then-park: a bounded busy-spin, then `yield_now`, then
-//! short sleeps — there is no cross-process futex in std. Receiver-side
-//! readiness integrates with the in-process
-//! [`Poller`](crate::poll::Poller)/[`Waker`](crate::poll::Waker) interface
-//! through [`ShmTransport::wake_on_message`], which parks a notifier thread
-//! on the ring and fires the waker token whenever a chunk becomes
-//! consumable.
+//! short sleeps — there is no cross-process futex in std. A receiver polls
+//! the ring with `try_recv` or waits in `recv_timeout`; nothing wakes a
+//! [`Poller`](crate::poll::Poller) when a chunk lands.
 //!
 //! Memory: a message's byte payload crosses in two copies, one per side.
 //! `send` never builds the frame: the length prefix, the frame header and
@@ -71,7 +69,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -461,8 +459,9 @@ impl RingMem for SegRing {
 }
 
 /// Producer handle onto one ring of a segment. Cloneable: multiple
-/// producers may push concurrently (the `transport_ops` bench's N-producer
-/// mode), as long as every message fits in a single chunk.
+/// producers may push concurrently (see
+/// `n_producers_one_consumer_delivers_everything`), as long as every
+/// message fits in a single chunk.
 #[derive(Clone)]
 pub struct RingProducer {
     mem: SegRing,
@@ -507,11 +506,6 @@ impl RingProducer {
 }
 
 impl RingConsumer {
-    /// Whether a chunk is ready to pop (used by the readiness notifier).
-    pub fn ready(&self) -> bool {
-        ring::ready(&self.mem)
-    }
-
     /// Non-blocking pop of one chunk into `out` (appended). Returns whether
     /// a chunk was consumed.
     pub fn try_pop(&self, out: &mut Vec<u8>) -> bool {
@@ -695,8 +689,6 @@ pub struct ShmTransport<S, R> {
     stream: Vec<u8>,
     wire_sent_bytes: usize,
     wire_received_bytes: usize,
-    notifier_stop: Option<Arc<AtomicBool>>,
-    notifier: Option<std::thread::JoinHandle<()>>,
     _marker: PhantomData<fn(S) -> R>,
 }
 
@@ -739,8 +731,6 @@ impl<S: Wire, R: Wire> ShmTransport<S, R> {
             stream: Vec::new(),
             wire_sent_bytes: 0,
             wire_received_bytes: 0,
-            notifier_stop: None,
-            notifier: None,
             _marker: PhantomData,
         }
     }
@@ -938,46 +928,6 @@ impl<S: Wire, R: Wire> Transport<S, R> for ShmTransport<S, R> {
             }
         }
     }
-
-    fn wake_on_message(&mut self, waker: crate::poll::Waker) -> bool {
-        let stop = Arc::new(AtomicBool::new(false));
-        let consumer = RingConsumer {
-            mem: self.consumer.mem.clone(),
-        };
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("shm-ready-notifier".into())
-            .spawn(move || {
-                // Spin-then-park on ring readiness; wakes are edge-ish and
-                // coalesced by the Poller, so waking repeatedly while the
-                // consumer catches up costs one dispatch.
-                let mut backoff = Backoff::new();
-                // ORDER: pure stop signal; the joining thread needs no data
-                // published by this loop, only its eventual exit.
-                while !stop_flag.load(Ordering::Relaxed) {
-                    if consumer.ready() {
-                        waker.wake();
-                        backoff = Backoff::new();
-                        std::thread::sleep(Duration::from_micros(200));
-                    } else {
-                        backoff.wait();
-                    }
-                }
-            });
-        match handle {
-            Ok(handle) => {
-                if let Some(old_stop) = self.notifier_stop.replace(stop) {
-                    // ORDER: stop signal only; the join below synchronises.
-                    old_stop.store(true, Ordering::Relaxed);
-                }
-                if let Some(old) = self.notifier.replace(handle) {
-                    let _ = old.join();
-                }
-                true
-            }
-            Err(_) => false,
-        }
-    }
 }
 
 impl<S, R> Drop for ShmTransport<S, R> {
@@ -987,13 +937,6 @@ impl<S, R> Drop for ShmTransport<S, R> {
             .segment
             .closed_flag(self.side)
             .store(1, Ordering::Release);
-        if let Some(stop) = self.notifier_stop.take() {
-            // ORDER: stop signal only; the join below synchronises.
-            stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(handle) = self.notifier.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1356,35 +1299,6 @@ mod tests {
             ClientToServer::Shutdown
         );
         assert_eq!(server.try_recv(), Err(TransportError::Disconnected));
-    }
-
-    #[test]
-    fn wake_on_message_fires_the_poller_token() {
-        let path = temp_path("waker");
-        let mut server = ShmTransport::<ServerToClient, ClientToServer>::create(
-            &path,
-            ShmSide::Server,
-            ShmConfig::default(),
-        )
-        .unwrap();
-        let mut client = ShmTransport::<ClientToServer, ServerToClient>::open(
-            &path,
-            ShmSide::Client,
-            Duration::from_secs(5),
-        )
-        .unwrap();
-        let poller = crate::poll::Poller::new();
-        assert!(client.wake_on_message(poller.waker(9)));
-        assert!(poller.poll(Duration::from_millis(5)).is_empty());
-        server
-            .send(ServerToClient::NeedFrame { frame_index: 3 }, 8)
-            .unwrap();
-        let ready = poller.poll(Duration::from_secs(5));
-        assert_eq!(ready.tokens(), &[9]);
-        assert_eq!(
-            client.try_recv().unwrap(),
-            Some(ServerToClient::NeedFrame { frame_index: 3 })
-        );
     }
 
     #[test]

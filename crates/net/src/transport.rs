@@ -17,14 +17,13 @@
 //!   carries it).
 //! * [`ClientEndpoint`] — the trait Algorithm 4's client loop is written
 //!   against. It is a thin veneer over `Endpoint<T>`: the blanket
-//!   implementation below makes every `Endpoint` a `ClientEndpoint`, and
-//!   [`ChannelClient`] names the default concrete shape. Construct either
-//!   through the [`connect()`] builder.
+//!   implementation below makes every `Endpoint` a `ClientEndpoint`.
+//!   Construct one through the [`connect()`] builder.
 
 use crate::message::{ClientToServer, ServerToClient};
 use crate::wire::frame_len;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
 
 /// Errors produced by the live transport.
@@ -50,16 +49,16 @@ impl std::error::Error for TransportError {}
 /// The backend seam: a duplex mover of typed protocol messages.
 ///
 /// `S` is what this side sends, `R` what it receives. Two backends exist:
-/// the in-process [`DuplexTransport`] (typed crossbeam channels, the
-/// default) and the cross-process [`ShmTransport`](crate::shm::ShmTransport)
+/// the in-process [`DuplexTransport`] (typed `std::sync::mpsc` channels,
+/// the default) and the cross-process [`ShmTransport`](crate::shm::ShmTransport)
 /// (every message crosses as its framed binary encoding through a
 /// lock-free shared-memory ring). Protocol code never talks to a backend
 /// directly — it goes through an [`Endpoint`], which adds the byte
 /// accounting.
 pub trait Transport<S, R> {
     /// Send a message annotated with its *modelled* wire size (the size the
-    /// virtual-time link model charges; measured bytes are the
-    /// [`Endpoint`]'s business).
+    /// virtual-time link model charges). Neither backend reads it; measured
+    /// bytes are the [`Endpoint`]'s business.
     fn send(&mut self, message: S, bytes: usize) -> Result<(), TransportError>;
 
     /// Non-blocking receive. `Ok(None)` means no message is waiting.
@@ -67,18 +66,6 @@ pub trait Transport<S, R> {
 
     /// Blocking receive with a timeout.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<R, TransportError>;
-
-    /// Arrange for `waker.wake()` to fire whenever a message becomes
-    /// receivable on this endpoint, returning `true` if the backend can
-    /// signal receiver-side readiness. The shared-memory backend spawns a
-    /// spin-then-park notifier; the channel backend returns `false` because
-    /// its readiness is wired at pair-creation time from the *sender* side
-    /// ([`DuplexTransport::wake_on_send`] on the peer), which the
-    /// [`connect()`] builder does for you.
-    fn wake_on_message(&mut self, waker: crate::poll::Waker) -> bool {
-        let _ = waker;
-        false
-    }
 }
 
 /// The client-side view of a transport: what Algorithm 4's message loop
@@ -87,9 +74,8 @@ pub trait Transport<S, R> {
 /// pool (the `shadowtutor` crate's `StreamClient`).
 ///
 /// The trait is a thin veneer over [`Endpoint`]: every `Endpoint<T>`
-/// implements it via the blanket impl
-/// below, and [`ChannelClient`] is the default concrete shape produced by
-/// [`connect()`]. The trait itself survives for the places that implement
+/// implements it via the blanket impl below, and [`connect()`] produces
+/// one. The trait itself survives for the places that implement
 /// the protocol without a backend at all (the pool's `StreamClient`,
 /// scripted endpoints in tests).
 pub trait ClientEndpoint {
@@ -130,76 +116,40 @@ impl ClientEndpoint for DuplexTransport<crate::ClientToServer, crate::ServerToCl
 /// One endpoint of a bidirectional, typed channel pair.
 #[derive(Debug)]
 pub struct DuplexTransport<TSend, TRecv> {
-    tx: Sender<(usize, TSend)>,
-    rx: Receiver<(usize, TRecv)>,
-    /// Readiness hook: woken after every send so the *peer's* poller learns
-    /// a message is waiting (see [`DuplexTransport::wake_on_send`]).
-    waker: Option<crate::poll::Waker>,
-    sent_bytes: usize,
-    received_bytes: usize,
-    sent_messages: usize,
-    received_messages: usize,
+    tx: Sender<TSend>,
+    rx: Receiver<TRecv>,
 }
 
 impl<TSend, TRecv> DuplexTransport<TSend, TRecv> {
     /// Create a connected pair of endpoints: `(a, b)` where messages sent on
     /// `a` arrive at `b` and vice versa.
     pub fn pair() -> (DuplexTransport<TSend, TRecv>, DuplexTransport<TRecv, TSend>) {
-        let (tx_ab, rx_ab) = unbounded();
-        let (tx_ba, rx_ba) = unbounded();
+        let (tx_ab, rx_ab) = channel();
+        let (tx_ba, rx_ba) = channel();
         (
             DuplexTransport {
                 tx: tx_ab,
                 rx: rx_ba,
-                waker: None,
-                sent_bytes: 0,
-                received_bytes: 0,
-                sent_messages: 0,
-                received_messages: 0,
             },
             DuplexTransport {
                 tx: tx_ba,
                 rx: rx_ab,
-                waker: None,
-                sent_bytes: 0,
-                received_bytes: 0,
-                sent_messages: 0,
-                received_messages: 0,
             },
         )
     }
 
-    /// Attach a readiness waker fired after every send on *this* endpoint,
-    /// so the peer's [`crate::poll::Poller`] learns a message is waiting.
-    /// This is how a reactor multiplexes many transports: each peer
-    /// registers a token for its counterpart's sender and sleeps in one
-    /// `poll` instead of blocking per endpoint.
-    pub fn wake_on_send(mut self, waker: crate::poll::Waker) -> Self {
-        self.waker = Some(waker);
-        self
-    }
-
-    /// Send a message annotated with its wire size in bytes.
-    pub fn send(&mut self, message: TSend, bytes: usize) -> Result<(), TransportError> {
+    /// Send a message. `_bytes` is the modelled wire size, which no
+    /// receiver reads; measured bytes are the [`Endpoint`]'s business.
+    pub fn send(&mut self, message: TSend, _bytes: usize) -> Result<(), TransportError> {
         self.tx
-            .send((bytes, message))
-            .map_err(|_| TransportError::Disconnected)?;
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        self.sent_bytes += bytes;
-        self.sent_messages += 1;
-        Ok(())
+            .send(message)
+            .map_err(|_| TransportError::Disconnected)
     }
 
     /// Non-blocking receive. `Ok(None)` means no message is waiting.
     pub fn try_recv(&mut self) -> Result<Option<TRecv>, TransportError> {
         match self.rx.try_recv() {
-            Ok((bytes, msg)) => {
-                self.received_bytes += bytes;
-                self.received_messages += 1;
-                Ok(Some(msg))
-            }
+            Ok(msg) => Ok(Some(msg)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(TransportError::Disconnected),
         }
@@ -207,35 +157,10 @@ impl<TSend, TRecv> DuplexTransport<TSend, TRecv> {
 
     /// Blocking receive with a timeout.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<TRecv, TransportError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok((bytes, msg)) => {
-                self.received_bytes += bytes;
-                self.received_messages += 1;
-                Ok(msg)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-        }
-    }
-
-    /// Total bytes sent so far.
-    pub fn sent_bytes(&self) -> usize {
-        self.sent_bytes
-    }
-
-    /// Total bytes received so far.
-    pub fn received_bytes(&self) -> usize {
-        self.received_bytes
-    }
-
-    /// Number of messages sent so far.
-    pub fn sent_messages(&self) -> usize {
-        self.sent_messages
-    }
-
-    /// Number of messages received so far.
-    pub fn received_messages(&self) -> usize {
-        self.received_messages
+        self.rx.recv_timeout(timeout).map_err(|err| match err {
+            RecvTimeoutError::Timeout => TransportError::Timeout,
+            RecvTimeoutError::Disconnected => TransportError::Disconnected,
+        })
     }
 }
 
@@ -272,17 +197,6 @@ pub struct Endpoint<T> {
     wire_received_bytes: usize,
 }
 
-/// The default client transport: typed in-process channels.
-pub type ChannelTransport = DuplexTransport<ClientToServer, ServerToClient>;
-
-/// The server-side counterpart of [`ChannelTransport`].
-pub type ServerChannel = DuplexTransport<ServerToClient, ClientToServer>;
-
-/// The default concrete client endpoint: byte accounting over the
-/// in-process channel backend. This is what "`ClientEndpoint`" means when
-/// nothing else is specified.
-pub type ChannelClient = Endpoint<ChannelTransport>;
-
 impl<T> Endpoint<T> {
     /// Wrap `transport`. Prefer [`connect()`] unless you are assembling an
     /// exotic combination by hand.
@@ -304,11 +218,6 @@ impl<T> Endpoint<T> {
     /// message received through this endpoint.
     pub fn wire_received_bytes(&self) -> usize {
         self.wire_received_bytes
-    }
-
-    /// Borrow the backend (e.g. for its own counters).
-    pub fn transport(&self) -> &T {
-        &self.transport
     }
 }
 
@@ -340,61 +249,36 @@ where
 /// every endpoint shape.
 ///
 /// ```
-/// use st_net::{connect, ClientEndpoint, ClientToServer, Poller};
+/// use st_net::{connect, ClientEndpoint, ClientToServer, DuplexTransport};
 /// use std::time::Duration;
 ///
-/// // Default in-process backend: a connected (client, server) pair.
-/// let poller = Poller::new();
-/// let (mut client, mut server) = connect().with_waker(poller.waker(0)).channel();
+/// // In-process backend: wrap the client half of a channel pair.
+/// let (client_side, mut server) = DuplexTransport::pair();
+/// let mut client = connect().with_transport(client_side);
 /// client.send(ClientToServer::Register, 64).unwrap();
 /// let registered = server.recv_timeout(Duration::from_secs(1)).unwrap();
 /// assert_eq!(registered, ClientToServer::Register);
+/// assert!(client.wire_sent_bytes() > 0);
 /// ```
 ///
-/// For the cross-process backend, hand the builder a transport:
-/// `connect().with_transport(shm_transport)`.
+/// For the cross-process backend, hand the builder a
+/// [`ShmTransport`](crate::shm::ShmTransport) the same way.
 pub fn connect() -> Connector {
-    Connector { waker: None }
+    Connector
 }
 
 /// Builder returned by [`connect()`].
 #[derive(Debug, Default)]
-pub struct Connector {
-    waker: Option<crate::poll::Waker>,
-}
+pub struct Connector;
 
 impl Connector {
-    /// Wake this [`Poller`](crate::poll::Poller) token whenever a
-    /// server → client message becomes receivable, so a reactor can
-    /// multiplex many clients from one thread.
-    pub fn with_waker(mut self, waker: crate::poll::Waker) -> Self {
-        self.waker = Some(waker);
-        self
-    }
-
-    /// Finish with the default in-process channel backend, returning the
-    /// client endpoint and the server-side channel half.
-    pub fn channel(self) -> (ChannelClient, ServerChannel) {
-        let (client_side, mut server_side) = DuplexTransport::pair();
-        if let Some(waker) = self.waker {
-            // Channel readiness is sender-side: the server half wakes the
-            // client's poller token on every downlink send.
-            server_side = server_side.wake_on_send(waker);
-        }
-        (Endpoint::new(client_side), server_side)
-    }
-
-    /// Finish with an explicit backend (e.g.
-    /// [`ShmTransport`](crate::shm::ShmTransport) for the cross-process
-    /// ring). A waker set with [`Connector::with_waker`] is handed to
-    /// [`Transport::wake_on_message`].
-    pub fn with_transport<T>(self, mut transport: T) -> Endpoint<T>
+    /// Finish with a backend: a [`DuplexTransport`] half for the in-process
+    /// channel, or a [`ShmTransport`](crate::shm::ShmTransport) for the
+    /// cross-process ring.
+    pub fn with_transport<T>(self, transport: T) -> Endpoint<T>
     where
         T: Transport<ClientToServer, ServerToClient>,
     {
-        if let Some(waker) = self.waker {
-            transport.wake_on_message(waker);
-        }
         Endpoint::new(transport)
     }
 }
@@ -412,10 +296,6 @@ mod tests {
         b.send(42u32, 4).unwrap();
         assert_eq!(a.try_recv().unwrap(), Some(42));
         assert_eq!(a.try_recv().unwrap(), None);
-        assert_eq!(a.sent_bytes(), 5);
-        assert_eq!(a.received_bytes(), 4);
-        assert_eq!(b.sent_messages(), 1);
-        assert_eq!(b.received_messages(), 1);
     }
 
     #[test]
@@ -434,22 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn wake_on_send_marks_the_peer_ready() {
-        use crate::poll::Poller;
-        let poller = Poller::new();
-        let (a, mut b) = DuplexTransport::<u8, u8>::pair();
-        // Token 0 stands for endpoint `b`'s readiness; endpoint `a` wakes it
-        // on every send. A reactor multiplexing many `b`-side endpoints
-        // sleeps in one poll instead of blocking per endpoint.
-        let mut a = a.wake_on_send(poller.waker(0));
-        assert!(poller.poll(Duration::from_millis(1)).is_empty());
-        a.send(42, 1).unwrap();
-        let ready = poller.poll(Duration::from_secs(1));
-        assert_eq!(ready.tokens(), &[0]);
-        assert_eq!(b.try_recv().unwrap(), Some(42));
-    }
-
-    #[test]
     fn threaded_ping_pong() {
         let (mut a, mut b) = DuplexTransport::<u32, u32>::pair();
         let handle = std::thread::spawn(move || {
@@ -458,7 +322,6 @@ mod tests {
                 let n = b.recv_timeout(Duration::from_secs(1)).unwrap();
                 b.send(n + 1, 4).unwrap();
             }
-            b.received_messages()
         });
         let mut value = 0u32;
         for _ in 0..5 {
@@ -466,6 +329,6 @@ mod tests {
             value = a.recv_timeout(Duration::from_secs(1)).unwrap();
         }
         assert_eq!(value, 5);
-        assert_eq!(handle.join().unwrap(), 5);
+        handle.join().unwrap();
     }
 }

@@ -64,7 +64,7 @@ impl CheckpointDigest {
     }
 
     /// The digested hash of one entry, if present.
-    pub fn entry_hash(&self, name: &str) -> Option<u64> {
+    fn entry_hash(&self, name: &str) -> Option<u64> {
         self.entries
             .iter()
             .find(|(n, _)| n == name)
@@ -302,11 +302,6 @@ pub enum WeightPayload {
 }
 
 impl WeightPayload {
-    /// Whether this payload is the sparse encoding.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, WeightPayload::Delta(_))
-    }
-
     /// Encode a `Full` envelope from a borrowed snapshot, without cloning
     /// the snapshot into the enum first: the values are written once,
     /// straight into the returned buffer.

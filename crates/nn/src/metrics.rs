@@ -64,7 +64,7 @@ impl ConfusionMatrix {
 
     /// Per-class IoU. Classes absent from both prediction and label yield
     /// `None`.
-    pub fn per_class_iou(&self) -> Vec<Option<f64>> {
+    fn per_class_iou(&self) -> Vec<Option<f64>> {
         (0..self.classes)
             .map(|c| {
                 let tp = self.count(c, c);
@@ -190,11 +190,6 @@ impl MiouAccumulator {
         }
     }
 
-    /// Average as a percentage.
-    pub fn average_percent(&self) -> f64 {
-        self.average() * 100.0
-    }
-
     /// Number of frames accumulated.
     pub fn frames(&self) -> usize {
         self.count
@@ -294,6 +289,5 @@ mod tests {
         });
         assert!((acc.average() - 0.75).abs() < 1e-12);
         assert_eq!(acc.frames(), 2);
-        assert!((acc.average_percent() - 75.0).abs() < 1e-9);
     }
 }

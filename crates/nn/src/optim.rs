@@ -90,11 +90,6 @@ impl Adam {
         }
     }
 
-    /// The paper's distillation optimizer: Adam with learning rate 0.01.
-    pub fn paper_distillation() -> Self {
-        Adam::new(0.01)
-    }
-
     /// Number of steps taken so far.
     pub fn steps_taken(&self) -> u64 {
         self.step_count
@@ -133,14 +128,6 @@ impl Adam {
             p.zero_grad();
         };
         net.visit_params(&mut visit);
-    }
-
-    /// Forget all per-parameter state (used when a fresh student checkpoint
-    /// is loaded, e.g. at the start of a new video stream).
-    pub fn reset_state(&mut self) {
-        self.step_count = 0;
-        self.m.clear();
-        self.v.clear();
     }
 }
 
@@ -221,7 +208,7 @@ mod tests {
         net.visit_params(&mut v);
         let (name, before) = frozen_before.unwrap();
 
-        let mut opt = Adam::paper_distillation();
+        let mut opt = Adam::new(0.01);
         let _ = train_loss(&mut net, &x, &labels, 3, |n| opt.step(n));
 
         let mut after = None;
@@ -232,16 +219,6 @@ mod tests {
         };
         net.visit_params(&mut v2);
         assert_eq!(before, after.unwrap(), "frozen parameter {name} changed");
-    }
-
-    #[test]
-    fn adam_reset_state() {
-        let mut opt = Adam::new(0.01);
-        let (mut net, x, labels) = toy_problem();
-        let _ = train_loss(&mut net, &x, &labels, 2, |n| opt.step(n));
-        assert!(opt.steps_taken() > 0);
-        opt.reset_state();
-        assert_eq!(opt.steps_taken(), 0);
     }
 
     #[test]

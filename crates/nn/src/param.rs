@@ -57,20 +57,6 @@ impl<F: FnMut(&mut Param, bool)> ParamVisitor for F {
     }
 }
 
-/// Count parameters reported by a visit function.
-pub fn count_params(mut visit_all: impl FnMut(&mut dyn ParamVisitor)) -> (usize, usize) {
-    let mut total = 0usize;
-    let mut trainable = 0usize;
-    let mut counter = |p: &mut Param, t: bool| {
-        total += p.numel();
-        if t {
-            trainable += p.numel();
-        }
-    };
-    visit_all(&mut counter);
-    (total, trainable)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,17 +76,5 @@ mod tests {
         p.grad = Tensor::full(Shape::vector(3), 2.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
-    }
-
-    #[test]
-    fn count_params_split() {
-        let mut a = Param::new("a", Tensor::zeros(Shape::vector(10)));
-        let mut b = Param::new("b", Tensor::zeros(Shape::vector(5)));
-        let (total, trainable) = count_params(|v| {
-            v.visit(&mut a, false);
-            v.visit(&mut b, true);
-        });
-        assert_eq!(total, 15);
-        assert_eq!(trainable, 5);
     }
 }

@@ -781,7 +781,7 @@ impl StudentNet {
     /// A plain `clone()` shares tensor storage copy-on-write (the memory
     /// win behind multi-stream pools); `deep_clone` reproduces the
     /// pre-CoW behaviour of paying full bytes per session up front — the
-    /// A/B baseline the differential tests and `table13_weight_dedup`
+    /// A/B baseline the differential tests and `reproduce table13`
     /// compare against.
     pub fn deep_clone(&mut self) -> StudentNet {
         let mut copy = self.clone();
@@ -815,12 +815,6 @@ impl StudentNet {
         };
         self.visit_params(&mut v);
         n
-    }
-
-    /// Reset all accumulated gradients to zero.
-    pub fn zero_grads(&mut self) {
-        let mut v = |p: &mut Param, _t: bool| p.zero_grad();
-        self.visit_params(&mut v);
     }
 
     /// Per-pixel predicted class map from full-resolution logits for
@@ -1262,20 +1256,6 @@ mod tests {
             total > 300_000,
             "paper-scale student should be ~0.5M params, got {total}"
         );
-    }
-
-    #[test]
-    fn zero_grads_clears_everything() {
-        let mut net = StudentNet::new(StudentConfig::tiny()).unwrap();
-        net.freeze = FreezePoint::None;
-        let x = input(16, 16, 5);
-        let y = net.forward_train(&x).unwrap();
-        net.backward(&Tensor::ones(y.shape().clone())).unwrap();
-        net.zero_grads();
-        let mut total = 0.0f32;
-        let mut v = |p: &mut Param, _| total += p.grad.sq_norm();
-        net.visit_params(&mut v);
-        assert_eq!(total, 0.0);
     }
 
     #[test]

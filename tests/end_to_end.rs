@@ -612,8 +612,8 @@ fn key_frame_after_shutdown_is_acked_and_counted_not_silently_lost() {
 /// frames are labelled by *one* genuinely batched forward — counted on the
 /// shard (the exact state machine the pool workers drive) and then served
 /// by a live 4-stream pool. What the batching buys in wall-clock terms is
-/// gated where a perf gate belongs: `table10_batched_teacher` in CI's
-/// `bench-smoke` job.
+/// gated where a perf gate belongs: `reproduce table10`
+/// (`st_bench::tables::table10_gate`) in CI's `bench-smoke` job.
 #[test]
 fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     use shadowtutor::serve::{ServeShard, ShardJob};
@@ -1067,17 +1067,17 @@ fn all_seven_categories_run_and_report_valid_metrics() {
     }
 }
 
-/// The API redesign's compatibility contract: the `connect()` builder's
-/// default in-process channel backend is exactly the raw transport pair —
-/// same delivery, same distillation output bit for bit, same measured wire
-/// bytes. A scripted lockstep session (client endpoint and server half
+/// The API redesign's compatibility contract: the `connect()` builder over
+/// the in-process channel backend is exactly the raw transport pair wrapped
+/// by hand — same delivery, same distillation output bit for bit, same
+/// measured wire bytes. A scripted lockstep session (client endpoint and server half
 /// pumped alternately from one thread, real distillation on the server
 /// side) removes timing from the picture, so any divergence would be the
 /// builder's fault, not the scheduler's.
 #[test]
 fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
     use shadowtutor::server::ServerState;
-    use st_net::transport::{DuplexTransport, Endpoint, ServerChannel};
+    use st_net::transport::{DuplexTransport, Endpoint};
     use st_video::Frame;
 
     /// Drive the fixed script over whichever endpoint/server pair we were
@@ -1086,7 +1086,7 @@ fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
     /// measured wire counters.
     fn scripted_run<T>(
         mut endpoint: Endpoint<T>,
-        mut server_side: ServerChannel,
+        mut server_side: DuplexTransport<ServerToClient, ClientToServer>,
         frames: &[Frame],
         key_indices: &[usize],
         student: StudentNet,
@@ -1178,10 +1178,10 @@ fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
     let frames = frames_for(SceneKind::People, 5, 24);
     let key_indices = [0usize, 6, 12, 18];
 
-    // Backend A: the builder's default channel backend.
-    let (built_client, built_server) = st_net::connect().channel();
+    // Backend A: the builder over a channel pair.
+    let (built_client, built_server) = DuplexTransport::pair();
     let built = scripted_run(
-        built_client,
+        st_net::connect().with_transport(built_client),
         built_server,
         &frames,
         &key_indices,
