@@ -4,8 +4,8 @@ use crate::tables::naive_paper_fps;
 use crate::workloads::{SharedSetup, Variant};
 use shadowtutor::bounds::{throughput_bounds, BoundInputs};
 use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
+use shadowtutor::Concurrency;
 use st_net::LinkModel;
-use st_sim::Concurrency;
 
 /// The bandwidth sweep of Figure 4 (Mbps values from the paper's x-axis).
 pub const FIGURE4_BANDWIDTHS_MBPS: [f64; 7] = [8.0, 12.0, 20.0, 40.0, 60.0, 80.0, 90.0];

@@ -4,7 +4,7 @@
 //! ShadowTutor paper from the Rust reproduction.
 //!
 //! The heavy lifting lives in [`workloads`]: it builds the per-category video
-//! streams, pre-trains a student checkpoint once, runs the virtual-time
+//! streams, pre-trains a student checkpoint once, runs the frame-stepped
 //! runtime for every system variant, and converts the resulting
 //! [`shadowtutor::ExperimentRecord`]s into the rows of each table;
 //! [`tables`] also drives the live pool for this reproduction's own tables

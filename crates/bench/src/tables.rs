@@ -17,6 +17,7 @@ use shadowtutor::loadgen::{
 use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{PoolConfig, SessionWeights};
 use shadowtutor::stride::StridePolicy;
+use shadowtutor::Concurrency;
 use shadowtutor::ExperimentRecord;
 use st_net::{KeyFrameTraffic, LinkModel, NaiveTraffic};
 use st_nn::loss::{weighted_cross_entropy, WeightMap};
@@ -24,7 +25,6 @@ use st_nn::metrics::miou;
 use st_nn::optim::Adam;
 use st_nn::snapshot::{PayloadSizes, SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::Concurrency;
 use st_teacher::{CnnTeacher, OracleTeacher, Teacher};
 use st_video::dataset::tiny_stream;
 use st_video::SceneKind;
@@ -495,7 +495,7 @@ pub fn bounds_check(setup: &SharedSetup, partial_records: &[ExperimentRecord]) -
 /// Ablation: compare key-frame scheduling policies (Algorithm 2 vs fixed
 /// strides vs exponential back-off) on accuracy and key-frame ratio.
 pub fn ablation_stride(setup: &SharedSetup) -> TableOutput {
-    use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
+    use shadowtutor::runtime::sim::SimRuntime;
     use st_teacher::OracleTeacher;
     use st_video::VideoGenerator;
 
@@ -516,9 +516,7 @@ pub fn ablation_stride(setup: &SharedSetup) -> TableOutput {
     let mut miou_col = Vec::new();
     let mut ratio_col = Vec::new();
     for policy in policies {
-        let runtime = SimRuntime::paper(DistillationMode::Partial)
-            .with_delay_model(DelayModel::Frames(1))
-            .with_stride_policy(policy);
+        let runtime = SimRuntime::paper(DistillationMode::Partial).with_stride_policy(policy);
         let mut video = VideoGenerator::new(descriptor.config).expect("descriptor config");
         let record = runtime
             .run(
@@ -576,7 +574,6 @@ pub fn table9_skewed(
                 ..PoolConfig::default_pool()
             },
             student.clone(),
-            0.013,
             |shard| PacedTeacher::new(OracleTeacher::perfect(1700 + shard as u64), pace),
             SkewedLoadSpec {
                 streams,
@@ -693,7 +690,6 @@ pub fn table12_capacity(
                     ..PoolConfig::default_pool()
                 },
                 student.clone(),
-                0.001,
                 |shard| PacedTeacher::new(OracleTeacher::perfect(6200 + shard as u64), pace),
                 CapacityLoadSpec {
                     streams,

@@ -3,11 +3,10 @@
 use shadowtutor::baseline::{run_naive, run_wild};
 use shadowtutor::config::{DistillationMode, PaperConstants};
 use shadowtutor::pretrain::{pretrain_student, PretrainConfig};
-use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
-use shadowtutor::ExperimentRecord;
+use shadowtutor::runtime::sim::SimRuntime;
+use shadowtutor::{ExperimentRecord, LatencyProfile};
 use st_net::LinkModel;
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::LatencyProfile;
 use st_teacher::OracleTeacher;
 use st_video::dataset::{category_videos, figure4_videos, Resolution, VideoDescriptor};
 use st_video::resample::Resampler;
@@ -128,7 +127,7 @@ pub struct SharedSetup {
     pub figure4: Vec<VideoDescriptor>,
     /// The paper's reported constants (payload sizes, latencies).
     pub paper: PaperConstants,
-    /// Latency profile used for every virtual clock.
+    /// Latency profile of the baselines and the §4.4 bounds (the paper's).
     pub latency: LatencyProfile,
     /// Link model used for the main experiments (80 Mbps).
     pub link: LinkModel,
@@ -174,9 +173,7 @@ impl SharedSetup {
                 } else {
                     DistillationMode::Full
                 };
-                let runtime = SimRuntime::paper(mode)
-                    .with_delay_model(DelayModel::Frames(delay))
-                    .with_link(self.link);
+                let runtime = SimRuntime::paper(mode).with_update_delay(delay);
                 let mut video =
                     VideoGenerator::new(descriptor.config).expect("valid descriptor config");
                 runtime
@@ -236,9 +233,7 @@ impl SharedSetup {
                 } else {
                     DistillationMode::Full
                 };
-                let runtime = SimRuntime::paper(mode)
-                    .with_delay_model(DelayModel::Frames(delay))
-                    .with_link(self.link);
+                let runtime = SimRuntime::paper(mode).with_update_delay(delay);
                 runtime
                     .run(
                         &descriptor.name,

@@ -8,12 +8,12 @@
 //! the report/bench machinery treats them uniformly.
 
 use crate::config::ShadowTutorConfig;
+use crate::latency::LatencyProfile;
 use crate::report::{ExperimentRecord, FrameRecord};
 use crate::Result;
 use st_net::{LinkModel, NaiveTraffic};
 use st_nn::metrics::miou;
 use st_nn::student::StudentNet;
-use st_sim::{EventKind, LatencyProfile, VirtualClock};
 use st_teacher::Teacher;
 use st_video::Frame;
 
@@ -32,7 +32,7 @@ where
     T: Teacher,
     V: Iterator<Item = Frame>,
 {
-    let mut clock = VirtualClock::new();
+    let mut total_time = 0.0;
     let mut frame_records = Vec::with_capacity(frames);
     let mut uplink_bytes = 0usize;
     let mut downlink_bytes = 0usize;
@@ -42,16 +42,10 @@ where
         traffic = NaiveTraffic::for_frame(frame.width, frame.height);
         // Every frame: upload, teacher inference, download. No overlap is
         // possible because the client cannot show a result before it returns.
-        clock.advance(
-            link.uplink_time(traffic.to_server_bytes),
-            EventKind::NetworkTransfer,
-        );
+        total_time += link.uplink_time(traffic.to_server_bytes);
         let _label = teacher.pseudo_label(&frame)?;
-        clock.advance(latency.teacher_inference, EventKind::TeacherInference);
-        clock.advance(
-            link.downlink_time(traffic.to_client_bytes),
-            EventKind::NetworkTransfer,
-        );
+        total_time += latency.teacher_inference;
+        total_time += link.downlink_time(traffic.to_client_bytes);
         uplink_bytes += traffic.to_server_bytes;
         downlink_bytes += traffic.to_client_bytes;
         frame_records.push(FrameRecord {
@@ -71,7 +65,7 @@ where
         update_bytes: traffic.to_client_bytes,
         uplink_bytes,
         downlink_bytes,
-        total_time: clock.now(),
+        total_time,
         config: ShadowTutorConfig::paper(),
         latency: *latency,
     })
@@ -92,12 +86,12 @@ where
     T: Teacher,
     V: Iterator<Item = Frame>,
 {
-    let mut clock = VirtualClock::new();
+    let mut total_time = 0.0;
     let mut frame_records = Vec::with_capacity(frames);
     for _ in 0..frames {
         let Some(frame) = video.next() else { break };
         let prediction = student.predict(&frame.image)?;
-        clock.advance(latency.student_inference, EventKind::StudentInference);
+        total_time += latency.student_inference;
         let reference = teacher.pseudo_label(&frame)?;
         let value = miou(&prediction, &reference, student.config.num_classes)?.value;
         frame_records.push(FrameRecord {
@@ -117,7 +111,7 @@ where
         update_bytes: 0,
         uplink_bytes: 0,
         downlink_bytes: 0,
-        total_time: clock.now(),
+        total_time,
         config: ShadowTutorConfig::paper(),
         latency: *latency,
     })

@@ -10,7 +10,7 @@
 //! check the §5.3 choice of `MAX_UPDATES` against them.
 
 use crate::config::ShadowTutorConfig;
-use st_sim::LatencyProfile;
+use crate::latency::LatencyProfile;
 
 /// Inputs to the §4.4 bound formulae.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -10,7 +10,7 @@
 //! The decision logic (when is a frame a key frame, when must the client
 //! wait, when is an arrived update applied, how does the stride evolve) is
 //! captured in [`ClientState`] independently of any transport or clock, so
-//! the virtual-time and threaded runtimes share it and it can be unit-tested
+//! the frame-stepped and threaded runtimes share it and it can be unit-tested
 //! exhaustively on its own.
 
 use crate::config::ShadowTutorConfig;

@@ -1,5 +1,9 @@
-//! Latency profiles: the per-component timing table of the paper (Table 1 /
-//! §5.3) plus the client-concurrency assumption of §4.4.
+//! The paper's execution-time model: the per-component latency table
+//! (Table 1 / §5.3) and the client-concurrency assumption of §4.4.
+//!
+//! Throughput and traffic numbers are functions of these latencies and of
+//! message sizes, not of the host's wall clock. They enter one formula,
+//! equation 3, in [`crate::ExperimentRecord::replay_total_time`].
 
 /// Whether the modelled client can overlap student inference with network
 /// transfers and teacher-side work.
@@ -8,7 +12,7 @@
 /// key frame as lying between `max(MIN_STRIDE·t_si, t_net + t_ti)` (full
 /// overlap) and `MIN_STRIDE·t_si + t_net + t_ti` (no overlap). The runtime
 /// takes this as an explicit parameter so both bounds — and anything in
-/// between via [`Concurrency::Partial`] — can be simulated.
+/// between via [`Concurrency::Partial`] — can be evaluated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Concurrency {
     /// The client cannot overlap anything (the paper's lower-bound case).

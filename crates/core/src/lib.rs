@@ -33,9 +33,12 @@
 //!   multiple of the base key-frame rate) measuring per-stream round trips
 //!   against a live pool; used by the fairness tests and `reproduce`'s
 //!   tables 9 and 12.
-//! * [`runtime`] — a deterministic **virtual-time runtime** (used by the
+//! * [`runtime`] — a deterministic **frame-stepped runtime** (used by the
 //!   paper's tables 2–7 and Figure 4) and a **threaded live runtime** built on
 //!   `std::sync::mpsc` channels (client and server as real threads).
+//! * [`latency`] — the paper's latency table (`t_si`, `t_sd`, `t_ti`) and
+//!   the client-concurrency assumption of §4.4, the inputs of the
+//!   execution-time model (equation 3).
 //! * [`baseline`] — naive offloading and the untrained "wild" student.
 //! * [`bounds`] — the closed-form network-traffic and throughput bounds of
 //!   §4.4 (equations 8, 12, 14, 15).
@@ -48,6 +51,7 @@ pub mod baseline;
 pub mod bounds;
 pub mod client;
 pub mod config;
+pub mod latency;
 pub mod loadgen;
 pub mod pretrain;
 pub mod report;
@@ -58,8 +62,9 @@ pub mod stride;
 pub mod train;
 
 pub use config::{DistillationMode, PaperConstants, PlacementPolicy, ShadowTutorConfig};
+pub use latency::{Concurrency, LatencyProfile};
 pub use report::{ExperimentRecord, FrameRecord, KeyFrameRecord, PoolReport, ShardReport};
-pub use runtime::sim::{DelayModel, SimRuntime};
+pub use runtime::sim::SimRuntime;
 pub use stride::next_stride;
 pub use train::{train_student, TrainOutcome};
 

@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 /// Wraps any [`Teacher`] and sleeps `forward_pause` per solo forward; a
 /// batched forward sleeps `forward_pause * (1 + 0.2 (b - 1))`, the
 /// sub-linear shape of a GPU teacher, so co-scheduling pays off in
-/// wall-clock terms. The *virtual* latency still comes from the inner
-/// teacher.
+/// wall-clock terms. [`Teacher::inference_latency`] is the inner teacher's,
+/// and nothing reads it.
 pub struct PacedTeacher<T: Teacher> {
     inner: T,
     forward_pause: Duration,
@@ -191,7 +191,6 @@ pub fn run_skewed_load<T, F>(
     config: ShadowTutorConfig,
     pool_config: PoolConfig,
     student: StudentNet,
-    distill_step_latency: f64,
     teacher_factory: F,
     spec: SkewedLoadSpec,
 ) -> Result<SkewedLoadOutcome>
@@ -214,7 +213,6 @@ where
         config,
         pool_config,
         student,
-        distill_step_latency,
         teacher_factory,
         spec.seed,
         schedules,
@@ -365,7 +363,6 @@ pub fn run_capacity_load<T, F>(
     config: ShadowTutorConfig,
     pool_config: PoolConfig,
     student: StudentNet,
-    distill_step_latency: f64,
     teacher_factory: F,
     spec: CapacityLoadSpec,
 ) -> Result<CapacityLoadOutcome>
@@ -385,7 +382,6 @@ where
         config,
         pool_config,
         student,
-        distill_step_latency,
         teacher_factory,
         spec.seed,
         schedules,
@@ -415,7 +411,6 @@ fn run_open_loop<T, F>(
     config: ShadowTutorConfig,
     pool_config: PoolConfig,
     student: StudentNet,
-    distill_step_latency: f64,
     teacher_factory: F,
     seed: u64,
     schedules: Vec<Schedule>,
@@ -427,13 +422,7 @@ where
     config.validate()?;
     pool_config.validate()?;
     let started = Instant::now();
-    let pool = ServerPool::spawn(
-        config,
-        pool_config,
-        student,
-        distill_step_latency,
-        teacher_factory,
-    )?;
+    let pool = ServerPool::spawn(config, pool_config, student, 0.0, teacher_factory)?;
 
     let mut rng = JitterRng::new(seed);
     let origin = Instant::now();
@@ -667,7 +656,6 @@ mod tests {
                 ..PoolConfig::default_pool()
             },
             student,
-            0.001,
             |shard| OracleTeacher::perfect(9000 + shard as u64),
             CapacityLoadSpec {
                 streams: 12,
@@ -744,7 +732,6 @@ mod tests {
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),
-            0.013,
             |_| OracleTeacher::perfect(12),
             SkewedLoadSpec {
                 streams: 2,
@@ -778,7 +765,6 @@ mod tests {
                 ..PoolConfig::default_pool()
             },
             StudentNet::new(StudentConfig::tiny()).unwrap(),
-            0.013,
             |_| OracleTeacher::perfect(11),
             SkewedLoadSpec {
                 streams: 2,

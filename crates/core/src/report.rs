@@ -4,15 +4,15 @@
 //! (or a baseline) over one video stream produced: per-frame accuracy, the
 //! key-frame trace (which frames were key frames, how many distillation
 //! steps each took, the post-training metric), message sizes, and the total
-//! virtual time. The summary methods compute exactly the quantities the
+//! execution time. The summary methods compute exactly the quantities the
 //! paper's tables report — FPS, key-frame ratio, traffic in Mbps, mean IoU —
 //! and [`ExperimentRecord::replay_fps`] re-evaluates the same trace under a
 //! different link model, which is how Figure 4's bandwidth sweep is produced
 //! without re-running distillation per bandwidth point.
 
 use crate::config::ShadowTutorConfig;
+use crate::latency::{Concurrency, LatencyProfile};
 use st_net::{LinkModel, Wire, WireError};
-use st_sim::{Concurrency, LatencyProfile};
 
 /// Per-frame record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,16 +66,22 @@ pub struct ExperimentRecord {
     pub uplink_bytes: usize,
     /// Total bytes sent server → client over the run.
     pub downlink_bytes: usize,
-    /// Total virtual execution time in seconds.
+    /// Total execution time in seconds. The frame-stepped runtime reports
+    /// the paper's execution-time model (equation 3, see
+    /// [`ExperimentRecord::replay_total_time`]) on the paper's link under
+    /// full concurrency; the baselines sum the profile's latencies frame by
+    /// frame; the live runtimes read the wall clock.
     pub total_time: f64,
     /// The algorithm configuration the run used.
     pub config: ShadowTutorConfig,
-    /// The latency profile the clock used.
+    /// The latency profile `total_time` and
+    /// [`ExperimentRecord::replay_total_time`] are computed from (the
+    /// paper's, on live records, whose `total_time` is measured).
     pub latency: LatencyProfile,
 }
 
 impl ExperimentRecord {
-    /// Frames processed per second of virtual time.
+    /// Frames processed per second of `total_time`.
     pub fn fps(&self) -> f64 {
         if self.total_time <= 0.0 {
             0.0
@@ -244,7 +250,7 @@ impl Wire for KeyFrameRecord {
 /// The cross-process encoding of a finished run: every scalar field in
 /// declaration order, the two record traces as count-prefixed vectors, the
 /// algorithm config (see `ShadowTutorConfig`'s `Wire` impl), and the latency
-/// profile flattened to its four `f64` fields — st-sim stays wire-agnostic.
+/// profile flattened to its four `f64` fields.
 impl Wire for ExperimentRecord {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.label.encode_into(out);

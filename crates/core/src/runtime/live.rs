@@ -4,9 +4,8 @@
 //! non-blocking messages. Here the roles run as real threads connected by
 //! channel transports; the client sends key frames without blocking, keeps
 //! serving frames, polls for the update, and blocks only after deferring for
-//! `MIN_STRIDE` frames — the same logic as the virtual-time runtime, but with
-//! genuine concurrency and wall-clock timing (optionally stretched by a
-//! link-delay injector).
+//! `MIN_STRIDE` frames — the same logic as the frame-stepped runtime, but
+//! with genuine concurrency and wall-clock timing.
 //!
 //! Two topologies are provided:
 //!
@@ -24,14 +23,15 @@
 //! [`st_net::ClientEndpoint`] trait, so protocol behaviour cannot drift
 //! between them. These runtimes exist to demonstrate that the protocol and
 //! state machines work under real asynchrony; the tables and figures are
-//! produced by the deterministic virtual-time runtime instead.
+//! produced by the deterministic frame-stepped runtime instead.
 
 use crate::client::ClientState;
-use crate::config::{DistillationMode, ShadowTutorConfig};
+use crate::config::ShadowTutorConfig;
+use crate::latency::LatencyProfile;
 use crate::loadgen::JitterRng;
 use crate::report::{ExperimentRecord, FrameRecord, KeyFrameRecord};
 use crate::serve::{PoolConfig, PoolStats, ServerPool};
-use crate::server::ServerState;
+use crate::server::DistillSession;
 use crate::Result;
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, Payload, ServerToClient, StreamId, Wire};
@@ -39,7 +39,6 @@ use st_nn::delta::{CheckpointDigest, WeightPayload};
 use st_nn::metrics::miou;
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::StudentNet;
-use st_sim::LatencyProfile;
 use st_teacher::{OracleTeacher, Teacher};
 use st_video::Frame;
 use std::time::{Duration, Instant};
@@ -628,15 +627,13 @@ pub fn run_live(
     config: ShadowTutorConfig,
     frames: Vec<Frame>,
     student: StudentNet,
-    teacher: OracleTeacher,
+    mut teacher: OracleTeacher,
     label: &str,
 ) -> Result<LiveRunOutcome> {
     config.validate()?;
     let (mut client_tp, mut server_tp) =
         st_net::transport::DuplexTransport::<ClientToServer, ServerToClient>::pair();
 
-    let partial = matches!(config.mode, DistillationMode::Partial);
-    let latency = LatencyProfile::paper();
     let server_student = student.clone();
     let server_config = config;
     // The key-frame message carries the encoded pixels for realistic wire
@@ -648,14 +645,9 @@ pub fn run_live(
 
     // ---------------- server thread (Algorithm 3) ----------------
     let server_handle = std::thread::spawn(move || -> Result<(usize, usize)> {
-        let mut server = ServerState::new(
-            server_config,
-            server_student,
-            teacher,
-            latency.distill_step(partial),
-        );
+        let mut session = DistillSession::new(server_config, server_student, 0.0);
         // Line 1: send the initial full checkpoint.
-        let initial = server.initial_checkpoint();
+        let initial = session.initial_checkpoint();
         let payload = Payload::with_data(initial.encode());
         let bytes = payload.bytes;
         server_tp
@@ -671,7 +663,8 @@ pub fn run_live(
             let Some(frame) = server_frames.get(&frame_index) else {
                 continue;
             };
-            let response = server.handle_key_frame(frame)?;
+            let pseudo_label = teacher.pseudo_label(frame)?;
+            let response = session.distill(frame, &pseudo_label, 0.0)?;
             let payload = Payload::with_data(response.update.encode());
             let bytes = payload.bytes;
             let msg = ServerToClient::StudentUpdate {
@@ -684,7 +677,10 @@ pub fn run_live(
                 break;
             }
         }
-        Ok((server.key_frames_processed(), server.distill_steps_taken()))
+        Ok((
+            session.key_frames_processed(),
+            session.distill_steps_taken(),
+        ))
     });
 
     // ---------------- client (Algorithm 4), on this thread ----------------
@@ -817,20 +813,12 @@ where
             )));
         }
     }
-    let partial = matches!(config.mode, DistillationMode::Partial);
-    let latency = LatencyProfile::paper();
     let started = Instant::now();
 
     // The pool's connect negotiates delta updates on every stream when the
     // config asks for them, so the client drivers must decode envelopes.
     let delta_updates = pool_config.delta_updates;
-    let pool = ServerPool::spawn(
-        config,
-        pool_config,
-        student.clone(),
-        latency.distill_step(partial),
-        teacher_factory,
-    )?;
+    let pool = ServerPool::spawn(config, pool_config, student.clone(), 0.0, teacher_factory)?;
 
     // The driver drops every endpoint before returning, so the pool sees
     // all streams disconnect and `join` can complete.

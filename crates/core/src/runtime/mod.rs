@@ -1,25 +1,25 @@
 //! Execution runtimes.
 //!
-//! Two runtimes drive the same client/server state machines:
+//! Three runtimes drive the same client/server state machines:
 //!
-//! * [`sim`] — a deterministic virtual-time runtime. Student and teacher
+//! * [`sim`] — a deterministic frame-stepped runtime. Student and teacher
 //!   computations really run (so accuracy, distillation steps and key-frame
-//!   decisions are genuine), but *time* advances according to a
-//!   [`st_sim::LatencyProfile`] and a [`st_net::LinkModel`], so throughput
-//!   and traffic results are independent of the host machine and reproduce
-//!   the paper's timing model. `reproduce`'s tables 2–7, Figure 4, the
-//!   bounds check and the stride ablation run on it; tables 8, 9, 12 and
-//!   13 drive the live pool instead.
+//!   decisions are genuine); an update reaches the client a fixed number
+//!   of frames after its key frame, and throughput is the paper's
+//!   execution-time model (equation 3) over the run's trace, with
+//!   [`crate::LatencyProfile`] and [`st_net::LinkModel`] as its inputs, so
+//!   throughput and traffic results are independent of the host machine.
+//!   `reproduce`'s tables 2–7, Figure 4, the bounds check and the stride
+//!   ablation run on it; tables 8, 9, 12 and 13 drive the live pool
+//!   instead.
 //! * [`live`] — a threaded runtime where the client and server are real OS
-//!   threads exchanging messages over `std::sync::mpsc` channels (the paper's
-//!   OpenMPI ranks), optionally through a delay injector that emulates a
-//!   bandwidth-limited link in wall-clock time. Used by the live example and
-//!   the cross-crate integration tests that exercise real concurrency.
+//!   threads exchanging messages over `std::sync::mpsc` channels (the
+//!   paper's OpenMPI ranks), in wall-clock time. Used by the live example
+//!   and the cross-crate integration tests that exercise real concurrency.
 //!   Besides the paper's one-client topology ([`live::run_live`]) it can run
 //!   M concurrent streams against a sharded server pool
 //!   ([`live::run_live_multi`]), the scenario the `crate::serve` module
 //!   exists for.
-
 //! * [`shm_live`] — the two-process variant of the live runtime: the same
 //!   client state machine in a *separate OS process*, connected to the
 //!   server pool over a shared-memory ring ([`st_net::ShmTransport`]), so

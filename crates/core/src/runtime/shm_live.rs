@@ -76,13 +76,13 @@ fn io_err(context: &str, e: std::io::Error) -> TensorError {
 /// opens it with [`ShmTransport::open`]), spawns a [`ServerPool`],
 /// pre-shares `frames` for `stream_id`, and bridges ring ↔ pool until the
 /// peer closes. Returns the joined pool statistics plus the measured ring
-/// traffic.
+/// traffic. `_distill_step_latency` is ignored, as in [`ServerPool::spawn`].
 #[allow(clippy::too_many_arguments)] // mirrors run_live's flat experiment-parameter style
 pub fn host_stream_over_shm<T, F>(
     config: ShadowTutorConfig,
     pool_config: PoolConfig,
     template: StudentNet,
-    distill_step_latency: f64,
+    _distill_step_latency: f64,
     teacher_factory: F,
     stream_id: StreamId,
     frames: &[Frame],
@@ -96,13 +96,7 @@ where
     let mut ring =
         ShmTransport::<ServerToClient, ClientToServer>::create(segment_path, ShmSide::Server, shm)
             .map_err(|e| io_err("create shared-memory segment", e))?;
-    let pool = ServerPool::spawn(
-        config,
-        pool_config,
-        template,
-        distill_step_latency,
-        teacher_factory,
-    )?;
+    let pool = ServerPool::spawn(config, pool_config, template, 0.0, teacher_factory)?;
     let mut client = pool.connect(stream_id, frames)?;
 
     let mut messages_up = 0usize;

@@ -1,67 +1,53 @@
-//! The deterministic virtual-time runtime.
+//! The deterministic frame-stepped runtime.
 //!
 //! This is the engine behind every table and figure reproduction. It runs
 //! Algorithms 3 and 4 with *real* neural-network computation (the student is
-//! genuinely trained online, predictions genuinely evaluated) while charging
-//! virtual time from a latency profile and a link model, exactly as the
-//! paper's analytic execution-time model (§4.4) does. Asynchronous inference
-//! is modelled explicitly: a key-frame exchange is given an arrival time, the
-//! client keeps processing frames, and only blocks if the update has still
-//! not arrived `MIN_STRIDE` frames later.
+//! genuinely trained online, predictions genuinely evaluated) on one thread.
+//! Asynchronous inference is modelled by frame count: the update distilled on
+//! a key frame reaches the client [`SimRuntime::update_delay`] frames later,
+//! unless the client has deferred for `MIN_STRIDE` frames first and blocks
+//! for it. Time is not simulated: a record's `total_time` is the paper's
+//! execution-time model (equation 3) evaluated on the run's trace.
 
 use crate::client::ClientState;
 use crate::config::{DistillationMode, ShadowTutorConfig};
+use crate::latency::{Concurrency, LatencyProfile};
 use crate::report::{ExperimentRecord, FrameRecord, KeyFrameRecord};
-use crate::server::ServerState;
+use crate::server::DistillSession;
 use crate::stride::StridePolicy;
 use crate::Result;
 use st_net::LinkModel;
 use st_nn::metrics::miou;
 use st_nn::snapshot::WeightSnapshot;
 use st_nn::student::StudentNet;
-use st_sim::{EventKind, LatencyProfile, VirtualClock};
 use st_teacher::Teacher;
 use st_video::Frame;
-
-/// How the arrival of a student update is determined.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DelayModel {
-    /// Arrival time follows the link/latency timing model (the default; used
-    /// for throughput and traffic experiments).
-    Timing,
-    /// The update arrives exactly `frames` frames after the key frame
-    /// (used for the accuracy experiments of Table 6, which compare a
-    /// 1-frame and an 8-frame delay).
-    Frames(usize),
-}
 
 /// A student update in flight from the server to the client.
 struct PendingUpdate {
     update: WeightSnapshot,
     metric: f64,
-    arrival_time: f64,
     arrival_frame: usize,
     key_frame_index: usize,
     steps: usize,
     initial_metric: f64,
 }
 
-/// The virtual-time runtime.
+/// The frame-stepped runtime.
 pub struct SimRuntime {
     /// Algorithm parameters.
     pub config: ShadowTutorConfig,
-    /// Component latencies used by the virtual clock.
-    pub latency: LatencyProfile,
-    /// Link model used for key-frame exchanges.
-    pub link: LinkModel,
-    /// Update-arrival model.
-    pub delay_model: DelayModel,
+    /// Frames between a key frame and the arrival of its update: the update
+    /// is applied after the prediction of frame `key + update_delay` (Table
+    /// 6 compares 1 and 8).
+    pub update_delay: usize,
     /// Key-frame scheduling policy (Algorithm 2 by default).
     pub stride_policy: StridePolicy,
 }
 
 impl SimRuntime {
-    /// A runtime with the paper's configuration, latency profile and link.
+    /// A runtime with the paper's configuration and a 1-frame update delay
+    /// (the P-1 setting).
     pub fn paper(mode: DistillationMode) -> Self {
         let config = match mode {
             DistillationMode::Partial => ShadowTutorConfig::paper(),
@@ -69,22 +55,14 @@ impl SimRuntime {
         };
         SimRuntime {
             config,
-            latency: LatencyProfile::paper(),
-            link: LinkModel::paper_default(),
-            delay_model: DelayModel::Timing,
+            update_delay: 1,
             stride_policy: StridePolicy::Adaptive,
         }
     }
 
-    /// Override the update-arrival model.
-    pub fn with_delay_model(mut self, delay_model: DelayModel) -> Self {
-        self.delay_model = delay_model;
-        self
-    }
-
-    /// Override the link model.
-    pub fn with_link(mut self, link: LinkModel) -> Self {
-        self.link = link;
+    /// Override the update delay, in frames.
+    pub fn with_update_delay(mut self, frames: usize) -> Self {
+        self.update_delay = frames;
         self
     }
 
@@ -98,37 +76,32 @@ impl SimRuntime {
     ///
     /// `student` is the pre-trained ("publicly educated") checkpoint: the
     /// server starts training from it and the client starts serving from it.
-    /// `label` names the video in the resulting record.
+    /// `label` names the video in the resulting record, whose `total_time`
+    /// is [`ExperimentRecord::replay_total_time`] on the paper's link under
+    /// full concurrency.
     pub fn run<T, V>(
         &self,
         label: &str,
         video: &mut V,
         frames: usize,
         student: StudentNet,
-        teacher: T,
+        mut teacher: T,
     ) -> Result<ExperimentRecord>
     where
         T: Teacher,
         V: Iterator<Item = Frame>,
     {
         self.config.validate()?;
-        let partial = matches!(self.config.mode, DistillationMode::Partial);
 
-        // Server owns the teacher and the trainable copy of the student.
-        let mut server = ServerState::new(
-            self.config,
-            student.clone(),
-            teacher,
-            self.latency.distill_step(partial),
-        );
-        let update_bytes = server.update_payload_bytes();
+        // Server: the teacher and the trainable copy of the student.
+        let mut session = DistillSession::new(self.config, student.clone(), 0.0);
+        let update_bytes = session.update_payload_bytes();
 
         // Client owns the serving copy and the scheduling state.
         let mut client_student = student;
         client_student.freeze = self.config.mode.freeze_point();
         let mut client = ClientState::new(self.config).with_policy(self.stride_policy);
 
-        let mut clock = VirtualClock::new();
         let mut frame_records = Vec::with_capacity(frames);
         let mut key_records = Vec::new();
         let mut pending: Option<PendingUpdate> = None;
@@ -142,24 +115,16 @@ impl SimRuntime {
             let decision = client.begin_frame();
 
             if decision.is_key_frame {
-                // Asynchronous send: the exchange starts now; the client does
-                // not block (Algorithm 4 lines 7-8).
-                let send_start = clock.now();
-                let uplink_time = self.link.uplink_time(frame.raw_rgb_bytes());
-                let response = server.handle_key_frame(&frame)?;
-                let downlink_time = self.link.downlink_time(update_bytes);
-                let arrival_time = send_start + uplink_time + response.server_time + downlink_time;
-                let arrival_frame = match self.delay_model {
-                    DelayModel::Timing => usize::MAX, // governed by time, not frame count
-                    DelayModel::Frames(d) => processed + d,
-                };
+                // Asynchronous send: the client does not block (Algorithm 4
+                // lines 7-8); the server labels and distills (Algorithm 3).
+                let pseudo_label = teacher.pseudo_label(&frame)?;
+                let response = session.distill(&frame, &pseudo_label, 0.0)?;
                 uplink_bytes += frame.raw_rgb_bytes();
                 downlink_bytes += update_bytes;
                 pending = Some(PendingUpdate {
                     update: response.update,
                     metric: response.metric,
-                    arrival_time,
-                    arrival_frame,
+                    arrival_frame: processed + self.update_delay,
                     key_frame_index: frame.index,
                     steps: response.outcome.steps,
                     initial_metric: response.outcome.initial_metric,
@@ -170,8 +135,7 @@ impl SimRuntime {
             // stale) student. The prediction is also the accuracy sample:
             // mean IoU against the teacher's label for this frame.
             let prediction = client_student.predict(&frame.image)?;
-            clock.advance(self.latency.student_inference, EventKind::StudentInference);
-            let reference = server.teacher_mut().pseudo_label(&frame)?;
+            let reference = teacher.pseudo_label(&frame)?;
             let frame_miou =
                 miou(&prediction, &reference, client_student.config.num_classes)?.value;
 
@@ -179,18 +143,9 @@ impl SimRuntime {
             // has deferred for MIN_STRIDE frames already (Algorithm 4, 14-22).
             let mut waited = false;
             if let Some(p) = &pending {
-                let arrived = match self.delay_model {
-                    DelayModel::Timing => clock.now() >= p.arrival_time,
-                    DelayModel::Frames(_) => processed >= p.arrival_frame,
-                };
-                let must_wait = decision.must_wait_for_update && !arrived;
-                if must_wait {
-                    if matches!(self.delay_model, DelayModel::Timing) {
-                        clock.advance_to(p.arrival_time, EventKind::WaitForUpdate);
-                    }
-                    waited = true;
-                }
-                if arrived || must_wait {
+                let arrived = processed >= p.arrival_frame;
+                waited = decision.must_wait_for_update && !arrived;
+                if arrived || waited {
                     let p = pending.take().expect("pending update present");
                     p.update.apply(&mut client_student)?;
                     client.apply_update(p.metric);
@@ -224,7 +179,7 @@ impl SimRuntime {
             });
         }
 
-        Ok(ExperimentRecord {
+        let mut record = ExperimentRecord {
             label: label.to_string(),
             variant: self.config.mode.label().to_string(),
             frames: frame_records.len(),
@@ -234,10 +189,13 @@ impl SimRuntime {
             update_bytes,
             uplink_bytes,
             downlink_bytes,
-            total_time: clock.now(),
+            total_time: 0.0,
             config: self.config,
-            latency: self.latency,
-        })
+            latency: LatencyProfile::paper(),
+        };
+        record.total_time =
+            record.replay_total_time(&LinkModel::paper_default(), Concurrency::Full);
+        Ok(record)
     }
 }
 
@@ -319,8 +277,7 @@ mod tests {
         // The paper's core accuracy claim (Table 6): the same pre-trained
         // student is dramatically better with intermittent distillation than
         // without it. Run both on identical streams and compare.
-        let runtime =
-            SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(1));
+        let runtime = SimRuntime::paper(DistillationMode::Partial);
         let checkpoint = student();
         let mut gen_shadow = video(SceneKind::People, 3);
         let shadow = runtime
@@ -339,7 +296,7 @@ mod tests {
             80,
             &checkpoint,
             OracleTeacher::perfect(2),
-            &st_sim::LatencyProfile::paper(),
+            &LatencyProfile::paper(),
         )
         .unwrap();
         assert!(
@@ -351,54 +308,53 @@ mod tests {
     }
 
     #[test]
-    fn frame_delay_model_controls_arrival() {
-        // With a 1-frame delay the update from key frame 0 must be applied by
-        // frame 1; with an 8-frame delay not before frame 8.
-        let fast =
-            SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(1));
-        let slow =
-            SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(8));
-        let mut gen_a = video(SceneKind::Animals, 4);
-        let mut gen_b = video(SceneKind::Animals, 4);
-        let ra = fast
-            .run("a", &mut gen_a, 20, student(), OracleTeacher::perfect(3))
-            .unwrap();
-        let rb = slow
-            .run("b", &mut gen_b, 20, student(), OracleTeacher::perfect(3))
-            .unwrap();
-        // Both complete and record the same number of frames.
-        assert_eq!(ra.frames, rb.frames);
-        // The slow-delay run can never apply updates earlier, so its count of
-        // applied updates at any prefix is <= the fast run's; in aggregate the
-        // fast run's accuracy is at least as good (usually better).
-        assert!(ra.mean_miou_percent() + 1e-9 >= rb.mean_miou_percent() - 5.0);
-    }
-
-    #[test]
-    fn narrower_link_reduces_throughput_under_timing_model() {
-        let normal = SimRuntime::paper(DistillationMode::Partial);
-        let narrow = SimRuntime::paper(DistillationMode::Partial)
-            .with_link(st_net::LinkModel::symmetric_mbps(4.0));
-        let mut gen_a = video(SceneKind::Street, 5);
-        let mut gen_b = video(SceneKind::Street, 5);
-        let ra = normal
-            .run("a", &mut gen_a, 48, student(), OracleTeacher::perfect(4))
-            .unwrap();
-        let rb = narrow
-            .run("b", &mut gen_b, 48, student(), OracleTeacher::perfect(4))
-            .unwrap();
-        assert!(
-            rb.fps() <= ra.fps() + 1e-9,
-            "narrow {} vs normal {}",
-            rb.fps(),
-            ra.fps()
-        );
+    fn an_update_lands_after_the_prediction_of_frame_key_plus_delay() {
+        // Key frame 0's update is applied after frame `d`'s prediction:
+        // frames 0..=d are predicted by the pre-trained student, exactly as
+        // the wild baseline predicts them, and a later frame is not.
+        let checkpoint = student();
+        let frames = 20;
+        let mut gen_wild = video(SceneKind::Animals, 4);
+        let wild = crate::baseline::run_wild(
+            "wild",
+            &mut gen_wild,
+            frames,
+            &checkpoint,
+            OracleTeacher::perfect(3),
+            &LatencyProfile::paper(),
+        )
+        .unwrap();
+        for delay in [1, 8] {
+            let runtime = SimRuntime::paper(DistillationMode::Partial).with_update_delay(delay);
+            let mut gen = video(SceneKind::Animals, 4);
+            let record = runtime
+                .run(
+                    "a",
+                    &mut gen,
+                    frames,
+                    checkpoint.clone(),
+                    OracleTeacher::perfect(3),
+                )
+                .unwrap();
+            assert_eq!(record.frames, frames);
+            let bits = |r: &ExperimentRecord, i: usize| r.frame_records[i].miou.to_bits();
+            for i in 0..=delay {
+                assert_eq!(
+                    bits(&record, i),
+                    bits(&wild, i),
+                    "delay {delay}: frame {i} saw an update"
+                );
+            }
+            assert!(
+                (delay + 1..frames).any(|i| bits(&record, i) != bits(&wild, i)),
+                "delay {delay}: no frame after {delay} saw the update"
+            );
+        }
     }
 
     #[test]
     fn street_needs_more_key_frames_than_people() {
-        let runtime =
-            SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(1));
+        let runtime = SimRuntime::paper(DistillationMode::Partial);
         let mut people = video(SceneKind::People, 6);
         let mut street = video(SceneKind::Street, 6);
         let rp = runtime

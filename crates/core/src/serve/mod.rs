@@ -2,15 +2,15 @@
 //!
 //! The paper evaluates one client per server, but the server is the shared,
 //! expensive side of the system. This module turns the single-stream
-//! [`crate::server::ServerState`] into a multi-tenant service:
+//! server role (one teacher beside one [`DistillSession`]) into a
+//! multi-tenant service:
 //!
 //! * [`ServeShard`] owns one teacher and one [`DistillSession`] per client
 //!   stream assigned to it. Key frames from different streams that arrive
 //!   close together are *co-scheduled*: the teacher labels them in one
 //!   batched forward pass ([`st_teacher::Teacher::pseudo_label_batch`]) whose
-//!   wall-clock cost the batch shares (each job is still charged the
-//!   teacher's solo virtual latency, as in `ServerState`), and then each
-//!   stream's session distills its own student on its own pseudo-label.
+//!   wall-clock cost the batch shares, and then each stream's session
+//!   distills its own student on its own pseudo-label.
 //!   Streams never share weights — isolation is structural — which is also
 //!   what lets one batch's sessions distill side by side (the distill crew,
 //!   below).

@@ -214,11 +214,13 @@ impl ServerPool {
     /// Each core the reactor workers do not occupy gets one lane of the
     /// distill crew ([`PoolConfig::crew_helpers`]); the process-wide lane
     /// set grows to that width on the first such pool and keeps it.
+    /// `_distill_step_latency` is ignored, as in
+    /// [`crate::server::DistillSession::new`].
     pub fn spawn<T, F>(
         config: ShadowTutorConfig,
         pool_config: PoolConfig,
         template: StudentNet,
-        distill_step_latency: f64,
+        _distill_step_latency: f64,
         mut teacher_factory: F,
     ) -> Result<ServerPool>
     where
@@ -230,14 +232,7 @@ impl ServerPool {
             pool_config,
             template,
             pool_config.crew_helpers(),
-            |shard, template| {
-                ServeShard::new(
-                    config,
-                    template,
-                    teacher_factory(shard),
-                    distill_step_latency,
-                )
-            },
+            |shard, template| ServeShard::new(config, template, teacher_factory(shard), 0.0),
         )
     }
 

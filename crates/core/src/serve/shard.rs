@@ -60,7 +60,7 @@ impl StreamEntry {
     /// frame indices, and whether the stream negotiated delta updates.
     pub(super) fn replica(&mut self) -> (WeightSnapshot, usize, usize, Vec<usize>, bool) {
         (
-            self.session.replica_checkpoint(),
+            self.session.initial_checkpoint(),
             self.session.key_frames_processed(),
             self.session.distill_steps_taken(),
             self.frames.known_indices(),
@@ -87,8 +87,6 @@ pub(super) struct CrewItem {
     entry: StreamEntry,
     /// The stream's jobs in scheduling order.
     jobs: Vec<ItemJob>,
-    /// Virtual teacher time charged to each job.
-    teacher_time: f64,
     #[cfg(test)]
     hook: Option<ItemHook>,
 }
@@ -151,7 +149,7 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
             let Some(frame) = frames.peek(job.frame_index) else {
                 unreachable!("frame resident: touched when the batch was resolved")
             };
-            let response = session.distill(frame, &job.pseudo_label, item.teacher_time)?;
+            let response = session.distill(frame, &job.pseudo_label, 0.0)?;
             emit(Served {
                 position: item.position,
                 index: job.index,
@@ -244,7 +242,6 @@ pub struct BatchOutcome {
 /// drives it from a queue, and tests can drive it directly.
 pub struct ServeShard<T: Teacher> {
     config: ShadowTutorConfig,
-    distill_step_latency: f64,
     template: StudentNet,
     /// Full-scope digest of the pristine template — the sparse-restore
     /// baseline: failover applies only the replica entries that differ from
@@ -263,17 +260,17 @@ pub struct ServeShard<T: Teacher> {
 
 impl<T: Teacher> ServeShard<T> {
     /// Create a shard serving sessions cloned from `template`.
+    /// `_distill_step_latency` is ignored, as in [`DistillSession::new`].
     pub fn new(
         config: ShadowTutorConfig,
         mut template: StudentNet,
         teacher: T,
-        distill_step_latency: f64,
+        _distill_step_latency: f64,
     ) -> Self {
         let template_digest =
             CheckpointDigest::of(&WeightSnapshot::capture(&mut template, SnapshotScope::Full));
         ServeShard {
             config,
-            distill_step_latency,
             template,
             template_digest,
             session_weights: SessionWeights::CopyOnWrite,
@@ -331,11 +328,7 @@ impl<T: Teacher> ServeShard<T> {
         supports_delta: bool,
     ) -> WeightSnapshot {
         if !self.sessions.contains_key(&stream_id) {
-            let session = DistillSession::new(
-                self.config,
-                self.template_instance(),
-                self.distill_step_latency,
-            );
+            let session = DistillSession::new(self.config, self.template_instance(), 0.0);
             self.sessions.insert(
                 stream_id,
                 StreamEntry {
@@ -450,14 +443,8 @@ impl<T: Teacher> ServeShard<T> {
         let sparse = WeightDelta::compute(snapshot, &self.template_digest);
         let (changed, _) = sparse.into_parts()?;
         let base = self.template_instance();
-        let session = DistillSession::resume(
-            self.config,
-            base,
-            &changed,
-            self.distill_step_latency,
-            key_frames,
-            distill_steps,
-        )?;
+        let session =
+            DistillSession::resume(self.config, base, &changed, key_frames, distill_steps)?;
         let delta = supports_delta.then(|| DeltaTrack {
             digest: CheckpointDigest::of(snapshot),
             synced: false,
@@ -599,10 +586,6 @@ impl<T: Teacher> ServeShard<T> {
             self.teacher.pseudo_label_batch(&frame_refs)?
         };
         self.stats.teacher_wall_time += teacher_started.elapsed();
-        // Every job is charged the teacher's solo latency, exactly as a
-        // single-stream server charges it; what the batch saved is in the
-        // measured `teacher_wall_time`.
-        let teacher_time = self.teacher.inference_latency();
         self.stats.teacher_batches += 1;
         self.stats.max_batch_observed = self.stats.max_batch_observed.max(batch);
 
@@ -631,7 +614,6 @@ impl<T: Teacher> ServeShard<T> {
                 stream_id: job.stream_id,
                 entry,
                 jobs: vec![item_job],
-                teacher_time,
                 #[cfg(test)]
                 hook: self.item_hook.clone(),
             });

@@ -137,8 +137,8 @@ impl ShardStats {
         }
     }
 
-    /// Measured amortized teacher cost per key frame in seconds (wall clock,
-    /// not the virtual model; 0.0 before any key frame was served).
+    /// Measured amortized teacher cost per key frame in seconds (wall
+    /// clock; 0.0 before any key frame was served).
     pub fn mean_teacher_wall_secs(&self) -> f64 {
         if self.key_frames == 0 {
             0.0
@@ -235,7 +235,7 @@ impl PoolStats {
     }
 
     /// Measured amortized teacher cost per key frame in seconds across the
-    /// pool (wall clock, not the virtual model).
+    /// pool (wall clock).
     pub fn mean_teacher_wall_secs(&self) -> f64 {
         let k = self.total_key_frames();
         if k == 0 {

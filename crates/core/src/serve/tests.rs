@@ -203,7 +203,7 @@ fn duplicate_register_does_not_clobber_the_session() {
 }
 
 /// Two streams' key frames, one job each, in one batch on a fresh shard.
-fn two_stream_batch() -> (ServeShard<OracleTeacher>, BatchOutcome, [Frame; 2]) {
+fn two_stream_batch() -> (ServeShard<OracleTeacher>, BatchOutcome) {
     let mut s = shard();
     let people = frames_for(SceneKind::People, 21, 2);
     let street = frames_for(SceneKind::Street, 22, 2);
@@ -221,36 +221,17 @@ fn two_stream_batch() -> (ServeShard<OracleTeacher>, BatchOutcome, [Frame; 2]) {
             },
         ])
         .unwrap();
-    (s, outcome, [people[0].clone(), street[0].clone()])
+    (s, outcome)
 }
 
 #[test]
 fn two_streams_share_one_teacher_forward() {
-    let (s, outcome, _) = two_stream_batch();
+    let (s, outcome) = two_stream_batch();
     assert_eq!(outcome.responses.len(), 2);
     let stats = s.stats();
     assert_eq!(stats.teacher_batches, 1);
     assert_eq!(stats.key_frames, 2);
     assert_eq!(stats.max_batch_observed, 2);
-}
-
-#[test]
-fn a_batched_job_is_charged_what_a_single_stream_server_charges() {
-    // One accounting rule: a key frame labelled in a batch costs the same
-    // virtual server time as the same frame through `ServerState` from the
-    // same template — no modelled batch discount.
-    let (_, outcome, frames) = two_stream_batch();
-    for ((_, _, batched), frame) in outcome.responses.iter().zip(&frames) {
-        let mut solo = crate::server::ServerState::new(
-            ShadowTutorConfig::paper(),
-            StudentNet::new(StudentConfig::tiny()).unwrap(),
-            OracleTeacher::perfect(5),
-            0.013,
-        );
-        let alone = solo.handle_key_frame(frame).unwrap();
-        assert_eq!(batched.outcome.steps, alone.outcome.steps);
-        assert_eq!(batched.server_time.to_bits(), alone.server_time.to_bits());
-    }
 }
 
 #[test]
@@ -796,7 +777,7 @@ fn crew_width_never_changes_an_answer() {
     const STREAMS: usize = 6;
     const KEY_FRAMES: usize = 12;
     /// What one response looks like from outside, exactly.
-    type Answer = (usize, bytes::Bytes, u64, usize, u64);
+    type Answer = (usize, bytes::Bytes, u64, usize);
     struct Run {
         answers: HashMap<StreamId, Vec<Answer>>,
         checkpoints: HashMap<StreamId, bytes::Bytes>,
@@ -844,7 +825,6 @@ fn crew_width_never_changes_an_answer() {
                     response.update.encode(),
                     response.metric.to_bits(),
                     response.outcome.steps,
-                    response.server_time.to_bits(),
                 ));
             }
             private_peak = private_peak.max(shard.memory_profile().private_bytes);

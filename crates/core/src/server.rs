@@ -4,17 +4,14 @@
 //! frame received from the client it (1) runs teacher inference to obtain a
 //! pseudo-label, (2) trains its student copy on that pseudo-label with
 //! [`crate::train::train_student`], and (3) returns the updated (partial or
-//! full) weights plus the post-training metric. The same state machine is
-//! used by the virtual-time runtime (which calls [`ServerState::handle_key_frame`]
-//! directly) and the threaded live runtime (which drives it from a message
-//! loop).
+//! full) weights plus the post-training metric.
 //!
-//! The per-stream half of that state — the trainable student copy, its
-//! optimizer, and the counters — lives in [`DistillSession`] so the
-//! multi-stream server pool ([`crate::serve`]) can keep one session per
-//! client stream while sharing a single teacher across the streams of a
-//! shard. [`ServerState`] composes one teacher with one session and is the
-//! single-stream view used by the original runtimes.
+//! Steps (2) and (3) — the trainable student copy, its optimizer, and the
+//! counters — are one [`DistillSession`] per client stream; step (1) is the
+//! caller's teacher. The frame-stepped runtime and `run_live`'s server
+//! thread each hold one session beside one teacher; the multi-stream pool
+//! ([`crate::serve`]) keeps one session per stream and shares a teacher
+//! across the streams of a shard.
 
 use crate::config::{DistillationMode, ShadowTutorConfig};
 use crate::train::{train_student, TrainOutcome};
@@ -22,7 +19,6 @@ use crate::Result;
 use st_nn::optim::Adam;
 use st_nn::snapshot::{PayloadSizes, SnapshotScope, WeightSnapshot};
 use st_nn::student::StudentNet;
-use st_teacher::Teacher;
 use st_video::Frame;
 use std::time::Duration;
 
@@ -72,24 +68,20 @@ pub struct KeyFrameResponse {
     pub metric: f64,
     /// Training details (steps taken, initial metric, loss).
     pub outcome: TrainOutcome,
-    /// Virtual time the server spent on this key frame: teacher inference
-    /// plus `steps` distillation steps, per the latency profile in use.
-    pub server_time: f64,
 }
 
 /// The teacher-independent, per-stream half of the server: the trainable
 /// student copy, its optimizer, and the distillation counters.
 ///
-/// One session exists per client stream. The single-stream [`ServerState`]
-/// owns exactly one; the multi-stream shard in [`crate::serve`] owns one per
-/// stream and feeds them pseudo-labels produced by a shared teacher.
+/// One session exists per client stream. The single-stream runtimes own
+/// exactly one beside their teacher; the multi-stream shard in
+/// [`crate::serve`] owns one per stream and feeds them pseudo-labels
+/// produced by a shared teacher.
 pub struct DistillSession {
     /// Algorithm parameters.
     pub config: ShadowTutorConfig,
     student: StudentNet,
     optimizer: Adam,
-    /// Latency of one distillation step (seconds of virtual time).
-    distill_step_latency: f64,
     total_key_frames: usize,
     total_distill_steps: usize,
 }
@@ -98,11 +90,13 @@ impl DistillSession {
     /// Create a session from a pre-trained student checkpoint.
     ///
     /// The student's freeze point is set according to the configured
-    /// distillation mode.
+    /// distillation mode. `_distill_step_latency` is ignored: nothing reads
+    /// a virtual server time (the paper's `t_sd` lives in
+    /// [`crate::LatencyProfile`]).
     pub fn new(
         config: ShadowTutorConfig,
         mut student: StudentNet,
-        distill_step_latency: f64,
+        _distill_step_latency: f64,
     ) -> Self {
         student.freeze = config.mode.freeze_point();
         let optimizer = Adam::new(config.learning_rate);
@@ -110,7 +104,6 @@ impl DistillSession {
             config,
             student,
             optimizer,
-            distill_step_latency,
             total_key_frames: 0,
             total_distill_steps: 0,
         }
@@ -129,7 +122,6 @@ impl DistillSession {
         config: ShadowTutorConfig,
         mut student: StudentNet,
         snapshot: &WeightSnapshot,
-        distill_step_latency: f64,
         key_frames: usize,
         distill_steps: usize,
     ) -> Result<Self> {
@@ -140,21 +132,16 @@ impl DistillSession {
             config,
             student,
             optimizer,
-            distill_step_latency,
             total_key_frames: key_frames,
             total_distill_steps: distill_steps,
         })
     }
 
-    /// The initial full student checkpoint the server sends when the stream
-    /// is registered (Algorithm 3, line 1).
+    /// A full-scope checkpoint of the session's current student: the
+    /// initial student the server sends when the stream is registered
+    /// (Algorithm 3, line 1), what checkpoint replication publishes to a
+    /// buddy shard, and the final checkpoint a shard reports at `finish`.
     pub fn initial_checkpoint(&mut self) -> WeightSnapshot {
-        WeightSnapshot::capture(&mut self.student, SnapshotScope::Full)
-    }
-
-    /// Capture a full-scope checkpoint of the session's current student for
-    /// checkpoint replication to a buddy shard.
-    pub fn replica_checkpoint(&mut self) -> WeightSnapshot {
         WeightSnapshot::capture(&mut self.student, SnapshotScope::Full)
     }
 
@@ -176,14 +163,13 @@ impl DistillSession {
     /// Train the session's student on one key frame against an
     /// already-computed pseudo-label (Algorithm 3, lines 4-6).
     ///
-    /// `teacher_time` is the virtual time charged for producing the
-    /// pseudo-label: the teacher's `t_ti`, whether the label came from a
-    /// solo forward or from the multi-stream pool's batched one.
+    /// `_teacher_time` is ignored: nothing reads a virtual server time (the
+    /// paper's `t_ti` lives in [`crate::LatencyProfile`]).
     pub fn distill(
         &mut self,
         frame: &Frame,
         pseudo_label: &[usize],
-        teacher_time: f64,
+        _teacher_time: f64,
     ) -> Result<KeyFrameResponse> {
         let outcome = train_student(
             &mut self.student,
@@ -203,7 +189,6 @@ impl DistillSession {
             update,
             metric: outcome.best_metric,
             outcome,
-            server_time: teacher_time + outcome.steps as f64 * self.distill_step_latency,
         })
     }
 
@@ -238,76 +223,11 @@ impl DistillSession {
     }
 }
 
-/// Server-side state: teacher + trainable student copy + optimizer.
-pub struct ServerState<T: Teacher> {
-    /// Algorithm parameters.
-    pub config: ShadowTutorConfig,
-    teacher: T,
-    session: DistillSession,
-}
-
-impl<T: Teacher> ServerState<T> {
-    /// Create a server from a pre-trained student checkpoint and a teacher.
-    ///
-    /// The student's freeze point is set according to the configured
-    /// distillation mode.
-    pub fn new(
-        config: ShadowTutorConfig,
-        student: StudentNet,
-        teacher: T,
-        distill_step_latency: f64,
-    ) -> Self {
-        ServerState {
-            config,
-            teacher,
-            session: DistillSession::new(config, student, distill_step_latency),
-        }
-    }
-
-    /// The initial full student checkpoint the server sends when the system
-    /// starts (Algorithm 3, line 1).
-    pub fn initial_checkpoint(&mut self) -> WeightSnapshot {
-        self.session.initial_checkpoint()
-    }
-
-    /// Wire sizes of the per-key-frame student payload under the current mode.
-    pub fn update_payload_bytes(&mut self) -> usize {
-        self.session.update_payload_bytes()
-    }
-
-    /// Handle one key frame (Algorithm 3, lines 3-6).
-    pub fn handle_key_frame(&mut self, frame: &Frame) -> Result<KeyFrameResponse> {
-        let pseudo_label = self.teacher.pseudo_label(frame)?;
-        self.session
-            .distill(frame, &pseudo_label, self.teacher.inference_latency())
-    }
-
-    /// The teacher owned by the server (e.g. to label evaluation frames).
-    pub fn teacher_mut(&mut self) -> &mut T {
-        &mut self.teacher
-    }
-
-    /// Total key frames processed so far.
-    pub fn key_frames_processed(&self) -> usize {
-        self.session.key_frames_processed()
-    }
-
-    /// Total distillation steps taken so far.
-    pub fn distill_steps_taken(&self) -> usize {
-        self.session.distill_steps_taken()
-    }
-
-    /// Mean distillation steps per key frame (Table 2's second row).
-    pub fn mean_distill_steps(&self) -> f64 {
-        self.session.mean_distill_steps()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use st_nn::student::StudentConfig;
-    use st_teacher::OracleTeacher;
+    use st_teacher::{OracleTeacher, Teacher};
     use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
     fn generator() -> VideoGenerator {
@@ -318,67 +238,42 @@ mod tests {
         VideoGenerator::new(VideoConfig::for_category(cat, 32, 24, 3)).unwrap()
     }
 
-    fn server(mode: DistillationMode) -> ServerState<OracleTeacher> {
+    fn session(mode: DistillationMode) -> DistillSession {
         let config = ShadowTutorConfig {
             mode,
             ..ShadowTutorConfig::paper()
         };
         let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-        ServerState::new(config, student, OracleTeacher::perfect(7), 0.013)
+        DistillSession::new(config, student, 0.013)
+    }
+
+    /// Algorithm 3, lines 3-6: label the key frame, then distill on it.
+    fn label_and_distill(
+        session: &mut DistillSession,
+        teacher: &mut OracleTeacher,
+        frame: &Frame,
+    ) -> KeyFrameResponse {
+        let label = teacher.pseudo_label(frame).unwrap();
+        session.distill(frame, &label, 0.044).unwrap()
     }
 
     #[test]
     fn key_frame_handling_trains_and_reports() {
-        let mut s = server(DistillationMode::Partial);
+        let mut s = session(DistillationMode::Partial);
+        let mut teacher = OracleTeacher::perfect(7);
         let mut gen = generator();
         let frame = gen.next_frame();
-        let resp = s.handle_key_frame(&frame).unwrap();
+        let resp = label_and_distill(&mut s, &mut teacher, &frame);
         assert!(resp.outcome.steps >= 1);
         assert!(resp.metric >= resp.outcome.initial_metric);
-        assert!(resp.server_time >= 0.044);
         assert_eq!(s.key_frames_processed(), 1);
         assert_eq!(s.distill_steps_taken(), resp.outcome.steps);
         assert!((s.mean_distill_steps() - resp.outcome.steps as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distill_session_matches_server_state_on_the_same_stream() {
-        // ServerState is DistillSession + a teacher; driving the session
-        // directly with the teacher's labels must be weight-for-weight
-        // identical to the composed state machine.
-        let mut composed = server(DistillationMode::Partial);
-        let mut session = DistillSession::new(
-            composed.config,
-            StudentNet::new(StudentConfig::tiny()).unwrap(),
-            0.013,
-        );
-        let mut teacher = OracleTeacher::perfect(7);
-        let mut gen = generator();
-        for _ in 0..3 {
-            let frame = gen.next_frame();
-            let via_state = composed.handle_key_frame(&frame).unwrap();
-            let label = teacher.pseudo_label(&frame).unwrap();
-            let via_session = session
-                .distill(&frame, &label, teacher.inference_latency())
-                .unwrap();
-            assert_eq!(via_state.outcome.steps, via_session.outcome.steps);
-            assert!((via_state.metric - via_session.metric).abs() < 1e-12);
-            assert!((via_state.server_time - via_session.server_time).abs() < 1e-12);
-            assert!(via_state.update.distance(&via_session.update).unwrap() < 1e-9);
-        }
-        assert_eq!(
-            session.key_frames_processed(),
-            composed.key_frames_processed()
-        );
-        assert_eq!(
-            session.distill_steps_taken(),
-            composed.distill_steps_taken()
-        );
         // The session's exported stats carry the distillation half and leave
         // the pool-worker half (waits, throttles, drops) zeroed.
-        let stats = session.stats();
-        assert_eq!(stats.key_frames, session.key_frames_processed());
-        assert_eq!(stats.distill_steps, session.distill_steps_taken());
+        let stats = s.stats();
+        assert_eq!(stats.key_frames, s.key_frames_processed());
+        assert_eq!(stats.distill_steps, s.distill_steps_taken());
         assert_eq!(stats.throttled, 0);
         assert_eq!(stats.dropped, 0);
         assert_eq!(stats.mean_queue_wait_secs(), 0.0);
@@ -403,14 +298,14 @@ mod tests {
 
     #[test]
     fn partial_update_payload_is_smaller_than_full() {
-        let mut partial = server(DistillationMode::Partial);
-        let mut full = server(DistillationMode::Full);
+        let mut partial = session(DistillationMode::Partial);
+        let mut full = session(DistillationMode::Full);
         assert!(partial.update_payload_bytes() < full.update_payload_bytes());
     }
 
     #[test]
     fn initial_checkpoint_is_full_scope() {
-        let mut s = server(DistillationMode::Partial);
+        let mut s = session(DistillationMode::Partial);
         let ckpt = s.initial_checkpoint();
         assert_eq!(ckpt.scope(), SnapshotScope::Full);
         assert!(ckpt.entry_count() > 0);
@@ -418,23 +313,22 @@ mod tests {
 
     #[test]
     fn metric_improves_over_repeated_key_frames_of_a_static_scene() {
-        let mut s = server(DistillationMode::Partial);
+        let mut s = session(DistillationMode::Partial);
+        let mut teacher = OracleTeacher::perfect(7);
         let mut gen = generator();
         let mut last_initial = 0.0;
         for i in 0..5 {
             let frame = gen.next_frame();
-            let resp = s.handle_key_frame(&frame).unwrap();
+            let resp = label_and_distill(&mut s, &mut teacher, &frame);
             if i == 4 {
                 last_initial = resp.outcome.initial_metric;
             }
         }
         let first_frame_metric = {
-            let mut fresh = server(DistillationMode::Partial);
+            let mut fresh = session(DistillationMode::Partial);
             let mut gen2 = generator();
             let frame = gen2.next_frame();
-            fresh
-                .handle_key_frame(&frame)
-                .unwrap()
+            label_and_distill(&mut fresh, &mut OracleTeacher::perfect(7), &frame)
                 .outcome
                 .initial_metric
         };

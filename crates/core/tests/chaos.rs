@@ -1,6 +1,6 @@
 //! Chaos end-to-end tests: kill one of four shards mid-run under 8×-skewed
 //! load and assert the pool recovers — every stream finishes, takeover
-//! latency stays under the `st_sim::FailoverModel` bound, lost frames are
+//! latency stays under the [`FailoverModel`] bound, lost frames are
 //! drop-acked with [`DropReason::ShardFailed`], and (for a clean kill) the
 //! adopted streams' distillation matches a fault-free run bit for bit.
 //!
@@ -22,7 +22,6 @@ use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, Tran
 use st_nn::delta::{CheckpointDigest, WeightPayload};
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::FailoverModel;
 use st_teacher::OracleTeacher;
 use st_video::dataset::tiny_stream;
 use st_video::{Frame, SceneKind};
@@ -36,6 +35,92 @@ const STREAMS: usize = 8;
 /// The hot stream sends 8× the cold streams' single key frame.
 const HOT_KEY_FRAMES: usize = 8;
 const DEAD_SHARD: usize = 1;
+
+/// Worst-case takeover latency for warm-standby adoption: an analytic
+/// bound, not a forecast.
+///
+/// The failover path (see `docs/ARCHITECTURE.md`, "Failure model") has
+/// three sequential components, each with a modelled worst case:
+///
+/// 1. **Detection** — the warm standby notices its ward's death
+///    certificate on its next pass. The worker that catches a dying pass
+///    wakes the standby's readiness token, so an idle standby runs that
+///    pass within one `detect_tick` (the reactor's `REACTOR_IDLE_TICK`,
+///    the longest a worker parks in the poller); a busy one may first have
+///    to finish the batch pass it is in, bounded by `pass_cost`.
+/// 2. **Adoption** — claiming the carcass, flipping routes, merging
+///    mailboxes and counters: a fixed amount of pointer work, bounded by
+///    `adopt_cost`.
+/// 3. **Restore** — decoding each replicated session checkpoint and
+///    re-registering the stream, linear in the number of adopted streams
+///    (`restore_cost_per_stream`).
+///
+/// [`FailoverModel::takeover_bound`] adds the three up. The chaos tests
+/// assert the pool's measured takeover latency stays under it, so a
+/// regression that, say, serializes restores behind an extra lock or loses
+/// the detection tick shows up as a bound violation rather than an
+/// unexplained slowdown.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct FailoverModel {
+    /// Standby duty cadence in seconds: the longest an *idle* standby goes
+    /// between checks of its ward's liveness.
+    detect_tick: f64,
+    /// Worst-case cost of the batch pass the standby may be in the middle
+    /// of when the ward dies, in seconds (a batched teacher forward plus
+    /// its distillation steps).
+    pass_cost: f64,
+    /// Fixed adoption overhead in seconds: claiming the carcass, flipping
+    /// routes, merging mailbox/meters, re-queuing parked jobs.
+    adopt_cost: f64,
+    /// Per-adopted-stream restore cost in seconds: decoding the replicated
+    /// checkpoint chunks and re-registering the session.
+    restore_cost_per_stream: f64,
+}
+
+impl FailoverModel {
+    /// Defaults matching the live pool's constants: a 50 ms worst-case
+    /// detection tick (the reactor's idle tick), a teacher-forward-sized
+    /// pass and generous fixed costs. `pass_cost` should be raised to the
+    /// measured batch cost when the teacher is not the paper's.
+    fn paper_default() -> FailoverModel {
+        FailoverModel {
+            detect_tick: 0.050,
+            pass_cost: 0.100,
+            adopt_cost: 0.010,
+            restore_cost_per_stream: 0.005,
+        }
+    }
+
+    /// Worst-case delay between a shard's death and the standby *noticing*
+    /// it: one full pass plus one idle tick.
+    fn detection_bound(&self) -> f64 {
+        self.pass_cost + self.detect_tick
+    }
+
+    /// Worst-case delay between a shard's death and the standby finishing
+    /// adoption of `streams` streams — the quantity the pool reports as
+    /// takeover latency (death certificate to takeover complete).
+    fn takeover_bound(&self, streams: usize) -> f64 {
+        self.detection_bound() + self.adopt_cost + streams as f64 * self.restore_cost_per_stream
+    }
+}
+
+#[test]
+fn bound_is_monotonic_in_streams() {
+    let m = FailoverModel::paper_default();
+    assert!(m.takeover_bound(0) >= m.detection_bound());
+    assert!(m.takeover_bound(8) > m.takeover_bound(1));
+    let delta = m.takeover_bound(9) - m.takeover_bound(8);
+    assert!((delta - m.restore_cost_per_stream).abs() < 1e-12);
+}
+
+#[test]
+fn paper_default_is_sub_second_for_small_pools() {
+    // The chaos e2e adopts 8 streams at most; the bound must stay well
+    // under a second or "bounded takeover" means nothing.
+    let m = FailoverModel::paper_default();
+    assert!(m.takeover_bound(8) < 0.5, "{}", m.takeover_bound(8));
+}
 
 fn chaos_pool_config(fault_plan: FaultPlan) -> PoolConfig {
     PoolConfig {

@@ -36,8 +36,9 @@
 //!   thousands of mostly-idle endpoints without spinning `try_recv` or
 //!   parking a thread per endpoint.
 //!
-//! The virtual-time runtime in the `shadowtutor` crate uses only [`link`] and
-//! [`message`]; the threaded runtime uses [`transport`] as well.
+//! The frame-stepped runtime in the `shadowtutor` crate uses only [`link`],
+//! as an input of the paper's execution-time model; the threaded runtimes
+//! use [`message`] and [`transport`].
 //!
 //! The multi-stream server pool additionally uses the stream-tagged
 //! envelope ([`message::StreamTagged`]), the backpressure acks

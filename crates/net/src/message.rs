@@ -14,15 +14,14 @@ pub const MESSAGE_OVERHEAD_BYTES: usize = 64;
 
 /// A payload with an explicit wire size.
 ///
-/// The actual bytes are optional: the virtual-time runtime only needs sizes,
-/// while the live transport ships real encoded bytes.
+/// The actual bytes are optional: a size-only payload is enough for a
+/// message whose content the receiver never reads, while the live transport
+/// ships real encoded bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Payload {
     /// *Modelled* wire size in bytes, including [`MESSAGE_OVERHEAD_BYTES`].
     ///
-    /// This is the size the virtual-time runtime charges to the link model.
-    /// It predates the binary codec and is kept for the simulated paths;
-    /// for bytes that actually cross a transport, measure with
+    /// It predates the binary codec and no transport reads it; for bytes that actually cross a transport, measure with
     /// [`Wire::encoded_len`](crate::wire::Wire::encoded_len) (or
     /// [`wire::frame_len`](crate::wire::frame_len) for the framed size)
     /// instead.
@@ -32,7 +31,7 @@ pub struct Payload {
 }
 
 impl Payload {
-    /// A size-only payload (virtual-time runtime).
+    /// A size-only payload.
     pub fn sized(content_bytes: usize) -> Self {
         Payload {
             bytes: content_bytes + MESSAGE_OVERHEAD_BYTES,

@@ -56,9 +56,8 @@ impl std::error::Error for TransportError {}
 /// directly — it goes through an [`Endpoint`], which adds the byte
 /// accounting.
 pub trait Transport<S, R> {
-    /// Send a message annotated with its *modelled* wire size (the size the
-    /// virtual-time link model charges). Neither backend reads it; measured
-    /// bytes are the [`Endpoint`]'s business.
+    /// Send a message annotated with its *modelled* wire size. Neither
+    /// backend reads it; measured bytes are the [`Endpoint`]'s business.
     fn send(&mut self, message: S, bytes: usize) -> Result<(), TransportError>;
 
     /// Non-blocking receive. `Ok(None)` means no message is waiting.

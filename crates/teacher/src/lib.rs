@@ -59,11 +59,10 @@ pub trait Teacher {
 
     /// Nominal inference latency of this teacher in seconds (`t_ti`).
     ///
-    /// Every key frame is charged this latency as its virtual teacher time,
-    /// whether it was labelled alone or in a batch; it does not depend on
-    /// how long the Rust call actually takes, so experiments are
-    /// reproducible across machines. What batching saves in wall-clock
-    /// terms is measured, not modelled.
+    /// Nothing in the workspace reads it: the execution-time model takes
+    /// `t_ti` from the `shadowtutor` crate's `LatencyProfile`, and what a
+    /// teacher forward costs on the host is measured, not modelled. It is
+    /// kept while an out-of-workspace implementor still provides it.
     fn inference_latency(&self) -> f64;
 
     /// Number of parameters of the teacher (for reporting teacher/student

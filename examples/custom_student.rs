@@ -10,7 +10,7 @@
 
 use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
 use shadowtutor::pretrain::{pretrain_student, PretrainConfig};
-use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
+use shadowtutor::runtime::sim::SimRuntime;
 use st_nn::snapshot::PayloadSizes;
 use st_nn::student::{FreezePoint, Stage, StudentConfig, StudentNet};
 use st_teacher::OracleTeacher;
@@ -71,8 +71,7 @@ fn main() {
         let runtime = SimRuntime {
             config,
             ..SimRuntime::paper(mode)
-        }
-        .with_delay_model(DelayModel::Frames(1));
+        };
         let mut video = VideoGenerator::new(video_config).expect("video config");
         let record = runtime
             .run(

@@ -1,6 +1,6 @@
 //! Live threaded pipeline: client and server as real OS threads.
 //!
-//! The virtual-time runtime used by the benches models asynchrony; this
+//! The frame-stepped runtime used by the tables models asynchrony; this
 //! example demonstrates the same protocol with *real* concurrency — the
 //! server thread trains the student while the client thread keeps serving
 //! frames, exchanging key frames and weight updates over in-process channels

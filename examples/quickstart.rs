@@ -1,7 +1,7 @@
 //! Quickstart: run ShadowTutor end-to-end on a short synthetic video.
 //!
 //! The example pre-trains a tiny student ("public education"), generates a
-//! people-scene video, runs the virtual-time runtime with the paper's
+//! people-scene video, runs the frame-stepped runtime with the paper's
 //! parameters, and prints the headline quantities the paper reports:
 //! throughput, key-frame ratio, per-key-frame payload, and accuracy versus
 //! the teacher — alongside the same stream served by the untrained student
@@ -12,10 +12,10 @@
 use shadowtutor::baseline::{run_naive, run_wild};
 use shadowtutor::config::DistillationMode;
 use shadowtutor::pretrain::{pretrain_student, PretrainConfig};
-use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
+use shadowtutor::runtime::sim::SimRuntime;
+use shadowtutor::LatencyProfile;
 use st_net::LinkModel;
 use st_nn::student::StudentConfig;
-use st_sim::LatencyProfile;
 use st_teacher::OracleTeacher;
 use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
@@ -42,7 +42,7 @@ fn main() {
         "\nrunning ShadowTutor (partial distillation) on {frames} frames of {}...",
         category.label()
     );
-    let runtime = SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Timing);
+    let runtime = SimRuntime::paper(DistillationMode::Partial);
     let mut video = VideoGenerator::new(config).expect("video config");
     let record = runtime
         .run(
@@ -76,7 +76,10 @@ fn main() {
     )
     .expect("naive run");
 
-    println!("\n== results ({} frames, virtual time) ==", record.frames);
+    println!(
+        "\n== results ({} frames, the paper's timing model) ==",
+        record.frames
+    );
     println!(
         "{:<14} {:>8} {:>8} {:>10} {:>12} {:>12}",
         "variant", "FPS", "mIoU %", "key fr. %", "MB/keyframe", "total MB"

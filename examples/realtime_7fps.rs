@@ -11,7 +11,7 @@
 
 use shadowtutor::config::DistillationMode;
 use shadowtutor::pretrain::{pretrain_student, PretrainConfig};
-use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
+use shadowtutor::runtime::sim::SimRuntime;
 use st_nn::student::StudentConfig;
 use st_teacher::OracleTeacher;
 use st_video::resample::Resampler;
@@ -44,8 +44,7 @@ fn main() {
     );
     for (i, category) in categories.iter().enumerate() {
         let config = VideoConfig::for_category(*category, 32, 24, 100 + i as u64);
-        let runtime =
-            SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(1));
+        let runtime = SimRuntime::paper(DistillationMode::Partial);
 
         // Native-rate stream.
         let mut native_video = VideoGenerator::new(config).expect("video config");

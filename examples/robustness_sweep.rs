@@ -12,10 +12,10 @@
 
 use shadowtutor::config::DistillationMode;
 use shadowtutor::pretrain::{pretrain_student, PretrainConfig};
-use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
+use shadowtutor::runtime::sim::SimRuntime;
+use shadowtutor::{Concurrency, LatencyProfile};
 use st_net::{LinkModel, NaiveTraffic};
 use st_nn::student::StudentConfig;
-use st_sim::{Concurrency, LatencyProfile};
 use st_teacher::OracleTeacher;
 use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
@@ -36,7 +36,7 @@ fn main() {
         "collecting the distillation trace on {frames} frames of {}...",
         category.label()
     );
-    let runtime = SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Timing);
+    let runtime = SimRuntime::paper(DistillationMode::Partial);
     let mut video = VideoGenerator::new(config).expect("video config");
     let record = runtime
         .run(

@@ -11,7 +11,6 @@ pub mod testsupport;
 pub use shadowtutor;
 pub use st_net;
 pub use st_nn;
-pub use st_sim;
 pub use st_teacher;
 pub use st_tensor;
 pub use st_video;

@@ -10,10 +10,10 @@ use shadowtutor::bounds::{throughput_bounds, traffic_bounds, BoundInputs};
 use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
 use shadowtutor::next_stride;
 use shadowtutor::runtime::sim::SimRuntime;
+use shadowtutor::{Concurrency, LatencyProfile};
 use st_net::LinkModel;
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::Concurrency;
 use st_teacher::OracleTeacher;
 use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
@@ -141,7 +141,6 @@ proptest! {
 
 fn synthetic_trace() -> shadowtutor::ExperimentRecord {
     use shadowtutor::report::{FrameRecord, KeyFrameRecord};
-    use st_sim::LatencyProfile;
     let frames = 2000usize;
     let key_every = 20usize;
     shadowtutor::ExperimentRecord {
@@ -198,7 +197,7 @@ fn measured_traffic_and_throughput_respect_the_paper_bounds() {
     let scaled = record.with_payload_sizes(frame_bytes, update_bytes);
     let t_net = link.key_frame_round_trip(frame_bytes, update_bytes);
     let inputs = BoundInputs::new(
-        &st_sim::LatencyProfile::paper(),
+        &LatencyProfile::paper(),
         true,
         t_net,
         frame_bytes + update_bytes,
@@ -280,7 +279,7 @@ use st_net::wire::{decode_frame, encode_frame, frame_len, FRAME_HEADER_BYTES, WI
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamTagged, WireError};
 
 fn arb_payload() -> impl Strategy<Value = Payload> {
-    // Alternate between size-only payloads (the virtual-time runtime's
+    // Alternate between size-only payloads (a control message's
     // shape) and content-carrying payloads with arbitrary bytes.
     (
         any::<bool>(),

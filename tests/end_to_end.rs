@@ -6,14 +6,14 @@ use shadowtutor::baseline::{run_naive, run_wild};
 use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
 use shadowtutor::loadgen::{run_skewed_load, PacedTeacher, SkewedLoadSpec};
 use shadowtutor::runtime::live::{run_live, run_live_multi, StreamSpec};
-use shadowtutor::runtime::sim::{DelayModel, SimRuntime};
+use shadowtutor::runtime::sim::SimRuntime;
 use shadowtutor::serve::{FrameStore, PoolConfig, ServerPool, StreamClient};
+use shadowtutor::{Concurrency, LatencyProfile};
 use shadowtutor_repro::testsupport::pretrained_student;
 use st_net::transport::ClientEndpoint;
 use st_net::LinkModel;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_sim::LatencyProfile;
 use st_teacher::OracleTeacher;
 use st_video::dataset::{category_videos, tiny_stream as frames_for, Resolution};
 use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
@@ -35,8 +35,7 @@ fn shadow_education_recovers_most_of_the_teacher_accuracy() {
     let (student, _) = pretrained_student();
 
     let frames = 120;
-    let runtime =
-        SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(1));
+    let runtime = SimRuntime::paper(DistillationMode::Partial);
     let mut shadow_video = people_video(3);
     let shadow = runtime
         .run(
@@ -132,7 +131,7 @@ fn throughput_ordering_matches_the_paper_at_paper_scale_replay() {
     let link = LinkModel::paper_default();
 
     let run = |mode: DistillationMode, seed: u64| {
-        let runtime = SimRuntime::paper(mode).with_delay_model(DelayModel::Frames(8));
+        let runtime = SimRuntime::paper(mode).with_update_delay(8);
         let mut video = people_video(seed);
         runtime
             .run(
@@ -149,10 +148,10 @@ fn throughput_ordering_matches_the_paper_at_paper_scale_replay() {
 
     let partial_fps = partial
         .with_payload_sizes(2_637_000, 395_000)
-        .replay_fps(&link, st_sim::Concurrency::Full);
+        .replay_fps(&link, Concurrency::Full);
     let full_fps = full
         .with_payload_sizes(2_637_000, 1_846_000)
-        .replay_fps(&link, st_sim::Concurrency::Full);
+        .replay_fps(&link, Concurrency::Full);
     // Naive at paper scale: ~0.36 s network + 0.044 s teacher per frame.
     let naive_fps = {
         let traffic = st_net::NaiveTraffic::for_frame(1280, 720);
@@ -486,7 +485,6 @@ fn hot_stream_cannot_starve_cold_streams() {
             ..defaults
         },
         student,
-        0.013,
         |shard| {
             // The 16 ms wall-clock pause per teacher forward makes the
             // throttle assertion machine-independent: even with free
@@ -1046,8 +1044,7 @@ fn lru_eviction_needframe_reshare_round_trip() {
 #[test]
 fn all_seven_categories_run_and_report_valid_metrics() {
     let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-    let runtime =
-        SimRuntime::paper(DistillationMode::Partial).with_delay_model(DelayModel::Frames(1));
+    let runtime = SimRuntime::paper(DistillationMode::Partial);
     for descriptor in category_videos(Resolution::Tiny, 123) {
         let mut video = VideoGenerator::new(descriptor.config).unwrap();
         let record = runtime
@@ -1076,8 +1073,9 @@ fn all_seven_categories_run_and_report_valid_metrics() {
 /// builder's fault, not the scheduler's.
 #[test]
 fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
-    use shadowtutor::server::ServerState;
+    use shadowtutor::server::DistillSession;
     use st_net::transport::{DuplexTransport, Endpoint};
+    use st_teacher::Teacher;
     use st_video::Frame;
 
     /// Drive the fixed script over whichever endpoint/server pair we were
@@ -1095,15 +1093,11 @@ fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
         T: st_net::Transport<ClientToServer, ServerToClient>,
     {
         let timeout = Duration::from_secs(5);
-        let mut server = ServerState::new(
-            ShadowTutorConfig::paper(),
-            student,
-            OracleTeacher::perfect(7),
-            0.013,
-        );
+        let mut teacher = OracleTeacher::perfect(7);
+        let mut session = DistillSession::new(ShadowTutorConfig::paper(), student, 0.013);
         let mut output: Vec<u8> = Vec::new();
 
-        let init = server.initial_checkpoint();
+        let init = session.initial_checkpoint();
         server_side
             .send(
                 ServerToClient::InitialStudent {
@@ -1136,7 +1130,9 @@ fn channel_backend_distillation_output_is_bit_identical_to_raw_pair() {
                 ClientToServer::KeyFrame { frame_index, .. } => frame_index,
                 other => panic!("expected KeyFrame, got {other:?}"),
             };
-            let response = server.handle_key_frame(&frames[frame_index]).unwrap();
+            let frame = &frames[frame_index];
+            let label = teacher.pseudo_label(frame).unwrap();
+            let response = session.distill(frame, &label, 0.044).unwrap();
             server_side
                 .send(
                     ServerToClient::StudentUpdate {
