@@ -14,7 +14,7 @@
 //!   backward, the CNN teacher. They never build the column matrix: the
 //!   GEMM's `B`-panel packer reads each stripe of it from the frames
 //!   (`LoweredImage`), row span by row span, for `W · cols` and — through a
-//!   16 KiB block it transposes — for the weight gradient `gO · colsᵀ`. The
+//!   32 KiB block it transposes — for the weight gradient `gO · colsᵀ`. The
 //!   backward takes the layer's *input*; the only column-shaped buffer left
 //!   is the transient `Wᵀ · gO` the input gradient scatters back through
 //!   [`col2im`] (its accumulation order is what that gradient's bits depend
@@ -286,8 +286,9 @@ impl<'a> LoweredImage<'a> {
                                 *d = v;
                             }
                         } else if hi - lo == NR {
-                            // A whole GEMM stripe inside one output row: a
-                            // fixed-size move the compiler keeps in registers.
+                            // A whole GEMM stripe inside one output row (a
+                            // row of at least 32 pixels): a fixed-size move
+                            // the compiler keeps in registers.
                             dst[..NR].copy_from_slice(&src[..NR]);
                         } else {
                             dst[..hi - lo].copy_from_slice(&src[..hi - lo]);
@@ -933,6 +934,35 @@ mod tests {
                     (bits(&out), grads.map(|g| bits(&g.weight)))
                 };
                 assert_eq!(run(1), run(2), "stride {stride}, {n} frames");
+            }
+        }
+    }
+
+    #[test]
+    fn lowered_image_equals_the_stored_column_matrix_on_the_students_shapes() {
+        // The `small()` student's stem (3 → 6), head (16 → 9, pointwise)
+        // and `in40 3×3` (40 → 24, K = 360 crosses a `KC` block): partial
+        // 8-row panels, over 16, 31, 33 and 192 pixels — the first three
+        // fill no 32-column stripe, and a 12×16 frame's stripes each span
+        // two output rows — on one worker and on two.
+        let specs = [
+            Conv2dSpec::square(3, 6, 3, 1),
+            Conv2dSpec::square(16, 9, 1, 1),
+            Conv2dSpec::square(40, 24, 3, 1),
+        ];
+        let mut seed = 600;
+        for spec in &specs {
+            for (h, w) in [(4, 4), (1, 31), (3, 11), (12, 16)] {
+                for n in [1, 2] {
+                    seed += 3;
+                    let input =
+                        random::uniform(Shape::nchw(n, spec.in_channels, h, w), -1.0, 1.0, seed);
+                    for threads in [1, 2] {
+                        crate::parallel::set_threads(threads);
+                        assert_lowered_equals_stored(spec, &input, seed);
+                        crate::parallel::set_threads(0);
+                    }
+                }
             }
         }
     }

@@ -29,11 +29,15 @@
 //!   needs the layer's input, not a 9× copy of it. A stripe is all the
 //!   microkernel ever sees, and both kinds fill it identically — every output
 //!   element's multiply-add chain is the same whichever one a product uses.
-//! * The microkernel keeps an `MR×NR` accumulator tile in registers and runs
-//!   a branch-free multiply-add over the packed panels — fixed trip counts
-//!   the auto-vectoriser turns into SIMD. (The seed kernel's data-dependent
-//!   `aik == 0.0` skip is gone: it blocked vectorisation and made timing
-//!   input-dependent.)
+//! * The microkernel computes one `8×32` (`MR×NR`) tile of `C` from one
+//!   panel and one stripe with a branch-free multiply-add per `kk`. Which
+//!   kernel runs is decided once per product, from the CPU: AVX-512 holds
+//!   the whole tile in sixteen 512-bit accumulators, AVX2 + FMA runs it as
+//!   four `4×16` sub-tiles of eight 256-bit ones, and the portable kernel as
+//!   `4×8` sub-tiles. All of them read the same packed panels and keep every
+//!   element's multiply-add chain (`Microkernel`), so the two SIMD kernels
+//!   give the same bits. (The seed kernel's data-dependent `aik == 0.0` skip
+//!   is gone: it blocked vectorisation and made timing input-dependent.)
 //! * Work is split across cores by disjoint `C` column stripes via
 //!   [`crate::parallel::par_ranges`]; each worker packs its own `B` stripes
 //!   and owns its columns of `C`, so no synchronisation is needed inside a
@@ -41,10 +45,10 @@
 //!   count.
 //!
 //! Accumulation order over `k` is identical for every output element across
-//! block sizes, thread counts, batch widths and panel sources, so results are
-//! bit-for-bit reproducible — the batched teacher forward relies on this to
-//! match per-frame forwards exactly, and the column-free convolutions on it
-//! to match the stored-matrix reference.
+//! block sizes, thread counts, batch widths, panel sources and SIMD
+//! microkernels, so results are bit-for-bit reproducible — the batched
+//! teacher forward relies on this to match per-frame forwards exactly, and
+//! the column-free convolutions on it to match the stored-matrix reference.
 
 use crate::conv::LoweredImage;
 use crate::parallel;
@@ -52,10 +56,12 @@ use crate::{Result, Shape, Tensor, TensorError};
 
 /// Cache block size over the reduction dimension.
 const KC: usize = 256;
-/// Microkernel tile rows (distinct broadcast registers per iteration).
-const MR: usize = 4;
-/// Microkernel tile columns (one or two SIMD vectors wide on most targets).
-pub(crate) const NR: usize = 16;
+/// Microkernel tile rows (distinct broadcasts per `kk`).
+const MR: usize = 8;
+/// Microkernel tile columns: two 512-bit vectors, four 256-bit ones.
+pub(crate) const NR: usize = 32;
+/// The accumulator tile one microkernel call fills.
+type Tile = [[f32; NR]; MR];
 /// Minimum multiply-accumulate count before a GEMM splits across the lanes
 /// ([`crate::parallel::par_ranges`]). Waking a parked lane and waiting for
 /// it costs microseconds, so only products with roughly a millisecond of
@@ -187,7 +193,7 @@ impl BSource<'_> {
                 image.lower_block(bstripe, k0..k0 + kc, j0..j0 + cols, NR)
             }
             // Its rows `[j0, j0+cols)` over columns `[k0, k0+kc)`, lowered
-            // into `block` (16 KiB at most), are the stored case in small.
+            // into `block` (32 KiB at most), are the stored case in small.
             BSource::Lowered(image, BLayout::Transposed) => {
                 block.clear();
                 block.resize(cols * kc, 0.0);
@@ -227,73 +233,156 @@ fn transpose_into_stripe(
     }
 }
 
-/// Portable register-tiled inner loop: `acc += apanel · bstripe` over `kc`
-/// steps. The `MR×NR` tile is processed as two `MR×(NR/2)` halves so the
-/// live accumulators fit the 16 128-bit registers of baseline x86-64
-/// (SSE2) and aarch64 (NEON) — a single-pass 4×16 tile spills there.
-fn microkernel_portable(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut [[f32; NR]; MR]) {
-    const HALF: usize = NR / 2;
-    for half in 0..2 {
-        for (a, b) in apanel
-            .chunks_exact(MR)
-            .zip(bstripe.chunks_exact(NR))
-            .take(kc)
+/// The multiply-add chains behind one `MR×NR` tile of `C`. Each kernel
+/// overwrites `acc` with `apanel · bstripe` over `kc` steps, one chain per
+/// element: `acc = 0`, then one multiply-add per `kk` in ascending order.
+/// The two SIMD kernels fuse every step and differ only in how many chains
+/// they keep in registers at once, so they give the same bits whichever a
+/// CPU has; the portable kernel's steps are unfused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Microkernel {
+    /// Unfused `acc += a * b` in `4×8` sub-tiles: the live accumulators fit
+    /// the 16 128-bit registers of baseline x86-64 (SSE2) and aarch64 (NEON).
+    Portable,
+    /// Fused multiply-adds in `4×16` sub-tiles, eight 256-bit accumulators
+    /// each.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// Fused multiply-adds over the whole tile in sixteen 512-bit
+    /// accumulators: per `kk`, two `B` loads and eight broadcasts feed
+    /// sixteen FMAs.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Microkernel {
+    /// The widest kernel this CPU runs (the detection macro caches its probe
+    /// in an atomic). A SIMD variant exists only where its features were
+    /// detected: this is its one constructor outside the tests, which check
+    /// the same features before naming one.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
         {
-            let b = &b[half * HALF..half * HALF + HALF];
-            for ii in 0..MR {
-                let av = a[ii];
-                let row = &mut acc[ii][half * HALF..half * HALF + HALF];
-                for (r, &bv) in row.iter_mut().zip(b.iter()) {
-                    *r += av * bv;
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Self::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                return Self::Avx2;
+            }
+        }
+        Self::Portable
+    }
+
+    /// Overwrite `acc` with `apanel · bstripe` over `kc` steps.
+    #[inline]
+    fn run(self, kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+        match self {
+            Self::Portable => microkernel_portable(kc, apanel, bstripe, acc),
+            // SAFETY: `Avx2` exists only where avx2 and fma were detected.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => unsafe { microkernel_avx2(kc, apanel, bstripe, acc) },
+            // SAFETY: `Avx512` exists only where avx512f was detected.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => unsafe { microkernel_avx512(kc, apanel, bstripe, acc) },
+        }
+    }
+}
+
+/// The tile as `4×COLS` sub-tiles, each carried through all `kc` steps
+/// before the next, with `step(acc, a, b)` as the multiply-add. Inlined into
+/// each kernel, so `step` compiles under that kernel's target features.
+#[inline(always)]
+fn sub_tiled<const COLS: usize>(
+    kc: usize,
+    apanel: &[f32],
+    bstripe: &[f32],
+    acc: &mut Tile,
+    step: impl Fn(f32, f32, f32) -> f32,
+) {
+    const ROWS: usize = 4;
+    for r0 in (0..MR).step_by(ROWS) {
+        for c0 in (0..NR).step_by(COLS) {
+            // A by-value sub-tile, so LLVM keeps it in registers for the
+            // whole `kc` loop instead of spilling through `acc`.
+            let mut sub = [[0.0f32; COLS]; ROWS];
+            for (a, b) in apanel
+                .chunks_exact(MR)
+                .zip(bstripe.chunks_exact(NR))
+                .take(kc)
+            {
+                let b = &b[c0..c0 + COLS];
+                for (row, &av) in sub.iter_mut().zip(&a[r0..r0 + ROWS]) {
+                    for (r, &bv) in row.iter_mut().zip(b) {
+                        *r = step(*r, av, bv);
+                    }
                 }
+            }
+            for (out, row) in acc[r0..r0 + ROWS].iter_mut().zip(&sub) {
+                out[c0..c0 + COLS].copy_from_slice(row);
             }
         }
     }
 }
 
-/// AVX2 + FMA specialisation: the full `4×16` tile is eight 256-bit
-/// accumulators, and `mul_add` compiles to `vfmadd` under the enabled
-/// features (without them it would be a libm call — hence the runtime
-/// dispatch in [`microkernel`]).
+/// Portable inner loop ([`Microkernel::Portable`]): `4×8` sub-tiles of
+/// unfused multiply-adds.
+fn microkernel_portable(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    sub_tiled::<8>(kc, apanel, bstripe, acc, |acc, a, b| acc + a * b)
+}
+
+/// AVX2 + FMA inner loop ([`Microkernel::Avx2`]): `4×16` sub-tiles, eight
+/// 256-bit accumulators each. `mul_add` compiles to `vfmadd` under the
+/// enabled features (without them it would be a libm call).
 ///
 /// # Safety
 /// Caller must have verified `avx2` and `fma` support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut [[f32; NR]; MR]) {
-    // Work on a by-value copy of the tile so LLVM promotes it to registers
-    // for the whole `kc` loop instead of spilling through the `&mut`.
-    let mut tile = *acc;
+unsafe fn microkernel_avx2(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    sub_tiled::<16>(kc, apanel, bstripe, acc, |acc, a, b| b.mul_add(a, acc))
+}
+
+/// AVX-512 inner loop ([`Microkernel::Avx512`]): the whole `8×32` tile in
+/// sixteen 512-bit accumulators, two per row.
+///
+/// # Safety
+/// Caller must have verified `avx512f` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    use std::arch::x86_64::{__m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps};
+    use std::arch::x86_64::{_mm512_setzero_ps, _mm512_storeu_ps};
+    const HALF: usize = NR / 2;
+    let mut tile: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
     for (a, b) in apanel
         .chunks_exact(MR)
         .zip(bstripe.chunks_exact(NR))
         .take(kc)
     {
-        for ii in 0..MR {
-            let av = a[ii];
-            let row = &mut tile[ii];
-            for (r, &bv) in row.iter_mut().zip(b.iter()) {
-                *r = bv.mul_add(av, *r);
-            }
+        // SAFETY: `b` is one `NR`-float row of the stripe, so both 16-lane
+        // unaligned loads stay inside it.
+        let (b0, b1) = unsafe {
+            (
+                _mm512_loadu_ps(b.as_ptr()),
+                _mm512_loadu_ps(b[HALF..].as_ptr()),
+            )
+        };
+        for (row, &av) in tile.iter_mut().zip(a) {
+            let av = _mm512_set1_ps(av);
+            row[0] = _mm512_fmadd_ps(b0, av, row[0]);
+            row[1] = _mm512_fmadd_ps(b1, av, row[1]);
         }
     }
-    *acc = tile;
-}
-
-/// The register-tiled inner loop, dispatched once per call on the CPU's
-/// capabilities (the detection macro caches its probe in an atomic).
-#[inline]
-fn microkernel(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: both required features were just detected.
-            unsafe { microkernel_avx2(kc, apanel, bstripe, acc) };
-            return;
+    for (out, row) in acc.iter_mut().zip(&tile) {
+        // SAFETY: `out` is one `NR`-float row of the tile, so both 16-lane
+        // unaligned stores stay inside it.
+        unsafe {
+            _mm512_storeu_ps(out.as_mut_ptr(), row[0]);
+            _mm512_storeu_ps(out[HALF..].as_mut_ptr(), row[1]);
         }
     }
-    microkernel_portable(kc, apanel, bstripe, acc)
 }
 
 /// Shared packed GEMM driver: `out += op(A) · op(B)` with `out` pre-zeroed by
@@ -311,6 +400,7 @@ fn gemm(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    let kernel = Microkernel::detect();
     let panels = m.div_ceil(MR);
     let mut apack = vec![0.0f32; panels * MR * KC.min(k)];
     let parallel_ok = parallel::threads() > 1 && m * n * k >= PAR_MIN_MACS;
@@ -323,6 +413,7 @@ fn gemm(
             let out_base = out_ptr.get();
             let mut bstripe = vec![0.0f32; kc * NR];
             let mut block = Vec::new();
+            let mut acc: Tile = [[0.0; NR]; MR];
             let mut j0 = j_start;
             while j0 < j_end {
                 let cols = NR.min(j_end - j0);
@@ -330,8 +421,7 @@ fn gemm(
                 for p in 0..panels {
                     let i0 = p * MR;
                     let rows = MR.min(m - i0);
-                    let mut acc = [[0.0f32; NR]; MR];
-                    microkernel(
+                    kernel.run(
                         kc,
                         &apack[p * MR * kc..(p + 1) * MR * kc],
                         &bstripe,
@@ -619,6 +709,132 @@ mod tests {
         let parallel = matmul(&a, &b).unwrap();
         crate::parallel::set_threads(0);
         assert_eq!(serial.data(), parallel.data());
+    }
+
+    #[test]
+    fn student_shapes_match_naive_at_one_and_two_threads() {
+        // The `small()` student's products: stem (6 rows), head (9) and
+        // `c_dec1` (24) leave a partial 8-row panel; 16, 31 and 33 columns
+        // fill no 32-column stripe, 192 (a 12×16 frame) fills six; `in40
+        // 3×3` (k = 360) crosses a `KC` block. 24 × 769 × 360 splits across
+        // two lanes, with a ragged last stripe.
+        const { assert!(24 * 769 * (KC + 104) >= PAR_MIN_MACS) };
+        let mut seed = 60;
+        for m in [6, 9, 24] {
+            for n in [16, 31, 33, 192, 769] {
+                for k in [27, KC + 104] {
+                    seed += 2;
+                    let a = random::uniform(Shape::matrix(m, k), -1.0, 1.0, seed);
+                    let b = random::uniform(Shape::matrix(k, n), -1.0, 1.0, seed + 1);
+                    let run = |threads: usize| {
+                        crate::parallel::set_threads(threads);
+                        let out = matmul(&a, &b).unwrap();
+                        crate::parallel::set_threads(0);
+                        out
+                    };
+                    let serial = run(1);
+                    assert_close(&serial, &naive(&a, &b), 2e-3);
+                    assert_eq!(serial.data(), run(2).data(), "{m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    /// The microkernels this host can run: portable always, each SIMD one
+    /// only where its features are detected.
+    fn runnable_microkernels() -> Vec<Microkernel> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![Microkernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                kernels.push(Microkernel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                kernels.push(Microkernel::Avx512);
+            }
+        }
+        kernels
+    }
+
+    #[test]
+    fn microkernels_agree_bit_for_bit_with_the_scalar_chains() {
+        // Every kernel on the same packed panels, with -0.0, subnormals,
+        // ±inf and NaN planted: the fused kernels must give the scalar
+        // `mul_add` chain's bits (`acc = 0`, then one fused step per `kk`),
+        // the portable one the unfused chain's.
+        let subnormal = f32::MIN_POSITIVE / 8.0;
+        for kc in [1, 7, 104, KC] {
+            let mut apanel = random::uniform(Shape::vector(kc * MR), -1.0, 1.0, kc as u64)
+                .data()
+                .to_vec();
+            let mut bstripe = random::uniform(Shape::vector(kc * NR), -1.0, 1.0, kc as u64 + 1)
+                .data()
+                .to_vec();
+            let last = kc - 1;
+            // `A` row 1 is all subnormal, row 2 carries a -0.0, rows 3 and 4
+            // an infinity each, row 6 a NaN.
+            for kk in 0..kc {
+                apanel[kk * MR + 1] = subnormal * (kk % 5) as f32;
+            }
+            apanel[last / 2 * MR + 2] = -0.0;
+            apanel[last.min(1) * MR + 3] = f32::INFINITY;
+            apanel[last * MR + 4] = f32::NEG_INFINITY;
+            apanel[last / 3 * MR + 6] = f32::NAN;
+            // `B` column 5 is all -0.0, column 17 subnormal, columns 20 and
+            // 31 hold an infinity each (meeting row 3's and 4's: inf - inf
+            // where the signs differ), column 26 a NaN.
+            for kk in 0..kc {
+                bstripe[kk * NR + 5] = -0.0;
+                bstripe[kk * NR + 17] = subnormal;
+            }
+            bstripe[last * NR + 20] = f32::INFINITY;
+            bstripe[last.min(1) * NR + 31] = f32::NEG_INFINITY;
+            bstripe[last / 2 * NR + 26] = f32::NAN;
+
+            let chain = |fused: bool| -> Vec<u32> {
+                let mut out = Vec::with_capacity(MR * NR);
+                for i in 0..MR {
+                    for j in 0..NR {
+                        let mut acc = 0.0f32;
+                        for kk in 0..kc {
+                            let (a, b) = (apanel[kk * MR + i], bstripe[kk * NR + j]);
+                            acc = if fused {
+                                b.mul_add(a, acc)
+                            } else {
+                                acc + a * b
+                            };
+                        }
+                        out.push(acc.to_bits());
+                    }
+                }
+                out
+            };
+            let (fused, unfused) = (chain(true), chain(false));
+            for kernel in runnable_microkernels() {
+                let mut acc: Tile = [[f32::NAN; NR]; MR];
+                kernel.run(kc, &apanel, &bstripe, &mut acc);
+                let got: Vec<u32> = acc.iter().flatten().map(|v| v.to_bits()).collect();
+                let want = if kernel == Microkernel::Portable {
+                    &unfused
+                } else {
+                    &fused
+                };
+                for (e, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert_eq!(
+                        g,
+                        w,
+                        "{kernel:?} kc={kc} row {} col {}: {} vs {}",
+                        e / NR,
+                        e % NR,
+                        f32::from_bits(*g),
+                        f32::from_bits(*w)
+                    );
+                }
+            }
+        }
     }
 
     #[test]
