@@ -10,7 +10,7 @@
 use crate::layers::{BatchNorm2d, Conv2d, Relu};
 use crate::param::ParamVisitor;
 use crate::Result;
-use st_tensor::conv::Conv2dSpec;
+use st_tensor::conv::{Conv2dSpec, Epilogue};
 use st_tensor::Tensor;
 
 /// A residual student block (Fig. 3a of the paper).
@@ -91,22 +91,20 @@ impl StudentBlock {
         })
     }
 
-    /// Training-mode forward pass (caches everything backward needs).
+    /// Training-mode forward pass (caches everything backward needs). Each
+    /// convolution applies its ReLU, or `conv11` the residual add, as it
+    /// writes its output; the ReLU layers keep those outputs for backward.
     pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
         let x = self.bn.forward_train(input)?;
         let x = self.relu_bn.forward(&x);
-        let x = self.conv33.forward(&x)?;
-        let x = self.relu33.forward(&x);
-        let x = self.conv31.forward(&x)?;
-        let x = self.relu31.forward(&x);
-        let x = self.conv13.forward(&x)?;
-        let x = self.relu13.forward(&x);
-        let x = self.conv11.forward(&x)?;
+        let x = self.relu33.keep(self.conv33.forward(&x, Epilogue::RELU)?);
+        let x = self.relu31.keep(self.conv31.forward(&x, Epilogue::RELU)?);
+        let x = self.relu13.keep(self.conv13.forward(&x, Epilogue::RELU)?);
         let shortcut = match &mut self.proj {
-            Some(p) => p.forward(input)?,
+            Some(p) => p.forward(input, Epilogue::NONE)?,
             None => input.clone(),
         };
-        x.add(&shortcut)
+        self.conv11.forward(&x, Epilogue::residual(&shortcut))
     }
 
     /// Drop every layer's forward cache (lets go of the activations kept for
@@ -126,22 +124,20 @@ impl StudentBlock {
         }
     }
 
-    /// Inference-mode forward pass (running statistics, no caches).
+    /// Inference-mode forward pass (running statistics, no caches): the
+    /// batch-norm and its ReLU in one pass, every convolution's ReLU or
+    /// residual add in its epilogue.
     pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor> {
-        let x = self.bn.forward_inference(input)?;
-        let x = self.relu_bn.forward_inference(&x);
-        let x = self.conv33.forward_inference(&x)?;
-        let x = self.relu33.forward_inference(&x);
-        let x = self.conv31.forward_inference(&x)?;
-        let x = self.relu31.forward_inference(&x);
-        let x = self.conv13.forward_inference(&x)?;
-        let x = self.relu13.forward_inference(&x);
-        let x = self.conv11.forward_inference(&x)?;
+        let x = self.bn.forward_inference(input, true)?;
+        let x = self.conv33.forward_inference(&x, Epilogue::RELU)?;
+        let x = self.conv31.forward_inference(&x, Epilogue::RELU)?;
+        let x = self.conv13.forward_inference(&x, Epilogue::RELU)?;
         let shortcut = match &self.proj {
-            Some(p) => p.forward_inference(input)?,
+            Some(p) => p.forward_inference(input, Epilogue::NONE)?,
             None => input.clone(),
         };
-        x.add(&shortcut)
+        self.conv11
+            .forward_inference(&x, Epilogue::residual(&shortcut))
     }
 
     /// Backward pass. Accumulates parameter gradients; returns the gradient

@@ -7,7 +7,7 @@
 
 use crate::param::{Param, ParamVisitor};
 use crate::Result;
-use st_tensor::conv::{conv2d, conv2d_grads, Conv2dSpec};
+use st_tensor::conv::{conv2d, conv2d_grads, Conv2dSpec, Epilogue};
 use st_tensor::{ops, Shape, Tensor, TensorError};
 
 /// A 2-D convolution layer with optional bias and ReLU-friendly Kaiming init.
@@ -47,9 +47,11 @@ impl Conv2d {
         })
     }
 
-    /// Forward pass, keeping the input for the next backward call.
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = self.forward_inference(input)?;
+    /// Forward pass, keeping the input for the next backward call. The
+    /// `epilogue` (a ReLU, a residual add) is applied as the output is
+    /// written; a ReLU's layer keeps the result with [`Relu::keep`].
+    pub fn forward(&mut self, input: &Tensor, epilogue: Epilogue<'_>) -> Result<Tensor> {
+        let out = self.forward_inference(input, epilogue)?;
         self.cache = Some(ConvCache {
             input: input.clone(),
         });
@@ -57,12 +59,13 @@ impl Conv2d {
     }
 
     /// Forward pass without caching (inference only).
-    pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor> {
+    pub fn forward_inference(&self, input: &Tensor, epilogue: Epilogue<'_>) -> Result<Tensor> {
         conv2d(
             input,
             &self.weight.value,
             Some(&self.bias.value),
             &self.spec,
+            epilogue,
         )
     }
 
@@ -216,12 +219,14 @@ impl BatchNorm2d {
         Ok(out)
     }
 
-    /// Forward pass in inference mode: normalise with running statistics.
+    /// Forward pass in inference mode: normalise with running statistics,
+    /// then apply a ReLU in the same pass when `relu` is set (the one a
+    /// block's batch-norm feeds).
     ///
     /// Accepts any batch size — the running statistics are per-channel
     /// constants, so each frame normalises independently and a batched call
     /// is bit-for-bit identical to per-frame calls.
-    pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor> {
+    pub fn forward_inference(&self, input: &Tensor, relu: bool) -> Result<Tensor> {
         let (n, c, h, w) = input.shape().as_nchw()?;
         if c != self.channels {
             return Err(TensorError::ShapeMismatch {
@@ -246,7 +251,8 @@ impl BatchNorm2d {
                     .iter_mut()
                     .zip(xin[lo..lo + plane].iter())
                 {
-                    *o = g * (x - mean) * inv_std + b;
+                    let v = g * (x - mean) * inv_std + b;
+                    *o = if !relu || v > 0.0 { v } else { 0.0 };
                 }
             }
         }
@@ -384,9 +390,12 @@ impl Relu {
         out
     }
 
-    /// Forward pass without caching.
-    pub fn forward_inference(&self, input: &Tensor) -> Tensor {
-        ops::relu(input)
+    /// Keep `output` — a ReLU's output computed elsewhere, e.g. in a
+    /// convolution's epilogue — as this layer's forward output, and return
+    /// it.
+    pub fn keep(&mut self, output: Tensor) -> Tensor {
+        self.cache = Some(output.clone());
+        output
     }
 
     /// Backward pass using the cached forward output.
@@ -408,7 +417,7 @@ mod tests {
         let spec = Conv2dSpec::square(2, 3, 3, 1);
         let mut layer = Conv2d::new("c", spec, 1).unwrap();
         let x = random::uniform(Shape::nchw(1, 2, 6, 6), -1.0, 1.0, 2);
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward(&x, Epilogue::NONE).unwrap();
         assert_eq!(y.shape().dims(), &[1, 3, 6, 6]);
         let g = Tensor::ones(y.shape().clone());
         let gin = layer.backward(&g, true).unwrap().unwrap();
@@ -416,7 +425,7 @@ mod tests {
         let w_grad_norm_1 = layer.weight.grad.norm();
         assert!(w_grad_norm_1 > 0.0);
         // second backward accumulates
-        layer.forward(&x).unwrap();
+        layer.forward(&x, Epilogue::NONE).unwrap();
         layer.backward(&g, false).unwrap();
         assert!((layer.weight.grad.norm() - 2.0 * w_grad_norm_1).abs() < 1e-3);
     }
@@ -441,7 +450,7 @@ mod tests {
         ));
         // A batched gradient (the forward accepts a batch; training does not).
         let batch = random::uniform(Shape::nchw(2, 2, 6, 6), -1.0, 1.0, 2);
-        let out = layer.forward(&batch).unwrap();
+        let out = layer.forward(&batch, Epilogue::NONE).unwrap();
         assert!(matches!(
             layer.backward(&out, true),
             Err(TensorError::InvalidArgument(m)) if m.contains("per-frame")
@@ -449,7 +458,10 @@ mod tests {
         // A cache left by a forward over another input size — what a layer
         // that was trainable under an earlier freeze point still holds.
         layer
-            .forward(&random::uniform(Shape::nchw(1, 2, 4, 4), -1.0, 1.0, 3))
+            .forward(
+                &random::uniform(Shape::nchw(1, 2, 4, 4), -1.0, 1.0, 3),
+                Epilogue::NONE,
+            )
             .unwrap();
         assert!(matches!(
             layer.backward(&grad, true),
@@ -467,7 +479,7 @@ mod tests {
         let mut layer = Conv2d::new("c", Conv2dSpec::square(2, 3, 3, 1), 1).unwrap();
         let mut x = random::uniform(Shape::nchw(1, 2, 6, 6), -1.0, 1.0, 2);
         let storage = x.storage_id();
-        layer.forward(&x).unwrap();
+        layer.forward(&x, Epilogue::NONE).unwrap();
         // The cache is a handle on the caller's tensor, not a copy of it ...
         layer.clear_cache();
         // ... and once cleared the caller owns the buffer alone again: a
@@ -475,7 +487,7 @@ mod tests {
         x.data_mut()[0] = 1.0;
         assert_eq!(x.storage_id(), storage);
         // While cached, the same write must leave the cached input intact.
-        layer.forward(&x).unwrap();
+        layer.forward(&x, Epilogue::NONE).unwrap();
         x.data_mut()[0] = 2.0;
         assert_ne!(x.storage_id(), storage);
     }
@@ -523,7 +535,7 @@ mod tests {
         for _ in 0..50 {
             bn.forward_train(&x).unwrap();
         }
-        let y = bn.forward_inference(&x).unwrap();
+        let y = bn.forward_inference(&x, false).unwrap();
         let mean: f32 = y.mean();
         assert!(mean.abs() < 0.2, "inference mean {mean}");
     }
@@ -560,7 +572,7 @@ mod tests {
         let mut bn = BatchNorm2d::new("bn", 4);
         let x = Tensor::zeros(Shape::nchw(1, 3, 2, 2));
         assert!(bn.forward_train(&x).is_err());
-        assert!(bn.forward_inference(&x).is_err());
+        assert!(bn.forward_inference(&x, false).is_err());
     }
 
     #[test]

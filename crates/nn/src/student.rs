@@ -49,7 +49,7 @@ use crate::block::StudentBlock;
 use crate::layers::{Conv2d, Relu};
 use crate::param::{Param, ParamVisitor};
 use crate::Result;
-use st_tensor::conv::Conv2dSpec;
+use st_tensor::conv::{Conv2dSpec, Epilogue};
 use st_tensor::{pool, Shape, Tensor, TensorError};
 
 /// The network stages, in forward order. Used to express freeze points and
@@ -383,14 +383,8 @@ impl StudentNet {
     /// statistics, no caches), advancing the live activations in `a`.
     fn step_inference(&self, stage: Stage, a: &mut Prefix) -> Result<()> {
         match stage {
-            Stage::In1 => {
-                let x = self.in1.forward_inference(&a.x)?;
-                a.x = self.relu_in1.forward_inference(&x);
-            }
-            Stage::In2 => {
-                let x = self.in2.forward_inference(&a.x)?;
-                a.x = self.relu_in2.forward_inference(&x);
-            }
+            Stage::In1 => a.x = self.in1.forward_inference(&a.x, Epilogue::RELU)?,
+            Stage::In2 => a.x = self.in2.forward_inference(&a.x, Epilogue::RELU)?,
             Stage::Sb1 => {
                 a.x = self.sb1.forward_inference(&a.x)?;
                 a.sb1_out = Some(a.x.clone());
@@ -410,15 +404,9 @@ impl StudentNet {
                 let cat6 = Tensor::concat_channels(&[&up, a.sb1_skip()])?;
                 a.x = self.sb6.forward_inference(&cat6)?;
             }
-            Stage::Out1 => {
-                let x = self.out1.forward_inference(&a.x)?;
-                a.x = self.relu_out1.forward_inference(&x);
-            }
-            Stage::Out2 => {
-                let x = self.out2.forward_inference(&a.x)?;
-                a.x = self.relu_out2.forward_inference(&x);
-            }
-            Stage::Out3 => a.x = self.out3.forward_inference(&a.x)?,
+            Stage::Out1 => a.x = self.out1.forward_inference(&a.x, Epilogue::RELU)?,
+            Stage::Out2 => a.x = self.out2.forward_inference(&a.x, Epilogue::RELU)?,
+            Stage::Out3 => a.x = self.out3.forward_inference(&a.x, Epilogue::NONE)?,
         }
         Ok(())
     }
@@ -427,14 +415,8 @@ impl StudentNet {
     /// [`StudentNet::backward`]), advancing the live activations in `a`.
     fn step_train(&mut self, stage: Stage, a: &mut Prefix) -> Result<()> {
         match stage {
-            Stage::In1 => {
-                let x = self.in1.forward(&a.x)?;
-                a.x = self.relu_in1.forward(&x);
-            }
-            Stage::In2 => {
-                let x = self.in2.forward(&a.x)?;
-                a.x = self.relu_in2.forward(&x);
-            }
+            Stage::In1 => a.x = self.relu_in1.keep(self.in1.forward(&a.x, Epilogue::RELU)?),
+            Stage::In2 => a.x = self.relu_in2.keep(self.in2.forward(&a.x, Epilogue::RELU)?),
             Stage::Sb1 => {
                 a.x = self.sb1.forward_train(&a.x)?;
                 a.sb1_out = Some(a.x.clone());
@@ -455,14 +437,16 @@ impl StudentNet {
                 a.x = self.sb6.forward_train(&cat6)?;
             }
             Stage::Out1 => {
-                let x = self.out1.forward(&a.x)?;
-                a.x = self.relu_out1.forward(&x);
+                a.x = self
+                    .relu_out1
+                    .keep(self.out1.forward(&a.x, Epilogue::RELU)?)
             }
             Stage::Out2 => {
-                let x = self.out2.forward(&a.x)?;
-                a.x = self.relu_out2.forward(&x);
+                a.x = self
+                    .relu_out2
+                    .keep(self.out2.forward(&a.x, Epilogue::RELU)?)
             }
-            Stage::Out3 => a.x = self.out3.forward(&a.x)?,
+            Stage::Out3 => a.x = self.out3.forward(&a.x, Epilogue::NONE)?,
         }
         Ok(())
     }
@@ -579,21 +563,30 @@ impl StudentNet {
         pool::upsample_nearest(&a.x, 2)
     }
 
-    /// Inference-mode pass over the stages from the cut on: full-resolution
-    /// logits.
-    fn forward_inference_from(&self, prefix: &Prefix) -> Result<Tensor> {
+    /// Inference-mode pass over the stages from the cut on: the head's
+    /// half-resolution logits.
+    fn head_from(&self, prefix: &Prefix) -> Result<Tensor> {
         self.check_prefix(prefix)?;
         let mut a = prefix.clone();
         for &stage in &Stage::ALL[prefix.cut.index()..] {
             self.step_inference(stage, &mut a)?;
         }
-        pool::upsample_nearest(&a.x, 2)
+        Ok(a.x)
+    }
+
+    /// Inference-mode pass over the stages from the cut on: full-resolution
+    /// logits.
+    fn forward_inference_from(&self, prefix: &Prefix) -> Result<Tensor> {
+        pool::upsample_nearest(&self.head_from(prefix)?, 2)
     }
 
     /// Per-pixel predicted class map of the prefix's input (inference mode
-    /// from the cut on).
+    /// from the cut on). The argmax is taken once per head pixel and its
+    /// label repeated over the 2×2 pixels the nearest up-sampling would copy
+    /// that pixel's logits to: the labels of the full-resolution logits,
+    /// without building them.
     pub fn predict_from(&self, prefix: &Prefix) -> Result<Vec<usize>> {
-        self.forward_inference_from(prefix)?.argmax_channels()
+        self.head_from(prefix)?.argmax_channels_upsampled(2)
     }
 
     /// Training-mode forward pass producing per-pixel class logits of the
@@ -817,8 +810,9 @@ impl StudentNet {
         n
     }
 
-    /// Per-pixel predicted class map from full-resolution logits for
-    /// `input` (frame-major `N*H*W` indices when the input is batched).
+    /// Per-pixel predicted class map of `input`: the argmax of its
+    /// full-resolution logits (frame-major `N*H*W` indices when the input is
+    /// batched), taken at the head's resolution ([`StudentNet::predict_from`]).
     pub fn predict(&self, input: &Tensor) -> Result<Vec<usize>> {
         self.predict_from(&self.frozen_prefix(input)?)
     }
@@ -937,16 +931,17 @@ mod tests {
     /// the reference they must equal bit for bit: stages from `first_train`
     /// on run in training mode, the rest in inference mode.
     fn monolithic_forward(net: &mut StudentNet, input: &Tensor, first_train: usize) -> Tensor {
+        // Each ReLU as a pass of its own, after the convolution.
         fn conv(layer: &mut Conv2d, relu: Option<&mut Relu>, x: &Tensor, train: bool) -> Tensor {
             let x = if train {
-                layer.forward(x)
+                layer.forward(x, Epilogue::NONE)
             } else {
-                layer.forward_inference(x)
+                layer.forward_inference(x, Epilogue::NONE)
             }
             .unwrap();
             match relu {
                 Some(relu) if train => relu.forward(&x),
-                Some(relu) => relu.forward_inference(&x),
+                Some(_) => st_tensor::ops::relu(&x),
                 None => x,
             }
         }
@@ -1263,6 +1258,27 @@ mod tests {
         let mut net = StudentNet::new(StudentConfig::tiny()).unwrap();
         let g = Tensor::zeros(Shape::nchw(1, 9, 16, 16));
         assert!(net.backward(&g).is_err());
+    }
+
+    #[test]
+    fn predict_is_the_argmax_of_the_full_resolution_logits() {
+        // `out3` is zero-initialised, so an untrained net predicts class 0
+        // everywhere: randomize every weight first.
+        let mut net = warmed(StudentConfig::tiny(), FreezePoint::paper_partial());
+        let mut seed = 90;
+        let mut randomize = |p: &mut Param, _t: bool| {
+            seed += 1;
+            p.value = random::uniform(p.value.shape().clone(), -0.4, 0.4, seed);
+        };
+        net.visit_params(&mut randomize);
+        for n in [1, 3] {
+            let batch = random::uniform(Shape::nchw(n, 3, 16, 24), 0.0, 1.0, 100 + n as u64);
+            let labels = net.predict(&batch).unwrap();
+            let logits = net.forward_inference(&batch).unwrap();
+            assert_eq!(labels, logits.argmax_channels().unwrap(), "{n} frames");
+            let classes: std::collections::BTreeSet<_> = labels.iter().collect();
+            assert!(classes.len() > 2, "{n} frames predict only {classes:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! read by this test at the commit before). A session between key frames
 //! holds weights and optimizer moments, nothing else: a second call returns
 //! with exactly the live bytes the first one left. And the client's `predict`
-//! never asks the allocator for more than the logits: every request stays
-//! under glibc's 128 KiB `mmap` threshold.
+//! keeps every request under glibc's 128 KiB `mmap` threshold, in a counted
+//! number of allocations: each convolution writes its activation once, bias,
+//! residual and ReLU included, and the labels come from the head's logits.
 //!
 //! One `#[test]`: the counters are process-wide.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -30,10 +31,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
 fn grew(bytes: usize, request: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
     LARGEST.fetch_max(request, Ordering::Relaxed);
@@ -80,8 +83,19 @@ fn mark() -> usize {
     let live = LIVE.load(Ordering::Relaxed);
     PEAK.store(live, Ordering::Relaxed);
     LARGEST.store(0, Ordering::Relaxed);
+    ALLOCATIONS.store(0, Ordering::Relaxed);
     live
 }
+
+/// Allocations of one `predict` when every convolution wrote a matrix that a
+/// bias pass, a ReLU or a residual add then turned into a new tensor, and the
+/// labels came from full-resolution logits: read by this test then.
+const PARENT_PREDICT_ALLOCATIONS: usize = 499;
+
+/// Allocations of one `predict` now: the activation each convolution writes,
+/// the padded input copy it reads, its packing scratch, and the few tensors
+/// the wiring builds between them.
+const PREDICT_ALLOCATIONS: usize = 289;
 
 /// Peak of the same call at the parent commit (PR 23, 0c2db13), where every
 /// trainable convolution cached its column matrix and every forward built
@@ -138,18 +152,22 @@ fn a_key_frame_peaks_at_activations_and_a_session_at_rest_holds_none() {
         );
     }
 
-    // The client's whole pass: nothing column-shaped, nothing above the
-    // full-resolution logits (9 × 64 × 48 × 4 = 110 592 B).
+    // The client's whole pass: nothing column-shaped and no full-resolution
+    // logits (the argmax runs at the head's resolution). The largest request
+    // is SB6's input, the up-sampled SB5 output beside the SB1 skip
+    // (40 × 32 × 24 × 4 = 122 880 B).
     mark();
     let labels = student.predict(&frames[0].image).unwrap();
     let largest = LARGEST.load(Ordering::Relaxed);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(LIVE.load(Ordering::Relaxed), at_rest + labels.len() * 8);
 
     // Printing allocates (the harness captures it), so only now.
     println!(
         "one small() 64x48 partial key frame ({} steps): peak {peak} B above entry \
          ({:.1} % of the parent commit's {PARENT_PEAK_BYTES} B), {} B kept (private \
-         weights + Adam moments); predict: largest single allocation {largest} B",
+         weights + Adam moments); predict: largest single allocation {largest} B, \
+         {allocations} allocations (the parent commit's: {PARENT_PREDICT_ALLOCATIONS})",
         first.steps,
         100.0 * peak as f64 / PARENT_PEAK_BYTES as f64,
         at_rest - before,
@@ -161,5 +179,9 @@ fn a_key_frame_peaks_at_activations_and_a_session_at_rest_holds_none() {
     assert!(
         (110_592..=128 * 1024).contains(&largest),
         "predict's largest allocation is {largest} B"
+    );
+    assert!(
+        allocations <= PREDICT_ALLOCATIONS,
+        "predict made {allocations} allocations, over {PREDICT_ALLOCATIONS}"
     );
 }

@@ -6,7 +6,7 @@
 //! from the same generator family ("public education" in the paper's terms)
 //! and then frozen; at serving time it only runs inference on key frames.
 
-use crate::{logits_to_labels, Result, Teacher};
+use crate::{Result, Teacher};
 use st_nn::loss::{weighted_cross_entropy, WeightMap};
 use st_nn::optim::Adam;
 use st_nn::student::{FreezePoint, StudentConfig, StudentNet};
@@ -86,8 +86,7 @@ impl CnnTeacher {
 
 impl Teacher for CnnTeacher {
     fn pseudo_label(&mut self, frame: &Frame) -> Result<Vec<usize>> {
-        let logits = self.net.forward_inference(&frame.image)?;
-        logits_to_labels(&logits)
+        self.net.predict(&frame.image)
     }
 
     /// A genuinely batched forward: co-scheduled frames of equal resolution
@@ -117,8 +116,7 @@ impl Teacher for CnnTeacher {
         for ((h, w), idxs) in groups {
             let images: Vec<&Tensor> = idxs.iter().map(|&i| &frames[i].image).collect();
             let batch = Tensor::stack_batch(&images)?;
-            let logits = self.net.forward_inference(&batch)?;
-            let labels = logits.argmax_channels()?;
+            let labels = self.net.predict(&batch)?;
             let plane = h * w;
             for (slot, &i) in idxs.iter().enumerate() {
                 out[i] = Some(labels[slot * plane..(slot + 1) * plane].to_vec());

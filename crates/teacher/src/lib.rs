@@ -32,7 +32,6 @@ pub mod oracle;
 pub use cnn::CnnTeacher;
 pub use oracle::{CorruptionModel, OracleTeacher};
 
-use st_tensor::Tensor;
 use st_video::Frame;
 
 /// Result alias re-using the tensor error type.
@@ -68,9 +67,4 @@ pub trait Teacher {
     /// Number of parameters of the teacher (for reporting teacher/student
     /// size ratios as in §5.2 of the paper).
     fn param_count(&self) -> usize;
-}
-
-/// Helper shared by teachers: argmax over channel logits into a label map.
-pub fn logits_to_labels(logits: &Tensor) -> Result<Vec<usize>> {
-    logits.argmax_channels()
 }

@@ -11,29 +11,37 @@
 //!
 //! * [`conv2d`] / [`conv2d_grads`] are what every model in the repository
 //!   runs — client inference, server evaluation, training forward and
-//!   backward, the CNN teacher. They never build the column matrix: the
-//!   GEMM's `B`-panel packer reads each stripe of it from the frames
-//!   (`LoweredImage`), row span by row span, for `W · cols` and — through a
-//!   32 KiB block it transposes — for the weight gradient `gO · colsᵀ`. The
-//!   backward takes the layer's *input*; the only column-shaped buffer left
-//!   is the transient `Wᵀ · gO` the input gradient scatters back through
-//!   [`col2im`] (its accumulation order is what that gradient's bits depend
-//!   on).
+//!   backward, the CNN teacher. They never build the column matrix. Both
+//!   read a zero-padded, stride-phase-split copy of the input
+//!   ([`PaddedImage`]) in which every row of the column matrix is one
+//!   contiguous run: the forward packs each `B` stripe as `kc` straight
+//!   32-float copies from a copy of one `K` block's channels, and the weight
+//!   gradient `gO · colsᵀ` gathers its 32 KiB blocks as row runs from a copy
+//!   of the whole frame. The forward's output grid carries `wq − ow` padding
+//!   columns per output row that the GEMM computes and never writes; each
+//!   tile goes straight into the NCHW output, with the bias, an optional
+//!   residual and an optional ReLU ([`Epilogue`]) added as it is written, so
+//!   an activation is written once. The backward takes the layer's *input*;
+//!   the only column-shaped buffer left is the transient `Wᵀ · gO` the input
+//!   gradient scatters back through [`col2im`] (its accumulation order is
+//!   what that gradient's bits depend on), allocated after the padded copy
+//!   is dropped.
 //! * [`conv2d_forward`] / [`conv2d_backward`] go through a stored matrix
 //!   ([`im2col_batched`]). They are the reference the first pair is tested
-//!   against bit for bit, and what the repository benchmark's `tensor.*`
-//!   probes time; no model calls them.
+//!   against bit for bit — the epilogue against separate bias, add and ReLU
+//!   passes over the reference output — and what the repository benchmark's
+//!   `tensor.*` probes time; no model calls them.
 //!
 //! The stored lowering ([`im2col_batched`], [`col2im`]) moves row spans, not
 //! pixels: per `(channel, kh, kw)` row the valid output-x range is worked
 //! out once, and each output row is then one slice copy (or slice `+=`) at
 //! stride 1, one strided walk otherwise, in the element order a per-pixel
-//! loop would use. A single-frame 1×1 / stride-1 / pad-0 convolution is not
-//! lowered at all, by either pair: its column matrix is the input's storage
-//! under another shape. All of it is bit-equal to the per-pixel bodies, which
-//! the tests keep as the reference.
+//! loop would use. A 1×1 / stride-1 / pad-0 convolution is not lowered at
+//! all: its column matrix is the input's storage under another shape (one
+//! frame of it, for the stored pair). All of it is bit-equal to the
+//! per-pixel bodies, which the tests keep as the reference.
 
-use crate::matmul::{matmul, matmul_lowered, matmul_nt, matmul_nt_lowered, matmul_tn, NR};
+use crate::matmul::{conv_product, matmul, matmul_nt, matmul_nt_pixels, matmul_tn, Sink, KC, NR};
 use crate::{Result, Shape, Tensor, TensorError};
 use std::ops::Range;
 
@@ -170,18 +178,23 @@ impl Conv2dSpec {
 }
 
 /// Validate a convolution input against `spec`: a non-empty batch of frames
-/// with `spec.in_channels` channels. Returns its `(n, c, h, w)`.
-fn check_frames(input: &Tensor, spec: &Conv2dSpec) -> Result<(usize, usize, usize, usize)> {
+/// with `spec.in_channels` channels. Returns its `(n, c, h, w)`. `op` is the
+/// entry point the errors name.
+fn check_frames(
+    input: &Tensor,
+    spec: &Conv2dSpec,
+    op: &'static str,
+) -> Result<(usize, usize, usize, usize)> {
     spec.validate()?;
     let (n, c, h, w) = input.shape().as_nchw()?;
     if n == 0 {
-        return Err(TensorError::InvalidArgument(
-            "im2col_batched needs at least one frame".into(),
-        ));
+        return Err(TensorError::InvalidArgument(format!(
+            "{op} needs at least one frame"
+        )));
     }
     if c != spec.in_channels {
         return Err(TensorError::ShapeMismatch {
-            op: "im2col",
+            op,
             lhs: input.shape().dims().to_vec(),
             rhs: vec![n, spec.in_channels, 0, 0],
         });
@@ -189,121 +202,267 @@ fn check_frames(input: &Tensor, spec: &Conv2dSpec) -> Result<(usize, usize, usiz
     Ok((n, c, h, w))
 }
 
-/// The column matrix [`im2col_batched`] would build from a batch of frames,
-/// as a view that is read and never stored: the GEMM's `B`-panel packer asks
-/// for one block of it at a time ([`LoweredImage::lower_block`]) and gets
-/// exactly the values the built matrix holds at those positions.
-pub(crate) struct LoweredImage<'a> {
+/// A batch of frames laid out so that every row of their column matrix (the
+/// one [`im2col_batched`] builds) is a contiguous run of memory.
+///
+/// Each frame is zero-padded and split into its stride phases, each an
+/// `hq × wq` plane: `(py % stride_h, px % stride_w)` for padded pixel
+/// `(py, px)`, only those a kernel tap reads (all of them unless the kernel
+/// is smaller than the stride). Output pixel `(oy, ox)` is *grid
+/// column* `oy * wq + ox` of its frame, and the tap `(ci, kh, kw)` of every
+/// grid column lies at one fixed `offset` from it, so row `kk` of the column
+/// matrix over a run of grid columns is `copy[offsets[kk] + column..]`. Grid
+/// columns `ox ≥ ow` read whatever lies there; the GEMM computes them and
+/// never writes them. At stride 1 a row's right padding doubles as the next
+/// row's left padding, so `wq` is `w + pad_w`, not `w + 2 pad_w`. With more
+/// than one frame a frame's grid is rounded up to a multiple of [`NR`], so
+/// no GEMM stripe crosses frames.
+///
+/// The copy holds the channels of one `K` block of the column matrix at a
+/// time ([`PaddedImage::load`]), so it stays a fraction of the input. A
+/// pointwise convolution (1×1, stride 1, no padding) needs no copy: its
+/// frames already are that layout.
+pub(crate) struct PaddedImage<'a> {
     frames: &'a [f32],
-    spec: &'a Conv2dSpec,
+    spec: Conv2dSpec,
     n: usize,
     h: usize,
     w: usize,
     oh: usize,
     ow: usize,
-    /// Per kernel column, the output columns whose tap lands inside an input
-    /// row ([`Conv2dSpec::tap_span`]), worked out once per convolution.
-    taps: Vec<Option<Range<usize>>>,
+    /// Sides of one stride phase of a padded frame.
+    hq: usize,
+    wq: usize,
+    /// Stride phases kept per axis: `min(stride, kernel)`.
+    phases: (usize, usize),
+    /// Grid columns per frame.
+    per_frame: usize,
+    /// Per column-matrix row: where its tap reads, from its frame's first
+    /// grid column, when channel 0 sits in the copy's first slot.
+    offsets: Vec<usize>,
+    /// `slots` channels of every frame, frame-major; empty when pointwise.
+    copy: Vec<f32>,
+    slots: usize,
+    /// The channels `copy` holds, from its first slot on.
+    channels: Range<usize>,
 }
 
-impl<'a> LoweredImage<'a> {
-    fn new(input: &'a Tensor, spec: &'a Conv2dSpec) -> Result<Self> {
-        let (n, _, h, w) = check_frames(input, spec)?;
+impl<'a> PaddedImage<'a> {
+    /// Lay out `input` for `spec`, with room for the channels of
+    /// `rows_per_load` consecutive column-matrix rows (a multiple of them
+    /// starts every [`PaddedImage::load`]). The copy is allocated zeroed
+    /// here and filled by `load`.
+    pub(crate) fn new(
+        input: &'a Tensor,
+        spec: &Conv2dSpec,
+        op: &'static str,
+        rows_per_load: usize,
+    ) -> Result<Self> {
+        let (n, c, h, w) = check_frames(input, spec, op)?;
         let (oh, ow) = spec.output_size(h, w);
-        let taps = (0..spec.kernel_w)
-            .map(|kw| spec.tap_span(kw, w, ow).map(|(ox, _)| ox))
-            .collect();
-        Ok(LoweredImage {
+        let (sh, sw) = (spec.stride_h, spec.stride_w);
+        // A kernel wider than the padded frame still reads zeros past it.
+        let mut hq = (h + 2 * spec.pad_h)
+            .max((oh - 1) * sh + spec.kernel_h)
+            .div_ceil(sh);
+        let mut wq = (w + 2 * spec.pad_w)
+            .max((ow - 1) * sw + spec.kernel_w)
+            .div_ceil(sw);
+        if sw == 1 && spec.pad_w > 0 {
+            // At stride 1 a row's right padding can be the next row's left
+            // padding: taps past the row's end wrap into it, and one more
+            // zero row serves the last. Fewer grid columns go to waste.
+            wq = (w + spec.pad_w)
+                .max(ow - 1 + spec.kernel_w - spec.pad_w)
+                .max(ow);
+            hq += 1;
+        }
+        let per_frame = if n == 1 {
+            oh * wq
+        } else {
+            (oh * wq).next_multiple_of(NR)
+        };
+        let (ph, pw) = (sh.min(spec.kernel_h), sw.min(spec.kernel_w));
+        let taps = spec.kernel_h * spec.kernel_w;
+        // Tap `(ci, kh, kw)` sits in phase `(kh % sh, kw % sw)` of slot
+        // `ci`, `(kh / sh, kw / sw)` from the grid column it serves.
+        let mut offsets = Vec::with_capacity(c * taps);
+        for ci in 0..c {
+            for kh in 0..spec.kernel_h {
+                let row = ((ci * ph + kh % sh) * pw * hq + kh / sh) * wq;
+                let (mut phase, mut column) = (0, 0);
+                for _ in 0..spec.kernel_w {
+                    offsets.push(row + phase * hq * wq + column);
+                    phase += 1;
+                    if phase == sw {
+                        (phase, column) = (0, column + 1);
+                    }
+                }
+            }
+        }
+        let (copy, slots, channels) = if spec.is_pointwise() {
+            (Vec::new(), c, 0..c)
+        } else {
+            // The most channels any load's rows touch.
+            let slots = (0..c * taps)
+                .step_by(rows_per_load)
+                .map(|k0| ((k0 + rows_per_load).min(c * taps) - 1) / taps - k0 / taps + 1)
+                .max()
+                .unwrap_or(0);
+            (vec![0.0; n * slots * ph * pw * hq * wq], slots, 0..0)
+        };
+        Ok(PaddedImage {
             frames: input.data(),
-            spec,
+            spec: *spec,
             n,
             h,
             w,
             oh,
             ow,
-            taps,
+            hq,
+            wq,
+            phases: (ph, pw),
+            per_frame,
+            offsets,
+            copy,
+            slots,
+            channels,
         })
     }
 
-    /// Shape of the column matrix: `(in_c * kh * kw, n * oh * ow)`.
-    pub(crate) fn dims(&self) -> (usize, usize) {
-        let spec = self.spec;
-        (
-            spec.in_channels * spec.kernel_h * spec.kernel_w,
-            self.n * self.oh * self.ow,
-        )
+    /// Shape of the product `W · cols` reads: `(in_c * kh * kw, grid
+    /// columns of every frame)`.
+    pub(crate) fn grid_dims(&self) -> (usize, usize) {
+        (self.offsets.len(), self.n * self.per_frame)
     }
 
-    /// Write the block `rows × cols` of the column matrix into `dst`, row `r`
-    /// at `dst[(r - rows.start) * row_step..]`. Only taps that land inside a
-    /// frame are written: `dst` must arrive zeroed, which is what a padding
-    /// tap reads. The block may cross output rows and frames; each output
-    /// row's part of it is one span per matrix row, as in
-    /// [`im2col_batched`].
-    pub(crate) fn lower_block(
+    /// Shape of the product `A · colsᵀ` reads over the valid pixels of a
+    /// single frame: `(in_c * kh * kw, oh * ow)`.
+    pub(crate) fn pixel_dims(&self) -> (usize, usize) {
+        (self.offsets.len(), self.oh * self.ow)
+    }
+
+    /// Floats per channel slot: every kept phase of one padded frame.
+    fn slot_len(&self) -> usize {
+        self.phases.0 * self.phases.1 * self.hq * self.wq
+    }
+
+    /// What `offsets` and grid columns index: the copy, or the frames.
+    fn data(&self) -> &[f32] {
+        if self.copy.is_empty() {
+            self.frames
+        } else {
+            &self.copy
+        }
+    }
+
+    /// Where the output grid of this image lands: frame-major NCHW for
+    /// `out_channels` rows of `C`.
+    pub(crate) fn sink<'s>(
         &self,
-        dst: &mut [f32],
-        rows: Range<usize>,
-        cols: Range<usize>,
-        row_step: usize,
-    ) {
+        bias: Option<&'s [f32]>,
+        residual: Option<&'s [f32]>,
+        relu: bool,
+    ) -> Sink<'s> {
+        Sink {
+            per_frame: self.per_frame,
+            row: self.wq,
+            oh: self.oh,
+            ow: self.ow,
+            bias,
+            residual,
+            relu,
+            plain: false,
+        }
+    }
+
+    /// Fill the copy with the channels column-matrix rows `rows` read: for
+    /// every frame and channel, each input row is one slice copy (stride 1)
+    /// or one strided walk per kept phase. Padding is never written, so it
+    /// stays the zeros the copy was allocated with.
+    pub(crate) fn load(&mut self, rows: Range<usize>) {
+        let taps = self.spec.kernel_h * self.spec.kernel_w;
+        let channels = rows.start / taps..(rows.end - 1) / taps + 1;
+        if self.copy.is_empty() || channels == self.channels {
+            return;
+        }
         let spec = self.spec;
-        let (h, w, ow) = (self.h, self.w, self.ow);
-        let plane = self.oh * ow;
-        let frame_len = spec.in_channels * h * w;
-        let taps_per_channel = spec.kernel_h * spec.kernel_w;
-        let mut col = cols.start;
-        while col < cols.end {
-            // The part of `cols` inside one output row: `len` pixels from
-            // `(oy, ox0)` of frame `ni`.
-            let (ni, pixel) = (col / plane, col % plane);
-            let (oy, ox0) = (pixel / ow, pixel % ow);
-            let len = (ow - ox0).min(cols.end - col);
-            let frame = &self.frames[ni * frame_len..(ni + 1) * frame_len];
-            let dst = &mut dst[col - cols.start..];
-            // Matrix rows come in runs of kernel columns sharing one input
-            // row; the first and last run may be cut by `rows`.
-            let mut ci = rows.start / taps_per_channel;
-            let mut kh = rows.start % taps_per_channel / spec.kernel_w;
-            let mut kw = rows.start % spec.kernel_w;
-            let mut row = rows.start;
-            while row < rows.end {
-                let run = (spec.kernel_w - kw).min(rows.end - row);
-                if let Some(iy) = spec.input_row(oy, kh, h) {
-                    let in_row = &frame[(ci * h + iy) * w..][..w];
-                    for (i, tap) in self.taps[kw..kw + run].iter().enumerate() {
-                        let Some(tap) = tap else { continue };
-                        let lo = tap.start.max(ox0);
-                        let hi = tap.end.min(ox0 + len);
-                        if lo >= hi {
+        let (sh, sw) = (spec.stride_h, spec.stride_w);
+        let (ph, pw) = self.phases;
+        let (h, w, wq) = (self.h, self.w, self.wq);
+        let (slot_len, phase_len) = (self.slot_len(), self.hq * wq);
+        let frame_len = self.slots * slot_len;
+        let c = spec.in_channels;
+        for ni in 0..self.n {
+            for (slot, ci) in channels.clone().enumerate() {
+                let src = &self.frames[(ni * c + ci) * h * w..][..h * w];
+                let dst = &mut self.copy[ni * frame_len + slot * slot_len..][..slot_len];
+                for (iy, row) in src.chunks_exact(w).enumerate() {
+                    let py = iy + spec.pad_h;
+                    if py % sh >= ph {
+                        continue;
+                    }
+                    let dst_row = (py % sh) * pw * phase_len + py / sh * wq;
+                    if sw == 1 {
+                        dst[dst_row + spec.pad_w..][..w].copy_from_slice(row);
+                        continue;
+                    }
+                    for rx in 0..pw {
+                        // The input columns of phase `rx`: `(ix + pad_w) % sw == rx`.
+                        let ix0 = (rx + sw - spec.pad_w % sw) % sw;
+                        if ix0 >= w {
                             continue;
                         }
-                        let src = &in_row[lo * spec.stride_w + kw + i - spec.pad_w..];
-                        let dst = &mut dst[(row + i - rows.start) * row_step + lo - ox0..];
-                        if spec.stride_w != 1 {
-                            let src = src.iter().step_by(spec.stride_w);
-                            for (d, &v) in dst[..hi - lo].iter_mut().zip(src) {
-                                *d = v;
-                            }
-                        } else if hi - lo == NR {
-                            // A whole GEMM stripe inside one output row (a
-                            // row of at least 32 pixels): a fixed-size move
-                            // the compiler keeps in registers.
-                            dst[..NR].copy_from_slice(&src[..NR]);
-                        } else {
-                            dst[..hi - lo].copy_from_slice(&src[..hi - lo]);
+                        let at = dst_row + rx * phase_len + (ix0 + spec.pad_w) / sw;
+                        let columns = row[ix0..].chunks(sw);
+                        for (d, column) in dst[at..][..columns.len()].iter_mut().zip(columns) {
+                            *d = column[0];
                         }
                     }
                 }
-                row += run;
-                kw = 0;
-                kh += 1;
-                if kh == spec.kernel_h {
-                    kh = 0;
-                    ci += 1;
+            }
+        }
+        self.channels = channels;
+    }
+
+    /// Pack the stripe of grid columns `[j0, j0 + NR)` over column-matrix
+    /// rows `rows` (loaded) into `bstripe[kk * NR..]`: one straight
+    /// `NR`-float copy per row. Columns past the grid get what lies there,
+    /// or keep what `bstripe` held where the data ends.
+    pub(crate) fn pack_stripe(&self, bstripe: &mut [f32], rows: Range<usize>, j0: usize) {
+        let data = self.data();
+        let (ni, column) = (j0 / self.per_frame, j0 % self.per_frame);
+        let base = ni * self.slots * self.slot_len() + column;
+        let shift = self.channels.start * self.slot_len();
+        for (dst, &offset) in bstripe.chunks_exact_mut(NR).zip(&self.offsets[rows]) {
+            let start = base + offset - shift;
+            match data.get(start..start + NR) {
+                Some(src) => dst[..NR].copy_from_slice(&src[..NR]),
+                None => {
+                    let src = data.get(start..).unwrap_or_default();
+                    dst[..src.len()].copy_from_slice(src);
                 }
             }
-            col += len;
+        }
+    }
+
+    /// Write column-matrix rows `rows` over the output pixels `pixels` of a
+    /// single frame (`oy * ow + ox`, valid pixels only) into `block`, row `r`
+    /// at `block[(r - rows.start) * pixels.len()..]`: per output row of the
+    /// range, one slice copy per matrix row. Every channel must be loaded.
+    pub(crate) fn gather_block(&self, block: &mut [f32], rows: Range<usize>, pixels: Range<usize>) {
+        debug_assert_eq!((self.n, self.channels.start), (1, 0));
+        let data = self.data();
+        let len = pixels.len();
+        let mut p = pixels.start;
+        while p < pixels.end {
+            let (oy, ox) = (p / self.ow, p % self.ow);
+            let run = (self.ow - ox).min(pixels.end - p);
+            let (at, column) = (p - pixels.start, oy * self.wq + ox);
+            for (dst, &offset) in block.chunks_exact_mut(len).zip(&self.offsets[rows.clone()]) {
+                dst[at..at + run].copy_from_slice(&data[offset + column..][..run]);
+            }
+            p += run;
         }
     }
 }
@@ -327,7 +486,7 @@ impl<'a> LoweredImage<'a> {
 /// lowering would, so batched and per-frame convolutions are bit-for-bit
 /// identical.
 pub fn im2col_batched(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
-    let (n, c, h, w) = check_frames(input, spec)?;
+    let (n, c, h, w) = check_frames(input, spec, "im2col_batched")?;
     if n == 1 && spec.is_pointwise() {
         return input.reshape(Shape::matrix(c, h * w));
     }
@@ -517,27 +676,78 @@ pub fn conv2d_forward(
     Ok((out, cols))
 }
 
-/// Forward convolution, `(n, in_c, h, w)` → `(n, out_c, oh, ow)`: the product
-/// [`conv2d_forward`] computes, with the GEMM reading each stripe of the
-/// column matrix straight from the frames. Nothing column-shaped is
-/// allocated, and the output is bit-identical.
+/// What [`conv2d`] does to each output element after its last multiply-add,
+/// in this order: add the bias, add `residual`, apply a ReLU the way
+/// [`crate::ops::relu`] does. It happens as the GEMM writes the element, so
+/// a layer's activation is written once, by the convolution producing it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Epilogue<'a> {
+    /// A tensor shaped like the output, added element by element.
+    pub residual: Option<&'a Tensor>,
+    /// Whether a ReLU follows.
+    pub relu: bool,
+}
+
+impl<'a> Epilogue<'a> {
+    /// The bias and nothing else.
+    pub const NONE: Epilogue<'static> = Epilogue {
+        residual: None,
+        relu: false,
+    };
+    /// The bias, then a ReLU.
+    pub const RELU: Epilogue<'static> = Epilogue {
+        residual: None,
+        relu: true,
+    };
+
+    /// The bias, then `residual` (a shortcut the convolution's output joins).
+    pub fn residual(residual: &'a Tensor) -> Self {
+        Epilogue {
+            residual: Some(residual),
+            relu: false,
+        }
+    }
+}
+
+/// Forward convolution, `(n, in_c, h, w)` → `(n, out_c, oh, ow)`, with the
+/// bias and `epilogue` applied as each element is written: the product
+/// [`conv2d_forward`] computes, followed by the separate passes the epilogue
+/// stands for, bit for bit. The GEMM reads its stripes from a padded copy of
+/// one `K` block's channels at a time ([`PaddedImage`]), and writes each tile
+/// straight into the NCHW output, which is the only tensor this allocates.
 pub fn conv2d(
     input: &Tensor,
     weight: &Tensor,
     bias: Option<&Tensor>,
     spec: &Conv2dSpec,
+    epilogue: Epilogue<'_>,
 ) -> Result<Tensor> {
     check_params(weight, bias, spec)?;
-    let (n, c, h, w) = check_frames(input, spec)?;
-    let (oh, ow) = spec.output_size(h, w);
-    let w_mat = weight_matrix(weight, spec)?;
-    let out_mat = if n == 1 && spec.is_pointwise() {
-        // The column matrix is the frame under another shape.
-        matmul(&w_mat, &input.reshape(Shape::matrix(c, h * w))?)?
-    } else {
-        matmul_lowered(&w_mat, &LoweredImage::new(input, spec)?)?
-    };
-    finish_output(out_mat, bias, (n, spec.out_channels, oh, ow))
+    let mut image = PaddedImage::new(input, spec, "conv2d", KC)?;
+    let shape = Shape::nchw(image.n, spec.out_channels, image.oh, image.ow);
+    if let Some(residual) = epilogue.residual {
+        if !residual.shape().same_as(&shape) {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv2d(residual)",
+                lhs: residual.shape().dims().to_vec(),
+                rhs: shape.dims().to_vec(),
+            });
+        }
+    }
+    let sink = image.sink(
+        bias.map(Tensor::data),
+        epilogue.residual.map(Tensor::data),
+        epilogue.relu,
+    );
+    let mut out = vec![0.0f32; shape.numel()];
+    conv_product(
+        weight.data(),
+        spec.out_channels,
+        &mut image,
+        &sink,
+        &mut out,
+    );
+    Tensor::from_vec(shape, out)
 }
 
 /// Gradients produced by [`conv2d_backward`] and [`conv2d_grads`].
@@ -554,19 +764,20 @@ pub struct Conv2dGrads {
 }
 
 /// Check a single-frame upstream gradient against `spec` and return it as
-/// the `(out_c, oh*ow)` matrix both backward products read.
-fn grad_matrix(grad_out: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+/// the `(out_c, oh*ow)` matrix both backward products read. `op` is the
+/// entry point the errors name.
+fn grad_matrix(grad_out: &Tensor, spec: &Conv2dSpec, op: &'static str) -> Result<Tensor> {
     let (n, oc, oh, ow) = grad_out.shape().as_nchw()?;
     if n != 1 {
         // Distillation trains on single key frames; only the forward/
         // inference path is batched.
-        return Err(TensorError::InvalidArgument(
-            "conv2d_backward expects a single-frame gradient (training is per-frame)".into(),
-        ));
+        return Err(TensorError::InvalidArgument(format!(
+            "{op} expects a single-frame gradient (training is per-frame)"
+        )));
     }
     if oc != spec.out_channels {
         return Err(TensorError::ShapeMismatch {
-            op: "conv2d_backward",
+            op,
             lhs: grad_out.shape().dims().to_vec(),
             rhs: vec![1, spec.out_channels, 0, 0],
         });
@@ -619,7 +830,7 @@ pub fn conv2d_backward(
     input_w: usize,
     need_input_grad: bool,
 ) -> Result<Conv2dGrads> {
-    let go_mat = grad_matrix(grad_out, spec)?;
+    let go_mat = grad_matrix(grad_out, spec, "conv2d_backward")?;
     let dw_mat = matmul_nt(&go_mat, columns)?;
     finish_grads(
         &go_mat,
@@ -632,10 +843,12 @@ pub fn conv2d_backward(
 }
 
 /// Backward convolution from the forward pass's *input* (`(1, in_c, h, w)`)
-/// instead of its column matrix: the weight gradient's GEMM reads the
-/// columns from the frame as [`conv2d`] does. Bit-identical to
-/// [`conv2d_backward`] on `im2col(input)`. A `grad_out` whose spatial size is
-/// not the one `input` convolves to is a shape mismatch.
+/// instead of its column matrix: the weight gradient's GEMM gathers its
+/// transposed blocks from a padded copy of the frame ([`PaddedImage`]), row
+/// run by row run over the valid pixels. Bit-identical to
+/// [`conv2d_backward`] on `im2col(input)`. The copy is dropped before the
+/// input gradient's `Wᵀ · gO` is allocated. A `grad_out` whose spatial size
+/// is not the one `input` convolves to is a shape mismatch.
 pub fn conv2d_grads(
     grad_out: &Tensor,
     input: &Tensor,
@@ -643,12 +856,13 @@ pub fn conv2d_grads(
     spec: &Conv2dSpec,
     need_input_grad: bool,
 ) -> Result<Conv2dGrads> {
-    let go_mat = grad_matrix(grad_out, spec)?;
-    let (n, c, h, w) = check_frames(input, spec)?;
+    const OP: &str = "conv2d_grads";
+    let go_mat = grad_matrix(grad_out, spec, OP)?;
+    let (n, c, h, w) = check_frames(input, spec, OP)?;
     let (oh, ow) = spec.output_size(h, w);
     if (n, oh, ow) != (1, grad_out.shape().dim(2), grad_out.shape().dim(3)) {
         return Err(TensorError::ShapeMismatch {
-            op: "conv2d_backward",
+            op: OP,
             lhs: grad_out.shape().dims().to_vec(),
             rhs: vec![n, spec.out_channels, oh, ow],
         });
@@ -656,7 +870,10 @@ pub fn conv2d_grads(
     let dw_mat = if spec.is_pointwise() {
         matmul_nt(&go_mat, &input.reshape(Shape::matrix(c, h * w))?)?
     } else {
-        matmul_nt_lowered(&go_mat, &LoweredImage::new(input, spec)?)?
+        let rows = c * spec.kernel_h * spec.kernel_w;
+        let mut image = PaddedImage::new(input, spec, OP, rows)?;
+        image.load(0..rows);
+        matmul_nt_pixels(&go_mat, &image)?
     };
     finish_grads(&go_mat, dw_mat, weight, spec, (h, w), need_input_grad)
 }
@@ -830,93 +1047,117 @@ mod tests {
         }
     }
 
-    /// Both products of the lowered image against the same products of the
-    /// built column matrix, and the two layer entry points against the
-    /// column-matrix pair.
-    fn assert_lowered_equals_stored(spec: &Conv2dSpec, input: &Tensor, seed: u64) {
+    /// Every stripe [`PaddedImage::pack_stripe`] packs, per `K` block,
+    /// against the stored column matrix at the grid columns that are output
+    /// pixels; then the weight-gradient product over the fully loaded copy,
+    /// and the two layer entry points against the column-matrix pair.
+    fn assert_padded_equals_stored(spec: &Conv2dSpec, input: &Tensor, seed: u64) {
         let (n, _, h, w) = input.shape().as_nchw().unwrap();
         let what = format!("{spec:?} on {n}x{}x{h}x{w}", spec.in_channels);
         let cols = im2col_batched(input, spec).unwrap();
         let (k, pixels) = cols.shape().as_matrix().unwrap();
-        let image = LoweredImage::new(input, spec).unwrap();
-        assert_eq!(image.dims(), (k, pixels), "{what}");
+        let (oh, ow) = spec.output_size(h, w);
+        let mut image = PaddedImage::new(input, spec, "test", KC).unwrap();
+        let (rows, grid) = image.grid_dims();
+        assert_eq!(rows, k, "{what}");
+        let mut bstripe = vec![0.0f32; KC * NR];
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            image.load(k0..k0 + kc);
+            for j0 in (0..grid).step_by(NR) {
+                bstripe.fill(f32::NAN);
+                image.pack_stripe(&mut bstripe[..kc * NR], k0..k0 + kc, j0);
+                for j in j0..(j0 + NR).min(grid) {
+                    let (ni, column) = (j / image.per_frame, j % image.per_frame);
+                    let (oy, ox) = (column / image.wq, column % image.wq);
+                    if oy >= oh || ox >= ow {
+                        continue;
+                    }
+                    for kk in k0..k0 + kc {
+                        let want = cols.data()[kk * pixels + (ni * oh + oy) * ow + ox];
+                        let got = bstripe[(kk - k0) * NR + j - j0];
+                        assert_eq!(got.to_bits(), want.to_bits(), "row {kk} column {j}, {what}");
+                    }
+                }
+            }
+        }
 
         let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, seed);
-        let w_mat = weight_matrix(&weight, spec).unwrap();
-        assert_eq!(
-            bits(&matmul_lowered(&w_mat, &image).unwrap()),
-            bits(&matmul(&w_mat, &cols).unwrap()),
-            "W · cols, {what}"
-        );
+        let bias = random::uniform(Shape::vector(spec.out_channels), -0.1, 0.1, seed + 2);
+        let (reference, _) = conv2d_forward(input, &weight, Some(&bias), spec).unwrap();
+        let out = conv2d(input, &weight, Some(&bias), spec, Epilogue::NONE).unwrap();
+        assert_eq!(out.shape(), reference.shape(), "{what}");
+        assert_eq!(bits(&out), bits(&reference), "conv2d {what}");
+        if n > 1 {
+            return;
+        }
         // With a -0.0 and a subnormal among the gradients.
-        let mut go_mat = random::uniform(
-            Shape::matrix(spec.out_channels, pixels),
-            -1.0,
-            1.0,
-            seed + 1,
-        );
-        go_mat.data_mut()[0] = -0.0;
-        go_mat.data_mut()[pixels / 2] = f32::from_bits(3);
+        let mut grad_out = random::uniform(out.shape().clone(), -1.0, 1.0, seed + 1);
+        grad_out.data_mut()[0] = -0.0;
+        grad_out.data_mut()[pixels / 2] = f32::from_bits(3);
+        let go_mat = grad_out
+            .reshape(Shape::matrix(spec.out_channels, pixels))
+            .unwrap();
+        let mut whole = PaddedImage::new(input, spec, "test", k).unwrap();
+        whole.load(0..k);
         assert_eq!(
-            bits(&matmul_nt_lowered(&go_mat, &image).unwrap()),
+            bits(&matmul_nt_pixels(&go_mat, &whole).unwrap()),
             bits(&matmul_nt(&go_mat, &cols).unwrap()),
             "gO · colsᵀ, {what}"
         );
-
-        let bias = random::uniform(Shape::vector(spec.out_channels), -0.1, 0.1, seed + 2);
-        let (reference, _) = conv2d_forward(input, &weight, Some(&bias), spec).unwrap();
-        let out = conv2d(input, &weight, Some(&bias), spec).unwrap();
-        assert_eq!(out.shape(), reference.shape(), "{what}");
-        assert_eq!(bits(&out), bits(&reference), "conv2d {what}");
-        if n == 1 {
-            let grad_out = go_mat.reshape(out.shape().clone()).unwrap();
-            let reference = conv2d_backward(&grad_out, &cols, &weight, spec, h, w, true).unwrap();
-            let grads = conv2d_grads(&grad_out, input, &weight, spec, true).unwrap();
-            assert_eq!(bits(&grads.weight), bits(&reference.weight), "dW {what}");
-            assert_eq!(bits(&grads.bias), bits(&reference.bias), "db {what}");
-            assert_eq!(
-                bits(&grads.input.unwrap()),
-                bits(&reference.input.unwrap()),
-                "dX {what}"
-            );
-            let no_input = conv2d_grads(&grad_out, input, &weight, spec, false).unwrap();
-            assert!(no_input.input.is_none());
-            assert_eq!(bits(&no_input.weight), bits(&reference.weight), "dW {what}");
-        }
+        let reference = conv2d_backward(&grad_out, &cols, &weight, spec, h, w, true).unwrap();
+        let grads = conv2d_grads(&grad_out, input, &weight, spec, true).unwrap();
+        assert_eq!(bits(&grads.weight), bits(&reference.weight), "dW {what}");
+        assert_eq!(bits(&grads.bias), bits(&reference.bias), "db {what}");
+        assert_eq!(
+            bits(&grads.input.unwrap()),
+            bits(&reference.input.unwrap()),
+            "dX {what}"
+        );
+        let no_input = conv2d_grads(&grad_out, input, &weight, spec, false).unwrap();
+        assert!(no_input.input.is_none());
+        assert_eq!(bits(&no_input.weight), bits(&reference.weight), "dW {what}");
     }
 
     #[test]
-    fn lowered_image_equals_the_stored_column_matrix_bit_for_bit() {
+    fn padded_image_equals_the_stored_column_matrix_bit_for_bit() {
         // The sizes of the span-lowering referee: stripes that cross output
-        // rows and frames, a pixel count that is no multiple of `NR` (5×7),
-        // `w < kernel_w`, `h < kernel_h`, both strides.
+        // rows, frames whose grid is no multiple of `NR` (5×7), `w <
+        // kernel_w`, `h < kernel_h`, odd sides under stride 2.
         let sizes = [(1, 1), (1, 2), (2, 1), (3, 2), (2, 5), (5, 7), (8, 6)];
+        // Unequal strides too: row phases with stride-1 columns, whose rows
+        // share their padding, and the other way round.
+        let mixed = [(2, 1), (1, 2)].map(|(stride_h, stride_w)| Conv2dSpec {
+            stride_h,
+            stride_w,
+            ..Conv2dSpec::square(2, 3, 3, 1)
+        });
         let mut seed = 300;
-        for spec in lowering_specs(2, 3) {
+        for spec in lowering_specs(2, 3).into_iter().chain(mixed) {
             for (h, w) in sizes {
                 for n in [1, 3] {
                     seed += 3;
                     let input = random::uniform(Shape::nchw(n, 2, h, w), -1.0, 1.0, seed);
-                    assert_lowered_equals_stored(&spec, &input, seed);
+                    assert_padded_equals_stored(&spec, &input, seed);
                 }
             }
         }
     }
 
     #[test]
-    fn lowered_image_equals_the_stored_column_matrix_across_blocks_and_threads() {
+    fn padded_image_equals_the_stored_column_matrix_across_blocks_and_threads() {
         // `sb5.conv33` of the `small()` student: K = 576 spans three `KC`
-        // blocks forward; 17×19 = 323 pixels span two of them backward and
-        // are no multiple of `NR`.
+        // blocks forward, each loading the channels it reads; 17×19 = 323
+        // pixels span two of them backward and are no multiple of `NR`.
         let deep = Conv2dSpec::square(64, 24, 3, 1);
         for n in [1, 2] {
             let input = random::uniform(Shape::nchw(n, 64, 17, 19), -1.0, 1.0, 500 + n as u64);
-            assert_lowered_equals_stored(&deep, &input, 510);
+            assert_padded_equals_stored(&deep, &input, 510);
         }
         // Both products above `PAR_MIN_MACS` (40·216·2304 and 40·216·768
-        // multiply-adds), stride 1 and 2: each worker gathers its own stripes
-        // from the frames, and the answer does not depend on how many there
-        // are.
+        // multiply-adds), stride 1 and 2: each worker packs its own stripes
+        // from the shared copy, and the answer does not depend on how many
+        // there are.
         for stride in [1, 2] {
             let wide = Conv2dSpec::square(24, 40, 3, stride);
             let (h, w) = (24 * stride, 32 * stride);
@@ -926,8 +1167,8 @@ mod tests {
                 let grad_out = random::uniform(Shape::nchw(1, 40, 24, 32), -1.0, 1.0, 531);
                 let run = |threads: usize| {
                     crate::parallel::set_threads(threads);
-                    assert_lowered_equals_stored(&wide, &input, 540);
-                    let out = conv2d(&input, &weight, None, &wide).unwrap();
+                    assert_padded_equals_stored(&wide, &input, 540);
+                    let out = conv2d(&input, &weight, None, &wide, Epilogue::RELU).unwrap();
                     let grads = (n == 1)
                         .then(|| conv2d_grads(&grad_out, &input, &weight, &wide, false).unwrap());
                     crate::parallel::set_threads(0);
@@ -939,12 +1180,13 @@ mod tests {
     }
 
     #[test]
-    fn lowered_image_equals_the_stored_column_matrix_on_the_students_shapes() {
-        // The `small()` student's stem (3 → 6), head (16 → 9, pointwise)
-        // and `in40 3×3` (40 → 24, K = 360 crosses a `KC` block): partial
-        // 8-row panels, over 16, 31, 33 and 192 pixels — the first three
-        // fill no 32-column stripe, and a 12×16 frame's stripes each span
-        // two output rows — on one worker and on two.
+    fn padded_image_equals_the_stored_column_matrix_on_the_students_shapes() {
+        // The `small()` student's stem (3 → 6), head (16 → 9, pointwise:
+        // read from the frames, no copy) and `in40 3×3` (40 → 24, K = 360
+        // crosses a `KC` block): partial 8-row panels, over 16, 31, 33 and
+        // 192 pixels — the first three fill no 32-column stripe, and a 12×16
+        // frame's stripes each span two output rows — on one worker and on
+        // two.
         let specs = [
             Conv2dSpec::square(3, 6, 3, 1),
             Conv2dSpec::square(16, 9, 1, 1),
@@ -959,12 +1201,105 @@ mod tests {
                         random::uniform(Shape::nchw(n, spec.in_channels, h, w), -1.0, 1.0, seed);
                     for threads in [1, 2] {
                         crate::parallel::set_threads(threads);
-                        assert_lowered_equals_stored(spec, &input, seed);
+                        assert_padded_equals_stored(spec, &input, seed);
                         crate::parallel::set_threads(0);
                     }
                 }
             }
         }
+    }
+
+    /// `-0.0`, a subnormal, both infinities and a NaN at a few places of
+    /// `t`, by `salt`.
+    fn plant_specials(t: &mut Tensor, salt: usize) {
+        let data = t.data_mut();
+        let len = data.len();
+        let specials = [
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for (i, v) in specials.into_iter().enumerate() {
+            data[(salt * 7919 + i * 104_729) % len] = v;
+        }
+    }
+
+    /// `conv2d` with `epilogue` against `conv2d_forward` followed by the
+    /// separate residual add and ReLU, bit for bit.
+    fn assert_fused_equals_separate(spec: &Conv2dSpec, input: &Tensor, seed: u64) {
+        let (n, _, h, w) = input.shape().as_nchw().unwrap();
+        let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, seed);
+        let bias = random::uniform(Shape::vector(spec.out_channels), -0.1, 0.1, seed + 1);
+        let (plain, _) = conv2d_forward(input, &weight, Some(&bias), spec).unwrap();
+        let mut residual = random::uniform(plain.shape().clone(), -1.0, 1.0, seed + 2);
+        plant_specials(&mut residual, seed as usize + 1);
+        for (add, relu) in [(false, false), (false, true), (true, false), (true, true)] {
+            let what = format!(
+                "{spec:?} on {n}x{}x{h}x{w}, add {add}, relu {relu}",
+                spec.in_channels
+            );
+            let mut expected = plain.clone();
+            if add {
+                expected = expected.add(&residual).unwrap();
+            }
+            if relu {
+                expected = crate::ops::relu(&expected);
+            }
+            let epilogue = Epilogue {
+                residual: add.then_some(&residual),
+                relu,
+            };
+            let got = conv2d(input, &weight, Some(&bias), spec, epilogue).unwrap();
+            assert_eq!(bits(&got), bits(&expected), "{what}");
+        }
+    }
+
+    #[test]
+    fn fused_epilogue_equals_the_separate_passes_across_k_blocks() {
+        // K = 288, 360 and 576: two and three `KC` blocks, so the first,
+        // a middle and the last block's write-backs all run; specials in the
+        // input reach every block.
+        let mut seed = 700;
+        for (in_channels, stride) in [(32, 1), (40, 1), (64, 1), (40, 2)] {
+            let spec = Conv2dSpec::square(in_channels, 20, 3, stride);
+            for (n, h, w) in [(1, 9, 13), (2, 8, 6)] {
+                seed += 5;
+                let mut input = random::uniform(Shape::nchw(n, in_channels, h, w), -1.0, 1.0, seed);
+                plant_specials(&mut input, seed as usize);
+                for threads in [1, 2] {
+                    crate::parallel::set_threads(threads);
+                    assert_fused_equals_separate(&spec, &input, seed);
+                    crate::parallel::set_threads(0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_epilogue_equals_the_separate_passes_on_every_geometry() {
+        let mut seed = 800;
+        for spec in lowering_specs(3, 5) {
+            for (n, h, w) in [(1, 5, 7), (3, 2, 5)] {
+                seed += 5;
+                let mut input = random::uniform(Shape::nchw(n, 3, h, w), -1.0, 1.0, seed);
+                plant_specials(&mut input, seed as usize);
+                assert_fused_equals_separate(&spec, &input, seed);
+            }
+        }
+        // A residual of another shape is refused, not read out of bounds.
+        let spec = Conv2dSpec::square(3, 5, 3, 1);
+        let input = random::uniform(Shape::nchw(1, 3, 4, 4), -1.0, 1.0, 1);
+        let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, 2);
+        let short = Tensor::zeros(Shape::nchw(1, 5, 4, 3));
+        assert!(matches!(
+            conv2d(&input, &weight, None, &spec, Epilogue::residual(&short)),
+            Err(TensorError::ShapeMismatch {
+                op: "conv2d(residual)",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -974,7 +1309,7 @@ mod tests {
         let frame = random::uniform(Shape::nchw(1, 2, 4, 4), -1.0, 1.0, 72);
         let batch = random::uniform(Shape::nchw(2, 2, 4, 4), -1.0, 1.0, 73);
         // A batched gradient: training is per-frame.
-        let out = conv2d(&batch, &weight, None, &spec).unwrap();
+        let out = conv2d(&batch, &weight, None, &spec, Epilogue::NONE).unwrap();
         let err = conv2d_grads(&out, &batch, &weight, &spec, true).unwrap_err();
         assert!(format!("{err:?}").contains("per-frame"));
         // A single-frame gradient against a cached batch, another spatial
@@ -988,8 +1323,35 @@ mod tests {
         ] {
             assert!(matches!(
                 conv2d_grads(grad, input, &weight, &spec, true),
-                Err(TensorError::ShapeMismatch { .. })
+                Err(TensorError::ShapeMismatch {
+                    op: "conv2d_grads",
+                    ..
+                })
             ));
+        }
+        // Each entry point names itself, not the lowering underneath.
+        let five = Tensor::ones(Shape::nchw(1, 5, 4, 4));
+        assert!(matches!(
+            conv2d(&five, &weight, None, &spec, Epilogue::NONE),
+            Err(TensorError::ShapeMismatch { op: "conv2d", .. })
+        ));
+        let empty = Tensor::zeros(Shape::nchw(0, 2, 4, 4));
+        for (err, op) in [
+            (
+                conv2d_grads(&grad, &empty, &weight, &spec, true).unwrap_err(),
+                "conv2d_grads",
+            ),
+            (
+                conv2d(&empty, &weight, None, &spec, Epilogue::NONE).unwrap_err(),
+                "conv2d",
+            ),
+            (im2col_batched(&empty, &spec).unwrap_err(), "im2col_batched"),
+        ] {
+            let want = format!("{op} needs at least one frame");
+            assert!(
+                matches!(&err, TensorError::InvalidArgument(m) if *m == want),
+                "{err:?}"
+            );
         }
         conv2d_grads(&grad, &frame, &weight, &spec, true).unwrap();
     }

@@ -16,19 +16,27 @@
 //!   (`apack[kk*MR + i]`), so the microkernel reads it as a contiguous
 //!   stream regardless of whether the source was stored `(m, k)` or
 //!   `(k, m)`; `B` is packed into `NR`-column stripes (`bstripe[kk*NR + j]`)
-//!   the same way. Packing zero-pads ragged edges, so the microkernel has
-//!   no edge branches.
-//! * `B` is read through one *panel source* (`BSource`) with two kinds: a
-//!   matrix stored in memory, in either layout, and the column matrix of a
-//!   convolution input that is **never built** — the packer gathers each
-//!   stripe from the frames themselves
-//!   (`crate::conv::LoweredImage::lower_block`), writing exactly the values
-//!   `im2col_batched` would have stored there. The convolutions the models run
-//!   ([`crate::conv::conv2d`], [`crate::conv::conv2d_grads`]) use the second
-//!   kind, so a forward allocates its output and nothing else, and a backward
-//!   needs the layer's input, not a 9× copy of it. A stripe is all the
-//!   microkernel ever sees, and both kinds fill it identically — every output
-//!   element's multiply-add chain is the same whichever one a product uses.
+//!   the same way. `A`'s ragged last panel is zero-padded; a ragged `B`
+//!   stripe keeps whatever its unused columns held, which the microkernel
+//!   computes and nothing writes, so it has no edge branches.
+//! * `B` is read through one *panel source* (`BSource`): a matrix stored in
+//!   memory, in either layout, or the column matrix of a convolution input
+//!   that is **never built**. For `W · cols` each stripe is `kc` straight
+//!   32-float copies from a padded copy of the input's channels in the
+//!   current `K` block (`crate::conv::PaddedImage::pack_stripe`), over the
+//!   *output grid*: output rows `wq ≥ ow` columns wide, frames rounded up to
+//!   whole stripes. For the weight gradient `gO · colsᵀ` each stripe is a
+//!   block of row runs over the valid pixels
+//!   (`crate::conv::PaddedImage::gather_block`), transposed. Either way the
+//!   stripe holds exactly the values `im2col_batched` would have stored at
+//!   the columns the product writes, so every written element's multiply-add
+//!   chain is the same whichever source a product uses.
+//! * The write-back (`Sink`) places each tile row's runs of output pixels:
+//!   row-major for a plain matrix, NCHW for a convolution, skipping the
+//!   grid's padding columns. The first `K` block stores `0.0 + acc`, later
+//!   ones add `acc`, and the last then adds the bias, an optional residual
+//!   and applies an optional ReLU — the additions a zeroed `C`, a bias
+//!   pass, an add and `ops::relu` would make, in their order.
 //! * The microkernel computes one `8×32` (`MR×NR`) tile of `C` from one
 //!   panel and one stripe with a branch-free multiply-add per `kk`. Which
 //!   kernel runs is decided once per product, from the CPU: AVX-512 holds
@@ -48,14 +56,15 @@
 //! block sizes, thread counts, batch widths, panel sources and SIMD
 //! microkernels, so results are bit-for-bit reproducible — the batched
 //! teacher forward relies on this to match per-frame forwards exactly, and
-//! the column-free convolutions on it to match the stored-matrix reference.
+//! the column-free convolutions and their fused epilogues on it to match the
+//! stored-matrix reference followed by separate passes.
 
-use crate::conv::LoweredImage;
+use crate::conv::PaddedImage;
 use crate::parallel;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Cache block size over the reduction dimension.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Microkernel tile rows (distinct broadcasts per `kk`).
 const MR: usize = 8;
 /// Microkernel tile columns: two 512-bit vectors, four 256-bit ones.
@@ -144,26 +153,35 @@ fn pack_a(apack: &mut [f32], a: &[f32], layout: ALayout, m: usize, k: usize, k0:
     }
 }
 
-/// Where [`gemm`] reads its `B` operand from. Both kinds fill the same
-/// `NR`-column stripes with the same values, so the blocking, the microkernel
-/// and every output element's multiply-add chain do not depend on which one
-/// a product uses.
-#[derive(Clone, Copy)]
-enum BSource<'a> {
+/// Where [`gemm`] reads its `B` operand from. Every kind fills the same
+/// `NR`-column stripes with the same values in the columns a product writes,
+/// so the blocking, the microkernel and every written element's multiply-add
+/// chain do not depend on which one a product uses. Columns a stripe holds
+/// past the ones written keep whatever was there: they are computed and
+/// dropped.
+enum BSource<'a, 'i> {
     /// A matrix held in memory, in either layout.
     Stored(&'a [f32], BLayout),
-    /// The column matrix of a convolution input, never built: each stripe is
-    /// gathered from the frames themselves ([`LoweredImage::lower_block`]).
-    /// The layout says how the product uses that matrix — `RowMajor` for
-    /// `A · cols`, `Transposed` for `A · colsᵀ`.
-    Lowered(&'a LoweredImage<'a>, BLayout),
+    /// `cols` over the output grid of a convolution input, reloaded per `K`
+    /// block: each stripe row is one straight copy
+    /// ([`PaddedImage::pack_stripe`]).
+    Grid(&'a mut PaddedImage<'i>),
+    /// `colsᵀ` over the valid pixels of one frame: each stripe is a block of
+    /// row runs ([`PaddedImage::gather_block`]), transposed.
+    Pixels(&'a PaddedImage<'i>),
 }
 
-impl BSource<'_> {
+impl BSource<'_, '_> {
+    /// Make `B`'s rows `[k0, k0+kc)` readable; only a grid reloads.
+    fn load(&mut self, k0: usize, kc: usize) {
+        if let BSource::Grid(image) = self {
+            image.load(k0..k0 + kc);
+        }
+    }
+
     /// Pack the `B` stripe of columns `[j0, j0+cols)` for `k ∈ [k0, k0+kc)`
-    /// into `bstripe[kk*NR + jj]`, zero-padding columns `cols..NR`. `n` and
-    /// `k` are the logical dimensions of `B` (`k × n`); `block` is scratch
-    /// the worker keeps across stripes.
+    /// into `bstripe[kk*NR + jj]`. `n` and `k` are the logical dimensions of
+    /// `B` (`k × n`); `block` is scratch the worker keeps across stripes.
     #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
     fn pack_stripe(
         &self,
@@ -176,8 +194,7 @@ impl BSource<'_> {
         j0: usize,
         cols: usize,
     ) {
-        bstripe[..kc * NR].fill(0.0);
-        match *self {
+        match self {
             BSource::Stored(b, BLayout::RowMajor) => {
                 for kk in 0..kc {
                     let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
@@ -187,17 +204,15 @@ impl BSource<'_> {
             BSource::Stored(b, BLayout::Transposed) => {
                 transpose_into_stripe(bstripe, &b[j0 * k + k0..], k, kc, cols)
             }
-            // Rows `[k0, k0+kc)` of the column matrix over its columns
-            // `[j0, j0+cols)` are the stripe as it stands.
-            BSource::Lowered(image, BLayout::RowMajor) => {
-                image.lower_block(bstripe, k0..k0 + kc, j0..j0 + cols, NR)
-            }
-            // Its rows `[j0, j0+cols)` over columns `[k0, k0+kc)`, lowered
+            BSource::Grid(image) => image.pack_stripe(bstripe, k0..k0 + kc, j0),
+            // Its rows `[j0, j0+cols)` over pixels `[k0, k0+kc)`, gathered
             // into `block` (32 KiB at most), are the stored case in small.
-            BSource::Lowered(image, BLayout::Transposed) => {
-                block.clear();
-                block.resize(cols * kc, 0.0);
-                image.lower_block(block, j0..j0 + cols, k0..k0 + kc, kc);
+            BSource::Pixels(image) => {
+                if block.len() < cols * kc {
+                    block.resize(NR * kc, 0.0);
+                }
+                let block = &mut block[..cols * kc];
+                image.gather_block(block, j0..j0 + cols, k0..k0 + kc);
                 transpose_into_stripe(bstripe, block, kc, kc, cols)
             }
         }
@@ -385,8 +400,183 @@ unsafe fn microkernel_avx512(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &m
     }
 }
 
-/// Shared packed GEMM driver: `out += op(A) · op(B)` with `out` pre-zeroed by
-/// the caller. `out` is row-major `(m, n)`.
+/// Where [`gemm`] writes `C`, and what it does to each element on the way.
+///
+/// Row `i` of `C` is an output channel; its columns are a grid of frames of
+/// `per_frame` columns each, and grid column `g` of a frame is output
+/// pixel `(g / row, g % row)`, written only where that lies inside the
+/// `oh × ow` output, at `((frame * m + i) * oh + oy) * ow + ox` (NCHW). A
+/// plain `(m, n)` matrix is one frame of one output row of `n` pixels.
+///
+/// The first `K` block stores `0.0 + acc`, later ones add `acc` — the
+/// additions a zeroed `C` receiving `+= acc` per block gets. After the last
+/// block's the element gets `+ bias[i]`, then `+ residual` at its own index,
+/// then a ReLU as [`crate::ops::relu`] applies it: the separate passes those
+/// stand for, in their order, so the bits are theirs.
+pub(crate) struct Sink<'a> {
+    pub(crate) per_frame: usize,
+    /// Grid columns per output row.
+    pub(crate) row: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    pub(crate) bias: Option<&'a [f32]>,
+    pub(crate) residual: Option<&'a [f32]>,
+    pub(crate) relu: bool,
+    /// A plain row-major matrix: every stripe is one run, nothing added.
+    pub(crate) plain: bool,
+}
+
+/// A grid column: its frame, its column within the frame, and that
+/// column's output row and column within the row.
+#[derive(Debug, Clone, Copy, Default)]
+struct GridPos {
+    frame: usize,
+    column: usize,
+    oy: usize,
+    ox: usize,
+}
+
+/// Stripe columns `[at, at+len)` land in one output row, from `to + i *
+/// plane` on for row `i` of `C`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    at: usize,
+    to: usize,
+    len: usize,
+}
+
+impl Sink<'_> {
+    /// A row-major `(m, n)` matrix and nothing else.
+    fn matrix(n: usize) -> Sink<'static> {
+        Sink {
+            per_frame: n,
+            row: n,
+            oh: 1,
+            ow: n,
+            bias: None,
+            residual: None,
+            relu: false,
+            plain: true,
+        }
+    }
+
+    /// Where grid column `j` lies.
+    fn locate(&self, j: usize) -> GridPos {
+        let (frame, column) = (j / self.per_frame, j % self.per_frame);
+        GridPos {
+            frame,
+            column,
+            oy: column / self.row,
+            ox: column % self.row,
+        }
+    }
+
+    /// The runs of the next `cols` grid columns from `pos` that land in the
+    /// output, into `runs`, leaving `pos` past them; returns how many runs
+    /// there are. Runs that continue each other in the output (rows without
+    /// grid padding) are one.
+    fn runs(&self, m: usize, pos: &mut GridPos, cols: usize, runs: &mut [Run; NR]) -> usize {
+        let plane = self.oh * self.ow;
+        let mut count = 0usize;
+        let mut at = 0;
+        while at < cols {
+            let len = (self.row - pos.ox)
+                .min(self.per_frame - pos.column)
+                .min(cols - at);
+            if pos.oy < self.oh && pos.ox < self.ow {
+                let run = Run {
+                    at,
+                    to: pos.frame * m * plane + pos.oy * self.ow + pos.ox,
+                    len: len.min(self.ow - pos.ox),
+                };
+                match count.checked_sub(1).map(|last| &mut runs[last]) {
+                    Some(prev) if prev.at + prev.len == run.at && prev.to + prev.len == run.to => {
+                        prev.len += run.len
+                    }
+                    _ => {
+                        runs[count] = run;
+                        count += 1;
+                    }
+                }
+            }
+            at += len;
+            pos.column += len;
+            pos.ox += len;
+            if pos.column == self.per_frame {
+                *pos = GridPos {
+                    frame: pos.frame + 1,
+                    ..GridPos::default()
+                };
+            } else if pos.ox == self.row {
+                (pos.oy, pos.ox) = (pos.oy + 1, 0);
+            }
+        }
+        count
+    }
+
+    /// Finish row `i` of a tile and write it through `runs`: `row` holds the
+    /// block's accumulators. One pass per run, straight into the output.
+    #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
+    #[inline(always)]
+    fn write_row(
+        &self,
+        row: &[f32; NR],
+        i: usize,
+        runs: &[Run],
+        out: SendPtr,
+        first: bool,
+        last: bool,
+    ) {
+        let plane = self.oh * self.ow;
+        let output = |at: usize, len: usize| {
+            // SAFETY: `gemm` asserted that every element a run of its `n`
+            // grid columns places lies inside `out` (`ox + len <= ow`,
+            // `oy < oh`, `i < m`). The worker calling this exclusively owns
+            // the grid columns of `runs` (par_ranges hands out disjoint
+            // ranges), and distinct grid columns of one row of `C` land on
+            // distinct elements, so no other live slice overlaps this one.
+            unsafe { std::slice::from_raw_parts_mut(out.get().add(at), len) }
+        };
+        if self.plain {
+            let run = runs[0];
+            let dst = output(run.to + i * plane, run.len);
+            if first {
+                for (o, &a) in dst.iter_mut().zip(row) {
+                    *o = 0.0 + a;
+                }
+            } else {
+                for (o, &a) in dst.iter_mut().zip(row) {
+                    *o += a;
+                }
+            }
+            return;
+        }
+        let bias = self.bias.filter(|_| last).map(|bias| bias[i]);
+        let relu = last && self.relu;
+        for run in runs {
+            let at = run.to + i * plane;
+            let dst = output(at, run.len);
+            let acc = &row[run.at..run.at + run.len];
+            let residual = self.residual.filter(|_| last).map(|r| &r[at..at + run.len]);
+            for (j, (o, &a)) in dst.iter_mut().zip(acc).enumerate() {
+                let mut v = if first { 0.0 + a } else { *o + a };
+                if let Some(b) = bias {
+                    v += b;
+                }
+                if let Some(r) = residual {
+                    v += r[j];
+                }
+                if relu {
+                    v = if v > 0.0 { v } else { 0.0 };
+                }
+                *o = v;
+            }
+        }
+    }
+}
+
+/// Shared packed GEMM driver: `C = op(A) · op(B)`, written through `sink`
+/// into `out`. `n` counts `B`'s columns, grid columns included.
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
 fn gemm(
     m: usize,
@@ -394,12 +584,19 @@ fn gemm(
     k: usize,
     a: &[f32],
     a_layout: ALayout,
-    b: BSource<'_>,
+    mut b: BSource<'_, '_>,
+    sink: &Sink<'_>,
     out: &mut [f32],
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    // The write-back's unchecked slices rely on this: every element the
+    // sink places for `n` grid columns lies inside `out`.
+    assert!(
+        n.div_ceil(sink.per_frame) * m * sink.oh * sink.ow <= out.len(),
+        "gemm output too short for its sink"
+    );
     let kernel = Microkernel::detect();
     let panels = m.div_ceil(MR);
     let mut apack = vec![0.0f32; panels * MR * KC.min(k)];
@@ -407,35 +604,43 @@ fn gemm(
     let out_ptr = SendPtr(out.as_mut_ptr());
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
+        let (first, last) = (k0 == 0, k0 + kc == k);
         pack_a(&mut apack, a, a_layout, m, k, k0, kc);
-        let apack = &apack;
+        b.load(k0, kc);
+        let (apack, b) = (&apack, &b);
         let worker = move |j_start: usize, j_end: usize| {
-            let out_base = out_ptr.get();
             let mut bstripe = vec![0.0f32; kc * NR];
             let mut block = Vec::new();
             let mut acc: Tile = [[0.0; NR]; MR];
+            let mut runs = [Run::default(); NR];
+            let mut pos = sink.locate(j_start);
             let mut j0 = j_start;
             while j0 < j_end {
                 let cols = NR.min(j_end - j0);
-                b.pack_stripe(&mut bstripe, &mut block, n, k, k0, kc, j0, cols);
-                for p in 0..panels {
-                    let i0 = p * MR;
-                    let rows = MR.min(m - i0);
-                    kernel.run(
-                        kc,
-                        &apack[p * MR * kc..(p + 1) * MR * kc],
-                        &bstripe,
-                        &mut acc,
-                    );
-                    for (ii, acc_row) in acc.iter().enumerate().take(rows) {
-                        // SAFETY: this worker exclusively owns columns
-                        // `[j_start, j_end)` of `out` (par_ranges is
-                        // disjoint), so these row segments never overlap.
-                        let row = unsafe {
-                            std::slice::from_raw_parts_mut(out_base.add((i0 + ii) * n + j0), cols)
-                        };
-                        for (o, &v) in row.iter_mut().zip(acc_row.iter()) {
-                            *o += v;
+                let count = if sink.plain {
+                    runs[0] = Run {
+                        at: 0,
+                        to: j0,
+                        len: cols,
+                    };
+                    1
+                } else {
+                    sink.runs(m, &mut pos, cols, &mut runs)
+                };
+                // A stripe of grid padding only is neither packed nor run.
+                if count > 0 {
+                    b.pack_stripe(&mut bstripe, &mut block, n, k, k0, kc, j0, cols);
+                    for p in 0..panels {
+                        let i0 = p * MR;
+                        let rows = MR.min(m - i0);
+                        kernel.run(
+                            kc,
+                            &apack[p * MR * kc..(p + 1) * MR * kc],
+                            &bstripe,
+                            &mut acc,
+                        );
+                        for (i, row) in (i0..).zip(&acc[..rows]) {
+                            sink.write_row(row, i, &runs[..count], out_ptr, first, last);
                         }
                     }
                 }
@@ -479,6 +684,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         a.data(),
         ALayout::RowMajor,
         BSource::Stored(b.data(), BLayout::RowMajor),
+        &Sink::matrix(n),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
@@ -506,6 +712,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         a.data(),
         ALayout::Transposed,
         BSource::Stored(b.data(), BLayout::RowMajor),
+        &Sink::matrix(n),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
@@ -534,30 +741,46 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         a.data(),
         ALayout::RowMajor,
         BSource::Stored(b.data(), BLayout::Transposed),
+        &Sink::matrix(n),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
 }
 
-/// `A · cols` (`RowMajor`) or `A · colsᵀ` (`Transposed`) for the column
-/// matrix of `image`, read from the frames stripe by stripe.
-fn lowered_product(
-    op: &'static str,
-    a: &Tensor,
-    image: &LoweredImage<'_>,
-    layout: BLayout,
-) -> Result<Tensor> {
-    let (m, k) = check_matrix(a, op)?;
-    let (rows, cols) = image.dims();
-    let (kb, n) = match layout {
-        BLayout::RowMajor => (rows, cols),
-        BLayout::Transposed => (cols, rows),
-    };
-    if k != kb {
+/// `W · cols` for a convolution: `weights` is the `(m, in_c*kh*kw)` weight
+/// matrix, the column matrix is `image`'s over its output grid, and `sink`
+/// says where each element lands and what it gets on the way.
+pub(crate) fn conv_product(
+    weights: &[f32],
+    m: usize,
+    image: &mut PaddedImage<'_>,
+    sink: &Sink<'_>,
+    out: &mut [f32],
+) {
+    let (k, n) = image.grid_dims();
+    gemm(
+        m,
+        n,
+        k,
+        weights,
+        ALayout::RowMajor,
+        BSource::Grid(image),
+        sink,
+        out,
+    );
+}
+
+/// `C = A · colsᵀ` over the valid pixels of `image`'s one frame (every
+/// channel loaded): the weight gradient `gO · colsᵀ`, bit-identical to
+/// [`matmul_nt`] on the built column matrix.
+pub(crate) fn matmul_nt_pixels(a: &Tensor, image: &PaddedImage<'_>) -> Result<Tensor> {
+    let (m, k) = check_matrix(a, "matmul_nt_pixels")?;
+    let (n, pixels) = image.pixel_dims();
+    if k != pixels {
         return Err(TensorError::ShapeMismatch {
-            op,
+            op: "matmul_nt_pixels",
             lhs: a.shape().dims().to_vec(),
-            rhs: vec![rows, cols],
+            rhs: vec![n, pixels],
         });
     }
     let mut out = vec![0.0f32; m * n];
@@ -567,23 +790,11 @@ fn lowered_product(
         k,
         a.data(),
         ALayout::RowMajor,
-        BSource::Lowered(image, layout),
+        BSource::Pixels(image),
+        &Sink::matrix(n),
         &mut out,
     );
     Tensor::from_vec(Shape::matrix(m, n), out)
-}
-
-/// `C = A · cols` where `cols` is the column matrix of `image`
-/// (`im2col_batched` of the same frames), never built. Bit-identical to
-/// [`matmul`] on the built matrix.
-pub(crate) fn matmul_lowered(a: &Tensor, image: &LoweredImage<'_>) -> Result<Tensor> {
-    lowered_product("matmul_lowered", a, image, BLayout::RowMajor)
-}
-
-/// `C = A · colsᵀ` for the column matrix of `image`, likewise never built.
-/// Bit-identical to [`matmul_nt`] on the built matrix.
-pub(crate) fn matmul_nt_lowered(a: &Tensor, image: &LoweredImage<'_>) -> Result<Tensor> {
-    lowered_product("matmul_nt_lowered", a, image, BLayout::Transposed)
 }
 
 #[cfg(test)]

@@ -440,14 +440,39 @@ impl Tensor {
     ///
     /// Returns an `N*H*W` vector of class indices, frame-major (frame `ni`
     /// owns `[ni*H*W, (ni+1)*H*W)`). Used to turn segmentation logits into
-    /// label maps, one per batched frame.
+    /// label maps, one per batched frame. The first largest channel wins; a
+    /// NaN never does.
     pub fn argmax_channels(&self) -> Result<Vec<usize>> {
+        self.argmax_channels_upsampled(1)
+    }
+
+    /// The labels [`Tensor::argmax_channels`] gives for this tensor's
+    /// nearest up-sampling by `factor` ([`crate::pool::upsample_nearest`]),
+    /// without building it: every up-sampled pixel's channels are a copy of
+    /// one pixel's here, so each label is taken once and repeated over its
+    /// `factor × factor` block. `N*(H*factor)*(W*factor)` labels,
+    /// frame-major.
+    pub fn argmax_channels_upsampled(&self, factor: usize) -> Result<Vec<usize>> {
+        if factor == 0 {
+            return Err(TensorError::InvalidArgument(
+                "upsample factor must be non-zero".into(),
+            ));
+        }
         let (n, c, h, w) = self.shape.as_nchw()?;
         let plane = h * w;
-        let mut out = vec![0usize; n * plane];
-        for ni in 0..n {
-            let frame = &self.data[ni * c * plane..(ni + 1) * c * plane];
-            for (p, slot) in out[ni * plane..(ni + 1) * plane].iter_mut().enumerate() {
+        let ow = w * factor;
+        let mut out = vec![0usize; n * plane * factor * factor];
+        if w == 0 {
+            return Ok(out);
+        }
+        // One band of `factor` label rows per row of this tensor.
+        for (p0, band) in (0..n * plane)
+            .step_by(w)
+            .zip(out.chunks_exact_mut(factor * ow))
+        {
+            let frame = &self.data[p0 / plane * c * plane..][..c * plane];
+            for (x, cells) in band[..ow].chunks_exact_mut(factor).enumerate() {
+                let p = p0 % plane + x;
                 let mut best = f32::NEG_INFINITY;
                 let mut best_c = 0usize;
                 for ci in 0..c {
@@ -457,7 +482,10 @@ impl Tensor {
                         best_c = ci;
                     }
                 }
-                *slot = best_c;
+                cells.fill(best_c);
+            }
+            for repeat in 1..factor {
+                band.copy_within(..ow, repeat * ow);
             }
         }
         Ok(out)
@@ -607,6 +635,39 @@ mod tests {
         x.set4(0, 2, 1, 0, 5.0); // pixel 2 -> class 2
         x.set4(0, 1, 1, 1, 5.0); // pixel 3 -> class 1
         assert_eq!(x.argmax_channels().unwrap(), vec![0, 1, 2, 1]);
+    }
+
+    #[test]
+    fn argmax_upsampled_is_the_argmax_of_the_upsampled_tensor() {
+        // Two frames of 4 channels over 3×5, with planted ties (the first
+        // wins), NaNs (never win, even alone), and a -0.0 / 0.0 tie.
+        let mut x = crate::random::uniform(Shape::nchw(2, 4, 3, 5), -1.0, 1.0, 7);
+        let plane = 15;
+        let d = x.data_mut();
+        d[plane] = 2.0;
+        d[3 * plane] = 2.0;
+        d[1] = f32::NAN;
+        d[2 * plane + 1] = f32::NAN;
+        for ci in 0..4 {
+            d[ci * plane + 2] = f32::NAN;
+            d[ci * plane + 3] = -1.0;
+        }
+        d[2 * plane + 3] = -0.0;
+        d[3 * plane + 3] = 0.0;
+        d[4 * plane + 7] = f32::INFINITY;
+        d[6 * plane + 7] = f32::INFINITY;
+        let labels = x.argmax_channels().unwrap();
+        assert_eq!(&labels[..4], &[1, labels[1], 0, 2]);
+        assert_eq!(labels[plane + 7], 0);
+        for factor in [1, 2, 3] {
+            let upsampled = crate::pool::upsample_nearest(&x, factor).unwrap();
+            assert_eq!(
+                x.argmax_channels_upsampled(factor).unwrap(),
+                upsampled.argmax_channels().unwrap(),
+                "factor {factor}"
+            );
+        }
+        assert!(x.argmax_channels_upsampled(0).is_err());
     }
 
     #[test]
