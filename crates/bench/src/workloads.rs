@@ -10,7 +10,7 @@ use st_nn::student::{StudentConfig, StudentNet};
 use st_teacher::OracleTeacher;
 use st_video::dataset::{category_videos, figure4_videos, Resolution, VideoDescriptor};
 use st_video::resample::Resampler;
-use st_video::VideoGenerator;
+use st_video::{Frame, VideoGenerator};
 
 /// How large an experiment to run.
 ///
@@ -164,55 +164,9 @@ impl SharedSetup {
 
     /// Run one ShadowTutor variant over one video descriptor.
     pub fn run_variant(&self, descriptor: &VideoDescriptor, variant: Variant) -> ExperimentRecord {
-        let frames = self.scale.frames();
         let teacher = OracleTeacher::perfect(descriptor.config.seed ^ 0x5151);
-        match variant {
-            Variant::Partial { delay } | Variant::Full { delay } => {
-                let mode = if matches!(variant, Variant::Partial { .. }) {
-                    DistillationMode::Partial
-                } else {
-                    DistillationMode::Full
-                };
-                let runtime = SimRuntime::paper(mode).with_update_delay(delay);
-                let mut video =
-                    VideoGenerator::new(descriptor.config).expect("valid descriptor config");
-                runtime
-                    .run(
-                        &descriptor.name,
-                        &mut video,
-                        frames,
-                        self.checkpoint.clone(),
-                        teacher,
-                    )
-                    .expect("sim run")
-            }
-            Variant::Wild => {
-                let mut video =
-                    VideoGenerator::new(descriptor.config).expect("valid descriptor config");
-                run_wild(
-                    &descriptor.name,
-                    &mut video,
-                    frames,
-                    &self.checkpoint,
-                    teacher,
-                    &self.latency,
-                )
-                .expect("wild run")
-            }
-            Variant::Naive => {
-                let mut video =
-                    VideoGenerator::new(descriptor.config).expect("valid descriptor config");
-                run_naive(
-                    &descriptor.name,
-                    &mut video,
-                    frames,
-                    teacher,
-                    &self.latency,
-                    &self.link,
-                )
-                .expect("naive run")
-            }
-        }
+        let mut video = VideoGenerator::new(descriptor.config).expect("valid descriptor config");
+        self.run_video(&descriptor.name, &mut video, variant, teacher)
     }
 
     /// Run one variant over a 7-FPS resampled version of a descriptor
@@ -222,10 +176,21 @@ impl SharedSetup {
         descriptor: &VideoDescriptor,
         variant: Variant,
     ) -> ExperimentRecord {
-        let frames = self.scale.frames();
         let teacher = OracleTeacher::perfect(descriptor.config.seed ^ 0x7171);
         let source = VideoGenerator::new(descriptor.config).expect("valid descriptor config");
         let mut video = Resampler::to_fps(source, descriptor.config.fps, 7.0).expect("resampler");
+        self.run_video(&descriptor.name, &mut video, variant, teacher)
+    }
+
+    /// Run one variant over `video` for the scale's frame count.
+    fn run_video<V: Iterator<Item = Frame>>(
+        &self,
+        label: &str,
+        video: &mut V,
+        variant: Variant,
+        teacher: OracleTeacher,
+    ) -> ExperimentRecord {
+        let frames = self.scale.frames();
         match variant {
             Variant::Partial { delay } | Variant::Full { delay } => {
                 let mode = if matches!(variant, Variant::Partial { .. }) {
@@ -233,35 +198,22 @@ impl SharedSetup {
                 } else {
                     DistillationMode::Full
                 };
-                let runtime = SimRuntime::paper(mode).with_update_delay(delay);
-                runtime
-                    .run(
-                        &descriptor.name,
-                        &mut video,
-                        frames,
-                        self.checkpoint.clone(),
-                        teacher,
-                    )
-                    .expect("resampled sim run")
+                SimRuntime::paper(mode)
+                    .with_update_delay(delay)
+                    .run(label, video, frames, self.checkpoint.clone(), teacher)
+                    .expect("sim run")
             }
             Variant::Wild => run_wild(
-                &descriptor.name,
-                &mut video,
+                label,
+                video,
                 frames,
                 &self.checkpoint,
                 teacher,
                 &self.latency,
             )
-            .expect("resampled wild run"),
-            Variant::Naive => run_naive(
-                &descriptor.name,
-                &mut video,
-                frames,
-                teacher,
-                &self.latency,
-                &self.link,
-            )
-            .expect("resampled naive run"),
+            .expect("wild run"),
+            Variant::Naive => run_naive(label, video, frames, teacher, &self.latency, &self.link)
+                .expect("naive run"),
         }
     }
 

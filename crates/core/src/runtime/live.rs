@@ -7,23 +7,22 @@
 //! `MIN_STRIDE` frames — the same logic as the frame-stepped runtime, but
 //! with genuine concurrency and wall-clock timing.
 //!
-//! Two topologies are provided:
+//! There is one server, the sharded [`crate::serve::ServerPool`], and one
+//! entry point, [`run_live_multi`]: M client streams, each multiplexed onto
+//! its shard's queue with stream-tagged messages, the pool reporting its
+//! queueing as measured ([`PoolStats`]). The paper's one-client topology is
+//! the same call with one [`StreamSpec`] and `PoolConfig::with_shards(1)`;
+//! more streams are the server-contention scenario the paper does not
+//! evaluate. All client state machines are driven by **one** thread
+//! multiplexing their endpoints through a [`st_net::Poller`], the way the
+//! pool's reactor hosts its shards.
 //!
-//! * [`run_live`] — one client thread against one dedicated server thread
-//!   over a [`st_net::transport::DuplexTransport`] pair (the paper's setup).
-//! * [`run_live_multi`] — M client streams against one sharded
-//!   [`crate::serve::ServerPool`], each stream multiplexed onto its shard's
-//!   queue with stream-tagged messages. This is the server-contention
-//!   scenario the paper does not evaluate; the pool reports its queueing
-//!   as measured ([`PoolStats`]). All client state machines are driven by
-//!   **one** thread multiplexing their endpoints through a
-//!   [`st_net::Poller`], the way the pool's reactor hosts its shards.
-//!
-//! Both topologies drive the *same* client state machine through the
-//! [`st_net::ClientEndpoint`] trait, so protocol behaviour cannot drift
-//! between them. These runtimes exist to demonstrate that the protocol and
-//! state machines work under real asynchrony; the tables and figures are
-//! produced by the deterministic frame-stepped runtime instead.
+//! That driver and the shm client ([`crate::runtime::shm_live`]) pump the
+//! *same* client state machine through the [`st_net::ClientEndpoint`]
+//! trait, so protocol behaviour cannot drift between them. These runtimes
+//! exist to demonstrate that the protocol and state machines work under
+//! real asynchrony; the tables and figures are produced by the
+//! deterministic frame-stepped runtime instead.
 
 use crate::client::ClientState;
 use crate::config::ShadowTutorConfig;
@@ -31,7 +30,6 @@ use crate::latency::LatencyProfile;
 use crate::loadgen::JitterRng;
 use crate::report::{ExperimentRecord, FrameRecord, KeyFrameRecord};
 use crate::serve::{PoolConfig, PoolStats, ServerPool};
-use crate::server::DistillSession;
 use crate::Result;
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, Payload, ServerToClient, StreamId, Wire};
@@ -585,8 +583,8 @@ impl<'a> ClientDriver<'a> {
 
 /// Algorithm 4 driven to completion over one [`ClientEndpoint`], blocking in
 /// `recv_timeout` whenever the state machine waits: the one-client form of
-/// the same [`ClientDriver::pump`] the multiplexed driver runs, used by
-/// [`run_live`], the shm client and the scripted-endpoint tests.
+/// the same [`ClientDriver::pump`] the multiplexed driver runs, used by the
+/// shm client and the scripted-endpoint tests.
 pub(crate) fn drive_client<E: ClientEndpoint>(
     config: ShadowTutorConfig,
     frames: &[Frame],
@@ -618,95 +616,6 @@ pub(crate) fn drive_client<E: ClientEndpoint>(
             }
         }
     }
-}
-
-/// Run ShadowTutor with a real client thread and a real server thread over
-/// an in-process transport. Frames are drawn from `frames` (pre-generated so
-/// the video source does not add nondeterminism between the roles).
-pub fn run_live(
-    config: ShadowTutorConfig,
-    frames: Vec<Frame>,
-    student: StudentNet,
-    mut teacher: OracleTeacher,
-    label: &str,
-) -> Result<LiveRunOutcome> {
-    config.validate()?;
-    let (mut client_tp, mut server_tp) =
-        st_net::transport::DuplexTransport::<ClientToServer, ServerToClient>::pair();
-
-    let server_student = student.clone();
-    let server_config = config;
-    // The key-frame message carries the encoded pixels for realistic wire
-    // sizes, but the in-process server resolves the actual frame content by
-    // index from this pre-shared copy of the stream (re-decoding would only
-    // add quantisation noise to the demo).
-    let server_frames: std::collections::HashMap<usize, Frame> =
-        frames.iter().map(|f| (f.index, f.clone())).collect();
-
-    // ---------------- server thread (Algorithm 3) ----------------
-    let server_handle = std::thread::spawn(move || -> Result<(usize, usize)> {
-        let mut session = DistillSession::new(server_config, server_student, 0.0);
-        // Line 1: send the initial full checkpoint.
-        let initial = session.initial_checkpoint();
-        let payload = Payload::with_data(initial.encode());
-        let bytes = payload.bytes;
-        server_tp
-            .send(ServerToClient::InitialStudent { payload }, bytes)
-            .ok();
-        // Lines 2-7: serve key frames until shutdown (a Shutdown message,
-        // a receive error, or a dead peer all end the loop).
-        while let Ok(ClientToServer::KeyFrame {
-            frame_index,
-            payload: _,
-        }) = server_tp.recv_timeout(Duration::from_secs(30))
-        {
-            let Some(frame) = server_frames.get(&frame_index) else {
-                continue;
-            };
-            let pseudo_label = teacher.pseudo_label(frame)?;
-            let response = session.distill(frame, &pseudo_label, 0.0)?;
-            let payload = Payload::with_data(response.update.encode());
-            let bytes = payload.bytes;
-            let msg = ServerToClient::StudentUpdate {
-                frame_index,
-                metric: response.metric,
-                distill_steps: response.outcome.steps,
-                payload,
-            };
-            if server_tp.send(msg, bytes).is_err() {
-                break;
-            }
-        }
-        Ok((
-            session.key_frames_processed(),
-            session.distill_steps_taken(),
-        ))
-    });
-
-    // ---------------- client (Algorithm 4), on this thread ----------------
-    let output = drive_client(
-        config,
-        &frames,
-        student,
-        &mut client_tp,
-        label,
-        "live",
-        false,
-    )?;
-    drop(client_tp);
-
-    let (server_key_frames, server_distill_steps) = server_handle
-        .join()
-        .map_err(|_| st_tensor::TensorError::InvalidArgument("server thread panicked".into()))?
-        .unwrap_or((0, 0));
-
-    Ok(LiveRunOutcome {
-        record: output.record,
-        server_key_frames,
-        server_distill_steps,
-        final_student: output.final_student,
-        delta: output.delta,
-    })
 }
 
 /// Run M concurrent client streams against one sharded server pool.
@@ -1352,26 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn live_run_completes_with_real_threads() {
-        let frames = frames_for(SceneKind::People, 2, 20);
-        let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-        let outcome = run_live(
-            ShadowTutorConfig::paper(),
-            frames,
-            student,
-            OracleTeacher::perfect(1),
-            "live-test",
-        )
-        .unwrap();
-        assert_eq!(outcome.record.frames, 20);
-        assert!(outcome.record.total_time > 0.0);
-        assert!(outcome.record.frame_records[0].is_key_frame);
-        assert!(outcome.record.uplink_bytes > 0);
-        assert_eq!(outcome.final_student.scope(), SnapshotScope::Full);
-        assert!(outcome.final_student.entry_count() > 0);
-    }
-
-    #[test]
     fn multi_run_rejects_duplicate_stream_ids() {
         let student = StudentNet::new(StudentConfig::tiny()).unwrap();
         let spec = StreamSpec {
@@ -1390,38 +1279,33 @@ mod tests {
         assert!(format!("{err:?}").contains("duplicate stream id"));
     }
 
-    #[test]
-    fn multi_run_completes_with_two_streams() {
+    /// Runs `streams` through a pool with one shard per stream and checks
+    /// that every stream finishes with its frames, key frames and a full
+    /// final student.
+    fn assert_pool_run_completes(streams: Vec<StreamSpec>) {
         let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-        let streams = vec![
-            StreamSpec {
-                stream_id: 0,
-                label: "people".into(),
-                frames: frames_for(SceneKind::People, 3, 16),
-            },
-            StreamSpec {
-                stream_id: 1,
-                label: "animals".into(),
-                frames: frames_for(SceneKind::Animals, 4, 16),
-            },
-        ];
+        let frame_counts: Vec<usize> = streams.iter().map(|s| s.frames.len()).collect();
         let outcome = run_live_multi(
             ShadowTutorConfig::paper(),
             streams,
             student,
-            PoolConfig::with_shards(2),
+            PoolConfig::with_shards(frame_counts.len()),
             |shard| OracleTeacher::perfect(10 + shard as u64),
         )
         .unwrap();
-        assert_eq!(outcome.streams.len(), 2);
-        for stream in &outcome.streams {
-            assert_eq!(stream.record.frames, 16);
+        assert_eq!(outcome.streams.len(), frame_counts.len());
+        for (stream, &frames) in outcome.streams.iter().zip(&frame_counts) {
+            assert_eq!(stream.record.frames, frames);
+            assert!(stream.record.total_time > 0.0);
             assert!(stream.record.frame_records[0].is_key_frame);
+            assert!(stream.record.uplink_bytes > 0);
             assert!(stream.server_key_frames >= 1);
             // The last update can still be in flight when the stream ends, so
             // the server may have processed one more key frame than the
             // client managed to apply.
             assert!(stream.server_key_frames >= stream.record.key_frame_count());
+            assert_eq!(stream.final_student.scope(), SnapshotScope::Full);
+            assert!(stream.final_student.entry_count() > 0);
         }
         assert!(outcome.aggregate_fps() > 0.0);
         assert_eq!(
@@ -1432,8 +1316,34 @@ mod tests {
                 .map(|s| s.server_key_frames)
                 .sum::<usize>()
         );
-        assert_eq!(outcome.pool.final_checkpoints.len(), 2);
+        assert_eq!(outcome.pool.final_checkpoints.len(), frame_counts.len());
         assert!(outcome.wall_time > 0.0);
+    }
+
+    /// The paper's one-client topology: one stream on one shard.
+    #[test]
+    fn live_run_completes_with_real_threads() {
+        assert_pool_run_completes(vec![StreamSpec {
+            stream_id: 0,
+            label: "live-test".into(),
+            frames: frames_for(SceneKind::People, 2, 20),
+        }]);
+    }
+
+    #[test]
+    fn multi_run_completes_with_two_streams() {
+        assert_pool_run_completes(vec![
+            StreamSpec {
+                stream_id: 0,
+                label: "people".into(),
+                frames: frames_for(SceneKind::People, 3, 16),
+            },
+            StreamSpec {
+                stream_id: 1,
+                label: "animals".into(),
+                frames: frames_for(SceneKind::Animals, 4, 16),
+            },
+        ]);
     }
 
     /// End-to-end fixed-thread topology: a reactor pool (2 workers hosting

@@ -12,14 +12,14 @@
 //!   `reproduce`'s tables 2–7, Figure 4, the bounds check and the stride
 //!   ablation run on it; tables 8, 9, 12 and 13 drive the live pool
 //!   instead.
-//! * [`live`] — a threaded runtime where the client and server are real OS
-//!   threads exchanging messages over `std::sync::mpsc` channels (the
-//!   paper's OpenMPI ranks), in wall-clock time. Used by the live example
-//!   and the cross-crate integration tests that exercise real concurrency.
-//!   Besides the paper's one-client topology ([`live::run_live`]) it can run
-//!   M concurrent streams against a sharded server pool
-//!   ([`live::run_live_multi`]), the scenario the `crate::serve` module
-//!   exists for.
+//! * [`live`] — a threaded runtime where the clients and the server pool
+//!   are real OS threads exchanging messages (the paper's OpenMPI ranks),
+//!   in wall-clock time. Used by the live example and the cross-crate
+//!   integration tests that exercise real concurrency.
+//!   [`live::run_live_multi`] runs M concurrent streams against a sharded
+//!   server pool, the scenario the `crate::serve` module exists for; the
+//!   paper's one-client topology is the same call with one stream on one
+//!   shard.
 //! * [`shm_live`] — the two-process variant of the live runtime: the same
 //!   client state machine in a *separate OS process*, connected to the
 //!   server pool over a shared-memory ring ([`st_net::ShmTransport`]), so

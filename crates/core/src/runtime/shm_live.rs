@@ -1,10 +1,10 @@
 //! The two-process live runtime: client and server pool as separate OS
 //! processes over the shared-memory ring transport.
 //!
-//! [`run_live`](crate::runtime::live::run_live) proves the protocol under
-//! real concurrency, but both roles still share one address space — nothing
-//! stops a message from smuggling a pointer. This module runs the same
-//! client state machine (`drive_client`) against the same
+//! [`run_live_multi`](crate::runtime::live::run_live_multi) proves the
+//! protocol under real concurrency, but both roles still share one address
+//! space — nothing stops a message from smuggling a pointer. This module
+//! runs the same client state machine (`drive_client`) against the same
 //! [`ServerPool`], with an [`st_net::ShmTransport`] ring as the only thing
 //! connecting them, so every message really is a sequence of bytes produced
 //! by the versioned wire codec ([`st_net::Wire`]) and the traffic numbers
@@ -77,7 +77,7 @@ fn io_err(context: &str, e: std::io::Error) -> TensorError {
 /// pre-shares `frames` for `stream_id`, and bridges ring ↔ pool until the
 /// peer closes. Returns the joined pool statistics plus the measured ring
 /// traffic. `_distill_step_latency` is ignored, as in [`ServerPool::spawn`].
-#[allow(clippy::too_many_arguments)] // mirrors run_live's flat experiment-parameter style
+#[allow(clippy::too_many_arguments)] // flat experiment parameters, as `stbench` calls it
 pub fn host_stream_over_shm<T, F>(
     config: ShadowTutorConfig,
     pool_config: PoolConfig,

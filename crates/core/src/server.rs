@@ -8,9 +8,9 @@
 //!
 //! Steps (2) and (3) — the trainable student copy, its optimizer, and the
 //! counters — are one [`DistillSession`] per client stream; step (1) is the
-//! caller's teacher. The frame-stepped runtime and `run_live`'s server
-//! thread each hold one session beside one teacher; the multi-stream pool
-//! ([`crate::serve`]) keeps one session per stream and shares a teacher
+//! caller's teacher. The frame-stepped runtime holds one session beside one
+//! teacher; the server pool ([`crate::serve`]), which also serves the live
+//! one-client topology, keeps one session per stream and shares a teacher
 //! across the streams of a shard.
 
 use crate::config::{DistillationMode, ShadowTutorConfig};
@@ -202,15 +202,6 @@ impl DistillSession {
         self.total_distill_steps
     }
 
-    /// Mean distillation steps per key frame (Table 2's second row).
-    pub fn mean_distill_steps(&self) -> f64 {
-        if self.total_key_frames == 0 {
-            0.0
-        } else {
-            self.total_distill_steps as f64 / self.total_key_frames as f64
-        }
-    }
-
     /// The session's counters as the distillation half of
     /// [`StreamServerStats`] (queueing/backpressure fields are zero; the pool
     /// worker that owns the stream merges those in).
@@ -268,7 +259,6 @@ mod tests {
         assert!(resp.metric >= resp.outcome.initial_metric);
         assert_eq!(s.key_frames_processed(), 1);
         assert_eq!(s.distill_steps_taken(), resp.outcome.steps);
-        assert!((s.mean_distill_steps() - resp.outcome.steps as f64).abs() < 1e-12);
         // The session's exported stats carry the distillation half and leave
         // the pool-worker half (waits, throttles, drops) zeroed.
         let stats = s.stats();

@@ -68,9 +68,9 @@ pub trait Transport<S, R> {
 }
 
 /// The client-side view of a transport: what Algorithm 4's message loop
-/// needs, independently of whether the peer is a dedicated server thread
-/// (the single-stream [`DuplexTransport`]) or a stream-multiplexed worker
-/// pool (the `shadowtutor` crate's `StreamClient`).
+/// needs, independently of whether the peer is reached over a backend
+/// (an [`Endpoint`] around a channel pair or a shared-memory ring) or
+/// in-process (the `shadowtutor` crate's pool `StreamClient`).
 ///
 /// The trait is a thin veneer over [`Endpoint`]: every `Endpoint<T>`
 /// implements it via the blanket impl below, and [`connect()`] produces
@@ -95,20 +95,6 @@ pub trait ClientEndpoint {
     /// sending. Callers retry with backoff, not in a tight loop.
     fn reconnect(&mut self) -> Result<(), TransportError> {
         Err(TransportError::Disconnected)
-    }
-}
-
-impl ClientEndpoint for DuplexTransport<crate::ClientToServer, crate::ServerToClient> {
-    fn send(&mut self, message: crate::ClientToServer, bytes: usize) -> Result<(), TransportError> {
-        DuplexTransport::send(self, message, bytes)
-    }
-
-    fn try_recv(&mut self) -> Result<Option<crate::ServerToClient>, TransportError> {
-        DuplexTransport::try_recv(self)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<crate::ServerToClient, TransportError> {
-        DuplexTransport::recv_timeout(self, timeout)
     }
 }
 

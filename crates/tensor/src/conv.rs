@@ -13,7 +13,7 @@
 //!   runs — client inference, server evaluation, training forward and
 //!   backward, the CNN teacher. They never build the column matrix. Both
 //!   read a zero-padded, stride-phase-split copy of the input
-//!   ([`PaddedImage`]) in which every row of the column matrix is one
+//!   (`PaddedImage`) in which every row of the column matrix is one
 //!   contiguous run: the forward packs each `B` stripe as `kc` straight
 //!   32-float copies from a copy of one `K` block's channels, and the weight
 //!   gradient `gO · colsᵀ` gathers its 32 KiB blocks as row runs from a copy
@@ -713,7 +713,7 @@ impl<'a> Epilogue<'a> {
 /// bias and `epilogue` applied as each element is written: the product
 /// [`conv2d_forward`] computes, followed by the separate passes the epilogue
 /// stands for, bit for bit. The GEMM reads its stripes from a padded copy of
-/// one `K` block's channels at a time ([`PaddedImage`]), and writes each tile
+/// one `K` block's channels at a time (`PaddedImage`), and writes each tile
 /// straight into the NCHW output, which is the only tensor this allocates.
 pub fn conv2d(
     input: &Tensor,
@@ -844,7 +844,7 @@ pub fn conv2d_backward(
 
 /// Backward convolution from the forward pass's *input* (`(1, in_c, h, w)`)
 /// instead of its column matrix: the weight gradient's GEMM gathers its
-/// transposed blocks from a padded copy of the frame ([`PaddedImage`]), row
+/// transposed blocks from a padded copy of the frame (`PaddedImage`), row
 /// run by row run over the valid pixels. Bit-identical to
 /// [`conv2d_backward`] on `im2col(input)`. The copy is dropped before the
 /// input gradient's `Wᵀ · gO` is allocated. A `grad_out` whose spatial size

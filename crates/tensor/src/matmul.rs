@@ -529,12 +529,13 @@ impl Sink<'_> {
     ) {
         let plane = self.oh * self.ow;
         let output = |at: usize, len: usize| {
-            // SAFETY: `gemm` asserted that every element a run of its `n`
-            // grid columns places lies inside `out` (`ox + len <= ow`,
-            // `oy < oh`, `i < m`). The worker calling this exclusively owns
-            // the grid columns of `runs` (par_ranges hands out disjoint
-            // ranges), and distinct grid columns of one row of `C` land on
-            // distinct elements, so no other live slice overlaps this one.
+            // `gemm` asserted that every element a run of its `n` grid columns
+            // places lies inside `out` (`ox + len <= ow`, `oy < oh`, `i < m`).
+            // The worker calling this exclusively owns the grid columns of
+            // `runs` (par_ranges hands out disjoint ranges), and distinct grid
+            // columns of one row of `C` land on distinct elements.
+            // SAFETY: in bounds by the assertion above, and no other live
+            // slice overlaps this one.
             unsafe { std::slice::from_raw_parts_mut(out.get().add(at), len) }
         };
         if self.plain {

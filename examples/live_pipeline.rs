@@ -1,23 +1,25 @@
-//! Live threaded pipeline: client and server as real OS threads.
+//! Live threaded pipeline: the paper's one client against one server.
 //!
 //! The frame-stepped runtime used by the tables models asynchrony; this
-//! example demonstrates the same protocol with *real* concurrency — the
-//! server thread trains the student while the client thread keeps serving
-//! frames, exchanging key frames and weight updates over in-process channels
-//! (the reproduction's stand-in for the paper's OpenMPI ranks).
+//! example demonstrates the same protocol with *real* concurrency — a
+//! one-stream, one-shard server pool trains the student on its worker
+//! thread while the client thread keeps serving frames, exchanging key
+//! frames and weight updates in-process (the reproduction's stand-in for
+//! the paper's OpenMPI ranks).
 //!
 //! Run with: `cargo run --release --example live_pipeline`
 
 use shadowtutor::config::ShadowTutorConfig;
 use shadowtutor::pretrain::{pretrain_student, PretrainConfig};
-use shadowtutor::runtime::live::run_live;
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
+use shadowtutor::serve::PoolConfig;
 use st_nn::student::StudentConfig;
 use st_teacher::OracleTeacher;
 use st_video::{CameraMotion, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
 fn main() {
     let frames = 120;
-    println!("== ShadowTutor live pipeline (two real threads) ==");
+    println!("== ShadowTutor live pipeline (one client, one server) ==");
     let (student, _) =
         pretrain_student(StudentConfig::tiny(), &PretrainConfig::quick()).expect("pre-training");
 
@@ -27,20 +29,26 @@ fn main() {
     };
     let config = VideoConfig::for_category(category, 32, 24, 11);
     let mut generator = VideoGenerator::new(config).expect("video config");
-    let stream = generator.take_frames(frames);
+    let stream = StreamSpec {
+        stream_id: 0,
+        label: category.label(),
+        frames: generator.take_frames(frames),
+    };
 
     println!(
         "processing {frames} frames of {} with a live client/server pair...",
         category.label()
     );
-    let outcome = run_live(
+    let outcome = run_live_multi(
         ShadowTutorConfig::paper(),
-        stream,
+        vec![stream],
         student,
-        OracleTeacher::perfect(5),
-        &category.label(),
+        PoolConfig::with_shards(1),
+        |_| OracleTeacher::perfect(5),
     )
-    .expect("live run");
+    .expect("live run")
+    .streams
+    .remove(0);
 
     let record = &outcome.record;
     println!(

@@ -5,7 +5,7 @@
 use shadowtutor::baseline::{run_naive, run_wild};
 use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
 use shadowtutor::loadgen::{run_skewed_load, PacedTeacher, SkewedLoadSpec};
-use shadowtutor::runtime::live::{run_live, run_live_multi, StreamSpec};
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::runtime::sim::SimRuntime;
 use shadowtutor::serve::{FrameStore, PoolConfig, ServerPool, StreamClient};
 use shadowtutor::{Concurrency, LatencyProfile};
@@ -197,17 +197,24 @@ fn live_and_sim_runtimes_agree_on_protocol_behaviour() {
         )
         .unwrap();
 
-    // Live runtime over the same frames.
+    // Live runtime over the same frames: the paper's one-client topology, a
+    // one-stream pool on one shard.
     let mut live_video = VideoGenerator::new(config).unwrap();
-    let stream = live_video.take_frames(frames);
-    let live = run_live(
+    let stream = StreamSpec {
+        stream_id: 0,
+        label: "animals".into(),
+        frames: live_video.take_frames(frames),
+    };
+    let live = run_live_multi(
         ShadowTutorConfig::paper(),
-        stream,
+        vec![stream],
         student,
-        OracleTeacher::perfect(7),
-        "animals",
+        PoolConfig::with_shards(1),
+        |_| OracleTeacher::perfect(7),
     )
-    .unwrap();
+    .unwrap()
+    .streams
+    .remove(0);
 
     // Both process every frame, both start with a key frame, and both send a
     // comparable number of key frames (the live run's timing-dependent update
@@ -336,24 +343,6 @@ fn multi_stream_pool_isolates_streams_and_matches_single_stream_runs() {
             solo_outcome.server_key_frames
         );
     }
-
-    // And the pool topology agrees with the paper's one-client topology: the
-    // same stream through the classic thread-per-role runtime lands on the
-    // same accuracy.
-    let classic = run_live(
-        config,
-        specs[0].frames.clone(),
-        student.clone(),
-        OracleTeacher::perfect(1000),
-        "classic-baseline",
-    )
-    .unwrap();
-    let miou_classic = classic.record.mean_miou_percent();
-    let miou_pooled = multi.streams[0].record.mean_miou_percent();
-    assert!(
-        (miou_pooled - miou_classic).abs() < 5.0,
-        "pooled {miou_pooled:.1}% vs classic {miou_classic:.1}%"
-    );
 
     // Teacher batching across co-scheduled streams actually happened.
     assert!(multi.pool.mean_batch_size() >= 1.0);
