@@ -6,25 +6,23 @@
 //!
 //! ```text
 //! reproduce [scale] [target...] [--json <path>] [--skew <multiplier>]
-//!           [--transport <channel|shm>]
 //!
 //! scale   smoke | default | extended      (default: default)
 //!         smoke is CI's size; default is the size the committed
 //!         BENCH_*.json files and the README's numbers were measured at
 //! target  table2 table3 table4 table5 table6 table7 table8 table9 table10
 //!         table12 table13 figure4 bounds ablation shm all   (default: all)
-//!         an unknown target exits 2 before anything runs
+//!         an unknown target exits 2 before anything runs; shm is the
+//!         two-process shared-memory demo (client and server pool as
+//!         separate OS processes over the ring transport, traffic measured
+//!         from encoded frames), deliberately not part of all, so plain runs
+//!         never spawn processes
 //! --json  also write the run — scale, host, wall time and every reproduced
 //!         table — as JSON to <path> (CI uploads this as the run's
 //!         machine-readable artifact; a committed BENCH_*.json is one)
 //! --skew  hot-stream multiplier for the table9 skewed-arrival sweep; also
 //!         recorded in the JSON schema's `skew` field (without it the sweep
 //!         is 1x/8x at smoke and 1x/4x/8x above)
-//! --transport  channel (default, in-process) or shm: run the two-process
-//!         shared-memory demo — client and server pool as separate OS
-//!         processes over the ring transport, traffic measured from encoded
-//!         frames. Equivalent to the explicit `shm` target; deliberately not
-//!         part of `all`, so plain runs never spawn processes.
 //! ```
 //!
 //! Tables 10, 12 and 13 and the shm demo carry gates (the `*_gate`
@@ -57,7 +55,7 @@ const TABLE12_TARGET_WAIT_MS: f64 = 25.0;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Hidden role: `reproduce shm-client <segment> <record-out> <frames> <seed>`
-    // is the child process half of the `--transport shm` demo. It must be
+    // is the child process half of the `shm` demo. It must be
     // intercepted before ordinary argument parsing.
     if args.first().map(String::as_str) == Some("shm-client") {
         std::process::exit(st_bench::shm_demo::shm_client_main(&args[1..]));
@@ -68,16 +66,7 @@ fn main() {
     let mut skew: Option<usize> = None;
     let mut args_iter = args.iter();
     while let Some(arg) = args_iter.next() {
-        if arg == "--transport" {
-            match args_iter.next().map(String::as_str) {
-                Some("channel") => {} // the default backend; nothing extra to run
-                Some("shm") => targets.push("shm".to_string()),
-                _ => {
-                    eprintln!("--transport requires `channel` or `shm`");
-                    std::process::exit(2);
-                }
-            }
-        } else if arg == "--json" {
+        if arg == "--json" {
             json_path = args_iter.next().cloned();
             if json_path.is_none() {
                 eprintln!("--json requires a path argument");
@@ -112,9 +101,9 @@ fn main() {
     if targets.is_empty() {
         targets.push("all".to_string());
     }
-    // The two-process shm demo runs only on the explicit `shm` target (or
-    // `--transport shm`), never as part of `all`: spawning child processes
-    // does not belong in every smoke run.
+    // The two-process shm demo runs only on the explicit `shm` target,
+    // never as part of `all`: spawning child processes does not belong in
+    // every smoke run.
     let want = |name: &str| targets.iter().any(|t| t == name || t == "all");
     let want_shm = targets.iter().any(|t| t == "shm");
 

@@ -1,4 +1,4 @@
-//! The `reproduce --transport shm` demo: client and server pool as two real
+//! The `reproduce shm` demo: client and server pool as two real
 //! OS processes over the shared-memory ring transport.
 //!
 //! The host side (this process) creates the segment, spawns the `reproduce`

@@ -328,19 +328,18 @@ struct OpenLoopStream {
     reshare_queue: Vec<usize>,
 }
 
-/// Deterministic xorshift64* generator for phases and jitter — keeps the
-/// arrival schedule reproducible without pulling a rand dependency into
-/// the core crate. Also seeds the client driver's reconnect backoff jitter,
-/// so retry storms stay reproducible under a fixed seed.
-pub(crate) struct JitterRng(u64);
+/// Deterministic xorshift64* generator for the open-loop generator's
+/// phases and send jitter — keeps the arrival schedule reproducible
+/// without pulling a rand dependency into the core crate.
+struct JitterRng(u64);
 
 impl JitterRng {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         JitterRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
     }
 
     /// Uniform in `[0, 1)`.
-    pub(crate) fn unit(&mut self) -> f64 {
+    fn unit(&mut self) -> f64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;

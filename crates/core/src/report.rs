@@ -467,49 +467,6 @@ impl PoolReport {
     }
 }
 
-/// One column of [`format_table`]: a header plus the closure extracting the
-/// cell value from a record.
-pub type TableColumn<'a> = (&'a str, &'a dyn Fn(&ExperimentRecord) -> String);
-
-/// Format a set of records as an aligned text table, one record per row.
-///
-/// `columns` maps a header to a closure extracting the cell value.
-pub fn format_table(
-    title: &str,
-    records: &[ExperimentRecord],
-    columns: &[TableColumn<'_>],
-) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let mut widths: Vec<usize> = columns.iter().map(|(h, _)| h.len()).collect();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for record in records {
-        let row: Vec<String> = columns.iter().map(|(_, f)| f(record)).collect();
-        for (w, cell) in widths.iter_mut().zip(row.iter()) {
-            *w = (*w).max(cell.len());
-        }
-        rows.push(row);
-    }
-    let header: Vec<String> = columns
-        .iter()
-        .zip(widths.iter())
-        .map(|((h, _), w)| format!("{h:<w$}"))
-        .collect();
-    out.push_str(&header.join("  "));
-    out.push('\n');
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .zip(widths.iter())
-            .map(|(c, w)| format!("{c:<w$}"))
-            .collect();
-        out.push_str(&line.join("  "));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,20 +572,5 @@ mod tests {
         let full = r.replay_fps(&link, Concurrency::Full);
         let none = r.replay_fps(&link, Concurrency::None);
         assert!(full >= none);
-    }
-
-    #[test]
-    fn table_formatting_aligns_columns() {
-        let records = vec![record(100, 10, 3, 20.0), record(200, 5, 2, 30.0)];
-        let fps_fn = |r: &ExperimentRecord| format!("{:.2}", r.fps());
-        let label_fn = |r: &ExperimentRecord| r.label.clone();
-        let table = format_table(
-            "Table X",
-            &records,
-            &[("video", &label_fn), ("fps", &fps_fn)],
-        );
-        assert!(table.contains("Table X"));
-        assert!(table.contains("video"));
-        assert!(table.lines().count() >= 4);
     }
 }

@@ -27,7 +27,6 @@
 use crate::client::ClientState;
 use crate::config::ShadowTutorConfig;
 use crate::latency::LatencyProfile;
-use crate::loadgen::JitterRng;
 use crate::report::{ExperimentRecord, FrameRecord, KeyFrameRecord};
 use crate::serve::{PoolConfig, PoolStats, ServerPool};
 use crate::Result;
@@ -131,26 +130,6 @@ const CLIENT_WAIT_BUDGET: Duration = Duration::from_secs(30);
 /// wakeup degrades to latency rather than a hang.
 const MUX_IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// First reconnect backoff delay after a transport disconnect.
-const RECONNECT_BASE: Duration = Duration::from_millis(10);
-
-/// Cap on the exponential reconnect backoff.
-const RECONNECT_CAP: Duration = Duration::from_secs(1);
-
-/// Reconnect attempts before the client gives up and serves local-only.
-const RECONNECT_ATTEMPTS: u32 = 8;
-
-/// Backoff before reconnect attempt `attempt` (0-based): exponential from
-/// [`RECONNECT_BASE`] capped at [`RECONNECT_CAP`], jittered to 50–100% of
-/// the nominal delay so clients caught in the same shard takeover do not
-/// retry in lockstep.
-fn reconnect_backoff_delay(attempt: u32, rng: &mut JitterRng) -> Duration {
-    let nominal = RECONNECT_BASE
-        .saturating_mul(1u32 << attempt.min(7))
-        .min(RECONNECT_CAP);
-    nominal.mul_f64(0.5 + 0.5 * rng.unit())
-}
-
 /// What a [`ClientDriver::pump`] call left the client doing.
 enum PumpState {
     /// The client completed a frame and can process the next one
@@ -240,15 +219,12 @@ struct ClientDriver<'a> {
     /// One-message pushback buffer so a blocking wrapper can feed a message
     /// obtained via `recv_timeout` back into the non-blocking pump.
     stashed: Option<ServerToClient>,
-    /// Set once the endpoint reports its peer gone *and* reconnecting with
-    /// backoff failed: every wait completes immediately and the client
-    /// serves local-only from then on.
+    /// Set once the endpoint reports its peer gone: every wait completes
+    /// immediately and the client serves local-only from then on, with the
+    /// student it last applied. Nothing re-dials: a pool stream's takeover
+    /// never gets here (its route flips under it), so a lost peer is gone
+    /// for good.
     disconnected: bool,
-    /// Seeded jitter source for the reconnect backoff (deterministic per
-    /// stream label, so retry schedules are reproducible).
-    reconnect_rng: JitterRng,
-    /// Successful reconnects over the run (transport drops survived).
-    reconnects: usize,
     /// `Some` when the stream negotiated delta updates: downlink weight
     /// payloads are [`WeightPayload`] envelopes instead of bare snapshots.
     sync: Option<DeltaSync>,
@@ -298,10 +274,6 @@ impl<'a> ClientDriver<'a> {
             pending_frame: None,
             stashed: None,
             disconnected: false,
-            reconnect_rng: JitterRng::new(label.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-            })),
-            reconnects: 0,
             sync,
             cursor: 0,
             elapsed: 0.0,
@@ -316,31 +288,6 @@ impl<'a> ClientDriver<'a> {
     fn stash(&mut self, message: ServerToClient) {
         debug_assert!(self.stashed.is_none(), "stash overwrites pending message");
         self.stashed = Some(message);
-    }
-
-    /// The endpoint reported its peer gone. Before writing the server off,
-    /// retry [`ClientEndpoint::reconnect`] under exponential backoff — a
-    /// client caught mid-takeover heals once the warm standby finishes
-    /// adopting its shard. `Err(Timeout)` from the endpoint means "still
-    /// down, retry later"; `Err(Disconnected)` means the endpoint cannot
-    /// ever re-dial (the default), which latches local-only mode at once.
-    fn endpoint_lost<E: ClientEndpoint>(&mut self, endpoint: &mut E) {
-        if self.disconnected {
-            return;
-        }
-        for attempt in 0..RECONNECT_ATTEMPTS {
-            match endpoint.reconnect() {
-                Ok(()) => {
-                    self.reconnects += 1;
-                    return;
-                }
-                Err(st_net::TransportError::Disconnected) => break,
-                Err(_) => {
-                    std::thread::sleep(reconnect_backoff_delay(attempt, &mut self.reconnect_rng))
-                }
-            }
-        }
-        self.disconnected = true;
     }
 
     /// Resolve the current wait without a message — the blocking wrapper's
@@ -368,7 +315,7 @@ impl<'a> ClientDriver<'a> {
         match endpoint.try_recv() {
             Ok(message) => message,
             Err(st_net::TransportError::Disconnected) => {
-                self.endpoint_lost(endpoint);
+                self.disconnected = true;
                 None
             }
             Err(_) => None,
@@ -419,7 +366,7 @@ impl<'a> ClientDriver<'a> {
                             )
                             .is_err()
                         {
-                            self.endpoint_lost(endpoint);
+                            self.disconnected = true;
                         }
                     }
 
@@ -610,7 +557,7 @@ pub(crate) fn drive_client<E: ClientEndpoint>(
                 let timeout = deadline.saturating_duration_since(Instant::now());
                 match endpoint.recv_timeout(timeout) {
                     Ok(message) => driver.stash(message),
-                    Err(st_net::TransportError::Disconnected) => driver.endpoint_lost(endpoint),
+                    Err(st_net::TransportError::Disconnected) => driver.disconnected = true,
                     Err(st_net::TransportError::Timeout) => driver.deadline_expired()?,
                 }
             }
@@ -1090,130 +1037,9 @@ mod tests {
         assert!(output.record.frame_records.iter().all(|f| !f.waited));
     }
 
-    /// A scripted server half that drops the connection after serving the
-    /// first key frame's update, refuses `reconnect_failures` re-dials
-    /// (reporting `Timeout`, the "still down, retry later" signal a pool
-    /// mid-takeover gives), then heals and answers normally again.
-    struct FlakyEndpoint {
-        queue: std::collections::VecDeque<ServerToClient>,
-        key_frames_seen: usize,
-        drop_after_next_update: bool,
-        down: bool,
-        reconnect_failures: usize,
-        reconnect_calls: usize,
-    }
-
-    impl FlakyEndpoint {
-        fn new(reconnect_failures: usize) -> Self {
-            let mut queue = std::collections::VecDeque::new();
-            queue.push_back(ServerToClient::InitialStudent {
-                payload: Payload::sized(0),
-            });
-            FlakyEndpoint {
-                queue,
-                key_frames_seen: 0,
-                drop_after_next_update: true,
-                down: false,
-                reconnect_failures,
-                reconnect_calls: 0,
-            }
-        }
-    }
-
-    impl ClientEndpoint for FlakyEndpoint {
-        fn send(
-            &mut self,
-            message: ClientToServer,
-            _bytes: usize,
-        ) -> std::result::Result<(), st_net::TransportError> {
-            if self.down {
-                return Err(st_net::TransportError::Disconnected);
-            }
-            if let ClientToServer::KeyFrame { frame_index, .. } = message {
-                self.key_frames_seen += 1;
-                self.queue.push_back(ServerToClient::StudentUpdate {
-                    frame_index,
-                    metric: 0.9,
-                    distill_steps: 1,
-                    payload: Payload::sized(0),
-                });
-            }
-            Ok(())
-        }
-
-        fn try_recv(
-            &mut self,
-        ) -> std::result::Result<Option<ServerToClient>, st_net::TransportError> {
-            if self.down {
-                return Err(st_net::TransportError::Disconnected);
-            }
-            let message = self.queue.pop_front();
-            if matches!(message, Some(ServerToClient::StudentUpdate { .. }))
-                && self.drop_after_next_update
-            {
-                // The shard hosting this stream dies right after this
-                // update is delivered.
-                self.drop_after_next_update = false;
-                self.down = true;
-            }
-            Ok(message)
-        }
-
-        fn recv_timeout(
-            &mut self,
-            _timeout: Duration,
-        ) -> std::result::Result<ServerToClient, st_net::TransportError> {
-            if self.down {
-                return Err(st_net::TransportError::Disconnected);
-            }
-            self.try_recv()?.ok_or(st_net::TransportError::Timeout)
-        }
-
-        fn reconnect(&mut self) -> std::result::Result<(), st_net::TransportError> {
-            self.reconnect_calls += 1;
-            if self.reconnect_calls > self.reconnect_failures {
-                self.down = false;
-                Ok(())
-            } else {
-                Err(st_net::TransportError::Timeout)
-            }
-        }
-    }
-
-    #[test]
-    fn client_reconnects_with_backoff_and_finishes_the_run() {
-        let frames = frames_for(SceneKind::People, 6, 60);
-        let student = StudentNet::new(StudentConfig::tiny()).unwrap();
-        let mut endpoint = FlakyEndpoint::new(3);
-        let output = drive_client(
-            ShadowTutorConfig::paper(),
-            &frames,
-            student,
-            &mut endpoint,
-            "flaky",
-            "live",
-            false,
-        )
-        .unwrap();
-        // The drop was survived: the whole stream was served, and key
-        // frames kept flowing to the (healed) server afterwards.
-        assert_eq!(output.record.frames, 60);
-        // 3 refused re-dials, then the 4th heals — well inside the 8-attempt
-        // backoff budget, so the client never latched local-only mode.
-        assert_eq!(endpoint.reconnect_calls, 4);
-        assert!(
-            endpoint.key_frames_seen >= 2,
-            "key frames should resume after the reconnect, saw {}",
-            endpoint.key_frames_seen
-        );
-        // Updates were applied both before the drop and after the heal.
-        assert!(output.record.key_frames.len() >= 2);
-    }
-
-    /// An endpoint with no reconnect override gives up after one refused
-    /// re-dial (the trait default reports `Disconnected`, not `Timeout`) and
-    /// the client falls back to local-only serving — the pre-failover
-    /// behaviour, with no multi-second backoff ladder.
+    /// An endpoint whose peer is gone from the start: every call reports
+    /// `Disconnected`, and the client serves every frame local-only with
+    /// the checkpoint it started from.
     struct DeadEndpoint;
 
     impl ClientEndpoint for DeadEndpoint {
@@ -1256,7 +1082,8 @@ mod tests {
         .unwrap();
         assert_eq!(output.record.frames, 20);
         assert_eq!(output.record.key_frames.len(), 0);
-        // The give-up path must not sit through the full backoff ladder.
+        // A lost peer ends every wait at once: nothing sits out the
+        // 30-second wait budget or sleeps before giving up.
         assert!(started.elapsed() < Duration::from_secs(5));
     }
 

@@ -1,4 +1,4 @@
-//! The failover blackboard: liveness, death certificates, adoption claims,
+//! The failover blackboard: shard status, death certificates, adoption claims,
 //! and the hosted shard-state slots a standby adopts a carcass from. The
 //! takeover itself is the shard state machine's (`state/takeover.rs`).
 
@@ -8,7 +8,7 @@ use super::state::{ShardOutput, ShardState};
 #[cfg(doc)]
 use super::PoolError;
 use st_teacher::Teacher;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -25,10 +25,12 @@ pub(super) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Liveness sentinel: the shard's worker died with a panic.
-const LIVENESS_DEAD: u64 = u64::MAX;
-/// Liveness sentinel: the shard ran its exit protocol to completion.
-const LIVENESS_FINISHED: u64 = u64::MAX - 1;
+/// Shard status: serving.
+const LIVE: u8 = 0;
+/// Shard status: a pass of its state machine unwound (a caught panic).
+const DEAD: u8 = 1;
+/// Shard status: the shard ran its exit protocol to completion.
+const FINISHED: u8 = 2;
 
 /// A shard worker's death certificate.
 #[derive(Debug, Clone)]
@@ -43,14 +45,15 @@ struct ShardDeath {
 /// The pool's non-generic failover blackboard, shared by the pool handle
 /// (which is not generic over the teacher) and every worker.
 ///
-/// Liveness is a per-shard epoch: live workers bump theirs every pass, a
-/// death stores [`LIVENESS_DEAD`], a clean exit [`LIVENESS_FINISHED`]. The
+/// Each shard has a status, [`LIVE`] until a caught unwind publishes
+/// [`DEAD`] or a clean exit [`FINISHED`]; nothing polls it on a timer, the
+/// standby reads it on the pass the death wakes it for. The
 /// `claimed` slots are the adoption lock — exactly one standby wins the
 /// compare-exchange and performs the takeover; `recovered` confirms the
 /// takeover actually completed, so a standby that dies *mid-takeover*
 /// still surfaces as a failure instead of a hang.
 pub(super) struct FailoverBoard {
-    liveness: Vec<AtomicU64>,
+    status: Vec<AtomicU8>,
     /// CAS guard: set by the standby that won the right to adopt.
     claimed: Vec<AtomicBool>,
     /// Set once the standby finished adopting the shard's streams.
@@ -70,7 +73,7 @@ pub(super) struct FailoverBoard {
 impl FailoverBoard {
     pub(super) fn new(shards: usize, replication: bool) -> Self {
         FailoverBoard {
-            liveness: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            status: (0..shards).map(|_| AtomicU8::new(LIVE)).collect(),
             claimed: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             recovered: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             deaths: (0..shards).map(|_| Mutex::new(None)).collect(),
@@ -80,40 +83,26 @@ impl FailoverBoard {
         }
     }
 
-    /// Bump the shard's liveness epoch (one per pass). The sentinels are
-    /// terminal: a dead or finished shard never looks live again.
-    pub(super) fn beat(&self, shard: usize) {
-        let cell = &self.liveness[shard];
-        // ORDER: the epoch has a single writer (the hosting worker), so a
-        // relaxed read of our own last store is exact.
-        let epoch = cell.load(Ordering::Relaxed);
-        if epoch < LIVENESS_FINISHED {
-            // ORDER: single writer per live shard; Release pairs with the
-            // SeqCst readers below.
-            cell.store(epoch + 1, Ordering::Release);
-        }
-    }
-
-    /// Publish a death: certificate first, then the liveness sentinel, so
-    /// any observer of `is_dead` finds the certificate present.
+    /// Publish a death: certificate first, then the status, so any
+    /// observer of `is_dead` finds the certificate present.
     pub(super) fn mark_dead(&self, shard: usize, panic_msg: String) {
         *locked(&self.deaths[shard]) = Some(ShardDeath {
             panic_msg,
             died_at: Instant::now(),
         });
-        self.liveness[shard].store(LIVENESS_DEAD, Ordering::SeqCst);
+        self.status[shard].store(DEAD, Ordering::SeqCst);
     }
 
     pub(super) fn mark_finished(&self, shard: usize) {
-        self.liveness[shard].store(LIVENESS_FINISHED, Ordering::SeqCst);
+        self.status[shard].store(FINISHED, Ordering::SeqCst);
     }
 
     pub(super) fn is_dead(&self, shard: usize) -> bool {
-        self.liveness[shard].load(Ordering::SeqCst) == LIVENESS_DEAD
+        self.status[shard].load(Ordering::SeqCst) == DEAD
     }
 
     fn is_finished(&self, shard: usize) -> bool {
-        self.liveness[shard].load(Ordering::SeqCst) == LIVENESS_FINISHED
+        self.status[shard].load(Ordering::SeqCst) == FINISHED
     }
 
     /// Win (or lose) the exclusive right to adopt a dead shard.
@@ -153,7 +142,7 @@ impl FailoverBoard {
     /// itself died — possibly mid-takeover). `join` turns this into
     /// [`PoolError::WorkerFailed`].
     pub(super) fn unrecovered_death(&self) -> Option<(usize, String)> {
-        (0..self.liveness.len()).find_map(|shard| {
+        (0..self.status.len()).find_map(|shard| {
             if !self.is_dead(shard) || self.recovered[shard].load(Ordering::SeqCst) {
                 return None;
             }
@@ -169,7 +158,7 @@ impl FailoverBoard {
     /// standby (the next shard) is itself dead or already finished. The
     /// reactor aborts on this instead of waiting forever.
     pub(super) fn has_orphan_death(&self) -> bool {
-        let shards = self.liveness.len();
+        let shards = self.status.len();
         (0..shards).any(|shard| {
             if !self.is_dead(shard) || self.recovered[shard].load(Ordering::SeqCst) {
                 return false;

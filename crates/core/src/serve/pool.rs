@@ -31,7 +31,10 @@ use std::time::{Duration, Instant};
 /// transport, but every uplink message is stream-tagged and lands in the
 /// owning shard's queue. The owning shard is looked up per send, so when a
 /// standby adopts the stream from a dead shard its traffic follows it
-/// (messages already queued at the dead shard are drained by the adopter).
+/// (messages already queued at the dead shard are drained by the adopter,
+/// and the downlink sender moves with the session): a takeover needs no
+/// re-dial, and the client cannot tell it happened. Short of the stream's
+/// own `Shutdown`, a send or receive fails only once the pool has aborted.
 pub struct StreamClient {
     stream_id: StreamId,
     uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
@@ -44,14 +47,6 @@ pub struct StreamClient {
     shard_wakers: Arc<Vec<st_net::Waker>>,
     /// Pool-wide measured-traffic counters (this client credits uplink).
     wire: Arc<WireMeter>,
-    /// Failover blackboard, consulted by [`ClientEndpoint::reconnect`]: a
-    /// client caught mid-takeover can tell whether its routed shard is a
-    /// carcass (retry later) or live again (resume sending).
-    board: Arc<FailoverBoard>,
-    /// Latched when the downlink channel reports disconnected. The downlink
-    /// sender survives takeovers (it moves with the session), so a closed
-    /// downlink means the session itself is gone — no reconnect re-dials it.
-    downlink_closed: bool,
 }
 
 impl StreamClient {
@@ -114,10 +109,7 @@ impl ClientEndpoint for StreamClient {
         match self.downlink.try_recv() {
             Ok(msg) => Ok(Some(msg)),
             Err(mpsc::TryRecvError::Empty) => Ok(None),
-            Err(mpsc::TryRecvError::Disconnected) => {
-                self.downlink_closed = true;
-                Err(TransportError::Disconnected)
-            }
+            Err(mpsc::TryRecvError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 
@@ -128,28 +120,7 @@ impl ClientEndpoint for StreamClient {
         match self.downlink.recv_timeout(timeout) {
             Ok(msg) => Ok(msg),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.downlink_closed = true;
-                Err(TransportError::Disconnected)
-            }
-        }
-    }
-
-    /// Re-dial after a takeover: the adoption flips this stream's shared
-    /// route, so re-reading it *is* the reconnect. `Ok(())` once the
-    /// routed shard is live again; `Err(Timeout)` while it is still a
-    /// carcass (back off and retry — a standby may adopt it);
-    /// `Err(Disconnected)` once the session itself is gone (closed
-    /// downlink), which no retry re-dials.
-    fn reconnect(&mut self) -> std::result::Result<(), TransportError> {
-        if self.downlink_closed {
-            return Err(TransportError::Disconnected);
-        }
-        let shard = self.route.load(Ordering::SeqCst);
-        if self.board.is_dead(shard) {
-            Err(TransportError::Timeout)
-        } else {
-            Ok(())
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
 }
@@ -180,8 +151,8 @@ pub struct ServerPool {
     loads: ShardLoads,
     /// Stream → shard placements made so far, shared with clients (send
     /// routing) and workers (a takeover's routing flip). A stream id stays
-    /// reserved for the pool's lifetime; reconnecting a finished id needs a
-    /// new pool.
+    /// reserved for the pool's lifetime; connecting a finished id again
+    /// needs a new pool.
     placements: Placements,
     /// One handle per reactor worker, each returning the outputs of
     /// whichever shards it finalized.
@@ -458,8 +429,6 @@ impl ServerPool {
             downlink: down_rx,
             shard_wakers: Arc::clone(&self.shard_wakers),
             wire: Arc::clone(&self.wire),
-            board: Arc::clone(&self.board),
-            downlink_closed: false,
         };
         // Registration is the client's first uplink message; sending it here
         // lets callers immediately block on the initial checkpoint. A failed

@@ -356,7 +356,7 @@ pub(super) struct ShardState<T: Teacher> {
     /// the raw material of the operator report's p50/p99.
     wait_samples: Vec<f64>,
     disconnected: bool,
-    /// Failover blackboard (liveness, deaths, adoption claims).
+    /// Failover blackboard (shard status, deaths, adoption claims).
     board: Arc<FailoverBoard>,
     /// Checkpoint-replica store; `Some` iff [`PoolConfig::replication`].
     replicas: Option<Arc<ReplicaStore>>,

@@ -1,5 +1,5 @@
-//! The warm-standby half of the shard state machine: heartbeat, death
-//! detection, and adopting a dead ward's entire serving surface.
+//! The warm-standby half of the shard state machine: noticing a ward's
+//! published death and adopting its entire serving surface.
 
 use super::{carcass_output, deliver, locked, note_drop, ShardState};
 use crate::serve::failover::FailoverShared;
@@ -17,12 +17,13 @@ impl<T: Teacher> ShardState<T> {
         (self.shard_index + self.pool_config.shards - 1) % self.pool_config.shards
     }
 
-    /// Failover housekeeping, run once per pass: beat our liveness epoch
-    /// and, as the warm standby for our ward, adopt its streams if it died.
-    /// The claim CAS guarantees exactly one adopter even if another path
-    /// (e.g. a future multi-standby scheme) races us.
+    /// Failover housekeeping, run once per pass: as the warm standby for
+    /// our ward, adopt its streams if the board says it died. A death is a
+    /// caught unwind, published on the board by the worker that caught it,
+    /// which also wakes us, so the pass that reads it runs promptly. The
+    /// claim CAS guarantees exactly one adopter even if another path (e.g.
+    /// a future multi-standby scheme) races us.
     pub(super) fn failover_tick(&mut self, failover: &FailoverShared<T>) -> Result<()> {
-        self.board.beat(self.shard_index);
         if self.replicas.is_none() {
             return Ok(());
         }

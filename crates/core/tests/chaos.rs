@@ -63,7 +63,7 @@ const DEAD_SHARD: usize = 1;
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FailoverModel {
     /// Standby duty cadence in seconds: the longest an *idle* standby goes
-    /// between checks of its ward's liveness.
+    /// between checks of its ward's status.
     detect_tick: f64,
     /// Worst-case cost of the batch pass the standby may be in the middle
     /// of when the ward dies, in seconds (a batched teacher forward plus
@@ -202,12 +202,9 @@ fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
                     outcome.drops.len(),
                     frames.len()
                 );
-                // Caught mid-takeover: re-dial. `Err(Timeout)` means the
-                // standby has not finished adopting yet — keep waiting.
-                match client.reconnect() {
-                    Ok(()) | Err(TransportError::Timeout) => continue,
-                    Err(err) => panic!("stream {} cannot reconnect: {err:?}", client.stream_id()),
-                }
+                // Caught mid-takeover: the standby's route flip and the
+                // adopted uplink carry the stream over, so keep waiting.
+                continue;
             }
             Err(err) => panic!("stream {} transport error: {err:?}", client.stream_id()),
         };
@@ -232,6 +229,19 @@ fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
         }
     }
     outcome
+}
+
+/// Send `frame` as a key frame on `client`'s stream.
+fn send_key_frame(client: &mut StreamClient, frame: &Frame) -> Result<(), TransportError> {
+    let payload = Payload::sized(frame.raw_rgb_bytes());
+    let bytes = payload.bytes;
+    client.send(
+        ClientToServer::KeyFrame {
+            frame_index: frame.index,
+            payload,
+        },
+        bytes,
+    )
 }
 
 /// Run the full skewed workload against a pool with the given config and
@@ -275,17 +285,7 @@ fn run_chaos_with(
     // Pipeline every key frame up front so the kill lands under real load.
     for (client, (_, frames)) in clients.iter_mut().zip(&streams) {
         for frame in frames {
-            let payload = Payload::sized(frame.raw_rgb_bytes());
-            let bytes = payload.bytes;
-            client
-                .send(
-                    ClientToServer::KeyFrame {
-                        frame_index: frame.index,
-                        payload,
-                    },
-                    bytes,
-                )
-                .unwrap();
+            send_key_frame(client, frame).unwrap();
         }
     }
     let mut outcomes = HashMap::new();
@@ -571,6 +571,80 @@ fn static_modulo_layout_survives_a_shard_kill_bit_for_bit() {
             faulted[id].updates, clean_outcome.updates,
             "stream {id} diverged from the fault-free run after adoption"
         );
+    }
+}
+
+#[test]
+fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
+    // Every other test here pipelines its key frames before the kill lands.
+    // This one sends the doomed shard's stream a single key frame, whose
+    // batch kills the shard; once the adopter has answered it, the same
+    // client sends the rest. Nothing re-dials: the flipped route alone must
+    // carry them to the adopter.
+    const POST_TAKEOVER: usize = 4;
+    let pool = ServerPool::spawn(
+        ShadowTutorConfig::paper(),
+        chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0)),
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0.013,
+        |_| OracleTeacher::perfect(TEACHER_SEED),
+    )
+    .unwrap();
+    let streams: Vec<Vec<Frame>> = (0..STREAMS)
+        .map(|id| {
+            let n = if id == DEAD_SHARD {
+                1 + POST_TAKEOVER
+            } else {
+                1
+            };
+            tiny_stream(SceneKind::People, 70 + id as u64, n)
+        })
+        .collect();
+    let mut clients: Vec<StreamClient> = streams
+        .iter()
+        .enumerate()
+        .map(|(id, frames)| pool.connect(id as StreamId, frames).unwrap())
+        .collect();
+    // Round-robin placement, as in `run_chaos_with`: stream `DEAD_SHARD`
+    // lives on the doomed shard, and only it ever sends a key frame.
+    assert_eq!(pool.shard_loads(), vec![2; SHARDS]);
+    for client in &mut clients {
+        let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    }
+    let client = &mut clients[DEAD_SHARD];
+    let frames = &streams[DEAD_SHARD];
+    send_key_frame(client, &frames[0]).unwrap();
+    // The shard dies in the batch holding this key frame, so its answer can
+    // only come from the adopter: the takeover is over once it arrives.
+    let first = drive_stream(client, &frames[..1]);
+    assert_eq!(first.updates.len(), 1, "drops: {:?}", first.drops);
+    for frame in &frames[1..] {
+        send_key_frame(client, frame)
+            .unwrap_or_else(|err| panic!("send after the takeover failed: {err:?}"));
+    }
+    let rest = drive_stream(client, &frames[1..]);
+    assert!(rest.drops.is_empty(), "drops: {:?}", rest.drops);
+    assert_eq!(rest.updates.len(), POST_TAKEOVER);
+    for client in &mut clients {
+        client.send(ClientToServer::Shutdown, 1).unwrap();
+    }
+    drop(clients);
+    let stats = pool.join().unwrap();
+    let report = stats.snapshot();
+    assert!(report.failovers >= 1, "no failover recorded: {report:?}");
+    assert!(report.streams_adopted >= 1);
+    assert_eq!(stats.dropped_jobs(), 0);
+    // Every key frame the stream sent, before the takeover and after it,
+    // was answered by the adopter, and by no other shard.
+    let adopter = (DEAD_SHARD + 1) % SHARDS;
+    for shard in &report.shards {
+        let expected = if shard.shard == adopter {
+            frames.len()
+        } else {
+            0
+        };
+        assert_eq!(shard.key_frames, expected, "{report:?}");
     }
 }
 

@@ -77,6 +77,11 @@ pub trait Transport<S, R> {
 /// one. The trait itself survives for the places that implement
 /// the protocol without a backend at all (the pool's `StreamClient`,
 /// scripted endpoints in tests).
+///
+/// There is no re-dial: an endpoint that reports
+/// [`TransportError::Disconnected`] has lost its peer for good, and the
+/// client serves local-only from then on. A pool stream needs none either,
+/// since a takeover re-points its route without the client noticing.
 pub trait ClientEndpoint {
     /// Send a client → server message annotated with its wire size.
     fn send(&mut self, message: crate::ClientToServer, bytes: usize) -> Result<(), TransportError>;
@@ -86,16 +91,6 @@ pub trait ClientEndpoint {
 
     /// Blocking receive with a timeout.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<crate::ServerToClient, TransportError>;
-
-    /// Attempt to re-establish a dropped connection. The default refuses —
-    /// most endpoints (a channel pair, a shared-memory ring) cannot re-dial
-    /// a dead peer. Endpoints that *can* (the pool's `StreamClient`, whose
-    /// route is re-pointed at a warm standby during failover) override this;
-    /// `Ok(())` means the endpoint is usable again and the caller may resume
-    /// sending. Callers retry with backoff, not in a tight loop.
-    fn reconnect(&mut self) -> Result<(), TransportError> {
-        Err(TransportError::Disconnected)
-    }
 }
 
 /// One endpoint of a bidirectional, typed channel pair.
