@@ -277,7 +277,10 @@ impl BatchNorm2d {
         let go = grad_out.data();
         let xh = cache.x_hat.data();
 
-        // Parameter gradients.
+        // Per channel `Σ dy·x̂` and `Σ dy`: the gamma/beta gradients, and
+        // what the input gradient subtracts.
+        let mut sum_dy_xhat = vec![0.0f32; c];
+        let mut sum_dy = vec![0.0f32; c];
         {
             let ggamma = self.gamma.grad.data_mut();
             let gbeta = self.beta.grad.data_mut();
@@ -291,6 +294,7 @@ impl BatchNorm2d {
                 }
                 ggamma[ci] += dg;
                 gbeta[ci] += db;
+                (sum_dy_xhat[ci], sum_dy[ci]) = (dg, db);
             }
         }
 
@@ -306,17 +310,10 @@ impl BatchNorm2d {
         for ci in 0..c {
             let g = self.gamma.value.data()[ci];
             let inv_std = cache.inv_std[ci];
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for p in 0..plane {
-                let idx = ci * plane + p;
-                sum_dy += go[idx];
-                sum_dy_xhat += go[idx] * xh[idx];
-            }
             let scale = g * inv_std / m;
             for p in 0..plane {
                 let idx = ci * plane + p;
-                gid[idx] = scale * (m * go[idx] - sum_dy - xh[idx] * sum_dy_xhat);
+                gid[idx] = scale * (m * go[idx] - sum_dy[ci] - xh[idx] * sum_dy_xhat[ci]);
             }
         }
         Ok(Some(gin))

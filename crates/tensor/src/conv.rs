@@ -11,21 +11,25 @@
 //!
 //! * [`conv2d`] / [`conv2d_grads`] are what every model in the repository
 //!   runs — client inference, server evaluation, training forward and
-//!   backward, the CNN teacher. They never build the column matrix. Both
-//!   read a zero-padded, stride-phase-split copy of the input
-//!   (`PaddedImage`) in which every row of the column matrix is one
-//!   contiguous run: the forward packs each `B` stripe as `kc` straight
-//!   32-float copies from a copy of one `K` block's channels, and the weight
-//!   gradient `gO · colsᵀ` gathers its 32 KiB blocks as row runs from a copy
-//!   of the whole frame. The forward's output grid carries `wq − ow` padding
-//!   columns per output row that the GEMM computes and never writes; each
-//!   tile goes straight into the NCHW output, with the bias, an optional
-//!   residual and an optional ReLU ([`Epilogue`]) added as it is written, so
-//!   an activation is written once. The backward takes the layer's *input*;
-//!   the only column-shaped buffer left is the transient `Wᵀ · gO` the input
-//!   gradient scatters back through [`col2im`] (its accumulation order is
-//!   what that gradient's bits depend on), allocated after the padded copy
-//!   is dropped.
+//!   backward, the CNN teacher. They never build a column-shaped matrix. They
+//!   read zero-padded, stride-phase-split copies (`PaddedImage`) in which
+//!   every row of a column matrix is one contiguous run:
+//!   - the forward packs each `B` stripe as `kc` straight 32-float copies
+//!     from a copy of one `K` block's input channels. Its output grid
+//!     carries `wq − ow` padding columns per output row that the GEMM
+//!     computes and never writes; each tile goes straight into the NCHW
+//!     output, with the bias, an optional residual and an optional ReLU
+//!     ([`Epilogue`]) added as it is written, so an activation is written
+//!     once;
+//!   - the weight and bias gradients broadcast the column rows in place
+//!     from a copy of the whole input frame, against `gOᵀ` packed once;
+//!   - the input gradient is a convolution of the zero-padded upstream
+//!     gradient with the weights transposed and flipped, one stride-1
+//!     convolution per stride phase of the input, each pixel's taps summed
+//!     in the GEMM tile in `col2im`'s order.
+//!
+//!   The backward takes the layer's *input*, and its input copy is dropped
+//!   before the input gradient's buffers are allocated.
 //! * [`conv2d_forward`] / [`conv2d_backward`] go through a stored matrix
 //!   ([`im2col_batched`]). They are the reference the first pair is tested
 //!   against bit for bit — the epilogue against separate bias, add and ReLU
@@ -41,7 +45,9 @@
 //! frame of it, for the stored pair). All of it is bit-equal to the
 //! per-pixel bodies, which the tests keep as the reference.
 
-use crate::matmul::{conv_product, matmul, matmul_nt, matmul_nt_pixels, matmul_tn, Sink, KC, NR};
+use crate::matmul::{
+    conv_product, matmul, matmul_nt, matmul_tn, tap_product, weight_grads, Sink, KC, NR,
+};
 use crate::{Result, Shape, Tensor, TensorError};
 use std::ops::Range;
 
@@ -330,6 +336,69 @@ impl<'a> PaddedImage<'a> {
         })
     }
 
+    /// `grad_out`, the upstream gradient of a convolution by `spec`, laid out
+    /// for the input gradient of one stride phase, whose axes are `y` and
+    /// `x`: a stride-1 convolution of `grad_out` with the phase's taps, as
+    /// [`PhaseAxis`] describes them.
+    ///
+    /// The phase's input pixels are the output grid (`y.len × x.len`).
+    /// Column-matrix row `(jy, jx, oc)` — the phase's taps in kernel order,
+    /// then output channels in order — reads `grad_out` channel `oc` at
+    /// `(y.q0 + t − jy, x.q0 + u − jx)` for grid pixel `(t, u)`, and a zero
+    /// outside it. Every channel is copied at once, zero-padded by
+    /// [`PhaseAxis::before`] and [`PhaseAxis::extent`] per axis; where that
+    /// is `grad_out`'s own layout (a pointwise convolution) nothing is
+    /// copied. The phase must have a pixel and a tap.
+    fn upstream(grad_out: &'a Tensor, spec: &Conv2dSpec, y: &PhaseAxis, x: &PhaseAxis) -> Self {
+        let &[_, oc, gh, gw] = grad_out.shape().dims() else {
+            unreachable!("an upstream gradient is NCHW")
+        };
+        let (hq, wq) = (y.extent(gh), x.extent(gw));
+        let (top, left) = (y.before(), x.before());
+        let mut offsets = Vec::with_capacity(y.taps * x.taps * oc);
+        for jy in 0..y.taps {
+            for jx in 0..x.taps {
+                let at = (top + y.q0 - jy) * wq + left + x.q0 - jx;
+                offsets.extend((0..oc).map(|o| o * hq * wq + at));
+            }
+        }
+        let frames = grad_out.data();
+        let copy = if (top, left, hq, wq) == (0, 0, gh, gw) {
+            Vec::new()
+        } else {
+            let mut copy = vec![0.0; oc * hq * wq];
+            for (plane, channel) in copy
+                .chunks_exact_mut(hq * wq)
+                .zip(frames.chunks_exact(gh * gw))
+            {
+                for (dst, row) in plane[top * wq..]
+                    .chunks_exact_mut(wq)
+                    .zip(channel.chunks_exact(gw))
+                {
+                    dst[left..left + gw].copy_from_slice(row);
+                }
+            }
+            copy
+        };
+        PaddedImage {
+            frames,
+            spec: *spec,
+            n: 1,
+            h: gh,
+            w: gw,
+            oh: y.len,
+            ow: x.len,
+            hq,
+            wq,
+            phases: (1, 1),
+            per_frame: y.len * wq,
+            offsets,
+            copy,
+            slots: oc,
+            channels: 0..oc,
+        }
+    }
+
     /// Shape of the product `W · cols` reads: `(in_c * kh * kw, grid
     /// columns of every frame)`.
     pub(crate) fn grid_dims(&self) -> (usize, usize) {
@@ -348,7 +417,7 @@ impl<'a> PaddedImage<'a> {
     }
 
     /// What `offsets` and grid columns index: the copy, or the frames.
-    fn data(&self) -> &[f32] {
+    pub(crate) fn data(&self) -> &[f32] {
         if self.copy.is_empty() {
             self.frames
         } else {
@@ -446,24 +515,73 @@ impl<'a> PaddedImage<'a> {
         }
     }
 
-    /// Write column-matrix rows `rows` over the output pixels `pixels` of a
-    /// single frame (`oy * ow + ox`, valid pixels only) into `block`, row `r`
-    /// at `block[(r - rows.start) * pixels.len()..]`: per output row of the
-    /// range, one slice copy per matrix row. Every channel must be loaded.
-    pub(crate) fn gather_block(&self, block: &mut [f32], rows: Range<usize>, pixels: Range<usize>) {
+    /// The runs of grid columns `(first, len)` that hold the output pixels
+    /// `pixels` (`oy * ow + ox`) of a single frame, one per output row the
+    /// range touches. Every channel must be loaded.
+    pub(crate) fn pixel_runs(&self, pixels: Range<usize>) -> Vec<(usize, usize)> {
         debug_assert_eq!((self.n, self.channels.start), (1, 0));
-        let data = self.data();
-        let len = pixels.len();
+        let mut runs = Vec::new();
         let mut p = pixels.start;
         while p < pixels.end {
             let (oy, ox) = (p / self.ow, p % self.ow);
-            let run = (self.ow - ox).min(pixels.end - p);
-            let (at, column) = (p - pixels.start, oy * self.wq + ox);
-            for (dst, &offset) in block.chunks_exact_mut(len).zip(&self.offsets[rows.clone()]) {
-                dst[at..at + run].copy_from_slice(&data[offset + column..][..run]);
-            }
-            p += run;
+            let len = (self.ow - ox).min(pixels.end - p);
+            runs.push((oy * self.wq + ox, len));
+            p += len;
         }
+        runs
+    }
+
+    /// The input's channel count, and how far apart two channels' rows
+    /// read: the same tap of channel `ci + 1` is this many floats after
+    /// channel `ci`'s.
+    pub(crate) fn channels(&self) -> (usize, usize) {
+        (self.spec.in_channels, self.slot_len())
+    }
+
+    /// Per column-matrix row: where it reads in [`PaddedImage::data`], from
+    /// the first grid column, while channel 0 is loaded first.
+    pub(crate) fn row_offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+}
+
+/// One axis of one stride phase of a convolution's input gradient: the
+/// input positions `first + stride · t` (`t < len`), which the taps `phase +
+/// stride · j` (`j < taps`, ascending with the kernel index) reach from
+/// output position `q0 + t − j`, where that lies inside the output. At
+/// stride 1 the one phase is every position and every tap.
+#[derive(Debug, Clone, Copy)]
+struct PhaseAxis {
+    first: usize,
+    len: usize,
+    taps: usize,
+    q0: usize,
+}
+
+impl PhaseAxis {
+    /// Phase `phase` (`< stride`) of an axis of `input` positions under a
+    /// `kernel`-wide, `stride`-strided, `pad`-padded convolution.
+    fn new(kernel: usize, stride: usize, pad: usize, input: usize, phase: usize) -> Self {
+        // The positions with `(position + pad) % stride == phase`.
+        let first = (phase + stride - pad % stride) % stride;
+        PhaseAxis {
+            first,
+            len: input.saturating_sub(first).div_ceil(stride),
+            taps: kernel.saturating_sub(phase).div_ceil(stride),
+            q0: (first + pad - phase) / stride,
+        }
+    }
+
+    /// Zero padding before the output's first position: what the farthest
+    /// tap of the first position reaches back.
+    fn before(&self) -> usize {
+        (self.taps - 1).saturating_sub(self.q0)
+    }
+
+    /// Padded length of an axis of `output` positions: every position any
+    /// tap of any grid pixel reads.
+    fn extent(&self, output: usize) -> usize {
+        self.before() + output.max(self.q0 + self.len)
     }
 }
 
@@ -785,42 +903,11 @@ fn grad_matrix(grad_out: &Tensor, spec: &Conv2dSpec, op: &'static str) -> Result
     grad_out.reshape(Shape::matrix(oc, oh * ow))
 }
 
-/// Everything of a backward pass but the weight-gradient product, which the
-/// caller supplies as `dw_mat` (`grad_out (oc, P) · columnsᵀ (P, k)`).
-fn finish_grads(
-    go_mat: &Tensor,
-    dw_mat: Tensor,
-    weight: &Tensor,
-    spec: &Conv2dSpec,
-    (input_h, input_w): (usize, usize),
-    need_input_grad: bool,
-) -> Result<Conv2dGrads> {
-    // db_c = sum over pixels of grad_out channel c
-    let (oc, plane) = go_mat.shape().as_matrix()?;
-    let bias_grad: Vec<f32> = (0..oc)
-        .map(|c| go_mat.data()[c * plane..(c + 1) * plane].iter().sum())
-        .collect();
-
-    // dInput = col2im( W^T (k, oc) * grad_out (oc, P) ) -> (k, P). The
-    // scatter's accumulation order is what the input gradient's bits depend
-    // on, so this stays a stored — transient — matrix.
-    let input_grad = if need_input_grad {
-        let dcol = matmul_tn(&weight_matrix(weight, spec)?, go_mat)?;
-        Some(col2im(&dcol, spec, input_h, input_w)?)
-    } else {
-        None
-    };
-
-    Ok(Conv2dGrads {
-        input: input_grad,
-        weight: dw_mat.reshape(spec.weight_shape())?,
-        bias: Tensor::from_vec(Shape::vector(oc), bias_grad)?,
-    })
-}
-
 /// Backward convolution given the upstream gradient `grad_out`
 /// (`(1, out_c, oh, ow)`), the im2col `columns` [`conv2d_forward`] returned,
-/// and the original input spatial size. The reference for [`conv2d_grads`].
+/// and the original input spatial size: `dW = gO · columnsᵀ`, `db` the sum
+/// of each `gO` channel, and `dI = col2im(Wᵀ · gO)`. The reference for
+/// [`conv2d_grads`].
 pub fn conv2d_backward(
     grad_out: &Tensor,
     columns: &Tensor,
@@ -832,23 +919,41 @@ pub fn conv2d_backward(
 ) -> Result<Conv2dGrads> {
     let go_mat = grad_matrix(grad_out, spec, "conv2d_backward")?;
     let dw_mat = matmul_nt(&go_mat, columns)?;
-    finish_grads(
-        &go_mat,
-        dw_mat,
-        weight,
-        spec,
-        (input_h, input_w),
-        need_input_grad,
-    )
+    let (oc, plane) = go_mat.shape().as_matrix()?;
+    let bias_grad: Vec<f32> = (0..oc)
+        .map(|c| go_mat.data()[c * plane..(c + 1) * plane].iter().sum())
+        .collect();
+    let input_grad = if need_input_grad {
+        let dcol = matmul_tn(&weight_matrix(weight, spec)?, &go_mat)?;
+        Some(col2im(&dcol, spec, input_h, input_w)?)
+    } else {
+        None
+    };
+    Ok(Conv2dGrads {
+        input: input_grad,
+        weight: dw_mat.reshape(spec.weight_shape())?,
+        bias: Tensor::from_vec(Shape::vector(oc), bias_grad)?,
+    })
 }
 
 /// Backward convolution from the forward pass's *input* (`(1, in_c, h, w)`)
-/// instead of its column matrix: the weight gradient's GEMM gathers its
-/// transposed blocks from a padded copy of the frame (`PaddedImage`), row
-/// run by row run over the valid pixels. Bit-identical to
-/// [`conv2d_backward`] on `im2col(input)`. The copy is dropped before the
-/// input gradient's `Wᵀ · gO` is allocated. A `grad_out` whose spatial size
-/// is not the one `input` convolves to is a shape mismatch.
+/// instead of its column matrix, bit-identical to [`conv2d_backward`] on
+/// `im2col(input)`; no column-shaped matrix is built.
+///
+/// * The weight and bias gradients read the column matrix in place from a
+///   padded copy of the frame (`PaddedImage`), against `gOᵀ` packed once
+///   ([`weight_grads`]).
+/// * The input gradient is a convolution of the zero-padded `grad_out` with
+///   the weights transposed over (out_c, in_c) and flipped: at stride `s`,
+///   one stride-1 convolution per stride phase of the input, with that
+///   phase's taps. Each input pixel is `0 + t₀ + t₁ + …` over the taps in
+///   kernel order, each `tᵢ` one chain over the output channels
+///   ([`tap_product`]): what `col2im` adds up, bit for bit, as long as the
+///   weights are finite (a padding tap adds `0 · w`).
+///
+/// The input copy is dropped before the input gradient's buffers are
+/// allocated. A `grad_out` whose spatial size is not the one `input`
+/// convolves to is a shape mismatch.
 pub fn conv2d_grads(
     grad_out: &Tensor,
     input: &Tensor,
@@ -857,6 +962,7 @@ pub fn conv2d_grads(
     need_input_grad: bool,
 ) -> Result<Conv2dGrads> {
     const OP: &str = "conv2d_grads";
+    check_params(weight, None, spec)?;
     let go_mat = grad_matrix(grad_out, spec, OP)?;
     let (n, c, h, w) = check_frames(input, spec, OP)?;
     let (oh, ow) = spec.output_size(h, w);
@@ -867,15 +973,67 @@ pub fn conv2d_grads(
             rhs: vec![n, spec.out_channels, oh, ow],
         });
     }
-    let dw_mat = if spec.is_pointwise() {
-        matmul_nt(&go_mat, &input.reshape(Shape::matrix(c, h * w))?)?
-    } else {
+    let oc = spec.out_channels;
+    let (mut dw, mut db) = (vec![0.0f32; spec.weight_shape().numel()], vec![0.0f32; oc]);
+    {
         let rows = c * spec.kernel_h * spec.kernel_w;
         let mut image = PaddedImage::new(input, spec, OP, rows)?;
         image.load(0..rows);
-        matmul_nt_pixels(&go_mat, &image)?
-    };
-    finish_grads(&go_mat, dw_mat, weight, spec, (h, w), need_input_grad)
+        weight_grads(go_mat.data(), oc, &image, &mut dw, &mut db);
+    }
+    Ok(Conv2dGrads {
+        input: need_input_grad.then(|| input_grad(grad_out, weight, spec, (h, w))),
+        weight: Tensor::from_vec(spec.weight_shape(), dw)?,
+        bias: Tensor::from_vec(Shape::vector(oc), db)?,
+    })
+}
+
+/// The input gradient of [`conv2d_grads`], phase by phase. A pixel no tap
+/// reaches keeps the `+0.0` `col2im` leaves it.
+fn input_grad(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    (h, w): (usize, usize),
+) -> Tensor {
+    let (ic, oc) = (spec.in_channels, spec.out_channels);
+    let (sh, sw) = (spec.stride_h, spec.stride_w);
+    let mut out = vec![0.0f32; ic * h * w];
+    for ry in 0..sh {
+        for rx in 0..sw {
+            let y = PhaseAxis::new(spec.kernel_h, sh, spec.pad_h, h, ry);
+            let x = PhaseAxis::new(spec.kernel_w, sw, spec.pad_w, w, rx);
+            if y.len * x.len * y.taps * x.taps == 0 {
+                continue;
+            }
+            let image = PaddedImage::upstream(grad_out, spec, &y, &x);
+            let taps: Vec<usize> = (0..y.taps)
+                .flat_map(|jy| (0..x.taps).map(move |jx| (ry + sh * jy, rx + sw * jx)))
+                .map(|(kh, kw)| kh * spec.kernel_w + kw)
+                .collect();
+            let sink = image.sink(None, None, false);
+            if (sh, sw) == (1, 1) {
+                tap_product(weight.data(), (ic, oc), &taps, &image, &sink, &mut out);
+                continue;
+            }
+            let mut phase = vec![0.0f32; ic * y.len * x.len];
+            tap_product(weight.data(), (ic, oc), &taps, &image, &sink, &mut phase);
+            for (plane, src) in out
+                .chunks_exact_mut(h * w)
+                .zip(phase.chunks_exact(y.len * x.len))
+            {
+                for (t, row) in src.chunks_exact(x.len).enumerate() {
+                    let dst = plane[(y.first + sh * t) * w + x.first..]
+                        .iter_mut()
+                        .step_by(sw);
+                    for (d, &v) in dst.zip(row) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(Shape::nchw(1, ic, h, w), out).expect("ic × h × w floats")
 }
 
 #[cfg(test)]
@@ -1095,16 +1253,6 @@ mod tests {
         let mut grad_out = random::uniform(out.shape().clone(), -1.0, 1.0, seed + 1);
         grad_out.data_mut()[0] = -0.0;
         grad_out.data_mut()[pixels / 2] = f32::from_bits(3);
-        let go_mat = grad_out
-            .reshape(Shape::matrix(spec.out_channels, pixels))
-            .unwrap();
-        let mut whole = PaddedImage::new(input, spec, "test", k).unwrap();
-        whole.load(0..k);
-        assert_eq!(
-            bits(&matmul_nt_pixels(&go_mat, &whole).unwrap()),
-            bits(&matmul_nt(&go_mat, &cols).unwrap()),
-            "gO · colsᵀ, {what}"
-        );
         let reference = conv2d_backward(&grad_out, &cols, &weight, spec, h, w, true).unwrap();
         let grads = conv2d_grads(&grad_out, input, &weight, spec, true).unwrap();
         assert_eq!(bits(&grads.weight), bits(&reference.weight), "dW {what}");
@@ -1154,28 +1302,47 @@ mod tests {
             let input = random::uniform(Shape::nchw(n, 64, 17, 19), -1.0, 1.0, 500 + n as u64);
             assert_padded_equals_stored(&deep, &input, 510);
         }
-        // Both products above `PAR_MIN_MACS` (40·216·2304 and 40·216·768
-        // multiply-adds), stride 1 and 2: each worker packs its own stripes
-        // from the shared copy, and the answer does not depend on how many
-        // there are.
-        for stride in [1, 2] {
-            let wide = Conv2dSpec::square(24, 40, 3, stride);
-            let (h, w) = (24 * stride, 32 * stride);
-            for n in [1, 3] {
-                let input = random::uniform(Shape::nchw(n, 24, h, w), -1.0, 1.0, 520 + n as u64);
-                let weight = random::uniform(wide.weight_shape(), -0.5, 0.5, 530);
-                let grad_out = random::uniform(Shape::nchw(1, 40, 24, 32), -1.0, 1.0, 531);
-                let run = |threads: usize| {
-                    crate::parallel::set_threads(threads);
-                    assert_padded_equals_stored(&wide, &input, 540);
-                    let out = conv2d(&input, &weight, None, &wide, Epilogue::RELU).unwrap();
-                    let grads = (n == 1)
-                        .then(|| conv2d_grads(&grad_out, &input, &weight, &wide, false).unwrap());
-                    crate::parallel::set_threads(0);
-                    (bits(&out), grads.map(|g| bits(&g.weight)))
-                };
-                assert_eq!(run(1), run(2), "stride {stride}, {n} frames");
+        // Every product above `PAR_MIN_MACS` (40·216·2304 and 40·216·768
+        // multiply-adds, 16·432·768 for the weight gradient whose tiles pair
+        // rows), stride 1 and 2: each worker packs its own stripes from the
+        // shared copy, and the answer does not depend on how many there are.
+        for (ic, oc) in [(24, 40), (48, 16)] {
+            for stride in [1, 2] {
+                let wide = Conv2dSpec::square(ic, oc, 3, stride);
+                let (h, w) = (24 * stride, 32 * stride);
+                for n in [1, 3] {
+                    let input =
+                        random::uniform(Shape::nchw(n, ic, h, w), -1.0, 1.0, 520 + n as u64);
+                    let weight = random::uniform(wide.weight_shape(), -0.5, 0.5, 530);
+                    let grad_out = random::uniform(Shape::nchw(1, oc, 24, 32), -1.0, 1.0, 531);
+                    let run = |threads: usize| {
+                        crate::parallel::set_threads(threads);
+                        assert_padded_equals_stored(&wide, &input, 540);
+                        let out = conv2d(&input, &weight, None, &wide, Epilogue::RELU).unwrap();
+                        let grads = (n == 1).then(|| {
+                            let g = conv2d_grads(&grad_out, &input, &weight, &wide, true).unwrap();
+                            (bits(&g.weight), bits(&g.bias), bits(&g.input.unwrap()))
+                        });
+                        crate::parallel::set_threads(0);
+                        (bits(&out), grads)
+                    };
+                    assert_eq!(run(1), run(2), "{wide:?}, {n} frames");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn grads_split_a_tap_longer_than_kc_as_the_stored_matrix_does() {
+        // `KC + 44` output channels: the input gradient chains each tap over
+        // them in two pieces, joined as `matmul_tn` joins its `K` blocks, and
+        // the weight gradient runs ten 32-lane stripes. Stride 1 and 2, with
+        // specials in the input.
+        for stride in [1, 2] {
+            let spec = Conv2dSpec::square(3, KC + 44, 3, stride);
+            let mut input = random::uniform(Shape::nchw(1, 3, 5, 6), -1.0, 1.0, 900);
+            plant_specials(&mut input, 3);
+            assert_padded_equals_stored(&spec, &input, 901);
         }
     }
 

@@ -1,14 +1,21 @@
 //! Packed, cache-blocked GEMM kernels behind every convolution.
 //!
-//! Three variants are provided because the convolution backward passes need
-//! products against transposed operands and materialising the transpose would
-//! double memory traffic:
+//! Three matrix products are public:
 //!
 //! * [`matmul`]     — `C = A (M×K) · B (K×N)`
 //! * [`matmul_tn`]  — `C = Aᵀ (M×K stored as K×M) · B (K×N)`
 //! * [`matmul_nt`]  — `C = A (M×K) · Bᵀ (N×K stored row-major)`
 //!
-//! All three run through one packed kernel:
+//! [`matmul`] is the reference forward convolution's `W · cols`. The other
+//! two are oracle-only: the reference backward (`conv::conv2d_backward`)
+//! computes the weight gradient as `matmul_nt(gO, cols)` and the input
+//! gradient's `Wᵀ · gO` as `matmul_tn(W, gO)`. No model calls any of them.
+//! The models' convolutions run three crate-private products over a padded
+//! image instead, each bit-identical to its oracle: [`conv_product`] (the
+//! forward), [`tap_product`] (the input gradient) and [`weight_grads`] (the
+//! weight and bias gradients).
+//!
+//! The GEMM driver behind all but the last:
 //!
 //! * The reduction dimension is blocked at `KC` so the packed panels stay
 //!   cache-resident across the inner loops.
@@ -20,17 +27,19 @@
 //!   stripe keeps whatever its unused columns held, which the microkernel
 //!   computes and nothing writes, so it has no edge branches.
 //! * `B` is read through one *panel source* (`BSource`): a matrix stored in
-//!   memory, in either layout, or the column matrix of a convolution input
-//!   that is **never built**. For `W · cols` each stripe is `kc` straight
-//!   32-float copies from a padded copy of the input's channels in the
-//!   current `K` block (`crate::conv::PaddedImage::pack_stripe`), over the
-//!   *output grid*: output rows `wq ≥ ow` columns wide, frames rounded up to
-//!   whole stripes. For the weight gradient `gO · colsᵀ` each stripe is a
-//!   block of row runs over the valid pixels
-//!   (`crate::conv::PaddedImage::gather_block`), transposed. Either way the
-//!   stripe holds exactly the values `im2col_batched` would have stored at
-//!   the columns the product writes, so every written element's multiply-add
-//!   chain is the same whichever source a product uses.
+//!   memory, in either layout, or the column matrix of a padded image that
+//!   is **never built**. Each stripe is `kc` straight 32-float copies from
+//!   the image (`crate::conv::PaddedImage::pack_stripe`) over its *output
+//!   grid*: output rows `wq ≥ ow` columns wide, frames rounded up to whole
+//!   stripes. For the forward the image is the input, one `K` block's
+//!   channels at a time; for the input gradient it is the zero-padded `gO`
+//!   of one stride phase, every channel at once. Either way the stripe holds
+//!   exactly the values the stored matrix would at the columns the product
+//!   writes, so every written element's multiply-add chain is the same.
+//! * The input gradient's `K` is taps × output channels and is not blocked
+//!   at `KC` (`Chains::Taps`): the tile keeps each input pixel's running sum
+//!   over the taps, one fresh chain per tap, so each element is `0 + t₀ +
+//!   t₁ + …` — what `col2im` adds from `Wᵀ · gO` — and is written once.
 //! * The write-back (`Sink`) places each tile row's runs of output pixels:
 //!   row-major for a plain matrix, NCHW for a convolution, skipping the
 //!   grid's padding columns. The first `K` block stores `0.0 + acc`, later
@@ -51,6 +60,13 @@
 //!   and owns its columns of `C`, so no synchronisation is needed inside a
 //!   block. `ST_THREADS` / [`crate::parallel::set_threads`] pin the core
 //!   count.
+//!
+//! The weight gradient `gO · colsᵀ` runs transposed, as `cols · gOᵀ`: the
+//! column rows are the broadcast side, read in place from the padded input
+//! one output row's run at a time, and `gOᵀ` is packed once as the vector
+//! side, lanes over output channels. Its tiles are written transposed into
+//! `dW`; the chains, their `KC` blocks and the blocks' join are
+//! `matmul_nt`'s.
 //!
 //! Accumulation order over `k` is identical for every output element across
 //! block sizes, thread counts, batch widths, panel sources and SIMD
@@ -87,6 +103,10 @@ enum ALayout {
     /// `a[(i, kk)] = a[kk*m + i]` — `A` stored `(k, m)` row-major (the
     /// `matmul_tn` case; the product uses `Aᵀ`).
     Transposed,
+    /// Already in `MR`-row panels over the whole of `k`, `k`-major within
+    /// each, the ragged last panel zero-padded: used as it is, in one `K`
+    /// block.
+    Packed,
 }
 
 /// How the `B` operand is stored.
@@ -139,14 +159,18 @@ fn pack_a(apack: &mut [f32], a: &[f32], layout: ALayout, m: usize, k: usize, k0:
                 }
             }
         }
+        ALayout::Packed => unreachable!("a packed `A` is not packed again"),
         ALayout::Transposed => {
             for p in 0..panels {
                 let i0 = p * MR;
                 let rows = MR.min(m - i0);
-                let base = p * MR * kc;
-                for kk in 0..kc {
-                    let src = &a[(k0 + kk) * m + i0..(k0 + kk) * m + i0 + rows];
-                    apack[base + kk * MR..base + kk * MR + rows].copy_from_slice(src);
+                let panel = apack[p * MR * kc..(p + 1) * MR * kc].chunks_exact_mut(MR);
+                for (dst, src) in panel.zip(a[k0 * m + i0..].chunks(m)) {
+                    // A fixed-size copy for whole panels: no `memcpy` call.
+                    match (dst.first_chunk_mut::<MR>(), src.first_chunk::<MR>()) {
+                        (Some(dst), Some(src)) if rows == MR => *dst = *src,
+                        _ => dst[..rows].copy_from_slice(&src[..rows]),
+                    }
                 }
             }
         }
@@ -166,9 +190,9 @@ enum BSource<'a, 'i> {
     /// block: each stripe row is one straight copy
     /// ([`PaddedImage::pack_stripe`]).
     Grid(&'a mut PaddedImage<'i>),
-    /// `colsᵀ` over the valid pixels of one frame: each stripe is a block of
-    /// row runs ([`PaddedImage::gather_block`]), transposed.
-    Pixels(&'a PaddedImage<'i>),
+    /// The same over an image whose copy already holds every row's
+    /// channels: the upstream gradient an input gradient reads.
+    Loaded(&'a PaddedImage<'i>),
 }
 
 impl BSource<'_, '_> {
@@ -181,12 +205,11 @@ impl BSource<'_, '_> {
 
     /// Pack the `B` stripe of columns `[j0, j0+cols)` for `k ∈ [k0, k0+kc)`
     /// into `bstripe[kk*NR + jj]`. `n` and `k` are the logical dimensions of
-    /// `B` (`k × n`); `block` is scratch the worker keeps across stripes.
+    /// `B` (`k × n`).
     #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
     fn pack_stripe(
         &self,
         bstripe: &mut [f32],
-        block: &mut Vec<f32>,
         n: usize,
         k: usize,
         k0: usize,
@@ -205,16 +228,7 @@ impl BSource<'_, '_> {
                 transpose_into_stripe(bstripe, &b[j0 * k + k0..], k, kc, cols)
             }
             BSource::Grid(image) => image.pack_stripe(bstripe, k0..k0 + kc, j0),
-            // Its rows `[j0, j0+cols)` over pixels `[k0, k0+kc)`, gathered
-            // into `block` (32 KiB at most), are the stored case in small.
-            BSource::Pixels(image) => {
-                if block.len() < cols * kc {
-                    block.resize(NR * kc, 0.0);
-                }
-                let block = &mut block[..cols * kc];
-                image.gather_block(block, j0..j0 + cols, k0..k0 + kc);
-                transpose_into_stripe(bstripe, block, kc, kc, cols)
-            }
+            BSource::Loaded(image) => image.pack_stripe(bstripe, k0..k0 + kc, j0),
         }
     }
 }
@@ -248,12 +262,18 @@ fn transpose_into_stripe(
     }
 }
 
-/// The multiply-add chains behind one `MR×NR` tile of `C`. Each kernel
-/// overwrites `acc` with `apanel · bstripe` over `kc` steps, one chain per
-/// element: `acc = 0`, then one multiply-add per `kk` in ascending order.
+/// The multiply-add chains behind one `MR×NR` tile of `C`. A chain is one
+/// element's `acc = 0`, then one multiply-add per `kk` in ascending order.
 /// The two SIMD kernels fuse every step and differ only in how many chains
 /// they keep in registers at once, so they give the same bits whichever a
-/// CPU has; the portable kernel's steps are unfused.
+/// CPU has; the portable kernel's steps are unfused. Each kernel runs three
+/// products, each with the multiply-add its oracle uses:
+///
+/// * [`Microkernel::run`], `apanel · bstripe`: every GEMM's `K` block;
+/// * [`Microkernel::run_taps`], the same summed per tap: a convolution's
+///   input gradient ([`tap_product`]);
+/// * [`Microkernel::run_rows`], broadcasts read in place from a padded
+///   image: a convolution's weight gradient ([`weight_grads`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Microkernel {
     /// Unfused `acc += a * b` in `4×8` sub-tiles: the live accumulators fit
@@ -293,61 +313,268 @@ impl Microkernel {
     /// Overwrite `acc` with `apanel · bstripe` over `kc` steps.
     #[inline]
     fn run(self, kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+        let (a, b) = (&apanel[..kc * MR], &bstripe[..kc * NR]);
         match self {
-            Self::Portable => microkernel_portable(kc, apanel, bstripe, acc),
+            Self::Portable => sub_tiled::<8>(a, b, acc, |acc, a, b| acc + a * b),
             // SAFETY: `Avx2` exists only where avx2 and fma were detected.
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => unsafe { microkernel_avx2(kc, apanel, bstripe, acc) },
+            Self::Avx2 => unsafe { microkernel_avx2(a, b, acc) },
             // SAFETY: `Avx512` exists only where avx512f was detected.
             #[cfg(target_arch = "x86_64")]
-            Self::Avx512 => unsafe { microkernel_avx512(kc, apanel, bstripe, acc) },
+            Self::Avx512 => unsafe { microkernel_avx512(a, b, acc) },
+        }
+    }
+
+    /// Overwrite `acc` with the sum over the taps `apanel · bstripe` holds,
+    /// `seg` steps each: `acc = 0`, then `acc += t` per tap in order, where
+    /// `t` is the tap's chain. A tap longer than [`KC`] chains in `KC`-step
+    /// pieces joined as [`matmul_tn`] joins its `K` blocks, `(0 + c₀) + c₁ +
+    /// …`. Each tap's partial sum stays in the tile: nothing is written back
+    /// between taps.
+    #[inline]
+    fn run_taps(self, k: usize, seg: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+        let (a, b) = (&apanel[..k * MR], &bstripe[..k * NR]);
+        if seg > KC {
+            return taps_in_pieces(self, seg, a, b, acc);
+        }
+        match self {
+            Self::Portable => sub_tiled_taps::<8>(seg, a, b, acc, |acc, a, b| acc + a * b),
+            // SAFETY: `Avx2` exists only where avx2 and fma were detected.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => unsafe { taps_avx2(seg, a, b, acc) },
+            // SAFETY: `Avx512` exists only where avx512f was detected.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => unsafe { taps_avx512(seg, a, b, acc) },
+        }
+    }
+
+    /// Join into `acc` the chains of an `A` that is read in place (see
+    /// [`Rows`]): row `i`'s step `s` of run `(g, len)` broadcasts
+    /// `data[offsets[i] + g + s]`, the runs in order, against one `bstripe`
+    /// row per step. The multiply-add is [`matmul_nt`]'s with the operands'
+    /// roles swapped, so the tile is the transpose of that product's, bit for
+    /// bit.
+    #[inline]
+    fn run_rows(self, rows: &Rows<'_>, bstripe: &[f32], acc: &mut Tile) {
+        match self {
+            Self::Portable => sub_tiled_rows::<8>(rows, bstripe, acc, |acc, a, b| acc + b * a),
+            // SAFETY: `Avx2` exists only where avx2 and fma were detected.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => unsafe { rows_avx2(rows, bstripe, acc) },
+            // SAFETY: `Avx512` exists only where avx512f was detected.
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => unsafe { rows_avx512(rows, bstripe, acc) },
+        }
+    }
+
+    /// Write rows `..rows` of `acc` into the `(oc, k)` matrix at `out`,
+    /// transposed: lane `l` of half `h` (lanes `[h·NR/2, (h+1)·NR/2)`) of
+    /// tile row `i` goes to row `o_h + l`, column `r_h + i`, where `(o_h,
+    /// r_h) = halves[h]`; lanes whose row is `oc` or more are dropped.
+    ///
+    /// # Safety
+    /// Every element written must lie inside `out`'s `oc · k` floats, and no
+    /// other thread may touch them.
+    unsafe fn write_columns(
+        self,
+        acc: &Tile,
+        rows: usize,
+        halves: [(usize, usize); 2],
+        (oc, k): (usize, usize),
+        out: SendPtr,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self == Self::Avx512 {
+            // SAFETY: `Avx512` exists only where avx512f was detected; the
+            // caller's contract is passed on.
+            return unsafe { write_columns_avx512(acc, rows, halves, (oc, k), out) };
+        }
+        for (h, &(o0, r0)) in halves.iter().enumerate() {
+            for (o, lane) in (o0..oc).zip(h * NR / 2..(h + 1) * NR / 2) {
+                for (i, row) in acc[..rows].iter().enumerate() {
+                    // SAFETY: the caller's contract.
+                    unsafe { *out.get().add(o * k + r0 + i) = row[lane] };
+                }
+            }
         }
     }
 }
 
-/// The tile as `4×COLS` sub-tiles, each carried through all `kc` steps
-/// before the next, with `step(acc, a, b)` as the multiply-add. Inlined into
-/// each kernel, so `step` compiles under that kernel's target features.
+/// The broadcast side of [`Microkernel::run_rows`]: rows of a padded image,
+/// each `data[offset + g..]`, over the runs `(g, len)` of one `K` block. Tile
+/// row `i` broadcasts row `offsets[i]` into lanes `[0, NR/2)`, and into
+/// `[NR/2, NR)` the same row `shift` floats on (another channel's: two sets
+/// of rows against a stripe that holds the same `NR/2` output channels
+/// twice). A shift of 0 reads each row once.
+struct Rows<'a> {
+    data: &'a [f32],
+    offsets: [usize; MR],
+    shift: usize,
+    runs: &'a [(usize, usize)],
+    /// The first `K` block: its chains are stored as `0 + c`; later blocks'
+    /// are added to what the tile holds, as [`matmul_nt`]'s write-back joins
+    /// them.
+    first: bool,
+}
+
+impl Rows<'_> {
+    /// The row slices over run `(g, len)` that feed lanes `[c0, c0 + NR/2)`
+    /// (or fewer) of tile rows `r0..r0 + ROWS`.
+    #[inline(always)]
+    fn slices<const ROWS: usize>(
+        &self,
+        (r0, c0): (usize, usize),
+        (g, len): (usize, usize),
+    ) -> [&[f32]; ROWS] {
+        let g = if c0 >= NR / 2 { g + self.shift } else { g };
+        std::array::from_fn(|i| &self.data[self.offsets[r0 + i] + g..][..len])
+    }
+}
+
+/// Rows per sub-tile of the portable and AVX2 kernels.
+const SUB_ROWS: usize = 4;
+type SubTile<const COLS: usize> = [[f32; COLS]; SUB_ROWS];
+
+/// Rows `r0..r0 + SUB_ROWS`, columns `c0..c0 + COLS` of `apanel · bstripe`
+/// over every step the two hold, with `step(acc, a, b)` as the multiply-add.
+/// The sub-tile is a value, so LLVM keeps it in registers for the whole loop.
+#[inline(always)]
+fn sub_chains<const COLS: usize>(
+    (r0, c0): (usize, usize),
+    apanel: &[f32],
+    bstripe: &[f32],
+    step: &impl Fn(f32, f32, f32) -> f32,
+) -> SubTile<COLS> {
+    let mut sub = [[0.0f32; COLS]; SUB_ROWS];
+    for (a, b) in apanel.chunks_exact(MR).zip(bstripe.chunks_exact(NR)) {
+        let b = &b[c0..c0 + COLS];
+        for (row, &av) in sub.iter_mut().zip(&a[r0..r0 + SUB_ROWS]) {
+            for (r, &bv) in row.iter_mut().zip(b) {
+                *r = step(*r, av, bv);
+            }
+        }
+    }
+    sub
+}
+
+/// Write sub-tile `sub` at `(r0, c0)` of `acc`.
+#[inline(always)]
+fn put<const COLS: usize>(acc: &mut Tile, (r0, c0): (usize, usize), sub: &SubTile<COLS>) {
+    for (out, row) in acc[r0..r0 + SUB_ROWS].iter_mut().zip(sub) {
+        out[c0..c0 + COLS].copy_from_slice(row);
+    }
+}
+
+/// The corners of the tile's `SUB_ROWS×COLS` sub-tiles, in the order the
+/// kernels carry them.
+fn corners<const COLS: usize>() -> impl Iterator<Item = (usize, usize)> {
+    (0..MR)
+        .step_by(SUB_ROWS)
+        .flat_map(|r0| (0..NR).step_by(COLS).map(move |c0| (r0, c0)))
+}
+
+/// [`Microkernel::run`] as sub-tiles, each carried through all steps before
+/// the next. Inlined into each kernel, so `step` compiles under that
+/// kernel's target features.
 #[inline(always)]
 fn sub_tiled<const COLS: usize>(
-    kc: usize,
     apanel: &[f32],
     bstripe: &[f32],
     acc: &mut Tile,
     step: impl Fn(f32, f32, f32) -> f32,
 ) {
-    const ROWS: usize = 4;
-    for r0 in (0..MR).step_by(ROWS) {
-        for c0 in (0..NR).step_by(COLS) {
-            // A by-value sub-tile, so LLVM keeps it in registers for the
-            // whole `kc` loop instead of spilling through `acc`.
-            let mut sub = [[0.0f32; COLS]; ROWS];
-            for (a, b) in apanel
-                .chunks_exact(MR)
-                .zip(bstripe.chunks_exact(NR))
-                .take(kc)
-            {
+    for at in corners::<COLS>() {
+        put(acc, at, &sub_chains::<COLS>(at, apanel, bstripe, &step));
+    }
+}
+
+/// [`Microkernel::run_taps`] as sub-tiles, for taps of at most [`KC`] steps.
+#[inline(always)]
+fn sub_tiled_taps<const COLS: usize>(
+    seg: usize,
+    apanel: &[f32],
+    bstripe: &[f32],
+    acc: &mut Tile,
+    step: impl Fn(f32, f32, f32) -> f32,
+) {
+    for at in corners::<COLS>() {
+        let mut sum = [[0.0f32; COLS]; SUB_ROWS];
+        let taps = apanel
+            .chunks_exact(seg * MR)
+            .zip(bstripe.chunks_exact(seg * NR));
+        for (a, b) in taps {
+            let tap = sub_chains::<COLS>(at, a, b, &step);
+            for (s, &t) in sum.iter_mut().flatten().zip(tap.iter().flatten()) {
+                *s += t;
+            }
+        }
+        put(acc, at, &sum);
+    }
+}
+
+/// [`Microkernel::run_taps`] for taps longer than [`KC`]: each piece is one
+/// [`Microkernel::run`], joined outside the registers. No model has an
+/// output channel count this large; the chains are the same as in the
+/// register kernels.
+fn taps_in_pieces(
+    kernel: Microkernel,
+    seg: usize,
+    apanel: &[f32],
+    bstripe: &[f32],
+    acc: &mut Tile,
+) {
+    let mut sum: Tile = [[0.0; NR]; MR];
+    let (mut part, mut chain): (Tile, Tile) = ([[0.0; NR]; MR], [[0.0; NR]; MR]);
+    let taps = apanel
+        .chunks_exact(seg * MR)
+        .zip(bstripe.chunks_exact(seg * NR));
+    for (a, b) in taps {
+        for p0 in (0..seg).step_by(KC) {
+            let kc = KC.min(seg - p0);
+            kernel.run(kc, &a[p0 * MR..], &b[p0 * NR..], &mut chain);
+            for (p, &c) in part.iter_mut().flatten().zip(chain.iter().flatten()) {
+                *p = if p0 == 0 { 0.0 + c } else { *p + c };
+            }
+        }
+        for (s, &p) in sum.iter_mut().flatten().zip(part.iter().flatten()) {
+            *s += p;
+        }
+    }
+    *acc = sum;
+}
+
+/// [`Microkernel::run_rows`] as sub-tiles.
+#[inline(always)]
+fn sub_tiled_rows<const COLS: usize>(
+    rows: &Rows<'_>,
+    bstripe: &[f32],
+    acc: &mut Tile,
+    step: impl Fn(f32, f32, f32) -> f32,
+) {
+    for (r0, c0) in corners::<COLS>() {
+        let mut sub = [[0.0f32; COLS]; SUB_ROWS];
+        let mut b_rows = bstripe.chunks_exact(NR);
+        for &run in rows.runs {
+            let a = rows.slices::<SUB_ROWS>((r0, c0), run);
+            for (s, b) in (0..run.1).zip(&mut b_rows) {
                 let b = &b[c0..c0 + COLS];
-                for (row, &av) in sub.iter_mut().zip(&a[r0..r0 + ROWS]) {
+                for (row, a) in sub.iter_mut().zip(&a) {
+                    let av = a[s];
                     for (r, &bv) in row.iter_mut().zip(b) {
                         *r = step(*r, av, bv);
                     }
                 }
             }
-            for (out, row) in acc[r0..r0 + ROWS].iter_mut().zip(&sub) {
-                out[c0..c0 + COLS].copy_from_slice(row);
+        }
+        for (out, row) in acc[r0..r0 + SUB_ROWS].iter_mut().zip(&sub) {
+            for (o, &c) in out[c0..c0 + COLS].iter_mut().zip(row) {
+                *o = if rows.first { 0.0 + c } else { *o + c };
             }
         }
     }
 }
 
-/// Portable inner loop ([`Microkernel::Portable`]): `4×8` sub-tiles of
-/// unfused multiply-adds.
-fn microkernel_portable(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
-    sub_tiled::<8>(kc, apanel, bstripe, acc, |acc, a, b| acc + a * b)
-}
-
-/// AVX2 + FMA inner loop ([`Microkernel::Avx2`]): `4×16` sub-tiles, eight
+/// AVX2 + FMA kernels ([`Microkernel::Avx2`]): `4×16` sub-tiles, eight
 /// 256-bit accumulators each. `mul_add` compiles to `vfmadd` under the
 /// enabled features (without them it would be a libm call).
 ///
@@ -355,47 +582,212 @@ fn microkernel_portable(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Ti
 /// Caller must have verified `avx2` and `fma` support at runtime.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
-    sub_tiled::<16>(kc, apanel, bstripe, acc, |acc, a, b| b.mul_add(a, acc))
+unsafe fn microkernel_avx2(apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    sub_tiled::<16>(apanel, bstripe, acc, |acc, a, b| b.mul_add(a, acc))
 }
 
-/// AVX-512 inner loop ([`Microkernel::Avx512`]): the whole `8×32` tile in
-/// sixteen 512-bit accumulators, two per row.
-///
 /// # Safety
-/// Caller must have verified `avx512f` support at runtime.
+/// As [`microkernel_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn taps_avx2(seg: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    sub_tiled_taps::<16>(seg, apanel, bstripe, acc, |acc, a, b| b.mul_add(a, acc))
+}
+
+/// # Safety
+/// As [`microkernel_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn rows_avx2(rows: &Rows<'_>, bstripe: &[f32], acc: &mut Tile) {
+    sub_tiled_rows::<16>(rows, bstripe, acc, |acc, a, b| a.mul_add(b, acc))
+}
+
+/// The whole `8×32` tile in sixteen 512-bit accumulators, two per row.
+#[cfg(target_arch = "x86_64")]
+type Tile512 = [[std::arch::x86_64::__m512; 2]; MR];
+
+/// `apanel · bstripe` over every step the two hold, one fresh chain per
+/// element: per `kk`, two `B` loads and eight broadcasts feed sixteen FMAs.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512(kc: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
-    use std::arch::x86_64::{__m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps};
-    use std::arch::x86_64::{_mm512_setzero_ps, _mm512_storeu_ps};
-    const HALF: usize = NR / 2;
-    let mut tile: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
-    for (a, b) in apanel
-        .chunks_exact(MR)
-        .zip(bstripe.chunks_exact(NR))
-        .take(kc)
-    {
-        // SAFETY: `b` is one `NR`-float row of the stripe, so both 16-lane
-        // unaligned loads stay inside it.
-        let (b0, b1) = unsafe {
-            (
-                _mm512_loadu_ps(b.as_ptr()),
-                _mm512_loadu_ps(b[HALF..].as_ptr()),
-            )
-        };
+#[inline]
+fn chains_avx512(apanel: &[f32], bstripe: &[f32]) -> Tile512 {
+    use std::arch::x86_64::{_mm512_fmadd_ps, _mm512_set1_ps, _mm512_setzero_ps};
+    let mut tile = [[_mm512_setzero_ps(); 2]; MR];
+    for (a, b) in apanel.chunks_exact(MR).zip(bstripe.chunks_exact(NR)) {
+        let [b0, b1] = load_row(b);
         for (row, &av) in tile.iter_mut().zip(a) {
             let av = _mm512_set1_ps(av);
             row[0] = _mm512_fmadd_ps(b0, av, row[0]);
             row[1] = _mm512_fmadd_ps(b1, av, row[1]);
         }
     }
-    for (out, row) in acc.iter_mut().zip(&tile) {
+    tile
+}
+
+/// One `NR`-float row as two 16-lane vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load_row(row: &[f32]) -> [std::arch::x86_64::__m512; 2] {
+    use std::arch::x86_64::_mm512_loadu_ps;
+    let row = &row[..NR];
+    // SAFETY: `row` holds `NR` = 32 floats, so both 16-lane unaligned loads
+    // stay inside it.
+    unsafe {
+        [
+            _mm512_loadu_ps(row.as_ptr()),
+            _mm512_loadu_ps(row[NR / 2..].as_ptr()),
+        ]
+    }
+}
+
+/// Store `tile` into `acc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn store_tile(tile: &Tile512, acc: &mut Tile) {
+    use std::arch::x86_64::_mm512_storeu_ps;
+    for (out, row) in acc.iter_mut().zip(tile) {
         // SAFETY: `out` is one `NR`-float row of the tile, so both 16-lane
         // unaligned stores stay inside it.
         unsafe {
             _mm512_storeu_ps(out.as_mut_ptr(), row[0]);
-            _mm512_storeu_ps(out[HALF..].as_mut_ptr(), row[1]);
+            _mm512_storeu_ps(out[NR / 2..].as_mut_ptr(), row[1]);
+        }
+    }
+}
+
+/// AVX-512 kernels ([`Microkernel::Avx512`]).
+///
+/// # Safety
+/// Caller must have verified `avx512f` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512(apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    store_tile(&chains_avx512(apanel, bstripe), acc)
+}
+
+/// Each tap's chains in the sixteen accumulators, added to a sum tile that
+/// lives beside them (the compiler keeps what fits of it in registers).
+///
+/// # Safety
+/// As [`microkernel_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn taps_avx512(seg: usize, apanel: &[f32], bstripe: &[f32], acc: &mut Tile) {
+    use std::arch::x86_64::{_mm512_add_ps, _mm512_setzero_ps};
+    let mut sum = [[_mm512_setzero_ps(); 2]; MR];
+    let taps = apanel
+        .chunks_exact(seg * MR)
+        .zip(bstripe.chunks_exact(seg * NR));
+    for (a, b) in taps {
+        let tap = chains_avx512(a, b);
+        for (s, t) in sum.iter_mut().zip(&tap) {
+            s[0] = _mm512_add_ps(s[0], t[0]);
+            s[1] = _mm512_add_ps(s[1], t[1]);
+        }
+    }
+    store_tile(&sum, acc)
+}
+
+/// # Safety
+/// As [`microkernel_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rows_avx512(rows: &Rows<'_>, bstripe: &[f32], acc: &mut Tile) {
+    if rows.shift != 0 {
+        rows_avx512_halves::<true>(rows, bstripe, acc)
+    } else {
+        rows_avx512_halves::<false>(rows, bstripe, acc)
+    }
+}
+
+/// [`rows_avx512`] with the row sets `SPLIT` or not: per step, two `B`
+/// loads and eight broadcasts (sixteen when split) feed sixteen FMAs. The
+/// rows are read through raw pointers, checked once per run, so the loop
+/// keeps its eight row pointers and two indices in registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn rows_avx512_halves<const SPLIT: bool>(rows: &Rows<'_>, bstripe: &[f32], acc: &mut Tile) {
+    use std::arch::x86_64::{_mm512_add_ps, _mm512_fmadd_ps, _mm512_set1_ps, _mm512_setzero_ps};
+    let mut tile = [[_mm512_setzero_ps(); 2]; MR];
+    let mut b_rows = bstripe.chunks_exact(NR);
+    let shift = if SPLIT { rows.shift } else { 0 };
+    let last = rows.offsets.iter().max().copied().unwrap_or(0) + shift;
+    for &(g, len) in rows.runs {
+        assert!(
+            last + g + len <= rows.data.len(),
+            "a run reads past the image"
+        );
+        let base = rows.data.as_ptr().wrapping_add(g);
+        let starts = rows.offsets.map(|offset| base.wrapping_add(offset));
+        for (s, b) in (0..len).zip(&mut b_rows) {
+            let [b0, b1] = load_row(b);
+            for (row, &start) in tile.iter_mut().zip(&starts) {
+                // SAFETY: `offset + g + s` and `offset + shift + g + s` are
+                // below `last + g + len`, asserted inside `data`.
+                let av = _mm512_set1_ps(unsafe { *start.add(s) });
+                row[0] = _mm512_fmadd_ps(av, b0, row[0]);
+                let av = if SPLIT {
+                    // SAFETY: as above.
+                    _mm512_set1_ps(unsafe { *start.add(s + shift) })
+                } else {
+                    av
+                };
+                row[1] = _mm512_fmadd_ps(av, b1, row[1]);
+            }
+        }
+    }
+    if !rows.first {
+        let mut sum = [[_mm512_setzero_ps(); 2]; MR];
+        for (row, out) in sum.iter_mut().zip(acc.iter()) {
+            *row = load_row(out);
+        }
+        for (t, s) in tile.iter_mut().zip(&sum) {
+            t[0] = _mm512_add_ps(s[0], t[0]);
+            t[1] = _mm512_add_ps(s[1], t[1]);
+        }
+        return store_tile(&tile, acc);
+    }
+    for row in tile.iter_mut() {
+        row[0] = _mm512_add_ps(_mm512_setzero_ps(), row[0]);
+        row[1] = _mm512_add_ps(_mm512_setzero_ps(), row[1]);
+    }
+    store_tile(&tile, acc)
+}
+
+/// [`Microkernel::write_columns`] with one masked scatter per tile row and
+/// half: sixteen lanes to sixteen rows of `out`.
+///
+/// # Safety
+/// As [`Microkernel::write_columns`], and avx512f must have been detected.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn write_columns_avx512(
+    acc: &Tile,
+    rows: usize,
+    halves: [(usize, usize); 2],
+    (oc, k): (usize, usize),
+    out: SendPtr,
+) {
+    use std::arch::x86_64::_mm512_setr_epi32;
+    use std::arch::x86_64::{_mm512_mask_i32scatter_ps, _mm512_mullo_epi32, _mm512_set1_epi32};
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let stride = i32::try_from(k).expect("a weight matrix row fits i32 indexing");
+    let index = _mm512_mullo_epi32(lanes, _mm512_set1_epi32(stride));
+    for (i, row) in acc[..rows].iter().enumerate() {
+        let halves_of_row = load_row(row);
+        for (&(o0, r0), v) in halves.iter().zip(halves_of_row) {
+            let valid = oc.saturating_sub(o0).min(NR / 2);
+            let mask = ((1u32 << valid) - 1) as u16;
+            // SAFETY: the caller's contract covers lane `l < valid`'s element
+            // `(o0 + l) · k + r0 + i`; masked-off lanes are not accessed.
+            unsafe {
+                let base = out.get().wrapping_add(o0 * k + r0 + i);
+                _mm512_mask_i32scatter_ps::<4>(base.cast(), mask, index, v);
+            }
         }
     }
 }
@@ -576,6 +968,17 @@ impl Sink<'_> {
     }
 }
 
+/// How [`gemm`] chains each element's multiply-adds over `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chains {
+    /// One chain per [`KC`] block, the blocks joined in the write-back.
+    Blocked,
+    /// `k` is a run of taps of `seg` steps each, summed in the tile
+    /// ([`Microkernel::run_taps`]); `A` and `B` are packed whole, in one
+    /// block.
+    Taps(usize),
+}
+
 /// Shared packed GEMM driver: `C = op(A) · op(B)`, written through `sink`
 /// into `out`. `n` counts `B`'s columns, grid columns included.
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
@@ -586,6 +989,7 @@ fn gemm(
     a: &[f32],
     a_layout: ALayout,
     mut b: BSource<'_, '_>,
+    chains: Chains,
     sink: &Sink<'_>,
     out: &mut [f32],
 ) {
@@ -600,18 +1004,28 @@ fn gemm(
     );
     let kernel = Microkernel::detect();
     let panels = m.div_ceil(MR);
-    let mut apack = vec![0.0f32; panels * MR * KC.min(k)];
+    let block = match chains {
+        Chains::Blocked => KC.min(k),
+        Chains::Taps(_) => k,
+    };
+    let packed = a_layout == ALayout::Packed;
+    assert!(!packed || block == k, "a packed `A` is one `K` block");
+    let mut apack = vec![0.0f32; if packed { 0 } else { panels * MR * block }];
     let parallel_ok = parallel::threads() > 1 && m * n * k >= PAR_MIN_MACS;
     let out_ptr = SendPtr(out.as_mut_ptr());
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
+    for k0 in (0..k).step_by(block) {
+        let kc = block.min(k - k0);
         let (first, last) = (k0 == 0, k0 + kc == k);
-        pack_a(&mut apack, a, a_layout, m, k, k0, kc);
+        let apack = if packed {
+            &a[..panels * MR * k]
+        } else {
+            pack_a(&mut apack, a, a_layout, m, k, k0, kc);
+            &apack[..]
+        };
         b.load(k0, kc);
-        let (apack, b) = (&apack, &b);
+        let b = &b;
         let worker = move |j_start: usize, j_end: usize| {
             let mut bstripe = vec![0.0f32; kc * NR];
-            let mut block = Vec::new();
             let mut acc: Tile = [[0.0; NR]; MR];
             let mut runs = [Run::default(); NR];
             let mut pos = sink.locate(j_start);
@@ -630,16 +1044,17 @@ fn gemm(
                 };
                 // A stripe of grid padding only is neither packed nor run.
                 if count > 0 {
-                    b.pack_stripe(&mut bstripe, &mut block, n, k, k0, kc, j0, cols);
+                    b.pack_stripe(&mut bstripe, n, k, k0, kc, j0, cols);
                     for p in 0..panels {
                         let i0 = p * MR;
                         let rows = MR.min(m - i0);
-                        kernel.run(
-                            kc,
-                            &apack[p * MR * kc..(p + 1) * MR * kc],
-                            &bstripe,
-                            &mut acc,
-                        );
+                        let apanel = &apack[p * MR * kc..(p + 1) * MR * kc];
+                        match chains {
+                            Chains::Blocked => kernel.run(kc, apanel, &bstripe, &mut acc),
+                            Chains::Taps(seg) => {
+                                kernel.run_taps(kc, seg, apanel, &bstripe, &mut acc)
+                            }
+                        }
                         for (i, row) in (i0..).zip(&acc[..rows]) {
                             sink.write_row(row, i, &runs[..count], out_ptr, first, last);
                         }
@@ -685,6 +1100,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         a.data(),
         ALayout::RowMajor,
         BSource::Stored(b.data(), BLayout::RowMajor),
+        Chains::Blocked,
         &Sink::matrix(n),
         &mut out,
     );
@@ -693,8 +1109,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// `C = Aᵀ · B` where `A` is stored as `(k, m)` and `B` as `(k, n)`.
 ///
-/// Result is `(m, n)`. Used for the convolution weight gradient
-/// (`dW = dOutᵀ · im2col` style products).
+/// Result is `(m, n)`. The reference backward's input-gradient columns
+/// `Wᵀ · gO` (`conv::conv2d_backward`, before `col2im`); oracle-only: the
+/// models' input gradient is [`tap_product`].
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (k, m) = check_matrix(a, "matmul_tn")?;
     let (kb, n) = check_matrix(b, "matmul_tn")?;
@@ -713,6 +1130,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         a.data(),
         ALayout::Transposed,
         BSource::Stored(b.data(), BLayout::RowMajor),
+        Chains::Blocked,
         &Sink::matrix(n),
         &mut out,
     );
@@ -721,9 +1139,9 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// `C = A · Bᵀ` where `A` is `(m, k)` and `B` is `(n, k)`, both row-major.
 ///
-/// Result is `(m, n)`. Used for the convolution input gradient
-/// (`dCol = Wᵀ · dOut` style products) where the weight matrix is naturally
-/// stored `(out_c, in_c*kh*kw)`.
+/// Result is `(m, n)`. The reference backward's weight gradient `gO ·
+/// colsᵀ` (`conv::conv2d_backward`); oracle-only: the models' weight
+/// gradient is [`weight_grads`].
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let (m, k) = check_matrix(a, "matmul_nt")?;
     let (n, kb) = check_matrix(b, "matmul_nt")?;
@@ -742,6 +1160,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         a.data(),
         ALayout::RowMajor,
         BSource::Stored(b.data(), BLayout::Transposed),
+        Chains::Blocked,
         &Sink::matrix(n),
         &mut out,
     );
@@ -766,36 +1185,178 @@ pub(crate) fn conv_product(
         weights,
         ALayout::RowMajor,
         BSource::Grid(image),
+        Chains::Blocked,
         sink,
         out,
     );
 }
 
-/// `C = A · colsᵀ` over the valid pixels of `image`'s one frame (every
-/// channel loaded): the weight gradient `gO · colsᵀ`, bit-identical to
-/// [`matmul_nt`] on the built column matrix.
-pub(crate) fn matmul_nt_pixels(a: &Tensor, image: &PaddedImage<'_>) -> Result<Tensor> {
-    let (m, k) = check_matrix(a, "matmul_nt_pixels")?;
-    let (n, pixels) = image.pixel_dims();
-    if k != pixels {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_nt_pixels",
-            lhs: a.shape().dims().to_vec(),
-            rhs: vec![n, pixels],
-        });
+/// A convolution's input gradient over `image`, the padded upstream gradient
+/// of one stride phase with every channel loaded (`m` input channels, `seg`
+/// output channels). `weight` is the convolution's `(seg, m, kh, kw)`
+/// weight, `taps` the phase's taps as indices into one `kh × kw` kernel, in
+/// kernel order. `A` is `W̃`: row `ci`, column `t · seg + oc` is `weight[oc,
+/// ci, taps[t]]`, packed straight into the GEMM's panels. Each element is
+/// `0 + t₀ + t₁ + …` over the taps in order, `tᵢ` the tap's chain over its
+/// `seg` channels ([`Chains::Taps`]): what [`crate::conv::col2im`] adds up
+/// from [`matmul_tn`]'s `Wᵀ · gO`, without that matrix.
+pub(crate) fn tap_product(
+    weight: &[f32],
+    (m, seg): (usize, usize),
+    taps: &[usize],
+    image: &PaddedImage<'_>,
+    sink: &Sink<'_>,
+    out: &mut [f32],
+) {
+    let (k, n) = image.grid_dims();
+    let per_kernel = weight.len() / (m * seg);
+    let mut packed = vec![0.0f32; m.div_ceil(MR) * MR * k];
+    for (p, panel) in packed.chunks_exact_mut(MR * k).enumerate() {
+        let rows = MR.min(m - p * MR);
+        let mut steps = panel.chunks_exact_mut(MR);
+        for &tap in taps {
+            for (o, step) in (0..seg).zip(&mut steps) {
+                let column = weight[(o * m + p * MR) * per_kernel + tap..]
+                    .iter()
+                    .step_by(per_kernel);
+                for (a, &w) in step[..rows].iter_mut().zip(column) {
+                    *a = w;
+                }
+            }
+        }
     }
-    let mut out = vec![0.0f32; m * n];
     gemm(
         m,
         n,
         k,
-        a.data(),
-        ALayout::RowMajor,
-        BSource::Pixels(image),
-        &Sink::matrix(n),
-        &mut out,
+        &packed,
+        ALayout::Packed,
+        BSource::Loaded(image),
+        Chains::Taps(seg),
+        sink,
+        out,
     );
-    Tensor::from_vec(Shape::matrix(m, n), out)
+}
+
+/// A convolution's weight and bias gradients over `image`'s one frame
+/// (every channel loaded), from its upstream gradient `go`, `(oc, pixels)`:
+/// `dw = gO · colsᵀ`, `(oc, K)`, bit-identical to [`matmul_nt`] on the built
+/// column matrix, and `db[oc]`, bit-identical to an iterator `sum` over the
+/// channel.
+///
+/// `gOᵀ` is packed once, lanes over `oc`: stripes of [`NR`] channels, or,
+/// with at most `NR/2` channels, one stripe holding them twice, so a tile
+/// carries two sets of rows. A tile's broadcasts are read in place from the
+/// padded copy, one run per output row ([`Microkernel::run_rows`]), chained
+/// over the [`KC`]-pixel blocks `matmul_nt` uses and joined as its
+/// write-back joins them. The bias sums the packed stripes lane by lane from
+/// `-0.0`, where `sum` starts. Workers split the rows above
+/// [`PAR_MIN_MACS`].
+pub(crate) fn weight_grads(
+    go: &[f32],
+    oc: usize,
+    image: &PaddedImage<'_>,
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    let (k, pixels) = image.pixel_dims();
+    assert!(
+        go.len() == oc * pixels && dw.len() == oc * k && db.len() == oc,
+        "weight_grads: operand sizes"
+    );
+    let split = oc <= NR / 2;
+    let width = if split { NR / 2 } else { NR };
+    // Stripe `s`, pixel `p`: `gt[(s * pixels + p) * NR..][..NR]`.
+    let mut gt = vec![0.0f32; oc.div_ceil(width) * pixels * NR];
+    for (stripe, channels) in gt
+        .chunks_exact_mut(pixels * NR)
+        .zip(go.chunks(width * pixels))
+    {
+        // 64 pixels at a time, so the rows being written stay in L1.
+        for (block, p0) in stripe.chunks_mut(64 * NR).zip((0..).step_by(64)) {
+            for (lane, channel) in channels.chunks_exact(pixels).enumerate() {
+                for (row, &v) in block.chunks_exact_mut(NR).zip(&channel[p0..]) {
+                    row[lane] = v;
+                }
+            }
+            if split {
+                for row in block.chunks_exact_mut(NR) {
+                    row.copy_within(..NR / 2, NR / 2);
+                }
+            }
+        }
+    }
+    for (stripe, db) in gt.chunks_exact(pixels * NR).zip(db.chunks_mut(width)) {
+        let mut sums = [-0.0f32; NR];
+        for row in stripe.chunks_exact(NR) {
+            for (sum, &v) in sums.iter_mut().zip(row) {
+                *sum += v;
+            }
+        }
+        db.copy_from_slice(&sums[..db.len()]);
+    }
+    let blocks: Vec<Vec<(usize, usize)>> = (0..pixels)
+        .step_by(KC)
+        .map(|p0| image.pixel_runs(p0..(p0 + KC).min(pixels)))
+        .collect();
+    // With split stripes, a tile pairs each row of the first `half` rows
+    // with the row `half` on: the same tap of a channel `c / 2` on, `shift`
+    // floats further. An odd channel count leaves one channel's rows, which
+    // run unpaired after them.
+    let (channels, stride) = image.channels();
+    let half = if split {
+        k / channels * (channels / 2)
+    } else {
+        0
+    };
+    let shift = channels / 2 * stride;
+    let paired = half.div_ceil(MR);
+    let tiles = paired + (k - 2 * half).div_ceil(MR);
+    let kernel = Microkernel::detect();
+    let (data, row_offsets) = (image.data(), image.row_offsets());
+    let out = SendPtr(dw.as_mut_ptr());
+    let worker = |t_start: usize, t_end: usize| {
+        let mut acc: Tile = [[0.0; NR]; MR];
+        for t in t_start..t_end {
+            let (r0, end, pair) = if t < paired {
+                (t * MR, half, true)
+            } else {
+                (2 * half + (t - paired) * MR, k, false)
+            };
+            let rows = MR.min(end - r0);
+            // Rows past the last repeat the first; they are not written.
+            let offsets = std::array::from_fn(|i| row_offsets[r0 + if i < rows { i } else { 0 }]);
+            for (s, stripe) in gt.chunks_exact(pixels * NR).enumerate() {
+                for (b, runs) in blocks.iter().enumerate() {
+                    let steps = runs.iter().map(|r| r.1).sum::<usize>();
+                    let broadcasts = Rows {
+                        data,
+                        offsets,
+                        shift: if pair { shift } else { 0 },
+                        runs,
+                        first: b == 0,
+                    };
+                    kernel.run_rows(&broadcasts, &stripe[b * KC * NR..][..steps * NR], &mut acc);
+                }
+                let halves = if pair {
+                    [(0, r0), (0, r0 + half)]
+                } else {
+                    [(s * width, r0), (s * width + NR / 2, r0)]
+                };
+                // SAFETY: a half's rows `o < oc` and columns `r0 + i` (`i <
+                // rows`) lie inside `dw`, asserted `oc * k` long; this worker
+                // owns tiles `[t_start, t_end)`, and no other tile writes
+                // those columns. Without a pair, `s * width + NR / 2` is
+                // `oc` or more when the stripe holds `NR / 2` channels.
+                unsafe { kernel.write_columns(&acc, rows, halves, (oc, k), out) };
+            }
+        }
+    };
+    if parallel::threads() > 1 && oc * k * pixels >= PAR_MIN_MACS {
+        parallel::par_ranges(tiles, 1, worker);
+    } else {
+        worker(0, tiles);
+    }
 }
 
 #[cfg(test)]
@@ -1045,6 +1606,143 @@ mod tests {
                         f32::from_bits(*w)
                     );
                 }
+            }
+        }
+    }
+
+    /// `len` values from `seed`, with `-0.0`, a subnormal, both infinities
+    /// and a NaN among them.
+    fn with_specials(len: usize, seed: u64) -> Vec<f32> {
+        let mut v = random::uniform(Shape::vector(len), -1.0, 1.0, seed)
+            .data()
+            .to_vec();
+        let specials = [
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for (i, s) in specials.into_iter().enumerate() {
+            v[(seed as usize * 31 + i * 977) % len] = s;
+        }
+        v
+    }
+
+    /// One multiply-add as `kernel` runs it, `a` the broadcast operand.
+    fn step(kernel: Microkernel, acc: f32, a: f32, b: f32) -> f32 {
+        if kernel == Microkernel::Portable {
+            acc + a * b
+        } else {
+            b.mul_add(a, acc)
+        }
+    }
+
+    #[test]
+    fn tap_kernels_agree_bit_for_bit_with_the_scalar_chains() {
+        // A tap's chain is fresh; taps add up from `+0`; a tap longer than
+        // `KC` chains in pieces joined as `matmul_tn` joins its blocks.
+        for (taps, seg) in [(1, 7), (9, 24), (3, 40), (2, KC + 5)] {
+            let k = taps * seg;
+            let apanel = with_specials(k * MR, k as u64);
+            let bstripe = with_specials(k * NR, k as u64 + 1);
+            for kernel in runnable_microkernels() {
+                let mut acc: Tile = [[f32::NAN; NR]; MR];
+                kernel.run_taps(k, seg, &apanel, &bstripe, &mut acc);
+                for (i, j) in (0..MR).flat_map(|i| (0..NR).map(move |j| (i, j))) {
+                    let mut sum = 0.0f32;
+                    for t0 in (0..k).step_by(seg) {
+                        let mut tap = 0.0f32;
+                        for p0 in (t0..t0 + seg).step_by(KC) {
+                            let mut chain = 0.0f32;
+                            for kk in p0..(p0 + KC).min(t0 + seg) {
+                                let (a, b) = (apanel[kk * MR + i], bstripe[kk * NR + j]);
+                                chain = step(kernel, chain, a, b);
+                            }
+                            tap = if p0 == t0 { 0.0 + chain } else { tap + chain };
+                        }
+                        sum += tap;
+                    }
+                    assert_eq!(
+                        acc[i][j].to_bits(),
+                        sum.to_bits(),
+                        "{kernel:?}, {taps} taps of {seg}, ({i}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernels_agree_bit_for_bit_with_the_scalar_chains() {
+        // Rows read in place over runs of an image, paired by a shift or
+        // not, joined into the tile as the first block or a later one, then
+        // written transposed.
+        let data = with_specials(4000, 7);
+        let offsets = [0, 3, 17, 40, 41, 100, 555, 1000];
+        let runs = [(5, 9), (60, 1), (200, 30), (900, 11)];
+        let steps: usize = runs.iter().map(|r| r.1).sum();
+        let bstripe = with_specials(steps * NR, 8);
+        let before = with_specials(MR * NR, 9);
+        let (oc, k) = (NR + 3, 2000);
+        for kernel in runnable_microkernels() {
+            for (shift, first) in [(0, true), (1500, true), (777, false)] {
+                let rows = Rows {
+                    data: &data,
+                    offsets,
+                    shift,
+                    runs: &runs,
+                    first,
+                };
+                let mut acc: Tile =
+                    std::array::from_fn(|i| std::array::from_fn(|j| before[i * NR + j]));
+                kernel.run_rows(&rows, &bstripe, &mut acc);
+                for (i, j) in (0..MR).flat_map(|i| (0..NR).map(move |j| (i, j))) {
+                    let row = offsets[i] + if j >= NR / 2 { shift } else { 0 };
+                    let mut chain = 0.0f32;
+                    let mut s = 0;
+                    for &(g, len) in &runs {
+                        for x in 0..len {
+                            let (a, b) = (data[row + g + x], bstripe[s * NR + j]);
+                            chain = step(kernel, chain, a, b);
+                            s += 1;
+                        }
+                    }
+                    let want = if first {
+                        0.0 + chain
+                    } else {
+                        before[i * NR + j] + chain
+                    };
+                    let what = format!("{kernel:?}, shift {shift}, first {first}, ({i}, {j})");
+                    assert_eq!(acc[i][j].to_bits(), want.to_bits(), "{what}");
+                }
+                // Transposed into an `(oc, k)` matrix: row half 0 to output
+                // rows from 0, half 1 from `NR + 1` (two of its lanes past
+                // `oc`), at columns from 10 and 1200.
+                let untouched = f32::from_bits(0x7fc0_1234);
+                let (mut out, mut want) = (vec![untouched; oc * k], vec![untouched; oc * k]);
+                let halves = [(0, 10), (NR + 1, 1200)];
+                let rows_written = MR - 1;
+                // SAFETY: lane `l` of half `h` goes to row `o_h + l < oc`,
+                // columns `r_h..r_h + 7 < k`: inside `out`.
+                unsafe {
+                    kernel.write_columns(
+                        &acc,
+                        rows_written,
+                        halves,
+                        (oc, k),
+                        SendPtr(out.as_mut_ptr()),
+                    )
+                };
+                for (h, &(o0, r0)) in halves.iter().enumerate() {
+                    for (o, l) in (o0..oc).zip(0..NR / 2) {
+                        for (i, row) in acc[..rows_written].iter().enumerate() {
+                            want[o * k + r0 + i] = row[h * NR / 2 + l];
+                        }
+                    }
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "{kernel:?}, shift {shift}");
             }
         }
     }

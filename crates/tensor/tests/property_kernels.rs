@@ -3,11 +3,14 @@
 //! These check the algebraic identities the NN layers rely on: linearity of
 //! GEMM, adjointness of im2col/col2im, shape preservation of elementwise
 //! operations, and normalisation of softmax — over randomly drawn shapes
-//! and contents.
+//! and contents — and hold the column-free convolution backward to the
+//! stored-matrix one bit for bit.
 
 use proptest::prelude::*;
-use st_tensor::conv::{col2im, conv2d_forward, im2col, im2col_batched, Conv2dSpec};
-use st_tensor::{matmul, ops, pool, random, Shape, Tensor};
+use st_tensor::conv::{
+    col2im, conv2d_backward, conv2d_forward, conv2d_grads, im2col, im2col_batched, Conv2dSpec,
+};
+use st_tensor::{matmul, ops, parallel, pool, random, Shape, Tensor};
 
 /// Reference O(mnk) GEMM — the oracle the packed kernel is checked against.
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -35,6 +38,38 @@ fn transpose(t: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(Shape::matrix(c, r), out).unwrap()
+}
+
+/// `-0.0`, a subnormal, both infinities and a NaN at places of `t` drawn
+/// from `seed`.
+fn plant_specials(t: &mut Tensor, seed: u64) {
+    let data = t.data_mut();
+    let len = data.len() as u64;
+    let specials = [
+        -0.0,
+        f32::MIN_POSITIVE / 8.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    for (i, v) in specials.into_iter().enumerate() {
+        let at = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(i as u64 * 104_729)
+            % len;
+        data[at as usize] = v;
+    }
+}
+
+/// Every value's bits, except that all NaNs are one: when both operands of
+/// an addition are NaN, which payload comes out is the instruction's choice,
+/// and LLVM may swap an addition's operands. Everything else compares to
+/// the bit, `-0.0`, subnormals and infinities included.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data()
+        .iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+        .collect()
 }
 
 fn tensor_strategy(max: usize) -> impl Strategy<Value = Tensor> {
@@ -156,6 +191,53 @@ proptest! {
                 prop_assert_eq!(batched_row, solo_row);
             }
         }
+    }
+
+    /// `conv2d_grads` (weight and bias gradients read in place, the input
+    /// gradient as a convolution of the padded upstream gradient) is
+    /// `conv2d_backward` on the stored column matrix, bit for bit (NaN as one
+    /// value, see [`bits`]): any kernel
+    /// of 1–3 and stride of 1–2 per axis, padding up to half the kernel,
+    /// 1–40 channels, sides of 1–13 (smaller than the kernel too), with
+    /// `-0.0`, a subnormal, ±inf and NaN in the upstream gradient and the
+    /// input (the weights finite), on one lane and on two.
+    #[test]
+    fn column_free_backward_equals_the_stored_matrix_bit_for_bit(
+        (kh, kw, sh, sw) in (1usize..=3, 1usize..=3, 1usize..=2, 1usize..=2),
+        (ph, pw) in (0usize..=1, 0usize..=1),
+        (ic, oc, h, w) in (1usize..=40, 1usize..=40, 1usize..=13, 1usize..=13),
+        (need_input_grad, two_lanes) in (any::<bool>(), any::<bool>()),
+        seed in any::<u64>()
+    ) {
+        let spec = Conv2dSpec {
+            in_channels: ic,
+            out_channels: oc,
+            kernel_h: kh,
+            kernel_w: kw,
+            stride_h: sh,
+            stride_w: sw,
+            pad_h: ph.min(kh / 2),
+            pad_w: pw.min(kw / 2),
+        };
+        let mut input = random::uniform(Shape::nchw(1, ic, h, w), -1.0, 1.0, seed);
+        plant_specials(&mut input, seed);
+        let weight = random::uniform(spec.weight_shape(), -0.5, 0.5, seed.wrapping_add(1));
+        let (oh, ow) = spec.output_size(h, w);
+        let mut grad_out = random::uniform(Shape::nchw(1, oc, oh, ow), -1.0, 1.0, seed.wrapping_add(2));
+        plant_specials(&mut grad_out, seed.wrapping_add(3));
+        let cols = im2col(&input, &spec).unwrap();
+        let reference = conv2d_backward(&grad_out, &cols, &weight, &spec, h, w, need_input_grad).unwrap();
+        parallel::set_threads(if two_lanes { 2 } else { 1 });
+        let grads = conv2d_grads(&grad_out, &input, &weight, &spec, need_input_grad);
+        parallel::set_threads(0);
+        let grads = grads.unwrap();
+        prop_assert_eq!(bits(&grads.weight), bits(&reference.weight), "dW {:?} on {}x{}", spec, h, w);
+        prop_assert_eq!(bits(&grads.bias), bits(&reference.bias), "db {:?} on {}x{}", spec, h, w);
+        prop_assert_eq!(
+            grads.input.as_ref().map(bits),
+            reference.input.as_ref().map(bits),
+            "dX {:?} on {}x{}", spec, h, w
+        );
     }
 
     #[test]
