@@ -164,10 +164,17 @@ pub fn table2(setup: &SharedSetup) -> TableOutput {
 /// freeze boundary on, the loss, the backward pass, the optimizer, and the
 /// post-step evaluation (inference from the boundary on + mIoU). Medians of
 /// `reps` steps on one key frame.
+///
+/// Two columns say how far one run can be trusted: `step IQR ms`, the
+/// distance between the quartiles of the `reps` per-repetition step sums,
+/// and `backward / forward`, the ratio of the backward and suffix-forward
+/// medians, which a host-wide slowdown during the run cancels out of.
 pub fn table2_step_breakdown(reps: usize) -> TableOutput {
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        1e3 * samples[samples.len() / 2]
+    // The `q`-quantile of `samples` in ms, nearest rank below.
+    let quantile = |samples: &[f64], q: f64| {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        1e3 * sorted[(q * sorted.len() as f64) as usize]
     };
     let lap = |started: &mut Instant| {
         let elapsed = started.elapsed().as_secs_f64();
@@ -183,6 +190,8 @@ pub fn table2_step_breakdown(reps: usize) -> TableOutput {
         "optimizer ms",
         "evaluation ms",
         "step ms",
+        "step IQR ms",
+        "backward / forward",
     ]
     .iter()
     .map(|name| (name.to_string(), Vec::new()))
@@ -226,11 +235,18 @@ pub fn table2_step_breakdown(reps: usize) -> TableOutput {
                 samples[5].push(lap(&mut t));
             }
             out.row_labels.push(format!("{name} {}", mode.label()));
-            let medians: Vec<f64> = samples.iter_mut().map(median).collect();
+            let medians: Vec<f64> = samples.iter().map(|s| quantile(s, 0.5)).collect();
             for (column, value) in columns.iter_mut().zip(&medians) {
                 column.1.push(*value);
             }
             columns[6].1.push(medians[1..].iter().sum());
+            let steps: Vec<f64> = (0..samples[0].len())
+                .map(|rep| samples[1..].iter().map(|phase| phase[rep]).sum())
+                .collect();
+            columns[7]
+                .1
+                .push(quantile(&steps, 0.75) - quantile(&steps, 0.25));
+            columns[8].1.push(medians[3] / medians[1]);
         }
     }
     out.columns = columns;

@@ -1,7 +1,7 @@
 //! Pool configuration, fault-injection plans and the pool's error type.
 
 #[cfg(doc)]
-use super::{FrameStore, ReplicaStore, ServerPool};
+use super::{FrameStore, ReplicaStore, ServerPool, StreamClient};
 use crate::config::PlacementPolicy;
 use crate::Result;
 use st_net::StreamId;
@@ -121,8 +121,9 @@ pub struct PoolConfig {
     /// live in an LRU [`FrameStore`]; once a stream's resident frames exceed
     /// this many bytes the least-recently-used ones are evicted and
     /// re-requested on demand ([`ServerToClient::NeedFrame`]). `None` keeps
-    /// every frame resident for the stream's lifetime (the pre-PR-5
-    /// behaviour).
+    /// every frame resident for the stream's lifetime. The live runtimes
+    /// refuse a budget: only a [`StreamClient`] can answer `NeedFrame` with
+    /// a re-share.
     pub frame_budget_bytes: Option<usize>,
     /// Size of the pool's **reactor** worker set. All `shards` shard state
     /// machines are hosted on a fixed set of worker threads driven by
@@ -134,10 +135,11 @@ pub struct PoolConfig {
     /// host per thread.
     pub reactor_threads: Option<usize>,
     /// Replicate every stream's session checkpoint (student weights +
-    /// distillation counters + scheduler deficit) to a shared
-    /// content-addressed [`ReplicaStore`] after each accepted update, and
-    /// arm warm-standby takeover: when a shard dies, its buddy shard
-    /// (`(shard + 1) % shards`) restores its streams from the replicas and
+    /// distillation counters) to a shared content-addressed
+    /// [`ReplicaStore`] after each accepted update, and arm warm-standby
+    /// takeover: when a shard dies, its buddy shard (`(shard + 1) % shards`)
+    /// moves its streams over — frames, delta tracks and queued jobs as the
+    /// dead shard left them, each session resumed from its replica — and
     /// flips their routes to itself. Works under every placement policy;
     /// needs at least two shards. Off by default: a worker panic then fails
     /// [`ServerPool::join`] with [`PoolError::WorkerFailed`].

@@ -14,7 +14,9 @@ use std::collections::{HashMap, VecDeque};
 /// budget, the least-recently-used ones are evicted (the index stays known,
 /// so the job is *parked* and the content re-requested via
 /// [`ServerToClient::NeedFrame`] instead of the frame being refused as
-/// unknown). A `None` budget keeps everything resident.
+/// unknown). A `None` budget keeps everything resident. The store belongs
+/// to the stream, not to the shard: when a shard dies, its adopter takes
+/// each stream's store over as it is, so a takeover costs no re-share.
 ///
 /// Invariant: after every mutation, `resident_bytes() <= budget`. A frame
 /// larger than the whole budget is never admitted — it is counted evicted
@@ -60,30 +62,6 @@ impl FrameStore {
             store.insert(frame.clone());
         }
         store
-    }
-
-    /// A store that *knows* the given indices but holds no content — the
-    /// warm-standby restore path. Checkpoint replication ships the set of
-    /// shared frame indices, not the pixels (frames are recoverable from
-    /// the client for free), so a takeover rebuilds the cache as
-    /// known-but-evicted: the first job touching each index parks and asks
-    /// the client to re-upload it ([`ServerToClient::NeedFrame`] →
-    /// [`st_net::ClientToServer::ReShare`]), exactly the existing
-    /// eviction-recovery round trip.
-    pub fn from_known_indices(indices: &[usize], budget: Option<usize>) -> Self {
-        let mut store = Self::new(budget);
-        for &index in indices {
-            store.entries.insert(index, None);
-        }
-        store
-    }
-
-    /// Every index this store knows (resident or evicted), ascending — the
-    /// set checkpoint replication preserves across a shard death.
-    pub fn known_indices(&self) -> Vec<usize> {
-        let mut indices: Vec<usize> = self.entries.keys().copied().collect();
-        indices.sort_unstable();
-        indices
     }
 
     /// Approximate resident cost of one frame: the f32 image tensor plus the

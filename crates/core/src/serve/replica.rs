@@ -9,24 +9,13 @@ use std::sync::{Arc, Mutex};
 
 /// One stream's replicated session checkpoint: a refcounted
 /// [`CheckpointRef`] into the pool's shared [`WeightStore`], plus the
-/// non-weight state a takeover restores (distillation counters, the
-/// stream's unspent DRR deficit, the set of frame indices the client had
-/// shared, and whether the client negotiated delta updates).
+/// distillation counters. It is the one part of a stream a takeover cannot
+/// take from the dead shard's state, which a panic inside `distill` can
+/// leave half-stepped; nothing else of a stream is written inside a step.
 struct SessionReplica {
     checkpoint: CheckpointRef,
     key_frames: usize,
     distill_steps: usize,
-    /// Unspent deficit-round-robin credit at publication time.
-    deficit: usize,
-    /// Frame indices the stream had shared. Only the index set replicates —
-    /// the pixels are recoverable from the client via the existing
-    /// `NeedFrame`/`ReShare` round trip, so replicating them would buy
-    /// nothing but bandwidth.
-    known_frames: Vec<usize>,
-    /// The stream's delta-update negotiation survives failover: the adopter
-    /// must keep speaking the envelope protocol (with a full-snapshot
-    /// re-sync) rather than silently reverting to bare snapshots.
-    supports_delta: bool,
 }
 
 /// A replica materialized for takeover: checkpoint resolved from the store
@@ -35,9 +24,6 @@ pub(super) struct RestoredReplica {
     pub(super) snapshot: WeightSnapshot,
     pub(super) key_frames: usize,
     pub(super) distill_steps: usize,
-    pub(super) deficit: usize,
-    pub(super) known_frames: Vec<usize>,
-    pub(super) supports_delta: bool,
 }
 
 /// The pool's shared checkpoint-replica index over the content-addressed
@@ -45,8 +31,8 @@ pub(super) struct RestoredReplica {
 ///
 /// After every accepted update a shard publishes the stream's full session
 /// checkpoint here, keyed by owning shard; when a shard dies, its buddy
-/// adopts the dead shard's slot and rebuilds every stream from it. Since
-/// PR 10 the replica store holds [`CheckpointRef`]s — replication publishes
+/// adopts the dead shard's slot and rebuilds every stream's session from it.
+/// The replica store holds [`CheckpointRef`]s — replication publishes
 /// *references* into the same store that also interns the pretrained
 /// template, so the frozen front-end a partial-distillation session never
 /// touches is resident **once** across the template and every stream's
@@ -71,7 +57,6 @@ impl ReplicaStore {
     /// replica of the stream. Returns the [`InternStats`] byte split: bytes
     /// the store had to materialize versus bytes it deduplicated (against
     /// the template, other streams, or the stream's own prior replica).
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn publish(
         &self,
         owner: usize,
@@ -79,9 +64,6 @@ impl ReplicaStore {
         checkpoint: &WeightSnapshot,
         key_frames: usize,
         distill_steps: usize,
-        deficit: usize,
-        known_frames: Vec<usize>,
-        supports_delta: bool,
     ) -> InternStats {
         let (checkpoint, stats) = self.store.intern(checkpoint);
         let previous = locked(&self.slots[owner]).insert(
@@ -90,9 +72,6 @@ impl ReplicaStore {
                 checkpoint,
                 key_frames,
                 distill_steps,
-                deficit,
-                known_frames,
-                supports_delta,
             },
         );
         if let Some(previous) = previous {
@@ -134,9 +113,6 @@ impl ReplicaStore {
                         snapshot,
                         key_frames: replica.key_frames,
                         distill_steps: replica.distill_steps,
-                        deficit: replica.deficit,
-                        known_frames: replica.known_frames,
-                        supports_delta: replica.supports_delta,
                     },
                 )
             })

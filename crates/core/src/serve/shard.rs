@@ -12,6 +12,7 @@
 //! across threads or locked. Every finished [`KeyFrameResponse`] goes to
 //! the batch's sink the moment the caller sees it, not when the batch ends.
 
+use super::replica::RestoredReplica;
 #[cfg(doc)]
 use super::ServerPool;
 use super::{FrameStore, SessionWeights, ShardJob, ShardStats};
@@ -50,21 +51,18 @@ pub(super) struct StreamEntry {
     /// The stream's pre-shared frame content, LRU-bounded.
     frames: FrameStore,
     /// Delta-update negotiation state; `None` on legacy bare-snapshot
-    /// streams. Rebuilt (unsynced) after a failover restore.
+    /// streams. Marked unsynced by a failover restore.
     delta: Option<DeltaTrack>,
 }
 
 impl StreamEntry {
     /// What checkpoint replication publishes for the stream: the full
-    /// session checkpoint, the distillation counters, the set of shared
-    /// frame indices, and whether the stream negotiated delta updates.
-    pub(super) fn replica(&mut self) -> (WeightSnapshot, usize, usize, Vec<usize>, bool) {
+    /// session checkpoint and the distillation counters.
+    pub(super) fn replica(&mut self) -> (WeightSnapshot, usize, usize) {
         (
             self.session.initial_checkpoint(),
             self.session.key_frames_processed(),
             self.session.distill_steps_taken(),
-            self.frames.known_indices(),
-            self.delta.is_some(),
         )
     }
 }
@@ -393,12 +391,11 @@ impl<T: Teacher> ServeShard<T> {
     }
 
     /// Capture what checkpoint replication publishes for one stream: the
-    /// full session checkpoint, the distillation counters, the set of
-    /// shared frame indices, and the stream's delta negotiation.
+    /// full session checkpoint and the distillation counters.
     pub(super) fn session_replica(
         &mut self,
         stream_id: StreamId,
-    ) -> Option<(WeightSnapshot, usize, usize, Vec<usize>, bool)> {
+    ) -> Option<(WeightSnapshot, usize, usize)> {
         Some(self.sessions.get_mut(&stream_id)?.replica())
     }
 
@@ -415,39 +412,43 @@ impl<T: Teacher> ServeShard<T> {
         total
     }
 
-    /// Rebuild a stream from its replicated checkpoint (warm-standby
-    /// takeover): a fresh session resumed from the replica weights and
-    /// counters, plus a known-but-evicted frame cache.
+    /// Rebuild a stream at its adopter (warm-standby takeover): a fresh
+    /// session resumed from the replica's weights and counters, next to the
+    /// frame cache and delta track of `carcass`, the stream's entry in the
+    /// dead shard.
     ///
     /// The restore is *sparse*: only the replica entries whose content hash
     /// differs from the pristine template are applied onto a copy-on-write
     /// template instance, so frozen stages come back sharing the template's
     /// storage — bit-identical to applying the full replica, because a
     /// skipped entry equals the template by content hash. A delta-negotiated
-    /// stream restores with `synced: false`: the adopter cannot prove what
-    /// the client last applied, so the next update ships as a full-snapshot
+    /// stream's track is marked unsynced: the adopter cannot prove what the
+    /// client last applied, so the next update ships as a full-snapshot
     /// envelope (the delta re-sync).
     pub(super) fn restore_stream(
         &mut self,
         stream_id: StreamId,
-        snapshot: &WeightSnapshot,
-        key_frames: usize,
-        distill_steps: usize,
-        frames: FrameStore,
-        supports_delta: bool,
+        replica: RestoredReplica,
+        carcass: StreamEntry,
     ) -> Result<()> {
         debug_assert!(
             !self.sessions.contains_key(&stream_id),
             "a stream lives on exactly one shard"
         );
-        let sparse = WeightDelta::compute(snapshot, &self.template_digest);
+        let sparse = WeightDelta::compute(&replica.snapshot, &self.template_digest);
         let (changed, _) = sparse.into_parts()?;
         let base = self.template_instance();
-        let session =
-            DistillSession::resume(self.config, base, &changed, key_frames, distill_steps)?;
-        let delta = supports_delta.then(|| DeltaTrack {
-            digest: CheckpointDigest::of(snapshot),
+        let session = DistillSession::resume(
+            self.config,
+            base,
+            &changed,
+            replica.key_frames,
+            replica.distill_steps,
+        )?;
+        let StreamEntry { frames, delta, .. } = carcass;
+        let delta = delta.map(|track| DeltaTrack {
             synced: false,
+            ..track
         });
         self.sessions.insert(
             stream_id,
@@ -460,11 +461,11 @@ impl<T: Teacher> ServeShard<T> {
         Ok(())
     }
 
-    /// Drop every session, folding only the frame-cache counters into the
-    /// shard's stats. This is carcass accounting: a dead shard's live
-    /// sessions are *replaced* by replica-restored ones at its adopter (the
-    /// replicas, not the carcass, are the recovery source of truth), so the
-    /// carcass keeps the counters and loses the state.
+    /// Drop every session left, folding only the frame-cache counters into
+    /// the shard's stats. This is carcass accounting: the adopter has
+    /// already taken the entry of every replicated stream, so what is left
+    /// here are streams nobody can restore; the carcass keeps their
+    /// counters and loses their state.
     pub(super) fn discard_sessions(&mut self) {
         for (_stream_id, entry) in self.sessions.drain() {
             self.stats.frame_evictions += entry.frames.evictions();
@@ -685,10 +686,5 @@ impl<T: Teacher> ServeShard<T> {
     /// The shard's counters so far.
     pub fn stats(&self) -> ShardStats {
         self.stats
-    }
-
-    /// The teacher shared by this shard's streams.
-    pub fn teacher_mut(&mut self) -> &mut T {
-        &mut self.teacher
     }
 }

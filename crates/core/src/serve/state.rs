@@ -163,7 +163,6 @@ struct Emitter<'a> {
     /// Where to replicate, and as which shard; `None` when replication is
     /// off or the stream is about to retire.
     replicate: Option<(&'a ReplicaStore, usize)>,
-    scheduler: &'a FairScheduler,
 }
 
 impl BatchSink for Emitter<'_> {
@@ -233,14 +232,7 @@ impl BatchSink for Emitter<'_> {
 
     fn settled(&mut self, stats: &mut ShardStats, stream_id: StreamId, entry: &mut StreamEntry) {
         if let Some((store, shard_index)) = self.replicate {
-            publish_replica(
-                store,
-                shard_index,
-                stream_id,
-                entry.replica(),
-                self.scheduler.deficit_of(stream_id),
-                stats,
-            );
+            publish_replica(store, shard_index, stream_id, entry.replica(), stats);
         }
     }
 }
@@ -252,14 +244,7 @@ fn publish_replica(
     store: &ReplicaStore,
     shard_index: usize,
     stream_id: StreamId,
-    (checkpoint, key_frames, distill_steps, known_frames, supports_delta): (
-        WeightSnapshot,
-        usize,
-        usize,
-        Vec<usize>,
-        bool,
-    ),
-    deficit: usize,
+    (checkpoint, key_frames, distill_steps): (WeightSnapshot, usize, usize),
     stats: &mut ShardStats,
 ) {
     let published = store.publish(
@@ -268,9 +253,6 @@ fn publish_replica(
         &checkpoint,
         key_frames,
         distill_steps,
-        deficit,
-        known_frames,
-        supports_delta,
     );
     stats.replica_bytes_published += published.new_bytes;
     stats.replica_bytes_shared += published.shared_bytes;
@@ -711,7 +693,6 @@ impl<T: Teacher> ShardState<T> {
                     .as_deref()
                     .filter(|_| replicate)
                     .map(|store| (store, self.shard_index)),
-                scheduler: &self.scheduler,
             },
         )?;
         for job in needs_frame {
@@ -814,7 +795,6 @@ impl<T: Teacher> ShardState<T> {
                     self.shard_index,
                     stream_id,
                     replica,
-                    self.scheduler.deficit_of(stream_id),
                     &mut self.shard.stats,
                 );
             }

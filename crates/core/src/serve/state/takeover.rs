@@ -1,9 +1,14 @@
 //! The warm-standby half of the shard state machine: noticing a ward's
 //! published death and adopting its entire serving surface.
+//!
+//! An adopted stream is the dead shard's own, moved: its frame cache, delta
+//! track, DRR deficit, downlink, meter and jobs come from the carcass (the
+//! dead shard's state, left in its slot). Only the session is rebuilt, from
+//! the stream's replicated checkpoint, because a panic inside `distill` can
+//! leave the carcass's session half-stepped.
 
 use super::{carcass_output, deliver, locked, note_drop, ShardState};
 use crate::serve::failover::FailoverShared;
-use crate::serve::FrameStore;
 use crate::Result;
 use st_net::{DropReason, ServerToClient, StreamId};
 use st_teacher::Teacher;
@@ -34,10 +39,10 @@ impl<T: Teacher> ShardState<T> {
         Ok(())
     }
 
-    /// Adopt a dead ward's entire serving surface: restore its sessions
-    /// from their replicated checkpoints, flip its routes here, re-queue
-    /// its surviving jobs, drop-ack what is genuinely lost, and assemble
-    /// its final report from the carcass.
+    /// Adopt a dead ward's entire serving surface: move its streams here,
+    /// each with its session restored from its replicated checkpoint, flip
+    /// its routes here, re-queue its surviving jobs, drop-ack what is
+    /// genuinely lost, and assemble its final report from the carcass.
     fn take_over(&mut self, dead: usize, failover: &FailoverShared<T>) -> Result<()> {
         // The carcass: the dead shard's state machine, left in its slot by
         // the pass that caught its unwind. An empty slot means the shard
@@ -58,26 +63,24 @@ impl<T: Teacher> ShardState<T> {
                 }
             }
         }
-        // Restore every replicated session: full weights from the
-        // content-addressed store, distillation counters, unspent DRR
-        // deficit, and a known-but-evicted frame cache whose content the
-        // existing NeedFrame/ReShare recovery re-fetches on demand.
+        // Move every replicated stream here: its session resumed from the
+        // replica's weights and counters, its frame cache, delta track and
+        // unspent DRR deficit as the carcass holds them (the deficit is read
+        // before the carcass scheduler is drained below).
         let mut restored: Vec<StreamId> = Vec::new();
         if let Some(store) = self.replicas.clone() {
             for (stream_id, replica) in store.take_owner(dead) {
-                let frames = FrameStore::from_known_indices(
-                    &replica.known_frames,
-                    self.pool_config.frame_budget_bytes,
-                );
-                self.shard.restore_stream(
-                    stream_id,
-                    &replica.snapshot,
-                    replica.key_frames,
-                    replica.distill_steps,
-                    frames,
-                    replica.supports_delta,
-                )?;
-                self.scheduler.set_deficit(stream_id, replica.deficit);
+                // Replica and entry are made at `Register` and dropped at
+                // retire, on the shard's own pass, and a dying pass brings
+                // every crew item home. A replica without an entry (already
+                // released by `take_owner`) leaves its jobs acked
+                // `ShardFailed` below.
+                let entry = carcass.shard.evict_stream(stream_id);
+                debug_assert!(entry.is_some(), "stream {stream_id} not in carcass");
+                let Some(entry) = entry else { continue };
+                self.shard.restore_stream(stream_id, replica, entry)?;
+                self.scheduler
+                    .set_deficit(stream_id, carcass.scheduler.deficit_of(stream_id));
                 self.loads[dead].fetch_sub(1, Ordering::SeqCst);
                 self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
                 self.shard.stats.streams_adopted += 1;
@@ -120,9 +123,10 @@ impl<T: Teacher> ShardState<T> {
         for job in torn {
             self.drop_failed_job(job.job.stream_id, job.job.frame_index);
         }
-        // Jobs parked for a re-share: merge them and re-issue one NeedFrame
-        // per parked index — the original request may have been answered
-        // into the dead shard's frame cache, which is gone.
+        // Jobs parked for a re-share (a frame the budget evicted): merge
+        // them and re-issue one NeedFrame per parked index, so they do not
+        // depend on whether the client's answer to the dead shard's request
+        // is still in the uplink this shard drains from now on.
         for (stream_id, indices) in carcass.awaiting.drain() {
             let parked = self.awaiting.entry(stream_id).or_default();
             for (frame_index, jobs) in indices {
@@ -153,8 +157,8 @@ impl<T: Teacher> ShardState<T> {
         self.adopted_registries
             .append(&mut carcass.adopted_registries);
         self.adopted_shards.append(&mut carcass.adopted_shards);
-        // The carcass's sessions were superseded by the replica restore;
-        // keep their cache counters, then file the dead shard's report.
+        // Every replicated stream has left the carcass; keep the cache
+        // counters of whatever is left, then file the dead shard's report.
         carcass.shard.discard_sessions();
         let died_at = self.board.death_instant(dead);
         self.board.push_dead_output(carcass_output(carcass));

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use shadowtutor::config::{PlacementPolicy, ShadowTutorConfig};
+use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FaultPlan, PoolConfig, PoolStats, ServerPool, StreamClient};
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, TransportError, Wire};
@@ -185,8 +186,9 @@ struct StreamOutcome {
 }
 
 /// Pump one stream until every sent key frame is acked (update or drop),
-/// answering `NeedFrame` with a re-share — the recovery path adopted
-/// streams take for frame content the replica intentionally does not carry.
+/// answering `NeedFrame` with a re-share. No pool here has a frame budget,
+/// and an adopter takes each stream's frames over with the stream, so none
+/// is expected; the answer is there for a pool that asks anyway.
 fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut outcome = StreamOutcome::default();
@@ -645,6 +647,53 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
             0
         };
         assert_eq!(shard.key_frames, expected, "{report:?}");
+    }
+}
+
+#[test]
+fn live_clients_serve_every_key_frame_across_a_takeover() {
+    // The live runtime's clients never re-share a frame, so an adopted
+    // stream is served only if its adopter holds the frames the stream
+    // shared at connect. Shard 0 dies at its second batch; every key frame
+    // either stream sends, before the kill and after it, must still be
+    // distilled: none parks until shutdown, none is dropped.
+    let streams: Vec<StreamSpec> = (0..2)
+        .map(|id| StreamSpec {
+            stream_id: id,
+            label: format!("stream {id}"),
+            frames: tiny_stream(SceneKind::People, 70 + id, 24),
+        })
+        .collect();
+    let outcome = run_live_multi(
+        ShadowTutorConfig::paper(),
+        streams,
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        PoolConfig {
+            replication: true,
+            fault_plan: FaultPlan::kill(FAULT_SEED, 0, 1),
+            ..PoolConfig::with_shards(2)
+        },
+        |_| OracleTeacher::perfect(TEACHER_SEED),
+    )
+    .unwrap();
+    let report = outcome.pool.snapshot();
+    assert_eq!(report.failovers, 1, "{report:?}");
+    assert_eq!(report.streams_adopted, 1, "{report:?}");
+    assert_eq!(outcome.pool.dropped_jobs(), 0, "{report:?}");
+    // `record.key_frames` counts only the updates applied before the last
+    // frame; the frame records say what the client actually sent.
+    for stream in &outcome.streams {
+        let sent = stream
+            .record
+            .frame_records
+            .iter()
+            .filter(|frame| frame.is_key_frame)
+            .count();
+        assert_eq!(
+            stream.server_key_frames, sent,
+            "{}: key frames sent and distilled differ",
+            stream.record.label
+        );
     }
 }
 

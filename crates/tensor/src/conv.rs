@@ -942,13 +942,13 @@ pub fn conv2d_backward(
 ///
 /// * The weight and bias gradients read the column matrix in place from a
 ///   padded copy of the frame (`PaddedImage`), against `gOᵀ` packed once
-///   ([`weight_grads`]).
+///   (`weight_grads`).
 /// * The input gradient is a convolution of the zero-padded `grad_out` with
 ///   the weights transposed over (out_c, in_c) and flipped: at stride `s`,
 ///   one stride-1 convolution per stride phase of the input, with that
 ///   phase's taps. Each input pixel is `0 + t₀ + t₁ + …` over the taps in
 ///   kernel order, each `tᵢ` one chain over the output channels
-///   ([`tap_product`]): what `col2im` adds up, bit for bit, as long as the
+///   (`tap_product`): what `col2im` adds up, bit for bit, as long as the
 ///   weights are finite (a padding tap adds `0 · w`).
 ///
 /// The input copy is dropped before the input gradient's buffers are

@@ -14,8 +14,8 @@
 //!   blocks use), as GEMMs that read the input's column matrix from the
 //!   frames without building it; the stored `im2col` lowering is kept as the
 //!   reference.
-//! * [`matmul`] — blocked GEMM kernels (plain and transposed variants) behind
-//!   the convolutions.
+//! * [`matmul`] — blocked GEMM kernels behind the convolutions, and the
+//!   transposed products their reference backward uses.
 //! * [`pool`] — nearest-neighbour up-sampling and its backward pass (used
 //!   by the decoder half of the student).
 //! * [`ops`] — activation functions, channel softmax / log-softmax and their

@@ -9,10 +9,11 @@
 //! [`matmul`] is the reference forward convolution's `W · cols`. The other
 //! two are oracle-only: the reference backward (`conv::conv2d_backward`)
 //! computes the weight gradient as `matmul_nt(gO, cols)` and the input
-//! gradient's `Wᵀ · gO` as `matmul_tn(W, gO)`. No model calls any of them.
+//! gradient's `Wᵀ · gO` as `matmul_tn(W, gO)`. Both copy the transposed
+//! operand out explicitly and run [`matmul`]. No model calls any of them.
 //! The models' convolutions run three crate-private products over a padded
-//! image instead, each bit-identical to its oracle: [`conv_product`] (the
-//! forward), [`tap_product`] (the input gradient) and [`weight_grads`] (the
+//! image instead, each bit-identical to its oracle: `conv_product` (the
+//! forward), `tap_product` (the input gradient) and `weight_grads` (the
 //! weight and bias gradients).
 //!
 //! The GEMM driver behind all but the last:
@@ -21,14 +22,13 @@
 //!   cache-resident across the inner loops.
 //! * Per block, `A` is packed into `MR`-row micro-panels laid out `k`-major
 //!   (`apack[kk*MR + i]`), so the microkernel reads it as a contiguous
-//!   stream regardless of whether the source was stored `(m, k)` or
-//!   `(k, m)`; `B` is packed into `NR`-column stripes (`bstripe[kk*NR + j]`)
+//!   stream; `B` is packed into `NR`-column stripes (`bstripe[kk*NR + j]`)
 //!   the same way. `A`'s ragged last panel is zero-padded; a ragged `B`
 //!   stripe keeps whatever its unused columns held, which the microkernel
 //!   computes and nothing writes, so it has no edge branches.
-//! * `B` is read through one *panel source* (`BSource`): a matrix stored in
-//!   memory, in either layout, or the column matrix of a padded image that
-//!   is **never built**. Each stripe is `kc` straight 32-float copies from
+//! * `B` is read through one *panel source* (`BSource`): a row-major matrix
+//!   stored in memory, or the column matrix of a padded image that is
+//!   **never built**. Each stripe is `kc` straight 32-float copies from
 //!   the image (`crate::conv::PaddedImage::pack_stripe`) over its *output
 //!   grid*: output rows `wq ≥ ow` columns wide, frames rounded up to whole
 //!   stripes. For the forward the image is the input, one `K` block's
@@ -100,23 +100,10 @@ const PAR_MIN_MACS: usize = 1 << 22;
 enum ALayout {
     /// `a[(i, kk)] = a[i*k + kk]` — `A` stored `(m, k)` row-major.
     RowMajor,
-    /// `a[(i, kk)] = a[kk*m + i]` — `A` stored `(k, m)` row-major (the
-    /// `matmul_tn` case; the product uses `Aᵀ`).
-    Transposed,
     /// Already in `MR`-row panels over the whole of `k`, `k`-major within
     /// each, the ragged last panel zero-padded: used as it is, in one `K`
     /// block.
     Packed,
-}
-
-/// How the `B` operand is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BLayout {
-    /// `b[(kk, j)] = b[kk*n + j]` — `B` stored `(k, n)` row-major.
-    RowMajor,
-    /// `b[(kk, j)] = b[j*k + kk]` — `B` stored `(n, k)` row-major (the
-    /// `matmul_nt` case; the product uses `Bᵀ`).
-    Transposed,
 }
 
 /// `*mut f32` that may be shared with the lanes a GEMM splits onto.
@@ -160,20 +147,6 @@ fn pack_a(apack: &mut [f32], a: &[f32], layout: ALayout, m: usize, k: usize, k0:
             }
         }
         ALayout::Packed => unreachable!("a packed `A` is not packed again"),
-        ALayout::Transposed => {
-            for p in 0..panels {
-                let i0 = p * MR;
-                let rows = MR.min(m - i0);
-                let panel = apack[p * MR * kc..(p + 1) * MR * kc].chunks_exact_mut(MR);
-                for (dst, src) in panel.zip(a[k0 * m + i0..].chunks(m)) {
-                    // A fixed-size copy for whole panels: no `memcpy` call.
-                    match (dst.first_chunk_mut::<MR>(), src.first_chunk::<MR>()) {
-                        (Some(dst), Some(src)) if rows == MR => *dst = *src,
-                        _ => dst[..rows].copy_from_slice(&src[..rows]),
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -184,8 +157,8 @@ fn pack_a(apack: &mut [f32], a: &[f32], layout: ALayout, m: usize, k: usize, k0:
 /// past the ones written keep whatever was there: they are computed and
 /// dropped.
 enum BSource<'a, 'i> {
-    /// A matrix held in memory, in either layout.
-    Stored(&'a [f32], BLayout),
+    /// A `(k, n)` row-major matrix held in memory.
+    Stored(&'a [f32]),
     /// `cols` over the output grid of a convolution input, reloaded per `K`
     /// block: each stripe row is one straight copy
     /// ([`PaddedImage::pack_stripe`]).
@@ -204,60 +177,25 @@ impl BSource<'_, '_> {
     }
 
     /// Pack the `B` stripe of columns `[j0, j0+cols)` for `k ∈ [k0, k0+kc)`
-    /// into `bstripe[kk*NR + jj]`. `n` and `k` are the logical dimensions of
-    /// `B` (`k × n`).
-    #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
+    /// into `bstripe[kk*NR + jj]`. `n` counts `B`'s columns.
     fn pack_stripe(
         &self,
         bstripe: &mut [f32],
         n: usize,
-        k: usize,
         k0: usize,
         kc: usize,
         j0: usize,
         cols: usize,
     ) {
         match self {
-            BSource::Stored(b, BLayout::RowMajor) => {
+            BSource::Stored(b) => {
                 for kk in 0..kc {
                     let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
                     bstripe[kk * NR..kk * NR + cols].copy_from_slice(src);
                 }
             }
-            BSource::Stored(b, BLayout::Transposed) => {
-                transpose_into_stripe(bstripe, &b[j0 * k + k0..], k, kc, cols)
-            }
             BSource::Grid(image) => image.pack_stripe(bstripe, k0..k0 + kc, j0),
             BSource::Loaded(image) => image.pack_stripe(bstripe, k0..k0 + kc, j0),
-        }
-    }
-}
-
-/// `bstripe[kk*NR + jj] = rows[jj*row_len + kk]` for `kk < kc`, `jj < cols`.
-fn transpose_into_stripe(
-    bstripe: &mut [f32],
-    rows: &[f32],
-    row_len: usize,
-    kc: usize,
-    cols: usize,
-) {
-    let row = |jj: usize| &rows[jj * row_len..jj * row_len + kc];
-    // Four rows at a time: one 16-byte store per `kk` instead of four
-    // scalar ones to four cache lines.
-    let quads = cols / 4 * 4;
-    for jj in (0..quads).step_by(4) {
-        let sources = row(jj)
-            .iter()
-            .zip(row(jj + 1))
-            .zip(row(jj + 2))
-            .zip(row(jj + 3));
-        for (out, (((&a, &b), &c), &d)) in bstripe.chunks_exact_mut(NR).zip(sources) {
-            out[jj..jj + 4].copy_from_slice(&[a, b, c, d]);
-        }
-    }
-    for jj in quads..cols {
-        for (kk, &v) in row(jj).iter().enumerate() {
-            bstripe[kk * NR + jj] = v;
         }
     }
 }
@@ -979,8 +917,8 @@ enum Chains {
     Taps(usize),
 }
 
-/// Shared packed GEMM driver: `C = op(A) · op(B)`, written through `sink`
-/// into `out`. `n` counts `B`'s columns, grid columns included.
+/// The shared packed GEMM: `C = A · B`, written through `sink` into
+/// `out`. `n` counts `B`'s columns, grid columns included.
 #[allow(clippy::too_many_arguments)] // flat scalars keep the hot path branch-free
 fn gemm(
     m: usize,
@@ -1044,7 +982,7 @@ fn gemm(
                 };
                 // A stripe of grid padding only is neither packed nor run.
                 if count > 0 {
-                    b.pack_stripe(&mut bstripe, n, k, k0, kc, j0, cols);
+                    b.pack_stripe(&mut bstripe, n, k0, kc, j0, cols);
                     for p in 0..panels {
                         let i0 = p * MR;
                         let rows = MR.min(m - i0);
@@ -1099,7 +1037,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         k,
         a.data(),
         ALayout::RowMajor,
-        BSource::Stored(b.data(), BLayout::RowMajor),
+        BSource::Stored(b.data()),
         Chains::Blocked,
         &Sink::matrix(n),
         &mut out,
@@ -1109,62 +1047,35 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// `C = Aᵀ · B` where `A` is stored as `(k, m)` and `B` as `(k, n)`.
 ///
-/// Result is `(m, n)`. The reference backward's input-gradient columns
-/// `Wᵀ · gO` (`conv::conv2d_backward`, before `col2im`); oracle-only: the
-/// models' input gradient is [`tap_product`].
+/// Result is `(m, n)`: [`matmul`] of `A` transposed and `B`. The reference
+/// backward's input-gradient columns `Wᵀ · gO` (`conv::conv2d_backward`,
+/// before `col2im`); oracle-only: the models' input gradient is
+/// `tap_product`.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = check_matrix(a, "matmul_tn")?;
-    let (kb, n) = check_matrix(b, "matmul_tn")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_tn",
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    gemm(
-        m,
-        n,
-        k,
-        a.data(),
-        ALayout::Transposed,
-        BSource::Stored(b.data(), BLayout::RowMajor),
-        Chains::Blocked,
-        &Sink::matrix(n),
-        &mut out,
-    );
-    Tensor::from_vec(Shape::matrix(m, n), out)
+    matmul(&transposed(a, "matmul_tn")?, b)
 }
 
 /// `C = A · Bᵀ` where `A` is `(m, k)` and `B` is `(n, k)`, both row-major.
 ///
-/// Result is `(m, n)`. The reference backward's weight gradient `gO ·
-/// colsᵀ` (`conv::conv2d_backward`); oracle-only: the models' weight
-/// gradient is [`weight_grads`].
+/// Result is `(m, n)`: [`matmul`] of `A` and `B` transposed. The reference
+/// backward's weight gradient `gO · colsᵀ` (`conv::conv2d_backward`);
+/// oracle-only: the models' weight gradient is `weight_grads`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_matrix(a, "matmul_nt")?;
-    let (n, kb) = check_matrix(b, "matmul_nt")?;
-    if k != kb {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_nt",
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-        });
+    matmul(a, &transposed(b, "matmul_nt")?)
+}
+
+/// The transpose of a row-major matrix, as a new row-major matrix. Packing
+/// reads the same values from it as it would from the stored matrix, so a
+/// product over it keeps every bit.
+fn transposed(t: &Tensor, op: &'static str) -> Result<Tensor> {
+    let (rows, cols) = check_matrix(t, op)?;
+    let (data, mut out) = (t.data(), vec![0.0f32; rows * cols]);
+    for i in 0..rows {
+        for j in 0..cols {
+            out[j * rows + i] = data[i * cols + j];
+        }
     }
-    let mut out = vec![0.0f32; m * n];
-    gemm(
-        m,
-        n,
-        k,
-        a.data(),
-        ALayout::RowMajor,
-        BSource::Stored(b.data(), BLayout::Transposed),
-        Chains::Blocked,
-        &Sink::matrix(n),
-        &mut out,
-    );
-    Tensor::from_vec(Shape::matrix(m, n), out)
+    Tensor::from_vec(Shape::matrix(cols, rows), out)
 }
 
 /// `W · cols` for a convolution: `weights` is the `(m, in_c*kh*kw)` weight
