@@ -126,12 +126,8 @@ pub struct StreamLoadReport {
     pub throttled: usize,
     /// `Dropped`s received.
     pub dropped: usize,
-    /// `NeedFrame`s answered with a re-upload (the pool evicted the frame
-    /// from its bounded cache and asked for it back).
-    pub reshared: usize,
     /// Client-observed round trip (send → update) per serviced key frame,
-    /// in seconds, in completion order. A re-shared frame's round trip spans
-    /// the whole recovery exchange.
+    /// in seconds, in completion order.
     pub round_trips: Vec<f64>,
 }
 
@@ -325,7 +321,6 @@ struct OpenLoopStream {
     report: StreamLoadReport,
     sent_at: HashMap<usize, Instant>,
     outstanding: usize,
-    reshare_queue: Vec<usize>,
 }
 
 /// Deterministic xorshift64* generator for the open-loop generator's
@@ -354,8 +349,8 @@ impl JitterRng {
 /// hundreds of mostly-idle streams from one thread.
 ///
 /// Every stream sends `key_frames_per_stream` key frames at jittered
-/// intervals around `send_interval`, with randomized phases. Round trips,
-/// throttle/drop counts and reshare recoveries are folded into one pooled
+/// intervals around `send_interval`, with randomized phases. Round trips
+/// and throttle/drop counts are folded into one pooled
 /// sample across streams (the population is uniform, so per-stream
 /// attribution adds nothing).
 pub fn run_capacity_load<T, F>(
@@ -402,8 +397,7 @@ where
 /// schedule (stream ids in schedule order, so placement is deterministic),
 /// and drive them all from the calling thread. Each stream sends on its own
 /// absolute schedule — a send's cost never delays the next one — while
-/// responses are absorbed as they arrive, `NeedFrame` recovery requests are
-/// answered by re-uploading the frame, and the tail is drained before every
+/// responses are absorbed as they arrive, and the tail is drained before every
 /// stream shuts down. Returns per-stream reports, the pool's statistics and
 /// the run's wall-clock seconds.
 fn run_open_loop<T, F>(
@@ -449,7 +443,6 @@ where
                 updates: 0,
                 throttled: 0,
                 dropped: 0,
-                reshared: 0,
                 round_trips: Vec::with_capacity(schedule.sends),
             },
             sent_at: HashMap::with_capacity(schedule.sends),
@@ -457,7 +450,6 @@ where
             schedule,
             cursor: 0,
             outstanding: 0,
-            reshare_queue: Vec::new(),
         });
     }
 
@@ -499,10 +491,8 @@ where
                     &mut stream.sent_at,
                     &mut stream.report,
                     &mut stream.outstanding,
-                    &mut stream.reshare_queue,
                 );
             }
-            answer_reshares(stream)?;
             all_sent &= stream.cursor == stream.frames.len();
             any_outstanding |= stream.outstanding > 0;
         }
@@ -532,30 +522,12 @@ where
     Ok((reports, pool_stats, started.elapsed().as_secs_f64()))
 }
 
-/// Re-upload every frame the server asked back for.
-fn answer_reshares(stream: &mut OpenLoopStream) -> Result<()> {
-    for frame_index in stream.reshare_queue.drain(..) {
-        let Some(frame) = stream.frames.iter().find(|f| f.index == frame_index) else {
-            // The server asked for a frame we never had; the pending job
-            // will be drop-acked at stream end. Nothing to upload.
-            continue;
-        };
-        stream
-            .client
-            .reshare(frame)
-            .map_err(|e| TensorError::InvalidArgument(format!("reshare failed: {e:?}")))?;
-        stream.report.reshared += 1;
-    }
-    Ok(())
-}
-
 /// Fold one downlink message into the stream's report.
 fn absorb(
     message: ServerToClient,
     sent_at: &mut HashMap<usize, Instant>,
     report: &mut StreamLoadReport,
     outstanding: &mut usize,
-    reshare_queue: &mut Vec<usize>,
 ) {
     match message {
         ServerToClient::StudentUpdate { frame_index, .. } => {
@@ -575,10 +547,9 @@ fn absorb(
             report.dropped += 1;
             *outstanding = outstanding.saturating_sub(1);
         }
-        // The frame is still outstanding — its StudentUpdate arrives after
-        // the re-upload, so the measured round trip covers the recovery.
-        ServerToClient::NeedFrame { frame_index } => reshare_queue.push(frame_index),
-        ServerToClient::InitialStudent { .. } => {}
+        // The initial student answers no key frame, and the pool sends
+        // nothing else.
+        _ => {}
     }
 }
 
@@ -699,7 +670,6 @@ mod tests {
             updates: 5,
             throttled: 0,
             dropped: 0,
-            reshared: 0,
             round_trips: vec![0.5, 0.1, 0.3, 0.2, 0.4],
         };
         assert!((report.percentile_round_trip(0.0) - 0.1).abs() < 1e-12);
@@ -710,49 +680,6 @@ mod tests {
             ..report
         };
         assert_eq!(empty.percentile_round_trip(99.0), 0.0);
-    }
-
-    #[test]
-    fn budgeted_pool_recovers_evicted_frames_via_reshare() {
-        use crate::serve::FrameStore;
-        let probe = tiny_stream(SceneKind::People, 90, 1);
-        let budget = 2 * FrameStore::frame_cost(&probe[0]);
-        let outcome = run_skewed_load(
-            ShadowTutorConfig::paper(),
-            PoolConfig {
-                shards: 1,
-                // Room for two frames per stream; each stream pre-shares
-                // six, so most key frames hit an evicted slot and must be
-                // recovered through NeedFrame → ReShare. Parked jobs hold
-                // their admission slots, so the cap is lifted to keep this
-                // test about recovery, not backpressure.
-                frame_budget_bytes: Some(budget),
-                max_in_flight: 16,
-                ..PoolConfig::default_pool()
-            },
-            StudentNet::new(StudentConfig::tiny()).unwrap(),
-            |_| OracleTeacher::perfect(12),
-            SkewedLoadSpec {
-                streams: 2,
-                hot_multiplier: 1,
-                key_frames_per_stream: 6,
-                send_interval: Duration::from_millis(4),
-                seed: 91,
-            },
-        )
-        .unwrap();
-        // Every key frame was still serviced — eviction costs bandwidth and
-        // latency, never answers.
-        for report in &outcome.streams {
-            assert_eq!(report.updates, report.sent, "stream {}", report.stream_id);
-        }
-        assert_eq!(outcome.pool.dropped_jobs(), 0);
-        // Evictions really happened and were really recovered.
-        assert!(outcome.pool.frame_evictions() > 0);
-        assert!(outcome.pool.reshared_frames() > 0);
-        assert!(outcome.streams.iter().map(|r| r.reshared).sum::<usize>() > 0);
-        // The budget invariant held at every point of the run.
-        assert!(outcome.pool.frame_bytes_peak() <= budget);
     }
 
     #[test]

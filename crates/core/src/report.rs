@@ -307,9 +307,8 @@ impl Wire for ExperimentRecord {
 
 /// One shard's row in the operator report ([`PoolReport`]).
 ///
-/// Everything an operator dashboards per worker: how much it served, how
-/// the frame-memory bound behaved (evictions, re-shares, peak resident bytes), and what its
-/// clients experienced (p50/p99 queue waits, drops, throttles).
+/// Everything an operator dashboards per worker: how much it served and
+/// what its clients experienced (p50/p99 queue waits, drops, throttles).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Shard index.
@@ -333,14 +332,10 @@ pub struct ShardReport {
     pub throttled: usize,
     /// Key-frame jobs dropped (all acked, never silent).
     pub dropped: usize,
-    /// Frames evicted from per-stream caches that finished here.
-    pub frame_evictions: usize,
-    /// Jobs parked while their evicted frame was re-requested.
+    /// Always 0: frames are never evicted, so no job waits for a re-share.
+    /// Kept only because the benchmark's `serve.need_frame_requests` probe
+    /// still reads it (ROADMAP item 18).
     pub need_frame_requests: usize,
-    /// Frames restored by client re-shares.
-    pub reshared_frames: usize,
-    /// Largest per-stream frame-cache watermark, bytes.
-    pub frame_bytes_peak: usize,
     /// Uplink envelopes handled — the event loop's measure of work.
     pub events_dispatched: usize,
     /// Readiness wakeups that dispatched a pass on this shard (reactor
@@ -369,16 +364,10 @@ pub struct PoolReport {
     pub shards: Vec<ShardReport>,
     /// Key frames served across the pool.
     pub total_key_frames: usize,
-    /// Frames evicted across every stream.
-    pub frame_evictions: usize,
-    /// Frames restored by re-shares.
-    pub reshared_frames: usize,
     /// Key frames dropped (all acked).
     pub dropped_jobs: usize,
     /// Key frames throttled by admission control.
     pub throttled: usize,
-    /// Largest per-stream frame-cache watermark anywhere, bytes.
-    pub frame_bytes_peak: usize,
     /// Pool-wide median queue wait, milliseconds.
     pub queue_p50_ms: f64,
     /// Pool-wide 99th-percentile queue wait, milliseconds.

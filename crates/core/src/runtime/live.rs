@@ -477,9 +477,8 @@ impl<'a> ClientDriver<'a> {
             // keeps the current schedule.
             Some(ServerToClient::Throttle { .. }) => self.client.throttled_update(),
             Some(ServerToClient::Dropped { .. }) => self.client.abandon_update(),
-            // `NeedFrame` asks for a frame a budget evicted. It cannot reach
-            // this client: the live entry points refuse a budget
-            // (`refuse_frame_budget`), and an adopter keeps a stream's frames.
+            // The initial student was applied before the loop started, and
+            // the pool sends nothing else.
             _ => {}
         }
         if let Some((frame_index, metric, steps)) = self.pending_metric.take() {
@@ -531,18 +530,6 @@ impl<'a> ClientDriver<'a> {
     }
 }
 
-/// Refuse a pool that may evict frames: the live runtimes' clients cannot
-/// answer the `NeedFrame` an eviction brings (a [`ClientEndpoint`] has no
-/// re-share, and over the shm ring a re-share would arrive without its
-/// content), so the key frames behind it would park until shutdown.
-pub(crate) fn refuse_frame_budget(pool_config: &PoolConfig) -> Result<()> {
-    pool_config.frame_budget_bytes.map_or(Ok(()), |budget| {
-        Err(st_tensor::TensorError::InvalidArgument(format!(
-            "frame_budget_bytes {budget}: a live client cannot re-share an evicted frame"
-        )))
-    })
-}
-
 /// Algorithm 4 driven to completion over one [`ClientEndpoint`], blocking in
 /// `recv_timeout` whenever the state machine waits: the one-client form of
 /// the same [`ClientDriver::pump`] the multiplexed driver runs, used by the
@@ -585,9 +572,7 @@ pub(crate) fn drive_client<E: ClientEndpoint>(
 /// Every stream starts from the same pre-trained `student` checkpoint; the
 /// pool keeps one isolated distillation session per stream and batches
 /// teacher forward passes across streams that land on the same shard. Each
-/// shard's teacher comes from `teacher_factory(shard_index)`. A
-/// `pool_config` with a `frame_budget_bytes` is refused with
-/// `InvalidArgument`: the clients here cannot re-share an evicted frame.
+/// shard's teacher comes from `teacher_factory(shard_index)`.
 ///
 /// # Example
 ///
@@ -673,7 +658,6 @@ where
 {
     config.validate()?;
     pool_config.validate()?;
-    refuse_frame_budget(&pool_config)?;
     // Duplicate ids would silently replace each other's pool registration
     // (the second connect overwrites the first stream's downlink), so the
     // resulting transport error would point nowhere near the cause — fail
@@ -888,9 +872,7 @@ mod tests {
                         .push_back(ServerToClient::Throttle { frame_index });
                 }
                 ClientToServer::Shutdown => self.shutdowns_seen += 1,
-                ClientToServer::Register
-                | ClientToServer::RegisterCaps { .. }
-                | ClientToServer::ReShare { .. } => {}
+                ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {}
             }
             Ok(())
         }
@@ -997,9 +979,7 @@ mod tests {
                     }
                 }
                 ClientToServer::Shutdown => {}
-                ClientToServer::Register
-                | ClientToServer::RegisterCaps { .. }
-                | ClientToServer::ReShare { .. } => {}
+                ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {}
             }
             Ok(())
         }
@@ -1122,27 +1102,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(format!("{err:?}").contains("duplicate stream id"));
-    }
-
-    #[test]
-    fn multi_run_refuses_a_frame_budget() {
-        let spec = StreamSpec {
-            stream_id: 7,
-            label: "budgeted".into(),
-            frames: frames_for(SceneKind::People, 5, 4),
-        };
-        let err = run_live_multi(
-            ShadowTutorConfig::paper(),
-            vec![spec],
-            StudentNet::new(StudentConfig::tiny()).unwrap(),
-            PoolConfig {
-                frame_budget_bytes: Some(1 << 20),
-                ..PoolConfig::with_shards(1)
-            },
-            |_| OracleTeacher::perfect(1),
-        )
-        .unwrap_err();
-        assert!(format!("{err:?}").contains("frame_budget_bytes"), "{err:?}");
     }
 
     /// Runs `streams` through a pool with one shard per stream and checks

@@ -30,7 +30,7 @@
 
 use crate::config::ShadowTutorConfig;
 use crate::report::ExperimentRecord;
-use crate::runtime::live::{drive_client, refuse_frame_budget};
+use crate::runtime::live::drive_client;
 use crate::serve::{PoolConfig, PoolStats, ServerPool};
 use crate::Result;
 use st_net::transport::ClientEndpoint;
@@ -77,10 +77,6 @@ fn io_err(context: &str, e: std::io::Error) -> TensorError {
 /// pre-shares `frames` for `stream_id`, and bridges ring ↔ pool until the
 /// peer closes. Returns the joined pool statistics plus the measured ring
 /// traffic. `_distill_step_latency` is ignored, as in [`ServerPool::spawn`].
-///
-/// A `pool_config` with a `frame_budget_bytes` is refused with
-/// [`TensorError::InvalidArgument`]: a re-share crosses the ring without
-/// its frame, so a key frame the budget evicted could never be served.
 #[allow(clippy::too_many_arguments)] // flat experiment parameters, as `stbench` calls it
 pub fn host_stream_over_shm<T, F>(
     config: ShadowTutorConfig,
@@ -97,7 +93,6 @@ where
     T: Teacher + Send + 'static,
     F: FnMut(usize) -> T,
 {
-    refuse_frame_budget(&pool_config)?;
     let mut ring =
         ShmTransport::<ServerToClient, ClientToServer>::create(segment_path, ShmSide::Server, shm)
             .map_err(|e| io_err("create shared-memory segment", e))?;
@@ -267,31 +262,5 @@ mod tests {
         // The pool's own wire meter saw the bridged traffic too.
         assert!(host.pool.wire_bytes_up > 0);
         assert!(host.pool.wire_bytes_down > 0);
-    }
-
-    #[test]
-    fn host_refuses_a_frame_budget_before_creating_the_segment() {
-        let frames = tiny_stream(SceneKind::People, 24, 2);
-        let path = st_net::shm::default_segment_path(&format!(
-            "st-shm-live-budget-test-{}",
-            std::process::id()
-        ));
-        let err = host_stream_over_shm(
-            ShadowTutorConfig::paper(),
-            PoolConfig {
-                frame_budget_bytes: Some(1 << 20),
-                ..PoolConfig::with_shards(1)
-            },
-            StudentNet::new(StudentConfig::tiny()).unwrap(),
-            0.013,
-            |_| OracleTeacher::perfect(7),
-            0,
-            &frames,
-            &path,
-            ShmConfig::default(),
-        )
-        .unwrap_err();
-        assert!(format!("{err:?}").contains("frame_budget_bytes"), "{err:?}");
-        assert!(!path.exists(), "the refused host left a segment behind");
     }
 }

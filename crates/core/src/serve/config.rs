@@ -1,7 +1,7 @@
 //! Pool configuration, fault-injection plans and the pool's error type.
 
 #[cfg(doc)]
-use super::{FrameStore, ReplicaStore, ServerPool, StreamClient};
+use super::{ReplicaStore, ServerPool};
 use crate::config::PlacementPolicy;
 use crate::Result;
 use st_net::StreamId;
@@ -117,14 +117,6 @@ pub struct PoolConfig {
     /// Deficit-round-robin quantum: key frames one stream may contribute to
     /// a co-scheduled batch per scheduling round.
     pub quantum: usize,
-    /// Per-stream frame-cache byte budget. Every stream's pre-shared frames
-    /// live in an LRU [`FrameStore`]; once a stream's resident frames exceed
-    /// this many bytes the least-recently-used ones are evicted and
-    /// re-requested on demand ([`ServerToClient::NeedFrame`]). `None` keeps
-    /// every frame resident for the stream's lifetime. The live runtimes
-    /// refuse a budget: only a [`StreamClient`] can answer `NeedFrame` with
-    /// a re-share.
-    pub frame_budget_bytes: Option<usize>,
     /// Size of the pool's **reactor** worker set. All `shards` shard state
     /// machines are hosted on a fixed set of worker threads driven by
     /// readiness wakeups ([`st_net::Poller`]): `Some(n)` runs `n` workers, decoupling
@@ -138,9 +130,10 @@ pub struct PoolConfig {
     /// distillation counters) to a shared content-addressed
     /// [`ReplicaStore`] after each accepted update, and arm warm-standby
     /// takeover: when a shard dies, its buddy shard (`(shard + 1) % shards`)
-    /// moves its streams over — frames, delta tracks and queued jobs as the
-    /// dead shard left them, each session resumed from its replica — and
-    /// flips their routes to itself. Works under every placement policy;
+    /// moves its streams over — sessions, frames, delta tracks and queued
+    /// jobs as the dead shard left them; only a session a panic tore
+    /// mid-distill is resumed from its replica — and flips their routes to
+    /// itself. Works under every placement policy;
     /// needs at least two shards. Off by default: a worker panic then fails
     /// [`ServerPool::join`] with [`PoolError::WorkerFailed`].
     pub replication: bool,
@@ -173,7 +166,6 @@ impl PoolConfig {
             placement: PlacementPolicy::default(),
             max_in_flight: 4,
             quantum: 1,
-            frame_budget_bytes: None,
             reactor_threads: None,
             replication: false,
             fault_plan: FaultPlan::none(),
@@ -224,11 +216,6 @@ impl PoolConfig {
         if self.quantum == 0 {
             return Err(TensorError::InvalidArgument(
                 "quantum must be at least 1".into(),
-            ));
-        }
-        if self.frame_budget_bytes == Some(0) {
-            return Err(TensorError::InvalidArgument(
-                "frame_budget_bytes must be positive (use None for unbounded)".into(),
             ));
         }
         if self.reactor_threads == Some(0) {

@@ -48,17 +48,10 @@
 //! and its warm standby adopts it ([`PoolConfig::replication`]) — so a hot
 //! stream's shard-mates are relieved by hosting more shards than reactor
 //! workers, not by moving sessions (`docs/ARCHITECTURE.md` has the
-//! measurements behind that choice). Frame memory is bounded separately:
-//!
-//! * **Bounded frame memory** — each stream's pre-shared frames live in a
-//!   [`FrameStore`], an LRU cache with a configurable per-stream byte budget
-//!   ([`PoolConfig::frame_budget_bytes`]). When a key-frame job needs an
-//!   evicted frame the job is parked (not dropped) and the client is asked
-//!   to re-upload it ([`st_net::ServerToClient::NeedFrame`] →
-//!   [`st_net::ClientToServer::ReShare`], answered through
-//!   [`StreamClient::reshare`]), trading memory for uplink bandwidth. The
-//!   request is sent once: transports are reliable, so the job waits for
-//!   the re-share (or the stream's shutdown, which drop-acks it).
+//! measurements behind that choice). Each stream's pre-shared frames live
+//! in its [`FrameStore`] for the stream's life, as in the paper, which has
+//! no frame eviction; a key frame whose index was never shared is answered
+//! [`st_net::ServerToClient::Dropped`] at the door.
 //!
 //! And since the sessions of one batch share a teacher forward and nothing
 //! else, the pool spends the cores its reactor workers leave idle on them:
@@ -81,7 +74,7 @@
 //!
 //! The pool reports [`PoolStats`]: per-shard queueing/batching/latency
 //! counters plus per-stream key-frame totals, waits, throttles, drops,
-//! evictions, measured teacher wall time and final server-side
+//! measured teacher wall time and final server-side
 //! checkpoints. [`PoolStats::snapshot`] condenses all of it into the
 //! serializable [`crate::report::PoolReport`] operators can export.
 //!

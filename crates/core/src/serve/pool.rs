@@ -14,7 +14,7 @@ use crate::config::{PlacementPolicy, ShadowTutorConfig};
 use crate::Result;
 use st_net::message::MESSAGE_OVERHEAD_BYTES;
 use st_net::transport::ClientEndpoint;
-use st_net::{ClientToServer, Payload, ServerToClient, StreamId, StreamTagged, TransportError};
+use st_net::{ClientToServer, ServerToClient, StreamId, StreamTagged, TransportError};
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::store::{CheckpointRef, WeightStore};
 use st_nn::student::StudentNet;
@@ -54,46 +54,6 @@ impl StreamClient {
     pub fn stream_id(&self) -> StreamId {
         self.stream_id
     }
-
-    /// Answer a [`ServerToClient::NeedFrame`]: re-upload a frame the server
-    /// evicted from the stream's bounded cache. The wire cost is the same as
-    /// the original key-frame upload; the parked job resumes (and its
-    /// `StudentUpdate` arrives) once the content lands.
-    pub fn reshare(&mut self, frame: &Frame) -> std::result::Result<(), TransportError> {
-        self.send_envelope(
-            ClientToServer::ReShare {
-                frame_index: frame.index,
-                payload: Payload::sized(frame.raw_rgb_bytes()),
-            },
-            Some(frame.clone()),
-        )
-    }
-
-    fn send_envelope(
-        &mut self,
-        message: ClientToServer,
-        frame: Option<Frame>,
-    ) -> std::result::Result<(), TransportError> {
-        let shard = self.route.load(Ordering::SeqCst);
-        let tagged = StreamTagged::new(self.stream_id, message);
-        // The measured uplink cost of this envelope: the framed tagged
-        // message, plus the frame content when it rides along (a re-share
-        // re-uploads real pixels).
-        let wire_len =
-            st_net::wire::frame_len(&tagged) + frame.as_ref().map_or(0, st_net::wire::frame_len);
-        self.uplinks[shard]
-            .send(Envelope {
-                tagged,
-                enqueued_at: Instant::now(),
-                frame,
-            })
-            .map_err(|_| TransportError::Disconnected)?;
-        // ORDER: Relaxed — a monotonic traffic counter; readers only see it
-        // after join() synchronizes with every worker's exit.
-        self.wire.up.fetch_add(wire_len, Ordering::Relaxed);
-        self.shard_wakers[shard].wake();
-        Ok(())
-    }
 }
 
 impl ClientEndpoint for StreamClient {
@@ -102,7 +62,22 @@ impl ClientEndpoint for StreamClient {
         message: ClientToServer,
         _bytes: usize,
     ) -> std::result::Result<(), TransportError> {
-        self.send_envelope(message, None)
+        let shard = self.route.load(Ordering::SeqCst);
+        let tagged = StreamTagged::new(self.stream_id, message);
+        // The measured uplink cost of this envelope: the framed tagged
+        // message.
+        let wire_len = st_net::wire::frame_len(&tagged);
+        self.uplinks[shard]
+            .send(Envelope {
+                tagged,
+                enqueued_at: Instant::now(),
+            })
+            .map_err(|_| TransportError::Disconnected)?;
+        // ORDER: Relaxed — a monotonic traffic counter; readers only see it
+        // after join() synchronizes with every worker's exit.
+        self.wire.up.fetch_add(wire_len, Ordering::Relaxed);
+        self.shard_wakers[shard].wake();
+        Ok(())
     }
 
     fn try_recv(&mut self) -> std::result::Result<Option<ServerToClient>, TransportError> {
@@ -410,7 +385,7 @@ impl ServerPool {
             (shard, route)
         };
         let (down_tx, down_rx) = mpsc::channel();
-        let content = FrameStore::from_frames(frames, self.pool_config.frame_budget_bytes);
+        let content = FrameStore::from_frames(frames, None);
         locked(&self.registries[shard]).insert(
             stream_id,
             StreamLink {

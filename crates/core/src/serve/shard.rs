@@ -48,11 +48,15 @@ pub(super) struct DeltaTrack {
 /// One stream's registration state inside a shard.
 pub(super) struct StreamEntry {
     session: DistillSession,
-    /// The stream's pre-shared frame content, LRU-bounded.
+    /// The stream's pre-shared frame content.
     frames: FrameStore,
     /// Delta-update negotiation state; `None` on legacy bare-snapshot
     /// streams. Marked unsynced by a failover restore.
     delta: Option<DeltaTrack>,
+    /// An item run failed (a typed error or a panic) while it owned the
+    /// session, so the session may be half-stepped: a takeover rebuilds it
+    /// from its replica instead of adopting it.
+    torn: bool,
 }
 
 impl StreamEntry {
@@ -145,7 +149,7 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
         } = &mut item.entry;
         for job in &item.jobs {
             let Some(frame) = frames.peek(job.frame_index) else {
-                unreachable!("frame resident: touched when the batch was resolved")
+                unreachable!("frame shared: checked when the batch was resolved")
             };
             let response = session.distill(frame, &job.pseudo_label, 0.0)?;
             emit(Served {
@@ -206,18 +210,8 @@ impl BatchSink for Collect {
     fn settled(&mut self, _: &mut ShardStats, _: StreamId, _: &mut StreamEntry) {}
 }
 
-/// The jobs of a batch that were not served, each with what the caller owes
-/// its client.
-pub(super) struct Unserved {
-    /// See [`BatchOutcome::dropped`].
-    pub(super) dropped: Vec<(ShardJob, DropReason)>,
-    /// See [`BatchOutcome::needs_frame`].
-    pub(super) needs_frame: Vec<ShardJob>,
-}
-
 /// Outcome of one co-scheduled batch: per-stream responses plus the jobs
-/// that could not be served (each with its reason) and the jobs whose frame
-/// content must be re-requested from the client first.
+/// that could not be served, each with its reason.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// `(stream, frame index, response)` per serviced key frame, in
@@ -226,12 +220,6 @@ pub struct BatchOutcome {
     /// Jobs whose stream or frame was unknown. Counted in
     /// [`ShardStats::dropped_jobs`].
     pub dropped: Vec<(ShardJob, DropReason)>,
-    /// Jobs whose frame was shared but has been evicted from the stream's
-    /// [`FrameStore`]. Not a failure: the caller parks the job, asks the
-    /// client to re-upload the content ([`ServerToClient::NeedFrame`]) and
-    /// resumes it on the [`st_net::ClientToServer::ReShare`]. Counted in
-    /// [`ShardStats::need_frame_requests`].
-    pub needs_frame: Vec<ShardJob>,
 }
 
 /// One shard: a shared teacher plus one distillation session per stream.
@@ -333,6 +321,7 @@ impl<T: Teacher> ServeShard<T> {
                     session,
                     frames,
                     delta: None,
+                    torn: false,
                 },
             );
         }
@@ -345,32 +334,6 @@ impl<T: Teacher> ServeShard<T> {
             synced: true,
         });
         initial
-    }
-
-    /// Restore an evicted frame's content from a client re-share. Returns
-    /// `false` when the stream has no session, the index was never shared
-    /// in the first place (a re-share is recovery, not a side door for
-    /// injecting new frames), or the frame is bigger than the stream's
-    /// whole budget and so can never be made resident. In every `false`
-    /// case the caller acks a drop — a definitive answer, never a retry
-    /// loop.
-    pub fn reshare(&mut self, stream_id: StreamId, frame: Frame) -> bool {
-        let Some(entry) = self.sessions.get_mut(&stream_id) else {
-            return false;
-        };
-        if !entry.frames.knows(frame.index) {
-            return false;
-        }
-        let index = frame.index;
-        entry.frames.insert(frame);
-        if !entry.frames.resident(index) {
-            // The frame alone exceeds the budget: admission is impossible,
-            // so recovery must fail definitively instead of ping-ponging
-            // NeedFrame ↔ ReShare forever.
-            return false;
-        }
-        self.stats.reshared_frames += 1;
-        true
     }
 
     /// Pull a whole stream out of the shard: its live session and its frame
@@ -412,19 +375,20 @@ impl<T: Teacher> ServeShard<T> {
         total
     }
 
-    /// Rebuild a stream at its adopter (warm-standby takeover): a fresh
-    /// session resumed from the replica's weights and counters, next to the
-    /// frame cache and delta track of `carcass`, the stream's entry in the
-    /// dead shard.
+    /// Install a stream at its adopter (warm-standby takeover): `carcass`,
+    /// the stream's entry in the dead shard, as it is — session, optimizer,
+    /// frame store and delta track. Only a torn entry's session is rebuilt:
+    /// resumed from the replica's weights and counters, so it loses its
+    /// optimizer state.
     ///
-    /// The restore is *sparse*: only the replica entries whose content hash
+    /// The rebuild is *sparse*: only the replica entries whose content hash
     /// differs from the pristine template are applied onto a copy-on-write
     /// template instance, so frozen stages come back sharing the template's
     /// storage — bit-identical to applying the full replica, because a
     /// skipped entry equals the template by content hash. A delta-negotiated
-    /// stream's track is marked unsynced: the adopter cannot prove what the
-    /// client last applied, so the next update ships as a full-snapshot
-    /// envelope (the delta re-sync).
+    /// stream's track is marked unsynced either way: the adopter cannot
+    /// prove what the client last applied, so the next update ships as a
+    /// full-snapshot envelope (the delta re-sync).
     pub(super) fn restore_stream(
         &mut self,
         stream_id: StreamId,
@@ -435,17 +399,26 @@ impl<T: Teacher> ServeShard<T> {
             !self.sessions.contains_key(&stream_id),
             "a stream lives on exactly one shard"
         );
-        let sparse = WeightDelta::compute(&replica.snapshot, &self.template_digest);
-        let (changed, _) = sparse.into_parts()?;
-        let base = self.template_instance();
-        let session = DistillSession::resume(
-            self.config,
-            base,
-            &changed,
-            replica.key_frames,
-            replica.distill_steps,
-        )?;
-        let StreamEntry { frames, delta, .. } = carcass;
+        let StreamEntry {
+            session,
+            frames,
+            delta,
+            torn,
+        } = carcass;
+        let session = if torn {
+            let sparse = WeightDelta::compute(&replica.snapshot, &self.template_digest);
+            let (changed, _) = sparse.into_parts()?;
+            let base = self.template_instance();
+            DistillSession::resume(
+                self.config,
+                base,
+                &changed,
+                replica.key_frames,
+                replica.distill_steps,
+            )?
+        } else {
+            session
+        };
         let delta = delta.map(|track| DeltaTrack {
             synced: false,
             ..track
@@ -456,22 +429,10 @@ impl<T: Teacher> ServeShard<T> {
                 session,
                 frames,
                 delta,
+                torn: false,
             },
         );
         Ok(())
-    }
-
-    /// Drop every session left, folding only the frame-cache counters into
-    /// the shard's stats. This is carcass accounting: the adopter has
-    /// already taken the entry of every replicated stream, so what is left
-    /// here are streams nobody can restore; the carcass keeps their
-    /// counters and loses their state.
-    pub(super) fn discard_sessions(&mut self) {
-        for (_stream_id, entry) in self.sessions.drain() {
-            self.stats.frame_evictions += entry.frames.evictions();
-            self.stats.frame_bytes_peak =
-                self.stats.frame_bytes_peak.max(entry.frames.peak_bytes());
-        }
     }
 
     /// Number of streams currently registered.
@@ -484,13 +445,11 @@ impl<T: Teacher> ServeShard<T> {
         self.sessions.contains_key(&stream_id)
     }
 
-    /// Whether a stream has a registered session *and* the frame was shared
-    /// at some point (it may currently be evicted, which triggers the
-    /// [`ServerToClient::NeedFrame`] recovery path instead of service).
+    /// Whether a stream has a registered session *and* shared the frame.
     pub fn has_frame(&self, stream_id: StreamId, frame_index: usize) -> bool {
         self.sessions
             .get(&stream_id)
-            .is_some_and(|e| e.frames.knows(frame_index))
+            .is_some_and(|e| e.frames.touch(frame_index))
     }
 
     /// Ids of all currently registered streams.
@@ -505,10 +464,7 @@ impl<T: Teacher> ServeShard<T> {
     /// [`ShardStats::dropped_jobs`] — never silently discarded.
     pub fn process_batch(&mut self, jobs: &[ShardJob]) -> Result<BatchOutcome> {
         let mut collected = Collect(Vec::with_capacity(jobs.len()));
-        let Unserved {
-            dropped,
-            needs_frame,
-        } = self.process_batch_into(jobs, &mut collected)?;
+        let dropped = self.process_batch_into(jobs, &mut collected)?;
         // Streams finish in whatever order the crew got to them; the
         // outcome lists them as they were scheduled.
         collected.0.sort_by_key(|(index, ..)| *index);
@@ -519,12 +475,12 @@ impl<T: Teacher> ServeShard<T> {
                 .map(|(_, stream_id, frame_index, response)| (stream_id, frame_index, response))
                 .collect(),
             dropped,
-            needs_frame,
         })
     }
 
     /// [`ServeShard::process_batch`] with the responses going to `sink` as
-    /// they finish instead of into the returned outcome.
+    /// they finish instead of into the returned outcome; returns the dropped
+    /// jobs.
     ///
     /// A typed error from an item fails the call once every item is home; a
     /// panic inside an item — on whichever thread ran it — is resumed here,
@@ -534,39 +490,24 @@ impl<T: Teacher> ServeShard<T> {
         &mut self,
         jobs: &[ShardJob],
         sink: &mut dyn BatchSink,
-    ) -> Result<Unserved> {
+    ) -> Result<Vec<(ShardJob, DropReason)>> {
         // Resolve which jobs are servable. Frames stay where they are — they
         // are borrowed for labelling and distillation, never copied (a frame
-        // is the whole RGB tensor plus its ground truth). A known frame that
-        // was evicted from the stream's cache is reported in `needs_frame`
-        // rather than dropped: the content is recoverable from the client.
-        let mut unserved = Unserved {
-            dropped: Vec::new(),
-            needs_frame: Vec::new(),
-        };
+        // is the whole RGB tensor plus its ground truth).
+        let mut dropped = Vec::new();
         let mut resolved: Vec<(usize, ShardJob)> = Vec::new();
         for (index, job) in jobs.iter().enumerate() {
-            match self.sessions.get_mut(&job.stream_id) {
-                None => unserved.dropped.push((*job, DropReason::UnknownStream)),
-                Some(entry) => {
-                    if !entry.frames.knows(job.frame_index) {
-                        unserved.dropped.push((*job, DropReason::UnknownFrame));
-                    } else if !entry.frames.touch(job.frame_index) {
-                        // `touch` marks the frame most-recently-used (and
-                        // tells us whether it is resident), so the frames a
-                        // batch is about to read are the last the budget
-                        // would evict.
-                        unserved.needs_frame.push(*job);
-                    } else {
-                        resolved.push((index, *job));
-                    }
+            match self.sessions.get(&job.stream_id) {
+                None => dropped.push((*job, DropReason::UnknownStream)),
+                Some(entry) if !entry.frames.touch(job.frame_index) => {
+                    dropped.push((*job, DropReason::UnknownFrame));
                 }
+                Some(_) => resolved.push((index, *job)),
             }
         }
-        self.stats.dropped_jobs += unserved.dropped.len();
-        self.stats.need_frame_requests += unserved.needs_frame.len();
+        self.stats.dropped_jobs += dropped.len();
         if resolved.is_empty() {
-            return Ok(unserved);
+            return Ok(dropped);
         }
 
         // One teacher forward pass amortized over the co-scheduled frames,
@@ -579,7 +520,7 @@ impl<T: Teacher> ServeShard<T> {
                 .map(|(_, job)| {
                     let Some(frame) = self.sessions[&job.stream_id].frames.peek(job.frame_index)
                     else {
-                        unreachable!("frame resident: touched above")
+                        unreachable!("frame shared: checked above")
                     };
                     frame
                 })
@@ -652,6 +593,7 @@ impl<T: Teacher> ServeShard<T> {
                 if matches!(outcome, Ok(Ok(()))) {
                     sink.settled(stats, stream_id, &mut entry);
                 } else {
+                    entry.torn = true;
                     failures[position] = Some(outcome);
                 }
                 home.push((stream_id, entry));
@@ -662,24 +604,18 @@ impl<T: Teacher> ServeShard<T> {
         }
         match failures.into_iter().flatten().next() {
             Some(Err(panic)) => resume_unwind(panic),
-            Some(Ok(result)) => result.map(|()| unserved),
-            None => Ok(unserved),
+            Some(Ok(result)) => result.map(|()| dropped),
+            None => Ok(dropped),
         }
     }
 
     /// Finish a stream: remove its session, returning the final full
     /// checkpoint and the stream's counters (distillation half only — the
-    /// pool worker merges in waits/throttles/drops). The stream's
-    /// frame-cache counters are folded into this shard's [`ShardStats`]
-    /// here.
+    /// pool worker merges in waits/throttles/drops).
     pub fn finish(&mut self, stream_id: StreamId) -> Option<(WeightSnapshot, StreamServerStats)> {
         self.sessions.remove(&stream_id).map(|mut entry| {
             let checkpoint = entry.session.initial_checkpoint();
-            let stats = entry.session.stats();
-            self.stats.frame_evictions += entry.frames.evictions();
-            self.stats.frame_bytes_peak =
-                self.stats.frame_bytes_peak.max(entry.frames.peak_bytes());
-            (checkpoint, stats)
+            (checkpoint, entry.session.stats())
         })
     }
 

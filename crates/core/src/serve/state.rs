@@ -9,7 +9,7 @@ mod takeover;
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::replica::ReplicaStore;
-use super::shard::{BatchSink, DeltaTrack, ServeShard, StreamEntry, Unserved};
+use super::shard::{BatchSink, DeltaTrack, ServeShard, StreamEntry};
 use super::{FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats};
 #[cfg(doc)]
 use super::{ServerPool, StreamClient};
@@ -20,7 +20,6 @@ use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, Stre
 use st_nn::delta::{WeightDelta, WeightPayload};
 use st_nn::snapshot::WeightSnapshot;
 use st_teacher::Teacher;
-use st_video::Frame;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -31,11 +30,6 @@ use std::time::{Duration, Instant};
 pub(super) struct Envelope {
     pub(super) tagged: StreamTagged<ClientToServer>,
     pub(super) enqueued_at: Instant,
-    /// Out-of-band frame content for [`ClientToServer::ReShare`]: the wire
-    /// message carries encoded pixels for realistic sizes, and the
-    /// in-process transport ships the actual `Frame` beside it, exactly as
-    /// connect-time pre-sharing does.
-    pub(super) frame: Option<Frame>,
 }
 
 /// Pool-wide measured wire traffic: the framed byte size
@@ -139,14 +133,6 @@ struct StreamMeter {
     throttled: usize,
     dropped: usize,
 }
-
-/// Jobs parked per stream while the client re-uploads an evicted frame,
-/// keyed by frame index. They keep their original arrival timestamps so the
-/// eventual wait accounting covers the whole recovery round trip. A frame
-/// index maps to *every* job waiting on it (a client may legally re-send a
-/// key frame), so one re-share resumes — and one answer reaches — each of
-/// them.
-type AwaitingFrames = HashMap<StreamId, HashMap<usize, Vec<ScheduledJob>>>;
 
 /// The shard state machine's [`BatchSink`]: answer each key frame the
 /// moment the reactor worker learns it has been distilled — queue-wait
@@ -309,17 +295,14 @@ fn retire<T: Teacher>(
 }
 
 /// All of one shard's serving state and its event handlers: uplink receiver,
-/// fair scheduler, per-stream downlinks and meters, parked
-/// re-share jobs, and the exit protocol. The reactor hosts every shard's
-/// `ShardState` behind a mutex on a fixed worker set, running
-/// [`run_pass`](Self::run_pass) whenever the shard's readiness token wakes.
+/// fair scheduler, per-stream downlinks and meters, and the exit protocol.
+/// The reactor hosts every shard's `ShardState` behind a mutex on a fixed
+/// worker set, running [`run_pass`](Self::run_pass) whenever the shard's
+/// readiness token wakes.
 ///
 /// The handlers mirror the event sources: [`on_frame`](Self::on_frame) for
 /// an uplink envelope and disconnect detection inside
-/// [`drain_uplink`](Self::drain_uplink). No event is time-based: a job
-/// parked for a re-share waits for the client's `ReShare`, its stream's
-/// `Shutdown` or the pool's, and its `NeedFrame` is asked again only by a
-/// standby that adopts it, never on a clock.
+/// [`drain_uplink`](Self::drain_uplink). No event is time-based.
 pub(super) struct ShardState<T: Teacher> {
     shard_index: usize,
     pool_config: PoolConfig,
@@ -333,7 +316,6 @@ pub(super) struct ShardState<T: Teacher> {
     meters: HashMap<StreamId, StreamMeter>,
     streams: HashMap<StreamId, StreamServerStats>,
     final_checkpoints: HashMap<StreamId, WeightSnapshot>,
-    awaiting: AwaitingFrames,
     /// One wait sample (seconds) per key frame served, in emission order —
     /// the raw material of the operator report's p50/p99.
     wait_samples: Vec<f64>,
@@ -346,7 +328,7 @@ pub(super) struct ShardState<T: Teacher> {
     batches_processed: usize,
     /// The jobs of the batch in flight that nobody has answered yet: filled
     /// when a batch leaves the scheduler, struck off job by job as updates
-    /// are emitted (or parks and drop acks handed out), empty between
+    /// are emitted (or drop acks handed out), empty between
     /// batches. A pass that dies mid-batch — an injected torn kill, a panic
     /// carried back from a crew helper — leaves exactly the unanswered jobs
     /// here, and the adopting standby drop-acks those, and only those, with
@@ -403,7 +385,6 @@ impl<T: Teacher> ShardState<T> {
             meters: HashMap::new(),
             streams: HashMap::new(),
             final_checkpoints: HashMap::new(),
-            awaiting: HashMap::new(),
             wait_samples: Vec::new(),
             disconnected: false,
             board,
@@ -510,9 +491,7 @@ impl<T: Teacher> ShardState<T> {
                 payload: _,
             } => {
                 // Unservable jobs are refused at the door with an explicit
-                // ack instead of being silently filtered later. (An
-                // *evicted* frame is not unservable — its index is still
-                // known and its content recoverable.)
+                // ack instead of being silently filtered later.
                 let reject = if !self.shard.has_stream(stream_id) {
                     Some(DropReason::UnknownStream)
                 } else if !self.shard.has_frame(stream_id, frame_index) {
@@ -535,13 +514,8 @@ impl<T: Teacher> ShardState<T> {
                     }
                     return Ok(());
                 }
-                // Admission control: per-stream in-flight cap. Jobs parked
-                // for a frame re-share still hold their slots.
-                let parked = self
-                    .awaiting
-                    .get(&stream_id)
-                    .map_or(0, |m| m.values().map(Vec::len).sum());
-                if self.scheduler.queued_for(stream_id) + parked >= self.pool_config.max_in_flight {
+                // Admission control: per-stream in-flight cap.
+                if self.scheduler.queued_for(stream_id) >= self.pool_config.max_in_flight {
                     self.shard.stats.throttled += 1;
                     note_throttle(&mut self.streams, &mut self.meters, stream_id);
                     if let Some(downlink) = self.downlinks.get(&stream_id) {
@@ -556,60 +530,6 @@ impl<T: Teacher> ShardState<T> {
                 self.scheduler
                     .push(stream_id, frame_index, envelope.enqueued_at);
             }
-            ClientToServer::ReShare {
-                frame_index,
-                payload: _,
-            } => {
-                // Restore evicted content and resume the parked job with its
-                // original arrival time, so its reported wait covers the
-                // whole recovery round trip.
-                let restored = match envelope.frame {
-                    Some(frame) if frame.index == frame_index => {
-                        self.shard.reshare(stream_id, frame)
-                    }
-                    _ => false,
-                };
-                if restored {
-                    if let Some(jobs) = self
-                        .awaiting
-                        .get_mut(&stream_id)
-                        .and_then(|m| m.remove(&frame_index))
-                    {
-                        for job in jobs {
-                            self.scheduler.push(stream_id, frame_index, job.enqueued_at);
-                        }
-                    }
-                    // An unsolicited re-share just refreshed the cache.
-                    return Ok(());
-                }
-                // No session, an index that was never shared, or a
-                // content-less re-share: the parked jobs (if any) can never
-                // be served — ack each explicitly, never silently.
-                let reason = if self.shard.has_stream(stream_id) {
-                    DropReason::UnknownFrame
-                } else {
-                    DropReason::UnknownStream
-                };
-                let stranded = self
-                    .awaiting
-                    .get_mut(&stream_id)
-                    .and_then(|m| m.remove(&frame_index))
-                    .map_or(1, |jobs| jobs.len());
-                for _ in 0..stranded {
-                    self.shard.stats.dropped_jobs += 1;
-                    note_drop(&mut self.streams, &mut self.meters, stream_id);
-                    if let Some(downlink) = self.downlinks.get(&stream_id) {
-                        deliver(
-                            &mut self.shard.stats,
-                            downlink,
-                            ServerToClient::Dropped {
-                                frame_index,
-                                reason,
-                            },
-                        );
-                    }
-                }
-            }
             ClientToServer::Shutdown => {
                 // Flush the stream's still-queued key frames so its last
                 // updates are not lost, then retire the session.
@@ -618,26 +538,6 @@ impl<T: Teacher> ShardState<T> {
                     // The flush's updates need no replica refresh: the
                     // session retires (and its replica is dropped) below.
                     self.process_scheduled(chunk, false)?;
-                }
-                // Jobs still parked for a re-share can never be served now —
-                // ack them before the session's stats freeze.
-                if let Some(parked) = self.awaiting.remove(&stream_id) {
-                    for (frame_index, jobs) in parked {
-                        for _job in jobs {
-                            self.shard.stats.dropped_jobs += 1;
-                            note_drop(&mut self.streams, &mut self.meters, stream_id);
-                            if let Some(downlink) = self.downlinks.get(&stream_id) {
-                                deliver(
-                                    &mut self.shard.stats,
-                                    downlink,
-                                    ServerToClient::Dropped {
-                                        frame_index,
-                                        reason: DropReason::UnknownFrame,
-                                    },
-                                );
-                            }
-                        }
-                    }
                 }
                 if let Some((checkpoint, stream_stats)) = retire(
                     &mut self.shard,
@@ -662,10 +562,7 @@ impl<T: Teacher> ShardState<T> {
 
     /// Run one fair co-scheduled batch through the shard and route every
     /// answer to its stream's downlink: each update as soon as its key
-    /// frame is distilled (through the [`Emitter`]), then the drop acks and
-    /// `NeedFrame` recovery requests. Jobs whose frame content was evicted
-    /// are parked in `awaiting` rather than counted — their wait keeps
-    /// running until they are actually served after the re-share.
+    /// frame is distilled (through the [`Emitter`]), then the drop acks.
     ///
     /// While the batch runs, `torn_jobs` holds the jobs not yet answered: if
     /// the pass dies mid-batch, the standby drop-acks exactly those.
@@ -676,10 +573,7 @@ impl<T: Teacher> ShardState<T> {
         let started = Instant::now();
         let jobs: Vec<ShardJob> = batch.iter().map(|s| s.job).collect();
         self.torn_jobs = batch.to_vec();
-        let Unserved {
-            dropped,
-            needs_frame,
-        } = self.shard.process_batch_into(
+        let dropped = self.shard.process_batch_into(
             &jobs,
             &mut Emitter {
                 batch,
@@ -695,36 +589,6 @@ impl<T: Teacher> ShardState<T> {
                     .map(|store| (store, self.shard_index)),
             },
         )?;
-        for job in needs_frame {
-            let Some(at) = self.torn_jobs.iter().position(|s| s.job == job) else {
-                unreachable!("a parked job was scheduled in this batch")
-            };
-            let scheduled = self.torn_jobs.swap_remove(at);
-            let waiting = self
-                .awaiting
-                .entry(job.stream_id)
-                .or_default()
-                .entry(job.frame_index)
-                .or_default();
-            // One NeedFrame per missing frame, not per waiting job: the
-            // first park requests the content, later jobs for the same
-            // index just join the queue behind that outstanding request
-            // (a duplicate request would only buy a duplicate full-frame
-            // upload).
-            let request_content = waiting.is_empty();
-            waiting.push(scheduled);
-            if request_content {
-                if let Some(downlink) = self.downlinks.get(&job.stream_id) {
-                    deliver(
-                        &mut self.shard.stats,
-                        downlink,
-                        ServerToClient::NeedFrame {
-                            frame_index: job.frame_index,
-                        },
-                    );
-                }
-            }
-        }
         for (job, reason) in dropped {
             self.meters.entry(job.stream_id).or_default().dropped += 1;
             if let Some(downlink) = self.downlinks.get(&job.stream_id) {
@@ -838,35 +702,9 @@ impl<T: Teacher> ShardState<T> {
         })
     }
 
-    /// The exit protocol: ack whatever can never be served now, retire every
-    /// remaining session, and assemble the shard's final output.
+    /// The exit protocol: retire every remaining session and assemble the
+    /// shard's final output.
     pub(super) fn finish(mut self) -> ShardOutput {
-        // The clients are gone, so re-shares for parked jobs can never
-        // arrive: ack and count them instead of letting them vanish.
-        let parked: Vec<(StreamId, usize)> = self
-            .awaiting
-            .iter()
-            .flat_map(|(stream, indices)| {
-                indices
-                    .iter()
-                    .flat_map(move |(index, jobs)| jobs.iter().map(move |_| (*stream, *index)))
-            })
-            .collect();
-        for (stream_id, frame_index) in parked {
-            self.shard.stats.dropped_jobs += 1;
-            note_drop(&mut self.streams, &mut self.meters, stream_id);
-            if let Some(downlink) = self.downlinks.get(&stream_id) {
-                deliver(
-                    &mut self.shard.stats,
-                    downlink,
-                    ServerToClient::Dropped {
-                        frame_index,
-                        reason: DropReason::UnknownFrame,
-                    },
-                );
-            }
-        }
-        self.awaiting.clear();
         // Clients that vanished without Shutdown still get their sessions
         // retired so their checkpoints and counters are reported. (The
         // backlog is already drained: the reactor only finishes a shard
@@ -912,7 +750,7 @@ mod tests {
     use st_nn::student::{StudentConfig, StudentNet};
     use st_teacher::OracleTeacher;
     use st_video::dataset::tiny_stream;
-    use st_video::SceneKind;
+    use st_video::{Frame, SceneKind};
 
     /// A one-shard state machine with nothing connected to it.
     fn lone_state() -> ShardState<OracleTeacher> {
@@ -1039,7 +877,6 @@ mod tests {
         let envelope = |message| Envelope {
             tagged: StreamTagged::new(7, message),
             enqueued_at: Instant::now(),
-            frame: None,
         };
         let (dead_uplink, dead_rx) = mpsc::channel();
         let (own_uplink, own_rx) = mpsc::channel();

@@ -1,11 +1,12 @@
 //! The warm-standby half of the shard state machine: noticing a ward's
 //! published death and adopting its entire serving surface.
 //!
-//! An adopted stream is the dead shard's own, moved: its frame cache, delta
-//! track, DRR deficit, downlink, meter and jobs come from the carcass (the
-//! dead shard's state, left in its slot). Only the session is rebuilt, from
-//! the stream's replicated checkpoint, because a panic inside `distill` can
-//! leave the carcass's session half-stepped.
+//! An adopted stream is the dead shard's own, moved: its session (optimizer
+//! included), frame store, delta track, DRR deficit, downlink, meter and
+//! jobs come from the carcass (the dead shard's state, left in its slot).
+//! Only a session that a failed item run marked torn — a panic inside
+//! `distill` can leave it half-stepped — is rebuilt from the stream's
+//! replicated checkpoint.
 
 use super::{carcass_output, deliver, locked, note_drop, ShardState};
 use crate::serve::failover::FailoverShared;
@@ -39,8 +40,8 @@ impl<T: Teacher> ShardState<T> {
         Ok(())
     }
 
-    /// Adopt a dead ward's entire serving surface: move its streams here,
-    /// each with its session restored from its replicated checkpoint, flip
+    /// Adopt a dead ward's entire serving surface: move its streams here
+    /// (a torn session restored from its replicated checkpoint), flip
     /// its routes here, re-queue its surviving jobs, drop-ack what is
     /// genuinely lost, and assemble its final report from the carcass.
     fn take_over(&mut self, dead: usize, failover: &FailoverShared<T>) -> Result<()> {
@@ -63,10 +64,10 @@ impl<T: Teacher> ShardState<T> {
                 }
             }
         }
-        // Move every replicated stream here: its session resumed from the
-        // replica's weights and counters, its frame cache, delta track and
-        // unspent DRR deficit as the carcass holds them (the deficit is read
-        // before the carcass scheduler is drained below).
+        // Move every replicated stream here: its session, frame store, delta
+        // track and unspent DRR deficit as the carcass holds them (the
+        // deficit is read before the carcass scheduler is drained below); a
+        // torn session is resumed from the replica's weights and counters.
         let mut restored: Vec<StreamId> = Vec::new();
         if let Some(store) = self.replicas.clone() {
             for (stream_id, replica) in store.take_owner(dead) {
@@ -123,27 +124,6 @@ impl<T: Teacher> ShardState<T> {
         for job in torn {
             self.drop_failed_job(job.job.stream_id, job.job.frame_index);
         }
-        // Jobs parked for a re-share (a frame the budget evicted): merge
-        // them and re-issue one NeedFrame per parked index, so they do not
-        // depend on whether the client's answer to the dead shard's request
-        // is still in the uplink this shard drains from now on.
-        for (stream_id, indices) in carcass.awaiting.drain() {
-            let parked = self.awaiting.entry(stream_id).or_default();
-            for (frame_index, jobs) in indices {
-                let entry = parked.entry(frame_index).or_default();
-                let request_content = entry.is_empty();
-                entry.extend(jobs);
-                if request_content {
-                    if let Some(downlink) = self.downlinks.get(&stream_id) {
-                        deliver(
-                            &mut self.shard.stats,
-                            downlink,
-                            ServerToClient::NeedFrame { frame_index },
-                        );
-                    }
-                }
-            }
-        }
         // Adopt the dead shard's ingress for the rest of the pool's life:
         // its uplink receiver (clients may race the routing flip), its
         // connect-time registry (a Register may race the death), and — if
@@ -157,9 +137,8 @@ impl<T: Teacher> ShardState<T> {
         self.adopted_registries
             .append(&mut carcass.adopted_registries);
         self.adopted_shards.append(&mut carcass.adopted_shards);
-        // Every replicated stream has left the carcass; keep the cache
-        // counters of whatever is left, then file the dead shard's report.
-        carcass.shard.discard_sessions();
+        // Every replicated stream has left the carcass; file the dead
+        // shard's report.
         let died_at = self.board.death_instant(dead);
         self.board.push_dead_output(carcass_output(carcass));
         self.shard.stats.failovers += 1;

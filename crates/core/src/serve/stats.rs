@@ -1,7 +1,7 @@
 //! Per-shard and pool-wide serving statistics.
 
 #[cfg(doc)]
-use super::{FrameStore, PoolConfig, ServerPool};
+use super::ServerPool;
 use crate::server::StreamServerStats;
 use st_net::StreamId;
 #[cfg(doc)]
@@ -44,19 +44,6 @@ pub struct ShardStats {
     /// measured amortized per-frame teacher cost batching is supposed to
     /// drive down.
     pub teacher_wall_time: Duration,
-    /// Frames evicted from per-stream [`FrameStore`]s to stay inside the
-    /// configured byte budget. Counted at the shard where the stream
-    /// *finished*.
-    pub frame_evictions: usize,
-    /// Largest resident-byte watermark any of this shard's frame caches
-    /// reached. Never exceeds [`PoolConfig::frame_budget_bytes`] when a
-    /// budget is set — that is the invariant the budget buys.
-    pub frame_bytes_peak: usize,
-    /// Key-frame jobs that found their frame evicted and were parked while
-    /// the client was asked to re-upload it ([`ServerToClient::NeedFrame`]).
-    pub need_frame_requests: usize,
-    /// Frames restored by a client [`st_net::ClientToServer::ReShare`].
-    pub reshared_frames: usize,
     /// Uplink envelopes handled on this shard — the reactor's measure of
     /// loop work.
     pub events_dispatched: usize,
@@ -159,7 +146,7 @@ pub struct PoolStats {
     /// Final full server-side checkpoint of every finished stream.
     pub final_checkpoints: HashMap<StreamId, WeightSnapshot>,
     /// Per-shard wall-clock queue waits, one sample per serviced key frame
-    /// in seconds, in emission order (a dropped or parked job leaves none). Feeds the p50/p99 columns of
+    /// in seconds, in emission order (a dropped job leaves none). Feeds the p50/p99 columns of
     /// [`PoolStats::snapshot`]; one f64 per key frame, so the memory cost is
     /// negligible next to the frames themselves.
     pub wait_samples: Vec<Vec<f64>>,
@@ -243,27 +230,6 @@ impl PoolStats {
         } else {
             self.teacher_wall_time().as_secs_f64() / k as f64
         }
-    }
-
-    /// Frames evicted from per-stream caches across the run.
-    pub fn frame_evictions(&self) -> usize {
-        self.shards.iter().map(|s| s.frame_evictions).sum()
-    }
-
-    /// Frames restored by client re-shares across the run.
-    pub fn reshared_frames(&self) -> usize {
-        self.shards.iter().map(|s| s.reshared_frames).sum()
-    }
-
-    /// Largest per-stream frame-cache watermark observed anywhere in the
-    /// pool. With [`PoolConfig::frame_budget_bytes`] set, this never exceeds
-    /// the budget.
-    pub fn frame_bytes_peak(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.frame_bytes_peak)
-            .max()
-            .unwrap_or(0)
     }
 
     /// The `p`-th percentile wall-clock queue wait across every serviced key
@@ -352,7 +318,7 @@ impl PoolStats {
     }
 
     /// Condense the run into the serializable operator report
-    /// ([`crate::report::PoolReport`]): per-shard load, evictions, teacher
+    /// ([`crate::report::PoolReport`]): per-shard load, teacher
     /// wall time and p50/p99 queue waits, plus pool totals. This is what
     /// `reproduce --json` exports.
     pub fn snapshot(&self) -> crate::report::PoolReport {
@@ -376,10 +342,7 @@ impl PoolStats {
                     teacher_wall_secs: s.teacher_wall_time.as_secs_f64(),
                     throttled: s.throttled,
                     dropped: s.dropped_jobs,
-                    frame_evictions: s.frame_evictions,
-                    need_frame_requests: s.need_frame_requests,
-                    reshared_frames: s.reshared_frames,
-                    frame_bytes_peak: s.frame_bytes_peak,
+                    need_frame_requests: 0,
                     events_dispatched: s.events_dispatched,
                     poll_wakeups: s.poll_wakeups,
                     idle_streams: s.idle_streams,
@@ -393,11 +356,8 @@ impl PoolStats {
         PoolReport {
             shards,
             total_key_frames: self.total_key_frames(),
-            frame_evictions: self.frame_evictions(),
-            reshared_frames: self.reshared_frames(),
             dropped_jobs: self.dropped_jobs(),
             throttled: self.throttled(),
-            frame_bytes_peak: self.frame_bytes_peak(),
             queue_p50_ms: 1e3 * self.percentile_queue_wait_secs(50.0),
             queue_p99_ms: 1e3 * self.percentile_queue_wait_secs(99.0),
             teacher_wall_secs: self.teacher_wall_time().as_secs_f64(),

@@ -52,12 +52,6 @@ fn pool_config_validates_and_routes() {
     }
     .validate()
     .is_err());
-    assert!(PoolConfig {
-        frame_budget_bytes: Some(0),
-        ..PoolConfig::default_pool()
-    }
-    .validate()
-    .is_err());
     let p = PoolConfig::with_shards(3);
     assert_eq!(p.shard_of(0), 0);
     assert_eq!(p.shard_of(4), 1);
@@ -195,7 +189,7 @@ fn duplicate_register_does_not_clobber_the_session() {
     assert_eq!(outcome.responses.len(), 1);
     // A duplicate register with *empty* frames must neither reset the
     // session nor lose the pre-shared frames.
-    let ckpt = s.register(1, FrameStore::new(None), false);
+    let ckpt = s.register(1, FrameStore::from_frames(&[], None), false);
     assert!(s.has_frame(1, people[1].index), "frames clobbered");
     let (final_ckpt, stats) = s.finish(1).unwrap();
     assert_eq!(stats.key_frames, 1, "session reset by duplicate register");
@@ -331,7 +325,6 @@ fn pool_serves_two_streams_end_to_end() {
     let report = stats.snapshot();
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.total_key_frames, 2);
-    assert_eq!(report.frame_evictions, 0);
     assert!(report.queue_p50_ms >= 0.0 && report.queue_p99_ms >= report.queue_p50_ms);
     let resident = report.store_resident_bytes + report.session_bytes_private;
     assert!(resident > 0);
@@ -403,87 +396,25 @@ fn least_loaded_placement_follows_departures() {
 }
 
 #[test]
-fn frame_store_evicts_lru_within_budget() {
+fn frame_store_holds_every_shared_frame() {
     let frames = frames_for(SceneKind::People, 71, 4);
-    let cost = FrameStore::frame_cost(&frames[0]);
-    // Budget for exactly two frames.
-    let mut store = FrameStore::from_frames(&frames, Some(2 * cost));
-    assert_eq!(store.resident_count(), 2);
-    assert!(store.resident_bytes() <= 2 * cost);
-    assert_eq!(store.peak_bytes(), 2 * cost);
-    assert_eq!(store.evictions(), 2);
-    // Insertion order was index order, so the two oldest were evicted —
-    // but their indices are still *known*.
-    assert!(!store.resident(frames[0].index) && store.knows(frames[0].index));
-    assert!(!store.resident(frames[1].index) && store.knows(frames[1].index));
-    assert!(store.resident(frames[2].index) && store.resident(frames[3].index));
-    assert!(!store.knows(999));
-    // Touching frame 2 makes frame 3 the LRU victim of the next insert.
-    assert!(store.touch(frames[2].index));
-    assert!(
-        !store.touch(frames[0].index),
-        "evicted frames cannot be touched"
-    );
-    store.insert(frames[0].clone());
-    assert!(store.resident(frames[0].index));
-    assert!(store.resident(frames[2].index));
-    assert!(!store.resident(frames[3].index), "LRU frame evicted");
-    assert_eq!(store.evictions(), 3);
-    // The budget invariant held throughout.
-    assert!(store.peak_bytes() <= 2 * cost);
-    // Re-inserting a resident frame only refreshes recency.
-    store.insert(frames[0].clone());
-    assert_eq!(store.resident_count(), 2);
-    // An unbounded store never evicts.
-    let unbounded = FrameStore::from_frames(&frames, None);
-    assert_eq!(unbounded.resident_count(), 4);
-    assert_eq!(unbounded.evictions(), 0);
-    // A frame bigger than the whole budget is never admitted.
-    let mut tiny = FrameStore::new(Some(cost / 2));
-    tiny.insert(frames[0].clone());
-    assert!(tiny.knows(frames[0].index) && !tiny.resident(frames[0].index));
-    assert_eq!(tiny.evictions(), 1);
-    assert_eq!(tiny.resident_bytes(), 0);
+    let store = FrameStore::from_frames(&frames, None);
+    for frame in &frames {
+        assert!(store.touch(frame.index));
+        assert_eq!(store.peek(frame.index).map(|f| f.index), Some(frame.index));
+    }
+    // An index the stream never shared is unknown to both.
+    assert!(!store.touch(999));
+    assert!(store.peek(999).is_none());
+    let empty = FrameStore::from_frames(&[], None);
+    assert!(!empty.touch(frames[0].index) && empty.peek(frames[0].index).is_none());
 }
 
 #[test]
-fn evicted_frame_parks_the_job_instead_of_dropping_it() {
-    let mut s = shard();
-    let people = frames_for(SceneKind::People, 72, 3);
-    let cost = FrameStore::frame_cost(&people[0]);
-    // Budget for one frame: only the last pre-shared frame is resident.
-    s.register(1, FrameStore::from_frames(&people, Some(cost)), false);
-    let outcome = s
-        .process_batch(&[ShardJob {
-            stream_id: 1,
-            frame_index: people[0].index,
-        }])
-        .unwrap();
-    assert!(outcome.responses.is_empty());
-    assert!(outcome.dropped.is_empty(), "evicted is not unknown");
-    assert_eq!(outcome.needs_frame.len(), 1);
-    assert_eq!(s.stats().need_frame_requests, 1);
-    assert_eq!(s.stats().dropped_jobs, 0);
-    // The client re-shares the frame; the job now serves normally.
-    assert!(s.reshare(1, people[0].clone()));
-    let outcome = s
-        .process_batch(&[ShardJob {
-            stream_id: 1,
-            frame_index: people[0].index,
-        }])
-        .unwrap();
-    assert_eq!(outcome.responses.len(), 1);
-    assert_eq!(s.stats().reshared_frames, 1);
-    // Re-sharing a frame that was never shared is refused (a re-share is
-    // recovery, not a side door for new frames).
-    let foreign = frames_for(SceneKind::Street, 73, 5).pop().unwrap();
-    assert!(!s.reshare(1, foreign));
-    assert!(!s.reshare(9, people[0].clone()), "unknown stream");
-    // Cache counters fold into the shard stats when the stream finishes.
-    let (_ckpt, _stats) = s.finish(1).unwrap();
-    let stats = s.stats();
-    assert!(stats.frame_evictions >= 2);
-    assert!(stats.frame_bytes_peak > 0 && stats.frame_bytes_peak <= cost);
+#[should_panic(expected = "no byte budget")]
+fn frame_store_refuses_a_budget() {
+    let frames = frames_for(SceneKind::People, 72, 1);
+    let _ = FrameStore::from_frames(&frames, Some(1 << 20));
 }
 
 #[test]
@@ -808,7 +739,7 @@ fn crew_width_never_changes_an_answer() {
                 .collect();
             rendezvous.reset();
             let outcome = shard.process_batch(&jobs).unwrap();
-            assert!(outcome.dropped.is_empty() && outcome.needs_frame.is_empty());
+            assert!(outcome.dropped.is_empty());
             // Whatever order the crew finished in, the outcome lists the
             // responses as they were scheduled.
             let order: Vec<(StreamId, usize)> = outcome
@@ -862,7 +793,6 @@ fn crew_width_never_changes_an_answer() {
         assert_eq!(a.teacher_batches, b.teacher_batches);
         assert_eq!(a.max_batch_observed, b.max_batch_observed);
         assert_eq!(a.dropped_jobs, b.dropped_jobs);
-        assert_eq!(a.need_frame_requests, b.need_frame_requests);
         // The rendezvous put at least one item of every batch on a helper.
         assert!(
             a.jobs_offloaded >= KEY_FRAMES && a.jobs_offloaded < a.key_frames,
@@ -947,8 +877,8 @@ fn each_response_is_emitted_before_its_worker_starts_another_item() {
         served: Vec::new(),
         settled: Vec::new(),
     };
-    let unserved = shard.process_batch_into(&jobs, &mut sink).unwrap();
-    assert!(unserved.dropped.is_empty() && unserved.needs_frame.is_empty());
+    let dropped = shard.process_batch_into(&jobs, &mut sink).unwrap();
+    assert!(dropped.is_empty());
     let returned_at = clock.load(Ordering::SeqCst);
     crew.dismiss();
 
@@ -1393,11 +1323,6 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
                     drops.push((id, frame_index, reason));
                     answered += 1;
                 }
-                // The adopter knows the frames but not their pixels.
-                Ok(ServerToClient::NeedFrame { frame_index }) => {
-                    let frame = frames[&id].iter().find(|f| f.index == frame_index);
-                    client.reshare(frame.unwrap()).unwrap();
-                }
                 Ok(other) => panic!("stream {id}: unexpected {other:?}"),
                 Err(_) => assert!(Instant::now() < deadline, "stream {id} starved"),
             }
@@ -1429,4 +1354,85 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
     assert_eq!(stats.streams[&11].key_frames, 3);
     assert_eq!(stats.streams[&13].key_frames, 2);
     assert_eq!(stats.streams[&13].dropped, 1);
+}
+
+/// Connect stream 0 with `frames` pre-shared to a two-shard replicated pool
+/// built by `make_shard`, send `send` as key frames (one per batch), and
+/// return what the stream was answered, in order.
+fn answers_of_stream_zero<F>(frames: &[Frame], send: &[Frame], make_shard: F) -> Vec<ServerToClient>
+where
+    F: FnMut(usize, StudentNet) -> ServeShard<OracleTeacher>,
+{
+    let pool = ServerPool::spawn_crewed(
+        ShadowTutorConfig::paper(),
+        PoolConfig {
+            shards: 2,
+            max_batch: 1,
+            placement: PlacementPolicy::StaticModulo,
+            replication: true,
+            ..PoolConfig::default_pool()
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0,
+        make_shard,
+    )
+    .unwrap();
+    let mut client = pool.connect(0, frames).unwrap();
+    let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    for frame in send {
+        send_key_frame(&mut client, frame);
+    }
+    let answers: Vec<ServerToClient> = (0..send.len())
+        .map(|_| client.recv_timeout(Duration::from_secs(60)).unwrap())
+        .collect();
+    client.send(ClientToServer::Shutdown, 1).unwrap();
+    drop(client);
+    pool.join().unwrap();
+    answers
+}
+
+#[test]
+fn a_torn_session_is_rebuilt_from_its_replica_bit_for_bit() {
+    // The item serving key frame 0 panics after answering it, so the
+    // session it owned is marked torn and its replica still holds the
+    // registration checkpoint (a replica is re-published only when an item
+    // comes home whole). The adopter must rebuild the session from that
+    // replica, sparsely against the template, rather than take over the
+    // session that had trained: the rest of the stream is then served
+    // exactly as a fresh session serves it.
+    let frames = frames_for(SceneKind::People, 76, 3);
+    let shard = |hook: Option<ItemHook>| {
+        move |_, template| {
+            let shard = ServeShard::new(
+                ShadowTutorConfig::paper(),
+                template,
+                OracleTeacher::perfect(9001),
+                0.013,
+            );
+            match &hook {
+                Some(hook) => shard.with_item_hook(Arc::clone(hook)),
+                None => shard,
+            }
+        }
+    };
+    let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let sabotage: ItemHook = {
+        let fired = Arc::clone(&fired);
+        Arc::new(move |event| {
+            if matches!(event, ItemEvent::Emitted { .. }) && !fired.swap(true, Ordering::SeqCst) {
+                panic!("sabotaged after the first answer");
+            }
+        })
+    };
+    let faulted = answers_of_stream_zero(&frames, &frames, shard(Some(sabotage)));
+    assert!(fired.load(Ordering::SeqCst), "the sabotage never fired");
+    let whole = answers_of_stream_zero(&frames, &frames, shard(None));
+    let fresh = answers_of_stream_zero(&frames, &frames[1..], shard(None));
+    assert_eq!(
+        faulted[0], whole[0],
+        "key frame 0 was answered before the panic"
+    );
+    assert_eq!(faulted[1..], fresh[..]);
+    assert_ne!(faulted[1..], whole[1..], "the trained session was adopted");
 }

@@ -113,11 +113,12 @@ impl DistillSession {
     ///
     /// `snapshot` (a `Full`-scope replica published by the dead shard) is
     /// applied to a fresh student, and the distillation counters are restored
-    /// from the replica's metadata. The Adam optimizer starts cold: the paper
-    /// replicates only the student weights, so the first post-takeover key
-    /// frame retrains moment estimates from zero — acceptable because the
-    /// per-key-frame training loop (Algorithm 3) converges on the frame's
-    /// metric threshold, not on a fixed step count.
+    /// from the replica's metadata. The Adam optimizer starts cold: the
+    /// replica holds only the student weights, so its moments and step count
+    /// are gone and the stream's later updates differ from a run without the
+    /// failure. A takeover therefore resumes only a session a panic tore
+    /// mid-distill; every other adopted session keeps its optimizer and stays
+    /// bit for bit.
     pub fn resume(
         config: ShadowTutorConfig,
         mut student: StudentNet,

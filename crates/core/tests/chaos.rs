@@ -182,13 +182,9 @@ struct StreamOutcome {
     /// bit-for-bit comparison covers metric, steps and payload bytes).
     updates: Vec<ServerToClient>,
     drops: Vec<(usize, DropReason)>,
-    reshares: usize,
 }
 
-/// Pump one stream until every sent key frame is acked (update or drop),
-/// answering `NeedFrame` with a re-share. No pool here has a frame budget,
-/// and an adopter takes each stream's frames over with the stream, so none
-/// is expected; the answer is there for a pool that asks anyway.
+/// Pump one stream until every sent key frame is acked (update or drop).
 fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut outcome = StreamOutcome::default();
@@ -212,14 +208,6 @@ fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
         };
         match msg {
             update @ ServerToClient::StudentUpdate { .. } => outcome.updates.push(update),
-            ServerToClient::NeedFrame { frame_index } => {
-                let frame = frames
-                    .iter()
-                    .find(|f| f.index == frame_index)
-                    .expect("NeedFrame for a frame this stream never sent");
-                client.reshare(frame).expect("re-share failed");
-                outcome.reshares += 1;
-            }
             ServerToClient::Dropped {
                 frame_index,
                 reason,
@@ -569,6 +557,85 @@ fn static_modulo_layout_survives_a_shard_kill_bit_for_bit() {
     assert_eq!(clean_stats.snapshot().failovers, 0);
     for (id, clean_outcome) in &clean {
         assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
+        assert_eq!(
+            faulted[id].updates, clean_outcome.updates,
+            "stream {id} diverged from the fault-free run after adoption"
+        );
+    }
+}
+
+/// Static-modulo placement, the doomed shard's two streams only: each sends
+/// one key frame and waits for its update, so both sessions have trained
+/// (their optimizers hold moments and a step count) before shard
+/// [`DEAD_SHARD`] is killed under the three key frames each sends next.
+fn run_trained_then_killed(fault_plan: FaultPlan) -> (HashMap<StreamId, StreamOutcome>, PoolStats) {
+    let pool = ServerPool::spawn(
+        ShadowTutorConfig::paper(),
+        PoolConfig {
+            placement: PlacementPolicy::StaticModulo,
+            ..chaos_pool_config(fault_plan)
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0.013,
+        |_| OracleTeacher::perfect(TEACHER_SEED),
+    )
+    .unwrap();
+    let streams: Vec<(StreamId, Vec<Frame>)> = doomed_streams()
+        .into_iter()
+        .map(|id| (id, tiny_stream(SceneKind::People, 70 + id, 4)))
+        .collect();
+    let mut clients: Vec<StreamClient> = streams
+        .iter()
+        .map(|(id, frames)| pool.connect(*id, frames).unwrap())
+        .collect();
+    for client in &mut clients {
+        let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    }
+    let mut outcomes: HashMap<StreamId, StreamOutcome> = HashMap::new();
+    for (client, (id, frames)) in clients.iter_mut().zip(&streams) {
+        send_key_frame(client, &frames[0]).unwrap();
+        let first = drive_stream(client, &frames[..1]);
+        let [ServerToClient::StudentUpdate { distill_steps, .. }] = first.updates[..] else {
+            panic!("stream {id}: first key frame not served: {:?}", first.drops);
+        };
+        assert!(distill_steps > 0, "stream {id} never trained");
+        outcomes.insert(*id, first);
+    }
+    for (client, (_, frames)) in clients.iter_mut().zip(&streams) {
+        for frame in &frames[1..] {
+            send_key_frame(client, frame).unwrap();
+        }
+    }
+    for (client, (id, frames)) in clients.iter_mut().zip(&streams) {
+        let rest = drive_stream(client, &frames[1..]);
+        let outcome = outcomes.get_mut(id).unwrap();
+        outcome.updates.extend(rest.updates);
+        outcome.drops.extend(rest.drops);
+    }
+    for client in &mut clients {
+        client.send(ClientToServer::Shutdown, 1).unwrap();
+    }
+    drop(clients);
+    (outcomes, pool.join().unwrap())
+}
+
+#[test]
+fn a_takeover_after_training_stays_bit_for_bit() {
+    // Every other bit-for-bit referee kills at batch 0, before any session
+    // has trained. Here the kill lands after two batches, so an adopter
+    // that rebuilt the sessions from their replicas would lose their
+    // optimizers' moments and step counts, and diverge.
+    let (faulted, stats) = run_trained_then_killed(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 2));
+    let report = stats.snapshot();
+    assert_eq!(report.failovers, 1, "{report:?}");
+    assert_eq!(report.streams_adopted, doomed_streams().len(), "{report:?}");
+    assert_eq!(stats.dropped_jobs(), 0);
+    let (clean, clean_stats) = run_trained_then_killed(FaultPlan::none());
+    assert_eq!(clean_stats.snapshot().failovers, 0);
+    for (id, clean_outcome) in &clean {
+        assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
+        assert_eq!(clean_outcome.updates.len(), 4);
         assert_eq!(
             faulted[id].updates, clean_outcome.updates,
             "stream {id} diverged from the fault-free run after adoption"

@@ -41,12 +41,10 @@
 //! use [`message`] and [`transport`].
 //!
 //! The multi-stream server pool additionally uses the stream-tagged
-//! envelope ([`message::StreamTagged`]), the backpressure acks
-//! ([`message::ServerToClient::Throttle`] / [`message::ServerToClient::Dropped`])
-//! and the frame-cache recovery exchange
-//! ([`message::ServerToClient::NeedFrame`] /
-//! [`message::ClientToServer::ReShare`]); see `docs/ARCHITECTURE.md` at the
-//! workspace root for how a key frame flows through them.
+//! envelope ([`message::StreamTagged`]) and the backpressure acks
+//! ([`message::ServerToClient::Throttle`] / [`message::ServerToClient::Dropped`]);
+//! see `docs/ARCHITECTURE.md` at the workspace root for how a key frame
+//! flows through them.
 
 // Every public item of the wire-protocol crate must be documented: the
 // messages *are* the protocol specification.

@@ -64,18 +64,6 @@ pub enum ClientToServer {
         /// Encoded RGB frame.
         payload: Payload,
     },
-    /// Re-upload of a frame the server evicted from its bounded frame cache
-    /// and asked back for with [`ServerToClient::NeedFrame`]. The pending
-    /// key-frame job for this index resumes once the content lands; a
-    /// `ReShare` for a frame nobody asked about is answered with
-    /// [`ServerToClient::Dropped`].
-    ReShare {
-        /// Index of the re-shared frame.
-        frame_index: usize,
-        /// Encoded RGB frame (same encoding as
-        /// [`ClientToServer::KeyFrame`]).
-        payload: Payload,
-    },
     /// The client is done with the stream; the server loop should exit.
     Shutdown,
     /// Capability-announcing registration (wire tag 4, added with the
@@ -135,11 +123,7 @@ pub enum DropReason {
     /// The stream has no registered session (never registered, or the key
     /// frame arrived after the stream's `Shutdown`).
     UnknownStream,
-    /// The stream is registered but the frame index was never pre-shared —
-    /// or its content was evicted from the server's bounded frame cache and
-    /// could not be recovered before the stream finished (the server asks
-    /// for evicted content with [`ServerToClient::NeedFrame`] first; this
-    /// reason is only sent when the re-share never arrived).
+    /// The stream is registered but the frame index was never pre-shared.
     UnknownFrame,
     /// The shard serving the stream died and the job could not be salvaged
     /// by the buddy shard's takeover (a torn failure lost the queued job, or
@@ -180,14 +164,11 @@ pub enum ServerToClient {
         /// Index of the rejected key frame.
         frame_index: usize,
     },
-    /// The server holds a pending key-frame job for this frame but evicted
-    /// the frame's content from its bounded cache; the client should answer
-    /// with [`ClientToServer::ReShare`] carrying the content again. The job
-    /// stays queued (with its original arrival time, so wait accounting
-    /// stays honest) until the re-share arrives or the stream finishes, when
-    /// it is answered with [`ServerToClient::Dropped`]. Sent once per parked
-    /// frame, never repeated on a timer; only a standby that adopts the job
-    /// after a shard failure asks again.
+    /// Retired: no server sends it. It once asked a client to re-upload a
+    /// frame evicted from a bounded frame cache; the pool now keeps every
+    /// pre-shared frame for the stream's life. The variant and its wire tag
+    /// (3) are kept only because the `stbench` client still matches on it
+    /// (ROADMAP item 18); a client that receives it may ignore it.
     NeedFrame {
         /// Index of the frame whose content the server needs again.
         frame_index: usize,
@@ -396,33 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn need_frame_and_reshare_identify_the_frame() {
-        // The eviction-recovery exchange: the server names the frame it
-        // evicted, the client re-uploads exactly that frame.
-        let need = ServerToClient::NeedFrame { frame_index: 17 };
-        assert!(matches!(
-            need,
-            ServerToClient::NeedFrame { frame_index: 17 }
-        ));
-        let reshare = ClientToServer::ReShare {
-            frame_index: 17,
-            payload: Payload::sized(3 * 1280 * 720),
-        };
-        match reshare {
-            ClientToServer::ReShare {
-                frame_index,
-                payload,
-            } => {
-                assert_eq!(frame_index, 17);
-                // The re-share costs the same wire bytes as the original
-                // key-frame upload — eviction trades memory for bandwidth.
-                assert_eq!(payload.bytes, 3 * 1280 * 720 + MESSAGE_OVERHEAD_BYTES);
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-
-    #[test]
     fn message_variants_carry_payloads() {
         let m = ClientToServer::KeyFrame {
             frame_index: 5,
@@ -437,7 +391,6 @@ mod tests {
                 assert!(payload.bytes > 10);
             }
             ClientToServer::Register
-            | ClientToServer::ReShare { .. }
             | ClientToServer::Shutdown
             | ClientToServer::RegisterCaps { .. } => panic!("wrong variant"),
         }

@@ -517,14 +517,7 @@ impl Wire for ClientToServer {
                 frame_index.encode_into(out);
                 payload.encode_gather(out, blobs);
             }
-            ClientToServer::ReShare {
-                frame_index,
-                payload,
-            } => {
-                out.push(2);
-                frame_index.encode_into(out);
-                payload.encode_gather(out, blobs);
-            }
+            // Tag 2 (a retired frame re-upload) is never reused.
             ClientToServer::Shutdown => out.push(3),
             ClientToServer::RegisterCaps { supports_delta } => {
                 out.push(4);
@@ -536,10 +529,6 @@ impl Wire for ClientToServer {
         match u8::decode(input)? {
             0 => Ok(ClientToServer::Register),
             1 => Ok(ClientToServer::KeyFrame {
-                frame_index: usize::decode(input)?,
-                payload: Payload::decode_within(input, owner)?,
-            }),
-            2 => Ok(ClientToServer::ReShare {
                 frame_index: usize::decode(input)?,
                 payload: Payload::decode_within(input, owner)?,
             }),
@@ -558,10 +547,6 @@ impl Wire for ClientToServer {
             ClientToServer::Register | ClientToServer::Shutdown => 1,
             ClientToServer::RegisterCaps { .. } => 2,
             ClientToServer::KeyFrame {
-                frame_index,
-                payload,
-            }
-            | ClientToServer::ReShare {
                 frame_index,
                 payload,
             } => 1 + frame_index.encoded_len() + payload.encoded_len(),
@@ -804,10 +789,6 @@ mod tests {
         for payload in sample_payloads() {
             round_trip(ClientToServer::KeyFrame {
                 frame_index: 1234,
-                payload: payload.clone(),
-            });
-            round_trip(ClientToServer::ReShare {
-                frame_index: usize::MAX,
                 payload,
             });
         }
@@ -1045,6 +1026,25 @@ mod tests {
             Err(WireError::UnknownVariant {
                 type_name: "Option",
                 tag: 3
+            })
+        );
+    }
+
+    #[test]
+    fn a_retired_client_tag_fails_typed() {
+        // Tag 2 carried a frame re-upload that no peer sends any more. A
+        // frame from such a peer — a well-formed key-frame body under that
+        // tag — is refused by type, not by panic.
+        let mut frame = encode_frame(&ClientToServer::KeyFrame {
+            frame_index: 17,
+            payload: Payload::with_data(Bytes::from(vec![5u8; 48])),
+        });
+        frame[FRAME_HEADER_BYTES] = 2;
+        assert_eq!(
+            decode_frame::<ClientToServer>(&frame),
+            Err(WireError::UnknownVariant {
+                type_name: "ClientToServer",
+                tag: 2
             })
         );
     }

@@ -297,15 +297,11 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
 }
 
 fn arb_client_to_server() -> impl Strategy<Value = ClientToServer> {
-    (0usize..4, any::<usize>(), arb_payload()).prop_map(|(variant, frame_index, payload)| {
+    (0usize..3, any::<usize>(), arb_payload()).prop_map(|(variant, frame_index, payload)| {
         match variant {
             0 => ClientToServer::Register,
             1 => ClientToServer::Shutdown,
-            2 => ClientToServer::KeyFrame {
-                frame_index,
-                payload,
-            },
-            _ => ClientToServer::ReShare {
+            _ => ClientToServer::KeyFrame {
                 frame_index,
                 payload,
             },

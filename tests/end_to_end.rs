@@ -716,169 +716,16 @@ fn batched_cnn_teacher_amortizes_measured_cost_in_the_pool() {
     );
 }
 
-/// Open-loop client driver for the frame-budget test: waits for the
-/// initial checkpoint, sends every frame on a fixed
-/// schedule, answers `NeedFrame` recovery requests by re-uploading the
-/// frame, drains until every send is answered, and shuts down. Returns
-/// `(updates, throttled, dropped)`.
-fn drive_stream(
-    mut client: StreamClient,
-    frames: Vec<st_video::Frame>,
-    interval: Duration,
-) -> (usize, usize, usize) {
-    use std::collections::HashMap;
-    client
-        .recv_timeout(Duration::from_secs(30))
-        .expect("initial checkpoint");
-    let by_index: HashMap<usize, &st_video::Frame> = frames.iter().map(|f| (f.index, f)).collect();
-    let (mut updates, mut throttled, mut dropped) = (0usize, 0usize, 0usize);
-    let mut outstanding = 0usize;
-    let mut reshare_queue: Vec<usize> = Vec::new();
-    let absorb = |message: ServerToClient,
-                  updates: &mut usize,
-                  throttled: &mut usize,
-                  dropped: &mut usize,
-                  outstanding: &mut usize,
-                  reshare_queue: &mut Vec<usize>| {
-        match message {
-            ServerToClient::StudentUpdate { .. } => {
-                *updates += 1;
-                *outstanding = outstanding.saturating_sub(1);
-            }
-            ServerToClient::Throttle { .. } => {
-                *throttled += 1;
-                *outstanding = outstanding.saturating_sub(1);
-            }
-            ServerToClient::Dropped { .. } => {
-                *dropped += 1;
-                *outstanding = outstanding.saturating_sub(1);
-            }
-            ServerToClient::NeedFrame { frame_index } => reshare_queue.push(frame_index),
-            ServerToClient::InitialStudent { .. } => {}
-        }
-    };
-    for frame in &frames {
-        let payload = Payload::sized(frame.raw_rgb_bytes());
-        let bytes = payload.bytes;
-        client
-            .send(
-                ClientToServer::KeyFrame {
-                    frame_index: frame.index,
-                    payload,
-                },
-                bytes,
-            )
-            .expect("uplink send");
-        outstanding += 1;
-        while let Ok(Some(message)) = client.try_recv() {
-            absorb(
-                message,
-                &mut updates,
-                &mut throttled,
-                &mut dropped,
-                &mut outstanding,
-                &mut reshare_queue,
-            );
-        }
-        for index in reshare_queue.drain(..) {
-            client.reshare(by_index[&index]).expect("reshare send");
-        }
-        std::thread::sleep(interval);
-    }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while outstanding > 0 && Instant::now() < deadline {
-        match client.recv_timeout(Duration::from_millis(200)) {
-            Ok(message) => absorb(
-                message,
-                &mut updates,
-                &mut throttled,
-                &mut dropped,
-                &mut outstanding,
-                &mut reshare_queue,
-            ),
-            Err(st_net::TransportError::Timeout) => continue,
-            Err(_) => break,
-        }
-        for index in reshare_queue.drain(..) {
-            client.reshare(by_index[&index]).expect("reshare send");
-        }
-    }
-    client.send(ClientToServer::Shutdown, 1).ok();
-    (updates, throttled, dropped)
-}
-
-/// The frame budget under sustained load: an 8×-rate hot stream pre-shares
-/// 30 frames against a 12-frame LRU budget on a 2-shard pool, next to a
-/// cold stream on the other shard. The cache never exceeds the budget, the
-/// `NeedFrame` → `ReShare` recovery really runs, and every key frame sent is
-/// answered with its update — nothing dropped, nothing throttled.
-///
-/// The hot backlog is physical and independent of kernel speed: the
-/// teacher pauses as long as the hot stream's send interval, so its shard
-/// falls behind by a distillation per key frame however cheap a
-/// distillation gets, and re-shared frames compete for the budget with
-/// frames still queued.
+/// The pool's answers to a stream's own key-frame protocol: a key frame
+/// sent twice is answered twice (the two jobs may not collapse into one),
+/// and a frame index the stream never pre-shared is refused at the door
+/// with an explicit `Dropped { UnknownFrame }`.
 #[test]
-fn a_hot_stream_stays_inside_its_frame_budget() {
-    let hot_frames = frames_for(SceneKind::People, 9100, 30);
-    let cold_frames = frames_for(SceneKind::Animals, 9101, 4);
-    let hot_interval = Duration::from_millis(30);
-    let budget = 12 * FrameStore::frame_cost(&hot_frames[0]);
-    let pool = ServerPool::spawn(
-        ShadowTutorConfig::paper(),
-        PoolConfig {
-            shards: 2,
-            max_in_flight: 64,
-            frame_budget_bytes: Some(budget),
-            ..PoolConfig::default_pool()
-        },
-        StudentNet::new(StudentConfig::tiny()).unwrap(),
-        0.013,
-        |shard| PacedTeacher::new(OracleTeacher::perfect(7200 + shard as u64), hot_interval),
-    )
-    .unwrap();
-    let hot = pool.connect(0, &hot_frames).unwrap();
-    let cold = pool.connect(1, &cold_frames).unwrap();
-    assert_eq!(pool.shard_loads(), vec![1, 1]);
-    let (hot_result, cold_result) = std::thread::scope(|scope| {
-        let hot = scope.spawn(|| drive_stream(hot, hot_frames.clone(), hot_interval));
-        let cold = scope.spawn(|| drive_stream(cold, cold_frames.clone(), 8 * hot_interval));
-        (hot.join().unwrap(), cold.join().unwrap())
-    });
-    let stats = pool.join().unwrap();
-    // Every sent key frame was acked with an update: (updates, throttled,
-    // dropped).
-    assert_eq!(hot_result, (hot_frames.len(), 0, 0));
-    assert_eq!(cold_result, (cold_frames.len(), 0, 0));
-    assert_eq!(stats.dropped_jobs(), 0);
-    assert_eq!(
-        stats.total_key_frames(),
-        hot_frames.len() + cold_frames.len()
-    );
-    // The budget held at every point of the run, and the recovery path
-    // really ran.
-    assert!(stats.frame_bytes_peak() <= budget);
-    assert!(stats.frame_evictions() > 0);
-    assert!(stats.reshared_frames() > 0);
-}
-
-/// The eviction-recovery protocol, deterministically: a key frame whose
-/// content was evicted from the bounded cache is parked and recovered via
-/// `NeedFrame` → `ReShare`, never dropped — while frames that were never
-/// shared still get the explicit `Dropped` ack. The pool asks once and
-/// waits as long as the client takes; a request the client never answers
-/// is settled by the stream's `Shutdown`, which drop-acks the parked job.
-#[test]
-fn lru_eviction_needframe_reshare_round_trip() {
+fn repeated_key_frames_are_answered_twice_and_unshared_ones_dropped() {
     let frames = frames_for(SceneKind::People, 93, 4);
-    let budget = 2 * FrameStore::frame_cost(&frames[0]);
     let pool = ServerPool::spawn(
         ShadowTutorConfig::paper(),
-        PoolConfig {
-            shards: 1,
-            frame_budget_bytes: Some(budget),
-            ..PoolConfig::default_pool()
-        },
+        PoolConfig::with_shards(1),
         StudentNet::new(StudentConfig::tiny()).unwrap(),
         0.013,
         |_| OracleTeacher::perfect(93),
@@ -887,87 +734,34 @@ fn lru_eviction_needframe_reshare_round_trip() {
     let mut client = pool.connect(5, &frames).unwrap();
     let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
     assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
-
-    // Frames are pre-shared in index order, so with room for two the first
-    // two are already evicted. Asking for frame 0 must yield a NeedFrame,
-    // not a drop.
-    let payload = Payload::sized(frames[0].raw_rgb_bytes());
-    let bytes = payload.bytes;
-    client
-        .send(
-            ClientToServer::KeyFrame {
-                frame_index: frames[0].index,
-                payload,
-            },
-            bytes,
-        )
-        .unwrap();
-    match client.recv_timeout(Duration::from_secs(10)).unwrap() {
-        ServerToClient::NeedFrame { frame_index } => assert_eq!(frame_index, frames[0].index),
-        other => panic!("expected NeedFrame, got {other:?}"),
-    }
-    // No re-send while the job waits, however long the client takes.
-    match client.recv_timeout(Duration::from_millis(300)) {
-        Err(st_net::TransportError::Timeout) => {}
-        other => panic!("expected silence while the job is parked, got {other:?}"),
-    }
-    // Re-uploading the frame resumes the parked job and produces the
-    // update the original key frame was owed.
-    client.reshare(&frames[0]).unwrap();
-    match client.recv_timeout(Duration::from_secs(10)).unwrap() {
-        ServerToClient::StudentUpdate { frame_index, .. } => {
-            assert_eq!(frame_index, frames[0].index)
-        }
-        other => panic!("expected StudentUpdate, got {other:?}"),
-    }
-
-    // A client may legally re-send a key frame. Two sends for the same
-    // evicted index must yield two updates — the parked jobs may not
-    // collapse into one (the regression this guards: a map keyed by frame
-    // index silently swallowing the duplicate).
-    for _ in 0..2 {
-        let payload = Payload::sized(frames[1].raw_rgb_bytes());
+    let send = |client: &mut StreamClient, frame_index: usize| {
+        let payload = Payload::sized(frames[0].raw_rgb_bytes());
         let bytes = payload.bytes;
         client
             .send(
                 ClientToServer::KeyFrame {
-                    frame_index: frames[1].index,
+                    frame_index,
                     payload,
                 },
                 bytes,
             )
             .unwrap();
-    }
-    let mut duplicate_updates = 0;
-    while duplicate_updates < 2 {
+    };
+
+    // A client may legally re-send a key frame: two sends, two updates.
+    send(&mut client, frames[1].index);
+    send(&mut client, frames[1].index);
+    for _ in 0..2 {
         match client.recv_timeout(Duration::from_secs(10)).unwrap() {
-            // Depending on how the two sends batch, the server may ask for
-            // the frame once or twice; answer every request.
-            ServerToClient::NeedFrame { frame_index } => {
-                assert_eq!(frame_index, frames[1].index);
-                client.reshare(&frames[1]).unwrap();
-            }
             ServerToClient::StudentUpdate { frame_index, .. } => {
-                assert_eq!(frame_index, frames[1].index);
-                duplicate_updates += 1;
+                assert_eq!(frame_index, frames[1].index)
             }
-            other => panic!("expected NeedFrame/StudentUpdate, got {other:?}"),
+            other => panic!("expected StudentUpdate, got {other:?}"),
         }
     }
 
-    // A frame that was never shared is a protocol error, not a recovery
-    // case: explicit drop ack.
-    let payload = Payload::sized(frames[0].raw_rgb_bytes());
-    let bytes = payload.bytes;
-    client
-        .send(
-            ClientToServer::KeyFrame {
-                frame_index: 999,
-                payload,
-            },
-            bytes,
-        )
-        .unwrap();
+    // A frame that was never shared is a protocol error: explicit drop ack.
+    send(&mut client, 999);
     match client.recv_timeout(Duration::from_secs(10)).unwrap() {
         ServerToClient::Dropped {
             frame_index,
@@ -978,56 +772,13 @@ fn lru_eviction_needframe_reshare_round_trip() {
         }
         other => panic!("expected Dropped, got {other:?}"),
     }
-    // An unsolicited re-share of a never-shared frame is refused the same
-    // way (a re-share restores content, it does not add frames).
-    let foreign = frames_for(SceneKind::Street, 94, 6).pop().unwrap();
-    client.reshare(&foreign).unwrap();
-    match client.recv_timeout(Duration::from_secs(10)).unwrap() {
-        ServerToClient::Dropped { reason, .. } => assert_eq!(reason, DropReason::UnknownFrame),
-        other => panic!("expected Dropped, got {other:?}"),
-    }
-
-    // Frame 2 went when frame 0 came back. Asked for and never answered,
-    // its job is drop-acked by the stream's shutdown.
-    let payload = Payload::sized(frames[2].raw_rgb_bytes());
-    let bytes = payload.bytes;
-    client
-        .send(
-            ClientToServer::KeyFrame {
-                frame_index: frames[2].index,
-                payload,
-            },
-            bytes,
-        )
-        .unwrap();
-    match client.recv_timeout(Duration::from_secs(10)).unwrap() {
-        ServerToClient::NeedFrame { frame_index } => assert_eq!(frame_index, frames[2].index),
-        other => panic!("expected NeedFrame, got {other:?}"),
-    }
     client.send(ClientToServer::Shutdown, 1).unwrap();
-    match client.recv_timeout(Duration::from_secs(10)).unwrap() {
-        ServerToClient::Dropped {
-            frame_index,
-            reason,
-        } => {
-            assert_eq!(frame_index, frames[2].index);
-            assert_eq!(reason, DropReason::UnknownFrame);
-        }
-        other => panic!("expected Dropped, got {other:?}"),
-    }
     drop(client);
     let stats = pool.join().unwrap();
-    // Three key frames served end to end (one recovered, plus the
-    // duplicate pair); the recoveries, the two protocol errors and the
-    // unanswered request all accounted; the budget held throughout.
-    assert_eq!(stats.total_key_frames(), 3);
-    assert_eq!(stats.streams[&5].key_frames, 3);
-    assert_eq!(stats.dropped_jobs(), 3);
-    let shard = &stats.shards[0];
-    assert!(shard.frame_evictions >= 2);
-    assert!(shard.need_frame_requests >= 3);
-    assert!(shard.reshared_frames >= 2);
-    assert!(shard.frame_bytes_peak > 0 && shard.frame_bytes_peak <= budget);
+    assert_eq!(stats.total_key_frames(), 2);
+    assert_eq!(stats.streams[&5].key_frames, 2);
+    assert_eq!(stats.streams[&5].dropped, 1);
+    assert_eq!(stats.dropped_jobs(), 1);
 }
 
 #[test]
