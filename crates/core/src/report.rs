@@ -349,8 +349,8 @@ pub struct ShardReport {
     pub failovers: usize,
     /// Streams re-homed onto this shard by failover takeovers.
     pub streams_adopted: usize,
-    /// Frames that could not be recovered from replicas or re-shares during
-    /// a takeover; their jobs were drop-acked with `ShardFailed`.
+    /// Key-frame jobs that died with a shard during a takeover; each was
+    /// drop-acked with `ShardFailed`.
     pub frames_lost_on_failover: usize,
     /// Key frames a distill-crew helper distilled for this shard.
     pub jobs_offloaded: usize,
@@ -398,12 +398,6 @@ pub struct PoolReport {
     /// 99th-percentile takeover latency — death detection to the standby
     /// finishing adoption — in milliseconds. 0 when no failover ran.
     pub takeover_latency_p99_ms: f64,
-    /// Bytes of new (previously unseen) checkpoint chunks published to the
-    /// replica store over the run.
-    pub replica_bytes_published: usize,
-    /// Bytes of checkpoint chunks deduplicated by content hash (frozen
-    /// partial-distillation stages shared instead of recopied).
-    pub replica_bytes_shared: usize,
     /// Streams the pool served over the run.
     pub streams: usize,
     /// Bytes of session weight storage still shared with the shard template

@@ -1,7 +1,7 @@
 //! Pool configuration, fault-injection plans and the pool's error type.
 
 #[cfg(doc)]
-use super::{ReplicaStore, ServerPool};
+use super::ServerPool;
 use crate::config::PlacementPolicy;
 use crate::Result;
 use st_net::StreamId;
@@ -126,15 +126,17 @@ pub struct PoolConfig {
     /// count; what changes is how many mostly-idle streams one process can
     /// host per thread.
     pub reactor_threads: Option<usize>,
-    /// Replicate every stream's session checkpoint (student weights +
-    /// distillation counters) to a shared content-addressed
-    /// [`ReplicaStore`] after each accepted update, and arm warm-standby
-    /// takeover: when a shard dies, its buddy shard (`(shard + 1) % shards`)
-    /// moves its streams over — sessions, frames, delta tracks and queued
-    /// jobs as the dead shard left them; only a session a panic tore
-    /// mid-distill is resumed from its replica — and flips their routes to
-    /// itself. Works under every placement policy;
-    /// needs at least two shards. Off by default: a worker panic then fails
+    /// Keep a recovery checkpoint beside every stream and arm warm-standby
+    /// takeover. Each stream's entry holds its session's last settled
+    /// checkpoint (student weights + distillation counters), taken at
+    /// registration and whenever the stream's crew item comes home whole;
+    /// an item that fails — a panic inside `distill` can leave the session
+    /// half-stepped — has its session rebuilt from it on the spot, with a
+    /// cold optimizer. When a shard dies, its buddy shard
+    /// (`(shard + 1) % shards`) moves its streams over — sessions, frames,
+    /// delta tracks and queued jobs as the dead shard left them — and flips
+    /// their routes to itself. Works under every placement policy; needs
+    /// at least two shards. Off by default: a worker panic then fails
     /// [`ServerPool::join`] with [`PoolError::WorkerFailed`].
     pub replication: bool,
     /// Deterministic fault-injection schedule ([`FaultPlan::none`] by

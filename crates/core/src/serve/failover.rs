@@ -3,7 +3,6 @@
 //! takeover itself is the shard state machine's (`state/takeover.rs`).
 
 use super::locked;
-use super::replica::ReplicaStore;
 use super::state::{ShardOutput, ShardState};
 #[cfg(doc)]
 use super::PoolError;
@@ -97,6 +96,11 @@ impl FailoverBoard {
         self.status[shard].store(FINISHED, Ordering::SeqCst);
     }
 
+    /// Whether checkpoint replication (and hence standby adoption) is on.
+    pub(super) fn replication(&self) -> bool {
+        self.replication
+    }
+
     pub(super) fn is_dead(&self, shard: usize) -> bool {
         self.status[shard].load(Ordering::SeqCst) == DEAD
     }
@@ -173,8 +177,7 @@ impl FailoverBoard {
 }
 
 /// Everything the failover protocol shares between workers, generic over
-/// the teacher: the hosted shard-state slots, the blackboard, and the
-/// checkpoint-replica store.
+/// the teacher: the hosted shard-state slots and the blackboard.
 ///
 /// `states[i]` hosts shard *i*'s machine until the shard finishes (slot
 /// emptied) or dies (the carcass stays in the slot for its standby). A
@@ -185,5 +188,4 @@ impl FailoverBoard {
 pub(super) struct FailoverShared<T: Teacher> {
     pub(super) states: Vec<Mutex<Option<ShardState<T>>>>,
     pub(super) board: Arc<FailoverBoard>,
-    pub(super) replicas: Option<Arc<ReplicaStore>>,
 }

@@ -45,7 +45,10 @@
 //!   fallback the paper's partial/full modes make natural.
 //!
 //! Placement is final — a stream leaves its shard only when the shard dies
-//! and its warm standby adopts it ([`PoolConfig::replication`]) — so a hot
+//! and its warm standby adopts it ([`PoolConfig::replication`], under which
+//! every stream also keeps its last settled checkpoint beside it, so a
+//! session a panic tore mid-distill is rolled back before any standby
+//! sees it) — so a hot
 //! stream's shard-mates are relieved by hosting more shards than reactor
 //! workers, not by moving sessions (`docs/ARCHITECTURE.md` has the
 //! measurements behind that choice). Each stream's pre-shared frames live
@@ -66,7 +69,7 @@
 //!   and back, so no session is locked or borrowed across threads. The
 //!   worker answers every
 //!   key frame the moment it is distilled (delta encode, digest patch,
-//!   downlink, replica publish), so a round trip is `teacher + own distill`,
+//!   downlink), so a round trip is `teacher + own distill`,
 //!   not `teacher + the batch's`. With no helpers the worker claims every
 //!   item itself: one code path. Only completion order *across* streams can
 //!   differ from a serial run; every per-stream result is bit-identical at
@@ -80,11 +83,12 @@
 //!
 //! The module tree follows the seams of one key frame's trip through the
 //! server: `config` and `stats` are the pool's inputs and outputs; `frames`,
-//! `replica`, `sched` and `shard` are the synchronous per-shard machinery
-//! (a shard fans a batch out through the crew); `state` is the shard state machine (with its `takeover` child, the
-//! warm-standby adoption) over the `failover` blackboard; `pool` is the handle and client
-//! endpoint; `reactor` is the one driver, and reaches a shard state only
-//! through its methods.
+//! `sched` and `shard` are the synchronous per-shard machinery (a shard
+//! fans a batch out through the crew); `state` is the shard state machine
+//! (with its `takeover` child, the warm-standby adoption) over the
+//! `failover` blackboard; `pool` is the handle and client endpoint;
+//! `reactor` is the one driver, and reaches a shard state only through its
+//! methods.
 //!
 //! [`PlacementPolicy`]: crate::config::PlacementPolicy
 //! [`DistillSession`]: crate::server::DistillSession
@@ -94,7 +98,6 @@ mod failover;
 mod frames;
 mod pool;
 mod reactor;
-mod replica;
 mod sched;
 mod shard;
 mod state;
@@ -106,7 +109,6 @@ pub use crate::server::StreamServerStats;
 pub use config::{FaultPlan, PoolConfig, PoolError, SessionWeights};
 pub use frames::FrameStore;
 pub use pool::{ServerPool, StreamClient};
-pub use replica::ReplicaStore;
 pub use sched::{FairScheduler, ScheduledJob, ShardJob};
 pub use shard::{BatchOutcome, ServeShard};
 pub use stats::{PoolStats, ShardStats};

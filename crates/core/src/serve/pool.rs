@@ -4,7 +4,6 @@
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
-use super::replica::ReplicaStore;
 use super::state::{
     Downlink, Envelope, Placements, Registry, Route, ShardLoads, ShardOutput, ShardState,
     StreamLink, WireMeter,
@@ -142,11 +141,12 @@ pub struct ServerPool {
     /// Failover blackboard: worker deaths, adoption claims, and the dead
     /// shards' standby-assembled final outputs.
     board: Arc<FailoverBoard>,
-    /// The pool-wide content-addressed chunk store (template + replicas).
-    store: Arc<WeightStore>,
-    /// The interned pristine template, pinned for the pool's lifetime so
-    /// replica publishes always dedup frozen stages against it. Released
-    /// at `join`.
+    /// The pool's content-addressed chunk store. It holds the interned
+    /// template and nothing else; `join` reports its residency
+    /// ([`PoolStats::store_resident_bytes`]).
+    store: WeightStore,
+    /// The interned pristine template, pinned for the pool's lifetime.
+    /// Released at `join`.
     template_checkpoint: Option<CheckpointRef>,
 }
 
@@ -209,15 +209,11 @@ impl ServerPool {
             pool_config.shards,
             pool_config.replication,
         ));
-        // The pool-wide content-addressed chunk store. The pristine template
-        // is interned up front, so every later replica publish dedups its
-        // frozen stages against the template's chunks from the first byte.
-        let store = Arc::new(WeightStore::new());
+        // The pool's content-addressed chunk store, holding the pristine
+        // template for the pool's life.
+        let store = WeightStore::new();
         let (template_checkpoint, _) =
             store.intern(&WeightSnapshot::capture(&mut template, SnapshotScope::Full));
-        let replicas = pool_config
-            .replication
-            .then(|| Arc::new(ReplicaStore::new(pool_config.shards, Arc::clone(&store))));
         // Every shard state machine lives behind a mutex, hosted by a fixed
         // reactor worker set woken by readiness tokens (one token per shard).
         let poller = st_net::Poller::new();
@@ -242,7 +238,6 @@ impl ServerPool {
                 Arc::clone(&loads),
                 Arc::clone(&placements),
                 Arc::clone(&board),
-                replicas.clone(),
             ))));
             uplinks.push(tx);
             registries.push(registry);
@@ -251,7 +246,6 @@ impl ServerPool {
             FailoverShared {
                 states,
                 board: Arc::clone(&board),
-                replicas,
             },
             poller,
             Arc::clone(&shard_wakers),

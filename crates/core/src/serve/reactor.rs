@@ -27,11 +27,11 @@ const REACTOR_IDLE_TICK: Duration = Duration::from_millis(50);
 /// traffic", and completion accounting.
 pub(super) struct ReactorShared<T: Teacher> {
     /// The hosted shard-state slots (`failover.states[i]` holds shard *i*
-    /// until it finishes or dies), the failover board, and the replica
-    /// store. Any worker may run any shard; the mutex serializes passes per
-    /// shard while leaving distinct shards fully parallel. Completion is
-    /// counted on the board (`finished`), which also covers dead shards
-    /// finalized by their standby.
+    /// until it finishes or dies) and the failover board. Any worker may
+    /// run any shard; the mutex serializes passes per shard while leaving
+    /// distinct shards fully parallel. Completion is counted on the board
+    /// (`finished`), which also covers dead shards finalized by their
+    /// standby.
     failover: FailoverShared<T>,
     poller: st_net::Poller,
     /// Set when a worker hits a hard error, telling its peers to stop
@@ -179,7 +179,7 @@ fn dispatch_pass<T: Teacher>(
                     .failover
                     .board
                     .mark_dead(shard, panic_message(payload.as_ref()));
-                if shared.failover.replicas.is_some() {
+                if shared.failover.board.replication() {
                     // Wake the standby so its next pass runs the takeover.
                     let standby = (shard + 1) % shared.failover.states.len();
                     shared.shard_wakers[standby].wake();
@@ -238,7 +238,6 @@ mod tests {
             FailoverShared {
                 states: vec![Mutex::new(None)],
                 board: Arc::new(FailoverBoard::new(1, false)),
-                replicas: None,
             },
             poller,
             shard_wakers,

@@ -147,8 +147,8 @@ impl FairScheduler {
     }
 
     /// The stream's unspent deficit-round-robin credit (0 when it holds
-    /// none). Replicated with the session checkpoint so a takeover restores
-    /// the stream's scheduling position, not just its weights.
+    /// none). A takeover moves it with the stream, so the adopter keeps the
+    /// stream's scheduling position, not just its session.
     pub fn deficit_of(&self, stream_id: StreamId) -> usize {
         self.deficits.get(&stream_id).copied().unwrap_or(0)
     }

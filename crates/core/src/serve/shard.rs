@@ -12,7 +12,6 @@
 //! across threads or locked. Every finished [`KeyFrameResponse`] goes to
 //! the batch's sink the moment the caller sees it, not when the batch ends.
 
-use super::replica::RestoredReplica;
 #[cfg(doc)]
 use super::ServerPool;
 use super::{FrameStore, SessionWeights, ShardJob, ShardStats};
@@ -22,8 +21,8 @@ use crate::Result;
 #[cfg(doc)]
 use st_net::ServerToClient;
 use st_net::{DropReason, StreamId};
-use st_nn::delta::{CheckpointDigest, WeightDelta};
-use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
+use st_nn::delta::CheckpointDigest;
+use st_nn::snapshot::WeightSnapshot;
 use st_nn::store::SessionMemory;
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
@@ -45,30 +44,38 @@ pub(super) struct DeltaTrack {
     pub(super) synced: bool,
 }
 
+/// A stream's last settled state: its session's full checkpoint and
+/// distillation counters, as they stood when no item held the session.
+pub(super) struct Checkpoint {
+    pub(super) weights: WeightSnapshot,
+    pub(super) key_frames: usize,
+    pub(super) distill_steps: usize,
+}
+
+impl Checkpoint {
+    fn of(session: &mut DistillSession) -> Self {
+        Checkpoint {
+            weights: session.initial_checkpoint(),
+            key_frames: session.key_frames_processed(),
+            distill_steps: session.distill_steps_taken(),
+        }
+    }
+}
+
 /// One stream's registration state inside a shard.
 pub(super) struct StreamEntry {
-    session: DistillSession,
+    pub(super) session: DistillSession,
     /// The stream's pre-shared frame content.
     frames: FrameStore,
     /// Delta-update negotiation state; `None` on legacy bare-snapshot
-    /// streams. Marked unsynced by a failover restore.
-    delta: Option<DeltaTrack>,
-    /// An item run failed (a typed error or a panic) while it owned the
-    /// session, so the session may be half-stepped: a takeover rebuilds it
-    /// from its replica instead of adopting it.
-    torn: bool,
-}
-
-impl StreamEntry {
-    /// What checkpoint replication publishes for the stream: the full
-    /// session checkpoint and the distillation counters.
-    pub(super) fn replica(&mut self) -> (WeightSnapshot, usize, usize) {
-        (
-            self.session.initial_checkpoint(),
-            self.session.key_frames_processed(),
-            self.session.distill_steps_taken(),
-        )
-    }
+    /// streams. Marked unsynced by a takeover.
+    pub(super) delta: Option<DeltaTrack>,
+    /// The recovery point, kept only when the pool replicates
+    /// ([`ServeShard::keep_checkpoint`]): taken at registration and
+    /// whenever an item comes home whole. An item that comes home failed —
+    /// a panic inside `distill` can leave the session half-stepped — has its
+    /// session rebuilt from it on the spot.
+    pub(super) checkpoint: Option<Checkpoint>,
 }
 
 /// One job of a [`CrewItem`].
@@ -187,7 +194,8 @@ pub(super) trait BatchSink {
 
     /// Every job the batch held for `stream_id` has been served and its
     /// session is home and quiescent again.
-    fn settled(&mut self, stats: &mut ShardStats, stream_id: StreamId, entry: &mut StreamEntry);
+    fn settled(&mut self, _stats: &mut ShardStats, _stream_id: StreamId, _entry: &mut StreamEntry) {
+    }
 }
 
 /// The sink behind the public [`ServeShard::process_batch`]: keep every
@@ -206,8 +214,6 @@ impl BatchSink for Collect {
         self.0
             .push((index, job.stream_id, job.frame_index, response));
     }
-
-    fn settled(&mut self, _: &mut ShardStats, _: StreamId, _: &mut StreamEntry) {}
 }
 
 /// Outcome of one co-scheduled batch: per-stream responses plus the jobs
@@ -229,10 +235,6 @@ pub struct BatchOutcome {
 pub struct ServeShard<T: Teacher> {
     config: ShadowTutorConfig,
     template: StudentNet,
-    /// Full-scope digest of the pristine template — the sparse-restore
-    /// baseline: failover applies only the replica entries that differ from
-    /// it, so frozen stages come back sharing the template's storage.
-    template_digest: CheckpointDigest,
     session_weights: SessionWeights,
     teacher: T,
     sessions: HashMap<StreamId, StreamEntry>,
@@ -249,16 +251,13 @@ impl<T: Teacher> ServeShard<T> {
     /// `_distill_step_latency` is ignored, as in [`DistillSession::new`].
     pub fn new(
         config: ShadowTutorConfig,
-        mut template: StudentNet,
+        template: StudentNet,
         teacher: T,
         _distill_step_latency: f64,
     ) -> Self {
-        let template_digest =
-            CheckpointDigest::of(&WeightSnapshot::capture(&mut template, SnapshotScope::Full));
         ServeShard {
             config,
             template,
-            template_digest,
             session_weights: SessionWeights::CopyOnWrite,
             teacher,
             sessions: HashMap::new(),
@@ -321,7 +320,7 @@ impl<T: Teacher> ServeShard<T> {
                     session,
                     frames,
                     delta: None,
-                    torn: false,
+                    checkpoint: None,
                 },
             );
         }
@@ -353,13 +352,12 @@ impl<T: Teacher> ServeShard<T> {
         self.sessions.insert(stream_id, entry);
     }
 
-    /// Capture what checkpoint replication publishes for one stream: the
-    /// full session checkpoint and the distillation counters.
-    pub(super) fn session_replica(
-        &mut self,
-        stream_id: StreamId,
-    ) -> Option<(WeightSnapshot, usize, usize)> {
-        Some(self.sessions.get_mut(&stream_id)?.replica())
+    /// Keep a recovery checkpoint for one stream from now on (checkpoint
+    /// replication), starting with the session as it stands.
+    pub(super) fn keep_checkpoint(&mut self, stream_id: StreamId) {
+        if let Some(entry) = self.sessions.get_mut(&stream_id) {
+            entry.checkpoint = Some(Checkpoint::of(&mut entry.session));
+        }
     }
 
     /// Sum every live session's storage split against the shard template.
@@ -375,64 +373,31 @@ impl<T: Teacher> ServeShard<T> {
         total
     }
 
-    /// Install a stream at its adopter (warm-standby takeover): `carcass`,
-    /// the stream's entry in the dead shard, as it is — session, optimizer,
-    /// frame store and delta track. Only a torn entry's session is rebuilt:
-    /// resumed from the replica's weights and counters, so it loses its
-    /// optimizer state.
-    ///
-    /// The rebuild is *sparse*: only the replica entries whose content hash
-    /// differs from the pristine template are applied onto a copy-on-write
-    /// template instance, so frozen stages come back sharing the template's
-    /// storage — bit-identical to applying the full replica, because a
-    /// skipped entry equals the template by content hash. A delta-negotiated
-    /// stream's track is marked unsynced either way: the adopter cannot
-    /// prove what the client last applied, so the next update ships as a
-    /// full-snapshot envelope (the delta re-sync).
-    pub(super) fn restore_stream(
-        &mut self,
-        stream_id: StreamId,
-        replica: RestoredReplica,
-        carcass: StreamEntry,
-    ) -> Result<()> {
-        debug_assert!(
-            !self.sessions.contains_key(&stream_id),
-            "a stream lives on exactly one shard"
-        );
-        let StreamEntry {
-            session,
-            frames,
-            delta,
-            torn,
-        } = carcass;
-        let session = if torn {
-            let sparse = WeightDelta::compute(&replica.snapshot, &self.template_digest);
-            let (changed, _) = sparse.into_parts()?;
-            let base = self.template_instance();
-            DistillSession::resume(
-                self.config,
-                base,
-                &changed,
-                replica.key_frames,
-                replica.distill_steps,
-            )?
-        } else {
-            session
+    /// Bring a stream's recovery checkpoint, if it keeps one, level with an
+    /// item that came home: a whole run moves it to the session as it now
+    /// stands; a failed run rebuilds the session from it — a template
+    /// instance with the checkpoint applied, counters restored, optimizer
+    /// cold. `apply` skips every entry whose bits already equal the
+    /// template's, so the frozen stages stay shared with the template.
+    fn settle(&mut self, entry: &mut StreamEntry, whole: bool) {
+        let Some(checkpoint) = &mut entry.checkpoint else {
+            return;
         };
-        let delta = delta.map(|track| DeltaTrack {
-            synced: false,
-            ..track
-        });
-        self.sessions.insert(
-            stream_id,
-            StreamEntry {
-                session,
-                frames,
-                delta,
-                torn: false,
-            },
-        );
-        Ok(())
+        if whole {
+            *checkpoint = Checkpoint::of(&mut entry.session);
+            return;
+        }
+        let base = self.template_instance();
+        let Ok(session) = DistillSession::resume(
+            self.config,
+            base,
+            &checkpoint.weights,
+            checkpoint.key_frames,
+            checkpoint.distill_steps,
+        ) else {
+            unreachable!("a session's own checkpoint applies to its template")
+        };
+        entry.session = session;
     }
 
     /// Number of streams currently registered.
@@ -485,7 +450,9 @@ impl<T: Teacher> ServeShard<T> {
     /// A typed error from an item fails the call once every item is home; a
     /// panic inside an item — on whichever thread ran it — is resumed here,
     /// on the calling thread, likewise after every session is back in the
-    /// shard (the earliest failing item in scheduling order wins).
+    /// shard (the earliest failing item in scheduling order wins). A failed
+    /// item's session comes back rebuilt from its stream's checkpoint, when
+    /// the stream keeps one, so the shard never holds a half-stepped one.
     pub(super) fn process_batch_into(
         &mut self,
         jobs: &[ShardJob],
@@ -563,7 +530,7 @@ impl<T: Teacher> ServeShard<T> {
 
         let mut failures: Vec<Option<std::thread::Result<Result<()>>>> =
             items.iter().map(|_| None).collect();
-        let mut home: Vec<(StreamId, StreamEntry)> = Vec::with_capacity(items.len());
+        let mut home: Vec<(StreamId, StreamEntry, bool)> = Vec::with_capacity(items.len());
         let stats = &mut self.stats;
         Arc::clone(&self.crew).run_batch(items, distill_item, |event, ran| match event {
             Event::Progress(Served {
@@ -590,16 +557,17 @@ impl<T: Teacher> ServeShard<T> {
                     ..
                 } = item;
                 entry.delta = tracks[position].take();
-                if matches!(outcome, Ok(Ok(()))) {
+                let whole = matches!(outcome, Ok(Ok(())));
+                if whole {
                     sink.settled(stats, stream_id, &mut entry);
                 } else {
-                    entry.torn = true;
                     failures[position] = Some(outcome);
                 }
-                home.push((stream_id, entry));
+                home.push((stream_id, entry, whole));
             }
         });
-        for (stream_id, entry) in home {
+        for (stream_id, mut entry, whole) in home {
+            self.settle(&mut entry, whole);
             self.adopt_stream(stream_id, entry);
         }
         match failures.into_iter().flatten().next() {

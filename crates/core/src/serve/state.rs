@@ -8,8 +8,7 @@ mod takeover;
 
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
-use super::replica::ReplicaStore;
-use super::shard::{BatchSink, DeltaTrack, ServeShard, StreamEntry};
+use super::shard::{BatchSink, DeltaTrack, ServeShard};
 use super::{FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats};
 #[cfg(doc)]
 use super::{ServerPool, StreamClient};
@@ -136,8 +135,7 @@ struct StreamMeter {
 
 /// The shard state machine's [`BatchSink`]: answer each key frame the
 /// moment the reactor worker learns it has been distilled — queue-wait
-/// sample, delta encode, digest patch, downlink — and re-publish a stream's
-/// checkpoint replica as soon as its session is home.
+/// sample, delta encode, digest patch, downlink.
 struct Emitter<'a> {
     batch: &'a [ScheduledJob],
     started: Instant,
@@ -146,9 +144,6 @@ struct Emitter<'a> {
     wait_samples: &'a mut Vec<f64>,
     /// The batch's jobs nobody has answered yet (`ShardState::torn_jobs`).
     unanswered: &'a mut Vec<ScheduledJob>,
-    /// Where to replicate, and as which shard; `None` when replication is
-    /// off or the stream is about to retire.
-    replicate: Option<(&'a ReplicaStore, usize)>,
 }
 
 impl BatchSink for Emitter<'_> {
@@ -215,33 +210,6 @@ impl BatchSink for Emitter<'_> {
         // A client that hung up mid-stream only loses its own updates.
         deliver(stats, downlink, msg);
     }
-
-    fn settled(&mut self, stats: &mut ShardStats, stream_id: StreamId, entry: &mut StreamEntry) {
-        if let Some((store, shard_index)) = self.replicate {
-            publish_replica(store, shard_index, stream_id, entry.replica(), stats);
-        }
-    }
-}
-
-/// Publish one stream's checkpoint replica under `shard_index`'s slot.
-/// Content-hash chunking means the parts a partial distillation never
-/// unfreezes are deduplicated, not recopied.
-fn publish_replica(
-    store: &ReplicaStore,
-    shard_index: usize,
-    stream_id: StreamId,
-    (checkpoint, key_frames, distill_steps): (WeightSnapshot, usize, usize),
-    stats: &mut ShardStats,
-) {
-    let published = store.publish(
-        shard_index,
-        stream_id,
-        &checkpoint,
-        key_frames,
-        distill_steps,
-    );
-    stats.replica_bytes_published += published.new_bytes;
-    stats.replica_bytes_shared += published.shared_bytes;
 }
 
 /// Credit a door-rejected key frame to the stream's live meter — or, when
@@ -322,8 +290,6 @@ pub(super) struct ShardState<T: Teacher> {
     disconnected: bool,
     /// Failover blackboard (shard status, deaths, adoption claims).
     board: Arc<FailoverBoard>,
-    /// Checkpoint-replica store; `Some` iff [`PoolConfig::replication`].
-    replicas: Option<Arc<ReplicaStore>>,
     /// Co-scheduled batches completed — the fault plan's kill clock.
     batches_processed: usize,
     /// The jobs of the batch in flight that nobody has answered yet: filled
@@ -370,7 +336,6 @@ impl<T: Teacher> ShardState<T> {
         loads: ShardLoads,
         placements: Placements,
         board: Arc<FailoverBoard>,
-        replicas: Option<Arc<ReplicaStore>>,
     ) -> Self {
         ShardState {
             shard_index,
@@ -388,7 +353,6 @@ impl<T: Teacher> ShardState<T> {
             wait_samples: Vec::new(),
             disconnected: false,
             board,
-            replicas,
             batches_processed: 0,
             torn_jobs: Vec::new(),
             adopted_rx: Vec::new(),
@@ -482,9 +446,11 @@ impl<T: Teacher> ShardState<T> {
                     ServerToClient::InitialStudent { payload },
                 );
                 self.downlinks.insert(stream_id, link.downlink);
-                // The registration-time checkpoint is the replica's
-                // baseline: from here on the stream is recoverable.
-                self.publish_replicas(&[stream_id]);
+                // The registration-time checkpoint is the stream's first
+                // recovery point: from here on it is recoverable.
+                if self.pool_config.replication {
+                    self.shard.keep_checkpoint(stream_id);
+                }
             }
             ClientToServer::KeyFrame {
                 frame_index,
@@ -535,9 +501,7 @@ impl<T: Teacher> ShardState<T> {
                 // updates are not lost, then retire the session.
                 let remaining = self.scheduler.remove_stream(stream_id);
                 for chunk in remaining.chunks(self.pool_config.max_batch) {
-                    // The flush's updates need no replica refresh: the
-                    // session retires (and its replica is dropped) below.
-                    self.process_scheduled(chunk, false)?;
+                    self.process_scheduled(chunk)?;
                 }
                 if let Some((checkpoint, stream_stats)) = retire(
                     &mut self.shard,
@@ -548,10 +512,6 @@ impl<T: Teacher> ShardState<T> {
                 ) {
                     self.streams.insert(stream_id, stream_stats);
                     self.final_checkpoints.insert(stream_id, checkpoint);
-                }
-                // A retired stream has nothing left to fail over.
-                if let Some(store) = &self.replicas {
-                    store.remove(self.shard_index, stream_id);
                 }
                 // The downlink stays open so late key frames of this stream
                 // still receive an explicit Dropped ack.
@@ -566,7 +526,7 @@ impl<T: Teacher> ShardState<T> {
     ///
     /// While the batch runs, `torn_jobs` holds the jobs not yet answered: if
     /// the pass dies mid-batch, the standby drop-acks exactly those.
-    fn process_scheduled(&mut self, batch: &[ScheduledJob], replicate: bool) -> Result<()> {
+    fn process_scheduled(&mut self, batch: &[ScheduledJob]) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -582,11 +542,6 @@ impl<T: Teacher> ShardState<T> {
                 meters: &mut self.meters,
                 wait_samples: &mut self.wait_samples,
                 unanswered: &mut self.torn_jobs,
-                replicate: self
-                    .replicas
-                    .as_deref()
-                    .filter(|_| replicate)
-                    .map(|store| (store, self.shard_index)),
             },
         )?;
         for (job, reason) in dropped {
@@ -631,7 +586,7 @@ impl<T: Teacher> ShardState<T> {
         if batch.is_empty() {
             return Ok(());
         }
-        self.process_scheduled(&batch, true)?;
+        self.process_scheduled(&batch)?;
         self.batches_processed += 1;
         // Sample the copy-on-write memory split once per batch: pointer
         // compares per tensor, far off the per-frame fast path, and a batch
@@ -643,26 +598,6 @@ impl<T: Teacher> ShardState<T> {
         stats.session_bytes_private_peak =
             stats.session_bytes_private_peak.max(memory.private_bytes);
         Ok(())
-    }
-
-    /// (Re-)publish the checkpoint replicas of streams that just registered
-    /// or were just adopted; a stream a batch advanced is re-published by
-    /// the batch's [`Emitter`].
-    fn publish_replicas(&mut self, streams: &[StreamId]) {
-        let Some(store) = self.replicas.clone() else {
-            return;
-        };
-        for &stream_id in streams {
-            if let Some(replica) = self.shard.session_replica(stream_id) {
-                publish_replica(
-                    &store,
-                    self.shard_index,
-                    stream_id,
-                    replica,
-                    &mut self.shard.stats,
-                );
-            }
-        }
     }
 
     /// Record the high-water mark of registered-but-quiet streams — the
@@ -680,7 +615,7 @@ impl<T: Teacher> ShardState<T> {
     /// reactor's dispatch unit.
     pub(super) fn run_pass(&mut self, failover: &FailoverShared<T>) -> Result<PassOutcome> {
         self.shard.stats.poll_wakeups += 1;
-        self.failover_tick(failover)?;
+        self.failover_tick(failover);
         let mut incoming: Vec<Envelope> = Vec::new();
         self.drain_uplink(&mut incoming);
         if incoming.is_empty() && self.scheduler.is_empty() && self.disconnected {
@@ -719,9 +654,6 @@ impl<T: Teacher> ShardState<T> {
             ) {
                 self.streams.insert(stream_id, stream_stats);
                 self.final_checkpoints.insert(stream_id, checkpoint);
-            }
-            if let Some(store) = &self.replicas {
-                store.remove(self.shard_index, stream_id);
             }
         }
         carcass_output(self)
@@ -770,7 +702,6 @@ mod tests {
             Arc::new(vec![AtomicUsize::new(0)]),
             Arc::new(Mutex::new(HashMap::new())),
             Arc::new(FailoverBoard::new(1, false)),
-            None,
         )
     }
 
@@ -799,7 +730,7 @@ mod tests {
             scheduled(1, 999),
             scheduled(2, street[0].index),
         ];
-        state.process_scheduled(&batch, true).unwrap();
+        state.process_scheduled(&batch).unwrap();
         let stats = state.shard.stats();
         assert_eq!(stats.key_frames, 2);
         assert_eq!(stats.dropped_jobs, 1);
@@ -910,7 +841,6 @@ mod tests {
         let failover = FailoverShared {
             states: Vec::new(),
             board: Arc::clone(&state.board),
-            replicas: None,
         };
         let outcome = state.run_pass(&failover).unwrap();
         assert!(!outcome.done && !outcome.backlog);

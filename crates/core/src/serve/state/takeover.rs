@@ -4,13 +4,11 @@
 //! An adopted stream is the dead shard's own, moved: its session (optimizer
 //! included), frame store, delta track, DRR deficit, downlink, meter and
 //! jobs come from the carcass (the dead shard's state, left in its slot).
-//! Only a session that a failed item run marked torn — a panic inside
-//! `distill` can leave it half-stepped — is rebuilt from the stream's
-//! replicated checkpoint.
+//! No carcass holds a half-stepped session: a shard rebuilds a failed
+//! item's session from the stream's checkpoint before the panic leaves it.
 
 use super::{carcass_output, deliver, locked, note_drop, ShardState};
 use crate::serve::failover::FailoverShared;
-use crate::Result;
 use st_net::{DropReason, ServerToClient, StreamId};
 use st_teacher::Teacher;
 use std::sync::atomic::Ordering;
@@ -29,28 +27,26 @@ impl<T: Teacher> ShardState<T> {
     /// which also wakes us, so the pass that reads it runs promptly. The
     /// claim CAS guarantees exactly one adopter even if another path (e.g.
     /// a future multi-standby scheme) races us.
-    pub(super) fn failover_tick(&mut self, failover: &FailoverShared<T>) -> Result<()> {
-        if self.replicas.is_none() {
-            return Ok(());
+    pub(super) fn failover_tick(&mut self, failover: &FailoverShared<T>) {
+        if !self.pool_config.replication {
+            return;
         }
         let ward = self.ward();
         if ward != self.shard_index && self.board.is_dead(ward) && self.board.try_claim(ward) {
-            self.take_over(ward, failover)?;
+            self.take_over(ward, failover);
         }
-        Ok(())
     }
 
-    /// Adopt a dead ward's entire serving surface: move its streams here
-    /// (a torn session restored from its replicated checkpoint), flip
-    /// its routes here, re-queue its surviving jobs, drop-ack what is
+    /// Adopt a dead ward's entire serving surface: move its streams here,
+    /// flip its routes here, re-queue its surviving jobs, drop-ack what is
     /// genuinely lost, and assemble its final report from the carcass.
-    fn take_over(&mut self, dead: usize, failover: &FailoverShared<T>) -> Result<()> {
+    fn take_over(&mut self, dead: usize, failover: &FailoverShared<T>) {
         // The carcass: the dead shard's state machine, left in its slot by
         // the pass that caught its unwind. An empty slot means the shard
         // actually finished cleanly and the death raced the exit — nothing
         // to adopt.
         let Some(mut carcass) = locked(&failover.states[dead]).take() else {
-            return Ok(());
+            return;
         };
         // Routing flip: every stream the table still points at the dead
         // shard — including connected-but-unregistered ones — now routes
@@ -64,33 +60,29 @@ impl<T: Teacher> ShardState<T> {
                 }
             }
         }
-        // Move every replicated stream here: its session, frame store, delta
-        // track and unspent DRR deficit as the carcass holds them (the
-        // deficit is read before the carcass scheduler is drained below); a
-        // torn session is resumed from the replica's weights and counters.
-        let mut restored: Vec<StreamId> = Vec::new();
-        if let Some(store) = self.replicas.clone() {
-            for (stream_id, replica) in store.take_owner(dead) {
-                // Replica and entry are made at `Register` and dropped at
-                // retire, on the shard's own pass, and a dying pass brings
-                // every crew item home. A replica without an entry (already
-                // released by `take_owner`) leaves its jobs acked
-                // `ShardFailed` below.
-                let entry = carcass.shard.evict_stream(stream_id);
-                debug_assert!(entry.is_some(), "stream {stream_id} not in carcass");
-                let Some(entry) = entry else { continue };
-                self.shard.restore_stream(stream_id, replica, entry)?;
-                self.scheduler
-                    .set_deficit(stream_id, carcass.scheduler.deficit_of(stream_id));
-                self.loads[dead].fetch_sub(1, Ordering::SeqCst);
-                self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
-                self.shard.stats.streams_adopted += 1;
-                restored.push(stream_id);
+        // Move every stream here, in stream-id order: its session, frame
+        // store, delta track and unspent DRR deficit as the carcass holds
+        // them (the deficit is read before the carcass scheduler is drained
+        // below). A dying pass brings every crew item home, so the carcass
+        // holds every registered stream. The adopter cannot prove what a
+        // delta-negotiated client last applied, so the stream's next update
+        // ships as a full snapshot (the delta re-sync).
+        let mut adopted = carcass.shard.session_ids();
+        adopted.sort_unstable();
+        for stream_id in adopted {
+            let Some(mut entry) = carcass.shard.evict_stream(stream_id) else {
+                unreachable!("stream {stream_id} listed by the carcass")
+            };
+            if let Some(track) = &mut entry.delta {
+                track.synced = false;
             }
+            self.shard.adopt_stream(stream_id, entry);
+            self.scheduler
+                .set_deficit(stream_id, carcass.scheduler.deficit_of(stream_id));
+            self.loads[dead].fetch_sub(1, Ordering::SeqCst);
+            self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
+            self.shard.stats.streams_adopted += 1;
         }
-        // The adopted sessions are ours now; replicate them under our slot
-        // so a second failure stays recoverable.
-        self.publish_replicas(&restored);
         // Per-stream plumbing survives the crash: downlinks (the clients
         // are still connected) and live wait meters.
         for (stream_id, downlink) in carcass.downlinks.drain() {
@@ -105,7 +97,7 @@ impl<T: Teacher> ShardState<T> {
         }
         // Queued jobs survived in the carcass scheduler (a clean kill fires
         // before the drain): re-queue them with their original arrival
-        // times. A job whose stream has no restored session is
+        // times. A job whose stream has no adopted session is
         // unrecoverable — explicit ShardFailed ack, never silence.
         let requeued = carcass.scheduler.drain_all();
         let torn = std::mem::take(&mut carcass.torn_jobs);
@@ -137,15 +129,13 @@ impl<T: Teacher> ShardState<T> {
         self.adopted_registries
             .append(&mut carcass.adopted_registries);
         self.adopted_shards.append(&mut carcass.adopted_shards);
-        // Every replicated stream has left the carcass; file the dead
-        // shard's report.
+        // Every stream has left the carcass; file the dead shard's report.
         let died_at = self.board.death_instant(dead);
         self.board.push_dead_output(carcass_output(carcass));
         self.shard.stats.failovers += 1;
         if let Some(died_at) = died_at {
             self.takeover_samples.push(died_at.elapsed().as_secs_f64());
         }
-        Ok(())
     }
 
     /// Ack one job lost to a shard failure with [`DropReason::ShardFailed`].

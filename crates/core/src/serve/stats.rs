@@ -54,8 +54,7 @@ pub struct ShardStats {
     /// this many streams were being hosted without deserving a thread.
     pub idle_streams: usize,
     /// Shard deaths this shard recovered from as the warm standby: each
-    /// takeover adopted the dead buddy's streams from their replicated
-    /// checkpoints.
+    /// takeover adopted the dead buddy's streams from its carcass.
     pub failovers: usize,
     /// Streams this shard adopted from a dead buddy during takeover.
     pub streams_adopted: usize,
@@ -68,13 +67,6 @@ pub struct ShardStats {
     /// failover accounting reconcilable (`sent + lost_acks` covers every
     /// decision).
     pub lost_acks: usize,
-    /// Bytes of *new* checkpoint chunks this shard published to the replica
-    /// store (content the store had not seen).
-    pub replica_bytes_published: usize,
-    /// Bytes of checkpoint chunks deduplicated by content hash — a frozen
-    /// partial-distillation stage re-encodes identically update after
-    /// update, so its chunks are shared, not recopied.
-    pub replica_bytes_shared: usize,
     /// Bytes of session parameter/buffer storage still *shared* with the
     /// shard's pretrained template (copy-on-write stages never written),
     /// sampled when the shard finished. Deep-cloned sessions report 0 here.
@@ -162,8 +154,8 @@ pub struct PoolStats {
     /// [`PoolStats::takeover_latency_p99_secs`].
     pub takeover_samples: Vec<f64>,
     /// Bytes resident in the pool's content-addressed [`WeightStore`] at
-    /// join time (template chunks + any still-live replica chunks, each
-    /// distinct chunk counted once).
+    /// join time: the pinned template's chunks, each distinct chunk counted
+    /// once.
     pub store_resident_bytes: usize,
     /// Distinct chunks resident in the weight store at join time.
     pub store_chunk_count: usize,
@@ -253,16 +245,6 @@ impl PoolStats {
     /// [`DropReason::ShardFailed`]).
     pub fn frames_lost_on_failover(&self) -> usize {
         self.shards.iter().map(|s| s.frames_lost_on_failover).sum()
-    }
-
-    /// Bytes of new checkpoint chunks published to the replica store.
-    pub fn replica_bytes_published(&self) -> usize {
-        self.shards.iter().map(|s| s.replica_bytes_published).sum()
-    }
-
-    /// Bytes of checkpoint chunks deduplicated by content hash.
-    pub fn replica_bytes_shared(&self) -> usize {
-        self.shards.iter().map(|s| s.replica_bytes_shared).sum()
     }
 
     /// Session storage shared with shard templates (copy-on-write stages
@@ -376,8 +358,6 @@ impl PoolStats {
             streams_adopted: self.streams_adopted(),
             frames_lost_on_failover: self.frames_lost_on_failover(),
             takeover_latency_p99_ms: 1e3 * self.takeover_latency_p99_secs(),
-            replica_bytes_published: self.replica_bytes_published(),
-            replica_bytes_shared: self.replica_bytes_shared(),
             streams: self.streams.len(),
             session_bytes_shared: self.session_bytes_shared(),
             session_bytes_private: self.session_bytes_private(),

@@ -1348,9 +1348,9 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
     assert_eq!(report.frames_lost_on_failover, 1);
     assert_eq!(stats.dropped_jobs(), 1);
     assert_eq!(stats.total_key_frames(), 5);
-    // Stream 11's replica was re-published the moment its session came
-    // home, not at a batch end that never came: the counters the standby
-    // restored include the key frame answered in the dying batch.
+    // Stream 11's item came home whole before the death, so the standby
+    // adopted its session with the key frame answered in the dying batch;
+    // stream 13's failed item had its session rolled back to registration.
     assert_eq!(stats.streams[&11].key_frames, 3);
     assert_eq!(stats.streams[&13].key_frames, 2);
     assert_eq!(stats.streams[&13].dropped, 1);
@@ -1393,14 +1393,13 @@ where
 }
 
 #[test]
-fn a_torn_session_is_rebuilt_from_its_replica_bit_for_bit() {
-    // The item serving key frame 0 panics after answering it, so the
-    // session it owned is marked torn and its replica still holds the
-    // registration checkpoint (a replica is re-published only when an item
-    // comes home whole). The adopter must rebuild the session from that
-    // replica, sparsely against the template, rather than take over the
-    // session that had trained: the rest of the stream is then served
-    // exactly as a fresh session serves it.
+fn a_torn_session_is_rebuilt_from_its_checkpoint_bit_for_bit() {
+    // The item serving key frame 0 panics after answering it, so its
+    // stream's checkpoint is still the registration one (a checkpoint moves
+    // only when an item comes home whole). The dying shard rebuilds the
+    // session from it before the panic leaves, and the adopter takes over
+    // that rebuilt session, not the one that had trained: the rest of the
+    // stream is then served exactly as a fresh session serves it.
     let frames = frames_for(SceneKind::People, 76, 3);
     let shard = |hook: Option<ItemHook>| {
         move |_, template| {
@@ -1435,4 +1434,86 @@ fn a_torn_session_is_rebuilt_from_its_replica_bit_for_bit() {
     );
     assert_eq!(faulted[1..], fresh[..]);
     assert_ne!(faulted[1..], whole[1..], "the trained session was adopted");
+}
+
+#[test]
+fn a_failed_item_leaves_its_session_at_the_last_settled_checkpoint() {
+    // The hook panics once, right after the key frame whose index `trip`
+    // holds has been answered: the session has stepped past its checkpoint.
+    const OFF: usize = usize::MAX;
+    let trip = Arc::new(AtomicUsize::new(OFF));
+    let hook: ItemHook = {
+        let trip = Arc::clone(&trip);
+        Arc::new(move |event| {
+            if let ItemEvent::Emitted { frame_index, .. } = event {
+                if trip
+                    .compare_exchange(frame_index, OFF, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    panic!("sabotaged after key frame {frame_index}");
+                }
+            }
+        })
+    };
+    let frames = frames_for(SceneKind::People, 77, 3);
+    let job = |frame: &Frame| ShardJob {
+        stream_id: 1,
+        frame_index: frame.index,
+    };
+    // A session that never trained: registered and left alone.
+    let mut fresh = shard();
+    fresh.register(1, FrameStore::from_frames(&frames, None), false);
+    let fresh_memory = fresh.memory_profile();
+    let mut shard = shard().with_item_hook(hook);
+    shard.register(1, FrameStore::from_frames(&frames, None), false);
+    shard.keep_checkpoint(1);
+    let fails = |shard: &mut ServeShard<OracleTeacher>, jobs: &[ShardJob]| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shard.process_batch(jobs)))
+            .is_err()
+    };
+    // What the session and its checkpoint hold: (weights, key frames).
+    let held = |shard: &mut ServeShard<OracleTeacher>| {
+        let Some(mut entry) = shard.evict_stream(1) else {
+            panic!("stream 1 left the shard")
+        };
+        let Some(checkpoint) = &entry.checkpoint else {
+            panic!("stream 1 keeps no checkpoint")
+        };
+        let kept = (checkpoint.weights.encode(), checkpoint.key_frames);
+        let session = (
+            entry.session.initial_checkpoint().encode(),
+            entry.session.key_frames_processed(),
+        );
+        shard.adopt_stream(1, entry);
+        (session, kept)
+    };
+    // Torn on its first item: back to the registration checkpoint, every
+    // stage still shared with the template.
+    trip.store(frames[0].index, Ordering::SeqCst);
+    assert!(fails(&mut shard, &[job(&frames[0])]));
+    let (session, kept) = held(&mut shard);
+    assert_eq!(session, kept);
+    assert_eq!(kept.1, 0);
+    assert_eq!(
+        shard.memory_profile().shared_bytes,
+        fresh_memory.shared_bytes,
+        "the rebuild copied stages it could have shared with the template"
+    );
+
+    // Key frame 0 comes home whole and moves the checkpoint; an item that
+    // then panics after answering key frame 1 goes back to it, not to
+    // registration, and not to the half-run item's state.
+    let settled = shard.process_batch(&[job(&frames[0])]).unwrap();
+    assert_eq!(settled.responses.len(), 1);
+    let after_first = held(&mut shard);
+    assert_eq!(after_first.0, after_first.1);
+    assert_eq!(after_first.1 .1, 1);
+    trip.store(frames[1].index, Ordering::SeqCst);
+    assert!(fails(&mut shard, &[job(&frames[1]), job(&frames[2])]));
+    assert_eq!(held(&mut shard), after_first);
+    let Some((checkpoint, stats)) = shard.finish(1) else {
+        panic!("stream 1 left the shard")
+    };
+    assert_eq!(checkpoint.encode(), after_first.1 .0);
+    assert_eq!(stats.key_frames, 1);
 }

@@ -109,16 +109,20 @@ impl DistillSession {
         }
     }
 
-    /// Rebuild a session from a replicated checkpoint during shard failover.
+    /// Rebuild a session from a checkpoint of it.
     ///
-    /// `snapshot` (a `Full`-scope replica published by the dead shard) is
-    /// applied to a fresh student, and the distillation counters are restored
-    /// from the replica's metadata. The Adam optimizer starts cold: the
-    /// replica holds only the student weights, so its moments and step count
-    /// are gone and the stream's later updates differ from a run without the
-    /// failure. A takeover therefore resumes only a session a panic tore
-    /// mid-distill; every other adopted session keeps its optimizer and stays
-    /// bit for bit.
+    /// `snapshot` (a `Full`-scope [`initial_checkpoint`](Self::initial_checkpoint))
+    /// is applied to `student`, and the distillation counters are restored
+    /// beside it. Entries whose bits already equal the student's are
+    /// skipped, so stages the checkpoint never changed keep sharing the
+    /// student's storage. The Adam optimizer starts cold: the checkpoint
+    /// holds only the student weights, so its moments and step count are
+    /// gone and the stream's later updates differ from a run without the
+    /// failure. The serving pool resumes only a session a panic tore
+    /// mid-distill, from its stream's last settled checkpoint
+    /// ([`crate::serve::PoolConfig::replication`]); every other session
+    /// keeps its optimizer, across a shard takeover too, and stays bit for
+    /// bit.
     pub fn resume(
         config: ShadowTutorConfig,
         mut student: StudentNet,
@@ -140,8 +144,9 @@ impl DistillSession {
 
     /// A full-scope checkpoint of the session's current student: the
     /// initial student the server sends when the stream is registered
-    /// (Algorithm 3, line 1), what checkpoint replication publishes to a
-    /// buddy shard, and the final checkpoint a shard reports at `finish`.
+    /// (Algorithm 3, line 1), the recovery point a replicated pool keeps
+    /// beside each stream, and the final checkpoint a shard reports at
+    /// `finish`. It clones tensor handles, not bytes.
     pub fn initial_checkpoint(&mut self) -> WeightSnapshot {
         WeightSnapshot::capture(&mut self.student, SnapshotScope::Full)
     }

@@ -205,8 +205,8 @@ impl WeightSnapshot {
     /// `u32 value-count` plus little-endian `f32` values — the same framing
     /// [`WeightSnapshot::encode`] uses per entry, minus the name prefix.
     ///
-    /// This is the unit of content addressing for checkpoint replication: a
-    /// frozen partial-distillation stage re-encodes to byte-identical
+    /// This is the unit of content addressing for the weight store and the
+    /// delta digests: a frozen partial-distillation stage re-encodes to byte-identical
     /// chunks update after update, so a hash-keyed store shares them
     /// instead of recopying.
     pub fn entry_chunks(&self) -> Vec<(&str, Bytes)> {

@@ -3,24 +3,21 @@
 //! The pretrained student template and every per-stream checkpoint decompose
 //! into per-entry *chunks* (the [`WeightSnapshot::entry_chunks`] encoding:
 //! `u32 numel` + little-endian `f32` values). Chunks are stored once, keyed
-//! by FNV-1a 64 content hash and reference-counted, so the frozen front-end
-//! a partial-distillation session never touches costs its bytes **once**
-//! across every stream, every replica, and every update — re-publishing an
-//! unchanged stage is a hash lookup, not a copy.
-//!
-//! This generalizes the failover `ReplicaStore`'s blob cache (PR 9) into the
-//! primary representation: checkpoints are [`CheckpointRef`]s (name + hash
-//! per entry) and the pool's replica slots hold refs, not bytes. The same
-//! hashes drive the delta wire protocol in [`crate::delta`].
+//! by FNV-1a 64 content hash and reference-counted, so two checkpoints that
+//! share a stage — the frozen front-end a partial-distillation session never
+//! touches — hold its bytes **once**; interning an unchanged stage again is
+//! a hash lookup, not a copy. Checkpoints are [`CheckpointRef`]s (name +
+//! hash per entry). The serving pool interns only its pristine template,
+//! for its residency report. The same hashes drive the delta wire protocol
+//! in [`crate::delta`].
 //!
 //! Convention (enforced by `st-lint`): chunk hashing is *confined* to this
 //! module and [`crate::delta`]. Hot paths (shard batch loops, reactor
 //! handlers, kernels) must not hash weight bytes inline — they go through
-//! [`WeightStore::intern`], which hashes once per publish, off the
+//! [`WeightStore::intern`], which hashes once per checkpoint, off the
 //! per-frame fast path.
 
 use crate::snapshot::{SnapshotScope, WeightSnapshot};
-use crate::Result;
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -54,10 +51,9 @@ pub fn combine_hashes<'a>(hashes: impl Iterator<Item = &'a u64>) -> u64 {
 /// `(entry name, content hash)` pair per snapshot entry, in capture order.
 ///
 /// A `CheckpointRef` owns one reference count on each of its chunks; it must
-/// be given back via [`WeightStore::release`] (or consumed by
-/// [`WeightStore::resolve_release`]) when the checkpoint it names is
-/// replaced or dropped. `Clone` is deliberately not implemented — duplicate
-/// a ref only through [`WeightStore::retain`], which accounts for it.
+/// be given back via [`WeightStore::release`] when the checkpoint it names
+/// is dropped. `Clone` is deliberately not implemented: a copy would hold
+/// counts the store never gave out.
 #[derive(Debug, PartialEq, Eq)]
 pub struct CheckpointRef {
     chunks: Vec<(String, u64)>,
@@ -146,22 +142,6 @@ impl WeightStore {
         )
     }
 
-    /// Duplicate a ref, incrementing every chunk's reference count. Panics
-    /// if `r` names a chunk the store does not hold (a use-after-release).
-    pub fn retain(&self, r: &CheckpointRef) -> CheckpointRef {
-        let mut blobs = locked(&self.blobs);
-        for (_name, hash) in &r.chunks {
-            let entry = blobs
-                .get_mut(hash)
-                .expect("retain of a chunk not resident in the weight store");
-            entry.0 += 1;
-        }
-        CheckpointRef {
-            chunks: r.chunks.clone(),
-            scope: r.scope,
-        }
-    }
-
     /// Give back a ref: decrement every chunk's reference count, freeing
     /// chunks that reach zero.
     pub fn release(&self, r: CheckpointRef) {
@@ -185,29 +165,6 @@ impl WeightStore {
             chunks.push((name.clone(), blobs.get(hash)?.1.clone()));
         }
         Some(chunks)
-    }
-
-    /// Resolve a ref to a full [`WeightSnapshot`] and consume (release) it
-    /// in one lock acquisition — the failover-restore path.
-    pub fn resolve_release(&self, r: CheckpointRef) -> Result<WeightSnapshot> {
-        let chunks = {
-            let mut blobs = locked(&self.blobs);
-            let mut chunks = Vec::with_capacity(r.chunks.len());
-            for (name, hash) in &r.chunks {
-                let Some(entry) = blobs.get_mut(hash) else {
-                    return Err(st_tensor::TensorError::InvalidArgument(
-                        "weight-store chunk missing for resolve".into(),
-                    ));
-                };
-                chunks.push((name.clone(), entry.1.clone()));
-                entry.0 -= 1;
-                if entry.0 == 0 {
-                    blobs.remove(hash);
-                }
-            }
-            chunks
-        };
-        WeightSnapshot::from_entry_chunks(chunks, r.scope)
     }
 
     /// Number of distinct chunks resident.
@@ -363,30 +320,6 @@ mod tests {
         store.release(a);
         store.release(b);
         assert_eq!(store.chunk_count(), 0);
-        assert_eq!(store.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn resolve_release_round_trips_bit_identical() {
-        let store = WeightStore::new();
-        let snapshot = snap(2, SnapshotScope::TrainableOnly);
-        let (r, _) = store.intern(&snapshot);
-        let back = store.resolve_release(r).unwrap();
-        assert_eq!(back.scope(), snapshot.scope());
-        assert_eq!(back.encode(), snapshot.encode());
-        assert_eq!(store.chunk_count(), 0);
-    }
-
-    #[test]
-    fn retain_and_release_balance() {
-        let store = WeightStore::new();
-        let snapshot = snap(3, SnapshotScope::Full);
-        let (a, _) = store.intern(&snapshot);
-        let b = store.retain(&a);
-        store.release(a);
-        assert!(store.resolve(&b).is_some(), "b still holds the chunks");
-        store.verify_refcounts(&[&b]).unwrap();
-        store.release(b);
         assert_eq!(store.resident_bytes(), 0);
     }
 

@@ -1249,6 +1249,8 @@ pub(crate) fn weight_grads(
                     };
                     kernel.run_rows(&broadcasts, &stripe[b * KC * NR..][..steps * NR], &mut acc);
                 }
+                // Without a pair, `s * width + NR / 2` is `oc` or more when
+                // the stripe holds `NR / 2` channels.
                 let halves = if pair {
                     [(0, r0), (0, r0 + half)]
                 } else {
@@ -1256,9 +1258,7 @@ pub(crate) fn weight_grads(
                 };
                 // SAFETY: a half's rows `o < oc` and columns `r0 + i` (`i <
                 // rows`) lie inside `dw`, asserted `oc * k` long; this worker
-                // owns tiles `[t_start, t_end)`, and no other tile writes
-                // those columns. Without a pair, `s * width + NR / 2` is
-                // `oc` or more when the stripe holds `NR / 2` channels.
+                // owns tiles `[t_start, t_end)`, no other tile writes them.
                 unsafe { kernel.write_columns(&acc, rows, halves, (oc, k), out) };
             }
         }
