@@ -407,7 +407,8 @@ pub struct PoolReport {
     /// Bytes of private session weight storage — stages the optimizer wrote,
     /// splitting them off the template.
     pub session_bytes_private: usize,
-    /// Peak of the private-bytes measurement over the run.
+    /// Private session storage at each shard's fullest: the sum of every
+    /// shard's peak private-bytes measurement over the run.
     pub session_bytes_private_peak: usize,
     /// Chunk bytes resident in the content-addressed weight store at join
     /// (each distinct chunk counted once, however many refs share it).
@@ -430,11 +431,14 @@ pub struct PoolReport {
 }
 
 impl PoolReport {
-    /// Total bytes of weight state resident for the stream population: the
-    /// content-addressed store (each template chunk counted once, however
-    /// many sessions share it) plus every session's private storage.
+    /// Total bytes of weight state resident for the stream population at
+    /// its fullest: the content-addressed store (each template chunk counted
+    /// once, however many sessions share it) plus the sessions' private
+    /// storage at each shard's peak. (The last per-batch sample,
+    /// `session_bytes_private`, misses the streams a shard had already
+    /// retired by then, so it measures shutdown timing as well.)
     pub fn weights_resident_bytes(&self) -> usize {
-        self.store_resident_bytes + self.session_bytes_private
+        self.store_resident_bytes + self.session_bytes_private_peak
     }
 
     /// Streams hosted per GiB of resident weight state — the capacity

@@ -15,7 +15,9 @@
 //! * **Host process** ([`host_stream_over_shm`]) — creates the shared-memory
 //!   segment, spawns the server pool, connects one pool stream, and runs a
 //!   bridge loop pumping uplink messages ring → pool and downlink messages
-//!   pool → ring until the peer process closes its side.
+//!   pool → ring until the peer process closes its side. Between messages
+//!   it waits on the pool's downlink, which the pool's answer wakes, and
+//!   polls the ring at least every 200 µs.
 //! * **Client process** ([`run_shm_client`]) — opens the segment, wraps the
 //!   transport in the [`st_net::connect`] builder's endpoint, and drives the
 //!   unmodified Algorithm-4 client over it. Both processes generate the
@@ -31,11 +33,12 @@
 use crate::config::ShadowTutorConfig;
 use crate::report::ExperimentRecord;
 use crate::runtime::live::drive_client;
-use crate::serve::{PoolConfig, PoolStats, ServerPool};
+use crate::serve::{PoolConfig, PoolStats, ServerPool, StreamClient};
 use crate::Result;
 use st_net::transport::ClientEndpoint;
 use st_net::{
     ClientToServer, ServerToClient, ShmConfig, ShmSide, ShmTransport, StreamId, Transport,
+    TransportError,
 };
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
@@ -47,6 +50,10 @@ use std::time::{Duration, Instant};
 /// How long the bridge keeps serving after the last activity before
 /// concluding the peer died without closing its side.
 const BRIDGE_QUIET_BUDGET: Duration = Duration::from_secs(60);
+
+/// The longest the bridge goes without polling the ring for the peer's
+/// uplink while it waits on the pool's downlink.
+const BRIDGE_POLL: Duration = Duration::from_micros(200);
 
 /// What the host side of a two-process session measured.
 #[derive(Debug)]
@@ -75,7 +82,11 @@ fn io_err(context: &str, e: std::io::Error) -> TensorError {
 /// Creates the shared-memory segment at `segment_path` (the client process
 /// opens it with [`ShmTransport::open`]), spawns a [`ServerPool`],
 /// pre-shares `frames` for `stream_id`, and bridges ring ↔ pool until the
-/// peer closes. Returns the joined pool statistics plus the measured ring
+/// peer closes. A pass that finds nothing on the ring waits up to 200 µs
+/// on the pool's downlink ([`StreamClient::recv_timeout`](st_net::transport::ClientEndpoint::recv_timeout)),
+/// so an update goes onto the ring the moment the pool sends it and the
+/// peer's next key frame is picked up within one poll period; the bridge
+/// never spins. Returns the joined pool statistics plus the measured ring
 /// traffic. `_distill_step_latency` is ignored, as in [`ServerPool::spawn`].
 #[allow(clippy::too_many_arguments)] // flat experiment parameters, as `stbench` calls it
 pub fn host_stream_over_shm<T, F>(
@@ -129,8 +140,19 @@ where
                 }
             }
         }
-        // Downlink: pool → ring.
-        while let Ok(Some(message)) = client.try_recv() {
+        // Downlink: pool → ring. After a pass that moved nothing up, the
+        // first receive waits for the pool's answer (see `await_downlink`).
+        let mut next = if idle {
+            if last_activity.elapsed() > BRIDGE_QUIET_BUDGET {
+                return Err(TensorError::InvalidArgument(
+                    "shm bridge: peer process went quiet without closing".into(),
+                ));
+            }
+            await_downlink(&mut client)
+        } else {
+            client.try_recv().ok().flatten()
+        };
+        while let Some(message) = next {
             idle = false;
             // The peer vanishing mid-send only loses its own updates.
             if ring.send(message, 0).is_err() {
@@ -138,15 +160,9 @@ where
                 break;
             }
             messages_down += 1;
+            next = client.try_recv().ok().flatten();
         }
-        if idle {
-            if last_activity.elapsed() > BRIDGE_QUIET_BUDGET {
-                return Err(TensorError::InvalidArgument(
-                    "shm bridge: peer process went quiet without closing".into(),
-                ));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        } else {
+        if !idle {
             last_activity = Instant::now();
         }
     }
@@ -164,6 +180,21 @@ where
         messages_up,
         messages_down,
     })
+}
+
+/// The pool's next downlink message, waited for up to [`BRIDGE_POLL`]: the
+/// pool's send wakes the wait the moment an answer exists, and the ring is
+/// polled again at the latest when it runs out. A pool that has gone away
+/// cannot wake it, so then the wait is a plain sleep, never a spin.
+fn await_downlink(client: &mut StreamClient) -> Option<ServerToClient> {
+    match client.recv_timeout(BRIDGE_POLL) {
+        Ok(message) => Some(message),
+        Err(TransportError::Timeout) => None,
+        Err(TransportError::Disconnected) => {
+            std::thread::sleep(BRIDGE_POLL);
+            None
+        }
+    }
 }
 
 /// Run the client role against a host process, over the segment the host

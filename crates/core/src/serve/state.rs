@@ -181,7 +181,9 @@ impl BatchSink for Emitter<'_> {
         // The digest is patched only here — for an update actually put on
         // the downlink — so a stream whose client vanished never advances
         // the base the client is assumed to hold. A delta and its patch
-        // come out of one chunk-encode-and-hash pass over the update.
+        // come out of one chunk-encode-and-hash pass over the update. A bare
+        // stream ships the snapshot's encoding: the previous update's bytes
+        // again, uncopied, when the key frame left the student unchanged.
         let encoded = match track {
             Some(track) => {
                 let encoded = if track.synced {
@@ -198,7 +200,7 @@ impl BatchSink for Emitter<'_> {
                 stats.update_bytes_full_equiv += 1 + response.update.encoded_len();
                 encoded
             }
-            None => response.update.encode(),
+            None => response.encoded(),
         };
         let payload = Payload::with_data(encoded);
         let msg = ServerToClient::StudentUpdate {

@@ -259,13 +259,14 @@ impl PoolStats {
         self.shards.iter().map(|s| s.session_bytes_private).sum()
     }
 
-    /// Peak private session storage observed on any single shard.
+    /// Private session storage at each shard's fullest: the sum of the
+    /// shards' peaks, which unlike the last samples does not depend on how
+    /// many streams had already retired when a shard ran its last batch.
     pub fn session_bytes_private_peak(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.session_bytes_private_peak)
-            .max()
-            .unwrap_or(0)
+            .sum()
     }
 
     /// Key frames distilled by crew helpers across the pool.

@@ -326,7 +326,7 @@ fn pool_serves_two_streams_end_to_end() {
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.total_key_frames, 2);
     assert!(report.queue_p50_ms >= 0.0 && report.queue_p99_ms >= report.queue_p50_ms);
-    let resident = report.store_resident_bytes + report.session_bytes_private;
+    let resident = report.store_resident_bytes + report.session_bytes_private_peak;
     assert!(resident > 0);
     assert_eq!(
         report.streams_per_gb(),
@@ -1516,4 +1516,134 @@ fn a_failed_item_leaves_its_session_at_the_last_settled_checkpoint() {
     };
     assert_eq!(checkpoint.encode(), after_first.1 .0);
     assert_eq!(stats.key_frames, 1);
+}
+
+/// A bare stream's downlink as the pool's emitter fills it: each served
+/// key frame's training outcome and the update bytes shipped for it.
+#[derive(Default)]
+struct Shipped(Vec<(crate::train::TrainOutcome, bytes::Bytes)>);
+
+impl BatchSink for Shipped {
+    fn served(
+        &mut self,
+        _stats: &mut ShardStats,
+        _index: usize,
+        _job: ShardJob,
+        response: KeyFrameResponse,
+        _track: Option<&mut DeltaTrack>,
+    ) {
+        self.0.push((response.outcome, response.encoded()));
+    }
+}
+
+/// What a bare stream's session would ship if it encoded its update now.
+fn fresh_update(shard: &mut ServeShard<OracleTeacher>, stream_id: StreamId) -> bytes::Bytes {
+    let Some(mut entry) = shard.evict_stream(stream_id) else {
+        panic!("stream {stream_id} left the shard")
+    };
+    let update = WeightSnapshot::capture(
+        entry.session.student_mut(),
+        st_nn::snapshot::SnapshotScope::TrainableOnly,
+    )
+    .encode();
+    shard.adopt_stream(stream_id, entry);
+    update
+}
+
+#[test]
+fn an_unchanged_student_reships_its_last_update_and_a_rebuilt_one_never_does() {
+    let frames = frames_for(SceneKind::People, 79, 3);
+    let job = |stream_id, frame: &Frame| ShardJob {
+        stream_id,
+        frame_index: frame.index,
+    };
+
+    // Rolled back: a student trained on the scene, stepped at a learning
+    // rate that wrecks it, so every step loses to where it started and is
+    // undone. Every update after the first ships the first one's bytes.
+    let paper = ShadowTutorConfig::paper();
+    let mut template = StudentNet::new(StudentConfig::tiny()).unwrap();
+    template.freeze = paper.mode.freeze_point();
+    let mut adam = st_nn::optim::Adam::new(paper.learning_rate);
+    let mut teacher = OracleTeacher::perfect(5);
+    for _ in 0..6 {
+        for frame in &frames {
+            let label = teacher.pseudo_label(frame).unwrap();
+            crate::train::train_student(&mut template, &mut adam, frame, &label, &paper).unwrap();
+        }
+    }
+    let wrecking = ShadowTutorConfig {
+        threshold: 0.999,
+        max_updates: 2,
+        learning_rate: 1e3,
+        ..paper
+    };
+    let mut rolled_back = ServeShard::new(wrecking, template, OracleTeacher::perfect(5), 0.013);
+    rolled_back.register(1, FrameStore::from_frames(&frames, None), false);
+    let mut shipped = Shipped::default();
+    for frame in frames.iter().chain(&frames) {
+        rolled_back
+            .process_batch_into(&[job(1, frame)], &mut shipped)
+            .unwrap();
+        let (outcome, bytes) = shipped.0.last().unwrap();
+        assert!(outcome.steps > 0 && !outcome.changed, "{outcome:?}");
+        assert_eq!(*bytes, fresh_update(&mut rolled_back, 1));
+        assert_eq!(
+            bytes.as_ptr(),
+            shipped.0[0].1.as_ptr(),
+            "an unchanged update was encoded again"
+        );
+    }
+
+    // Rebuilt: an item trains the student, ships the update, and panics;
+    // the session comes back at its registration checkpoint. Told to take
+    // no step from there, it ships that checkpoint's update — not the
+    // bytes it shipped before the rebuild.
+    let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let sabotage: ItemHook = {
+        let fired = Arc::clone(&fired);
+        Arc::new(move |event| {
+            if matches!(event, ItemEvent::Emitted { .. }) && !fired.swap(true, Ordering::SeqCst) {
+                panic!("sabotaged after the first answer");
+            }
+        })
+    };
+    let mut rebuilt = shard().with_item_hook(sabotage);
+    rebuilt.register(2, FrameStore::from_frames(&frames, None), false);
+    rebuilt.keep_checkpoint(2);
+    let registered = fresh_update(&mut rebuilt, 2);
+    let mut shipped = Shipped::default();
+    let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rebuilt.process_batch_into(&[job(2, &frames[0])], &mut shipped)
+    }));
+    assert!(failed.is_err() && fired.load(Ordering::SeqCst));
+    let (outcome, trained) = shipped.0[0].clone();
+    assert!(outcome.changed && trained != registered, "{outcome:?}");
+    assert_eq!(fresh_update(&mut rebuilt, 2), registered, "not rebuilt");
+    let Some(mut entry) = rebuilt.evict_stream(2) else {
+        panic!("stream 2 left the shard")
+    };
+    entry.session.config.threshold = 0.0;
+    rebuilt.adopt_stream(2, entry);
+    for frame in &frames[1..] {
+        rebuilt
+            .process_batch_into(&[job(2, frame)], &mut shipped)
+            .unwrap();
+        let (outcome, bytes) = shipped.0.last().unwrap();
+        assert!(outcome.steps == 0 && !outcome.changed, "{outcome:?}");
+        assert_eq!(*bytes, registered);
+    }
+    // And a key frame that trains again ships what it trained.
+    let Some(mut entry) = rebuilt.evict_stream(2) else {
+        panic!("stream 2 left the shard")
+    };
+    entry.session.config.threshold = paper.threshold;
+    rebuilt.adopt_stream(2, entry);
+    rebuilt
+        .process_batch_into(&[job(2, &frames[0])], &mut shipped)
+        .unwrap();
+    let (outcome, bytes) = shipped.0.last().unwrap();
+    assert!(outcome.changed, "{outcome:?}");
+    assert_eq!(*bytes, fresh_update(&mut rebuilt, 2));
+    assert_ne!(*bytes, registered);
 }

@@ -16,10 +16,12 @@
 use crate::config::{DistillationMode, ShadowTutorConfig};
 use crate::train::{train_student, TrainOutcome};
 use crate::Result;
+use bytes::Bytes;
 use st_nn::optim::Adam;
 use st_nn::snapshot::{PayloadSizes, SnapshotScope, WeightSnapshot};
 use st_nn::student::StudentNet;
 use st_video::Frame;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Server-side counters for one stream, reported when the stream finishes.
@@ -68,6 +70,20 @@ pub struct KeyFrameResponse {
     pub metric: f64,
     /// Training details (steps taken, initial metric, loss).
     pub outcome: TrainOutcome,
+    /// `update`'s wire bytes once [`encoded`](Self::encoded) has made
+    /// them — a cell the session keeps too, and hands to its next response
+    /// if that key frame leaves the student unchanged.
+    encoded: Arc<OnceLock<Bytes>>,
+}
+
+impl KeyFrameResponse {
+    /// [`WeightSnapshot::encode`] of `update`, encoded at most once per
+    /// student state: a response whose key frame left the session's student
+    /// as the previous one left it shares that response's bytes (a
+    /// refcount clone), however many unchanged key frames follow.
+    pub fn encoded(&self) -> Bytes {
+        self.encoded.get_or_init(|| self.update.encode()).clone()
+    }
 }
 
 /// The teacher-independent, per-stream half of the server: the trainable
@@ -84,6 +100,12 @@ pub struct DistillSession {
     optimizer: Adam,
     total_key_frames: usize,
     total_distill_steps: usize,
+    /// The scope and encoding cell of the last update [`distill`](Self::distill)
+    /// returned, the cell that response's [`KeyFrameResponse::encoded`]
+    /// fills. Set only by a completed `distill` and taken at the start of
+    /// the next, so it always describes the student as it stands; a new or
+    /// rebuilt ([`resume`](Self::resume)) session has none.
+    last_update: Option<(SnapshotScope, Arc<OnceLock<Bytes>>)>,
 }
 
 impl DistillSession {
@@ -106,6 +128,7 @@ impl DistillSession {
             optimizer,
             total_key_frames: 0,
             total_distill_steps: 0,
+            last_update: None,
         }
     }
 
@@ -139,6 +162,7 @@ impl DistillSession {
             optimizer,
             total_key_frames: key_frames,
             total_distill_steps: distill_steps,
+            last_update: None,
         })
     }
 
@@ -153,6 +177,8 @@ impl DistillSession {
 
     /// Mutable access to the session's student, for storage-identity memory
     /// accounting against the shard template ([`st_nn::store::SessionMemory`]).
+    /// It is for reading: the encoding the session keeps of its last update
+    /// assumes only [`distill`](Self::distill) changes the student.
     pub fn student_mut(&mut self) -> &mut StudentNet {
         &mut self.student
     }
@@ -169,6 +195,10 @@ impl DistillSession {
     /// Train the session's student on one key frame against an
     /// already-computed pseudo-label (Algorithm 3, lines 4-6).
     ///
+    /// When Algorithm 1 leaves the student unchanged (§4.4's `d = 0`, or
+    /// every step rolled back), the response shares the previous response's
+    /// encoding cell, so the update is not encoded again.
+    ///
     /// `_teacher_time` is ignored: nothing reads a virtual server time (the
     /// paper's `t_ti` lives in [`crate::LatencyProfile`]).
     pub fn distill(
@@ -177,6 +207,9 @@ impl DistillSession {
         pseudo_label: &[usize],
         _teacher_time: f64,
     ) -> Result<KeyFrameResponse> {
+        // Taken before training starts: a call that fails or unwinds
+        // part-way may leave the student anywhere, and leaves no cell.
+        let last_update = self.last_update.take();
         let outcome = train_student(
             &mut self.student,
             &mut self.optimizer,
@@ -189,12 +222,18 @@ impl DistillSession {
             DistillationMode::Full => SnapshotScope::Full,
         };
         let update = WeightSnapshot::capture(&mut self.student, scope);
+        let encoded = match last_update {
+            Some((last_scope, encoded)) if last_scope == scope && !outcome.changed => encoded,
+            _ => Arc::default(),
+        };
+        self.last_update = Some((scope, Arc::clone(&encoded)));
         self.total_key_frames += 1;
         self.total_distill_steps += outcome.steps;
         Ok(KeyFrameResponse {
             update,
             metric: outcome.best_metric,
             outcome,
+            encoded,
         })
     }
 

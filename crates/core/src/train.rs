@@ -37,6 +37,11 @@ pub struct TrainOutcome {
     pub steps: usize,
     /// Final training loss of the last step taken (0 when no step was taken).
     pub final_loss: f32,
+    /// Whether the call left the student's weights different from what it
+    /// was handed: false when no step was taken, and false too when every
+    /// step was rolled back to the starting weights. An unchanged student
+    /// ships the same update bytes as its last key frame did.
+    pub changed: bool,
 }
 
 /// Train the student on a key frame against a pseudo-label (Algorithm 1).
@@ -85,6 +90,7 @@ fn distill_key_frame(
     let mut best_metric = initial_metric;
     let mut steps = 0usize;
     let mut final_loss = 0.0f32;
+    let mut changed = false;
 
     // Line 4: skip training entirely when the student is already good enough.
     if best_metric < config.threshold {
@@ -119,13 +125,16 @@ fn distill_key_frame(
                 best_metric = metric;
                 best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
                 best_is_current = true;
+                changed = true;
             }
             // Lines 15-17: early exit once the threshold is reached.
             if metric > config.threshold {
                 break;
             }
         }
-        // Restore the best weights if the last step was not the best.
+        // Restore the best weights if the last step was not the best. When
+        // no step was kept they are the starting capture, and the student
+        // ends bit for bit where it began.
         if !best_is_current {
             best_weights.apply(student)?;
         }
@@ -136,6 +145,7 @@ fn distill_key_frame(
         best_metric,
         steps,
         final_loss,
+        changed,
     })
 }
 
@@ -194,6 +204,7 @@ mod tests {
         let mut best_metric = initial_metric;
         let mut steps = 0usize;
         let mut final_loss = 0.0f32;
+        let mut changed = false;
         if best_metric < config.threshold {
             let mut best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
             let mut best_is_current = true;
@@ -211,6 +222,7 @@ mod tests {
                     best_metric = metric;
                     best_weights = WeightSnapshot::capture(student, SnapshotScope::TrainableOnly);
                     best_is_current = true;
+                    changed = true;
                 }
                 if metric > config.threshold {
                     break;
@@ -225,6 +237,7 @@ mod tests {
             best_metric,
             steps,
             final_loss,
+            changed,
         })
     }
 
@@ -367,6 +380,51 @@ mod tests {
             assert_eq!(out.steps, 0);
             assert_eq!(out.initial_metric, out.best_metric);
         }
+    }
+
+    /// Whether a call changed the student is read off the weights, not
+    /// the step count: a trained step is a change, no step is none, and
+    /// steps that all lose to the starting weights are rolled back to
+    /// them bit for bit — no change either.
+    #[test]
+    fn changed_says_whether_the_student_left_its_starting_weights() {
+        let (mut student, mut opt, frame, label, config) = setup(DistillationMode::Partial);
+        let weights = |student: &mut StudentNet| {
+            WeightSnapshot::capture(student, SnapshotScope::Full).encode()
+        };
+        let before = weights(&mut student);
+        let out = train_student(&mut student, &mut opt, &frame, &label, &config).unwrap();
+        assert!(out.steps >= 1 && out.changed);
+        assert_ne!(weights(&mut student), before);
+        for _ in 0..5 {
+            train_student(&mut student, &mut opt, &frame, &label, &config).unwrap();
+        }
+
+        let lenient = ShadowTutorConfig {
+            threshold: 0.0,
+            ..config
+        };
+        let before = weights(&mut student);
+        let out = train_student(&mut student, &mut opt, &frame, &label, &lenient).unwrap();
+        assert_eq!((out.steps, out.changed), (0, false));
+        assert_eq!(weights(&mut student), before);
+
+        // A trained student, made to step at a learning rate that wrecks
+        // it: every step scores below the start and is rolled back.
+        let wrecking = ShadowTutorConfig {
+            threshold: 0.999,
+            max_updates: 2,
+            learning_rate: 1e3,
+            ..config
+        };
+        let mut wrecker = Adam::new(wrecking.learning_rate);
+        let out = train_student(&mut student, &mut wrecker, &frame, &label, &wrecking).unwrap();
+        assert_eq!(out.steps, 2);
+        assert!(
+            out.best_metric == out.initial_metric && !out.changed,
+            "{out:?}"
+        );
+        assert_eq!(weights(&mut student), before);
     }
 
     #[test]

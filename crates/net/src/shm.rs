@@ -38,7 +38,10 @@
 //! Waiting is spin-then-park: a bounded busy-spin, then `yield_now`, then
 //! short sleeps — there is no cross-process futex in std. A receiver polls
 //! the ring with `try_recv` or waits in `recv_timeout`; nothing wakes a
-//! [`Poller`](crate::poll::Poller) when a chunk lands.
+//! [`Poller`](crate::poll::Poller) when a chunk lands. (The two-process
+//! host's bridge therefore waits on the in-process side instead — the
+//! pool's downlink channel, which an answer wakes — and polls the ring
+//! between those waits.)
 //!
 //! Memory: a message's byte payload crosses in two copies, one per side.
 //! `send` never builds the frame: the length prefix, the frame header and
@@ -50,7 +53,12 @@
 //! zero-filling, no intermediate buffer — reserving at most one ring's worth
 //! of bytes ahead of what has arrived, whatever the prefix claims; the
 //! finished frame becomes one `Bytes` and the decoded message's payload is
-//! a window of it ([`Wire::decode_within`]). A full student snapshot still
+//! a window of it ([`Wire::decode_within`]). A student snapshot decoded
+//! from that payload keeps its values there too: `st_nn`'s decoder only
+//! checks the framing, and its `apply` compares each entry's bytes with
+//! what the student holds, converting only the entries that differ. An
+//! update identical to the student's weights is therefore read where the
+//! ring put it and never copied again. A full student snapshot still
 //! makes that one buffer per side ~2 MB, so the first transport a process
 //! attaches tells the allocator to keep freed heap instead of faulting it
 //! back in for every message (`keep_freed_heap`).

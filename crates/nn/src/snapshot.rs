@@ -18,14 +18,18 @@
 //! `u32 entry-count`, then per entry `u32 name-length`, name bytes,
 //! `u32 value-count`, and the values as little-endian `f32`s.
 //!
-//! Every encoder and decoder in this module moves a tensor's values through
-//! one bulk pair, `put_f32s_le` / `get_f32s_le` — a block move on a
-//! little-endian host — and each writes its output exactly once:
-//! [`WeightSnapshot::encode`] into the buffer the returned `Bytes` keeps,
-//! [`Wire::encode_into`](st_net::Wire::encode_into) straight into the
-//! caller's frame, the decoders straight from the received bytes into the
-//! tensors' `Vec<f32>`s. Between `capture` and `apply` that is the only time
-//! this module touches the weights; the rest of the update path's budget
+//! A captured entry holds the network's tensor (a handle: capture copies no
+//! values). A decoded one holds its values as they arrived, a window of the
+//! received `Bytes`: [`WeightSnapshot::decode`] checks the framing and
+//! copies nothing, and [`WeightSnapshot::apply`] compares each entry's
+//! little-endian bytes with the target's bits before it decodes anything.
+//! An unchanged entry is never decoded; a changed one is decoded once,
+//! straight into the tensor that replaces the target. The encoders write
+//! each value exactly once through `put_f32s_le` — a block move on a
+//! little-endian host — [`WeightSnapshot::encode`] into the buffer the
+//! returned `Bytes` keeps and [`Wire::encode_into`](st_net::Wire::encode_into)
+//! straight into the caller's frame. Between `capture` and `apply` that is
+//! all this module does to the weights; the rest of the update path's budget
 //! (one ring move per side) is `st_net::shm`'s.
 
 use crate::param::Param;
@@ -33,6 +37,7 @@ use crate::student::StudentNet;
 use crate::Result;
 use bytes::Bytes;
 use st_tensor::{Shape, Tensor, TensorError};
+use std::collections::HashMap;
 
 /// Which parameters a snapshot contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +52,119 @@ pub enum SnapshotScope {
 /// A named set of parameter values captured from a student network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightSnapshot {
-    entries: Vec<(String, Tensor)>,
+    entries: Vec<(String, Values)>,
     scope: SnapshotScope,
+}
+
+/// One entry's values.
+#[derive(Debug, Clone)]
+enum Values {
+    /// Captured: the network's tensor, sharing its storage.
+    Held(Tensor),
+    /// Decoded: the little-endian `f32`s as a window of the received bytes
+    /// (a multiple of four long), not yet converted.
+    Received(Bytes),
+}
+
+impl Values {
+    fn numel(&self) -> usize {
+        match self {
+            Values::Held(tensor) => tensor.numel(),
+            Values::Received(le) => le.len() / 4,
+        }
+    }
+
+    fn shape(&self) -> Shape {
+        match self {
+            Values::Held(tensor) => tensor.shape().clone(),
+            Values::Received(_) => Shape::vector(self.numel()),
+        }
+    }
+
+    /// The values as a tensor: the held handle, or received values decoded
+    /// into a flat one.
+    fn tensor(&self) -> Tensor {
+        self.to_shape(self.shape())
+            .expect("an entry's own shape fits its values")
+    }
+
+    /// The tensor of `shape` (whose element count is this entry's) that
+    /// carries these values: the held handle reshaped, sharing its storage,
+    /// or received values decoded once, straight into the new tensor's
+    /// buffer.
+    fn to_shape(&self, shape: Shape) -> Result<Tensor> {
+        match self {
+            Values::Held(tensor) => tensor.reshape(shape),
+            Values::Received(le) => Tensor::from_vec(shape, get_f32s_le(le)),
+        }
+    }
+
+    /// Append the values to `out` as little-endian `f32`s.
+    fn put_le(&self, out: &mut Vec<u8>) {
+        match self {
+            Values::Held(tensor) => put_f32s_le(out, tensor.data()),
+            Values::Received(le) => out.extend_from_slice(le),
+        }
+    }
+
+    /// Whether these values are `held`'s (of the same length) bit for bit.
+    fn same_bits(&self, held: &[f32]) -> bool {
+        match self {
+            Values::Held(tensor) => same_bits(tensor.data(), held),
+            Values::Received(le) => same_le_bits(le, held),
+        }
+    }
+}
+
+/// Equal as the tensors they carry (a decoded entry is flat), by `f32`
+/// comparison.
+impl PartialEq for Values {
+    fn eq(&self, other: &Values) -> bool {
+        self.tensor() == other.tensor()
+    }
+}
+
+/// Finds the entry for each tensor a network visits. The visitors walk a
+/// network in the order `capture` recorded it, so while they agree the next
+/// entry is the one; from the first disagreement on (a partial snapshot, a
+/// reordered one) entries are found by name.
+struct Lookup<'a> {
+    entries: &'a [(String, Values)],
+    next: usize,
+    by_name: Option<HashMap<&'a str, usize>>,
+}
+
+impl<'a> Lookup<'a> {
+    fn new(entries: &'a [(String, Values)]) -> Self {
+        Lookup {
+            entries,
+            next: 0,
+            by_name: None,
+        }
+    }
+
+    /// The first entry named `name`. A network's names are distinct, so an
+    /// in-order match is always the first one: every entry before it
+    /// matched an earlier name.
+    fn find(&mut self, name: &str) -> Option<&'a Values> {
+        let entries = self.entries;
+        if self.by_name.is_none() {
+            if let Some((entry, values)) = entries.get(self.next) {
+                if entry == name {
+                    self.next += 1;
+                    return Some(values);
+                }
+            }
+        }
+        let by_name = self.by_name.get_or_insert_with(|| {
+            let mut by_name = HashMap::with_capacity(entries.len());
+            for (at, (entry, _)) in entries.iter().enumerate() {
+                by_name.entry(entry.as_str()).or_insert(at);
+            }
+            by_name
+        });
+        by_name.get(name).map(|&at| &entries[at].1)
+    }
 }
 
 impl WeightSnapshot {
@@ -67,13 +183,13 @@ impl WeightSnapshot {
         let mut entries = Vec::new();
         let mut v = |p: &mut Param, trainable: bool| {
             if include(trainable) {
-                entries.push((p.name.clone(), p.value.clone()));
+                entries.push((p.name.clone(), Values::Held(p.value.clone())));
             }
         };
         net.visit_params(&mut v);
         let mut b = |name: &str, value: &mut Tensor, trainable: bool| {
             if include(trainable) {
-                entries.push((name.to_string(), value.clone()));
+                entries.push((name.to_string(), Values::Held(value.clone())));
             }
         };
         net.visit_buffers(&mut b);
@@ -93,7 +209,7 @@ impl WeightSnapshot {
 
     /// Total number of scalar values.
     pub fn scalar_count(&self) -> usize {
-        self.entries.iter().map(|(_, t)| t.numel()).sum()
+        self.entries.iter().map(|(_, values)| values.numel()).sum()
     }
 
     /// Size of the encoded snapshot in bytes.
@@ -101,7 +217,7 @@ impl WeightSnapshot {
         4 + self
             .entries
             .iter()
-            .map(|(name, t)| 4 + name.len() + 4 + 4 * t.numel())
+            .map(|(name, values)| 4 + name.len() + 4 + 4 * values.numel())
             .sum::<usize>()
     }
 
@@ -117,38 +233,40 @@ impl WeightSnapshot {
     /// but keeps the target's storage: a student cloned copy-on-write from a
     /// template and handed that template's own checkpoint — every client's
     /// `InitialStudent` — goes on sharing the template's tensors instead of
-    /// turning each of them private.
+    /// turning each of them private. A decoded entry is compared on its
+    /// received bytes, so an unchanged one is never decoded at all.
     pub fn apply(&self, net: &mut StudentNet) -> Result<usize> {
         let mut applied = 0usize;
         let mut error: Option<TensorError> = None;
         {
-            let entries = &self.entries;
-            // Decoded snapshots carry flat tensors; accept any layout with
+            let mut lookup = Lookup::new(&self.entries);
+            // Decoded snapshots carry flat values; accept any layout with
             // the right element count and restore the target's shape.
             let mut restore = |name: &str, target: &mut Tensor| {
                 if error.is_some() {
                     return;
                 }
-                if let Some((_, value)) = entries.iter().find(|(n, _)| n == name) {
-                    if value.numel() != target.numel() {
-                        error = Some(TensorError::ShapeMismatch {
-                            op: "snapshot_apply",
-                            lhs: value.shape().dims().to_vec(),
-                            rhs: target.shape().dims().to_vec(),
-                        });
-                        return;
-                    }
-                    if same_bits(value.data(), target.data()) {
+                let Some(values) = lookup.find(name) else {
+                    return;
+                };
+                if values.numel() != target.numel() {
+                    error = Some(TensorError::ShapeMismatch {
+                        op: "snapshot_apply",
+                        lhs: values.shape().dims().to_vec(),
+                        rhs: target.shape().dims().to_vec(),
+                    });
+                    return;
+                }
+                if values.same_bits(target.data()) {
+                    applied += 1;
+                    return;
+                }
+                match values.to_shape(target.shape().clone()) {
+                    Ok(v) => {
+                        *target = v;
                         applied += 1;
-                        return;
                     }
-                    match value.reshape(target.shape().clone()) {
-                        Ok(v) => {
-                            *target = v;
-                            applied += 1;
-                        }
-                        Err(e) => error = Some(e),
-                    }
+                    Err(e) => error = Some(e),
                 }
             };
             let mut v = |p: &mut Param, _trainable: bool| restore(&p.name, &mut p.value);
@@ -171,13 +289,13 @@ impl WeightSnapshot {
             });
         }
         let mut acc = 0.0f32;
-        for ((na, ta), (nb, tb)) in self.entries.iter().zip(other.entries.iter()) {
+        for ((na, va), (nb, vb)) in self.entries.iter().zip(other.entries.iter()) {
             if na != nb {
                 return Err(TensorError::InvalidArgument(format!(
                     "snapshot entries differ: {na} vs {nb}"
                 )));
             }
-            acc += ta.sub(tb)?.sq_norm();
+            acc += va.tensor().sub(&vb.tensor())?.sq_norm();
         }
         Ok(acc.sqrt())
     }
@@ -192,11 +310,11 @@ impl WeightSnapshot {
     /// Append the [`WeightSnapshot::encode`] bytes to `out`.
     fn encode_body(&self, out: &mut Vec<u8>) {
         put_u32_le(out, self.entries.len());
-        for (name, tensor) in &self.entries {
+        for (name, values) in &self.entries {
             put_u32_le(out, name.len());
             out.extend_from_slice(name.as_bytes());
-            put_u32_le(out, tensor.numel());
-            put_f32s_le(out, tensor.data());
+            put_u32_le(out, values.numel());
+            values.put_le(out);
         }
     }
 
@@ -212,21 +330,24 @@ impl WeightSnapshot {
     pub fn entry_chunks(&self) -> Vec<(&str, Bytes)> {
         self.entries
             .iter()
-            .map(|(name, tensor)| {
-                let mut buf = Vec::with_capacity(4 + 4 * tensor.numel());
-                put_u32_le(&mut buf, tensor.numel());
-                put_f32s_le(&mut buf, tensor.data());
+            .map(|(name, values)| {
+                let mut buf = Vec::with_capacity(4 + 4 * values.numel());
+                put_u32_le(&mut buf, values.numel());
+                values.put_le(&mut buf);
                 (name.as_str(), Bytes::from(buf))
             })
             .collect()
     }
 
     /// Rebuild a snapshot from per-entry chunks previously produced by
-    /// [`WeightSnapshot::entry_chunks`], in the same entry order.
+    /// [`WeightSnapshot::entry_chunks`], in the same entry order. Each
+    /// entry's values stay a window of its chunk until
+    /// [`apply`](Self::apply) needs them.
     pub fn from_entry_chunks(chunks: Vec<(String, Bytes)>, scope: SnapshotScope) -> Result<Self> {
         let mut entries = Vec::with_capacity(chunks.len());
         for (name, bytes) in chunks {
             let values = take_values(
+                &bytes,
                 &mut &bytes[..],
                 "snapshot chunk truncated (value len)",
                 "snapshot chunk truncated (values)",
@@ -238,14 +359,14 @@ impl WeightSnapshot {
 
     /// Decode a snapshot previously produced by [`WeightSnapshot::encode`].
     ///
-    /// Tensors are decoded as flat vectors; [`WeightSnapshot::apply`] matches
-    /// them by name and the receiving network re-validates shapes by element
-    /// count, so the flat shape is sufficient for transport.
+    /// The framing is checked in full — a truncated or malformed input fails
+    /// here, with the error of the first field it cuts short — but no value
+    /// is converted: each entry keeps its values as a window of `bytes`
+    /// (flat; [`WeightSnapshot::apply`] matches entries by name and the
+    /// receiving network re-validates shapes by element count, so the flat
+    /// shape is sufficient for transport).
     pub fn decode(bytes: &Bytes, scope: SnapshotScope) -> Result<Self> {
-        Self::decode_body(bytes, scope)
-    }
-
-    fn decode_body(mut buf: &[u8], scope: SnapshotScope) -> Result<Self> {
+        let mut buf = &bytes[..];
         let count = take_u32_le(&mut buf, "snapshot truncated (header)")?;
         // The count is the peer's word: reserve no more entries than the
         // bytes that are actually here could hold (two length words each).
@@ -256,6 +377,7 @@ impl WeightSnapshot {
             let name = std::str::from_utf8(name)
                 .map_err(|_| TensorError::InvalidArgument("snapshot name not UTF-8".into()))?;
             let values = take_values(
+                bytes,
                 &mut buf,
                 "snapshot truncated (value len)",
                 "snapshot truncated (values)",
@@ -286,8 +408,8 @@ fn put_f32s_le(out: &mut Vec<u8>, values: &[f32]) {
 }
 
 /// The little-endian `f32`s in `raw` (whose length is a multiple of four) —
-/// the bulk half of every decoder in this module; an exact-size iterator,
-/// so the `Vec` is allocated once and filled by a vectorised loop.
+/// the one decoder in this module; an exact-size iterator, so the `Vec` is
+/// allocated once and filled by a vectorised loop.
 fn get_f32s_le(raw: &[u8]) -> Vec<f32> {
     raw.chunks_exact(4)
         .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -317,13 +439,17 @@ fn take_u32_le(buf: &mut &[u8], what: &str) -> Result<usize> {
 }
 
 /// Take one entry's values — `u32 value-count` plus that many little-endian
-/// `f32`s — off the front of `buf` as a flat tensor, failing with `no_len`
-/// / `no_values` when the count or the run is cut short.
-fn take_values(buf: &mut &[u8], no_len: &str, no_values: &str) -> Result<Tensor> {
+/// `f32`s — off the front of `buf`, a cursor into `whole`, as a window of
+/// `whole`; fail with `no_len` / `no_values` when the count or the run is
+/// cut short.
+fn take_values(whole: &Bytes, buf: &mut &[u8], no_len: &str, no_values: &str) -> Result<Values> {
     let numel = take_u32_le(buf, no_len)?;
     let raw = take_bytes(buf, numel.saturating_mul(4), no_values)?;
-    Tensor::from_vec(Shape::vector(numel), get_f32s_le(raw))
+    Ok(Values::Received(whole.slice_ref(raw)))
 }
+
+/// Values [`same_bits`] and [`same_le_bits`] fold per block.
+const COMPARE_BLOCK: usize = 64;
 
 /// Whether two equally long value runs are the same bit pattern throughout
 /// (`to_bits`: a NaN equals itself, `0.0` differs from `-0.0`). Differences
@@ -331,9 +457,8 @@ fn take_values(buf: &mut &[u8], no_len: &str, no_values: &str) -> Result<Tensor>
 /// case — the one that scans everything — runs at memory speed, and a
 /// differing tensor is still told apart within its first block.
 fn same_bits(new: &[f32], held: &[f32]) -> bool {
-    const BLOCK: usize = 64;
-    new.chunks(BLOCK)
-        .zip(held.chunks(BLOCK))
+    new.chunks(COMPARE_BLOCK)
+        .zip(held.chunks(COMPARE_BLOCK))
         .all(|(new, held)| {
             new.iter()
                 .zip(held)
@@ -342,11 +467,26 @@ fn same_bits(new: &[f32], held: &[f32]) -> bool {
         })
 }
 
+/// [`same_bits`] with the new run still in its little-endian bytes (four
+/// per value of `held`): the compare that lets an unchanged received entry
+/// go undecoded.
+fn same_le_bits(new: &[u8], held: &[f32]) -> bool {
+    new.chunks(4 * COMPARE_BLOCK)
+        .zip(held.chunks(COMPARE_BLOCK))
+        .all(|(new, held)| {
+            new.chunks_exact(4).zip(held).fold(0u32, |diff, (a, b)| {
+                diff | (u32::from_le_bytes([a[0], a[1], a[2], a[3]]) ^ b.to_bits())
+            }) == 0
+        })
+}
+
 /// The cross-process wire encoding of a snapshot: a scope byte (0 = full,
 /// 1 = trainable-only) followed by the u32-length-prefixed bytes of
 /// [`WeightSnapshot::encode`] — the exact payload the in-process path
 /// already ships inside `StudentUpdate`, made self-describing so a peer
-/// process can decode it without out-of-band scope agreement.
+/// process can decode it without out-of-band scope agreement. The body is
+/// copied out of the borrowed input once, and the entries are windows of
+/// that copy.
 impl st_net::Wire for WeightSnapshot {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(match self.scope {
@@ -377,8 +517,10 @@ impl st_net::Wire for WeightSnapshot {
         }
         let (body, rest) = input.split_at(len);
         *input = rest;
-        WeightSnapshot::decode_body(body, scope).map_err(|_| st_net::WireError::InvalidValue {
-            what: "malformed weight-snapshot body",
+        WeightSnapshot::decode(&Bytes::copy_from_slice(body), scope).map_err(|_| {
+            st_net::WireError::InvalidValue {
+                what: "malformed weight-snapshot body",
+            }
         })
     }
 
@@ -432,6 +574,24 @@ mod tests {
 
     fn net() -> StudentNet {
         StudentNet::new(StudentConfig::tiny()).unwrap()
+    }
+
+    /// Element access for the tests below, whichever way an entry holds
+    /// its values.
+    impl Values {
+        fn data(&self) -> Vec<f32> {
+            self.tensor().data().to_vec()
+        }
+
+        fn data_mut(&mut self) -> &mut [f32] {
+            if let Values::Received(_) = self {
+                *self = Values::Held(self.tensor());
+            }
+            let Values::Held(tensor) = self else {
+                unreachable!("made a tensor above")
+            };
+            tensor.data_mut()
+        }
     }
 
     #[test]
@@ -504,7 +664,7 @@ mod tests {
             buf.put_u32_le(name.len() as u32);
             buf.put_slice(name.as_bytes());
             buf.put_u32_le(tensor.numel() as u32);
-            for &v in tensor.data() {
+            for v in tensor.data() {
                 buf.put_f32_le(v);
             }
         }
@@ -539,7 +699,8 @@ mod tests {
                 return truncated("snapshot truncated (values)");
             }
             let values = (0..numel).map(|_| buf.get_f32_le()).collect();
-            entries.push((name, Tensor::from_vec(Shape::vector(numel), values)?));
+            let values = Tensor::from_vec(Shape::vector(numel), values)?;
+            entries.push((name, Values::Held(values)));
         }
         Ok(WeightSnapshot { entries, scope })
     }
@@ -563,7 +724,7 @@ mod tests {
             .map(|(i, bits)| {
                 let values: Vec<f32> = bits.iter().map(|b| f32::from_bits(*b)).collect();
                 let tensor = Tensor::from_vec(Shape::vector(values.len()), values).unwrap();
-                (format!("entry{i}.weight"), tensor)
+                (format!("entry{i}.weight"), Values::Held(tensor))
             })
             .collect();
         WeightSnapshot {
@@ -573,7 +734,7 @@ mod tests {
     }
 
     fn bits_of(snap: &WeightSnapshot) -> Vec<Vec<u32>> {
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        let bits = |t: &Values| t.data().iter().map(|v| v.to_bits()).collect();
         snap.entries.iter().map(|(_, t)| bits(t)).collect()
     }
 
@@ -614,6 +775,120 @@ mod tests {
                 }
                 let rebuilt = WeightSnapshot::from_entry_chunks(chunks, SnapshotScope::Full).unwrap();
                 proptest::prop_assert_eq!(bits_of(&rebuilt), bits_of(&snap), "length {}", len);
+            }
+        }
+    }
+
+    /// Every parameter and running-stat tensor of `net` in visiting order,
+    /// as handles sharing the network's storage.
+    fn tensors_of(net: &mut StudentNet) -> Vec<(String, Tensor)> {
+        let mut held = Vec::new();
+        net.visit_params(&mut |p: &mut Param, _| held.push((p.name.clone(), p.value.clone())));
+        net.visit_buffers(&mut |name: &str, value: &mut Tensor, _| {
+            held.push((name.to_string(), value.clone()))
+        });
+        held
+    }
+
+    /// Write `AWKWARD_BITS[pattern]` at `(tensor, offset)` of `net` for each
+    /// `(tensor, offset, pattern)`, the first two taken modulo the tensor
+    /// count and the chosen tensor's length.
+    fn plant(net: &mut StudentNet, plants: &[(usize, usize, usize)]) {
+        let count = tensors_of(net).len();
+        let mut index = 0;
+        let mut write = |value: &mut Tensor| {
+            for &(tensor, offset, pattern) in plants {
+                if tensor % count == index {
+                    let offset = offset % value.numel();
+                    value.data_mut()[offset] = f32::from_bits(AWKWARD_BITS[pattern]);
+                }
+            }
+            index += 1;
+        };
+        net.visit_params(&mut |p: &mut Param, _| write(&mut p.value));
+        net.visit_buffers(&mut |_: &str, value: &mut Tensor, _| write(value));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A student holding awkward bit patterns (NaN payloads, both
+        /// zeros, subnormals, infinity) receives an update that writes more
+        /// of them — over some entries, so others stay bit-equal, and where
+        /// a pattern lands on its own bits, NaN included, that entry stays
+        /// unchanged too. The update comes in either scope, with its entries
+        /// in capture order, reversed, with two swapped, or with one left
+        /// out. Decoding its bytes and applying them leaves the student
+        /// where applying the captured update does: every carried entry at
+        /// the sender's bits, every other tensor as it was. An unchanged
+        /// entry keeps the student's storage; a changed one gets a buffer
+        /// shared with nothing.
+        #[test]
+        fn decode_then_apply_equals_capture_then_apply(
+            planted in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>(), 0..AWKWARD_BITS.len()),
+                0..24,
+            ),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>(), 0..AWKWARD_BITS.len()),
+                0..12,
+            ),
+            rewrites in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..4),
+            partial in proptest::prelude::any::<bool>(),
+            order in 0usize..4,
+            pick in proptest::prelude::any::<usize>(),
+        ) {
+            let mut student = net();
+            if partial {
+                student.freeze = FreezePoint::paper_partial();
+            }
+            plant(&mut student, &planted);
+            // Some edits put a planted pattern back where it already is.
+            let mut edits = edits;
+            if !planted.is_empty() {
+                edits.extend(rewrites.iter().map(|at| planted[at % planted.len()]));
+            }
+            let mut source = student.clone();
+            plant(&mut source, &edits);
+            let scope = if partial {
+                SnapshotScope::TrainableOnly
+            } else {
+                SnapshotScope::Full
+            };
+            let mut update = WeightSnapshot::capture(&mut source, scope);
+            let n = update.entries.len();
+            match order {
+                0 => {}
+                1 => update.entries.reverse(),
+                2 => update.entries.swap(pick % n, pick / n % n),
+                _ => drop(update.entries.remove(pick % n)),
+            }
+            let decoded = WeightSnapshot::decode(&update.encode(), scope).unwrap();
+
+            let (mut by_capture, mut by_decode) = (student.clone(), student.clone());
+            let applied = update.apply(&mut by_capture).unwrap();
+            proptest::prop_assert_eq!(decoded.apply(&mut by_decode).unwrap(), applied);
+            proptest::prop_assert_eq!(applied, update.entry_count());
+            proptest::prop_assert_eq!(
+                WeightSnapshot::capture(&mut by_decode, SnapshotScope::Full).encode(),
+                WeightSnapshot::capture(&mut by_capture, SnapshotScope::Full).encode()
+            );
+
+            let carried: Vec<&str> = update.entries.iter().map(|(name, _)| name.as_str()).collect();
+            let sources = tensors_of(&mut source);
+            let held = tensors_of(&mut student);
+            let now = tensors_of(&mut by_decode);
+            for (((name, now), (_, before)), (_, sent)) in now.iter().zip(&held).zip(&sources) {
+                let expected = if carried.contains(&name.as_str()) { sent } else { before };
+                proptest::prop_assert!(same_bits(now.data(), expected.data()), "{} is wrong", name);
+                if same_bits(now.data(), before.data()) {
+                    proptest::prop_assert!(now.shares_storage(before), "{} was replaced", name);
+                } else {
+                    proptest::prop_assert!(
+                        held.iter().chain(&sources).all(|(_, t)| !now.shares_storage(t)),
+                        "{} shares its new buffer", name
+                    );
+                }
             }
         }
     }
@@ -812,7 +1087,7 @@ mod tests {
             reference.insert(name.clone(), val.clone());
         }
         let mut v = |p: &mut Param, trainable: bool| {
-            if !trainable && reference[&p.name] != p.value {
+            if !trainable && reference[&p.name] != Values::Held(p.value.clone()) {
                 changed_frozen.push(p.name.clone());
             }
         };
