@@ -111,8 +111,10 @@ pub struct PoolConfig {
     /// How new streams are assigned to shards.
     pub placement: PlacementPolicy,
     /// Per-stream admission cap: at most this many key frames of one stream
-    /// may be queued at its shard; excess arrivals are answered with
-    /// [`ServerToClient::Throttle`] instead of being queued.
+    /// may be held at its shard — queued, or in the stream's crew item while
+    /// it is still out on a lane after its batch's pass has ended; excess
+    /// arrivals are answered with [`ServerToClient::Throttle`] instead of
+    /// being queued.
     pub max_in_flight: usize,
     /// Deficit-round-robin quantum: key frames one stream may contribute to
     /// a co-scheduled batch per scheduling round.
@@ -249,9 +251,11 @@ impl PoolConfig {
     /// Distill-crew lanes a pool of this shape offers each batch to: one per
     /// core its reactor workers leave idle (none when the workers already
     /// cover the host), at most `max_batch − 1` — the most one batch could keep
-    /// busy beside the worker that owns it. Derived, deliberately not a
-    /// field: the host's core count and the two fields it follows from are
-    /// all there is to know.
+    /// busy beside the worker that owns it. A worker does not wait for the
+    /// lanes at the end of a batch: it moves on, and their items come home
+    /// in a later pass of the shard. Derived, deliberately not a field: the
+    /// host's core count and the two fields it follows from are all there
+    /// is to know.
     pub fn crew_helpers(&self) -> usize {
         let workers = self.reactor_threads.unwrap_or(self.shards);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

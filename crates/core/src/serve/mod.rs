@@ -70,7 +70,10 @@
 //!   worker answers every
 //!   key frame the moment it is distilled (delta encode, digest patch,
 //!   downlink), so a round trip is `teacher + own distill`,
-//!   not `teacher + the batch's`. With no helpers the worker claims every
+//!   not `teacher + the batch's`. Nor does it wait for the lanes: with no
+//!   item left to claim its pass ends, and the lanes' items come home in a
+//!   later pass that their posts wake; until then their streams are away,
+//!   in no batch, so a stream never has two items in flight. With no helpers the worker claims every
 //!   item itself: one code path. Only completion order *across* streams can
 //!   differ from a serial run; every per-stream result is bit-identical at
 //!   every crew width.

@@ -188,8 +188,26 @@ impl ServerPool {
     pub(super) fn spawn_crewed<T, F>(
         config: ShadowTutorConfig,
         pool_config: PoolConfig,
-        mut template: StudentNet,
+        template: StudentNet,
         helper_count: usize,
+        make_shard: F,
+    ) -> Result<ServerPool>
+    where
+        T: Teacher + Send + 'static,
+        F: FnMut(usize, StudentNet) -> ServeShard<T>,
+    {
+        let crew = Arc::new(Crew::new(Arc::clone(Lanes::global()), helper_count));
+        Self::spawn_with_crew(config, pool_config, template, crew, make_shard)
+    }
+
+    /// [`ServerPool::spawn_crewed`] on a given crew: a test whose hook holds
+    /// a lane's item gives the pool lanes of its own, so the process-wide
+    /// lanes other tests' pools offer to stay free.
+    pub(super) fn spawn_with_crew<T, F>(
+        config: ShadowTutorConfig,
+        pool_config: PoolConfig,
+        mut template: StudentNet,
+        crew: Arc<Crew>,
         mut make_shard: F,
     ) -> Result<ServerPool>
     where
@@ -219,16 +237,19 @@ impl ServerPool {
         let poller = st_net::Poller::new();
         let shard_wakers: Arc<Vec<st_net::Waker>> =
             Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());
-        let crew = Arc::new(Crew::new(Arc::clone(Lanes::global()), helper_count));
         let mut uplinks = Vec::with_capacity(pool_config.shards);
         let mut registries = Vec::with_capacity(pool_config.shards);
         let mut states = Vec::with_capacity(pool_config.shards);
         for shard_index in 0..pool_config.shards {
             let (tx, rx) = mpsc::channel::<Envelope>();
             let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
+            // A lane's post for this shard wakes its token, so the items a
+            // pass left out on the crew come home in the next one.
+            let waker = shard_wakers[shard_index].clone();
             let shard = make_shard(shard_index, template.clone())
                 .with_session_weights(pool_config.session_weights)
-                .with_crew(Arc::clone(&crew));
+                .with_crew(Arc::clone(&crew))
+                .with_notify(Arc::new(move || waker.wake()));
             states.push(Mutex::new(Some(ShardState::new(
                 shard,
                 rx,

@@ -212,9 +212,11 @@ fn dispatch_pass<T: Teacher>(
         // were mid-pass; re-issue it.
         shared.shard_wakers[shard].wake();
     }
-    if outcome.backlog || outcome.disconnected {
-        // Queued jobs (or a shutdown drain in progress): hand the shard
-        // straight back to the worker set instead of waiting for traffic.
+    if outcome.backlog {
+        // Work the shard can do now (queued jobs of streams that are home,
+        // or a shutdown drain in progress): hand it straight back to the
+        // worker set instead of waiting for traffic. Work waiting on an
+        // item out on a lane is woken by the lane's post instead.
         shared.shard_wakers[shard].wake();
     }
     Ok(())

@@ -103,11 +103,28 @@ impl FairScheduler {
     /// round-robin with per-stream deficits. Returns an empty vector when
     /// nothing is queued or `max_batch == 0`.
     pub fn next_batch(&mut self, max_batch: usize) -> Vec<ScheduledJob> {
+        self.next_batch_skipping(max_batch, |_| false)
+    }
+
+    /// [`next_batch`](Self::next_batch) over the streams `skip` does not
+    /// name. A skipped stream — one whose previous item is still out on the
+    /// distill crew — keeps its jobs, its unspent deficit and its place in
+    /// the ring, so it is first in line once it is home again.
+    pub(crate) fn next_batch_skipping(
+        &mut self,
+        max_batch: usize,
+        skip: impl Fn(StreamId) -> bool,
+    ) -> Vec<ScheduledJob> {
         let mut out = Vec::new();
+        let mut skipped = Vec::new();
         while out.len() < max_batch && self.queued > 0 {
             let Some(stream_id) = self.ring.pop_front() else {
                 break;
             };
+            if skip(stream_id) {
+                skipped.push(stream_id);
+                continue;
+            }
             let Some(queue) = self.queues.get_mut(&stream_id) else {
                 self.deficits.remove(&stream_id);
                 continue;
@@ -143,7 +160,17 @@ impl FairScheduler {
                 self.ring.push_back(stream_id);
             }
         }
+        for stream_id in skipped.into_iter().rev() {
+            self.ring.push_front(stream_id);
+        }
         out
+    }
+
+    /// Whether a job is queued for a stream `skip` does not name: whether
+    /// [`next_batch_skipping`](Self::next_batch_skipping) would hand
+    /// anything out.
+    pub(crate) fn has_ready(&self, skip: impl Fn(StreamId) -> bool) -> bool {
+        self.ring.iter().any(|stream_id| !skip(*stream_id))
     }
 
     /// The stream's unspent deficit-round-robin credit (0 when it holds

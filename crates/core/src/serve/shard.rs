@@ -1,16 +1,26 @@
 //! One shard: a shared teacher plus one distillation session per stream.
 //!
-//! A key frame's path through [`ServeShard::process_batch`] is *label once →
-//! claim → distill → emit per job*: the batch's resolvable jobs share one
-//! batched teacher forward, are regrouped into one work item per stream (all
-//! of that stream's jobs, in scheduling order), and the items go through the
-//! shard's distill crew ([`Crew`]) — claimed one at a time by the
-//! calling thread and by whichever of the process's lanes take up the
-//! batch. An item *owns* its stream's session for as long as it runs — moved
-//! out of the shard ([`ServeShard::evict_stream`]) and moved back with the
-//! item ([`ServeShard::adopt_stream`]) — so no session is ever borrowed
-//! across threads or locked. Every finished [`KeyFrameResponse`] goes to
-//! the batch's sink the moment the caller sees it, not when the batch ends.
+//! A key frame's path through the shard is *label once → claim → distill →
+//! emit per job*: the batch's resolvable jobs share one batched teacher
+//! forward, are regrouped into one work item per stream (all of that
+//! stream's jobs, in scheduling order), and the items go through the
+//! shard's distill crew ([`Crew`]) — claimed one at a time by the calling
+//! thread and by whichever of the process's lanes take up the batch. An
+//! item *owns* its stream's session for as long as it runs — moved out of
+//! the shard ([`ServeShard::evict_stream`]) and moved back with the item
+//! ([`ServeShard::adopt_stream`]) — so no session is ever borrowed across
+//! threads or locked. Every finished [`KeyFrameResponse`] goes to the
+//! batch's sink the moment the caller sees it, not when the batch ends.
+//!
+//! The caller does not wait for the lanes: once it has no item left to
+//! claim, the batch stays open and the streams whose items lanes still run
+//! are *away*. Their items come home — and their responses reach a sink —
+//! whenever the caller next drains ([`ServeShard::drain`]): between its own
+//! items of a later batch, at the start of its next pass, or blocking. An
+//! away stream is still registered (its key frames are recognised, its
+//! memory counted) but is in no batch until it is home, so a stream never
+//! has two items in flight. [`ServeShard::process_batch`] drains blocking
+//! and so keeps the whole batch inside the call.
 
 #[cfg(doc)]
 use super::ServerPool;
@@ -26,7 +36,7 @@ use st_nn::snapshot::WeightSnapshot;
 use st_nn::store::SessionMemory;
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
-use st_tensor::parallel::{Crew, Event, Lanes, Ran};
+use st_tensor::parallel::{Crew, Event, Lanes, Notify, OpenBatch, Ran};
 use st_video::Frame;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -65,8 +75,9 @@ impl Checkpoint {
 /// One stream's registration state inside a shard.
 pub(super) struct StreamEntry {
     pub(super) session: DistillSession,
-    /// The stream's pre-shared frame content.
-    frames: FrameStore,
+    /// The stream's pre-shared frame content (also held by the shard while
+    /// the entry is away, so the stream's key frames stay recognised).
+    frames: Arc<FrameStore>,
     /// Delta-update negotiation state; `None` on legacy bare-snapshot
     /// streams. Marked unsynced by a takeover.
     pub(super) delta: Option<DeltaTrack>,
@@ -108,12 +119,18 @@ pub(super) struct Served {
     response: KeyFrameResponse,
 }
 
-/// A [`CrewItem`] coming home: the session with it, and how its run ended —
-/// served every job, failed one with a typed error, or panicked (the payload
-/// is resumed by the batch's owner, inside its shard's pass).
+/// How an item's run ended: served every job, failed one with a typed
+/// error, or panicked (the payload is resumed by the batch's owner, inside
+/// its shard's pass).
+type ItemOutcome = std::thread::Result<Result<()>>;
+
+/// A [`CrewItem`] coming home: the session with it, and how its run ended.
 pub(super) struct Finished {
     item: CrewItem,
-    outcome: std::thread::Result<Result<()>>,
+    outcome: ItemOutcome,
+    /// When the run ended, on whichever thread ran it: where the shard's
+    /// busy time stops if this was the last item out.
+    done_at: Instant,
 }
 
 /// What a test sees of an item's run, from inside whoever runs it.
@@ -175,7 +192,11 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
         }
         Ok(())
     }));
-    Finished { item, outcome }
+    Finished {
+        item,
+        outcome,
+        done_at: Instant::now(),
+    }
 }
 
 /// Where [`ServeShard`] hands a batch's results as they come to exist.
@@ -228,6 +249,141 @@ pub struct BatchOutcome {
     pub dropped: Vec<(ShardJob, DropReason)>,
 }
 
+/// The distill crew's work function, as an open batch's type names it.
+type DistillFn = fn(CrewItem, Ran, &mut dyn FnMut(Served)) -> Finished;
+
+/// A batch whose items are not all home: the crew's handle on it and what
+/// its events need at home.
+struct OpenItems {
+    record: BatchRecord,
+    crew: OpenBatch<CrewItem, Served, Finished, DistillFn>,
+}
+
+/// What the events of an open batch need at home.
+struct BatchRecord {
+    /// The batch's number: orders failures across batches.
+    seq: usize,
+    /// The batch's jobs as handed in; a served job is reported as one.
+    jobs: Vec<ShardJob>,
+    /// Each item's delta track, kept home for the sink to patch while the
+    /// session may still be away distilling the stream's next job.
+    tracks: Vec<Option<DeltaTrack>>,
+}
+
+/// A registered stream whose session is out in an item of an open batch.
+struct Away {
+    /// The `seq` of the open batch holding it.
+    batch: usize,
+    frames: Arc<FrameStore>,
+    /// Key frames its item holds.
+    jobs: usize,
+    /// The session's storage split as it left.
+    memory: SessionMemory,
+}
+
+/// An item that came home, waiting to be settled into the shard.
+struct Homecoming {
+    stream_id: StreamId,
+    entry: StreamEntry,
+    outcome: ItemOutcome,
+    /// `(batch seq, position)`: its place in scheduling order.
+    order: (usize, usize),
+    done_at: Instant,
+}
+
+/// How long [`ServeShard::drain`] waits for the lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Wait {
+    /// Not at all: bring home what has returned so far.
+    None,
+    /// Until this stream is home (a blocking drain of its batch).
+    Stream(StreamId),
+    /// Until every item is home.
+    All,
+}
+
+impl BatchRecord {
+    /// Route one event of the batch: a served job to `sink` (and the
+    /// shard's counters), a returned item onto `home` with its delta track.
+    fn absorb(
+        &mut self,
+        stats: &mut ShardStats,
+        sink: &mut dyn BatchSink,
+        home: &mut Vec<Homecoming>,
+        event: Event<Served, Finished>,
+        ran: Ran,
+    ) {
+        let BatchRecord { seq, jobs, tracks } = self;
+        match event {
+            Event::Progress(Served {
+                position,
+                index,
+                response,
+            }) => {
+                stats.key_frames += 1;
+                stats.distill_steps += response.outcome.steps;
+                stats.jobs_offloaded += usize::from(ran == Ran::Helper);
+                sink.served(
+                    stats,
+                    index,
+                    jobs[index],
+                    response,
+                    tracks[position].as_mut(),
+                );
+            }
+            Event::Returned(Finished {
+                item,
+                outcome,
+                done_at,
+            }) => {
+                let CrewItem {
+                    position,
+                    stream_id,
+                    mut entry,
+                    ..
+                } = item;
+                entry.delta = tracks[position].take();
+                if matches!(outcome, Ok(Ok(()))) {
+                    sink.settled(stats, stream_id, &mut entry);
+                }
+                home.push(Homecoming {
+                    stream_id,
+                    entry,
+                    outcome,
+                    order: (*seq, position),
+                    done_at,
+                });
+            }
+        }
+    }
+}
+
+/// Drain every open batch, blocking on the ones `wait` names.
+fn drain_open(
+    open: &mut [OpenItems],
+    away: &HashMap<StreamId, Away>,
+    stats: &mut ShardStats,
+    sink: &mut dyn BatchSink,
+    home: &mut Vec<Homecoming>,
+    wait: Wait,
+) {
+    for batch in open {
+        let block = match wait {
+            Wait::None => false,
+            Wait::All => true,
+            Wait::Stream(stream_id) => away
+                .get(&stream_id)
+                .is_some_and(|a| a.batch == batch.record.seq),
+        };
+        let OpenItems { record, crew } = batch;
+        let mut absorb = |event, ran| record.absorb(stats, &mut *sink, home, event, ran);
+        // Before blocking, run whatever no one has claimed (nothing, unless
+        // the pass that opened the batch died inside its own share).
+        while block && crew.run_next(&mut absorb) {}
+        crew.drain(block, &mut absorb);
+    }
+}
+
 /// One shard: a shared teacher plus one distillation session per stream.
 ///
 /// The shard is a synchronous state machine — the [`ServerPool`]'s reactor
@@ -237,11 +393,27 @@ pub struct ServeShard<T: Teacher> {
     template: StudentNet,
     session_weights: SessionWeights,
     teacher: T,
+    /// Registered streams whose sessions are home.
     sessions: HashMap<StreamId, StreamEntry>,
+    /// Registered streams whose sessions are out in an open batch's item.
+    away: HashMap<StreamId, Away>,
+    /// Batches with items still out, oldest first.
+    open: Vec<OpenItems>,
+    /// Batches opened so far (the next batch's `seq`).
+    batches_opened: usize,
+    /// Items that came home failed since the failure was last raised, with
+    /// their place in scheduling order. Their sessions are settled already.
+    failures: Vec<((usize, usize), ItemOutcome)>,
+    /// When the current busy stretch — some batch in progress, on the
+    /// caller or on lanes — began, and the latest its work was seen to end.
+    busy_since: Option<Instant>,
+    busy_until: Instant,
     pub(super) stats: ShardStats,
     /// The crew this shard's batches run through. A shard built on its own
     /// has a crew of one — the calling thread.
     crew: Arc<Crew>,
+    /// Called by a lane after each event it posts for this shard.
+    notify: Option<Notify>,
     #[cfg(test)]
     item_hook: Option<ItemHook>,
 }
@@ -261,8 +433,15 @@ impl<T: Teacher> ServeShard<T> {
             session_weights: SessionWeights::CopyOnWrite,
             teacher,
             sessions: HashMap::new(),
+            away: HashMap::new(),
+            open: Vec::new(),
+            batches_opened: 0,
+            failures: Vec::new(),
+            busy_since: None,
+            busy_until: Instant::now(),
             stats: ShardStats::default(),
             crew: Arc::new(Crew::new(Arc::clone(Lanes::global()), 0)),
+            notify: None,
             #[cfg(test)]
             item_hook: None,
         }
@@ -272,6 +451,14 @@ impl<T: Teacher> ServeShard<T> {
     /// every shard — instead of a crew of the calling thread alone.
     pub(super) fn with_crew(mut self, crew: Arc<Crew>) -> Self {
         self.crew = crew;
+        self
+    }
+
+    /// Have every lane that posts an event of this shard's batches call
+    /// `notify` (the pool passes the shard's readiness waker), so a caller
+    /// that left a batch open learns when to drain it.
+    pub(super) fn with_notify(mut self, notify: Notify) -> Self {
+        self.notify = Some(notify);
         self
     }
 
@@ -312,13 +499,17 @@ impl<T: Teacher> ServeShard<T> {
         frames: FrameStore,
         supports_delta: bool,
     ) -> WeightSnapshot {
+        debug_assert!(
+            !self.away.contains_key(&stream_id),
+            "a stream registers once, before it has any item out"
+        );
         if !self.sessions.contains_key(&stream_id) {
             let session = DistillSession::new(self.config, self.template_instance(), 0.0);
             self.sessions.insert(
                 stream_id,
                 StreamEntry {
                     session,
-                    frames,
+                    frames: Arc::new(frames),
                     delta: None,
                     checkpoint: None,
                 },
@@ -346,7 +537,7 @@ impl<T: Teacher> ServeShard<T> {
     /// — of this shard or, the session being self-contained, of another.
     pub(super) fn adopt_stream(&mut self, stream_id: StreamId, entry: StreamEntry) {
         debug_assert!(
-            !self.sessions.contains_key(&stream_id),
+            !self.sessions.contains_key(&stream_id) && !self.away.contains_key(&stream_id),
             "a stream lives in exactly one place"
         );
         self.sessions.insert(stream_id, entry);
@@ -360,13 +551,17 @@ impl<T: Teacher> ServeShard<T> {
         }
     }
 
-    /// Sum every live session's storage split against the shard template.
+    /// Sum every registered session's storage split against the shard
+    /// template: a session at home as it stands, an away one as it left.
     /// Cheap (pointer compares per tensor), but still sampled per batch,
     /// never per frame.
     pub(super) fn memory_profile(&mut self) -> SessionMemory {
         let mut total = SessionMemory::default();
-        for entry in self.sessions.values_mut() {
-            let m = SessionMemory::measure(entry.session.student_mut(), &mut self.template);
+        let home = self
+            .sessions
+            .values_mut()
+            .map(|entry| SessionMemory::measure(entry.session.student_mut(), &mut self.template));
+        for m in home.chain(self.away.values().map(|away| away.memory)) {
             total.shared_bytes += m.shared_bytes;
             total.private_bytes += m.private_bytes;
         }
@@ -400,26 +595,49 @@ impl<T: Teacher> ServeShard<T> {
         entry.session = session;
     }
 
-    /// Number of streams currently registered.
+    /// Number of streams currently registered, home or away.
     pub fn stream_count(&self) -> usize {
-        self.sessions.len()
+        self.sessions.len() + self.away.len()
     }
 
-    /// Whether a stream has a registered session.
+    /// Whether a stream has a registered session (home or away).
     pub fn has_stream(&self, stream_id: StreamId) -> bool {
-        self.sessions.contains_key(&stream_id)
+        self.sessions.contains_key(&stream_id) || self.away.contains_key(&stream_id)
     }
 
     /// Whether a stream has a registered session *and* shared the frame.
     pub fn has_frame(&self, stream_id: StreamId, frame_index: usize) -> bool {
-        self.sessions
-            .get(&stream_id)
-            .is_some_and(|e| e.frames.touch(frame_index))
+        match self.sessions.get(&stream_id) {
+            Some(entry) => entry.frames.touch(frame_index),
+            None => self
+                .away
+                .get(&stream_id)
+                .is_some_and(|away| away.frames.touch(frame_index)),
+        }
     }
 
-    /// Ids of all currently registered streams.
+    /// Ids of all currently registered streams, home or away.
     pub fn session_ids(&self) -> Vec<StreamId> {
-        self.sessions.keys().copied().collect()
+        self.sessions
+            .keys()
+            .chain(self.away.keys())
+            .copied()
+            .collect()
+    }
+
+    /// Whether the stream's session is out in an open batch's item.
+    pub(super) fn is_away(&self, stream_id: StreamId) -> bool {
+        self.away.contains_key(&stream_id)
+    }
+
+    /// Key frames of the stream that an item out on the crew holds.
+    pub(super) fn away_jobs(&self, stream_id: StreamId) -> usize {
+        self.away.get(&stream_id).map_or(0, |away| away.jobs)
+    }
+
+    /// Whether some batch still has an item out.
+    pub(super) fn has_open(&self) -> bool {
+        !self.open.is_empty()
     }
 
     /// Process a co-scheduled batch of key frames: one batched teacher
@@ -445,7 +663,9 @@ impl<T: Teacher> ServeShard<T> {
 
     /// [`ServeShard::process_batch`] with the responses going to `sink` as
     /// they finish instead of into the returned outcome; returns the dropped
-    /// jobs.
+    /// jobs. [`open_batch`](Self::open_batch), then a blocking
+    /// [`drain`](Self::drain), then [`raise_failure`](Self::raise_failure):
+    /// every item is home when it returns.
     ///
     /// A typed error from an item fails the call once every item is home; a
     /// panic inside an item — on whichever thread ran it — is resumed here,
@@ -458,12 +678,36 @@ impl<T: Teacher> ServeShard<T> {
         jobs: &[ShardJob],
         sink: &mut dyn BatchSink,
     ) -> Result<Vec<(ShardJob, DropReason)>> {
+        let dropped = self.open_batch(jobs, sink)?;
+        self.drain(Wait::All, sink);
+        self.raise_failure().map(|()| dropped)
+    }
+
+    /// Start a batch and run the caller's share of it: label, form one item
+    /// per stream, claim and run items until none is left to claim, draining
+    /// every open batch between items. Items lanes still run stay out: their
+    /// streams are away until a later [`drain`](Self::drain) brings them
+    /// home. Returns the dropped jobs; a teacher error fails the call before
+    /// any item exists. An item that fails is recorded for
+    /// [`raise_failure`](Self::raise_failure), its session settled as it
+    /// comes home. Every job must belong to a stream that is home.
+    pub(super) fn open_batch(
+        &mut self,
+        jobs: &[ShardJob],
+        sink: &mut dyn BatchSink,
+    ) -> Result<Vec<(ShardJob, DropReason)>> {
+        let started = Instant::now();
         // Resolve which jobs are servable. Frames stay where they are — they
         // are borrowed for labelling and distillation, never copied (a frame
         // is the whole RGB tensor plus its ground truth).
         let mut dropped = Vec::new();
         let mut resolved: Vec<(usize, ShardJob)> = Vec::new();
         for (index, job) in jobs.iter().enumerate() {
+            debug_assert!(
+                !self.away.contains_key(&job.stream_id),
+                "stream {} has an item out already",
+                job.stream_id
+            );
             match self.sessions.get(&job.stream_id) {
                 None => dropped.push((*job, DropReason::UnknownStream)),
                 Some(entry) if !entry.frames.touch(job.frame_index) => {
@@ -497,11 +741,15 @@ impl<T: Teacher> ServeShard<T> {
         self.stats.teacher_wall_time += teacher_started.elapsed();
         self.stats.teacher_batches += 1;
         self.stats.max_batch_observed = self.stats.max_batch_observed.max(batch);
+        self.busy_since.get_or_insert(started);
 
         // One item per stream, in the order the streams first appear; each
-        // takes its session out of the shard. The delta track stays behind:
+        // takes its session out of the shard, which keeps the stream's
+        // frames and memory split meanwhile. The delta track stays behind:
         // the sink patches it per response, while the session may still be
         // away distilling the stream's next job.
+        let seq = self.batches_opened;
+        self.batches_opened += 1;
         let mut items: Vec<CrewItem> = Vec::new();
         let mut tracks: Vec<Option<DeltaTrack>> = Vec::new();
         for ((index, job), pseudo_label) in resolved.into_iter().zip(labels) {
@@ -517,6 +765,16 @@ impl<T: Teacher> ServeShard<T> {
             let Some(mut entry) = self.evict_stream(job.stream_id) else {
                 unreachable!("session present: resolved above")
             };
+            let memory = SessionMemory::measure(entry.session.student_mut(), &mut self.template);
+            self.away.insert(
+                job.stream_id,
+                Away {
+                    batch: seq,
+                    frames: Arc::clone(&entry.frames),
+                    jobs: 0,
+                    memory,
+                },
+            );
             tracks.push(entry.delta.take());
             items.push(CrewItem {
                 position: items.len(),
@@ -527,59 +785,130 @@ impl<T: Teacher> ServeShard<T> {
                 hook: self.item_hook.clone(),
             });
         }
+        for item in &items {
+            if let Some(away) = self.away.get_mut(&item.stream_id) {
+                away.jobs = item.jobs.len();
+            }
+        }
 
-        let mut failures: Vec<Option<std::thread::Result<Result<()>>>> =
-            items.iter().map(|_| None).collect();
-        let mut home: Vec<(StreamId, StreamEntry, bool)> = Vec::with_capacity(items.len());
-        let stats = &mut self.stats;
-        Arc::clone(&self.crew).run_batch(items, distill_item, |event, ran| match event {
-            Event::Progress(Served {
-                position,
-                index,
-                response,
-            }) => {
-                stats.key_frames += 1;
-                stats.distill_steps += response.outcome.steps;
-                stats.jobs_offloaded += usize::from(ran == Ran::Helper);
-                sink.served(
-                    stats,
-                    index,
-                    jobs[index],
-                    response,
-                    tracks[position].as_mut(),
-                );
-            }
-            Event::Returned(Finished { item, outcome }) => {
-                let CrewItem {
-                    position,
-                    stream_id,
-                    mut entry,
-                    ..
-                } = item;
-                entry.delta = tracks[position].take();
-                let whole = matches!(outcome, Ok(Ok(())));
-                if whole {
-                    sink.settled(stats, stream_id, &mut entry);
-                } else {
-                    failures[position] = Some(outcome);
-                }
-                home.push((stream_id, entry, whole));
-            }
+        let crew = self
+            .crew
+            .open(items, distill_item as DistillFn, self.notify.clone());
+        self.open.push(OpenItems {
+            record: BatchRecord {
+                seq,
+                jobs: jobs.to_vec(),
+                tracks,
+            },
+            crew,
         });
-        for (stream_id, mut entry, whole) in home {
+        // The caller's share, with every open batch drained between its
+        // items: the newest batch is last, and no batch leaves `open` before
+        // `come_home` below.
+        let current = self.open.len() - 1;
+        let mut home = Vec::new();
+        loop {
+            let OpenItems { record, crew } = &mut self.open[current];
+            let stats = &mut self.stats;
+            let ran = crew.run_next(&mut |event, ran| {
+                record.absorb(stats, &mut *sink, &mut home, event, ran)
+            });
+            drain_open(
+                &mut self.open,
+                &self.away,
+                &mut self.stats,
+                sink,
+                &mut home,
+                Wait::None,
+            );
+            if !ran {
+                break;
+            }
+        }
+        self.come_home(home);
+        // The caller's share ends here, settling included.
+        self.busy_until = self.busy_until.max(Instant::now());
+        self.end_busy_stretch();
+        Ok(dropped)
+    }
+
+    /// Bring home what the lanes have returned of every open batch, waiting
+    /// as `wait` says: served jobs go to `sink`, returned items are settled
+    /// into the shard. A failed item is recorded for
+    /// [`raise_failure`](Self::raise_failure).
+    pub(super) fn drain(&mut self, wait: Wait, sink: &mut dyn BatchSink) {
+        if self.open.is_empty() {
+            return;
+        }
+        let mut home = Vec::new();
+        drain_open(
+            &mut self.open,
+            &self.away,
+            &mut self.stats,
+            sink,
+            &mut home,
+            wait,
+        );
+        self.come_home(home);
+        self.end_busy_stretch();
+    }
+
+    /// Settle returned items into the shard and retire finished batches.
+    fn come_home(&mut self, home: Vec<Homecoming>) {
+        for Homecoming {
+            stream_id,
+            mut entry,
+            outcome,
+            order,
+            done_at,
+        } in home
+        {
+            self.busy_until = self.busy_until.max(done_at);
+            self.away.remove(&stream_id);
+            let whole = matches!(outcome, Ok(Ok(())));
             self.settle(&mut entry, whole);
             self.adopt_stream(stream_id, entry);
+            if !whole {
+                self.failures.push((order, outcome));
+            }
         }
-        match failures.into_iter().flatten().next() {
+        self.open.retain(|batch| !batch.crew.is_done());
+    }
+
+    /// Once no batch has an item out, count the busy stretch: from the
+    /// start of its first batch to the end of its last work.
+    fn end_busy_stretch(&mut self) {
+        if self.open.is_empty() {
+            if let Some(since) = self.busy_since.take() {
+                self.stats.busy_time += self.busy_until.saturating_duration_since(since);
+            }
+        }
+    }
+
+    /// The earliest (in scheduling order) of the items that came home
+    /// failed since the last call, if any; the others are dropped with the
+    /// call. Their sessions are settled already.
+    pub(super) fn take_failure(&mut self) -> Option<ItemOutcome> {
+        let earliest = (0..self.failures.len()).min_by_key(|&at| self.failures[at].0)?;
+        let (_, outcome) = self.failures.swap_remove(earliest);
+        self.failures.clear();
+        Some(outcome)
+    }
+
+    /// Raise [`take_failure`](Self::take_failure)'s: a typed error as the
+    /// result, a panic resumed on the calling thread.
+    pub(super) fn raise_failure(&mut self) -> Result<()> {
+        match self.take_failure() {
             Some(Err(panic)) => resume_unwind(panic),
-            Some(Ok(result)) => result.map(|()| dropped),
-            None => Ok(dropped),
+            Some(Ok(result)) => result,
+            None => Ok(()),
         }
     }
 
     /// Finish a stream: remove its session, returning the final full
     /// checkpoint and the stream's counters (distillation half only — the
-    /// pool worker merges in waits/throttles/drops).
+    /// pool worker merges in waits/throttles/drops). `None` for a stream
+    /// that is not registered or is away: drain it home first.
     pub fn finish(&mut self, stream_id: StreamId) -> Option<(WeightSnapshot, StreamServerStats)> {
         self.sessions.remove(&stream_id).map(|mut entry| {
             let checkpoint = entry.session.initial_checkpoint();

@@ -3,12 +3,16 @@
 //! reactor drives it exclusively through [`ShardState::run_pass`] and
 //! [`ShardState::finish`]; its fields are private to this module and its
 //! `takeover` child (warm-standby adoption).
+//!
+//! A pass does not wait for the distill crew: a batch whose items lanes
+//! still run stays open, its streams away, and the items come home — their
+//! key frames answered — in a later pass, which a lane's post wakes.
 
 mod takeover;
 
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
-use super::shard::{BatchSink, DeltaTrack, ServeShard};
+use super::shard::{BatchSink, DeltaTrack, ServeShard, Wait};
 use super::{FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats};
 #[cfg(doc)]
 use super::{ServerPool, StreamClient};
@@ -133,36 +137,58 @@ struct StreamMeter {
     dropped: usize,
 }
 
+/// A batch the state machine started whose jobs are not all answered yet:
+/// filled when the batch leaves the scheduler, struck off job by job as
+/// updates are emitted (or drop acks handed out), dropped once empty.
+pub(super) struct InFlight {
+    /// When the batch began: a job's queue wait ends here.
+    started: Instant,
+    unanswered: Vec<ScheduledJob>,
+}
+
+/// Strike `job` off the oldest in-flight batch still holding it (a
+/// stream's jobs are answered in the order they were scheduled), returning
+/// it as it was queued and when its batch began.
+fn strike(in_flight: &mut Vec<InFlight>, job: ShardJob) -> Option<(ScheduledJob, Instant)> {
+    let (batch, at) = in_flight.iter().enumerate().find_map(|(batch, flight)| {
+        let at = flight.unanswered.iter().position(|s| s.job == job)?;
+        Some((batch, at))
+    })?;
+    let flight = &mut in_flight[batch];
+    let scheduled = flight.unanswered.remove(at);
+    let started = flight.started;
+    if flight.unanswered.is_empty() {
+        in_flight.remove(batch);
+    }
+    Some((scheduled, started))
+}
+
 /// The shard state machine's [`BatchSink`]: answer each key frame the
 /// moment the reactor worker learns it has been distilled — queue-wait
 /// sample, delta encode, digest patch, downlink.
 struct Emitter<'a> {
-    batch: &'a [ScheduledJob],
-    started: Instant,
     downlinks: &'a HashMap<StreamId, Downlink>,
     meters: &'a mut HashMap<StreamId, StreamMeter>,
     wait_samples: &'a mut Vec<f64>,
-    /// The batch's jobs nobody has answered yet (`ShardState::torn_jobs`).
-    unanswered: &'a mut Vec<ScheduledJob>,
+    /// Whatever batch a served job came from: `ShardState::in_flight`.
+    in_flight: &'a mut Vec<InFlight>,
 }
 
 impl BatchSink for Emitter<'_> {
     fn served(
         &mut self,
         stats: &mut ShardStats,
-        index: usize,
+        _index: usize,
         job: ShardJob,
         response: KeyFrameResponse,
         track: Option<&mut DeltaTrack>,
     ) {
-        if let Some(at) = self.unanswered.iter().position(|s| s.job == job) {
-            self.unanswered.swap_remove(at);
-        }
+        let Some((scheduled, started)) = strike(self.in_flight, job) else {
+            unreachable!("served job {job:?} was never scheduled")
+        };
         // One wait sample per *serviced* key frame: how long it sat queued
         // before its batch began.
-        let wait = self
-            .started
-            .saturating_duration_since(self.batch[index].enqueued_at);
+        let wait = started.saturating_duration_since(scheduled.enqueued_at);
         stats.queue_wait_total += wait;
         stats.queue_wait_max = stats.queue_wait_max.max(wait);
         self.wait_samples.push(wait.as_secs_f64());
@@ -294,14 +320,13 @@ pub(super) struct ShardState<T: Teacher> {
     board: Arc<FailoverBoard>,
     /// Co-scheduled batches completed — the fault plan's kill clock.
     batches_processed: usize,
-    /// The jobs of the batch in flight that nobody has answered yet: filled
-    /// when a batch leaves the scheduler, struck off job by job as updates
-    /// are emitted (or drop acks handed out), empty between
-    /// batches. A pass that dies mid-batch — an injected torn kill, a panic
-    /// carried back from a crew helper — leaves exactly the unanswered jobs
-    /// here, and the adopting standby drop-acks those, and only those, with
-    /// [`DropReason::ShardFailed`].
-    torn_jobs: Vec<ScheduledJob>,
+    /// The batches whose jobs nobody has answered yet, oldest first. A batch
+    /// with items still out on the crew stays here across passes. A shard
+    /// that dies leaves them in its carcass: the adopting standby first
+    /// brings every away item home (answering its jobs), then drop-acks
+    /// what is still unanswered — an injected torn kill's batch, a failed
+    /// item's jobs — with [`DropReason::ShardFailed`], and only that.
+    in_flight: Vec<InFlight>,
     /// Uplink receivers of shards this one adopted: their clients may have
     /// enqueued traffic before the routing flip, so the standby drains them
     /// alongside its own for the rest of the pool's life.
@@ -317,13 +342,13 @@ pub(super) struct ShardState<T: Teacher> {
 /// What one [`ShardState::run_pass`] left behind, telling the reactor
 /// whether to wake the shard again or finish it.
 pub(super) struct PassOutcome {
-    /// Every uplink handle is gone and nothing is queued: the state can be
-    /// finalized with [`ShardState::finish`].
+    /// Every uplink handle is gone, nothing is queued and nothing is away:
+    /// the state can be finalized with [`ShardState::finish`].
     pub(super) done: bool,
-    /// Every uplink handle is gone (shutdown drain in progress).
-    pub(super) disconnected: bool,
-    /// The scheduler still holds queued jobs — re-wake immediately so the
-    /// next batch runs without waiting for new traffic.
+    /// The next pass has work it can do now — a queued job of a stream that
+    /// is home, or a shutdown drain with nothing away — so re-wake at once
+    /// instead of waiting for traffic. Work behind an away item waits for
+    /// the lane's post to wake the shard.
     pub(super) backlog: bool,
 }
 
@@ -356,12 +381,48 @@ impl<T: Teacher> ShardState<T> {
             disconnected: false,
             board,
             batches_processed: 0,
-            torn_jobs: Vec::new(),
+            in_flight: Vec::new(),
             adopted_rx: Vec::new(),
             adopted_registries: Vec::new(),
             adopted_shards: Vec::new(),
             takeover_samples: Vec::new(),
         }
+    }
+
+    /// The shard and, beside it, the sink that answers its key frames.
+    fn shard_and_emitter(&mut self) -> (&mut ServeShard<T>, Emitter<'_>) {
+        (
+            &mut self.shard,
+            Emitter {
+                downlinks: &self.downlinks,
+                meters: &mut self.meters,
+                wait_samples: &mut self.wait_samples,
+                in_flight: &mut self.in_flight,
+            },
+        )
+    }
+
+    /// Bring home what the crew has returned of this shard's open batches,
+    /// waiting as `wait` says, and answer the key frames it distilled. A
+    /// failed item is raised at the end of the pass.
+    fn drain_away(&mut self, wait: Wait) {
+        let (shard, mut emitter) = self.shard_and_emitter();
+        shard.drain(wait, &mut emitter);
+    }
+
+    /// Whether a job is queued for a stream that is home.
+    fn ready(&self) -> bool {
+        self.scheduler
+            .has_ready(|stream_id| self.shard.is_away(stream_id))
+    }
+
+    /// The next fair batch, of streams that are home.
+    fn next_batch(&mut self) -> Vec<ScheduledJob> {
+        let shard = &self.shard;
+        self.scheduler
+            .next_batch_skipping(self.pool_config.max_batch, |stream_id| {
+                shard.is_away(stream_id)
+            })
     }
 
     /// Drain every envelope currently sitting in the uplink without
@@ -482,8 +543,10 @@ impl<T: Teacher> ShardState<T> {
                     }
                     return Ok(());
                 }
-                // Admission control: per-stream in-flight cap.
-                if self.scheduler.queued_for(stream_id) >= self.pool_config.max_in_flight {
+                // Admission control: per-stream in-flight cap, counting the
+                // key frames an away item of the stream still holds.
+                let held = self.scheduler.queued_for(stream_id) + self.shard.away_jobs(stream_id);
+                if held >= self.pool_config.max_in_flight {
                     self.shard.stats.throttled += 1;
                     note_throttle(&mut self.streams, &mut self.meters, stream_id);
                     if let Some(downlink) = self.downlinks.get(&stream_id) {
@@ -499,8 +562,13 @@ impl<T: Teacher> ShardState<T> {
                     .push(stream_id, frame_index, envelope.enqueued_at);
             }
             ClientToServer::Shutdown => {
-                // Flush the stream's still-queued key frames so its last
-                // updates are not lost, then retire the session.
+                // A stream whose item is still out retires once it is home,
+                // so its final checkpoint holds its last update. Then flush
+                // its still-queued key frames so its last updates are not
+                // lost, and retire the session.
+                if self.shard.is_away(stream_id) {
+                    self.drain_away(Wait::Stream(stream_id));
+                }
                 let remaining = self.scheduler.remove_stream(stream_id);
                 for chunk in remaining.chunks(self.pool_config.max_batch) {
                     self.process_scheduled(chunk)?;
@@ -522,31 +590,28 @@ impl<T: Teacher> ShardState<T> {
         Ok(())
     }
 
-    /// Run one fair co-scheduled batch through the shard and route every
+    /// Start one fair co-scheduled batch on the shard and route every
     /// answer to its stream's downlink: each update as soon as its key
     /// frame is distilled (through the [`Emitter`]), then the drop acks.
+    /// Items the crew's lanes still run when the worker has none left to
+    /// claim stay out; a later pass answers them.
     ///
-    /// While the batch runs, `torn_jobs` holds the jobs not yet answered: if
-    /// the pass dies mid-batch, the standby drop-acks exactly those.
+    /// Until every job is answered, the batch's record in `in_flight` holds
+    /// the rest: if the shard dies, the standby drop-acks whatever of it is
+    /// still unanswered once every away item is home.
     fn process_scheduled(&mut self, batch: &[ScheduledJob]) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        let started = Instant::now();
         let jobs: Vec<ShardJob> = batch.iter().map(|s| s.job).collect();
-        self.torn_jobs = batch.to_vec();
-        let dropped = self.shard.process_batch_into(
-            &jobs,
-            &mut Emitter {
-                batch,
-                started,
-                downlinks: &self.downlinks,
-                meters: &mut self.meters,
-                wait_samples: &mut self.wait_samples,
-                unanswered: &mut self.torn_jobs,
-            },
-        )?;
+        self.in_flight.push(InFlight {
+            started: Instant::now(),
+            unanswered: batch.to_vec(),
+        });
+        let (shard, mut emitter) = self.shard_and_emitter();
+        let dropped = shard.open_batch(&jobs, &mut emitter)?;
         for (job, reason) in dropped {
+            strike(&mut self.in_flight, job);
             self.meters.entry(job.stream_id).or_default().dropped += 1;
             if let Some(downlink) = self.downlinks.get(&job.stream_id) {
                 deliver(
@@ -559,32 +624,34 @@ impl<T: Teacher> ShardState<T> {
                 );
             }
         }
-        self.torn_jobs.clear();
-        self.shard.stats.busy_time += started.elapsed();
         Ok(())
     }
 
     /// One fair co-scheduled batch per pass; the reactor re-dispatches the
     /// shard between batches so new arrivals join the next scheduling round.
     fn process_one_batch(&mut self) -> Result<()> {
-        // Injected kill: fires only while work is pending, so the crash
-        // always has observable consequences. A clean kill panics *before*
-        // the scheduler drain (every queued job survives in the carcass); a
-        // torn kill drains the batch first and leaves it in `torn_jobs` —
-        // in flight, nothing answered — so exactly those jobs are genuinely
-        // lost and the standby must drop-ack them with
-        // `DropReason::ShardFailed`.
+        // Injected kill: fires only while a batch is ready to start, so the
+        // crash always has observable consequences. A clean kill panics
+        // *before* the scheduler drain (every queued job survives in the
+        // carcass, and items still away come home to the standby); a torn
+        // kill drains the batch first and leaves it in `in_flight` — nothing
+        // answered — so exactly those jobs are genuinely lost and the
+        // standby must drop-ack them with `DropReason::ShardFailed`.
         let plan = self.pool_config.fault_plan;
-        if plan.kill_due(self.shard_index, self.batches_processed) && !self.scheduler.is_empty() {
+        if plan.kill_due(self.shard_index, self.batches_processed) && self.ready() {
             if plan.torn_kill {
-                self.torn_jobs = self.scheduler.next_batch(self.pool_config.max_batch);
+                let torn = self.next_batch();
+                self.in_flight.push(InFlight {
+                    started: Instant::now(),
+                    unanswered: torn,
+                });
             }
             panic!(
                 "fault injection (seed {}): shard {} killed at batch {}",
                 plan.seed, self.shard_index, self.batches_processed
             );
         }
-        let batch = self.scheduler.next_batch(self.pool_config.max_batch);
+        let batch = self.next_batch();
         if batch.is_empty() {
             return Ok(());
         }
@@ -592,7 +659,8 @@ impl<T: Teacher> ShardState<T> {
         self.batches_processed += 1;
         // Sample the copy-on-write memory split once per batch: pointer
         // compares per tensor, far off the per-frame fast path, and a batch
-        // is exactly when private storage can grow (optimizer writes).
+        // is exactly when private storage can grow (optimizer writes). An
+        // away session counts as it left.
         let memory = self.shard.memory_profile();
         let stats = &mut self.shard.stats;
         stats.session_bytes_shared = memory.shared_bytes;
@@ -613,17 +681,27 @@ impl<T: Teacher> ShardState<T> {
     }
 
     /// One non-blocking pass of the shard state machine: failover tick,
-    /// uplink drain, envelope handlers, one co-scheduled batch. This is the
-    /// reactor's dispatch unit.
+    /// the crew's returns, uplink drain, envelope handlers, one co-scheduled
+    /// batch. This is the reactor's dispatch unit.
+    ///
+    /// An item that comes home failed fails the pass that brings it home:
+    /// at once when it is found before the uplink is read (nothing is taken
+    /// off the uplink yet, so the standby finds every envelope there), else
+    /// once the pass's envelopes are handled and its batch is started.
     pub(super) fn run_pass(&mut self, failover: &FailoverShared<T>) -> Result<PassOutcome> {
         self.shard.stats.poll_wakeups += 1;
         self.failover_tick(failover);
+        self.drain_away(Wait::None);
+        self.shard.raise_failure()?;
         let mut incoming: Vec<Envelope> = Vec::new();
         self.drain_uplink(&mut incoming);
-        if incoming.is_empty() && self.scheduler.is_empty() && self.disconnected {
+        if incoming.is_empty()
+            && self.scheduler.is_empty()
+            && self.disconnected
+            && !self.shard.has_open()
+        {
             return Ok(PassOutcome {
                 done: true,
-                disconnected: true,
                 backlog: false,
             });
         }
@@ -631,21 +709,24 @@ impl<T: Teacher> ShardState<T> {
             self.on_frame(envelope)?;
         }
         self.process_one_batch()?;
+        self.shard.raise_failure()?;
         self.note_idle_streams();
         Ok(PassOutcome {
             done: false,
-            disconnected: self.disconnected,
-            backlog: !self.scheduler.is_empty(),
+            backlog: self.ready() || (self.disconnected && !self.shard.has_open()),
         })
     }
 
     /// The exit protocol: retire every remaining session and assemble the
     /// shard's final output.
     pub(super) fn finish(mut self) -> ShardOutput {
+        // The reactor finishes a shard only once nothing is queued and
+        // nothing is away; drain anyway, so no item is left out on a lane.
+        self.drain_away(Wait::All);
+        let failure = self.shard.take_failure();
+        debug_assert!(failure.is_none(), "an item failed after the last pass");
         // Clients that vanished without Shutdown still get their sessions
-        // retired so their checkpoints and counters are reported. (The
-        // backlog is already drained: the reactor only finishes a shard
-        // once its scheduler is empty.)
+        // retired so their checkpoints and counters are reported.
         for stream_id in self.shard.session_ids() {
             if let Some((checkpoint, stream_stats)) = retire(
                 &mut self.shard,
@@ -681,10 +762,14 @@ fn carcass_output<T: Teacher>(state: ShardState<T>) -> ShardOutput {
 mod tests {
     use super::*;
     use crate::config::ShadowTutorConfig;
+    use crate::serve::shard::{ItemEvent, ItemHook};
+    use st_nn::store::SessionMemory;
     use st_nn::student::{StudentConfig, StudentNet};
     use st_teacher::OracleTeacher;
+    use st_tensor::parallel::{Crew, Lanes, Ran};
     use st_video::dataset::tiny_stream;
     use st_video::{Frame, SceneKind};
+    use std::sync::Condvar;
 
     /// A one-shard state machine with nothing connected to it.
     fn lone_state() -> ShardState<OracleTeacher> {
@@ -750,7 +835,7 @@ mod tests {
         );
         // Every job of the batch was answered: nothing is left for a standby
         // to drop-ack.
-        assert!(state.torn_jobs.is_empty());
+        assert!(state.in_flight.is_empty());
     }
 
     #[test]
@@ -866,5 +951,290 @@ mod tests {
             .map(|l| l.load(Ordering::SeqCst))
             .collect();
         assert_eq!(loads, [0, 1]);
+    }
+
+    /// Holds every item a lane starts until [`LaneGate::open`], and every
+    /// item the worker starts until a lane has started one: a batch of two
+    /// streams leaves its second item out on the lane, held.
+    #[derive(Default)]
+    struct LaneGate {
+        /// (a lane has started an item, the gate is open)
+        state: Mutex<(bool, bool)>,
+        changed: Condvar,
+    }
+
+    impl LaneGate {
+        fn hook(self: &Arc<Self>) -> ItemHook {
+            let gate = Arc::clone(self);
+            Arc::new(move |event| {
+                let ItemEvent::Started { ran, .. } = event else {
+                    return;
+                };
+                let mut state = gate.state.lock().unwrap();
+                if ran == Ran::Helper {
+                    state.0 = true;
+                    gate.changed.notify_all();
+                }
+                let (_state, timeout) = gate
+                    .changed
+                    .wait_timeout_while(state, Duration::from_secs(60), |(lane_started, open)| {
+                        if ran == Ran::Helper {
+                            !*open
+                        } else {
+                            !*lane_started
+                        }
+                    })
+                    .unwrap();
+                assert!(!timeout.timed_out(), "the lane gate never opened");
+            })
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    /// A state machine whose batches run on a private crew of one lane,
+    /// gated, whose lane posts wake token 0 of a poller, with streams
+    /// registered and a downlink each.
+    struct Crewed {
+        state: ShardState<OracleTeacher>,
+        answers: HashMap<StreamId, mpsc::Receiver<ServerToClient>>,
+        lanes: Arc<Lanes>,
+        _uplink: mpsc::Sender<Envelope>,
+    }
+
+    fn crewed_state(
+        gate: &Arc<LaneGate>,
+        poller: &st_net::Poller,
+        streams: &[(StreamId, Vec<Frame>)],
+    ) -> Crewed {
+        let lanes = Lanes::new();
+        let waker = poller.waker(0);
+        let shard = ServeShard::new(
+            ShadowTutorConfig::paper(),
+            StudentNet::new(StudentConfig::tiny()).unwrap(),
+            OracleTeacher::perfect(5),
+            0.013,
+        )
+        .with_crew(Arc::new(Crew::new(Arc::clone(&lanes), 1)))
+        .with_notify(Arc::new(move || waker.wake()))
+        .with_item_hook(gate.hook());
+        let (uplink, rx) = mpsc::channel();
+        let mut state = ShardState::new(
+            shard,
+            rx,
+            Arc::new(Mutex::new(HashMap::new())),
+            PoolConfig::with_shards(1),
+            0,
+            Arc::new(vec![AtomicUsize::new(streams.len())]),
+            Arc::new(Mutex::new(HashMap::new())),
+            Arc::new(FailoverBoard::new(1, false)),
+        );
+        let mut answers = HashMap::new();
+        for (id, frames) in streams {
+            state
+                .shard
+                .register(*id, FrameStore::from_frames(frames, None), false);
+            let (tx, rx) = mpsc::channel();
+            state.downlinks.insert(
+                *id,
+                Downlink {
+                    tx,
+                    waker: None,
+                    wire: Arc::new(WireMeter::default()),
+                },
+            );
+            answers.insert(*id, rx);
+        }
+        Crewed {
+            state,
+            answers,
+            lanes,
+            _uplink: uplink,
+        }
+    }
+
+    /// What a plain shard, one key frame per batch, answers stream `id` for
+    /// `send`: (frame index, update bytes) per key frame, and the stream's
+    /// final checkpoint.
+    fn served_alone(
+        id: StreamId,
+        frames: &[Frame],
+        send: &[Frame],
+    ) -> (Vec<(usize, Bytes)>, Bytes) {
+        let mut shard = ServeShard::new(
+            ShadowTutorConfig::paper(),
+            StudentNet::new(StudentConfig::tiny()).unwrap(),
+            OracleTeacher::perfect(5),
+            0.013,
+        );
+        shard.register(id, FrameStore::from_frames(frames, None), false);
+        let answers = send
+            .iter()
+            .map(|frame| {
+                let job = ShardJob {
+                    stream_id: id,
+                    frame_index: frame.index,
+                };
+                let outcome = shard.process_batch(&[job]).unwrap();
+                let (_, frame_index, response) = &outcome.responses[0];
+                (*frame_index, response.encoded())
+            })
+            .collect();
+        (answers, shard.finish(id).unwrap().0.encode())
+    }
+
+    /// Every update waiting on a downlink: (frame index, update bytes).
+    fn updates(rx: &mpsc::Receiver<ServerToClient>) -> Vec<(usize, Bytes)> {
+        std::iter::from_fn(|| rx.try_recv().ok())
+            .map(|message| match message {
+                ServerToClient::StudentUpdate {
+                    frame_index,
+                    payload,
+                    ..
+                } => (frame_index, payload.data.unwrap()),
+                other => panic!("expected an update, got {other:?}"),
+            })
+            .collect()
+    }
+
+    fn envelope(stream_id: StreamId, message: ClientToServer) -> Envelope {
+        Envelope {
+            tagged: StreamTagged::new(stream_id, message),
+            enqueued_at: Instant::now(),
+        }
+    }
+
+    fn key_frame(stream_id: StreamId, frame: &Frame) -> Envelope {
+        envelope(
+            stream_id,
+            ClientToServer::KeyFrame {
+                frame_index: frame.index,
+                payload: Payload::sized(frame.raw_rgb_bytes()),
+            },
+        )
+    }
+
+    /// Storage of one registered session, shared and private together.
+    fn one_session_bytes() -> usize {
+        let mut lone = lone_state();
+        let frames = tiny_stream(SceneKind::People, 520, 1);
+        lone.shard
+            .register(1, FrameStore::from_frames(&frames, None), false);
+        let SessionMemory {
+            shared_bytes,
+            private_bytes,
+        } = lone.shard.memory_profile();
+        shared_bytes + private_bytes
+    }
+
+    #[test]
+    fn a_key_frame_of_an_away_stream_is_queued_and_served_after_its_item() {
+        let gate = Arc::new(LaneGate::default());
+        let poller = st_net::Poller::new();
+        let streams = vec![
+            (1, tiny_stream(SceneKind::People, 521, 2)),
+            (2, tiny_stream(SceneKind::Street, 522, 2)),
+        ];
+        let frames = &streams[1].1;
+        let mut crewed = crewed_state(&gate, &poller, &streams);
+        let state = &mut crewed.state;
+        state.pool_config.max_in_flight = 2;
+        let enqueued_at = Instant::now();
+        for (id, frames) in &streams {
+            state.scheduler.push(*id, frames[0].index, enqueued_at);
+        }
+        // The worker serves stream 1's item; stream 2's is out on the lane,
+        // held there. The pass's memory sample still counts both sessions.
+        state.process_one_batch().unwrap();
+        assert!(state.shard.is_away(2) && !state.shard.is_away(1));
+        assert_eq!(updates(&crewed.answers[&1]).len(), 1);
+        let stats = state.shard.stats();
+        assert_eq!(
+            stats.session_bytes_shared + stats.session_bytes_private,
+            2 * one_session_bytes(),
+            "an away session went uncounted"
+        );
+        // Stream 2's next key frame arrives meanwhile: recognised and queued.
+        state.on_frame(key_frame(2, &frames[1])).unwrap();
+        assert_eq!(state.scheduler.queued_for(2), 1);
+        // Admission counts the key frame the away item holds: a third one
+        // would make three at the shard, over the cap of two.
+        state.on_frame(key_frame(2, &frames[1])).unwrap();
+        assert!(matches!(
+            crewed.answers[&2].try_recv(),
+            Ok(ServerToClient::Throttle { .. })
+        ));
+        assert_eq!(state.scheduler.queued_for(2), 1);
+        // The stream is in no batch while its item is out: the key frame
+        // stays queued, and no pass is due for it.
+        state.process_one_batch().unwrap();
+        assert_eq!(state.scheduler.queued_for(2), 1);
+        assert!(!state.ready());
+        assert!(updates(&crewed.answers[&2]).is_empty());
+        // The lane finishes; its post wakes the shard, whose passes bring
+        // the item home and then serve the queued key frame.
+        gate.open();
+        assert_eq!(poller.poll_one(Duration::from_secs(60)), Some(0));
+        let failover = FailoverShared {
+            states: Vec::new(),
+            board: Arc::clone(&state.board),
+        };
+        for _ in 0..100 {
+            state.run_pass(&failover).unwrap();
+            if state.scheduler.is_empty() && !state.shard.has_open() {
+                break;
+            }
+            poller.poll_one(Duration::from_secs(1));
+        }
+        assert!(state.scheduler.is_empty() && !state.shard.has_open());
+        // Both key frames answered, in order, never dropped, bit for bit
+        // what a shard serving the stream alone answers.
+        assert_eq!(
+            updates(&crewed.answers[&2]),
+            served_alone(2, frames, frames).0
+        );
+        let stats = state.shard.stats();
+        assert_eq!((stats.dropped_jobs, stats.throttled), (0, 1));
+        assert_eq!((stats.key_frames, stats.jobs_offloaded), (3, 1));
+        assert!(state.in_flight.is_empty());
+        crewed.lanes.close();
+    }
+
+    #[test]
+    fn a_shutdown_while_the_item_is_away_retires_the_stream_with_its_last_update() {
+        let gate = Arc::new(LaneGate::default());
+        let poller = st_net::Poller::new();
+        let streams = vec![
+            (1, tiny_stream(SceneKind::People, 531, 1)),
+            (2, tiny_stream(SceneKind::Animals, 532, 1)),
+        ];
+        let frames = &streams[1].1;
+        let mut crewed = crewed_state(&gate, &poller, &streams);
+        let state = &mut crewed.state;
+        let enqueued_at = Instant::now();
+        for (id, frames) in &streams {
+            state.scheduler.push(*id, frames[0].index, enqueued_at);
+        }
+        state.process_one_batch().unwrap();
+        assert!(state.shard.is_away(2));
+        // Released, the lane finishes in its own time; the shard learns of
+        // it only by draining, so the Shutdown below finds the stream away
+        // and waits for its item to come home.
+        gate.open();
+        state
+            .on_frame(envelope(2, ClientToServer::Shutdown))
+            .unwrap();
+        assert!(!state.shard.has_stream(2));
+        // Its last key frame was answered, and its final checkpoint holds
+        // that update: the session a shard serving it alone ends with.
+        let (alone, checkpoint) = served_alone(2, frames, frames);
+        assert_eq!(updates(&crewed.answers[&2]), alone);
+        assert_eq!(state.final_checkpoints[&2].encode(), checkpoint);
+        assert_eq!(state.streams[&2].key_frames, 1);
+        assert!(!state.shard.has_open() && state.in_flight.is_empty());
+        crewed.lanes.close();
     }
 }

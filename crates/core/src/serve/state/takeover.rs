@@ -6,8 +6,11 @@
 //! jobs come from the carcass (the dead shard's state, left in its slot).
 //! No carcass holds a half-stepped session: a shard rebuilds a failed
 //! item's session from the stream's checkpoint before the panic leaves it.
+//! Items the dead shard left out on the crew come home before anything
+//! moves: the lanes finish them regardless, and their key frames are
+//! answered, not lost.
 
-use super::{carcass_output, deliver, locked, note_drop, ShardState};
+use super::{carcass_output, deliver, locked, note_drop, ShardState, Wait};
 use crate::serve::failover::FailoverShared;
 use st_net::{DropReason, ServerToClient, StreamId};
 use st_teacher::Teacher;
@@ -60,11 +63,18 @@ impl<T: Teacher> ShardState<T> {
                 }
             }
         }
+        // Bring home every item the dead shard left out on the crew, waiting
+        // for the lanes that still run them, and answer their key frames
+        // through the carcass's downlinks, as the dead shard would have.
+        // A failed one comes home rebuilt like any; its panic stays with
+        // the dead shard, and its unanswered jobs are drop-acked below.
+        carcass.drain_away(Wait::All);
+        let _second_failure = carcass.shard.take_failure();
         // Move every stream here, in stream-id order: its session, frame
         // store, delta track and unspent DRR deficit as the carcass holds
         // them (the deficit is read before the carcass scheduler is drained
-        // below). A dying pass brings every crew item home, so the carcass
-        // holds every registered stream. The adopter cannot prove what a
+        // below). With every crew item home, the carcass holds every
+        // registered stream. The adopter cannot prove what a
         // delta-negotiated client last applied, so the stream's next update
         // ships as a full snapshot (the delta re-sync).
         let mut adopted = carcass.shard.session_ids();
@@ -100,7 +110,7 @@ impl<T: Teacher> ShardState<T> {
         // times. A job whose stream has no adopted session is
         // unrecoverable — explicit ShardFailed ack, never silence.
         let requeued = carcass.scheduler.drain_all();
-        let torn = std::mem::take(&mut carcass.torn_jobs);
+        let torn = std::mem::take(&mut carcass.in_flight);
         for job in requeued {
             let stream_id = job.job.stream_id;
             if self.shard.has_stream(stream_id) {
@@ -110,10 +120,11 @@ impl<T: Teacher> ShardState<T> {
                 self.drop_failed_job(stream_id, job.job.frame_index);
             }
         }
-        // What the dying pass had in flight and had not answered — a torn
-        // kill's whole batch, or the rest of a batch a panic cut short —
-        // died with the shard. (Jobs it *had* answered are not here.)
-        for job in torn {
+        // What is still unanswered with every item home — a torn kill's
+        // whole batch, the jobs of an item that failed — died with the
+        // shard. (Jobs answered, by the dead shard or by the drain above,
+        // are not here.)
+        for job in torn.into_iter().flat_map(|flight| flight.unanswered) {
             self.drop_failed_job(job.job.stream_id, job.job.frame_index);
         }
         // Adopt the dead shard's ingress for the rest of the pool's life:

@@ -1647,3 +1647,126 @@ fn an_unchanged_student_reships_its_last_update_and_a_rebuilt_one_never_does() {
     assert_eq!(*bytes, fresh_update(&mut rebuilt, 2));
     assert_ne!(*bytes, registered);
 }
+
+/// Gates for a live pool on a crew of one lane: the worker's first item
+/// waits until the test has queued the next batch's key frames; every later
+/// worker item waits until a lane has started one; the first item a lane
+/// starts is held until the test releases it.
+#[derive(Default)]
+struct HeldLane {
+    owner_items: AtomicUsize,
+    /// (the worker is in its first item, the next batch is queued, the
+    /// lane's item is released)
+    gates: Mutex<(bool, bool, bool)>,
+    changed: Condvar,
+    rendezvous: Rendezvous,
+}
+
+impl HeldLane {
+    fn set(&self, set: impl FnOnce(&mut (bool, bool, bool))) {
+        set(&mut self.gates.lock().unwrap());
+        self.changed.notify_all();
+    }
+
+    fn wait_for(&self, open: impl Fn(&(bool, bool, bool)) -> bool) {
+        let (_gates, timeout) = self
+            .changed
+            .wait_timeout_while(self.gates.lock().unwrap(), Duration::from_secs(60), |g| {
+                !open(g)
+            })
+            .unwrap();
+        assert!(!timeout.timed_out(), "a gate never opened");
+    }
+
+    fn on(&self, event: ItemEvent) {
+        match event {
+            ItemEvent::Started {
+                ran: Ran::Owner, ..
+            } => {
+                if self.owner_items.fetch_add(1, Ordering::SeqCst) == 0 {
+                    self.set(|g| g.0 = true);
+                    self.wait_for(|g| g.1);
+                } else {
+                    self.rendezvous.on(event);
+                }
+            }
+            ItemEvent::Started {
+                ran: Ran::Helper, ..
+            } => {
+                self.rendezvous.on(event);
+                self.wait_for(|g| g.2);
+            }
+            ItemEvent::Emitted { .. } => {}
+        }
+    }
+}
+
+#[test]
+fn a_lane_return_wakes_the_shard_without_other_traffic() {
+    let held = Arc::new(HeldLane::default());
+    let config = ShadowTutorConfig::paper();
+    // The held item keeps its lane busy: a lane of this test's own.
+    let crew = TestCrew::new(1);
+    let pool = ServerPool::spawn_with_crew(
+        config,
+        PoolConfig {
+            shards: 1,
+            reactor_threads: Some(1),
+            max_batch: 2,
+            ..PoolConfig::default_pool()
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        Arc::clone(&crew.crew),
+        |_shard, template| {
+            let held = Arc::clone(&held);
+            ServeShard::new(config, template, OracleTeacher::perfect(5), 0.013)
+                .with_item_hook(Arc::new(move |event| held.on(event)))
+        },
+    )
+    .unwrap();
+    let frames: Vec<Vec<Frame>> = (0..3)
+        .map(|i| frames_for(SceneKind::People, 440 + i, 1))
+        .collect();
+    let mut clients: Vec<StreamClient> = frames
+        .iter()
+        .enumerate()
+        .map(|(id, frames)| pool.connect(id as StreamId, frames).unwrap())
+        .collect();
+    for client in &mut clients {
+        let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    }
+    // Stream 0's key frame holds the worker inside its first item; streams
+    // 1 and 2 queue theirs meanwhile, so the next pass batches the two.
+    send_key_frame(&mut clients[0], &frames[0][0]);
+    held.wait_for(|g| g.0);
+    send_key_frame(&mut clients[1], &frames[1][0]);
+    send_key_frame(&mut clients[2], &frames[2][0]);
+    held.set(|g| g.1 = true);
+    // The worker serves stream 1's item and leaves stream 2's, held on the
+    // lane, out: its pass ends without it.
+    for client in &mut clients[..2] {
+        let answer = client.recv_timeout(Duration::from_secs(60)).unwrap();
+        assert!(matches!(answer, ServerToClient::StudentUpdate { .. }));
+    }
+    assert!(matches!(
+        clients[2].recv_timeout(Duration::from_millis(200)),
+        Err(st_net::TransportError::Timeout)
+    ));
+    // Released, the lane finishes. No client sends anything: only the
+    // lane's post can wake the shard to answer stream 2.
+    held.set(|g| g.2 = true);
+    let answer = clients[2].recv_timeout(Duration::from_secs(60)).unwrap();
+    assert!(
+        matches!(answer, ServerToClient::StudentUpdate { frame_index, .. } if frame_index == frames[2][0].index)
+    );
+    for client in &mut clients {
+        client.send(ClientToServer::Shutdown, 1).unwrap();
+    }
+    drop(clients);
+    let stats = pool.join().unwrap();
+    crew.dismiss();
+    assert_eq!(stats.total_key_frames(), 3);
+    assert_eq!(stats.jobs_offloaded(), 1);
+    assert_eq!(stats.dropped_jobs(), 0);
+}

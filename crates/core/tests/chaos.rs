@@ -24,8 +24,8 @@ use st_nn::delta::{CheckpointDigest, WeightPayload};
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
 use st_teacher::OracleTeacher;
-use st_video::dataset::tiny_stream;
-use st_video::{Frame, SceneKind};
+use st_video::dataset::{tiny_stream, Resolution};
+use st_video::{CameraMotion, Frame, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
 /// Pinned the way CI pins `ST_CHECK_SEED`: the chaos smoke step runs this
 /// exact schedule.
@@ -473,6 +473,129 @@ fn clean_kill_with_a_crew_matches_the_fault_free_run_bit_for_bit() {
         assert!(
             stats.jobs_offloaded() > 0,
             "the crew never ran under the kill"
+        );
+    }
+}
+
+/// `n` fixed-camera frames at 128×96: sixteen times a tiny frame's pixels,
+/// so a key frame of theirs takes many times a tiny one's distillation.
+fn medium_stream(scene: SceneKind, seed: u64, n: usize) -> Vec<Frame> {
+    let (width, height) = Resolution::Medium.dims();
+    let category = VideoCategory {
+        camera: CameraMotion::Fixed,
+        scene,
+    };
+    VideoGenerator::new(VideoConfig::for_category(category, width, height, seed))
+        .unwrap()
+        .take_frames(n)
+}
+
+/// The crew pool with batches of two: a shard's first batch cannot take a
+/// stream's second key frame beside two streams' first.
+fn kill_away_pool_config(fault_plan: FaultPlan) -> PoolConfig {
+    PoolConfig {
+        max_batch: 2,
+        ..crew_pool_config(fault_plan)
+    }
+}
+
+/// The crew pool killed at the start of its second batch on the doomed
+/// shard, while the first batch's second item may still be out on a lane.
+/// Stream 0 (shard 0) sends one medium key frame first, which holds the
+/// pool's one reactor worker while streams 1 and 5 (both on the doomed
+/// shard) queue theirs: tiny ones on stream 1, then a medium one on stream
+/// 5. So the doomed shard's first batch is stream 1's first key frame and
+/// stream 5's: the worker distills the tiny one, a lane the medium one. The
+/// worker's next pass starts a batch for stream 1's second key frame — and
+/// the kill fires there, before the lane is done. Returns every sending
+/// stream's outcome and the pool's stats.
+fn run_kill_with_an_item_away(
+    fault_plan: FaultPlan,
+) -> (HashMap<StreamId, StreamOutcome>, PoolStats) {
+    let pool = ServerPool::spawn(
+        ShadowTutorConfig::paper(),
+        kill_away_pool_config(fault_plan),
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0.013,
+        |_| OracleTeacher::perfect(TEACHER_SEED),
+    )
+    .unwrap();
+    let sent: HashMap<StreamId, Vec<Frame>> = [
+        (0, medium_stream(SceneKind::Street, 90, 1)),
+        (1, tiny_stream(SceneKind::People, 91, 3)),
+        (5, medium_stream(SceneKind::Animals, 95, 1)),
+    ]
+    .into_iter()
+    .collect();
+    let mut clients: Vec<StreamClient> = (0..STREAMS as StreamId)
+        .map(|id| {
+            let frames = sent.get(&id).cloned().unwrap_or_default();
+            pool.connect(id, &frames).unwrap()
+        })
+        .collect();
+    for client in &mut clients {
+        let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    }
+    for id in [0, 1, 5] {
+        for frame in &sent[&id] {
+            send_key_frame(&mut clients[id as usize], frame).unwrap();
+        }
+    }
+    let mut outcomes = HashMap::new();
+    for id in [0, 1, 5] {
+        outcomes.insert(id, drive_stream(&mut clients[id as usize], &sent[&id]));
+    }
+    for client in &mut clients {
+        client.send(ClientToServer::Shutdown, 1).unwrap();
+    }
+    drop(clients);
+    (outcomes, pool.join().unwrap())
+}
+
+#[test]
+fn a_kill_with_a_crew_item_away_relays_its_answer_bit_for_bit() {
+    let (clean, clean_stats) = run_kill_with_an_item_away(FaultPlan::none());
+    assert_eq!(clean_stats.total_key_frames(), 5);
+    assert_eq!(clean_stats.snapshot().failovers, 0);
+    // The process's lanes are shared with every other test running in it,
+    // so the doomed shard's first batch may find them busy and its worker
+    // then distills both key frames itself. Run again until a lane took
+    // the medium one (on a host with a core to spare), holding every run to
+    // the same accounting.
+    let crewed = kill_away_pool_config(FaultPlan::none()).crew_helpers() > 0;
+    for attempt in 0.. {
+        let (faulted, stats) =
+            run_kill_with_an_item_away(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 1));
+        // The standby brought the away item home and relayed its answer:
+        // every key frame was answered once, none drop-acked, none lost.
+        assert_eq!(stats.total_key_frames(), 5);
+        assert_eq!(stats.dropped_jobs(), 0);
+        let report = stats.snapshot();
+        assert_eq!(report.failovers, 1);
+        assert_eq!(report.streams_adopted, doomed_streams().len());
+        assert_eq!(report.frames_lost_on_failover, 0);
+        for (id, clean_outcome) in &clean {
+            assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
+            assert_eq!(
+                faulted[id].updates, clean_outcome.updates,
+                "stream {id} diverged from the fault-free run"
+            );
+        }
+        // The final weights too: the away item's update is in stream 5's.
+        for id in [1, 5] {
+            assert_eq!(
+                stats.final_checkpoints[&id].encode(),
+                clean_stats.final_checkpoints[&id].encode(),
+                "stream {id} ended with other weights than the fault-free run"
+            );
+        }
+        if !crewed || stats.jobs_offloaded() > 0 {
+            break;
+        }
+        assert!(
+            attempt < 5,
+            "no lane took the doomed shard's batch in 6 runs"
         );
     }
 }

@@ -16,7 +16,15 @@
 //!   value reaches the owner's sink once, after everything the item emitted.
 //! * **Nothing outstanding**: neither `run_batch` nor `run_ranges` returns
 //!   while a lane still holds a unit of its job — the owner drains
-//!   completions *while lanes run* and blocks for the rest.
+//!   completions *while lanes run* and blocks for the rest. An owner that
+//!   leaves a batch open (as a shard's pass does) and drains it later —
+//!   beside a second batch of its own, and blocking at the end, as a
+//!   finishing shard does — likewise ends with nothing outstanding.
+//! * **No return un-notified**: every event a lane posts is followed by a
+//!   call of the batch's notify hook, so an owner that left a batch open
+//!   and parks until told (a reactor worker in its poller) misses none —
+//!   a post without a notify would leave it parked, a deadlock the checker
+//!   reports.
 //! * **A stale offer runs nothing**: an offer a lane pops after its owner
 //!   returned claims nothing, so the borrowed closure is never called late.
 //!
@@ -28,8 +36,8 @@
 use std::sync::{Arc, Mutex};
 
 use st_check::model::{check_with, Config, Report};
-use st_check::sync::{thread, AtomicBool, AtomicUsize, Ordering};
-use st_tensor::parallel::{ClaimCursor, Crew, Event, Lanes, Ran};
+use st_check::sync::{thread, AtomicBool, AtomicUsize, Condvar, Mutex as ModelMutex, Ordering};
+use st_tensor::parallel::{ClaimCursor, Crew, Event, Lanes, Notify, Ran};
 
 fn cfg() -> Config {
     Config::from_env()
@@ -242,6 +250,116 @@ fn a_batch_of_one_is_the_owners_alone() {
         lanes.close();
     });
     assert_clean(&report, "the unshared batch");
+}
+
+/// A notify hook that counts its calls, and a way to park until it has been
+/// called more often than the caller has seen: the reactor's readiness
+/// token, reduced to what the crew relies on.
+struct Told {
+    count: ModelMutex<usize>,
+    changed: Condvar,
+}
+
+impl Told {
+    fn new() -> Arc<Self> {
+        Arc::new(Told {
+            count: ModelMutex::new(0),
+            changed: Condvar::new(),
+        })
+    }
+
+    fn hook(self: &Arc<Self>) -> Notify {
+        let told = Arc::clone(self);
+        Arc::new(move || {
+            *told.count.lock().unwrap() += 1;
+            told.changed.notify_all();
+        })
+    }
+
+    /// Park until the count passes `seen`; returns the new count.
+    fn wait_past(&self, seen: usize) -> usize {
+        let mut count = self.count.lock().unwrap();
+        while *count == seen {
+            count = self.changed.wait(count).unwrap();
+        }
+        *count
+    }
+
+    fn count(&self) -> usize {
+        *self.count.lock().unwrap()
+    }
+}
+
+/// A shard's pass: the owner runs its share of a batch, drains, and leaves
+/// with the lane's item possibly still out. Later passes run only when the
+/// notify hook has been called since the last one, and drain without
+/// blocking, until the batch is done. Every lane post was notified, and
+/// nothing is outstanding at the end.
+#[test]
+fn an_owner_that_leaves_a_batch_open_drains_it_when_told() {
+    let report = check_with(cfg(), || {
+        let lanes = Lanes::new();
+        let crew: Crew = Crew::new(Arc::clone(&lanes), 1);
+        let told = Told::new();
+        let mut seen = Seen::default();
+        let mut sink = |event, ran| seen.note(event, ran);
+        let mut open = crew.open(vec![0, 1], echo, Some(told.hook()));
+        while open.run_next(&mut sink) {
+            open.drain(false, &mut sink);
+        }
+        // The pass ends here. The next one runs once the hook has fired.
+        let mut passes_seen = 0;
+        while !open.drain(false, &mut sink) {
+            passes_seen = told.wait_past(passes_seen);
+        }
+        assert!(open.is_done());
+        seen.assert_complete(2);
+        lanes.close();
+        let posted_by_lanes = seen
+            .events
+            .iter()
+            .filter(|(.., ran)| *ran == Ran::Helper)
+            .count();
+        assert_eq!(
+            told.count(),
+            posted_by_lanes,
+            "a lane post went un-notified"
+        );
+    });
+    assert_clean(
+        &report,
+        "an owner leaving a batch open and draining when told",
+    );
+}
+
+/// Two open batches of one owner: the second starts while the first may
+/// still have an item out, and the owner drains both between its items.
+/// A blocking drain of each — a finishing shard's — leaves nothing
+/// outstanding, and every item of both ran and returned exactly once.
+#[test]
+fn a_second_batch_drains_the_first_and_a_finish_leaves_nothing_out() {
+    let report = check_with(cfg(), || {
+        let lanes = Lanes::new();
+        let crew: Crew = Crew::new(Arc::clone(&lanes), 1);
+        let (mut first_seen, mut second_seen) = (Seen::default(), Seen::default());
+        let mut first_sink = |event, ran| first_seen.note(event, ran);
+        let mut first = crew.open(vec![0, 1], echo, None);
+        while first.run_next(&mut first_sink) {
+            first.drain(false, &mut first_sink);
+        }
+        let mut second_sink = |event, ran| second_seen.note(event, ran);
+        let mut second = crew.open(vec![0, 1], echo, None);
+        while second.run_next(&mut second_sink) {
+            first.drain(false, &mut first_sink);
+            second.drain(false, &mut second_sink);
+        }
+        assert!(first.drain(true, &mut first_sink));
+        assert!(second.drain(true, &mut second_sink));
+        first_seen.assert_complete(2);
+        second_seen.assert_complete(2);
+        lanes.close();
+    });
+    assert_clean(&report, "two open batches of one owner");
 }
 
 /// The claim as a load and a store instead of one read-modify-write: two

@@ -14,10 +14,14 @@
 //! same thing: claim the next index, take that slot's item — an item
 //! *moves* to whoever claimed it — run it, claim again. A lane posts what
 //! its item produces to the batch's **completion queue**: every progress
-//! value the moment it exists, then the item's return value. The owner
-//! hands its own items' output straight to its sink, drains the completion
-//! queue between its items, and once the cursor is exhausted blocks on the
-//! queue until every item it did not run itself has returned. It never
+//! value the moment it exists, then the item's return value, and after
+//! each post calls the batch's notify hook, if it has one. The owner hands
+//! its own items' output straight to its sink and drains the completion
+//! queue between its items. Once the cursor is exhausted it holds an
+//! [`OpenBatch`] for the items lanes still run: it may block on the queue
+//! until every one has returned (the barrier [`Crew::run_batch`] and
+//! [`par_ranges`] keep), or leave the batch open, go on with other work and
+//! drain it later — when the notify hook says a lane has posted. It never
 //! waits for a lane to turn up, so an offer no lane is free to take costs a
 //! queue entry, and an offer a lane pops after its batch is done claims
 //! nothing.
@@ -25,7 +29,10 @@
 //! * [`par_ranges`] is a batch of index ranges: the caller runs the first,
 //!   idle lanes the others, and the caller whatever no lane has claimed.
 //! * A [`Crew`] is a batch of per-stream distillations: the server pool's
-//!   reactor worker owns it, up to `helper_count` lanes help.
+//!   reactor worker owns it, up to `helper_count` lanes help. The worker
+//!   leaves a batch open once it has no item left to claim; the lanes'
+//!   items come home in a later pass of its shard, which the notify hook
+//!   wakes.
 //!
 //! So a kernel inside a crew item splits onto whichever lanes are idle and
 //! runs the rest on the item's own thread: work nested inside other work
@@ -35,7 +42,9 @@
 //! Everything here is written against the `st_check::sync` facade, so
 //! `crates/core/tests/model_crew.rs` drives this exact code under the model
 //! checker: each item is claimed exactly once, each claimed item returns
-//! exactly once, and no owner returns with an item outstanding. The cursor
+//! exactly once, no blocking drain returns with an item outstanding, and a
+//! lane's every return is followed by a notify, so an owner that left a
+//! batch open and waits to be told misses none. The cursor
 //! is the only atomic; [`ClaimCursor`] is the seam a mutant goes through.
 
 use st_check::sync::{thread, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
@@ -210,9 +219,10 @@ impl Lanes {
     /// payload is resumed here after the last range is done.
     pub fn run_ranges(&self, count: usize, body: &(dyn Fn(usize) + Sync)) {
         // The invariant: `body` runs only on an index a successful claim
-        // returned, and `run_batch` returns only once every claimed index
-        // has posted its completion (it cannot unwind first: neither the
-        // work nor the sink below can panic). An offer a lane pops after
+        // returned, and the batch's `finish` — the owner's share, then a
+        // blocking drain — returns only once every claimed index has posted
+        // its completion (it cannot unwind first: neither the work nor the
+        // sink below can panic). An offer a lane pops after
         // that finds the cursor exhausted: it touches the cursor and nothing
         // else.
         // SAFETY: by the invariant no lane calls `body` after this call
@@ -221,17 +231,18 @@ impl Lanes {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
         };
         let mut panic = None;
-        run_batch::<AtomicUsize, usize, Infallible, _, _, _>(
+        OpenBatch::<usize, Infallible, _, _, AtomicUsize>::start(
             self,
             count.saturating_sub(1),
             (0..count).collect(),
             move |index, _, _| catch_unwind(AssertUnwindSafe(|| body(index))),
-            |event, _| {
-                if let Event::Returned(Err(payload)) = event {
-                    panic.get_or_insert(payload);
-                }
-            },
-        );
+            None,
+        )
+        .finish(|event, _| {
+            if let Event::Returned(Err(payload)) = event {
+                panic.get_or_insert(payload);
+            }
+        });
         if let Some(payload) = panic {
             resume_unwind(payload);
         }
@@ -272,6 +283,11 @@ impl ClaimCursor for AtomicUsize {
     }
 }
 
+/// What a lane calls after every event it posts to a batch's completion
+/// queue, so an owner that is not waiting on the queue learns there is
+/// something to drain. The server pool passes its shard's readiness waker.
+pub type Notify = Arc<dyn Fn() + Send + Sync>;
+
 /// One batch in flight: its items behind the claim cursor, what runs them,
 /// and the queue lanes post completions into.
 struct Batch<I, P, R, K, W> {
@@ -280,6 +296,7 @@ struct Batch<I, P, R, K, W> {
     work: W,
     completions: Mutex<VecDeque<Event<P, R>>>,
     posted: Condvar,
+    notify: Option<Notify>,
 }
 
 impl<I, P, R, K: ClaimCursor, W> Batch<I, P, R, K, W> {
@@ -293,9 +310,15 @@ impl<I, P, R, K: ClaimCursor, W> Batch<I, P, R, K, W> {
         Some(item)
     }
 
+    /// A lane's post: queue the event, wake an owner blocked on the queue,
+    /// then tell the notify hook (after the event is in the queue, so a
+    /// drain the hook triggers finds it).
     fn post(&self, event: Event<P, R>) {
         locked(&self.completions).push_back(event);
         self.posted.notify_one();
+        if let Some(notify) = &self.notify {
+            notify();
+        }
     }
 
     fn try_completion(&self) -> Option<Event<P, R>> {
@@ -334,58 +357,114 @@ where
     }
 }
 
-/// Run every item of a batch to completion, on the calling thread and on
-/// whichever of up to `copies` lanes take up the offer, handing `sink` each
-/// [`Event`] with who produced it. The owner's own events reach the sink as
-/// they happen; a lane's when the owner next drains the completion queue —
-/// between its own items, and at the end. Returns only once every item's
-/// [`Event::Returned`] has been through the sink. `work` must not unwind:
-/// an item lost to a panic would never return.
-fn run_batch<K, I, P, R, W, S>(lanes: &Lanes, copies: usize, items: Vec<I>, work: W, mut sink: S)
+/// The owner's handle on a batch it has started: it runs the owner's share
+/// ([`OpenBatch::run_next`]) and brings home what the lanes post
+/// ([`OpenBatch::drain`]). Once the cursor is exhausted the owner may keep
+/// the handle and drain it later, between other work, instead of waiting
+/// for the lanes; the lanes finish their items regardless.
+///
+/// Dropping a handle with items outstanding loses their results (each lane
+/// still runs its item to the end): drain with `block` first unless the
+/// items' return values are not needed.
+pub struct OpenBatch<I, P, R, W, K = AtomicUsize> {
+    batch: Arc<Batch<I, P, R, K, W>>,
+    /// The item claimed before the batch was offered: the owner's first.
+    first: Option<I>,
+    /// Items whose [`Event::Returned`] has not been through a sink yet.
+    outstanding: usize,
+}
+
+impl<I, P, R, W, K> OpenBatch<I, P, R, W, K>
 where
     K: ClaimCursor + 'static,
     I: Send + 'static,
     P: Send + 'static,
     R: Send + 'static,
     W: Fn(I, Ran, &mut dyn FnMut(P)) -> R + Send + Sync + 'static,
-    S: FnMut(Event<P, R>, Ran),
 {
-    let total = items.len();
-    let batch = Arc::new(Batch {
-        slots: items
-            .into_iter()
-            .map(|item| Mutex::new(Some(item)))
-            .collect(),
-        cursor: K::default(),
-        work,
-        completions: Mutex::new(VecDeque::new()),
-        posted: Condvar::new(),
-    });
-    // The owner claims before it offers: the first item is always its own,
-    // and lanes start from the second.
-    let mut next = batch.claim();
-    if copies > 0 {
-        lanes.offer(batch.clone(), copies);
+    /// Put `items` behind a fresh cursor, claim the first for the owner,
+    /// and offer the rest to up to `copies` lanes of `lanes`.
+    fn start(lanes: &Lanes, copies: usize, items: Vec<I>, work: W, notify: Option<Notify>) -> Self {
+        let outstanding = items.len();
+        let batch = Arc::new(Batch {
+            slots: items
+                .into_iter()
+                .map(|item| Mutex::new(Some(item)))
+                .collect(),
+            cursor: K::default(),
+            work,
+            completions: Mutex::new(VecDeque::new()),
+            posted: Condvar::new(),
+            notify,
+        });
+        // The owner claims before it offers: the first item is always its
+        // own, and lanes start from the second.
+        let first = batch.claim();
+        if copies > 0 {
+            lanes.offer(batch.clone(), copies);
+        }
+        OpenBatch {
+            batch,
+            first,
+            outstanding,
+        }
     }
-    let mut returned = 0;
-    let absorb = |event: Event<P, R>, sink: &mut S| {
-        let done = matches!(event, Event::Returned(_));
-        sink(event, Ran::Helper);
-        usize::from(done)
-    };
-    while let Some(item) = next {
-        let result = (batch.work)(item, Ran::Owner, &mut |progress| {
+
+    /// The owner's turn: claim the next item and run it here, its events
+    /// going straight to `sink`. Returns `false`, running nothing, once
+    /// every item has been claimed. `work` must not unwind: an item lost
+    /// to a panic would never return.
+    pub fn run_next<S: FnMut(Event<P, R>, Ran)>(&mut self, sink: &mut S) -> bool {
+        let Some(item) = self.first.take().or_else(|| self.batch.claim()) else {
+            return false;
+        };
+        let result = (self.batch.work)(item, Ran::Owner, &mut |progress| {
             sink(Event::Progress(progress), Ran::Owner)
         });
         sink(Event::Returned(result), Ran::Owner);
-        returned += 1;
-        while let Some(event) = batch.try_completion() {
-            returned += absorb(event, &mut sink);
-        }
-        next = batch.claim();
+        self.outstanding -= 1;
+        true
     }
-    while returned < total {
-        returned += absorb(batch.wait_completion(), &mut sink);
+
+    /// Hand `sink` every event the lanes have posted so far and, with
+    /// `block`, wait for the rest until every item has returned. Returns
+    /// whether every item's [`Event::Returned`] has been through a sink.
+    /// Block only once [`run_next`](Self::run_next) has returned `false`:
+    /// an item nobody has claimed would never return.
+    pub fn drain<S: FnMut(Event<P, R>, Ran)>(&mut self, block: bool, sink: &mut S) -> bool {
+        loop {
+            while let Some(event) = self.batch.try_completion() {
+                self.absorb(event, sink);
+            }
+            if self.outstanding == 0 || !block {
+                return self.outstanding == 0;
+            }
+            let event = self.batch.wait_completion();
+            self.absorb(event, sink);
+        }
+    }
+
+    /// Whether every item has returned through a sink.
+    pub fn is_done(&self) -> bool {
+        self.outstanding == 0
+    }
+
+    fn absorb<S: FnMut(Event<P, R>, Ran)>(&mut self, event: Event<P, R>, sink: &mut S) {
+        if matches!(event, Event::Returned(_)) {
+            self.outstanding -= 1;
+        }
+        sink(event, Ran::Helper);
+    }
+
+    /// The barrier: run the owner's share, handing `sink` each [`Event`]
+    /// with who produced it — the owner's own as they happen, a lane's when
+    /// the owner next drains, between its items — then block until every
+    /// item's [`Event::Returned`] has been through `sink`.
+    fn finish<S: FnMut(Event<P, R>, Ran)>(mut self, mut sink: S) {
+        while self.run_next(&mut sink) {
+            self.drain(false, &mut sink);
+        }
+        self.drain(true, &mut sink);
     }
 }
 
@@ -419,10 +498,36 @@ impl<K: ClaimCursor + 'static> Crew<K> {
         self.helper_count > 0 && items > 1
     }
 
-    /// Run every item of a batch to completion: the owner's first item,
-    /// then whatever the cursor hands out, beside up to one lane per item
-    /// left (see the module's protocol). Returns only once every item's
-    /// [`Event::Returned`] has been through `sink`. `work` must not unwind.
+    /// Start a batch and hand its owner the handle: the owner's first item
+    /// is claimed, the rest offered to up to one lane per item left (see
+    /// the module's protocol). The owner runs its share with
+    /// [`OpenBatch::run_next`] and brings the lanes' events home with
+    /// [`OpenBatch::drain`]; `notify` is called after every event a lane
+    /// posts, so the owner can leave the batch open and come back when told.
+    pub fn open<I, P, R, W>(
+        &self,
+        items: Vec<I>,
+        work: W,
+        notify: Option<Notify>,
+    ) -> OpenBatch<I, P, R, W, K>
+    where
+        I: Send + 'static,
+        P: Send + 'static,
+        R: Send + 'static,
+        W: Fn(I, Ran, &mut dyn FnMut(P)) -> R + Send + Sync + 'static,
+    {
+        let copies = if self.shares(items.len()) {
+            self.helper_count.min(items.len() - 1)
+        } else {
+            0
+        };
+        OpenBatch::start(&self.lanes, copies, items, work, notify)
+    }
+
+    /// Run every item of a batch to completion: [`Crew::open`], the owner's
+    /// items with a drain between each, then a blocking drain. Returns only
+    /// once every item's [`Event::Returned`] has been through `sink`.
+    /// `work` must not unwind.
     pub fn run_batch<I, P, R, W, S>(&self, items: Vec<I>, work: W, sink: S)
     where
         I: Send + 'static,
@@ -431,12 +536,7 @@ impl<K: ClaimCursor + 'static> Crew<K> {
         W: Fn(I, Ran, &mut dyn FnMut(P)) -> R + Send + Sync + 'static,
         S: FnMut(Event<P, R>, Ran),
     {
-        let copies = if self.shares(items.len()) {
-            self.helper_count.min(items.len() - 1)
-        } else {
-            0
-        };
-        run_batch::<K, _, _, _, _, _>(&self.lanes, copies, items, work, sink);
+        self.open(items, work, None).finish(sink);
     }
 }
 
