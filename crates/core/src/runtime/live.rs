@@ -353,7 +353,7 @@ impl<'a> ClientDriver<'a> {
                     self.frame_bytes = frame.raw_rgb_bytes();
                     let decision = self.client.begin_frame();
                     if decision.is_key_frame {
-                        let payload = Payload::with_data(encode_frame(frame));
+                        let payload = Payload::with_data(bytes::Bytes::from(frame.quantized_rgb()));
                         let bytes = payload.bytes;
                         self.uplink_bytes += bytes;
                         if endpoint
@@ -815,15 +815,6 @@ fn drive_multiplexed(
         .collect())
 }
 
-/// Encode a frame's pixels into bytes (8-bit RGB) for transport sizing.
-fn encode_frame(frame: &Frame) -> bytes::Bytes {
-    let mut out = Vec::with_capacity(frame.raw_rgb_bytes());
-    for &v in frame.image.data() {
-        out.push((v.clamp(0.0, 1.0) * 255.0) as u8);
-    }
-    bytes::Bytes::from(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,7 +825,7 @@ mod tests {
     #[test]
     fn encode_frame_matches_raw_size() {
         let f = &frames_for(SceneKind::People, 1, 1)[0];
-        assert_eq!(encode_frame(f).len(), f.raw_rgb_bytes());
+        assert_eq!(f.quantized_rgb().len(), f.raw_rgb_bytes());
     }
 
     /// A scripted server half: sends the initial checkpoint, then answers

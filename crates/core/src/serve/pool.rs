@@ -173,36 +173,21 @@ impl ServerPool {
         T: Teacher + Send + 'static,
         F: FnMut(usize) -> T,
     {
-        Self::spawn_crewed(
+        let crew = Crew::new(Arc::clone(Lanes::global()), pool_config.crew_helpers());
+        Self::spawn_with_crew(
             config,
             pool_config,
             template,
-            pool_config.crew_helpers(),
+            Arc::new(crew),
             |shard, template| ServeShard::new(config, template, teacher_factory(shard), 0.0),
         )
     }
 
-    /// [`ServerPool::spawn`] with the crew's helper count and the shards'
-    /// construction in the caller's hands (tests pin the one and instrument
-    /// the other).
-    pub(super) fn spawn_crewed<T, F>(
-        config: ShadowTutorConfig,
-        pool_config: PoolConfig,
-        template: StudentNet,
-        helper_count: usize,
-        make_shard: F,
-    ) -> Result<ServerPool>
-    where
-        T: Teacher + Send + 'static,
-        F: FnMut(usize, StudentNet) -> ServeShard<T>,
-    {
-        let crew = Arc::new(Crew::new(Arc::clone(Lanes::global()), helper_count));
-        Self::spawn_with_crew(config, pool_config, template, crew, make_shard)
-    }
-
-    /// [`ServerPool::spawn_crewed`] on a given crew: a test whose hook holds
-    /// a lane's item gives the pool lanes of its own, so the process-wide
-    /// lanes other tests' pools offer to stay free.
+    /// [`ServerPool::spawn`] on a given crew, with the shards' construction
+    /// in the caller's hands: tests pin the crew's helper count and
+    /// instrument the shards, and a test whose hook holds a lane's item
+    /// gives the pool lanes of its own, so the process-wide lanes other
+    /// tests' pools offer to stay free.
     pub(super) fn spawn_with_crew<T, F>(
         config: ShadowTutorConfig,
         pool_config: PoolConfig,

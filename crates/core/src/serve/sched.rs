@@ -1,10 +1,12 @@
 //! Scheduling policy: DRR fair queues.
 //!
 //! A batch is what is queued, up to [`PoolConfig::max_batch`]: the shard
-//! state machine drains [`FairScheduler::next_batch`] at that bound on every
-//! pass, with no state carried over from earlier batches. Whatever has
-//! arrived by the time the shard runs leaves together — one teacher forward,
-//! and as many items as the distill crew can take side by side.
+//! state machine drains [`FairScheduler::next_batch_skipping`] at that bound
+//! on every pass, skipping the streams whose previous item is still away on
+//! the distill crew, with no state carried over from earlier batches.
+//! Whatever has arrived by the time the shard runs leaves together — one
+//! teacher forward, and as many items as the distill crew can take side by
+//! side.
 
 #[cfg(doc)]
 use super::PoolConfig;

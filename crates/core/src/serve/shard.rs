@@ -91,7 +91,8 @@ pub(super) struct StreamEntry {
 
 /// One job of a [`CrewItem`].
 struct ItemJob {
-    /// The job's position in the batch handed to `process_batch`.
+    /// The job's position in the batch handed to
+    /// [`open_batch`](ServeShard::open_batch).
     index: usize,
     frame_index: usize,
     pseudo_label: Vec<usize>,

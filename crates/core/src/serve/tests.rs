@@ -1201,7 +1201,10 @@ fn send_key_frame(client: &mut StreamClient, frame: &Frame) {
 fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
     let saboteur = Arc::new(Saboteur::default());
     let config = ShadowTutorConfig::paper();
-    let pool = ServerPool::spawn_crewed(
+    // The hook holds the worker's items until a lane takes one up: a lane
+    // of this test's own.
+    let crew = TestCrew::new(1);
+    let pool = ServerPool::spawn_with_crew(
         config,
         PoolConfig {
             shards: 2,
@@ -1212,7 +1215,7 @@ fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
-        1,
+        Arc::clone(&crew.crew),
         |shard, template| {
             ServeShard::new(
                 config,
@@ -1240,7 +1243,9 @@ fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
     }
     saboteur.open_gate();
     drop((a, b));
-    let Err(err) = pool.join() else {
+    let joined = pool.join();
+    crew.dismiss();
+    let Err(err) = joined else {
         panic!("a shard died; join must say so");
     };
     match err {
@@ -1259,7 +1264,9 @@ fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
 fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
     let saboteur = Arc::new(Saboteur::default());
     let config = ShadowTutorConfig::paper();
-    let pool = ServerPool::spawn_crewed(
+    // See `a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was`.
+    let crew = TestCrew::new(1);
+    let pool = ServerPool::spawn_with_crew(
         config,
         PoolConfig {
             shards: 2,
@@ -1270,7 +1277,7 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
-        1,
+        Arc::clone(&crew.crew),
         // Same teacher everywhere: who serves a stream must not matter.
         |_shard, template| {
             ServeShard::new(config, template, OracleTeacher::perfect(9001), 0.013)
@@ -1333,6 +1340,7 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
     }
     drop((a, b, idle_x, idle_y));
     let stats = pool.join().unwrap();
+    crew.dismiss();
     // The helper died holding stream 13's first key frame; nothing else was
     // in flight unanswered, so nothing else is lost — in particular not the
     // key frame the reactor worker answered in the same batch.
@@ -1363,7 +1371,8 @@ fn answers_of_stream_zero<F>(frames: &[Frame], send: &[Frame], make_shard: F) ->
 where
     F: FnMut(usize, StudentNet) -> ServeShard<OracleTeacher>,
 {
-    let pool = ServerPool::spawn_crewed(
+    let crew = TestCrew::new(0);
+    let pool = ServerPool::spawn_with_crew(
         ShadowTutorConfig::paper(),
         PoolConfig {
             shards: 2,
@@ -1373,7 +1382,7 @@ where
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
-        0,
+        Arc::clone(&crew.crew),
         make_shard,
     )
     .unwrap();
@@ -1389,6 +1398,7 @@ where
     client.send(ClientToServer::Shutdown, 1).unwrap();
     drop(client);
     pool.join().unwrap();
+    crew.dismiss();
     answers
 }
 

@@ -4,10 +4,9 @@
 //! client and pool run as separate OS processes and every protocol message
 //! crosses the boundary as its framed binary encoding ([`crate::wire`])
 //! through a bounded circular array in a file-backed shared-memory
-//! segment. The design follows cpp-ipc's `ipc::route`/`ipc::channel`:
+//! segment. The design follows cpp-ipc's single-writer `ipc::route`:
 //! fixed-capacity slots, a per-slot sequence word acting as a seqlock-style
-//! publication header, spin-then-park waits, and N-producer capability for
-//! the benchmark tables.
+//! publication header, and spin-then-park waits.
 //!
 //! # Segment layout
 //!
@@ -15,25 +14,26 @@
 //! offset 0    segment header (64 B):
 //!             magic "STSH" · layout version · slot count · slot size ·
 //!             ready flag · per-side close flags
-//! offset 64   ring 0 header (client → server): tail (+0), head (+64)
-//! offset 192  ring 0 slots: slots × (16 B slot header + slot_bytes)
+//! offset 64   ring 0 slots (client → server):
+//!             slots × (16 B slot header + slot_bytes)
 //!             slot header: seq (u64) · chunk length (u32) · pad
-//! ...         ring 1 header (server → client), ring 1 slots
+//! ...         ring 1 slots (server → client)
 //! ```
 //!
-//! Each ring is a Vyukov-style bounded MPMC queue: a producer claims a slot
-//! by CAS on `tail` when the slot's `seq` equals the ticket, writes the
-//! chunk, then *publishes* by storing `seq = ticket + 1` (release); a
-//! consumer accepts when `seq == ticket + 1` and retires the slot with
-//! `seq = ticket + slots`. Readers never see a partially written chunk —
-//! the sequence word is the seqlock.
+//! Each ring is single-producer / single-consumer ([`crate::ring`]): each
+//! side keeps its cursor in its own process, and the slot's `seq` is the
+//! only word the two share. The producer writes a chunk into the slot at
+//! its cursor once `seq` equals the cursor, then *publishes* by storing
+//! `seq = cursor + 1` (release); the consumer accepts when `seq == cursor +
+//! 1` and retires the slot with `seq = cursor + slots`. Readers never see a
+//! partially written chunk — the sequence word is the seqlock.
 //!
 //! Messages larger than one slot are fragmented into consecutive chunks and
-//! reassembled on the consumer side; fragmentation assumes one producer per
-//! ring (which is how [`ShmTransport`] uses it — one ring per direction).
-//! The multi-producer path (cloned [`RingProducer`]s; the
-//! `n_producers_one_consumer_delivers_everything` test and the
-//! `model_ring` suite exercise it) requires single-chunk messages.
+//! reassembled on the consumer side; with one producer per ring, the chunks
+//! of a message arrive in order and contiguous. [`RingProducer`] and
+//! [`RingConsumer`] are not `Clone`, and the [`Cell`] holding each one's
+//! cursor keeps it from being shared between threads: the types keep every
+//! ring to one producer and one consumer.
 //!
 //! Waiting is spin-then-park: a bounded busy-spin, then `yield_now`, then
 //! short sleeps — there is no cross-process futex in std. A receiver polls
@@ -73,6 +73,7 @@ use crate::wire::{self, Wire};
 use bytes::Bytes;
 
 pub use crate::ring::PushOutcome;
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::marker::PhantomData;
@@ -82,9 +83,8 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 const SEG_MAGIC: u32 = u32::from_le_bytes(*b"STSH");
-const SEG_LAYOUT_VERSION: u32 = 1;
+const SEG_LAYOUT_VERSION: u32 = 2;
 const SEG_HEADER_BYTES: usize = 64;
-const RING_HEADER_BYTES: usize = 128;
 const SLOT_HEADER_BYTES: usize = 16;
 
 // Segment-header field offsets.
@@ -139,7 +139,7 @@ impl ShmConfig {
     }
 
     fn ring_bytes(&self) -> usize {
-        RING_HEADER_BYTES + self.slots * (SLOT_HEADER_BYTES + self.slot_bytes)
+        self.slots * (SLOT_HEADER_BYTES + self.slot_bytes)
     }
 
     fn segment_bytes(&self) -> usize {
@@ -250,7 +250,7 @@ struct Segment {
 }
 
 // SAFETY: all shared mutation inside the mapping goes through atomics (the
-// ring headers and slot sequence words); slot payload bytes are published
+// header flags and slot sequence words); slot payload bytes are published
 // and retired under the slot's sequence protocol.
 unsafe impl Send for Segment {}
 // SAFETY: as above — the sequence protocol serializes all payload access.
@@ -282,18 +282,8 @@ impl Segment {
         SEG_HEADER_BYTES + ring * self.config.ring_bytes()
     }
 
-    fn tail(&self, ring: usize) -> &AtomicU64 {
-        self.atomic_u64(self.ring_base(ring))
-    }
-
-    fn head(&self, ring: usize) -> &AtomicU64 {
-        self.atomic_u64(self.ring_base(ring) + 64)
-    }
-
     fn slot_offset(&self, ring: usize, index: usize) -> usize {
-        self.ring_base(ring)
-            + RING_HEADER_BYTES
-            + index * (SLOT_HEADER_BYTES + self.config.slot_bytes)
+        self.ring_base(ring) + index * (SLOT_HEADER_BYTES + self.config.slot_bytes)
     }
 
     fn slot_seq(&self, ring: usize, index: usize) -> &AtomicU64 {
@@ -308,7 +298,7 @@ impl Segment {
     fn write_slot(&self, ring: usize, index: usize, chunk: &[u8]) {
         debug_assert!(chunk.len() <= self.config.slot_bytes);
         let offset = self.slot_offset(ring, index) + SLOT_HEADER_BYTES;
-        // SAFETY: the producer holds the slot ticket (seq protocol), so no
+        // SAFETY: the producer found the slot free (seq protocol), so no
         // other thread or process touches these bytes until published.
         unsafe {
             std::ptr::copy_nonoverlapping(chunk.as_ptr(), self.ptr.add(offset), chunk.len());
@@ -321,15 +311,15 @@ impl Segment {
 
     /// Append the slot's payload to `out`: one copy, mapping → `out`.
     fn read_slot(&self, ring: usize, index: usize, out: &mut Vec<u8>) {
-        // ORDER: payload read under the slot ticket; visibility was
+        // ORDER: payload read of an accepted slot; visibility was
         // established by the acquire load of `seq` that accepted the slot.
         let len = self.slot_len(ring, index).load(Ordering::Relaxed) as usize;
         // The length word is the peer's: never read past the slot.
         let len = len.min(self.config.slot_bytes);
         let offset = self.slot_offset(ring, index) + SLOT_HEADER_BYTES;
         // SAFETY: inside this slot's payload area (`len` is clamped) of the
-        // mapping, which outlives `self`; the consumer's slot ticket keeps
-        // the producer off these bytes until the retiring `seq` store.
+        // mapping, which outlives `self`; the accepted slot keeps the
+        // producer off these bytes until the retiring `seq` store.
         let chunk = unsafe { std::slice::from_raw_parts(self.ptr.add(offset), len) };
         out.extend_from_slice(chunk);
     }
@@ -402,7 +392,6 @@ fn keep_freed_heap() {
 /// One ring of a mapped segment, viewed through the [`RingMem`] storage
 /// seam so the generic algorithm in [`crate::ring`] — the code the
 /// model-check suite exercises — is also the code that runs here.
-#[derive(Clone)]
 struct SegRing {
     segment: Arc<Segment>,
     ring: usize,
@@ -415,38 +404,6 @@ impl RingMem for SegRing {
 
     fn chunk_capacity(&self) -> usize {
         self.segment.config.slot_bytes
-    }
-
-    fn tail_load(&self, order: Ordering) -> u64 {
-        self.segment.tail(self.ring).load(order)
-    }
-
-    fn tail_compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.segment
-            .tail(self.ring)
-            .compare_exchange_weak(current, new, success, failure)
-    }
-
-    fn head_load(&self, order: Ordering) -> u64 {
-        self.segment.head(self.ring).load(order)
-    }
-
-    fn head_compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.segment
-            .head(self.ring)
-            .compare_exchange_weak(current, new, success, failure)
     }
 
     fn seq_load(&self, index: usize, order: Ordering) -> u64 {
@@ -466,32 +423,52 @@ impl RingMem for SegRing {
     }
 }
 
-/// Producer handle onto one ring of a segment. Cloneable: multiple
-/// producers may push concurrently (see
-/// `n_producers_one_consumer_delivers_everything`), as long as every
-/// message fits in a single chunk.
-#[derive(Clone)]
+/// The producer handle onto one ring of a segment, holding its cursor.
+///
+/// A ring has exactly one producer, so the handle is neither `Clone`:
+///
+/// ```compile_fail
+/// fn clone<T: Clone>() {}
+/// clone::<st_net::shm::RingProducer>();
+/// ```
+///
+/// nor `Sync`:
+///
+/// ```compile_fail
+/// fn share<T: Sync>() {}
+/// share::<st_net::shm::RingProducer>();
+/// ```
 pub struct RingProducer {
     mem: SegRing,
+    tail: Cell<u64>,
 }
 
-/// Consumer handle onto one ring of a segment.
+/// The consumer handle onto one ring of a segment, holding its cursor;
+/// like [`RingProducer`], neither `Clone` nor `Sync`.
 pub struct RingConsumer {
     mem: SegRing,
+    head: Cell<u64>,
 }
 
 impl RingProducer {
+    fn new(segment: Arc<Segment>, ring: usize) -> Self {
+        RingProducer {
+            mem: SegRing { segment, ring },
+            tail: Cell::new(0),
+        }
+    }
+
     /// Usable payload bytes per chunk.
     pub fn chunk_capacity(&self) -> usize {
         self.mem.chunk_capacity()
     }
 
-    /// Non-blocking push of one chunk (Vyukov enqueue). Returns
-    /// [`PushOutcome::Full`] when no slot is free. Panics if `chunk`
-    /// exceeds [`RingProducer::chunk_capacity`] — fragmentation is the
-    /// caller's job ([`ShmTransport`] does it for whole messages).
+    /// Non-blocking push of one chunk. Returns [`PushOutcome::Full`] when
+    /// no slot is free. Panics if `chunk` exceeds
+    /// [`RingProducer::chunk_capacity`] — fragmentation is the caller's job
+    /// ([`ShmTransport`] does it for whole messages).
     pub fn try_push(&self, chunk: &[u8]) -> PushOutcome {
-        ring::try_push(&self.mem, chunk)
+        ring::try_push(&self.mem, &self.tail, chunk)
     }
 
     /// Push one chunk, spin-then-parking while the ring is full. Gives up
@@ -514,10 +491,17 @@ impl RingProducer {
 }
 
 impl RingConsumer {
+    fn new(segment: Arc<Segment>, ring: usize) -> Self {
+        RingConsumer {
+            mem: SegRing { segment, ring },
+            head: Cell::new(0),
+        }
+    }
+
     /// Non-blocking pop of one chunk into `out` (appended). Returns whether
     /// a chunk was consumed.
     pub fn try_pop(&self, out: &mut Vec<u8>) -> bool {
-        ring::try_pop(&self.mem, out)
+        ring::try_pop(&self.mem, &self.head, out)
     }
 }
 
@@ -548,8 +532,9 @@ fn create_segment(path: &Path, config: ShmConfig) -> io::Result<Arc<Segment>> {
         .open(path)?;
     file.set_len(config.segment_bytes() as u64)?;
     let segment = map_segment(path, config, true, file)?;
-    // Initialise slot sequence words to their indices (Vyukov invariant)
-    // for both rings; heads and tails start at zero from the file zeroing.
+    // Initialise slot sequence words to their indices for both rings: slot
+    // `i` is free for the producer whose cursor reads `i`, and both sides'
+    // cursors start at zero.
     // ORDER: all initialisation stores below are Relaxed — nothing reads
     // them until the release store of the ready flag publishes the whole
     // segment, and peers acquire-load that flag before trusting anything.
@@ -651,20 +636,12 @@ fn try_open_segment(path: &Path) -> io::Result<Option<Arc<Segment>>> {
 }
 
 /// Create a standalone single-ring channel for benchmarking: `(producer,
-/// consumer)` handles onto ring 0 of a fresh segment at `path`. Clone the
-/// producer for N-producer experiments.
+/// consumer)` handles onto ring 0 of a fresh segment at `path`.
 pub fn ring_channel(path: &Path, config: ShmConfig) -> io::Result<(RingProducer, RingConsumer)> {
     let segment = create_segment(path, config)?;
     Ok((
-        RingProducer {
-            mem: SegRing {
-                segment: Arc::clone(&segment),
-                ring: 0,
-            },
-        },
-        RingConsumer {
-            mem: SegRing { segment, ring: 0 },
-        },
+        RingProducer::new(Arc::clone(&segment), 0),
+        RingConsumer::new(segment, 0),
     ))
 }
 
@@ -721,18 +698,8 @@ impl<S: Wire, R: Wire> ShmTransport<S, R> {
             ShmSide::Server => (1, 0),
         };
         ShmTransport {
-            producer: RingProducer {
-                mem: SegRing {
-                    segment: Arc::clone(&segment),
-                    ring: send_ring,
-                },
-            },
-            consumer: RingConsumer {
-                mem: SegRing {
-                    segment,
-                    ring: recv_ring,
-                },
-            },
+            producer: RingProducer::new(Arc::clone(&segment), send_ring),
+            consumer: RingConsumer::new(segment, recv_ring),
             side,
             partial: Vec::new(),
             expected: None,
@@ -1032,47 +999,44 @@ mod tests {
     }
 
     #[test]
-    fn n_producers_one_consumer_delivers_everything() {
-        let path = temp_path("nproducer");
+    fn one_producer_one_consumer_deliver_every_chunk_in_order() {
+        let path = temp_path("spsc");
         let (producer, consumer) = ring_channel(
             &path,
             ShmConfig {
-                slots: 64,
-                slot_bytes: 16,
+                slots: 4,
+                slot_bytes: 8,
             },
         )
         .unwrap();
-        const PRODUCERS: usize = 4;
-        const PER_PRODUCER: usize = 500;
+        const CHUNKS: u64 = 4000;
+        // Chunk `i` is the first `1 + i % 8` bytes of `i`: lengths vary, so a
+        // stale length word shows as well as a stale or reordered payload.
+        let chunk = |i: u64| i.to_le_bytes()[..1 + (i % 8) as usize].to_vec();
+        let mut out = Vec::new();
         std::thread::scope(|scope| {
-            for p in 0..PRODUCERS {
-                let producer = producer.clone();
-                scope.spawn(move || {
-                    for i in 0..PER_PRODUCER {
-                        let value = (p * PER_PRODUCER + i) as u32;
-                        assert!(
-                            producer.push_timeout(&value.to_le_bytes(), Duration::from_secs(10))
-                        );
-                    }
-                });
-            }
-            let mut seen = vec![false; PRODUCERS * PER_PRODUCER];
-            let mut got = 0;
-            let mut buf = Vec::new();
+            scope.spawn(move || {
+                for i in 0..CHUNKS {
+                    assert!(
+                        producer.push_timeout(&chunk(i), Duration::from_secs(10)),
+                        "push {i} timed out"
+                    );
+                }
+            });
             let deadline = Instant::now() + Duration::from_secs(10);
-            while got < PRODUCERS * PER_PRODUCER {
-                buf.clear();
-                if consumer.try_pop(&mut buf) {
-                    let value = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-                    assert!(!seen[value], "duplicate {value}");
-                    seen[value] = true;
-                    got += 1;
+            let mut next = 0;
+            while next < CHUNKS {
+                out.clear();
+                if consumer.try_pop(&mut out) {
+                    assert_eq!(out, chunk(next), "chunk {next} out of order or torn");
+                    next += 1;
                 } else {
-                    assert!(Instant::now() < deadline, "stalled at {got}");
+                    assert!(Instant::now() < deadline, "stalled at {next}");
                     std::hint::spin_loop();
                 }
             }
         });
+        assert!(!consumer.try_pop(&mut out), "more chunks than were pushed");
     }
 
     #[test]

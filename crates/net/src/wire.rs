@@ -40,10 +40,7 @@
 //! that buffer. [`encode_frame`] / [`decode_frame`] are the same encoders
 //! over plain byte slices — one copy of the payload each, the same bytes.
 
-use crate::message::{
-    ClientToServer, DropReason, KeyFrameTraffic, NaiveTraffic, Payload, ServerToClient,
-    StreamTagged,
-};
+use crate::message::{ClientToServer, DropReason, Payload, ServerToClient, StreamTagged};
 use bytes::Bytes;
 use std::fmt;
 
@@ -694,46 +691,6 @@ impl<M: Wire> Wire for StreamTagged<M> {
     }
 }
 
-impl Wire for KeyFrameTraffic {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.to_server_bytes.encode_into(out);
-        self.to_client_bytes.encode_into(out);
-        self.wire_bytes_up.encode_into(out);
-        self.wire_bytes_down.encode_into(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(KeyFrameTraffic {
-            to_server_bytes: usize::decode(input)?,
-            to_client_bytes: usize::decode(input)?,
-            wire_bytes_up: usize::decode(input)?,
-            wire_bytes_down: usize::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        32
-    }
-}
-
-impl Wire for NaiveTraffic {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.to_server_bytes.encode_into(out);
-        self.to_client_bytes.encode_into(out);
-        self.wire_bytes_up.encode_into(out);
-        self.wire_bytes_down.encode_into(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(NaiveTraffic {
-            to_server_bytes: usize::decode(input)?,
-            to_client_bytes: usize::decode(input)?,
-            wire_bytes_up: usize::decode(input)?,
-            wire_bytes_down: usize::decode(input)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_tagged_and_traffic_round_trip() {
+    fn stream_tagged_round_trips() {
         round_trip(StreamTagged::new(
             u64::MAX,
             ClientToServer::KeyFrame {
@@ -836,8 +793,6 @@ mod tests {
             0,
             ServerToClient::Throttle { frame_index: 1 },
         ));
-        round_trip(KeyFrameTraffic::new(2_764_800, 160_000));
-        round_trip(NaiveTraffic::for_frame(1280, 720));
     }
 
     fn payload_messages() -> Vec<StreamTagged<ServerToClient>> {

@@ -5,9 +5,9 @@
 //! code the shm transport ships — over a heap-allocated mock whose atomics
 //! are instrumented by the `st_check` model checker. Two properties:
 //!
-//! * **Conservation**: every pushed chunk is popped exactly once, in some
-//!   order, under every explored interleaving of concurrent producers and a
-//!   consumer.
+//! * **Conservation**: every pushed chunk is popped exactly once, in the
+//!   order it was pushed, under every explored interleaving of the producer
+//!   and a concurrent consumer.
 //! * **No torn reads**: the payload is written as two halves with plain
 //!   (Relaxed) stores; the seqlock-style publication protocol alone must
 //!   make both halves visible before a consumer can accept the slot. A
@@ -20,6 +20,7 @@
 //! checker is not actually guarding the protocol.
 #![cfg(feature = "model-check")]
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use st_check::model::{check_with, Config, Report};
@@ -53,8 +54,6 @@ fn assert_clean(report: &Report, what: &str) {
 /// release/acquire edge shows up as a half carrying a stale value.
 struct TestRing {
     slots: usize,
-    tail: AtomicU64,
-    head: AtomicU64,
     seq: Vec<AtomicU64>,
     lo: Vec<AtomicU64>,
     hi: Vec<AtomicU64>,
@@ -67,8 +66,6 @@ impl TestRing {
     fn new(slots: usize) -> Self {
         TestRing {
             slots,
-            tail: AtomicU64::new(0),
-            head: AtomicU64::new(0),
             seq: (0..slots).map(|i| AtomicU64::new(i as u64)).collect(),
             lo: (0..slots).map(|_| AtomicU64::new(STALE as u64)).collect(),
             hi: (0..slots).map(|_| AtomicU64::new(STALE as u64)).collect(),
@@ -83,36 +80,6 @@ impl RingMem for TestRing {
 
     fn chunk_capacity(&self) -> usize {
         1
-    }
-
-    fn tail_load(&self, order: Ordering) -> u64 {
-        self.tail.load(order)
-    }
-
-    fn tail_compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.tail
-            .compare_exchange_weak(current, new, success, failure)
-    }
-
-    fn head_load(&self, order: Ordering) -> u64 {
-        self.head.load(order)
-    }
-
-    fn head_compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.head
-            .compare_exchange_weak(current, new, success, failure)
     }
 
     fn seq_load(&self, index: usize, order: Ordering) -> u64 {
@@ -140,7 +107,6 @@ impl RingMem for TestRing {
 /// [`RingMem`] adapter that demotes one class of ordering to Relaxed,
 /// leaving the production algorithm untouched — the checker must catch the
 /// resulting torn/stale reads for the suite to mean anything.
-#[derive(Clone)]
 struct Weaken {
     inner: Arc<TestRing>,
     /// Demote the release `seq` stores (the producer's publication and the
@@ -158,36 +124,6 @@ impl RingMem for Weaken {
 
     fn chunk_capacity(&self) -> usize {
         self.inner.chunk_capacity()
-    }
-
-    fn tail_load(&self, order: Ordering) -> u64 {
-        self.inner.tail_load(order)
-    }
-
-    fn tail_compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.inner
-            .tail_compare_exchange_weak(current, new, success, failure)
-    }
-
-    fn head_load(&self, order: Ordering) -> u64 {
-        self.inner.head_load(order)
-    }
-
-    fn head_compare_exchange_weak(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.inner
-            .head_compare_exchange_weak(current, new, success, failure)
     }
 
     fn seq_load(&self, index: usize, order: Ordering) -> u64 {
@@ -230,30 +166,53 @@ fn chunks(out: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Conservation + wholeness under every bounded interleaving of two
-/// producers and one consumer on a 2-slot ring.
+/// Push `chunks` in order from a fresh producer cursor, on a thread of the
+/// execution; the handle returns each push's outcome.
+fn producer<M: RingMem + Send + Sync + 'static>(
+    mem: Arc<M>,
+    chunks: &'static [u8],
+) -> thread::JoinHandle<Vec<PushOutcome>> {
+    thread::spawn(move || {
+        let tail = Cell::new(0);
+        chunks
+            .iter()
+            .map(|chunk| ring::try_push(&*mem, &tail, &[*chunk]))
+            .collect()
+    })
+}
+
+/// Pop twice while the producer runs — bounded attempts, so the consumer
+/// never spins the schedule out — then, once it has joined, drain what the
+/// concurrent pops missed. Returns the raw popped bytes.
+fn consume<M: RingMem>(mem: &M, producer: thread::JoinHandle<Vec<PushOutcome>>) -> Vec<u8> {
+    let head = Cell::new(0);
+    let mut out = Vec::new();
+    for _ in 0..2 {
+        ring::try_pop(mem, &head, &mut out);
+    }
+    let pushed = producer.join().expect("join producer");
+    // The ring has a slot per chunk: no push ever finds it full.
+    assert!(
+        pushed.iter().all(|p| *p == PushOutcome::Pushed),
+        "the producer found the ring full"
+    );
+    while ring::try_pop(mem, &head, &mut out) {}
+    out
+}
+
+/// Conservation, FIFO order and wholeness under every bounded interleaving
+/// of one producer pushing two chunks and a concurrent consumer on a 2-slot
+/// ring.
 #[test]
 fn ring_conserves_chunks_and_never_tears() {
     let report = check_with(cfg(), || {
         let ring = Arc::new(TestRing::new(2));
-        let (r1, r2) = (Arc::clone(&ring), Arc::clone(&ring));
-        let t1 = thread::spawn(move || ring::try_push(&*r1, &[7]));
-        let t2 = thread::spawn(move || ring::try_push(&*r2, &[9]));
-        let mut out = Vec::new();
-        // Concurrent pops: bounded attempts, so the consumer never spins the
-        // schedule out; whatever they miss the post-join drain picks up.
-        for _ in 0..2 {
-            ring::try_pop(&*ring, &mut out);
-        }
-        let p1 = t1.join().expect("join producer 1");
-        let p2 = t2.join().expect("join producer 2");
-        // A 2-slot ring with 2 producers never reports Full.
-        assert_eq!(p1, PushOutcome::Pushed, "producer 1 found the ring full");
-        assert_eq!(p2, PushOutcome::Pushed, "producer 2 found the ring full");
-        while ring::try_pop(&*ring, &mut out) {}
-        let mut got = chunks(&out);
-        got.sort_unstable();
-        assert_eq!(got, vec![7, 9], "chunks lost or duplicated");
+        let out = consume(&*ring, producer(Arc::clone(&ring), &[7, 9]));
+        assert_eq!(
+            chunks(&out),
+            vec![7, 9],
+            "chunks lost, duplicated or reordered"
+        );
     });
     assert_clean(&report, "ring conservation");
 }
@@ -264,14 +223,16 @@ fn ring_conserves_chunks_and_never_tears() {
 fn ring_full_rejects_then_recovers() {
     let report = check_with(cfg(), || {
         let ring = TestRing::new(2);
-        assert_eq!(ring::try_push(&ring, &[1]), PushOutcome::Pushed);
-        assert_eq!(ring::try_push(&ring, &[2]), PushOutcome::Pushed);
-        assert_eq!(ring::try_push(&ring, &[3]), PushOutcome::Full);
+        let (tail, head) = (Cell::new(0), Cell::new(0));
+        assert_eq!(ring::try_push(&ring, &tail, &[1]), PushOutcome::Pushed);
+        assert_eq!(ring::try_push(&ring, &tail, &[2]), PushOutcome::Pushed);
+        assert_eq!(ring::try_push(&ring, &tail, &[3]), PushOutcome::Full);
         let mut out = Vec::new();
-        assert!(ring::try_pop(&ring, &mut out));
-        assert_eq!(ring::try_push(&ring, &[3]), PushOutcome::Pushed);
-        assert!(ring::try_pop(&ring, &mut out));
-        assert!(ring::try_pop(&ring, &mut out));
+        assert!(ring::try_pop(&ring, &head, &mut out));
+        assert_eq!(ring::try_push(&ring, &tail, &[3]), PushOutcome::Pushed);
+        assert!(ring::try_pop(&ring, &head, &mut out));
+        assert!(ring::try_pop(&ring, &head, &mut out));
+        assert!(!ring::try_pop(&ring, &head, &mut out));
         assert_eq!(chunks(&out), vec![1, 2, 3], "FIFO order violated");
     });
     assert_clean(&report, "full-ring rejection");
@@ -284,19 +245,12 @@ fn ring_full_rejects_then_recovers() {
 fn seq_store_release_mutant_is_caught() {
     let report = check_with(cfg(), || {
         let ring = Arc::new(TestRing::new(2));
-        let weak = Weaken {
+        let weak = Arc::new(Weaken {
             inner: Arc::clone(&ring),
             demote_seq_store: true,
             demote_seq_load: false,
-        };
-        let producer = weak.clone();
-        let t = thread::spawn(move || ring::try_push(&producer, &[7]));
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            ring::try_pop(&weak, &mut out);
-        }
-        t.join().expect("join producer");
-        while ring::try_pop(&weak, &mut out) {}
+        });
+        let out = consume(&*weak, producer(Arc::clone(&weak), &[7]));
         assert_eq!(chunks(&out), vec![7], "chunk lost");
     });
     assert_caught(&report, "the Relaxed-publication mutant");
@@ -309,19 +263,12 @@ fn seq_store_release_mutant_is_caught() {
 fn seq_load_acquire_mutant_is_caught() {
     let report = check_with(cfg(), || {
         let ring = Arc::new(TestRing::new(2));
-        let weak = Weaken {
+        let weak = Arc::new(Weaken {
             inner: Arc::clone(&ring),
             demote_seq_store: false,
             demote_seq_load: true,
-        };
-        let producer = weak.clone();
-        let t = thread::spawn(move || ring::try_push(&producer, &[7]));
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            ring::try_pop(&weak, &mut out);
-        }
-        t.join().expect("join producer");
-        while ring::try_pop(&weak, &mut out) {}
+        });
+        let out = consume(&*weak, producer(Arc::clone(&weak), &[7]));
         assert_eq!(chunks(&out), vec![7], "chunk lost");
     });
     assert_caught(&report, "the Relaxed-acceptance mutant");
@@ -341,19 +288,12 @@ fn ring_counterexample_replays_deterministically() {
         };
         check_with(cfg, || {
             let ring = Arc::new(TestRing::new(2));
-            let weak = Weaken {
+            let weak = Arc::new(Weaken {
                 inner: Arc::clone(&ring),
                 demote_seq_store: true,
                 demote_seq_load: false,
-            };
-            let producer = weak.clone();
-            let t = thread::spawn(move || ring::try_push(&producer, &[7]));
-            let mut out = Vec::new();
-            for _ in 0..2 {
-                ring::try_pop(&weak, &mut out);
-            }
-            t.join().expect("join producer");
-            while ring::try_pop(&weak, &mut out) {}
+            });
+            let out = consume(&*weak, producer(Arc::clone(&weak), &[7]));
             assert_eq!(chunks(&out), vec![7], "chunk lost");
         })
     }

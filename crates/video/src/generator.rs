@@ -50,96 +50,6 @@ impl Frame {
     }
 }
 
-/// The cross-process wire encoding of a frame: what a key-frame upload
-/// physically carries when client and pool are separate OS processes.
-///
-/// Layout: frame index, height, width (u64 LE each), then the 8-bit
-/// quantized RGB pixels (`u32` length + `3·H·W` bytes — deliberately lossy,
-/// the same video representation the live uplink models), then the
-/// per-pixel ground-truth class map (`u32` length + `H·W` bytes, one class
-/// id per pixel — the oracle teacher's stand-in for what a real server-side
-/// teacher would infer from the pixels). Decoding reconstructs the float
-/// image as `byte / 255`.
-impl st_net::Wire for Frame {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.index.encode_into(out);
-        self.height.encode_into(out);
-        self.width.encode_into(out);
-        let rgb = self.quantized_rgb();
-        (rgb.len() as u32).encode_into(out);
-        out.extend_from_slice(&rgb);
-        (self.ground_truth.len() as u32).encode_into(out);
-        out.extend(self.ground_truth.iter().map(|&c| c as u8));
-    }
-
-    fn decode(input: &mut &[u8]) -> std::result::Result<Self, st_net::WireError> {
-        let index = usize::decode(input)?;
-        let height = usize::decode(input)?;
-        let width = usize::decode(input)?;
-        let pixels = height
-            .checked_mul(width)
-            .filter(|&p| p > 0 && p <= (1 << 26))
-            .ok_or(st_net::WireError::InvalidValue {
-                what: "frame dimensions out of range",
-            })?;
-        let rgb_len = u32::decode(input)? as usize;
-        if rgb_len != 3 * pixels {
-            return Err(st_net::WireError::InvalidValue {
-                what: "RGB byte count does not match frame dimensions",
-            });
-        }
-        if input.len() < rgb_len {
-            return Err(st_net::WireError::Truncated {
-                needed: rgb_len,
-                available: input.len(),
-            });
-        }
-        let (rgb, rest) = input.split_at(rgb_len);
-        *input = rest;
-        let values: Vec<f32> = rgb.iter().map(|&b| b as f32 / 255.0).collect();
-        let image = Tensor::from_vec(Shape::new(&[1, 3, height, width]), values).map_err(|_| {
-            st_net::WireError::InvalidValue {
-                what: "frame image tensor rejected",
-            }
-        })?;
-        let gt_len = u32::decode(input)? as usize;
-        if gt_len != pixels {
-            return Err(st_net::WireError::InvalidValue {
-                what: "ground-truth length does not match frame dimensions",
-            });
-        }
-        if input.len() < gt_len {
-            return Err(st_net::WireError::Truncated {
-                needed: gt_len,
-                available: input.len(),
-            });
-        }
-        let (gt, rest) = input.split_at(gt_len);
-        *input = rest;
-        let mut ground_truth = Vec::with_capacity(pixels);
-        for &b in gt {
-            let class = b as usize;
-            if class >= crate::classes::NUM_CLASSES {
-                return Err(st_net::WireError::InvalidValue {
-                    what: "ground-truth class id out of range",
-                });
-            }
-            ground_truth.push(class);
-        }
-        Ok(Frame {
-            index,
-            image,
-            ground_truth,
-            height,
-            width,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        3 * 8 + 4 + self.raw_rgb_bytes() + 4 + self.height * self.width
-    }
-}
-
 /// Configuration of a generated video stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VideoConfig {
@@ -534,43 +444,5 @@ mod tests {
         let mut c3 = small_config(1);
         c3.height = 0;
         assert!(VideoGenerator::new(c3).is_err());
-    }
-
-    #[test]
-    fn frame_wire_round_trip_is_quantization_stable() {
-        use st_net::Wire;
-        let mut generator = VideoGenerator::new(small_config(11)).unwrap();
-        let frame = generator.next_frame();
-        let encoded = frame.encode();
-        assert_eq!(encoded.len(), frame.encoded_len());
-        let mut input = &encoded[..];
-        let decoded = Frame::decode(&mut input).unwrap();
-        assert!(input.is_empty());
-        // The wire representation is 8-bit video: the first decode
-        // quantizes, after which encode∘decode is the identity.
-        assert_eq!(decoded.index, frame.index);
-        assert_eq!(decoded.ground_truth, frame.ground_truth);
-        assert_eq!(decoded.quantized_rgb(), frame.quantized_rgb());
-        let re_encoded = decoded.encode();
-        assert_eq!(re_encoded, encoded, "second generation is bit-identical");
-        for (a, b) in decoded.image.data().iter().zip(frame.image.data()) {
-            assert!((a - b).abs() <= 1.0 / 255.0 + 1e-6);
-        }
-    }
-
-    #[test]
-    fn frame_wire_rejects_corrupt_class_ids() {
-        use st_net::Wire;
-        let mut generator = VideoGenerator::new(small_config(12)).unwrap();
-        let frame = generator.next_frame();
-        let mut encoded = frame.encode();
-        // Flip a ground-truth byte (the tail section) to an invalid class.
-        let last = encoded.len() - 1;
-        encoded[last] = 250;
-        let mut input = &encoded[..];
-        assert!(matches!(
-            Frame::decode(&mut input),
-            Err(st_net::WireError::InvalidValue { .. })
-        ));
     }
 }
