@@ -25,9 +25,10 @@
 //!         is 1x/8x at smoke and 1x/4x/8x above)
 //! ```
 //!
-//! Tables 10, 12 and 13 and the shm demo carry gates (the `*_gate`
-//! functions of `st_bench::tables` and `st_bench::shm_demo`): every
-//! requested target runs, then the process exits 1 if any gate failed.
+//! The bounds table, tables 10, 12 and 13 and the shm demo carry gates
+//! (the `*_gate` functions of `st_bench::tables` and `st_bench::shm_demo`):
+//! every requested target runs, then the process exits 1 if any gate
+//! failed.
 //!
 //! Example: `cargo run --release -p st-bench --bin reproduce -- smoke table6`
 
@@ -35,9 +36,9 @@ use st_bench::figures::figure4;
 use st_bench::json::{host_json, run_to_json};
 use st_bench::shm_demo::{shm_gate, table_shm};
 use st_bench::tables::{
-    ablation_stride, bounds_check, table10_batched, table10_gate, table12_capacity, table12_gate,
-    table13_gate, table13_weight_dedup, table2, table2_step_breakdown, table4, table6, table7,
-    table8_multistream, table9_skewed, tables_3_and_5, TableOutput,
+    ablation_stride, bounds_check, bounds_gate, table10_batched, table10_gate, table12_capacity,
+    table12_gate, table13_gate, table13_weight_dedup, table2, table2_step_breakdown, table4,
+    table6, table7, table8_multistream, table9_skewed, tables_3_and_5, TableOutput,
 };
 use st_bench::{ExperimentScale, SharedSetup};
 use std::cell::OnceCell;
@@ -148,7 +149,9 @@ fn main() {
             run.emit(t.table5.clone(), Ok(()));
         }
         if want("bounds") {
-            run.emit(bounds_check(setup(), &t.partial_records), Ok(()));
+            let table = bounds_check(setup(), &t.partial_records);
+            let gate = bounds_gate(&table);
+            run.emit(table, gate);
         }
     }
     if want("table6") {

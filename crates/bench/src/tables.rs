@@ -508,6 +508,25 @@ pub fn bounds_check(setup: &SharedSetup, partial_records: &[ExperimentRecord]) -
     out
 }
 
+/// The bounds table's gate: every trace's paper-scale replay falls inside
+/// both analytic bounds — no row reads 0 in `FPS in bounds` or
+/// `Mbps in bounds`.
+pub fn bounds_gate(table: &TableOutput) -> Result<(), String> {
+    if table.row_labels.is_empty() {
+        return Err("the bounds table has no rows".to_string());
+    }
+    for column in ["FPS in bounds", "Mbps in bounds"] {
+        let inside = gate_column(table, column)?;
+        if let Some(row) = inside.iter().position(|&flag| flag == 0.0) {
+            return Err(format!(
+                "{} falls outside the analytic bounds ({column} reads 0)",
+                table.row_labels[row]
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Ablation: compare key-frame scheduling policies (Algorithm 2 vs fixed
 /// strides vs exponential back-off) on accuracy and key-frame ratio.
 pub fn ablation_stride(setup: &SharedSetup) -> TableOutput {
@@ -1176,6 +1195,37 @@ mod tests {
         assert!(err.contains("batch 8 at 2.000 ms/frame"), "{err}");
         assert!(table10_gate(&table(&[2.0, 1.0, 1.0, 2.5])).is_err());
         assert!(table10_gate(&synthetic("Table 10", &[], &[])).is_err());
+    }
+
+    #[test]
+    fn bounds_gate_fails_a_row_outside_either_bound() {
+        let rows = ["people", "street"];
+        let table = |fps: &[f64], mbps: &[f64]| {
+            synthetic(
+                "Bounds",
+                &rows,
+                &[("FPS in bounds", fps), ("Mbps in bounds", mbps)],
+            )
+        };
+        assert_eq!(bounds_gate(&table(&[1.0, 1.0], &[1.0, 1.0])), Ok(()));
+        let err = bounds_gate(&table(&[1.0, 0.0], &[1.0, 1.0])).unwrap_err();
+        assert!(
+            err.contains("street") && err.contains("FPS in bounds"),
+            "{err}"
+        );
+        let err = bounds_gate(&table(&[1.0, 1.0], &[0.0, 1.0])).unwrap_err();
+        assert!(
+            err.contains("people") && err.contains("Mbps in bounds"),
+            "{err}"
+        );
+        // No rows, or a missing column, is no pass.
+        assert!(bounds_gate(&synthetic("Bounds", &[], &[])).is_err());
+        assert!(bounds_gate(&synthetic(
+            "Bounds",
+            &rows,
+            &[("FPS in bounds", &[1.0, 1.0])]
+        ))
+        .is_err());
     }
 
     #[test]

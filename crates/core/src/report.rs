@@ -410,10 +410,10 @@ pub struct PoolReport {
     /// Private session storage at each shard's fullest: the sum of every
     /// shard's peak private-bytes measurement over the run.
     pub session_bytes_private_peak: usize,
-    /// Chunk bytes resident in the content-addressed weight store at join
-    /// (each distinct chunk counted once, however many refs share it).
+    /// Bytes of the pool's shared template (each distinct entry content
+    /// counted once, however many sessions share it).
     pub store_resident_bytes: usize,
-    /// Distinct chunks resident in the weight store at join.
+    /// Distinct entry contents of the pool's shared template.
     pub store_chunk_count: usize,
     /// Student updates sent as sparse delta envelopes.
     pub delta_updates_sent: usize,
@@ -432,8 +432,8 @@ pub struct PoolReport {
 
 impl PoolReport {
     /// Total bytes of weight state resident for the stream population at
-    /// its fullest: the content-addressed store (each template chunk counted
-    /// once, however many sessions share it) plus the sessions' private
+    /// its fullest: the shared template (each distinct chunk counted once,
+    /// however many sessions share it) plus the sessions' private
     /// storage at each shard's peak. (The last per-batch sample,
     /// `session_bytes_private`, misses the streams a shard had already
     /// retired by then, so it measures shutdown timing as well.)

@@ -53,8 +53,8 @@ pub struct LiveRunOutcome {
     /// stream would keep serving with. Lets tests assert that concurrent
     /// streams do not bleed weights into each other.
     pub final_student: WeightSnapshot,
-    /// Client-side delta-protocol counters (all zero on streams that did not
-    /// negotiate delta updates).
+    /// Client-side delta-protocol counters (all zero unless the pool served
+    /// delta updates).
     pub delta: ClientDeltaStats,
 }
 
@@ -172,8 +172,8 @@ struct PendingFrame {
     miou: f64,
 }
 
-/// Client half of the delta-update protocol (present only when the stream
-/// registered with `RegisterCaps { supports_delta: true }`). The digest
+/// Client half of the delta-update protocol (present only when the pool
+/// serves delta updates, [`PoolConfig::delta_updates`]). The digest
 /// mirrors the server's [`crate::serve`] per-stream `DeltaTrack`: both sides
 /// advance it with exactly the chunks that crossed the wire, so the bases
 /// stay synchronized without ever exchanging digests.
@@ -225,7 +225,7 @@ struct ClientDriver<'a> {
     /// never gets here (its route flips under it), so a lost peer is gone
     /// for good.
     disconnected: bool,
-    /// `Some` when the stream negotiated delta updates: downlink weight
+    /// `Some` when the pool serves delta updates: downlink weight
     /// payloads are [`WeightPayload`] envelopes instead of bare snapshots.
     sync: Option<DeltaSync>,
     cursor: usize,
@@ -413,8 +413,8 @@ impl<'a> ClientDriver<'a> {
     }
 
     /// Apply one downlink weight payload to the local student. Without delta
-    /// negotiation the bytes are a bare [`WeightSnapshot`] at `scope`; with
-    /// it they are a [`WeightPayload`] envelope, and the digest is patched
+    /// updates the bytes are a bare [`WeightSnapshot`] at `scope`; with
+    /// them they are a [`WeightPayload`] envelope, and the digest is patched
     /// with exactly the chunks that were applied — the client-side mirror of
     /// the server's per-stream delta track, so the two bases stay in
     /// lockstep without exchanging digests. A delta whose base hash does not
@@ -673,8 +673,8 @@ where
     }
     let started = Instant::now();
 
-    // The pool's connect negotiates delta updates on every stream when the
-    // config asks for them, so the client drivers must decode envelopes.
+    // A pool with delta updates on serves them to every stream, so the
+    // client drivers must decode envelopes.
     let delta_updates = pool_config.delta_updates;
     let pool = ServerPool::spawn(config, pool_config, student.clone(), 0.0, teacher_factory)?;
 
@@ -863,7 +863,7 @@ mod tests {
                         .push_back(ServerToClient::Throttle { frame_index });
                 }
                 ClientToServer::Shutdown => self.shutdowns_seen += 1,
-                ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {}
+                ClientToServer::Register => {}
             }
             Ok(())
         }
@@ -969,8 +969,7 @@ mod tests {
                         });
                     }
                 }
-                ClientToServer::Shutdown => {}
-                ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {}
+                ClientToServer::Shutdown | ClientToServer::Register => {}
             }
             Ok(())
         }

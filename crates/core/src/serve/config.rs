@@ -6,7 +6,7 @@ use crate::config::PlacementPolicy;
 use crate::Result;
 use st_net::StreamId;
 #[cfg(doc)]
-use st_net::{ClientToServer, DropReason, ServerToClient};
+use st_net::{DropReason, ServerToClient};
 use st_tensor::TensorError;
 
 /// A deterministic fault-injection schedule for chaos testing the pool.
@@ -149,9 +149,9 @@ pub struct PoolConfig {
     /// ([`SessionWeights::CopyOnWrite`] by default; behaviour is identical
     /// either way, only resident memory differs).
     pub session_weights: SessionWeights,
-    /// Negotiate delta-encoded weight updates with clients: `connect` sends
-    /// [`ClientToServer::RegisterCaps`] announcing delta support, and the
-    /// shard answers each distilled key frame with a sparse
+    /// Serve delta-encoded weight updates: every stream the pool connects
+    /// gets its initial checkpoint in a `WeightPayload::Full` envelope, and
+    /// the shard answers each distilled key frame with a sparse
     /// [`st_nn::delta::WeightDelta`] against the client's last-acked
     /// checkpoint (full snapshots remain the fallback whenever the stream is
     /// not known to be in sync — first update after a register, or after a

@@ -5,23 +5,22 @@ use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
 use super::state::{
-    Downlink, Envelope, Placements, Registry, Route, ShardLoads, ShardOutput, ShardState,
-    StreamLink, WireMeter,
+    Downlink, Envelope, Placements, Route, ShardLoads, ShardOutput, ShardState, StreamLink,
+    WireMeter,
 };
 use super::{FrameStore, PoolConfig, PoolError, PoolStats, ServeShard};
 use crate::config::{PlacementPolicy, ShadowTutorConfig};
 use crate::Result;
-use st_net::message::MESSAGE_OVERHEAD_BYTES;
+use bytes::Bytes;
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, ServerToClient, StreamId, StreamTagged, TransportError};
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
-use st_nn::store::{CheckpointRef, WeightStore};
 use st_nn::student::StudentNet;
 use st_teacher::Teacher;
 use st_tensor::parallel::{Crew, Lanes};
 use st_tensor::TensorError;
 use st_video::Frame;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -53,13 +52,13 @@ impl StreamClient {
     pub fn stream_id(&self) -> StreamId {
         self.stream_id
     }
-}
 
-impl ClientEndpoint for StreamClient {
-    fn send(
-        &mut self,
+    /// Send one uplink message to the stream's current shard. Only
+    /// [`ServerPool::connect`]'s `Register` carries a `link`.
+    fn post(
+        &self,
         message: ClientToServer,
-        _bytes: usize,
+        link: Option<Box<StreamLink>>,
     ) -> std::result::Result<(), TransportError> {
         let shard = self.route.load(Ordering::SeqCst);
         let tagged = StreamTagged::new(self.stream_id, message);
@@ -70,6 +69,7 @@ impl ClientEndpoint for StreamClient {
             .send(Envelope {
                 tagged,
                 enqueued_at: Instant::now(),
+                link,
             })
             .map_err(|_| TransportError::Disconnected)?;
         // ORDER: Relaxed — a monotonic traffic counter; readers only see it
@@ -77,6 +77,16 @@ impl ClientEndpoint for StreamClient {
         self.wire.up.fetch_add(wire_len, Ordering::Relaxed);
         self.shard_wakers[shard].wake();
         Ok(())
+    }
+}
+
+impl ClientEndpoint for StreamClient {
+    fn send(
+        &mut self,
+        message: ClientToServer,
+        _bytes: usize,
+    ) -> std::result::Result<(), TransportError> {
+        self.post(message, None)
     }
 
     fn try_recv(&mut self) -> std::result::Result<Option<ServerToClient>, TransportError> {
@@ -119,7 +129,6 @@ impl ClientEndpoint for StreamClient {
 pub struct ServerPool {
     pool_config: PoolConfig,
     uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
-    registries: Vec<Registry>,
     /// Registered-session count per shard: what least-loaded placement
     /// reads.
     loads: ShardLoads,
@@ -141,13 +150,11 @@ pub struct ServerPool {
     /// Failover blackboard: worker deaths, adoption claims, and the dead
     /// shards' standby-assembled final outputs.
     board: Arc<FailoverBoard>,
-    /// The pool's content-addressed chunk store. It holds the interned
-    /// template and nothing else; `join` reports its residency
-    /// ([`PoolStats::store_resident_bytes`]).
-    store: WeightStore,
-    /// The interned pristine template, pinned for the pool's lifetime.
-    /// Released at `join`.
-    template_checkpoint: Option<CheckpointRef>,
+    /// The template's distinct entry content in bytes and in chunks,
+    /// counted at spawn: the weights every session shares
+    /// ([`PoolStats::store_resident_bytes`] / `store_chunk_count`).
+    template_bytes: usize,
+    template_chunks: usize,
 }
 
 impl ServerPool {
@@ -212,22 +219,22 @@ impl ServerPool {
             pool_config.shards,
             pool_config.replication,
         ));
-        // The pool's content-addressed chunk store, holding the pristine
-        // template for the pool's life.
-        let store = WeightStore::new();
-        let (template_checkpoint, _) =
-            store.intern(&WeightSnapshot::capture(&mut template, SnapshotScope::Full));
+        // The template's entries, each distinct content counted once.
+        let template_content: HashSet<Bytes> =
+            WeightSnapshot::capture(&mut template, SnapshotScope::Full)
+                .entry_chunks()
+                .into_iter()
+                .map(|(_, chunk)| chunk)
+                .collect();
         // Every shard state machine lives behind a mutex, hosted by a fixed
         // reactor worker set woken by readiness tokens (one token per shard).
         let poller = st_net::Poller::new();
         let shard_wakers: Arc<Vec<st_net::Waker>> =
             Arc::new((0..pool_config.shards).map(|i| poller.waker(i)).collect());
         let mut uplinks = Vec::with_capacity(pool_config.shards);
-        let mut registries = Vec::with_capacity(pool_config.shards);
         let mut states = Vec::with_capacity(pool_config.shards);
         for shard_index in 0..pool_config.shards {
             let (tx, rx) = mpsc::channel::<Envelope>();
-            let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
             // A lane's post for this shard wakes its token, so the items a
             // pass left out on the crew come home in the next one.
             let waker = shard_wakers[shard_index].clone();
@@ -238,7 +245,6 @@ impl ServerPool {
             states.push(Mutex::new(Some(ShardState::new(
                 shard,
                 rx,
-                Arc::clone(&registry),
                 pool_config,
                 shard_index,
                 Arc::clone(&loads),
@@ -246,7 +252,6 @@ impl ServerPool {
                 Arc::clone(&board),
             ))));
             uplinks.push(tx);
-            registries.push(registry);
         }
         let shared = Arc::new(ReactorShared::new(
             FailoverShared {
@@ -266,15 +271,14 @@ impl ServerPool {
         Ok(ServerPool {
             pool_config,
             uplinks: Arc::new(uplinks),
-            registries,
             loads,
             placements,
             workers,
             shard_wakers,
             wire,
             board,
-            store,
-            template_checkpoint: Some(template_checkpoint),
+            template_bytes: template_content.iter().map(Bytes::len).sum(),
+            template_chunks: template_content.len(),
         })
     }
 
@@ -292,9 +296,9 @@ impl ServerPool {
     }
 
     /// Connect a new stream: choose its shard per the placement policy,
-    /// pre-share its frame content with that shard, enqueue its `Register`
-    /// message, and return the client's endpoint. The first downlink message
-    /// is the initial student checkpoint.
+    /// enqueue its `Register` message carrying the stream's downlink and
+    /// pre-shared frame content, and return the client's endpoint. The
+    /// first downlink message is the initial student checkpoint.
     ///
     /// Errors if the stream id is already connected to this pool — a second
     /// connect would silently clobber the first session's downlink and
@@ -385,19 +389,16 @@ impl ServerPool {
             (shard, route)
         };
         let (down_tx, down_rx) = mpsc::channel();
-        let content = FrameStore::from_frames(frames, None);
-        locked(&self.registries[shard]).insert(
-            stream_id,
-            StreamLink {
-                downlink: Downlink {
-                    tx: down_tx,
-                    waker,
-                    wire: Arc::clone(&self.wire),
-                },
-                frames: content,
+        let link = StreamLink {
+            downlink: Downlink {
+                tx: down_tx,
+                waker,
+                wire: Arc::clone(&self.wire),
             },
-        );
-        let mut client = StreamClient {
+            frames: FrameStore::from_frames(frames, None),
+            charged: shard,
+        };
+        let client = StreamClient {
             stream_id,
             uplinks: Arc::clone(&self.uplinks),
             route,
@@ -405,22 +406,15 @@ impl ServerPool {
             shard_wakers: Arc::clone(&self.shard_wakers),
             wire: Arc::clone(&self.wire),
         };
-        // Registration is the client's first uplink message; sending it here
-        // lets callers immediately block on the initial checkpoint. A failed
-        // send (the shard worker died) must roll the placement back, or the
-        // id would be burned and the shard's load over-counted forever.
-        // Delta-negotiating pools register via `RegisterCaps`: an old server
-        // build rejects the unknown tag with a typed error instead of
-        // mis-decoding, and a plain `Register` keeps meaning bare snapshots.
-        let register = if self.pool_config.delta_updates {
-            ClientToServer::RegisterCaps {
-                supports_delta: true,
-            }
-        } else {
-            ClientToServer::Register
-        };
-        if client.send(register, MESSAGE_OVERHEAD_BYTES).is_err() {
-            locked(&self.registries[shard]).remove(&stream_id);
+        // Registration is the client's first uplink message, and it carries
+        // everything the shard that handles it needs; sending it here lets
+        // callers immediately block on the initial checkpoint. A failed send
+        // (the shard worker died) must roll the placement back, or the id
+        // would be burned and the shard's load over-counted forever.
+        if client
+            .post(ClientToServer::Register, Some(Box::new(link)))
+            .is_err()
+        {
             self.loads[shard].fetch_sub(1, Ordering::SeqCst);
             locked(&self.placements).remove(&stream_id);
             return Err(TensorError::InvalidArgument(
@@ -441,9 +435,8 @@ impl ServerPool {
     /// their standby — appear in the stats like everyone else's. A panic
     /// that escapes a reactor worker *outside* any shard pass names the
     /// worker, never a shard, and surfaces as [`PoolError::Tensor`].
-    pub fn join(mut self) -> std::result::Result<PoolStats, PoolError> {
+    pub fn join(self) -> std::result::Result<PoolStats, PoolError> {
         drop(self.uplinks);
-        drop(self.registries);
         // Shards park until a token wakes them; with the uplinks now gone,
         // one wake per shard is enough for each to observe the disconnect
         // and run its exit protocol.
@@ -471,13 +464,6 @@ impl ServerPool {
         // Reactor workers finalize shards in completion order; present the
         // report in shard order.
         outputs.sort_by_key(|output| output.shard);
-        // Measure the store *before* releasing the template pin, so the
-        // report reflects what the run actually held resident.
-        let store_resident_bytes = self.store.resident_bytes();
-        let store_chunk_count = self.store.chunk_count();
-        if let Some(template_checkpoint) = self.template_checkpoint.take() {
-            self.store.release(template_checkpoint);
-        }
         let mut stats = PoolStats {
             shards: Vec::with_capacity(shards),
             streams: HashMap::new(),
@@ -488,8 +474,8 @@ impl ServerPool {
             // loads cannot race.
             wire_bytes_up: self.wire.up.load(Ordering::Relaxed),
             wire_bytes_down: self.wire.down.load(Ordering::Relaxed),
-            store_resident_bytes,
-            store_chunk_count,
+            store_resident_bytes: self.template_bytes,
+            store_chunk_count: self.template_chunks,
         };
         for output in outputs {
             stats.shards.push(output.stats);

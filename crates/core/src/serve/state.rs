@@ -28,11 +28,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A stream-tagged uplink message queued at a shard.
-#[derive(Clone)]
+/// A stream-tagged uplink message queued at a shard. The `Register` that
+/// [`ServerPool::connect`] sends carries the stream's [`StreamLink`], so
+/// whichever shard drains it — the one the stream was placed on, or the
+/// adopter of a dead one — can serve it as it stands.
 pub(super) struct Envelope {
     pub(super) tagged: StreamTagged<ClientToServer>,
     pub(super) enqueued_at: Instant,
+    pub(super) link: Option<Box<StreamLink>>,
 }
 
 /// Pool-wide measured wire traffic: the framed byte size
@@ -75,15 +78,14 @@ impl Downlink {
     }
 }
 
-/// Per-stream connection state the worker looks up when a `Register`
-/// message arrives: the downlink back to the client and the pre-shared
-/// frame content.
+/// What a stream's `Register` brings the shard that handles it: the
+/// downlink back to the client, the pre-shared frame content, and the shard
+/// charged with the stream's load at connect.
 pub(super) struct StreamLink {
     pub(super) downlink: Downlink,
     pub(super) frames: FrameStore,
+    pub(super) charged: usize,
 }
-
-pub(super) type Registry = Arc<Mutex<HashMap<StreamId, StreamLink>>>;
 
 /// One stream's live shard assignment. Clients hold their own `Arc` and
 /// read it with a single atomic load per send — the pool-wide map is only
@@ -304,7 +306,6 @@ pub(super) struct ShardState<T: Teacher> {
     pool_config: PoolConfig,
     shard: ServeShard<T>,
     rx: mpsc::Receiver<Envelope>,
-    registry: Registry,
     loads: ShardLoads,
     placements: Placements,
     scheduler: FairScheduler,
@@ -331,11 +332,6 @@ pub(super) struct ShardState<T: Teacher> {
     /// enqueued traffic before the routing flip, so the standby drains them
     /// alongside its own for the rest of the pool's life.
     adopted_rx: Vec<mpsc::Receiver<Envelope>>,
-    /// Connect-time registries of adopted shards, consulted when a
-    /// `Register` raced the death.
-    adopted_registries: Vec<Registry>,
-    /// Which shard each `adopted_registries`/`adopted_rx` entry came from.
-    adopted_shards: Vec<usize>,
     takeover_samples: Vec<f64>,
 }
 
@@ -353,11 +349,9 @@ pub(super) struct PassOutcome {
 }
 
 impl<T: Teacher> ShardState<T> {
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
         shard: ServeShard<T>,
         rx: mpsc::Receiver<Envelope>,
-        registry: Registry,
         pool_config: PoolConfig,
         shard_index: usize,
         loads: ShardLoads,
@@ -369,7 +363,6 @@ impl<T: Teacher> ShardState<T> {
             pool_config,
             shard,
             rx,
-            registry,
             loads,
             placements,
             scheduler: FairScheduler::new(pool_config.quantum),
@@ -383,8 +376,6 @@ impl<T: Teacher> ShardState<T> {
             batches_processed: 0,
             in_flight: Vec::new(),
             adopted_rx: Vec::new(),
-            adopted_registries: Vec::new(),
-            adopted_shards: Vec::new(),
             takeover_samples: Vec::new(),
         }
     }
@@ -438,7 +429,7 @@ impl<T: Teacher> ShardState<T> {
         // older than anything it has put in ours since the flip. This is the
         // only way an envelope reaches a shard other than the one its stream
         // was placed on, and it lands on the shard that now holds the
-        // session or its connect-time registry entry, so nothing is ever
+        // session (a `Register` brings its own link), so nothing is ever
         // forwarded or deferred.
         for rx in &self.adopted_rx {
             while let Ok(envelope) = rx.try_recv() {
@@ -465,39 +456,25 @@ impl<T: Teacher> ShardState<T> {
         self.shard.stats.events_dispatched += 1;
         let stream_id = envelope.tagged.stream_id;
         match envelope.tagged.message {
-            ClientToServer::Register | ClientToServer::RegisterCaps { .. } => {
-                let supports_delta = matches!(
-                    envelope.tagged.message,
-                    ClientToServer::RegisterCaps {
-                        supports_delta: true
-                    }
-                );
-                let mut link = locked(&self.registry).remove(&stream_id);
-                if link.is_none() {
-                    // A Register that raced its shard's death lands here
-                    // via the adopted uplink; the connect-time entry still
-                    // sits in the dead shard's registry. Serve it — and
-                    // re-home the connect-time load credit.
-                    for (slot, registry) in self.adopted_registries.iter().enumerate() {
-                        if let Some(found) = locked(registry).remove(&stream_id) {
-                            self.loads[self.adopted_shards[slot]].fetch_sub(1, Ordering::SeqCst);
-                            self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
-                            link = Some(found);
-                            break;
-                        }
-                    }
-                }
-                let Some(link) = link else {
-                    // Register without a connect-time registry entry —
+            ClientToServer::Register => {
+                let Some(link) = envelope.link else {
+                    // A Register that no connect sent carries no link —
                     // counted instead of silently ignored.
                     self.shard.stats.unknown_registers += 1;
                     return Ok(());
                 };
-                let initial = self.shard.register(stream_id, link.frames, supports_delta);
-                // Delta-negotiated streams get the initial checkpoint inside
+                // A Register that raced its shard's death lands here via
+                // the adopted uplink: re-home the connect-time load credit.
+                if link.charged != self.shard_index {
+                    self.loads[link.charged].fetch_sub(1, Ordering::SeqCst);
+                    self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
+                }
+                let delta_updates = self.pool_config.delta_updates;
+                let initial = self.shard.register(stream_id, link.frames, delta_updates);
+                // With delta updates on, the initial checkpoint goes inside
                 // a `WeightPayload::Full` envelope — always applicable, and
                 // it seeds the client's digest for later deltas.
-                let encoded = if supports_delta {
+                let encoded = if delta_updates {
                     Bytes::from(WeightPayload::encode_full(&initial))
                 } else {
                     initial.encode()
@@ -783,7 +760,6 @@ mod tests {
         ShardState::new(
             shard,
             rx,
-            Arc::new(Mutex::new(HashMap::new())),
             PoolConfig::with_shards(1),
             0,
             Arc::new(vec![AtomicUsize::new(0)]),
@@ -886,45 +862,36 @@ mod tests {
 
     #[test]
     fn an_adopted_uplink_is_drained_ahead_of_the_adopters_own() {
-        // Shard 1 has adopted dead shard 0. Stream 7's `Register` raced the
-        // death and still sits in shard 0's uplink; the key frame its client
-        // sent after the routing flip sits in shard 1's own. One pass must
-        // see them in the order they were sent — the key frame is served,
-        // not refused as an unknown stream.
+        // Shard 1 has adopted dead shard 0. Stream 7's `Register`, carrying
+        // the link its connect charged to shard 0, raced the death and still
+        // sits in shard 0's uplink; the key frame its client sent after the
+        // routing flip sits in shard 1's own. One pass must see them in the
+        // order they were sent — the key frame is served, not refused as an
+        // unknown stream.
         let frames = tiny_stream(SceneKind::People, 503, 1);
-        let envelope = |message| Envelope {
-            tagged: StreamTagged::new(7, message),
-            enqueued_at: Instant::now(),
-        };
         let (dead_uplink, dead_rx) = mpsc::channel();
         let (own_uplink, own_rx) = mpsc::channel();
         let (down_tx, down_rx) = mpsc::channel();
-        let dead_registry: Registry = Arc::new(Mutex::new(HashMap::from([(
-            7,
-            StreamLink {
+        let register = Envelope {
+            link: Some(Box::new(StreamLink {
                 downlink: Downlink {
                     tx: down_tx,
                     waker: None,
                     wire: Arc::new(WireMeter::default()),
                 },
                 frames: FrameStore::from_frames(&frames, None),
-            },
-        )])));
-        assert!(dead_uplink.send(envelope(ClientToServer::Register)).is_ok());
-        assert!(own_uplink
-            .send(envelope(ClientToServer::KeyFrame {
-                frame_index: frames[0].index,
-                payload: Payload::sized(frames[0].raw_rgb_bytes()),
-            }))
-            .is_ok());
+                charged: 0,
+            })),
+            ..envelope(7, ClientToServer::Register)
+        };
+        assert!(dead_uplink.send(register).is_ok());
+        assert!(own_uplink.send(key_frame(7, &frames[0])).is_ok());
         let mut state = lone_state();
         state.shard_index = 1;
         state.board = Arc::new(FailoverBoard::new(2, false));
         state.rx = own_rx;
         state.loads = Arc::new(vec![AtomicUsize::new(1), AtomicUsize::new(0)]);
         state.adopted_rx.push(dead_rx);
-        state.adopted_registries.push(dead_registry);
-        state.adopted_shards.push(0);
         let failover = FailoverShared {
             states: Vec::new(),
             board: Arc::clone(&state.board),
@@ -1025,7 +992,6 @@ mod tests {
         let mut state = ShardState::new(
             shard,
             rx,
-            Arc::new(Mutex::new(HashMap::new())),
             PoolConfig::with_shards(1),
             0,
             Arc::new(vec![AtomicUsize::new(streams.len())]),
@@ -1104,6 +1070,7 @@ mod tests {
         Envelope {
             tagged: StreamTagged::new(stream_id, message),
             enqueued_at: Instant::now(),
+            link: None,
         }
     }
 

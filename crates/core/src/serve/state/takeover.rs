@@ -15,7 +15,7 @@ use crate::serve::failover::FailoverShared;
 use st_net::{DropReason, ServerToClient, StreamId};
 use st_teacher::Teacher;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
 impl<T: Teacher> ShardState<T> {
     /// The shard whose death this one stands by for: its predecessor in the
@@ -128,18 +128,13 @@ impl<T: Teacher> ShardState<T> {
             self.drop_failed_job(job.job.stream_id, job.job.frame_index);
         }
         // Adopt the dead shard's ingress for the rest of the pool's life:
-        // its uplink receiver (clients may race the routing flip), its
-        // connect-time registry (a Register may race the death), and — if
-        // the dead shard was itself an adopter — everything *it* adopted.
+        // its uplink receiver (clients may race the routing flip, and a
+        // `Register` that raced the death brings its own link) and — if the
+        // dead shard was itself an adopter — every uplink *it* adopted.
         let (_closed_tx, closed_rx) = mpsc::channel();
         self.adopted_rx
             .push(std::mem::replace(&mut carcass.rx, closed_rx));
-        self.adopted_registries.push(Arc::clone(&carcass.registry));
-        self.adopted_shards.push(dead);
         self.adopted_rx.append(&mut carcass.adopted_rx);
-        self.adopted_registries
-            .append(&mut carcass.adopted_registries);
-        self.adopted_shards.append(&mut carcass.adopted_shards);
         // Every stream has left the carcass; file the dead shard's report.
         let died_at = self.board.death_instant(dead);
         self.board.push_dead_output(carcass_output(carcass));

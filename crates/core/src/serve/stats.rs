@@ -35,8 +35,9 @@ pub struct ShardStats {
     pub dropped_jobs: usize,
     /// Key frames rejected by per-stream admission control.
     pub throttled: usize,
-    /// `Register` messages with no connect-time registry entry (register
-    /// without connect, or a duplicate register racing a finished stream).
+    /// `Register` messages that carried no stream link: sent through a
+    /// [`StreamClient`](super::StreamClient) by its caller, not by
+    /// [`ServerPool::connect`]. Counted, and otherwise ignored.
     pub unknown_registers: usize,
     /// Measured wall-clock time spent inside batched teacher forwards
     /// ([`st_teacher::Teacher::pseudo_label_batch`]) — the pool's only
@@ -153,11 +154,11 @@ pub struct PoolStats {
     /// adopting every stream. Feeds
     /// [`PoolStats::takeover_latency_p99_secs`].
     pub takeover_samples: Vec<f64>,
-    /// Bytes resident in the pool's content-addressed [`WeightStore`] at
-    /// join time: the pinned template's chunks, each distinct chunk counted
-    /// once.
+    /// Bytes of the pool's pristine template, the weights every session
+    /// shares: one chunk per entry, each distinct content counted once, as
+    /// a content-addressed [`WeightStore`] would hold it. Measured at spawn.
     pub store_resident_bytes: usize,
-    /// Distinct chunks resident in the weight store at join time.
+    /// Distinct entry contents of the template, measured at spawn.
     pub store_chunk_count: usize,
 }
 

@@ -348,13 +348,19 @@ fn pool_rejects_duplicate_connect() {
     )
     .unwrap();
     let frames = frames_for(SceneKind::People, 61, 1);
-    let client = pool.connect(5, &frames).unwrap();
+    let mut client = pool.connect(5, &frames).unwrap();
     let Err(err) = pool.connect(5, &frames) else {
         panic!("duplicate connect must be rejected");
     };
     assert!(format!("{err:?}").contains("already connected"));
+    // Nor is a `Register` sent past `connect` served: it carries no link,
+    // so the shard only counts it.
+    client.send(ClientToServer::Register, 1).unwrap();
+    client.send(ClientToServer::Shutdown, 1).unwrap();
     drop(client);
-    pool.join().unwrap();
+    let stats = pool.join().unwrap();
+    assert_eq!(stats.shards[0].unknown_registers, 1);
+    assert_eq!(stats.streams.len(), 1);
 }
 
 #[test]

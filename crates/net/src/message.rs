@@ -48,13 +48,17 @@ impl Payload {
     }
 }
 
-/// Client → server messages.
+/// Client → server messages. Wire tags 2 (a frame re-upload) and 4 (a
+/// registration announcing delta support) are retired: a peer's frame under
+/// either decodes as a typed [`crate::WireError::UnknownVariant`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientToServer {
     /// Announce a new stream. The multi-stream server pool creates the
     /// stream's distillation session and replies with
-    /// [`ServerToClient::InitialStudent`]; the single-stream server sends the
-    /// initial checkpoint unprompted and never sees this variant.
+    /// [`ServerToClient::InitialStudent`] in the update encoding the pool
+    /// serves (bare snapshots or delta envelopes: the pool's setting, not
+    /// the client's); the single-stream server sends the initial checkpoint
+    /// unprompted and never sees this variant.
     Register,
     /// A key frame to distill on. Carries the frame index for bookkeeping and
     /// the encoded frame payload.
@@ -66,19 +70,6 @@ pub enum ClientToServer {
     },
     /// The client is done with the stream; the server loop should exit.
     Shutdown,
-    /// Capability-announcing registration (wire tag 4, added with the
-    /// delta-update protocol). Semantically [`ClientToServer::Register`]
-    /// plus the client's announced capabilities; a peer predating the
-    /// variant rejects it with a typed
-    /// [`crate::WireError::UnknownVariant`], which is how the version
-    /// negotiation degrades: such a client simply keeps sending `Register`
-    /// and keeps receiving bare full snapshots.
-    RegisterCaps {
-        /// The client can decode [`ServerToClient`] weight payloads wrapped
-        /// in the delta envelope (`WeightPayload`) and apply sparse deltas
-        /// against its last-acked checkpoint.
-        supports_delta: bool,
-    },
 }
 
 /// Identifier of one client stream multiplexed onto a shared server.
@@ -390,9 +381,7 @@ mod tests {
                 assert_eq!(frame_index, 5);
                 assert!(payload.bytes > 10);
             }
-            ClientToServer::Register
-            | ClientToServer::Shutdown
-            | ClientToServer::RegisterCaps { .. } => panic!("wrong variant"),
+            ClientToServer::Register | ClientToServer::Shutdown => panic!("wrong variant"),
         }
         let s = ServerToClient::StudentUpdate {
             frame_index: 5,

@@ -514,12 +514,9 @@ impl Wire for ClientToServer {
                 frame_index.encode_into(out);
                 payload.encode_gather(out, blobs);
             }
-            // Tag 2 (a retired frame re-upload) is never reused.
+            // Tags 2 (a frame re-upload) and 4 (a registration announcing
+            // delta support) are retired and never reused.
             ClientToServer::Shutdown => out.push(3),
-            ClientToServer::RegisterCaps { supports_delta } => {
-                out.push(4);
-                supports_delta.encode_into(out);
-            }
         }
     }
     fn decode_within(input: &mut &[u8], owner: Option<&Bytes>) -> Result<Self, WireError> {
@@ -530,9 +527,6 @@ impl Wire for ClientToServer {
                 payload: Payload::decode_within(input, owner)?,
             }),
             3 => Ok(ClientToServer::Shutdown),
-            4 => Ok(ClientToServer::RegisterCaps {
-                supports_delta: bool::decode(input)?,
-            }),
             tag => Err(WireError::UnknownVariant {
                 type_name: "ClientToServer",
                 tag,
@@ -542,7 +536,6 @@ impl Wire for ClientToServer {
     fn encoded_len(&self) -> usize {
         match self {
             ClientToServer::Register | ClientToServer::Shutdown => 1,
-            ClientToServer::RegisterCaps { .. } => 2,
             ClientToServer::KeyFrame {
                 frame_index,
                 payload,
@@ -987,21 +980,30 @@ mod tests {
 
     #[test]
     fn a_retired_client_tag_fails_typed() {
-        // Tag 2 carried a frame re-upload that no peer sends any more. A
-        // frame from such a peer — a well-formed key-frame body under that
-        // tag — is refused by type, not by panic.
-        let mut frame = encode_frame(&ClientToServer::KeyFrame {
+        // Tag 2 carried a frame re-upload and tag 4 a registration announcing
+        // delta support; no peer sends either any more. A frame from such a
+        // peer — a well-formed body under that tag — is refused by type, not
+        // by panic.
+        let mut reupload = encode_frame(&ClientToServer::KeyFrame {
             frame_index: 17,
             payload: Payload::with_data(Bytes::from(vec![5u8; 48])),
         });
-        frame[FRAME_HEADER_BYTES] = 2;
-        assert_eq!(
-            decode_frame::<ClientToServer>(&frame),
-            Err(WireError::UnknownVariant {
-                type_name: "ClientToServer",
-                tag: 2
-            })
-        );
+        reupload[FRAME_HEADER_BYTES] = 2;
+        // Tag 4's body went on to one `bool` (`supports_delta: true`): a
+        // two-byte body, its length the header's last four bytes.
+        let mut announce = encode_frame(&ClientToServer::Register);
+        announce[FRAME_HEADER_BYTES - 4..FRAME_HEADER_BYTES].copy_from_slice(&2u32.to_le_bytes());
+        announce[FRAME_HEADER_BYTES] = 4;
+        announce.push(1);
+        for (frame, tag) in [(reupload, 2), (announce, 4)] {
+            assert_eq!(
+                decode_frame::<ClientToServer>(&frame),
+                Err(WireError::UnknownVariant {
+                    type_name: "ClientToServer",
+                    tag
+                })
+            );
+        }
     }
 
     #[test]
