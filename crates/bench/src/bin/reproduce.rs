@@ -25,10 +25,10 @@
 //!         is 1x/8x at smoke and 1x/4x/8x above)
 //! ```
 //!
-//! The bounds table, tables 10, 12 and 13 and the shm demo carry gates
-//! (the `*_gate` functions of `st_bench::tables` and `st_bench::shm_demo`):
-//! every requested target runs, then the process exits 1 if any gate
-//! failed.
+//! Tables 3 and 5, the bounds table, tables 10, 12 and 13 and the shm demo
+//! carry gates (the `*_gate` functions of `st_bench::tables` and
+//! `st_bench::shm_demo`): every requested target runs, then the process
+//! exits 1 if any gate failed.
 //!
 //! Example: `cargo run --release -p st-bench --bin reproduce -- smoke table6`
 
@@ -38,7 +38,8 @@ use st_bench::shm_demo::{shm_gate, table_shm};
 use st_bench::tables::{
     ablation_stride, bounds_check, bounds_gate, table10_batched, table10_gate, table12_capacity,
     table12_gate, table13_gate, table13_weight_dedup, table2, table2_step_breakdown, table4,
-    table6, table7, table8_multistream, table9_skewed, tables_3_and_5, TableOutput,
+    table6, table7, table8_multistream, table9_skewed, tables_3_and_5, throughput_gate,
+    traffic_gate, TableOutput,
 };
 use st_bench::{ExperimentScale, SharedSetup};
 use std::cell::OnceCell;
@@ -143,10 +144,10 @@ fn main() {
     if want("table3") || want("table5") || want("bounds") {
         let t = tables_3_and_5(setup());
         if want("table3") {
-            run.emit(t.table3.clone(), Ok(()));
+            run.emit(t.table3.clone(), throughput_gate(&t.table3));
         }
         if want("table5") {
-            run.emit(t.table5.clone(), Ok(()));
+            run.emit(t.table5.clone(), traffic_gate(&t.table5));
         }
         if want("bounds") {
             let table = bounds_check(setup(), &t.partial_records);

@@ -10,7 +10,7 @@
 
 use crate::workloads::{SharedSetup, Variant};
 use shadowtutor::bounds::{throughput_bounds, traffic_bounds, BoundInputs};
-use shadowtutor::config::{DistillationMode, PlacementPolicy, ShadowTutorConfig};
+use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
 use shadowtutor::loadgen::{
     percentile, run_capacity_load, run_skewed_load, CapacityLoadSpec, PacedTeacher, SkewedLoadSpec,
 };
@@ -527,6 +527,46 @@ pub fn bounds_gate(table: &TableOutput) -> Result<(), String> {
     Ok(())
 }
 
+/// Table 3's gate: on every row, partial distillation outruns full
+/// distillation, which outruns the naive offload (`Partial` > `Full` >
+/// `Naive` FPS) — the paper's throughput ordering.
+pub fn throughput_gate(table: &TableOutput) -> Result<(), String> {
+    gate_descending(table, &["Partial", "Full", "Naive"])
+}
+
+/// Table 5's gate: on every row, partial distillation puts less traffic on
+/// the network than the naive offload (`Traffic Partial (Mbps)` <
+/// `Traffic Naive (Mbps)`).
+pub fn traffic_gate(table: &TableOutput) -> Result<(), String> {
+    gate_descending(table, &["Traffic Naive (Mbps)", "Traffic Partial (Mbps)"])
+}
+
+/// Hold every row of `table` to `columns` read strictly descending, left to
+/// right. No rows, or a missing column, is no pass.
+fn gate_descending(table: &TableOutput, columns: &[&str]) -> Result<(), String> {
+    if table.row_labels.is_empty() {
+        return Err(format!("{} has no rows", table.id));
+    }
+    let values = columns
+        .iter()
+        .map(|name| gate_column(table, name))
+        .collect::<Result<Vec<_>, _>>()?;
+    for (row, label) in table.row_labels.iter().enumerate() {
+        for pair in 0..columns.len() - 1 {
+            let (above, below) = (values[pair][row], values[pair + 1][row]);
+            // A NaN is ordered neither way, so it fails too.
+            if above.partial_cmp(&below) != Some(std::cmp::Ordering::Greater) {
+                return Err(format!(
+                    "{label}: {} reads {above:.2}, not above {} at {below:.2}",
+                    columns[pair],
+                    columns[pair + 1]
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Ablation: compare key-frame scheduling policies (Algorithm 2 vs fixed
 /// strides vs exponential back-off) on accuracy and key-frame ratio.
 pub fn ablation_stride(setup: &SharedSetup) -> TableOutput {
@@ -670,9 +710,9 @@ pub fn table9_skewed(
 /// (`reactor_threads == threads`); what differs is the shard count.
 ///
 /// `shards == threads` (the "per-shard" columns) partitions the workers:
-/// each stream statically pinned (`StaticModulo`) to one of `threads`
-/// shards, so a burst on one shard queues behind that shard's other
-/// streams even while neighbour workers sit idle. `shards == streams`
+/// each stream lives on shard `id % threads`, so a burst on one shard
+/// queues behind that shard's other streams even while neighbour workers
+/// sit idle. `shards == streams`
 /// (the "reactor" columns) pools them: one mostly-idle shard per stream,
 /// so any free worker takes any ready job. Batching is pinned to one
 /// frame per forward in BOTH modes — this table isolates
@@ -715,9 +755,6 @@ pub fn table12_capacity(
                 PoolConfig {
                     shards: if pooled { streams } else { threads },
                     reactor_threads: Some(threads),
-                    // Static pinning in both modes: the layout is a pure
-                    // function of the ids, the same on every run.
-                    placement: PlacementPolicy::StaticModulo,
                     // Admission generous enough that queue wait, not
                     // back-pressure, is what fails first as rungs grow.
                     max_in_flight: 64,
@@ -1226,6 +1263,47 @@ mod tests {
             &[("FPS in bounds", &[1.0, 1.0])]
         ))
         .is_err());
+    }
+
+    #[test]
+    fn throughput_gate_fails_a_row_out_of_the_paper_order() {
+        let rows = ["people", "street"];
+        let table = |partial: &[f64], full: &[f64]| {
+            synthetic(
+                "Table 3",
+                &rows,
+                &[("Partial", partial), ("Full", full), ("Naive", &[3.0, 3.0])],
+            )
+        };
+        assert_eq!(throughput_gate(&table(&[7.0, 6.92], &[5.0, 6.9])), Ok(()));
+        let err = throughput_gate(&table(&[7.0, 6.9], &[5.0, 6.9])).unwrap_err();
+        assert!(err.contains("street") && err.contains("Partial"), "{err}");
+        let err = throughput_gate(&table(&[7.0, 6.9], &[2.0, 5.0])).unwrap_err();
+        assert!(err.contains("people") && err.contains("Naive"), "{err}");
+        assert!(throughput_gate(&table(&[f64::NAN, 7.0], &[5.0, 5.0])).is_err());
+        // No rows, or a missing column, is no pass.
+        assert!(throughput_gate(&synthetic("Table 3", &[], &[])).is_err());
+        assert!(throughput_gate(&synthetic(
+            "Table 3",
+            &rows,
+            &[("Partial", &[7.0, 7.0]), ("Full", &[5.0, 5.0])]
+        ))
+        .is_err());
+    }
+
+    #[test]
+    fn traffic_gate_fails_a_row_where_partial_is_not_lighter_than_naive() {
+        let table = |partial: &[f64]| {
+            let naive: &[f64] = &[40.0, 40.0];
+            let columns = [
+                ("Traffic Partial (Mbps)", partial),
+                ("Traffic Naive (Mbps)", naive),
+            ];
+            synthetic("Table 5", &["people", "street"], &columns)
+        };
+        assert_eq!(traffic_gate(&table(&[1.5, 39.9])), Ok(()));
+        let err = traffic_gate(&table(&[1.5, 40.0])).unwrap_err();
+        assert!(err.starts_with("street: Traffic Naive (Mbps)"), "{err}");
     }
 
     #[test]

@@ -31,39 +31,6 @@ impl DistillationMode {
     }
 }
 
-/// How the multi-stream server pool assigns a newly connecting stream to a
-/// shard.
-///
-/// Placement is decided once, at `ServerPool::connect` time; afterwards a
-/// stream leaves its shard only when that shard dies and its warm standby
-/// adopts it. The policy lives here, next to the algorithm parameters,
-/// because it changes which experiments are reproducible run-to-run:
-/// static-modulo placement is a pure function of the stream id, while
-/// least-loaded depends on connect order and on which earlier streams have
-/// already finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Route to the shard with the fewest currently registered sessions,
-    /// breaking ties toward the lowest shard index. This is the production
-    /// default: it keeps skewed stream populations (e.g. many short streams
-    /// plus a few long-lived ones) from piling onto one worker.
-    #[default]
-    LeastLoaded,
-    /// The original static assignment `stream_id % shards` — a pure function
-    /// of the id, kept for bit-reproducible experiment layouts.
-    StaticModulo,
-}
-
-impl PlacementPolicy {
-    /// Short label used in tables and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlacementPolicy::LeastLoaded => "least-loaded",
-            PlacementPolicy::StaticModulo => "static-modulo",
-        }
-    }
-}
-
 /// Field-by-field little-endian encoding in declaration order, with the
 /// distillation mode as a tagged byte (0 = partial, 1 = full) so a peer
 /// process can reconstruct the exact algorithm parameters of a run.
@@ -255,13 +222,6 @@ mod tests {
         let mut c4 = ShadowTutorConfig::paper();
         c4.learning_rate = 0.0;
         assert!(c4.validate().is_err());
-    }
-
-    #[test]
-    fn placement_policy_defaults_to_least_loaded() {
-        assert_eq!(PlacementPolicy::default(), PlacementPolicy::LeastLoaded);
-        assert_eq!(PlacementPolicy::LeastLoaded.label(), "least-loaded");
-        assert_eq!(PlacementPolicy::StaticModulo.label(), "static-modulo");
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod server;
 pub mod stride;
 pub mod train;
 
-pub use config::{DistillationMode, PaperConstants, PlacementPolicy, ShadowTutorConfig};
+pub use config::{DistillationMode, PaperConstants, ShadowTutorConfig};
 pub use latency::{Concurrency, LatencyProfile};
 pub use report::{ExperimentRecord, FrameRecord, KeyFrameRecord, PoolReport, ShardReport};
 pub use runtime::sim::SimRuntime;

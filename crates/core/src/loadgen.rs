@@ -394,11 +394,10 @@ where
 }
 
 /// The one open-loop generator: spawn the pool, connect one raw client per
-/// schedule (stream ids in schedule order, so placement is deterministic),
-/// and drive them all from the calling thread. Each stream sends on its own
-/// absolute schedule — a send's cost never delays the next one — while
-/// responses are absorbed as they arrive, and the tail is drained before every
-/// stream shuts down. Returns per-stream reports, the pool's statistics and
+/// schedule (stream ids in schedule order), and drive them all from the
+/// calling thread. Each stream sends on its own absolute schedule — a
+/// send's cost never delays the next one — while responses are absorbed as
+/// they arrive, and the tail is drained before every stream shuts down. Returns per-stream reports, the pool's statistics and
 /// the run's wall-clock seconds.
 fn run_open_loop<T, F>(
     config: ShadowTutorConfig,

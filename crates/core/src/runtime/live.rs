@@ -222,8 +222,8 @@ struct ClientDriver<'a> {
     /// Set once the endpoint reports its peer gone: every wait completes
     /// immediately and the client serves local-only from then on, with the
     /// student it last applied. Nothing re-dials: a pool stream's takeover
-    /// never gets here (its route flips under it), so a lost peer is gone
-    /// for good.
+    /// never gets here (the standby drains its shard's uplink), so a lost
+    /// peer is gone for good.
     disconnected: bool,
     /// `Some` when the pool serves delta updates: downlink weight
     /// payloads are [`WeightPayload`] envelopes instead of bare snapshots.

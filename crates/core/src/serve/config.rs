@@ -2,7 +2,6 @@
 
 #[cfg(doc)]
 use super::ServerPool;
-use crate::config::PlacementPolicy;
 use crate::Result;
 use st_net::StreamId;
 #[cfg(doc)]
@@ -108,8 +107,6 @@ pub struct PoolConfig {
     /// Most key frames co-scheduled into one batched teacher forward. Each
     /// batch is what is queued when the shard runs, up to this bound.
     pub max_batch: usize,
-    /// How new streams are assigned to shards.
-    pub placement: PlacementPolicy,
     /// Per-stream admission cap: at most this many key frames of one stream
     /// may be held at its shard — queued, or in the stream's crew item while
     /// it is still out on a lane after its batch's pass has ended; excess
@@ -136,9 +133,10 @@ pub struct PoolConfig {
     /// half-stepped — has its session rebuilt from it on the spot, with a
     /// cold optimizer. When a shard dies, its buddy shard
     /// (`(shard + 1) % shards`) moves its streams over — sessions, frames,
-    /// delta tracks and queued jobs as the dead shard left them — and flips
-    /// their routes to itself. Works under every placement policy; needs
-    /// at least two shards. Off by default: a worker panic then fails
+    /// delta tracks and queued jobs as the dead shard left them — and
+    /// drains the dead shard's uplink, which the streams keep sending to;
+    /// a wake for the dead shard runs a pass on its buddy. Needs at least
+    /// two shards. Off by default: a worker panic then fails
     /// [`ServerPool::join`] with [`PoolError::WorkerFailed`].
     pub replication: bool,
     /// Deterministic fault-injection schedule ([`FaultPlan::none`] by
@@ -167,7 +165,6 @@ impl PoolConfig {
         PoolConfig {
             shards: 2,
             max_batch: 4,
-            placement: PlacementPolicy::default(),
             max_in_flight: 4,
             quantum: 1,
             reactor_threads: None,
@@ -243,7 +240,9 @@ impl PoolConfig {
         Ok(())
     }
 
-    /// The shard a stream id maps to under static-modulo placement.
+    /// The shard a stream lives on for the pool's life: a pure function of
+    /// its id. When that shard dies, its buddy serves the stream through
+    /// the dead shard's uplink.
     pub fn shard_of(&self, stream_id: StreamId) -> usize {
         (stream_id % self.shards as u64) as usize
     }

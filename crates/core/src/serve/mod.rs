@@ -17,9 +17,9 @@
 //! * [`ServerPool`] hosts every shard's state machine on a fixed set of
 //!   reactor workers ([`PoolConfig::reactor_threads`]; one per shard by
 //!   default) woken by send-side readiness tokens (no timers), places
-//!   streams on shards per [`PlacementPolicy`] (least-loaded by default,
-//!   static `id % shards` for reproducibility), and funnels each client's
-//!   uplink into the owning shard's queue as [`st_net::StreamTagged`] traffic.
+//!   each stream on shard `id % shards` ([`PoolConfig::shard_of`]) for the
+//!   pool's life, and funnels each client's uplink into that shard's queue
+//!   as [`st_net::StreamTagged`] traffic.
 //!   Clients talk to the pool through [`StreamClient`], which implements the
 //!   same [`st_net::ClientEndpoint`] surface as the single-stream transport,
 //!   so the client-side state machine is byte-for-byte the one Algorithm 4
@@ -44,11 +44,11 @@
 //!   serving the frame with its local (slightly stale) student — the
 //!   fallback the paper's partial/full modes make natural.
 //!
-//! Placement is final — a stream leaves its shard only when the shard dies
-//! and its warm standby adopts it ([`PoolConfig::replication`], under which
-//! every stream also keeps its last settled checkpoint beside it, so a
-//! session a panic tore mid-distill is rolled back before any standby
-//! sees it) — so a hot
+//! Placement is final — a stream's session leaves its shard only when the
+//! shard dies and its warm standby adopts it, uplink and all
+//! ([`PoolConfig::replication`], under which every stream also keeps its
+//! last settled checkpoint beside it, so a session a panic tore mid-distill
+//! is rolled back before any standby sees it) — so a hot
 //! stream's shard-mates are relieved by hosting more shards than reactor
 //! workers, not by moving sessions (`docs/ARCHITECTURE.md` has the
 //! measurements behind that choice). Each stream's pre-shared frames live
@@ -93,7 +93,6 @@
 //! `reactor` is the one driver, and reaches a shard state only through its
 //! methods.
 //!
-//! [`PlacementPolicy`]: crate::config::PlacementPolicy
 //! [`DistillSession`]: crate::server::DistillSession
 
 mod config;

@@ -4,12 +4,9 @@
 use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
-use super::state::{
-    Downlink, Envelope, Placements, Route, ShardLoads, ShardOutput, ShardState, StreamLink,
-    WireMeter,
-};
+use super::state::{Downlink, Envelope, ShardOutput, ShardState, StreamLink, WireMeter};
 use super::{FrameStore, PoolConfig, PoolError, PoolStats, ServeShard};
-use crate::config::{PlacementPolicy, ShadowTutorConfig};
+use crate::config::ShadowTutorConfig;
 use crate::Result;
 use bytes::Bytes;
 use st_net::transport::ClientEndpoint;
@@ -21,27 +18,29 @@ use st_tensor::parallel::{Crew, Lanes};
 use st_tensor::TensorError;
 use st_video::Frame;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The client's endpoint onto the pool: same surface as the single-stream
 /// transport, but every uplink message is stream-tagged and lands in the
-/// owning shard's queue. The owning shard is looked up per send, so when a
-/// standby adopts the stream from a dead shard its traffic follows it
-/// (messages already queued at the dead shard are drained by the adopter,
-/// and the downlink sender moves with the session): a takeover needs no
-/// re-dial, and the client cannot tell it happened. Short of the stream's
-/// own `Shutdown`, a send or receive fails only once the pool has aborted.
+/// queue of the stream's shard ([`PoolConfig::shard_of`]) for the pool's
+/// life. When that shard dies, its standby drains the dead shard's queue
+/// and a wake for the dead shard runs a pass on the standby (the downlink
+/// sender moves with the session): a takeover needs no re-dial, and the
+/// client cannot tell it happened. Short of the stream's own
+/// `Shutdown`, a send or receive fails only once the pool has aborted.
 pub struct StreamClient {
     stream_id: StreamId,
+    /// The stream's shard: the index into `uplinks` and `shard_wakers`.
+    shard: usize,
+    /// Every shard's uplink. A client holds them all, so no shard sees its
+    /// uplink disconnect, and finishes, while any client is still connected
+    /// — a standby must keep serving the dead shard's streams.
     uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
-    /// The stream's live shard assignment (shared with the routing table; a
-    /// takeover stores the adopting shard here).
-    route: Route,
     downlink: mpsc::Receiver<ServerToClient>,
     /// Per-shard wakers, indexed like `uplinks`. Every uplink send wakes
-    /// the owning shard's token so a reactor worker dispatches it.
+    /// the stream's shard's token so a reactor worker dispatches it.
     shard_wakers: Arc<Vec<st_net::Waker>>,
     /// Pool-wide measured-traffic counters (this client credits uplink).
     wire: Arc<WireMeter>,
@@ -53,19 +52,18 @@ impl StreamClient {
         self.stream_id
     }
 
-    /// Send one uplink message to the stream's current shard. Only
+    /// Send one uplink message to the stream's shard. Only
     /// [`ServerPool::connect`]'s `Register` carries a `link`.
     fn post(
         &self,
         message: ClientToServer,
         link: Option<Box<StreamLink>>,
     ) -> std::result::Result<(), TransportError> {
-        let shard = self.route.load(Ordering::SeqCst);
         let tagged = StreamTagged::new(self.stream_id, message);
         // The measured uplink cost of this envelope: the framed tagged
         // message.
         let wire_len = st_net::wire::frame_len(&tagged);
-        self.uplinks[shard]
+        self.uplinks[self.shard]
             .send(Envelope {
                 tagged,
                 enqueued_at: Instant::now(),
@@ -75,7 +73,7 @@ impl StreamClient {
         // ORDER: Relaxed — a monotonic traffic counter; readers only see it
         // after join() synchronizes with every worker's exit.
         self.wire.up.fetch_add(wire_len, Ordering::Relaxed);
-        self.shard_wakers[shard].wake();
+        self.shard_wakers[self.shard].wake();
         Ok(())
     }
 }
@@ -129,14 +127,9 @@ impl ClientEndpoint for StreamClient {
 pub struct ServerPool {
     pool_config: PoolConfig,
     uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
-    /// Registered-session count per shard: what least-loaded placement
-    /// reads.
-    loads: ShardLoads,
-    /// Stream → shard placements made so far, shared with clients (send
-    /// routing) and workers (a takeover's routing flip). A stream id stays
-    /// reserved for the pool's lifetime; connecting a finished id again
-    /// needs a new pool.
-    placements: Placements,
+    /// The stream ids connected so far. An id stays reserved for the pool's
+    /// lifetime; connecting a finished id again needs a new pool.
+    connected: Mutex<HashSet<StreamId>>,
     /// One handle per reactor worker, each returning the outputs of
     /// whichever shards it finalized.
     workers: Vec<std::thread::JoinHandle<Result<Vec<ShardOutput>>>>,
@@ -208,12 +201,6 @@ impl ServerPool {
     {
         config.validate()?;
         pool_config.validate()?;
-        let loads: ShardLoads = Arc::new(
-            (0..pool_config.shards)
-                .map(|_| AtomicUsize::new(0))
-                .collect(),
-        );
-        let placements: Placements = Arc::new(Mutex::new(HashMap::new()));
         let wire = Arc::new(WireMeter::default());
         let board = Arc::new(FailoverBoard::new(
             pool_config.shards,
@@ -247,8 +234,6 @@ impl ServerPool {
                 rx,
                 pool_config,
                 shard_index,
-                Arc::clone(&loads),
-                Arc::clone(&placements),
                 Arc::clone(&board),
             ))));
             uplinks.push(tx);
@@ -271,8 +256,7 @@ impl ServerPool {
         Ok(ServerPool {
             pool_config,
             uplinks: Arc::new(uplinks),
-            loads,
-            placements,
+            connected: Mutex::new(HashSet::new()),
             workers,
             shard_wakers,
             wire,
@@ -287,18 +271,12 @@ impl ServerPool {
         self.pool_config
     }
 
-    /// Current registered-session count of each shard.
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.loads
-            .iter()
-            .map(|load| load.load(Ordering::SeqCst))
-            .collect()
-    }
-
-    /// Connect a new stream: choose its shard per the placement policy,
-    /// enqueue its `Register` message carrying the stream's downlink and
-    /// pre-shared frame content, and return the client's endpoint. The
-    /// first downlink message is the initial student checkpoint.
+    /// Connect a new stream: enqueue its `Register` message, carrying the
+    /// stream's downlink and pre-shared frame content, on its shard
+    /// ([`PoolConfig::shard_of`]), and return the client's endpoint.
+    /// The first downlink message is the initial student checkpoint. A
+    /// stream whose shard has died registers all the same: the dead
+    /// shard's standby drains its uplink and serves the stream.
     ///
     /// Errors if the stream id is already connected to this pool — a second
     /// connect would silently clobber the first session's downlink and
@@ -353,41 +331,11 @@ impl ServerPool {
         frames: &[Frame],
         waker: Option<st_net::Waker>,
     ) -> Result<StreamClient> {
-        let (shard, route) = {
-            let mut placements = locked(&self.placements);
-            if placements.contains_key(&stream_id) {
-                return Err(TensorError::InvalidArgument(format!(
-                    "stream {stream_id} is already connected to this pool"
-                )));
-            }
-            let loads = self.shard_loads();
-            let shard = match self.pool_config.placement {
-                PlacementPolicy::StaticModulo => self.pool_config.shard_of(stream_id),
-                // Fewest registered sessions, ties toward the lowest index.
-                PlacementPolicy::LeastLoaded => (0..loads.len())
-                    .min_by_key(|&candidate| loads[candidate])
-                    .unwrap_or(0),
-            };
-            // A dead shard accepts no new streams; place on the
-            // least-loaded live shard instead.
-            let shard = if self.board.is_dead(shard) {
-                let Some(live) = (0..loads.len())
-                    .filter(|&candidate| !self.board.is_dead(candidate))
-                    .min_by_key(|&candidate| loads[candidate])
-                else {
-                    return Err(TensorError::InvalidArgument(
-                        "every pool shard has failed".into(),
-                    ));
-                };
-                live
-            } else {
-                shard
-            };
-            self.loads[shard].fetch_add(1, Ordering::SeqCst);
-            let route: Route = Arc::new(AtomicUsize::new(shard));
-            placements.insert(stream_id, Arc::clone(&route));
-            (shard, route)
-        };
+        if !locked(&self.connected).insert(stream_id) {
+            return Err(TensorError::InvalidArgument(format!(
+                "stream {stream_id} is already connected to this pool"
+            )));
+        }
         let (down_tx, down_rx) = mpsc::channel();
         let link = StreamLink {
             downlink: Downlink {
@@ -396,12 +344,11 @@ impl ServerPool {
                 wire: Arc::clone(&self.wire),
             },
             frames: FrameStore::from_frames(frames, None),
-            charged: shard,
         };
         let client = StreamClient {
             stream_id,
+            shard: self.pool_config.shard_of(stream_id),
             uplinks: Arc::clone(&self.uplinks),
-            route,
             downlink: down_rx,
             shard_wakers: Arc::clone(&self.shard_wakers),
             wire: Arc::clone(&self.wire),
@@ -409,14 +356,12 @@ impl ServerPool {
         // Registration is the client's first uplink message, and it carries
         // everything the shard that handles it needs; sending it here lets
         // callers immediately block on the initial checkpoint. A failed send
-        // (the shard worker died) must roll the placement back, or the id
-        // would be burned and the shard's load over-counted forever.
+        // (the pool has aborted) must release the id, or it would be burned.
         if client
             .post(ClientToServer::Register, Some(Box::new(link)))
             .is_err()
         {
-            self.loads[shard].fetch_sub(1, Ordering::SeqCst);
-            locked(&self.placements).remove(&stream_id);
+            locked(&self.connected).remove(&stream_id);
             return Err(TensorError::InvalidArgument(
                 "server pool worker is not accepting connections".into(),
             ));

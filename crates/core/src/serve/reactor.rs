@@ -129,12 +129,24 @@ fn reactor_loop<T: Teacher>(
 }
 
 /// Run one pass on `shard`, then wake it again at once while backlog (or a
-/// shutdown drain) remains.
+/// shutdown drain) remains. A wake for a dead shard goes to its standby.
 fn dispatch_pass<T: Teacher>(
     shared: &ReactorShared<T>,
     shard: usize,
     outputs: &mut Vec<ShardOutput>,
 ) -> Result<()> {
+    // The dead shard's streams still send to its uplink, which its standby
+    // drains (or will, once its pass runs the takeover); the carcass in the
+    // slot is the standby's, not ours. A chain of dead shards forwards hop
+    // by hop.
+    let forward_to_standby = || {
+        let standby = (shard + 1) % shared.failover.states.len();
+        shared.shard_wakers[standby].wake();
+    };
+    if shared.failover.board.is_dead(shard) {
+        forward_to_standby();
+        return Ok(());
+    }
     // Set-then-try ordering makes the handoff airtight: if the try_lock
     // below fails, the current holder is guaranteed to observe our flag
     // after it releases and re-wake the shard; if the holder released just
@@ -156,8 +168,8 @@ fn dispatch_pass<T: Teacher>(
     };
     shared.rerun[shard].store(false, Ordering::SeqCst);
     if shared.failover.board.is_dead(shard) {
-        // A late wake for a dead shard: the carcass in the slot belongs to
-        // its standby, not to us.
+        // It died in a pass that ended between the check above and the lock.
+        forward_to_standby();
         return Ok(());
     }
     let outcome = {
@@ -225,9 +237,55 @@ fn dispatch_pass<T: Teacher>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ShadowTutorConfig;
     use crate::serve::failover::FailoverBoard;
+    use crate::serve::state::ShardState;
+    use crate::serve::{PoolConfig, ServeShard};
+    use st_nn::student::{StudentConfig, StudentNet};
     use st_teacher::OracleTeacher;
-    use std::sync::Mutex;
+    use std::sync::{mpsc, Mutex};
+
+    #[test]
+    fn a_wake_for_a_dead_shard_runs_a_pass_on_its_standby() {
+        // Shard 0 has died, and a client's send wakes its token. The dead
+        // shard's uplink is its standby's to drain, so the wake must reach
+        // shard 1, not vanish with the carcass. No client is connected, so
+        // the pass that shard 1 runs finds its uplink closed and finishes.
+        let poller = st_net::Poller::new();
+        let shard_wakers = Arc::new(vec![poller.waker(0), poller.waker(1)]);
+        let board = Arc::new(FailoverBoard::new(2, false));
+        let states = (0..2)
+            .map(|shard_index| {
+                let shard = ServeShard::new(
+                    ShadowTutorConfig::paper(),
+                    StudentNet::new(StudentConfig::tiny()).unwrap(),
+                    OracleTeacher::perfect(5),
+                    0.013,
+                );
+                let (_, rx) = mpsc::channel();
+                let config = PoolConfig::with_shards(2);
+                let state = ShardState::new(shard, rx, config, shard_index, Arc::clone(&board));
+                Mutex::new(Some(state))
+            })
+            .collect();
+        let failover = FailoverShared {
+            states,
+            board: Arc::clone(&board),
+        };
+        let shared = ReactorShared::new(failover, poller, shard_wakers);
+        board.mark_dead(0, "killed by the test".into());
+        shared.shard_wakers[0].wake();
+        let mut outputs = Vec::new();
+        for shard in 0..2 {
+            let woken = shared.poller.poll_one(Duration::from_secs(5));
+            assert_eq!(woken, Some(shard), "the dead shard's wake was discarded");
+            dispatch_pass(&shared, shard, &mut outputs).unwrap();
+        }
+        let [standby] = &outputs[..] else {
+            panic!("the standby ran no pass");
+        };
+        assert_eq!((standby.shard, standby.stats.poll_wakeups), (1, 1));
+    }
 
     #[test]
     fn escaped_panic_aborts_the_pool_and_blames_the_worker_not_a_shard() {

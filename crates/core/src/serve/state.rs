@@ -25,13 +25,13 @@ use st_nn::snapshot::WeightSnapshot;
 use st_teacher::Teacher;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A stream-tagged uplink message queued at a shard. The `Register` that
 /// [`ServerPool::connect`] sends carries the stream's [`StreamLink`], so
-/// whichever shard drains it — the one the stream was placed on, or the
-/// adopter of a dead one — can serve it as it stands.
+/// whichever shard drains it — the stream's own, or the adopter of a dead
+/// one — can serve it as it stands.
 pub(super) struct Envelope {
     pub(super) tagged: StreamTagged<ClientToServer>,
     pub(super) enqueued_at: Instant,
@@ -79,31 +79,11 @@ impl Downlink {
 }
 
 /// What a stream's `Register` brings the shard that handles it: the
-/// downlink back to the client, the pre-shared frame content, and the shard
-/// charged with the stream's load at connect.
+/// downlink back to the client and the pre-shared frame content.
 pub(super) struct StreamLink {
     pub(super) downlink: Downlink,
     pub(super) frames: FrameStore,
-    pub(super) charged: usize,
 }
-
-/// One stream's live shard assignment. Clients hold their own `Arc` and
-/// read it with a single atomic load per send — the pool-wide map is only
-/// locked on connect and by a takeover's routing flip, so uplink traffic
-/// never serializes on a global mutex.
-pub(super) type Route = Arc<AtomicUsize>;
-
-/// The live stream → shard routing table, shared by the pool (placement +
-/// duplicate detection) and every worker (a standby flips its dead ward's
-/// entries to itself); each [`StreamClient`] holds its own entry's
-/// [`Route`] directly, so an adopted stream's traffic follows it. An entry
-/// is never removed — a stream id stays reserved for the pool's lifetime.
-pub(super) type Placements = Arc<Mutex<HashMap<StreamId, Route>>>;
-
-/// Registered-session count per shard — the signal least-loaded placement
-/// reads and [`ServerPool::shard_loads`] reports. Credited at connect,
-/// released when the stream retires, re-homed by a takeover.
-pub(super) type ShardLoads = Arc<Vec<AtomicUsize>>;
 
 /// What one shard state machine hands back when it finishes. Tagged with
 /// the shard index because a reactor worker finalizes whichever shards it
@@ -271,14 +251,12 @@ fn note_throttle(
     }
 }
 
-/// Retire one stream: pull its session out of the shard, merge the worker's
-/// wait/throttle/drop meter into the stream stats, and release its load slot.
+/// Retire one stream: pull its session out of the shard and merge the
+/// worker's wait/throttle/drop meter into the stream stats.
 fn retire<T: Teacher>(
     shard: &mut ServeShard<T>,
     stream_id: StreamId,
     meters: &mut HashMap<StreamId, StreamMeter>,
-    loads: &ShardLoads,
-    shard_index: usize,
 ) -> Option<(WeightSnapshot, StreamServerStats)> {
     shard.finish(stream_id).map(|(checkpoint, mut stats)| {
         if let Some(meter) = meters.remove(&stream_id) {
@@ -287,7 +265,6 @@ fn retire<T: Teacher>(
             stats.throttled = meter.throttled;
             stats.dropped = meter.dropped;
         }
-        loads[shard_index].fetch_sub(1, Ordering::SeqCst);
         (checkpoint, stats)
     })
 }
@@ -306,8 +283,6 @@ pub(super) struct ShardState<T: Teacher> {
     pool_config: PoolConfig,
     shard: ServeShard<T>,
     rx: mpsc::Receiver<Envelope>,
-    loads: ShardLoads,
-    placements: Placements,
     scheduler: FairScheduler,
     downlinks: HashMap<StreamId, Downlink>,
     meters: HashMap<StreamId, StreamMeter>,
@@ -328,9 +303,9 @@ pub(super) struct ShardState<T: Teacher> {
     /// what is still unanswered — an injected torn kill's batch, a failed
     /// item's jobs — with [`DropReason::ShardFailed`], and only that.
     in_flight: Vec<InFlight>,
-    /// Uplink receivers of shards this one adopted: their clients may have
-    /// enqueued traffic before the routing flip, so the standby drains them
-    /// alongside its own for the rest of the pool's life.
+    /// Uplink receivers of shards this one adopted: their streams keep
+    /// sending to them, so the standby drains them alongside its own for
+    /// the rest of the pool's life.
     adopted_rx: Vec<mpsc::Receiver<Envelope>>,
     takeover_samples: Vec<f64>,
 }
@@ -354,8 +329,6 @@ impl<T: Teacher> ShardState<T> {
         rx: mpsc::Receiver<Envelope>,
         pool_config: PoolConfig,
         shard_index: usize,
-        loads: ShardLoads,
-        placements: Placements,
         board: Arc<FailoverBoard>,
     ) -> Self {
         ShardState {
@@ -363,8 +336,6 @@ impl<T: Teacher> ShardState<T> {
             pool_config,
             shard,
             rx,
-            loads,
-            placements,
             scheduler: FairScheduler::new(pool_config.quantum),
             downlinks: HashMap::new(),
             meters: HashMap::new(),
@@ -421,14 +392,11 @@ impl<T: Teacher> ShardState<T> {
     /// `Disconnected` means every uplink handle is gone and the shard should
     /// flush its backlog and exit.
     fn drain_uplink(&mut self, incoming: &mut Vec<Envelope>) {
-        // Dead shards' uplinks keep receiving from clients that loaded the
-        // route before the takeover flipped it; as their adopter we drain
-        // those queues for the rest of the pool's life — and *before* our
-        // own: a client sends to one route at a time, so whatever it left in
-        // an adopted uplink (a `Register` that raced the death, say) is
-        // older than anything it has put in ours since the flip. This is the
-        // only way an envelope reaches a shard other than the one its stream
-        // was placed on, and it lands on the shard that now holds the
+        // Dead shards' uplinks keep receiving from their streams, which
+        // send to their own shard for the pool's life; as their adopter we
+        // drain those queues for the rest of the pool's life, before our
+        // own. This is the only way an envelope reaches a shard other than
+        // its stream's, and it lands on the shard that now holds the
         // session (a `Register` brings its own link), so nothing is ever
         // forwarded or deferred.
         for rx in &self.adopted_rx {
@@ -463,12 +431,6 @@ impl<T: Teacher> ShardState<T> {
                     self.shard.stats.unknown_registers += 1;
                     return Ok(());
                 };
-                // A Register that raced its shard's death lands here via
-                // the adopted uplink: re-home the connect-time load credit.
-                if link.charged != self.shard_index {
-                    self.loads[link.charged].fetch_sub(1, Ordering::SeqCst);
-                    self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
-                }
                 let delta_updates = self.pool_config.delta_updates;
                 let initial = self.shard.register(stream_id, link.frames, delta_updates);
                 // With delta updates on, the initial checkpoint goes inside
@@ -550,13 +512,9 @@ impl<T: Teacher> ShardState<T> {
                 for chunk in remaining.chunks(self.pool_config.max_batch) {
                     self.process_scheduled(chunk)?;
                 }
-                if let Some((checkpoint, stream_stats)) = retire(
-                    &mut self.shard,
-                    stream_id,
-                    &mut self.meters,
-                    &self.loads,
-                    self.shard_index,
-                ) {
+                if let Some((checkpoint, stream_stats)) =
+                    retire(&mut self.shard, stream_id, &mut self.meters)
+                {
                     self.streams.insert(stream_id, stream_stats);
                     self.final_checkpoints.insert(stream_id, checkpoint);
                 }
@@ -705,13 +663,9 @@ impl<T: Teacher> ShardState<T> {
         // Clients that vanished without Shutdown still get their sessions
         // retired so their checkpoints and counters are reported.
         for stream_id in self.shard.session_ids() {
-            if let Some((checkpoint, stream_stats)) = retire(
-                &mut self.shard,
-                stream_id,
-                &mut self.meters,
-                &self.loads,
-                self.shard_index,
-            ) {
+            if let Some((checkpoint, stream_stats)) =
+                retire(&mut self.shard, stream_id, &mut self.meters)
+            {
                 self.streams.insert(stream_id, stream_stats);
                 self.final_checkpoints.insert(stream_id, checkpoint);
             }
@@ -746,7 +700,7 @@ mod tests {
     use st_tensor::parallel::{Crew, Lanes, Ran};
     use st_video::dataset::tiny_stream;
     use st_video::{Frame, SceneKind};
-    use std::sync::Condvar;
+    use std::sync::{Condvar, Mutex};
 
     /// A one-shard state machine with nothing connected to it.
     fn lone_state() -> ShardState<OracleTeacher> {
@@ -762,8 +716,6 @@ mod tests {
             rx,
             PoolConfig::with_shards(1),
             0,
-            Arc::new(vec![AtomicUsize::new(0)]),
-            Arc::new(Mutex::new(HashMap::new())),
             Arc::new(FailoverBoard::new(1, false)),
         )
     }
@@ -863,11 +815,10 @@ mod tests {
     #[test]
     fn an_adopted_uplink_is_drained_ahead_of_the_adopters_own() {
         // Shard 1 has adopted dead shard 0. Stream 7's `Register`, carrying
-        // the link its connect charged to shard 0, raced the death and still
-        // sits in shard 0's uplink; the key frame its client sent after the
-        // routing flip sits in shard 1's own. One pass must see them in the
-        // order they were sent — the key frame is served, not refused as an
-        // unknown stream.
+        // its link, still sits in shard 0's uplink; a key frame of the
+        // stream sent after it sits in shard 1's own. One pass must see them
+        // in the order they were sent — the key frame is served, not refused
+        // as an unknown stream.
         let frames = tiny_stream(SceneKind::People, 503, 1);
         let (dead_uplink, dead_rx) = mpsc::channel();
         let (own_uplink, own_rx) = mpsc::channel();
@@ -880,7 +831,6 @@ mod tests {
                     wire: Arc::new(WireMeter::default()),
                 },
                 frames: FrameStore::from_frames(&frames, None),
-                charged: 0,
             })),
             ..envelope(7, ClientToServer::Register)
         };
@@ -890,7 +840,6 @@ mod tests {
         state.shard_index = 1;
         state.board = Arc::new(FailoverBoard::new(2, false));
         state.rx = own_rx;
-        state.loads = Arc::new(vec![AtomicUsize::new(1), AtomicUsize::new(0)]);
         state.adopted_rx.push(dead_rx);
         let failover = FailoverShared {
             states: Vec::new(),
@@ -911,13 +860,6 @@ mod tests {
             ),
             "{answers:?}"
         );
-        // The connect-time load credit followed the stream to its adopter.
-        let loads: Vec<usize> = state
-            .loads
-            .iter()
-            .map(|l| l.load(Ordering::SeqCst))
-            .collect();
-        assert_eq!(loads, [0, 1]);
     }
 
     /// Holds every item a lane starts until [`LaneGate::open`], and every
@@ -994,8 +936,6 @@ mod tests {
             rx,
             PoolConfig::with_shards(1),
             0,
-            Arc::new(vec![AtomicUsize::new(streams.len())]),
-            Arc::new(Mutex::new(HashMap::new())),
             Arc::new(FailoverBoard::new(1, false)),
         );
         let mut answers = HashMap::new();

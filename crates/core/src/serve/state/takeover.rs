@@ -14,7 +14,6 @@ use super::{carcass_output, deliver, locked, note_drop, ShardState, Wait};
 use crate::serve::failover::FailoverShared;
 use st_net::{DropReason, ServerToClient, StreamId};
 use st_teacher::Teacher;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 
 impl<T: Teacher> ShardState<T> {
@@ -41,8 +40,8 @@ impl<T: Teacher> ShardState<T> {
     }
 
     /// Adopt a dead ward's entire serving surface: move its streams here,
-    /// flip its routes here, re-queue its surviving jobs, drop-ack what is
-    /// genuinely lost, and assemble its final report from the carcass.
+    /// re-queue its surviving jobs, drop-ack what is genuinely lost, take
+    /// over its uplink, and assemble its final report from the carcass.
     fn take_over(&mut self, dead: usize, failover: &FailoverShared<T>) {
         // The carcass: the dead shard's state machine, left in its slot by
         // the pass that caught its unwind. An empty slot means the shard
@@ -51,18 +50,6 @@ impl<T: Teacher> ShardState<T> {
         let Some(mut carcass) = locked(&failover.states[dead]).take() else {
             return;
         };
-        // Routing flip: every stream the table still points at the dead
-        // shard — including connected-but-unregistered ones — now routes
-        // here. Clients that loaded the old value already enqueued into the
-        // dead uplink, which we drain via `adopted_rx` below.
-        {
-            let placements = locked(&self.placements);
-            for route in placements.values() {
-                if route.load(Ordering::SeqCst) == dead {
-                    route.store(self.shard_index, Ordering::SeqCst);
-                }
-            }
-        }
         // Bring home every item the dead shard left out on the crew, waiting
         // for the lanes that still run them, and answer their key frames
         // through the carcass's downlinks, as the dead shard would have.
@@ -89,8 +76,6 @@ impl<T: Teacher> ShardState<T> {
             self.shard.adopt_stream(stream_id, entry);
             self.scheduler
                 .set_deficit(stream_id, carcass.scheduler.deficit_of(stream_id));
-            self.loads[dead].fetch_sub(1, Ordering::SeqCst);
-            self.loads[self.shard_index].fetch_add(1, Ordering::SeqCst);
             self.shard.stats.streams_adopted += 1;
         }
         // Per-stream plumbing survives the crash: downlinks (the clients
@@ -128,9 +113,10 @@ impl<T: Teacher> ShardState<T> {
             self.drop_failed_job(job.job.stream_id, job.job.frame_index);
         }
         // Adopt the dead shard's ingress for the rest of the pool's life:
-        // its uplink receiver (clients may race the routing flip, and a
-        // `Register` that raced the death brings its own link) and — if the
-        // dead shard was itself an adopter — every uplink *it* adopted.
+        // its uplink receiver (its streams keep sending there, and a
+        // `Register` brings its own link) and — if the dead shard was
+        // itself an adopter — every uplink *it* adopted. The reactor
+        // forwards the dead shard's wakes here.
         let (_closed_tx, closed_rx) = mpsc::channel();
         self.adopted_rx
             .push(std::mem::replace(&mut carcass.rx, closed_rx));

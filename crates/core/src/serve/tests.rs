@@ -1,7 +1,7 @@
 //! Shard-, scheduler- and pool-level tests of the serving runtime.
 
 use super::*;
-use crate::config::{PlacementPolicy, ShadowTutorConfig};
+use crate::config::ShadowTutorConfig;
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId};
 use st_nn::snapshot::WeightSnapshot;
@@ -59,22 +59,19 @@ fn pool_config_validates_and_routes() {
 }
 
 #[test]
-fn replication_validates_under_every_placement_policy() {
-    for placement in [PlacementPolicy::LeastLoaded, PlacementPolicy::StaticModulo] {
-        let replicated = PoolConfig {
-            placement,
-            replication: true,
-            ..PoolConfig::with_shards(2)
-        };
-        assert!(replicated.validate().is_ok(), "{placement:?}");
-        // A shard cannot be its own standby.
-        assert!(PoolConfig {
-            shards: 1,
-            ..replicated
-        }
-        .validate()
-        .is_err());
+fn replication_validates_only_with_a_standby() {
+    let replicated = PoolConfig {
+        replication: true,
+        ..PoolConfig::with_shards(2)
+    };
+    assert!(replicated.validate().is_ok());
+    // A shard cannot be its own standby.
+    assert!(PoolConfig {
+        shards: 1,
+        ..replicated
     }
+    .validate()
+    .is_err());
 }
 
 #[test]
@@ -276,8 +273,6 @@ fn pool_serves_two_streams_end_to_end() {
         .iter()
         .map(|(id, frames)| pool.connect(*id, frames).unwrap())
         .collect();
-    // Least-loaded placement spread the two streams over the two shards.
-    assert_eq!(pool.shard_loads(), vec![1, 1]);
     for (client, (_, frames)) in clients.iter_mut().zip(&streams) {
         // Initial checkpoint arrives first.
         let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -364,44 +359,6 @@ fn pool_rejects_duplicate_connect() {
 }
 
 #[test]
-fn least_loaded_placement_follows_departures() {
-    let pool = ServerPool::spawn(
-        ShadowTutorConfig::paper(),
-        PoolConfig {
-            shards: 2,
-            ..PoolConfig::default_pool()
-        },
-        StudentNet::new(StudentConfig::tiny()).unwrap(),
-        0.013,
-        |shard| OracleTeacher::perfect(300 + shard as u64),
-    )
-    .unwrap();
-    let frames = frames_for(SceneKind::People, 62, 1);
-    // Sequential connects alternate shards...
-    let mut a = pool.connect(10, &frames).unwrap();
-    let _b = pool.connect(11, &frames).unwrap();
-    let _c = pool.connect(12, &frames).unwrap();
-    assert_eq!(pool.shard_loads().iter().sum::<usize>(), 3);
-    assert_eq!(pool.shard_loads(), vec![2, 1]);
-    // ...and a departure frees the slot, steering the next connect to
-    // the drained shard. (Wait for the shutdown to be processed.)
-    a.recv_timeout(Duration::from_secs(10)).unwrap();
-    a.send(ClientToServer::Shutdown, 1).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while pool.shard_loads()[0] != 1 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(pool.shard_loads(), vec![1, 1]);
-    let _d = pool.connect(13, &frames).unwrap();
-    assert_eq!(pool.shard_loads(), vec![2, 1]);
-    drop((a, _b, _c, _d));
-    let stats = pool.join().unwrap();
-    // Every connected stream is accounted for, with or without Shutdown.
-    assert_eq!(stats.streams.len(), 4);
-    assert_eq!(stats.final_checkpoints.len(), 4);
-}
-
-#[test]
 fn frame_store_holds_every_shared_frame() {
     let frames = frames_for(SceneKind::People, 71, 4);
     let store = FrameStore::from_frames(&frames, None);
@@ -467,7 +424,6 @@ fn static_modulo_placement_is_a_pure_function_of_the_id() {
         ShadowTutorConfig::paper(),
         PoolConfig {
             shards: 2,
-            placement: PlacementPolicy::StaticModulo,
             ..PoolConfig::default_pool()
         },
         StudentNet::new(StudentConfig::tiny()).unwrap(),
@@ -477,11 +433,19 @@ fn static_modulo_placement_is_a_pure_function_of_the_id() {
     .unwrap();
     let frames = frames_for(SceneKind::People, 63, 1);
     // Both even ids land on shard 0 even though shard 1 is empty.
-    let a = pool.connect(0, &frames).unwrap();
-    let b = pool.connect(2, &frames).unwrap();
-    assert_eq!(pool.shard_loads(), vec![2, 0]);
+    let mut a = pool.connect(0, &frames).unwrap();
+    let mut b = pool.connect(2, &frames).unwrap();
+    for client in [&mut a, &mut b] {
+        let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+        send_key_frame(client, &frames[0]);
+        let update = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(matches!(update, ServerToClient::StudentUpdate { .. }));
+    }
     drop((a, b));
-    pool.join().unwrap();
+    let stats = pool.join().unwrap();
+    let key_frames: Vec<usize> = stats.shards.iter().map(|s| s.key_frames).collect();
+    assert_eq!(key_frames, [2, 0]);
 }
 
 /// Spawn a pool, pipeline `key_frames` key frames per stream through
@@ -540,7 +504,6 @@ fn reactor_pool_hosts_more_shards_than_threads() {
         PoolConfig {
             shards: 8,
             reactor_threads: Some(2),
-            placement: PlacementPolicy::StaticModulo,
             max_in_flight: 64,
             ..PoolConfig::default_pool()
         },
@@ -568,7 +531,7 @@ fn reactor_distillation_is_bit_identical_to_the_shard_layer_at_every_worker_coun
     const KEY_FRAMES: usize = 4;
     // The reference needs no driver at all: each shard's `ServeShard` fed
     // its streams' key frames one job at a time, in stream order — same
-    // template, same per-shard teachers and same static placement as
+    // template, same per-shard teachers and same placement as
     // `run_pipelined_pool`.
     let mut reference: HashMap<StreamId, (WeightSnapshot, StreamServerStats)> = HashMap::new();
     for shard_index in 0..SHARDS {
@@ -603,7 +566,6 @@ fn reactor_distillation_is_bit_identical_to_the_shard_layer_at_every_worker_coun
             PoolConfig {
                 shards: SHARDS,
                 reactor_threads,
-                placement: PlacementPolicy::StaticModulo,
                 max_in_flight: 64,
                 ..PoolConfig::default_pool()
             },
@@ -1215,7 +1177,6 @@ fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
         PoolConfig {
             shards: 2,
             reactor_threads: Some(1),
-            placement: PlacementPolicy::StaticModulo,
             max_batch: 2,
             max_in_flight: 64,
             ..PoolConfig::default_pool()
@@ -1238,7 +1199,6 @@ fn a_panic_on_a_helper_is_blamed_on_the_shard_whose_batch_it_was() {
     let frames_b = frames_for(SceneKind::Animals, 412, 3);
     let mut a = pool.connect(1, &frames_a).unwrap();
     let mut b = pool.connect(3, &frames_b).unwrap();
-    assert_eq!(pool.shard_loads(), vec![0, 2]);
     a.recv_timeout(Duration::from_secs(10)).unwrap();
     b.recv_timeout(Duration::from_secs(10)).unwrap();
     for frame in &frames_a {
@@ -1291,8 +1251,8 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
         },
     )
     .unwrap();
-    // Least-loaded placement alternates: the two working streams land on
-    // shard 1, whose standby — shard 0 — hosts two that never send.
+    // The two working streams, 11 and 13, live on shard 1, whose standby —
+    // shard 0 — hosts two that never send.
     let idle = frames_for(SceneKind::Street, 420, 1);
     let frames: HashMap<StreamId, Vec<Frame>> = [
         (11, frames_for(SceneKind::People, 421, 3)),
@@ -1304,7 +1264,6 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
     let mut a = pool.connect(11, &frames[&11]).unwrap();
     let idle_y = pool.connect(12, &idle).unwrap();
     let mut b = pool.connect(13, &frames[&13]).unwrap();
-    assert_eq!(pool.shard_loads(), vec![2, 2]);
     for client in [&mut a, &mut b] {
         let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
         assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
@@ -1383,7 +1342,6 @@ where
         PoolConfig {
             shards: 2,
             max_batch: 1,
-            placement: PlacementPolicy::StaticModulo,
             replication: true,
             ..PoolConfig::default_pool()
         },

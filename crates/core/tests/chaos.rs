@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use shadowtutor::config::{PlacementPolicy, ShadowTutorConfig};
+use shadowtutor::config::ShadowTutorConfig;
 use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FaultPlan, PoolConfig, PoolStats, ServerPool, StreamClient};
 use st_net::transport::ClientEndpoint;
@@ -49,7 +49,7 @@ const DEAD_SHARD: usize = 1;
 ///    pass within one `detect_tick` (the reactor's `REACTOR_IDLE_TICK`,
 ///    the longest a worker parks in the poller); a busy one may first have
 ///    to finish the batch pass it is in, bounded by `pass_cost`.
-/// 2. **Adoption** — claiming the carcass, flipping routes, merging
+/// 2. **Adoption** — claiming the carcass, moving its uplink, merging
 ///    mailboxes and counters: a fixed amount of pointer work, bounded by
 ///    `adopt_cost`.
 /// 3. **Restore** — moving each stream's entry out of the carcass and
@@ -70,8 +70,8 @@ struct FailoverModel {
     /// of when the ward dies, in seconds (a batched teacher forward plus
     /// its distillation steps).
     pass_cost: f64,
-    /// Fixed adoption overhead in seconds: claiming the carcass, flipping
-    /// routes, merging mailbox/meters, re-queuing parked jobs.
+    /// Fixed adoption overhead in seconds: claiming the carcass, moving its
+    /// uplink, merging mailbox/meters, re-queuing parked jobs.
     adopt_cost: f64,
     /// Per-adopted-stream restore cost in seconds: moving the stream's
     /// entry out of the carcass and installing it.
@@ -126,7 +126,6 @@ fn paper_default_is_sub_second_for_small_pools() {
 fn chaos_pool_config(fault_plan: FaultPlan) -> PoolConfig {
     PoolConfig {
         shards: SHARDS,
-        placement: PlacementPolicy::LeastLoaded,
         replication: true,
         fault_plan,
         // High enough that the pipelined hot stream is never throttled.
@@ -179,8 +178,9 @@ fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
                     outcome.drops.len(),
                     frames.len()
                 );
-                // Caught mid-takeover: the standby's route flip and the
-                // adopted uplink carry the stream over, so keep waiting.
+                // Caught mid-takeover: the adopted uplink and the dead
+                // shard's forwarded wakes carry the stream over, so keep
+                // waiting.
                 continue;
             }
             Err(err) => panic!("stream {} transport error: {err:?}", client.stream_id()),
@@ -238,11 +238,8 @@ fn run_chaos_with(
         .iter()
         .map(|(id, frames)| pool.connect(*id, frames).unwrap())
         .collect();
-    // Least-loaded placement with equal loads at every connect is
-    // round-robin — the layout static-modulo placement computes from the
-    // ids: streams {1, 5} land on the doomed shard 1, whose buddy (the
-    // adopter) is shard 2.
-    assert_eq!(pool.shard_loads(), vec![2; SHARDS]);
+    // A stream lives on shard `id % shards`: streams {1, 5} land on the
+    // doomed shard 1, whose buddy (the adopter) is shard 2.
     let mut initials: Vec<Payload> = Vec::new();
     for client in &mut clients {
         let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -271,7 +268,7 @@ fn run_chaos_with(
     (outcomes, stats)
 }
 
-/// The streams round-robin placement put on the killed shard.
+/// The streams whose shard, `id % shards`, is the killed one.
 fn doomed_streams() -> Vec<StreamId> {
     (0..STREAMS as StreamId)
         .filter(|id| (*id as usize) % SHARDS == DEAD_SHARD)
@@ -626,18 +623,16 @@ fn static_modulo_layout_survives_a_shard_kill_bit_for_bit() {
     // dependence) under failover: the dead shard's streams are adopted by
     // its buddy, nothing is dropped, and every stream's updates equal the
     // fault-free run's under the same placement.
-    let static_modulo = |fault_plan| PoolConfig {
-        placement: PlacementPolicy::StaticModulo,
-        ..chaos_pool_config(fault_plan)
-    };
-    let (faulted, stats) = run_chaos(static_modulo(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0)));
+    let (faulted, stats) = run_chaos(chaos_pool_config(FaultPlan::kill(
+        FAULT_SEED, DEAD_SHARD, 0,
+    )));
     assert_eq!(stats.total_key_frames(), total_sent());
     assert_eq!(stats.dropped_jobs(), 0);
     let report = stats.snapshot();
     assert!(report.failovers >= 1, "no failover recorded: {report:?}");
     assert_eq!(report.streams_adopted, doomed_streams().len());
     assert_eq!(report.frames_lost_on_failover, 0);
-    let (clean, clean_stats) = run_chaos(static_modulo(FaultPlan::none()));
+    let (clean, clean_stats) = run_chaos(chaos_pool_config(FaultPlan::none()));
     assert_eq!(clean_stats.snapshot().failovers, 0);
     for (id, clean_outcome) in &clean {
         assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
@@ -648,17 +643,14 @@ fn static_modulo_layout_survives_a_shard_kill_bit_for_bit() {
     }
 }
 
-/// Static-modulo placement, the doomed shard's two streams only: each sends
+/// The doomed shard's two streams only, nothing else connected: each sends
 /// one key frame and waits for its update, so both sessions have trained
 /// (their optimizers hold moments and a step count) before shard
 /// [`DEAD_SHARD`] is killed under the three key frames each sends next.
 fn run_trained_then_killed(fault_plan: FaultPlan) -> (HashMap<StreamId, StreamOutcome>, PoolStats) {
     let pool = ServerPool::spawn(
         ShadowTutorConfig::paper(),
-        PoolConfig {
-            placement: PlacementPolicy::StaticModulo,
-            ..chaos_pool_config(fault_plan)
-        },
+        chaos_pool_config(fault_plan),
         StudentNet::new(StudentConfig::tiny()).unwrap(),
         0.013,
         |_| OracleTeacher::perfect(TEACHER_SEED),
@@ -732,8 +724,9 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
     // Every other test here pipelines its key frames before the kill lands.
     // This one sends the doomed shard's stream a single key frame, whose
     // batch kills the shard; once the adopter has answered it, the same
-    // client sends the rest. Nothing re-dials: the flipped route alone must
-    // carry them to the adopter.
+    // client sends the rest. Nothing re-dials: the dead shard's uplink,
+    // which the adopter drains, and its wakes, which the reactor forwards to
+    // the adopter, must carry them.
     const POST_TAKEOVER: usize = 4;
     let pool = ServerPool::spawn(
         ShadowTutorConfig::paper(),
@@ -758,9 +751,8 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
         .enumerate()
         .map(|(id, frames)| pool.connect(id as StreamId, frames).unwrap())
         .collect();
-    // Round-robin placement, as in `run_chaos_with`: stream `DEAD_SHARD`
-    // lives on the doomed shard, and only it ever sends a key frame.
-    assert_eq!(pool.shard_loads(), vec![2; SHARDS]);
+    // As in `run_chaos_with`, stream `DEAD_SHARD` lives on the doomed
+    // shard, and only it ever sends a key frame.
     for client in &mut clients {
         let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
         assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
@@ -794,6 +786,71 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
     for shard in &report.shards {
         let expected = if shard.shard == adopter {
             frames.len()
+        } else {
+            0
+        };
+        assert_eq!(shard.key_frames, expected, "{report:?}");
+    }
+}
+
+#[test]
+fn a_stream_connected_after_its_home_shard_died_is_served_by_the_standby() {
+    // Stream `DEAD_SHARD`'s one key frame kills its shard; once the adopter
+    // has answered it, stream `DEAD_SHARD + SHARDS` — whose home is the dead
+    // shard too — connects. Its `Register` goes to the dead shard's uplink
+    // like all its traffic, and the adopter must serve all of it.
+    const LATE_KEY_FRAMES: usize = 4;
+    let pool = ServerPool::spawn(
+        ShadowTutorConfig::paper(),
+        chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0)),
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0.013,
+        |_| OracleTeacher::perfect(TEACHER_SEED),
+    )
+    .unwrap();
+    let doomed = DEAD_SHARD as StreamId;
+    let doomed_frames = tiny_stream(SceneKind::People, 70 + doomed, 1);
+    let mut first = pool.connect(doomed, &doomed_frames).unwrap();
+    let initial = first.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    send_key_frame(&mut first, &doomed_frames[0]).unwrap();
+    // The shard dies in the batch holding this key frame, so its answer can
+    // only come from the adopter: the takeover is over once it arrives.
+    let answered = drive_stream(&mut first, &doomed_frames);
+    assert_eq!(answered.updates.len(), 1, "drops: {:?}", answered.drops);
+
+    let late = (DEAD_SHARD + SHARDS) as StreamId;
+    let late_frames = tiny_stream(SceneKind::People, 70 + late, LATE_KEY_FRAMES);
+    let mut client = pool.connect(late, &late_frames).unwrap();
+    let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(
+        matches!(initial, ServerToClient::InitialStudent { .. }),
+        "expected InitialStudent, got {initial:?}"
+    );
+    for frame in &late_frames {
+        send_key_frame(&mut client, frame).unwrap();
+    }
+    let outcome = drive_stream(&mut client, &late_frames);
+    assert!(outcome.drops.is_empty(), "drops: {:?}", outcome.drops);
+    assert_eq!(outcome.updates.len(), LATE_KEY_FRAMES);
+    for client in [&mut first, &mut client] {
+        client.send(ClientToServer::Shutdown, 1).unwrap();
+    }
+    drop((first, client));
+    let stats = pool.join().unwrap();
+    let report = stats.snapshot();
+    assert_eq!(report.failovers, 1, "{report:?}");
+    // Only the stream registered before the death was adopted; the late one
+    // registered at the adopter.
+    assert_eq!(report.streams_adopted, 1, "{report:?}");
+    assert_eq!(stats.dropped_jobs(), 0);
+    assert_eq!(stats.streams[&late].key_frames, LATE_KEY_FRAMES);
+    // Every key frame of both streams was distilled by the adopter, and by
+    // no other shard.
+    let adopter = (DEAD_SHARD + 1) % SHARDS;
+    for shard in &report.shards {
+        let expected = if shard.shard == adopter {
+            1 + LATE_KEY_FRAMES
         } else {
             0
         };
