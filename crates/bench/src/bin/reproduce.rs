@@ -36,10 +36,10 @@ use st_bench::figures::figure4;
 use st_bench::json::{host_json, run_to_json};
 use st_bench::shm_demo::{shm_gate, table_shm};
 use st_bench::tables::{
-    ablation_stride, bounds_check, bounds_gate, table10_batched, table10_gate, table12_capacity,
-    table12_gate, table13_gate, table13_weight_dedup, table2, table2_step_breakdown, table4,
-    table6, table7, table8_multistream, table9_skewed, tables_3_and_5, throughput_gate,
-    traffic_gate, TableOutput,
+    ablation_stride, bounds_check, bounds_gate, payload_gate, table10_batched, table10_gate,
+    table12_capacity, table12_gate, table13_gate, table13_weight_dedup, table2,
+    table2_step_breakdown, table4, table6, table7, table8_multistream, table9_skewed,
+    tables_3_and_5, throughput_gate, traffic_gate, TableOutput,
 };
 use st_bench::{ExperimentScale, SharedSetup};
 use std::cell::OnceCell;
@@ -147,7 +147,8 @@ fn main() {
             run.emit(t.table3.clone(), throughput_gate(&t.table3));
         }
         if want("table5") {
-            run.emit(t.table5.clone(), traffic_gate(&t.table5));
+            let gate = traffic_gate(&t.table5).and(payload_gate(&t.table5));
+            run.emit(t.table5.clone(), gate);
         }
         if want("bounds") {
             let table = bounds_check(setup(), &t.partial_records);

@@ -10,7 +10,7 @@
 
 use crate::workloads::{SharedSetup, Variant};
 use shadowtutor::bounds::{throughput_bounds, traffic_bounds, BoundInputs};
-use shadowtutor::config::{DistillationMode, ShadowTutorConfig};
+use shadowtutor::config::{DistillationMode, PaperConstants, ShadowTutorConfig};
 use shadowtutor::loadgen::{
     percentile, run_capacity_load, run_skewed_load, CapacityLoadSpec, PacedTeacher, SkewedLoadSpec,
 };
@@ -305,13 +305,20 @@ pub fn tables_3_and_5(setup: &SharedSetup) -> ThroughputTables {
         .map(|r| r.key_frame_ratio_percent())
         .collect();
     let full_ratio: Vec<f64> = full.iter().map(|r| r.key_frame_ratio_percent()).collect();
-    let partial_traffic: Vec<f64> = partial
+    let scaled: Vec<ExperimentRecord> = partial
+        .iter()
+        .map(|r| r.with_payload_sizes(frame_bytes, update_bytes))
+        .collect();
+    let partial_traffic: Vec<f64> = scaled
         .iter()
         .map(|r| {
-            let scaled = r.with_payload_sizes(frame_bytes, update_bytes);
-            let time = scaled.replay_total_time(&setup.link, Concurrency::Full);
-            (scaled.uplink_bytes + scaled.downlink_bytes) as f64 * 8.0 / 1e6 / time
+            let time = r.replay_total_time(&setup.link, Concurrency::Full);
+            (r.uplink_bytes + r.downlink_bytes) as f64 * 8.0 / 1e6 / time
         })
+        .collect();
+    let partial_per_key_frame: Vec<f64> = scaled
+        .iter()
+        .map(|r| (r.uplink_bytes + r.downlink_bytes) as f64 / 1e6 / r.key_frames.len() as f64)
         .collect();
     let naive_traffic_mbps = {
         let traffic = NaiveTraffic::for_frame(1280, 720);
@@ -325,6 +332,7 @@ pub fn tables_3_and_5(setup: &SharedSetup) -> ThroughputTables {
             "Traffic Naive (Mbps)".to_string(),
             vec![naive_traffic_mbps; partial.len()],
         ),
+        ("MB/KF Partial".to_string(), partial_per_key_frame),
     ];
     t5.render("Table 5: key-frame ratio (%) and network traffic (Mbps, paper-scale replay)");
 
@@ -539,6 +547,32 @@ pub fn throughput_gate(table: &TableOutput) -> Result<(), String> {
 /// `Traffic Naive (Mbps)`).
 pub fn traffic_gate(table: &TableOutput) -> Result<(), String> {
     gate_descending(table, &["Traffic Naive (Mbps)", "Traffic Partial (Mbps)"])
+}
+
+/// Table 5's payload gate: on every row, partial distillation puts one
+/// 720p frame and one partial update on the network per key frame
+/// (`MB/KF Partial` = the paper's `frame_mb + partial_update_mb`, within
+/// 0.1 %). The expected size is read from [`PaperConstants::reported`]
+/// itself, not from the payload the replay was charged, so a partial run
+/// charged another payload fails here.
+pub fn payload_gate(table: &TableOutput) -> Result<(), String> {
+    let paper = PaperConstants::reported();
+    let expected = paper.frame_mb + paper.partial_update_mb;
+    if table.row_labels.is_empty() {
+        return Err(format!("{} has no rows", table.id));
+    }
+    let per_key_frame = gate_column(table, "MB/KF Partial")?;
+    for (label, &mb) in table.row_labels.iter().zip(per_key_frame) {
+        let off = (mb - expected).abs();
+        // A NaN is within no tolerance, so it fails too.
+        if off.is_nan() || off > 1e-3 * expected {
+            return Err(format!(
+                "{label}: MB/KF Partial reads {mb:.3}, not the paper's \
+                 frame + partial update of {expected:.3} MB"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Hold every row of `table` to `columns` read strictly descending, left to
@@ -1304,6 +1338,30 @@ mod tests {
         assert_eq!(traffic_gate(&table(&[1.5, 39.9])), Ok(()));
         let err = traffic_gate(&table(&[1.5, 40.0])).unwrap_err();
         assert!(err.starts_with("street: Traffic Naive (Mbps)"), "{err}");
+    }
+
+    #[test]
+    fn payload_gate_fails_a_row_charged_another_payload_per_key_frame() {
+        let table = |per_key_frame: &[f64]| {
+            synthetic(
+                "Table 5",
+                &["people", "street"],
+                &[("MB/KF Partial", per_key_frame)],
+            )
+        };
+        let paper = PaperConstants::reported();
+        let partial = paper.frame_mb + paper.partial_update_mb;
+        assert_eq!(payload_gate(&table(&[partial, partial])), Ok(()));
+        // The full update charged to a partial run.
+        let full = paper.frame_mb + paper.full_update_mb;
+        let err = payload_gate(&table(&[partial, full])).unwrap_err();
+        assert!(err.starts_with("street: MB/KF Partial"), "{err}");
+        // Too little fails as well as too much; so does a NaN.
+        assert!(payload_gate(&table(&[paper.frame_mb, partial])).is_err());
+        assert!(payload_gate(&table(&[f64::NAN, partial])).is_err());
+        // No rows, or a missing column, is no pass.
+        assert!(payload_gate(&synthetic("Table 5", &[], &[])).is_err());
+        assert!(payload_gate(&synthetic("Table 5", &["people"], &[])).is_err());
     }
 
     #[test]

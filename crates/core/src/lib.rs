@@ -24,9 +24,10 @@
 //!   threads, one distillation session per client stream, with teacher
 //!   forward passes batched across the key frames queued at a shard, fair
 //!   deficit-round-robin batching, per-stream admission control,
-//!   a distill crew on the cores the reactor
-//!   leaves idle ([`st_tensor::parallel::Crew`]), warm-standby failover and LRU-bounded
-//!   per-stream frame memory ([`serve::FrameStore`]). See
+//!   a distill crew on the cores the reactor leaves idle
+//!   ([`st_tensor::parallel::Crew`]), in-place recovery of a shard whose
+//!   pass dies, and per-stream frame memory for the stream's life
+//!   ([`serve::FrameStore`]). See
 //!   `docs/ARCHITECTURE.md` at the workspace root for the full lifecycle of
 //!   a key frame.
 //! * [`loadgen`] — an open-loop skewed load generator (one hot stream at a

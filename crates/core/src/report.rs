@@ -345,11 +345,11 @@ pub struct ShardReport {
     /// frame. High values with low thread counts are the reactor working
     /// as intended.
     pub idle_streams: usize,
-    /// Dead wards this shard adopted as the warm standby (usually 0 or 1).
+    /// Deaths this shard recovered from in place (0 or 1).
     pub failovers: usize,
-    /// Streams re-homed onto this shard by failover takeovers.
+    /// Streams this shard carried across its recovery.
     pub streams_adopted: usize,
-    /// Key-frame jobs that died with a shard during a takeover; each was
+    /// Key-frame jobs that died with a pass of this shard; each was
     /// drop-acked with `ShardFailed`.
     pub frames_lost_on_failover: usize,
     /// Key frames a distill-crew helper distilled for this shard.
@@ -389,14 +389,14 @@ pub struct PoolReport {
     pub wire_bytes_up: usize,
     /// Measured server→client wire bytes (framed downlink messages).
     pub wire_bytes_down: usize,
-    /// Shard deaths recovered by a warm standby takeover.
+    /// Shard deaths recovered in place.
     pub failovers: usize,
-    /// Streams adopted across every takeover.
+    /// Streams carried across every recovery.
     pub streams_adopted: usize,
-    /// Frames lost (drop-acked `ShardFailed`) across every takeover.
+    /// Frames lost (drop-acked `ShardFailed`) across every recovery.
     pub frames_lost_on_failover: usize,
-    /// 99th-percentile takeover latency — death detection to the standby
-    /// finishing adoption — in milliseconds. 0 when no failover ran.
+    /// 99th-percentile takeover latency — death to the recovery done — in
+    /// milliseconds. 0 when no shard died.
     pub takeover_latency_p99_ms: f64,
     /// Streams the pool served over the run.
     pub streams: usize,

@@ -221,9 +221,9 @@ struct ClientDriver<'a> {
     stashed: Option<ServerToClient>,
     /// Set once the endpoint reports its peer gone: every wait completes
     /// immediately and the client serves local-only from then on, with the
-    /// student it last applied. Nothing re-dials: a pool stream's takeover
-    /// never gets here (the standby drains its shard's uplink), so a lost
-    /// peer is gone for good.
+    /// student it last applied. Nothing re-dials: a pool shard's recovery
+    /// never gets here (the shard keeps its uplink and downlinks), so a
+    /// lost peer is gone for good.
     disconnected: bool,
     /// `Some` when the pool serves delta updates: downlink weight
     /// payloads are [`WeightPayload`] envelopes instead of bare snapshots.

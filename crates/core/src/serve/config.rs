@@ -15,8 +15,10 @@ use st_tensor::TensorError;
 /// `ShardState::process_one_batch`, so a crash is reproducible from a
 /// config value instead of requiring unsafe thread murder. The reactor
 /// catches the unwind per pass, so the kill takes down one shard, never the
-/// worker thread hosting it. `FaultPlan::none()` (the default) injects
-/// nothing and costs one branch per batch.
+/// worker thread hosting it; with [`PoolConfig::replication`] on, the shard
+/// recovers in place. A plan kills once: a recovered shard is not killed
+/// again. `FaultPlan::none()` (the default) injects nothing and costs one
+/// branch per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Tags the schedule so a chaos run is pinnable and reportable (CI pins
@@ -32,11 +34,11 @@ pub struct FaultPlan {
     pub kill_at_batch: Option<u64>,
     /// Tear the kill: fire *after* the batch's jobs were drained from the
     /// fair scheduler, so the in-flight batch — none of it answered yet — is
-    /// genuinely lost and the standby must drop-ack it with
+    /// genuinely lost and the recovery must drop-ack it with
     /// [`DropReason::ShardFailed`]. (The same bookkeeping covers a pass that
-    /// dies *part-way* through a batch: only its unanswered jobs are lost.) A clean
-    /// kill (the default) fires before the drain; every queued job
-    /// survives in the carcass and is re-queued by the adopter.
+    /// dies *part-way* through a batch: only its unanswered jobs are lost.)
+    /// A clean kill (the default) fires before the drain; every queued job
+    /// stays queued and is served after the recovery.
     pub torn_kill: bool,
 }
 
@@ -63,14 +65,14 @@ impl FaultPlan {
     }
 
     /// Make the kill torn (fires after the batch drain; the in-flight jobs
-    /// are lost and must be drop-acked by the standby).
+    /// are lost and must be drop-acked by the recovery).
     pub fn torn(mut self) -> Self {
         self.torn_kill = true;
         self
     }
 
     /// Whether this plan kills `shard` once it has run `batches` teacher
-    /// batches.
+    /// batches, unless it has killed it already (the caller knows that).
     pub(super) fn kill_due(&self, shard: usize, batches: usize) -> bool {
         self.target == Some(shard) && self.kill_at_batch.is_some_and(|at| batches as u64 >= at)
     }
@@ -125,19 +127,20 @@ pub struct PoolConfig {
     /// count; what changes is how many mostly-idle streams one process can
     /// host per thread.
     pub reactor_threads: Option<usize>,
-    /// Keep a recovery checkpoint beside every stream and arm warm-standby
-    /// takeover. Each stream's entry holds its session's last settled
-    /// checkpoint (student weights + distillation counters), taken at
-    /// registration and whenever the stream's crew item comes home whole;
-    /// an item that fails — a panic inside `distill` can leave the session
-    /// half-stepped — has its session rebuilt from it on the spot, with a
-    /// cold optimizer. When a shard dies, its buddy shard
-    /// (`(shard + 1) % shards`) moves its streams over — sessions, frames,
-    /// delta tracks and queued jobs as the dead shard left them — and
-    /// drains the dead shard's uplink, which the streams keep sending to;
-    /// a wake for the dead shard runs a pass on its buddy. Needs at least
-    /// two shards. Off by default: a worker panic then fails
-    /// [`ServerPool::join`] with [`PoolError::WorkerFailed`].
+    /// Keep a recovery checkpoint beside every stream and let a shard
+    /// recover from its first death. Each stream's entry holds its
+    /// session's last settled checkpoint (student weights + distillation
+    /// counters), taken at registration and whenever the stream's crew item
+    /// comes home whole; an item that fails — a panic inside `distill` can
+    /// leave the session half-stepped — has its session rebuilt from it on
+    /// the spot, with a cold optimizer. When a pass of a shard dies, the
+    /// reactor worker that caught it recovers the shard in place: the
+    /// crew's items come home, what the pass left unanswered is drop-acked
+    /// with [`DropReason::ShardFailed`], every delta stream re-syncs with a
+    /// full snapshot, and the next pass serves the queue and the uplink as
+    /// before. A second death of the same shard is not recovered. Off by
+    /// default: a shard death then fails [`ServerPool::join`] with
+    /// [`PoolError::WorkerFailed`].
     pub replication: bool,
     /// Deterministic fault-injection schedule ([`FaultPlan::none`] by
     /// default). Chaos tests kill a shard mid-run with this instead of
@@ -232,17 +235,11 @@ impl PoolConfig {
                 )));
             }
         }
-        if self.replication && self.shards < 2 {
-            return Err(TensorError::InvalidArgument(
-                "replication needs at least two shards (a shard cannot be its own standby)".into(),
-            ));
-        }
         Ok(())
     }
 
     /// The shard a stream lives on for the pool's life: a pure function of
-    /// its id. When that shard dies, its buddy serves the stream through
-    /// the dead shard's uplink.
+    /// its id.
     pub fn shard_of(&self, stream_id: StreamId) -> usize {
         (stream_id % self.shards as u64) as usize
     }
@@ -280,9 +277,9 @@ impl Default for PoolConfig {
 /// `pool.join()?` compiling in `TensorError`-returning contexts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolError {
-    /// A shard worker died (panicked) and no warm standby adopted its
-    /// streams — either replication was off, or the standby itself was
-    /// gone. `panic_msg` is the worker's actual panic payload.
+    /// A pass of a shard died (panicked) and the shard did not recover:
+    /// replication was off, or it was the shard's second death.
+    /// `panic_msg` is the pass's actual panic payload.
     WorkerFailed {
         /// The shard whose worker died.
         shard: usize,

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 /// the in-process shard resolves content by index, as the single-stream live
 /// runtime does. A key frame whose index the stream never shared is refused
 /// at the pool's door with `Dropped { UnknownFrame }`. The store belongs to
-/// the stream, not to the shard: when a shard dies, its adopter takes each
-/// stream's store over as it is.
+/// the stream, not to the shard's run of passes: a shard that recovers from
+/// a death keeps each stream's store as it is.
 #[derive(Debug, Clone)]
 pub struct FrameStore {
     frames: HashMap<usize, Frame>,

@@ -44,17 +44,17 @@
 //!   serving the frame with its local (slightly stale) student — the
 //!   fallback the paper's partial/full modes make natural.
 //!
-//! Placement is final — a stream's session leaves its shard only when the
-//! shard dies and its warm standby adopts it, uplink and all
-//! ([`PoolConfig::replication`], under which every stream also keeps its
-//! last settled checkpoint beside it, so a session a panic tore mid-distill
-//! is rolled back before any standby sees it) — so a hot
-//! stream's shard-mates are relieved by hosting more shards than reactor
-//! workers, not by moving sessions (`docs/ARCHITECTURE.md` has the
-//! measurements behind that choice). Each stream's pre-shared frames live
-//! in its [`FrameStore`] for the stream's life, as in the paper, which has
-//! no frame eviction; a key frame whose index was never shared is answered
-//! [`st_net::ServerToClient::Dropped`] at the door.
+//! Placement is final — a stream's session never leaves its shard, which
+//! with [`PoolConfig::replication`] recovers in place from its first death
+//! (every stream then also keeps its last settled checkpoint beside it, so
+//! a session a panic tore mid-distill is rolled back before the next pass
+//! sees it) — so a hot stream's shard-mates are relieved by hosting more
+//! shards than reactor workers, not by moving sessions
+//! (`docs/ARCHITECTURE.md` has the measurements behind that choice). Each
+//! stream's pre-shared frames live in its [`FrameStore`] for the stream's
+//! life, as in the paper, which has no frame eviction; a key frame whose
+//! index was never shared is answered [`st_net::ServerToClient::Dropped`]
+//! at the door.
 //!
 //! And since the sessions of one batch share a teacher forward and nothing
 //! else, the pool spends the cores its reactor workers leave idle on them:
@@ -87,16 +87,14 @@
 //! The module tree follows the seams of one key frame's trip through the
 //! server: `config` and `stats` are the pool's inputs and outputs; `frames`,
 //! `sched` and `shard` are the synchronous per-shard machinery (a shard
-//! fans a batch out through the crew); `state` is the shard state machine
-//! (with its `takeover` child, the warm-standby adoption) over the
-//! `failover` blackboard; `pool` is the handle and client endpoint;
-//! `reactor` is the one driver, and reaches a shard state only through its
-//! methods.
+//! fans a batch out through the crew); `state` is the shard state machine,
+//! its recovery from a death included; `pool` is the handle and client
+//! endpoint; `reactor` is the one driver, and reaches a shard state only
+//! through its methods.
 //!
 //! [`DistillSession`]: crate::server::DistillSession
 
 mod config;
-mod failover;
 mod frames;
 mod pool;
 mod reactor;

@@ -1,7 +1,6 @@
 //! The pool handle ([`ServerPool`]) and the client's endpoint onto it
 //! ([`StreamClient`]).
 
-use super::failover::{FailoverBoard, FailoverShared};
 use super::locked;
 use super::reactor::{escaped_panic, run_reactor_worker, ReactorShared};
 use super::state::{Downlink, Envelope, ShardOutput, ShardState, StreamLink, WireMeter};
@@ -25,23 +24,19 @@ use std::time::{Duration, Instant};
 /// The client's endpoint onto the pool: same surface as the single-stream
 /// transport, but every uplink message is stream-tagged and lands in the
 /// queue of the stream's shard ([`PoolConfig::shard_of`]) for the pool's
-/// life. When that shard dies, its standby drains the dead shard's queue
-/// and a wake for the dead shard runs a pass on the standby (the downlink
-/// sender moves with the session): a takeover needs no re-dial, and the
-/// client cannot tell it happened. Short of the stream's own
-/// `Shutdown`, a send or receive fails only once the pool has aborted.
+/// life. A shard that dies recovers in place (with
+/// [`PoolConfig::replication`]), queue and downlinks included: a recovery
+/// needs no re-dial, and the client cannot tell it happened. Short of the
+/// stream's own `Shutdown`, a send or receive fails only once the pool has
+/// aborted.
 pub struct StreamClient {
     stream_id: StreamId,
-    /// The stream's shard: the index into `uplinks` and `shard_wakers`.
-    shard: usize,
-    /// Every shard's uplink. A client holds them all, so no shard sees its
-    /// uplink disconnect, and finishes, while any client is still connected
-    /// — a standby must keep serving the dead shard's streams.
-    uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
+    /// The stream's shard's uplink.
+    uplink: mpsc::Sender<Envelope>,
     downlink: mpsc::Receiver<ServerToClient>,
-    /// Per-shard wakers, indexed like `uplinks`. Every uplink send wakes
-    /// the stream's shard's token so a reactor worker dispatches it.
-    shard_wakers: Arc<Vec<st_net::Waker>>,
+    /// The stream's shard's readiness waker: every uplink send wakes it so
+    /// a reactor worker dispatches the shard.
+    waker: st_net::Waker,
     /// Pool-wide measured-traffic counters (this client credits uplink).
     wire: Arc<WireMeter>,
 }
@@ -63,7 +58,7 @@ impl StreamClient {
         // The measured uplink cost of this envelope: the framed tagged
         // message.
         let wire_len = st_net::wire::frame_len(&tagged);
-        self.uplinks[self.shard]
+        self.uplink
             .send(Envelope {
                 tagged,
                 enqueued_at: Instant::now(),
@@ -73,7 +68,7 @@ impl StreamClient {
         // ORDER: Relaxed — a monotonic traffic counter; readers only see it
         // after join() synchronizes with every worker's exit.
         self.wire.up.fetch_add(wire_len, Ordering::Relaxed);
-        self.shard_wakers[self.shard].wake();
+        self.waker.wake();
         Ok(())
     }
 }
@@ -126,13 +121,13 @@ impl ClientEndpoint for StreamClient {
 /// distilled its key frame either.
 pub struct ServerPool {
     pool_config: PoolConfig,
-    uplinks: Arc<Vec<mpsc::Sender<Envelope>>>,
+    uplinks: Vec<mpsc::Sender<Envelope>>,
     /// The stream ids connected so far. An id stays reserved for the pool's
     /// lifetime; connecting a finished id again needs a new pool.
     connected: Mutex<HashSet<StreamId>>,
     /// One handle per reactor worker, each returning the outputs of
     /// whichever shards it finalized.
-    workers: Vec<std::thread::JoinHandle<Result<Vec<ShardOutput>>>>,
+    workers: Vec<std::thread::JoinHandle<std::result::Result<Vec<ShardOutput>, PoolError>>>,
     /// Measured wire traffic for the whole pool, shared with every
     /// [`StreamClient`] (uplink) and [`Downlink`] (downlink).
     wire: Arc<WireMeter>,
@@ -140,9 +135,6 @@ pub struct ServerPool {
     /// uplinks are dropped so each one observes the disconnect and runs its
     /// exit protocol.
     shard_wakers: Arc<Vec<st_net::Waker>>,
-    /// Failover blackboard: worker deaths, adoption claims, and the dead
-    /// shards' standby-assembled final outputs.
-    board: Arc<FailoverBoard>,
     /// The template's distinct entry content in bytes and in chunks,
     /// counted at spawn: the weights every session shares
     /// ([`PoolStats::store_resident_bytes`] / `store_chunk_count`).
@@ -202,10 +194,6 @@ impl ServerPool {
         config.validate()?;
         pool_config.validate()?;
         let wire = Arc::new(WireMeter::default());
-        let board = Arc::new(FailoverBoard::new(
-            pool_config.shards,
-            pool_config.replication,
-        ));
         // The template's entries, each distinct content counted once.
         let template_content: HashSet<Bytes> =
             WeightSnapshot::capture(&mut template, SnapshotScope::Full)
@@ -229,20 +217,11 @@ impl ServerPool {
                 .with_session_weights(pool_config.session_weights)
                 .with_crew(Arc::clone(&crew))
                 .with_notify(Arc::new(move || waker.wake()));
-            states.push(Mutex::new(Some(ShardState::new(
-                shard,
-                rx,
-                pool_config,
-                shard_index,
-                Arc::clone(&board),
-            ))));
+            states.push(ShardState::new(shard, rx, pool_config, shard_index));
             uplinks.push(tx);
         }
         let shared = Arc::new(ReactorShared::new(
-            FailoverShared {
-                states,
-                board: Arc::clone(&board),
-            },
+            states,
             poller,
             Arc::clone(&shard_wakers),
         ));
@@ -255,12 +234,11 @@ impl ServerPool {
             .collect();
         Ok(ServerPool {
             pool_config,
-            uplinks: Arc::new(uplinks),
+            uplinks,
             connected: Mutex::new(HashSet::new()),
             workers,
             shard_wakers,
             wire,
-            board,
             template_bytes: template_content.iter().map(Bytes::len).sum(),
             template_chunks: template_content.len(),
         })
@@ -275,8 +253,8 @@ impl ServerPool {
     /// stream's downlink and pre-shared frame content, on its shard
     /// ([`PoolConfig::shard_of`]), and return the client's endpoint.
     /// The first downlink message is the initial student checkpoint. A
-    /// stream whose shard has died registers all the same: the dead
-    /// shard's standby drains its uplink and serves the stream.
+    /// stream whose shard has recovered from a death registers there all
+    /// the same.
     ///
     /// Errors if the stream id is already connected to this pool — a second
     /// connect would silently clobber the first session's downlink and
@@ -345,12 +323,12 @@ impl ServerPool {
             },
             frames: FrameStore::from_frames(frames, None),
         };
+        let shard = self.pool_config.shard_of(stream_id);
         let client = StreamClient {
             stream_id,
-            shard: self.pool_config.shard_of(stream_id),
-            uplinks: Arc::clone(&self.uplinks),
+            uplink: self.uplinks[shard].clone(),
             downlink: down_rx,
-            shard_wakers: Arc::clone(&self.shard_wakers),
+            waker: self.shard_wakers[shard].clone(),
             wire: Arc::clone(&self.wire),
         };
         // Registration is the client's first uplink message, and it carries
@@ -373,13 +351,14 @@ impl ServerPool {
     /// aggregate statistics. Clients must have dropped (or finished with)
     /// their `StreamClient`s for the workers' queues to disconnect.
     ///
-    /// A shard death no standby recovered from (replication off, or the
-    /// standby itself was gone) surfaces as [`PoolError::WorkerFailed`],
-    /// carrying the shard index and the actual panic payload. Recovered
-    /// deaths are not errors: the adopted shards' reports — assembled by
-    /// their standby — appear in the stats like everyone else's. A panic
-    /// that escapes a reactor worker *outside* any shard pass names the
-    /// worker, never a shard, and surfaces as [`PoolError::Tensor`].
+    /// A shard death the shard did not recover from (replication off, or
+    /// its second death) surfaces as [`PoolError::WorkerFailed`], carrying
+    /// the shard index and the actual panic payload. Recovered deaths are
+    /// not errors: the recovered shard reports like every other, its
+    /// [`ShardStats::failovers`](super::ShardStats::failovers) counting the
+    /// recovery. A panic that escapes a reactor worker *outside* any shard
+    /// pass names the worker, never a shard, and surfaces as
+    /// [`PoolError::Tensor`].
     pub fn join(self) -> std::result::Result<PoolStats, PoolError> {
         drop(self.uplinks);
         // Shards park until a token wakes them; with the uplinks now gone,
@@ -399,12 +378,6 @@ impl ServerPool {
                 // it must not be pinned on a shard.
                 Err(payload) => return Err(escaped_panic(worker_index, payload.as_ref()).into()),
             }
-        }
-        // Dead shards return nothing through their join handles; their
-        // standby filed their outputs on the board.
-        outputs.extend(self.board.take_dead_outputs());
-        if let Some((shard, panic_msg)) = self.board.unrecovered_death() {
-            return Err(PoolError::WorkerFailed { shard, panic_msg });
         }
         // Reactor workers finalize shards in completion order; present the
         // report in shard order.

@@ -175,33 +175,6 @@ impl FairScheduler {
         self.ring.iter().any(|stream_id| !skip(*stream_id))
     }
 
-    /// The stream's unspent deficit-round-robin credit (0 when it holds
-    /// none). A takeover moves it with the stream, so the adopter keeps the
-    /// stream's scheduling position, not just its session.
-    pub fn deficit_of(&self, stream_id: StreamId) -> usize {
-        self.deficits.get(&stream_id).copied().unwrap_or(0)
-    }
-
-    /// Restore a stream's unspent deficit (warm-standby adoption). A zero
-    /// deficit is the default state and is not stored.
-    pub fn set_deficit(&mut self, stream_id: StreamId, deficit: usize) {
-        if deficit > 0 {
-            self.deficits.insert(stream_id, deficit);
-        }
-    }
-
-    /// Drain *every* queued job, ring order then per-stream FIFO — the
-    /// takeover path re-queues a dead shard's entire backlog at its
-    /// adopter with arrival timestamps intact.
-    pub fn drain_all(&mut self) -> Vec<ScheduledJob> {
-        let streams: Vec<StreamId> = self.ring.iter().copied().collect();
-        let mut out = Vec::with_capacity(self.queued);
-        for stream_id in streams {
-            out.extend(self.remove_stream(stream_id));
-        }
-        out
-    }
-
     /// Remove a stream entirely (on `Shutdown`), returning its still-queued
     /// jobs in FIFO order so the caller can flush them before retiring the
     /// session.

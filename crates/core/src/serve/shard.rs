@@ -46,9 +46,9 @@ use std::time::Instant;
 /// Server-side delta-negotiation state of one stream: the digest of the
 /// client's last-acked checkpoint (patched with every update actually
 /// sent) and whether the stream is known to be in sync. An unsynced stream
-/// — fresh registration pending its first update, or a failover-restored
-/// session whose adopter cannot prove what the client last applied — gets
-/// a full-snapshot envelope, which re-synchronizes it.
+/// — fresh registration pending its first update, or a session whose shard
+/// recovered from a death and cannot prove what the client last applied —
+/// gets a full-snapshot envelope, which re-synchronizes it.
 pub(super) struct DeltaTrack {
     pub(super) digest: CheckpointDigest,
     pub(super) synced: bool,
@@ -79,7 +79,7 @@ pub(super) struct StreamEntry {
     /// the entry is away, so the stream's key frames stay recognised).
     frames: Arc<FrameStore>,
     /// Delta-update negotiation state; `None` on legacy bare-snapshot
-    /// streams. Marked unsynced by a takeover.
+    /// streams. Marked unsynced by a recovery.
     pub(super) delta: Option<DeltaTrack>,
     /// The recovery point, kept only when the pool replicates
     /// ([`ServeShard::keep_checkpoint`]): taken at registration and
@@ -542,6 +542,14 @@ impl<T: Teacher> ServeShard<T> {
             "a stream lives in exactly one place"
         );
         self.sessions.insert(stream_id, entry);
+    }
+
+    /// Mark every home stream's delta track unsynced, so its next update
+    /// ships as a full snapshot.
+    pub(super) fn unsync_delta_tracks(&mut self) {
+        for track in self.sessions.values_mut().filter_map(|e| e.delta.as_mut()) {
+            track.synced = false;
+        }
     }
 
     /// Keep a recovery checkpoint for one stream from now on (checkpoint

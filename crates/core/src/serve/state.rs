@@ -1,17 +1,13 @@
 //! The shard state machine: all of one shard's serving state, its event
 //! handlers, and the channel plumbing that connects it to clients. The
-//! reactor drives it exclusively through [`ShardState::run_pass`] and
-//! [`ShardState::finish`]; its fields are private to this module and its
-//! `takeover` child (warm-standby adoption).
+//! reactor drives it exclusively through [`ShardState::run_pass`],
+//! [`ShardState::recover`] and [`ShardState::finish`]; its fields are
+//! private to this module.
 //!
 //! A pass does not wait for the distill crew: a batch whose items lanes
 //! still run stays open, its streams away, and the items come home — their
 //! key frames answered — in a later pass, which a lane's post wakes.
 
-mod takeover;
-
-use super::failover::{FailoverBoard, FailoverShared};
-use super::locked;
 use super::shard::{BatchSink, DeltaTrack, ServeShard, Wait};
 use super::{FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats};
 #[cfg(doc)]
@@ -30,8 +26,7 @@ use std::time::{Duration, Instant};
 
 /// A stream-tagged uplink message queued at a shard. The `Register` that
 /// [`ServerPool::connect`] sends carries the stream's [`StreamLink`], so
-/// whichever shard drains it — the stream's own, or the adopter of a dead
-/// one — can serve it as it stands.
+/// the shard can serve the stream as it stands.
 pub(super) struct Envelope {
     pub(super) tagged: StreamTagged<ClientToServer>,
     pub(super) enqueued_at: Instant,
@@ -94,8 +89,8 @@ pub(super) struct ShardOutput {
     pub(super) streams: HashMap<StreamId, StreamServerStats>,
     pub(super) final_checkpoints: HashMap<StreamId, WeightSnapshot>,
     pub(super) wait_samples: Vec<f64>,
-    /// One death-to-adoption latency sample (seconds) per takeover this
-    /// shard performed as a standby.
+    /// One death-to-recovery latency sample (seconds) per death this shard
+    /// recovered from.
     pub(super) takeover_samples: Vec<f64>,
 }
 
@@ -292,21 +287,18 @@ pub(super) struct ShardState<T: Teacher> {
     /// the raw material of the operator report's p50/p99.
     wait_samples: Vec<f64>,
     disconnected: bool,
-    /// Failover blackboard (shard status, deaths, adoption claims).
-    board: Arc<FailoverBoard>,
+    /// Whether the shard has recovered from a death: it recovers from its
+    /// first one only, and the fault plan kills it only once.
+    recovered: bool,
     /// Co-scheduled batches completed — the fault plan's kill clock.
     batches_processed: usize,
     /// The batches whose jobs nobody has answered yet, oldest first. A batch
-    /// with items still out on the crew stays here across passes. A shard
-    /// that dies leaves them in its carcass: the adopting standby first
-    /// brings every away item home (answering its jobs), then drop-acks
-    /// what is still unanswered — an injected torn kill's batch, a failed
-    /// item's jobs — with [`DropReason::ShardFailed`], and only that.
+    /// with items still out on the crew stays here across passes. When the
+    /// shard dies, its recovery first brings every away item home
+    /// (answering its jobs), then drop-acks what is still unanswered — an
+    /// injected torn kill's batch, a failed item's jobs — with
+    /// [`DropReason::ShardFailed`], and only that.
     in_flight: Vec<InFlight>,
-    /// Uplink receivers of shards this one adopted: their streams keep
-    /// sending to them, so the standby drains them alongside its own for
-    /// the rest of the pool's life.
-    adopted_rx: Vec<mpsc::Receiver<Envelope>>,
     takeover_samples: Vec<f64>,
 }
 
@@ -329,7 +321,6 @@ impl<T: Teacher> ShardState<T> {
         rx: mpsc::Receiver<Envelope>,
         pool_config: PoolConfig,
         shard_index: usize,
-        board: Arc<FailoverBoard>,
     ) -> Self {
         ShardState {
             shard_index,
@@ -343,10 +334,9 @@ impl<T: Teacher> ShardState<T> {
             final_checkpoints: HashMap::new(),
             wait_samples: Vec::new(),
             disconnected: false,
-            board,
+            recovered: false,
             batches_processed: 0,
             in_flight: Vec::new(),
-            adopted_rx: Vec::new(),
             takeover_samples: Vec::new(),
         }
     }
@@ -392,20 +382,6 @@ impl<T: Teacher> ShardState<T> {
     /// `Disconnected` means every uplink handle is gone and the shard should
     /// flush its backlog and exit.
     fn drain_uplink(&mut self, incoming: &mut Vec<Envelope>) {
-        // Dead shards' uplinks keep receiving from their streams, which
-        // send to their own shard for the pool's life; as their adopter we
-        // drain those queues for the rest of the pool's life, before our
-        // own. This is the only way an envelope reaches a shard other than
-        // its stream's, and it lands on the shard that now holds the
-        // session (a `Register` brings its own link), so nothing is ever
-        // forwarded or deferred.
-        for rx in &self.adopted_rx {
-            while let Ok(envelope) = rx.try_recv() {
-                incoming.push(envelope);
-            }
-        }
-        // Only *our* uplink decides `disconnected` — an adopted channel
-        // closing just means its last client left.
         loop {
             match self.rx.try_recv() {
                 Ok(envelope) => incoming.push(envelope),
@@ -532,7 +508,7 @@ impl<T: Teacher> ShardState<T> {
     /// claim stay out; a later pass answers them.
     ///
     /// Until every job is answered, the batch's record in `in_flight` holds
-    /// the rest: if the shard dies, the standby drop-acks whatever of it is
+    /// the rest: if the shard dies, its recovery drop-acks whatever of it is
     /// still unanswered once every away item is home.
     fn process_scheduled(&mut self, batch: &[ScheduledJob]) -> Result<()> {
         if batch.is_empty() {
@@ -566,14 +542,17 @@ impl<T: Teacher> ShardState<T> {
     /// shard between batches so new arrivals join the next scheduling round.
     fn process_one_batch(&mut self) -> Result<()> {
         // Injected kill: fires only while a batch is ready to start, so the
-        // crash always has observable consequences. A clean kill panics
-        // *before* the scheduler drain (every queued job survives in the
-        // carcass, and items still away come home to the standby); a torn
+        // crash always has observable consequences, and only once. A clean
+        // kill panics *before* the scheduler drain (every queued job stays
+        // queued, and items still away come home in the recovery); a torn
         // kill drains the batch first and leaves it in `in_flight` — nothing
         // answered — so exactly those jobs are genuinely lost and the
-        // standby must drop-ack them with `DropReason::ShardFailed`.
+        // recovery must drop-ack them with `DropReason::ShardFailed`.
         let plan = self.pool_config.fault_plan;
-        if plan.kill_due(self.shard_index, self.batches_processed) && self.ready() {
+        if !self.recovered
+            && plan.kill_due(self.shard_index, self.batches_processed)
+            && self.ready()
+        {
             if plan.torn_kill {
                 let torn = self.next_batch();
                 self.in_flight.push(InFlight {
@@ -615,17 +594,16 @@ impl<T: Teacher> ShardState<T> {
         self.shard.stats.idle_streams = self.shard.stats.idle_streams.max(idle);
     }
 
-    /// One non-blocking pass of the shard state machine: failover tick,
-    /// the crew's returns, uplink drain, envelope handlers, one co-scheduled
-    /// batch. This is the reactor's dispatch unit.
+    /// One non-blocking pass of the shard state machine: the crew's
+    /// returns, uplink drain, envelope handlers, one co-scheduled batch.
+    /// This is the reactor's dispatch unit.
     ///
     /// An item that comes home failed fails the pass that brings it home:
     /// at once when it is found before the uplink is read (nothing is taken
-    /// off the uplink yet, so the standby finds every envelope there), else
-    /// once the pass's envelopes are handled and its batch is started.
-    pub(super) fn run_pass(&mut self, failover: &FailoverShared<T>) -> Result<PassOutcome> {
+    /// off the uplink yet, so the next pass finds every envelope there),
+    /// else once the pass's envelopes are handled and its batch is started.
+    pub(super) fn run_pass(&mut self) -> Result<PassOutcome> {
         self.shard.stats.poll_wakeups += 1;
-        self.failover_tick(failover);
         self.drain_away(Wait::None);
         self.shard.raise_failure()?;
         let mut incoming: Vec<Envelope> = Vec::new();
@@ -670,22 +648,71 @@ impl<T: Teacher> ShardState<T> {
                 self.final_checkpoints.insert(stream_id, checkpoint);
             }
         }
-        carcass_output(self)
+        ShardOutput {
+            shard: self.shard_index,
+            stats: self.shard.stats(),
+            streams: self.streams,
+            final_checkpoints: self.final_checkpoints,
+            wait_samples: self.wait_samples,
+            takeover_samples: self.takeover_samples,
+        }
     }
-}
 
-/// Assemble a shard's final [`ShardOutput`] from its state machine. This is
-/// both the tail of the clean exit ([`ShardState::finish`]) and the whole
-/// of the post-mortem path — a standby files the dead shard's report from
-/// its carcass, so shard-indexed reports stay complete under failover.
-fn carcass_output<T: Teacher>(state: ShardState<T>) -> ShardOutput {
-    ShardOutput {
-        shard: state.shard_index,
-        stats: state.shard.stats(),
-        streams: state.streams,
-        final_checkpoints: state.final_checkpoints,
-        wait_samples: state.wait_samples,
-        takeover_samples: state.takeover_samples,
+    /// Recover, in place, from a pass that died at `died_at`: the dying
+    /// pass's unwind was caught, and everything it left — sessions with
+    /// their optimizers, frame stores, queued jobs, open batches, the uplink
+    /// — is whole where it stands. No session is half-stepped either: a
+    /// shard rebuilds a failed item's session from the stream's checkpoint
+    /// before the panic leaves it. Returns whether the shard recovered: only
+    /// with replication on, and only from its first death.
+    ///
+    /// Items the pass left out on the crew come home first: the lanes
+    /// finish them regardless, and their key frames are answered, not lost.
+    /// What is still unanswered then died with the pass and is drop-acked.
+    /// The next pass serves the queue and the uplink as before.
+    pub(super) fn recover(&mut self, died_at: Instant) -> bool {
+        if !self.pool_config.replication || self.recovered {
+            return false;
+        }
+        self.recovered = true;
+        // A failed item comes home rebuilt like any; its panic stays with
+        // the death, and its unanswered jobs are drop-acked below.
+        self.drain_away(Wait::All);
+        let _second_failure = self.shard.take_failure();
+        // Nothing proves what a delta-negotiated client applied of the
+        // dying pass's updates, so each stream's next update ships as a
+        // full snapshot (the delta re-sync).
+        self.shard.unsync_delta_tracks();
+        // A torn kill's whole batch, the jobs of an item that failed.
+        // (Jobs answered, by the dying pass or by the drain above, are not
+        // here.)
+        let lost = std::mem::take(&mut self.in_flight);
+        for job in lost.into_iter().flat_map(|flight| flight.unanswered) {
+            self.drop_failed_job(job.job.stream_id, job.job.frame_index);
+        }
+        let carried = self.shard.stream_count();
+        let stats = &mut self.shard.stats;
+        stats.failovers += 1;
+        stats.streams_adopted += carried;
+        self.takeover_samples.push(died_at.elapsed().as_secs_f64());
+        true
+    }
+
+    /// Ack one job lost to a shard failure with [`DropReason::ShardFailed`].
+    fn drop_failed_job(&mut self, stream_id: StreamId, frame_index: usize) {
+        self.shard.stats.frames_lost_on_failover += 1;
+        self.shard.stats.dropped_jobs += 1;
+        note_drop(&mut self.streams, &mut self.meters, stream_id);
+        if let Some(downlink) = self.downlinks.get(&stream_id) {
+            deliver(
+                &mut self.shard.stats,
+                downlink,
+                ServerToClient::Dropped {
+                    frame_index,
+                    reason: DropReason::ShardFailed,
+                },
+            );
+        }
     }
 }
 
@@ -711,13 +738,7 @@ mod tests {
             0.013,
         );
         let (_uplink, rx) = mpsc::channel();
-        ShardState::new(
-            shard,
-            rx,
-            PoolConfig::with_shards(1),
-            0,
-            Arc::new(FailoverBoard::new(1, false)),
-        )
+        ShardState::new(shard, rx, PoolConfig::with_shards(1), 0)
     }
 
     #[test]
@@ -761,8 +782,8 @@ mod tests {
             stats.queue_wait_total,
             state.meters[&1].wait_total + state.meters[&2].wait_total
         );
-        // Every job of the batch was answered: nothing is left for a standby
-        // to drop-ack.
+        // Every job of the batch was answered: nothing is left for a
+        // recovery to drop-ack.
         assert!(state.in_flight.is_empty());
     }
 
@@ -810,56 +831,6 @@ mod tests {
         let stats = state.shard.stats();
         assert_eq!((stats.teacher_batches, stats.key_frames), (3, 10));
         assert!(state.scheduler.is_empty());
-    }
-
-    #[test]
-    fn an_adopted_uplink_is_drained_ahead_of_the_adopters_own() {
-        // Shard 1 has adopted dead shard 0. Stream 7's `Register`, carrying
-        // its link, still sits in shard 0's uplink; a key frame of the
-        // stream sent after it sits in shard 1's own. One pass must see them
-        // in the order they were sent — the key frame is served, not refused
-        // as an unknown stream.
-        let frames = tiny_stream(SceneKind::People, 503, 1);
-        let (dead_uplink, dead_rx) = mpsc::channel();
-        let (own_uplink, own_rx) = mpsc::channel();
-        let (down_tx, down_rx) = mpsc::channel();
-        let register = Envelope {
-            link: Some(Box::new(StreamLink {
-                downlink: Downlink {
-                    tx: down_tx,
-                    waker: None,
-                    wire: Arc::new(WireMeter::default()),
-                },
-                frames: FrameStore::from_frames(&frames, None),
-            })),
-            ..envelope(7, ClientToServer::Register)
-        };
-        assert!(dead_uplink.send(register).is_ok());
-        assert!(own_uplink.send(key_frame(7, &frames[0])).is_ok());
-        let mut state = lone_state();
-        state.shard_index = 1;
-        state.board = Arc::new(FailoverBoard::new(2, false));
-        state.rx = own_rx;
-        state.adopted_rx.push(dead_rx);
-        let failover = FailoverShared {
-            states: Vec::new(),
-            board: Arc::clone(&state.board),
-        };
-        let outcome = state.run_pass(&failover).unwrap();
-        assert!(!outcome.done && !outcome.backlog);
-        let stats = state.shard.stats();
-        assert_eq!((stats.key_frames, stats.dropped_jobs), (1, 0));
-        let answers: Vec<ServerToClient> = std::iter::from_fn(|| down_rx.try_recv().ok()).collect();
-        assert!(
-            matches!(
-                answers[..],
-                [
-                    ServerToClient::InitialStudent { .. },
-                    ServerToClient::StudentUpdate { .. }
-                ]
-            ),
-            "{answers:?}"
-        );
     }
 
     /// Holds every item a lane starts until [`LaneGate::open`], and every
@@ -931,13 +902,7 @@ mod tests {
         .with_notify(Arc::new(move || waker.wake()))
         .with_item_hook(gate.hook());
         let (uplink, rx) = mpsc::channel();
-        let mut state = ShardState::new(
-            shard,
-            rx,
-            PoolConfig::with_shards(1),
-            0,
-            Arc::new(FailoverBoard::new(1, false)),
-        );
+        let mut state = ShardState::new(shard, rx, PoolConfig::with_shards(1), 0);
         let mut answers = HashMap::new();
         for (id, frames) in streams {
             state
@@ -1085,12 +1050,8 @@ mod tests {
         // the item home and then serve the queued key frame.
         gate.open();
         assert_eq!(poller.poll_one(Duration::from_secs(60)), Some(0));
-        let failover = FailoverShared {
-            states: Vec::new(),
-            board: Arc::clone(&state.board),
-        };
         for _ in 0..100 {
-            state.run_pass(&failover).unwrap();
+            state.run_pass().unwrap();
             if state.scheduler.is_empty() && !state.shard.has_open() {
                 break;
             }

@@ -54,14 +54,15 @@ pub struct ShardStats {
     /// key frame — observed on this shard. The reactor's reason to exist:
     /// this many streams were being hosted without deserving a thread.
     pub idle_streams: usize,
-    /// Shard deaths this shard recovered from as the warm standby: each
-    /// takeover adopted the dead buddy's streams from its carcass.
+    /// Deaths this shard recovered from in place (0 or 1).
     pub failovers: usize,
-    /// Streams this shard adopted from a dead buddy during takeover.
+    /// Streams this shard carried across its recovery: those registered
+    /// when it died.
     pub streams_adopted: usize,
-    /// Key-frame jobs that died with the shard and could not be salvaged
-    /// (a torn kill lost the batch in flight). Each was drop-acked with
-    /// [`DropReason::ShardFailed`] by the adopter — never silently lost.
+    /// Key-frame jobs that died with a pass of the shard and could not be
+    /// salvaged (a torn kill lost the batch in flight). Each was drop-acked
+    /// with [`DropReason::ShardFailed`] by the recovery — never silently
+    /// lost.
     pub frames_lost_on_failover: usize,
     /// Downlink sends that found the client side already gone. The ack (or
     /// update) was composed but undeliverable; counting it keeps the
@@ -149,9 +150,9 @@ pub struct PoolStats {
     pub wire_bytes_up: usize,
     /// Measured server→client wire bytes (framed downlink messages).
     pub wire_bytes_down: usize,
-    /// Wall-clock takeover latency samples, one per shard failover, in
-    /// seconds: death (the panic was recorded) → the standby finished
-    /// adopting every stream. Feeds
+    /// Wall-clock takeover latency samples, one per shard recovery, in
+    /// seconds: death (the dying pass's unwind was caught) → the recovery
+    /// done. Feeds
     /// [`PoolStats::takeover_latency_p99_secs`].
     pub takeover_samples: Vec<f64>,
     /// Bytes of the pool's pristine template, the weights every session
@@ -232,12 +233,12 @@ impl PoolStats {
         crate::loadgen::percentile(&all, p)
     }
 
-    /// Shard failovers recovered across the run.
+    /// Shard deaths recovered across the run.
     pub fn failovers(&self) -> usize {
         self.shards.iter().map(|s| s.failovers).sum()
     }
 
-    /// Streams adopted from dead shards across the run.
+    /// Streams carried across every recovery of the run.
     pub fn streams_adopted(&self) -> usize {
         self.shards.iter().map(|s| s.streams_adopted).sum()
     }
@@ -296,7 +297,7 @@ impl PoolStats {
     }
 
     /// The p99 wall-clock takeover latency in seconds (0.0 when no shard
-    /// died): death → the standby finished adopting every stream.
+    /// died): death → the recovery done.
     pub fn takeover_latency_p99_secs(&self) -> f64 {
         crate::loadgen::percentile(&self.takeover_samples, 99.0)
     }

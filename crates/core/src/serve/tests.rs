@@ -59,19 +59,15 @@ fn pool_config_validates_and_routes() {
 }
 
 #[test]
-fn replication_validates_only_with_a_standby() {
-    let replicated = PoolConfig {
-        replication: true,
-        ..PoolConfig::with_shards(2)
-    };
-    assert!(replicated.validate().is_ok());
-    // A shard cannot be its own standby.
-    assert!(PoolConfig {
-        shards: 1,
-        ..replicated
+fn replication_validates_at_any_shard_count() {
+    // A shard recovers in place, so even a lone one can replicate.
+    for shards in [1, 2] {
+        let replicated = PoolConfig {
+            replication: true,
+            ..PoolConfig::with_shards(shards)
+        };
+        assert!(replicated.validate().is_ok());
     }
-    .validate()
-    .is_err());
 }
 
 #[test]
@@ -1251,8 +1247,8 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
         },
     )
     .unwrap();
-    // The two working streams, 11 and 13, live on shard 1, whose standby —
-    // shard 0 — hosts two that never send.
+    // The two working streams, 11 and 13, live on shard 1, which recovers
+    // in place; shard 0 hosts two that never send.
     let idle = frames_for(SceneKind::Street, 420, 1);
     let frames: HashMap<StreamId, Vec<Frame>> = [
         (11, frames_for(SceneKind::People, 421, 3)),
@@ -1321,9 +1317,10 @@ fn a_death_mid_batch_loses_only_the_jobs_not_yet_answered() {
     assert_eq!(report.frames_lost_on_failover, 1);
     assert_eq!(stats.dropped_jobs(), 1);
     assert_eq!(stats.total_key_frames(), 5);
-    // Stream 11's item came home whole before the death, so the standby
-    // adopted its session with the key frame answered in the dying batch;
-    // stream 13's failed item had its session rolled back to registration.
+    // Stream 11's item came home whole before the death, so the recovered
+    // shard kept its session with the key frame answered in the dying
+    // batch; stream 13's failed item had its session rolled back to
+    // registration.
     assert_eq!(stats.streams[&11].key_frames, 3);
     assert_eq!(stats.streams[&13].key_frames, 2);
     assert_eq!(stats.streams[&13].dropped, 1);
@@ -1371,9 +1368,9 @@ fn a_torn_session_is_rebuilt_from_its_checkpoint_bit_for_bit() {
     // The item serving key frame 0 panics after answering it, so its
     // stream's checkpoint is still the registration one (a checkpoint moves
     // only when an item comes home whole). The dying shard rebuilds the
-    // session from it before the panic leaves, and the adopter takes over
-    // that rebuilt session, not the one that had trained: the rest of the
-    // stream is then served exactly as a fresh session serves it.
+    // session from it before the panic leaves, and serves that rebuilt
+    // session after its recovery, not the one that had trained: the rest
+    // of the stream is then served exactly as a fresh session serves it.
     let frames = frames_for(SceneKind::People, 76, 3);
     let shard = |hook: Option<ItemHook>| {
         move |_, template| {
@@ -1407,7 +1404,7 @@ fn a_torn_session_is_rebuilt_from_its_checkpoint_bit_for_bit() {
         "key frame 0 was answered before the panic"
     );
     assert_eq!(faulted[1..], fresh[..]);
-    assert_ne!(faulted[1..], whole[1..], "the trained session was adopted");
+    assert_ne!(faulted[1..], whole[1..], "the trained session was kept");
 }
 
 #[test]

@@ -144,7 +144,7 @@ impl DistillSession {
     /// failure. The serving pool resumes only a session a panic tore
     /// mid-distill, from its stream's last settled checkpoint
     /// ([`crate::serve::PoolConfig::replication`]); every other session
-    /// keeps its optimizer, across a shard takeover too, and stays bit for
+    /// keeps its optimizer, across a shard's recovery too, and stays bit for
     /// bit.
     pub fn resume(
         config: ShadowTutorConfig,

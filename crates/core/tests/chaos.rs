@@ -1,8 +1,8 @@
 //! Chaos end-to-end tests: kill one of four shards mid-run under 8×-skewed
-//! load and assert the pool recovers — every stream finishes, takeover
-//! latency stays under the [`FailoverModel`] bound, lost frames are
+//! load and assert the shard recovers in place — every stream finishes,
+//! takeover latency stays under the [`FailoverModel`] bound, lost frames are
 //! drop-acked with [`DropReason::ShardFailed`], and (for a clean kill) the
-//! adopted streams' distillation matches a fault-free run bit for bit.
+//! recovered streams' distillation matches a fault-free run bit for bit.
 //!
 //! Everything here is deterministic: the kill comes from a seeded
 //! [`FaultPlan`] threaded through `PoolConfig`, not from aborting threads,
@@ -13,17 +13,18 @@
 //! which is what makes the bit-for-bit comparison meaningful.
 
 use std::collections::HashMap;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use shadowtutor::config::ShadowTutorConfig;
 use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
-use shadowtutor::serve::{FaultPlan, PoolConfig, PoolStats, ServerPool, StreamClient};
+use shadowtutor::serve::{FaultPlan, PoolConfig, PoolError, PoolStats, ServerPool, StreamClient};
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, TransportError, Wire};
 use st_nn::delta::{CheckpointDigest, WeightPayload};
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
-use st_teacher::OracleTeacher;
+use st_teacher::{OracleTeacher, Teacher};
 use st_video::dataset::{tiny_stream, Resolution};
 use st_video::{CameraMotion, Frame, SceneKind, VideoCategory, VideoConfig, VideoGenerator};
 
@@ -37,88 +38,75 @@ const STREAMS: usize = 8;
 const HOT_KEY_FRAMES: usize = 8;
 const DEAD_SHARD: usize = 1;
 
-/// Worst-case takeover latency for warm-standby adoption: an analytic
+/// Worst-case takeover latency for an in-place recovery: an analytic
 /// bound, not a forecast.
 ///
-/// The failover path (see `docs/ARCHITECTURE.md`, "Failure model") has
-/// three sequential components, each with a modelled worst case:
+/// The recovery (see `docs/ARCHITECTURE.md`, "Failure model") runs on the
+/// reactor worker that caught the dying pass, at once and under the guard
+/// it already holds, so nothing has to notice the death: there is no
+/// detection tick. It has two sequential components, each with a modelled
+/// worst case:
 ///
-/// 1. **Detection** — the warm standby notices its ward's death
-///    certificate on its next pass. The worker that catches a dying pass
-///    wakes the standby's readiness token, so an idle standby runs that
-///    pass within one `detect_tick` (the reactor's `REACTOR_IDLE_TICK`,
-///    the longest a worker parks in the poller); a busy one may first have
-///    to finish the batch pass it is in, bounded by `pass_cost`.
-/// 2. **Adoption** — claiming the carcass, moving its uplink, merging
-///    mailboxes and counters: a fixed amount of pointer work, bounded by
-///    `adopt_cost`.
-/// 3. **Restore** — moving each stream's entry out of the carcass and
-///    installing it, linear in the number of adopted streams
-///    (`restore_cost_per_stream`).
+/// 1. **Drain** — bringing home the items the dying pass left out on the
+///    crew, waiting for the lanes that still run them: at most the rest of
+///    one batch pass, bounded by `pass_cost`.
+/// 2. **Resync** — drop-acking what is still unanswered, marking each
+///    stream's delta track unsynced and counting the recovery: a fixed
+///    amount of pointer work (`recover_cost`) plus a per-stream share
+///    (`cost_per_stream`).
 ///
-/// [`FailoverModel::takeover_bound`] adds the three up. The chaos tests
-/// assert the pool's measured takeover latency stays under it, so a
-/// regression that, say, serializes restores behind an extra lock or loses
-/// the detection tick shows up as a bound violation rather than an
-/// unexplained slowdown.
+/// [`FailoverModel::takeover_bound`] adds them up. The chaos tests assert
+/// the pool's measured takeover latency stays under it, so a regression
+/// that, say, defers the recovery to a later pass or serializes it behind
+/// an extra lock shows up as a bound violation rather than an unexplained
+/// slowdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FailoverModel {
-    /// Standby duty cadence in seconds: the longest an *idle* standby goes
-    /// between checks of its ward's status.
-    detect_tick: f64,
-    /// Worst-case cost of the batch pass the standby may be in the middle
-    /// of when the ward dies, in seconds (a batched teacher forward plus
-    /// its distillation steps).
+    /// Worst-case cost of the batch the crew's lanes may still be
+    /// distilling when the shard dies, in seconds (a batched teacher
+    /// forward plus its distillation steps).
     pass_cost: f64,
-    /// Fixed adoption overhead in seconds: claiming the carcass, moving its
-    /// uplink, merging mailbox/meters, re-queuing parked jobs.
-    adopt_cost: f64,
-    /// Per-adopted-stream restore cost in seconds: moving the stream's
-    /// entry out of the carcass and installing it.
-    restore_cost_per_stream: f64,
+    /// Fixed recovery overhead in seconds: drop-acking the unanswered jobs
+    /// and counting the recovery.
+    recover_cost: f64,
+    /// Per-stream recovery cost in seconds: marking the stream's delta
+    /// track unsynced.
+    cost_per_stream: f64,
 }
 
 impl FailoverModel {
-    /// Defaults matching the live pool's constants: a 50 ms worst-case
-    /// detection tick (the reactor's idle tick), a teacher-forward-sized
-    /// pass and generous fixed costs. `pass_cost` should be raised to the
-    /// measured batch cost when the teacher is not the paper's.
+    /// Defaults matching the live pool: a teacher-forward-sized pass and
+    /// generous fixed costs. `pass_cost` should be raised to the measured
+    /// batch cost when the teacher is not the paper's.
     fn paper_default() -> FailoverModel {
         FailoverModel {
-            detect_tick: 0.050,
             pass_cost: 0.100,
-            adopt_cost: 0.010,
-            restore_cost_per_stream: 0.005,
+            recover_cost: 0.010,
+            cost_per_stream: 0.005,
         }
     }
 
-    /// Worst-case delay between a shard's death and the standby *noticing*
-    /// it: one full pass plus one idle tick.
-    fn detection_bound(&self) -> f64 {
-        self.pass_cost + self.detect_tick
-    }
-
-    /// Worst-case delay between a shard's death and the standby finishing
-    /// adoption of `streams` streams — the quantity the pool reports as
-    /// takeover latency (death certificate to takeover complete).
+    /// Worst-case delay between a pass's death and the shard's recovery of
+    /// `streams` streams being done — the quantity the pool reports as
+    /// takeover latency.
     fn takeover_bound(&self, streams: usize) -> f64 {
-        self.detection_bound() + self.adopt_cost + streams as f64 * self.restore_cost_per_stream
+        self.pass_cost + self.recover_cost + streams as f64 * self.cost_per_stream
     }
 }
 
 #[test]
 fn bound_is_monotonic_in_streams() {
     let m = FailoverModel::paper_default();
-    assert!(m.takeover_bound(0) >= m.detection_bound());
+    assert!(m.takeover_bound(0) >= m.pass_cost);
     assert!(m.takeover_bound(8) > m.takeover_bound(1));
     let delta = m.takeover_bound(9) - m.takeover_bound(8);
-    assert!((delta - m.restore_cost_per_stream).abs() < 1e-12);
+    assert!((delta - m.cost_per_stream).abs() < 1e-12);
 }
 
 #[test]
 fn paper_default_is_sub_second_for_small_pools() {
-    // The chaos e2e adopts 8 streams at most; the bound must stay well
-    // under a second or "bounded takeover" means nothing.
+    // The chaos e2e carries 8 streams across a recovery at most; the bound
+    // must stay well under a second or "bounded takeover" means nothing.
     let m = FailoverModel::paper_default();
     assert!(m.takeover_bound(8) < 0.5, "{}", m.takeover_bound(8));
 }
@@ -178,9 +166,8 @@ fn drive_stream(client: &mut StreamClient, frames: &[Frame]) -> StreamOutcome {
                     outcome.drops.len(),
                     frames.len()
                 );
-                // Caught mid-takeover: the adopted uplink and the dead
-                // shard's forwarded wakes carry the stream over, so keep
-                // waiting.
+                // Caught mid-recovery: the recovered shard's next pass
+                // serves the stream, so keep waiting.
                 continue;
             }
             Err(err) => panic!("stream {} transport error: {err:?}", client.stream_id()),
@@ -239,7 +226,7 @@ fn run_chaos_with(
         .map(|(id, frames)| pool.connect(*id, frames).unwrap())
         .collect();
     // A stream lives on shard `id % shards`: streams {1, 5} land on the
-    // doomed shard 1, whose buddy (the adopter) is shard 2.
+    // doomed shard 1.
     let mut initials: Vec<Payload> = Vec::new();
     for client in &mut clients {
         let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -280,8 +267,8 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
     let (faulted, stats) = run_chaos(chaos_pool_config(FaultPlan::kill(
         FAULT_SEED, DEAD_SHARD, 0,
     )));
-    // A clean kill fires before the batch drain: every queued job survives
-    // in the carcass, so nothing may be dropped anywhere.
+    // A clean kill fires before the batch drain: every queued job stays
+    // queued across the recovery, so nothing may be dropped anywhere.
     assert_eq!(stats.total_key_frames(), total_sent());
     assert_eq!(stats.dropped_jobs(), 0);
     for (id, outcome) in &faulted {
@@ -294,11 +281,12 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
     let report = stats.snapshot();
     assert_eq!(report.shards.len(), SHARDS);
     assert!(report.failovers >= 1, "no failover recorded: {report:?}");
-    // The buddy adopts every stream the dead shard owned, and only those.
+    // The recovery carries every stream the dead shard owned, and only
+    // those.
     assert_eq!(
         report.streams_adopted,
         doomed_streams().len(),
-        "the buddy must adopt exactly the dead shard's streams: {report:?}"
+        "the recovery must carry exactly the dead shard's streams: {report:?}"
     );
     assert_eq!(report.frames_lost_on_failover, 0);
     // The pool's weight store holds the interned template, and the
@@ -307,7 +295,7 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
     assert!(report.session_bytes_shared > 0);
     // Takeover latency is bounded by the analytic model. `pass_cost` is
     // raised from the paper default to a debug-build-sized batch pass; the
-    // detection/adoption/restore terms are the model's own.
+    // other terms are the model's own.
     let bound = FailoverModel {
         pass_cost: 2.0,
         ..FailoverModel::paper_default()
@@ -319,7 +307,7 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
         takeover < bound,
         "takeover took {takeover:.3}s, model bound is {bound:.3}s"
     );
-    // Bit-for-bit: the adopted streams' distillation (metric, step count,
+    // Bit-for-bit: the recovered streams' distillation (metric, step count,
     // encoded weight payload, frame order) must equal a fault-free run's.
     let (clean, clean_stats) = run_chaos(chaos_pool_config(FaultPlan::none()));
     assert_eq!(clean_stats.dropped_jobs(), 0);
@@ -330,7 +318,7 @@ fn clean_kill_recovers_every_stream_bit_for_bit() {
     for (id, clean_outcome) in &clean {
         assert_eq!(
             faulted[id].updates, clean_outcome.updates,
-            "stream {id} diverged from the fault-free run after adoption"
+            "stream {id} diverged from the fault-free run after the recovery"
         );
     }
 }
@@ -354,8 +342,8 @@ fn assert_torn_kill_accounts_for_every_job(
     let updates: usize = outcomes.values().map(|o| o.updates.len()).sum();
     let drops: usize = outcomes.values().map(|o| o.drops.len()).sum();
     // Every sent key frame was acked exactly once, one way or the other:
-    // the counts add up, and no frame shows up on both sides — the standby
-    // drop-acks exactly the jobs the dead shard had not answered.
+    // the counts add up, and no frame shows up on both sides — the recovery
+    // drop-acks exactly the jobs the dying pass had not answered.
     assert_eq!(updates + drops, total_sent);
     for (id, frames) in streams {
         let outcome = &outcomes[&id];
@@ -410,8 +398,8 @@ fn assert_torn_kill_accounts_for_every_job(
 }
 
 /// The chaos pool on one reactor worker: every core but one goes to the
-/// distill crew, so the dying shard's batches — and its standby's — are
-/// distilled by helpers as well as by the worker.
+/// distill crew, so the dying shard's batches — before and after its
+/// recovery — are distilled by helpers as well as by the worker.
 fn crew_pool_config(fault_plan: FaultPlan) -> PoolConfig {
     PoolConfig {
         reactor_threads: Some(1),
@@ -460,7 +448,7 @@ fn clean_kill_with_a_crew_matches_the_fault_free_run_bit_for_bit() {
         assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
         assert_eq!(
             faulted[id].updates, clean_outcome.updates,
-            "stream {id} diverged from the fault-free run after adoption"
+            "stream {id} diverged from the fault-free run after the recovery"
         );
     }
     // On a host with a core to spare the helpers distilled some of those
@@ -564,7 +552,7 @@ fn a_kill_with_a_crew_item_away_relays_its_answer_bit_for_bit() {
     for attempt in 0.. {
         let (faulted, stats) =
             run_kill_with_an_item_away(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 1));
-        // The standby brought the away item home and relayed its answer:
+        // The recovery brought the away item home and relayed its answer:
         // every key frame was answered once, none drop-acked, none lost.
         assert_eq!(stats.total_key_frames(), 5);
         assert_eq!(stats.dropped_jobs(), 0);
@@ -601,8 +589,8 @@ fn a_kill_with_a_crew_item_away_relays_its_answer_bit_for_bit() {
 fn reactor_pool_survives_a_shard_kill() {
     // Same schedule with fewer workers than shards (the other tests run one
     // worker per shard): 4 shard machines on 2 reactor threads, so the
-    // worker that catches the dying pass is also the one other shards —
-    // possibly the standby itself — are waiting on.
+    // worker that catches the dying pass and recovers the shard is also the
+    // one other shards are waiting on.
     let (outcomes, stats) = run_chaos(PoolConfig {
         reactor_threads: Some(2),
         ..chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0))
@@ -615,32 +603,6 @@ fn reactor_pool_survives_a_shard_kill() {
     let report = stats.snapshot();
     assert!(report.failovers >= 1);
     assert_eq!(report.streams_adopted, doomed_streams().len());
-}
-
-#[test]
-fn static_modulo_layout_survives_a_shard_kill_bit_for_bit() {
-    // The bit-reproducible layout (`stream_id % shards`, no connect-order
-    // dependence) under failover: the dead shard's streams are adopted by
-    // its buddy, nothing is dropped, and every stream's updates equal the
-    // fault-free run's under the same placement.
-    let (faulted, stats) = run_chaos(chaos_pool_config(FaultPlan::kill(
-        FAULT_SEED, DEAD_SHARD, 0,
-    )));
-    assert_eq!(stats.total_key_frames(), total_sent());
-    assert_eq!(stats.dropped_jobs(), 0);
-    let report = stats.snapshot();
-    assert!(report.failovers >= 1, "no failover recorded: {report:?}");
-    assert_eq!(report.streams_adopted, doomed_streams().len());
-    assert_eq!(report.frames_lost_on_failover, 0);
-    let (clean, clean_stats) = run_chaos(chaos_pool_config(FaultPlan::none()));
-    assert_eq!(clean_stats.snapshot().failovers, 0);
-    for (id, clean_outcome) in &clean {
-        assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
-        assert_eq!(
-            faulted[id].updates, clean_outcome.updates,
-            "stream {id} diverged from the fault-free run after adoption"
-        );
-    }
 }
 
 /// The doomed shard's two streams only, nothing else connected: each sends
@@ -699,7 +661,7 @@ fn run_trained_then_killed(fault_plan: FaultPlan) -> (HashMap<StreamId, StreamOu
 #[test]
 fn a_takeover_after_training_stays_bit_for_bit() {
     // Every other bit-for-bit referee kills at batch 0, before any session
-    // has trained. Here the kill lands after two batches, so an adopter
+    // has trained. Here the kill lands after two batches, so a recovery
     // that rebuilt the sessions from their checkpoints would lose their
     // optimizers' moments and step counts, and diverge.
     let (faulted, stats) = run_trained_then_killed(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 2));
@@ -714,20 +676,19 @@ fn a_takeover_after_training_stays_bit_for_bit() {
         assert_eq!(clean_outcome.updates.len(), 4);
         assert_eq!(
             faulted[id].updates, clean_outcome.updates,
-            "stream {id} diverged from the fault-free run after adoption"
+            "stream {id} diverged from the fault-free run after the recovery"
         );
     }
 }
 
 #[test]
-fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
+fn traffic_sent_after_a_recovery_needs_no_re_dial() {
     // Every other test here pipelines its key frames before the kill lands.
     // This one sends the doomed shard's stream a single key frame, whose
-    // batch kills the shard; once the adopter has answered it, the same
-    // client sends the rest. Nothing re-dials: the dead shard's uplink,
-    // which the adopter drains, and its wakes, which the reactor forwards to
-    // the adopter, must carry them.
-    const POST_TAKEOVER: usize = 4;
+    // batch kills the shard; once the recovered shard has answered it, the
+    // same client sends the rest. Nothing re-dials: the shard's own uplink
+    // and wakes, which outlive the death, must carry them.
+    const POST_RECOVERY: usize = 4;
     let pool = ServerPool::spawn(
         ShadowTutorConfig::paper(),
         chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0)),
@@ -739,7 +700,7 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
     let streams: Vec<Vec<Frame>> = (0..STREAMS)
         .map(|id| {
             let n = if id == DEAD_SHARD {
-                1 + POST_TAKEOVER
+                1 + POST_RECOVERY
             } else {
                 1
             };
@@ -761,16 +722,16 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
     let frames = &streams[DEAD_SHARD];
     send_key_frame(client, &frames[0]).unwrap();
     // The shard dies in the batch holding this key frame, so its answer can
-    // only come from the adopter: the takeover is over once it arrives.
+    // only come after the recovery: the recovery is over once it arrives.
     let first = drive_stream(client, &frames[..1]);
     assert_eq!(first.updates.len(), 1, "drops: {:?}", first.drops);
     for frame in &frames[1..] {
         send_key_frame(client, frame)
-            .unwrap_or_else(|err| panic!("send after the takeover failed: {err:?}"));
+            .unwrap_or_else(|err| panic!("send after the recovery failed: {err:?}"));
     }
     let rest = drive_stream(client, &frames[1..]);
     assert!(rest.drops.is_empty(), "drops: {:?}", rest.drops);
-    assert_eq!(rest.updates.len(), POST_TAKEOVER);
+    assert_eq!(rest.updates.len(), POST_RECOVERY);
     for client in &mut clients {
         client.send(ClientToServer::Shutdown, 1).unwrap();
     }
@@ -780,11 +741,10 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
     assert!(report.failovers >= 1, "no failover recorded: {report:?}");
     assert!(report.streams_adopted >= 1);
     assert_eq!(stats.dropped_jobs(), 0);
-    // Every key frame the stream sent, before the takeover and after it,
-    // was answered by the adopter, and by no other shard.
-    let adopter = (DEAD_SHARD + 1) % SHARDS;
+    // Every key frame the stream sent, before the death and after it, was
+    // answered by its recovered shard, and by no other.
     for shard in &report.shards {
-        let expected = if shard.shard == adopter {
+        let expected = if shard.shard == DEAD_SHARD {
             frames.len()
         } else {
             0
@@ -794,11 +754,12 @@ fn traffic_sent_after_a_takeover_follows_the_route_without_a_re_dial() {
 }
 
 #[test]
-fn a_stream_connected_after_its_home_shard_died_is_served_by_the_standby() {
-    // Stream `DEAD_SHARD`'s one key frame kills its shard; once the adopter
-    // has answered it, stream `DEAD_SHARD + SHARDS` — whose home is the dead
-    // shard too — connects. Its `Register` goes to the dead shard's uplink
-    // like all its traffic, and the adopter must serve all of it.
+fn a_stream_connected_after_its_shard_recovered_is_served_there() {
+    // Stream `DEAD_SHARD`'s one key frame kills its shard; once the
+    // recovered shard has answered it, stream `DEAD_SHARD + SHARDS` — whose
+    // shard is the same — connects. Its `Register` goes to that shard's
+    // uplink like all its traffic, and the recovered shard must serve all
+    // of it.
     const LATE_KEY_FRAMES: usize = 4;
     let pool = ServerPool::spawn(
         ShadowTutorConfig::paper(),
@@ -815,7 +776,7 @@ fn a_stream_connected_after_its_home_shard_died_is_served_by_the_standby() {
     assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
     send_key_frame(&mut first, &doomed_frames[0]).unwrap();
     // The shard dies in the batch holding this key frame, so its answer can
-    // only come from the adopter: the takeover is over once it arrives.
+    // only come after the recovery: the recovery is over once it arrives.
     let answered = drive_stream(&mut first, &doomed_frames);
     assert_eq!(answered.updates.len(), 1, "drops: {:?}", answered.drops);
 
@@ -840,16 +801,15 @@ fn a_stream_connected_after_its_home_shard_died_is_served_by_the_standby() {
     let stats = pool.join().unwrap();
     let report = stats.snapshot();
     assert_eq!(report.failovers, 1, "{report:?}");
-    // Only the stream registered before the death was adopted; the late one
-    // registered at the adopter.
+    // Only the stream registered before the death was carried across the
+    // recovery; the late one registered after it.
     assert_eq!(report.streams_adopted, 1, "{report:?}");
     assert_eq!(stats.dropped_jobs(), 0);
     assert_eq!(stats.streams[&late].key_frames, LATE_KEY_FRAMES);
-    // Every key frame of both streams was distilled by the adopter, and by
-    // no other shard.
-    let adopter = (DEAD_SHARD + 1) % SHARDS;
+    // Every key frame of both streams was distilled by the recovered shard,
+    // and by no other.
     for shard in &report.shards {
-        let expected = if shard.shard == adopter {
+        let expected = if shard.shard == DEAD_SHARD {
             1 + LATE_KEY_FRAMES
         } else {
             0
@@ -859,10 +819,130 @@ fn a_stream_connected_after_its_home_shard_died_is_served_by_the_standby() {
 }
 
 #[test]
+fn a_one_shard_pool_recovers_from_a_clean_kill_bit_for_bit() {
+    // A shard recovers in place, so a lone shard can replicate: killed at
+    // its first batch, it serves every stream on exactly as a fault-free
+    // run of the same pool does.
+    let one_shard = |fault_plan| PoolConfig {
+        shards: 1,
+        ..chaos_pool_config(fault_plan)
+    };
+    let (faulted, stats) = run_chaos(one_shard(FaultPlan::kill(FAULT_SEED, 0, 0)));
+    assert_eq!(stats.total_key_frames(), total_sent());
+    assert_eq!(stats.dropped_jobs(), 0);
+    let report = stats.snapshot();
+    assert_eq!(report.failovers, 1, "{report:?}");
+    assert_eq!(report.streams_adopted, STREAMS, "{report:?}");
+    assert_eq!(report.frames_lost_on_failover, 0);
+    let (clean, clean_stats) = run_chaos(one_shard(FaultPlan::none()));
+    assert_eq!(clean_stats.snapshot().failovers, 0);
+    for (id, clean_outcome) in &clean {
+        assert!(faulted[id].drops.is_empty(), "stream {id} saw drops");
+        assert_eq!(
+            faulted[id].updates, clean_outcome.updates,
+            "stream {id} diverged from the fault-free run after the recovery"
+        );
+        assert_eq!(
+            stats.final_checkpoints[id].encode(),
+            clean_stats.final_checkpoints[id].encode(),
+            "stream {id} ended with other weights than the fault-free run"
+        );
+    }
+}
+
+/// The paper's oracle, or — on the shard it was built for — a teacher
+/// whose every forward panics.
+struct PanickingTeacher {
+    inner: OracleTeacher,
+    panics: bool,
+}
+
+impl Teacher for PanickingTeacher {
+    fn pseudo_label(&mut self, frame: &Frame) -> shadowtutor::Result<Vec<usize>> {
+        assert!(!self.panics, "teacher forward failed");
+        self.inner.pseudo_label(frame)
+    }
+
+    fn inference_latency(&self) -> f64 {
+        self.inner.inference_latency()
+    }
+
+    fn param_count(&self) -> usize {
+        self.inner.param_count()
+    }
+}
+
+#[test]
+fn a_shard_that_dies_again_after_its_recovery_fails_join() {
+    // Shard 1's teacher panics on every forward. The shard recovers from
+    // its first death, which drop-acks the dying batch's key frame; its
+    // second death is not recovered: the shard's state goes with it, the
+    // pool stops, and `join` names the shard. A shard that recovered from
+    // every death would answer every key frame with a drop and never fail.
+    let pool = ServerPool::spawn(
+        ShadowTutorConfig::paper(),
+        PoolConfig {
+            replication: true,
+            ..PoolConfig::with_shards(2)
+        },
+        StudentNet::new(StudentConfig::tiny()).unwrap(),
+        0.013,
+        |shard| PanickingTeacher {
+            inner: OracleTeacher::perfect(TEACHER_SEED),
+            panics: shard == 1,
+        },
+    )
+    .unwrap();
+    let frames = tiny_stream(SceneKind::People, 71, 4);
+    let mut client = pool.connect(1, &frames).unwrap();
+    let initial = client.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(matches!(initial, ServerToClient::InitialStudent { .. }));
+    // One key frame at a time, until the pool stops answering.
+    let mut answers = Vec::new();
+    for frame in &frames {
+        if send_key_frame(&mut client, frame).is_err() {
+            break;
+        }
+        match client.recv_timeout(Duration::from_secs(60)) {
+            Ok(answer) => answers.push(answer),
+            Err(TransportError::Disconnected) => break,
+            Err(err) => panic!("key frame {} got no answer: {err:?}", frame.index),
+        }
+    }
+    assert!(
+        matches!(
+            answers[..],
+            [ServerToClient::Dropped {
+                frame_index,
+                reason: DropReason::ShardFailed,
+            }] if frame_index == frames[0].index
+        ),
+        "{answers:?}"
+    );
+    drop(client);
+    let (joined_tx, joined_rx) = mpsc::channel();
+    std::thread::spawn(move || joined_tx.send(pool.join()).is_ok());
+    let joined = joined_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("join did not return within 60 s");
+    match joined {
+        Err(PoolError::WorkerFailed { shard, panic_msg }) => {
+            assert_eq!(shard, 1, "the death was pinned on the wrong shard");
+            assert!(
+                panic_msg.contains("teacher forward failed"),
+                "payload lost: {panic_msg}"
+            );
+        }
+        other => panic!("expected WorkerFailed, got {other:?}"),
+    }
+}
+
+#[test]
 fn live_clients_serve_every_key_frame_across_a_takeover() {
-    // The live runtime's clients never re-share a frame, so an adopted
-    // stream is served only if its adopter holds the frames the stream
-    // shared at connect. Shard 0 dies at its second batch; every key frame
+    // The live runtime's clients never re-share a frame, so a stream is
+    // served after its shard's recovery only if the recovered shard still
+    // holds the frames the stream shared at connect. Shard 0 dies at its
+    // second batch; every key frame
     // either stream sends, before the kill and after it, must still be
     // distilled: none parks until shutdown, none is dropped.
     let streams: Vec<StreamSpec> = (0..2)
@@ -995,11 +1075,12 @@ fn resync_stream_frames() -> Vec<(StreamId, Vec<Frame>)> {
 
 #[test]
 fn failover_resyncs_delta_streams_with_a_full_snapshot() {
-    // A delta-negotiated stream whose shard dies must be re-synced by its
-    // adopter with a full-snapshot envelope (the adopter cannot prove what
-    // the client last applied) and then resume deltas — never ship a delta
-    // the client's digest rejects. The hot stream lives on the doomed shard
-    // this time, so it still has key frames in flight after adoption.
+    // A delta-negotiated stream whose shard dies must be re-synced by the
+    // recovered shard with a full-snapshot envelope (it cannot prove what
+    // the client applied of the dying pass's updates) and then resume
+    // deltas — never ship a delta the client's digest rejects. The hot
+    // stream lives on the doomed shard this time, so it still has key
+    // frames in flight after the recovery.
     let faulted_config = PoolConfig {
         delta_updates: true,
         ..chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0))
@@ -1029,15 +1110,15 @@ fn failover_resyncs_delta_streams_with_a_full_snapshot() {
     let hot = &trackers[&(DEAD_SHARD as StreamId)];
     assert_eq!(
         hot.fulls, 1,
-        "the adopted hot stream must re-sync with exactly one full snapshot"
+        "the recovered hot stream must re-sync with exactly one full snapshot"
     );
     assert_eq!(
         hot.deltas,
         HOT_KEY_FRAMES - 1,
         "deltas must resume after the re-sync"
     );
-    // Client- and server-side envelope accounting agree, and only adopted
-    // streams ever need a re-sync.
+    // Client- and server-side envelope accounting agree, and only streams
+    // carried across a recovery ever need a re-sync.
     let fulls: usize = trackers.values().map(|t| t.fulls).sum();
     let deltas: usize = trackers.values().map(|t| t.deltas).sum();
     assert_eq!(fulls, report.full_updates_sent);
@@ -1045,7 +1126,7 @@ fn failover_resyncs_delta_streams_with_a_full_snapshot() {
     assert_eq!(fulls + deltas, total_sent());
     assert!(
         fulls <= report.streams_adopted,
-        "a re-sync without an adoption: {report:?}"
+        "a re-sync without a recovery: {report:?}"
     );
 
     // Bit-for-bit: the weights each client reconstructs through the

@@ -117,8 +117,8 @@ pub enum DropReason {
     /// The stream is registered but the frame index was never pre-shared.
     UnknownFrame,
     /// The shard serving the stream died and the job could not be salvaged
-    /// by the buddy shard's takeover (a torn failure lost the queued job, or
-    /// no standby adopted the shard). Like every other reason this is an
+    /// by the shard's recovery (the dying pass had taken the job and not
+    /// answered it). Like every other reason this is an
     /// explicit ack: a shard failure must never make a key frame vanish
     /// silently.
     ShardFailed,

@@ -81,8 +81,8 @@ pub trait Transport<S, R> {
 /// There is no re-dial: an endpoint that reports
 /// [`TransportError::Disconnected`] has lost its peer for good, and the
 /// client serves local-only from then on. A pool stream needs none either,
-/// since a takeover's standby drains its shard's uplink without the client
-/// noticing.
+/// since a shard that recovers from a death keeps its uplink without the
+/// client noticing.
 pub trait ClientEndpoint {
     /// Send a client → server message annotated with its wire size.
     fn send(&mut self, message: crate::ClientToServer, bytes: usize) -> Result<(), TransportError>;
