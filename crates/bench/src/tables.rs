@@ -542,6 +542,14 @@ pub fn throughput_gate(table: &TableOutput) -> Result<(), String> {
     gate_descending(table, &["Partial", "Full", "Naive"])
 }
 
+/// Table 6's gate: on every row, distilling with an update every key frame
+/// beats an update eight frames late, which beats never distilling
+/// (`P-1` > `P-8` > `Wild` mean IoU). A client that never applies its
+/// updates reads `Wild` in every column and fails it.
+pub fn accuracy_gate(table: &TableOutput) -> Result<(), String> {
+    gate_descending(table, &["P-1", "P-8", "Wild"])
+}
+
 /// Table 5's gate: on every row, partial distillation puts less traffic on
 /// the network than the naive offload (`Traffic Partial (Mbps)` <
 /// `Traffic Naive (Mbps)`).
@@ -1062,10 +1070,11 @@ pub fn table8_multistream(stream_ladder: &[usize], frames_per_stream: usize) -> 
 /// Table 13 (new in this reproduction, no paper counterpart) — resident
 /// weight memory and update wire bytes across a stream-count ladder. Each
 /// rung runs the same workload twice against a live pool: once with the
-/// content-keyed weight store (copy-on-write sessions + delta-encoded
-/// updates) and once with the pre-store layout (deep-cloned sessions +
-/// full-snapshot updates). Residency and wire bytes are measured; the
-/// title gives the encoded template and trainable-stage sizes for scale.
+/// content-keyed weight store (copy-on-write sessions, weights shipped only
+/// when the student changed) and once with the pre-store layout
+/// (deep-cloned sessions, every update a full snapshot). Residency and wire
+/// bytes are measured; the title gives the encoded template and
+/// trainable-stage sizes for scale.
 pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -> TableOutput {
     let mut out = TableOutput::new("Table 13");
     let config = ShadowTutorConfig::paper();
@@ -1086,7 +1095,7 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
     let mut clone_per_gb = Vec::new();
     let mut delta_wire = Vec::new();
     let mut full_wire = Vec::new();
-    let mut delta_rejections = Vec::new();
+    let mut unchanged = Vec::new();
     for &streams in stream_ladder {
         let run = |session_weights: SessionWeights, delta_updates: bool| {
             let specs: Vec<StreamSpec> = (0..streams)
@@ -1126,12 +1135,7 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
         // what the *same* updates would have cost as full envelopes.
         delta_wire.push(kib(cow_report.update_bytes_sent));
         full_wire.push(kib(cow_report.update_bytes_full_equiv));
-        delta_rejections.push(
-            cow.streams
-                .iter()
-                .map(|s| s.delta.delta_rejections)
-                .sum::<usize>() as f64,
-        );
+        unchanged.push(cow_report.unchanged_updates_sent as f64);
         out.row_labels.push(format!("{streams} streams"));
     }
     out.columns = vec![
@@ -1141,7 +1145,7 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
         ("clone streams/GB".to_string(), clone_per_gb),
         ("delta wire KiB".to_string(), delta_wire),
         ("full-equiv wire KiB".to_string(), full_wire),
-        ("delta rejections".to_string(), delta_rejections),
+        ("unchanged updates".to_string(), unchanged),
     ];
     out.render(&format!(
         "Table 13 — content-keyed weight store: resident memory and update wire bytes \
@@ -1151,15 +1155,14 @@ pub fn table13_weight_dedup(stream_ladder: &[usize], frames_per_stream: usize) -
 }
 
 /// Table 13's gate: on every rung copy-on-write holds fewer resident bytes
-/// than deep cloning and no client rejects a delta; across the ladder the
-/// delta stream costs fewer wire bytes than full envelopes and residency
-/// grows sublinearly in the stream count.
+/// than deep cloning; across the ladder the delta stream costs fewer wire
+/// bytes than full envelopes and residency grows sublinearly in the stream
+/// count.
 pub fn table13_gate(table: &TableOutput, stream_ladder: &[usize]) -> Result<(), String> {
     let cow = gate_column(table, "cow resident KiB")?;
     let clone = gate_column(table, "clone resident KiB")?;
     let delta_wire = gate_column(table, "delta wire KiB")?;
     let full_wire = gate_column(table, "full-equiv wire KiB")?;
-    let rejections = gate_column(table, "delta rejections")?;
 
     for (i, &streams) in stream_ladder.iter().enumerate() {
         // Residency, per rung: the store must hold fewer resident bytes than
@@ -1172,21 +1175,13 @@ pub fn table13_gate(table: &TableOutput, stream_ladder: &[usize]) -> Result<(), 
                 cow[i], clone[i]
             ));
         }
-        // In-spec runs never reject a delta: the server only sends one when
-        // the stream's track is synced.
-        if rejections[i] != 0.0 {
-            return Err(format!(
-                "clients rejected {} deltas at {streams} streams",
-                rejections[i]
-            ));
-        }
     }
     // Wire bytes, across the sweep: the delta stream must cost strictly
     // fewer bytes than the same updates sent as full envelopes. Aggregated
     // over the ladder rather than per rung — the discount comes from key
-    // frames that early-stop at an unchanged checkpoint, and a single tiny
-    // rung may train on every one of its few key frames, leaving only the
-    // delta's envelope overhead (a fraction of a KiB) on that row.
+    // frames that early-stop at an unchanged checkpoint (their answers carry
+    // no weights), and a single tiny rung may train on every one of its few
+    // key frames, leaving no discount on that row.
     let delta_total: f64 = delta_wire.iter().sum();
     let full_total: f64 = full_wire.iter().sum();
     if delta_total >= full_total {
@@ -1326,6 +1321,23 @@ mod tests {
     }
 
     #[test]
+    fn accuracy_gate_fails_a_row_where_updates_buy_nothing() {
+        let table = |p8: &[f64]| {
+            let columns = [
+                ("Wild", &[18.37, 23.64][..]),
+                ("P-1", &[27.54, 24.95][..]),
+                ("P-8", p8),
+            ];
+            synthetic("Table 6", &["fixed/animals", "moving/street"], &columns)
+        };
+        // Smoke's Table 6 rows, moving/street its narrowest.
+        assert_eq!(accuracy_gate(&table(&[21.96, 24.36])), Ok(()));
+        // Updates never applied: every column reads Wild.
+        let err = accuracy_gate(&table(&[21.96, 23.64])).unwrap_err();
+        assert!(err.starts_with("moving/street: P-8"), "{err}");
+    }
+
+    #[test]
     fn traffic_gate_fails_a_row_where_partial_is_not_lighter_than_naive() {
         let table = |partial: &[f64]| {
             let naive: &[f64] = &[40.0, 40.0];
@@ -1396,8 +1408,8 @@ mod tests {
     }
 
     #[test]
-    fn table13_gate_fails_each_of_its_four_checks() {
-        let table = |cow: &[f64], delta: &[f64], rejections: &[f64]| {
+    fn table13_gate_fails_each_of_its_three_checks() {
+        let table = |cow: &[f64], delta: &[f64]| {
             synthetic(
                 "Table 13",
                 &["2 streams", "4 streams"],
@@ -1406,26 +1418,20 @@ mod tests {
                     ("clone resident KiB", &[200.0, 400.0]),
                     ("delta wire KiB", delta),
                     ("full-equiv wire KiB", &[20.0, 40.0]),
-                    ("delta rejections", rejections),
                 ],
             )
         };
         let ladder = [2, 4];
-        let gate = |cow: &[f64], delta: &[f64], rejections: &[f64]| {
-            table13_gate(&table(cow, delta, rejections), &ladder)
-        };
-        assert_eq!(gate(&[120.0, 150.0], &[15.0, 30.0], &[0.0, 0.0]), Ok(()));
+        let gate = |cow: &[f64], delta: &[f64]| table13_gate(&table(cow, delta), &ladder);
+        assert_eq!(gate(&[120.0, 150.0], &[15.0, 30.0]), Ok(()));
         // Copy-on-write at or above clone on one rung.
-        let err = gate(&[120.0, 400.0], &[15.0, 30.0], &[0.0, 0.0]).unwrap_err();
+        let err = gate(&[120.0, 400.0], &[15.0, 30.0]).unwrap_err();
         assert!(err.contains("residency regressed at 4 streams"), "{err}");
-        // A rejected delta.
-        let err = gate(&[120.0, 150.0], &[15.0, 30.0], &[0.0, 1.0]).unwrap_err();
-        assert!(err.contains("rejected 1 deltas at 4 streams"), "{err}");
-        // Deltas costing what full envelopes cost.
-        let err = gate(&[120.0, 150.0], &[20.0, 40.0], &[0.0, 0.0]).unwrap_err();
+        // Every answer shipping what a full envelope costs.
+        let err = gate(&[120.0, 150.0], &[20.0, 40.0]).unwrap_err();
         assert!(err.contains("delta encoding saved nothing"), "{err}");
         // Residency doubling with the stream count.
-        let err = gate(&[120.0, 240.0], &[15.0, 30.0], &[0.0, 0.0]).unwrap_err();
+        let err = gate(&[120.0, 240.0], &[15.0, 30.0]).unwrap_err();
         assert!(err.contains("not sublinear"), "{err}");
     }
 

@@ -415,16 +415,14 @@ pub struct PoolReport {
     pub store_resident_bytes: usize,
     /// Distinct entry contents of the pool's shared template.
     pub store_chunk_count: usize,
-    /// Student updates sent as sparse delta envelopes.
-    pub delta_updates_sent: usize,
-    /// Student updates sent as full-snapshot envelopes (initial checkpoints
-    /// after a restore, plus every update on non-negotiated streams).
-    pub full_updates_sent: usize,
-    /// Bytes actually placed on downlinks for weight updates when delta
-    /// encoding was negotiated.
+    /// Student updates sent without weight bytes, the student unchanged
+    /// (delta updates on).
+    pub unchanged_updates_sent: usize,
+    /// Bytes actually placed on downlinks for weight updates with delta
+    /// updates on.
     pub update_bytes_sent: usize,
     /// Bytes the same updates would have cost as full-snapshot envelopes —
-    /// the A/B denominator for the delta savings.
+    /// the A/B denominator for the savings.
     pub update_bytes_full_equiv: usize,
     /// Key frames distilled by crew helpers rather than reactor workers.
     pub jobs_offloaded: usize,

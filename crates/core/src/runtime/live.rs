@@ -31,8 +31,8 @@ use crate::report::{ExperimentRecord, FrameRecord, KeyFrameRecord};
 use crate::serve::{PoolConfig, PoolStats, ServerPool};
 use crate::Result;
 use st_net::transport::ClientEndpoint;
-use st_net::{ClientToServer, Payload, ServerToClient, StreamId, Wire};
-use st_nn::delta::{CheckpointDigest, WeightPayload};
+use st_net::{ClientToServer, Payload, ServerToClient, StreamId, Wire, WireError};
+use st_nn::delta::WeightPayload;
 use st_nn::metrics::miou;
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::StudentNet;
@@ -53,24 +53,6 @@ pub struct LiveRunOutcome {
     /// stream would keep serving with. Lets tests assert that concurrent
     /// streams do not bleed weights into each other.
     pub final_student: WeightSnapshot,
-    /// Client-side delta-protocol counters (all zero unless the pool served
-    /// delta updates).
-    pub delta: ClientDeltaStats,
-}
-
-/// Client-side counters of the delta-update protocol for one stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientDeltaStats {
-    /// Updates applied from a sparse [`st_nn::delta::WeightDelta`] envelope.
-    pub delta_updates_applied: usize,
-    /// Updates applied from a full-snapshot envelope: the initial checkpoint
-    /// plus any post-failover re-sync the server fell back to.
-    pub full_updates_applied: usize,
-    /// Delta envelopes whose base-checkpoint verification failed
-    /// ([`st_net::WireError::UnknownBaseCheckpoint`] /
-    /// [`st_net::WireError::StaleBaseCheckpoint`]); the client keeps serving
-    /// its current weights rather than applying an unappliable delta.
-    pub delta_rejections: usize,
 }
 
 /// One client stream fed to [`run_live_multi`].
@@ -117,7 +99,6 @@ impl MultiLiveOutcome {
 pub(crate) struct ClientLoopOutput {
     pub(crate) record: ExperimentRecord,
     pub(crate) final_student: WeightSnapshot,
-    pub(crate) delta: ClientDeltaStats,
 }
 
 /// How long a client waits for the initial checkpoint, or for a forced
@@ -172,21 +153,6 @@ struct PendingFrame {
     miou: f64,
 }
 
-/// Client half of the delta-update protocol (present only when the pool
-/// serves delta updates, [`PoolConfig::delta_updates`]). The digest
-/// mirrors the server's [`crate::serve`] per-stream `DeltaTrack`: both sides
-/// advance it with exactly the chunks that crossed the wire, so the bases
-/// stay synchronized without ever exchanging digests.
-struct DeltaSync {
-    /// Hash-per-entry identity of the checkpoint the client serves with.
-    digest: CheckpointDigest,
-    /// Combined hash *before* the most recently applied payload, so a delta
-    /// naming it can be classified as a raced/stale base rather than an
-    /// unknown one.
-    previous: Option<u64>,
-    stats: ClientDeltaStats,
-}
-
 /// Algorithm 4 as a *resumable* state machine over any [`ClientEndpoint`]:
 /// wait for the initial checkpoint, serve every frame, send key frames
 /// asynchronously, apply updates as they arrive (deferring at most
@@ -225,9 +191,10 @@ struct ClientDriver<'a> {
     /// never gets here (the shard keeps its uplink and downlinks), so a
     /// lost peer is gone for good.
     disconnected: bool,
-    /// `Some` when the pool serves delta updates: downlink weight
-    /// payloads are [`WeightPayload`] envelopes instead of bare snapshots.
-    sync: Option<DeltaSync>,
+    /// Whether the pool serves delta updates
+    /// ([`PoolConfig::delta_updates`]): downlink weight payloads are
+    /// [`WeightPayload`] envelopes instead of bare snapshots.
+    delta_updates: bool,
     cursor: usize,
     elapsed: f64,
     phase: ClientPhase,
@@ -243,18 +210,6 @@ impl<'a> ClientDriver<'a> {
         delta_updates: bool,
     ) -> Self {
         client_student.freeze = config.mode.freeze_point();
-        // Seed the digest from the local starting checkpoint — identical to
-        // the template the server registers the session from — so a client
-        // that never sees the `InitialStudent` (timeout, lossy endpoint) can
-        // still verify delta bases instead of holding an empty digest.
-        let sync = delta_updates.then(|| DeltaSync {
-            digest: CheckpointDigest::of(&WeightSnapshot::capture(
-                &mut client_student,
-                SnapshotScope::Full,
-            )),
-            previous: None,
-            stats: ClientDeltaStats::default(),
-        });
         ClientDriver {
             config,
             frames,
@@ -274,7 +229,7 @@ impl<'a> ClientDriver<'a> {
             pending_frame: None,
             stashed: None,
             disconnected: false,
-            sync,
+            delta_updates,
             cursor: 0,
             elapsed: 0.0,
             phase: ClientPhase::AwaitInitial {
@@ -413,41 +368,27 @@ impl<'a> ClientDriver<'a> {
     }
 
     /// Apply one downlink weight payload to the local student. Without delta
-    /// updates the bytes are a bare [`WeightSnapshot`] at `scope`; with
-    /// them they are a [`WeightPayload`] envelope, and the digest is patched
-    /// with exactly the chunks that were applied — the client-side mirror of
-    /// the server's per-stream delta track, so the two bases stay in
-    /// lockstep without exchanging digests. A delta whose base hash does not
-    /// match the held checkpoint is rejected (counted, weights untouched);
-    /// the server's re-sync rule — a full envelope after any restore —
-    /// clears the condition on the next update.
+    /// updates the bytes are a bare [`WeightSnapshot`] at `scope`; with them
+    /// they are a [`WeightPayload::Full`] envelope. The pool sends no other,
+    /// so a `Delta` envelope fails as a protocol error, the student
+    /// untouched.
     fn apply_weight_payload(&mut self, data: &bytes::Bytes, scope: SnapshotScope) -> Result<()> {
-        let Some(sync) = &mut self.sync else {
-            let snapshot = WeightSnapshot::decode(data, scope)?;
-            snapshot.apply(&mut self.client_student)?;
-            return Ok(());
+        let snapshot = if self.delta_updates {
+            let full =
+                <WeightPayload as Wire>::decode(&mut &data[..]).and_then(|payload| match payload {
+                    WeightPayload::Full(snapshot) => Ok(snapshot),
+                    WeightPayload::Delta(_) => Err(WireError::UnknownVariant {
+                        type_name: "WeightPayload",
+                        tag: 1,
+                    }),
+                });
+            full.map_err(|e| {
+                st_tensor::TensorError::InvalidArgument(format!("weight payload: {e}"))
+            })?
+        } else {
+            WeightSnapshot::decode(data, scope)?
         };
-        let payload = <WeightPayload as Wire>::decode(&mut &data[..])
-            .map_err(|e| st_tensor::TensorError::InvalidArgument(format!("weight payload: {e}")))?;
-        match payload {
-            WeightPayload::Full(snapshot) => {
-                snapshot.apply(&mut self.client_student)?;
-                sync.previous = Some(sync.digest.combined());
-                sync.digest.patch(&snapshot);
-                sync.stats.full_updates_applied += 1;
-            }
-            WeightPayload::Delta(delta) => {
-                if delta.check_base(&sync.digest, sync.previous).is_err() {
-                    sync.stats.delta_rejections += 1;
-                    return Ok(());
-                }
-                let (sparse, chunks) = delta.into_parts()?;
-                sparse.apply(&mut self.client_student)?;
-                sync.previous = Some(sync.digest.combined());
-                sync.digest.patch_chunks(&chunks);
-                sync.stats.delta_updates_applied += 1;
-            }
-        }
+        snapshot.apply(&mut self.client_student)?;
         Ok(())
     }
 
@@ -525,7 +466,6 @@ impl<'a> ClientDriver<'a> {
         ClientLoopOutput {
             record,
             final_student,
-            delta: self.sync.map(|sync| sync.stats).unwrap_or_default(),
         }
     }
 }
@@ -703,7 +643,6 @@ where
             server_key_frames: server.key_frames,
             server_distill_steps: server.distill_steps,
             final_student: output.final_student,
-            delta: output.delta,
         });
     }
     Ok(MultiLiveOutcome {
@@ -882,6 +821,28 @@ mod tests {
                 .pop_front()
                 .ok_or(st_net::TransportError::Timeout)
         }
+    }
+
+    #[test]
+    fn a_delta_envelope_fails_as_a_protocol_error() {
+        // Tag 1 (`Delta`): base 0, trainable scope, no entries.
+        let delta = bytes::Bytes::copy_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]);
+        let mut endpoint = ThrottlingEndpoint::new();
+        endpoint.queue[0] = ServerToClient::InitialStudent {
+            payload: Payload::with_data(delta),
+        };
+        let frames = frames_for(SceneKind::People, 6, 4);
+        let student = StudentNet::new(StudentConfig::tiny()).unwrap();
+        let config = ShadowTutorConfig::paper();
+        let Err(err) = drive_client(config, &frames, student, &mut endpoint, "d", "live", true)
+        else {
+            panic!("a delta envelope was applied")
+        };
+        assert!(
+            err.to_string()
+                .contains("unknown WeightPayload variant tag 1"),
+            "{err}"
+        );
     }
 
     #[test]

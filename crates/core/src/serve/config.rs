@@ -136,9 +136,9 @@ pub struct PoolConfig {
     /// the spot, with a cold optimizer. When a pass of a shard dies, the
     /// reactor worker that caught it recovers the shard in place: the
     /// crew's items come home, what the pass left unanswered is drop-acked
-    /// with [`DropReason::ShardFailed`], every delta stream re-syncs with a
-    /// full snapshot, and the next pass serves the queue and the uplink as
-    /// before. A second death of the same shard is not recovered. Off by
+    /// with [`DropReason::ShardFailed`], every stream it carried is owed its
+    /// weights on its next answer, and the next pass serves the queue and
+    /// the uplink as before. A second death of the same shard is not recovered. Off by
     /// default: a shard death then fails [`ServerPool::join`] with
     /// [`PoolError::WorkerFailed`].
     pub replication: bool,
@@ -150,14 +150,16 @@ pub struct PoolConfig {
     /// ([`SessionWeights::CopyOnWrite`] by default; behaviour is identical
     /// either way, only resident memory differs).
     pub session_weights: SessionWeights,
-    /// Serve delta-encoded weight updates: every stream the pool connects
-    /// gets its initial checkpoint in a `WeightPayload::Full` envelope, and
-    /// the shard answers each distilled key frame with a sparse
-    /// [`st_nn::delta::WeightDelta`] against the client's last-acked
-    /// checkpoint (full snapshots remain the fallback whenever the stream is
-    /// not known to be in sync — first update after a register, or after a
-    /// failover restore). Off by default: updates ship as bare full
-    /// snapshots of the trainable subset, exactly the seed wire format.
+    /// Ship weights only when the client lacks them: every stream the pool
+    /// connects gets its initial checkpoint in a `WeightPayload::Full`
+    /// envelope, and the shard answers each distilled key frame with the
+    /// update in a `Full` envelope when Algorithm 1 changed the student (or
+    /// a recovery left the stream owed its weights) and with a payload
+    /// without data when it did not. The shard keeps nothing per stream
+    /// about what the client holds. Off by default: every update ships as a
+    /// bare snapshot of the trainable subset, the seed wire format. (The
+    /// name is older than the rule and stays because `stbench` sets the
+    /// field by it; ROADMAP item 18.)
     pub delta_updates: bool,
 }
 

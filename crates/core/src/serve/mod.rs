@@ -67,10 +67,9 @@
 //!   reactor worker and the lanes claim items one at a time, an item
 //!   *owning* its stream's session while it runs — moved out of the shard
 //!   and back, so no session is locked or borrowed across threads. The
-//!   worker answers every
-//!   key frame the moment it is distilled (delta encode, digest patch,
-//!   downlink), so a round trip is `teacher + own distill`,
-//!   not `teacher + the batch's`. Nor does it wait for the lanes: with no
+//!   worker answers every key frame the moment it is distilled (encode,
+//!   downlink), so a round trip is `teacher + own distill`, not
+//!   `teacher + the batch's`. Nor does it wait for the lanes: with no
 //!   item left to claim its pass ends, and the lanes' items come home in a
 //!   later pass that their posts wake; until then their streams are away,
 //!   in no batch, so a stream never has two items in flight. With no helpers the worker claims every

@@ -31,7 +31,6 @@ use crate::Result;
 #[cfg(doc)]
 use st_net::ServerToClient;
 use st_net::{DropReason, StreamId};
-use st_nn::delta::CheckpointDigest;
 use st_nn::snapshot::WeightSnapshot;
 use st_nn::store::SessionMemory;
 use st_nn::student::StudentNet;
@@ -42,17 +41,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Server-side delta-negotiation state of one stream: the digest of the
-/// client's last-acked checkpoint (patched with every update actually
-/// sent) and whether the stream is known to be in sync. An unsynced stream
-/// — fresh registration pending its first update, or a session whose shard
-/// recovered from a death and cannot prove what the client last applied —
-/// gets a full-snapshot envelope, which re-synchronizes it.
-pub(super) struct DeltaTrack {
-    pub(super) digest: CheckpointDigest,
-    pub(super) synced: bool,
-}
 
 /// A stream's last settled state: its session's full checkpoint and
 /// distillation counters, as they stood when no item held the session.
@@ -78,9 +66,6 @@ pub(super) struct StreamEntry {
     /// The stream's pre-shared frame content (also held by the shard while
     /// the entry is away, so the stream's key frames stay recognised).
     frames: Arc<FrameStore>,
-    /// Delta-update negotiation state; `None` on legacy bare-snapshot
-    /// streams. Marked unsynced by a recovery.
-    pub(super) delta: Option<DeltaTrack>,
     /// The recovery point, kept only when the pool replicates
     /// ([`ServeShard::keep_checkpoint`]): taken at registration and
     /// whenever an item comes home whole. An item that comes home failed —
@@ -115,7 +100,6 @@ pub(super) struct CrewItem {
 /// One distilled key frame on its way from whoever ran the item to the
 /// batch's sink.
 pub(super) struct Served {
-    position: usize,
     index: usize,
     response: KeyFrameResponse,
 }
@@ -178,7 +162,6 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
             };
             let response = session.distill(frame, &job.pseudo_label, 0.0)?;
             emit(Served {
-                position: item.position,
                 index: job.index,
                 response,
             });
@@ -203,15 +186,14 @@ pub(super) fn distill_item(mut item: CrewItem, ran: Ran, emit: &mut dyn FnMut(Se
 /// Where [`ServeShard`] hands a batch's results as they come to exist.
 pub(super) trait BatchSink {
     /// One key frame has been distilled. `index` is the job's position in
-    /// the batch; `track` is the stream's delta negotiation, if any (the
-    /// session itself may still be away, serving the stream's next job).
+    /// the batch (the session itself may still be away, serving the
+    /// stream's next job).
     fn served(
         &mut self,
         stats: &mut ShardStats,
         index: usize,
         job: ShardJob,
         response: KeyFrameResponse,
-        track: Option<&mut DeltaTrack>,
     );
 
     /// Every job the batch held for `stream_id` has been served and its
@@ -231,7 +213,6 @@ impl BatchSink for Collect {
         index: usize,
         job: ShardJob,
         response: KeyFrameResponse,
-        _track: Option<&mut DeltaTrack>,
     ) {
         self.0
             .push((index, job.stream_id, job.frame_index, response));
@@ -266,9 +247,6 @@ struct BatchRecord {
     seq: usize,
     /// The batch's jobs as handed in; a served job is reported as one.
     jobs: Vec<ShardJob>,
-    /// Each item's delta track, kept home for the sink to patch while the
-    /// session may still be away distilling the stream's next job.
-    tracks: Vec<Option<DeltaTrack>>,
 }
 
 /// A registered stream whose session is out in an item of an open batch.
@@ -305,7 +283,7 @@ pub(super) enum Wait {
 
 impl BatchRecord {
     /// Route one event of the batch: a served job to `sink` (and the
-    /// shard's counters), a returned item onto `home` with its delta track.
+    /// shard's counters), a returned item onto `home`.
     fn absorb(
         &mut self,
         stats: &mut ShardStats,
@@ -314,23 +292,13 @@ impl BatchRecord {
         event: Event<Served, Finished>,
         ran: Ran,
     ) {
-        let BatchRecord { seq, jobs, tracks } = self;
+        let BatchRecord { seq, jobs } = self;
         match event {
-            Event::Progress(Served {
-                position,
-                index,
-                response,
-            }) => {
+            Event::Progress(Served { index, response }) => {
                 stats.key_frames += 1;
                 stats.distill_steps += response.outcome.steps;
                 stats.jobs_offloaded += usize::from(ran == Ran::Helper);
-                sink.served(
-                    stats,
-                    index,
-                    jobs[index],
-                    response,
-                    tracks[position].as_mut(),
-                );
+                sink.served(stats, index, jobs[index], response);
             }
             Event::Returned(Finished {
                 item,
@@ -343,7 +311,6 @@ impl BatchRecord {
                     mut entry,
                     ..
                 } = item;
-                entry.delta = tracks[position].take();
                 if matches!(outcome, Ok(Ok(()))) {
                     sink.settled(stats, stream_id, &mut entry);
                 }
@@ -486,19 +453,20 @@ impl<T: Teacher> ServeShard<T> {
     }
 
     /// Register a stream: create its session and return the initial full
-    /// checkpoint (Algorithm 3, line 1, per stream).
+    /// checkpoint (Algorithm 3, line 1, per stream), which the caller ships
+    /// as [`ServerToClient::InitialStudent`].
     ///
     /// A duplicate register does **not** clobber the live session or its
     /// pre-shared frames (the pool rejects duplicate connects before they
-    /// reach the shard); it returns the session's current checkpoint. Either
-    /// way the stream's delta track resets to synced-at-this-checkpoint:
-    /// the caller is about to ship exactly this snapshot as
-    /// [`ServerToClient::InitialStudent`].
+    /// reach the shard); it returns the session's current checkpoint.
+    /// `_supports_delta` is ignored: a shard keeps nothing per stream about
+    /// the update encoding. It stays only because `stbench`'s probes call
+    /// this with three arguments (ROADMAP item 18).
     pub fn register(
         &mut self,
         stream_id: StreamId,
         frames: FrameStore,
-        supports_delta: bool,
+        _supports_delta: bool,
     ) -> WeightSnapshot {
         debug_assert!(
             !self.away.contains_key(&stream_id),
@@ -511,7 +479,6 @@ impl<T: Teacher> ServeShard<T> {
                 StreamEntry {
                     session,
                     frames: Arc::new(frames),
-                    delta: None,
                     checkpoint: None,
                 },
             );
@@ -519,12 +486,7 @@ impl<T: Teacher> ServeShard<T> {
         let Some(entry) = self.sessions.get_mut(&stream_id) else {
             unreachable!("session inserted above when absent")
         };
-        let initial = entry.session.initial_checkpoint();
-        entry.delta = supports_delta.then(|| DeltaTrack {
-            digest: CheckpointDigest::of(&initial),
-            synced: true,
-        });
-        initial
+        entry.session.initial_checkpoint()
     }
 
     /// Pull a whole stream out of the shard: its live session and its frame
@@ -542,14 +504,6 @@ impl<T: Teacher> ServeShard<T> {
             "a stream lives in exactly one place"
         );
         self.sessions.insert(stream_id, entry);
-    }
-
-    /// Mark every home stream's delta track unsynced, so its next update
-    /// ships as a full snapshot.
-    pub(super) fn unsync_delta_tracks(&mut self) {
-        for track in self.sessions.values_mut().filter_map(|e| e.delta.as_mut()) {
-            track.synced = false;
-        }
     }
 
     /// Keep a recovery checkpoint for one stream from now on (checkpoint
@@ -754,13 +708,10 @@ impl<T: Teacher> ServeShard<T> {
 
         // One item per stream, in the order the streams first appear; each
         // takes its session out of the shard, which keeps the stream's
-        // frames and memory split meanwhile. The delta track stays behind:
-        // the sink patches it per response, while the session may still be
-        // away distilling the stream's next job.
+        // frames and memory split meanwhile.
         let seq = self.batches_opened;
         self.batches_opened += 1;
         let mut items: Vec<CrewItem> = Vec::new();
-        let mut tracks: Vec<Option<DeltaTrack>> = Vec::new();
         for ((index, job), pseudo_label) in resolved.into_iter().zip(labels) {
             let item_job = ItemJob {
                 index,
@@ -784,7 +735,6 @@ impl<T: Teacher> ServeShard<T> {
                     memory,
                 },
             );
-            tracks.push(entry.delta.take());
             items.push(CrewItem {
                 position: items.len(),
                 stream_id: job.stream_id,
@@ -807,7 +757,6 @@ impl<T: Teacher> ServeShard<T> {
             record: BatchRecord {
                 seq,
                 jobs: jobs.to_vec(),
-                tracks,
             },
             crew,
         });

@@ -8,7 +8,7 @@
 //! still run stays open, its streams away, and the items come home — their
 //! key frames answered — in a later pass, which a lane's post wakes.
 
-use super::shard::{BatchSink, DeltaTrack, ServeShard, Wait};
+use super::shard::{BatchSink, ServeShard, Wait};
 use super::{FairScheduler, FrameStore, PoolConfig, ScheduledJob, ShardJob, ShardStats};
 #[cfg(doc)]
 use super::{ServerPool, StreamClient};
@@ -16,10 +16,10 @@ use crate::server::{KeyFrameResponse, StreamServerStats};
 use crate::Result;
 use bytes::Bytes;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, StreamTagged, Wire};
-use st_nn::delta::{WeightDelta, WeightPayload};
+use st_nn::delta::WeightPayload;
 use st_nn::snapshot::WeightSnapshot;
 use st_teacher::Teacher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -142,13 +142,24 @@ fn strike(in_flight: &mut Vec<InFlight>, job: ShardJob) -> Option<(ScheduledJob,
 
 /// The shard state machine's [`BatchSink`]: answer each key frame the
 /// moment the reactor worker learns it has been distilled — queue-wait
-/// sample, delta encode, digest patch, downlink.
+/// sample, then the update on the downlink.
+///
+/// With [`PoolConfig::delta_updates`] on, an answer carries the student or
+/// nothing: a `WeightPayload::Full` envelope of the update when Algorithm 1
+/// changed the student (or the stream is owed its weights after a
+/// recovery), and a payload without data when it did not — the client
+/// already holds those weights and takes only the metric. Nothing is kept
+/// per stream about what the client holds.
 struct Emitter<'a> {
     downlinks: &'a HashMap<StreamId, Downlink>,
     meters: &'a mut HashMap<StreamId, StreamMeter>,
     wait_samples: &'a mut Vec<f64>,
     /// Whatever batch a served job came from: `ShardState::in_flight`.
     in_flight: &'a mut Vec<InFlight>,
+    /// `PoolConfig::delta_updates`.
+    delta_updates: bool,
+    /// `ShardState::resync`.
+    resync: &'a mut HashSet<StreamId>,
 }
 
 impl BatchSink for Emitter<'_> {
@@ -158,7 +169,6 @@ impl BatchSink for Emitter<'_> {
         _index: usize,
         job: ShardJob,
         response: KeyFrameResponse,
-        track: Option<&mut DeltaTrack>,
     ) {
         let Some((scheduled, started)) = strike(self.in_flight, job) else {
             unreachable!("served job {job:?} was never scheduled")
@@ -177,35 +187,25 @@ impl BatchSink for Emitter<'_> {
         let Some(downlink) = self.downlinks.get(&job.stream_id) else {
             return;
         };
-        // Delta-negotiated streams receive a [`WeightPayload`] envelope:
-        // the changed chunks against the client's last-acked checkpoint
-        // when the stream is known synced, a full snapshot otherwise (a
-        // fresh or failover-restored stream re-syncs on its next update).
-        // The digest is patched only here — for an update actually put on
-        // the downlink — so a stream whose client vanished never advances
-        // the base the client is assumed to hold. A delta and its patch
-        // come out of one chunk-encode-and-hash pass over the update. A bare
-        // stream ships the snapshot's encoding: the previous update's bytes
-        // again, uncopied, when the key frame left the student unchanged.
-        let encoded = match track {
-            Some(track) => {
-                let encoded = if track.synced {
-                    stats.delta_updates_sent += 1;
-                    let delta = WeightDelta::compute_and_patch(&response.update, &mut track.digest);
-                    Bytes::from(Wire::encode(&WeightPayload::Delta(delta)))
-                } else {
-                    stats.full_updates_sent += 1;
-                    track.synced = true;
-                    track.digest.patch(&response.update);
-                    Bytes::from(WeightPayload::encode_full(&response.update))
-                };
+        // A bare stream ships the snapshot's encoding: the previous update's
+        // bytes again, uncopied, when the key frame left the student
+        // unchanged. With delta updates on, the update ships in a `Full`
+        // envelope only when the client lacks it: the student changed, or a
+        // recovery left the stream owed its weights.
+        let payload = if !self.delta_updates {
+            Payload::with_data(response.encoded())
+        } else {
+            stats.update_bytes_full_equiv += 1 + response.update.encoded_len();
+            let owed = self.resync.remove(&job.stream_id);
+            if owed || response.outcome.changed {
+                let encoded = WeightPayload::encode_full(&response.update);
                 stats.update_bytes_sent += encoded.len();
-                stats.update_bytes_full_equiv += 1 + response.update.encoded_len();
-                encoded
+                Payload::with_data(Bytes::from(encoded))
+            } else {
+                stats.unchanged_updates_sent += 1;
+                Payload::sized(0)
             }
-            None => response.encoded(),
         };
-        let payload = Payload::with_data(encoded);
         let msg = ServerToClient::StudentUpdate {
             frame_index: job.frame_index,
             metric: response.metric,
@@ -300,6 +300,12 @@ pub(super) struct ShardState<T: Teacher> {
     /// [`DropReason::ShardFailed`], and only that.
     in_flight: Vec<InFlight>,
     takeover_samples: Vec<f64>,
+    /// Streams owed their weights in full: every stream a recovery carried,
+    /// until an answer ships it weights. Nothing proves what such a client
+    /// applied of the dying pass's answers, and a failed item's session was
+    /// rebuilt from its checkpoint, so "unchanged" no longer means "the
+    /// client holds it".
+    resync: HashSet<StreamId>,
 }
 
 /// What one [`ShardState::run_pass`] left behind, telling the reactor
@@ -338,6 +344,7 @@ impl<T: Teacher> ShardState<T> {
             batches_processed: 0,
             in_flight: Vec::new(),
             takeover_samples: Vec::new(),
+            resync: HashSet::new(),
         }
     }
 
@@ -350,6 +357,8 @@ impl<T: Teacher> ShardState<T> {
                 meters: &mut self.meters,
                 wait_samples: &mut self.wait_samples,
                 in_flight: &mut self.in_flight,
+                delta_updates: self.pool_config.delta_updates,
+                resync: &mut self.resync,
             },
         )
     }
@@ -410,8 +419,8 @@ impl<T: Teacher> ShardState<T> {
                 let delta_updates = self.pool_config.delta_updates;
                 let initial = self.shard.register(stream_id, link.frames, delta_updates);
                 // With delta updates on, the initial checkpoint goes inside
-                // a `WeightPayload::Full` envelope — always applicable, and
-                // it seeds the client's digest for later deltas.
+                // a `WeightPayload::Full` envelope, as every answer that
+                // carries weights does.
                 let encoded = if delta_updates {
                     Bytes::from(WeightPayload::encode_full(&initial))
                 } else {
@@ -679,10 +688,9 @@ impl<T: Teacher> ShardState<T> {
         // the death, and its unanswered jobs are drop-acked below.
         self.drain_away(Wait::All);
         let _second_failure = self.shard.take_failure();
-        // Nothing proves what a delta-negotiated client applied of the
-        // dying pass's updates, so each stream's next update ships as a
-        // full snapshot (the delta re-sync).
-        self.shard.unsync_delta_tracks();
+        // Nothing proves what a client applied of the dying pass's answers,
+        // so each stream's next answer ships its weights.
+        self.resync.extend(self.shard.session_ids());
         // A torn kill's whole batch, the jobs of an item that failed.
         // (Jobs answered, by the dying pass or by the drain above, are not
         // here.)
@@ -1104,5 +1112,109 @@ mod tests {
         assert_eq!(state.streams[&2].key_frames, 1);
         assert!(!state.shard.has_open() && state.in_flight.is_empty());
         crewed.lanes.close();
+    }
+
+    #[test]
+    fn an_unchanged_answer_carries_no_weights_until_a_recovery_owes_them() {
+        // A student trained on the scene, so a wrecking step loses to it.
+        let frames = tiny_stream(SceneKind::People, 79, 3);
+        let paper = ShadowTutorConfig::paper();
+        let mut template = StudentNet::new(StudentConfig::tiny()).unwrap();
+        template.freeze = paper.mode.freeze_point();
+        let mut adam = st_nn::optim::Adam::new(paper.learning_rate);
+        let mut teacher = OracleTeacher::perfect(5);
+        for frame in [&frames[..]; 6].concat() {
+            let label = teacher.pseudo_label(&frame).unwrap();
+            crate::train::train_student(&mut template, &mut adam, &frame, &label, &paper).unwrap();
+        }
+        // Steps too small to move an argmax: the metric ties, and a tie
+        // keeps the stepped student.
+        let eager = ShadowTutorConfig {
+            threshold: 0.999,
+            learning_rate: 1e-6,
+            ..paper
+        };
+        let shard = ServeShard::new(eager, template, OracleTeacher::perfect(5), 0.013);
+        let (_uplink, rx) = mpsc::channel();
+        let pool_config = PoolConfig {
+            delta_updates: true,
+            replication: true,
+            ..PoolConfig::with_shards(1)
+        };
+        let mut state = ShardState::new(shard, rx, pool_config, 0);
+        let (tx, answers) = mpsc::channel();
+        let downlink = Downlink {
+            tx,
+            waker: None,
+            wire: Arc::new(WireMeter::default()),
+        };
+        let mut register = envelope(1, ClientToServer::Register);
+        register.link = Some(Box::new(StreamLink {
+            downlink,
+            frames: FrameStore::from_frames(&frames, None),
+        }));
+        state.on_frame(register).unwrap();
+        // A client replaying its answers: a `Full` envelope or nothing.
+        let mut client = StudentNet::new(StudentConfig::tiny()).unwrap();
+        client.freeze = paper.mode.freeze_point();
+        let replay = |client: &mut StudentNet| -> Option<(usize, WeightSnapshot)> {
+            let (steps, payload) = match answers.try_recv().unwrap() {
+                ServerToClient::InitialStudent { payload } => (0, payload),
+                ServerToClient::StudentUpdate {
+                    distill_steps,
+                    payload,
+                    ..
+                } => (distill_steps, payload),
+                other => panic!("expected weights, got {other:?}"),
+            };
+            let data = payload.data?;
+            let Ok(WeightPayload::Full(snapshot)) = WeightPayload::decode(&mut &data[..]) else {
+                panic!("expected a Full envelope")
+            };
+            snapshot.apply(client).unwrap();
+            Some((steps, snapshot))
+        };
+        assert!(replay(&mut client).is_some(), "no initial student");
+        let serve = |state: &mut ShardState<OracleTeacher>, frame: &Frame| {
+            state.on_frame(key_frame(1, frame)).unwrap();
+            state.process_one_batch().unwrap();
+        };
+        // A key frame that trains ships the student.
+        serve(&mut state, &frames[0]);
+        let (steps, trained) = replay(&mut client).expect("a changed student shipped nothing");
+        assert!(steps > 0 && trained.scope() == st_nn::snapshot::SnapshotScope::TrainableOnly);
+        // Rolled back: stepped at a learning rate that wrecks the student,
+        // every step loses to where it started and is undone. The client
+        // holds those weights already: the answer carries none.
+        let wrecking = ShadowTutorConfig {
+            threshold: 0.999,
+            max_updates: 2,
+            learning_rate: 1e3,
+            ..paper
+        };
+        let mut entry = state.shard.evict_stream(1).unwrap();
+        let student = entry.session.student_mut().clone();
+        entry.session = crate::server::DistillSession::new(wrecking, student, 0.0);
+        state.shard.adopt_stream(1, entry);
+        serve(&mut state, &frames[1]);
+        assert!(replay(&mut client).is_none());
+        assert_eq!(state.shard.stats.unchanged_updates_sent, 1);
+        // After a recovery the stream's next answer ships its weights,
+        // unchanged as they are since the trained answer, in the full
+        // trainable envelope; then unchanged answers carry none again.
+        assert!(state.recover(Instant::now()));
+        serve(&mut state, &frames[1]);
+        let (steps, resync) = replay(&mut client).expect("no weights after the recovery");
+        assert!(steps > 0);
+        assert_eq!(resync.encode(), trained.encode());
+        serve(&mut state, &frames[2]);
+        assert!(replay(&mut client).is_none());
+        assert_eq!(state.shard.stats.unchanged_updates_sent, 2);
+        // The client ends on the server session's bits.
+        let (server, _) = state.shard.finish(1).unwrap();
+        assert_eq!(
+            WeightSnapshot::capture(&mut client, st_nn::snapshot::SnapshotScope::Full).encode(),
+            server.encode()
+        );
     }
 }

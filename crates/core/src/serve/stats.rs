@@ -84,17 +84,15 @@ pub struct ShardStats {
     /// counts. Always 0 for a shard without helpers (a directly driven
     /// [`super::ServeShard`], or a pool with a reactor worker per core).
     pub jobs_offloaded: usize,
-    /// Weight updates shipped delta-encoded (changed chunks only).
-    pub delta_updates_sent: usize,
-    /// Weight updates shipped as full snapshots on a delta-negotiated
-    /// stream — the first update after a (re-)register or failover restore.
-    pub full_updates_sent: usize,
-    /// Actual update payload bytes sent on delta-negotiated streams (delta
-    /// or full-fallback encodings, as shipped).
+    /// Answers shipped without weight bytes (delta updates on, the student
+    /// unchanged): the client keeps what it holds and takes the metric.
+    pub unchanged_updates_sent: usize,
+    /// Update payload bytes actually sent with delta updates on (`Full`
+    /// envelopes of changed students; an unchanged answer adds nothing).
     pub update_bytes_sent: usize,
-    /// Bytes the same updates would have cost as full snapshots — the
-    /// baseline the delta encoding is measured against. For non-negotiated
-    /// streams both counters advance identically.
+    /// Bytes the same answers would have cost as `Full` envelopes — the
+    /// baseline [`ShardStats::update_bytes_sent`] is measured against.
+    /// Neither counter advances with delta updates off.
     pub update_bytes_full_equiv: usize,
 }
 
@@ -276,17 +274,12 @@ impl PoolStats {
         self.shards.iter().map(|s| s.jobs_offloaded).sum()
     }
 
-    /// Weight updates shipped delta-encoded across the pool.
-    pub fn delta_updates_sent(&self) -> usize {
-        self.shards.iter().map(|s| s.delta_updates_sent).sum()
+    /// Answers shipped without weight bytes across the pool.
+    pub fn unchanged_updates_sent(&self) -> usize {
+        self.shards.iter().map(|s| s.unchanged_updates_sent).sum()
     }
 
-    /// Weight updates shipped as full snapshots on delta-negotiated streams.
-    pub fn full_updates_sent(&self) -> usize {
-        self.shards.iter().map(|s| s.full_updates_sent).sum()
-    }
-
-    /// Update payload bytes actually sent on delta-negotiated streams.
+    /// Update payload bytes actually sent with delta updates on.
     pub fn update_bytes_sent(&self) -> usize {
         self.shards.iter().map(|s| s.update_bytes_sent).sum()
     }
@@ -367,8 +360,7 @@ impl PoolStats {
             session_bytes_private_peak: self.session_bytes_private_peak(),
             store_resident_bytes: self.store_resident_bytes,
             store_chunk_count: self.store_chunk_count,
-            delta_updates_sent: self.delta_updates_sent(),
-            full_updates_sent: self.full_updates_sent(),
+            unchanged_updates_sent: self.unchanged_updates_sent(),
             update_bytes_sent: self.update_bytes_sent(),
             update_bytes_full_equiv: self.update_bytes_full_equiv(),
             jobs_offloaded: self.jobs_offloaded(),

@@ -586,7 +586,7 @@ fn reactor_distillation_is_bit_identical_to_the_shard_layer_at_every_worker_coun
 // The distill crew
 // ---------------------------------------------------------------------------
 
-use super::shard::{BatchSink, DeltaTrack, ItemEvent, ItemHook, StreamEntry};
+use super::shard::{BatchSink, ItemEvent, ItemHook, StreamEntry};
 use crate::server::KeyFrameResponse;
 use st_tensor::parallel::{Crew, Lanes, Ran};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -782,7 +782,6 @@ impl BatchSink for StampedSink {
         _index: usize,
         job: ShardJob,
         _response: KeyFrameResponse,
-        _track: Option<&mut DeltaTrack>,
     ) {
         let at = self.clock.fetch_add(1, Ordering::SeqCst);
         self.served.push((at, job.stream_id, job.frame_index));
@@ -1501,7 +1500,6 @@ impl BatchSink for Shipped {
         _index: usize,
         _job: ShardJob,
         response: KeyFrameResponse,
-        _track: Option<&mut DeltaTrack>,
     ) {
         self.0.push((response.outcome, response.encoded()));
     }

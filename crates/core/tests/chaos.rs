@@ -21,7 +21,7 @@ use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FaultPlan, PoolConfig, PoolError, PoolStats, ServerPool, StreamClient};
 use st_net::transport::ClientEndpoint;
 use st_net::{ClientToServer, DropReason, Payload, ServerToClient, StreamId, TransportError, Wire};
-use st_nn::delta::{CheckpointDigest, WeightPayload};
+use st_nn::delta::WeightPayload;
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
 use st_teacher::{OracleTeacher, Teacher};
@@ -51,7 +51,7 @@ const DEAD_SHARD: usize = 1;
 ///    crew, waiting for the lanes that still run them: at most the rest of
 ///    one batch pass, bounded by `pass_cost`.
 /// 2. **Resync** — drop-acking what is still unanswered, marking each
-///    stream's delta track unsynced and counting the recovery: a fixed
+///    stream owed its weights and counting the recovery: a fixed
 ///    amount of pointer work (`recover_cost`) plus a per-stream share
 ///    (`cost_per_stream`).
 ///
@@ -69,8 +69,8 @@ struct FailoverModel {
     /// Fixed recovery overhead in seconds: drop-acking the unanswered jobs
     /// and counting the recovery.
     recover_cost: f64,
-    /// Per-stream recovery cost in seconds: marking the stream's delta
-    /// track unsynced.
+    /// Per-stream recovery cost in seconds: marking the stream owed its
+    /// weights.
     cost_per_stream: f64,
 }
 
@@ -142,7 +142,7 @@ fn total_sent() -> usize {
 #[derive(Debug, Default)]
 struct StreamOutcome {
     /// The `InitialStudent` payload (so delta runs can seed a client-side
-    /// digest exactly the way the live runtime does).
+    /// student exactly the way the live runtime does).
     initial: Option<Payload>,
     /// Every `StudentUpdate` in arrival order (the full message, so the
     /// bit-for-bit comparison covers metric, steps and payload bytes).
@@ -985,60 +985,63 @@ fn live_clients_serve_every_key_frame_across_a_takeover() {
     }
 }
 
-/// Client-side delta state for one stream, mirroring the live runtime's
-/// apply path: decode the envelope, apply it to a local student, and keep
-/// the digest patched in lockstep with the server's per-stream track.
+/// What one answer did to the client's student.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    /// No weights: the client keeps what it holds.
+    Bare,
+    /// Weights that changed the client's student.
+    Changed,
+    /// Weights the client already held.
+    Same,
+}
+
+/// Client-side replay of one delta-pool stream, mirroring the live
+/// runtime's apply path: an answer carries the student in a `Full`
+/// envelope or nothing. A `Delta` envelope, which the pool never sends,
+/// panics.
 struct DeltaTracker {
     student: StudentNet,
-    digest: CheckpointDigest,
-    fulls: usize,
-    deltas: usize,
+    answers: Vec<Answer>,
 }
 
 impl DeltaTracker {
-    /// Seed from the `InitialStudent` payload, which a delta-negotiated
-    /// stream always receives as a full-snapshot envelope.
-    fn new(stream: StreamId, initial: &Payload) -> Self {
-        let data = initial.data.as_ref().expect("live payloads carry bytes");
-        let WeightPayload::Full(snapshot) = <WeightPayload as Wire>::decode(&mut &data[..])
-            .unwrap_or_else(|err| panic!("stream {stream}: bad initial envelope: {err:?}"))
-        else {
-            panic!("stream {stream}: initial checkpoint arrived as a delta");
-        };
-        let mut student = StudentNet::new(StudentConfig::tiny()).unwrap();
-        student.freeze = ShadowTutorConfig::paper().mode.freeze_point();
-        snapshot.apply(&mut student).unwrap();
-        DeltaTracker {
-            student,
-            digest: CheckpointDigest::of(&snapshot),
-            fulls: 0,
-            deltas: 0,
+    /// Decode one `Full` envelope.
+    fn full(stream: StreamId, data: &[u8]) -> WeightSnapshot {
+        match <WeightPayload as Wire>::decode(&mut &data[..]) {
+            Ok(WeightPayload::Full(snapshot)) => snapshot,
+            Ok(WeightPayload::Delta(_)) => panic!("stream {stream}: the pool sent a delta"),
+            Err(err) => panic!("stream {stream}: bad envelope: {err:?}"),
         }
     }
 
-    /// Apply one `StudentUpdate` payload. Every delta must pass its base
-    /// check — an unappliable delta after failover is exactly the bug the
-    /// full-snapshot re-sync exists to prevent.
-    fn apply(&mut self, stream: StreamId, payload: &Payload) {
-        let data = payload.data.as_ref().expect("live payloads carry bytes");
-        let envelope = <WeightPayload as Wire>::decode(&mut &data[..])
-            .unwrap_or_else(|err| panic!("stream {stream}: bad update envelope: {err:?}"));
-        match envelope {
-            WeightPayload::Full(snapshot) => {
-                snapshot.apply(&mut self.student).unwrap();
-                self.digest.patch(&snapshot);
-                self.fulls += 1;
-            }
-            WeightPayload::Delta(delta) => {
-                delta.check_base(&self.digest, None).unwrap_or_else(|err| {
-                    panic!("stream {stream}: unappliable delta after failover: {err:?}")
-                });
-                let (sparse, chunks) = delta.into_parts().unwrap();
-                sparse.apply(&mut self.student).unwrap();
-                self.digest.patch_chunks(&chunks);
-                self.deltas += 1;
-            }
+    /// Seed from the `InitialStudent` payload, a `Full` envelope.
+    fn new(stream: StreamId, initial: &Payload) -> Self {
+        let data = initial.data.as_ref().expect("live payloads carry bytes");
+        let mut student = StudentNet::new(StudentConfig::tiny()).unwrap();
+        student.freeze = ShadowTutorConfig::paper().mode.freeze_point();
+        Self::full(stream, data).apply(&mut student).unwrap();
+        DeltaTracker {
+            student,
+            answers: Vec::new(),
         }
+    }
+
+    /// Apply one `StudentUpdate` payload, noting what it did.
+    fn apply(&mut self, stream: StreamId, payload: &Payload) {
+        let answer = match &payload.data {
+            None => Answer::Bare,
+            Some(data) => {
+                let before = self.final_state();
+                Self::full(stream, data).apply(&mut self.student).unwrap();
+                if self.final_state() == before {
+                    Answer::Same
+                } else {
+                    Answer::Changed
+                }
+            }
+        };
+        self.answers.push(answer);
     }
 
     /// Replay a whole stream outcome and return the tracker.
@@ -1053,14 +1056,18 @@ impl DeltaTracker {
         tracker
     }
 
+    fn bare(&self) -> usize {
+        self.answers.iter().filter(|a| **a == Answer::Bare).count()
+    }
+
     fn final_state(&mut self) -> bytes::Bytes {
         WeightSnapshot::capture(&mut self.student, SnapshotScope::Full).encode()
     }
 }
 
 /// The skewed schedule with the hot stream moved onto the doomed shard, so
-/// the failover-restored session has updates left to send *after* its
-/// full-snapshot re-sync.
+/// the recovered session has updates left to send *after* the answer that
+/// re-syncs it.
 fn resync_stream_frames() -> Vec<(StreamId, Vec<Frame>)> {
     (0..STREAMS)
         .map(|id| {
@@ -1074,13 +1081,13 @@ fn resync_stream_frames() -> Vec<(StreamId, Vec<Frame>)> {
 }
 
 #[test]
-fn failover_resyncs_delta_streams_with_a_full_snapshot() {
-    // A delta-negotiated stream whose shard dies must be re-synced by the
-    // recovered shard with a full-snapshot envelope (it cannot prove what
-    // the client applied of the dying pass's updates) and then resume
-    // deltas — never ship a delta the client's digest rejects. The hot
-    // stream lives on the doomed shard this time, so it still has key
-    // frames in flight after the recovery.
+fn failover_resyncs_a_recovered_stream_with_its_first_answer() {
+    // Nothing proves what a client applied of its dying shard's answers, so
+    // a stream the recovery carried gets its weights on its first answer
+    // after it, changed or not. After that, as in a fault-free run, an
+    // answer carries weights exactly when Algorithm 1 changed the student.
+    // The hot stream lives on the doomed shard, which dies before its first
+    // batch, so every one of its answers comes after the recovery.
     let faulted_config = PoolConfig {
         delta_updates: true,
         ..chaos_pool_config(FaultPlan::kill(FAULT_SEED, DEAD_SHARD, 0))
@@ -1096,41 +1103,6 @@ fn failover_resyncs_delta_streams_with_a_full_snapshot() {
             outcome.drops
         );
     }
-
-    // Replay every stream client-side; `DeltaTracker::apply` panics on any
-    // delta whose base check fails, so merely completing the replay proves
-    // zero rejections.
-    let mut trackers: HashMap<StreamId, DeltaTracker> = faulted
-        .iter()
-        .map(|(id, outcome)| (*id, DeltaTracker::replay(*id, outcome)))
-        .collect();
-
-    // The hot doomed stream re-synced exactly once and then went back to
-    // deltas for every remaining update.
-    let hot = &trackers[&(DEAD_SHARD as StreamId)];
-    assert_eq!(
-        hot.fulls, 1,
-        "the recovered hot stream must re-sync with exactly one full snapshot"
-    );
-    assert_eq!(
-        hot.deltas,
-        HOT_KEY_FRAMES - 1,
-        "deltas must resume after the re-sync"
-    );
-    // Client- and server-side envelope accounting agree, and only streams
-    // carried across a recovery ever need a re-sync.
-    let fulls: usize = trackers.values().map(|t| t.fulls).sum();
-    let deltas: usize = trackers.values().map(|t| t.deltas).sum();
-    assert_eq!(fulls, report.full_updates_sent);
-    assert_eq!(deltas, report.delta_updates_sent);
-    assert_eq!(fulls + deltas, total_sent());
-    assert!(
-        fulls <= report.streams_adopted,
-        "a re-sync without a recovery: {report:?}"
-    );
-
-    // Bit-for-bit: the weights each client reconstructs through the
-    // kill-and-re-sync path equal a fault-free delta run's.
     let clean_config = PoolConfig {
         delta_updates: true,
         ..chaos_pool_config(FaultPlan::none())
@@ -1138,13 +1110,48 @@ fn failover_resyncs_delta_streams_with_a_full_snapshot() {
     let (clean, clean_stats) = run_chaos_with(clean_config, resync_stream_frames());
     let clean_report = clean_stats.snapshot();
     assert_eq!(clean_report.failovers, 0);
-    // Without a failover nothing ever needs a re-sync: registration seeds
-    // the digest and every update ships as a delta.
-    assert_eq!(clean_report.full_updates_sent, 0);
-    assert_eq!(clean_report.delta_updates_sent, total_sent());
-    for (id, outcome) in &clean {
-        let mut clean_tracker = DeltaTracker::replay(*id, outcome);
-        assert_eq!(clean_tracker.fulls, 0);
+
+    // Replay every stream client-side; `DeltaTracker` panics on a delta.
+    let replay = |outcomes: &HashMap<StreamId, StreamOutcome>| -> HashMap<StreamId, DeltaTracker> {
+        outcomes
+            .iter()
+            .map(|(id, outcome)| (*id, DeltaTracker::replay(*id, outcome)))
+            .collect()
+    };
+    let mut trackers = replay(&faulted);
+    let mut clean_trackers = replay(&clean);
+
+    let hot = DEAD_SHARD as StreamId;
+    let answers = &trackers[&hot].answers;
+    assert_eq!(answers.len(), HOT_KEY_FRAMES);
+    assert_ne!(
+        answers[0],
+        Answer::Bare,
+        "the recovered hot stream's first answer carried no weights"
+    );
+    // Later, an answer carries weights only when they change the student,
+    // and the runs agree on which answers those are.
+    assert!(
+        !answers[1..].contains(&Answer::Same),
+        "an unchanged answer carried weights: {answers:?}"
+    );
+    assert_eq!(answers[1..], clean_trackers[&hot].answers[1..]);
+    for tracker in clean_trackers.values() {
+        assert!(
+            !tracker.answers.contains(&Answer::Same),
+            "{:?}",
+            tracker.answers
+        );
+    }
+    // Client- and server-side counts of answers without weights agree.
+    for (report, trackers) in [(&report, &trackers), (&clean_report, &clean_trackers)] {
+        let bare: usize = trackers.values().map(DeltaTracker::bare).sum();
+        assert_eq!(bare, report.unchanged_updates_sent, "{report:?}");
+    }
+
+    // Bit-for-bit: the weights each client reconstructs through the
+    // kill-and-re-sync path equal a fault-free delta run's.
+    for (id, clean_tracker) in &mut clean_trackers {
         let faulted_tracker = trackers.get_mut(id).unwrap();
         assert_eq!(
             faulted_tracker.final_state(),

@@ -1,8 +1,8 @@
 //! Differential test layer for the content-keyed weight store and the
-//! delta-encoded update protocol (PR 10's headline claim): copy-on-write
-//! sessions and sparse wire updates are pure *representation* changes —
-//! every weight a stream ever serves with is bit-for-bit identical to the
-//! deep-clone + full-snapshot baseline.
+//! student-or-nothing update rule: copy-on-write sessions and answers that
+//! carry weights only when the student changed are pure *representation*
+//! changes — every weight a stream ever serves with is bit-for-bit
+//! identical to the deep-clone + full-snapshot baseline.
 //!
 //! Two layers, complementary by design:
 //!
@@ -29,7 +29,7 @@ use shadowtutor::config::ShadowTutorConfig;
 use shadowtutor::runtime::live::{run_live_multi, StreamSpec};
 use shadowtutor::serve::{FrameStore, PoolConfig, ServeShard, SessionWeights, ShardJob};
 use st_net::{StreamId, Wire};
-use st_nn::delta::{CheckpointDigest, WeightDelta, WeightPayload};
+use st_nn::delta::WeightPayload;
 use st_nn::snapshot::{SnapshotScope, WeightSnapshot};
 use st_nn::student::{StudentConfig, StudentNet};
 use st_teacher::OracleTeacher;
@@ -57,51 +57,30 @@ fn stream_frames(streams: usize, frames_per_stream: usize) -> Vec<(StreamId, Vec
         .collect()
 }
 
-/// One client's view of the delta wire protocol, mirroring
-/// `runtime::live`'s `DeltaSync`: the student, the digest of the last
-/// applied checkpoint, and the previous checkpoint hash for stale-base
-/// classification.
+/// One client's view of the update wire protocol, mirroring
+/// `runtime::live`'s client: the student, which takes a `Full` envelope
+/// when an answer carries one.
 struct DeltaClient {
     student: StudentNet,
-    digest: CheckpointDigest,
-    previous: Option<u64>,
 }
 
 impl DeltaClient {
-    /// A client holding the pristine template, its digest seeded from the
-    /// local state — exactly how the live driver bootstraps before the
-    /// `InitialStudent` envelope arrives.
+    /// A client holding the pristine template, as the live driver does
+    /// before the `InitialStudent` envelope arrives.
     fn new() -> Self {
-        let mut student = template();
-        let digest =
-            CheckpointDigest::of(&WeightSnapshot::capture(&mut student, SnapshotScope::Full));
         DeltaClient {
-            student,
-            digest,
-            previous: None,
+            student: template(),
         }
     }
 
-    /// Decode one `WeightPayload` off the wire and apply it, exactly as the
+    /// Decode one `Full` envelope off the wire and apply it, exactly as the
     /// live client driver does. Returns the payload's encoded size.
     fn apply_wire(&mut self, encoded: &[u8]) -> usize {
         let payload = <WeightPayload as Wire>::decode(&mut &encoded[..]).expect("decode payload");
-        match payload {
-            WeightPayload::Full(snapshot) => {
-                snapshot.apply(&mut self.student).expect("apply full");
-                self.previous = Some(self.digest.combined());
-                self.digest.patch(&snapshot);
-            }
-            WeightPayload::Delta(delta) => {
-                delta
-                    .check_base(&self.digest, self.previous)
-                    .expect("delta base must match the held checkpoint");
-                let (sparse, chunks) = delta.into_parts().expect("materialize delta");
-                sparse.apply(&mut self.student).expect("apply delta");
-                self.previous = Some(self.digest.combined());
-                self.digest.patch_chunks(&chunks);
-            }
-        }
+        let WeightPayload::Full(snapshot) = payload else {
+            panic!("the pool never sends a delta");
+        };
+        snapshot.apply(&mut self.student).expect("apply full");
         encoded.len()
     }
 
@@ -111,8 +90,9 @@ impl DeltaClient {
 }
 
 /// Deterministic differential at the shard layer: the same key-frame
-/// schedule through a copy-on-write shard shipping deltas and a deep-clone
-/// shard shipping full snapshots must produce bit-identical responses,
+/// schedule through a copy-on-write shard shipping the student only when it
+/// changed and a deep-clone shard shipping full snapshots must produce
+/// bit-identical responses,
 /// client states, and final server checkpoints — even though the CoW shard
 /// co-batches all streams per round while the clone shard serves each
 /// stream solo.
@@ -138,7 +118,6 @@ fn shard_layer_cow_delta_is_bit_identical_to_clone_full() {
 
     let mut delta_clients: HashMap<StreamId, DeltaClient> = HashMap::new();
     let mut full_clients: HashMap<StreamId, DeltaClient> = HashMap::new();
-    let mut server_digests: HashMap<StreamId, CheckpointDigest> = HashMap::new();
     for (id, frames) in &streams {
         let initial_cow = cow.register(*id, FrameStore::from_frames(frames, None), true);
         let initial_clone = clone.register(*id, FrameStore::from_frames(frames, None), false);
@@ -155,7 +134,6 @@ fn shard_layer_cow_delta_is_bit_identical_to_clone_full() {
         let mut full_client = DeltaClient::new();
         full_client.apply_wire(&WeightPayload::encode_full(&initial_clone));
         full_clients.insert(*id, full_client);
-        server_digests.insert(*id, CheckpointDigest::of(&initial_cow));
     }
 
     let rounds = streams.iter().map(|(_, f)| f.len()).max().unwrap();
@@ -201,15 +179,14 @@ fn shard_layer_cow_delta_is_bit_identical_to_clone_full() {
             assert_eq!(response.metric, clone_response.metric);
             assert_eq!(response.outcome.steps, clone_response.outcome.steps);
 
-            // Wire differential: ship the same update both ways.
-            let digest = server_digests.get_mut(stream_id).expect("digest");
-            let delta = WeightDelta::compute(&response.update, digest);
-            assert!(delta.entry_count() <= response.update.entry_count());
-            digest.patch(&response.update);
-            delta_wire_bytes += delta_clients
-                .get_mut(stream_id)
-                .expect("delta client")
-                .apply_wire(&Wire::encode(&WeightPayload::Delta(delta)));
+            // Wire differential: ship the same update both ways, the
+            // delta pool's way carrying weights only when they changed.
+            if response.outcome.changed {
+                delta_wire_bytes += delta_clients
+                    .get_mut(stream_id)
+                    .expect("delta client")
+                    .apply_wire(&WeightPayload::encode_full(&response.update));
+            }
             full_wire_bytes += full_clients
                 .get_mut(stream_id)
                 .expect("full client")
@@ -230,7 +207,7 @@ fn shard_layer_cow_delta_is_bit_identical_to_clone_full() {
             );
         }
     }
-    assert!(delta_wire_bytes > 0 && full_wire_bytes > 0);
+    assert!(0 < delta_wire_bytes && delta_wire_bytes <= full_wire_bytes);
 
     // Final server checkpoints agree with each other and with what the
     // clients reconstructed from the wire.
@@ -318,16 +295,6 @@ fn assert_live_differential(cow_pool: PoolConfig, clone_pool: PoolConfig) -> usi
             clone_stream.final_student.encode(),
             "{label}: final client students diverged"
         );
-        // The delta protocol actually ran on the CoW side (and only there):
-        // every update after the initial checkpoint arrived sparse, none
-        // was rejected.
-        assert!(
-            cow_stream.delta.delta_updates_applied >= 1,
-            "{label}: no delta update was ever applied"
-        );
-        assert_eq!(cow_stream.delta.delta_rejections, 0, "{label}");
-        assert_eq!(clone_stream.delta.delta_updates_applied, 0, "{label}");
-        assert_eq!(clone_stream.delta.full_updates_applied, 0, "{label}");
     }
     // Server-side checkpoints agree across the two runs too.
     for (stream_id, cow_ckpt) in &cow.pool.final_checkpoints {
@@ -350,8 +317,6 @@ fn assert_live_differential(cow_pool: PoolConfig, clone_pool: PoolConfig) -> usi
         cow_report.weights_resident_bytes(),
         clone_report.weights_resident_bytes()
     );
-    assert!(cow_report.delta_updates_sent >= 1);
-    assert_eq!(clone_report.delta_updates_sent, 0);
     cow_report.jobs_offloaded
 }
 

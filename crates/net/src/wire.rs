@@ -98,14 +98,16 @@ pub enum WireError {
     },
     /// A weight delta named a base checkpoint this receiver has never held —
     /// it cannot be applied against anything; the sender must fall back to a
-    /// full snapshot.
+    /// full snapshot. No pool sends deltas; kept for `stbench`'s client
+    /// (ROADMAP item 18).
     UnknownBaseCheckpoint {
         /// The combined checkpoint hash the delta was computed against.
         base: u64,
     },
     /// A weight delta was computed against a checkpoint the receiver *used*
     /// to hold but has since advanced past (a missed or re-ordered update) —
-    /// applying it would silently corrupt the weights.
+    /// applying it would silently corrupt the weights. Kept, like
+    /// [`WireError::UnknownBaseCheckpoint`], for `stbench`'s client.
     StaleBaseCheckpoint {
         /// The superseded combined checkpoint hash the delta named.
         base: u64,

@@ -1,34 +1,21 @@
-//! Delta-encoded weight updates and the checkpoint digests that anchor them.
+//! The weight-update envelope, and a delta codec the serving pool no longer
+//! sends.
 //!
-//! Partial distillation only trains the student's back-end, so most of a
-//! stream's weight state is identical from update to update — and on
-//! plateau/skip frames *all* of it is. The wire protocol exploits that:
-//! instead of re-shipping a full [`WeightSnapshot`], the server sends a
-//! [`WeightDelta`] naming the client's last-acked checkpoint (by combined
-//! content hash) plus only the entries whose chunk hash changed. The client
-//! applies the delta against its [`CheckpointDigest`] and rejects a delta
-//! whose base it does not hold with a typed [`st_net::WireError`]
+//! A pool with delta updates on wraps every weight payload in a
+//! [`WeightPayload`]: the initial student, and each answer whose student
+//! changed, as [`WeightPayload::Full`]; an unchanged student's answer
+//! carries no payload data at all.
+//!
+//! [`WeightDelta`] is a sparse update: the entries whose chunk hash changed
+//! against a [`CheckpointDigest`] of what the receiver holds, named by that
+//! digest's combined hash. A receiver rejects a delta whose base it does
+//! not hold with a typed [`st_net::WireError`]
 //! ([`st_net::WireError::UnknownBaseCheckpoint`] /
-//! [`st_net::WireError::StaleBaseCheckpoint`]) — the sender then falls back
-//! to a full snapshot, which remains always-decodable.
-//!
-//! Both encodings travel inside one self-describing envelope,
-//! [`WeightPayload`], negotiated at registration: a client that never
-//! announces delta support keeps receiving bare snapshots exactly as before.
-//!
-//! Digest consistency: the server patches its per-stream digest with every
-//! update it sends; the client patches with every delta/full payload it
-//! applies. Entries omitted from a delta have, by construction, unchanged
-//! chunk hashes — so patching with "the delta's entries" (client) and
-//! patching with "the whole update" (server) produce the same digest, and
-//! the two sides stay bit-synchronized without ever exchanging digests.
-//!
-//! Chunk-encoding and hashing an update is the expensive part of both
-//! halves of the server's step (FNV over every byte), so the serving path
-//! does them once: [`WeightDelta::compute_and_patch`] builds the delta
-//! against the digest and advances the digest from the same chunks and the
-//! same hashes. [`WeightDelta::compute`] followed by
-//! [`CheckpointDigest::patch`] is the two-pass form of the same result.
+//! [`st_net::WireError::StaleBaseCheckpoint`]). No pool sends one: every
+//! Adam step writes every trainable tensor, so a delta of a changed update
+//! carries every entry, and an unchanged update ships no data. The codec
+//! stays only because `stbench`'s client decodes it and its `delta.*`
+//! probes time it (ROADMAP item 18).
 
 use crate::snapshot::{SnapshotScope, WeightSnapshot};
 use crate::store::{chunk_hash, combine_hashes};
@@ -38,7 +25,8 @@ use st_net::{Wire, WireError};
 
 /// Per-entry chunk hashes of one peer's *complete* weight state, in capture
 /// order. [`CheckpointDigest::combined`] is the checkpoint identity a
-/// [`WeightDelta`] names as its base.
+/// [`WeightDelta`] names as its base. No pool keeps one; it stays for
+/// `stbench`'s client and probes (ROADMAP item 18).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointDigest {
     entries: Vec<(String, u64)>,
@@ -110,6 +98,8 @@ fn entry_hashes(snapshot: &WeightSnapshot) -> Vec<(String, u64)> {
 
 /// A sparse weight update: the entries of an update snapshot whose content
 /// changed relative to a base checkpoint, plus that base's identity hash.
+/// No pool sends one; it stays for `stbench`'s client and probes (ROADMAP
+/// item 18).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightDelta {
     base: u64,
@@ -125,36 +115,9 @@ impl WeightDelta {
     /// `base`: only entries whose chunk hash differs from the digested one.
     /// An entry the digest has never seen is always included.
     pub fn compute(update: &WeightSnapshot, base: &CheckpointDigest) -> Self {
-        Self::against(update, base, |_, _| {})
-    }
-
-    /// [`WeightDelta::compute`] against `digest`, then
-    /// [`CheckpointDigest::patch`] of `digest` by the same `update` — the
-    /// server's step for one delta update — with every entry chunk-encoded
-    /// and hashed once instead of once for each half. The delta (its base,
-    /// its entries, their bytes) and the advanced digest are exactly the
-    /// two-pass ones.
-    pub fn compute_and_patch(update: &WeightSnapshot, digest: &mut CheckpointDigest) -> Self {
-        let mut hashes = Vec::with_capacity(update.entry_count());
-        let delta = Self::against(update, digest, |name, hash| {
-            hashes.push((name.to_string(), hash));
-        });
-        digest.patch_hashes(hashes);
-        delta
-    }
-
-    /// The delta that carries `update` to a peer at `base`; `hashed` sees
-    /// the chunk hash of every entry of `update`, carried or not.
-    fn against(
-        update: &WeightSnapshot,
-        base: &CheckpointDigest,
-        mut hashed: impl FnMut(&str, u64),
-    ) -> Self {
         let mut entries = Vec::new();
         for (name, bytes) in update.entry_chunks() {
-            let hash = chunk_hash(&bytes);
-            hashed(name, hash);
-            if base.entry_hash(name) != Some(hash) {
+            if base.entry_hash(name) != Some(chunk_hash(&bytes)) {
                 entries.push((name.to_string(), bytes));
             }
         }
@@ -290,14 +253,15 @@ impl Wire for WeightDelta {
     }
 }
 
-/// The self-describing update envelope a delta-negotiated stream receives:
-/// either a full snapshot (always applicable — the fallback and re-sync
-/// path) or a sparse delta against the client's last-acked checkpoint.
+/// The self-describing update envelope a stream of a pool with delta
+/// updates on receives: always a full snapshot from the pool.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WeightPayload {
     /// A complete snapshot at its scope; applies unconditionally.
     Full(WeightSnapshot),
-    /// Changed entries against a named base checkpoint.
+    /// Changed entries against a named base checkpoint. No pool sends it;
+    /// the tag stays because `stbench`'s client decodes it (ROADMAP item
+    /// 18).
     Delta(WeightDelta),
 }
 
@@ -421,38 +385,6 @@ mod tests {
         let server_state = WeightSnapshot::capture(&mut server, SnapshotScope::Full);
         let client_state = WeightSnapshot::capture(&mut client, SnapshotScope::Full);
         assert_eq!(server_state.encode(), client_state.encode());
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
-
-        /// Over the training trajectories of
-        /// `delta_stream_reproduces_the_server_bit_for_bit` (a partial
-        /// student, one optimizer step per round, a final round with no
-        /// training), the fused pass and `compute` followed by `patch`
-        /// produce the same delta bytes and the same digest.
-        #[test]
-        fn compute_and_patch_in_one_pass_equals_compute_then_patch(
-            seed in 0u64..500,
-            rounds in 1usize..4,
-        ) {
-            let mut server = net(seed);
-            let start =
-                CheckpointDigest::of(&WeightSnapshot::capture(&mut server, SnapshotScope::Full));
-            let (mut two_pass, mut one_pass) = (start.clone(), start);
-            for round in 0..=rounds {
-                if round < rounds {
-                    trained_step(&mut server, seed.wrapping_mul(31).wrapping_add(round as u64));
-                }
-                let update = WeightSnapshot::capture(&mut server, SnapshotScope::TrainableOnly);
-                let reference = WeightDelta::compute(&update, &two_pass);
-                two_pass.patch(&update);
-                let fused = WeightDelta::compute_and_patch(&update, &mut one_pass);
-                proptest::prop_assert_eq!(Wire::encode(&fused), Wire::encode(&reference));
-                proptest::prop_assert_eq!(&one_pass, &two_pass);
-                proptest::prop_assert_eq!(fused.entry_count() == 0, round == rounds);
-            }
-        }
     }
 
     #[test]

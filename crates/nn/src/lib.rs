@@ -28,8 +28,8 @@
 //! * [`store`] — the content-addressed, refcounted chunk store that holds
 //!   the pretrained template once and every checkpoint by reference, plus
 //!   copy-on-write session memory accounting.
-//! * [`delta`] — checkpoint digests and the sparse delta encoding of
-//!   server→client weight updates (full snapshots remain the fallback).
+//! * [`delta`] — the server→client weight-update envelope, plus the sparse
+//!   delta encoding and checkpoint digests no pool sends any more.
 
 pub mod block;
 pub mod delta;
